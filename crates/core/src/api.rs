@@ -13,8 +13,7 @@ use crate::error::CoreError;
 use crate::influence::{metric_aggregate, rank_influence_with_cache, InfluenceReport};
 use crate::metric::ErrorMetric;
 use crate::predicates::{enumerate_predicates, PredicateEnumConfig};
-use crate::ranker::{rank_predicates_with_cache, RankedPredicate, RankerConfig};
-use crate::sharded::rank_predicates_sharded;
+use crate::ranker::{rank_shard_set, RankedPredicate, RankerConfig, ShardSet};
 use dbwipes_engine::{
     execute_on_catalog, parse_select, AggregateArg, ExecOptions, GroupedAggregateCache,
     QueryResult, ShardedAggregateCache,
@@ -46,10 +45,11 @@ pub struct ExplainConfig {
     pub exclude_group_by_columns: bool,
     /// Number of horizontal shards the Predicate Ranker partitions the
     /// table into (hash on an adaptively chosen column — see
-    /// [`choose_shard_column`]). 1 (the default) uses the single-table
-    /// path; larger values run every condition kernel and re-aggregation
-    /// per shard, letting zone maps skip shards a condition provably
-    /// cannot match (see `docs/TUNING.md`).
+    /// [`choose_shard_column`]). 1 (the default) ranks over the base table
+    /// as the only shard and partitions nothing; larger values run every
+    /// condition kernel and re-aggregation per shard, letting zone maps
+    /// skip shards a condition provably cannot match (see
+    /// `docs/TUNING.md`).
     pub shards: usize,
 }
 
@@ -417,38 +417,32 @@ pub fn explain_with_partitioner(
     }
     let predicates_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    // 4. Predicate Ranker, reusing the Preprocessor's cache — or, when the
-    // config asks for more than one shard, partitioning the table on an
-    // adaptively chosen column (via the caller's partitioner, which may
-    // serve a retained partition) and scoring shard-parallel. The
-    // per-shard cache build is charged to the ranker; it pays off when
+    // 4. Predicate Ranker. There is one ranker; this stage only chooses
+    // the cache it scores over. By default that is the Preprocessor's
+    // cache, as a one-shard set. When the config asks for more than one
+    // shard, the table is partitioned on an adaptively chosen column (via
+    // the caller's partitioner, which may serve a retained partition) and a
+    // per-shard cache built — charged to the ranker; it pays off when
     // zone-map pruning lets equality candidates skip most shards' kernels.
     let start = Instant::now();
-    let shard_column = choose_shard_column(table, &all_predicates, &result.statement.group_by);
-    let ranked = match (request.config.shards, shard_column) {
-        (2.., Some(column)) => {
+    let mut shard_cache = None;
+    if request.config.shards >= 2 {
+        if let Some(column) =
+            choose_shard_column(table, &all_predicates, &result.statement.group_by)
+        {
             let sharded = partitioner.partition(table, &column, request.config.shards)?;
-            let shard_cache = ShardedAggregateCache::build(sharded, &result.statement)?;
-            rank_predicates_sharded(
-                &shard_cache,
-                result,
-                &request.suspicious_outputs,
-                &examples,
-                &request.metric,
-                all_predicates,
-                &request.config.ranker,
-            )?
+            shard_cache = Some(ShardedAggregateCache::build(sharded, &result.statement)?);
         }
-        _ => rank_predicates_with_cache(
-            cache,
-            result,
-            &request.suspicious_outputs,
-            &examples,
-            &request.metric,
-            all_predicates,
-            &request.config.ranker,
-        )?,
-    };
+    }
+    let ranked = rank_shard_set(
+        shard_cache.as_ref().map_or(ShardSet::Whole(cache), ShardSet::Partitioned),
+        result,
+        &request.suspicious_outputs,
+        &examples,
+        &request.metric,
+        all_predicates,
+        &request.config.ranker,
+    )?;
     let rank_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     Ok(Explanation {

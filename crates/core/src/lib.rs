@@ -68,7 +68,6 @@ pub mod metric;
 pub mod parallel;
 pub mod predicates;
 pub mod ranker;
-pub mod sharded;
 
 pub use api::{
     choose_shard_column, explain_on_table, explain_with_cache, explain_with_partitioner,
@@ -84,5 +83,7 @@ pub use influence::{rank_influence, rank_influence_with_cache, InfluenceReport, 
 pub use metric::{suggest_metrics, Combine, ErrorMetric, MetricKind};
 pub use parallel::effective_parallelism;
 pub use predicates::{enumerate_predicates, PredicateEnumConfig};
-pub use ranker::{rank_predicates, rank_predicates_with_cache, RankedPredicate, RankerConfig};
-pub use sharded::rank_predicates_sharded;
+pub use ranker::{
+    rank_predicates, rank_predicates_sharded, rank_predicates_with_cache, RankedPredicate,
+    RankerConfig,
+};

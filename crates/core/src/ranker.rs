@@ -9,19 +9,52 @@
 //! predicate" — the query result with the predicate's matching tuples
 //! excluded — and measures how much ε improves over the user-selected
 //! outputs. Instead of re-executing the full SQL statement per candidate,
-//! it asks a [`GroupedAggregateCache`] built once per ranking: a single
-//! pass over the table classifies each row under SQL three-valued logic
-//! (matching the semantics of rewriting the query with `AND NOT predicate`)
-//! and only the touched groups' aggregate states are re-derived. Candidates
-//! are scored in parallel across scoped threads; each candidate's score is
+//! it asks an aggregate cache built once per ranking: a single pass over
+//! the table classifies each row under SQL three-valued logic (matching the
+//! semantics of rewriting the query with `AND NOT predicate`) and only the
+//! touched groups' aggregate states are re-derived. Candidates are scored
+//! in parallel across scoped threads; each candidate's score is
 //! independent, so the ranking is deterministic regardless of thread count.
+//!
+//! There is one scoring loop, and it runs over a *shard set*: per shard a
+//! table, its [`GroupedAggregateCache`] (membership bitmap included), a
+//! [`ConditionBitmapCache`], and F and D′ as shard-local [`RowSet`]s.
+//! [`rank_predicates_with_cache`] presents its cache as exactly one shard —
+//! the base table itself, identity row mapping, every condition live,
+//! cleaned results straight from [`GroupedAggregateCache::result`] — so it
+//! builds no partition, no second aggregate cache and no merged group
+//! directory. [`rank_predicates_sharded`] presents a
+//! [`ShardedAggregateCache`] as N shards: every condition kernel runs on a
+//! shard-sized universe, exclusion sets stay per shard, ε re-derivation
+//! merges per-shard aggregate states, and match/agreement counts are
+//! popcounts summed across shards. Two properties make the N-shard case
+//! profitable and safe:
+//!
+//! * **Zone-map pruning** — [`ShardedTable::condition_may_match`]
+//!   guarantees that a pruned (shard, condition) pair's kernel would
+//!   produce no TRUE and no UNKNOWN rows, so that leaf's kernel scan is
+//!   skipped outright and an all-FALSE bitmap substituted. For a
+//!   conjunction one pruned conjunct empties the whole shard; for general
+//!   [`Candidate`] trees the boolean prune rules fall out of the exact
+//!   substitution (an `OR` empties only when every branch is pruned; a
+//!   `NOT` over a pruned leaf turns all-TRUE and is never pruned).
+//!   Hash-sharding on a frequently-equality-tested column pins each
+//!   `col = v` candidate to a single shard.
+//! * **Determinism** — shards are always combined in ascending shard
+//!   order, and F / D′ are routed through the partition's row-id mapping,
+//!   so the ranking (scores, order, evidence) is identical to the
+//!   one-shard case whenever the merged aggregates are exact (always for a
+//!   single shard; see [`ShardedAggregateCache`] for the float caveat).
+//!
+//! [`ShardedTable::condition_may_match`]: dbwipes_storage::ShardedTable::condition_may_match
 
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
 use crate::parallel::map_chunked;
-use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult};
+use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
 use dbwipes_storage::{
-    Candidate, ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet, Table, Value,
+    Candidate, Condition, ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet,
+    Table, TriSet, Value,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -117,7 +150,8 @@ pub fn rank_predicates<P: Candidate>(
 /// [`rank_predicates`] over a caller-provided cache (which carries the
 /// table it was built from) — the explain pipeline builds one
 /// [`GroupedAggregateCache`] and shares it between the Preprocessor and the
-/// Ranker.
+/// Ranker. The cache is scored as a one-shard set: nothing is partitioned,
+/// copied or merged.
 pub fn rank_predicates_with_cache<P: Candidate>(
     cache: &GroupedAggregateCache,
     result: &QueryResult,
@@ -127,21 +161,111 @@ pub fn rank_predicates_with_cache<P: Candidate>(
     predicates: Vec<P>,
     config: &RankerConfig,
 ) -> Result<Vec<RankedPredicate<P>>, CoreError> {
-    let error_before = metric.evaluate_result(result, selected);
-    let f_rows: Vec<RowId> = result.inputs_of_rows(selected);
-    let num_rows = cache.table().num_rows();
-    let in_range = |r: &&RowId| r.index() < num_rows;
+    rank_shard_set(ShardSet::Whole(cache), result, selected, examples, metric, predicates, config)
+}
+
+/// [`rank_predicates_with_cache`] over a pre-built
+/// [`ShardedAggregateCache`], argument for argument; `examples` and the
+/// selected outputs' input rows are given in *base-table* row ids and
+/// routed through the partition's row-id mapping internally.
+pub fn rank_predicates_sharded<P: Candidate>(
+    cache: &ShardedAggregateCache,
+    result: &QueryResult,
+    selected: &[usize],
+    examples: &[RowId],
+    metric: &ErrorMetric,
+    predicates: Vec<P>,
+    config: &RankerConfig,
+) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+    let shards = ShardSet::Partitioned(cache);
+    rank_shard_set(shards, result, selected, examples, metric, predicates, config)
+}
+
+/// The aggregate cache a ranking runs over, seen as a set of shards. It
+/// hides the two things that differ between an unpartitioned table and a
+/// partition — the base→local row-id mapping and the per-shard merge of
+/// cleaned results — so the scoring loop below exists once.
+#[derive(Clone, Copy)]
+pub(crate) enum ShardSet<'a> {
+    /// The base table itself as the only shard.
+    Whole(&'a GroupedAggregateCache<'a>),
+    /// One shard per partition of a [`ShardedAggregateCache`].
+    Partitioned(&'a ShardedAggregateCache),
+}
+
+impl<'a> ShardSet<'a> {
+    /// The per-shard caches (table, membership), in shard order.
+    fn caches(self) -> &'a [GroupedAggregateCache<'a>] {
+        match self {
+            ShardSet::Whole(cache) => std::slice::from_ref(cache),
+            ShardSet::Partitioned(cache) => cache.shard_caches(),
+        }
+    }
+
+    /// `false` only when zone maps prove `condition` matches nothing on
+    /// shard `s`; the unpartitioned table keeps no zone maps.
+    fn may_match(self, s: usize, condition: &Condition) -> bool {
+        match self {
+            ShardSet::Whole(_) => true,
+            ShardSet::Partitioned(cache) => cache.sharded().condition_may_match(s, condition),
+        }
+    }
+
+    /// Base-table rows as one local bitmap per shard; rows outside the
+    /// table drop.
+    fn split(self, rows: &[RowId]) -> Vec<RowSet> {
+        match self {
+            ShardSet::Whole(cache) => {
+                let n = cache.table().num_rows();
+                vec![RowSet::from_rows(n, rows.iter().filter(|r| r.index() < n))]
+            }
+            ShardSet::Partitioned(cache) => {
+                let sharded = cache.sharded();
+                sharded
+                    .split_rows(rows)
+                    .iter()
+                    .zip(sharded.shards())
+                    .map(|(locals, t)| RowSet::from_rows(t.num_rows(), locals.iter()))
+                    .collect()
+            }
+        }
+    }
+
+    /// The cleaned result for `keys` under one local exclusion set per
+    /// shard. Only the brushed groups matter for ε, so exactly those keys
+    /// are asked for instead of materialising (and re-sorting) every group.
+    fn cleaned(self, excluded: &[RowSet], keys: &[Vec<Value>]) -> QueryResult {
+        match self {
+            ShardSet::Whole(cache) => {
+                cache.result(&ExclusionQuery::new().excluding_set(&excluded[0]).for_keys(keys))
+            }
+            ShardSet::Partitioned(cache) => cache.result_excluding_keys_local_sets(excluded, keys),
+        }
+    }
+}
+
+/// The one ranking loop behind every public entry point (and the explain
+/// pipeline, which only chooses the cache it hands over).
+pub(crate) fn rank_shard_set<P: Candidate>(
+    shards: ShardSet<'_>,
+    result: &QueryResult,
+    selected: &[usize],
+    examples: &[RowId],
+    metric: &ErrorMetric,
+    predicates: Vec<P>,
+    config: &RankerConfig,
+) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+    let caches = shards.caches();
     let ctx = ScoreContext {
-        cache,
-        bitmaps: ConditionBitmapCache::new(cache.table()),
-        error_before,
+        shards,
+        bitmaps: caches.iter().map(|c| ConditionBitmapCache::new(c.table())).collect(),
+        error_before: metric.evaluate_result(result, selected),
         // Group keys of the selected outputs, used to find the same groups
         // in the incrementally cleaned result.
         selected_keys: selected.iter().filter_map(|&i| result.group_keys.get(i).cloned()).collect(),
-        f_rowset: RowSet::from_rows(num_rows, f_rows.iter().filter(in_range)),
-        example_rowset: RowSet::from_rows(num_rows, examples.iter().filter(in_range)),
-        f_set: f_rows.iter().copied().collect(),
-        example_set: examples.iter().copied().collect(),
+        f_rowsets: shards.split(&result.inputs_of_rows(selected)),
+        example_rowsets: shards.split(examples),
+        num_examples: examples.iter().collect::<BTreeSet<_>>().len(),
         metric,
         config,
     };
@@ -154,13 +278,20 @@ pub fn rank_predicates_with_cache<P: Candidate>(
         .filter(|p| !p.is_trivial() && seen.insert(p.canonical_key()))
         .collect();
 
-    // Warm the condition-bitmap cache serially: the candidates share leaf
+    // Warm the condition-bitmap caches serially: the candidates share leaf
     // conditions drawn from one pool, so each distinct condition's column
-    // kernel runs exactly once here, and the parallel scoring pass below
-    // is pure bitmap combining over cache hits.
+    // kernel runs exactly once per shard here, and the parallel scoring
+    // pass below is pure bitmap combining over cache hits. Every (shard,
+    // condition) pair the zone maps prune is skipped — on a hash partition
+    // over an equality-heavy candidate pool this is where the shard speedup
+    // comes from: each equality kernel scans one shard, not the whole table.
     for candidate in &candidates {
         for condition in candidate.leaf_conditions() {
-            let _ = ctx.bitmaps.condition(ctx.cache.table(), &condition);
+            for (s, cache) in caches.iter().enumerate() {
+                if shards.may_match(s, &condition) {
+                    let _ = ctx.bitmaps[s].condition(cache.table(), &condition);
+                }
+            }
         }
     }
 
@@ -173,28 +304,26 @@ pub fn rank_predicates_with_cache<P: Candidate>(
     Ok(ranked)
 }
 
-/// The per-ranking state shared by every candidate's scoring pass.
-struct ScoreContext<'a, 't> {
-    cache: &'a GroupedAggregateCache<'t>,
-    /// Condition bitmaps shared across candidates (warmed before scoring).
-    bitmaps: ConditionBitmapCache,
+/// The per-ranking state shared by every candidate's scoring pass, with
+/// every row-level structure held per shard.
+struct ScoreContext<'a> {
+    shards: ShardSet<'a>,
+    /// One condition-bitmap cache per shard (warmed before scoring).
+    bitmaps: Vec<ConditionBitmapCache>,
     error_before: f64,
     selected_keys: Vec<Vec<Value>>,
-    /// F as a bitmap (bitmap scoring path).
-    f_rowset: RowSet,
-    /// D′ as a bitmap (bitmap scoring path).
-    example_rowset: RowSet,
-    /// F as an ordered set (scalar fallback path).
-    f_set: BTreeSet<RowId>,
-    /// D′ as an ordered set (scalar fallback path; also the recall
-    /// denominator, which counts every distinct example the user gave,
-    /// in-table or not).
-    example_set: BTreeSet<RowId>,
+    /// F as one local bitmap per shard.
+    f_rowsets: Vec<RowSet>,
+    /// D′ as one local bitmap per shard.
+    example_rowsets: Vec<RowSet>,
+    /// The recall denominator: every distinct example the user gave,
+    /// in-table or not.
+    num_examples: usize,
     metric: &'a ErrorMetric,
     config: &'a RankerConfig,
 }
 
-/// The per-candidate evidence both scoring paths produce: match counts,
+/// The per-candidate evidence gathered across shards: match counts,
 /// example agreement, and the incrementally cleaned partial result.
 struct CandidateEvidence {
     matched_rows: usize,
@@ -210,22 +339,31 @@ struct CandidateEvidence {
 /// groups.
 ///
 /// The default path is vectorized: each leaf condition's cached bitmap
-/// (one columnar kernel scan per *distinct* condition per ranking) is
-/// combined with word-level AND/OR/NOT, match/agreement counts are
-/// popcounts, and the exclusion set flows into the aggregate cache as a
-/// bitmap. Candidates the typed compiler cannot express fall back to the
-/// per-row scalar walk.
+/// (one columnar kernel scan per *distinct* condition per shard per
+/// ranking) is combined with word-level AND/OR/NOT, zone-pruned leaves
+/// being substituted by all-FALSE bitmaps instead of kernel scans.
+/// Expressibility is schema-only, so it is decided once per candidate from
+/// what the evaluation returns: if any shard declines, the whole candidate
+/// falls back to the per-row scalar walk.
 fn score_candidate<P: Candidate>(
-    ctx: &ScoreContext<'_, '_>,
+    ctx: &ScoreContext<'_>,
     predicate: &P,
 ) -> Result<RankedPredicate<P>, CoreError> {
-    let evidence = match predicate.tri_eval(&ctx.bitmaps, ctx.cache.table()) {
+    let caches = ctx.shards.caches().iter().enumerate();
+    let vectorized: Option<Vec<TriSet>> = caches
+        .map(|(s, cache)| {
+            let live = |c: &Condition| ctx.shards.may_match(s, c);
+            predicate.tri_eval(&ctx.bitmaps[s], cache.table(), &live)
+        })
+        .collect();
+    let tris = match vectorized {
         // A compiled candidate is well-typed by construction, so the
         // scalar path's expression validation cannot fail here.
-        Some(tri) => score_bitmaps(ctx, tri),
-        None => score_scalar(ctx, predicate)?,
+        Some(tris) => tris,
+        None => scalar_tri_eval(ctx, predicate)?,
     };
-    let CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned } = evidence;
+    let CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned } =
+        score_bitmaps(ctx, &tris);
     let error_before = ctx.error_before;
     let error_after = error_over_keys(&cleaned, &ctx.selected_keys, ctx.metric);
     let improvement = if error_before > 0.0 {
@@ -237,7 +375,7 @@ fn score_candidate<P: Candidate>(
     // Agreement with the user's examples, measured within F.
     let tp = true_positives as f64;
     let precision = if matched_in_f == 0 { 0.0 } else { tp / matched_in_f as f64 };
-    let recall = if ctx.example_set.is_empty() { 0.0 } else { tp / ctx.example_set.len() as f64 };
+    let recall = if ctx.num_examples == 0 { 0.0 } else { tp / ctx.num_examples as f64 };
     let example_f1 = if precision + recall == 0.0 {
         0.0
     } else {
@@ -260,73 +398,63 @@ fn score_candidate<P: Candidate>(
     })
 }
 
-/// The vectorized scoring path: bitmap intersections and popcounts only.
-fn score_bitmaps(ctx: &ScoreContext<'_, '_>, tri: dbwipes_storage::TriSet) -> CandidateEvidence {
-    let matched = tri.trues.and(ctx.bitmaps.visible());
-    // TRUE-or-NULL rows among the cache's filter-passing inputs: the
-    // `AND NOT predicate` rewrite drops exactly these.
-    let mut excluded = tri.passes_or_unknown();
-    excluded.and_assign(ctx.cache.membership());
-    // Only the brushed groups matter for ε: ask the cache for exactly
-    // those keys instead of materialising (and re-sorting) every group.
-    let cleaned = ctx
-        .cache
-        .result(&ExclusionQuery::new().excluding_set(&excluded).for_keys(&ctx.selected_keys));
-    let matched_in_f = matched.and(&ctx.f_rowset);
-    CandidateEvidence {
-        matched_rows: matched.count_ones(),
-        matched_in_f: matched_in_f.count_ones(),
-        true_positives: matched_in_f.intersection_count(&ctx.example_rowset),
-        cleaned,
+/// Turns one candidate's per-shard evaluation into evidence: bitmap
+/// intersections and popcounts summed in shard order, then one cleaned
+/// result for the brushed keys.
+fn score_bitmaps(ctx: &ScoreContext<'_>, tris: &[TriSet]) -> CandidateEvidence {
+    let mut matched_rows = 0usize;
+    let mut matched_in_f = 0usize;
+    let mut true_positives = 0usize;
+    let mut excluded: Vec<RowSet> = Vec::with_capacity(tris.len());
+    for (s, (tri, cache)) in tris.iter().zip(ctx.shards.caches()).enumerate() {
+        let matched = tri.trues.and(ctx.bitmaps[s].visible());
+        // TRUE-or-NULL rows among the cache's filter-passing inputs: the
+        // `AND NOT predicate` rewrite drops exactly these.
+        let mut exc = tri.passes_or_unknown();
+        exc.and_assign(cache.membership());
+        let in_f = matched.and(&ctx.f_rowsets[s]);
+        matched_rows += matched.count_ones();
+        matched_in_f += in_f.count_ones();
+        true_positives += in_f.intersection_count(&ctx.example_rowsets[s]);
+        excluded.push(exc);
     }
+    let cleaned = ctx.shards.cleaned(&excluded, &ctx.selected_keys);
+    CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned }
 }
 
 /// The scalar fallback for predicates outside the typed-kernel fragment:
-/// one expression walk per visible row.
-fn score_scalar<P: Candidate>(
-    ctx: &ScoreContext<'_, '_>,
+/// one expression walk per visible row of each shard, recorded in the same
+/// per-shard [`TriSet`] shape the kernels produce (invisible rows stay
+/// FALSE). Row-at-a-time evaluation is partition-safe, so walking shards
+/// in order visits exactly the base table's rows.
+fn scalar_tri_eval<P: Candidate>(
+    ctx: &ScoreContext<'_>,
     predicate: &P,
-) -> Result<CandidateEvidence, CoreError> {
-    let cache = ctx.cache;
-    let table = cache.table();
+) -> Result<Vec<TriSet>, CoreError> {
+    let caches = ctx.shards.caches();
     // The same validation executing the rewritten statement would perform.
     let p_expr = predicate.to_expr();
-    let t = p_expr.validate(table.schema())?;
+    let t = p_expr.validate(caches[0].table().schema())?;
     if !matches!(t, DataType::Bool | DataType::Null) {
         return Err(CoreError::invalid(format!("predicate must be boolean, found {t}")));
     }
 
-    let mut matched: Vec<RowId> = Vec::new();
-    let mut excluded: Vec<RowId> = Vec::new();
-    for rid in table.visible_row_ids() {
-        match p_expr.eval(table, rid)? {
-            Value::Bool(true) => {
-                matched.push(rid);
-                if cache.contains(rid) {
-                    excluded.push(rid);
-                }
-            }
-            Value::Bool(false) => {}
-            // NULL: the row satisfies neither the predicate nor its
-            // negation, so the rewrite's WHERE drops it.
-            _ => {
-                if cache.contains(rid) {
-                    excluded.push(rid);
-                }
+    let mut tris = Vec::with_capacity(caches.len());
+    for cache in caches {
+        let table = cache.table();
+        let mut tri = TriSet::all_false(table.num_rows());
+        for rid in table.visible_row_ids() {
+            match p_expr.eval(table, rid)? {
+                Value::Bool(true) => tri.trues.insert(rid.index()),
+                Value::Bool(false) => {}
+                // NULL: the row satisfies neither the predicate nor its
+                // negation, so the rewrite's WHERE drops it.
+                _ => tri.unknowns.insert(rid.index()),
             }
         }
+        tris.push(tri);
     }
-
-    let cleaned =
-        cache.result(&ExclusionQuery::new().excluding_rows(&excluded).for_keys(&ctx.selected_keys));
-    let matched_in_f: Vec<&RowId> = matched.iter().filter(|r| ctx.f_set.contains(r)).collect();
-    let true_positives = matched_in_f.iter().filter(|r| ctx.example_set.contains(r)).count();
-    Ok(CandidateEvidence {
-        matched_rows: matched.len(),
-        matched_in_f: matched_in_f.len(),
-        true_positives,
-        cleaned,
-    })
+    Ok(tris)
 }
 
 /// Evaluates the metric over the rows of `result` whose group keys match
@@ -342,10 +470,12 @@ pub fn error_over_keys(result: &QueryResult, keys: &[Vec<Value>], metric: &Error
 mod tests {
     use super::*;
     use dbwipes_engine::execute_sql;
-    use dbwipes_storage::{Catalog, Condition, DataType, Schema, Value};
+    use dbwipes_storage::{Catalog, Condition, PredicateTree, Schema, ShardedTable};
+    use std::sync::Arc;
 
-    /// Window 1 is polluted by sensor 15's ~120F readings.
-    fn setup() -> (Catalog, Vec<RowId>) {
+    /// Window 1 is polluted by sensor 7's ~120F readings; the healthy ones
+    /// climb from 20F in `step`-sized increments.
+    fn readings(rows: i64, step: f64) -> (Catalog, Vec<RowId>) {
         let mut t = Table::new(
             "readings",
             Schema::of(&[
@@ -356,11 +486,11 @@ mod tests {
         )
         .unwrap();
         let mut broken = Vec::new();
-        for i in 0..120i64 {
+        for i in 0..rows {
             let window = i % 2;
             let sensor = i % 12;
             let is_broken = sensor == 7 && window == 1;
-            let temp = if is_broken { 120.0 } else { 20.0 + (i % 5) as f64 };
+            let temp = if is_broken { 120.0 } else { 20.0 + (i % 5) as f64 * step };
             let rid = t
                 .push_row(vec![Value::Int(window), Value::Int(sensor), Value::Float(temp)])
                 .unwrap();
@@ -371,6 +501,15 @@ mod tests {
         let mut c = Catalog::new();
         c.register(t).unwrap();
         (c, broken)
+    }
+
+    fn setup() -> (Catalog, Vec<RowId>) {
+        readings(120, 1.0)
+    }
+
+    /// The partition tests' fixture (dyadic temps → exact shard merges).
+    fn setup_dyadic() -> (Catalog, Vec<RowId>) {
+        readings(240, 0.25)
     }
 
     #[test]
@@ -579,6 +718,245 @@ mod tests {
         for (a, b) in via_cache.iter().zip(&direct) {
             assert_eq!(a.predicate, b.predicate);
             assert_eq!(a.score, b.score);
+        }
+    }
+
+    fn candidate_pool() -> Vec<ConjunctivePredicate> {
+        let mut pool: Vec<ConjunctivePredicate> = (0..12)
+            .map(|s| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]))
+            .collect();
+        pool.push(ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]));
+        pool.push(ConjunctivePredicate::new(vec![
+            Condition::equals("sensorid", 7),
+            Condition::above("temp", 100.0),
+        ]));
+        pool.push(ConjunctivePredicate::new(vec![Condition::between("temp", 20.0, 21.0)]));
+        pool
+    }
+
+    #[test]
+    fn sharded_ranking_matches_unsharded() {
+        let (c, broken) = setup_dyadic();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let config = RankerConfig { max_results: 20, ..Default::default() };
+
+        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
+        let baseline = rank_predicates_with_cache(
+            &flat_cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            candidate_pool(),
+            &config,
+        )
+        .unwrap();
+
+        for shards in [1usize, 4, 7] {
+            let st = Arc::new(ShardedTable::hash(table, "sensorid", shards).unwrap());
+            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+            let ranked = rank_predicates_sharded(
+                &cache,
+                &r,
+                &[1],
+                &broken,
+                &metric,
+                candidate_pool(),
+                &config,
+            )
+            .unwrap();
+            assert_eq!(ranked.len(), baseline.len(), "{shards} shards");
+            for (a, b) in ranked.iter().zip(&baseline) {
+                assert_eq!(a.predicate, b.predicate, "{shards} shards");
+                assert_eq!(a.score, b.score, "{shards} shards: {}", a.predicate);
+                assert_eq!(a.error_after, b.error_after, "{shards} shards");
+                assert_eq!(a.matched_rows, b.matched_rows, "{shards} shards");
+                assert_eq!(a.example_f1, b.example_f1, "{shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn range_partition_ranking_matches_unsharded() {
+        let (c, broken) = setup_dyadic();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let config = RankerConfig::default();
+
+        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
+        let baseline = rank_predicates_with_cache(
+            &flat_cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            candidate_pool(),
+            &config,
+        )
+        .unwrap();
+
+        let st = Arc::new(ShardedTable::range(table, "temp", 3).unwrap());
+        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+        let ranked =
+            rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, candidate_pool(), &config)
+                .unwrap();
+        assert_eq!(ranked.len(), baseline.len());
+        for (a, b) in ranked.iter().zip(&baseline) {
+            assert_eq!(a.predicate, b.predicate);
+            assert_eq!(a.score, b.score, "{}", a.predicate);
+        }
+        // Range sharding on temp prunes `temp > 100` down to a single
+        // shard; sanity-check the pruning really fires.
+        let hot = Condition::above("temp", 100.0);
+        let may: Vec<bool> = (0..cache.sharded().num_shards())
+            .map(|s| cache.sharded().condition_may_match(s, &hot))
+            .collect();
+        assert!(may.iter().filter(|&&m| m).count() < cache.sharded().num_shards());
+    }
+
+    /// OR-of-conjunction and negated candidates: the disjunctive pool the
+    /// boolean-algebra layer exists for. Sharded scoring (with per-leaf
+    /// zone pruning) must agree exactly with the unsharded bitmap path on
+    /// hash *and* range partitions.
+    #[test]
+    fn sharded_tree_candidates_match_unsharded() {
+        let (c, broken) = setup_dyadic();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let config = RankerConfig { max_results: 30, ..Default::default() };
+
+        let eq = |s: i64| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]);
+        let hot = ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]);
+        let pool = || -> Vec<PredicateTree> {
+            let mut pool: Vec<PredicateTree> =
+                (0..12).map(|s| PredicateTree::any_of(vec![eq(s), hot.clone()])).collect();
+            pool.push(PredicateTree::negation(eq(7)));
+            pool.push(PredicateTree::negation(hot.clone()));
+            pool.push(PredicateTree::Not(Box::new(PredicateTree::any_of(vec![eq(7), eq(3)]))));
+            pool.push(PredicateTree::And(vec![
+                PredicateTree::any_of(vec![eq(7), eq(3)]),
+                PredicateTree::negation(ConjunctivePredicate::new(vec![Condition::between(
+                    "temp", 20.0, 21.0,
+                )])),
+            ]));
+            // An all-branches-prunable OR (sensors that do not exist).
+            pool.push(PredicateTree::any_of(vec![eq(777), eq(888)]));
+            pool
+        };
+
+        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
+        let baseline =
+            rank_predicates_with_cache(&flat_cache, &r, &[1], &broken, &metric, pool(), &config)
+                .unwrap();
+        assert!(!baseline.is_empty());
+        // The negated pollution predicate must not win (removing everything
+        // *but* the broken sensor leaves the inflated readings in place).
+        assert!(baseline[0].predicate.to_string().contains("OR"), "{}", baseline[0].predicate);
+
+        for (strategy, shards) in [("hash", 4usize), ("hash", 7), ("range", 3)] {
+            let st = Arc::new(match strategy {
+                "hash" => ShardedTable::hash(table, "sensorid", shards).unwrap(),
+                _ => ShardedTable::range(table, "temp", shards).unwrap(),
+            });
+            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+            let ranked =
+                rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, pool(), &config)
+                    .unwrap();
+            assert_eq!(ranked.len(), baseline.len(), "{strategy}/{shards}");
+            for (a, b) in ranked.iter().zip(&baseline) {
+                assert_eq!(a.predicate, b.predicate, "{strategy}/{shards}");
+                assert_eq!(a.score, b.score, "{strategy}/{shards}: {}", a.predicate);
+                assert_eq!(a.error_after, b.error_after, "{strategy}/{shards}");
+                assert_eq!(a.matched_rows, b.matched_rows, "{strategy}/{shards}");
+                assert_eq!(a.example_f1, b.example_f1, "{strategy}/{shards}");
+            }
+        }
+    }
+
+    /// On a hash partition, a `NOT (sensorid = k)` candidate must stay
+    /// conservative: the shard holding sensor k is the only one where the
+    /// equality can match, but its *negation* matches rows on every shard.
+    #[test]
+    fn negated_equality_is_never_pruned_to_empty() {
+        let (c, broken) = setup_dyadic();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let st = Arc::new(ShardedTable::hash(table, "sensorid", 4).unwrap());
+        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+        let eq7 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 7)]);
+        // The positive equality prunes to one shard...
+        let live_shards = (0..4)
+            .filter(|&s| cache.sharded().condition_may_match(s, &Condition::equals("sensorid", 7)))
+            .count();
+        assert_eq!(live_shards, 1);
+        // ...while its negation still matches all 220 non-sensor-7 rows.
+        let ranked = rank_predicates_sharded(
+            &cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            vec![PredicateTree::negation(eq7)],
+            &RankerConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(ranked[0].matched_rows, 220);
+    }
+
+    #[test]
+    fn invalid_scalar_predicate_errors_like_unsharded() {
+        /// The error `bad` earns through each entry point.
+        fn errors<P: Candidate + std::fmt::Debug>(bad: P) -> (CoreError, CoreError) {
+            let (c, broken) = setup_dyadic();
+            let table = c.table("readings").unwrap();
+            let r =
+                execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+            let metric = ErrorMetric::too_high("avg_temp", 25.0);
+            let config = RankerConfig::default();
+            let flat = GroupedAggregateCache::build(table, &r.statement).unwrap();
+            let st = Arc::new(ShardedTable::hash(table, "sensorid", 3).unwrap());
+            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+            let pool = vec![bad];
+            (
+                rank_predicates_with_cache(
+                    &flat,
+                    &r,
+                    &[1],
+                    &broken,
+                    &metric,
+                    pool.clone(),
+                    &config,
+                )
+                .unwrap_err(),
+                rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, pool, &config)
+                    .unwrap_err(),
+            )
+        }
+        // `contains` on a missing column fails validation in the scalar path.
+        let missing = Condition::contains("no_such_column", "x");
+        let bad = ConjunctivePredicate::new(vec![missing.clone()]);
+        // Zone maps prune `sensorid = 777` on every shard; the candidate
+        // must still reach the scalar path's validation, not score as empty.
+        let pruned_and_bad =
+            ConjunctivePredicate::new(vec![Condition::equals("sensorid", 777), missing]);
+        for (flat, sharded) in [
+            errors(bad.clone()),
+            errors(pruned_and_bad),
+            errors(PredicateTree::negation(bad.clone())),
+            errors(PredicateTree::any_of(vec![
+                ConjunctivePredicate::new(vec![Condition::equals("sensorid", 7)]),
+                bad,
+            ])),
+        ] {
+            assert_eq!(flat, sharded);
+            assert_eq!(flat.to_string(), sharded.to_string());
+            assert!(flat.to_string().contains("no_such_column"), "{flat}");
         }
     }
 }

@@ -6,7 +6,6 @@
 //!                [--readings N] [--cache-capacity N] [--data-dir DIR]
 //!                [--workers N] [--queue-depth N] [--max-connections N]
 //!                [--idle-timeout-ms N] [--read-timeout-ms N]
-//!                [--thread-per-conn]
 //! ```
 //!
 //! In stdio mode the process reads one request per line and writes one
@@ -18,10 +17,9 @@
 //! connections from a bounded queue, over-capacity admissions get a
 //! structured `busy` reply, silent sockets are closed after
 //! `--idle-timeout-ms`, and the `shutdown` ctrl-line drains in-flight
-//! sessions, flushes replies, and exits 0. `--thread-per-conn` restores
-//! the unbounded pre-pool accept loop (the measured baseline). Sessions
-//! live in the shared [`SessionManager`], so a client may reconnect and
-//! resume its session by id.
+//! sessions, flushes replies, and exits 0. Sessions live in the shared
+//! [`SessionManager`], so a client may reconnect and resume its session by
+//! id.
 //!
 //! With `--data-dir DIR` (or `DBWIPES_DATA_DIR`; the flag wins) the
 //! server runs durably: a fresh directory is seeded with the demo catalog
@@ -32,9 +30,7 @@
 //! snapshotted eagerly; warm state is flushed on graceful shutdown.
 
 use dbwipes_data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
-use dbwipes_server::{
-    serve_pooled, serve_thread_per_connection, PoolConfig, SessionManager, StorageRuntime,
-};
+use dbwipes_server::{serve_pooled, PoolConfig, SessionManager, StorageRuntime};
 use dbwipes_storage::Catalog;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
@@ -49,7 +45,6 @@ struct Options {
     cache_capacity: usize,
     data_dir: Option<String>,
     pool: PoolConfig,
-    thread_per_conn: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -61,7 +56,6 @@ fn parse_args() -> Result<Options, String> {
         // The flag below overrides the environment knob.
         data_dir: std::env::var("DBWIPES_DATA_DIR").ok().filter(|d| !d.trim().is_empty()),
         pool: PoolConfig::default(),
-        thread_per_conn: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -104,13 +98,12 @@ fn parse_args() -> Result<Options, String> {
                 options.pool.read_timeout = Duration::from_millis(ms);
             }
             "--data-dir" => options.data_dir = Some(value("--data-dir")?),
-            "--thread-per-conn" => options.thread_per_conn = true,
             "--help" | "-h" => {
                 println!(
                     "usage: dbwipes-server [--listen ADDR] [--dataset sensor|fec|both] \
                      [--readings N] [--cache-capacity N] [--data-dir DIR] [--workers N] \
                      [--queue-depth N] [--max-connections N] [--idle-timeout-ms N] \
-                     [--read-timeout-ms N] [--thread-per-conn]"
+                     [--read-timeout-ms N]"
                 );
                 std::process::exit(0);
             }
@@ -168,31 +161,27 @@ fn serve_tcp(manager: Arc<SessionManager>, addr: &str, options: &Options) -> std
     let listener = TcpListener::bind(addr)?;
     // Report the bound address (port 0 resolves to an ephemeral port).
     eprintln!("dbwipes-server listening on {}", listener.local_addr()?);
-    if options.thread_per_conn {
-        serve_thread_per_connection(manager, listener, options.pool.clone())
-    } else {
-        let config = options.pool.clone().normalized();
-        eprintln!(
-            "dbwipes-server pool: {} workers, queue depth {}, connection cap {}, \
-             idle timeout {}ms, read timeout {}ms",
-            config.workers,
-            config.queue_depth,
-            config.max_connections,
-            config.idle_timeout.as_millis(),
-            config.read_timeout.as_millis()
-        );
-        let stats = serve_pooled(manager, listener, config)?;
-        let snapshot = stats.snapshot();
-        eprintln!(
-            "dbwipes-server drained: {} connections served, {} commands, {} rejected busy, \
-             peak {} concurrent",
-            snapshot.served_connections,
-            snapshot.commands,
-            snapshot.rejected,
-            snapshot.peak_connections
-        );
-        Ok(())
-    }
+    let config = options.pool.clone().normalized();
+    eprintln!(
+        "dbwipes-server pool: {} workers, queue depth {}, connection cap {}, \
+         idle timeout {}ms, read timeout {}ms",
+        config.workers,
+        config.queue_depth,
+        config.max_connections,
+        config.idle_timeout.as_millis(),
+        config.read_timeout.as_millis()
+    );
+    let stats = serve_pooled(manager, listener, config)?;
+    let snapshot = stats.snapshot();
+    eprintln!(
+        "dbwipes-server drained: {} connections served, {} commands, {} rejected busy, \
+         peak {} concurrent",
+        snapshot.served_connections,
+        snapshot.commands,
+        snapshot.rejected,
+        snapshot.peak_connections
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -29,10 +29,6 @@
 //! Counters ([`PoolStats`]) are shared with the [`SessionManager`] so the
 //! protocol's `stats` command reports `workers` / `queued` / `rejected` /
 //! `peak_connections` alongside the cache registry's numbers.
-//!
-//! [`serve_thread_per_connection`] keeps the old accept loop alive as the
-//! measured baseline (`bench_server_pool` races the two at 1/4/16
-//! concurrent clients).
 
 use crate::json::Json;
 use crate::manager::SessionManager;
@@ -698,39 +694,6 @@ fn shutdown_notice(writer: &mut TcpStream) {
     ])
     .to_string();
     let _ = writeln!(writer, "{notice}");
-}
-
-/// The pre-pool accept loop, kept as the measured baseline: every accepted
-/// connection gets its own OS thread — no worker cap, no queue, no `busy`
-/// backpressure. Connections are served by the same per-connection loop as
-/// the pool (honoring `config.idle_timeout` and graceful drain), so
-/// `bench_server_pool`'s comparison isolates exactly the accept/pooling
-/// strategy. `config.workers`/`queue_depth`/`max_connections` are unused
-/// here — this loop is unbounded by design.
-pub fn serve_thread_per_connection(
-    manager: Arc<SessionManager>,
-    listener: TcpListener,
-    config: PoolConfig,
-) -> std::io::Result<()> {
-    let config = config.normalized();
-    // Throwaway counters: the baseline reports nothing.
-    let stats = Arc::new(PoolStats::new(&config));
-    let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let result = accept_loop(&manager, &listener, |stream| {
-        // Reap finished connection threads as we go, so bookkeeping stays
-        // O(live connections) over the server's lifetime.
-        threads.retain(|thread| !thread.is_finished());
-        let manager = Arc::clone(&manager);
-        let config = config.clone();
-        let stats = Arc::clone(&stats);
-        threads.push(std::thread::spawn(move || {
-            serve_connection(&manager, stream, &config, &stats);
-        }));
-    });
-    for thread in threads {
-        let _ = thread.join();
-    }
-    result
 }
 
 #[cfg(test)]

@@ -68,9 +68,7 @@ mod service;
 
 pub use client::LineClient;
 pub use durability::{StorageCounters, StorageHealth, StorageRuntime};
-pub use executor::{
-    serve_pooled, serve_thread_per_connection, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats,
-};
+pub use executor::{serve_pooled, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats};
 pub use json::Json;
 pub use manager::{DebugCacheReport, ServerSession, SessionId, SessionManager, StreamAppendReport};
 pub use protocol::{

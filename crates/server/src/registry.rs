@@ -183,6 +183,37 @@ impl Inner {
     fn ready_len(&self) -> usize {
         self.entries.values().filter(|s| matches!(s, Slot::Ready { .. })).count()
     }
+
+    /// Tier 1's capacity bound; in-flight `Building` reservations neither
+    /// count against it nor can be evicted.
+    fn evict_caches(&mut self, capacity: usize) {
+        evict_lru(&mut self.entries, capacity, &mut self.evictions, |slot| match slot {
+            Slot::Ready { last_used, .. } => Some(*last_used),
+            Slot::Building => None,
+        });
+    }
+}
+
+/// The registry's one eviction routine: while more than `capacity`
+/// evictable entries remain, removes the least recently used one and bumps
+/// the tier's `evictions` counter. `last_used` answers `None` for an entry
+/// exempt from both the count and eviction.
+fn evict_lru<K: Clone + Eq + std::hash::Hash, V>(
+    map: &mut HashMap<K, V>,
+    capacity: usize,
+    evictions: &mut u64,
+    last_used: impl Fn(&V) -> Option<u64>,
+) {
+    while map.values().filter(|v| last_used(v).is_some()).count() > capacity {
+        let oldest = map
+            .iter()
+            .filter_map(|(k, v)| last_used(v).map(|tick| (tick, k)))
+            .min_by_key(|(tick, _)| *tick)
+            .map(|(_, k)| k.clone())
+            .expect("over capacity, so an evictable entry exists");
+        map.remove(&oldest);
+        *evictions += 1;
+    }
 }
 
 /// A snapshot of the registry's counters.
@@ -470,20 +501,7 @@ impl CacheRegistry {
                     fingerprint,
                     Slot::Ready { cache: Arc::clone(&cache), last_used: tick },
                 );
-                while inner.ready_len() > self.capacity {
-                    let oldest = inner
-                        .entries
-                        .iter()
-                        .filter_map(|(k, s)| match s {
-                            Slot::Ready { last_used, .. } => Some((*last_used, k.clone())),
-                            Slot::Building => None,
-                        })
-                        .min_by_key(|(last_used, _)| *last_used)
-                        .map(|(_, k)| k)
-                        .expect("ready_len > capacity >= 1");
-                    inner.entries.remove(&oldest);
-                    inner.evictions += 1;
-                }
+                inner.evict_caches(self.capacity);
                 Ok((cache, false))
             }
         };
@@ -511,20 +529,7 @@ impl CacheRegistry {
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(fingerprint, Slot::Ready { cache, last_used: tick });
-        while inner.ready_len() > self.capacity {
-            let oldest = inner
-                .entries
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } => Some((*last_used, k.clone())),
-                    Slot::Building => None,
-                })
-                .min_by_key(|(last_used, _)| *last_used)
-                .map(|(_, k)| k)
-                .expect("ready_len > capacity >= 1");
-            inner.entries.remove(&oldest);
-            inner.evictions += 1;
-        }
+        inner.evict_caches(self.capacity);
         true
     }
 
@@ -574,16 +579,8 @@ impl CacheRegistry {
         inner.tick += 1;
         let tick = inner.tick;
         inner.explanations.insert(key, ExplanationEntry { explanation, last_used: tick });
-        while inner.explanations.len() > self.capacity {
-            let oldest = inner
-                .explanations
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over capacity");
-            inner.explanations.remove(&oldest);
-            inner.explanation_evictions += 1;
-        }
+        let Inner { explanations, explanation_evictions, .. } = &mut *inner;
+        evict_lru(explanations, self.capacity, explanation_evictions, |e| Some(e.last_used));
     }
 
     /// Returns the retained partition of exactly this table data under
@@ -652,16 +649,8 @@ impl CacheRegistry {
         inner
             .partitions
             .insert(key, PartitionEntry { partition: Arc::clone(&partition), last_used: tick });
-        while inner.partitions.len() > self.capacity {
-            let oldest = inner
-                .partitions
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over capacity");
-            inner.partitions.remove(&oldest);
-            inner.partition_evictions += 1;
-        }
+        let Inner { partitions, partition_evictions, .. } = &mut *inner;
+        evict_lru(partitions, self.capacity, partition_evictions, |e| Some(e.last_used));
         Ok(partition)
     }
 

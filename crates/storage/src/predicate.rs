@@ -631,13 +631,13 @@ impl fmt::Display for PredicateTree {
 
 /// What the Predicate Ranker needs from a scoreable candidate, satisfied
 /// by both the classic [`ConjunctivePredicate`] and the general
-/// [`PredicateTree`]. The two evaluation entry points keep every candidate
+/// [`PredicateTree`]. The one evaluation entry point keeps every candidate
 /// shape on the popcount path: `tri_eval` folds cached per-condition
-/// bitmaps, and `tri_eval_pruned` additionally substitutes an all-FALSE
-/// bitmap for every leaf a zone map proved empty on the shard at hand —
-/// exact, not approximate, because a pruned leaf's kernel is *guaranteed*
-/// to produce the empty [`TriSet`] (so `NOT leaf` correctly folds to
-/// all-TRUE, and an `OR` only empties when every branch does).
+/// bitmaps, substituting an all-FALSE bitmap for every leaf a zone map
+/// proved empty on the shard at hand — exact, not approximate, because a
+/// pruned leaf's kernel is *guaranteed* to produce the empty [`TriSet`] (so
+/// `NOT leaf` correctly folds to all-TRUE, and an `OR` only empties when
+/// every branch does).
 pub trait Candidate: fmt::Display + Clone + Send + Sync {
     /// Canonical dedup key: commutative renderings share one key.
     fn canonical_key(&self) -> String;
@@ -652,17 +652,15 @@ pub trait Candidate: fmt::Display + Clone + Send + Sync {
     /// Distinct leaf conditions, for bitmap-cache warm-up and adaptive
     /// shard-column choice.
     fn leaf_conditions(&self) -> Vec<Condition>;
-    /// True when every leaf compiles against `table`'s schema, i.e. the
-    /// whole candidate evaluates through columnar kernels.
-    fn vectorizable(&self, table: &Table) -> bool;
-    /// Vectorized three-valued evaluation through the bitmap cache;
-    /// `None` falls back to the scalar walk.
-    fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet>;
-    /// [`Candidate::tri_eval`] with zone-map pruning: leaves for which
-    /// `live` returns `false` skip their kernel and contribute all-FALSE.
-    /// Callers must only pass `live` functions backed by a sound pruning
-    /// oracle (`ShardedTable::condition_may_match`).
-    fn tri_eval_pruned(
+    /// Vectorized three-valued evaluation through the bitmap cache, with
+    /// zone-map pruning: leaves for which `live` returns `false` skip
+    /// their kernel and contribute all-FALSE. `None` — whenever some leaf
+    /// does not compile against `table`'s schema, pruned or not — falls
+    /// back to the scalar walk. Callers must only pass `live` functions
+    /// backed by a sound pruning oracle
+    /// (`ShardedTable::condition_may_match`); an unpartitioned table
+    /// passes `&|_| true`.
+    fn tri_eval(
         &self,
         cache: &ConditionBitmapCache,
         table: &Table,
@@ -691,24 +689,22 @@ impl Candidate for ConjunctivePredicate {
         self.conditions().to_vec()
     }
 
-    fn vectorizable(&self, table: &Table) -> bool {
-        self.conditions().iter().all(|c| c.vectorizable(table))
-    }
-
-    fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet> {
-        cache.conjunction(table, self)
-    }
-
-    fn tri_eval_pruned(
+    fn tri_eval(
         &self,
         cache: &ConditionBitmapCache,
         table: &Table,
         live: &dyn Fn(&Condition) -> bool,
     ) -> Option<TriSet> {
         // Any pruned conjunct empties the whole conjunction: skip every
-        // kernel on this shard.
+        // kernel on this shard. Expressibility is still checked (a schema
+        // lookup per conjunct), so whether a candidate vectorizes never
+        // depends on what the zone maps happen to prune.
         if self.conditions().iter().any(|c| !live(c)) {
-            return Some(TriSet::all_false(table.num_rows()));
+            return self
+                .conditions()
+                .iter()
+                .all(|c| c.vectorizable(table))
+                .then(|| TriSet::all_false(table.num_rows()));
         }
         cache.conjunction(table, self)
     }
@@ -776,33 +772,13 @@ impl Candidate for PredicateTree {
         self.distinct_conditions()
     }
 
-    fn vectorizable(&self, table: &Table) -> bool {
-        CompiledBoolExpr::compile(&Candidate::to_expr(self), table).is_ok()
-    }
-
-    fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet> {
-        cache.bool_expr(table, &Candidate::to_expr(self))
-    }
-
-    fn tri_eval_pruned(
+    fn tri_eval(
         &self,
         cache: &ConditionBitmapCache,
         table: &Table,
         live: &dyn Fn(&Condition) -> bool,
     ) -> Option<TriSet> {
-        let compiled = CompiledBoolExpr::compile(&Candidate::to_expr(self), table).ok()?;
-        let leaves: Vec<Arc<TriSet>> = compiled
-            .leaf_conditions()
-            .iter()
-            .map(|c| {
-                if live(c) {
-                    cache.condition(table, c)
-                } else {
-                    Some(Arc::new(TriSet::all_false(table.num_rows())))
-                }
-            })
-            .collect::<Option<_>>()?;
-        Some(compiled.combine(&leaves))
+        cache.fold_bool_expr(table, &Candidate::to_expr(self), live)
     }
 }
 
@@ -1704,11 +1680,29 @@ impl ConditionBitmapCache {
     /// Returns `None` when the tree does not compile against `table`
     /// (the caller's scalar fallback then handles the whole expression).
     pub fn bool_expr(&self, table: &Table, expr: &Expr) -> Option<TriSet> {
+        self.fold_bool_expr(table, expr, &|_| true)
+    }
+
+    /// [`ConditionBitmapCache::bool_expr`] with zone-map pruning: a leaf
+    /// `live` rejects skips its kernel and folds as all-FALSE (see
+    /// [`Candidate::tri_eval`] for why the substitution is exact).
+    fn fold_bool_expr(
+        &self,
+        table: &Table,
+        expr: &Expr,
+        live: &dyn Fn(&Condition) -> bool,
+    ) -> Option<TriSet> {
         let compiled = CompiledBoolExpr::compile(expr, table).ok()?;
         let leaves: Vec<Arc<TriSet>> = compiled
             .leaf_conditions()
             .iter()
-            .map(|c| self.condition(table, c))
+            .map(|c| {
+                if live(c) {
+                    self.condition(table, c)
+                } else {
+                    Some(Arc::new(TriSet::all_false(table.num_rows())))
+                }
+            })
             .collect::<Option<_>>()?;
         Some(compiled.combine(&leaves))
     }
@@ -2233,11 +2227,8 @@ mod tests {
         ];
         let cache = ConditionBitmapCache::new(&t);
         for tree in &trees {
-            assert!(Candidate::vectorizable(tree, &t), "{tree}");
             let expr = Candidate::to_expr(tree);
-            let tri = Candidate::tri_eval(tree, &cache, &t).expect("vectorizable");
-            let via_pruned =
-                Candidate::tri_eval_pruned(tree, &cache, &t, &|_| true).expect("vectorizable");
+            let tri = Candidate::tri_eval(tree, &cache, &t, &|_| true).expect("vectorizable");
             for r in t.all_row_ids() {
                 let scalar = match expr.eval(&t, r).unwrap() {
                     Value::Bool(b) => Some(b),
@@ -2245,14 +2236,12 @@ mod tests {
                     other => panic!("non-boolean value {other:?}"),
                 };
                 assert_eq!(tri.value(r.index()), scalar, "{tree} on {r}");
-                assert_eq!(via_pruned.value(r.index()), scalar, "{tree} on {r} (pruned path)");
             }
         }
         // A tree with an inexpressible leaf declines vectorization.
         let bad =
             PredicateTree::negation(ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]));
-        assert!(!Candidate::vectorizable(&bad, &t));
-        assert!(Candidate::tri_eval(&bad, &cache, &t).is_none());
+        assert!(Candidate::tri_eval(&bad, &cache, &t, &|_| true).is_none());
     }
 
     /// Pruned-leaf substitution is *exact*: a leaf whose kernel provably
@@ -2284,9 +2273,10 @@ mod tests {
         for tree in &trees {
             // Fresh caches per path so the pruned evaluation can't borrow
             // the unpruned evaluation's bitmaps.
-            let full = Candidate::tri_eval(tree, &ConditionBitmapCache::new(&t), &t).unwrap();
+            let full =
+                Candidate::tri_eval(tree, &ConditionBitmapCache::new(&t), &t, &|_| true).unwrap();
             let pruned_cache = ConditionBitmapCache::new(&t);
-            let pruned = Candidate::tri_eval_pruned(tree, &pruned_cache, &t, &live).unwrap();
+            let pruned = Candidate::tri_eval(tree, &pruned_cache, &t, &live).unwrap();
             assert!(full.trues == pruned.trues && full.unknowns == pruned.unknowns, "{tree}");
             // The pruned leaf never reached a kernel.
             let (_, misses) = pruned_cache.stats();
@@ -2297,9 +2287,14 @@ mod tests {
         }
         // The conjunctive impl short-circuits the whole shard.
         let pruned_cache = ConditionBitmapCache::new(&t);
-        let tri = Candidate::tri_eval_pruned(&both, &pruned_cache, &t, &live).unwrap();
+        let tri = Candidate::tri_eval(&both, &pruned_cache, &t, &live).unwrap();
         assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
         assert_eq!(pruned_cache.stats(), (0, 0), "no kernel ran at all");
+        // ...but never past a conjunct the typed compiler cannot express:
+        // pruning must not turn a scalar-path candidate into a vectorized one.
+        let mistyped =
+            ConjunctivePredicate::new(vec![missing.clone(), Condition::contains("temp", "x")]);
+        assert!(Candidate::tri_eval(&mistyped, &pruned_cache, &t, &live).is_none());
     }
 
     #[test]

@@ -174,7 +174,9 @@ proptest! {
         tree in arbitrary_tree(),
     ) {
         let cache = ConditionBitmapCache::new(&table);
-        let tri = tree.tri_eval(&cache, &table).expect("generated trees are vectorizable");
+        let tri = tree
+            .tri_eval(&cache, &table, &|_| true)
+            .expect("generated trees are vectorizable");
         prop_assert_eq!(tri.trues.universe(), table.num_rows());
         for i in 0..table.num_rows() {
             let scalar = scalar_verdict(&tree, &table, RowId(i));
@@ -194,7 +196,7 @@ proptest! {
 
     /// Sharded zone-map pruning is *exact* for boolean trees: evaluating a
     /// tree per shard with pruned leaves substituted by all-FALSE (the
-    /// `tri_eval_pruned` path the sharded ranker uses) and merging must
+    /// `tri_eval` path the ranker uses over a partition) and merging must
     /// reproduce the unsharded bitmaps bit for bit — disjunctions prune
     /// only when every branch prunes, and a NOT over a pruned equality
     /// still contributes its complement.
@@ -215,7 +217,7 @@ proptest! {
             let cache = ConditionBitmapCache::new(shard);
             let live = |c: &Condition| sharded.condition_may_match(s, c);
             let tri = tree
-                .tri_eval_pruned(&cache, shard, &live)
+                .tri_eval(&cache, shard, &live)
                 .expect("vectorizable on every shard");
             trues.push(tri.trues.clone());
             unknowns.push(tri.unknowns.clone());

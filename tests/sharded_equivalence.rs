@@ -13,9 +13,13 @@
 //! equality is the right assertion, and any disagreement is an
 //! algorithmic bug in the shard/merge path, never floating-point noise.
 
+use dbwipes::core::{rank_predicates_sharded, rank_predicates_with_cache, RankerConfig};
 use dbwipes::engine::{parse_select, ExclusionQuery, GroupedAggregateCache, ShardedAggregateCache};
-use dbwipes::storage::{DataType, RowSet, Schema, ShardedTable, Value};
-use dbwipes::{Condition, ConjunctivePredicate, RowId, Table};
+use dbwipes::storage::{Candidate, DataType, PredicateTree, RowSet, Schema, ShardedTable, Value};
+use dbwipes::{
+    execute_sql, Catalog, Condition, ConjunctivePredicate, ErrorMetric, RankedPredicate, RowId,
+    Table,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -76,6 +80,99 @@ fn arbitrary_partition() -> impl Strategy<Value = (bool, &'static str, usize)> {
 /// out of range or duplicated — both paths must tolerate both).
 fn arbitrary_exclusions() -> impl Strategy<Value = Vec<RowId>> {
     proptest::collection::vec((0usize..70).prop_map(RowId), 0..40)
+}
+
+/// A random leaf condition over the table's three columns, thresholds on
+/// the same half-integer grid as the data (so equality with a stored value
+/// and zone-map boundaries are both hit).
+fn arbitrary_condition() -> impl Strategy<Value = Condition> {
+    prop_oneof![
+        (0i64..5).prop_map(|g| Condition::equals("grp", g)),
+        (0i64..7).prop_map(|d| Condition::equals("device", d)),
+        (0i64..7).prop_map(|d| Condition::not_equals("device", d)),
+        (-100i64..300).prop_map(|k| Condition::above("value", k as f64 / 2.0)),
+        (-100i64..300).prop_map(|k| Condition::at_most("value", k as f64 / 2.0)),
+        (-100i64..300, 0i64..120).prop_map(|(k, w)| Condition::between(
+            "value",
+            k as f64 / 2.0,
+            (k + w) as f64 / 2.0
+        )),
+        proptest::collection::vec(0i64..7, 1..4)
+            .prop_map(|ds| Condition::in_set("device", ds.into_iter().map(Value::Int).collect())),
+    ]
+}
+
+/// A random one- or two-condition conjunction.
+fn arbitrary_conjunction() -> impl Strategy<Value = ConjunctivePredicate> {
+    (arbitrary_condition(), arbitrary_condition(), any::<bool>())
+        .prop_map(|(a, b, both)| ConjunctivePredicate::new(if both { vec![a, b] } else { vec![a] }))
+}
+
+/// A random boolean tree over conjunctions: OR, NOT, NOT-of-OR, and an
+/// AND mixing both — the shapes whose zone-map pruning differs per node.
+fn arbitrary_tree() -> impl Strategy<Value = PredicateTree> {
+    (0usize..5, arbitrary_conjunction(), arbitrary_conjunction(), arbitrary_conjunction()).prop_map(
+        |(shape, p, q, r)| match shape {
+            0 => PredicateTree::any_of(vec![p, q]),
+            1 => PredicateTree::negation(p),
+            2 => PredicateTree::Not(Box::new(PredicateTree::any_of(vec![p, q]))),
+            3 => PredicateTree::And(vec![
+                PredicateTree::any_of(vec![p, q]),
+                PredicateTree::negation(r),
+            ]),
+            _ => PredicateTree::Leaf(p),
+        },
+    )
+}
+
+/// A statement to rank under, with the aggregate column ε reads.
+fn arbitrary_ranked_statement() -> impl Strategy<Value = (&'static str, &'static str)> {
+    prop_oneof![
+        Just(("SELECT grp, avg(value), count(*) FROM m GROUP BY grp", "avg_value")),
+        Just((
+            "SELECT grp, avg(value), max(value) FROM m WHERE value > 10 GROUP BY grp",
+            "avg_value"
+        )),
+        Just(("SELECT grp, stddev(value), variance(value) FROM m GROUP BY grp", "stddev_value")),
+        Just((
+            "SELECT grp, device, sum(value), min(value) FROM m GROUP BY grp, device",
+            "sum_value"
+        )),
+    ]
+}
+
+/// Every field of every ranked predicate, in order — bit for bit.
+fn assert_same_ranking<P: Candidate + PartialEq>(
+    flat: &[RankedPredicate<P>],
+    sharded: &[RankedPredicate<P>],
+) -> Result<(), String> {
+    prop_assert_eq!(flat.len(), sharded.len());
+    for (a, b) in flat.iter().zip(sharded) {
+        prop_assert!(
+            a.predicate == b.predicate,
+            "order diverged: {} != {}",
+            a.predicate,
+            b.predicate
+        );
+        for (field, x, y) in [
+            ("score", a.score, b.score),
+            ("error_before", a.error_before, b.error_before),
+            ("error_after", a.error_after, b.error_after),
+            ("improvement", a.improvement, b.improvement),
+            ("example_f1", a.example_f1, b.example_f1),
+        ] {
+            prop_assert!(x.to_bits() == y.to_bits(), "{field} of {}: {x} != {y}", a.predicate);
+        }
+        prop_assert!(a.complexity == b.complexity, "complexity of {}", a.predicate);
+        prop_assert!(
+            a.matched_rows == b.matched_rows,
+            "matched_rows of {}: {} != {}",
+            a.predicate,
+            a.matched_rows,
+            b.matched_rows
+        );
+    }
+    Ok(())
 }
 
 fn build_partition(table: &Table, hash: bool, column: &str, shards: usize) -> Arc<ShardedTable> {
@@ -214,5 +311,56 @@ proptest! {
         let all: Vec<RowId> = (0..table.num_rows()).map(RowId).collect();
         assert_equivalent(&table, &sharded, "SELECT grp, avg(value) FROM m GROUP BY grp", &all)?;
         assert_equivalent(&table, &sharded, "SELECT avg(value), count(*), min(value) FROM m", &all)?;
+    }
+
+    /// The one ranker, two shard sets: for a random candidate pool
+    /// (conjunctions, and trees with OR/NOT), a random brushed group and a
+    /// random D′ (duplicates and out-of-table rows included),
+    /// `rank_predicates_sharded` over any partition returns exactly what
+    /// `rank_predicates_with_cache` returns over the base table — every
+    /// field of every entry, in the same order.
+    #[test]
+    fn sharded_ranking_matches_unsharded_on_every_field(
+        table in arbitrary_table(),
+        (hash, column, shards) in arbitrary_partition(),
+        (sql, metric_column) in arbitrary_ranked_statement(),
+        threshold in -100i64..300,
+        brushed in proptest::collection::vec(0usize..24, 1..4),
+        examples in arbitrary_exclusions(),
+        conjunctions in proptest::collection::vec(arbitrary_conjunction(), 1..10),
+        trees in proptest::collection::vec(arbitrary_tree(), 1..10),
+    ) {
+        let sharded = build_partition(&table, hash, column, shards);
+        let mut catalog = Catalog::new();
+        catalog.register(table.clone()).unwrap();
+        let result = execute_sql(&catalog, sql).unwrap();
+        if result.is_empty() {
+            // The WHERE clause filtered every row: nothing to brush.
+            return Ok(());
+        }
+        let selected: Vec<usize> = brushed.iter().map(|i| i % result.len()).collect();
+        let metric = ErrorMetric::too_high(metric_column, threshold as f64 / 2.0);
+        let config = RankerConfig { max_results: 64, ..Default::default() };
+
+        let flat = GroupedAggregateCache::build(&table, &result.statement).unwrap();
+        let cache = ShardedAggregateCache::build(sharded, &result.statement).unwrap();
+        assert_same_ranking(
+            &rank_predicates_with_cache(
+                &flat, &result, &selected, &examples, &metric, conjunctions.clone(), &config,
+            )
+            .unwrap(),
+            &rank_predicates_sharded(
+                &cache, &result, &selected, &examples, &metric, conjunctions, &config,
+            )
+            .unwrap(),
+        )?;
+        assert_same_ranking(
+            &rank_predicates_with_cache(
+                &flat, &result, &selected, &examples, &metric, trees.clone(), &config,
+            )
+            .unwrap(),
+            &rank_predicates_sharded(&cache, &result, &selected, &examples, &metric, trees, &config)
+                .unwrap(),
+        )?;
     }
 }
