@@ -239,7 +239,7 @@ fn clean_examples(
             let kept: Vec<RowId> = examples
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| nb.predict(&dataset.instances[*i]))
+                .filter(|(i, _)| nb.predict(&dataset.instance(*i)))
                 .map(|(_, r)| *r)
                 .collect();
             if kept.len() * 2 < examples.len() {

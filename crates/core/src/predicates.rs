@@ -16,7 +16,7 @@
 
 use crate::enumerator::CandidateDataset;
 use dbwipes_learn::{DecisionTree, FeatureSpace, SplitCriterion, TreeConfig};
-use dbwipes_storage::{Condition, ConjunctivePredicate, DataType, RowId, Table};
+use dbwipes_storage::{Condition, ConjunctivePredicate, DataType, RowId, RowSet, Table};
 use std::collections::{BTreeSet, HashMap};
 
 /// Configuration of the Predicate Enumerator.
@@ -67,11 +67,15 @@ pub fn enumerate_predicates(
     candidate: &CandidateDataset,
     config: &PredicateEnumConfig,
 ) -> Vec<ConjunctivePredicate> {
-    let positive: BTreeSet<RowId> = candidate.rows.iter().copied().collect();
-    if positive.is_empty() || f_rows.is_empty() {
+    if candidate.rows.is_empty() || f_rows.is_empty() {
         return Vec::new();
     }
-    let labels: Vec<bool> = f_rows.iter().map(|r| positive.contains(r)).collect();
+    // Membership tests run against a RowSet bitmap: labelling all of F is
+    // one O(1) probe per row.
+    let num_rows = table.num_rows();
+    let positive =
+        RowSet::from_rows(num_rows, candidate.rows.iter().filter(|r| r.index() < num_rows));
+    let labels: Vec<bool> = f_rows.iter().map(|r| positive.contains_row(*r)).collect();
     let mut predicates: Vec<ConjunctivePredicate> = Vec::new();
 
     // Decision-tree predicates.
@@ -102,7 +106,7 @@ pub fn enumerate_predicates(
 fn mine_text_predicates(
     table: &Table,
     f_rows: &[RowId],
-    positive: &BTreeSet<RowId>,
+    positive: &RowSet,
     config: &PredicateEnumConfig,
 ) -> Vec<ConjunctivePredicate> {
     let mut out = Vec::new();
@@ -112,7 +116,7 @@ fn mine_text_predicates(
         }
         let Some(column) = table.column_by_name(&field.name) else { continue };
         // value -> (positive occurrences, total occurrences within F)
-        let mut counts: HashMap<String, (usize, usize)> = HashMap::new();
+        let mut counts: HashMap<&str, (usize, usize)> = HashMap::new();
         for &rid in f_rows {
             let Some(text) = column.get_str(rid.index()) else { continue };
             if text.is_empty() {
@@ -121,9 +125,9 @@ fn mine_text_predicates(
             if counts.len() >= config.max_text_values && !counts.contains_key(text) {
                 continue;
             }
-            let entry = counts.entry(text.to_string()).or_insert((0, 0));
+            let entry = counts.entry(text).or_insert((0, 0));
             entry.1 += 1;
-            if positive.contains(&rid) {
+            if positive.contains_row(rid) {
                 entry.0 += 1;
             }
         }

@@ -6,7 +6,7 @@
 //! accidental selections, and k-means lets the enumerator keep only the
 //! dominant cluster of examples before extending it.
 
-use crate::features::{Dataset, FeatureValue};
+use crate::features::{Dataset, FeatureColumn, MISSING_CODE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,35 +57,24 @@ impl KMeansResult {
 /// distance metric.
 pub fn to_points(dataset: &Dataset) -> Vec<Vec<f64>> {
     let n = dataset.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let d = dataset.instances[0].len();
-    let mut points = vec![vec![0.0; d]; n];
-    for j in 0..d {
+    let mut points = vec![vec![0.0; dataset.num_features()]; n];
+    for (j, column) in dataset.columns().iter().enumerate() {
+        let cell = |i: usize| match column {
+            FeatureColumn::Numeric(numeric) => numeric.get(i),
+            FeatureColumn::Categorical { codes, .. } => {
+                (codes[i] != MISSING_CODE).then_some(codes[i] as f64)
+            }
+        };
         // First pass: mean of present values.
         let mut sum = 0.0;
         let mut count = 0.0;
-        for inst in &dataset.instances {
-            match inst.get(j) {
-                Some(FeatureValue::Num(v)) => {
-                    sum += v;
-                    count += 1.0;
-                }
-                Some(FeatureValue::Cat(c)) => {
-                    sum += *c as f64;
-                    count += 1.0;
-                }
-                _ => {}
-            }
+        for v in (0..n).filter_map(cell) {
+            sum += v;
+            count += 1.0;
         }
         let mean = if count > 0.0 { sum / count } else { 0.0 };
-        for (i, inst) in dataset.instances.iter().enumerate() {
-            points[i][j] = match inst.get(j) {
-                Some(FeatureValue::Num(v)) => *v,
-                Some(FeatureValue::Cat(c)) => *c as f64,
-                _ => mean,
-            };
+        for (i, p) in points.iter_mut().enumerate() {
+            p[j] = cell(i).unwrap_or(mean);
         }
         // Second pass: standardise.
         let var = points.iter().map(|p| (p[j] - mean).powi(2)).sum::<f64>() / n as f64;
@@ -196,7 +185,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, max_iterations: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbwipes_storage::RowId;
+    use crate::features::FeatureValue;
 
     fn two_blobs() -> Vec<Vec<f64>> {
         let mut points = Vec::new();
@@ -257,14 +246,12 @@ mod tests {
 
     #[test]
     fn to_points_standardises_and_fills_missing() {
-        let dataset = Dataset {
-            instances: vec![
-                vec![FeatureValue::Num(10.0), FeatureValue::Cat(0)],
-                vec![FeatureValue::Num(20.0), FeatureValue::Cat(1)],
-                vec![FeatureValue::Missing, FeatureValue::Cat(1)],
-            ],
-            row_ids: vec![RowId(0), RowId(1), RowId(2)],
-        };
+        let dataset = Dataset::from_rows(&[
+            vec![FeatureValue::Num(10.0), FeatureValue::Cat(0)],
+            vec![FeatureValue::Num(20.0), FeatureValue::Cat(1)],
+            vec![FeatureValue::Missing, FeatureValue::Cat(1)],
+        ])
+        .unwrap();
         let points = to_points(&dataset);
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].len(), 2);
@@ -274,12 +261,11 @@ mod tests {
         let mean0: f64 = points.iter().map(|p| p[0]).sum::<f64>() / 3.0;
         assert!(mean0.abs() < 1e-9);
         // Constant columns become all zeros rather than NaN.
-        let constant = Dataset {
-            instances: vec![vec![FeatureValue::Num(5.0)], vec![FeatureValue::Num(5.0)]],
-            row_ids: vec![RowId(0), RowId(1)],
-        };
+        let constant =
+            Dataset::from_rows(&[vec![FeatureValue::Num(5.0)], vec![FeatureValue::Num(5.0)]])
+                .unwrap();
         let p = to_points(&constant);
         assert!(p.iter().all(|r| r[0] == 0.0));
-        assert!(to_points(&Dataset { instances: vec![], row_ids: vec![] }).is_empty());
+        assert!(to_points(&Dataset::from_rows(&[]).unwrap()).is_empty());
     }
 }

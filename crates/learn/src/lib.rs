@@ -29,7 +29,7 @@ pub mod naive_bayes;
 pub mod subgroup;
 pub mod tree;
 
-pub use features::{Dataset, FeatureDef, FeatureKind, FeatureSpace, FeatureValue};
+pub use features::{Dataset, FeatureDef, FeatureKind, FeatureSpace, FeatureValue, FromRowsError};
 pub use kmeans::{kmeans, to_points, KMeansResult};
 pub use naive_bayes::NaiveBayes;
 pub use subgroup::{discover_subgroups, Subgroup, SubgroupConfig};

@@ -8,7 +8,7 @@
 //! *consistent* each example is with the bulk of D′; low-likelihood examples
 //! are treated as accidental selections and dropped.
 
-use crate::features::{Dataset, FeatureValue};
+use crate::features::{Dataset, FeatureColumn, FeatureValue};
 
 /// Per-feature sufficient statistics for one class.
 #[derive(Debug, Clone)]
@@ -71,30 +71,28 @@ impl NaiveBayes {
         if dataset.is_empty() {
             return 0.0;
         }
-        let correct = dataset
-            .instances
+        let correct = labels
             .iter()
-            .zip(labels)
-            .filter(|(inst, &l)| self.predict(inst) == l)
+            .enumerate()
+            .filter(|&(i, &l)| self.predict(&dataset.instance(i)) == l)
             .count();
         correct as f64 / dataset.len() as f64
     }
 }
 
 fn fit_class(dataset: &Dataset, indices: &[usize], prior: f64) -> ClassModel {
-    let num_features = dataset.instances.first().map(|i| i.len()).unwrap_or(0);
-    let mut features = Vec::with_capacity(num_features);
-    for j in 0..num_features {
-        // Decide whether the feature behaves numerically or categorically in
-        // this dataset by looking at the first present value.
+    let mut features = Vec::with_capacity(dataset.num_features());
+    for column in dataset.columns() {
+        // The class's present cells of this feature, in instance order.
         let mut numeric: Vec<f64> = Vec::new();
         let mut categories: Vec<usize> = Vec::new();
-        for &i in indices {
-            match dataset.instances[i].get(j) {
-                Some(FeatureValue::Num(v)) => numeric.push(*v),
-                Some(FeatureValue::Cat(c)) => categories.push(*c),
-                _ => {}
+        match column {
+            FeatureColumn::Numeric(column) => {
+                numeric.extend(indices.iter().filter_map(|&i| column.get(i)));
             }
+            FeatureColumn::Categorical { codes, cardinality } => categories.extend(
+                indices.iter().map(|&i| codes[i] as usize).filter(|code| code < cardinality),
+            ),
         }
         if !numeric.is_empty() {
             let n = numeric.len() as f64;
@@ -141,7 +139,6 @@ fn class_log_likelihood(model: &ClassModel, instance: &[FeatureValue]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbwipes_storage::RowId;
 
     fn dataset(points: Vec<(f64, usize)>) -> (Dataset, Vec<bool>) {
         // Feature 0: numeric, feature 1: categorical. Label = numeric > 50.
@@ -150,8 +147,7 @@ mod tests {
             .into_iter()
             .map(|(x, c)| vec![FeatureValue::Num(x), FeatureValue::Cat(c)])
             .collect::<Vec<_>>();
-        let row_ids = (0..instances.len()).map(RowId).collect();
-        (Dataset { instances, row_ids }, labels)
+        (Dataset::from_rows(&instances).unwrap(), labels)
     }
 
     fn training_data() -> (Dataset, Vec<bool>) {
@@ -202,7 +198,7 @@ mod tests {
             vec![FeatureValue::Num(1.0)],
             vec![FeatureValue::Num(2.0)],
         ];
-        let ds = Dataset { instances, row_ids: (0..4).map(RowId).collect() };
+        let ds = Dataset::from_rows(&instances).unwrap();
         let labels = vec![true, true, false, false];
         let nb = NaiveBayes::train(&ds, &labels).unwrap();
         let odds = nb.log_odds(&[FeatureValue::Num(1.0)]);

@@ -12,7 +12,9 @@
 //! the weight of the positive examples it covers is decayed so subsequent
 //! rules describe *different* parts of the positive class.
 
-use crate::features::{Dataset, FeatureSpace, FeatureValue};
+use crate::features::{
+    fold_categories, Dataset, FeatureColumn, FeatureSpace, FeatureValue, MISSING_CODE,
+};
 use crate::metrics::weighted_relative_accuracy;
 use crate::tree::{PathTest, Rule};
 use dbwipes_storage::{ConjunctivePredicate, RowSet};
@@ -76,7 +78,14 @@ pub struct Subgroup {
 impl Subgroup {
     /// Indices (into the dataset) of the instances the subgroup covers.
     pub fn covered_indices(&self, dataset: &Dataset) -> Vec<usize> {
-        (0..dataset.len()).filter(|&i| covers(&self.tests, &dataset.instances[i])).collect()
+        // One column sweep per test.
+        let mut covered = vec![true; dataset.len()];
+        for (feature, test) in &self.tests {
+            for (i, keep) in covered.iter_mut().enumerate() {
+                *keep = *keep && cell_covers(dataset.value(i, *feature), test);
+            }
+        }
+        (0..dataset.len()).filter(|&i| covered[i]).collect()
     }
 
     /// True when the subgroup's tests match the instance.
@@ -101,57 +110,108 @@ impl Subgroup {
 }
 
 fn covers(tests: &[(usize, PathTest)], instance: &[FeatureValue]) -> bool {
-    tests.iter().all(|(feature, test)| test_covers(*feature, test, instance))
+    tests.iter().all(|(feature, test)| {
+        cell_covers(instance.get(*feature).copied().unwrap_or(FeatureValue::Missing), test)
+    })
 }
 
-/// One test of a rule against one instance (missing values and type
-/// mismatches fail).
-fn test_covers(feature: usize, test: &PathTest, instance: &[FeatureValue]) -> bool {
-    match (instance.get(feature), test) {
-        (Some(FeatureValue::Num(v)), PathTest::Le(th)) => *v <= *th,
-        (Some(FeatureValue::Num(v)), PathTest::Gt(th)) => *v > *th,
-        (Some(FeatureValue::Cat(c)), PathTest::Eq(cat)) => c == cat,
-        (Some(FeatureValue::Cat(c)), PathTest::NotEq(cat)) => c != cat,
+/// One test of a rule against one cell (missing values and type mismatches
+/// fail).
+fn cell_covers(cell: FeatureValue, test: &PathTest) -> bool {
+    match (cell, test) {
+        (FeatureValue::Num(v), PathTest::Le(th)) => v <= *th,
+        (FeatureValue::Num(v), PathTest::Gt(th)) => v > *th,
+        (FeatureValue::Cat(c), PathTest::Eq(cat)) => c == *cat,
+        (FeatureValue::Cat(c), PathTest::NotEq(cat)) => c != *cat,
         _ => false,
     }
 }
 
-/// Enumerates the single-condition building blocks used by the beam search.
-fn candidate_tests(dataset: &Dataset, config: &SubgroupConfig) -> Vec<(usize, PathTest)> {
-    let num_features = dataset.instances.first().map(|i| i.len()).unwrap_or(0);
+/// Enumerates the single-condition building blocks used by the beam search,
+/// each with its coverage bitmap over the dataset's instances.
+///
+/// Numeric tests come from the feature's sort order: thresholds are taken
+/// at evenly spaced distinct values, `feature <= th` covers a prefix of the
+/// order that only grows from one threshold to the next, and
+/// `feature > th` is the rest of the (comparable) values — so a feature's
+/// bitmaps cost one walk of its order, not one dataset scan per test.
+fn candidate_tests(dataset: &Dataset, config: &SubgroupConfig) -> Vec<((usize, PathTest), RowSet)> {
+    let n = dataset.len();
     let mut tests = Vec::new();
-    for feature in 0..num_features {
-        let mut numeric: Vec<f64> = Vec::new();
-        let mut categories: Vec<usize> = Vec::new();
-        for inst in &dataset.instances {
-            match inst.get(feature) {
-                Some(FeatureValue::Num(v)) => numeric.push(*v),
-                Some(FeatureValue::Cat(c)) if !categories.contains(c) => categories.push(*c),
-                _ => {}
-            }
-        }
-        if !numeric.is_empty() {
-            numeric.sort_by(|a, b| a.total_cmp(b));
-            numeric.dedup();
-            let k = config.thresholds_per_feature.max(1);
-            let step = (numeric.len() as f64 / (k + 1) as f64).max(1.0);
-            let mut seen = Vec::new();
-            for q in 1..=k {
-                let idx = ((q as f64 * step) as usize).min(numeric.len() - 1);
-                let th = numeric[idx];
-                if seen.contains(&th.to_bits()) {
+    for (feature, column) in dataset.columns().iter().enumerate() {
+        match column {
+            FeatureColumn::Numeric(column) => {
+                let order = column.sorted();
+                // NaNs compare with nothing: no test covers them. `total_cmp`
+                // sorts them to the two ends of the order.
+                let is_nan = |i: &&u32| column.value(**i).is_nan();
+                let start = order.iter().take_while(is_nan).count();
+                let end = order.len() - order[start..].iter().rev().take_while(is_nan).count();
+                // Distinct values (`==`, so -0.0 and 0.0 are one) with the
+                // position just past each one's run; a NaN equals nothing,
+                // itself included, so each is a value of its own.
+                let mut distinct: Vec<(f64, usize)> = Vec::new();
+                for (position, &i) in order.iter().enumerate() {
+                    let v = column.value(i);
+                    match distinct.last_mut() {
+                        Some((last, run_end)) if *last == v => *run_end = position + 1,
+                        _ => distinct.push((v, position + 1)),
+                    }
+                }
+                if distinct.is_empty() {
                     continue;
                 }
-                seen.push(th.to_bits());
-                tests.push((feature, PathTest::Le(th)));
-                tests.push((feature, PathTest::Gt(th)));
+                let comparable =
+                    RowSet::from_indices(n, order[start..end].iter().map(|&i| i as usize));
+                let k = config.thresholds_per_feature.max(1);
+                let step = (distinct.len() as f64 / (k + 1) as f64).max(1.0);
+                let mut seen = Vec::new();
+                let mut at_most = RowSet::empty(n);
+                let mut covered_to = start;
+                for q in 1..=k {
+                    let idx = ((q as f64 * step) as usize).min(distinct.len() - 1);
+                    let (th, run_end) = distinct[idx];
+                    if seen.contains(&th.to_bits()) {
+                        continue;
+                    }
+                    seen.push(th.to_bits());
+                    let (le, gt) = if th.is_nan() {
+                        (RowSet::empty(n), RowSet::empty(n))
+                    } else {
+                        for &i in &order[covered_to..run_end] {
+                            at_most.insert(i as usize);
+                        }
+                        covered_to = run_end;
+                        (at_most.clone(), comparable.and_not(&at_most))
+                    };
+                    tests.push(((feature, PathTest::Le(th)), le));
+                    tests.push(((feature, PathTest::Gt(th)), gt));
+                }
             }
-        }
-        for c in categories {
-            tests.push((feature, PathTest::Eq(c)));
+            FeatureColumn::Categorical { codes, cardinality } => {
+                // One bitmap per category.
+                let seen = fold_categories(
+                    codes,
+                    *cardinality,
+                    0..n,
+                    || RowSet::empty(n),
+                    |set, i| set.insert(i),
+                );
+                tests.extend(seen.into_iter().map(|(c, set)| ((feature, PathTest::Eq(c)), set)));
+            }
         }
     }
     tests
+}
+
+/// A beam expansion scored but not materialised: which beam rule was
+/// extended by which candidate test, and what that scored.
+struct Expansion {
+    rule: usize,
+    candidate: usize,
+    wracc: f64,
+    covered_pos: usize,
+    covered_neg: usize,
 }
 
 /// Runs CN2-SD subgroup discovery over a labelled dataset.
@@ -170,51 +230,39 @@ pub fn discover_subgroups(
     if n == 0 {
         return Vec::new();
     }
-    let mut candidates = candidate_tests(dataset, config);
+    // Scoring substrate: one coverage bitmap per candidate test (computed
+    // once — weights change between covering rounds, coverage never does)
+    // plus the positive-class bitmap. A rule's coverage is the intersection
+    // of its tests' bitmaps and its class counts are popcounts.
+    let (mut candidates, mut candidate_sets): (Vec<(usize, PathTest)>, Vec<RowSet>) =
+        candidate_tests(dataset, config).into_iter().unzip();
     if candidates.is_empty() {
         return Vec::new();
     }
     let total_neg = labels.iter().filter(|&&l| !l).count() as f64;
 
-    // Vectorized scoring substrate: one coverage bitmap per candidate test
-    // (computed once — weights change between covering rounds, coverage
-    // never does) plus the positive-class bitmap. A rule's coverage is then
-    // the intersection of its tests' bitmaps, and its class counts are
-    // popcounts instead of a per-instance conjunction walk.
-    let mut candidate_sets: Vec<RowSet> = candidates
-        .iter()
-        .map(|(feature, test)| {
-            let mut set = RowSet::empty(n);
-            for (i, inst) in dataset.instances.iter().enumerate() {
-                if test_covers(*feature, test, inst) {
-                    set.insert(i);
-                }
-            }
-            set
-        })
-        .collect();
     if config.negated_category_tests {
         // `feature != c` covers exactly the instances that carry *some*
         // category at the feature but not `c` — so its bitmap is composed
         // from the already-built `Eq` bitmap by boolean algebra
         // (has-category AND NOT eq) instead of another dataset scan.
-        let num_features = dataset.instances.first().map(|i| i.len()).unwrap_or(0);
-        let mut categorical: Vec<RowSet> = vec![RowSet::empty(n); num_features];
-        for (i, inst) in dataset.instances.iter().enumerate() {
-            for (f, v) in inst.iter().enumerate() {
-                if matches!(v, FeatureValue::Cat(_)) {
-                    categorical[f].insert(i);
+        let categorical: Vec<RowSet> = dataset
+            .columns()
+            .iter()
+            .map(|column| match column {
+                FeatureColumn::Categorical { codes, .. } => {
+                    RowSet::from_indices(n, (0..n).filter(|&i| codes[i] != MISSING_CODE))
                 }
-            }
-        }
+                FeatureColumn::Numeric(_) => RowSet::empty(n),
+            })
+            .collect();
         let negated: Vec<((usize, PathTest), RowSet)> = candidates
             .iter()
             .zip(&candidate_sets)
             .filter_map(|((feature, test), eq_set)| match test {
-                PathTest::Eq(c) => Some((
-                    (*feature, PathTest::NotEq(*c)),
-                    categorical[*feature].and(&eq_set.complement()),
-                )),
+                PathTest::Eq(c) => {
+                    Some(((*feature, PathTest::NotEq(*c)), categorical[*feature].and_not(eq_set)))
+                }
                 _ => None,
             })
             .collect();
@@ -224,83 +272,101 @@ pub fn discover_subgroups(
         }
     }
     let pos_set = RowSet::from_indices(n, (0..n).filter(|&i| labels[i]));
+    let positive_words = pos_set.word_slice();
 
     // CN2-SD weighted covering: every positive starts with weight 1.
     let mut weights: Vec<f64> = labels.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
     let mut subgroups: Vec<Subgroup> = Vec::new();
+    let mut expansions: Vec<Expansion> = Vec::new();
 
     for _ in 0..config.max_rules {
         let total_pos_w: f64 = weights.iter().sum();
         if total_pos_w < 1e-9 {
             break;
         }
-        // Scores one rule's coverage bitmap under the current weights.
-        let score_set = |covered: &RowSet| -> (f64, usize, usize) {
-            let covered_pos_set = covered.and(&pos_set);
-            let covered_pos = covered_pos_set.count_ones();
-            let covered_neg = covered.count_ones() - covered_pos;
-            let mut covered_pos_w = 0.0;
-            for i in covered_pos_set.iter() {
-                covered_pos_w += weights[i];
-            }
-            let wracc = weighted_relative_accuracy(
-                covered_pos_w,
-                covered_neg as f64,
-                total_pos_w,
-                total_neg,
-            );
-            (wracc, covered_pos, covered_neg)
-        };
 
-        // (rule tests, coverage, wracc, covered positives, covered negatives)
-        type ScoredRule = (Vec<(usize, PathTest)>, RowSet, f64, usize, usize);
         let mut beam: Vec<(Vec<(usize, PathTest)>, RowSet)> = vec![(Vec::new(), RowSet::full(n))];
         let mut best: Option<(Subgroup, RowSet)> = None;
         for _level in 0..config.max_conditions {
-            let mut expansions: Vec<ScoredRule> = Vec::new();
-            for (tests, covered) in &beam {
-                for (ci, cand) in candidates.iter().enumerate() {
+            // Score every extension of every beam rule under the current
+            // weights without materialising its coverage: one fused pass
+            // intersects, counts both classes and sums the covered
+            // positives' weights (in ascending instance order).
+            expansions.clear();
+            for (rule, (tests, covered)) in beam.iter().enumerate() {
+                for (candidate, cand) in candidates.iter().enumerate() {
                     if tests.iter().any(|t| t == cand) {
                         continue;
                     }
-                    let extended_set = covered.and(&candidate_sets[ci]);
-                    let (wracc, cp, cn) = score_set(&extended_set);
-                    if cp < config.min_positive_coverage {
+                    let (mut total, mut covered_pos, mut covered_pos_w) = (0u32, 0u32, 0.0);
+                    let extension = candidate_sets[candidate].word_slice();
+                    for (w, (&rule_word, &test_word)) in
+                        covered.word_slice().iter().zip(extension).enumerate()
+                    {
+                        let both = rule_word & test_word;
+                        total += both.count_ones();
+                        let mut positives = both & positive_words[w];
+                        covered_pos += positives.count_ones();
+                        while positives != 0 {
+                            covered_pos_w += weights[w * 64 + positives.trailing_zeros() as usize];
+                            positives &= positives - 1;
+                        }
+                    }
+                    let (total, covered_pos) = (total as usize, covered_pos as usize);
+                    if covered_pos < config.min_positive_coverage {
                         continue;
                     }
-                    let mut extended = tests.clone();
-                    extended.push(*cand);
-                    expansions.push((extended, extended_set, wracc, cp, cn));
+                    let covered_neg = total - covered_pos;
+                    let wracc = weighted_relative_accuracy(
+                        covered_pos_w,
+                        covered_neg as f64,
+                        total_pos_w,
+                        total_neg,
+                    );
+                    expansions.push(Expansion { rule, candidate, wracc, covered_pos, covered_neg });
                 }
             }
             if expansions.is_empty() {
                 break;
             }
-            expansions.sort_by(|a, b| b.2.total_cmp(&a.2));
+            expansions.sort_by(|a, b| b.wracc.total_cmp(&a.wracc));
             expansions.truncate(config.beam_width);
+            // Only the survivors get a test list and a coverage bitmap.
+            let survivors: Vec<(Vec<(usize, PathTest)>, RowSet)> = expansions
+                .iter()
+                .map(|e| {
+                    let (tests, covered) = &beam[e.rule];
+                    let mut extended = tests.clone();
+                    extended.push(candidates[e.candidate]);
+                    (extended, covered.and(&candidate_sets[e.candidate]))
+                })
+                .collect();
             // Track the overall best rule seen at any level, skipping rules
             // already returned in a previous covering round so that each
             // round describes a *new* subgroup even when a large subgroup's
             // decayed weight still dominates WRAcc.
-            if let Some(top) = expansions.iter().find(|e| !subgroups.iter().any(|s| s.tests == e.0))
+            if let Some((top, (tests, covered))) = expansions
+                .iter()
+                .zip(&survivors)
+                .find(|(_, (tests, _))| !subgroups.iter().any(|s| s.tests == *tests))
             {
                 let better = match &best {
-                    Some((b, _)) => top.2 > b.wracc,
+                    Some((b, _)) => top.wracc > b.wracc,
                     None => true,
                 };
-                if better && top.2 > 0.0 {
+                if better && top.wracc > 0.0 {
                     best = Some((
                         Subgroup {
-                            tests: top.0.clone(),
-                            wracc: top.2,
-                            covered_pos: top.3,
-                            covered_neg: top.4,
+                            tests: tests.clone(),
+                            wracc: top.wracc,
+                            covered_pos: top.covered_pos,
+                            covered_neg: top.covered_neg,
                         },
-                        top.1.clone(),
+                        covered.clone(),
                     ));
                 }
             }
-            beam = expansions.into_iter().map(|(t, set, ..)| (t, set)).collect();
+            beam = survivors;
         }
 
         let Some((rule, rule_set)) = best else { break };
@@ -323,12 +389,13 @@ mod tests {
     use super::*;
     use crate::features::FeatureSpace;
     use dbwipes_storage::{DataType, RowId, Schema, Table, Value};
+    use std::sync::Arc;
 
     /// Two distinct error subpopulations: sensor 15 (low voltage) and the
     /// kitchen sensors, mirroring the paper's health-data example where
     /// subgroup discovery finds "smokers over 65" and "heavy weight people"
     /// as two subgroups of high-risk patients.
-    fn table() -> (Table, Vec<bool>, FeatureSpace, Dataset) {
+    fn table() -> (Table, Vec<bool>, FeatureSpace, Arc<Dataset>) {
         let schema = Schema::of(&[
             ("sensorid", DataType::Int),
             ("voltage", DataType::Float),
@@ -404,7 +471,7 @@ mod tests {
         let all = vec![true; ds.len()];
         assert!(discover_subgroups(&ds, &all, &SubgroupConfig::default()).is_empty());
         // Empty dataset.
-        let empty = Dataset { instances: vec![], row_ids: vec![] };
+        let empty = Dataset::from_rows(&[]).unwrap();
         assert!(discover_subgroups(&empty, &[], &SubgroupConfig::default()).is_empty());
     }
 

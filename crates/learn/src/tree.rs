@@ -9,7 +9,7 @@
 //! positive root-to-leaf paths as conjunctive rules — which the enumerator
 //! then converts into the ranked predicates shown to the user.
 
-use crate::features::{Dataset, FeatureSpace, FeatureValue};
+use crate::features::{fold_categories, Dataset, FeatureColumn, FeatureSpace, FeatureValue};
 use crate::metrics::{gain_ratio, gini_gain};
 use dbwipes_storage::{Condition, ConjunctivePredicate};
 
@@ -212,19 +212,39 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Trains a tree on a dataset with boolean labels (`labels[i]` is the
-    /// class of `dataset.instances[i]`).
+    /// class of instance `i`).
     ///
     /// Panics if `labels.len() != dataset.len()`; the caller constructs both
     /// from the same row list.
     pub fn train(dataset: &Dataset, labels: &[bool], config: TreeConfig) -> DecisionTree {
         assert_eq!(dataset.len(), labels.len(), "labels must align with instances");
-        let num_features = dataset.instances.first().map(|i| i.len()).unwrap_or(0);
-        let indices: Vec<usize> = (0..dataset.len()).collect();
-        let mut root = grow(dataset, labels, &indices, 0, &config, num_features);
+        let indices: Vec<u32> = (0..dataset.len() as u32).collect();
+        let orders: Vec<&[u32]> = dataset
+            .columns()
+            .iter()
+            .map(|column| match column {
+                FeatureColumn::Numeric(numeric) => numeric.sorted(),
+                FeatureColumn::Categorical { .. } => &[],
+            })
+            .collect();
+        let mut grower = Grower {
+            dataset,
+            labels,
+            config: &config,
+            goes_left: vec![false; dataset.len()],
+            cum_pos: Vec::new(),
+            thresholds: Vec::new(),
+        };
+        let mut root = grower.grow(&indices, &orders, 0);
         if config.prune {
             root = prune(root);
         }
-        DecisionTree { root, config, num_features }
+        DecisionTree { root, config, num_features: dataset.num_features() }
+    }
+
+    /// The root node.
+    pub fn root(&self) -> &TreeNode {
+        &self.root
     }
 
     /// The training configuration.
@@ -261,16 +281,17 @@ impl DecisionTree {
 
     /// Predicts the class of a feature vector.
     pub fn predict(&self, instance: &[FeatureValue]) -> bool {
+        self.classify(|feature| instance.get(feature).copied().unwrap_or(FeatureValue::Missing))
+    }
+
+    /// Walks the tree, reading the instance's cells through `cell`.
+    fn classify(&self, cell: impl Fn(usize) -> FeatureValue) -> bool {
         let mut node = &self.root;
         loop {
             match node {
                 TreeNode::Leaf { pos, neg } => return pos > neg,
                 TreeNode::Split { feature, test, left, right, .. } => {
-                    node = if satisfies(instance.get(*feature).copied(), *test) {
-                        left
-                    } else {
-                        right
-                    };
+                    node = if satisfies(cell(*feature), *test) { left } else { right };
                 }
             }
         }
@@ -281,11 +302,10 @@ impl DecisionTree {
         if dataset.is_empty() {
             return 0.0;
         }
-        let correct = dataset
-            .instances
+        let correct = labels
             .iter()
-            .zip(labels)
-            .filter(|(inst, &label)| self.predict(inst) == label)
+            .enumerate()
+            .filter(|&(i, &label)| self.classify(|feature| dataset.value(i, feature)) == label)
             .count();
         correct as f64 / dataset.len() as f64
     }
@@ -300,10 +320,10 @@ impl DecisionTree {
     }
 }
 
-fn satisfies(value: Option<FeatureValue>, test: SplitTest) -> bool {
+fn satisfies(value: FeatureValue, test: SplitTest) -> bool {
     match (value, test) {
-        (Some(FeatureValue::Num(v)), SplitTest::NumericLe(th)) => v <= th,
-        (Some(FeatureValue::Cat(c)), SplitTest::CategoryEq(cat)) => c == cat,
+        (FeatureValue::Num(v), SplitTest::NumericLe(th)) => v <= th,
+        (FeatureValue::Cat(c), SplitTest::CategoryEq(cat)) => c == cat,
         // Missing values and type mismatches fail the test.
         _ => false,
     }
@@ -315,7 +335,6 @@ fn collect_rules(node: &TreeNode, path: &mut Vec<(usize, PathTest)>, rules: &mut
             if node.is_positive() {
                 rules.push(Rule { tests: path.clone(), pos: *pos, neg: *neg });
             }
-            let _ = (pos, neg);
         }
         TreeNode::Split { feature, test, left, right, .. } => {
             let (left_test, right_test) = match test {
@@ -332,149 +351,177 @@ fn collect_rules(node: &TreeNode, path: &mut Vec<(usize, PathTest)>, rules: &mut
     }
 }
 
-fn grow(
-    dataset: &Dataset,
-    labels: &[bool],
-    indices: &[usize],
-    depth: usize,
-    config: &TreeConfig,
-    num_features: usize,
-) -> TreeNode {
-    let pos = indices.iter().filter(|&&i| labels[i]).count();
-    let neg = indices.len() - pos;
-    let leaf = TreeNode::Leaf { pos, neg };
-    if pos == 0 || neg == 0 || depth >= config.max_depth || indices.len() < config.min_samples_split
-    {
-        return leaf;
-    }
-
-    let Some((feature, test, gain)) = best_split(dataset, labels, indices, config, num_features)
-    else {
-        return leaf;
-    };
-    if gain < config.min_gain {
-        return leaf;
-    }
-
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-        indices.iter().partition(|&&i| satisfies(dataset.instances[i].get(feature).copied(), test));
-    if left_idx.len() < config.min_leaf_size || right_idx.len() < config.min_leaf_size {
-        return leaf;
-    }
-
-    let left = grow(dataset, labels, &left_idx, depth + 1, config, num_features);
-    let right = grow(dataset, labels, &right_idx, depth + 1, config, num_features);
-    TreeNode::Split { feature, test, left: Box::new(left), right: Box::new(right), pos, neg }
+/// Grows one tree from the dataset's presorted feature orders.
+///
+/// Every node carries, per numeric feature, its instances in the matrix's
+/// sort order: the root borrows the matrix's own permutations and a child's
+/// orders are a stable partition of its parent's, so no node gathers or
+/// sorts anything. That is exactly the order a per-node gather of the
+/// node's instances (ascending) followed by a stable `total_cmp` sort
+/// produces, so thresholds, class counts, scores and tie-breaking are those
+/// of the per-node sort.
+struct Grower<'a> {
+    dataset: &'a Dataset,
+    labels: &'a [bool],
+    config: &'a TreeConfig,
+    /// Per instance: which side of the split being applied it falls on.
+    goes_left: Vec<bool>,
+    /// Scratch of `best_split`: `cum_pos[j]` = positives among a feature's
+    /// first `j` sorted values.
+    cum_pos: Vec<u32>,
+    /// Scratch of `best_split`: (midpoint threshold, number of sorted values
+    /// `<=` it).
+    thresholds: Vec<(f64, usize)>,
 }
 
-/// Finds the best `(feature, test, gain)` over all features, or `None` when
-/// no valid split exists.
-///
-/// Split scoring is a columnar sweep: per feature, the numeric values are
-/// sorted **once** and every candidate threshold's class counts come from a
-/// prefix sum over that order (a threshold at boundary `b` puts exactly the
-/// first `b` sorted values on the left), while categorical counts
-/// accumulate in a single pass. This replaces the former
-/// O(thresholds × |indices|) re-scan per threshold and selects exactly the
-/// same split: thresholds, counts, scores and tie-breaking (first strictly
-/// better wins, features ascending, thresholds ascending, categories in
-/// first-seen order) are all unchanged.
-fn best_split(
-    dataset: &Dataset,
-    labels: &[bool],
-    indices: &[usize],
-    config: &TreeConfig,
-    num_features: usize,
-) -> Option<(usize, SplitTest, f64)> {
-    let total_pos = indices.iter().filter(|&&i| labels[i]).count() as f64;
-    let total_neg = indices.len() as f64 - total_pos;
-    let parent = (total_pos, total_neg);
-    let score = |left: (f64, f64), right: (f64, f64)| match config.criterion {
-        SplitCriterion::Gini => gini_gain(parent, left, right),
-        SplitCriterion::GainRatio => gain_ratio(parent, left, right),
-    };
-
-    let mut best: Option<(usize, SplitTest, f64)> = None;
-    let mut consider = |feature: usize, test: SplitTest, gain: f64| {
-        if gain > best.as_ref().map(|b| b.2).unwrap_or(f64::NEG_INFINITY) {
-            best = Some((feature, test, gain));
+impl Grower<'_> {
+    /// `indices` are the node's instances in ascending order; `orders[f]`
+    /// the present ones in feature `f`'s sort order (empty for a categorical
+    /// feature).
+    fn grow(&mut self, indices: &[u32], orders: &[&[u32]], depth: usize) -> TreeNode {
+        let (dataset, config) = (self.dataset, self.config);
+        let pos = indices.iter().filter(|&&i| self.labels[i as usize]).count();
+        let neg = indices.len() - pos;
+        let leaf = TreeNode::Leaf { pos, neg };
+        if pos == 0
+            || neg == 0
+            || depth >= config.max_depth
+            || indices.len() < config.min_samples_split
+        {
+            return leaf;
         }
-    };
 
-    for feature in 0..num_features {
-        // Gather (value, label) pairs and per-category class counts for
-        // this feature in one pass.
-        let mut numeric: Vec<(f64, bool)> = Vec::new();
-        let mut categories: Vec<usize> = Vec::new();
-        let mut cat_counts: Vec<(f64, f64)> = Vec::new();
+        let Some((feature, test, gain)) = self.best_split(indices, orders, pos, neg) else {
+            return leaf;
+        };
+        if gain < config.min_gain {
+            return leaf;
+        }
+
         for &i in indices {
-            match dataset.instances[i].get(feature) {
-                Some(FeatureValue::Num(v)) => numeric.push((*v, labels[i])),
-                Some(FeatureValue::Cat(c)) => {
-                    let slot = match categories.iter().position(|k| k == c) {
-                        Some(slot) => slot,
-                        None => {
-                            categories.push(*c);
-                            cat_counts.push((0.0, 0.0));
-                            categories.len() - 1
+            self.goes_left[i as usize] = satisfies(dataset.value(i as usize, feature), test);
+        }
+        let (left_idx, right_idx) = self.partition(indices);
+        if left_idx.len() < config.min_leaf_size || right_idx.len() < config.min_leaf_size {
+            return leaf;
+        }
+        let (left_orders, right_orders): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
+            orders.iter().map(|order| self.partition(order)).unzip();
+
+        let left = self.grow(&left_idx, &as_slices(&left_orders), depth + 1);
+        drop(left_orders);
+        let right = self.grow(&right_idx, &as_slices(&right_orders), depth + 1);
+        TreeNode::Split { feature, test, left: Box::new(left), right: Box::new(right), pos, neg }
+    }
+
+    /// Stable partition of a node's instance list by `goes_left`.
+    fn partition(&self, instances: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        instances.iter().copied().partition(|&i| self.goes_left[i as usize])
+    }
+
+    /// Finds the best `(feature, test, gain)` over all features, or `None`
+    /// when no valid split exists.
+    ///
+    /// Per numeric feature one linear sweep of the node's sorted order:
+    /// every candidate threshold's class counts come from a prefix sum over
+    /// that order (a threshold at boundary `b` puts exactly the first `b`
+    /// sorted values on the left), while categorical counts accumulate in a
+    /// single pass. Ties break first-strictly-better: features ascending,
+    /// thresholds ascending, categories in first-seen order.
+    fn best_split(
+        &mut self,
+        indices: &[u32],
+        orders: &[&[u32]],
+        pos: usize,
+        neg: usize,
+    ) -> Option<(usize, SplitTest, f64)> {
+        let (total_pos, total_neg) = (pos as f64, neg as f64);
+        let parent = (total_pos, total_neg);
+        let (dataset, labels, config) = (self.dataset, self.labels, self.config);
+        let score = |left: (f64, f64)| {
+            let right = (total_pos - left.0, total_neg - left.1);
+            match config.criterion {
+                SplitCriterion::Gini => gini_gain(parent, left, right),
+                SplitCriterion::GainRatio => gain_ratio(parent, left, right),
+            }
+        };
+
+        let mut best: Option<(usize, SplitTest, f64)> = None;
+        let mut consider = |feature: usize, test: SplitTest, gain: f64| {
+            if gain > best.as_ref().map(|b| b.2).unwrap_or(f64::NEG_INFINITY) {
+                best = Some((feature, test, gain));
+            }
+        };
+
+        for (feature, column) in dataset.columns().iter().enumerate() {
+            match column {
+                FeatureColumn::Numeric(column) => {
+                    let order = orders[feature];
+                    self.cum_pos.clear();
+                    self.cum_pos.push(0);
+                    let mut running = 0u32;
+                    for &i in order {
+                        running += u32::from(labels[i as usize]);
+                        self.cum_pos.push(running);
+                    }
+                    // The boundary count is re-derived from the threshold
+                    // itself rather than assumed to be j+1: between very
+                    // close (or very large) neighbours the midpoint can
+                    // round up to the upper value (or overflow to +inf), and
+                    // the scored counts must describe the partition
+                    // `v <= th` actually makes.
+                    self.thresholds.clear();
+                    for (j, w) in order.windows(2).enumerate() {
+                        let (lower, upper) = (column.value(w[0]), column.value(w[1]));
+                        if lower < upper {
+                            let th = (lower + upper) / 2.0;
+                            let below = if th < upper {
+                                j + 1
+                            } else {
+                                order.partition_point(|&i| column.value(i) <= th)
+                            };
+                            self.thresholds.push((th, below));
                         }
-                    };
-                    if labels[i] {
-                        cat_counts[slot].0 += 1.0;
-                    } else {
-                        cat_counts[slot].1 += 1.0;
+                    }
+                    let all = self.thresholds.len();
+                    let kept = all.min(config.max_thresholds);
+                    let step = all as f64 / config.max_thresholds as f64;
+                    for k in 0..kept {
+                        // Evenly spaced quantiles when there are too many.
+                        let pick = if all > kept { (k as f64 * step) as usize } else { k };
+                        let (th, below) = self.thresholds[pick];
+                        let left_pos = self.cum_pos[below] as usize;
+                        let left = (left_pos as f64, (below - left_pos) as f64);
+                        consider(feature, SplitTest::NumericLe(th), score(left));
                     }
                 }
-                _ => {}
-            }
-        }
-
-        if !numeric.is_empty() {
-            numeric.sort_by(|a, b| a.0.total_cmp(&b.0));
-            // cum_pos[j] = positives among the first j sorted values.
-            let mut cum_pos: Vec<usize> = Vec::with_capacity(numeric.len() + 1);
-            cum_pos.push(0);
-            for &(_, label) in &numeric {
-                cum_pos.push(cum_pos.last().unwrap() + label as usize);
-            }
-            // (midpoint threshold, number of sorted values <= it). The
-            // boundary count is re-derived from the threshold itself
-            // rather than assumed to be j+1: between very close (or very
-            // large) neighbours the midpoint can round up to the upper
-            // value (or overflow to +inf), and the scored counts must
-            // describe the partition `v <= th` actually makes.
-            let mut thresholds: Vec<(f64, usize)> = Vec::new();
-            for (j, w) in numeric.windows(2).enumerate() {
-                if w[0].0 < w[1].0 {
-                    let th = (w[0].0 + w[1].0) / 2.0;
-                    let below = if th < w[1].0 {
-                        j + 1
-                    } else {
-                        numeric.partition_point(|&(v, _)| v <= th)
-                    };
-                    thresholds.push((th, below));
+                FeatureColumn::Categorical { codes, cardinality } => {
+                    // Class counts per category.
+                    let seen = fold_categories(
+                        codes,
+                        *cardinality,
+                        indices.iter().map(|&i| i as usize),
+                        || (0.0, 0.0),
+                        |counts: &mut (f64, f64), i| {
+                            if labels[i] {
+                                counts.0 += 1.0;
+                            } else {
+                                counts.1 += 1.0;
+                            }
+                        },
+                    );
+                    for (cat, left) in seen {
+                        consider(feature, SplitTest::CategoryEq(cat), score(left));
+                    }
                 }
             }
-            if thresholds.len() > config.max_thresholds {
-                let step = thresholds.len() as f64 / config.max_thresholds as f64;
-                thresholds = (0..config.max_thresholds)
-                    .map(|k| thresholds[(k as f64 * step) as usize])
-                    .collect();
-            }
-            for (th, below) in thresholds {
-                let left_pos = cum_pos[below];
-                let left = (left_pos as f64, (below - left_pos) as f64);
-                let right = (total_pos - left.0, total_neg - left.1);
-                consider(feature, SplitTest::NumericLe(th), score(left, right));
-            }
         }
-
-        for (cat, left) in categories.into_iter().zip(cat_counts) {
-            let right = (total_pos - left.0, total_neg - left.1);
-            consider(feature, SplitTest::CategoryEq(cat), score(left, right));
-        }
+        best
     }
-    best
+}
+
+fn as_slices(orders: &[Vec<u32>]) -> Vec<&[u32]> {
+    orders.iter().map(Vec::as_slice).collect()
 }
 
 /// Error-based pruning: collapse a split whenever classifying all its
@@ -509,6 +556,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureSpace;
     use dbwipes_storage::{DataType, RowId, Schema, Table, Value};
+    use std::sync::Arc;
 
     /// Builds a sensor-style table where sensor 15 with low voltage produces
     /// anomalously high temperatures (the ground-truth "error cause").
@@ -539,7 +587,7 @@ mod tests {
         (t, labels)
     }
 
-    fn extract(t: &Table) -> (FeatureSpace, Dataset) {
+    fn extract(t: &Table) -> (FeatureSpace, Arc<Dataset>) {
         let rows: Vec<RowId> = t.visible_row_ids().collect();
         let space = FeatureSpace::build_excluding(t, &["temp".into()], &rows);
         let ds = space.extract(t, &rows);
@@ -603,7 +651,7 @@ mod tests {
             TreeConfig { min_samples_split: 1000, ..TreeConfig::default() },
         );
         assert_eq!(tree.depth(), 0);
-        assert_eq!(tree.num_features(), ds.instances[0].len());
+        assert_eq!(tree.num_features(), ds.num_features());
         assert_eq!(tree.config().max_depth, TreeConfig::default().max_depth);
     }
 

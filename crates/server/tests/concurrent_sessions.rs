@@ -86,11 +86,14 @@ fn drive_full_loop(
     );
     assert!(!inputs.get("selected").unwrap().as_array().unwrap().is_empty());
 
-    // 6. Pick ε.
+    // 6. Pick ε — per client too: the fixture has one suspicious window, so
+    // every brush above selects the same S, and it is the distinct ε that
+    // makes the four requests distinct whatever the interleaving.
+    let epsilon = brush_threshold / 2.0;
     expect_ok(
         manager,
         &format!(
-            r#"{{"cmd":"set_metric","session":{session},"kind":"too_high","column":"std_temp","value":4}}"#
+            r#"{{"cmd":"set_metric","session":{session},"kind":"too_high","column":"std_temp","value":{epsilon}}}"#
         ),
     );
 
@@ -117,8 +120,9 @@ fn drive_full_loop(
 #[test]
 fn four_concurrent_clients_run_the_full_loop_with_shared_cache_reuse() {
     let (manager, query) = manager();
-    // Distinct brush thresholds: every client selects a different S, so a
-    // state leak between sessions would change another client's answers.
+    // Distinct brush thresholds (and, from them, distinct ε): every client
+    // asks a different question, so a state leak between sessions would
+    // change another client's answers.
     let thresholds = [8.0, 9.0, 10.0, 11.0];
 
     let results: Vec<(u64, usize, bool)> = std::thread::scope(|scope| {

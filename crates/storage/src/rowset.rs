@@ -64,8 +64,11 @@ impl RowSet {
         s
     }
 
-    /// The raw bitmap words (for the persistence layer's snapshot codec).
-    pub(crate) fn word_slice(&self) -> &[u64] {
+    /// The raw bitmap words, row `i` at bit `i % 64` of word `i / 64` and
+    /// zero beyond the universe: for the persistence layer's snapshot codec,
+    /// and for consumers that fuse several set operations and a count into
+    /// one pass instead of materializing each intermediate set.
+    pub fn word_slice(&self) -> &[u64] {
         &self.words
     }
 
