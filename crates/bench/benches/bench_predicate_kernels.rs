@@ -10,7 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbwipes_storage::{
-    Condition, ConditionBitmapCache, ConjunctivePredicate, DataType, Schema, Table, Value,
+    Candidate, Condition, ConditionBitmapCache, ConjunctivePredicate, DataType, Schema, Table,
+    Value,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -103,7 +104,7 @@ fn score_vectorized(t: &Table, pool: &[ConjunctivePredicate]) -> usize {
 fn score_cached(t: &Table, cache: &ConditionBitmapCache, pool: &[ConjunctivePredicate]) -> usize {
     let mut total = 0usize;
     for p in pool {
-        let tri = cache.conjunction(t, p).expect("well-typed candidate");
+        let tri = p.tri_eval(cache, t, &|_| true).expect("well-typed candidate");
         total += tri.trues.intersection_count(cache.visible());
     }
     total

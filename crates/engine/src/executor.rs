@@ -128,43 +128,20 @@ pub fn execute(
 }
 
 /// Scan stage: the visible rows that satisfy the WHERE clause, in scan
-/// order.
-///
-/// WHERE clauses that are pure conjunctions of per-attribute comparisons
-/// (the shape parsed queries and predicate rewrites overwhelmingly take)
-/// are evaluated through the storage crate's vectorized condition kernels —
-/// one typed column scan per conjunct plus a bitmap intersection — instead
-/// of the per-row expression walk. Disjunctive and negated clauses
-/// (arbitrary `AND`/`OR`/`NOT` trees over those comparisons, the exclusion
-/// rewrites "clean as you query" emits) compile through
-/// [`dbwipes_storage::CompiledBoolExpr`] into the same kernels folded with
-/// word-level bitmap ops. Anything outside both fragments keeps the scalar
-/// path; all three produce identical row sets under SQL three-valued logic
-/// (only rows where the clause is TRUE survive).
+/// order — [`dbwipes_storage::Expr::filter`], so a clause inside the
+/// kernels' fragment (any `AND`/`OR`/`NOT` tree over per-attribute
+/// comparisons: parsed dashboard queries and the exclusion rewrites
+/// "clean as you query" emits alike) runs vectorized and anything else
+/// takes the scalar walk, with identical row sets under SQL three-valued
+/// logic (only rows where the clause is TRUE survive).
 pub(crate) fn scan_filter(
     table: &Table,
     stmt: &SelectStatement,
 ) -> Result<Vec<RowId>, EngineError> {
-    let Some(pred) = &stmt.where_clause else {
-        return Ok(table.visible_row_ids().collect());
-    };
-    if let Some(conjunctive) = dbwipes_storage::ConjunctivePredicate::from_conjunctive_expr(pred) {
-        if let Ok(compiled) = conjunctive.compile(table) {
-            return Ok(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids());
-        }
+    match &stmt.where_clause {
+        Some(pred) => Ok(pred.filter(table)?),
+        None => Ok(table.visible_row_ids().collect()),
     }
-    if let Ok(compiled) = dbwipes_storage::CompiledBoolExpr::compile(pred, table) {
-        dbwipes_storage::note_bool_vectorized();
-        return Ok(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids());
-    }
-    dbwipes_storage::note_bool_fallback();
-    let mut filtered: Vec<RowId> = Vec::new();
-    for rid in table.visible_row_ids() {
-        if pred.matches(table, rid)? {
-            filtered.push(rid);
-        }
-    }
-    Ok(filtered)
 }
 
 /// [`scan_filter`] restricted to the row suffix starting at physical index
@@ -692,6 +669,14 @@ mod tests {
             "SELECT hour, avg(temp) FROM readings WHERE sensorid NOT IN (1, 2) GROUP BY hour",
             "SELECT hour, avg(temp) FROM readings \
              WHERE NOT (sensorid = 3 AND temp > 100) OR hour = 0 GROUP BY hour",
+            // Plain conjunctions, as written: nothing is normalised away
+            // before the kernels see them.
+            "SELECT hour, avg(temp) FROM readings WHERE sensorid = 1 AND sensorid = 1 GROUP BY hour",
+            "SELECT hour, avg(temp) FROM readings WHERE temp > 20 AND temp > 21 GROUP BY hour",
+            "SELECT hour, avg(temp) FROM readings WHERE 3 = sensorid AND 100 < temp GROUP BY hour",
+            "SELECT hour, avg(temp) FROM readings \
+             WHERE temp BETWEEN 20.5 AND 120 AND hour = 1 GROUP BY hour",
+            "SELECT hour, avg(temp) FROM readings WHERE hour = 1 AND temp = NULL GROUP BY hour",
         ] {
             let s = stmt(sql);
             let pred = s.where_clause.as_ref().unwrap();
@@ -704,6 +689,16 @@ mod tests {
                 t.visible_row_ids().filter(|&r| pred.matches(&t, r).unwrap()).collect();
             assert_eq!(vectorized, scalar, "{sql}");
         }
+        // A mistyped literal does not compile: the scalar walk answers, and
+        // its error comes back unchanged.
+        let s = stmt("SELECT hour, avg(temp) FROM readings WHERE hour = 1 AND sensorid = 'x'");
+        let pred = s.where_clause.as_ref().unwrap();
+        assert!(dbwipes_storage::CompiledBoolExpr::compile(pred, &t).is_err());
+        let scalar = pred.filter_scalar(&t).unwrap_err();
+        assert_eq!(
+            scan_filter(&t, &s).unwrap_err().to_string(),
+            EngineError::from(scalar).to_string()
+        );
     }
 
     #[test]

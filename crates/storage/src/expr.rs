@@ -451,14 +451,14 @@ impl Expr {
     /// `AND`/`OR`/`NOT` over per-attribute comparisons), the filter runs
     /// vectorized through the columnar kernels; a successful compile
     /// guarantees the scalar walk could not have errored, so the result is
-    /// identical — bit for bit — to [`Expr::filter_scalar`].
+    /// identical — bit for bit — to [`Expr::filter_scalar`], which answers
+    /// (rows or error) for everything else.
     pub fn filter(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
-        if let Ok(compiled) = crate::predicate::CompiledBoolExpr::compile(self, table) {
-            crate::predicate::note_bool_vectorized();
-            return Ok(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids());
+        let compiled = crate::predicate::CompiledBoolExpr::compile(self, table);
+        match crate::predicate::vectorized_filter(compiled, table) {
+            Some(rows) => Ok(rows),
+            None => self.filter_scalar(table),
         }
-        crate::predicate::note_bool_fallback();
-        self.filter_scalar(table)
     }
 
     /// The scalar reference path of [`Expr::filter`]: a per-row

@@ -81,10 +81,9 @@ pub use expr::{col, lit, BinaryOp, Expr, UnaryOp};
 pub use faults::{FaultInjectingBackend, FaultKind, FaultPlan};
 pub use persist::{FsBackend, Manifest, ManifestEntry, StorageBackend};
 pub use predicate::{
-    bool_vectorization_stats, enable_warm_bitmap_store, export_warm_bitmaps, note_bool_fallback,
-    note_bool_vectorized, seed_warm_bitmaps, warm_bitmap_rehydrated_count, Candidate,
-    CompiledBoolExpr, CompiledPredicate, Condition, ConditionBitmapCache, ConjunctivePredicate,
-    PredicateTree, TriSet,
+    bool_vectorization_stats, enable_warm_bitmap_store, export_warm_bitmaps, seed_warm_bitmaps,
+    warm_bitmap_rehydrated_count, Candidate, CompiledBoolExpr, Condition, ConditionBitmapCache,
+    ConjunctivePredicate, PredicateTree, TriSet,
 };
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};

@@ -13,11 +13,12 @@ use crate::expr::{col, lit, BinaryOp, Expr, UnaryOp};
 use crate::rowset::RowSet;
 use crate::table::{EpochTolerance, RowId, Table, TableEpoch};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A single per-attribute condition inside a [`ConjunctivePredicate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -140,17 +141,6 @@ impl Condition {
     /// conditions share a key if and only if they are structurally equal.
     pub fn cache_key(&self) -> String {
         format!("{self:?}")
-    }
-
-    /// True when the typed columnar compiler can express this condition
-    /// against `table`'s schema — i.e. the vectorized kernel path applies.
-    /// When `false`, evaluation falls back to the scalar expression walk
-    /// (and [`ConditionBitmapCache::condition`] returns `None`).
-    ///
-    /// Expressibility depends only on the schema and the condition, so the
-    /// answer is identical for every shard of one table.
-    pub fn vectorizable(&self, table: &Table) -> bool {
-        CompiledCondition::compile(self, table).is_ok()
     }
 
     /// The attribute this condition constrains.
@@ -358,98 +348,38 @@ impl ConjunctivePredicate {
         !self.to_expr()
     }
 
-    /// Evaluates the predicate against one row.
+    /// Evaluates the predicate against one row through the scalar [`Expr`]
+    /// walk. A row on which evaluation fails (a condition mistyped for the
+    /// schema, an unknown column) is a non-match, not an error.
     pub fn matches(&self, table: &Table, row: RowId) -> bool {
-        self.conditions.iter().all(|c| c.to_expr().matches(table, row).unwrap_or(false))
+        self.to_expr().matches(table, row).unwrap_or(false)
     }
 
-    /// Compiles the predicate against a table: column indices are resolved
-    /// and literals coerced once, so per-row evaluation is allocation-free
-    /// typed comparisons instead of a recursive [`Expr`] walk. Fails when a
-    /// condition's types do not line up with the schema (the same cases
-    /// where [`Expr::validate`] or evaluation would fail); callers fall
-    /// back to the expression path then.
-    pub fn compile<'t>(&self, table: &'t Table) -> Result<CompiledPredicate<'t>, StorageError> {
-        let conds = self
-            .conditions
-            .iter()
-            .map(|c| CompiledCondition::compile(c, table))
-            .collect::<Result<_, _>>()?;
-        Ok(CompiledPredicate { conds, num_rows: table.num_rows() })
+    /// Compiles the predicate against a table as the `AND` of its
+    /// conditions: column indices are resolved and literals coerced once,
+    /// so evaluation is typed column kernels instead of a recursive
+    /// [`Expr`] walk. Fails when a condition's types do not line up with
+    /// the schema (the same cases where [`Expr::validate`] or evaluation
+    /// would fail); callers fall back to the expression path then.
+    pub fn compile<'t>(&self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError> {
+        BoolTree::of_conjunction(self).compile(table)
     }
 
     /// Returns all visible rows matched by the predicate, in ascending
     /// [`RowId`] order. Uses the vectorized column kernels when every
     /// condition compiles; otherwise falls back to the per-row expression
-    /// walk.
+    /// walk, where a failed evaluation is a non-match (see
+    /// [`ConjunctivePredicate::matches`]).
     pub fn matching_rows(&self, table: &Table) -> Vec<RowId> {
-        if let Ok(compiled) = self.compile(table) {
-            return compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids();
-        }
-        table.visible_row_ids().filter(|&r| self.matches(table, r)).collect()
-    }
-
-    /// Fraction of the given rows matched by the predicate (0 when `rows` is
-    /// empty). Counts matches directly — no row list is materialized.
-    pub fn coverage(&self, table: &Table, rows: &[RowId]) -> f64 {
-        if rows.is_empty() {
-            return 0.0;
-        }
-        let matched = match self.compile(table) {
-            Ok(compiled) => rows.iter().filter(|r| compiled.matches(**r) == Some(true)).count(),
-            Err(_) => rows.iter().filter(|&&r| self.matches(table, r)).count(),
-        };
-        matched as f64 / rows.len() as f64
-    }
-
-    /// Fraction of all visible rows matched — the predicate's selectivity.
-    /// A popcount over the match bitmap — no row list is materialized.
-    pub fn selectivity(&self, table: &Table) -> f64 {
-        let total = table.visible_rows();
-        if total == 0 {
-            return 0.0;
-        }
-        let matched = match self.compile(table) {
-            Ok(compiled) => {
-                compiled.eval_columns().trues.intersection_count(&table.visible_row_set())
-            }
-            Err(_) => table.visible_row_ids().filter(|&r| self.matches(table, r)).count(),
-        };
-        matched as f64 / total as f64
-    }
-
-    /// Recovers a [`ConjunctivePredicate`] from an [`Expr`] that is a pure
-    /// conjunction of per-attribute comparisons against literals — the
-    /// inverse of [`ConjunctivePredicate::to_expr`] for the shapes the
-    /// engine's WHERE clauses and the enumerator's predicates take. Returns
-    /// `None` for any construct outside that fragment (disjunction,
-    /// negation, arithmetic, column-to-column comparison, `NOT IN`, string
-    /// order comparisons), in which case callers keep the scalar
-    /// expression walk.
-    pub fn from_conjunctive_expr(expr: &Expr) -> Option<ConjunctivePredicate> {
-        let mut conds = Vec::new();
-        collect_conjuncts(expr, &mut conds)?;
-        Some(ConjunctivePredicate::new(conds))
-    }
-}
-
-/// See [`ConjunctivePredicate::from_conjunctive_expr`].
-fn collect_conjuncts(expr: &Expr, out: &mut Vec<Condition>) -> Option<()> {
-    match expr {
-        Expr::Binary { op: BinaryOp::And, left, right } => {
-            collect_conjuncts(left, out)?;
-            collect_conjuncts(right, out)
-        }
-        _ => {
-            out.push(leaf_condition(expr)?);
-            Some(())
-        }
+        vectorized_filter(self.compile(table), table).unwrap_or_else(|| {
+            let expr = self.to_expr();
+            table.visible_row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
+        })
     }
 }
 
 /// Recognizes one per-attribute comparison leaf (`column <op> literal`,
-/// `BETWEEN`, `IN`, `CONTAINS`) as a [`Condition`] — the shared leaf
-/// grammar of [`ConjunctivePredicate::from_conjunctive_expr`] and
+/// `BETWEEN`, `IN`, `CONTAINS`) as a [`Condition`] — the leaf grammar of
 /// [`CompiledBoolExpr::compile`]. Returns `None` for anything outside that
 /// fragment (arithmetic, column-to-column comparison, `NOT IN`, string
 /// order comparisons, boolean connectives).
@@ -581,28 +511,7 @@ impl PredicateTree {
     /// bitmap cache warms once regardless of how often each condition
     /// recurs in the tree.
     pub fn distinct_conditions(&self) -> Vec<Condition> {
-        let mut seen: HashMap<String, ()> = HashMap::new();
-        let mut out = Vec::new();
-        self.collect_conditions(&mut seen, &mut out);
-        out
-    }
-
-    fn collect_conditions(&self, seen: &mut HashMap<String, ()>, out: &mut Vec<Condition>) {
-        match self {
-            PredicateTree::Leaf(p) => {
-                for c in p.conditions() {
-                    if seen.insert(c.cache_key(), ()).is_none() {
-                        out.push(c.clone());
-                    }
-                }
-            }
-            PredicateTree::And(bs) | PredicateTree::Or(bs) => {
-                for b in bs {
-                    b.collect_conditions(seen, out);
-                }
-            }
-            PredicateTree::Not(b) => b.collect_conditions(seen, out),
-        }
+        BoolTree::of_tree(self).leaves.into_iter().map(Cow::into_owned).collect()
     }
 }
 
@@ -695,18 +604,7 @@ impl Candidate for ConjunctivePredicate {
         table: &Table,
         live: &dyn Fn(&Condition) -> bool,
     ) -> Option<TriSet> {
-        // Any pruned conjunct empties the whole conjunction: skip every
-        // kernel on this shard. Expressibility is still checked (a schema
-        // lookup per conjunct), so whether a candidate vectorizes never
-        // depends on what the zone maps happen to prune.
-        if self.conditions().iter().any(|c| !live(c)) {
-            return self
-                .conditions()
-                .iter()
-                .all(|c| c.vectorizable(table))
-                .then(|| TriSet::all_false(table.num_rows()));
-        }
-        cache.conjunction(table, self)
+        cache.tri_eval(table, BoolTree::of_conjunction(self), live)
     }
 }
 
@@ -778,89 +676,7 @@ impl Candidate for PredicateTree {
         table: &Table,
         live: &dyn Fn(&Condition) -> bool,
     ) -> Option<TriSet> {
-        cache.fold_bool_expr(table, &Candidate::to_expr(self), live)
-    }
-}
-
-/// A [`ConjunctivePredicate`] compiled against one table (see
-/// [`ConjunctivePredicate::compile`]). Evaluation implements the same SQL
-/// three-valued logic as the predicate's [`Expr`] form, bit-for-bit: value
-/// comparisons go through `f64::total_cmp` exactly like
-/// [`Value::total_cmp`], and a NULL operand yields unknown (`None`).
-#[derive(Debug, Clone)]
-pub struct CompiledPredicate<'t> {
-    conds: Vec<CompiledCondition<'t>>,
-    /// Physical row count of the table the predicate was compiled against
-    /// (the universe of the bitmap path).
-    num_rows: usize,
-}
-
-impl CompiledPredicate<'_> {
-    /// Three-valued evaluation of the conjunction on one row:
-    /// `Some(true)` / `Some(false)` / `None` (= SQL NULL, unknown). The
-    /// trivial predicate is `TRUE` everywhere, matching its `Expr` form.
-    pub fn matches(&self, row: RowId) -> Option<bool> {
-        let mut saw_null = false;
-        for c in &self.conds {
-            match c.eval(row.index()) {
-                Some(false) => return Some(false),
-                None => saw_null = true,
-                Some(true) => {}
-            }
-        }
-        if saw_null {
-            None
-        } else {
-            Some(true)
-        }
-    }
-
-    /// Vectorized three-valued evaluation of the conjunction over **every
-    /// physical row** of the table (soft-deleted rows included — intersect
-    /// with [`Table::visible_row_set`] to restrict to visible rows). Each
-    /// condition scans its typed column slice in one tight loop and the
-    /// per-condition bitmaps are intersected, so the result is identical,
-    /// row for row, to calling [`CompiledPredicate::matches`] in a loop.
-    ///
-    /// Conjunctions short-circuit columnar-style: once the surviving
-    /// (TRUE-or-NULL) set drops below a quarter of the table, the
-    /// remaining conditions evaluate per surviving row instead of
-    /// re-scanning whole columns — the selection-vector trick, so a
-    /// selective leading conjunct makes the rest nearly free.
-    pub fn eval_columns(&self) -> TriSet {
-        let n = self.num_rows;
-        let Some((first, rest)) = self.conds.split_first() else {
-            return TriSet { trues: RowSet::full(n), unknowns: RowSet::empty(n) };
-        };
-        let mut acc = first.eval_column(n);
-        for cond in rest {
-            let pass = acc.passes_or_unknown();
-            if pass.count_ones() * 4 < n {
-                // Sparse: evaluate only the rows still in play.
-                let mut trues = RowSet::empty(n);
-                let mut unknowns = RowSet::empty(n);
-                for i in pass.iter() {
-                    match cond.eval(i) {
-                        Some(true) => {
-                            if acc.trues.contains(i) {
-                                trues.insert(i);
-                            } else {
-                                unknowns.insert(i);
-                            }
-                        }
-                        None => unknowns.insert(i),
-                        Some(false) => {}
-                    }
-                }
-                acc = TriSet { trues, unknowns };
-            } else {
-                let tri = cond.eval_column(n);
-                let new_pass = pass.and(&tri.passes_or_unknown());
-                let trues = acc.trues.and(&tri.trues);
-                acc = TriSet { unknowns: new_pass.and_not(&trues), trues };
-            }
-        }
-        acc
+        cache.tri_eval(table, BoolTree::of_tree(self), live)
     }
 }
 
@@ -916,14 +732,24 @@ impl TriSet {
 }
 
 /// Word-level Kleene `AND`: TRUE where both sides are TRUE, FALSE where
-/// either side is FALSE, NULL otherwise.
+/// either side is FALSE, NULL otherwise — one fused pass over the four
+/// bitmaps, as every conjunction a ranking scores folds through it.
 impl std::ops::BitAnd for &TriSet {
     type Output = TriSet;
 
     fn bitand(self, rhs: &TriSet) -> TriSet {
-        let trues = self.trues.and(&rhs.trues);
-        let pass = self.passes_or_unknown().and(&rhs.passes_or_unknown());
-        TriSet { unknowns: pass.and_not(&trues), trues }
+        let n = self.universe();
+        assert_eq!(n, rhs.universe(), "TriSet universe mismatch");
+        let left = self.trues.word_slice().iter().zip(self.unknowns.word_slice());
+        let right = rhs.trues.word_slice().iter().zip(rhs.unknowns.word_slice());
+        let (trues, unknowns) = left
+            .zip(right)
+            .map(|((lt, lu), (rt, ru))| {
+                let trues = lt & rt;
+                (trues, (lt | lu) & (rt | ru) & !trues)
+            })
+            .unzip();
+        TriSet { trues: RowSet::from_words(trues, n), unknowns: RowSet::from_words(unknowns, n) }
     }
 }
 
@@ -950,14 +776,162 @@ impl std::ops::Not for &TriSet {
     }
 }
 
-/// An arbitrary boolean [`Expr`] tree compiled against one table for
-/// vectorized evaluation — the generalization of [`CompiledPredicate`]
-/// beyond conjunctions. `AND` / `OR` / `NOT` nodes become word-level
-/// [`TriSet`] operations; leaves are the per-attribute conditions of the
-/// conjunctive fragment, deduplicated so a condition appearing several
-/// times in the tree (or served by a [`ConditionBitmapCache`]) is scanned
-/// once. Evaluation is bit-identical to the scalar three-valued walk of
-/// [`Expr::eval`].
+/// The shape of a boolean predicate before it is bound to a table: a tree
+/// of `And` / `Or` / `Not` / constant nodes over a deduplicated list of
+/// leaf [`Condition`]s. Every front-end — an [`Expr`], a
+/// [`ConjunctivePredicate`], a [`PredicateTree`] — builds this one form,
+/// and [`BoolTree::resolve`] binds it to a table's leaf bitmaps or kernels.
+struct BoolTree<'a> {
+    root: BoolNode,
+    leaves: Leaves<'a>,
+}
+
+/// The distinct leaf conditions of a [`BoolTree`] (by
+/// [`Condition::cache_key`]), in first-appearance order: borrowed from the
+/// predicate the tree was built from, or owned when parsed out of an
+/// [`Expr`].
+type Leaves<'a> = Vec<Cow<'a, Condition>>;
+
+/// One node of a boolean tree; leaves index into the deduplicated leaf
+/// list.
+#[derive(Debug, Clone)]
+enum BoolNode {
+    Leaf(usize),
+    Not(Box<BoolNode>),
+    /// Kleene `AND` of the children; empty is TRUE.
+    And(Vec<BoolNode>),
+    /// Kleene `OR` of the children; empty is FALSE.
+    Or(Vec<BoolNode>),
+    /// A boolean (or NULL) literal in logical position.
+    Const(Option<bool>),
+}
+
+impl BoolNode {
+    /// The node for one leaf condition, reusing the slot of an equal
+    /// condition seen earlier so each distinct leaf is resolved once.
+    fn leaf<'a>(leaves: &mut Leaves<'a>, cond: Cow<'a, Condition>) -> BoolNode {
+        // `==` is the cheap necessary test (it calls `0.0` and `-0.0`
+        // equal, which the kernels do not); the keys are only rendered to
+        // confirm a duplicate.
+        let seen = leaves.iter().position(|c| *c == cond && c.cache_key() == cond.cache_key());
+        BoolNode::Leaf(seen.unwrap_or_else(|| {
+            leaves.push(cond);
+            leaves.len() - 1
+        }))
+    }
+
+    /// The node of a boolean [`Expr`]. Fails for any construct outside the
+    /// kernels' leaf grammar (see [`CompiledBoolExpr`]).
+    fn of_expr(leaves: &mut Leaves<'_>, expr: &Expr) -> Result<BoolNode, StorageError> {
+        let mut leaf = |expr: &Expr| {
+            let cond = leaf_condition(expr)
+                .ok_or_else(|| StorageError::Eval(format!("not vectorizable: {expr}")))?;
+            Ok(BoolNode::leaf(leaves, Cow::Owned(cond)))
+        };
+        match expr {
+            Expr::Binary { op: op @ (BinaryOp::And | BinaryOp::Or), left, right } => {
+                let children = vec![Self::of_expr(leaves, left)?, Self::of_expr(leaves, right)?];
+                Ok(if *op == BinaryOp::And {
+                    BoolNode::And(children)
+                } else {
+                    BoolNode::Or(children)
+                })
+            }
+            Expr::Unary { op: UnaryOp::Not, expr } => {
+                Ok(BoolNode::Not(Box::new(Self::of_expr(leaves, expr)?)))
+            }
+            Expr::Literal(Value::Bool(b)) => Ok(BoolNode::Const(Some(*b))),
+            Expr::Literal(Value::Null) => Ok(BoolNode::Const(None)),
+            // `NOT IN` is the Kleene negation of `IN` (a NULL member keeps
+            // the result NULL either way).
+            Expr::InList { expr: inner, list, negated: true } => {
+                let positive =
+                    Expr::InList { expr: inner.clone(), list: list.clone(), negated: false };
+                Ok(BoolNode::Not(Box::new(leaf(&positive)?)))
+            }
+            other => leaf(other),
+        }
+    }
+
+    /// The `AND` of a conjunction's conditions.
+    fn of_conjunction<'a>(leaves: &mut Leaves<'a>, pred: &'a ConjunctivePredicate) -> BoolNode {
+        let leaf = |c| BoolNode::leaf(leaves, Cow::Borrowed(c));
+        BoolNode::And(pred.conditions().iter().map(leaf).collect())
+    }
+
+    /// The node of a [`PredicateTree`], connective for connective.
+    fn of_tree<'a>(leaves: &mut Leaves<'a>, tree: &'a PredicateTree) -> BoolNode {
+        let mut branches =
+            |bs: &'a [PredicateTree]| bs.iter().map(|b| Self::of_tree(leaves, b)).collect();
+        match tree {
+            PredicateTree::Leaf(p) => Self::of_conjunction(leaves, p),
+            PredicateTree::And(bs) => BoolNode::And(branches(bs)),
+            PredicateTree::Or(bs) => BoolNode::Or(branches(bs)),
+            PredicateTree::Not(b) => BoolNode::Not(Box::new(Self::of_tree(leaves, b))),
+        }
+    }
+}
+
+impl<'a> BoolTree<'a> {
+    fn of_expr(expr: &Expr) -> Result<Self, StorageError> {
+        let mut leaves = Vec::new();
+        Ok(BoolTree { root: BoolNode::of_expr(&mut leaves, expr)?, leaves })
+    }
+
+    fn of_conjunction(pred: &'a ConjunctivePredicate) -> Self {
+        let mut leaves = Vec::new();
+        BoolTree { root: BoolNode::of_conjunction(&mut leaves, pred), leaves }
+    }
+
+    fn of_tree(tree: &'a PredicateTree) -> Self {
+        let mut leaves = Vec::new();
+        BoolTree { root: BoolNode::of_tree(&mut leaves, tree), leaves }
+    }
+
+    /// Binds the tree to a table of `num_rows` physical rows: `source`
+    /// supplies each distinct leaf once, and its first failure fails the
+    /// whole tree.
+    fn resolve<'t, E>(
+        self,
+        num_rows: usize,
+        source: impl FnMut(&Condition) -> Result<LeafSource<'t>, E>,
+    ) -> Result<CompiledBoolExpr<'t>, E> {
+        let leaves = self.leaves.iter().map(|c| &**c).map(source).collect::<Result<_, _>>()?;
+        Ok(CompiledBoolExpr { root: self.root, leaves, num_rows })
+    }
+
+    /// [`BoolTree::resolve`] with a typed kernel of its own per leaf.
+    fn compile<'t>(self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError> {
+        self.resolve(table.num_rows(), |cond| {
+            let kernel = CompiledCondition::compile(cond, table)?;
+            Ok(LeafSource::Kernel { kernel, column: OnceLock::new() })
+        })
+    }
+}
+
+/// Where a compiled leaf's three-valued column comes from.
+#[derive(Debug, Clone)]
+enum LeafSource<'t> {
+    /// The leaf's own typed kernel, and its column once a fold needed it
+    /// whole.
+    Kernel { kernel: CompiledCondition<'t>, column: OnceLock<TriSet> },
+    /// A bitmap computed elsewhere: a [`ConditionBitmapCache`] entry.
+    Bitmap(Arc<TriSet>),
+    /// A leaf the shard's zone maps pruned: its kernel is guaranteed to
+    /// produce the all-FALSE column, so none is scanned or stored.
+    Pruned,
+}
+
+/// A boolean predicate compiled against one table for vectorized
+/// evaluation — the one form every WHERE clause, every
+/// [`ConjunctivePredicate`] and every [`PredicateTree`] is evaluated
+/// through. `AND` / `OR` / `NOT` nodes fold word-level [`TriSet`]
+/// operations over the per-attribute leaf conditions, deduplicated so a
+/// condition appearing several times is scanned (or looked up in a
+/// [`ConditionBitmapCache`]) once. Evaluation is bit-identical to the
+/// scalar three-valued walk of [`Expr::eval`]: value comparisons go
+/// through `f64::total_cmp` exactly like [`Value::total_cmp`], and a NULL
+/// operand yields unknown.
 ///
 /// Compilation fails for any construct the kernels cannot express —
 /// arithmetic, column-to-column comparisons, `IS NULL` / `IS NOT NULL`,
@@ -968,23 +942,9 @@ impl std::ops::Not for &TriSet {
 #[derive(Debug, Clone)]
 pub struct CompiledBoolExpr<'t> {
     root: BoolNode,
-    /// Distinct leaf conditions in first-appearance order.
-    conditions: Vec<Condition>,
-    /// Typed kernels, parallel to `conditions`.
-    compiled: Vec<CompiledCondition<'t>>,
+    /// One source per distinct leaf, in first-appearance order.
+    leaves: Vec<LeafSource<'t>>,
     num_rows: usize,
-}
-
-/// One node of a compiled boolean tree; leaves index into the
-/// deduplicated condition list.
-#[derive(Debug, Clone)]
-enum BoolNode {
-    Leaf(usize),
-    Not(Box<BoolNode>),
-    And(Box<BoolNode>, Box<BoolNode>),
-    Or(Box<BoolNode>, Box<BoolNode>),
-    /// A boolean (or NULL) literal in logical position.
-    Const(Option<bool>),
 }
 
 impl<'t> CompiledBoolExpr<'t> {
@@ -992,67 +952,7 @@ impl<'t> CompiledBoolExpr<'t> {
     /// type-checking every leaf once. Fails where the typed kernels cannot
     /// reproduce the scalar walk (callers keep the scalar path then).
     pub fn compile(expr: &Expr, table: &'t Table) -> Result<Self, StorageError> {
-        let mut out = CompiledBoolExpr {
-            root: BoolNode::Const(Some(false)),
-            conditions: Vec::new(),
-            compiled: Vec::new(),
-            num_rows: table.num_rows(),
-        };
-        let mut keys: HashMap<String, usize> = HashMap::new();
-        out.root = out.build(expr, table, &mut keys)?;
-        Ok(out)
-    }
-
-    fn build(
-        &mut self,
-        expr: &Expr,
-        table: &'t Table,
-        keys: &mut HashMap<String, usize>,
-    ) -> Result<BoolNode, StorageError> {
-        match expr {
-            Expr::Binary { op: BinaryOp::And, left, right } => Ok(BoolNode::And(
-                Box::new(self.build(left, table, keys)?),
-                Box::new(self.build(right, table, keys)?),
-            )),
-            Expr::Binary { op: BinaryOp::Or, left, right } => Ok(BoolNode::Or(
-                Box::new(self.build(left, table, keys)?),
-                Box::new(self.build(right, table, keys)?),
-            )),
-            Expr::Unary { op: UnaryOp::Not, expr } => {
-                Ok(BoolNode::Not(Box::new(self.build(expr, table, keys)?)))
-            }
-            Expr::Literal(Value::Bool(b)) => Ok(BoolNode::Const(Some(*b))),
-            Expr::Literal(Value::Null) => Ok(BoolNode::Const(None)),
-            // `NOT IN` is the Kleene negation of `IN` (a NULL member keeps
-            // the result NULL either way), so it vectorizes even though
-            // the conjunctive fragment refuses it.
-            Expr::InList { expr: inner, list, negated: true } => {
-                let positive =
-                    Expr::InList { expr: inner.clone(), list: list.clone(), negated: false };
-                Ok(BoolNode::Not(Box::new(self.leaf(&positive, table, keys)?)))
-            }
-            other => self.leaf(other, table, keys),
-        }
-    }
-
-    fn leaf(
-        &mut self,
-        expr: &Expr,
-        table: &'t Table,
-        keys: &mut HashMap<String, usize>,
-    ) -> Result<BoolNode, StorageError> {
-        let cond = leaf_condition(expr)
-            .ok_or_else(|| StorageError::Eval(format!("not vectorizable: {expr}")))?;
-        let key = cond.cache_key();
-        if let Some(&i) = keys.get(&key) {
-            return Ok(BoolNode::Leaf(i));
-        }
-        let compiled = CompiledCondition::compile(&cond, table)?;
-        let i = self.conditions.len();
-        self.conditions.push(cond);
-        self.compiled.push(compiled);
-        keys.insert(key, i);
-        Ok(BoolNode::Leaf(i))
+        BoolTree::of_expr(expr)?.compile(table)
     }
 
     /// Physical row count of the table the tree was compiled against (the
@@ -1061,45 +961,159 @@ impl<'t> CompiledBoolExpr<'t> {
         self.num_rows
     }
 
-    /// The distinct leaf conditions, in first-appearance order. Leaf `i`
-    /// pairs with `leaves[i]` in [`CompiledBoolExpr::combine`].
-    pub fn leaf_conditions(&self) -> &[Condition] {
-        &self.conditions
+    /// Three-valued evaluation on one row: `Some(true)` / `Some(false)` /
+    /// `None` (= SQL NULL, unknown), exactly the value [`Expr::eval`]
+    /// gives the source expression there.
+    #[inline]
+    pub fn matches(&self, row: RowId) -> Option<bool> {
+        self.eval_row(&self.root, row.index())
     }
 
     /// Vectorized three-valued evaluation over **every physical row** of
     /// the table (soft-deleted rows included — intersect with
-    /// [`Table::visible_row_set`] to restrict): each distinct leaf runs
-    /// its columnar kernel once, then the tree folds word-level
-    /// AND/OR/NOT. Identical, row for row, to evaluating the source
-    /// expression with [`Expr::eval`].
-    pub fn eval_columns(&self) -> TriSet {
-        let leaves: Vec<Arc<TriSet>> =
-            self.compiled.iter().map(|c| Arc::new(c.eval_column(self.num_rows))).collect();
-        self.combine(&leaves)
-    }
-
-    /// Folds the tree over externally supplied per-leaf bitmaps (parallel
-    /// to [`CompiledBoolExpr::leaf_conditions`]) — the hook the
-    /// [`ConditionBitmapCache`] and the sharded zone-map pruner use to
-    /// substitute cached or pruned leaf results.
+    /// [`Table::visible_row_set`] to restrict): each distinct leaf's
+    /// column is scanned at most once — and kept, so evaluating again is
+    /// only the fold — and the tree folds word-level AND/OR/NOT.
+    /// Identical, row for row, to calling [`CompiledBoolExpr::matches`] in
+    /// a loop.
     ///
-    /// Panics when `leaves` does not line up with the leaf list.
-    pub fn combine(&self, leaves: &[Arc<TriSet>]) -> TriSet {
-        assert_eq!(leaves.len(), self.conditions.len(), "one bitmap per distinct leaf");
-        self.fold(&self.root, leaves)
+    /// `AND` short-circuits columnar-style: once fewer than a quarter of
+    /// the rows can still pass (are TRUE or NULL so far), a conjunct that
+    /// would need a column scan is evaluated on those rows only — the
+    /// selection-vector trick, so a selective leading conjunct makes the
+    /// rest nearly free.
+    pub fn eval_columns(&self) -> TriSet {
+        self.fold(&self.root).into_owned()
     }
 
-    fn fold(&self, node: &BoolNode, leaves: &[Arc<TriSet>]) -> TriSet {
+    /// The Kleene fold.
+    fn fold(&self, node: &BoolNode) -> Cow<'_, TriSet> {
+        let n = self.num_rows;
         match node {
-            BoolNode::Leaf(i) => leaves[*i].as_ref().clone(),
-            BoolNode::Not(c) => !&self.fold(c, leaves),
-            BoolNode::And(a, b) => &self.fold(a, leaves) & &self.fold(b, leaves),
-            BoolNode::Or(a, b) => &self.fold(a, leaves) | &self.fold(b, leaves),
-            BoolNode::Const(Some(true)) => TriSet::all_true(self.num_rows),
-            BoolNode::Const(Some(false)) => TriSet::all_false(self.num_rows),
-            BoolNode::Const(None) => TriSet::all_unknown(self.num_rows),
+            BoolNode::Leaf(i) => match &self.leaves[*i] {
+                LeafSource::Kernel { kernel, column } => {
+                    Cow::Borrowed(column.get_or_init(|| kernel.eval_column(n)))
+                }
+                LeafSource::Bitmap(bitmap) => Cow::Borrowed(bitmap),
+                LeafSource::Pruned => Cow::Owned(TriSet::all_false(n)),
+            },
+            BoolNode::Not(child) => Cow::Owned(!&*self.fold(child)),
+            BoolNode::Const(Some(true)) => Cow::Owned(TriSet::all_true(n)),
+            BoolNode::Const(Some(false)) => Cow::Owned(TriSet::all_false(n)),
+            BoolNode::Const(None) => Cow::Owned(TriSet::all_unknown(n)),
+            BoolNode::Or(children) => {
+                let Some((first, rest)) = children.split_first() else {
+                    return Cow::Owned(TriSet::all_false(n));
+                };
+                rest.iter()
+                    .fold(self.fold(first), |acc, child| Cow::Owned(&*acc | &*self.fold(child)))
+            }
+            BoolNode::And(children) => {
+                let Some((first, rest)) = children.split_first() else {
+                    return Cow::Owned(TriSet::all_true(n));
+                };
+                // One pruned conjunct empties the conjunction: no bitmap of
+                // its siblings is touched on this shard.
+                let pruned = |child: &BoolNode| match child {
+                    BoolNode::Leaf(i) => matches!(self.leaves[*i], LeafSource::Pruned),
+                    _ => false,
+                };
+                if children.iter().any(pruned) {
+                    return Cow::Owned(TriSet::all_false(n));
+                }
+                let mut acc = self.fold(first);
+                for child in rest {
+                    // Per-row evaluation only pays where it saves a scan.
+                    let sparse = self
+                        .needs_scan(child)
+                        .then(|| acc.passes_or_unknown())
+                        .filter(|pass| pass.count_ones() * 4 < n);
+                    let Some(pass) = sparse else {
+                        acc = Cow::Owned(&*acc & &*self.fold(child));
+                        continue;
+                    };
+                    let mut trues = RowSet::empty(n);
+                    let mut unknowns = RowSet::empty(n);
+                    for i in pass.iter() {
+                        match self.eval_row(child, i) {
+                            Some(true) if acc.trues.contains(i) => trues.insert(i),
+                            Some(true) | None => unknowns.insert(i),
+                            Some(false) => {}
+                        }
+                    }
+                    acc = Cow::Owned(TriSet { trues, unknowns });
+                }
+                acc
+            }
         }
+    }
+
+    /// True when folding `node` would run a kernel scan: some leaf under
+    /// it has a kernel and no column yet.
+    fn needs_scan(&self, node: &BoolNode) -> bool {
+        match node {
+            BoolNode::Leaf(i) => match &self.leaves[*i] {
+                LeafSource::Kernel { column, .. } => column.get().is_none(),
+                LeafSource::Bitmap(_) | LeafSource::Pruned => false,
+            },
+            BoolNode::Not(child) => self.needs_scan(child),
+            BoolNode::And(children) | BoolNode::Or(children) => {
+                children.iter().any(|c| self.needs_scan(c))
+            }
+            BoolNode::Const(_) => false,
+        }
+    }
+
+    /// Kleene evaluation of one node on one row index (`None` = NULL).
+    ///
+    /// Inlined into its callers with the node's leaf children evaluated in
+    /// place, so a flat tree — the conjunctions that per-row evaluation
+    /// overwhelmingly sees — costs one kernel dispatch per leaf and no
+    /// call; only a connective nested in another goes through
+    /// [`CompiledBoolExpr::eval_nested`].
+    #[inline(always)]
+    fn eval_row(&self, node: &BoolNode, row: usize) -> Option<bool> {
+        let leaf = |i: usize| match &self.leaves[i] {
+            LeafSource::Kernel { kernel, .. } => kernel.eval(row),
+            LeafSource::Bitmap(bitmap) => bitmap.value(row),
+            LeafSource::Pruned => Some(false),
+        };
+        let child = |node: &BoolNode| match node {
+            BoolNode::Leaf(i) => leaf(*i),
+            nested => self.eval_nested(nested, row),
+        };
+        match node {
+            BoolNode::Leaf(i) => leaf(*i),
+            BoolNode::Not(inner) => child(inner).map(|b| !b),
+            BoolNode::And(children) => {
+                let mut out = Some(true);
+                for c in children {
+                    match child(c) {
+                        Some(false) => return Some(false),
+                        None => out = None,
+                        Some(true) => {}
+                    }
+                }
+                out
+            }
+            BoolNode::Or(children) => {
+                let mut out = Some(false);
+                for c in children {
+                    match child(c) {
+                        Some(true) => return Some(true),
+                        None => out = None,
+                        Some(false) => {}
+                    }
+                }
+                out
+            }
+            BoolNode::Const(value) => *value,
+        }
+    }
+
+    /// The out-of-line recursion point of [`CompiledBoolExpr::eval_row`].
+    fn eval_nested(&self, node: &BoolNode, row: usize) -> Option<bool> {
+        self.eval_row(node, row)
     }
 }
 
@@ -1213,6 +1227,7 @@ impl<'t> CompiledCondition<'t> {
     }
 
     /// Three-valued evaluation on one row index (`None` = NULL).
+    #[inline]
     fn eval(&self, row: usize) -> Option<bool> {
         match self {
             CompiledCondition::True => Some(true),
@@ -1413,28 +1428,38 @@ fn scan_str(
 static GLOBAL_BITMAP_HITS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide miss counter of every [`ConditionBitmapCache`].
 static GLOBAL_BITMAP_MISSES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of boolean filters served end-to-end by the
-/// vectorized tree path.
+/// Process-wide count of filters served end-to-end by a compiled tree.
 static GLOBAL_BOOL_VECTORIZED: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of boolean filters that fell back to the scalar
-/// expression walk.
+/// Process-wide count of filters that fell back to the scalar expression
+/// walk.
 static GLOBAL_BOOL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// Records one boolean filter served by the vectorized
-/// [`CompiledBoolExpr`] path (the server's `stats` reply reports the
-/// process-wide totals).
-pub fn note_bool_vectorized() {
-    GLOBAL_BOOL_VECTORIZED.fetch_add(1, AtomicOrdering::Relaxed);
+/// The one compile-or-scalar step of every filter: the visible rows
+/// where a successfully compiled clause is TRUE, in ascending [`RowId`]
+/// order, or `None` when it did not compile and the caller's scalar walk
+/// must answer. Either way the outcome is counted (see
+/// [`bool_vectorization_stats`]).
+pub(crate) fn vectorized_filter(
+    compiled: Result<CompiledBoolExpr<'_>, StorageError>,
+    table: &Table,
+) -> Option<Vec<RowId>> {
+    match compiled {
+        Ok(compiled) => {
+            GLOBAL_BOOL_VECTORIZED.fetch_add(1, AtomicOrdering::Relaxed);
+            Some(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids())
+        }
+        Err(_) => {
+            GLOBAL_BOOL_FALLBACKS.fetch_add(1, AtomicOrdering::Relaxed);
+            None
+        }
+    }
 }
 
-/// Records one boolean filter that fell back to the scalar expression
-/// walk because its tree did not compile.
-pub fn note_bool_fallback() {
-    GLOBAL_BOOL_FALLBACKS.fetch_add(1, AtomicOrdering::Relaxed);
-}
-
-/// Process-wide `(vectorized, fallback)` boolean-filter counts — see
-/// [`note_bool_vectorized`] / [`note_bool_fallback`].
+/// Process-wide `(vectorized, fallback)` counts of filter evaluations
+/// ([`Expr::filter`], hence every WHERE clause, and
+/// [`ConjunctivePredicate::matching_rows`]): served by a
+/// [`CompiledBoolExpr`], or left to the scalar expression walk because
+/// the clause did not compile.
 pub fn bool_vectorization_stats() -> (u64, u64) {
     (
         GLOBAL_BOOL_VECTORIZED.load(AtomicOrdering::Relaxed),
@@ -1458,6 +1483,14 @@ const WARM_STORE_MAX_PER_TABLE: usize = 4096;
 /// pair, the condition bitmaps computed by any dropped
 /// [`ConditionBitmapCache`], ordered least-recently-touched first.
 type WarmStore = Vec<((u64, u64), HashMap<String, Arc<TriSet>>)>;
+
+/// Locks a bitmap map even after a thread panicked while holding it: the
+/// maps only ever hold complete, immutable `Arc<TriSet>` entries, so the
+/// data behind a poisoned lock is still valid, and refusing it would fail
+/// every later explain in the process.
+fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(|poison| poison.into_inner())
+}
 
 fn warm_store() -> &'static Mutex<WarmStore> {
     static STORE: OnceLock<Mutex<WarmStore>> = OnceLock::new();
@@ -1504,7 +1537,7 @@ pub fn seed_warm_bitmaps(
     table_version: u64,
     entries: Vec<(String, TriSet)>,
 ) -> usize {
-    let mut store = warm_store().lock().expect("warm store poisoned");
+    let mut store = lock_recover(warm_store());
     let slot = warm_slot(&mut store, (table_id, table_version));
     let mut seeded = 0;
     for (key, tri) in entries {
@@ -1524,7 +1557,7 @@ pub fn seed_warm_bitmaps(
 /// Snapshots the warm store's bitmaps for one `(table id, table version)`
 /// pair — what the server persists as a sidecar at flush time.
 pub fn export_warm_bitmaps(table_id: u64, table_version: u64) -> Vec<(String, TriSet)> {
-    let store = warm_store().lock().expect("warm store poisoned");
+    let store = lock_recover(warm_store());
     store
         .iter()
         .find(|(k, _)| *k == (table_id, table_version))
@@ -1584,7 +1617,7 @@ impl ConditionBitmapCache {
     pub fn new(table: &Table) -> Self {
         let mut entries: HashMap<String, Option<Arc<TriSet>>> = HashMap::new();
         if warm_bitmap_store_enabled() {
-            let store = warm_store().lock().expect("warm store poisoned");
+            let store = lock_recover(warm_store());
             if let Some((_, warm)) = store.iter().find(|(k, _)| *k == (table.id(), table.version()))
             {
                 entries.extend(
@@ -1629,82 +1662,64 @@ impl ConditionBitmapCache {
     /// compiler cannot express the condition against the table's schema
     /// (callers fall back to the scalar expression walk).
     pub fn condition(&self, table: &Table, cond: &Condition) -> Option<Arc<TriSet>> {
-        let evaluate = |table: &Table, cond: &Condition| {
-            CompiledCondition::compile(cond, table)
-                .ok()
-                .map(|compiled| Arc::new(compiled.eval_column(table.num_rows())))
-        };
+        let evaluate =
+            || Self::kernel(table, cond).map(|k| Arc::new(k.eval_column(table.num_rows())));
         if !self.covers(table) {
-            return evaluate(table, cond);
+            return evaluate();
         }
         let key = cond.cache_key();
-        {
-            let entries = self.entries.lock().expect("bitmap cache poisoned");
-            if let Some(cached) = entries.get(&key) {
-                self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-                GLOBAL_BITMAP_HITS.fetch_add(1, AtomicOrdering::Relaxed);
-                return cached.clone();
-            }
+        if let Some(cached) = lock_recover(&self.entries).get(&key) {
+            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+            GLOBAL_BITMAP_HITS.fetch_add(1, AtomicOrdering::Relaxed);
+            return cached.clone();
         }
         // Kernel-scan outside the lock so a miss never stalls concurrent
         // scorers (racing threads may both compute; the first insert wins
         // and both results are identical).
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
         GLOBAL_BITMAP_MISSES.fetch_add(1, AtomicOrdering::Relaxed);
-        let computed = evaluate(table, cond);
-        let mut entries = self.entries.lock().expect("bitmap cache poisoned");
-        entries.entry(key).or_insert_with(|| computed.clone()).clone()
+        let computed = evaluate();
+        lock_recover(&self.entries).entry(key).or_insert(computed).clone()
     }
 
-    /// Evaluates a whole conjunction by intersecting the cached
-    /// per-condition bitmaps. Returns `None` as soon as any condition is
-    /// inexpressible (the caller's scalar fallback then handles the whole
-    /// predicate). The trivial predicate is TRUE on every row.
-    pub fn conjunction(&self, table: &Table, pred: &ConjunctivePredicate) -> Option<TriSet> {
-        let n = if self.covers(table) { self.num_rows } else { table.num_rows() };
-        let mut trues = RowSet::full(n);
-        let mut pass = RowSet::full(n);
-        for cond in pred.conditions() {
-            let tri = self.condition(table, cond)?;
-            pass.and_assign(&tri.passes_or_unknown());
-            trues.and_assign(&tri.trues);
-        }
-        Some(TriSet { unknowns: pass.and_not(&trues), trues })
+    /// The typed kernel of `cond` over `table`, if the compiler can express
+    /// it — which depends only on the schema and the condition, so the
+    /// answer is the same for every shard of one table.
+    fn kernel<'t>(table: &'t Table, cond: &Condition) -> Option<CompiledCondition<'t>> {
+        CompiledCondition::compile(cond, table).ok()
     }
 
     /// Evaluates an arbitrary boolean expression tree by folding the
-    /// cached per-condition bitmaps with word-level AND/OR/NOT — the
-    /// disjunctive/negated generalization of
-    /// [`ConditionBitmapCache::conjunction`]. Each **distinct** leaf costs
-    /// one cache lookup (a kernel scan on first sight, a hit afterwards).
-    /// Returns `None` when the tree does not compile against `table`
-    /// (the caller's scalar fallback then handles the whole expression).
+    /// cached per-condition bitmaps with word-level AND/OR/NOT. Each
+    /// **distinct** leaf costs one cache lookup (a kernel scan on first
+    /// sight, a hit afterwards). Returns `None` when the tree does not
+    /// compile against `table` (the caller's scalar fallback then handles
+    /// the whole expression).
     pub fn bool_expr(&self, table: &Table, expr: &Expr) -> Option<TriSet> {
-        self.fold_bool_expr(table, expr, &|_| true)
+        self.tri_eval(table, BoolTree::of_expr(expr).ok()?, &|_| true)
     }
 
-    /// [`ConditionBitmapCache::bool_expr`] with zone-map pruning: a leaf
-    /// `live` rejects skips its kernel and folds as all-FALSE (see
-    /// [`Candidate::tri_eval`] for why the substitution is exact).
-    fn fold_bool_expr(
+    /// Folds `tree` over this cache's leaf bitmaps — what every
+    /// [`Candidate::tri_eval`] runs. `None` when some leaf, live or
+    /// pruned, does not compile against `table`.
+    fn tri_eval(
         &self,
         table: &Table,
-        expr: &Expr,
+        tree: BoolTree<'_>,
         live: &dyn Fn(&Condition) -> bool,
     ) -> Option<TriSet> {
-        let compiled = CompiledBoolExpr::compile(expr, table).ok()?;
-        let leaves: Vec<Arc<TriSet>> = compiled
-            .leaf_conditions()
-            .iter()
-            .map(|c| {
-                if live(c) {
-                    self.condition(table, c)
-                } else {
-                    Some(Arc::new(TriSet::all_false(table.num_rows())))
-                }
-            })
-            .collect::<Option<_>>()?;
-        Some(compiled.combine(&leaves))
+        let compiled = tree.resolve(table.num_rows(), |cond| {
+            let leaf = if live(cond) {
+                self.condition(table, cond).map(LeafSource::Bitmap)
+            } else {
+                // Not scanned, cached or counted — but it must still
+                // compile, so whether a candidate vectorizes never depends
+                // on what the zone maps prune.
+                Self::kernel(table, cond).map(|_| LeafSource::Pruned)
+            };
+            leaf.ok_or(())
+        });
+        Some(compiled.ok()?.eval_columns())
     }
 
     /// This cache's `(hits, misses)` counters.
@@ -1732,11 +1747,11 @@ impl Drop for ConditionBitmapCache {
         if !warm_bitmap_store_enabled() {
             return;
         }
-        let Ok(entries) = self.entries.get_mut() else { return };
+        let entries = self.entries.get_mut().unwrap_or_else(|poison| poison.into_inner());
         if entries.is_empty() {
             return;
         }
-        let Ok(mut store) = warm_store().lock() else { return };
+        let mut store = lock_recover(warm_store());
         let slot = warm_slot(&mut store, (self.table_id, self.table_epoch.version()));
         for (key, tri) in entries.drain() {
             if slot.len() >= WARM_STORE_MAX_PER_TABLE {
@@ -1820,9 +1835,10 @@ mod tests {
             Condition::above("temp", 120.0),
         ]);
         assert_eq!(p.matching_rows(&t), vec![RowId(0)]);
-        assert!((p.selectivity(&t) - 0.25).abs() < 1e-12);
-        assert!((p.coverage(&t, &[RowId(0), RowId(1)]) - 0.5).abs() < 1e-12);
-        assert_eq!(p.coverage(&t, &[]), 0.0);
+        let compiled = p.compile(&t).unwrap();
+        assert_eq!(compiled.eval_columns().trues.count_ones(), 1);
+        assert_eq!(compiled.matches(RowId(0)), Some(true));
+        assert_eq!(compiled.matches(RowId(1)), Some(false));
 
         let trivially_true = ConjunctivePredicate::always_true();
         assert!(trivially_true.is_trivial());
@@ -2013,7 +2029,7 @@ mod tests {
                 assert_eq!(tri.unknowns.contains(r.index()), scalar.is_none(), "{p} on {r}");
             }
             // The cached conjunction agrees with direct evaluation.
-            let via_cache = cache.conjunction(&t, p).expect("well-typed");
+            let via_cache = p.tri_eval(&cache, &t, &|_| true).expect("well-typed");
             assert!(via_cache.trues == tri.trues && via_cache.unknowns == tri.unknowns, "{p}");
         }
         let (hits, misses) = cache.stats();
@@ -2153,6 +2169,131 @@ mod tests {
         assert!(hits > misses, "repeated leaves served from cache");
     }
 
+    /// The `AND` rule: with a left side that leaves under a quarter of the
+    /// rows in play, the right side — a leaf, a subtree, a repeat of a
+    /// scanned leaf — is evaluated on the survivors only, and the result
+    /// is the one the whole-column fold and the scalar walk give.
+    #[test]
+    fn and_rule_on_a_selective_left_branch_agrees_with_scalar_walk() {
+        let schema = Schema::of(&[
+            ("sensorid", DataType::Int),
+            ("temp", DataType::Float),
+            ("memo", DataType::Str),
+        ]);
+        let mut t = Table::new("r", schema).unwrap();
+        for i in 0..200i64 {
+            t.push_row(vec![
+                if i % 31 == 0 { Value::Null } else { Value::Int(i % 20) },
+                if i % 7 == 0 { Value::Null } else { Value::Float(i as f64) },
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(["lab", "office"][i as usize % 2])
+                },
+            ])
+            .unwrap();
+        }
+        t.delete_row(RowId(3)).unwrap();
+        // `sensorid = 3` is TRUE or NULL on 17 of 200 rows.
+        let selective = || col("sensorid").eq(lit(3));
+        let hot = || col("temp").gt(lit(50.0));
+        let lab = || col("memo").contains("LAB");
+        for expr in [
+            selective().and(hot()),
+            selective().and(hot()).and(lab()),
+            selective().and(hot().or(lab().not())),
+            selective().and(hot().not()).or(lab()),
+            col("sensorid").in_list(vec![lit(3), lit(Value::Null)]).and(hot()),
+            selective().and(lit(Value::Null)).and(hot()),
+            selective().and(selective().not().or(hot())),
+            hot().and(selective()).and(lab()),
+        ] {
+            let compiled = CompiledBoolExpr::compile(&expr, &t).unwrap();
+            let tri = compiled.eval_columns();
+            // The fold over bitmaps computed elsewhere never goes per row.
+            let cached = ConditionBitmapCache::new(&t).bool_expr(&t, &expr).unwrap();
+            assert!(tri.trues == cached.trues && tri.unknowns == cached.unknowns, "{expr}");
+            for r in t.all_row_ids() {
+                let scalar = match expr.eval(&t, r).unwrap() {
+                    Value::Bool(b) => Some(b),
+                    Value::Null => None,
+                    other => panic!("non-boolean tree value {other:?}"),
+                };
+                assert_eq!(tri.value(r.index()), scalar, "{expr} on {r}");
+                assert_eq!(compiled.matches(r), scalar, "{expr} on {r}");
+            }
+        }
+    }
+
+    /// What one ranking costs the cache at one shard: a miss per distinct
+    /// condition (the warm-up pass), then one hit per distinct leaf of each
+    /// candidate — no more for a conjunction than for a tree.
+    #[test]
+    fn one_shard_ranking_lookups_are_one_per_distinct_leaf() {
+        let t = null_heavy_table();
+        let eq15 = Condition::equals("sensorid", 15);
+        let hot = Condition::above("temp", 100.0);
+        let reattr = Condition::contains("memo", "reattribution");
+        let conj = |cs: &[&Condition]| {
+            ConjunctivePredicate::new(cs.iter().map(|c| (*c).clone()).collect())
+        };
+        let conjunctions =
+            vec![conj(&[&eq15]), conj(&[&eq15, &hot]), conj(&[&hot, &reattr, &eq15])];
+        let trees = vec![
+            PredicateTree::any_of(vec![conj(&[&eq15, &hot]), conj(&[&hot, &reattr])]),
+            PredicateTree::negation(conj(&[&eq15])),
+            PredicateTree::And(vec![
+                PredicateTree::any_of(vec![conj(&[&eq15]), conj(&[&hot])]),
+                PredicateTree::negation(conj(&[&hot])),
+            ]),
+        ];
+        let cache = ConditionBitmapCache::new(&t);
+        // The ranker's warm-up: every leaf of every candidate, in order.
+        for c in conjunctions.iter().flat_map(Candidate::leaf_conditions) {
+            cache.condition(&t, &c).unwrap();
+        }
+        for c in trees.iter().flat_map(Candidate::leaf_conditions) {
+            cache.condition(&t, &c).unwrap();
+        }
+        assert_eq!(cache.stats(), (9, 3), "12 warm-up lookups of 3 distinct conditions");
+        for p in &conjunctions {
+            p.tri_eval(&cache, &t, &|_| true).unwrap();
+        }
+        assert_eq!(cache.stats(), (15, 3), "1 + 2 + 3 conjunct lookups");
+        for p in &trees {
+            p.tri_eval(&cache, &t, &|_| true).unwrap();
+        }
+        assert_eq!(cache.stats(), (21, 3), "3 + 1 + 2 distinct tree leaves");
+    }
+
+    /// A thread that panics while holding the cache's lock must not take
+    /// every later lookup down with it: the map only holds complete
+    /// entries, so the poisoned guard is recovered.
+    #[test]
+    fn poisoned_cache_lock_still_serves_correct_bitmaps() {
+        let t = table();
+        let cache = ConditionBitmapCache::new(&t);
+        let eq15 = Condition::equals("sensorid", 15);
+        cache.condition(&t, &eq15).unwrap();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = cache.entries.lock().unwrap();
+                panic!("poisoning the bitmap cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.entries.is_poisoned());
+        let hit = cache.condition(&t, &eq15).expect("hit path recovers the guard");
+        assert_eq!(hit.trues.to_row_ids(), vec![RowId(0), RowId(1)]);
+        let miss =
+            cache.condition(&t, &Condition::above("temp", 100.0)).expect("miss path recovers too");
+        assert_eq!(miss.trues.to_row_ids(), vec![RowId(0), RowId(1)]);
+        assert_eq!(cache.stats(), (1, 2));
+        let both = ConjunctivePredicate::new(vec![eq15, Condition::above("temp", 120.0)]);
+        let tri = both.tri_eval(&cache, &t, &|_| true).unwrap();
+        assert_eq!(tri.trues.to_row_ids(), vec![RowId(0)]);
+    }
+
     #[test]
     fn compiled_bool_expr_handles_empty_tables() {
         let schema = Schema::of(&[("a", DataType::Int)]);
@@ -2285,11 +2426,14 @@ mod tests {
                 "{tree}: pruned leaf should skip its scan"
             );
         }
-        // The conjunctive impl short-circuits the whole shard.
+        // A pruned conjunct empties the conjunction on this shard without
+        // a scan: its live sibling is a lookup of the bitmap the ranker's
+        // warm-up pass left there.
         let pruned_cache = ConditionBitmapCache::new(&t);
+        pruned_cache.condition(&t, &present).expect("warm-up");
         let tri = Candidate::tri_eval(&both, &pruned_cache, &t, &live).unwrap();
         assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
-        assert_eq!(pruned_cache.stats(), (0, 0), "no kernel ran at all");
+        assert_eq!(pruned_cache.stats(), (1, 1), "one warm-up scan, one hit, no other kernel");
         // ...but never past a conjunct the typed compiler cannot express:
         // pruning must not turn a scalar-path candidate into a vectorized one.
         let mistyped =
@@ -2316,10 +2460,11 @@ mod tests {
             );
             assert!(ConditionBitmapCache::new(&t).bool_expr(&t, &expr).is_none(), "{expr}");
         }
-        // Fallback counters are monotone.
+        // Every filter is counted, whichever way it went (the counters are
+        // process-wide, so other tests may raise them too).
         let (v0, f0) = bool_vectorization_stats();
-        note_bool_vectorized();
-        note_bool_fallback();
+        col("sensorid").eq(lit(15)).filter(&t).unwrap();
+        col("temp").is_null().filter(&t).unwrap();
         let (v1, f1) = bool_vectorization_stats();
         assert!(v1 > v0 && f1 > f0);
     }
@@ -2331,9 +2476,9 @@ mod tests {
         assert!(cache.covers(&t));
         assert_eq!(cache.num_rows(), t.num_rows());
         assert_eq!(cache.visible().count_ones(), t.visible_rows());
-        // A mistyped condition is inexpressible: conjunction yields None.
+        // A mistyped condition is inexpressible: the conjunction yields None.
         let bad = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
-        assert!(cache.conjunction(&t, &bad).is_none());
+        assert!(bad.tri_eval(&cache, &t, &|_| true).is_none());
         // Mutating the table bumps the version: the stale cache computes
         // fresh results (still correct) without serving stored bitmaps.
         let mut t2 = t.clone();
@@ -2341,20 +2486,22 @@ mod tests {
         assert!(!cache.covers(&t2));
         let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]);
         let (h0, m0) = cache.stats();
-        let tri = cache.conjunction(&t2, &p).expect("well-typed");
+        let tri = p.tri_eval(&cache, &t2, &|_| true).expect("well-typed");
         assert_eq!(cache.stats(), (h0, m0), "bypassed lookups leave the counters alone");
         assert_eq!(tri.trues.to_row_ids(), vec![RowId(0), RowId(1)]);
         // Global counters only ever grow.
         let (gh, gm) = ConditionBitmapCache::global_stats();
-        let _ = cache.conjunction(&t, &p);
+        let _ = p.tri_eval(&cache, &t, &|_| true);
         let (gh2, gm2) = ConditionBitmapCache::global_stats();
         assert!(gh2 + gm2 > gh + gm);
     }
 
     #[test]
-    fn from_conjunctive_expr_round_trips_predicate_shapes() {
+    fn expr_and_conjunction_front_ends_compile_alike() {
         let t = table();
+        let same = |a: &TriSet, b: &TriSet| a.trues == b.trues && a.unknowns == b.unknowns;
         let shapes = vec![
+            ConjunctivePredicate::always_true(),
             ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]),
             ConjunctivePredicate::new(vec![
                 Condition::equals("sensorid", 15),
@@ -2372,31 +2519,15 @@ mod tests {
             ConjunctivePredicate::new(vec![Condition::at_most("voltage", 2.5)]),
         ];
         for p in shapes {
-            let recovered = ConjunctivePredicate::from_conjunctive_expr(&p.to_expr())
-                .unwrap_or_else(|| panic!("{p} should be recoverable"));
-            assert_eq!(recovered.matching_rows(&t), p.matching_rows(&t), "{p}");
+            let direct = p.compile(&t).unwrap().eval_columns();
+            let via_expr = CompiledBoolExpr::compile(&p.to_expr(), &t).unwrap().eval_columns();
+            assert!(same(&direct, &via_expr), "{p}");
+            assert_eq!(p.matching_rows(&t), p.to_expr().filter_scalar(&t).unwrap(), "{p}");
         }
         // A mirrored comparison (literal on the left) flips the operator.
-        let mirrored = lit(120.0).lt(col("temp"));
-        let recovered = ConjunctivePredicate::from_conjunctive_expr(&mirrored).unwrap();
-        assert_eq!(
-            recovered.matching_rows(&t),
-            Condition::above("temp", 120.0).to_expr().filter(&t).unwrap()
-        );
-        // Constructs outside the conjunctive fragment are refused.
-        for expr in [
-            col("temp").gt(lit(1.0)).or(col("sensorid").eq(lit(3))),
-            col("temp").gt(lit(1.0)).not(),
-            col("temp").is_not_null(),
-            col("temp").gt(col("voltage")),
-            col("memo").lt(lit("z")),
-            Expr::InList { expr: Box::new(col("sensorid")), list: vec![lit(1)], negated: true },
-        ] {
-            assert!(
-                ConjunctivePredicate::from_conjunctive_expr(&expr).is_none(),
-                "{expr:?} must fall back to the scalar path"
-            );
-        }
+        let mirrored = CompiledBoolExpr::compile(&lit(120.0).lt(col("temp")), &t).unwrap();
+        let above = ConjunctivePredicate::new(vec![Condition::above("temp", 120.0)]);
+        assert!(same(&mirrored.eval_columns(), &above.compile(&t).unwrap().eval_columns()));
     }
 
     #[test]

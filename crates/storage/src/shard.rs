@@ -416,7 +416,8 @@ impl ShardedTable {
     /// `true` is always safe and carries no promise.
     ///
     /// The guarantee only covers conditions the typed compiler can express
-    /// (see [`Condition::vectorizable`]); callers on the scalar fallback
+    /// (those [`ConditionBitmapCache::condition`](crate::ConditionBitmapCache::condition)
+    /// answers for this table's schema); callers on the scalar fallback
     /// path must not consult this.
     pub fn condition_may_match(&self, s: usize, cond: &Condition) -> bool {
         let shard = &self.shards[s];

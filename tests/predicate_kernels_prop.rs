@@ -2,27 +2,34 @@
 //!
 //! For random tables (NULLs, soft deletes, empty tables included) and
 //! random conditions (equality, ranges, `IN` sets with NULL members,
-//! substring containment), the columnar kernels
-//! (`CompiledPredicate::eval_columns`) must agree **row for row** with the
-//! scalar three-valued evaluator (`CompiledPredicate::matches`), and
+//! substring containment), the one compiled form (`CompiledBoolExpr`:
+//! `eval_columns` over whole columns, `matches` on one row) must agree
+//! **row for row** with the scalar three-valued `Expr::eval` walk, whether
+//! it was compiled from a conjunction or from a boolean tree, and
 //! `matching_rows` must keep its contract: the visible matches, ascending
 //! by `RowId`, identical to the per-row expression walk. The `RowSet`
 //! bitmap algebra is pinned against a `BTreeSet` oracle.
 
 use dbwipes::storage::rowset::RowSet;
-use dbwipes::storage::{Candidate, ConditionBitmapCache, DataType, PredicateTree, Schema, Value};
+use dbwipes::storage::{
+    Candidate, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, PredicateTree, Schema, Value,
+};
 use dbwipes::{Condition, ConjunctivePredicate, RowId, ShardedTable, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 /// A random sensor-style table: nullable int / float / str columns, a few
-/// soft-deleted rows, possibly empty.
+/// soft-deleted rows. Sizes run from empty and a handful of rows (where an
+/// `AND` always folds whole columns) to several bitmap words (where a
+/// selective left branch — `id = k` keeps about a seventh of the rows —
+/// leaves under a quarter of them in play, so the compiled `AND` evaluates
+/// its right side on the surviving rows only).
 fn arbitrary_table() -> impl Strategy<Value = Table> {
     let id = prop_oneof![Just(None), (0i64..6).prop_map(Some)];
     let x = prop_oneof![Just(None), (-40i64..40).prop_map(|k| Some(k as f64 / 2.0))];
     let memo = (0usize..5).prop_map(|k| ["", "ok", "REATTRIBUTION TO SPOUSE", "spouse", "Lab"][k]);
     let row = (id, x, memo, proptest::collection::vec(0usize..10, 0..2));
-    proptest::collection::vec(row, 0..50).prop_map(|rows| {
+    proptest::collection::vec(row, 0..160).prop_map(|rows| {
         let schema =
             Schema::of(&[("id", DataType::Int), ("x", DataType::Float), ("memo", DataType::Str)]);
         let mut t = Table::new("m", schema).unwrap();
@@ -79,41 +86,55 @@ fn arbitrary_condition() -> impl Strategy<Value = Condition> {
     ]
 }
 
-/// One predicate's kernels against the scalar evaluator, on every physical
-/// row (deleted rows included — the bitmap universe is physical).
-fn assert_kernel_equivalence(table: &Table, pred: &ConjunctivePredicate) -> Result<(), String> {
-    let compiled = pred.compile(table).expect("generated conditions are well-typed");
+/// The scalar three-valued verdict of a boolean expression on one row.
+fn scalar_verdict(expr: &Expr, table: &Table, row: RowId) -> Option<bool> {
+    match expr.eval(table, row).expect("well-typed") {
+        Value::Bool(b) => Some(b),
+        Value::Null => None,
+        other => panic!("boolean expression evaluated to {other:?}"),
+    }
+}
+
+/// The compiled form of `expr`, column-wise and row by row, against the
+/// scalar walk of `expr` on every physical row (deleted rows included —
+/// the bitmap universe is physical).
+fn assert_compiled_equivalence(
+    table: &Table,
+    compiled: &CompiledBoolExpr<'_>,
+    expr: &Expr,
+) -> Result<(), String> {
     let tri = compiled.eval_columns();
     prop_assert_eq!(tri.trues.universe(), table.num_rows());
     for i in 0..table.num_rows() {
-        let scalar = compiled.matches(RowId(i));
+        let scalar = scalar_verdict(expr, table, RowId(i));
         prop_assert!(
-            tri.trues.contains(i) == (scalar == Some(true)),
-            "trues diverged from scalar at row {} for {}",
+            compiled.matches(RowId(i)) == scalar,
+            "per-row matches diverged from scalar at row {} for {}",
             i,
-            pred
+            expr
         );
         prop_assert!(
-            tri.unknowns.contains(i) == scalar.is_none(),
-            "unknowns diverged from scalar at row {} for {}",
+            tri.value(i) == scalar,
+            "eval_columns diverged from scalar at row {} for {}",
             i,
-            pred
+            expr
         );
         prop_assert!(!(tri.trues.contains(i) && tri.unknowns.contains(i)));
     }
+    Ok(())
+}
+
+/// One conjunction's compiled form against the scalar evaluator, and the
+/// `matching_rows` contract.
+fn assert_kernel_equivalence(table: &Table, pred: &ConjunctivePredicate) -> Result<(), String> {
+    let compiled = pred.compile(table).expect("generated conditions are well-typed");
+    assert_compiled_equivalence(table, &compiled, &pred.to_expr())?;
     // matching_rows: identical output to the expression walk, ascending.
     let via_expr: Vec<RowId> =
         table.visible_row_ids().filter(|&r| pred.matches(table, r)).collect();
     let rows = pred.matching_rows(table);
     prop_assert!(rows == via_expr, "matching_rows diverged for {}", pred);
     prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "matching_rows not ascending");
-    // selectivity / coverage agree with the materialized counts.
-    let total = table.visible_rows();
-    let selectivity = if total == 0 { 0.0 } else { rows.len() as f64 / total as f64 };
-    prop_assert!((pred.selectivity(table) - selectivity).abs() < 1e-12);
-    let all: Vec<RowId> = table.visible_row_ids().collect();
-    let coverage = if all.is_empty() { 0.0 } else { rows.len() as f64 / all.len() as f64 };
-    prop_assert!((pred.coverage(table, &all) - coverage).abs() < 1e-12);
     Ok(())
 }
 
@@ -151,15 +172,6 @@ fn arbitrary_tree() -> impl Strategy<Value = PredicateTree> {
         })
 }
 
-/// The scalar three-valued verdict of a tree's expression on one row.
-fn scalar_verdict(tree: &PredicateTree, table: &Table, row: RowId) -> Option<bool> {
-    match Candidate::to_expr(tree).eval(table, row).expect("well-typed") {
-        Value::Bool(b) => Some(b),
-        Value::Null => None,
-        other => panic!("boolean tree evaluated to {other:?}"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -178,8 +190,9 @@ proptest! {
             .tri_eval(&cache, &table, &|_| true)
             .expect("generated trees are vectorizable");
         prop_assert_eq!(tri.trues.universe(), table.num_rows());
+        let expr = Candidate::to_expr(&tree);
         for i in 0..table.num_rows() {
-            let scalar = scalar_verdict(&tree, &table, RowId(i));
+            let scalar = scalar_verdict(&expr, &table, RowId(i));
             prop_assert!(
                 tri.trues.contains(i) == (scalar == Some(true)),
                 "trues diverged from scalar at row {} for {}", i, tree
@@ -189,8 +202,12 @@ proptest! {
                 "unknowns diverged from scalar at row {} for {}", i, tree
             );
         }
+        // The same tree with kernels of its own as leaves instead of the
+        // cache's bitmaps: whole columns and row by row.
+        let compiled = CompiledBoolExpr::compile(&expr, &table)
+            .expect("generated trees are vectorizable");
+        assert_compiled_equivalence(&table, &compiled, &expr)?;
         // The user-facing filter paths: vectorized == scalar oracle.
-        let expr = Candidate::to_expr(&tree);
         prop_assert_eq!(expr.filter(&table).unwrap(), expr.filter_scalar(&table).unwrap());
     }
 
@@ -253,7 +270,7 @@ proptest! {
         for pred in &predicates {
             assert_kernel_equivalence(&table, pred)?;
             for _round in 0..2 {
-                let via_cache = cache.conjunction(&table, pred).expect("well-typed");
+                let via_cache = pred.tri_eval(&cache, &table, &|_| true).expect("well-typed");
                 let direct = pred.compile(&table).unwrap().eval_columns();
                 prop_assert!(
                     via_cache.trues == direct.trues && via_cache.unknowns == direct.unknowns,
