@@ -181,15 +181,17 @@ pub fn zoom_series(
     x_column: &str,
     y_column: &str,
 ) -> Option<ScatterSeries> {
-    table.schema().index_of(x_column)?;
-    table.schema().index_of(y_column)?;
-    let rows = result.inputs_of_rows(selected_outputs);
-    let points = rows
+    let x = table.column_by_name(x_column)?;
+    let y = table.column_by_name(y_column)?;
+    let points = result
+        .inputs_of_rows(selected_outputs)
         .into_iter()
         .filter_map(|rid| {
-            let x = table.value_by_name(rid, x_column).ok()?.as_f64()?;
-            let y = table.value_by_name(rid, y_column).ok()?.as_f64()?;
-            Some(ScatterPoint { x, y, reference: PointRef::Input(rid) })
+            Some(ScatterPoint {
+                x: x.get_f64(rid.0)?,
+                y: y.get_f64(rid.0)?,
+                reference: PointRef::Input(rid),
+            })
         })
         .collect();
     Some(ScatterSeries { x_label: x_column.to_string(), y_label: y_column.to_string(), points })

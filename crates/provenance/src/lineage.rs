@@ -12,7 +12,7 @@
 //! quantifies.
 
 use dbwipes_storage::RowId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Index of an output row (group) within a query result.
 pub type GroupIdx = usize;
@@ -68,11 +68,11 @@ impl Lineage {
 
     /// The distinct input rows of a set of output groups — the paper's `F`.
     pub fn inputs_of_groups(&self, groups: &[GroupIdx]) -> Vec<RowId> {
-        let mut set = BTreeSet::new();
-        for &g in groups {
-            set.extend(self.inputs_of(g).iter().copied());
-        }
-        set.into_iter().collect()
+        let mut rows: Vec<RowId> =
+            groups.iter().flat_map(|&g| self.inputs_of(g)).copied().collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
     }
 
     /// The distinct input rows across all output groups.

@@ -36,9 +36,10 @@ impl LineClient {
         Ok(LineClient { reader, writer: stream })
     }
 
-    /// Sends one request line.
+    /// Sends one request line, newline included, in a single write.
     pub fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("write failed: {e}"))
+        let framed = [line, "\n"].concat();
+        self.writer.write_all(framed.as_bytes()).map_err(|e| format!("write failed: {e}"))
     }
 
     /// Reads one reply line. `Ok(None)` is a clean server-side close

@@ -525,17 +525,25 @@ fn retry_after_ms(queued: usize, workers: usize) -> u64 {
     (10 * (1 + per_worker)).min(1_000)
 }
 
+/// Sends one `ok:false` notice line — `error`, plus the members of `extra`
+/// that tell the client which kind of refusal this is — in a single write
+/// (best effort: the client may already be gone).
+fn send_notice(stream: &mut TcpStream, error: String, extra: Vec<(&str, Json)>) {
+    let mut fields = vec![("ok", Json::Bool(false)), ("error", Json::Str(error))];
+    fields.extend(extra);
+    let mut line = Json::obj(fields).to_string();
+    line.push('\n');
+    let _ = stream.write_all(line.as_bytes());
+}
+
 /// Writes a `busy` reply — including the backoff hint — and closes the
 /// socket.
 fn reject(mut stream: TcpStream, reason: &str, retry_after_ms: u64) {
-    let line = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::str(format!("busy: {reason}"))),
-        ("busy", Json::Bool(true)),
-        ("retry_after_ms", Json::num(retry_after_ms as f64)),
-    ])
-    .to_string();
-    let _ = writeln!(stream, "{line}");
+    send_notice(
+        &mut stream,
+        format!("busy: {reason}"),
+        vec![("busy", Json::Bool(true)), ("retry_after_ms", Json::num(retry_after_ms as f64))],
+    );
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -563,8 +571,15 @@ fn serve_connection(
         Err(_) => return,
     };
     let mut reader = stream;
+    // Bytes received but not yet served. `scanned` of them are known to
+    // hold no newline, so a long line arriving in many reads is searched
+    // once, not once per read.
     let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let mut scanned = 0;
+    let mut chunk = vec![0u8; 64 * 1024];
+    // One reply buffer for the connection's lifetime; the newline is
+    // pushed into it so a reply leaves in a single write.
+    let mut reply = String::new();
     let mut last_activity = Instant::now();
     // When the client has sent part of a line but not its newline: the
     // instant the partial line started. `idle_timeout` cannot catch a
@@ -582,22 +597,27 @@ fn serve_connection(
     loop {
         // Serve every complete line already received. This also runs in
         // drain mode, which is what "flush in-flight replies" means.
-        while let Some(newline) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=newline).collect();
-            let line = String::from_utf8_lossy(&line);
+        let mut served = 0;
+        while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&pending[served..scanned + offset]);
+            served = scanned + offset + 1;
+            scanned = served;
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
             last_activity = Instant::now();
             stats.commands.fetch_add(1, Ordering::Relaxed);
-            let reply = manager.handle_line(line);
-            // TcpStream writes are unbuffered, so a successful writeln IS
-            // the flush.
-            if writeln!(writer, "{reply}").is_err() {
+            manager.handle_line_into(line, &mut reply);
+            reply.push('\n');
+            // TcpStream writes are unbuffered, so a successful write_all
+            // IS the flush.
+            if writer.write_all(reply.as_bytes()).is_err() {
                 return;
             }
         }
+        pending.drain(..served);
+        scanned = pending.len();
         if pending.is_empty() {
             line_started = None;
         } else if line_started.is_none() {
@@ -608,19 +628,14 @@ fn serve_connection(
         // `Ok(n)` arm, where `WouldBlock` never fires.
         if let Some(started) = line_started {
             if started.elapsed() >= config.read_timeout {
-                let notice = Json::obj(vec![
-                    ("ok", Json::Bool(false)),
-                    (
-                        "error",
-                        Json::str(format!(
-                            "read timeout: request line incomplete after {}ms",
-                            config.read_timeout.as_millis()
-                        )),
+                send_notice(
+                    &mut writer,
+                    format!(
+                        "read timeout: request line incomplete after {}ms",
+                        config.read_timeout.as_millis()
                     ),
-                    ("read_timeout", Json::Bool(true)),
-                ])
-                .to_string();
-                let _ = writeln!(writer, "{notice}");
+                    vec![("read_timeout", Json::Bool(true))],
+                );
                 return;
             }
         }
@@ -640,16 +655,12 @@ fn serve_connection(
                 // a slow upload of a long `batch` line is never "idle".
                 last_activity = Instant::now();
                 pending.extend_from_slice(&chunk[..n]);
-                if pending.len() > MAX_LINE_BYTES && !pending.contains(&b'\n') {
-                    let notice = Json::obj(vec![
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::str(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
-                        ),
-                    ])
-                    .to_string();
-                    let _ = writeln!(writer, "{notice}");
+                if pending.len() > MAX_LINE_BYTES && !pending[scanned..].contains(&b'\n') {
+                    send_notice(
+                        &mut writer,
+                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                        Vec::new(),
+                    );
                     return;
                 }
                 continue; // serve the new bytes before polling flags
@@ -662,19 +673,11 @@ fn serve_connection(
                     return;
                 }
                 if last_activity.elapsed() >= config.idle_timeout {
-                    let notice = Json::obj(vec![
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::str(format!(
-                                "idle timeout after {}ms",
-                                config.idle_timeout.as_millis()
-                            )),
-                        ),
-                        ("idle_timeout", Json::Bool(true)),
-                    ])
-                    .to_string();
-                    let _ = writeln!(writer, "{notice}");
+                    send_notice(
+                        &mut writer,
+                        format!("idle timeout after {}ms", config.idle_timeout.as_millis()),
+                        vec![("idle_timeout", Json::Bool(true))],
+                    );
                     return;
                 }
             }
@@ -684,16 +687,9 @@ fn serve_connection(
     }
 }
 
-/// Writes the graceful-shutdown notice line (best effort — the client may
-/// already be gone).
+/// Writes the graceful-shutdown notice line.
 fn shutdown_notice(writer: &mut TcpStream) {
-    let notice = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::str("server shutting down")),
-        ("shutdown", Json::Bool(true)),
-    ])
-    .to_string();
-    let _ = writeln!(writer, "{notice}");
+    send_notice(writer, "server shutting down".to_string(), vec![("shutdown", Json::Bool(true))]);
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
-//! A minimal, dependency-free JSON value type with a parser and writer.
+//! A minimal, dependency-free JSON value type with a parser, and the
+//! [`JsonWriter`] push encoder every byte of output goes through.
 //!
 //! The container this workspace builds in has no network access, so
 //! `serde`/`serde_json` are unavailable; the protocol only needs the small
 //! subset implemented here (RFC 8259 values, UTF-8 input, `\uXXXX` escapes
 //! including surrogate pairs). Numbers are kept as `f64`, which is exact
 //! for every integer the protocol carries (row ids, session ids, counts
-//! are all far below 2⁵³).
+//! are all far below 2⁵³). [`Json`] is what requests parse into; replies
+//! are pushed into a [`JsonWriter`] field by field and never become a tree.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,60 +111,315 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    // JSON has no NaN/Infinity; null is the conventional stand-in.
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
+        let mut out = String::new();
+        JsonWriter::new(&mut out).value(self);
+        f.write_str(&out)
+    }
+}
+
+/// The envelope of a protocol reply: the members every reply carries
+/// beside its payload.
+#[derive(Debug, Clone, Copy)]
+struct Envelope<'a> {
+    /// The request's `id`, echoed when present.
+    id: Option<&'a Json>,
+    /// The `ok` member: `true` until the reply [fails](JsonWriter::fail).
+    ok: bool,
+    /// How many of the members (`id`, then `ok`) are dealt with.
+    written: u8,
+}
+
+/// A push encoder: the one place a JSON document is rendered, whether
+/// from a [`Json`] tree ([`JsonWriter::value`], which is what `Display`
+/// does) or field by field from typed results.
+///
+/// Values are appended to a caller-owned `String` as they are pushed;
+/// separators are inferred from the last byte written, so there is no
+/// scope stack to keep in step with the text. Object keys must be pushed
+/// in ascending byte order — the order a `BTreeMap` would iterate them
+/// in, which is what makes a reply byte-stable whichever way it was
+/// built; debug builds assert it.
+///
+/// A writer made by [`JsonWriter::reply`] is a protocol reply: an object
+/// whose envelope members (`id` when the request carried one, and `ok`)
+/// are merged in at their sorted position between the payload keys, and
+/// that [`JsonWriter::fail`] can truncate back to its start to become the
+/// `ok:false` envelope instead.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Where this writer's document begins in `out`.
+    start: usize,
+    depth: usize,
+    /// `None` for a plain document.
+    envelope: Option<Envelope<'a>>,
+    /// The last key pushed in each open scope (arrays hold a `None`).
+    #[cfg(debug_assertions)]
+    last_keys: Vec<Option<String>>,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending one document to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        let start = out.len();
+        JsonWriter {
+            out,
+            start,
+            depth: 0,
+            envelope: None,
+            #[cfg(debug_assertions)]
+            last_keys: Vec::new(),
+        }
+    }
+
+    /// Opens a success reply echoing `id`: push the payload members, then
+    /// [`JsonWriter::end_object`].
+    pub fn reply(out: &'a mut String, id: Option<&'a Json>) -> Self {
+        let mut writer = JsonWriter::new(out);
+        writer.envelope = Some(Envelope { id, ok: true, written: 0 });
+        writer.begin_object();
+        writer
+    }
+
+    /// Opens a reply as the next element of the array this writer is in
+    /// (`batch`'s `results`), with its own start to truncate back to.
+    pub fn element_reply<'b>(&'b mut self, id: Option<&'b Json>) -> JsonWriter<'b> {
+        self.separate();
+        JsonWriter::reply(self.out, id)
+    }
+
+    /// Discards whatever the reply holds so far and reopens it as a
+    /// failure: push `error`, then [`JsonWriter::end_object`].
+    pub fn fail(&mut self) {
+        let id = self.envelope.expect("only a reply can fail").id;
+        self.out.truncate(self.start);
+        self.depth = 0;
+        #[cfg(debug_assertions)]
+        self.last_keys.clear();
+        self.envelope = Some(Envelope { id, ok: false, written: 0 });
+        self.begin_object();
+    }
+
+    /// Writes the `,` a value or key needs after a sibling.
+    fn separate(&mut self) {
+        let written = &self.out.as_bytes()[self.start..];
+        if !matches!(written.last(), None | Some(b'{' | b'[' | b':')) {
+            self.out.push(',');
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.separate();
+        self.out.push(bracket);
+        self.depth += 1;
+        #[cfg(debug_assertions)]
+        self.last_keys.push(None);
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth -= 1;
+        #[cfg(debug_assertions)]
+        self.last_keys.pop();
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object (a reply's envelope members that are
+    /// still unwritten go first).
+    pub fn end_object(&mut self) {
+        self.envelope_before(None);
+        self.close('}');
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Pushes a member key of the innermost object; its value comes next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.envelope_before(Some(key));
+        self.raw_key(key);
+        self
+    }
+
+    fn raw_key(&mut self, key: &str) {
+        #[cfg(debug_assertions)]
+        {
+            let last = self.last_keys.last_mut().expect("a key needs an open object");
+            debug_assert!(
+                last.as_deref().map_or(true, |last| last < key),
+                "object keys must ascend: `{key}` after {last:?}"
+            );
+            *last = Some(key.to_string());
+        }
+        self.separate();
+        write_string(self.out, key);
+        self.out.push(':');
+    }
+
+    /// Writes the envelope members of a reply that sort before `key`
+    /// (all that are left when the object ends).
+    fn envelope_before(&mut self, key: Option<&str>) {
+        if self.depth != 1 {
+            return;
+        }
+        let Some(Envelope { id, ok, written }) = self.envelope else { return };
+        let due = |name: &str| key.map_or(true, |k| k > name);
+        if written == 0 && due("id") {
+            self.envelope = Some(Envelope { id, ok, written: 1 });
+            if let Some(id) = id {
+                self.raw_key("id");
+                self.value(id);
             }
-            Json::Str(s) => write_escaped(f, s),
+        }
+        if written <= 1 && due("ok") {
+            self.envelope = Some(Envelope { id, ok, written: 2 });
+            self.raw_key("ok");
+            self.bool(ok);
+        }
+    }
+
+    fn literal(&mut self, text: &str) {
+        self.separate();
+        self.out.push_str(text);
+    }
+
+    /// Pushes `null`.
+    pub fn null(&mut self) {
+        self.literal("null");
+    }
+
+    /// Pushes `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.literal(if b { "true" } else { "false" });
+    }
+
+    /// Pushes a number: integers below 9e15 in magnitude without a
+    /// fraction or exponent, every other finite value in Rust's shortest
+    /// round-trip decimal form (what `{n}` prints), and `null` for NaN and
+    /// the infinities (JSON has neither).
+    pub fn num(&mut self, n: f64) {
+        self.separate();
+        let integer = n as i64;
+        if integer as f64 == n && n.abs() < 9e15 {
+            write_decimal(self.out, integer < 0, integer.unsigned_abs(), 0);
+        } else if let Some((digits, places)) = short_decimal(n.abs()) {
+            write_decimal(self.out, n < 0.0, digits, places);
+        } else if n.is_finite() {
+            write!(self.out, "{n}").expect("writing to a String cannot fail");
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    /// Pushes a string.
+    pub fn str(&mut self, s: &str) {
+        self.separate();
+        write_string(self.out, s);
+    }
+
+    /// Pushes a whole [`Json`] value.
+    pub fn value(&mut self, value: &Json) {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.num(*n),
+            Json::Str(s) => self.str(s),
             Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
+                self.begin_array();
+                items.iter().for_each(|item| self.value(item));
+                self.end_array();
             }
             Json::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                self.begin_object();
+                for (k, v) in map {
+                    self.key(k).value(v);
                 }
-                f.write_str("}")
+                self.end_object();
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// The shortest decimal that reads back as `n` — the digits `{n}` prints —
+/// as `(digits, places)` meaning `digits / 10^places`, when it has at most
+/// six places and `n < 1e9`: raw readings and money, the bulk of a `zoom`.
+/// `None` sends the caller to `{n}` itself.
+///
+/// Below 1e15 the product `n * 1e6` is off by less than 0.12 and floats
+/// are spaced less than 0.23e-6 apart, so rounding it finds the only
+/// six-place decimal that can read back as `n`; the division — correctly
+/// rounded, exactly as parsing that decimal would be — tells whether it
+/// does. Every shorter candidate is that same decimal with zeros at the
+/// end, so dropping them gives the shortest.
+fn short_decimal(n: f64) -> Option<(u64, usize)> {
+    let scaled = n * 1e6;
+    let mut digits = (scaled + 0.5) as u64;
+    // (A NaN or infinite `n` fails the second test: the cast saturates.)
+    if scaled >= 1e15 || digits as f64 / 1e6 != n {
+        return None;
+    }
+    let mut places = 6;
+    while places > 0 && digits % 10 == 0 {
+        digits /= 10;
+        places -= 1;
+    }
+    Some((digits, places))
+}
+
+/// Writes `digits / 10^places`, signed: the decimal digits with a point
+/// `places` from the right, zero-padded to one digit before it.
+fn write_decimal(out: &mut String, negative: bool, mut digits: u64, places: usize) {
+    let mut text = [0u8; 24];
+    let mut at = text.len();
+    for written in 0.. {
+        if written == places && places > 0 {
+            at -= 1;
+            text[at] = b'.';
+        }
+        at -= 1;
+        text[at] = b'0' + (digits % 10) as u8;
+        digits /= 10;
+        if digits == 0 && written >= places {
+            break;
         }
     }
-    f.write_str("\"")
+    if negative {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&text[at..]).expect("ascii digits"));
+}
+
+/// Writes `s` quoted, copying the runs between characters that need an
+/// escape (`"`, `\`, control characters) in one piece. Those are all
+/// ASCII, so a run never ends inside a multi-byte character.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
 }
 
 struct Parser<'a> {
@@ -446,6 +703,57 @@ mod tests {
         assert_eq!(Json::Num(-0.0).to_string(), "0");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(1e18).to_string(), "1000000000000000000");
+    }
+
+    #[test]
+    fn short_decimals_print_as_the_shortest_round_trip() {
+        for (n, expected) in [
+            (16.77, "16.77"),
+            (-0.5, "-0.5"),
+            (2.0005, "2.0005"),
+            (0.000001, "0.000001"),
+            (999_999_999.999999, "999999999.999999"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e-7, "0.0000001"),
+            (1e9 + 0.5, "1000000000.5"),
+        ] {
+            assert_eq!(Json::Num(n).to_string(), expected);
+            assert_eq!(format!("{n}"), expected, "the rule is `{{n}}`'s");
+        }
+    }
+
+    #[test]
+    fn fail_truncates_to_the_start_of_this_reply_only() {
+        let mut out = String::new();
+        let mut batch = JsonWriter::reply(&mut out, None);
+        batch.key("results").begin_array();
+        let mut first = batch.element_reply(None);
+        first.key("pong").bool(true);
+        first.end_object();
+        let id = Json::Num(2.0);
+        let mut second = batch.element_reply(Some(&id));
+        second.key("rows").begin_array();
+        second.begin_array();
+        second.fail();
+        second.key("error").str("boom");
+        second.end_object();
+        batch.end_array();
+        batch.end_object();
+        assert_eq!(
+            out,
+            r#"{"ok":true,"results":[{"ok":true,"pong":true},{"error":"boom","id":2,"ok":false}]}"#
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend")]
+    fn keys_out_of_order_are_caught_in_debug_builds() {
+        let mut out = String::new();
+        let mut writer = JsonWriter::new(&mut out);
+        writer.begin_object();
+        writer.key("b").null();
+        writer.key("a").null();
     }
 
     #[test]

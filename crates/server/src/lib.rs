@@ -69,11 +69,10 @@ mod service;
 pub use client::LineClient;
 pub use durability::{StorageCounters, StorageHealth, StorageRuntime};
 pub use executor::{serve_pooled, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats};
-pub use json::Json;
+pub use json::{Json, JsonWriter};
 pub use manager::{DebugCacheReport, ServerSession, SessionId, SessionManager, StreamAppendReport};
 pub use protocol::{
-    error_response, error_response_value, ok_response, ok_response_value, parse_request,
-    parse_request_value, wire_error_response_value, Command, Request, WireError,
-    MAX_BATCH_COMMANDS, MAX_STREAM_APPEND_ROWS, PROTOCOL_VERSION, WIRE_COMMANDS,
+    parse_request, parse_request_value, Command, Request, WireError, MAX_BATCH_COMMANDS,
+    MAX_STREAM_APPEND_ROWS, PROTOCOL_VERSION, WIRE_COMMANDS,
 };
 pub use registry::{CacheRegistry, CacheStats, ExplainKey};

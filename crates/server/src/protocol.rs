@@ -50,7 +50,7 @@
 //! flag so the serving front-end (stdio loop or the pooled TCP executor)
 //! drains in-flight connections, flushes replies, and exits cleanly.
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use dbwipes_core::ErrorMetric;
 use dbwipes_dashboard::Brush;
 use dbwipes_storage::Value;
@@ -476,6 +476,25 @@ impl WireError {
     pub fn quarantined(message: impl Into<String>) -> Self {
         WireError::Structured { kind: "quarantined", retryable: false, message: message.into() }
     }
+
+    /// Turns `reply` into this error's `ok:false` envelope — whatever the
+    /// handler had written is discarded: the classic string `error` for
+    /// user errors, the structured object for infrastructure errors.
+    pub fn write_to(&self, mut reply: JsonWriter<'_>) {
+        reply.fail();
+        reply.key("error");
+        match self {
+            WireError::User(message) => reply.str(message),
+            WireError::Structured { kind, retryable, message } => {
+                reply.begin_object();
+                reply.key("kind").str(kind);
+                reply.key("message").str(message);
+                reply.key("retryable").bool(*retryable);
+                reply.end_object();
+            }
+        }
+        reply.end_object();
+    }
 }
 
 impl From<String> for WireError {
@@ -497,68 +516,6 @@ impl std::fmt::Display for WireError {
             WireError::Structured { kind, message, .. } => write!(f, "{kind}: {message}"),
         }
     }
-}
-
-/// Builds the error response object for a [`WireError`]: the classic
-/// string form for user errors, the structured object for infrastructure
-/// errors.
-pub fn wire_error_response_value(id: Option<&Json>, error: &WireError) -> Json {
-    match error {
-        WireError::User(message) => error_response_value(id, message),
-        WireError::Structured { kind, retryable, message } => {
-            let error = Json::obj(vec![
-                ("kind", Json::str(*kind)),
-                ("retryable", Json::Bool(*retryable)),
-                ("message", Json::str(message.clone())),
-            ]);
-            let mut obj = Json::obj(vec![("error", error)]);
-            if let Json::Obj(map) = &mut obj {
-                map.insert("ok".to_string(), Json::Bool(false));
-                if let Some(id) = id {
-                    map.insert("id".to_string(), id.clone());
-                }
-            }
-            obj
-        }
-    }
-}
-
-/// Builds a success response object: `{"ok": true, ...fields}` plus the
-/// echoed id. The value form feeds `batch`'s `results` array; the line
-/// protocol serializes it via [`ok_response`].
-pub fn ok_response_value(id: Option<&Json>, fields: Vec<(&str, Json)>) -> Json {
-    let mut obj = Json::obj(fields);
-    if let Json::Obj(map) = &mut obj {
-        map.insert("ok".to_string(), Json::Bool(true));
-        if let Some(id) = id {
-            map.insert("id".to_string(), id.clone());
-        }
-    }
-    obj
-}
-
-/// Builds an error response object: `{"ok": false, "error": message}` plus
-/// the echoed id.
-pub fn error_response_value(id: Option<&Json>, message: &str) -> Json {
-    let mut obj = Json::obj(vec![("error", Json::str(message))]);
-    if let Json::Obj(map) = &mut obj {
-        map.insert("ok".to_string(), Json::Bool(false));
-        if let Some(id) = id {
-            map.insert("id".to_string(), id.clone());
-        }
-    }
-    obj
-}
-
-/// Builds a success response: `{"ok": true, ...fields}` plus the echoed id.
-pub fn ok_response(id: Option<&Json>, fields: Vec<(&str, Json)>) -> String {
-    ok_response_value(id, fields).to_string()
-}
-
-/// Builds an error response: `{"ok": false, "error": message}` plus the
-/// echoed id.
-pub fn error_response(id: Option<&Json>, message: &str) -> String {
-    error_response_value(id, message).to_string()
 }
 
 #[cfg(test)]
@@ -646,15 +603,16 @@ mod tests {
     fn ids_are_parsed_and_echoed() {
         let request = parse_request(r#"{"cmd":"ping","id":17}"#).unwrap();
         assert_eq!(request.id, Some(Json::Num(17.0)));
+        let mut out = String::new();
+        let mut reply = JsonWriter::reply(&mut out, request.id.as_ref());
+        reply.key("pong").bool(true);
+        reply.end_object();
+        assert_eq!(out, r#"{"id":17,"ok":true,"pong":true}"#);
         assert_eq!(
-            ok_response(request.id.as_ref(), vec![("pong", Json::Bool(true))]),
-            r#"{"id":17,"ok":true,"pong":true}"#
-        );
-        assert_eq!(
-            error_response(request.id.as_ref(), "boom"),
+            rendered(&"boom".into(), request.id.as_ref()),
             r#"{"error":"boom","id":17,"ok":false}"#
         );
-        assert_eq!(error_response(None, "boom"), r#"{"error":"boom","ok":false}"#);
+        assert_eq!(rendered(&"boom".into(), None), r#"{"error":"boom","ok":false}"#);
     }
 
     #[test]
@@ -828,25 +786,31 @@ mod tests {
         }
     }
 
+    /// The reply line for `error`, written over a half-finished payload.
+    fn rendered(error: &WireError, id: Option<&Json>) -> String {
+        let mut out = String::new();
+        let mut reply = JsonWriter::reply(&mut out, id);
+        reply.key("half").str("written");
+        error.write_to(reply);
+        out
+    }
+
     #[test]
     fn wire_errors_render_string_or_structured_form() {
         // The classic string form stays bit-identical for user errors.
-        let user = WireError::from("bad sql");
         assert_eq!(
-            wire_error_response_value(None, &user).to_string(),
+            rendered(&WireError::from("bad sql"), None),
             r#"{"error":"bad sql","ok":false}"#
         );
         // Infrastructure errors carry kind + retryable for the client.
         let internal = WireError::internal("handler panicked: boom");
-        let rendered = wire_error_response_value(Some(&Json::Num(5.0)), &internal).to_string();
         assert_eq!(
-            rendered,
+            rendered(&internal, Some(&Json::Num(5.0))),
             r#"{"error":{"kind":"internal","message":"handler panicked: boom","retryable":false},"id":5,"ok":false}"#
         );
-        let quarantined = WireError::quarantined("session 3 is quarantined");
-        let rendered = wire_error_response_value(None, &quarantined).to_string();
-        assert!(rendered.contains(r#""kind":"quarantined""#), "{rendered}");
-        assert!(rendered.contains(r#""retryable":false"#), "{rendered}");
+        let quarantined = rendered(&WireError::quarantined("session 3 is quarantined"), None);
+        assert!(quarantined.contains(r#""kind":"quarantined""#), "{quarantined}");
+        assert!(quarantined.contains(r#""retryable":false"#), "{quarantined}");
         assert_eq!(internal.to_string(), "internal: handler panicked: boom");
     }
 

@@ -4,170 +4,103 @@
 //! stdio and TCP front-ends in the `dbwipes-server` binary (and the tests)
 //! just shuttle lines to it. Keeping the transport out of the dispatch
 //! means every protocol behaviour is testable without sockets.
+//!
+//! A reply is written once: each handler pushes its fields straight from
+//! the typed result into the reply's [`JsonWriter`] — while the session
+//! lock is held, so nothing is copied out first — and an `Err` or a
+//! caught panic truncates the line back to its start before the error
+//! envelope is written ([`WireError::write_to`]).
 
 use crate::executor::PoolStats;
-use crate::json::Json;
+use crate::json::JsonWriter;
 use crate::manager::{ServerSession, SessionId, SessionManager};
-use crate::protocol::{ok_response_value, parse_request, wire_error_response_value};
-use crate::protocol::{Command, Request, WireError, PROTOCOL_VERSION};
-use dbwipes_core::{ComponentTimings, CoreError, Explanation, MetricKind};
+use crate::protocol::{parse_request, Command, Request, WireError, PROTOCOL_VERSION};
+use dbwipes_core::{CoreError, Explanation, MetricKind};
 use dbwipes_dashboard::{PointRef, ScatterSeries};
-use dbwipes_engine::QueryResult;
 use dbwipes_storage::{ConditionBitmapCache, Value};
+
+/// What a handler returns once its fields are in the reply.
+type Handled = Result<(), WireError>;
+
+/// Ends `reply` as the success it holds, or as `outcome`'s error.
+fn finish(outcome: Handled, mut reply: JsonWriter<'_>) {
+    match outcome {
+        Ok(()) => reply.end_object(),
+        Err(error) => error.write_to(reply),
+    }
+}
 
 impl SessionManager {
     /// Parses and executes one request line, returning the response line
     /// (without a trailing newline). Never panics on malformed input —
     /// every failure becomes an `ok:false` reply.
     pub fn handle_line(&self, line: &str) -> String {
-        let request = match parse_request(line) {
-            Ok(request) => request,
-            Err(e) => return wire_error_response_value(None, &WireError::from(e)).to_string(),
-        };
-        self.handle_request(request).to_string()
+        let mut reply = String::new();
+        self.handle_line_into(line, &mut reply);
+        reply
     }
 
-    /// Executes one parsed request, returning the response object. This is
-    /// [`SessionManager::handle_line`] minus the wire codec — `batch`
-    /// execution reuses it per element, collecting the objects into one
-    /// `results` array.
-    pub fn handle_request(&self, request: Request) -> Json {
-        let id = request.id.clone();
-        match self.dispatch(request) {
-            Ok(fields) => ok_response_value(id.as_ref(), fields),
-            Err(error) => wire_error_response_value(id.as_ref(), &error),
+    /// [`SessionManager::handle_line`] into a buffer the caller keeps: a
+    /// connection reuses one allocation for all its replies. `reply` is
+    /// cleared first.
+    pub fn handle_line_into(&self, line: &str, reply: &mut String) {
+        reply.clear();
+        match parse_request(line) {
+            Ok(Request { id, command }) => {
+                self.answer(command, JsonWriter::reply(reply, id.as_ref()))
+            }
+            Err(e) => WireError::from(e).write_to(JsonWriter::reply(reply, None)),
         }
     }
 
-    fn dispatch(&self, request: Request) -> Result<Vec<(&'static str, Json)>, WireError> {
-        match request.command {
-            Command::Ping => Ok(vec![
-                ("pong", Json::Bool(true)),
-                ("protocol_version", Json::num(PROTOCOL_VERSION as f64)),
-            ]),
-            Command::Tables => Ok(vec![(
-                "tables",
-                Json::Arr(self.table_names().into_iter().map(Json::Str).collect()),
-            )]),
-            Command::Sessions => Ok(vec![(
-                "sessions",
-                Json::Arr(self.session_ids().iter().map(|s| Json::num(s.0 as f64)).collect()),
-            )]),
-            Command::Stats => {
-                let stats = self.registry().stats();
-                let mut fields = vec![
-                    ("protocol_version", Json::num(PROTOCOL_VERSION as f64)),
-                    ("sessions", Json::num(self.session_count() as f64)),
-                    // The shard count sessions opened now would run their
-                    // explain pipeline with (the `DBWIPES_SHARDS` knob).
-                    ("shards", Json::num(SessionManager::default_shards() as f64)),
-                    (
-                        "cache",
-                        Json::obj(vec![
-                            ("hits", Json::num(stats.hits as f64)),
-                            ("misses", Json::num(stats.misses as f64)),
-                            ("append_absorbs", Json::num(stats.append_absorbs as f64)),
-                            ("evictions", Json::num(stats.evictions as f64)),
-                            ("invalidations", Json::num(stats.invalidations as f64)),
-                            ("entries", Json::num(stats.entries as f64)),
-                            ("hit_rate", Json::num(stats.hit_rate())),
-                            ("explanation_hits", Json::num(stats.explanation_hits as f64)),
-                            ("explanation_misses", Json::num(stats.explanation_misses as f64)),
-                            (
-                                "explanation_evictions",
-                                Json::num(stats.explanation_evictions as f64),
-                            ),
-                            ("explanation_entries", Json::num(stats.explanation_entries as f64)),
-                            ("explanation_hit_rate", Json::num(stats.explanation_hit_rate())),
-                            ("partition_hits", Json::num(stats.partition_hits as f64)),
-                            ("partition_misses", Json::num(stats.partition_misses as f64)),
-                            ("partition_absorbs", Json::num(stats.partition_absorbs as f64)),
-                            ("partition_evictions", Json::num(stats.partition_evictions as f64)),
-                            ("partition_entries", Json::num(stats.partition_entries as f64)),
-                        ]),
-                    ),
-                    // Process-wide counters of the storage layer's
-                    // condition-bitmap caches (the vectorized ranker warms
-                    // one per ranking; conditions shared across candidate
-                    // conjunctions hit).
-                    ("condition_bitmaps", condition_bitmaps_json()),
-                    // Process-wide counters of the vectorized boolean
-                    // predicate algebra: filters/WHERE clauses evaluated
-                    // through compiled bitmap DAGs vs. the scalar
-                    // row-walk fallback.
-                    ("bool_algebra", bool_algebra_json()),
-                ];
-                // Durable-storage counters. Always present so dashboards
-                // can probe durability uniformly: an unattached manager
-                // (no --data-dir) reports all-zero counters.
-                let storage = self.storage().map(|r| r.counters()).unwrap_or_default();
-                fields.push((
-                    "storage",
-                    Json::obj(vec![
-                        ("attached", Json::Bool(self.storage().is_some())),
-                        ("snapshot_saves", Json::num(storage.snapshot_saves as f64)),
-                        ("snapshot_loads", Json::num(storage.snapshot_loads as f64)),
-                        ("bytes_on_disk", Json::num(storage.bytes_on_disk as f64)),
-                        ("rehydrated_caches", Json::num(storage.rehydrated_caches as f64)),
-                    ]),
-                ));
-                // Fault-tolerance vitals. Always present: a manager with no
-                // storage attached reports a permanently healthy block, so
-                // monitoring probes one shape everywhere.
-                let health = self.storage().map(|r| r.health()).unwrap_or_default();
-                fields.push((
-                    "health",
-                    Json::obj(vec![
-                        ("degraded", Json::Bool(health.degraded)),
-                        (
-                            "last_persist_error",
-                            health.last_persist_error.map(Json::Str).unwrap_or(Json::Null),
-                        ),
-                        ("retries", Json::num(health.retries as f64)),
-                        ("consecutive_failures", Json::num(health.consecutive_failures as f64)),
-                        ("degraded_entries", Json::num(health.degraded_entries as f64)),
-                        ("panics_caught", Json::num(self.panics_caught() as f64)),
-                        ("quarantined_sessions", Json::num(self.quarantined_sessions() as f64)),
-                    ]),
-                ));
-                // Executor counters, when a pooled TCP front-end serves
-                // this manager (stdio mode has no pool to report).
-                if let Some(pool) = self.pool_stats() {
-                    fields.push(("pool", pool_json(pool)));
-                }
-                Ok(fields)
+    /// Executes one command into its reply — a request line's, or a
+    /// `batch` element's.
+    fn answer(&self, command: Command, mut reply: JsonWriter<'_>) {
+        finish(self.dispatch(command, &mut reply), reply);
+    }
+
+    fn dispatch(&self, command: Command, w: &mut JsonWriter<'_>) -> Handled {
+        match command {
+            Command::Ping => {
+                w.key("pong").bool(true);
+                w.key("protocol_version").num(PROTOCOL_VERSION as f64);
             }
-            Command::OpenSession => {
-                let id = self.open_session();
-                Ok(vec![("session", Json::num(id.0 as f64))])
+            Command::Tables => {
+                w.key("tables").begin_array();
+                self.table_names().iter().for_each(|name| w.str(name));
+                w.end_array();
             }
+            Command::Sessions => {
+                w.key("sessions").begin_array();
+                self.session_ids().iter().for_each(|s| w.num(s.0 as f64));
+                w.end_array();
+            }
+            Command::Stats => self.write_stats(w),
+            Command::OpenSession => w.key("session").num(self.open_session().0 as f64),
             Command::CloseSession(s) => {
-                if self.close_session(SessionId(s)) {
-                    Ok(vec![("closed", Json::num(s as f64))])
-                } else {
-                    Err(format!("no such session {s}").into())
+                if !self.close_session(SessionId(s)) {
+                    return Err(format!("no such session {s}").into());
                 }
+                w.key("closed").num(s as f64);
             }
             Command::Shutdown => {
                 self.request_shutdown();
-                Ok(vec![("shutting_down", Json::Bool(true))])
+                w.key("shutting_down").bool(true);
             }
             Command::Batch(commands) => {
                 if let Some(pool) = self.pool_stats() {
                     pool.record_batch();
                 }
-                Ok(self.run_batch(commands))
+                self.run_batch(commands, w);
             }
             Command::StreamAppend { table, rows } => {
                 let report = self.stream_append(&table, rows).map_err(|e| e.to_string())?;
-                Ok(vec![
-                    ("table", Json::str(table)),
-                    ("appended", Json::num(report.appended as f64)),
-                    ("batches", Json::num(report.batches as f64)),
-                    ("total_rows", Json::num(report.total_rows as f64)),
-                    ("sessions_refreshed", Json::num(report.sessions_refreshed as f64)),
-                    ("durable", Json::Bool(report.durable)),
-                ])
+                w.key("appended").num(report.appended as f64);
+                w.key("batches").num(report.batches as f64);
+                w.key("durable").bool(report.durable);
+                w.key("sessions_refreshed").num(report.sessions_refreshed as f64);
+                w.key("table").str(&table);
+                w.key("total_rows").num(report.total_rows as f64);
             }
             command => {
                 let s = command.session().expect("all remaining commands address a session");
@@ -184,14 +117,95 @@ impl SessionManager {
                     Err(_) => return Err(self.quarantine_poisoned(sid)),
                 };
                 session.record_command();
-                self.isolated_session_command(sid, &mut session, command)
+                return self.isolated_session_command(sid, &mut session, command, w);
             }
         }
+        Ok(())
+    }
+
+    /// The `stats` payload. Every block is always present, so dashboards
+    /// and monitoring probe one shape everywhere: an unattached manager
+    /// (no --data-dir) reports all-zero storage counters and a permanently
+    /// healthy `health` block; only `pool` needs a pooled TCP front-end
+    /// (stdio mode has no pool to report).
+    fn write_stats(&self, w: &mut JsonWriter<'_>) {
+        // Process-wide counters of the vectorized boolean predicate
+        // algebra: filters/WHERE clauses evaluated through compiled bitmap
+        // DAGs vs. the scalar row-walk fallback.
+        let (vectorized, fallbacks) = dbwipes_storage::bool_vectorization_stats();
+        w.key("bool_algebra").begin_object();
+        w.key("fallbacks").num(fallbacks as f64);
+        w.key("vectorized").num(vectorized as f64);
+        w.end_object();
+
+        let stats = self.registry().stats();
+        w.key("cache").begin_object();
+        w.key("append_absorbs").num(stats.append_absorbs as f64);
+        w.key("entries").num(stats.entries as f64);
+        w.key("evictions").num(stats.evictions as f64);
+        w.key("explanation_entries").num(stats.explanation_entries as f64);
+        w.key("explanation_evictions").num(stats.explanation_evictions as f64);
+        w.key("explanation_hit_rate").num(stats.explanation_hit_rate());
+        w.key("explanation_hits").num(stats.explanation_hits as f64);
+        w.key("explanation_misses").num(stats.explanation_misses as f64);
+        w.key("hit_rate").num(stats.hit_rate());
+        w.key("hits").num(stats.hits as f64);
+        w.key("invalidations").num(stats.invalidations as f64);
+        w.key("misses").num(stats.misses as f64);
+        w.key("partition_absorbs").num(stats.partition_absorbs as f64);
+        w.key("partition_entries").num(stats.partition_entries as f64);
+        w.key("partition_evictions").num(stats.partition_evictions as f64);
+        w.key("partition_hits").num(stats.partition_hits as f64);
+        w.key("partition_misses").num(stats.partition_misses as f64);
+        w.end_object();
+
+        // Process-wide counters of the storage layer's condition-bitmap
+        // caches (the vectorized ranker warms one per ranking; conditions
+        // shared across candidate conjunctions hit).
+        let (hits, misses) = ConditionBitmapCache::global_stats();
+        let total = hits + misses;
+        w.key("condition_bitmaps").begin_object();
+        w.key("hit_rate").num(if total == 0 { 0.0 } else { hits as f64 / total as f64 });
+        w.key("hits").num(hits as f64);
+        w.key("misses").num(misses as f64);
+        w.end_object();
+
+        let health = self.storage().map(|r| r.health()).unwrap_or_default();
+        w.key("health").begin_object();
+        w.key("consecutive_failures").num(health.consecutive_failures as f64);
+        w.key("degraded").bool(health.degraded);
+        w.key("degraded_entries").num(health.degraded_entries as f64);
+        match &health.last_persist_error {
+            Some(error) => w.key("last_persist_error").str(error),
+            None => w.key("last_persist_error").null(),
+        }
+        w.key("panics_caught").num(self.panics_caught() as f64);
+        w.key("quarantined_sessions").num(self.quarantined_sessions() as f64);
+        w.key("retries").num(health.retries as f64);
+        w.end_object();
+
+        if let Some(pool) = self.pool_stats() {
+            write_pool(w, pool);
+        }
+        w.key("protocol_version").num(PROTOCOL_VERSION as f64);
+        w.key("sessions").num(self.session_count() as f64);
+        // The shard count sessions opened now would run their explain
+        // pipeline with (the `DBWIPES_SHARDS` knob).
+        w.key("shards").num(SessionManager::default_shards() as f64);
+
+        let storage = self.storage().map(|r| r.counters()).unwrap_or_default();
+        w.key("storage").begin_object();
+        w.key("attached").bool(self.storage().is_some());
+        w.key("bytes_on_disk").num(storage.bytes_on_disk as f64);
+        w.key("rehydrated_caches").num(storage.rehydrated_caches as f64);
+        w.key("snapshot_loads").num(storage.snapshot_loads as f64);
+        w.key("snapshot_saves").num(storage.snapshot_saves as f64);
+        w.end_object();
     }
 
     /// Rejects commands addressed to a quarantined session with a
     /// structured `quarantined` error carrying the original reason.
-    fn check_quarantine(&self, sid: SessionId) -> Result<(), WireError> {
+    fn check_quarantine(&self, sid: SessionId) -> Handled {
         match self.quarantine_reason(sid) {
             Some(reason) => Err(WireError::quarantined(format!(
                 "session {} is quarantined: {reason}; close it and open a new one",
@@ -214,16 +228,18 @@ impl SessionManager {
     /// Runs one session command behind a panic boundary. A panicking
     /// handler costs nothing but this one command: the panic is caught,
     /// counted, the session quarantined (its state may be torn mid-write),
-    /// and the caller gets a structured `internal` error to forward. The
-    /// worker thread, its connection, and every sibling session survive.
+    /// and the caller gets a structured `internal` error to forward —
+    /// which discards whatever the handler had written. The worker thread,
+    /// its connection, and every sibling session survive.
     fn isolated_session_command(
         &self,
         sid: SessionId,
         session: &mut ServerSession,
         command: Command,
-    ) -> Result<Vec<(&'static str, Json)>, WireError> {
+        w: &mut JsonWriter<'_>,
+    ) -> Handled {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.session_command(session, command)
+            self.session_command(session, command, w)
         }));
         match outcome {
             Ok(result) => result,
@@ -244,46 +260,38 @@ impl SessionManager {
     /// instead of fifty. A failing command answers `ok:false` like its
     /// top-level form would and the batch continues; the caller correlates
     /// by position (or per-command ids).
-    fn run_batch(&self, commands: Vec<Request>) -> Vec<(&'static str, Json)> {
-        let total = commands.len();
-        let mut results = Vec::with_capacity(total);
+    fn run_batch(&self, commands: Vec<Request>, w: &mut JsonWriter<'_>) {
+        w.key("count").num(commands.len() as f64);
+        w.key("results").begin_array();
         let mut queue = commands.into_iter().peekable();
-        while let Some(request) = queue.next() {
+        while let Some(Request { id, command }) = queue.next() {
             // Commands the top-level dispatcher must handle (service-level
             // commands and close_session) go through it one at a time.
-            let Some(target) = session_command_target(&request.command) else {
-                results.push(self.handle_request(request));
+            let Some(target) = session_command_target(&command) else {
+                self.answer(command, w.element_reply(id.as_ref()));
                 continue;
             };
             let sid = SessionId(target);
-            if let Err(error) = self.check_quarantine(sid) {
-                results.push(wire_error_response_value(request.id.as_ref(), &error));
-                continue;
-            }
-            let Some(handle) = self.session(sid) else {
-                results.push(wire_error_response_value(
-                    request.id.as_ref(),
-                    &WireError::from(format!("no such session {target}")),
-                ));
-                continue;
-            };
-            let mut session = match handle.lock() {
-                Ok(guard) => guard,
-                Err(_) => {
-                    let error = self.quarantine_poisoned(sid);
-                    results.push(wire_error_response_value(request.id.as_ref(), &error));
+            let routed = self.check_quarantine(sid).and_then(|()| {
+                self.session(sid).ok_or_else(|| format!("no such session {target}").into())
+            });
+            let handle = match routed {
+                Ok(handle) => handle,
+                Err(error) => {
+                    error.write_to(w.element_reply(id.as_ref()));
                     continue;
                 }
             };
-            let mut run = Some(request);
-            while let Some(request) = run.take() {
+            let Ok(mut session) = handle.lock() else {
+                self.quarantine_poisoned(sid).write_to(w.element_reply(id.as_ref()));
+                continue;
+            };
+            let mut run = Some(Request { id, command });
+            while let Some(Request { id, command }) = run.take() {
                 session.record_command();
-                let reply = match self.isolated_session_command(sid, &mut session, request.command)
-                {
-                    Ok(fields) => ok_response_value(request.id.as_ref(), fields),
-                    Err(error) => wire_error_response_value(request.id.as_ref(), &error),
-                };
-                results.push(reply);
+                let mut reply = w.element_reply(id.as_ref());
+                let outcome = self.isolated_session_command(sid, &mut session, command, &mut reply);
+                finish(outcome, reply);
                 // Pull the next command into the same lock acquisition
                 // while it keeps addressing this session — unless this
                 // command quarantined the session (a caught panic), in
@@ -297,116 +305,95 @@ impl SessionManager {
                 }
             }
         }
-        vec![("count", Json::num(total as f64)), ("results", Json::Arr(results))]
+        w.end_array();
     }
 
     fn session_command(
         &self,
         session: &mut ServerSession,
         command: Command,
-    ) -> Result<Vec<(&'static str, Json)>, WireError> {
+        w: &mut JsonWriter<'_>,
+    ) -> Handled {
         let core = |e: CoreError| WireError::from(e.to_string());
         match command {
             Command::RunQuery { sql, .. } => {
-                let result = session.dashboard_mut().run_query(&sql).map_err(core)?;
-                Ok(result_fields(result))
+                session.dashboard_mut().run_query(&sql).map_err(core)?;
+                write_result(w, session, false);
             }
             Command::Plot { x, y, .. } => {
                 let series = session
                     .dashboard()
                     .plot(&x, &y)
                     .ok_or("nothing to plot (no result, or unknown columns)")?;
-                Ok(vec![("series", series_json(&series))])
+                write_series(w, &series);
             }
             Command::Zoom { x, y, .. } => {
                 let series = session
                     .dashboard()
                     .zoom(&x, &y)
                     .ok_or("nothing to zoom into (no selected outputs, or unknown columns)")?;
-                Ok(vec![("series", series_json(&series))])
+                write_series(w, &series);
             }
             Command::BrushOutputs { x, y, brush, .. } => {
                 let selected = session.dashboard_mut().brush_outputs(&x, &y, brush);
-                Ok(vec![(
-                    "selected",
-                    Json::Arr(selected.into_iter().map(|i| Json::num(i as f64)).collect()),
-                )])
+                w.key("selected").begin_array();
+                selected.iter().for_each(|&i| w.num(i as f64));
+                w.end_array();
             }
             Command::BrushInputs { x, y, brush, .. } => {
                 let selected = session.dashboard_mut().brush_inputs(&x, &y, brush);
-                Ok(vec![(
-                    "selected",
-                    Json::Arr(selected.into_iter().map(|r| Json::num(r.0 as f64)).collect()),
-                )])
+                w.key("selected").begin_array();
+                selected.iter().for_each(|r| w.num(r.0 as f64));
+                w.end_array();
             }
             Command::MetricChoices { column, .. } => {
-                let choices = session.dashboard().metric_choices(&column);
-                Ok(vec![(
-                    "choices",
-                    Json::Arr(
-                        choices
-                            .iter()
-                            .map(|c| {
-                                // kind/value mirror `set_metric`'s request
-                                // fields, so a client can echo a choice
-                                // straight back without parsing the label.
-                                let (kind, value) = match c.metric.kind {
-                                    MetricKind::TooHigh { threshold } => ("too_high", threshold),
-                                    MetricKind::TooLow { threshold } => ("too_low", threshold),
-                                    MetricKind::NotEqualTo { expected } => {
-                                        ("not_equal_to", expected)
-                                    }
-                                };
-                                Json::obj(vec![
-                                    ("label", Json::str(&c.label)),
-                                    ("column", Json::str(&c.metric.column)),
-                                    ("kind", Json::str(kind)),
-                                    ("value", Json::num(value)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )])
+                w.key("choices").begin_array();
+                for c in session.dashboard().metric_choices(&column) {
+                    // kind/value mirror `set_metric`'s request fields, so a
+                    // client can echo a choice straight back without
+                    // parsing the label.
+                    let (kind, value) = match c.metric.kind {
+                        MetricKind::TooHigh { threshold } => ("too_high", threshold),
+                        MetricKind::TooLow { threshold } => ("too_low", threshold),
+                        MetricKind::NotEqualTo { expected } => ("not_equal_to", expected),
+                    };
+                    w.begin_object();
+                    w.key("column").str(&c.metric.column);
+                    w.key("kind").str(kind);
+                    w.key("label").str(&c.label);
+                    w.key("value").num(value);
+                    w.end_object();
+                }
+                w.end_array();
             }
             Command::SetMetric { metric, .. } => {
-                let label = metric.to_string();
+                w.key("metric").str(&metric.to_string());
                 session.dashboard_mut().set_metric(metric);
-                Ok(vec![("metric", Json::str(label))])
             }
             Command::Debug(_) => {
                 let (explanation, report) = session.debug_cached(self.registry()).map_err(core)?;
-                let mut fields = explanation_fields(explanation);
-                fields.push(("cache_hit", Json::Bool(report.cache_hit)));
                 // Memo-served replies carry `cached:true` and (by way of
                 // `debug_cached`) near-zero timings — nothing ran now.
-                fields.push(("cached", Json::Bool(report.memo_hit)));
-                Ok(fields)
+                write_explanation(w, explanation, report.cache_hit, report.memo_hit);
             }
             Command::ClickPredicate { index, .. } => {
-                let result = session.dashboard_mut().click_predicate(index).map_err(core)?;
-                let mut fields = result_fields(result);
-                fields.push(applied_field(session));
-                Ok(fields)
+                session.dashboard_mut().click_predicate(index).map_err(core)?;
+                write_result(w, session, true);
             }
             Command::Undo(_) => {
-                let result = session.dashboard_mut().undo_clean().map_err(core)?;
-                let mut fields = result_fields(result);
-                fields.push(applied_field(session));
-                Ok(fields)
+                session.dashboard_mut().undo_clean().map_err(core)?;
+                write_result(w, session, true);
             }
             Command::State(_) => {
                 let d = session.dashboard();
-                let mut fields = vec![
-                    ("state", Json::str(format!("{:?}", d.state()))),
-                    ("sql", Json::str(d.current_sql())),
-                    ("selected_outputs", Json::num(d.selected_outputs().len() as f64)),
-                    ("selected_inputs", Json::num(d.selected_inputs().len() as f64)),
-                    ("commands", Json::num(session.commands() as f64)),
-                    ("cache_hits", Json::num(session.cache_hits() as f64)),
-                    ("cache_misses", Json::num(session.cache_misses() as f64)),
-                ];
-                fields.push(applied_field(session));
-                Ok(fields)
+                write_applied(w, session);
+                w.key("cache_hits").num(session.cache_hits() as f64);
+                w.key("cache_misses").num(session.cache_misses() as f64);
+                w.key("commands").num(session.commands() as f64);
+                w.key("selected_inputs").num(d.selected_inputs().len() as f64);
+                w.key("selected_outputs").num(d.selected_outputs().len() as f64);
+                w.key("sql").str(&d.current_sql());
+                w.key("state").str(&format!("{:?}", d.state()));
             }
             Command::Crash(_) => {
                 // Test-only hook for the panic-isolation machinery: gated
@@ -416,7 +403,9 @@ impl SessionManager {
                 if crash_enabled() {
                     panic!("deliberate crash requested by the crash command");
                 }
-                Err("crash is disabled; set DBWIPES_ENABLE_CRASH=1 to enable this test hook".into())
+                return Err(
+                    "crash is disabled; set DBWIPES_ENABLE_CRASH=1 to enable this test hook".into(),
+                );
             }
             Command::Ping
             | Command::Tables
@@ -428,6 +417,7 @@ impl SessionManager {
             | Command::Batch(_)
             | Command::StreamAppend { .. } => unreachable!("handled by dispatch"),
         }
+        Ok(())
     }
 }
 
@@ -462,151 +452,102 @@ fn session_command_target(command: &Command) -> Option<u64> {
     }
 }
 
-/// Renders the storage layer's process-wide condition-bitmap cache
-/// counters for the `stats` reply.
-fn condition_bitmaps_json() -> Json {
-    let (hits, misses) = ConditionBitmapCache::global_stats();
-    let total = hits + misses;
-    let hit_rate = if total == 0 { 0.0 } else { hits as f64 / total as f64 };
-    Json::obj(vec![
-        ("hits", Json::num(hits as f64)),
-        ("misses", Json::num(misses as f64)),
-        ("hit_rate", Json::num(hit_rate)),
-    ])
-}
-
-/// Renders the storage layer's process-wide boolean-algebra vectorization
-/// counters for the `stats` reply.
-fn bool_algebra_json() -> Json {
-    let (vectorized, fallbacks) = dbwipes_storage::bool_vectorization_stats();
-    Json::obj(vec![
-        ("vectorized", Json::num(vectorized as f64)),
-        ("fallbacks", Json::num(fallbacks as f64)),
-    ])
-}
-
-/// Renders the pooled executor's counters for the `stats` reply.
-fn pool_json(stats: &PoolStats) -> Json {
+/// Writes the pooled executor's counters as the `stats` reply's `pool`.
+fn write_pool(w: &mut JsonWriter<'_>, stats: &PoolStats) {
     let snapshot = stats.snapshot();
-    Json::obj(vec![
-        ("workers", Json::num(snapshot.workers as f64)),
-        ("queue_depth", Json::num(snapshot.queue_depth as f64)),
-        ("max_connections", Json::num(snapshot.max_connections as f64)),
-        ("queued", Json::num(snapshot.queued as f64)),
-        ("rejected", Json::num(snapshot.rejected as f64)),
-        ("active_connections", Json::num(snapshot.active_connections as f64)),
-        ("peak_connections", Json::num(snapshot.peak_connections as f64)),
-        ("served_connections", Json::num(snapshot.served_connections as f64)),
-        ("commands", Json::num(snapshot.commands as f64)),
-        ("batches", Json::num(snapshot.batches as f64)),
-        ("workers_resurrected", Json::num(snapshot.workers_resurrected as f64)),
-    ])
+    w.key("pool").begin_object();
+    w.key("active_connections").num(snapshot.active_connections as f64);
+    w.key("batches").num(snapshot.batches as f64);
+    w.key("commands").num(snapshot.commands as f64);
+    w.key("max_connections").num(snapshot.max_connections as f64);
+    w.key("peak_connections").num(snapshot.peak_connections as f64);
+    w.key("queue_depth").num(snapshot.queue_depth as f64);
+    w.key("queued").num(snapshot.queued as f64);
+    w.key("rejected").num(snapshot.rejected as f64);
+    w.key("served_connections").num(snapshot.served_connections as f64);
+    w.key("workers").num(snapshot.workers as f64);
+    w.key("workers_resurrected").num(snapshot.workers_resurrected as f64);
+    w.end_object();
 }
 
-fn applied_field(session: &ServerSession) -> (&'static str, Json) {
-    (
-        "applied_predicates",
-        Json::Arr(
-            session
-                .dashboard()
-                .applied_predicates()
-                .iter()
-                .map(|p| Json::str(p.to_string()))
-                .collect(),
-        ),
-    )
+fn write_applied(w: &mut JsonWriter<'_>, session: &ServerSession) {
+    w.key("applied_predicates").begin_array();
+    session.dashboard().applied_predicates().iter().for_each(|p| w.str(&p.to_string()));
+    w.end_array();
 }
 
-fn value_json(value: &Value) -> Json {
-    match value {
-        Value::Null => Json::Null,
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Int(i) => Json::num(*i as f64),
-        Value::Float(f) => Json::num(*f),
-        Value::Timestamp(t) => Json::num(*t as f64),
-        Value::Str(s) => Json::str(s.clone()),
+/// The result the session now displays; after a click or an undo, with
+/// the predicates applied so far.
+fn write_result(w: &mut JsonWriter<'_>, session: &ServerSession, with_applied: bool) {
+    let result = session.dashboard().result().expect("the command just left a result");
+    if with_applied {
+        write_applied(w, session);
     }
+    w.key("columns").begin_array();
+    result.column_names().iter().for_each(|name| w.str(name));
+    w.end_array();
+    w.key("row_count").num(result.len() as f64);
+    w.key("rows").begin_array();
+    for row in &result.rows {
+        w.begin_array();
+        for value in row {
+            match value {
+                Value::Null => w.null(),
+                Value::Bool(b) => w.bool(*b),
+                Value::Int(i) | Value::Timestamp(i) => w.num(*i as f64),
+                Value::Float(f) => w.num(*f),
+                Value::Str(s) => w.str(s),
+            }
+        }
+        w.end_array();
+    }
+    w.end_array();
+    w.key("sql").str(&result.statement.to_sql());
 }
 
-fn result_fields(result: &QueryResult) -> Vec<(&'static str, Json)> {
-    vec![
-        ("sql", Json::str(result.statement.to_sql())),
-        ("columns", Json::Arr(result.column_names().into_iter().map(Json::Str).collect())),
-        (
-            "rows",
-            Json::Arr(
-                result
-                    .rows
-                    .iter()
-                    .map(|row| Json::Arr(row.iter().map(value_json).collect()))
-                    .collect(),
-            ),
-        ),
-        ("row_count", Json::num(result.len() as f64)),
-    ]
+fn write_series(w: &mut JsonWriter<'_>, series: &ScatterSeries) {
+    w.key("series").begin_object();
+    w.key("points").begin_array();
+    for p in &series.points {
+        let (kind, reference) = match p.reference {
+            PointRef::Output(i) => ("output", i),
+            PointRef::Input(r) => ("input", r.0),
+        };
+        w.begin_object();
+        w.key("kind").str(kind);
+        w.key("ref").num(reference as f64);
+        w.key("x").num(p.x);
+        w.key("y").num(p.y);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("x").str(&series.x_label);
+    w.key("y").str(&series.y_label);
+    w.end_object();
 }
 
-fn series_json(series: &ScatterSeries) -> Json {
-    Json::obj(vec![
-        ("x", Json::str(series.x_label.clone())),
-        ("y", Json::str(series.y_label.clone())),
-        (
-            "points",
-            Json::Arr(
-                series
-                    .points
-                    .iter()
-                    .map(|p| {
-                        let (kind, reference) = match p.reference {
-                            PointRef::Output(i) => ("output", i),
-                            PointRef::Input(r) => ("input", r.0),
-                        };
-                        Json::obj(vec![
-                            ("x", Json::num(p.x)),
-                            ("y", Json::num(p.y)),
-                            ("kind", Json::str(kind)),
-                            ("ref", Json::num(reference as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn timings_json(timings: &ComponentTimings) -> Json {
-    Json::obj(vec![
-        ("preprocess_ms", Json::num(timings.preprocess_ms)),
-        ("enumerate_ms", Json::num(timings.enumerate_ms)),
-        ("predicates_ms", Json::num(timings.predicates_ms)),
-        ("rank_ms", Json::num(timings.rank_ms)),
-        ("total_ms", Json::num(timings.total_ms())),
-    ])
-}
-
-fn explanation_fields(explanation: &Explanation) -> Vec<(&'static str, Json)> {
-    vec![
-        (
-            "predicates",
-            Json::Arr(
-                explanation
-                    .predicates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        Json::obj(vec![
-                            ("index", Json::num(i as f64)),
-                            ("predicate", Json::str(p.predicate.to_string())),
-                            ("score", Json::num(p.score)),
-                            ("improvement", Json::num(p.improvement)),
-                            ("f1", Json::num(p.example_f1)),
-                            ("removes", Json::num(p.matched_rows as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("base_error", Json::num(explanation.base_error)),
-        ("timings", timings_json(&explanation.timings)),
-    ]
+fn write_explanation(w: &mut JsonWriter<'_>, explanation: &Explanation, hit: bool, memo: bool) {
+    w.key("base_error").num(explanation.base_error);
+    w.key("cache_hit").bool(hit);
+    w.key("cached").bool(memo);
+    w.key("predicates").begin_array();
+    for (i, p) in explanation.predicates.iter().enumerate() {
+        w.begin_object();
+        w.key("f1").num(p.example_f1);
+        w.key("improvement").num(p.improvement);
+        w.key("index").num(i as f64);
+        w.key("predicate").str(&p.predicate.to_string());
+        w.key("removes").num(p.matched_rows as f64);
+        w.key("score").num(p.score);
+        w.end_object();
+    }
+    w.end_array();
+    let timings = &explanation.timings;
+    w.key("timings").begin_object();
+    w.key("enumerate_ms").num(timings.enumerate_ms);
+    w.key("predicates_ms").num(timings.predicates_ms);
+    w.key("preprocess_ms").num(timings.preprocess_ms);
+    w.key("rank_ms").num(timings.rank_ms);
+    w.key("total_ms").num(timings.total_ms());
+    w.end_object();
 }

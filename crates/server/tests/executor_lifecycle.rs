@@ -291,3 +291,61 @@ fn batch_executes_back_to_back_and_reports_in_stats() {
     let stats = server.stop();
     assert_eq!(stats.batches, 1);
 }
+
+#[test]
+fn a_near_limit_line_in_many_small_writes_is_answered_once() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = TestServer::start(
+        120,
+        PoolConfig {
+            workers: 1,
+            queue_depth: 4,
+            max_connections: 8,
+            idle_timeout: long_idle(),
+            read_timeout: long_idle(),
+        },
+    );
+    // A maximal batch padded (through its echoed ids) to just under the
+    // executor's 1 MiB line cap.
+    let commands = 256;
+    let padding = "p".repeat((1 << 20) / commands - 64);
+    let elements: Vec<String> =
+        (0..commands).map(|i| format!(r#"{{"cmd":"ping","id":"{i}-{padding}"}}"#)).collect();
+    let line = format!("{{\"cmd\":\"batch\",\"commands\":[{}]}}\n", elements.join(","));
+    assert!(line.len() > (1 << 20) - 16 * 1024 && line.len() <= 1 << 20, "{}", line.len());
+
+    let mut stream = std::net::TcpStream::connect(&server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // Far smaller than the server's read chunk, so the line crosses
+    // hundreds of reads before its newline lands.
+    for piece in line.as_bytes().chunks(1_500) {
+        stream.write_all(piece).unwrap();
+    }
+    stream.write_all(b"{\"cmd\":\"ping\",\"id\":\"after\"}\n").unwrap();
+
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let reply = Json::parse(reply.trim()).expect("the batch reply is one JSON line");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(reply.get("count").and_then(Json::as_u64), Some(commands as u64));
+    let results = reply.get("results").unwrap().as_array().unwrap();
+    assert_eq!(results.len(), commands);
+    for (i, result) in results.iter().enumerate() {
+        assert_eq!(result.get("pong"), Some(&Json::Bool(true)), "element {i}");
+        assert_eq!(
+            result.get("id").and_then(Json::as_str),
+            Some(format!("{i}-{padding}").as_str())
+        );
+    }
+    // Answered once: the very next line is the next command's reply.
+    let mut next = String::new();
+    reader.read_line(&mut next).unwrap();
+    let next = Json::parse(next.trim()).unwrap();
+    assert_eq!(next.get("id").and_then(Json::as_str), Some("after"), "{next}");
+
+    let stats = server.stop();
+    assert_eq!(stats.commands, 2, "{stats:?}");
+    assert_eq!(stats.batches, 1);
+}

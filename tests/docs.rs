@@ -114,3 +114,33 @@ fn readme_links_the_reference_docs() {
         assert!(targets.contains(doc), "README.md does not link to {doc}");
     }
 }
+
+/// The reply path's contract is written down where clients and
+/// maintainers look for it, and the tests the docs name exist.
+#[test]
+fn the_reply_path_is_documented() {
+    let root = repo_root();
+    let needles: [(&str, &[&str]); 2] = [
+        ("docs/PROTOCOL.md", &["ascending byte order", "byte-stable", "reply_goldens.rs"]),
+        (
+            "docs/ARCHITECTURE.md",
+            &[
+                "`JsonWriter`",
+                "handle_line_into",
+                "start-of-reply mark",
+                "one socket write",
+                "reply_goldens.rs",
+                "tests/reply_path_prop.rs",
+            ],
+        ),
+    ];
+    for (doc, needles) in needles {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for needle in needles {
+            assert!(text.contains(needle), "{doc} must mention {needle}");
+        }
+    }
+    for test in ["crates/server/tests/reply_goldens.rs", "tests/reply_path_prop.rs"] {
+        assert!(root.join(test).exists(), "the docs name {test}");
+    }
+}

@@ -1,0 +1,394 @@
+//! Property tests for the reply path: the `JsonWriter` push encoder against
+//! the parser and the number / string rules it must keep, and the columnar
+//! `zoom_series` / sort+dedup `inputs_of_groups` against the definitions
+//! they replaced (kept here, verbatim, as the reference).
+
+use dbwipes::dashboard::{zoom_series, Brush, DashboardSession};
+use dbwipes::engine::{execute, parse_select, ExecOptions, QueryResult};
+use dbwipes::storage::{DataType, Schema, Value};
+use dbwipes::{DbWipes, RowId, Table};
+use dbwipes_server::{Json, JsonWriter, WireError};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A small deterministic generator, so one `u64` from the (non-recursive)
+/// proptest shim can grow a whole tree.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn string(&mut self) -> String {
+        const ALPHABET: &str =
+            "aZ0 \"\\/\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}éß→日😀\u{10ffff}{[:,";
+        let alphabet: Vec<char> = ALPHABET.chars().collect();
+        (0..self.below(6)).map(|_| alphabet[self.below(alphabet.len() as u64) as usize]).collect()
+    }
+
+    fn number(&mut self) -> f64 {
+        match self.below(9) {
+            0 => self.below(1000) as f64,
+            // Short decimals of every length, the encoder's fast path...
+            1 => -(self.below(1_000_000) as f64) / 100.0,
+            2 => self.below(1_000_000_000_000_000) as f64 / 10f64.powi(self.below(9) as i32),
+            // ...their neighbouring doubles, which are not short...
+            3 => {
+                let short = self.below(1_000_000_000) as f64 / 1e3;
+                f64::from_bits(short.to_bits().wrapping_add(self.below(5)).wrapping_sub(2))
+            }
+            // ...and the magnitudes around where it stops applying.
+            4 => self.below(10_000_000_000_000_000_000) as f64 / 1e6,
+            5 => f64::from_bits(self.next()),
+            6 => self.next() as f64,
+            7 => (self.below(2_000_001) as f64 - 1_000_000.0) * 1e10,
+            _ => 1.0 / (1.0 + self.below(1_000_000) as f64),
+        }
+    }
+
+    fn json(&mut self, depth: u32) -> Json {
+        match self.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(self.below(2) == 0),
+            2 => Json::Num(self.number()),
+            3 => Json::Str(self.string()),
+            4 => Json::Arr((0..self.below(4)).map(|_| self.json(depth - 1)).collect()),
+            _ => {
+                let pairs: Vec<(String, Json)> =
+                    (0..self.below(4)).map(|_| (self.string(), self.json(depth - 1))).collect();
+                Json::obj(pairs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect())
+            }
+        }
+    }
+}
+
+/// The number rule of the tree encoder this crate had before `JsonWriter`.
+fn reference_number(n: f64) -> String {
+    if !n.is_finite() {
+        "null".to_string()
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
+/// The string rule of that encoder, character by character.
+fn reference_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// NaN never equals itself and renders as `null`; compare what survives.
+fn without_non_finite(value: &Json) -> Json {
+    match value {
+        Json::Num(n) if !n.is_finite() => Json::Null,
+        Json::Arr(items) => Json::Arr(items.iter().map(without_non_finite).collect()),
+        Json::Obj(map) => {
+            Json::Obj(map.iter().map(|(k, v)| (k.clone(), without_non_finite(v))).collect())
+        }
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn numbers_render_by_the_old_rule_on_the_edges() {
+    let edges = [
+        (f64::NAN, "null"),
+        (f64::INFINITY, "null"),
+        (f64::NEG_INFINITY, "null"),
+        (0.0, "0"),
+        (-0.0, "0"),
+        (-1.0, "-1"),
+        (0.1, "0.1"),
+        (8_999_999_999_999_999.0, "8999999999999999"),
+        (-8_999_999_999_999_999.0, "-8999999999999999"),
+        (9e15, "9000000000000000"),
+        (9_007_199_254_740_993.0, "9007199254740992"),
+        (u64::MAX as f64, "18446744073709552000"),
+        (i64::MIN as f64, "-9223372036854776000"),
+        (1e21, "1000000000000000000000"),
+        (5e-324, &format!("{}", 5e-324)),
+        (f64::MIN_POSITIVE, &format!("{}", f64::MIN_POSITIVE)),
+        (1e300, &format!("{}", 1e300)),
+        (f64::MAX, &format!("{}", f64::MAX)),
+    ];
+    for (n, expected) in edges {
+        assert_eq!(Json::Num(n).to_string(), expected, "{n:e}");
+        assert_eq!(reference_number(n), expected, "{n:e}");
+        if n.is_finite() {
+            let back = Json::parse(expected).unwrap().as_f64().unwrap();
+            assert_eq!(back, n, "{expected} must read back as {n:e}");
+        }
+    }
+    assert_eq!(Json::Num(1e300).to_string().len(), 301, "no exponent form");
+}
+
+#[test]
+fn every_control_byte_and_escape_reads_back() {
+    for byte in 0u8..0x80 {
+        let s = format!("a{}b", byte as char);
+        let rendered = Json::str(s.clone()).to_string();
+        assert_eq!(rendered, reference_string(&s), "byte {byte:#x}");
+        assert_eq!(Json::parse(&rendered).unwrap(), Json::str(s), "byte {byte:#x}");
+    }
+    // Escapes the encoder never produces still parse to what it prints raw.
+    let parsed = Json::parse(r#""\ud83d\ude00 \u00e9 \/ \b \f""#).unwrap();
+    assert_eq!(parsed, Json::str("😀 é / \u{8} \u{c}"));
+    assert_eq!(parsed.to_string(), "\"😀 é / \\u0008 \\u000c\"");
+}
+
+/// A random table with NULLs and every axis type `zoom` can be pointed at.
+fn arbitrary_table() -> impl Strategy<Value = Table> {
+    let row = (
+        0i64..5,
+        proptest::option::of(any::<bool>()),
+        proptest::option::of(0u8..4),
+        proptest::option::of(-50.0..150.0f64),
+        0i64..1_000,
+    );
+    proptest::collection::vec(row, 1..80).prop_map(|rows| {
+        let schema = Schema::of(&[
+            ("grp", DataType::Int),
+            ("flag", DataType::Bool),
+            ("name", DataType::Str),
+            ("value", DataType::Float),
+            ("ts", DataType::Timestamp),
+        ]);
+        let mut t = Table::new("m", schema).unwrap();
+        for (grp, flag, name, value, ts) in rows {
+            t.push_row(vec![
+                Value::Int(grp),
+                flag.map_or(Value::Null, Value::Bool),
+                name.map_or(Value::Null, |n| Value::Str(format!("n{n}"))),
+                value.map_or(Value::Null, Value::Float),
+                Value::Timestamp(ts),
+            ])
+            .unwrap();
+        }
+        t
+    })
+}
+
+const AXES: &[&str] = &["grp", "flag", "name", "value", "ts", "VALUE", "missing"];
+
+fn grouped(table: &Table) -> QueryResult {
+    let stmt = parse_select("SELECT grp, avg(value) FROM m GROUP BY grp").unwrap();
+    execute(table, &stmt, ExecOptions::default()).unwrap()
+}
+
+/// `Lineage::inputs_of_groups` as it was: a `BTreeSet` over the groups.
+fn reference_inputs(result: &QueryResult, outputs: &[usize]) -> Vec<RowId> {
+    let mut set = BTreeSet::new();
+    for &g in outputs {
+        set.extend(result.inputs_of(g).iter().copied());
+    }
+    set.into_iter().collect()
+}
+
+/// `zoom_series` as it was: one `Value` per coordinate through
+/// `Table::value_by_name`.
+fn reference_zoom(
+    table: &Table,
+    result: &QueryResult,
+    outputs: &[usize],
+    x: &str,
+    y: &str,
+) -> Option<Vec<(u64, u64, RowId)>> {
+    table.schema().index_of(x)?;
+    table.schema().index_of(y)?;
+    Some(
+        reference_inputs(result, outputs)
+            .into_iter()
+            .filter_map(|rid| {
+                let px = table.value_by_name(rid, x).ok()?.as_f64()?;
+                let py = table.value_by_name(rid, y).ok()?.as_f64()?;
+                Some((px.to_bits(), py.to_bits(), rid))
+            })
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `parse(to_string(x)) == x` for any tree (NaN and the infinities,
+    /// which JSON cannot carry, become `null`), and printing is a fixed
+    /// point from there on.
+    #[test]
+    fn random_trees_round_trip(seed in any::<u64>()) {
+        let tree = Gen(seed | 1).json(3);
+        let text = tree.to_string();
+        let back = Json::parse(&text).map_err(|e| format!("{text}: {e}"))?;
+        prop_assert_eq!(&back, &without_non_finite(&tree));
+        prop_assert_eq!(back.to_string(), text);
+    }
+
+    /// Numbers and strings render exactly as the tree encoder rendered them.
+    #[test]
+    fn scalars_render_by_the_old_rules(seed in any::<u64>()) {
+        let mut gen = Gen(seed | 1);
+        for _ in 0..64 {
+            let n = gen.number();
+            prop_assert_eq!(Json::Num(n).to_string(), reference_number(n));
+        }
+        let s = gen.string();
+        prop_assert_eq!(Json::str(s.clone()).to_string(), reference_string(&s));
+    }
+
+    /// A reply pushed field by field is the reply the tree builder made:
+    /// the payload in key order with `id` and `ok` merged in.
+    #[test]
+    fn pushed_replies_equal_built_trees(seed in any::<u64>(), with_id in any::<bool>()) {
+        let mut gen = Gen(seed | 1);
+        let mut expected = BTreeMap::new();
+        for key in ["alpha", "cached", "h", "id_", "j", "oj", "ok_", "zeta"] {
+            if gen.below(2) == 0 {
+                expected.insert(key.to_string(), gen.json(2));
+            }
+        }
+        let id = with_id.then(|| gen.json(1));
+
+        let mut line = String::new();
+        let mut reply = JsonWriter::reply(&mut line, id.as_ref());
+        for (k, v) in &expected {
+            reply.key(k).value(v);
+        }
+        reply.end_object();
+
+        expected.insert("ok".to_string(), Json::Bool(true));
+        expected.extend(id.clone().map(|id| ("id".to_string(), id)));
+        prop_assert_eq!(line, Json::Obj(expected).to_string());
+    }
+
+    /// A handler that fails — by `Err` or by panicking — after writing
+    /// some fields, even half a nested value, leaves exactly the error
+    /// envelope.
+    #[test]
+    fn a_failed_handler_leaves_exactly_the_error_envelope(
+        seed in any::<u64>(),
+        with_id in any::<bool>(),
+        structured in any::<bool>(),
+        panics in any::<bool>(),
+    ) {
+        let mut gen = Gen(seed | 1);
+        let id = with_id.then(|| gen.json(1));
+        let message = gen.string();
+        let error = if structured {
+            WireError::internal(message.clone())
+        } else {
+            WireError::from(message.clone())
+        };
+
+        let mut line = String::new();
+        let mut reply = JsonWriter::reply(&mut line, id.as_ref());
+        let handler = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reply.key("applied_predicates").begin_array();
+            reply.str("p");
+            reply.end_array();
+            reply.key("rows").begin_array();
+            reply.begin_array();
+            reply.num(1.5);
+            if panics {
+                std::panic::resume_unwind(Box::new("handler died"));
+            }
+        }));
+        prop_assert_eq!(handler.is_err(), panics);
+        error.write_to(reply);
+
+        let rendered_error = if structured {
+            Json::obj(vec![
+                ("kind", Json::str("internal")),
+                ("retryable", Json::Bool(false)),
+                ("message", Json::str(message)),
+            ])
+        } else {
+            Json::str(message)
+        };
+        let mut expected = vec![("error", rendered_error), ("ok", Json::Bool(false))];
+        expected.extend(id.clone().map(|id| ("id", id)));
+        prop_assert_eq!(line, Json::obj(expected).to_string());
+    }
+
+    /// `inputs_of_rows` (sort + dedup) equals the `BTreeSet` definition,
+    /// with duplicate and out-of-range outputs selected.
+    #[test]
+    fn inputs_of_groups_equals_the_set_definition(
+        table in arbitrary_table(),
+        outputs in proptest::collection::vec(0usize..8, 0..10),
+    ) {
+        let result = grouped(&table);
+        prop_assert_eq!(result.inputs_of_rows(&outputs), reference_inputs(&result, &outputs));
+    }
+
+    /// `zoom_series` equals its per-`Value` definition on every axis type,
+    /// bit for bit, including against a table shorter than the lineage
+    /// (out-of-range rows are skipped), and `brush_inputs` selects the
+    /// same rows from it.
+    #[test]
+    fn zoom_and_brush_equal_their_value_definitions(
+        table in arbitrary_table(),
+        outputs in proptest::collection::vec(0usize..8, 0..10),
+        x in 0usize..AXES.len(),
+        y in 0usize..AXES.len(),
+        keep in 1usize..80,
+        y_min in -60.0..160.0f64,
+    ) {
+        let (x, y) = (AXES[x], AXES[y]);
+        let result = grouped(&table);
+        let mut shorter = Table::new("m", table.schema().clone()).unwrap();
+        for r in 0..keep.min(table.num_rows()) {
+            shorter.push_row(table.row(RowId(r)).unwrap()).unwrap();
+        }
+        for t in [&table, &shorter] {
+            let got = zoom_series(t, &result, &outputs, x, y).map(|s| {
+                prop_assert_eq!(s.x_label.as_str(), x);
+                prop_assert_eq!(s.y_label.as_str(), y);
+                Ok(s.points
+                    .iter()
+                    .map(|p| match p.reference {
+                        dbwipes::dashboard::PointRef::Input(rid) => (p.x.to_bits(), p.y.to_bits(), rid),
+                        other => panic!("zoom plots inputs, got {other:?}"),
+                    })
+                    .collect::<Vec<_>>())
+            }).transpose()?;
+            prop_assert_eq!(got, reference_zoom(t, &result, &outputs, x, y));
+        }
+
+        // The session-level brush over the same zoom.
+        let mut db = DbWipes::new();
+        db.register(table.clone()).unwrap();
+        let mut session = DashboardSession::new(db);
+        session.run_query("SELECT grp, avg(value) FROM m GROUP BY grp").unwrap();
+        session.select_outputs(outputs.clone());
+        let brush = Brush::above(y_min);
+        let expected: Vec<RowId> = reference_zoom(&table, &result, &outputs, x, y)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|&(_, py, _)| f64::from_bits(py) >= y_min)
+            .map(|(_, _, rid)| rid)
+            .collect();
+        prop_assert_eq!(session.brush_inputs(x, y, brush), expected.clone());
+        prop_assert_eq!(session.selected_inputs(), expected.as_slice());
+    }
+}
