@@ -1,16 +1,20 @@
 //! # dbwipes-bench
 //!
-//! The experiment harness of the DBWipes reproduction. Every figure of the
-//! paper and every quantitative experiment listed in DESIGN.md has:
+//! The experiment harness of the DBWipes reproduction: what reproduces the
+//! paper's figures and quality experiments, not what times the system.
+//! Latency — end to end and per layer — is measured by the repository's one
+//! benchmark, `BENCHMARK.json` + `benchmark/`, against the real server.
 //!
-//! * a **report binary** in `src/bin/` (`cargo run --release -p dbwipes-bench
-//!   --bin fig7_fec_walkthrough`, ...) that regenerates the figure's
-//!   numbers / rows and prints them as a table, and
-//! * a **Criterion bench** in `benches/` measuring the latency of the code
-//!   paths involved (`cargo bench -p dbwipes-bench`).
+//! * **Report binaries** in `src/bin/` (`cargo run --release -p dbwipes-bench
+//!   --bin fig7_fec_walkthrough`, ...): `fig1`/`fig4`/`fig6`/`fig7`
+//!   regenerate a figure's numbers / rows and `exp5`–`exp8` the
+//!   precision-versus-baselines and ablation tables, each printed as a
+//!   table.
+//! * **`soak_client`**, the load generator CI's soak and chaos jobs run
+//!   against a release `dbwipes-server`.
 //!
-//! This library holds the pieces shared between them: deterministic dataset
-//! construction, standard selections of S / D′ / ε for the two demo
+//! This library holds the pieces the report binaries share: deterministic
+//! dataset construction, standard selections of S / D′ / ε for the demo
 //! scenarios, and small table-printing helpers.
 
 #![deny(missing_docs)]

@@ -300,20 +300,12 @@ impl DashboardSession {
     /// caller kept a cache alive across brushes (the server's
     /// `CacheRegistry`). The cache must have been built for the current
     /// result's statement over the session's current table data; a
-    /// mismatched statement is rejected by the backend.
-    pub fn debug_with_cache(
-        &mut self,
-        cache: &GroupedAggregateCache<'_>,
-    ) -> Result<&Explanation, CoreError> {
-        self.debug_with_cache_and_partitioner(cache, &dbwipes_core::FreshPartitioner)
-    }
-
-    /// [`DashboardSession::debug_with_cache`] with an explicit
-    /// [`ShardPartitioner`](dbwipes_core::ShardPartitioner): when the
-    /// explain config asks for a sharded ranking, the pipeline draws its
-    /// partition from `partitioner` — the server passes its registry here
-    /// so repeated sharded explains of an unchanged table reuse one
-    /// retained partition instead of re-hashing every row per explain.
+    /// mismatched statement is rejected by the backend. When the explain
+    /// config asks for a sharded ranking, the pipeline draws its partition
+    /// from the [`ShardPartitioner`](dbwipes_core::ShardPartitioner) — the
+    /// server passes its registry here so repeated sharded explains of an
+    /// unchanged table reuse one retained partition instead of re-hashing
+    /// every row per explain.
     pub fn debug_with_cache_and_partitioner(
         &mut self,
         cache: &GroupedAggregateCache<'_>,
@@ -403,6 +395,7 @@ impl DashboardSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbwipes_core::FreshPartitioner;
     use dbwipes_data::{generate_sensor, SensorConfig};
 
     fn session() -> (DashboardSession, dbwipes_data::SensorDataset) {
@@ -524,10 +517,10 @@ mod tests {
         )
         .unwrap();
         let wrong = GroupedAggregateCache::build(&table, &wrong_stmt).unwrap();
-        assert!(s.debug_with_cache(&wrong).is_err());
+        assert!(s.debug_with_cache_and_partitioner(&wrong, &FreshPartitioner).is_err());
 
         let cached: Vec<_> = s
-            .debug_with_cache(&cache)
+            .debug_with_cache_and_partitioner(&cache, &FreshPartitioner)
             .unwrap()
             .predicates
             .iter()

@@ -31,22 +31,13 @@
 //! `peak_connections` alongside the cache registry's numbers.
 
 use crate::json::Json;
-use crate::manager::SessionManager;
+use crate::manager::{lock_recover, SessionManager};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Recovers a mutex guard even when a previous holder panicked: the
-/// executor's locks guard plain bookkeeping (queue contents, join
-/// handles), which stays structurally valid across an unwind, so serving
-/// beats dying. The fault-tolerance sweep (PR 10) replaced every
-/// `expect("… lock poisoned")` in this module with this.
-fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(|poison| poison.into_inner())
-}
 
 /// How often blocking reads and the acceptor wake up to poll the shutdown
 /// flag. Short enough that a ctrl-line drains promptly, long enough to

@@ -96,9 +96,10 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (the whole input must be one value).
+    /// Parses a JSON document (the whole input must be one value, nested
+    /// at most [`MAX_NESTING`] deep).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -422,9 +423,19 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, and a stack overflow is an abort, not a
+/// panic the server's `catch_unwind` could contain — so the depth an
+/// attacker-chosen line may reach is bounded here. The deepest legitimate
+/// request (`batch` → command → `rows` → row → cell) is 5 deep and the
+/// deepest reply (`batch` → `results` → series → points → point) under 10.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -453,8 +464,18 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nesting deeper than {MAX_NESTING} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -666,6 +687,19 @@ mod tests {
             round_trip(r#"{"a":[1,2,{"b":null}],"c":{"d":true}}"#),
             r#"{"a":[1,2,{"b":null}],"c":{"d":true}}"#
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}")] {
+            let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+            let error = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+            let offset = open.len() * MAX_NESTING;
+            assert_eq!(error, format!("nesting deeper than 64 levels at byte {offset}"));
+        }
+        // Siblings do not count as depth.
+        assert!(Json::parse(&format!("[{}]", vec!["[[1]]"; 1000].join(","))).is_ok());
     }
 
     #[test]

@@ -45,9 +45,15 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Mutex twin of [`read_recover`], for service-internal mutexes whose
-/// critical sections never run user command code.
-fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Mutex twin of [`read_recover`], for every service-internal mutex of
+/// the crate. Recovering is sound for each of them because no critical
+/// section runs user command code and every update under the lock leaves
+/// the data valid at each step: the quarantine map here and the executor's
+/// queue and join handles are plain bookkeeping, and the cache registry
+/// only inserts, removes or bumps a counter (builds run *outside* its lock
+/// behind a reservation guard) — so serving beats taking every connection
+/// or cache-backed command down with one dead thread.
+pub(crate) fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
@@ -109,19 +115,6 @@ impl ServerSession {
     /// Counts one served command (called by the protocol layer).
     pub(crate) fn record_command(&mut self) {
         self.commands += 1;
-    }
-
-    /// Runs `debug!` through the registry, keeping only the boolean
-    /// "any shared tier hit" flag. Convenience over [`debug_cached`]
-    /// (the protocol layer additionally surfaces the memo flag).
-    ///
-    /// [`debug_cached`]: ServerSession::debug_cached
-    pub fn debug_cached_hit(
-        &mut self,
-        registry: &CacheRegistry,
-    ) -> Result<(&Explanation, bool), CoreError> {
-        let (explanation, report) = self.debug_cached(registry)?;
-        Ok((explanation, report.cache_hit))
     }
 
     /// Runs `debug!` through the shared two-tier registry: an unchanged
@@ -703,8 +696,7 @@ mod tests {
             let outputs: Vec<usize> = (0..s.dashboard().result().unwrap().len()).collect();
             s.dashboard_mut().select_outputs(outputs);
             s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 4.0));
-            let (_, hit) = s.debug_cached_hit(m.registry()).unwrap();
-            hit
+            s.debug_cached(m.registry()).unwrap().1.cache_hit
         };
         let a = m.open_session();
         assert!(!run_debug(a), "first explain ever must build");
@@ -737,15 +729,15 @@ mod tests {
         s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 4.0));
 
         s.dashboard_mut().select_outputs(vec![0]);
-        let (_, hit) = s.debug_cached_hit(m.registry()).unwrap();
-        assert!(!hit, "first ever debug builds everything");
+        let (_, report) = s.debug_cached(m.registry()).unwrap();
+        assert!(!report.cache_hit, "first ever debug builds everything");
 
         // A different ε on the same statement: the pipeline must rerun
         // (different request), but over the retained aggregate cache.
         s.dashboard_mut().select_outputs(vec![0]);
         s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 5.0));
-        let (_, hit) = s.debug_cached_hit(m.registry()).unwrap();
-        assert!(hit, "the statement-level cache must be reused");
+        let (_, report) = s.debug_cached(m.registry()).unwrap();
+        assert!(report.cache_hit && !report.memo_hit, "the statement-level cache must be reused");
         let stats = m.registry().stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
         assert_eq!((stats.explanation_misses, stats.explanation_hits), (2, 0));

@@ -53,21 +53,12 @@
 //! same dashboard pay for one cache build — and one pipeline run, if they
 //! brushed the same selection — between them.
 
+use crate::manager::lock_recover;
 use dbwipes_core::{CoreError, Explanation, ExplanationRequest, ShardPartitioner};
 use dbwipes_engine::{CacheFingerprint, EngineError, GroupedAggregateCache};
 use dbwipes_storage::{RowId, ShardedTable, Table, TableEpoch};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Recovers the registry guard even when a previous holder panicked mid-
-/// operation. Every mutation under this lock is a single-step map insert,
-/// remove, or counter bump — there is no multi-step invariant a panic can
-/// leave half-applied (builds run *outside* the lock behind
-/// [`ReservationGuard`]), so recovering serves where poisoning would take
-/// down every cache-backed command with it.
-fn lock_recover<'a, T>(lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    lock.lock().unwrap_or_else(|poison| poison.into_inner())
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Identifies one exact `debug!` request: the statement over the exact
 /// table data ([`CacheFingerprint`]) plus everything else an
@@ -228,8 +219,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Aggregate-cache entries dropped to respect the capacity bound.
     pub evictions: u64,
-    /// Entries (either tier) dropped by
-    /// [`CacheRegistry::invalidate_table`] or [`CacheRegistry::clear`].
+    /// Entries (any tier) dropped by [`CacheRegistry::invalidate_table`].
     pub invalidations: u64,
     /// Aggregate-cache lookups served by fast-forwarding an append-variant
     /// sibling through [`GroupedAggregateCache::absorb_append`] instead of
@@ -310,36 +300,6 @@ impl CacheRegistry {
     /// The capacity bound.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Looks up a live cache for `fingerprint`, counting a hit or miss.
-    /// Waits for an in-flight build of the same fingerprint to resolve
-    /// rather than reporting a spurious miss.
-    pub fn get(
-        &self,
-        fingerprint: &CacheFingerprint,
-    ) -> Option<Arc<GroupedAggregateCache<'static>>> {
-        let mut inner = lock_recover(&self.inner);
-        loop {
-            inner.tick += 1;
-            let tick = inner.tick;
-            match inner.entries.get_mut(fingerprint) {
-                Some(Slot::Ready { cache, last_used }) => {
-                    *last_used = tick;
-                    let cache = Arc::clone(cache);
-                    inner.hits += 1;
-                    return Some(cache);
-                }
-                Some(Slot::Building) => {
-                    inner =
-                        self.build_done.wait(inner).unwrap_or_else(|poison| poison.into_inner());
-                }
-                None => {
-                    inner.misses += 1;
-                    return None;
-                }
-            }
-        }
     }
 
     /// Returns the cache for `fingerprint`, building (and retaining) it
@@ -674,18 +634,6 @@ impl CacheRegistry {
         removed
     }
 
-    /// Drops every finished cache, memoized explanation and retained
-    /// partition.
-    pub fn clear(&self) {
-        let mut inner = lock_recover(&self.inner);
-        let before = inner.entries.len() + inner.explanations.len();
-        inner.entries.retain(|_, slot| matches!(slot, Slot::Building));
-        inner.explanations.clear();
-        inner.partitions.clear();
-        let removed = before - inner.entries.len();
-        inner.invalidations += removed as u64;
-    }
-
     /// Number of live (finished) entries.
     pub fn len(&self) -> usize {
         lock_recover(&self.inner).ready_len()
@@ -752,6 +700,13 @@ mod tests {
         let fp = CacheFingerprint::of(t, &stmt);
         let cache = GroupedAggregateCache::build_shared(Arc::clone(t), &stmt).unwrap();
         (fp, cache)
+    }
+
+    /// Whether `fp` is retained: a lookup whose build refuses, so a miss
+    /// retains nothing. Like every lookup it counts a hit or a miss and
+    /// touches the LRU order.
+    fn retained(registry: &CacheRegistry, fp: &CacheFingerprint) -> bool {
+        registry.get_or_build(fp.clone(), || Err(EngineError::plan("not retained"))).is_ok()
     }
 
     #[test]
@@ -832,7 +787,7 @@ mod tests {
         let mut mutated = (*t).clone();
         mutated.delete_row(dbwipes_storage::RowId(0)).unwrap();
         let (fp2, cache2) = build_for(&Arc::new(mutated), "SELECT g, avg(v) FROM r GROUP BY g");
-        assert!(registry.get(&fp2).is_none(), "stale cache must not be found");
+        assert!(!retained(&registry, &fp2), "stale cache must not be found");
         registry.get_or_build(fp2, || Ok(cache2)).unwrap();
         assert_eq!(registry.len(), 2);
     }
@@ -847,12 +802,12 @@ mod tests {
         registry.get_or_build(fp_a.clone(), || Ok(a)).unwrap();
         registry.get_or_build(fp_b.clone(), || Ok(b)).unwrap();
         // Touch A so B becomes the LRU victim.
-        assert!(registry.get(&fp_a).is_some());
+        assert!(retained(&registry, &fp_a));
         registry.get_or_build(fp_c.clone(), || Ok(c)).unwrap();
         assert_eq!(registry.len(), 2);
-        assert!(registry.get(&fp_b).is_none(), "B was least recently used");
-        assert!(registry.get(&fp_a).is_some());
-        assert!(registry.get(&fp_c).is_some());
+        assert!(!retained(&registry, &fp_b), "B was least recently used");
+        assert!(retained(&registry, &fp_a));
+        assert!(retained(&registry, &fp_c));
         assert_eq!(registry.stats().evictions, 1);
     }
 
@@ -867,10 +822,10 @@ mod tests {
         registry.get_or_build(fp_d.clone(), || Ok(cd)).unwrap();
         // Case-insensitive, like the catalog.
         assert_eq!(registry.invalidate_table("READINGS"), 1);
-        assert!(registry.get(&fp_r).is_none());
-        assert!(registry.get(&fp_d).is_some());
+        assert!(!retained(&registry, &fp_r));
+        assert!(retained(&registry, &fp_d));
         assert_eq!(registry.stats().invalidations, 1);
-        registry.clear();
+        assert_eq!(registry.invalidate_table("donations"), 1);
         assert!(registry.is_empty());
     }
 
@@ -925,8 +880,11 @@ mod tests {
         registry.get_or_partition(&r, "g", 2).unwrap();
         let stats = registry.stats();
         assert_eq!((stats.partition_hits, stats.partition_misses), (1, 3));
-        registry.clear();
-        assert_eq!(registry.stats().partition_entries, 0);
+        // Dropped partitions are counted like dropped caches.
+        assert_eq!(registry.invalidate_table("readings"), 1);
+        assert_eq!(registry.invalidate_table("DONATIONS"), 1);
+        let stats = registry.stats();
+        assert_eq!((stats.partition_entries, stats.invalidations), (0, 3));
     }
 
     #[test]
@@ -942,7 +900,7 @@ mod tests {
         // lookup is a pure hit — the restart invariant the stats assert.
         let stats = registry.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 2));
-        assert!(registry.get(&fp_a).is_some());
+        assert!(retained(&registry, &fp_a));
         assert_eq!(registry.stats().hits, 1);
 
         // A second insert for the same fingerprint is refused.
@@ -960,7 +918,7 @@ mod tests {
         let (fp_c, c) = build_for(&t, "SELECT g, count(v) FROM r GROUP BY g");
         assert!(registry.insert_prebuilt(fp_c, Arc::new(c)));
         assert_eq!(registry.len(), 2);
-        assert!(registry.get(&fp_b).is_none(), "B was the LRU victim");
+        assert!(!retained(&registry, &fp_b), "B was the LRU victim");
         assert_eq!(registry.stats().evictions, 1);
     }
 
@@ -1001,7 +959,7 @@ mod tests {
         let fresh = GroupedAggregateCache::build_shared(Arc::clone(&grown), &stmt).unwrap();
         assert_eq!(absorbed.full_result().rows, fresh.full_result().rows);
         // And the new fingerprint now hits verbatim.
-        assert!(registry.get(&fp2).is_some());
+        assert!(retained(&registry, &fp2));
 
         // A second appended batch fast-forwards again.
         let mut grown2 = (*grown).clone();

@@ -349,3 +349,44 @@ fn a_near_limit_line_in_many_small_writes_is_answered_once() {
     assert_eq!(stats.commands, 2, "{stats:?}");
     assert_eq!(stats.batches, 1);
 }
+
+/// The lines that overflowed the PR 15 server's stack (a worker's is
+/// smaller than `main`'s): runs of `[` and of `{"a":` just under the line
+/// cap. A stack overflow aborts the process — no `catch_unwind`, no
+/// quarantine, no worker resurrection sees it — so the parser must turn
+/// them away by depth, and the *same connection* must keep answering.
+#[test]
+fn a_deeply_nested_line_is_refused_and_the_connection_keeps_serving() {
+    let server = TestServer::start(
+        120,
+        PoolConfig {
+            workers: 1,
+            queue_depth: 4,
+            max_connections: 8,
+            idle_timeout: long_idle(),
+            read_timeout: long_idle(),
+        },
+    );
+    let mut a = server.connect();
+    assert_eq!(a.roundtrip(r#"{"cmd":"ping"}"#).get("pong"), Some(&Json::Bool(true)));
+    for hostile in ["[".repeat(900_000), r#"{"a":"#.repeat(180_000)] {
+        // Pipelined with the ping behind it: both are answered, in order.
+        a.send(&hostile);
+        a.send(r#"{"cmd":"ping","id":"after"}"#);
+        let reply = a.read_reply();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nesting deeper than 64 levels at byte "), "{error}");
+        let next = a.read_reply();
+        assert_eq!(next.get("id").and_then(Json::as_str), Some("after"), "{next}");
+        assert_eq!(next.get("pong"), Some(&Json::Bool(true)), "{next}");
+    }
+    let health = a.roundtrip(r#"{"cmd":"stats"}"#);
+    let health = health.get("health").expect("stats carries a health block");
+    assert_eq!(health.get("panics_caught").and_then(Json::as_u64), Some(0), "{health}");
+    assert_eq!(health.get("quarantined_sessions").and_then(Json::as_u64), Some(0), "{health}");
+
+    let stats = server.stop();
+    assert_eq!(stats.commands, 6, "{stats:?}");
+    assert_eq!(stats.served_connections, 1, "one connection served it all: {stats:?}");
+}

@@ -187,4 +187,84 @@ proptest! {
         prop_assert_eq!(&incremental.rows, &full.rows);
         prop_assert_eq!(&incremental.group_keys, &full.group_keys);
     }
+
+    /// The ranker on top of the cache, against the per-candidate execution
+    /// it replaced: for a pool of `device = k` candidates (the conjunction
+    /// `device = k AND value > 10` included), a random brushed S and a
+    /// random D′, every ranked entry's ε-after, improvement, F1 and score
+    /// equal those recomputed from re-executing the statement rewritten
+    /// with `AND NOT (candidate)`, and the order is by that score.
+    #[test]
+    fn ranker_matches_per_candidate_reexecution(
+        table in arbitrary_table(),
+        threshold in -100i64..300,
+        brushed in proptest::collection::vec(0usize..24, 1..4),
+        examples in arbitrary_exclusions(),
+    ) {
+        use dbwipes::core::ranker::error_over_keys;
+        use dbwipes::core::{rank_predicates, ErrorMetric, RankerConfig};
+        use dbwipes::storage::{Condition, ConjunctivePredicate};
+        use std::collections::BTreeSet;
+
+        let stmt = parse_select("SELECT grp, avg(value), count(*) FROM m GROUP BY grp").unwrap();
+        let result = execute(&table, &stmt, ExecOptions { capture_lineage: true }).unwrap();
+        let selected: Vec<usize> = brushed.iter().map(|i| i % result.len()).collect();
+        let metric = ErrorMetric::too_high("avg_value", threshold as f64 / 2.0);
+        let config = RankerConfig { max_results: 100, ..RankerConfig::default() };
+        let mut pool: Vec<ConjunctivePredicate> = (0..6i64)
+            .map(|k| ConjunctivePredicate::new(vec![Condition::equals("device", k)]))
+            .collect();
+        pool.push(ConjunctivePredicate::new(vec![
+            Condition::equals("device", 1i64),
+            Condition::above("value", 10.0),
+        ]));
+        let candidates = pool.len();
+        let ranked =
+            rank_predicates(&table, &result, &selected, &examples, &metric, pool, &config).unwrap();
+        prop_assert_eq!(ranked.len(), candidates);
+        prop_assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score), "not sorted by score");
+
+        let error_before = metric.evaluate_result(&result, &selected);
+        let f_set: BTreeSet<RowId> = result.inputs_of_rows(&selected).into_iter().collect();
+        // Distinct examples, in the table or not: the recall denominator.
+        let example_set: BTreeSet<RowId> = examples.iter().copied().collect();
+        let keys: Vec<Vec<Value>> = selected.iter().map(|&i| result.group_keys[i].clone()).collect();
+        for entry in &ranked {
+            let predicate = &entry.predicate;
+            let rewritten = stmt.with_additional_filter(predicate.to_exclusion_expr());
+            let cleaned =
+                execute(&table, &rewritten, ExecOptions { capture_lineage: false }).unwrap();
+            let error_after = error_over_keys(&cleaned, &keys, &metric);
+            let improvement = if error_before > 0.0 {
+                ((error_before - error_after) / error_before).clamp(-1.0, 1.0)
+            } else {
+                0.0
+            };
+            let matched = predicate.matching_rows(&table);
+            let in_f: Vec<&RowId> = matched.iter().filter(|r| f_set.contains(r)).collect();
+            let tp = in_f.iter().filter(|r| example_set.contains(r)).count() as f64;
+            let precision = if in_f.is_empty() { 0.0 } else { tp / in_f.len() as f64 };
+            let recall = if example_set.is_empty() { 0.0 } else { tp / example_set.len() as f64 };
+            let f1 = if precision + recall == 0.0 {
+                0.0
+            } else {
+                2.0 * precision * recall / (precision + recall)
+            };
+            let score = config.weight_error * improvement + config.weight_accuracy * f1
+                - config.weight_complexity * predicate.complexity().saturating_sub(1) as f64;
+            prop_assert_eq!(entry.matched_rows, matched.len());
+            for (field, got, expected) in [
+                ("error_before", entry.error_before, error_before),
+                ("error_after", entry.error_after, error_after),
+                ("improvement", entry.improvement, improvement),
+                ("example_f1", entry.example_f1, f1),
+                ("score", entry.score, score),
+            ] {
+                prop_assert!(
+                    got.to_bits() == expected.to_bits(),
+                    "{field} of {predicate}: ranked {got} != re-executed {expected}"
+                );
+            }
+        }
+    }
 }

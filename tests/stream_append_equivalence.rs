@@ -112,6 +112,8 @@ fn assert_cache_matches_rebuild(
 ) -> Result<(), String> {
     let stmt = parse_select(sql).unwrap();
     let rebuilt = GroupedAggregateCache::build(grown, &stmt).unwrap();
+    // The registry re-keys an absorbed cache by this.
+    prop_assert_eq!(absorbed.fingerprint(), rebuilt.fingerprint());
     let a = absorbed.full_result();
     let b = rebuilt.full_result();
     prop_assert!(
