@@ -13,14 +13,12 @@ use crate::error::CoreError;
 use crate::influence::{metric_aggregate, rank_influence_with_cache, InfluenceReport};
 use crate::metric::ErrorMetric;
 use crate::predicates::{enumerate_predicates, PredicateEnumConfig};
-use crate::ranker::{rank_shard_set, RankedPredicate, RankerConfig, ShardSet};
+use crate::ranker::{rank_predicates_with_cache, RankedPredicate, RankerConfig};
 use dbwipes_engine::{
-    execute_on_catalog, parse_select, AggregateArg, ExecOptions, GroupedAggregateCache,
-    QueryResult, ShardedAggregateCache,
+    execute_on_catalog, parse_select, AggregateArg, ExecOptions, GroupedAggregateCache, QueryResult,
 };
 use dbwipes_learn::FeatureSpace;
-use dbwipes_storage::{Catalog, Condition, ConjunctivePredicate, RowId, ShardedTable, Table};
-use std::sync::Arc;
+use dbwipes_storage::{Catalog, Condition, ConjunctivePredicate, RowId, Table};
 use std::time::Instant;
 
 /// End-to-end configuration of an explanation request.
@@ -43,14 +41,6 @@ pub struct ExplainConfig {
     /// naming the suspicious group itself is not an explanation). Defaults
     /// to true.
     pub exclude_group_by_columns: bool,
-    /// Number of horizontal shards the Predicate Ranker partitions the
-    /// table into (hash on an adaptively chosen column — see
-    /// [`choose_shard_column`]). 1 (the default) ranks over the base table
-    /// as the only shard and partitions nothing; larger values run every
-    /// condition kernel and re-aggregation per shard, letting zone maps
-    /// skip shards a condition provably cannot match (see
-    /// `docs/TUNING.md`).
-    pub shards: usize,
 }
 
 impl Default for ExplainConfig {
@@ -69,7 +59,6 @@ impl ExplainConfig {
             exclude_columns: Vec::new(),
             exclude_aggregate_column: true,
             exclude_group_by_columns: true,
-            shards: 1,
         }
     }
 }
@@ -250,48 +239,15 @@ pub fn explain_on_table(
     Ok(explanation)
 }
 
-/// How the explain pipeline obtains a [`ShardedTable`] partition when the
-/// config asks for more than one shard.
-///
-/// The default [`FreshPartitioner`] hash-partitions from scratch on every
-/// explain — correct but wasteful when the same table is explained
-/// repeatedly (every brush of the same result pays the full row-copy
-/// cost). A caching caller (the server's cross-brush registry) implements
-/// this trait to retain partitions keyed by table identity/version plus
-/// the partition parameters, and serve repeats from memory.
-pub trait ShardPartitioner {
-    /// A hash partition of `table` on `column` into `shards` shards —
-    /// freshly built or retrieved from a cache, but always covering the
-    /// table's *current* data version.
-    fn partition(
-        &self,
-        table: &Table,
-        column: &str,
-        shards: usize,
-    ) -> Result<Arc<ShardedTable>, CoreError>;
-}
-
-/// The default [`ShardPartitioner`]: builds a fresh partition every call.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FreshPartitioner;
-
-impl ShardPartitioner for FreshPartitioner {
-    fn partition(
-        &self,
-        table: &Table,
-        column: &str,
-        shards: usize,
-    ) -> Result<Arc<ShardedTable>, CoreError> {
-        Ok(Arc::new(ShardedTable::hash(table, column, shards)?))
-    }
-}
-
-/// Picks the column the Predicate Ranker hash-partitions on, from the
+/// Picks the column to hash-partition on for
+/// [`rank_predicates_sharded`](crate::rank_predicates_sharded), from the
 /// candidate pool itself: the first equality-tested column (`=` or `IN`)
 /// among the candidates, because hash zone maps can pin exactly those
 /// conditions to a single shard. Falls back to the first resolvable GROUP
 /// BY column (group-correlated rows tend to collocate), then to the
-/// table's first column. `None` only for a column-less schema.
+/// table's first column. `None` only for a column-less schema. Library
+/// only: [`explain_with_cache`] ranks over the whole table and never
+/// partitions.
 pub fn choose_shard_column(
     table: &Table,
     predicates: &[ConjunctivePredicate],
@@ -321,27 +277,10 @@ pub fn choose_shard_column(
 /// the wrong query, so the mismatch is rejected up front. On a cache hit
 /// the pipeline skips the one-full-execution build cost — the point of
 /// keeping caches alive across brushes and repeated explains.
-///
-/// Sharded rankings (config `shards >= 2`) build a fresh partition per
-/// call; see [`explain_with_partitioner`] for the retained-partition
-/// variant.
 pub fn explain_with_cache(
     cache: &GroupedAggregateCache<'_>,
     result: &QueryResult,
     request: &ExplanationRequest,
-) -> Result<Explanation, CoreError> {
-    explain_with_partitioner(cache, result, request, &FreshPartitioner)
-}
-
-/// [`explain_with_cache`] with an explicit [`ShardPartitioner`], so
-/// callers that explain the same table repeatedly (the server) can reuse
-/// retained [`ShardedTable`] partitions instead of rebuilding the
-/// row-copied shards on every explain.
-pub fn explain_with_partitioner(
-    cache: &GroupedAggregateCache<'_>,
-    result: &QueryResult,
-    request: &ExplanationRequest,
-    partitioner: &dyn ShardPartitioner,
 ) -> Result<Explanation, CoreError> {
     if cache.statement() != &result.statement {
         return Err(CoreError::invalid(format!(
@@ -417,25 +356,10 @@ pub fn explain_with_partitioner(
     }
     let predicates_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    // 4. Predicate Ranker. There is one ranker; this stage only chooses
-    // the cache it scores over. By default that is the Preprocessor's
-    // cache, as a one-shard set. When the config asks for more than one
-    // shard, the table is partitioned on an adaptively chosen column (via
-    // the caller's partitioner, which may serve a retained partition) and a
-    // per-shard cache built — charged to the ranker; it pays off when
-    // zone-map pruning lets equality candidates skip most shards' kernels.
+    // 4. Predicate Ranker, scoring over the Preprocessor's cache.
     let start = Instant::now();
-    let mut shard_cache = None;
-    if request.config.shards >= 2 {
-        if let Some(column) =
-            choose_shard_column(table, &all_predicates, &result.statement.group_by)
-        {
-            let sharded = partitioner.partition(table, &column, request.config.shards)?;
-            shard_cache = Some(ShardedAggregateCache::build(sharded, &result.statement)?);
-        }
-    }
-    let ranked = rank_shard_set(
-        shard_cache.as_ref().map_or(ShardSet::Whole(cache), ShardSet::Partitioned),
+    let ranked = rank_predicates_with_cache(
+        cache,
         result,
         &request.suspicious_outputs,
         &examples,
@@ -552,41 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_explain_matches_unsharded() {
-        let (db, ds) = sensor_dbwipes();
-        let result = db.query(&ds.window_query()).unwrap();
-        let std_col = result.column_index("std_temp").unwrap();
-        let suspicious: Vec<usize> = (0..result.len())
-            .filter(|&i| result.rows[i][std_col].as_f64().unwrap_or(0.0) > 8.0)
-            .collect();
-        let examples: Vec<RowId> = ds.error_rows().into_iter().take(8).collect();
-        let metric = ErrorMetric::too_high("std_temp", 4.0);
-        let flat = ExplanationRequest::new(suspicious.clone(), examples.clone(), metric.clone());
-        let mut request = ExplanationRequest::new(suspicious, examples, metric);
-        request.config.shards = 4;
-        let sharded = db.explain(&result, &request).unwrap();
-        let unsharded = db.explain(&result, &flat).unwrap();
-        // Same predicate set with matching evidence; scores may differ
-        // only in float round-off of merged partial sums (which could
-        // reorder exact ties, so compare sorted by rendering).
-        assert_eq!(sharded.predicates.len(), unsharded.predicates.len());
-        let by_name = |e: &Explanation| {
-            let mut v: Vec<_> = e
-                .predicates
-                .iter()
-                .map(|p| (p.predicate.to_string(), p.score, p.matched_rows))
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        for (a, b) in by_name(&sharded).iter().zip(by_name(&unsharded).iter()) {
-            assert_eq!(a.0, b.0);
-            assert!((a.1 - b.1).abs() < 1e-9, "{}: {} vs {}", a.0, a.1, b.1);
-            assert_eq!(a.2, b.2, "{}", a.0);
-        }
-    }
-
-    #[test]
     fn shard_column_prefers_equality_tested_candidates() {
         let (db, _) = sensor_dbwipes();
         let table = db.catalog().table("readings").unwrap();
@@ -620,69 +509,6 @@ mod tests {
         // Unresolvable equality columns are skipped, not blindly chosen.
         let phantom = vec![ConjunctivePredicate::new(vec![Condition::equals("ghost", 1)])];
         assert_eq!(choose_shard_column(table, &phantom, &[]), Some(first));
-    }
-
-    /// A [`ShardPartitioner`] that counts calls and retains partitions per
-    /// (column, shards) — the shape of the server's registry tier.
-    #[derive(Default)]
-    struct CountingPartitioner {
-        built: std::sync::atomic::AtomicUsize,
-        served: std::sync::Mutex<std::collections::HashMap<(String, usize), Arc<ShardedTable>>>,
-    }
-
-    impl ShardPartitioner for CountingPartitioner {
-        fn partition(
-            &self,
-            table: &Table,
-            column: &str,
-            shards: usize,
-        ) -> Result<Arc<ShardedTable>, CoreError> {
-            let mut served = self.served.lock().unwrap();
-            if let Some(p) = served.get(&(column.to_string(), shards)) {
-                if p.covers(table) {
-                    return Ok(Arc::clone(p));
-                }
-            }
-            self.built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let fresh = Arc::new(ShardedTable::hash(table, column, shards)?);
-            served.insert((column.to_string(), shards), Arc::clone(&fresh));
-            Ok(fresh)
-        }
-    }
-
-    #[test]
-    fn repeated_sharded_explains_reuse_retained_partitions() {
-        let (db, ds) = sensor_dbwipes();
-        let result = db.query(&ds.window_query()).unwrap();
-        let std_col = result.column_index("std_temp").unwrap();
-        let suspicious: Vec<usize> = (0..result.len())
-            .filter(|&i| result.rows[i][std_col].as_f64().unwrap_or(0.0) > 8.0)
-            .collect();
-        let examples: Vec<RowId> = ds.error_rows().into_iter().take(8).collect();
-        let mut request =
-            ExplanationRequest::new(suspicious, examples, ErrorMetric::too_high("std_temp", 4.0));
-        request.config.shards = 4;
-
-        let table = db.catalog().table("readings").unwrap();
-        let cache = GroupedAggregateCache::build(table, &result.statement).unwrap();
-        let partitioner = CountingPartitioner::default();
-        let first = explain_with_partitioner(&cache, &result, &request, &partitioner).unwrap();
-        let second = explain_with_partitioner(&cache, &result, &request, &partitioner).unwrap();
-        // One build, served twice: the second explain reused the retained
-        // partition instead of re-hashing every row.
-        assert_eq!(partitioner.built.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(first.predicates.len(), second.predicates.len());
-        for (a, b) in first.predicates.iter().zip(&second.predicates) {
-            assert_eq!(a.predicate, b.predicate);
-            assert_eq!(a.score, b.score);
-        }
-
-        // And the partitioner path is identical to the fresh-build path.
-        let fresh = explain_with_cache(&cache, &result, &request).unwrap();
-        for (a, b) in first.predicates.iter().zip(&fresh.predicates) {
-            assert_eq!(a.predicate, b.predicate);
-            assert_eq!(a.score, b.score);
-        }
     }
 
     #[test]

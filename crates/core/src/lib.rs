@@ -70,9 +70,8 @@ pub mod predicates;
 pub mod ranker;
 
 pub use api::{
-    choose_shard_column, explain_on_table, explain_with_cache, explain_with_partitioner,
-    ComponentTimings, DbWipes, ExplainConfig, Explanation, ExplanationRequest, FreshPartitioner,
-    ShardPartitioner,
+    choose_shard_column, explain_on_table, explain_with_cache, ComponentTimings, DbWipes,
+    ExplainConfig, Explanation, ExplanationRequest,
 };
 pub use cleaner::{delete_matching, restore_rows, CleaningSession};
 pub use enumerator::{

@@ -27,8 +27,9 @@
 //! [`ShardedAggregateCache`] as N shards: every condition kernel runs on a
 //! shard-sized universe, exclusion sets stay per shard, ε re-derivation
 //! merges per-shard aggregate states, and match/agreement counts are
-//! popcounts summed across shards. Two properties make the N-shard case
-//! profitable and safe:
+//! popcounts summed across shards. No explain takes that path — on the
+//! benchmark's workloads four shards never beat one — so it is a library
+//! entry point only. Two properties make the N-shard case safe:
 //!
 //! * **Zone-map pruning** — [`ShardedTable::condition_may_match`]
 //!   guarantees that a pruned (shard, condition) pair's kernel would
@@ -186,7 +187,7 @@ pub fn rank_predicates_sharded<P: Candidate>(
 /// partition — the base→local row-id mapping and the per-shard merge of
 /// cleaned results — so the scoring loop below exists once.
 #[derive(Clone, Copy)]
-pub(crate) enum ShardSet<'a> {
+enum ShardSet<'a> {
     /// The base table itself as the only shard.
     Whole(&'a GroupedAggregateCache<'a>),
     /// One shard per partition of a [`ShardedAggregateCache`].
@@ -246,7 +247,7 @@ impl<'a> ShardSet<'a> {
 
 /// The one ranking loop behind every public entry point (and the explain
 /// pipeline, which only chooses the cache it hands over).
-pub(crate) fn rank_shard_set<P: Candidate>(
+fn rank_shard_set<P: Candidate>(
     shards: ShardSet<'_>,
     result: &QueryResult,
     selected: &[usize],
@@ -778,49 +779,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn range_partition_ranking_matches_unsharded() {
-        let (c, broken) = setup_dyadic();
-        let table = c.table("readings").unwrap();
-        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
-        let metric = ErrorMetric::too_high("avg_temp", 25.0);
-        let config = RankerConfig::default();
-
-        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
-        let baseline = rank_predicates_with_cache(
-            &flat_cache,
-            &r,
-            &[1],
-            &broken,
-            &metric,
-            candidate_pool(),
-            &config,
-        )
-        .unwrap();
-
-        let st = Arc::new(ShardedTable::range(table, "temp", 3).unwrap());
-        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
-        let ranked =
-            rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, candidate_pool(), &config)
-                .unwrap();
-        assert_eq!(ranked.len(), baseline.len());
-        for (a, b) in ranked.iter().zip(&baseline) {
-            assert_eq!(a.predicate, b.predicate);
-            assert_eq!(a.score, b.score, "{}", a.predicate);
-        }
-        // Range sharding on temp prunes `temp > 100` down to a single
-        // shard; sanity-check the pruning really fires.
-        let hot = Condition::above("temp", 100.0);
-        let may: Vec<bool> = (0..cache.sharded().num_shards())
-            .map(|s| cache.sharded().condition_may_match(s, &hot))
-            .collect();
-        assert!(may.iter().filter(|&&m| m).count() < cache.sharded().num_shards());
-    }
-
     /// OR-of-conjunction and negated candidates: the disjunctive pool the
     /// boolean-algebra layer exists for. Sharded scoring (with per-leaf
-    /// zone pruning) must agree exactly with the unsharded bitmap path on
-    /// hash *and* range partitions.
+    /// zone pruning) must agree exactly with the unsharded bitmap path.
     #[test]
     fn sharded_tree_candidates_match_unsharded() {
         let (c, broken) = setup_dyadic();
@@ -857,22 +818,19 @@ mod tests {
         // *but* the broken sensor leaves the inflated readings in place).
         assert!(baseline[0].predicate.to_string().contains("OR"), "{}", baseline[0].predicate);
 
-        for (strategy, shards) in [("hash", 4usize), ("hash", 7), ("range", 3)] {
-            let st = Arc::new(match strategy {
-                "hash" => ShardedTable::hash(table, "sensorid", shards).unwrap(),
-                _ => ShardedTable::range(table, "temp", shards).unwrap(),
-            });
+        for shards in [4usize, 7] {
+            let st = Arc::new(ShardedTable::hash(table, "sensorid", shards).unwrap());
             let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
             let ranked =
                 rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, pool(), &config)
                     .unwrap();
-            assert_eq!(ranked.len(), baseline.len(), "{strategy}/{shards}");
+            assert_eq!(ranked.len(), baseline.len(), "{shards} shards");
             for (a, b) in ranked.iter().zip(&baseline) {
-                assert_eq!(a.predicate, b.predicate, "{strategy}/{shards}");
-                assert_eq!(a.score, b.score, "{strategy}/{shards}: {}", a.predicate);
-                assert_eq!(a.error_after, b.error_after, "{strategy}/{shards}");
-                assert_eq!(a.matched_rows, b.matched_rows, "{strategy}/{shards}");
-                assert_eq!(a.example_f1, b.example_f1, "{strategy}/{shards}");
+                assert_eq!(a.predicate, b.predicate, "{shards} shards");
+                assert_eq!(a.score, b.score, "{shards} shards: {}", a.predicate);
+                assert_eq!(a.error_after, b.error_after, "{shards} shards");
+                assert_eq!(a.matched_rows, b.matched_rows, "{shards} shards");
+                assert_eq!(a.example_f1, b.example_f1, "{shards} shards");
             }
         }
     }

@@ -246,7 +246,7 @@ impl DashboardSession {
     }
 
     /// Replaces the pipeline configuration future `debug!` clicks run with
-    /// (ranker weights, enumerator parameters, shard count, ...). Any
+    /// (ranker weights, enumerator parameters, ...). Any
     /// previously computed explanation is discarded, since it no longer
     /// reflects the configuration.
     pub fn set_explain_config(&mut self, config: ExplainConfig) {
@@ -300,21 +300,14 @@ impl DashboardSession {
     /// caller kept a cache alive across brushes (the server's
     /// `CacheRegistry`). The cache must have been built for the current
     /// result's statement over the session's current table data; a
-    /// mismatched statement is rejected by the backend. When the explain
-    /// config asks for a sharded ranking, the pipeline draws its partition
-    /// from the [`ShardPartitioner`](dbwipes_core::ShardPartitioner) — the
-    /// server passes its registry here so repeated sharded explains of an
-    /// unchanged table reuse one retained partition instead of re-hashing
-    /// every row per explain.
-    pub fn debug_with_cache_and_partitioner(
+    /// mismatched statement is rejected by the backend.
+    pub fn debug_with_cache(
         &mut self,
         cache: &GroupedAggregateCache<'_>,
-        partitioner: &dyn dbwipes_core::ShardPartitioner,
     ) -> Result<&Explanation, CoreError> {
         let request = self.explain_request()?;
         let result = self.result.as_ref().expect("validated by explain_request");
-        let explanation =
-            dbwipes_core::explain_with_partitioner(cache, result, &request, partitioner)?;
+        let explanation = dbwipes_core::explain_with_cache(cache, result, &request)?;
         self.explanation = Some(explanation);
         Ok(self.explanation.as_ref().expect("just set"))
     }
@@ -395,7 +388,6 @@ impl DashboardSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbwipes_core::FreshPartitioner;
     use dbwipes_data::{generate_sensor, SensorConfig};
 
     fn session() -> (DashboardSession, dbwipes_data::SensorDataset) {
@@ -517,10 +509,10 @@ mod tests {
         )
         .unwrap();
         let wrong = GroupedAggregateCache::build(&table, &wrong_stmt).unwrap();
-        assert!(s.debug_with_cache_and_partitioner(&wrong, &FreshPartitioner).is_err());
+        assert!(s.debug_with_cache(&wrong).is_err());
 
         let cached: Vec<_> = s
-            .debug_with_cache_and_partitioner(&cache, &FreshPartitioner)
+            .debug_with_cache(&cache)
             .unwrap()
             .predicates
             .iter()
@@ -533,31 +525,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_config_flows_into_debug() {
+    fn explain_config_flows_into_debug() {
         let (mut s, ds) = session();
         s.run_query(&ds.window_query()).unwrap();
         s.brush_outputs("window", "std_temp", Brush::above(8.0));
         s.brush_inputs("sensorid", "temp", Brush::above(100.0));
         let choices = s.metric_choices("std_temp");
         s.set_metric(choices[0].metric.clone());
-        let baseline: Vec<_> =
-            s.debug().unwrap().predicates.iter().map(|p| p.predicate.clone()).collect();
+        assert!(s.debug().unwrap().predicates.len() > 1);
 
         let mut config = ExplainConfig::standard();
-        config.shards = 4;
+        config.ranker.max_results = 1;
         s.set_explain_config(config);
         // Changing the configuration discards the stale explanation...
         assert!(s.ranked_predicates().is_empty());
-        assert_eq!(s.explain_config().shards, 4);
-        assert_eq!(s.explain_request().unwrap().config.shards, 4);
-        // ...and the sharded re-run finds the same predicate set.
-        let sharded: Vec<_> =
-            s.debug().unwrap().predicates.iter().map(|p| p.predicate.clone()).collect();
-        let mut a = baseline.iter().map(|p| p.to_string()).collect::<Vec<_>>();
-        let mut b = sharded.iter().map(|p| p.to_string()).collect::<Vec<_>>();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        assert_eq!(s.explain_config().ranker.max_results, 1);
+        assert_eq!(s.explain_request().unwrap().config.ranker.max_results, 1);
+        // ...and the re-run obeys the new one.
+        assert_eq!(s.debug().unwrap().predicates.len(), 1);
     }
 
     #[test]

@@ -617,14 +617,14 @@ mod tests {
     }
 
     #[test]
-    fn range_partition_merges_identically() {
+    fn partition_on_the_nullable_measure_merges_identically() {
         let t = readings(150);
         let stmt = parse_select("SELECT window, avg(temp), count(*) FROM readings GROUP BY window")
             .unwrap();
         let unsharded = GroupedAggregateCache::build(&t, &stmt).unwrap();
-        let st = Arc::new(ShardedTable::range(&t, "temp", 5).unwrap());
+        let st = Arc::new(ShardedTable::hash(&t, "temp", 5).unwrap());
         let cache = ShardedAggregateCache::build(st, &stmt).unwrap();
-        assert_same(&cache.full_result(), &unsharded.full_result(), "range partition");
+        assert_same(&cache.full_result(), &unsharded.full_result(), "temp partition");
         assert_eq!(cache.num_groups(), unsharded.num_groups());
         assert_eq!(cache.num_rows(), unsharded.num_rows());
         assert_eq!(cache.statement(), &stmt);

@@ -12,12 +12,11 @@
 //! response per line until EOF (or the `shutdown` ctrl-line) — the shape a
 //! web gateway or the `examples/server_session.rs` driver expects. In TCP
 //! mode connections are served by the bounded worker-pool executor
-//! ([`dbwipes_server::executor`]): `--workers` threads (default
-//! `DBWIPES_SERVER_WORKERS`, else the effective parallelism) pull
-//! connections from a bounded queue, over-capacity admissions get a
-//! structured `busy` reply, silent sockets are closed after
-//! `--idle-timeout-ms`, and the `shutdown` ctrl-line drains in-flight
-//! sessions, flushes replies, and exits 0. Sessions live in the shared
+//! ([`dbwipes_server::executor`]): `--workers` threads (default the
+//! effective parallelism) pull connections from a bounded queue,
+//! over-capacity admissions get a structured `busy` reply, silent sockets
+//! are closed after `--idle-timeout-ms`, and the `shutdown` ctrl-line
+//! drains in-flight sessions, flushes replies, and exits 0. Sessions live in the shared
 //! [`SessionManager`], so a client may reconnect and resume its session by
 //! id.
 //!

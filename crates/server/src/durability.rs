@@ -62,7 +62,7 @@ const BITS_KIND: &str = "bits";
 const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Transient-fault retries per write: `DBWIPES_STORAGE_RETRIES` (default
-/// 3), read per write so tests and operators can adjust a live process.
+/// 3), read per write so a test can adjust it in-process.
 fn storage_retries() -> u32 {
     std::env::var("DBWIPES_STORAGE_RETRIES")
         .ok()

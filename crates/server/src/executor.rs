@@ -7,10 +7,9 @@
 //! container is offline (same constraint that produced the [`crate::json`]
 //! module):
 //!
-//! * a **fixed worker pool** ([`PoolConfig::workers`], default
-//!   `DBWIPES_SERVER_WORKERS` or the effective parallelism) pulls accepted
-//!   connections from a **bounded MPMC queue** ([`BoundedQueue`]) and
-//!   serves each one to completion;
+//! * a **fixed worker pool** ([`PoolConfig::workers`], default the
+//!   effective parallelism) pulls accepted connections from a **bounded
+//!   MPMC queue** ([`BoundedQueue`]) and serves each one to completion;
 //! * **explicit backpressure**: when the queue is full — or the hard
 //!   [`PoolConfig::max_connections`] cap is reached — the acceptor answers
 //!   a structured `busy` reply (`{"ok":false,"error":…,"busy":true}`) and
@@ -51,13 +50,12 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 /// the executor's bounded-resources premise.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Tuning knobs of the pooled executor. `Default` reads the environment
-/// (`DBWIPES_SERVER_WORKERS`); the binary's flags override it.
+/// Tuning knobs of the pooled executor; the binary's flags override the
+/// `Default`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads serving connections. Defaults to
-    /// `DBWIPES_SERVER_WORKERS` when set, else the effective parallelism
-    /// (`DBWIPES_THREADS` / available cores).
+    /// Worker threads serving connections. Defaults to the effective
+    /// parallelism (`DBWIPES_THREADS` / available cores).
     pub workers: usize,
     /// Connections that may wait for a worker. Queue-full admissions are
     /// answered `busy` and closed.
@@ -71,28 +69,18 @@ pub struct PoolConfig {
     /// structured `read_timeout` notice and closed — the slow-loris
     /// defense: a client trickling a line one byte at a time cannot pin a
     /// pool slot past this deadline, no matter how regularly its bytes
-    /// arrive. Defaults to `DBWIPES_READ_TIMEOUT_MS` (10s unset).
+    /// arrive. Defaults to 10s.
     pub read_timeout: Duration,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        let workers = std::env::var("DBWIPES_SERVER_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(dbwipes_core::effective_parallelism);
-        let read_timeout_ms = std::env::var("DBWIPES_READ_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(10_000);
         PoolConfig {
-            workers,
+            workers: dbwipes_core::effective_parallelism(),
             queue_depth: 64,
             max_connections: 256,
             idle_timeout: Duration::from_secs(30),
-            read_timeout: Duration::from_millis(read_timeout_ms),
+            read_timeout: Duration::from_secs(10),
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   the manager's session map is only read-locked to route a command, so
 //!   concurrent clients working in different sessions never serialize on
 //!   each other's brush→debug loops.
-//! * **Cross-brush cache reuse.** All sessions share one
+//! * **Cross-brush cache reuse.** All sessions share one two-tier
 //!   [`CacheRegistry`]: a repeated `debug` on an unchanged statement —
 //!   within one session or across sessions brushing the same dashboard —
 //!   skips the full statement execution that dominates explain latency.
@@ -21,7 +21,7 @@
 use crate::durability::StorageRuntime;
 use crate::executor::PoolStats;
 use crate::registry::{CacheRegistry, ExplainKey};
-use dbwipes_core::{ComponentTimings, CoreError, DbWipes, ExplainConfig, Explanation};
+use dbwipes_core::{ComponentTimings, CoreError, DbWipes, Explanation};
 use dbwipes_dashboard::DashboardSession;
 use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache};
 use dbwipes_storage::{Catalog, Table, Value};
@@ -77,13 +77,8 @@ pub struct ServerSession {
 }
 
 impl ServerSession {
-    fn new(catalog: Catalog, shards: usize) -> Self {
-        let mut dashboard = DashboardSession::new(DbWipes::with_catalog(catalog));
-        if shards > 1 {
-            let mut config = ExplainConfig::standard();
-            config.shards = shards;
-            dashboard.set_explain_config(config);
-        }
+    fn new(catalog: Catalog) -> Self {
+        let dashboard = DashboardSession::new(DbWipes::with_catalog(catalog));
         ServerSession { dashboard, commands: 0, cache_hits: 0, cache_misses: 0 }
     }
 
@@ -175,10 +170,7 @@ impl ServerSession {
         } else {
             self.cache_misses += 1;
         }
-        // The registry doubles as the pipeline's shard partitioner, so a
-        // sharded explain of an unchanged table reuses one retained
-        // partition instead of re-hashing every row per explain.
-        let explanation = self.dashboard.debug_with_cache_and_partitioner(&cache, registry)?;
+        let explanation = self.dashboard.debug_with_cache(&cache)?;
         registry.store_explanation(key, Arc::new(explanation.clone()));
         Ok((explanation, DebugCacheReport { cache_hit, memo_hit: false }))
     }
@@ -256,10 +248,6 @@ pub struct StreamAppendReport {
     /// Rows appended to the base table. All-or-nothing: on any validation
     /// error the command appends zero rows.
     pub appended: usize,
-    /// Number of [`Table::push_rows`] batches the rows were applied in;
-    /// each batch advances the appended epoch component once (see
-    /// [`SessionManager::append_batch_size`]).
-    pub batches: usize,
     /// Total rows in the base table after the append.
     pub total_rows: usize,
     /// Open sessions that adopted the new snapshot. Sessions reading a
@@ -458,26 +446,13 @@ impl SessionManager {
         saved
     }
 
-    /// The shard count newly opened sessions run their explain pipeline
-    /// with: `DBWIPES_SHARDS` when set to a positive integer, 1 (the
-    /// single-table path) otherwise. Read per call, like
-    /// `DBWIPES_THREADS`, so operators can retune a running service; open
-    /// sessions keep the configuration they were opened with.
-    pub fn default_shards() -> usize {
-        std::env::var("DBWIPES_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    }
-
     /// Opens a new session over the current base catalog. Opening takes
     /// the catalog's read lock only — concurrent opens (and routing) never
     /// serialize on each other, only on a concurrent `register_table`.
     pub fn open_session(&self) -> SessionId {
         let catalog = read_recover(&self.base).clone();
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let session = Arc::new(Mutex::new(ServerSession::new(catalog, Self::default_shards())));
+        let session = Arc::new(Mutex::new(ServerSession::new(catalog)));
         write_recover(&self.sessions).insert(id, session);
         id
     }
@@ -534,29 +509,14 @@ impl SessionManager {
         read_recover(&self.base).table_names()
     }
 
-    /// How many rows one [`Table::push_rows`] batch of a streamed append
-    /// carries: `DBWIPES_APPEND_BATCH` when set to a positive integer,
-    /// 1024 otherwise. Each batch advances the table's appended epoch
-    /// once, so larger batches amortize per-stamp bookkeeping while
-    /// smaller ones bound how much data a partially-delivered stream can
-    /// sit on. Read per call, like `DBWIPES_SHARDS`, so operators can
-    /// retune a running service.
-    pub fn append_batch_size() -> usize {
-        std::env::var("DBWIPES_APPEND_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1024)
-    }
-
     /// Streams `rows` into the base table `name` — the service side of the
     /// `stream_append` wire command.
     ///
     /// The append is **command-level all-or-nothing**: every row is
     /// validated against the schema up front, so a malformed row anywhere
-    /// in the payload rejects the whole command without mutating anything.
-    /// Valid rows are applied in [`SessionManager::append_batch_size`]-row
-    /// batches under one catalog write lock (each batch advances the
+    /// in the payload rejects the whole command without mutating — or
+    /// copying-on-write — anything. Valid rows are applied in one
+    /// [`Table::push_rows`] under the catalog write lock (advancing the
     /// appended epoch once, never the structural epoch), persisted to the
     /// attached storage, and then fanned out to every open session via
     /// [`ServerSession::adopt_append`] — sessions brushing the appended
@@ -568,9 +528,7 @@ impl SessionManager {
         name: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<StreamAppendReport, CoreError> {
-        let batch_size = Self::append_batch_size();
         let appended = rows.len();
-        let mut batches = 0usize;
         let table = {
             let mut base = write_recover(&self.base);
             let current = base.table(name).map_err(CoreError::from)?;
@@ -579,20 +537,13 @@ impl SessionManager {
             }
             if appended > 0 {
                 let table = base.table_mut(name).map_err(CoreError::from)?;
-                let mut pending = rows;
-                while !pending.is_empty() {
-                    let rest = pending.split_off(pending.len().min(batch_size));
-                    let chunk = std::mem::replace(&mut pending, rest);
-                    table.push_rows(chunk).map_err(CoreError::from)?;
-                    batches += 1;
-                }
+                table.push_rows(rows).map_err(CoreError::from)?;
             }
             base.table_arc(name).map_err(CoreError::from)?
         };
         if appended == 0 {
             return Ok(StreamAppendReport {
                 appended,
-                batches,
                 total_rows: table.num_rows(),
                 sessions_refreshed: 0,
                 // Nothing needed persisting; report the runtime's standing.
@@ -632,7 +583,6 @@ impl SessionManager {
         }
         Ok(StreamAppendReport {
             appended,
-            batches,
             total_rows: table.num_rows(),
             sessions_refreshed,
             durable,
@@ -744,37 +694,6 @@ mod tests {
         assert_eq!(stats.explanation_entries, 2);
     }
 
-    #[test]
-    fn repeated_sharded_debugs_reuse_one_retained_partition() {
-        let (m, query) = manager();
-        let a = m.open_session();
-        let sa = m.session(a).unwrap();
-        let mut s = sa.lock().unwrap();
-        let mut config = dbwipes_core::ExplainConfig::standard();
-        config.shards = 4;
-        s.dashboard_mut().set_explain_config(config);
-        s.dashboard_mut().run_query(&query).unwrap();
-        let outputs: Vec<usize> = (0..s.dashboard().result().unwrap().len()).collect();
-
-        // First sharded explain: the partition tier misses and builds.
-        s.dashboard_mut().select_outputs(outputs.clone());
-        s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 4.0));
-        s.debug_cached(m.registry()).unwrap();
-        let stats = m.registry().stats();
-        assert_eq!((stats.partition_hits, stats.partition_misses), (0, 1));
-
-        // A different ε is a different request (the explanation memo
-        // misses, the pipeline reruns) over the same table data — the
-        // sharded ranking must reuse the retained partition, not rebuild.
-        s.dashboard_mut().select_outputs(outputs);
-        s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 5.0));
-        s.debug_cached(m.registry()).unwrap();
-        let stats = m.registry().stats();
-        assert_eq!((stats.partition_hits, stats.partition_misses), (1, 1));
-        assert_eq!(stats.partition_entries, 1);
-        assert_eq!((stats.explanation_hits, stats.explanation_misses), (0, 2));
-    }
-
     fn reading(sensor: i64, temp: f64) -> Vec<Value> {
         // Schema: sensorid, epoch, hour, window, temp, humidity, light,
         // voltage. Everything lands in window 0.
@@ -812,13 +731,10 @@ mod tests {
         };
         assert_eq!((t.num_rows(), t.epoch()), before, "failed appends must not mutate");
 
-        // A valid stream lands in batch-size chunks, appended-epoch only.
-        std::env::set_var("DBWIPES_APPEND_BATCH", "2");
+        // A valid stream advances the appended epoch only.
         let rows: Vec<Vec<Value>> = (0..5).map(|i| reading(i, 50.0)).collect();
         let report = m.stream_append("readings", rows).unwrap();
-        std::env::remove_var("DBWIPES_APPEND_BATCH");
         assert_eq!(report.appended, 5);
-        assert_eq!(report.batches, 3);
         assert_eq!(report.total_rows, before.0 + 5);
         let base = m.base.read().unwrap().table_arc("readings").unwrap();
         assert_eq!(base.epoch().structural, before.1.structural);
@@ -827,7 +743,7 @@ mod tests {
 
         // The empty stream is a validated no-op.
         let report = m.stream_append("readings", Vec::new()).unwrap();
-        assert_eq!((report.appended, report.batches, report.sessions_refreshed), (0, 0, 0));
+        assert_eq!((report.appended, report.sessions_refreshed), (0, 0));
     }
 
     #[test]

@@ -58,19 +58,23 @@ use dbwipes_storage::Value;
 /// The protocol revision this server speaks, reported in every `ping` and
 /// `stats` reply as `protocol_version`.
 ///
-/// Compatibility rule: the protocol only ever changes **additively** —
-/// new commands, new optional request fields, new reply fields — and every
+/// Compatibility rule: commands and request fields only ever grow — new
+/// commands, new optional request fields, new reply fields — and every
 /// such addition bumps this number. A client therefore (a) ignores reply
 /// fields it does not know, and (b) gates use of newer commands on the
 /// `protocol_version` it read from `ping`; a server never changes the
 /// meaning or shape of an existing field under the same version.
+/// Diagnostic reply fields may be removed, but only with a version bump
+/// and a History entry naming them.
 ///
 /// History: 1 = the Figure-1 command set through durable storage;
 /// 2 = streaming ingestion (`stream_append`, `protocol_version` markers);
 /// 3 = fault tolerance (structured error objects with `kind`/`retryable`,
 /// the `stats` `health` block, `stream_append`'s `durable` marker, the
-/// gated `crash` test hook).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// gated `crash` test hook); 4 = explain sharding and append batching
+/// removed: `stats` drops `shards` and `cache.partition_*`,
+/// `stream_append` drops `batches`.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,8 +173,8 @@ pub enum Command {
     /// The session's interaction state and counters.
     State(u64),
     /// Streams rows into a base table. Service-level (no session): the
-    /// append is validated all-or-nothing, applied in batches, and fanned
-    /// out to every open session whose snapshot it fast-forwards.
+    /// append is validated all-or-nothing, applied, and fanned out to
+    /// every open session whose snapshot it fast-forwards.
     StreamAppend {
         /// The (case-insensitive) table name.
         table: String,
@@ -761,7 +765,6 @@ mod tests {
             "`busy`",
             "`cache_hit`",
             "`cached`",
-            "`shards`",
             "MAX_BATCH_COMMANDS",
             "`snapshot_loads`",
             "`snapshot_saves`",
@@ -770,7 +773,6 @@ mod tests {
             "`protocol_version`",
             "`sessions_refreshed`",
             "MAX_STREAM_APPEND_ROWS",
-            "DBWIPES_APPEND_BATCH",
             "`health`",
             "`degraded`",
             "`durable`",

@@ -1,4 +1,5 @@
-//! The cross-brush aggregate-cache registry.
+//! The cross-brush, two-tier cache registry: statement-level aggregate
+//! caches, and above them whole memoized explanations.
 //!
 //! DBWipes' interaction loop re-asks the same question constantly: every
 //! `debug!` click, every re-brush after an undo, and every session looking
@@ -37,26 +38,15 @@
 //! fingerprint inside every key pins the table data version, so no
 //! mutation can ever replay a stale answer.
 //!
-//! ## The partition tier
-//!
-//! Sharded explains (`shards >= 2`) need a [`ShardedTable`] — a full
-//! row-copied hash partition of the input. Rebuilding it per explain is
-//! pure waste: the partition depends only on the exact table data and the
-//! partition parameters, both of which repeat across brushes. The registry
-//! therefore implements [`ShardPartitioner`] with a third tier keyed by
-//! table identity/version + (column, shard count); the explain pipeline
-//! asks the registry instead of hashing every row again. Like the other
-//! tiers, version-stamped keys make staleness unfindable by construction.
-//!
 //! The registry is shared by every session of a
 //! [`SessionManager`](crate::SessionManager): two analysts debugging the
 //! same dashboard pay for one cache build — and one pipeline run, if they
 //! brushed the same selection — between them.
 
 use crate::manager::lock_recover;
-use dbwipes_core::{CoreError, Explanation, ExplanationRequest, ShardPartitioner};
+use dbwipes_core::{Explanation, ExplanationRequest};
 use dbwipes_engine::{CacheFingerprint, EngineError, GroupedAggregateCache};
-use dbwipes_storage::{RowId, ShardedTable, Table, TableEpoch};
+use dbwipes_storage::{RowId, Table};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -106,7 +96,6 @@ pub struct CacheRegistry {
 struct Inner {
     entries: HashMap<CacheFingerprint, Slot>,
     explanations: HashMap<ExplainKey, ExplanationEntry>,
-    partitions: HashMap<PartitionKey, PartitionEntry>,
     /// Monotonic access clock backing the tiers' LRU order.
     tick: u64,
     hits: u64,
@@ -117,43 +106,6 @@ struct Inner {
     explanation_hits: u64,
     explanation_misses: u64,
     explanation_evictions: u64,
-    partition_hits: u64,
-    partition_misses: u64,
-    partition_evictions: u64,
-    partition_absorbs: u64,
-}
-
-/// Identifies one retained [`ShardedTable`]: the exact table data (id +
-/// full epoch, so a mutated table can never be served a stale partition)
-/// plus the partition parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PartitionKey {
-    /// Lowercased, for [`CacheRegistry::invalidate_table`].
-    table_name: String,
-    table_id: u64,
-    epoch: TableEpoch,
-    /// Lowercased, like the schema's column resolution.
-    column: String,
-    shards: usize,
-}
-
-impl PartitionKey {
-    /// True when `self` keys the same partition parameters as `other` over
-    /// an append-related state of the same table — the tier-3 analogue of
-    /// [`CacheFingerprint::append_variant_of`].
-    fn append_variant_of(&self, other: &PartitionKey) -> bool {
-        self.table_id == other.table_id
-            && self.epoch.structural == other.epoch.structural
-            && self.table_name == other.table_name
-            && self.column == other.column
-            && self.shards == other.shards
-    }
-}
-
-#[derive(Debug)]
-struct PartitionEntry {
-    partition: Arc<ShardedTable>,
-    last_used: u64,
 }
 
 #[derive(Debug)]
@@ -237,18 +189,6 @@ pub struct CacheStats {
     pub explanation_evictions: u64,
     /// Live memoized explanations right now.
     pub explanation_entries: usize,
-    /// Partition-tier lookups served from a retained [`ShardedTable`].
-    pub partition_hits: u64,
-    /// Partition-tier lookups that had to hash-partition the table.
-    pub partition_misses: u64,
-    /// Retained partitions dropped to respect the capacity bound.
-    pub partition_evictions: u64,
-    /// Partition-tier lookups served by growing an append-variant
-    /// partition in place ([`ShardedTable::absorb_append`]) instead of
-    /// re-hashing every row — the tier-3 analogue of `append_absorbs`.
-    pub partition_absorbs: u64,
-    /// Live retained partitions right now.
-    pub partition_entries: usize,
 }
 
 impl CacheStats {
@@ -543,77 +483,6 @@ impl CacheRegistry {
         evict_lru(explanations, self.capacity, explanation_evictions, |e| Some(e.last_used));
     }
 
-    /// Returns the retained partition of exactly this table data under
-    /// exactly these parameters, hash-partitioning (and retaining) on a
-    /// miss. Counting is per lookup: a hit means the explain skipped the
-    /// full row-copying rebuild.
-    ///
-    /// Unlike the aggregate-cache tier there is no build coordination:
-    /// partitioning is pure CPU over immutable data, so a rare racing
-    /// duplicate build is cheaper than parking threads (last write wins,
-    /// the results are identical).
-    pub fn get_or_partition(
-        &self,
-        table: &Table,
-        column: &str,
-        shards: usize,
-    ) -> Result<Arc<ShardedTable>, CoreError> {
-        let key = PartitionKey {
-            table_name: table.name().to_ascii_lowercase(),
-            table_id: table.id(),
-            epoch: table.epoch(),
-            column: column.to_ascii_lowercase(),
-            shards,
-        };
-        let mut absorb_source: Option<Arc<ShardedTable>> = None;
-        {
-            let mut inner = lock_recover(&self.inner);
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.partitions.get_mut(&key) {
-                entry.last_used = tick;
-                let partition = Arc::clone(&entry.partition);
-                inner.partition_hits += 1;
-                return Ok(partition);
-            }
-            // An append-variant sibling with an older appended stamp can be
-            // grown in place (new rows land in their shard) instead of
-            // re-hashing every row. Withdraw it under the lock so no other
-            // lookup serves the stale partition meanwhile.
-            let sibling = inner
-                .partitions
-                .keys()
-                .find(|k| key.append_variant_of(k) && k.epoch.appended < key.epoch.appended)
-                .cloned();
-            if let Some(old_key) = sibling {
-                let entry = inner.partitions.remove(&old_key).expect("key taken from map");
-                absorb_source = Some(entry.partition);
-                inner.partition_absorbs += 1;
-            } else {
-                inner.partition_misses += 1;
-            }
-        }
-        // Build (or absorb) outside the lock; partitioning a large table
-        // must not stall unrelated lookups.
-        let partition = match absorb_source.take() {
-            Some(old) => {
-                let mut grown = Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone());
-                grown.absorb_append(table)?;
-                Arc::new(grown)
-            }
-            None => Arc::new(ShardedTable::hash(table, column, shards)?),
-        };
-        let mut inner = lock_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner
-            .partitions
-            .insert(key, PartitionEntry { partition: Arc::clone(&partition), last_used: tick });
-        let Inner { partitions, partition_evictions, .. } = &mut *inner;
-        evict_lru(partitions, self.capacity, partition_evictions, |e| Some(e.last_used));
-        Ok(partition)
-    }
-
     /// Eagerly drops every finished cache of the named table
     /// (case-insensitive), returning how many entries were removed. Used
     /// when a table is re-registered: version-keyed lookups would already
@@ -624,12 +493,10 @@ impl CacheRegistry {
     pub fn invalidate_table(&self, table_name: &str) -> usize {
         let key = table_name.to_ascii_lowercase();
         let mut inner = lock_recover(&self.inner);
-        let before = inner.entries.len() + inner.explanations.len() + inner.partitions.len();
+        let before = inner.entries.len() + inner.explanations.len();
         inner.entries.retain(|fp, slot| matches!(slot, Slot::Building) || fp.table_name != key);
         inner.explanations.retain(|k, _| k.fingerprint.table_name != key);
-        inner.partitions.retain(|k, _| k.table_name != key);
-        let removed =
-            before - inner.entries.len() - inner.explanations.len() - inner.partitions.len();
+        let removed = before - inner.entries.len() - inner.explanations.len();
         inner.invalidations += removed as u64;
         removed
     }
@@ -658,25 +525,7 @@ impl CacheRegistry {
             explanation_misses: inner.explanation_misses,
             explanation_evictions: inner.explanation_evictions,
             explanation_entries: inner.explanations.len(),
-            partition_hits: inner.partition_hits,
-            partition_misses: inner.partition_misses,
-            partition_evictions: inner.partition_evictions,
-            partition_absorbs: inner.partition_absorbs,
-            partition_entries: inner.partitions.len(),
         }
-    }
-}
-
-/// Lets the explain pipeline draw its [`ShardedTable`]s from the
-/// registry's partition tier instead of rebuilding one per explain.
-impl ShardPartitioner for CacheRegistry {
-    fn partition(
-        &self,
-        table: &Table,
-        column: &str,
-        shards: usize,
-    ) -> Result<Arc<ShardedTable>, CoreError> {
-        self.get_or_partition(table, column, shards)
     }
 }
 
@@ -830,64 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_tier_retains_by_data_version_and_parameters() {
-        let registry = CacheRegistry::new(2);
-        let t = table("r", 40);
-
-        // Same table + parameters: one build, then hits sharing the Arc.
-        let first = registry.get_or_partition(&t, "g", 4).unwrap();
-        let again = registry.get_or_partition(&t, "g", 4).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        // Column resolution is case-insensitive, so the key must be too.
-        let upper = registry.get_or_partition(&t, "G", 4).unwrap();
-        assert!(Arc::ptr_eq(&first, &upper));
-        let stats = registry.stats();
-        assert_eq!((stats.partition_hits, stats.partition_misses), (2, 1));
-        assert_eq!(stats.partition_entries, 1);
-
-        // Different parameters are different partitions.
-        let other = registry.get_or_partition(&t, "g", 2).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(registry.stats().partition_entries, 2);
-
-        // Mutated data gets a fresh partition (version-keyed): the stale
-        // one is unfindable, and capacity 2 evicts the LRU entry.
-        let mut mutated = (*t).clone();
-        mutated.delete_row(dbwipes_storage::RowId(0)).unwrap();
-        let fresh = registry.get_or_partition(&mutated, "g", 4).unwrap();
-        assert!(!Arc::ptr_eq(&first, &fresh));
-        assert!(fresh.covers(&mutated));
-        let stats = registry.stats();
-        assert_eq!(stats.partition_entries, 2);
-        assert_eq!(stats.partition_evictions, 1);
-
-        // Unknown columns surface the storage error instead of caching it.
-        assert!(registry.get_or_partition(&t, "missing", 4).is_err());
-    }
-
-    #[test]
-    fn invalidate_table_drops_retained_partitions() {
-        let registry = CacheRegistry::new(8);
-        let r = table("Readings", 12);
-        let d = table("donations", 12);
-        registry.get_or_partition(&r, "g", 2).unwrap();
-        registry.get_or_partition(&d, "g", 2).unwrap();
-        assert_eq!(registry.invalidate_table("readings"), 1);
-        let stats = registry.stats();
-        assert_eq!(stats.partition_entries, 1);
-        // The survivor still hits; the dropped table rebuilds.
-        registry.get_or_partition(&d, "g", 2).unwrap();
-        registry.get_or_partition(&r, "g", 2).unwrap();
-        let stats = registry.stats();
-        assert_eq!((stats.partition_hits, stats.partition_misses), (1, 3));
-        // Dropped partitions are counted like dropped caches.
-        assert_eq!(registry.invalidate_table("readings"), 1);
-        assert_eq!(registry.invalidate_table("DONATIONS"), 1);
-        let stats = registry.stats();
-        assert_eq!((stats.partition_entries, stats.invalidations), (0, 3));
-    }
-
-    #[test]
     fn prebuilt_caches_hit_without_counting_and_export_in_lru_order() {
         let registry = CacheRegistry::new(2);
         let t = table("r", 30);
@@ -988,38 +779,5 @@ mod tests {
         registry.get_or_absorb_or_build(fp2, &mutated, || Ok(cache2)).unwrap();
         let stats = registry.stats();
         assert_eq!((stats.misses, stats.append_absorbs), (2, 0));
-    }
-
-    #[test]
-    fn partition_tier_absorbs_appends_in_place() {
-        let registry = CacheRegistry::new(4);
-        let t = table("r", 40);
-        let first = registry.get_or_partition(&t, "g", 4).unwrap();
-
-        let mut grown = (*t).clone();
-        grown.push_row(vec![Value::Int(2), Value::Float(123.0)]).unwrap();
-        grown.push_row(vec![Value::Int(0), Value::Float(-9.0)]).unwrap();
-        let absorbed = registry.get_or_partition(&grown, "g", 4).unwrap();
-        assert!(absorbed.covers(&grown));
-        assert_eq!(absorbed.shards().iter().map(|s| s.num_rows()).sum::<usize>(), 42);
-        let stats = registry.stats();
-        assert_eq!(
-            (stats.partition_misses, stats.partition_absorbs, stats.partition_entries),
-            (1, 1, 1),
-            "append growth must not re-hash the table"
-        );
-        // Grown placement equals a fresh hash partition of the grown table.
-        let fresh = ShardedTable::hash(&grown, "g", 4).unwrap();
-        for (a, b) in absorbed.shards().iter().zip(fresh.shards()) {
-            assert_eq!(a.num_rows(), b.num_rows());
-        }
-        drop(first);
-
-        // Structural mutations still re-partition from scratch.
-        let mut mutated = grown.clone();
-        mutated.delete_row(dbwipes_storage::RowId(0)).unwrap();
-        registry.get_or_partition(&mutated, "g", 4).unwrap();
-        let stats = registry.stats();
-        assert_eq!((stats.partition_misses, stats.partition_absorbs), (2, 1));
     }
 }

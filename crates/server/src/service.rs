@@ -96,7 +96,6 @@ impl SessionManager {
             Command::StreamAppend { table, rows } => {
                 let report = self.stream_append(&table, rows).map_err(|e| e.to_string())?;
                 w.key("appended").num(report.appended as f64);
-                w.key("batches").num(report.batches as f64);
                 w.key("durable").bool(report.durable);
                 w.key("sessions_refreshed").num(report.sessions_refreshed as f64);
                 w.key("table").str(&table);
@@ -152,11 +151,6 @@ impl SessionManager {
         w.key("hits").num(stats.hits as f64);
         w.key("invalidations").num(stats.invalidations as f64);
         w.key("misses").num(stats.misses as f64);
-        w.key("partition_absorbs").num(stats.partition_absorbs as f64);
-        w.key("partition_entries").num(stats.partition_entries as f64);
-        w.key("partition_evictions").num(stats.partition_evictions as f64);
-        w.key("partition_hits").num(stats.partition_hits as f64);
-        w.key("partition_misses").num(stats.partition_misses as f64);
         w.end_object();
 
         // Process-wide counters of the storage layer's condition-bitmap
@@ -189,9 +183,6 @@ impl SessionManager {
         }
         w.key("protocol_version").num(PROTOCOL_VERSION as f64);
         w.key("sessions").num(self.session_count() as f64);
-        // The shard count sessions opened now would run their explain
-        // pipeline with (the `DBWIPES_SHARDS` knob).
-        w.key("shards").num(SessionManager::default_shards() as f64);
 
         let storage = self.storage().map(|r| r.counters()).unwrap_or_default();
         w.key("storage").begin_object();
@@ -422,7 +413,7 @@ impl SessionManager {
 }
 
 /// Whether the `crash` test hook is armed (`DBWIPES_ENABLE_CRASH=1`).
-/// Read per call, like every other knob, so a test can arm and disarm it.
+/// Read per call, so a test can arm and disarm it in-process.
 fn crash_enabled() -> bool {
     std::env::var("DBWIPES_ENABLE_CRASH").map(|v| v.trim() == "1").unwrap_or(false)
 }

@@ -176,9 +176,8 @@ fn every_reply_is_byte_identical_to_the_golden() {
     let mut catalog = Catalog::new();
     catalog.register(data.table.clone()).unwrap();
     let manager = SessionManager::new(catalog);
-    // The environment knobs a reply can depend on, at their defaults.
+    // The environment knob a reply can depend on, at its default.
     std::env::remove_var("DBWIPES_ENABLE_CRASH");
-    std::env::remove_var("DBWIPES_SHARDS");
 
     let query = data.window_query();
     let script: Vec<String> = SCRIPT.iter().map(|l| l.replace("$QUERY", &query)).collect();

@@ -4,19 +4,19 @@
 //! PR 5 made the parallelism seam of the vectorized predicate path
 //! explicit: every kernel, bitmap and popcount is scoped to one table's
 //! physical row universe. A [`ShardedTable`] exploits that seam. It
-//! partitions a base table's rows by hash or range on a chosen column into
-//! `N` shard tables; each shard is a self-contained [`Table`] (same schema,
-//! same name, renumbered rows), so the entire existing machinery —
+//! hash-partitions a base table's rows on a chosen column into `N` shard
+//! tables; each shard is a self-contained [`Table`] (same schema, same
+//! name, renumbered rows), so the entire existing machinery —
 //! `CompiledCondition` kernels, `ConditionBitmapCache`, the engine's
 //! aggregate caches — runs per shard unchanged, over a universe `1/N` the
 //! size. A global→(shard, local) row-id mapping bridges the two worlds in
 //! both directions.
 //!
 //! Determinism: shard assignment is a pure function of the row's shard-key
-//! value (FNV-1a over the value's bit pattern, or quantile boundaries under
-//! total order), locals are assigned in ascending global order, and merges
-//! iterate shards in index order — so sharded execution is reproducible
-//! run-to-run and, for a single shard, bit-identical to the unsharded path.
+//! value (FNV-1a over the value's bit pattern), locals are assigned in
+//! ascending global order, and merges iterate shards in index order — so
+//! sharded execution is reproducible run-to-run and, for a single shard,
+//! bit-identical to the unsharded path.
 //!
 //! ## Zone maps and shard pruning
 //!
@@ -35,7 +35,7 @@
 use crate::error::StorageError;
 use crate::predicate::Condition;
 use crate::rowset::RowSet;
-use crate::table::{EpochTolerance, RowId, Table, TableEpoch};
+use crate::table::{RowId, Table};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -55,20 +55,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// How rows are distributed over shards.
-#[derive(Debug, Clone)]
-enum Strategy {
-    /// FNV-1a over the shard-key value's bit pattern (numeric) or bytes
-    /// (string), modulo the shard count.
-    Hash,
-    /// Quantile boundaries over the sorted (total-order) non-NULL keys;
-    /// shard `s` holds keys in `(boundaries[s-1], boundaries[s]]`.
-    Range {
-        /// `num_shards - 1` non-decreasing upper bounds.
-        boundaries: Vec<f64>,
-    },
-}
-
 /// Per-shard, per-column statistics backing
 /// [`ShardedTable::condition_may_match`].
 #[derive(Debug, Clone)]
@@ -85,7 +71,7 @@ struct ColumnZone {
 }
 
 /// The shard-key value of one row or literal, in the space shard
-/// assignment hashes/partitions over.
+/// assignment hashes over.
 enum Key<'a> {
     /// A numeric-class value via its `f64` widening (`Int`, `Float`,
     /// `Timestamp`, `Bool` as 1.0/0.0).
@@ -99,8 +85,8 @@ enum Key<'a> {
 /// Construction copies the base table's rows (soft-delete flags included)
 /// into per-shard tables that share the base's schema and name, so any
 /// statement valid against the base validates against every shard. The
-/// base table itself is not retained; [`ShardedTable::covers`] pins the
-/// identity/version the partition was built from.
+/// base table itself is not retained, and the partition does not follow
+/// later mutations of it.
 ///
 /// ```
 /// use dbwipes_storage::{Condition, DataType, Schema, ShardedTable, Table, Value};
@@ -121,11 +107,8 @@ enum Key<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedTable {
-    base_id: u64,
-    base_epoch: TableEpoch,
     base_rows: usize,
     shard_column: usize,
-    strategy: Strategy,
     shards: Vec<Arc<Table>>,
     /// Global row index → (shard, local row index).
     to_local: Vec<(u32, u32)>,
@@ -141,42 +124,8 @@ impl ShardedTable {
     /// than the row count simply leave some shards empty. NULL shard keys
     /// go to shard 0.
     pub fn hash(table: &Table, column: &str, shards: usize) -> Result<ShardedTable, StorageError> {
-        let idx = table.schema().resolve(column)?;
-        ShardedTable::build(table, idx, shards.max(1), Strategy::Hash)
-    }
-
-    /// Partitions `table` into `shards` range shards on numeric `column`,
-    /// with boundaries at the quantiles of the column's non-NULL values so
-    /// shards are balanced on skew-free data. NULL shard keys go to
-    /// shard 0.
-    pub fn range(table: &Table, column: &str, shards: usize) -> Result<ShardedTable, StorageError> {
-        let idx = table.schema().resolve(column)?;
-        let dtype = table.schema().field_at(idx).expect("resolved").dtype;
-        if !dtype.is_numeric() {
-            return Err(StorageError::TypeMismatch {
-                expected: "numeric".into(),
-                found: dtype,
-                context: format!("range-sharding column '{column}'"),
-            });
-        }
-        let shards = shards.max(1);
-        let col = table.column(idx).expect("resolved");
-        let mut keys: Vec<f64> = (0..table.num_rows()).filter_map(|row| col.get_f64(row)).collect();
-        keys.sort_unstable_by(f64::total_cmp);
-        let boundaries: Vec<f64> = if keys.is_empty() {
-            Vec::new()
-        } else {
-            (1..shards).map(|i| keys[(i * keys.len() / shards).min(keys.len() - 1)]).collect()
-        };
-        ShardedTable::build(table, idx, shards, Strategy::Range { boundaries })
-    }
-
-    fn build(
-        table: &Table,
-        shard_column: usize,
-        num_shards: usize,
-        strategy: Strategy,
-    ) -> Result<ShardedTable, StorageError> {
+        let shard_column = table.schema().resolve(column)?;
+        let num_shards = shards.max(1);
         let base_rows = table.num_rows();
         if base_rows > u32::MAX as usize {
             return Err(StorageError::Eval(format!(
@@ -198,7 +147,7 @@ impl ShardedTable {
             };
             let s = match key {
                 None => 0, // NULL shard key
-                Some(key) => shard_of_key(&strategy, num_shards, &key),
+                Some(key) => shard_of_key(num_shards, &key),
             };
             to_local.push((s as u32, shard_rows[s].len() as u32));
             shard_rows[s].push(RowId(row));
@@ -221,17 +170,7 @@ impl ShardedTable {
             shards.push(Arc::new(shard));
         }
 
-        Ok(ShardedTable {
-            base_id: table.id(),
-            base_epoch: table.epoch(),
-            base_rows,
-            shard_column,
-            strategy,
-            shards,
-            to_local,
-            to_global,
-            zones,
-        })
+        Ok(ShardedTable { base_rows, shard_column, shards, to_local, to_global, zones })
     }
 
     /// Number of shards (≥ 1; possibly more than the base has rows).
@@ -258,88 +197,6 @@ impl ShardedTable {
     /// Schema index of the column rows were partitioned on.
     pub fn shard_column(&self) -> usize {
         self.shard_column
-    }
-
-    /// True when this partition was built from exactly `table`'s current
-    /// data ([`Table::id`] and the full [`Table::epoch`] both match).
-    pub fn covers(&self, table: &Table) -> bool {
-        self.covers_with(table, EpochTolerance::Exact)
-    }
-
-    /// Epoch comparison under an explicit tolerance: with
-    /// [`EpochTolerance::TolerateAppends`], a partition also covers a
-    /// table that has only gained rows since it was built — callers must
-    /// then [`ShardedTable::absorb_append`] the delta before querying.
-    pub fn covers_with(&self, table: &Table, tolerance: EpochTolerance) -> bool {
-        table.id() == self.base_id && self.base_epoch.covers(table.epoch(), tolerance)
-    }
-
-    /// The [`Table::epoch`] of the base table this partition currently
-    /// mirrors (advanced by [`ShardedTable::absorb_append`]).
-    pub fn base_epoch(&self) -> TableEpoch {
-        self.base_epoch
-    }
-
-    /// Grows the partition in place to mirror `table`, which must be an
-    /// append-only descendant of the base this partition was built from
-    /// (same id, same structural epoch, appended epoch at or past ours).
-    /// Each new row lands in the shard its key partitions to — hash rows
-    /// by key bits, range rows by the existing quantile boundaries — with
-    /// zone maps and both row-id maps updated incrementally; nothing
-    /// already partitioned is rebuilt. Returns the number of rows
-    /// absorbed.
-    pub fn absorb_append(&mut self, table: &Table) -> Result<usize, StorageError> {
-        if table.id() != self.base_id {
-            return Err(StorageError::Eval(format!(
-                "cannot absorb appends from table id {} into a partition of id {}",
-                table.id(),
-                self.base_id
-            )));
-        }
-        if !table.epoch().is_append_descendant_of(self.base_epoch)
-            || table.num_rows() < self.base_rows
-        {
-            return Err(StorageError::Eval(format!(
-                "table epoch {:?} is not an append-only descendant of the partition's {:?}",
-                table.epoch(),
-                self.base_epoch
-            )));
-        }
-        if table.num_rows() > u32::MAX as usize {
-            return Err(StorageError::Eval(format!(
-                "cannot shard a table with {} rows (> u32::MAX)",
-                table.num_rows()
-            )));
-        }
-        if table.epoch() == self.base_epoch {
-            return Ok(0);
-        }
-        let col = table.column(self.shard_column).expect("schema unchanged by appends");
-        let dtype = table.schema().field_at(self.shard_column).expect("resolved").dtype;
-        let absorbed = table.num_rows() - self.base_rows;
-        for row in self.base_rows..table.num_rows() {
-            let key = if dtype == DataType::Str {
-                col.get_str(row).map(Key::Str)
-            } else {
-                col.get_f64(row).map(Key::Num)
-            };
-            let s = match key {
-                None => 0, // NULL shard key, as at build time
-                Some(key) => shard_of_key(&self.strategy, self.num_shards(), &key),
-            };
-            let shard = Arc::make_mut(&mut self.shards[s]);
-            let local = shard.num_rows();
-            let values = table.row(RowId(row))?;
-            shard.push_row(values)?;
-            // Appended rows are visible by definition (appends cannot
-            // soft-delete), so no delete flag to mirror.
-            self.to_local.push((s as u32, local as u32));
-            self.to_global[s].push(row as u32);
-            extend_zones(&mut self.zones[s], shard, local);
-        }
-        self.base_rows = table.num_rows();
-        self.base_epoch = table.epoch();
-        Ok(absorbed)
     }
 
     /// Maps a base-table row to its `(shard, local row)` address, or
@@ -506,56 +363,32 @@ impl ShardedTable {
     /// `idx`? Combines the zone interval with shard pinning on the shard
     /// column (a key can only live in the shard its value partitions to).
     fn key_may_match(&self, s: usize, idx: usize, zone: &ColumnZone, key: &Key<'_>) -> bool {
-        match key {
-            Key::Num(v) => {
-                match zone.range {
-                    Some((lo, hi)) => {
-                        if v.total_cmp(&lo) == Ordering::Less
-                            || v.total_cmp(&hi) == Ordering::Greater
-                        {
-                            return false;
-                        }
+        if let Key::Num(v) = key {
+            match zone.range {
+                Some((lo, hi)) => {
+                    if v.total_cmp(&lo) == Ordering::Less || v.total_cmp(&hi) == Ordering::Greater {
+                        return false;
                     }
-                    // Non-empty shard, no NULLs, no numeric values: the
-                    // numeric kernel cannot produce TRUE or UNKNOWN rows.
-                    None => return false,
                 }
-                idx != self.shard_column
-                    || shard_of_key(&self.strategy, self.num_shards(), key) == s
-            }
-            Key::Str(_) => {
-                idx != self.shard_column
-                    || shard_of_key(&self.strategy, self.num_shards(), key) == s
+                // Non-empty shard, no NULLs, no numeric values: the
+                // numeric kernel cannot produce TRUE or UNKNOWN rows.
+                None => return false,
             }
         }
+        idx != self.shard_column || shard_of_key(self.num_shards(), key) == s
     }
 }
 
-/// The shard a key partitions to. Hashing covers both key classes; range
-/// boundaries are numeric-only (the constructor rejects string range
-/// sharding), where a string key conservatively lands in shard 0.
-fn shard_of_key(strategy: &Strategy, num_shards: usize, key: &Key<'_>) -> usize {
-    match strategy {
-        Strategy::Hash => {
-            let h = match key {
-                // Hash the bit pattern: total_cmp-equal values have
-                // identical bits (including -0.0 vs +0.0 and NaN
-                // payloads), so hashing is exactly consistent with the
-                // kernels' equality.
-                Key::Num(v) => fnv1a(&v.to_bits().to_le_bytes()),
-                Key::Str(s) => fnv1a(s.as_bytes()),
-            };
-            (h % num_shards as u64) as usize
-        }
-        Strategy::Range { boundaries } => match key {
-            Key::Num(v) => boundaries
-                .iter()
-                .take_while(|b| v.total_cmp(b) == Ordering::Greater)
-                .count()
-                .min(num_shards - 1),
-            Key::Str(_) => 0,
-        },
-    }
+/// The shard a key hashes to.
+fn shard_of_key(num_shards: usize, key: &Key<'_>) -> usize {
+    let h = match key {
+        // Hash the bit pattern: total_cmp-equal values have identical bits
+        // (including -0.0 vs +0.0 and NaN payloads), so hashing is exactly
+        // consistent with the kernels' equality.
+        Key::Num(v) => fnv1a(&v.to_bits().to_le_bytes()),
+        Key::Str(s) => fnv1a(s.as_bytes()),
+    };
+    (h % num_shards as u64) as usize
 }
 
 /// The key class of an equality literal against a column of type `dtype`,
@@ -574,26 +407,6 @@ fn literal_key<'a>(dtype: DataType, value: &'a Value) -> Option<Key<'a>> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-/// Folds shard row `local` into every column's zone — the incremental
-/// counterpart of [`column_zones`], applied per absorbed append row.
-fn extend_zones(zones: &mut [ColumnZone], shard: &Table, local: usize) {
-    for (c, zone) in zones.iter_mut().enumerate() {
-        let col = shard.column(c).expect("in schema");
-        if col.is_null(local) {
-            zone.has_null = true;
-            continue;
-        }
-        let Some(v) = col.get_f64(local) else { continue };
-        zone.range = Some(match zone.range {
-            None => (v, v),
-            Some((lo, hi)) => (
-                if v.total_cmp(&lo) == Ordering::Less { v } else { lo },
-                if v.total_cmp(&hi) == Ordering::Greater { v } else { hi },
-            ),
-        });
     }
 }
 
@@ -651,7 +464,6 @@ mod tests {
     fn check_partition(t: &Table, st: &ShardedTable, shards: usize) {
         assert_eq!(st.num_shards(), shards);
         assert_eq!(st.base_rows(), t.num_rows());
-        assert!(st.covers(t));
         let total: usize = st.shards().iter().map(|s| s.num_rows()).sum();
         assert_eq!(total, t.num_rows());
         // Round-trip every global row and verify values + delete flags.
@@ -684,27 +496,6 @@ mod tests {
         // Case-insensitive column resolution, unknown column errors.
         assert!(ShardedTable::hash(&t, "SensorID", 2).is_ok());
         assert!(ShardedTable::hash(&t, "nope", 2).is_err());
-    }
-
-    #[test]
-    fn range_partition_round_trips_and_balances() {
-        let t = sensor_table();
-        for shards in [1, 3, 4] {
-            let st = ShardedTable::range(&t, "temp", shards).unwrap();
-            check_partition(&t, &st, shards);
-        }
-        // Range sharding balances a uniform key within a factor of the
-        // quantile grid.
-        let st = ShardedTable::range(&t, "sensorid", 4).unwrap();
-        for s in 0..4 {
-            assert!(st.shard(s).num_rows() >= 6, "shard {s} unexpectedly small");
-        }
-        // Strings cannot be range-partitioned.
-        assert!(matches!(
-            ShardedTable::range(&t, "room", 2),
-            Err(StorageError::TypeMismatch { .. })
-        ));
-        assert!(matches!(ShardedTable::range(&t, "ok", 2), Err(StorageError::TypeMismatch { .. })));
     }
 
     #[test]
@@ -792,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn pruning_is_sound_on_hash_and_range_shards() {
+    fn pruning_is_sound_on_hash_shards() {
         let t = sensor_table();
         for shards in [1, 2, 4, 9, 100] {
             assert_prune_sound(
@@ -801,14 +592,6 @@ mod tests {
             );
             assert_prune_sound(
                 &ShardedTable::hash(&t, "room", shards).unwrap(),
-                &probe_conditions(),
-            );
-            assert_prune_sound(
-                &ShardedTable::range(&t, "temp", shards).unwrap(),
-                &probe_conditions(),
-            );
-            assert_prune_sound(
-                &ShardedTable::range(&t, "sensorid", shards).unwrap(),
                 &probe_conditions(),
             );
         }
@@ -830,19 +613,6 @@ mod tests {
                 (0..t.num_rows()).filter(|&r| t.row(RowId(r)).unwrap()[0] == Value::Int(k)).count();
             assert_eq!(tri.trues.count_ones(), expected, "sensorid = {k}");
         }
-    }
-
-    #[test]
-    fn range_zones_prune_non_overlapping_shards() {
-        let t = sensor_table();
-        let st = ShardedTable::range(&t, "temp", 4).unwrap();
-        // temp spans [-0.0, 23.0]; a far-away range prunes every shard.
-        let cond = Condition::between("temp", 100.0, 200.0);
-        assert!((0..4).all(|s| !st.condition_may_match(s, &cond)));
-        // A tight range keeps only the shards whose zone overlaps.
-        let cond = Condition::at_most("temp", 16.0);
-        let live = (0..4).filter(|&s| st.condition_may_match(s, &cond)).count();
-        assert!(live < 4, "zone pruning should drop at least one shard");
     }
 
     /// The −0.0 regression the total-order zone maps exist for: a shard
@@ -893,77 +663,6 @@ mod tests {
         let eq_nan = Condition::equals("x", f64::NAN);
         let live: Vec<usize> = (0..3).filter(|&s| st.condition_may_match(s, &eq_nan)).collect();
         assert_eq!(live.len(), 1, "NaN equality pins via bit hashing");
-    }
-
-    #[test]
-    fn absorb_append_matches_a_fresh_hash_partition() {
-        let mut t = sensor_table();
-        let st0 = ShardedTable::hash(&t, "sensorid", 4).unwrap();
-        let mut grown = st0.clone();
-        t.push_rows(vec![
-            vec![Value::Int(3), Value::Float(99.0), Value::str("room1"), Value::Bool(true)],
-            vec![Value::Int(11), Value::Float(-0.0), Value::Null, Value::Bool(false)],
-            vec![Value::Null, Value::Float(f64::NAN), Value::str("room9"), Value::Bool(true)],
-        ])
-        .unwrap();
-        assert!(!st0.covers(&t));
-        assert!(st0.covers_with(&t, EpochTolerance::TolerateAppends));
-        assert_eq!(grown.absorb_append(&t).unwrap(), 3);
-        assert!(grown.covers(&t));
-        check_partition(&t, &grown, 4);
-        // Hash placement is a pure function of the key, so the grown
-        // partition places every row exactly where a fresh build would.
-        let fresh = ShardedTable::hash(&t, "sensorid", 4).unwrap();
-        for row in t.all_row_ids() {
-            assert_eq!(grown.locate(row), fresh.locate(row), "row {row}");
-        }
-        assert_prune_sound(&grown, &probe_conditions());
-        // The original partition is untouched (shards are copy-on-write).
-        assert_eq!(st0.base_rows(), 60);
-        assert_eq!(st0.shards().iter().map(|s| s.num_rows()).sum::<usize>(), 60);
-        // Absorbing again is a no-op.
-        assert_eq!(grown.absorb_append(&t).unwrap(), 0);
-    }
-
-    #[test]
-    fn absorb_append_routes_range_rows_by_existing_boundaries() {
-        let mut t = sensor_table();
-        let mut st = ShardedTable::range(&t, "temp", 3).unwrap();
-        t.push_rows(vec![
-            vec![Value::Int(1), Value::Float(-50.0), Value::str("cold"), Value::Bool(true)],
-            vec![Value::Int(2), Value::Float(500.0), Value::str("hot"), Value::Bool(false)],
-            vec![Value::Int(3), Value::Null, Value::str("null-key"), Value::Bool(true)],
-        ])
-        .unwrap();
-        assert_eq!(st.absorb_append(&t).unwrap(), 3);
-        check_partition(&t, &st, 3);
-        // Extremes route to the boundary shards, NULL keys to shard 0.
-        let (cold_shard, _) = st.locate(RowId(60)).unwrap();
-        let (hot_shard, _) = st.locate(RowId(61)).unwrap();
-        let (null_shard, _) = st.locate(RowId(62)).unwrap();
-        assert_eq!(cold_shard, 0);
-        assert_eq!(hot_shard, 2);
-        assert_eq!(null_shard, 0);
-        // Zone maps grew to keep pruning sound over the new extremes.
-        assert!(st.condition_may_match(0, &Condition::at_most("temp", -40.0)));
-        assert!(st.condition_may_match(2, &Condition::above("temp", 400.0)));
-        assert_prune_sound(&st, &probe_conditions());
-    }
-
-    #[test]
-    fn absorb_append_rejects_non_append_descendants() {
-        let t = sensor_table();
-        let mut st = ShardedTable::hash(&t, "sensorid", 2).unwrap();
-        // A different table entirely.
-        let other = sensor_table();
-        assert!(st.absorb_append(&other).is_err());
-        // A structural mutation breaks append lineage.
-        let mut deleted = t.clone();
-        deleted.delete_row(RowId(3)).unwrap();
-        assert!(st.absorb_append(&deleted).is_err());
-        assert!(!st.covers_with(&deleted, EpochTolerance::TolerateAppends));
-        // The partition itself is untouched by the failed absorbs.
-        assert!(st.covers(&t));
     }
 
     #[test]

@@ -290,9 +290,9 @@ impl Table {
     }
 
     /// Validates one row against the schema (arity and per-column type)
-    /// without mutating anything. Public so callers batching rows across
-    /// several [`Table::push_rows`] calls can pre-validate the whole input
-    /// and keep command-level all-or-nothing semantics.
+    /// without mutating anything. Public so a caller holding a shared
+    /// snapshot can refuse a payload before a copy-on-write
+    /// [`Table::push_rows`] would clone the table.
     pub fn validate_row(&self, values: &[Value]) -> Result<(), StorageError> {
         if values.len() != self.schema.len() {
             return Err(StorageError::ArityMismatch {

@@ -1,7 +1,9 @@
 //! Lints the prose documentation: every relative markdown link in
 //! `README.md` and `docs/*.md` must point at a file (or directory) that
 //! exists in the repository, and the three architecture/reference docs the
-//! README promises must actually be there and linked.
+//! README promises must actually be there and linked. A knob census ties
+//! the code to the docs: the `DBWIPES_*` names in the crates' sources are
+//! exactly the ones the reference docs describe.
 //!
 //! Absolute `http(s)://` links are out of scope (no network in CI or this
 //! container); intra-crate rustdoc links are checked separately by the
@@ -142,5 +144,60 @@ fn the_reply_path_is_documented() {
     }
     for test in ["crates/server/tests/reply_goldens.rs", "tests/reply_path_prop.rs"] {
         assert!(root.join(test).exists(), "the docs name {test}");
+    }
+}
+
+/// Every `DBWIPES_[A-Z_]+` name occurring in `text`.
+fn knob_names(text: &str) -> BTreeSet<String> {
+    const PREFIX: &str = "DBWIPES_";
+    let mut names = BTreeSet::new();
+    let mut rest = text;
+    while let Some(at) = rest.find(PREFIX) {
+        let tail = &rest[at + PREFIX.len()..];
+        let len = tail.bytes().take_while(|b| b.is_ascii_uppercase() || *b == b'_').count();
+        if len > 0 {
+            names.insert(format!("{PREFIX}{}", &tail[..len]));
+        }
+        rest = &tail[len..];
+    }
+    names
+}
+
+/// The knob names in every `.rs` file under `dir`, recursively.
+fn knob_names_under(dir: &Path, names: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            knob_names_under(&path, names);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            names.extend(knob_names(&std::fs::read_to_string(&path).unwrap()));
+        }
+    }
+}
+
+/// The knob census: an environment variable the code reads is documented
+/// in TUNING.md or PROTOCOL.md, a documented one is still read, and the
+/// overview docs name no knob of their own — so a knob cannot appear or
+/// vanish on one side only.
+#[test]
+fn environment_knobs_in_code_and_docs_are_the_same_set() {
+    let root = repo_root();
+    let mut in_code = BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            knob_names_under(&src, &mut in_code);
+        }
+    }
+    assert!(!in_code.is_empty(), "the census found no knob under crates/*/src");
+
+    let read = |doc: &str| std::fs::read_to_string(root.join(doc)).unwrap();
+    let mut documented = knob_names(&read("docs/TUNING.md"));
+    documented.extend(knob_names(&read("docs/PROTOCOL.md")));
+    assert_eq!(in_code, documented, "crates/*/src (left) vs docs/TUNING.md ∪ docs/PROTOCOL.md");
+
+    for doc in ["README.md", "docs/ARCHITECTURE.md"] {
+        let stray: Vec<String> = knob_names(&read(doc)).difference(&in_code).cloned().collect();
+        assert!(stray.is_empty(), "{doc} names knobs the code does not read: {stray:?}");
     }
 }

@@ -1,8 +1,8 @@
 //! Equivalence property tests for shard-parallel execution.
 //!
-//! For random tables, statements, partitionings (hash and range, over
-//! several columns, with shard counts from 1 up to far more shards than
-//! rows) and exclusion sets, the sharded path
+//! For random tables, statements, hash partitionings (over several
+//! columns, with shard counts from 1 up to far more shards than rows) and
+//! exclusion sets, the sharded path
 //! ([`ShardedAggregateCache`]) must produce results identical — group
 //! keys, aggregate values, order and schema — to the unsharded
 //! [`GroupedAggregateCache`] on the base table.
@@ -65,12 +65,11 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
     ]
 }
 
-/// A random partitioning: hash or range, on any column (including the
-/// NULL-bearing float column), with shard counts covering the degenerate
-/// single shard, typical small counts, and far more shards than rows.
-fn arbitrary_partition() -> impl Strategy<Value = (bool, &'static str, usize)> {
+/// A random hash partitioning on any column (including the NULL-bearing
+/// float column), with shard counts covering the degenerate single shard,
+/// typical small counts, and far more shards than rows.
+fn arbitrary_partition() -> impl Strategy<Value = (&'static str, usize)> {
     (
-        any::<bool>(),
         prop_oneof![Just("grp"), Just("device"), Just("value")],
         prop_oneof![Just(1usize), 2usize..6, Just(100usize)],
     )
@@ -175,13 +174,8 @@ fn assert_same_ranking<P: Candidate + PartialEq>(
     Ok(())
 }
 
-fn build_partition(table: &Table, hash: bool, column: &str, shards: usize) -> Arc<ShardedTable> {
-    let sharded = if hash {
-        ShardedTable::hash(table, column, shards)
-    } else {
-        ShardedTable::range(table, column, shards)
-    };
-    Arc::new(sharded.unwrap())
+fn build_partition(table: &Table, column: &str, shards: usize) -> Arc<ShardedTable> {
+    Arc::new(ShardedTable::hash(table, column, shards).unwrap())
 }
 
 /// The core assertion: for one (table, partition, statement, exclusions)
@@ -229,18 +223,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The headline property: random (table, partition, statement,
-    /// exclusion) tuples — hash and range, shard counts 1 / small / far
-    /// beyond the row count — answer bitwise identically to the
-    /// unsharded cache, full and under exclusion.
+    /// exclusion) tuples — shard counts 1 / small / far beyond the row
+    /// count — answer bitwise identically to the unsharded cache, full
+    /// and under exclusion.
     #[test]
     fn sharded_matches_unsharded(
         table in arbitrary_table(),
-        (hash, column, shards) in arbitrary_partition(),
+        (column, shards) in arbitrary_partition(),
         excluded in arbitrary_exclusions(),
         sql_a in arbitrary_statement(),
         sql_b in arbitrary_statement(),
     ) {
-        let sharded = build_partition(&table, hash, column, shards);
+        let sharded = build_partition(&table, column, shards);
         prop_assert_eq!(
             sharded.shards().iter().map(|s| s.num_rows()).sum::<usize>(),
             table.num_rows()
@@ -250,23 +244,22 @@ proptest! {
         }
     }
 
-    /// Boundary-straddling predicates: under *range* partitioning on the
-    /// aggregated column, exclusion sets drawn from threshold predicates
-    /// land on both sides of (and exactly on) the shard boundaries. The
-    /// per-key path must agree with the unsharded per-key path too.
+    /// Threshold predicates: under partitioning on the aggregated column,
+    /// exclusion sets drawn from a threshold predicate touch every shard.
+    /// The per-key path must agree with the unsharded per-key path too.
     #[test]
-    fn range_boundary_straddling_predicates_match(
+    fn threshold_predicates_match_on_the_per_key_path(
         table in arbitrary_table(),
         shards in 2usize..5,
         threshold in -50i64..150,
     ) {
-        let sharded = build_partition(&table, false, "value", shards);
+        let sharded = build_partition(&table, "value", shards);
         let stmt = parse_select("SELECT grp, avg(value), count(*) FROM m GROUP BY grp").unwrap();
         let unsharded = GroupedAggregateCache::build(&table, &stmt).unwrap();
         let cache = ShardedAggregateCache::build(sharded.clone(), &stmt).unwrap();
 
-        // `value > t/2` straddles every boundary above the threshold; the
-        // exclusion set is exactly the ranker's TRUE-or-UNKNOWN rows.
+        // The exclusion set of `value > t/2` is exactly the ranker's
+        // TRUE-or-UNKNOWN rows.
         let predicate =
             ConjunctivePredicate::new(vec![Condition::above("value", threshold as f64 / 2.0)]);
         let p_expr = predicate.to_expr();
@@ -297,10 +290,10 @@ proptest! {
     #[test]
     fn cross_shard_group_exclusion_matches(
         table in arbitrary_table(),
-        (hash, column, shards) in arbitrary_partition(),
+        (column, shards) in arbitrary_partition(),
         victim in 0i64..4,
     ) {
-        let sharded = build_partition(&table, hash, column, shards);
+        let sharded = build_partition(&table, column, shards);
         let excluded: Vec<RowId> = (0..table.num_rows())
             .map(RowId)
             .filter(|&r| {
@@ -322,7 +315,7 @@ proptest! {
     #[test]
     fn sharded_ranking_matches_unsharded_on_every_field(
         table in arbitrary_table(),
-        (hash, column, shards) in arbitrary_partition(),
+        (column, shards) in arbitrary_partition(),
         (sql, metric_column) in arbitrary_ranked_statement(),
         threshold in -100i64..300,
         brushed in proptest::collection::vec(0usize..24, 1..4),
@@ -330,7 +323,7 @@ proptest! {
         conjunctions in proptest::collection::vec(arbitrary_conjunction(), 1..10),
         trees in proptest::collection::vec(arbitrary_tree(), 1..10),
     ) {
-        let sharded = build_partition(&table, hash, column, shards);
+        let sharded = build_partition(&table, column, shards);
         let mut catalog = Catalog::new();
         catalog.register(table.clone()).unwrap();
         let result = execute_sql(&catalog, sql).unwrap();

@@ -1,8 +1,8 @@
 //! Equivalence property tests for streaming ingestion.
 //!
-//! The streaming path never rebuilds: retained aggregate caches and shard
-//! partitions *absorb* appended rows in place (`absorb_append`), and open
-//! server sessions fast-forward through the shared registry. These tests
+//! The streaming path never rebuilds: retained aggregate caches *absorb*
+//! appended rows in place (`absorb_append`), and open server sessions
+//! fast-forward through the shared registry. These tests
 //! pin the whole path to one property — **append-then-absorb is bitwise
 //! identical to rebuild-from-scratch**:
 //!
@@ -10,10 +10,6 @@
 //!   the grown table, full and under exclusion — including the MIN/MAX
 //!   rescan fallback, groups created by appended rows, and appends
 //!   interleaved with exclusion queries;
-//! * [`ShardedTable::absorb_append`] against fresh hash partitions at
-//!   1–5 shards (shard contents, row routing and zone-map pruning all
-//!   compared), plus answer-level equivalence for grown range partitions
-//!   whose quantile boundaries a rebuild would *not* reproduce;
 //! * the live-append gate: after N streamed batches through
 //!   [`SessionManager::stream_append`], every open session's explanation
 //!   is bit-identical to one computed on a freshly built table, with zero
@@ -27,12 +23,11 @@
 //! absorb path, never floating-point reordering noise.
 
 use dbwipes::data::{generate_sensor, SensorConfig};
-use dbwipes::engine::{parse_select, ExclusionQuery, GroupedAggregateCache, ShardedAggregateCache};
-use dbwipes::storage::{Condition, DataType, RowSet, Schema, ShardedTable, Value};
+use dbwipes::engine::{parse_select, ExclusionQuery, GroupedAggregateCache};
+use dbwipes::storage::{DataType, Schema, Value};
 use dbwipes::{Catalog, RowId, Table};
 use dbwipes_server::SessionManager;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// One synthetic reading: (grp, device, value-on-the-half-integer-grid).
 type Row = (i64, i64, Option<f64>);
@@ -199,106 +194,6 @@ proptest! {
         let excluded: Vec<RowId> = (base.num_rows()..grown.num_rows()).map(RowId).collect();
         assert_cache_matches_rebuild(&cache, &grown, sql, &excluded)?;
         assert_cache_matches_rebuild(&cache, &grown, sql, &[])?;
-    }
-
-    /// Grown hash partitions are indistinguishable from fresh ones at
-    /// every shard count from 1 to 5: same shard contents row for row,
-    /// same global↔local routing, and the same zone-map pruning verdicts
-    /// (probed through `condition_may_match`, equality and threshold
-    /// conditions on every column).
-    #[test]
-    fn grown_hash_partitions_match_fresh_ones(
-        prefix in arbitrary_rows(0i64..4, 1..40),
-        wave in arbitrary_rows(0i64..8, 1..30),
-        shards in 1usize..6,
-        column in prop_oneof![Just("grp"), Just("device"), Just("value")],
-    ) {
-        let base = table_of(&prefix);
-        let grown = grow(&base, &wave);
-        let mut part = ShardedTable::hash(&base, column, shards).unwrap();
-        prop_assert_eq!(part.absorb_append(&grown).unwrap(), wave.len());
-        prop_assert!(part.absorb_append(&grown).unwrap() == 0, "re-absorb is a no-op");
-        let fresh = ShardedTable::hash(&grown, column, shards).unwrap();
-
-        prop_assert_eq!(part.num_shards(), fresh.num_shards());
-        prop_assert!(part.base_epoch() == grown.epoch());
-        for s in 0..part.num_shards() {
-            let (a, b) = (part.shard(s), fresh.shard(s));
-            prop_assert!(a.num_rows() == b.num_rows(), "shard {s} row count diverged");
-            for r in 0..a.num_rows() {
-                prop_assert_eq!(a.row(RowId(r)).unwrap(), b.row(RowId(r)).unwrap());
-            }
-        }
-        for global in 0..grown.num_rows() {
-            prop_assert_eq!(part.locate(RowId(global)), fresh.locate(RowId(global)));
-        }
-        // Zone maps were extended, not rebuilt: both partitions must
-        // prune identically for every probe the typed kernels can take.
-        for col in ["grp", "device", "value"] {
-            for k in -6..10 {
-                let probes = [
-                    Condition::equals(col, k),
-                    Condition::above(col, k as f64 * 25.0),
-                ];
-                for cond in &probes {
-                    for s in 0..part.num_shards() {
-                        prop_assert!(
-                            part.condition_may_match(s, cond)
-                                == fresh.condition_may_match(s, cond),
-                            "pruning diverged on shard {s} for {cond:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Grown *range* partitions keep their original quantile boundaries
-    /// (a rebuild would draw new ones), so the pin is answer-level: a
-    /// sharded cache over the absorbed partition answers bitwise like an
-    /// unsharded cache over the grown table, full and under exclusion.
-    #[test]
-    fn grown_range_partitions_answer_like_the_unsharded_path(
-        prefix in arbitrary_rows(0i64..4, 1..40),
-        wave in arbitrary_rows(0i64..8, 1..30),
-        shards in 1usize..6,
-        excluded in arbitrary_exclusions(),
-        sql in arbitrary_statement(),
-    ) {
-        let base = table_of(&prefix);
-        let grown = grow(&base, &wave);
-        let mut part = ShardedTable::range(&base, "value", shards).unwrap();
-        part.absorb_append(&grown).unwrap();
-        let part = Arc::new(part);
-        prop_assert_eq!(
-            part.shards().iter().map(|s| s.num_rows()).sum::<usize>(),
-            grown.num_rows()
-        );
-
-        let stmt = parse_select(&sql).unwrap();
-        let unsharded = GroupedAggregateCache::build(&grown, &stmt).unwrap();
-        let sharded = ShardedAggregateCache::build(part.clone(), &stmt).unwrap();
-        let a = unsharded.full_result();
-        let b = sharded.full_result();
-        prop_assert!(
-            a.rows == b.rows && a.group_keys == b.group_keys,
-            "full results diverged for {sql}: {:?} != {:?}", a.rows, b.rows
-        );
-
-        let incremental = unsharded.result(&ExclusionQuery::new().excluding_rows(&excluded));
-        let split = part.split_rows(&excluded);
-        let sets: Vec<RowSet> = split
-            .iter()
-            .zip(part.shards())
-            .map(|(rows, t)| RowSet::from_rows(t.num_rows(), rows.iter()))
-            .collect();
-        let merged = sharded.result_excluding_local_sets(&sets);
-        prop_assert!(
-            incremental.rows == merged.rows && incremental.group_keys == merged.group_keys,
-            "excluding results diverged for {sql} excluding {excluded:?}: {:?} != {:?}",
-            incremental.rows,
-            merged.rows
-        );
     }
 }
 
