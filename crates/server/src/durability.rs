@@ -8,13 +8,19 @@
 //! under chaos tests via `DBWIPES_FAULT_PLAN`) with the service-level
 //! policy and counters the `stats` command reports:
 //!
-//! * **Table snapshots are written eagerly** — `register` persists the
-//!   table before the reply is sent, so a kill at any later point still
-//!   recovers to the registered data. Saves are version-gated: flushing a
-//!   table whose exact (id, version) is already in the manifest is a
-//!   no-op, which makes the shutdown flush idempotent and cheap.
-//! * **Writes retry with capped exponential backoff** — a failed snapshot
-//!   write is retried up to `DBWIPES_STORAGE_RETRIES` times (default 3),
+//! * **Tables are made durable eagerly** — `register` persists the table
+//!   before the reply is sent, and `stream_append` persists the appended
+//!   rows before its ack, so a kill at any later point still recovers
+//!   them. [`StorageRuntime::save_table`] is the only way in; what it
+//!   costs is the backend's decision — a full snapshot for a new or
+//!   structurally changed table, one append segment proportional to the
+//!   batch for a grown one, nothing for a table that is already durable
+//!   (which makes the shutdown flush idempotent and cheap). The gate and
+//!   the `stats` counters read what the backend knows to be durable; no
+//!   file is re-read to answer them.
+//! * **Writes retry with capped exponential backoff** — a failed table
+//!   write (snapshot or segment alike) is retried up to
+//!   `DBWIPES_STORAGE_RETRIES` times (default 3),
 //!   sleeping `DBWIPES_STORAGE_BACKOFF_MS` (default 10) doubled per
 //!   attempt and capped at 1 s, but only when
 //!   [`StorageError::is_transient`] says a retry could help: a full disk
@@ -23,8 +29,9 @@
 //!   into *degraded* mode: queries, brushes and explains keep serving
 //!   bit-identically from memory, `stream_append` keeps absorbing
 //!   in-memory (flagging `durable:false` in its reply), and the `stats`
-//!   `health` block reports the degradation. The next snapshot write that
-//!   actually succeeds self-heals the runtime back to healthy.
+//!   `health` block reports the degradation. The next table write that
+//!   actually succeeds — it carries the whole backlog, as one segment when
+//!   the table only grew — self-heals the runtime back to healthy.
 //! * **Warm state is written opportunistically** — at flush time the
 //!   [`CacheRegistry`]'s finished aggregate caches and the process's
 //!   donated condition bitmaps are serialized into per-table sidecars.
@@ -86,7 +93,6 @@ fn storage_backoff_ms() -> u64 {
 #[derive(Debug)]
 pub struct StorageRuntime {
     backend: Box<dyn StorageBackend>,
-    snapshot_saves: AtomicU64,
     snapshot_loads: AtomicU64,
     rehydrated_caches: AtomicU64,
     /// True while persistence is known broken; queries keep serving.
@@ -105,8 +111,16 @@ pub struct StorageRuntime {
 /// `stats` command's `storage` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageCounters {
-    /// Table snapshots written (version-gated: unchanged tables skip).
+    /// Full table snapshots written: first saves, structural changes and
+    /// compactions. Appends to a durable table write segments instead.
     pub snapshot_saves: u64,
+    /// Append segments written.
+    pub segment_appends: u64,
+    /// Bytes of those segments.
+    pub segment_bytes: u64,
+    /// Full snapshots written because a table's log had grown to the size
+    /// of its base (counted in `snapshot_saves` too).
+    pub compactions: u64,
     /// Table snapshots loaded during catalog restore.
     pub snapshot_loads: u64,
     /// Bytes the data directory currently occupies.
@@ -158,7 +172,6 @@ impl StorageRuntime {
     pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
         StorageRuntime {
             backend,
-            snapshot_saves: AtomicU64::new(0),
             snapshot_loads: AtomicU64::new(0),
             rehydrated_caches: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
@@ -234,17 +247,17 @@ impl StorageRuntime {
         *self.last_persist_error.lock().unwrap_or_else(|p| p.into_inner()) = None;
     }
 
-    /// Persists `table` unless its exact (id, version) is already durable.
-    /// Re-registration under the same name gets a fresh table id, so any
-    /// manifest entry holding the *name* under an older id is evicted —
-    /// otherwise dead snapshots would accumulate and be restored as
-    /// duplicate tables.
+    /// Makes `table` durable unless it already is. Re-registration under
+    /// the same name gets a fresh table id, so any manifest entry holding
+    /// the *name* under an older id is evicted — otherwise dead snapshots
+    /// would accumulate and be restored as duplicate tables.
     ///
     /// Writes retry per the module policy; an exhausted write returns the
     /// error *and* flips the runtime into degraded mode, while a write
-    /// that reaches the backend (`Ok(true)`) self-heals it. The
-    /// version-gated no-op (`Ok(false)`) proves nothing about the disk
-    /// and touches health state in neither direction.
+    /// that reaches the backend (`Ok(true)`) self-heals it. The no-op
+    /// (`Ok(false)`: the table, or an append-descendant of it that a
+    /// concurrent save got to first, is already durable) proves nothing
+    /// about the disk and touches health state in neither direction.
     pub fn save_table(&self, table: &Table) -> Result<bool, StorageError> {
         let manifest = self.backend.list_manifest()?;
         let lower = table.name().to_ascii_lowercase();
@@ -254,13 +267,13 @@ impl StorageRuntime {
             }
         }
         if let Some(entry) = manifest.entry(table.id()) {
-            if entry.epoch == table.epoch() {
+            if entry.epoch.is_append_descendant_of(table.epoch()) {
                 return Ok(false);
             }
         }
         match self.write_with_retries(|| self.backend.save_table(table)) {
+            Ok(0) => Ok(false),
             Ok(_) => {
-                self.snapshot_saves.fetch_add(1, Ordering::Relaxed);
                 self.record_persist_success();
                 Ok(true)
             }
@@ -341,8 +354,12 @@ impl StorageRuntime {
     /// The counters the `stats` command reports. `bytes_on_disk` is read
     /// live from the data directory (0 if it cannot be listed).
     pub fn counters(&self) -> StorageCounters {
+        let written = self.backend.write_counters();
         StorageCounters {
-            snapshot_saves: self.snapshot_saves.load(Ordering::Relaxed),
+            snapshot_saves: written.snapshot_saves,
+            segment_appends: written.segment_appends,
+            segment_bytes: written.segment_bytes,
+            compactions: written.compactions,
             snapshot_loads: self.snapshot_loads.load(Ordering::Relaxed),
             bytes_on_disk: self.backend.bytes_on_disk().unwrap_or(0),
             rehydrated_caches: self.rehydrated_caches.load(Ordering::Relaxed),

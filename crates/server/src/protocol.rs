@@ -73,8 +73,10 @@ use dbwipes_storage::Value;
 /// the `stats` `health` block, `stream_append`'s `durable` marker, the
 /// gated `crash` test hook); 4 = explain sharding and append batching
 /// removed: `stats` drops `shards` and `cache.partition_*`,
-/// `stream_append` drops `batches`.
-pub const PROTOCOL_VERSION: u64 = 4;
+/// `stream_append` drops `batches`; 5 = durable appends write segments:
+/// the `stats` `storage` block gains `segment_appends`, `segment_bytes`
+/// and `compactions`.
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]
@@ -770,6 +772,9 @@ mod tests {
             "`snapshot_saves`",
             "`bytes_on_disk`",
             "`rehydrated_caches`",
+            "`segment_appends`",
+            "`segment_bytes`",
+            "`compactions`",
             "`protocol_version`",
             "`sessions_refreshed`",
             "MAX_STREAM_APPEND_ROWS",

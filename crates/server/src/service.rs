@@ -188,7 +188,10 @@ impl SessionManager {
         w.key("storage").begin_object();
         w.key("attached").bool(self.storage().is_some());
         w.key("bytes_on_disk").num(storage.bytes_on_disk as f64);
+        w.key("compactions").num(storage.compactions as f64);
         w.key("rehydrated_caches").num(storage.rehydrated_caches as f64);
+        w.key("segment_appends").num(storage.segment_appends as f64);
+        w.key("segment_bytes").num(storage.segment_bytes as f64);
         w.key("snapshot_loads").num(storage.snapshot_loads as f64);
         w.key("snapshot_saves").num(storage.snapshot_saves as f64);
         w.end_object();

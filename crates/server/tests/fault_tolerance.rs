@@ -74,6 +74,23 @@ fn faulty_runtime(dir: &std::path::Path, plan: &str) -> StorageRuntime {
     StorageRuntime::with_backend(Box::new(FaultInjectingBackend::new(Box::new(fs), plan)))
 }
 
+/// Like [`faulty_runtime`], but a torn write also leaves its truncated
+/// bytes in `dir`, as a kill mid-`write(2)` would.
+fn tearing_runtime(dir: &std::path::Path, plan: &str) -> StorageRuntime {
+    let fs = FsBackend::open(dir).unwrap();
+    let plan = FaultPlan::parse(plan).unwrap();
+    StorageRuntime::with_backend(Box::new(FaultInjectingBackend::with_torn_dir(
+        Box::new(fs),
+        plan,
+        dir,
+    )))
+}
+
+/// Rows of `readings` a fresh process restores from `dir`.
+fn rows_after_restart(dir: &std::path::Path) -> usize {
+    fs_runtime(dir).restore_catalog().unwrap().table("readings").unwrap().num_rows()
+}
+
 /// Sixteen schema-valid sensor rows, distinct enough to move aggregates.
 fn append_rows_json() -> String {
     let rows: Vec<String> = (0..16)
@@ -246,6 +263,76 @@ fn degraded_mode_self_heals_on_the_first_successful_write() {
     let restored = fs_runtime(dir.path()).restore_catalog().unwrap();
     let table = restored.table_arc("readings").unwrap();
     assert_eq!(table.num_rows(), 2700 + 32);
+}
+
+#[test]
+fn a_torn_segment_degrades_and_the_next_landed_save_heals_with_the_whole_backlog() {
+    let dir = TempDir::new();
+    // Attempt 1 is the registration's full snapshot. Attempts 2..=5 are
+    // the first append's try and its three retries: each crashes 40 bytes
+    // into the segment record, leaving a torn tail in the table's log.
+    let runtime = Arc::new(tearing_runtime(dir.path(), "range:2:5:torn@40"));
+    let manager = SessionManager::new(Catalog::new());
+    manager.attach_storage(Arc::clone(&runtime));
+    let table = sensor_table();
+    let log = dir.path().join(format!("t{}.log", table.id()));
+    manager.register_table(table);
+    assert!(!runtime.is_degraded());
+
+    let append =
+        format!(r#"{{"cmd":"stream_append","table":"readings","rows":[{}]}}"#, append_rows_json());
+    let first = manager.handle_line(&append);
+    assert!(first.contains(r#""ok":true"#), "{first}");
+    assert!(first.contains(r#""durable":false"#), "a torn segment is not durable: {first}");
+    let health = runtime.health();
+    assert!(health.degraded);
+    assert_eq!((health.retries, health.consecutive_failures), (3, 1));
+    assert!(health.last_persist_error.unwrap().contains("torn write"));
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), 40, "one torn tail, not four");
+    // A kill right here restarts on the registered rows: the tail is cut.
+    assert_eq!(rows_after_restart(dir.path()), 2700);
+
+    // Attempt 6 lands. It carries the whole backlog — both batches — as
+    // one segment written over the torn tail, and heals the runtime.
+    let second = manager.handle_line(&append);
+    assert!(second.contains(r#""durable":true"#), "{second}");
+    assert!(!runtime.is_degraded());
+    let counters = runtime.counters();
+    assert_eq!((counters.snapshot_saves, counters.segment_appends), (1, 1));
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), counters.segment_bytes);
+    assert_eq!(rows_after_restart(dir.path()), 2700 + 32, "restart serves every row");
+}
+
+#[test]
+fn segment_writes_retry_transient_faults_and_fail_fast_on_a_full_disk() {
+    let dir = TempDir::new();
+    // Attempt 1 is the registration; every later attempt is a segment.
+    let runtime = Arc::new(faulty_runtime(dir.path(), "at:2:io;at:4:enospc;at:6:flaky"));
+    let manager = SessionManager::new(Catalog::new());
+    manager.attach_storage(Arc::clone(&runtime));
+    manager.register_table(sensor_table());
+    let append =
+        format!(r#"{{"cmd":"stream_append","table":"readings","rows":[{}]}}"#, append_rows_json());
+    let append = || manager.handle_line(&append);
+
+    // `io` is transient: attempt 2 fails, its retry (3) lands.
+    assert!(append().contains(r#""durable":true"#));
+    assert_eq!((runtime.health().retries, runtime.counters().segment_appends), (1, 1));
+    // `enospc` is permanent: attempt 4 fails fast, no retry, degraded.
+    assert!(append().contains(r#""durable":false"#));
+    let health = runtime.health();
+    assert!(health.degraded);
+    assert_eq!((health.retries, health.consecutive_failures), (1, 1));
+    // Attempt 5 lands with both batches in one segment and heals.
+    assert!(append().contains(r#""durable":true"#));
+    assert!(!runtime.is_degraded());
+    assert_eq!(runtime.counters().segment_appends, 2);
+    // `flaky` fails the first attempt on a target (6), then passes (7).
+    assert!(append().contains(r#""durable":true"#));
+    assert_eq!((runtime.health().retries, runtime.counters().segment_appends), (2, 3));
+
+    assert_eq!(runtime.counters().snapshot_saves, 1, "no fault forced a full snapshot");
+    assert_eq!(rows_after_restart(dir.path()), 2700 + 4 * 16);
 }
 
 /// Kills the child if the test unwinds before its graceful shutdown.

@@ -194,35 +194,11 @@ impl Column {
         &self.validity
     }
 
-    /// Reassembles a column from decoded snapshot parts, validating that
-    /// the data variant matches `dtype` and that data and validity vectors
-    /// are the same length (the persistence layer's restore path).
-    pub(crate) fn from_parts(
-        dtype: DataType,
-        data: ColumnData,
-        validity: Vec<bool>,
-    ) -> Result<Self, StorageError> {
-        let (variant, len) = match &data {
-            ColumnData::Bool(v) => (DataType::Bool, v.len()),
-            ColumnData::Int(v) => (DataType::Int, v.len()),
-            ColumnData::Float(v) => (DataType::Float, v.len()),
-            ColumnData::Str(v) => (DataType::Str, v.len()),
-            ColumnData::Timestamp(v) => (DataType::Timestamp, v.len()),
-        };
-        if variant != dtype {
-            return Err(StorageError::Corrupt(format!(
-                "column segment holds {} data but declares dtype {}",
-                variant.name(),
-                dtype.name()
-            )));
-        }
-        if len != validity.len() {
-            return Err(StorageError::Corrupt(format!(
-                "column segment has {len} values but {} validity bits",
-                validity.len()
-            )));
-        }
-        Ok(Column { dtype, data, validity })
+    /// The typed backing vector and the validity mask, for the persistence
+    /// layer to decode rows onto. Whoever extends one extends the other by
+    /// as many entries; the decoder checks it did before it returns.
+    pub(crate) fn parts_mut(&mut self) -> (&mut ColumnData, &mut Vec<bool>) {
+        (&mut self.data, &mut self.validity)
     }
 }
 

@@ -31,9 +31,12 @@
 //! * `enospc` — an out-of-space error, classified *permanent* by
 //!   [`StorageError::is_transient`],
 //! * `torn@<k>` — the write "crashes" after `k` bytes: when the wrapped
-//!   backend is a filesystem directory, a literally truncated snapshot is
-//!   left on disk (bypassing the atomic rename, exactly what a power cut
-//!   mid-`write(2)` leaves behind), then the error is reported,
+//!   backend is a filesystem directory, the first `k` bytes of what the
+//!   save was about to write ([`StorageBackend::pending_write`]) are left
+//!   on disk — a literally truncated base snapshot (bypassing the atomic
+//!   rename, exactly what a power cut mid-`write(2)` leaves behind), or a
+//!   truncated tail record in the table's log, where an append has no
+//!   rename to hide behind — then the error is reported,
 //! * `slow@<ms>` — the write succeeds after an injected latency,
 //! * `flaky` — transient-then-succeed: the first attempt *per distinct
 //!   target* fails with a transient error, every later attempt on the
@@ -43,7 +46,7 @@
 //! a transient fault, except attempt 4 which reports a full disk.
 
 use crate::error::StorageError;
-use crate::persist::{encode_table, Manifest, StorageBackend};
+use crate::persist::{append_at, Manifest, PendingWrite, StorageBackend, WriteCounters};
 use crate::table::Table;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -227,10 +230,12 @@ impl FaultInjectingBackend {
         }
     }
 
-    /// Like [`Self::new`], but torn table writes additionally leave a
-    /// truncated `t<id>.tbl` in `dir` — simulating a power cut during
-    /// `write(2)` that bypassed the atomic rename — so recovery code must
-    /// survive a checksum-failing snapshot, not just a missing one.
+    /// Like [`Self::new`], but torn table writes additionally leave the
+    /// truncated write in `dir`, the inner backend's directory — a
+    /// `t<id>.tbl` cut short, simulating a power cut during `write(2)`
+    /// that bypassed the atomic rename, or a `t<id>.log` ending in half a
+    /// record — so recovery code must survive a checksum-failing snapshot
+    /// and a torn log tail, not just a missing file.
     pub fn with_torn_dir(
         inner: Box<dyn StorageBackend>,
         plan: FaultPlan,
@@ -253,8 +258,14 @@ impl FaultInjectingBackend {
 
     /// Decides the fate of one write attempt against `target`. Returns
     /// `Ok(())` when the write should proceed (possibly after an injected
-    /// delay), or the scripted error.
-    fn intercept(&self, target: &str, payload: Option<&[u8]>) -> Result<(), StorageError> {
+    /// delay), or the scripted error. `pending` describes the file write
+    /// the attempt would perform; it is asked for only when a torn fault
+    /// fires and has a directory to leave its artifact in.
+    fn intercept(
+        &self,
+        target: &str,
+        pending: impl FnOnce() -> Option<PendingWrite>,
+    ) -> Result<(), StorageError> {
         let attempt = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
         let Some(kind) = self.plan.fault_for(attempt) else { return Ok(()) };
         match kind {
@@ -273,9 +284,13 @@ impl FaultInjectingBackend {
             }
             FaultKind::Torn(k) => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
-                if let (Some(dir), Some(bytes)) = (&self.torn_dir, payload) {
-                    let torn = &bytes[..k.min(bytes.len())];
-                    let _ = std::fs::write(dir.join(target), torn);
+                if let Some((dir, write)) = self.torn_dir.as_ref().zip(pending()) {
+                    let torn = &write.bytes[..k.min(write.bytes.len())];
+                    let path = dir.join(&write.file);
+                    let _ = match write.append_at {
+                        Some(at) => append_at(&path, at, torn),
+                        None => std::fs::write(&path, torn),
+                    };
                 }
                 Err(StorageError::Io(format!(
                     "injected torn write on #{attempt} ({target}): crashed after {k} bytes"
@@ -306,11 +321,8 @@ impl FaultInjectingBackend {
 
 impl StorageBackend for FaultInjectingBackend {
     fn save_table(&self, table: &Table) -> Result<u64, StorageError> {
-        let target = format!("t{}.tbl", table.id());
-        // Encode lazily only when a torn artifact may be needed; the
-        // inner backend re-encodes on the success path.
-        let payload = if self.torn_dir.is_some() { Some(encode_table(table)) } else { None };
-        self.intercept(&target, payload.as_deref())?;
+        // One target per table, whichever of its files the save writes.
+        self.intercept(&format!("t{}", table.id()), || self.inner.pending_write(table))?;
         self.inner.save_table(table)
     }
 
@@ -333,7 +345,10 @@ impl StorageBackend for FaultInjectingBackend {
         kind: &str,
         bytes: &[u8],
     ) -> Result<u64, StorageError> {
-        self.intercept(&format!("s{table_id}-{version}-{kind}.bin"), Some(bytes))?;
+        let file = format!("s{table_id}-{version}-{kind}.bin");
+        let pending =
+            || Some(PendingWrite { file: file.clone(), append_at: None, bytes: bytes.to_vec() });
+        self.intercept(&file, pending)?;
         self.inner.save_sidecar(table_id, version, kind, bytes)
     }
 
@@ -348,6 +363,14 @@ impl StorageBackend for FaultInjectingBackend {
 
     fn bytes_on_disk(&self) -> Result<u64, StorageError> {
         self.inner.bytes_on_disk()
+    }
+
+    fn write_counters(&self) -> WriteCounters {
+        self.inner.write_counters()
+    }
+
+    fn pending_write(&self, table: &Table) -> Option<PendingWrite> {
+        self.inner.pending_write(table)
     }
 }
 
@@ -475,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_leaves_truncated_snapshot_that_fails_decode() {
+    fn torn_base_write_leaves_truncated_snapshot_that_fails_decode() {
         let dir = TempDir::new();
         let t = small_table();
         let backend = faulty(dir.path(), "at:2:torn@16");
@@ -483,17 +506,50 @@ mod tests {
         let whole = fs::read(dir.path().join(format!("t{}.tbl", t.id()))).unwrap();
         assert!(whole.len() > 16);
 
+        // A structural change takes a full snapshot, so the torn write
+        // hits the base file.
         let mut t2 = t.clone();
-        t2.push_row(vec![Value::Int(9), Value::Float(9.0)]).unwrap();
+        t2.delete_row(crate::table::RowId(0)).unwrap();
         let err = backend.save_table(&t2).unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
         let torn = fs::read(dir.path().join(format!("t{}.tbl", t.id()))).unwrap();
-        assert_eq!(torn.len(), 16, "the torn artifact is literally truncated");
+        assert_eq!(torn, whole[..16], "the torn artifact is literally truncated");
         assert!(crate::persist::decode_table(&torn).is_err(), "torn bytes must not decode");
         // The manifest still references the pre-crash state; a recovery
         // that trusts checksums will reject the torn file instead of
         // serving half a table.
         assert!(backend.load_table(t.id()).is_err());
+    }
+
+    #[test]
+    fn torn_segment_write_leaves_a_tail_that_recovery_drops_and_the_next_save_replaces() {
+        let dir = TempDir::new();
+        let t = small_table();
+        let backend = faulty(dir.path(), "range:2:3:torn@40");
+        backend.save_table(&t).unwrap();
+        let log = dir.path().join(format!("t{}.log", t.id()));
+
+        // An append writes a segment, so the torn write hits the log; a
+        // second torn attempt replaces the first tail, it does not pile up.
+        let mut t2 = t.clone();
+        t2.push_row(vec![Value::Int(9), Value::Float(9.0)]).unwrap();
+        for _ in 0..2 {
+            let err = backend.save_table(&t2).unwrap_err();
+            assert!(err.to_string().contains("torn write"), "{err}");
+            assert_eq!(fs::metadata(&log).unwrap().len(), 40);
+        }
+        // A restart now sees the pre-append table: the tail is not a row.
+        let reopened = FsBackend::open(dir.path()).unwrap();
+        assert_eq!(reopened.load_table(t.id()).unwrap().num_rows(), t.num_rows());
+
+        // The next save that lands cuts the tail off and writes the whole
+        // backlog — both appended rows — as one record.
+        t2.push_row(vec![Value::Int(10), Value::Float(10.0)]).unwrap();
+        backend.save_table(&t2).unwrap();
+        assert_eq!(backend.write_counters().segment_appends, 1);
+        let restored = FsBackend::open(dir.path()).unwrap().load_table(t.id()).unwrap();
+        assert_eq!(restored.num_rows(), t.num_rows() + 2);
+        assert_eq!(restored.epoch(), t2.epoch());
     }
 
     #[test]

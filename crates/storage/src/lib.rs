@@ -79,7 +79,9 @@ pub use column::Column;
 pub use error::StorageError;
 pub use expr::{col, lit, BinaryOp, Expr, UnaryOp};
 pub use faults::{FaultInjectingBackend, FaultKind, FaultPlan};
-pub use persist::{FsBackend, Manifest, ManifestEntry, StorageBackend};
+pub use persist::{
+    FsBackend, Manifest, ManifestEntry, PendingWrite, StorageBackend, WriteCounters,
+};
 pub use predicate::{
     bool_vectorization_stats, enable_warm_bitmap_store, export_warm_bitmaps, seed_warm_bitmaps,
     warm_bitmap_rehydrated_count, Candidate, CompiledBoolExpr, Condition, ConditionBitmapCache,

@@ -1,17 +1,33 @@
-//! Durable columnar snapshots: the on-disk segment format, the versioned
-//! [`Manifest`], and the [`StorageBackend`] trait with its filesystem
-//! implementation.
+//! Durable columnar tables: the on-disk formats — base snapshot, append
+//! segment, versioned [`Manifest`] — and the [`StorageBackend`] trait with
+//! its filesystem implementation.
 //!
-//! Everything in memory is columnar, so the snapshot format is too: a
-//! table file holds one *segment* per column (typed values plus the
-//! validity vector, serialized exactly as laid out in memory; string
-//! columns are dictionary-encoded) plus one segment for the soft-deletion
-//! mask. Every segment carries an FNV-1a 64 checksum, and the whole
-//! catalog is described by a versioned manifest keyed by stable
-//! [`Table::id`]s and the mutation-stamped [`Table::version`]. All files
-//! are written via temp-file + atomic rename, so a crash mid-write leaves
-//! the previous durable snapshot intact — recovery always sees either the
-//! old file or the new one, never a torn mix.
+//! Everything in memory is columnar, so the formats are too. A table's
+//! *base snapshot* (`DBWT`) holds one segment per column (typed values
+//! plus the validity vector, serialized exactly as laid out in memory;
+//! string columns are dictionary-encoded) plus one segment for the
+//! soft-deletion mask. Rows appended since are *append segments* (`DBWA`)
+//! in a log beside it: one length-framed record per durable append,
+//! carrying the row range, the stamps the table had after the append, and
+//! the same column encoding over just those rows — so making a grown
+//! table durable writes bytes proportional to the growth, and loading
+//! replays the log onto the base. Every segment and record carries an
+//! FNV-1a 64 checksum, and the catalog is described by a versioned
+//! manifest keyed by stable [`Table::id`]s and the mutation-stamped
+//! [`Table::version`] of each base.
+//!
+//! Bases and the manifest are written via temp-file + atomic rename, so a
+//! crash mid-write leaves the previous file intact. A record is one
+//! `write_all` to a file opened in append mode, with no rename to hide
+//! behind: a crash mid-write leaves a *torn tail*, a last record shorter
+//! than its frame says, which loading ignores and the next append cuts
+//! off. A record that is whole but wrong is corruption, like anywhere
+//! else. When a log would reach the size of its base, the save writes a
+//! fresh base instead (compaction), which bounds both the directory — at
+//! most twice the data — and the cost: at most three bytes written per
+//! byte appended, amortised. No file is synced: durable means a completed
+//! `write(2)`, which survives the death of the process, not of the
+//! machine.
 //!
 //! The [`ByteWriter`] / [`ByteReader`] pair is the shared wire codec:
 //! little-endian fixed-width integers, IEEE-754 bit patterns for floats,
@@ -46,8 +62,10 @@ use crate::table::{Table, TableEpoch};
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::fs;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Version stamp written into every snapshot file; readers reject any
 /// other value rather than guessing at layout changes. Version 2 replaced
@@ -57,6 +75,8 @@ pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes of a table segment file.
 const TABLE_MAGIC: &[u8; 4] = b"DBWT";
+/// Magic bytes of an append-segment record in a table's log.
+const SEGMENT_MAGIC: &[u8; 4] = b"DBWA";
 /// Magic bytes of the manifest file.
 const MANIFEST_MAGIC: &[u8; 4] = b"DBWM";
 /// Magic bytes of a warm-state sidecar file.
@@ -257,6 +277,14 @@ impl<'a> ByteReader<'a> {
         Ok(len)
     }
 
+    /// Reads a length-prefixed run of little-endian `u64` words — a whole
+    /// numeric column — with one bounds check for the run.
+    fn get_words(&mut self) -> Result<impl Iterator<Item = u64> + 'a, StorageError> {
+        let len = self.get_len(8)?;
+        let words = self.take(len * 8)?.chunks_exact(8);
+        Ok(words.map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes"))))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, StorageError> {
         let len = self.get_len(1)?;
@@ -267,6 +295,13 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed, bit-packed boolean vector.
     pub fn get_bool_vec(&mut self) -> Result<Vec<bool>, StorageError> {
+        let mut bits = Vec::new();
+        self.get_bool_vec_into(&mut bits)?;
+        Ok(bits)
+    }
+
+    /// [`ByteReader::get_bool_vec`], appending to `bits`.
+    fn get_bool_vec_into(&mut self, bits: &mut Vec<bool>) -> Result<(), StorageError> {
         let raw = self.get_u64()?;
         let len = usize::try_from(raw)
             .map_err(|_| StorageError::Corrupt(format!("length {raw} overflows this platform")))?;
@@ -277,8 +312,14 @@ impl<'a> ByteReader<'a> {
                 self.remaining()
             )));
         }
-        let packed = self.take(packed_len)?;
-        Ok((0..len).map(|i| packed[i / 8] & (1 << (i % 8)) != 0).collect())
+        // Whole bytes at a time, then the padding bits of the last one off.
+        let end = bits.len() + len;
+        bits.reserve(packed_len * 8);
+        for &byte in self.take(packed_len)? {
+            bits.extend_from_slice(&std::array::from_fn::<bool, 8, _>(|i| byte >> i & 1 != 0));
+        }
+        bits.truncate(end);
+        Ok(())
     }
 }
 
@@ -351,30 +392,32 @@ pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value, StorageError> {
     })
 }
 
-/// Encodes one column as a segment body: dtype tag, row count, validity
-/// vector, then the typed values (strings dictionary-encoded).
-fn encode_column(col: &Column) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Encodes rows `rows` of one column: dtype tag, row count, validity
+/// vector, then the typed values (strings dictionary-encoded over the
+/// range). The one column codec — a base snapshot encodes `0..len`, an
+/// append segment the appended range.
+fn encode_column(w: &mut ByteWriter, col: &Column, rows: Range<usize>) {
     w.put_u8(dtype_code(col.dtype()));
-    w.put_u64(col.len() as u64);
-    w.put_bool_vec(col.validity());
+    w.put_u64(rows.len() as u64);
+    w.put_bool_vec(&col.validity()[rows.clone()]);
     match col.data() {
-        ColumnData::Bool(v) => w.put_bool_vec(v),
+        ColumnData::Bool(v) => w.put_bool_vec(&v[rows]),
         ColumnData::Int(v) | ColumnData::Timestamp(v) => {
-            w.put_u64(v.len() as u64);
-            for &x in v {
+            w.put_u64(rows.len() as u64);
+            for &x in &v[rows] {
                 w.put_i64(x);
             }
         }
         ColumnData::Float(v) => {
-            w.put_u64(v.len() as u64);
-            for &x in v {
+            w.put_u64(rows.len() as u64);
+            for &x in &v[rows] {
                 w.put_f64(x);
             }
         }
         ColumnData::Str(v) => {
             // Dictionary encoding: unique strings in first-appearance
             // order, then one u32 code per row.
+            let v = &v[rows];
             let mut index: HashMap<&str, u32> = HashMap::new();
             let mut dict: Vec<&str> = Vec::new();
             let mut codes: Vec<u32> = Vec::with_capacity(v.len());
@@ -395,51 +438,52 @@ fn encode_column(col: &Column) -> Vec<u8> {
             }
         }
     }
-    w.into_bytes()
 }
 
-/// Decodes a segment body written by [`encode_column`].
-fn decode_column(body: &[u8]) -> Result<Column, StorageError> {
-    let mut r = ByteReader::new(body);
+/// Decodes one column written by [`encode_column`], appending its rows to
+/// `col` (an empty column, for a base snapshot) and leaving the reader
+/// just past it.
+fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), StorageError> {
     let dtype = dtype_from_code(r.get_u8()?)?;
-    let declared = r.get_u64()? as usize;
-    let validity = r.get_bool_vec()?;
-    if validity.len() != declared {
+    if dtype != col.dtype() {
         return Err(StorageError::Corrupt(format!(
-            "segment declares {declared} rows but has {} validity bits",
-            validity.len()
+            "segment holds {} data for a {} column",
+            dtype.name(),
+            col.dtype().name()
         )));
     }
-    let data = match dtype {
-        DataType::Bool => ColumnData::Bool(r.get_bool_vec()?),
-        DataType::Int | DataType::Timestamp => {
-            let len = r.get_len(8)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(r.get_i64()?);
-            }
-            if dtype == DataType::Int {
-                ColumnData::Int(v)
-            } else {
-                ColumnData::Timestamp(v)
-            }
+    let declared = r.get_u64()?;
+    let (data, validity) = col.parts_mut();
+    let valid_before = validity.len();
+    r.get_bool_vec_into(validity)?;
+    let total = validity.len();
+    if (total - valid_before) as u64 != declared {
+        return Err(StorageError::Corrupt(format!(
+            "segment declares {declared} rows but has {} validity bits",
+            total - valid_before
+        )));
+    }
+    let values = match data {
+        ColumnData::Bool(v) => {
+            r.get_bool_vec_into(v)?;
+            v.len()
         }
-        DataType::Float => {
-            let len = r.get_len(8)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(r.get_f64()?);
-            }
-            ColumnData::Float(v)
+        ColumnData::Int(v) | ColumnData::Timestamp(v) => {
+            v.extend(r.get_words()?.map(|x| x as i64));
+            v.len()
         }
-        DataType::Str => {
+        ColumnData::Float(v) => {
+            v.extend(r.get_words()?.map(f64::from_bits));
+            v.len()
+        }
+        ColumnData::Str(v) => {
             let dict_len = r.get_len(8)?;
             let mut dict = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
                 dict.push(r.get_str()?);
             }
             let code_count = r.get_len(4)?;
-            let mut v = Vec::with_capacity(code_count);
+            v.reserve(code_count);
             for _ in 0..code_count {
                 let code = r.get_u32()? as usize;
                 let s = dict.get(code).ok_or_else(|| {
@@ -449,19 +493,31 @@ fn decode_column(body: &[u8]) -> Result<Column, StorageError> {
                 })?;
                 v.push(s.clone());
             }
-            ColumnData::Str(v)
+            v.len()
         }
-        DataType::Null => unreachable!("dtype_from_code rejects the null code"),
     };
-    Column::from_parts(dtype, data, validity)
+    if values != total {
+        return Err(StorageError::Corrupt(format!(
+            "segment has {} values for {} validity bits",
+            values.saturating_sub(valid_before),
+            total - valid_before
+        )));
+    }
+    Ok(())
 }
 
-/// Appends a segment with the standard framing: body length, body bytes,
-/// FNV-1a checksum of the body.
-fn put_segment(w: &mut ByteWriter, body: &[u8]) {
-    w.put_u64(body.len() as u64);
-    w.put_bytes(body);
-    w.put_u64(fnv1a64(body));
+/// Appends a segment with the standard framing — body length, the body
+/// `fill` writes, FNV-1a checksum of the body — in place: the length is
+/// patched in afterwards, so no body is built in a buffer of its own.
+/// The segment is everything `w` holds from its current end on.
+fn put_segment(w: &mut ByteWriter, fill: impl FnOnce(&mut ByteWriter)) {
+    let len_at = w.buf.len();
+    w.put_u64(0);
+    let body_at = w.buf.len();
+    fill(w);
+    let len = (w.buf.len() - body_at) as u64;
+    w.buf[len_at..body_at].copy_from_slice(&len.to_le_bytes());
+    w.put_u64(fnv1a64(&w.buf[body_at..]));
 }
 
 /// Reads one framed segment, verifying its checksum.
@@ -478,9 +534,16 @@ fn get_segment<'a>(r: &mut ByteReader<'a>, what: &str) -> Result<&'a [u8], Stora
     Ok(body)
 }
 
-/// Serializes a whole table (identity stamps, schema, one segment per
-/// column plus the soft-deletion mask) into a snapshot file image.
-pub fn encode_table(table: &Table) -> Vec<u8> {
+/// Writes a whole table (identity stamps, schema, one segment per column
+/// plus the soft-deletion mask) to `out` as a snapshot file image, one
+/// segment at a time: the only buffer is a scratch the size of the widest
+/// column, never the table. Returns the bytes written.
+fn write_table(table: &Table, out: &mut impl Write) -> std::io::Result<u64> {
+    let mut written = 0u64;
+    let mut flush = |w: &mut ByteWriter| {
+        written += w.buf.len() as u64;
+        out.write_all(&w.buf).map(|()| w.buf.clear())
+    };
     let mut w = ByteWriter::new();
     w.put_bytes(TABLE_MAGIC);
     w.put_u32(FORMAT_VERSION);
@@ -496,14 +559,23 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
         w.put_bool(field.nullable);
     }
     w.put_u64(table.num_rows() as u64);
+    flush(&mut w)?;
     for idx in 0..schema.len() {
         let col = table.column(idx).expect("schema-aligned column");
-        put_segment(&mut w, &encode_column(col));
+        put_segment(&mut w, |w| encode_column(w, col, 0..col.len()));
+        flush(&mut w)?;
     }
-    let mut deleted = ByteWriter::new();
-    deleted.put_bool_vec(table.deleted_slice());
-    put_segment(&mut w, deleted.bytes());
-    w.into_bytes()
+    put_segment(&mut w, |w| w.put_bool_vec(table.deleted_slice()));
+    flush(&mut w)?;
+    Ok(written)
+}
+
+/// Serializes a whole table into a snapshot file image in memory (what
+/// [`FsBackend`] streams to a table's `.tbl` file).
+pub fn encode_table(table: &Table) -> Vec<u8> {
+    let mut image = Vec::new();
+    write_table(table, &mut image).expect("writing to memory cannot fail");
+    image
 }
 
 /// Decodes a snapshot file image written by [`encode_table`], restoring
@@ -534,9 +606,11 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
     let schema = Schema::new(fields)?;
     let num_rows = r.get_u64()? as usize;
     let mut columns = Vec::with_capacity(schema.len());
-    for idx in 0..schema.len() {
+    for (idx, field) in schema.fields().iter().enumerate() {
         let body = get_segment(&mut r, &format!("column segment {idx}"))?;
-        columns.push(decode_column(body)?);
+        let mut col = Column::new(field.dtype)?;
+        decode_column(&mut ByteReader::new(body), &mut col)?;
+        columns.push(col);
     }
     let deleted_body = get_segment(&mut r, "deletion-mask segment")?;
     let deleted = ByteReader::new(deleted_body).get_bool_vec()?;
@@ -547,6 +621,205 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
         )));
     }
     Table::restore(name, schema, columns, deleted, table_id, epoch)
+}
+
+/// Bytes of a `DBWA` record before its body: magic, format version, body
+/// length, and the FNV-1a checksum of those sixteen bytes. The frame has a
+/// checksum of its own so that a damaged length is told apart from a torn
+/// tail: a short file is a write that did not finish, a frame that fails
+/// its checksum is corruption.
+const SEGMENT_FRAME: usize = 24;
+
+/// Serializes rows `first_row..` of `table` as one `DBWA` append-segment
+/// record: the frame, then table id, both epoch stamps as they stand
+/// *after* the append, the row range, and every column over that range in
+/// the [`encode_column`] encoding, closed by the body's checksum. Appended
+/// rows are never soft-deleted (a delete is a structural change and takes
+/// a full snapshot), so a segment carries no deletion mask.
+fn encode_segment(table: &Table, first_row: usize) -> Vec<u8> {
+    let rows = first_row..table.num_rows();
+    let mut w = ByteWriter::new();
+    w.put_bytes(SEGMENT_MAGIC);
+    w.put_u32(FORMAT_VERSION);
+    w.put_u64(0); // body length and frame checksum, patched below
+    w.put_u64(0);
+    w.put_u64(table.id());
+    w.put_u64(table.epoch().structural);
+    w.put_u64(table.epoch().appended);
+    w.put_u64(rows.start as u64);
+    w.put_u64(rows.len() as u64);
+    w.put_u64(table.schema().len() as u64);
+    for idx in 0..table.schema().len() {
+        let col = table.column(idx).expect("schema-aligned column");
+        encode_column(&mut w, col, rows.clone());
+    }
+    let body_len = (w.buf.len() - SEGMENT_FRAME) as u64;
+    w.buf[8..16].copy_from_slice(&body_len.to_le_bytes());
+    let frame_sum = fnv1a64(&w.buf[..16]);
+    w.buf[16..SEGMENT_FRAME].copy_from_slice(&frame_sum.to_le_bytes());
+    w.put_u64(fnv1a64(&w.buf[SEGMENT_FRAME..]));
+    w.into_bytes()
+}
+
+/// One `DBWA` record read back from a log image, columns still encoded.
+struct Segment<'a> {
+    table_id: u64,
+    structural: u64,
+    appended: u64,
+    first_row: u64,
+    rows: u64,
+    columns: ByteReader<'a>,
+    /// Offset of the byte after this record in the log image.
+    end: usize,
+}
+
+/// Checks the [`SEGMENT_FRAME`] bytes a record starts with — magic,
+/// format version, frame checksum — and returns the body length they
+/// declare. `pos` is the record's log offset, for the error message.
+fn read_frame(frame: &[u8], pos: usize) -> Result<u64, StorageError> {
+    let mut r = ByteReader::new(frame);
+    let magic = r.take(4)?;
+    let version = r.get_u32()?;
+    let body_len = r.get_u64()?;
+    if r.get_u64()? != fnv1a64(&frame[..16]) || magic != SEGMENT_MAGIC {
+        return Err(StorageError::Corrupt(format!(
+            "append segment at log offset {pos} has a damaged frame"
+        )));
+    }
+    if version != FORMAT_VERSION {
+        return Err(StorageError::Corrupt(format!(
+            "unsupported append segment format version {version} (this build reads {FORMAT_VERSION})"
+        )));
+    }
+    Ok(body_len)
+}
+
+/// Reads the record starting at `pos` of a log image. `Ok(None)` is the
+/// end of the log: either no byte is left, or fewer bytes are left than
+/// the record needs — a torn tail, the write that was in flight when the
+/// process died. A complete frame or body that fails a check is
+/// [`StorageError::Corrupt`]. `verify` checks the body checksum: a load
+/// verifies every record once ([`read_verified_log`]) and replays without.
+fn read_segment(log: &[u8], pos: usize, verify: bool) -> Result<Option<Segment<'_>>, StorageError> {
+    let rest = &log[pos..];
+    if rest.len() < SEGMENT_FRAME {
+        return Ok(None);
+    }
+    let (frame, rest) = rest.split_at(SEGMENT_FRAME);
+    let body_len = match usize::try_from(read_frame(frame, pos)?) {
+        Ok(len) if len <= rest.len().saturating_sub(8) => len,
+        _ => return Ok(None),
+    };
+    let (body, rest) = rest.split_at(body_len);
+    if verify {
+        let stored = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
+        let actual = fnv1a64(body);
+        if stored != actual {
+            return Err(StorageError::Corrupt(format!(
+                "append segment at log offset {pos} checksum mismatch: \
+                 stored {stored:#018x}, computed {actual:#018x}"
+            )));
+        }
+    }
+    let mut r = ByteReader::new(body);
+    Ok(Some(Segment {
+        table_id: r.get_u64()?,
+        structural: r.get_u64()?,
+        appended: r.get_u64()?,
+        first_row: r.get_u64()?,
+        rows: r.get_u64()?,
+        columns: r,
+        end: pos + SEGMENT_FRAME + body_len + 8,
+    }))
+}
+
+/// Reads a table's log and verifies every record in it, frame and body.
+/// A missing log is an empty one.
+fn read_verified_log(path: &Path) -> Result<Vec<u8>, StorageError> {
+    let log = match fs::read(path) {
+        Ok(log) => log,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(io_err(&format!("reading {}", path.display()), e)),
+    };
+    let mut pos = 0;
+    while let Some(segment) = read_segment(&log, pos, true)? {
+        pos = segment.end;
+    }
+    Ok(log)
+}
+
+/// Replays a verified log image ([`read_verified_log`]) onto the base
+/// snapshot it sits beside, restoring each append's rows and recorded
+/// `appended` stamp. Returns the length of the log worth keeping: the end
+/// of the last record applied (0 when none was). Whatever lies beyond is
+/// a torn tail, and whatever lies before the first applied record is
+/// *stale* — stamped at or before the base, left behind by a kill between
+/// a full save's base rename and its log removal — and both are cut off
+/// by the next append.
+fn replay_log(table: &mut Table, log: &[u8]) -> Result<u64, StorageError> {
+    let (mut pos, mut keep) = (0, 0);
+    while let Some(segment) = read_segment(log, pos, false)? {
+        pos = segment.end;
+        let epoch = table.epoch();
+        if segment.table_id != table.id() {
+            return Err(StorageError::Corrupt(format!(
+                "log of table #{} holds a segment of table #{}",
+                table.id(),
+                segment.table_id
+            )));
+        }
+        if (segment.structural, segment.appended) <= (epoch.structural, epoch.appended) {
+            continue;
+        }
+        if segment.structural != epoch.structural || segment.first_row != table.num_rows() as u64 {
+            return Err(StorageError::Corrupt(format!(
+                "append segment ({}, {}) from row {} does not continue table #{} at ({:?}, {} rows)",
+                segment.structural,
+                segment.appended,
+                segment.first_row,
+                table.id(),
+                epoch,
+                table.num_rows()
+            )));
+        }
+        let mut columns = segment.columns;
+        if columns.get_u64()? != table.schema().len() as u64 {
+            return Err(StorageError::Corrupt(format!(
+                "append segment does not hold the {} columns of table #{}",
+                table.schema().len(),
+                table.id()
+            )));
+        }
+        table.replay_append(segment.rows as usize, segment.appended, |col| {
+            decode_column(&mut columns, col)
+        })?;
+        if !columns.is_done() {
+            return Err(StorageError::Corrupt("append segment has trailing bytes".into()));
+        }
+        keep = pos as u64;
+    }
+    Ok(keep)
+}
+
+/// The largest stamp recorded in a table's log, as far as it can be read
+/// (for the stamp floor; a damaged log is reported when it is loaded).
+/// Hops from frame to frame, reading only the stamps that open each body.
+fn log_stamp_ceiling(path: &Path) -> u64 {
+    let mut ceiling = 0;
+    let Ok(mut log) = fs::File::open(path) else { return ceiling };
+    // The frame, then the body's first three words: table id, stamps.
+    let mut head = [0u8; SEGMENT_FRAME + 24];
+    while log.read_exact(&mut head).is_ok() {
+        let Ok(body_len) = read_frame(&head[..SEGMENT_FRAME], 0) else { break };
+        let word = |at| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+        ceiling = ceiling.max(word(SEGMENT_FRAME + 8)).max(word(SEGMENT_FRAME + 16));
+        // The rest of the body and its checksum lie before the next frame.
+        let rest = body_len.checked_sub(24).and_then(|rest| i64::try_from(rest + 8).ok());
+        if !rest.is_some_and(|rest| log.seek(SeekFrom::Current(rest)).is_ok()) {
+            break;
+        }
+    }
+    ceiling
 }
 
 /// Serializes a set of named condition bitmaps (a table's warm
@@ -754,6 +1027,36 @@ impl Manifest {
     }
 }
 
+/// What a backend has written since it was opened — the write-side
+/// counters of the `stats` command's `storage` block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WriteCounters {
+    /// Full table snapshots written (first saves, structural changes and
+    /// compactions).
+    pub snapshot_saves: u64,
+    /// Append segments written.
+    pub segment_appends: u64,
+    /// Bytes of those segments.
+    pub segment_bytes: u64,
+    /// Full snapshots written because a table's log had reached the size
+    /// of its base (a subset of `snapshot_saves`).
+    pub compactions: u64,
+}
+
+/// The one file write a [`StorageBackend::save_table`] call is about to
+/// perform, as [`StorageBackend::pending_write`] describes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PendingWrite {
+    /// File name, relative to the backend's data directory.
+    pub file: String,
+    /// `Some(offset)`: the bytes go at this offset of the file, and
+    /// whatever the file holds beyond it is a torn tail that is cut off
+    /// first. `None`: the bytes replace the file.
+    pub append_at: Option<u64>,
+    /// The bytes to be written.
+    pub bytes: Vec<u8>,
+}
+
 /// A durable home for tables and their warm derived state. The filesystem
 /// implementation is [`FsBackend`]; the trait exists so alternative
 /// backends (object stores, test doubles such as
@@ -762,21 +1065,25 @@ impl Manifest {
 /// is a supertrait so runtimes holding a `Box<dyn StorageBackend>` can
 /// stay debuggable.
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
-    /// Persists a snapshot of `table` (data plus identity stamps) and
-    /// updates the manifest, both via atomic rename. Returns the snapshot
-    /// size in bytes.
+    /// Makes `table` (data plus identity stamps) durable — the only way to
+    /// do so. The backend decides what that takes: nothing when the table
+    /// or an append-descendant of it is already durable, the appended rows
+    /// when the table is an append-descendant of what is durable, a full
+    /// snapshot otherwise. Returns the bytes written (0 for nothing).
     fn save_table(&self, table: &Table) -> Result<u64, StorageError>;
 
-    /// Loads the persisted snapshot of `table_id`, restoring its stable
+    /// Loads the durable state of `table_id`, restoring its stable
     /// identity and version stamps.
     fn load_table(&self, table_id: u64) -> Result<Table, StorageError>;
 
-    /// The current manifest. An empty data directory yields an empty
-    /// manifest, not an error.
+    /// What is durable, one entry per table: each entry's `epoch`,
+    /// `num_rows` and `bytes` describe what [`StorageBackend::load_table`]
+    /// would return as far as this backend knows. An empty data directory
+    /// yields an empty manifest, not an error.
     fn list_manifest(&self) -> Result<Manifest, StorageError>;
 
-    /// Removes `table_id`'s snapshot and any warm-state sidecars from the
-    /// backend and the manifest. Evicting an unknown id is a no-op.
+    /// Removes `table_id`'s snapshot, log and any warm-state sidecars from
+    /// the backend and the manifest. Evicting an unknown id is a no-op.
     fn evict(&self, table_id: u64) -> Result<(), StorageError>;
 
     /// Persists a warm-state sidecar blob (serialized caches) keyed by
@@ -800,42 +1107,118 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     ) -> Result<Option<Vec<u8>>, StorageError>;
 
     /// Total bytes the backend currently occupies on disk (snapshots,
-    /// sidecars and the manifest).
+    /// logs, sidecars and the manifest).
     fn bytes_on_disk(&self) -> Result<u64, StorageError>;
+
+    /// What this backend has written since it was opened.
+    fn write_counters(&self) -> WriteCounters;
+
+    /// The file write `save_table(table)` would perform right now, or
+    /// `None` when it would write nothing or the backend has no files.
+    /// Fault injection asks so that a torn write leaves behind exactly the
+    /// bytes a crash mid-`write(2)` would.
+    fn pending_write(&self, _table: &Table) -> Option<PendingWrite> {
+        None
+    }
 }
 
-/// Filesystem [`StorageBackend`]: one directory holding `t<id>.tbl`
-/// snapshots, `s<id>-<version>-<kind>.bin` sidecars and a `MANIFEST.bin`
-/// index, every file written via temp-file + atomic rename.
+/// Filesystem [`StorageBackend`]: one directory holding, per table, a
+/// `t<id>.tbl` base snapshot and a `t<id>.log` of `DBWA` append segments
+/// written since, plus `s<id>-<version>-<kind>.bin` sidecars and a
+/// `MANIFEST.bin` index of the bases. Bases, sidecars and the manifest are
+/// written via temp-file + atomic rename; a segment is one `write_all` to
+/// the log opened in append mode. One process owns a data directory at a
+/// time: the backend remembers what it made durable instead of re-reading
+/// it.
 #[derive(Debug)]
 pub struct FsBackend {
     dir: PathBuf,
-    /// Serializes read-modify-write cycles on the manifest within this
-    /// process (cross-process safety comes from the atomic rename).
-    manifest_lock: Mutex<()>,
+    /// Every transition of what is durable — a save, an evict, a load's
+    /// log replay — happens under this one lock, so two saves of one
+    /// table reach the disk in the order they are decided in.
+    state: Mutex<DurableState>,
+}
+
+#[derive(Debug, Default)]
+struct DurableState {
+    tables: Vec<Durable>,
+    written: WriteCounters,
+}
+
+/// What is durable for one table.
+#[derive(Debug)]
+struct Durable {
+    /// The table's entry in `MANIFEST.bin`: its base snapshot.
+    base: ManifestEntry,
+    /// What base plus log hold, once this process has loaded or saved the
+    /// table. Until then — and after a full save that failed half-way —
+    /// the log is an unknown, and the next save writes a full base.
+    tip: Option<Tip>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Tip {
+    epoch: TableEpoch,
+    rows: u64,
+    /// Length of the log up to the last record that counts; bytes beyond
+    /// it are a torn tail.
+    log_bytes: u64,
+}
+
+/// What [`FsBackend::save_table`] has to write for a table.
+enum Plan {
+    /// The table, or an append-descendant of it, is already durable.
+    Nothing,
+    /// One record with the rows past the durable tip, at this log offset.
+    Segment { at: u64, record: Vec<u8> },
+    /// A full base snapshot, manifest entry and empty log.
+    Base { compaction: bool },
 }
 
 /// Manifest file name inside a data directory.
 const MANIFEST_FILE: &str = "MANIFEST.bin";
 
+/// A save that would take a table's log to this many times the size of
+/// its base writes a fresh base instead. At 1 the rewrite is about twice
+/// the base for a base's worth of appended bytes, so durable appends cost
+/// at most 3 bytes written per byte appended, amortised, and the
+/// directory at most twice the data.
+const COMPACT_AT_LOG_OVER_BASE: u64 = 1;
+
 fn io_err(context: &str, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{context}: {e}"))
 }
 
+/// Writes `bytes` at offset `at` of the append-only file at `path`,
+/// cutting off first whatever the file holds beyond `at` (a torn tail).
+/// One `write_all`, so a kill leaves a prefix of `bytes` at worst.
+pub(crate) fn append_at(path: &Path, at: u64, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = fs::OpenOptions::new().append(true).create(true).open(path)?;
+    if file.metadata()?.len() > at {
+        file.set_len(at)?;
+    }
+    file.write_all(bytes)
+}
+
 impl FsBackend {
-    /// Opens (creating if needed) a data directory. Reading the manifest
-    /// here also advances the process-global stamp counter past every
-    /// persisted id/version, so tables created later in this process can
-    /// never collide with restored identities.
+    /// Opens (creating if needed) a data directory: removes the temp files
+    /// a killed writer left behind, reads the manifest, and advances the
+    /// process-global stamp counter past every id and stamp recorded in
+    /// the manifest or in a log segment, so tables created later in this
+    /// process can never collide with restored identities.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| io_err(&format!("creating data dir {}", dir.display()), e))?;
-        let backend = FsBackend { dir, manifest_lock: Mutex::new(()) };
+        let backend = FsBackend { dir, state: Mutex::default() };
+        backend.remove_files(|name| name.contains(".tmp"));
         let manifest = backend.read_manifest()?;
         for e in &manifest.entries {
-            crate::table::advance_stamp_floor(e.table_id.max(e.version()));
+            let logged = log_stamp_ceiling(&backend.dir.join(Self::log_file(e.table_id)));
+            crate::table::advance_stamp_floor(e.table_id.max(e.version()).max(logged));
         }
+        backend.lock_state().tables =
+            manifest.entries.into_iter().map(|base| Durable { base, tip: None }).collect();
         Ok(backend)
     }
 
@@ -848,19 +1231,36 @@ impl FsBackend {
         format!("t{table_id}.tbl")
     }
 
+    fn log_file(table_id: u64) -> String {
+        format!("t{table_id}.log")
+    }
+
     fn sidecar_file(table_id: u64, version: u64, kind: &str) -> String {
         format!("s{table_id}-{version}-{kind}.bin")
     }
 
-    /// Writes `bytes` to `name` under the data directory via temp-file +
-    /// atomic rename: a crash mid-write leaves the old file intact.
-    fn atomic_write(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+    /// The durable state. A holder that panicked cannot have left it
+    /// half-updated — every update is one assignment made after the disk
+    /// write it records — so a poisoned lock is recovered, not propagated.
+    fn lock_state(&self) -> MutexGuard<'_, DurableState> {
+        self.state.lock().unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// Writes what `fill` writes to `name` under the data directory via
+    /// temp-file + atomic rename: a crash mid-write leaves the old file
+    /// intact. Returns whatever `fill` returns.
+    fn atomic_write<T>(
+        &self,
+        name: &str,
+        fill: impl FnOnce(&mut fs::File) -> std::io::Result<T>,
+    ) -> Result<T, StorageError> {
         let path = self.dir.join(name);
         let tmp = self.dir.join(format!("{name}.tmp{}", std::process::id()));
-        fs::write(&tmp, bytes).map_err(|e| io_err(&format!("writing {}", tmp.display()), e))?;
-        fs::rename(&tmp, &path).map_err(|e| {
+        let written = fs::File::create(&tmp).and_then(|mut file| fill(&mut file));
+        let renamed = written.and_then(|value| fs::rename(&tmp, &path).map(|()| value));
+        renamed.map_err(|e| {
             let _ = fs::remove_file(&tmp);
-            io_err(&format!("renaming {} into place", path.display()), e)
+            io_err(&format!("writing {} into place", path.display()), e)
         })
     }
 
@@ -873,63 +1273,142 @@ impl FsBackend {
         }
     }
 
-    /// Removes every sidecar of `table_id` except those stamped with
-    /// `keep_version` (pass `None` to remove them all).
-    fn remove_stale_sidecars(&self, table_id: u64, keep_version: Option<u64>) {
-        let keep_prefix = keep_version.map(|v| format!("s{table_id}-{v}-"));
-        let all_prefix = format!("s{table_id}-");
+    /// Best-effort removal of every file in the data directory whose name
+    /// `doomed` accepts.
+    fn remove_files(&self, doomed: impl Fn(&str) -> bool) {
         if let Ok(dir) = fs::read_dir(&self.dir) {
             for entry in dir.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let kept = match &keep_prefix {
-                    Some(keep) => name.starts_with(keep.as_str()),
-                    None => false,
-                };
-                if name.starts_with(&all_prefix) && !kept {
+                if entry.file_name().to_str().is_some_and(&doomed) {
                     let _ = fs::remove_file(entry.path());
                 }
             }
         }
     }
+
+    /// Removes every sidecar of `table_id` except those stamped with
+    /// `keep_version` (pass `None` to remove them all).
+    fn remove_stale_sidecars(&self, table_id: u64, keep_version: Option<u64>) {
+        let keep_prefix = keep_version.map(|v| format!("s{table_id}-{v}-"));
+        let all_prefix = format!("s{table_id}-");
+        self.remove_files(|name| {
+            name.starts_with(&all_prefix)
+                && !keep_prefix.as_deref().is_some_and(|keep| name.starts_with(keep))
+        });
+    }
+
+    /// Decides what making `table` durable takes, given what already is
+    /// (`durable`: its entry in the state, if it has one).
+    fn plan(&self, durable: Option<&Durable>, table: &Table) -> Plan {
+        let Some(durable) = durable else { return Plan::Base { compaction: false } };
+        // An unexamined log can only put the tip past the base.
+        let at_least = durable.tip.map_or(durable.base.epoch, |tip| tip.epoch);
+        if at_least.is_append_descendant_of(table.epoch()) {
+            return Plan::Nothing;
+        }
+        let Some(tip) = durable.tip else { return Plan::Base { compaction: false } };
+        let log_len =
+            fs::metadata(self.dir.join(Self::log_file(table.id()))).map_or(0, |meta| meta.len());
+        let appendable = table.epoch().is_append_descendant_of(tip.epoch)
+            && table.num_rows() as u64 >= tip.rows
+            && log_len >= tip.log_bytes;
+        if !appendable {
+            return Plan::Base { compaction: false };
+        }
+        let record = encode_segment(table, tip.rows as usize);
+        if tip.log_bytes + record.len() as u64 >= COMPACT_AT_LOG_OVER_BASE * durable.base.bytes {
+            return Plan::Base { compaction: true };
+        }
+        Plan::Segment { at: tip.log_bytes, record }
+    }
 }
 
 impl StorageBackend for FsBackend {
     fn save_table(&self, table: &Table) -> Result<u64, StorageError> {
-        let bytes = encode_table(table);
-        let file = Self::table_file(table.id());
-        self.atomic_write(&file, &bytes)?;
+        let mut state = self.lock_state();
+        let slot = state.tables.iter().position(|d| d.base.table_id == table.id());
+        let tip = |log_bytes| {
+            Some(Tip { epoch: table.epoch(), rows: table.num_rows() as u64, log_bytes })
+        };
+        let written = match self.plan(slot.map(|slot| &state.tables[slot]), table) {
+            Plan::Nothing => return Ok(0),
+            Plan::Segment { at, record } => {
+                let path = self.dir.join(Self::log_file(table.id()));
+                append_at(&path, at, &record)
+                    .map_err(|e| io_err(&format!("appending to {}", path.display()), e))?;
+                let written = record.len() as u64;
+                state.tables[slot.expect("a segment extends a durable table")].tip =
+                    tip(at + written);
+                state.written.segment_appends += 1;
+                state.written.segment_bytes += written;
+                written
+            }
+            Plan::Base { compaction } => {
+                // Base first, then the log, then the manifest: a kill after
+                // the rename leaves a base ahead of its manifest entry
+                // (which `load_table` accepts) beside a log of stale
+                // records (which replay skips). From the rename until all
+                // three are done the tip is unknown, so an attempt that
+                // fails in between is retried whole.
+                let file = Self::table_file(table.id());
+                let bytes = self.atomic_write(&file, |out| write_table(table, out))?;
+                if let Some(slot) = slot {
+                    state.tables[slot].tip = None;
+                }
+                let _ = fs::remove_file(self.dir.join(Self::log_file(table.id())));
+                let base = ManifestEntry {
+                    name: table.name().to_string(),
+                    table_id: table.id(),
+                    epoch: table.epoch(),
+                    num_rows: table.num_rows() as u64,
+                    file,
+                    bytes,
+                };
+                let mut manifest =
+                    Manifest { entries: state.tables.iter().map(|d| d.base.clone()).collect() };
+                match slot {
+                    Some(slot) => manifest.entries[slot] = base.clone(),
+                    None => manifest.entries.push(base.clone()),
+                }
+                self.atomic_write(MANIFEST_FILE, |out| out.write_all(&manifest.encode()))?;
+                let durable = Durable { base, tip: tip(0) };
+                match slot {
+                    Some(slot) => state.tables[slot] = durable,
+                    None => state.tables.push(durable),
+                }
+                state.written.snapshot_saves += 1;
+                state.written.compactions += u64::from(compaction);
+                bytes
+            }
+        };
         // A new data version makes every older sidecar of this table
         // unreloadable; reclaim the space eagerly.
         self.remove_stale_sidecars(table.id(), Some(table.version()));
-        let _guard = self.manifest_lock.lock().expect("manifest lock poisoned");
-        let mut manifest = self.read_manifest()?;
-        let entry = ManifestEntry {
-            name: table.name().to_string(),
-            table_id: table.id(),
-            epoch: table.epoch(),
-            num_rows: table.num_rows() as u64,
-            file,
-            bytes: bytes.len() as u64,
-        };
-        match manifest.entries.iter_mut().find(|e| e.table_id == table.id()) {
-            Some(slot) => *slot = entry,
-            None => manifest.entries.push(entry),
-        }
-        self.atomic_write(MANIFEST_FILE, &manifest.encode())?;
-        Ok(bytes.len() as u64)
+        Ok(written)
     }
 
     fn load_table(&self, table_id: u64) -> Result<Table, StorageError> {
-        let manifest = self.read_manifest()?;
-        let entry = manifest
-            .entry(table_id)
+        let mut state = self.lock_state();
+        let durable = state
+            .tables
+            .iter_mut()
+            .find(|d| d.base.table_id == table_id)
             .ok_or_else(|| StorageError::UnknownTable(format!("#{table_id}")))?;
-        let path = self.dir.join(&entry.file);
-        let bytes =
-            fs::read(&path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-        let table = decode_table(&bytes)?;
-        // `save_table` writes the snapshot file *before* the manifest, so a
+        let entry = &durable.base;
+        let read_base = || {
+            let path = self.dir.join(&entry.file);
+            let bytes =
+                fs::read(&path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
+            decode_table(&bytes)
+        };
+        // Two files, each read and checksummed on its own: the log on a
+        // second thread while this one decodes the base.
+        let log_path = self.dir.join(Self::log_file(table_id));
+        let (table, log) = std::thread::scope(|scope| {
+            let log = scope.spawn(|| read_verified_log(&log_path));
+            (read_base(), log.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        });
+        let mut table = table?;
+        // A full save writes the snapshot file *before* the manifest, so a
         // crash between the two renames leaves a complete, checksummed
         // snapshot stamped AHEAD of the manifest entry. That file is the
         // durable truth — accept it. A snapshot BEHIND the manifest cannot
@@ -946,22 +1425,35 @@ impl StorageBackend for FsBackend {
                 entry.epoch
             )));
         }
+        let log_bytes = replay_log(&mut table, &log?)?;
+        durable.tip = Some(Tip { epoch: table.epoch(), rows: table.num_rows() as u64, log_bytes });
         Ok(table)
     }
 
     fn list_manifest(&self) -> Result<Manifest, StorageError> {
-        self.read_manifest()
+        let durable = |d: &Durable| match d.tip {
+            Some(tip) => ManifestEntry {
+                epoch: tip.epoch,
+                num_rows: tip.rows,
+                bytes: d.base.bytes + tip.log_bytes,
+                ..d.base.clone()
+            },
+            None => d.base.clone(),
+        };
+        Ok(Manifest { entries: self.lock_state().tables.iter().map(durable).collect() })
     }
 
     fn evict(&self, table_id: u64) -> Result<(), StorageError> {
-        let _guard = self.manifest_lock.lock().expect("manifest lock poisoned");
-        let mut manifest = self.read_manifest()?;
-        let before = manifest.entries.len();
-        manifest.entries.retain(|e| e.table_id != table_id);
-        if manifest.entries.len() != before {
-            self.atomic_write(MANIFEST_FILE, &manifest.encode())?;
+        let mut state = self.lock_state();
+        if let Some(slot) = state.tables.iter().position(|d| d.base.table_id == table_id) {
+            let mut manifest =
+                Manifest { entries: state.tables.iter().map(|d| d.base.clone()).collect() };
+            manifest.entries.remove(slot);
+            self.atomic_write(MANIFEST_FILE, |out| out.write_all(&manifest.encode()))?;
+            state.tables.remove(slot);
         }
         let _ = fs::remove_file(self.dir.join(Self::table_file(table_id)));
+        let _ = fs::remove_file(self.dir.join(Self::log_file(table_id)));
         self.remove_stale_sidecars(table_id, None);
         Ok(())
     }
@@ -980,7 +1472,9 @@ impl StorageBackend for FsBackend {
         w.put_bytes(bytes);
         w.put_u64(fnv1a64(bytes));
         let framed = w.into_bytes();
-        self.atomic_write(&Self::sidecar_file(table_id, version, kind), &framed)?;
+        self.atomic_write(&Self::sidecar_file(table_id, version, kind), |out| {
+            out.write_all(&framed)
+        })?;
         Ok(framed.len() as u64)
     }
 
@@ -1030,6 +1524,26 @@ impl StorageBackend for FsBackend {
             }
         }
         Ok(total)
+    }
+
+    fn write_counters(&self) -> WriteCounters {
+        self.lock_state().written
+    }
+
+    fn pending_write(&self, table: &Table) -> Option<PendingWrite> {
+        let id = table.id();
+        let state = self.lock_state();
+        match self.plan(state.tables.iter().find(|d| d.base.table_id == id), table) {
+            Plan::Nothing => None,
+            Plan::Segment { at, record } => {
+                Some(PendingWrite { file: Self::log_file(id), append_at: Some(at), bytes: record })
+            }
+            Plan::Base { .. } => Some(PendingWrite {
+                file: Self::table_file(id),
+                append_at: None,
+                bytes: encode_table(table),
+            }),
+        }
     }
 }
 
@@ -1220,11 +1734,14 @@ mod tests {
         .unwrap();
         // Write only the snapshot file — the half of `save_table` that
         // completes first — leaving the manifest behind.
-        backend.atomic_write(&FsBackend::table_file(t.id()), &encode_table(&t)).unwrap();
+        backend.atomic_write(&FsBackend::table_file(t.id()), |out| write_table(&t, out)).unwrap();
         assert_ne!(t.epoch(), stale_epoch);
         let restored = backend.load_table(t.id()).unwrap();
         assert_tables_identical(&t, &restored);
-        assert_eq!(backend.list_manifest().unwrap().entry(t.id()).unwrap().epoch, stale_epoch);
+        // The manifest file is still behind; what the backend reports as
+        // durable is what it just loaded.
+        assert_eq!(backend.read_manifest().unwrap().entry(t.id()).unwrap().epoch, stale_epoch);
+        assert_eq!(backend.list_manifest().unwrap().entry(t.id()).unwrap().epoch, t.epoch());
     }
 
     #[test]
@@ -1240,9 +1757,64 @@ mod tests {
         };
         t.delete_row(crate::table::RowId(0)).unwrap();
         backend.save_table(&t).unwrap();
-        backend.atomic_write(&FsBackend::table_file(t.id()), &old_bytes).unwrap();
+        backend
+            .atomic_write(&FsBackend::table_file(t.id()), |out| out.write_all(&old_bytes))
+            .unwrap();
         let err = backend.load_table(t.id()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "got {err}");
+    }
+
+    fn one_more_row(t: &Table) -> Table {
+        let mut grown = t.clone();
+        grown
+            .push_rows(vec![vec![
+                Value::Bool(false),
+                Value::Int(42),
+                Value::Float(2.5),
+                Value::str("attic"),
+                Value::Timestamp(7),
+            ]])
+            .unwrap();
+        grown
+    }
+
+    #[test]
+    fn saves_that_reach_the_disk_out_of_order_never_regress_what_is_durable() {
+        let a = every_type_table();
+        let b = one_more_row(&a);
+        for newest_first in [true, false] {
+            let dir = TempDir::new();
+            let backend = FsBackend::open(dir.path()).unwrap();
+            backend.save_table(&a).unwrap();
+            let c = one_more_row(&b);
+            let order = if newest_first { [&c, &b] } else { [&b, &c] };
+            let written = order.map(|t| backend.save_table(t).unwrap());
+            if newest_first {
+                assert_eq!(written[1], 0, "an append-ancestor of what is durable is a no-op");
+            }
+            assert_eq!(backend.list_manifest().unwrap().entry(a.id()).unwrap().epoch, c.epoch());
+            assert_tables_identical(&c, &backend.load_table(a.id()).unwrap());
+            // The same holds for a process that has not examined the log:
+            // the base alone proves `a` durable.
+            let reopened = FsBackend::open(dir.path()).unwrap();
+            assert_eq!(reopened.save_table(&a).unwrap(), 0);
+            assert_tables_identical(&c, &reopened.load_table(a.id()).unwrap());
+        }
+    }
+
+    #[test]
+    fn open_removes_the_temp_files_a_killed_writer_left_behind() {
+        let dir = TempDir::new();
+        let t = every_type_table();
+        FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
+        let before = FsBackend::open(dir.path()).unwrap().bytes_on_disk().unwrap();
+        // A kill between `fs::write` and `fs::rename`, under another pid.
+        for name in [format!("t{}.tbl.tmp4242", t.id()), "MANIFEST.bin.tmp4242".to_string()] {
+            fs::write(dir.path().join(name), b"half a file").unwrap();
+        }
+        let backend = FsBackend::open(dir.path()).unwrap();
+        assert_eq!(backend.bytes_on_disk().unwrap(), before);
+        assert_tables_identical(&t, &backend.load_table(t.id()).unwrap());
     }
 
     #[test]

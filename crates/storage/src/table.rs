@@ -200,6 +200,37 @@ impl Table {
         Ok(Table { name, schema, columns, deleted, id, epoch })
     }
 
+    /// Replays one append segment: `decode` appends the segment's `rows`
+    /// rows to each column in schema order, and `appended` is the stamp
+    /// the append drew, restored verbatim so `(id, version)` keys minted
+    /// before a restart still match. On an error the table is left
+    /// half-extended and must be dropped, as a failed load does.
+    pub(crate) fn replay_append(
+        &mut self,
+        rows: usize,
+        appended: u64,
+        mut decode: impl FnMut(&mut Column) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let total =
+            self.deleted.len().checked_add(rows).ok_or_else(|| {
+                StorageError::Corrupt(format!("append segment declares {rows} rows"))
+            })?;
+        for col in &mut self.columns {
+            decode(col)?;
+            if col.len() != total {
+                return Err(StorageError::Corrupt(format!(
+                    "append segment leaves a column of '{}' at {} rows, expected {total}",
+                    self.name,
+                    col.len()
+                )));
+            }
+        }
+        self.deleted.resize(total, false);
+        self.epoch.appended = appended;
+        advance_stamp_floor(appended);
+        Ok(())
+    }
+
     /// The table name.
     pub fn name(&self) -> &str {
         &self.name

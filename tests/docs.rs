@@ -147,6 +147,28 @@ fn the_reply_path_is_documented() {
     }
 }
 
+/// The durable-append design is written down where operators, clients
+/// and maintainers look for it, and the suite the docs name exists.
+#[test]
+fn durable_appends_are_documented() {
+    let root = repo_root();
+    let needles: [(&str, &[&str]); 3] = [
+        ("docs/PROTOCOL.md", &["`segment_appends`", "`segment_bytes`", "`compactions`"]),
+        ("docs/TUNING.md", &["t<id>.log", "`segment_appends`", "`compactions`"]),
+        (
+            "docs/ARCHITECTURE.md",
+            &["`DBWA`", "t<id>.log", "torn tail", "compaction", "tests/append_segment_prop.rs"],
+        ),
+    ];
+    for (doc, needles) in needles {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for needle in needles {
+            assert!(text.contains(needle), "{doc} must mention {needle}");
+        }
+    }
+    assert!(root.join("tests/append_segment_prop.rs").exists(), "the docs name the suite");
+}
+
 /// Every `DBWIPES_[A-Z_]+` name occurring in `text`.
 fn knob_names(text: &str) -> BTreeSet<String> {
     const PREFIX: &str = "DBWIPES_";
