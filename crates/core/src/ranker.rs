@@ -17,8 +17,11 @@
 //! independent, so the ranking is deterministic regardless of thread count.
 //!
 //! There is one scoring loop, and it runs over a *shard set*: per shard a
-//! table, its [`GroupedAggregateCache`] (membership bitmap included), a
-//! [`ConditionBitmapCache`], and F and D′ as shard-local [`RowSet`]s.
+//! table, its [`GroupedAggregateCache`] (membership bitmap included), the
+//! [`ConditionBitmapCache`] that table snapshot owns
+//! ([`Table::condition_bitmaps`] — so a condition an earlier ranking over
+//! the same snapshot scanned is a hit here, in every deployment), and F
+//! and D′ as shard-local [`RowSet`]s.
 //! [`rank_predicates_with_cache`] presents its cache as exactly one shard —
 //! the base table itself, identity row mapping, every condition live,
 //! cleaned results straight from [`GroupedAggregateCache::result`] — so it
@@ -58,6 +61,7 @@ use dbwipes_storage::{
     Table, TriSet, Value,
 };
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Weights of the ranking score.
 #[derive(Debug, Clone, Copy)]
@@ -259,7 +263,7 @@ fn rank_shard_set<P: Candidate>(
     let caches = shards.caches();
     let ctx = ScoreContext {
         shards,
-        bitmaps: caches.iter().map(|c| ConditionBitmapCache::new(c.table())).collect(),
+        bitmaps: caches.iter().map(|c| c.table().condition_bitmaps()).collect(),
         error_before: metric.evaluate_result(result, selected),
         // Group keys of the selected outputs, used to find the same groups
         // in the incrementally cleaned result.
@@ -281,7 +285,7 @@ fn rank_shard_set<P: Candidate>(
 
     // Warm the condition-bitmap caches serially: the candidates share leaf
     // conditions drawn from one pool, so each distinct condition's column
-    // kernel runs exactly once per shard here, and the parallel scoring
+    // kernel runs at most once per shard here, and the parallel scoring
     // pass below is pure bitmap combining over cache hits. Every (shard,
     // condition) pair the zone maps prune is skipped — on a hash partition
     // over an equality-heavy candidate pool this is where the shard speedup
@@ -309,8 +313,9 @@ fn rank_shard_set<P: Candidate>(
 /// every row-level structure held per shard.
 struct ScoreContext<'a> {
     shards: ShardSet<'a>,
-    /// One condition-bitmap cache per shard (warmed before scoring).
-    bitmaps: Vec<ConditionBitmapCache>,
+    /// Each shard's snapshot's condition-bitmap cache (warmed before
+    /// scoring; what an earlier ranking left in it is already warm).
+    bitmaps: Vec<Arc<ConditionBitmapCache>>,
     error_before: f64,
     selected_keys: Vec<Vec<Value>>,
     /// F as one local bitmap per shard.
@@ -340,8 +345,8 @@ struct CandidateEvidence {
 /// groups.
 ///
 /// The default path is vectorized: each leaf condition's cached bitmap
-/// (one columnar kernel scan per *distinct* condition per shard per
-/// ranking) is combined with word-level AND/OR/NOT, zone-pruned leaves
+/// (one columnar kernel scan per *distinct* condition per shard
+/// snapshot) is combined with word-level AND/OR/NOT, zone-pruned leaves
 /// being substituted by all-FALSE bitmaps instead of kernel scans.
 /// Expressibility is schema-only, so it is decided once per candidate from
 /// what the evaluation returns: if any shard declines, the whole candidate

@@ -189,20 +189,19 @@ impl<'q> ExclusionQuery<'q> {
 
 /// One materialised group: its key, its input rows, the per-aggregate
 /// retained state and the per-aggregate argument values (aligned with the
-/// row list). Crate-visible so the snapshot codec in [`crate::snapshot`]
-/// can persist and restore groups verbatim.
+/// row list).
 #[derive(Debug, Clone)]
-pub(crate) struct CachedGroup {
-    pub(crate) key: Vec<Value>,
-    pub(crate) rows: Vec<RowId>,
+struct CachedGroup {
+    key: Vec<Value>,
+    rows: Vec<RowId>,
     /// One state per aggregate SELECT item, in SELECT-list order.
-    pub(crate) states: Vec<AggregateState>,
+    states: Vec<AggregateState>,
     /// `arg_values[slot][pos]` = the value `states[slot]` consumed for
     /// `rows[pos]` (`None` = NULL input).
-    pub(crate) arg_values: Vec<Vec<Option<f64>>>,
+    arg_values: Vec<Vec<Option<f64>>>,
     /// The fully projected output row (aggregate slots included), reused
     /// verbatim for untouched groups.
-    pub(crate) template: Vec<Value>,
+    template: Vec<Value>,
 }
 
 /// A one-time execution of a statement, retained in a form that can answer
@@ -311,118 +310,6 @@ impl<'t> GroupedAggregateCache<'t> {
             row_slots,
             key_index,
             agg_item_indices: agg_calls.iter().map(|(i, _)| *i).collect(),
-            plain_item_indices,
-        })
-    }
-
-    /// The retained groups, for the snapshot codec.
-    pub(crate) fn snapshot_groups(&self) -> &[CachedGroup] {
-        &self.groups
-    }
-
-    /// Reassembles a cache from persisted groups, deriving every redundant
-    /// index (membership bitmap, row → slot lookup, key index, output
-    /// schema, item-index partitions) exactly as [`Self::build_from`]
-    /// would — so a restored cache is indistinguishable from a freshly
-    /// built one. All cross-references are validated (row ids in bounds,
-    /// state slots aligned with the statement's aggregates, unique group
-    /// keys); a corrupted snapshot yields an error, never a panic.
-    pub(crate) fn from_snapshot(
-        table: Arc<Table>,
-        stmt: SelectStatement,
-        groups: Vec<CachedGroup>,
-    ) -> Result<GroupedAggregateCache<'static>, EngineError> {
-        let store = TableStore::Shared(table);
-        {
-            let table: &Table = &store;
-            validate(table, &stmt)?;
-        }
-        let agg_calls: Vec<(usize, &AggregateCall)> = stmt
-            .items
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| match &item.expr {
-                SelectExpr::Aggregate(call) => Some((i, call)),
-                _ => None,
-            })
-            .collect();
-        let plain_item_indices: Vec<usize> = stmt
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, item)| !matches!(item.expr, SelectExpr::Aggregate(_)))
-            .map(|(i, _)| i)
-            .collect();
-
-        let num_rows = store.num_rows();
-        let corrupt = |msg: String| EngineError::plan(format!("cache snapshot invalid: {msg}"));
-        if groups.len() > u32::MAX as usize {
-            return Err(corrupt(format!("{} groups overflow the group index", groups.len())));
-        }
-        let mut membership = RowSet::empty(num_rows);
-        let mut row_slots = vec![(0u32, 0u32); num_rows];
-        let mut key_index = HashMap::with_capacity(groups.len());
-        for (gi, group) in groups.iter().enumerate() {
-            if group.states.len() != agg_calls.len() || group.arg_values.len() != agg_calls.len() {
-                return Err(corrupt(format!(
-                    "group {gi} retains {} aggregate states but the statement has {}",
-                    group.states.len(),
-                    agg_calls.len()
-                )));
-            }
-            for (slot, (_, call)) in agg_calls.iter().enumerate() {
-                if group.states[slot].func() != call.func {
-                    return Err(corrupt(format!(
-                        "group {gi} state {slot} is {:?} but the statement calls {:?}",
-                        group.states[slot].func(),
-                        call.func
-                    )));
-                }
-                if group.arg_values[slot].len() != group.rows.len() {
-                    return Err(corrupt(format!(
-                        "group {gi} slot {slot} has {} argument values for {} rows",
-                        group.arg_values[slot].len(),
-                        group.rows.len()
-                    )));
-                }
-            }
-            if group.template.len() != stmt.items.len() {
-                return Err(corrupt(format!(
-                    "group {gi} template has {} items but the statement selects {}",
-                    group.template.len(),
-                    stmt.items.len()
-                )));
-            }
-            if group.rows.len() > u32::MAX as usize {
-                return Err(corrupt(format!("group {gi} row list overflows the slot index")));
-            }
-            for (pos, &rid) in group.rows.iter().enumerate() {
-                if rid.index() >= num_rows {
-                    return Err(corrupt(format!(
-                        "group {gi} references row {rid} but the table has {num_rows} rows"
-                    )));
-                }
-                membership.insert(rid.index());
-                row_slots[rid.index()] = (gi as u32, pos as u32);
-            }
-            if key_index.insert(group.key.clone(), gi as u32).is_some() {
-                return Err(corrupt(format!("group {gi} duplicates another group's key")));
-            }
-        }
-        let schema = {
-            let table: &Table = &store;
-            output_schema(table, &stmt)?
-        };
-        let agg_item_indices: Vec<usize> = agg_calls.iter().map(|(i, _)| *i).collect();
-        Ok(GroupedAggregateCache {
-            table: store,
-            stmt,
-            schema,
-            groups,
-            membership,
-            row_slots,
-            key_index,
-            agg_item_indices,
             plain_item_indices,
         })
     }

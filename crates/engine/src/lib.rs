@@ -73,7 +73,6 @@ pub mod lexer;
 pub mod parser;
 pub mod result;
 pub mod sharded;
-pub mod snapshot;
 
 pub use aggregate::AggregateState;
 pub use ast::{
@@ -86,4 +85,3 @@ pub use incremental::{CacheFingerprint, ExclusionQuery, GroupedAggregateCache};
 pub use parser::{parse_expr, parse_select};
 pub use result::QueryResult;
 pub use sharded::ShardedAggregateCache;
-pub use snapshot::{decode_cache, encode_cache};

@@ -23,10 +23,10 @@
 //! With `--data-dir DIR` (or `DBWIPES_DATA_DIR`; the flag wins) the
 //! server runs durably: a fresh directory is seeded with the demo catalog
 //! and snapshotted, a non-empty one restores the persisted catalog —
-//! skipping demo generation entirely — and rehydrates the cache registry
-//! and warm condition bitmaps from the last flush, so a restarted server
-//! answers repeated explains at registry-hit speed. Registered tables are
-//! snapshotted eagerly; warm state is flushed on graceful shutdown.
+//! skipping demo generation entirely. Registered tables and appended rows
+//! are made durable before their reply; a restart restores tables only,
+//! and every cache is rebuilt on first use, so the flag changes nothing
+//! about how an explain runs.
 
 use dbwipes_data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
 use dbwipes_server::{serve_pooled, PoolConfig, SessionManager, StorageRuntime};
@@ -235,14 +235,10 @@ fn main() -> ExitCode {
     if let Some(runtime) = &runtime {
         manager.attach_storage(Arc::clone(runtime));
         if restored {
-            let (caches, bitmaps) = manager.rehydrate_warm_state();
             eprintln!(
-                "dbwipes-server: restored {} tables from {} ({} aggregate caches, \
-                 {} condition bitmaps rehydrated)",
+                "dbwipes-server: restored {} tables from {}",
                 manager.table_names().len(),
                 options.data_dir.as_deref().unwrap_or("?"),
-                caches,
-                bitmaps
             );
         } else {
             // Seed run: make the demo catalog durable before serving.

@@ -1,6 +1,6 @@
 //! Durable storage behind the service: snapshot-on-register, flush-on-
-//! shutdown, restore-on-startup, warm-cache rehydration, and the fault
-//! policy that keeps the service answering when the disk does not.
+//! shutdown, restore-on-startup, and the fault policy that keeps the
+//! service answering when the disk does not.
 //!
 //! A [`StorageRuntime`] wraps a pluggable [`StorageBackend`] (the
 //! filesystem [`FsBackend`] in production, a
@@ -32,38 +32,23 @@
 //!   `health` block reports the degradation. The next table write that
 //!   actually succeeds — it carries the whole backlog, as one segment when
 //!   the table only grew — self-heals the runtime back to healthy.
-//! * **Warm state is written opportunistically** — at flush time the
-//!   [`CacheRegistry`]'s finished aggregate caches and the process's
-//!   donated condition bitmaps are serialized into per-table sidecars.
-//!   Sidecars are best-effort by design: they retry like snapshots but
-//!   never enter health accounting, because a lost sidecar degrades to a
-//!   cold rebuild, never to an error.
-//! * **Restore inverts both steps** — the manifest rebuilds the
-//!   [`Catalog`] with every table's persisted identity stamps, then the
-//!   sidecars reseed the registry ([`CacheRegistry::insert_prebuilt`])
-//!   and the warm bitmap store, so the first explain after a restart hits
-//!   the same tiers a long-running server would.
+//! * **Restore brings back tables, nothing derived** — the manifest
+//!   rebuilds the [`Catalog`] with every table's persisted identity
+//!   stamps. Aggregate caches and condition bitmaps belong to the
+//!   snapshot they index and are rebuilt on first use by the code that
+//!   builds them cold; rebuilding costs about what decoding an image of
+//!   them did, so none is written.
 //!
-//! The decode path trusts nothing: every snapshot and sidecar is
-//! checksummed by the storage layer, and a cache image is only installed
-//! when its stamped table identity matches the restored table exactly.
+//! The decode path trusts nothing: every snapshot and log record is
+//! checksummed by the storage layer.
 
-use crate::registry::CacheRegistry;
-use dbwipes_engine::{decode_cache, encode_cache, GroupedAggregateCache};
-use dbwipes_storage::persist::{ByteReader, ByteWriter};
 use dbwipes_storage::{
-    export_warm_bitmaps, seed_warm_bitmaps, Catalog, FaultInjectingBackend, FaultPlan, FsBackend,
-    StorageBackend, StorageError, Table,
+    Catalog, FaultInjectingBackend, FaultPlan, FsBackend, StorageBackend, StorageError, Table,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
-
-/// Sidecar kind holding a table's serialized aggregate caches.
-const AGGS_KIND: &str = "aggs";
-/// Sidecar kind holding a table's donated condition bitmaps.
-const BITS_KIND: &str = "bits";
 
 /// Hard ceiling on a single backoff sleep, whatever the knobs say.
 const MAX_BACKOFF: Duration = Duration::from_secs(1);
@@ -94,7 +79,6 @@ fn storage_backoff_ms() -> u64 {
 pub struct StorageRuntime {
     backend: Box<dyn StorageBackend>,
     snapshot_loads: AtomicU64,
-    rehydrated_caches: AtomicU64,
     /// True while persistence is known broken; queries keep serving.
     degraded: AtomicBool,
     /// Failed snapshot writes since the last success (resets on heal).
@@ -125,9 +109,6 @@ pub struct StorageCounters {
     pub snapshot_loads: u64,
     /// Bytes the data directory currently occupies.
     pub bytes_on_disk: u64,
-    /// Warm entries reloaded instead of recomputed: registry aggregate
-    /// caches plus donated condition bitmaps.
-    pub rehydrated_caches: u64,
 }
 
 /// Point-in-time reading of the runtime's fault state, as reported by the
@@ -173,7 +154,6 @@ impl StorageRuntime {
         StorageRuntime {
             backend,
             snapshot_loads: AtomicU64::new(0),
-            rehydrated_caches: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             consecutive_failures: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -284,73 +264,6 @@ impl StorageRuntime {
         }
     }
 
-    /// Serializes `table`'s warm state into its sidecars: the registry's
-    /// finished aggregate caches built over exactly this table data, and
-    /// the process's donated condition bitmaps. Empty state writes
-    /// nothing. Sidecar writes retry like snapshots but stay out of
-    /// health accounting — they are best-effort accelerators.
-    pub fn save_warm_state(
-        &self,
-        table: &Arc<Table>,
-        caches: &[Arc<GroupedAggregateCache<'static>>],
-    ) -> Result<(), StorageError> {
-        let matching: Vec<&Arc<GroupedAggregateCache<'static>>> = caches
-            .iter()
-            .filter(|c| c.table().id() == table.id() && c.table().version() == table.version())
-            .collect();
-        if !matching.is_empty() {
-            let mut w = ByteWriter::new();
-            w.put_u64(matching.len() as u64);
-            for cache in &matching {
-                let image = encode_cache(cache);
-                w.put_u64(image.len() as u64);
-                w.put_bytes(&image);
-            }
-            self.write_with_retries(|| {
-                self.backend.save_sidecar(table.id(), table.version(), AGGS_KIND, w.bytes())
-            })?;
-        }
-        let bitmaps = export_warm_bitmaps(table.id(), table.version());
-        if !bitmaps.is_empty() {
-            let encoded = dbwipes_storage::persist::encode_warm_bitmaps(&bitmaps);
-            self.write_with_retries(|| {
-                self.backend.save_sidecar(table.id(), table.version(), BITS_KIND, &encoded)
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Reloads `table`'s warm state: aggregate caches are decoded and
-    /// published to `registry` ([`CacheRegistry::insert_prebuilt`]),
-    /// donated bitmaps reseed the process-wide warm store. Returns how
-    /// many entries of each kind were rehydrated. Best-effort: a missing,
-    /// corrupt, or mismatched sidecar contributes zero entries rather
-    /// than failing the restore.
-    pub fn load_warm_state(&self, table: &Arc<Table>, registry: &CacheRegistry) -> (usize, usize) {
-        let mut caches = 0usize;
-        if let Ok(Some(bytes)) = self.backend.load_sidecar(table.id(), table.version(), AGGS_KIND) {
-            let mut r = ByteReader::new(&bytes);
-            if let Ok(count) = r.get_len(8) {
-                for _ in 0..count {
-                    let Ok(len) = r.get_len(1) else { break };
-                    let Ok(image) = r.take(len) else { break };
-                    let Ok(cache) = decode_cache(image, Arc::clone(table)) else { continue };
-                    if registry.insert_prebuilt(cache.fingerprint(), Arc::new(cache)) {
-                        caches += 1;
-                    }
-                }
-            }
-        }
-        let mut bitmaps = 0usize;
-        if let Ok(Some(bytes)) = self.backend.load_sidecar(table.id(), table.version(), BITS_KIND) {
-            if let Ok(entries) = dbwipes_storage::persist::decode_warm_bitmaps(&bytes) {
-                bitmaps = seed_warm_bitmaps(table.id(), table.version(), entries);
-            }
-        }
-        self.rehydrated_caches.fetch_add((caches + bitmaps) as u64, Ordering::Relaxed);
-        (caches, bitmaps)
-    }
-
     /// The counters the `stats` command reports. `bytes_on_disk` is read
     /// live from the data directory (0 if it cannot be listed).
     pub fn counters(&self) -> StorageCounters {
@@ -362,7 +275,6 @@ impl StorageRuntime {
             compactions: written.compactions,
             snapshot_loads: self.snapshot_loads.load(Ordering::Relaxed),
             bytes_on_disk: self.backend.bytes_on_disk().unwrap_or(0),
-            rehydrated_caches: self.rehydrated_caches.load(Ordering::Relaxed),
         }
     }
 

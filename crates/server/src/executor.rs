@@ -343,10 +343,10 @@ pub fn serve_pooled(
     for worker in std::mem::take(&mut *lock_recover(&workers)) {
         let _ = worker.join();
     }
-    // All in-flight commands have finished, so the catalog and warm state
-    // are final: flush them before exiting 0. A no-op without attached
-    // storage; a kill that skips this still recovers to the last durable
-    // snapshot (tables are persisted eagerly at registration).
+    // All in-flight commands have finished, so the catalog is final: flush
+    // it before exiting 0. A no-op without attached storage; a kill that
+    // skips this still recovers to the last durable snapshot (tables are
+    // persisted eagerly at registration).
     manager.flush_storage();
     accept_result.map(|()| stats)
 }

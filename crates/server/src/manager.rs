@@ -376,18 +376,14 @@ impl SessionManager {
         self.pool.get()
     }
 
-    /// Attaches durable storage: from now on `register_table` snapshots
-    /// eagerly and [`SessionManager::flush_storage`] persists warm state.
-    /// Also enables the process-wide warm bitmap store so dropped
-    /// [`ConditionBitmapCache`](dbwipes_storage::ConditionBitmapCache)s
-    /// donate their bitmaps for the next flush. The first attach wins;
-    /// returns false when storage was already attached.
+    /// Attaches durable storage: from now on `register_table` and
+    /// `stream_append` make their table durable before replying and
+    /// [`SessionManager::flush_storage`] has somewhere to write. Nothing
+    /// else changes — an explain runs the same path with or without it.
+    /// The first attach wins; returns false when storage was already
+    /// attached.
     pub fn attach_storage(&self, runtime: Arc<StorageRuntime>) -> bool {
-        let attached = self.storage.set(runtime).is_ok();
-        if attached {
-            dbwipes_storage::enable_warm_bitmap_store();
-        }
-        attached
+        self.storage.set(runtime).is_ok()
     }
 
     /// The attached storage runtime, if this manager persists to a data
@@ -396,29 +392,10 @@ impl SessionManager {
         self.storage.get()
     }
 
-    /// Reseeds the shared registry and the warm bitmap store from the
-    /// attached storage's sidecars, one table at a time. Returns
-    /// `(aggregate caches, bitmap entries)` rehydrated; `(0, 0)` without
-    /// attached storage. Best-effort by construction — see
-    /// [`StorageRuntime::load_warm_state`].
-    pub fn rehydrate_warm_state(&self) -> (usize, usize) {
-        let Some(runtime) = self.storage.get() else { return (0, 0) };
-        let catalog = read_recover(&self.base).clone();
-        let (mut caches, mut bitmaps) = (0, 0);
-        for name in catalog.table_names() {
-            if let Ok(table) = catalog.table_arc(&name) {
-                let (c, b) = runtime.load_warm_state(&table, &self.registry);
-                caches += c;
-                bitmaps += b;
-            }
-        }
-        (caches, bitmaps)
-    }
-
     /// Flushes every base-catalog table (version-gated, so unchanged
-    /// tables cost one manifest lookup) and each table's warm state to the
-    /// attached storage. A no-op without attached storage. Returns the
-    /// number of table snapshots actually written.
+    /// tables cost one manifest lookup) to the attached storage. A no-op
+    /// without attached storage. Returns the number of table snapshots
+    /// actually written.
     ///
     /// Errors are reported per table on stderr rather than propagated: a
     /// flush runs during shutdown, where aborting half-way would lose
@@ -426,21 +403,13 @@ impl SessionManager {
     pub fn flush_storage(&self) -> usize {
         let Some(runtime) = self.storage.get() else { return 0 };
         let catalog = read_recover(&self.base).clone();
-        let ready = self.registry.export_ready();
-        let caches: Vec<_> = ready.into_iter().map(|(_, cache)| cache).collect();
         let mut saved = 0;
         for name in catalog.table_names() {
             let Ok(table) = catalog.table_arc(&name) else { continue };
             match runtime.save_table(&table) {
                 Ok(true) => saved += 1,
                 Ok(false) => {}
-                Err(e) => {
-                    eprintln!("dbwipes-server: flushing table {name}: {e}");
-                    continue;
-                }
-            }
-            if let Err(e) = runtime.save_warm_state(&table, &caches) {
-                eprintln!("dbwipes-server: flushing warm state of {name}: {e}");
+                Err(e) => eprintln!("dbwipes-server: flushing table {name}: {e}"),
             }
         }
         saved
@@ -507,6 +476,14 @@ impl SessionManager {
     /// Names of the tables in the base catalog.
     pub fn table_names(&self) -> Vec<String> {
         read_recover(&self.base).table_names()
+    }
+
+    /// `(bitmaps, bytes)` of condition bitmaps the base catalog's current
+    /// snapshots retain, summed ([`Table::retained_condition_bitmaps`]).
+    pub(crate) fn retained_condition_bitmaps(&self) -> (usize, usize) {
+        let base = read_recover(&self.base);
+        let tables = base.table_names().into_iter().filter_map(|name| base.table(&name).ok());
+        tables.map(Table::retained_condition_bitmaps).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     }
 
     /// Streams `rows` into the base table `name` — the service side of the

@@ -75,8 +75,10 @@ use dbwipes_storage::Value;
 /// removed: `stats` drops `shards` and `cache.partition_*`,
 /// `stream_append` drops `batches`; 5 = durable appends write segments:
 /// the `stats` `storage` block gains `segment_appends`, `segment_bytes`
-/// and `compactions`.
-pub const PROTOCOL_VERSION: u64 = 5;
+/// and `compactions`; 6 = warm-state sidecars removed: `stats.storage`
+/// drops `rehydrated_caches`; `stats.condition_bitmaps` gains `retained`,
+/// `retained_bytes`.
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]
@@ -771,7 +773,8 @@ mod tests {
             "`snapshot_loads`",
             "`snapshot_saves`",
             "`bytes_on_disk`",
-            "`rehydrated_caches`",
+            "`retained`",
+            "`retained_bytes`",
             "`segment_appends`",
             "`segment_bytes`",
             "`compactions`",

@@ -410,48 +410,6 @@ impl CacheRegistry {
         outcome
     }
 
-    /// Publishes a cache that was restored from a durable snapshot rather
-    /// than built by a lookup, so a restarted server's first request hits.
-    /// Unlike [`Self::get_or_build`] this counts neither a hit nor a miss
-    /// — nobody asked yet. Respects the capacity bound (LRU eviction) and
-    /// refuses to displace an existing entry or in-flight build for the
-    /// same fingerprint (the live state is at least as fresh). Returns
-    /// whether the cache was inserted.
-    pub fn insert_prebuilt(
-        &self,
-        fingerprint: CacheFingerprint,
-        cache: Arc<GroupedAggregateCache<'static>>,
-    ) -> bool {
-        let mut inner = lock_recover(&self.inner);
-        if inner.entries.contains_key(&fingerprint) {
-            return false;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(fingerprint, Slot::Ready { cache, last_used: tick });
-        inner.evict_caches(self.capacity);
-        true
-    }
-
-    /// Every finished cache currently retained, most recently used last —
-    /// the working set a durable snapshot should persist. In-flight builds
-    /// are not included (they have nothing to persist yet).
-    pub fn export_ready(&self) -> Vec<(CacheFingerprint, Arc<GroupedAggregateCache<'static>>)> {
-        let inner = lock_recover(&self.inner);
-        let mut ready: Vec<(u64, CacheFingerprint, Arc<GroupedAggregateCache<'static>>)> = inner
-            .entries
-            .iter()
-            .filter_map(|(k, s)| match s {
-                Slot::Ready { cache, last_used } => {
-                    Some((*last_used, k.clone(), Arc::clone(cache)))
-                }
-                Slot::Building => None,
-            })
-            .collect();
-        ready.sort_by_key(|(last_used, _, _)| *last_used);
-        ready.into_iter().map(|(_, k, c)| (k, c)).collect()
-    }
-
     /// Looks up a memoized explanation for exactly this request, counting
     /// an explanation-tier hit or miss.
     pub fn get_explanation(&self, key: &ExplainKey) -> Option<Arc<Explanation>> {
@@ -676,41 +634,6 @@ mod tests {
         assert_eq!(registry.stats().invalidations, 1);
         assert_eq!(registry.invalidate_table("donations"), 1);
         assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn prebuilt_caches_hit_without_counting_and_export_in_lru_order() {
-        let registry = CacheRegistry::new(2);
-        let t = table("r", 30);
-        let (fp_a, a) = build_for(&t, "SELECT g, avg(v) FROM r GROUP BY g");
-        let (fp_b, b) = build_for(&t, "SELECT g, sum(v) FROM r GROUP BY g");
-        assert!(registry.insert_prebuilt(fp_a.clone(), Arc::new(a)));
-        assert!(registry.insert_prebuilt(fp_b.clone(), Arc::new(b)));
-
-        // Rehydration counts neither hits nor misses; the first real
-        // lookup is a pure hit — the restart invariant the stats assert.
-        let stats = registry.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 2));
-        assert!(retained(&registry, &fp_a));
-        assert_eq!(registry.stats().hits, 1);
-
-        // A second insert for the same fingerprint is refused.
-        let (_, again) = build_for(&t, "SELECT g, sum(v) FROM r GROUP BY g");
-        assert!(!registry.insert_prebuilt(fp_b.clone(), Arc::new(again)));
-
-        // Export walks LRU → MRU: A was just touched, so B comes first.
-        let exported = registry.export_ready();
-        assert_eq!(
-            exported.iter().map(|(fp, _)| fp.clone()).collect::<Vec<_>>(),
-            vec![fp_b.clone(), fp_a.clone()]
-        );
-
-        // Inserting beyond capacity evicts the least recently used entry.
-        let (fp_c, c) = build_for(&t, "SELECT g, count(v) FROM r GROUP BY g");
-        assert!(registry.insert_prebuilt(fp_c, Arc::new(c)));
-        assert_eq!(registry.len(), 2);
-        assert!(!retained(&registry, &fp_b), "B was the LRU victim");
-        assert_eq!(registry.stats().evictions, 1);
     }
 
     #[test]

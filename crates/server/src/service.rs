@@ -154,14 +154,18 @@ impl SessionManager {
         w.end_object();
 
         // Process-wide counters of the storage layer's condition-bitmap
-        // caches (the vectorized ranker warms one per ranking; conditions
-        // shared across candidate conjunctions hit).
+        // caches (a ranking warms its table snapshot's; conditions shared
+        // across candidates, and with earlier rankings over the snapshot,
+        // hit), and what the base catalog's snapshots hold right now.
         let (hits, misses) = ConditionBitmapCache::global_stats();
         let total = hits + misses;
+        let (retained, retained_bytes) = self.retained_condition_bitmaps();
         w.key("condition_bitmaps").begin_object();
         w.key("hit_rate").num(if total == 0 { 0.0 } else { hits as f64 / total as f64 });
         w.key("hits").num(hits as f64);
         w.key("misses").num(misses as f64);
+        w.key("retained").num(retained as f64);
+        w.key("retained_bytes").num(retained_bytes as f64);
         w.end_object();
 
         let health = self.storage().map(|r| r.health()).unwrap_or_default();
@@ -189,7 +193,6 @@ impl SessionManager {
         w.key("attached").bool(self.storage().is_some());
         w.key("bytes_on_disk").num(storage.bytes_on_disk as f64);
         w.key("compactions").num(storage.compactions as f64);
-        w.key("rehydrated_caches").num(storage.rehydrated_caches as f64);
         w.key("segment_appends").num(storage.segment_appends as f64);
         w.key("segment_bytes").num(storage.segment_bytes as f64);
         w.key("snapshot_loads").num(storage.snapshot_loads as f64);

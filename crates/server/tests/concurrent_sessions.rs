@@ -6,12 +6,15 @@
 //!   into another session's state;
 //! * cross-brush cache reuse — after every thread has debugged the same
 //!   statement, the shared registry reports exactly one build and a hit
-//!   for everyone else, including each session's *second* explain.
+//!   for everyone else, including each session's *second* explain;
+//! * one bitmap cache, many writers — threads explaining one shared table
+//!   snapshot at the same moment fill the cache that snapshot owns, and
+//!   each gets exactly the answer a lone client gets.
 
 use dbwipes_data::{generate_sensor, SensorConfig};
 use dbwipes_server::{Json, SessionManager};
 use dbwipes_storage::Catalog;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const CLIENTS: usize = 4;
 
@@ -37,13 +40,15 @@ fn expect_ok(manager: &SessionManager, line: &str) -> Json {
     reply
 }
 
-/// One client's full Figure-1 loop over its own session; returns
-/// (session id, ranked predicate count, second-debug cache_hit flag).
+/// One client's full Figure-1 loop over its own session, calling
+/// `before_debug` just before the first `debug`; returns (session id, the
+/// first `debug` reply's `predicates`, second-debug cache_hit flag).
 fn drive_full_loop(
     manager: &SessionManager,
     query: &str,
     brush_threshold: f64,
-) -> (u64, usize, bool) {
+    before_debug: impl FnOnce(),
+) -> (u64, Json, bool) {
     let session = expect_ok(manager, r#"{"cmd":"open_session"}"#)
         .get("session")
         .and_then(Json::as_u64)
@@ -98,9 +103,10 @@ fn drive_full_loop(
     );
 
     // Debug! twice: the second run must be answered by the registry.
+    before_debug();
     let first = expect_ok(manager, &format!(r#"{{"cmd":"debug","session":{session}}}"#));
-    let predicates = first.get("predicates").unwrap().as_array().unwrap().len();
-    assert!(predicates > 0);
+    let predicates = first.get("predicates").unwrap().clone();
+    assert!(!predicates.as_array().unwrap().is_empty());
     let second = expect_ok(manager, &format!(r#"{{"cmd":"debug","session":{session}}}"#));
     let second_hit = second.get("cache_hit").and_then(Json::as_bool).unwrap();
 
@@ -125,12 +131,12 @@ fn four_concurrent_clients_run_the_full_loop_with_shared_cache_reuse() {
     // change another client's answers.
     let thresholds = [8.0, 9.0, 10.0, 11.0];
 
-    let results: Vec<(u64, usize, bool)> = std::thread::scope(|scope| {
+    let results: Vec<(u64, Json, bool)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|i| {
                 let manager = Arc::clone(&manager);
                 let query = query.clone();
-                scope.spawn(move || drive_full_loop(&manager, &query, thresholds[i]))
+                scope.spawn(move || drive_full_loop(&manager, &query, thresholds[i], || ()))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
@@ -166,6 +172,50 @@ fn four_concurrent_clients_run_the_full_loop_with_shared_cache_reuse() {
         "{cache}"
     );
     assert_eq!(stats.get("sessions").and_then(Json::as_u64), Some(CLIENTS as u64));
+}
+
+/// `stats.condition_bitmaps.retained`: the bitmaps the base snapshot holds.
+fn retained_bitmaps(manager: &SessionManager) -> u64 {
+    let stats = expect_ok(manager, r#"{"cmd":"stats"}"#);
+    stats.get("condition_bitmaps").unwrap().get("retained").and_then(Json::as_u64).unwrap()
+}
+
+#[test]
+fn threads_explaining_one_shared_snapshot_return_exactly_the_serial_answer() {
+    const THREADS: usize = 6;
+    // A statement per client: the constant changes its text and
+    // fingerprint, not its rows, so each builds its own aggregate cache.
+    let statement =
+        |query: &str, k: usize| query.replace("GROUP BY", &format!("WHERE epoch >= -{k} GROUP BY"));
+    // Serial: one client after the other.
+    let (serial, query) = manager();
+    let expected: Vec<Json> = (0..THREADS)
+        .map(|k| drive_full_loop(&serial, &statement(&query, k), 8.0, || ()).1)
+        .collect();
+    assert!(retained_bitmaps(&serial) > 0, "the rankings warmed the snapshot's cache");
+
+    // Concurrent: all enter their first `debug` together and rank over the
+    // one base snapshot — scanning the same conditions into the same cache.
+    let (shared, _) = manager();
+    let barrier = Barrier::new(THREADS);
+    let got: Vec<Json> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|k| {
+                let (shared, barrier, sql) = (&shared, &barrier, statement(&query, k));
+                scope.spawn(move || {
+                    drive_full_loop(shared, &sql, 8.0, || {
+                        barrier.wait();
+                    })
+                    .1
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+    });
+    assert_eq!(got, expected, "an answer depended on who else was filling the cache");
+    // Racing scans of one condition keep one bitmap: the cache ends up
+    // holding what the serial run's holds.
+    assert_eq!(retained_bitmaps(&shared), retained_bitmaps(&serial));
 }
 
 #[test]

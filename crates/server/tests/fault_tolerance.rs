@@ -457,28 +457,23 @@ fn append_onto_restored_table_explains_bit_identically_to_cold_rebuild() {
     let dir = TempDir::new();
     let table = sensor_table();
 
-    // ── Phase A: a durable manager answers an explain (warming the
-    // registry) and flushes — table snapshot plus warm sidecars.
+    // ── Phase A: a durable manager appends and answers an explain; the
+    // append made its rows durable before its ack.
     {
         let manager = SessionManager::new(catalog_of(table.clone()));
         manager.attach_storage(Arc::new(fs_runtime(dir.path())));
         manager.flush_storage();
         let replies = scripted_session(&manager);
         assert!(replies.iter().all(|r| r.contains(r#""ok":true"#)));
-        // The append persisted its snapshot inline, so this flush is
-        // version-gated to zero table writes — it exists to write the
-        // warm sidecars the explain built.
-        manager.flush_storage();
+        assert_eq!(manager.flush_storage(), 0, "nothing is left for the shutdown flush");
     }
 
-    // ── Phase B: restore from disk, rehydrate warm state, then append
-    // MORE rows onto the restored table and explain.
+    // ── Phase B: restore from disk, then append MORE rows onto the
+    // restored table and explain.
     let restored_replies = {
         let runtime = Arc::new(fs_runtime(dir.path()));
         let manager = SessionManager::new(runtime.restore_catalog().unwrap());
         manager.attach_storage(Arc::clone(&runtime));
-        let (caches, _bitmaps) = manager.rehydrate_warm_state();
-        assert!(caches >= 1, "the warm sidecar must rehydrate");
         scripted_session(&manager)
     };
 

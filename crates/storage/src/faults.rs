@@ -1,10 +1,10 @@
 //! Deterministic storage fault injection for chaos tests.
 //!
 //! A [`FaultInjectingBackend`] wraps any [`StorageBackend`] and injects
-//! failures into the *write* path (`save_table` / `save_sidecar`)
-//! according to a scripted [`FaultPlan`]. Reads always pass through
-//! untouched — recovery code is exercised against real persisted bytes,
-//! while the write path sees exactly the failures the plan scripts.
+//! failures into the *write* path (`save_table`) according to a scripted
+//! [`FaultPlan`]. Reads always pass through untouched — recovery code is
+//! exercised against real persisted bytes, while the write path sees
+//! exactly the failures the plan scripts.
 //!
 //! Every write attempt (process-wide per backend, 1-based) is matched
 //! against the plan's clauses in order; the first matching clause fires.
@@ -207,7 +207,7 @@ pub struct FaultInjectingBackend {
     /// When the inner backend is a filesystem directory, torn writes
     /// leave a literally truncated artifact here.
     torn_dir: Option<PathBuf>,
-    /// Global 1-based write attempt counter (tables + sidecars).
+    /// Global 1-based write attempt counter.
     writes: AtomicU64,
     /// Writes that were failed or delayed by the plan.
     injected: AtomicU64,
@@ -336,29 +336,6 @@ impl StorageBackend for FaultInjectingBackend {
 
     fn evict(&self, table_id: u64) -> Result<(), StorageError> {
         self.inner.evict(table_id)
-    }
-
-    fn save_sidecar(
-        &self,
-        table_id: u64,
-        version: u64,
-        kind: &str,
-        bytes: &[u8],
-    ) -> Result<u64, StorageError> {
-        let file = format!("s{table_id}-{version}-{kind}.bin");
-        let pending =
-            || Some(PendingWrite { file: file.clone(), append_at: None, bytes: bytes.to_vec() });
-        self.intercept(&file, pending)?;
-        self.inner.save_sidecar(table_id, version, kind, bytes)
-    }
-
-    fn load_sidecar(
-        &self,
-        table_id: u64,
-        version: u64,
-        kind: &str,
-    ) -> Result<Option<Vec<u8>>, StorageError> {
-        self.inner.load_sidecar(table_id, version, kind)
     }
 
     fn bytes_on_disk(&self) -> Result<u64, StorageError> {
@@ -559,8 +536,9 @@ mod tests {
         let t = small_table();
         assert!(backend.save_table(&t).is_err(), "first attempt on the table fails");
         assert!(backend.save_table(&t).is_ok(), "retry on the same target succeeds");
-        assert!(backend.save_sidecar(t.id(), t.version(), "aggs", b"x").is_err());
-        assert!(backend.save_sidecar(t.id(), t.version(), "aggs", b"x").is_ok());
+        let other = small_table();
+        assert!(backend.save_table(&other).is_err(), "another table is another target");
+        assert!(backend.save_table(&other).is_ok());
     }
 
     #[test]

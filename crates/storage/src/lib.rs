@@ -37,8 +37,9 @@
 //!     t.push_row(vec![Value::Int(i % 10), Value::Float(20.0 + (i % 7) as f64)]).unwrap();
 //! }
 //!
-//! // Unsharded: one kernel scan over the full universe.
-//! let cache = ConditionBitmapCache::new(&t);
+//! // Unsharded: one kernel scan over the full universe, kept on the
+//! // snapshot for whoever asks about it next.
+//! let cache = t.condition_bitmaps();
 //! let cond = Condition::equals("sensorid", 3);
 //! let full = cache.condition(&t, &cond).unwrap();
 //!
@@ -83,9 +84,8 @@ pub use persist::{
     FsBackend, Manifest, ManifestEntry, PendingWrite, StorageBackend, WriteCounters,
 };
 pub use predicate::{
-    bool_vectorization_stats, enable_warm_bitmap_store, export_warm_bitmaps, seed_warm_bitmaps,
-    warm_bitmap_rehydrated_count, Candidate, CompiledBoolExpr, Condition, ConditionBitmapCache,
-    ConjunctivePredicate, PredicateTree, TriSet,
+    bool_vectorization_stats, Candidate, CompiledBoolExpr, Condition, ConditionBitmapCache,
+    ConjunctivePredicate, PredicateTree, TriSet, CONDITION_BITMAP_BUDGET_BYTES,
 };
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};

@@ -29,11 +29,11 @@
 //! `write(2)`, which survives the death of the process, not of the
 //! machine.
 //!
-//! The [`ByteWriter`] / [`ByteReader`] pair is the shared wire codec:
-//! little-endian fixed-width integers, IEEE-754 bit patterns for floats,
-//! length-prefixed UTF-8 strings and bit-packed boolean vectors. Readers
-//! never panic on malformed input — truncation, bad magic bytes, an
-//! unsupported format version or a checksum mismatch all surface as
+//! The byte codec underneath is private to this module: little-endian
+//! fixed-width integers, IEEE-754 bit patterns for floats, length-prefixed
+//! UTF-8 strings and bit-packed boolean vectors. Readers never panic on
+//! malformed input — truncation, bad magic bytes, an unsupported format
+//! version or a checksum mismatch all surface as
 //! [`StorageError::Corrupt`] (I/O failures as [`StorageError::Io`]).
 //!
 //! ```
@@ -55,11 +55,9 @@
 
 use crate::column::{Column, ColumnData};
 use crate::error::StorageError;
-use crate::predicate::TriSet;
-use crate::rowset::RowSet;
 use crate::schema::{Field, Schema};
 use crate::table::{Table, TableEpoch};
-use crate::value::{DataType, Value};
+use crate::value::DataType;
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -79,10 +77,6 @@ const TABLE_MAGIC: &[u8; 4] = b"DBWT";
 const SEGMENT_MAGIC: &[u8; 4] = b"DBWA";
 /// Magic bytes of the manifest file.
 const MANIFEST_MAGIC: &[u8; 4] = b"DBWM";
-/// Magic bytes of a warm-state sidecar file.
-const SIDECAR_MAGIC: &[u8; 4] = b"DBWX";
-/// Magic bytes of a serialized warm-bitmap set.
-const BITMAP_MAGIC: &[u8; 4] = b"DBWB";
 
 /// FNV-1a 64 over a byte slice — the snapshot format's per-segment
 /// checksum. Small, stable, dependency-free; the same function the shard
@@ -97,82 +91,72 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Little-endian byte-stream writer: the encoding half of the snapshot
-/// wire codec, also used by the engine's cache serializer.
+/// codec.
 #[derive(Debug, Default)]
-pub struct ByteWriter {
+struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
     /// An empty writer.
-    pub fn new() -> Self {
+    fn new() -> Self {
         ByteWriter { buf: Vec::new() }
     }
 
     /// Consumes the writer, returning the accumulated bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The bytes written so far (for trailing checksums).
-    pub fn bytes(&self) -> &[u8] {
+    fn bytes(&self) -> &[u8] {
         &self.buf
     }
 
     /// Appends raw bytes verbatim.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
+    fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
+    fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (bit-for-bit, NaN
     /// payloads and signed zeros included).
-    pub fn put_f64(&mut self, v: f64) {
+    fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// Appends a boolean as one byte.
-    pub fn put_bool(&mut self, v: bool) {
+    fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
+    fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Appends a length-prefixed, bit-packed boolean vector.
-    pub fn put_bool_vec(&mut self, bits: &[bool]) {
+    fn put_bool_vec(&mut self, bits: &[bool]) {
         self.put_u64(bits.len() as u64);
         let mut packed = vec![0u8; bits.len().div_ceil(8)];
         for (i, &b) in bits.iter().enumerate() {
@@ -188,34 +172,29 @@ impl ByteWriter {
 /// snapshot wire codec. Every accessor validates bounds and returns
 /// [`StorageError::Corrupt`] on truncated input instead of panicking.
 #[derive(Debug)]
-pub struct ByteReader<'a> {
+struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over `bytes`, starting at offset zero.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         ByteReader { bytes, pos: 0 }
     }
 
-    /// Current read offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Number of unread bytes.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     /// True when every byte has been consumed.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Takes the next `n` bytes, or a corruption error when fewer remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
         if n > self.remaining() {
             return Err(StorageError::Corrupt(format!(
                 "truncated snapshot: wanted {n} bytes at offset {}, {} remain",
@@ -229,39 +208,29 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, StorageError> {
+    fn get_u8(&mut self) -> Result<u8, StorageError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, StorageError> {
+    fn get_u32(&mut self) -> Result<u32, StorageError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, StorageError> {
+    fn get_u64(&mut self) -> Result<u64, StorageError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, StorageError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, StorageError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Reads one byte as a boolean (any non-zero value is true).
-    pub fn get_bool(&mut self) -> Result<bool, StorageError> {
+    fn get_bool(&mut self) -> Result<bool, StorageError> {
         Ok(self.get_u8()? != 0)
     }
 
     /// Reads a `u64` length prefix and validates it against the bytes that
     /// actually remain (at `per_item` bytes each), so a corrupted length
     /// can never trigger a huge allocation.
-    pub fn get_len(&mut self, per_item: usize) -> Result<usize, StorageError> {
+    fn get_len(&mut self, per_item: usize) -> Result<usize, StorageError> {
         let raw = self.get_u64()?;
         let len = usize::try_from(raw)
             .map_err(|_| StorageError::Corrupt(format!("length {raw} overflows this platform")))?;
@@ -286,7 +255,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, StorageError> {
+    fn get_str(&mut self) -> Result<String, StorageError> {
         let len = self.get_len(1)?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -294,7 +263,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a length-prefixed, bit-packed boolean vector.
-    pub fn get_bool_vec(&mut self) -> Result<Vec<bool>, StorageError> {
+    fn get_bool_vec(&mut self) -> Result<Vec<bool>, StorageError> {
         let mut bits = Vec::new();
         self.get_bool_vec_into(&mut bits)?;
         Ok(bits)
@@ -345,49 +314,6 @@ fn dtype_from_code(code: u8) -> Result<DataType, StorageError> {
         5 => DataType::Timestamp,
         other => {
             return Err(StorageError::Corrupt(format!("unknown data type code {other}")));
-        }
-    })
-}
-
-/// Appends a [`Value`] (tag byte + payload) — the shared scalar codec the
-/// engine's cache serializer uses for group keys and output templates.
-pub fn put_value(w: &mut ByteWriter, v: &Value) {
-    match v {
-        Value::Null => w.put_u8(0),
-        Value::Bool(b) => {
-            w.put_u8(1);
-            w.put_bool(*b);
-        }
-        Value::Int(i) => {
-            w.put_u8(2);
-            w.put_i64(*i);
-        }
-        Value::Float(f) => {
-            w.put_u8(3);
-            w.put_f64(*f);
-        }
-        Value::Str(s) => {
-            w.put_u8(4);
-            w.put_str(s);
-        }
-        Value::Timestamp(t) => {
-            w.put_u8(5);
-            w.put_i64(*t);
-        }
-    }
-}
-
-/// Reads a [`Value`] written by [`put_value`].
-pub fn get_value(r: &mut ByteReader<'_>) -> Result<Value, StorageError> {
-    Ok(match r.get_u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(r.get_bool()?),
-        2 => Value::Int(r.get_i64()?),
-        3 => Value::Float(r.get_f64()?),
-        4 => Value::Str(r.get_str()?),
-        5 => Value::Timestamp(r.get_i64()?),
-        other => {
-            return Err(StorageError::Corrupt(format!("unknown value tag {other}")));
         }
     })
 }
@@ -822,87 +748,6 @@ fn log_stamp_ceiling(path: &Path) -> u64 {
     ceiling
 }
 
-/// Serializes a set of named condition bitmaps (a table's warm
-/// [`TriSet`]s, keyed by condition cache key) for sidecar persistence.
-pub fn encode_warm_bitmaps(entries: &[(String, TriSet)]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(BITMAP_MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_u64(entries.len() as u64);
-    for (key, tri) in entries {
-        w.put_str(key);
-        put_rowset(&mut w, &tri.trues);
-        put_rowset(&mut w, &tri.unknowns);
-    }
-    let checksum = fnv1a64(w.bytes());
-    w.put_u64(checksum);
-    w.into_bytes()
-}
-
-/// Decodes a warm-bitmap set written by [`encode_warm_bitmaps`].
-pub fn decode_warm_bitmaps(bytes: &[u8]) -> Result<Vec<(String, TriSet)>, StorageError> {
-    if bytes.len() < 8 {
-        return Err(StorageError::Corrupt("warm-bitmap sidecar too short".into()));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let actual = fnv1a64(body);
-    if stored != actual {
-        return Err(StorageError::Corrupt(format!(
-            "warm-bitmap checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-        )));
-    }
-    let mut r = ByteReader::new(body);
-    if r.take(4)? != BITMAP_MAGIC {
-        return Err(StorageError::Corrupt("not a warm-bitmap sidecar (bad magic)".into()));
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported warm-bitmap format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    let count = r.get_len(1)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = r.get_str()?;
-        let trues = get_rowset(&mut r)?;
-        let unknowns = get_rowset(&mut r)?;
-        if trues.universe() != unknowns.universe() {
-            return Err(StorageError::Corrupt(
-                "warm bitmap halves disagree on their universe".into(),
-            ));
-        }
-        entries.push((key, TriSet { trues, unknowns }));
-    }
-    Ok(entries)
-}
-
-fn put_rowset(w: &mut ByteWriter, set: &RowSet) {
-    w.put_u64(set.universe() as u64);
-    let words = set.word_slice();
-    w.put_u64(words.len() as u64);
-    for &word in words {
-        w.put_u64(word);
-    }
-}
-
-fn get_rowset(r: &mut ByteReader<'_>) -> Result<RowSet, StorageError> {
-    let universe = r.get_u64()? as usize;
-    let word_count = r.get_len(8)?;
-    if word_count != universe.div_ceil(64) {
-        return Err(StorageError::Corrupt(format!(
-            "rowset over universe {universe} has {word_count} words, expected {}",
-            universe.div_ceil(64)
-        )));
-    }
-    let mut words = Vec::with_capacity(word_count);
-    for _ in 0..word_count {
-        words.push(r.get_u64()?);
-    }
-    Ok(RowSet::from_words(words, universe))
-}
-
 /// One table's entry in the [`Manifest`]: the durable identity the
 /// recovery path keys on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -924,8 +769,8 @@ pub struct ManifestEntry {
 }
 
 impl ManifestEntry {
-    /// The scalar [`Table::version`] view of the persisted epoch (sidecar
-    /// file names and stamp-floor recovery key on it).
+    /// The scalar [`Table::version`] view of the persisted epoch
+    /// (stamp-floor recovery keys on it).
     pub fn version(&self) -> u64 {
         self.epoch.version()
     }
@@ -1057,8 +902,8 @@ pub struct PendingWrite {
     pub bytes: Vec<u8>,
 }
 
-/// A durable home for tables and their warm derived state. The filesystem
-/// implementation is [`FsBackend`]; the trait exists so alternative
+/// A durable home for tables. The filesystem implementation is
+/// [`FsBackend`]; the trait exists so alternative
 /// backends (object stores, test doubles such as
 /// [`FaultInjectingBackend`](crate::faults::FaultInjectingBackend)) can
 /// slot in behind the server without touching the recovery flow. `Debug`
@@ -1082,32 +927,12 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// yields an empty manifest, not an error.
     fn list_manifest(&self) -> Result<Manifest, StorageError>;
 
-    /// Removes `table_id`'s snapshot, log and any warm-state sidecars from
-    /// the backend and the manifest. Evicting an unknown id is a no-op.
+    /// Removes `table_id`'s snapshot and log from the backend and the
+    /// manifest. Evicting an unknown id is a no-op.
     fn evict(&self, table_id: u64) -> Result<(), StorageError>;
 
-    /// Persists a warm-state sidecar blob (serialized caches) keyed by
-    /// table id + version + kind. Returns the bytes written. Sidecars are
-    /// best-effort: they accelerate recovery but are never required.
-    fn save_sidecar(
-        &self,
-        table_id: u64,
-        version: u64,
-        kind: &str,
-        bytes: &[u8],
-    ) -> Result<u64, StorageError>;
-
-    /// Loads a warm-state sidecar, or `None` when no sidecar was persisted
-    /// for that exact table id + version + kind.
-    fn load_sidecar(
-        &self,
-        table_id: u64,
-        version: u64,
-        kind: &str,
-    ) -> Result<Option<Vec<u8>>, StorageError>;
-
     /// Total bytes the backend currently occupies on disk (snapshots,
-    /// logs, sidecars and the manifest).
+    /// logs and the manifest).
     fn bytes_on_disk(&self) -> Result<u64, StorageError>;
 
     /// What this backend has written since it was opened.
@@ -1124,12 +949,11 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
 /// Filesystem [`StorageBackend`]: one directory holding, per table, a
 /// `t<id>.tbl` base snapshot and a `t<id>.log` of `DBWA` append segments
-/// written since, plus `s<id>-<version>-<kind>.bin` sidecars and a
-/// `MANIFEST.bin` index of the bases. Bases, sidecars and the manifest are
-/// written via temp-file + atomic rename; a segment is one `write_all` to
-/// the log opened in append mode. One process owns a data directory at a
-/// time: the backend remembers what it made durable instead of re-reading
-/// it.
+/// written since, plus a `MANIFEST.bin` index of the bases. Bases and the
+/// manifest are written via temp-file + atomic rename; a segment is one
+/// `write_all` to the log opened in append mode. One process owns a data
+/// directory at a time: the backend remembers what it made durable
+/// instead of re-reading it.
 #[derive(Debug)]
 pub struct FsBackend {
     dir: PathBuf,
@@ -1200,9 +1024,22 @@ pub(crate) fn append_at(path: &Path, at: u64, bytes: &[u8]) -> std::io::Result<(
     file.write_all(bytes)
 }
 
+/// True for `s<id>-<version>-<kind>.bin`, the name of a warm-state sidecar
+/// as builds up to protocol revision 5 wrote them. Nothing reads one now.
+fn is_retired_sidecar(name: &str) -> bool {
+    let Some(stem) = name.strip_prefix('s').and_then(|n| n.strip_suffix(".bin")) else {
+        return false;
+    };
+    let mut parts = stem.splitn(3, '-');
+    let mut number =
+        || parts.next().is_some_and(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()));
+    number() && number() && parts.next().is_some()
+}
+
 impl FsBackend {
     /// Opens (creating if needed) a data directory: removes the temp files
-    /// a killed writer left behind, reads the manifest, and advances the
+    /// a killed writer left behind and the warm-state sidecars an earlier
+    /// build wrote, reads the manifest, and advances the
     /// process-global stamp counter past every id and stamp recorded in
     /// the manifest or in a log segment, so tables created later in this
     /// process can never collide with restored identities.
@@ -1211,7 +1048,7 @@ impl FsBackend {
         fs::create_dir_all(&dir)
             .map_err(|e| io_err(&format!("creating data dir {}", dir.display()), e))?;
         let backend = FsBackend { dir, state: Mutex::default() };
-        backend.remove_files(|name| name.contains(".tmp"));
+        backend.remove_files(|name| name.contains(".tmp") || is_retired_sidecar(name));
         let manifest = backend.read_manifest()?;
         for e in &manifest.entries {
             let logged = log_stamp_ceiling(&backend.dir.join(Self::log_file(e.table_id)));
@@ -1233,10 +1070,6 @@ impl FsBackend {
 
     fn log_file(table_id: u64) -> String {
         format!("t{table_id}.log")
-    }
-
-    fn sidecar_file(table_id: u64, version: u64, kind: &str) -> String {
-        format!("s{table_id}-{version}-{kind}.bin")
     }
 
     /// The durable state. A holder that panicked cannot have left it
@@ -1285,17 +1118,6 @@ impl FsBackend {
         }
     }
 
-    /// Removes every sidecar of `table_id` except those stamped with
-    /// `keep_version` (pass `None` to remove them all).
-    fn remove_stale_sidecars(&self, table_id: u64, keep_version: Option<u64>) {
-        let keep_prefix = keep_version.map(|v| format!("s{table_id}-{v}-"));
-        let all_prefix = format!("s{table_id}-");
-        self.remove_files(|name| {
-            name.starts_with(&all_prefix)
-                && !keep_prefix.as_deref().is_some_and(|keep| name.starts_with(keep))
-        });
-    }
-
     /// Decides what making `table` durable takes, given what already is
     /// (`durable`: its entry in the state, if it has one).
     fn plan(&self, durable: Option<&Durable>, table: &Table) -> Plan {
@@ -1329,8 +1151,8 @@ impl StorageBackend for FsBackend {
         let tip = |log_bytes| {
             Some(Tip { epoch: table.epoch(), rows: table.num_rows() as u64, log_bytes })
         };
-        let written = match self.plan(slot.map(|slot| &state.tables[slot]), table) {
-            Plan::Nothing => return Ok(0),
+        Ok(match self.plan(slot.map(|slot| &state.tables[slot]), table) {
+            Plan::Nothing => 0,
             Plan::Segment { at, record } => {
                 let path = self.dir.join(Self::log_file(table.id()));
                 append_at(&path, at, &record)
@@ -1379,11 +1201,7 @@ impl StorageBackend for FsBackend {
                 state.written.compactions += u64::from(compaction);
                 bytes
             }
-        };
-        // A new data version makes every older sidecar of this table
-        // unreloadable; reclaim the space eagerly.
-        self.remove_stale_sidecars(table.id(), Some(table.version()));
-        Ok(written)
+        })
     }
 
     fn load_table(&self, table_id: u64) -> Result<Table, StorageError> {
@@ -1454,62 +1272,7 @@ impl StorageBackend for FsBackend {
         }
         let _ = fs::remove_file(self.dir.join(Self::table_file(table_id)));
         let _ = fs::remove_file(self.dir.join(Self::log_file(table_id)));
-        self.remove_stale_sidecars(table_id, None);
         Ok(())
-    }
-
-    fn save_sidecar(
-        &self,
-        table_id: u64,
-        version: u64,
-        kind: &str,
-        bytes: &[u8],
-    ) -> Result<u64, StorageError> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(SIDECAR_MAGIC);
-        w.put_u32(FORMAT_VERSION);
-        w.put_u64(bytes.len() as u64);
-        w.put_bytes(bytes);
-        w.put_u64(fnv1a64(bytes));
-        let framed = w.into_bytes();
-        self.atomic_write(&Self::sidecar_file(table_id, version, kind), |out| {
-            out.write_all(&framed)
-        })?;
-        Ok(framed.len() as u64)
-    }
-
-    fn load_sidecar(
-        &self,
-        table_id: u64,
-        version: u64,
-        kind: &str,
-    ) -> Result<Option<Vec<u8>>, StorageError> {
-        let path = self.dir.join(Self::sidecar_file(table_id, version, kind));
-        let framed = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(&format!("reading {}", path.display()), e)),
-        };
-        let mut r = ByteReader::new(&framed);
-        if r.take(4)? != SIDECAR_MAGIC {
-            return Err(StorageError::Corrupt("not a dbwipes sidecar (bad magic)".into()));
-        }
-        let fversion = r.get_u32()?;
-        if fversion != FORMAT_VERSION {
-            return Err(StorageError::Corrupt(format!(
-                "unsupported sidecar format version {fversion} (this build reads {FORMAT_VERSION})"
-            )));
-        }
-        let len = r.get_len(1)?;
-        let body = r.take(len)?.to_vec();
-        let stored = r.get_u64()?;
-        let actual = fnv1a64(&body);
-        if stored != actual {
-            return Err(StorageError::Corrupt(format!(
-                "sidecar checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
-        Ok(Some(body))
     }
 
     fn bytes_on_disk(&self) -> Result<u64, StorageError> {
@@ -1803,16 +1566,32 @@ mod tests {
     }
 
     #[test]
-    fn open_removes_the_temp_files_a_killed_writer_left_behind() {
+    fn open_removes_leftover_temp_files_and_retired_sidecars() {
         let dir = TempDir::new();
         let t = every_type_table();
         FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
         let before = FsBackend::open(dir.path()).unwrap().bytes_on_disk().unwrap();
-        // A kill between `fs::write` and `fs::rename`, under another pid.
-        for name in [format!("t{}.tbl.tmp4242", t.id()), "MANIFEST.bin.tmp4242".to_string()] {
+        let doomed = [
+            // A kill between `fs::write` and `fs::rename`, under another pid.
+            format!("t{}.tbl.tmp4242", t.id()),
+            "MANIFEST.bin.tmp4242".to_string(),
+            // Warm-state sidecars as a build before revision 6 named them.
+            format!("s{}-{}-aggs.bin", t.id(), t.version()),
+            format!("s{}-{}-bitmaps.bin", t.id(), t.version()),
+            "s7-40-aggs.bin".to_string(),
+        ];
+        let kept = ["s.bin", "s7-40.bin", "s7-x-aggs.bin", "s-40-aggs.bin", "notes.bin"];
+        for name in doomed.iter().map(String::as_str).chain(kept) {
             fs::write(dir.path().join(name), b"half a file").unwrap();
         }
         let backend = FsBackend::open(dir.path()).unwrap();
+        for name in &doomed {
+            assert!(!dir.path().join(name).exists(), "{name} must be swept");
+        }
+        for name in kept {
+            assert!(dir.path().join(name).exists(), "{name} is not ours to remove");
+            fs::remove_file(dir.path().join(name)).unwrap();
+        }
         assert_eq!(backend.bytes_on_disk().unwrap(), before);
         assert_tables_identical(&t, &backend.load_table(t.id()).unwrap());
     }
@@ -1838,37 +1617,6 @@ mod tests {
         let fresh = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
         assert!(fresh.id() > restored.id());
         assert!(fresh.id() > restored.version());
-    }
-
-    #[test]
-    fn sidecars_round_trip_and_miss_on_version_mismatch() {
-        let dir = TempDir::new();
-        let backend = FsBackend::open(dir.path()).unwrap();
-        let payload = b"warm state".to_vec();
-        backend.save_sidecar(7, 40, "aggs", &payload).unwrap();
-        assert_eq!(backend.load_sidecar(7, 40, "aggs").unwrap(), Some(payload));
-        assert_eq!(backend.load_sidecar(7, 41, "aggs").unwrap(), None);
-        assert_eq!(backend.load_sidecar(8, 40, "aggs").unwrap(), None);
-        // A tampered sidecar is rejected, not returned.
-        let path = dir.path().join("s7-40-aggs.bin");
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 9;
-        bytes[last] ^= 0xff;
-        fs::write(&path, bytes).unwrap();
-        assert!(backend.load_sidecar(7, 40, "aggs").is_err());
-    }
-
-    #[test]
-    fn saving_a_new_version_drops_stale_sidecars() {
-        let dir = TempDir::new();
-        let backend = FsBackend::open(dir.path()).unwrap();
-        let mut t = every_type_table();
-        backend.save_table(&t).unwrap();
-        backend.save_sidecar(t.id(), t.version(), "aggs", b"v1").unwrap();
-        let old_version = t.version();
-        t.restore_all();
-        backend.save_table(&t).unwrap();
-        assert_eq!(backend.load_sidecar(t.id(), old_version, "aggs").unwrap(), None);
     }
 
     #[test]
@@ -1921,53 +1669,5 @@ mod tests {
         };
         let fresh = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
         assert!(fresh.id() > manifest_max, "open() must advance the stamp floor");
-    }
-
-    #[test]
-    fn warm_bitmaps_round_trip_and_reject_corruption() {
-        let trues = RowSet::from_indices(100, [0, 63, 64, 99]);
-        let unknowns = RowSet::from_indices(100, [5]);
-        let entries = vec![("temp >= 100".to_string(), TriSet { trues: trues.clone(), unknowns })];
-        let bytes = encode_warm_bitmaps(&entries);
-        let decoded = decode_warm_bitmaps(&bytes).unwrap();
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].0, "temp >= 100");
-        assert_eq!(decoded[0].1.trues, trues);
-        assert_eq!(decoded[0].1.trues.universe(), 100);
-
-        let mut bad = bytes.clone();
-        bad[10] ^= 0xff;
-        assert!(decode_warm_bitmaps(&bad).is_err());
-        assert!(decode_warm_bitmaps(&bytes[..bytes.len() - 3]).is_err());
-    }
-
-    #[test]
-    fn value_codec_round_trips_every_variant() {
-        let values = vec![
-            Value::Null,
-            Value::Bool(true),
-            Value::Int(i64::MIN),
-            Value::Float(f64::NEG_INFINITY),
-            Value::Float(-0.0),
-            Value::str("héllo"),
-            Value::Timestamp(1234567890),
-        ];
-        let mut w = ByteWriter::new();
-        for v in &values {
-            put_value(&mut w, v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        for v in &values {
-            let got = get_value(&mut r).unwrap();
-            match (v, &got) {
-                // -0.0 == 0.0 under PartialEq; compare floats by bits.
-                (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                _ => assert_eq!(*v, got),
-            }
-        }
-        assert!(r.is_done());
-        assert!(get_value(&mut ByteReader::new(&[9])).is_err());
-        assert!(get_value(&mut ByteReader::new(&[])).is_err());
     }
 }

@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A single per-attribute condition inside a [`ConjunctivePredicate`].
@@ -1467,127 +1467,40 @@ pub fn bool_vectorization_stats() -> (u64, u64) {
     )
 }
 
-/// Whether the process-wide warm bitmap store is active (off by default;
-/// the persistent server enables it when a data directory is attached).
-static WARM_STORE_ENABLED: AtomicBool = AtomicBool::new(false);
-/// Number of warm bitmaps seeded from durable snapshots this process.
-static GLOBAL_REHYDRATED_BITMAPS: AtomicU64 = AtomicU64::new(0);
-
-/// Most table-version entries the warm store retains; least-recently
-/// touched entries are evicted first.
-const WARM_STORE_MAX_TABLES: usize = 16;
-/// Most bitmaps retained per table-version entry.
-const WARM_STORE_MAX_PER_TABLE: usize = 4096;
-
-/// The process-wide warm bitmap store: per `(table id, table version)`
-/// pair, the condition bitmaps computed by any dropped
-/// [`ConditionBitmapCache`], ordered least-recently-touched first.
-type WarmStore = Vec<((u64, u64), HashMap<String, Arc<TriSet>>)>;
-
 /// Locks a bitmap map even after a thread panicked while holding it: the
 /// maps only ever hold complete, immutable `Arc<TriSet>` entries, so the
 /// data behind a poisoned lock is still valid, and refusing it would fail
 /// every later explain in the process.
-fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-fn warm_store() -> &'static Mutex<WarmStore> {
-    static STORE: OnceLock<Mutex<WarmStore>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// Most bytes of bitmaps a snapshot's shared cache may hold when a ranking
+/// acquires it ([`Table::condition_bitmaps`]); a cache found over it is
+/// replaced by an empty one. 32 MiB holds 2 048 conditions at 64k rows,
+/// 512 at 256k and 128 at 1M: many rankings' worth at the sizes the
+/// server is run at, and under a quarter of the resident size of a server
+/// holding a 256k-row table (see docs/TUNING.md, "Cache registry").
+pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 
-/// Moves (or creates) the store slot for `key` to the most-recent
-/// position and returns a mutable reference to its bitmap map.
-fn warm_slot(store: &mut WarmStore, key: (u64, u64)) -> &mut HashMap<String, Arc<TriSet>> {
-    if let Some(pos) = store.iter().position(|(k, _)| *k == key) {
-        let slot = store.remove(pos);
-        store.push(slot);
-    } else {
-        if store.len() >= WARM_STORE_MAX_TABLES {
-            store.remove(0);
-        }
-        store.push((key, HashMap::new()));
-    }
-    &mut store.last_mut().expect("just pushed").1
-}
-
-/// Turns on the process-wide warm bitmap store. Once enabled, every
-/// dropped [`ConditionBitmapCache`] publishes its computed bitmaps keyed
-/// by `(table id, table version)`, and every new cache over a matching
-/// table preloads them — so repeated explains (and explains replayed
-/// after a restart, via [`seed_warm_bitmaps`]) score conditions from
-/// bitmap hits instead of re-running the columnar kernels. Off by
-/// default: short-lived embedded uses keep today's per-ranking lifetime.
-pub fn enable_warm_bitmap_store() {
-    WARM_STORE_ENABLED.store(true, AtomicOrdering::Relaxed);
-}
-
-/// True when [`enable_warm_bitmap_store`] has been called.
-pub fn warm_bitmap_store_enabled() -> bool {
-    WARM_STORE_ENABLED.load(AtomicOrdering::Relaxed)
-}
-
-/// Seeds the warm bitmap store with entries rehydrated from a durable
-/// snapshot. Entries whose bitmap universe does not match between halves
-/// are skipped (defensively; the persistence codec already validates
-/// this). Returns how many bitmaps were seeded.
-pub fn seed_warm_bitmaps(
-    table_id: u64,
-    table_version: u64,
-    entries: Vec<(String, TriSet)>,
-) -> usize {
-    let mut store = lock_recover(warm_store());
-    let slot = warm_slot(&mut store, (table_id, table_version));
-    let mut seeded = 0;
-    for (key, tri) in entries {
-        if slot.len() >= WARM_STORE_MAX_PER_TABLE {
-            break;
-        }
-        if tri.trues.universe() != tri.unknowns.universe() {
-            continue;
-        }
-        slot.insert(key, Arc::new(tri));
-        seeded += 1;
-    }
-    GLOBAL_REHYDRATED_BITMAPS.fetch_add(seeded as u64, AtomicOrdering::Relaxed);
-    seeded
-}
-
-/// Snapshots the warm store's bitmaps for one `(table id, table version)`
-/// pair — what the server persists as a sidecar at flush time.
-pub fn export_warm_bitmaps(table_id: u64, table_version: u64) -> Vec<(String, TriSet)> {
-    let store = lock_recover(warm_store());
-    store
-        .iter()
-        .find(|(k, _)| *k == (table_id, table_version))
-        .map(|(_, m)| m.iter().map(|(k, v)| (k.clone(), (**v).clone())).collect())
-        .unwrap_or_default()
-}
-
-/// Number of warm bitmaps seeded from durable snapshots since process
-/// start (the `rehydrated` figure in the server's `stats` reply).
-pub fn warm_bitmap_rehydrated_count() -> u64 {
-    GLOBAL_REHYDRATED_BITMAPS.load(AtomicOrdering::Relaxed)
-}
-
-/// A per-table cache of condition-evaluation bitmaps.
+/// A per-snapshot cache of condition-evaluation bitmaps.
 ///
 /// The Predicate Enumerator produces hundreds of candidate conjunctions
 /// that heavily *share* conditions drawn from one pool (tree splits, mined
-/// text values, subgroup tests). Scoring each conjunction from scratch
-/// re-scans the table once per condition occurrence; this cache evaluates
-/// each **distinct** condition once through its columnar kernel and scores
+/// text values, subgroup tests), and the analyst asks about the same table
+/// again and again. Scoring each conjunction from scratch re-scans the
+/// table once per condition occurrence; this cache evaluates each
+/// **distinct** condition once through its columnar kernel and scores
 /// conjunctions by intersecting the cached bitmaps.
 ///
-/// A cache is pinned to one `(table id, table version)` pair at
-/// construction — the same invalidation discipline as the engine's
-/// statement-fingerprint cache: any table mutation bumps the version, and
-/// lookups against a table with different stamps bypass the cache (fresh
-/// computation, nothing stored), so stale bitmaps can never be served.
-/// Conditions are keyed by [`Condition::cache_key`] (exact, not the
-/// rounded display form). The cache is `Sync`; parallel candidate scoring
-/// over one warmed cache is lock-cheap reads.
+/// A cache is pinned to one table snapshot — its `(id, epoch)` — at
+/// construction, and the snapshot owns the shared one
+/// ([`Table::condition_bitmaps`]): any mutation starts the mutated table
+/// an empty cache, and lookups against a table with different stamps
+/// bypass the cache (fresh computation, nothing stored), so stale bitmaps
+/// can never be served. Conditions are keyed by [`Condition::cache_key`]
+/// (exact, not the rounded display form). The cache is `Sync`; parallel
+/// candidate scoring over one warmed cache is lock-cheap reads.
 #[derive(Debug)]
 pub struct ConditionBitmapCache {
     table_id: u64,
@@ -1595,9 +1508,8 @@ pub struct ConditionBitmapCache {
     /// physical row universe, so this cache declares
     /// [`EpochTolerance::Exact`]: even a pure append changes the universe
     /// every bitmap was sized for, and absorbing would mean re-running
-    /// every kernel over the new rows — at which point the warm-store
-    /// donation path already rebuilds cheaper. Appends therefore miss
-    /// here by design, unlike the append-tolerant aggregate caches.
+    /// every kernel over the new rows. Appends therefore miss here by
+    /// design, unlike the append-tolerant aggregate caches.
     table_epoch: TableEpoch,
     num_rows: usize,
     visible: RowSet,
@@ -1609,33 +1521,27 @@ pub struct ConditionBitmapCache {
 }
 
 impl ConditionBitmapCache {
-    /// A cache pinned to the current data version of `table`. Starts empty
-    /// unless the process-wide warm bitmap store is enabled and holds
-    /// bitmaps for this exact `(id, version)` pair, in which case those are
-    /// preloaded — subsequent lookups score them as hits and skip the
-    /// columnar kernels entirely.
+    /// An empty cache pinned to the current data version of `table`,
+    /// shared with nobody. Rankings use the snapshot's own
+    /// ([`Table::condition_bitmaps`]).
     pub fn new(table: &Table) -> Self {
-        let mut entries: HashMap<String, Option<Arc<TriSet>>> = HashMap::new();
-        if warm_bitmap_store_enabled() {
-            let store = lock_recover(warm_store());
-            if let Some((_, warm)) = store.iter().find(|(k, _)| *k == (table.id(), table.version()))
-            {
-                entries.extend(
-                    warm.iter()
-                        .filter(|(_, tri)| tri.trues.universe() == table.num_rows())
-                        .map(|(k, tri)| (k.clone(), Some(Arc::clone(tri)))),
-                );
-            }
-        }
         ConditionBitmapCache {
             table_id: table.id(),
             table_epoch: table.epoch(),
             num_rows: table.num_rows(),
             visible: table.visible_row_set(),
-            entries: Mutex::new(entries),
+            entries: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    /// `(bitmaps, bytes)` held: the conditions evaluated so far and the
+    /// size of their bitmaps, two dense row sets each (keys and map
+    /// overhead, tens of bytes against kilobytes, are not counted).
+    pub fn retained(&self) -> (usize, usize) {
+        let bitmaps = lock_recover(&self.entries).values().flatten().count();
+        (bitmaps, bitmaps * 2 * self.num_rows.div_ceil(64) * 8)
     }
 
     /// True when the cache's pinned epoch exactly matches the table's
@@ -1734,33 +1640,6 @@ impl ConditionBitmapCache {
             GLOBAL_BITMAP_HITS.load(AtomicOrdering::Relaxed),
             GLOBAL_BITMAP_MISSES.load(AtomicOrdering::Relaxed),
         )
-    }
-}
-
-impl Drop for ConditionBitmapCache {
-    /// When the warm store is enabled, a dying cache donates its computed
-    /// bitmaps to the process-wide store keyed by its `(id, version)`
-    /// stamps, so the next cache over the same table data starts warm (and
-    /// the server can persist the bitmaps across restarts). Inexpressible
-    /// markers (`None` entries) are not published.
-    fn drop(&mut self) {
-        if !warm_bitmap_store_enabled() {
-            return;
-        }
-        let entries = self.entries.get_mut().unwrap_or_else(|poison| poison.into_inner());
-        if entries.is_empty() {
-            return;
-        }
-        let mut store = lock_recover(warm_store());
-        let slot = warm_slot(&mut store, (self.table_id, self.table_epoch.version()));
-        for (key, tri) in entries.drain() {
-            if slot.len() >= WARM_STORE_MAX_PER_TABLE {
-                break;
-            }
-            if let Some(tri) = tri {
-                slot.entry(key).or_insert(tri);
-            }
-        }
     }
 }
 

@@ -7,11 +7,13 @@
 
 use crate::column::Column;
 use crate::error::StorageError;
+use crate::predicate::{lock_recover, ConditionBitmapCache, CONDITION_BITMAP_BUDGET_BYTES};
 use crate::rowset::RowSet;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Process-global counter behind table identities and data versions.
 ///
@@ -146,7 +148,14 @@ pub struct Table {
     /// [`TableEpoch`]), so any two tables with equal `(id, version())` hold
     /// identical data.
     epoch: TableEpoch,
+    /// The condition bitmaps of this snapshot, built on first use (see
+    /// [`Table::condition_bitmaps`]). A clone shares the slot — equal
+    /// `(id, version)` is identical data — and whatever writes `epoch`
+    /// calls [`Table::reset_bitmaps`], which leaves the clones theirs.
+    bitmaps: BitmapSlot,
 }
+
+type BitmapSlot = Arc<Mutex<Option<Arc<ConditionBitmapCache>>>>;
 
 impl Table {
     /// Creates an empty table with the given name and schema.
@@ -155,7 +164,8 @@ impl Table {
             schema.fields().iter().map(|f| Column::new(f.dtype)).collect::<Result<Vec<_>, _>>()?;
         let id = next_stamp();
         let epoch = TableEpoch { structural: id, appended: id };
-        Ok(Table { name: name.into(), schema, columns, deleted: Vec::new(), id, epoch })
+        let bitmaps = BitmapSlot::default();
+        Ok(Table { name: name.into(), schema, columns, deleted: Vec::new(), id, epoch, bitmaps })
     }
 
     /// Reassembles a table from decoded snapshot parts, preserving the
@@ -197,7 +207,7 @@ impl Table {
             }
         }
         advance_stamp_floor(id.max(epoch.version()));
-        Ok(Table { name, schema, columns, deleted, id, epoch })
+        Ok(Table { name, schema, columns, deleted, id, epoch, bitmaps: BitmapSlot::default() })
     }
 
     /// Replays one append segment: `decode` appends the segment's `rows`
@@ -227,6 +237,7 @@ impl Table {
         }
         self.deleted.resize(total, false);
         self.epoch.appended = appended;
+        self.reset_bitmaps();
         advance_stamp_floor(appended);
         Ok(())
     }
@@ -264,12 +275,48 @@ impl Table {
     /// change or hide existing rows (soft delete, restore).
     fn touch_structural(&mut self) {
         self.epoch.structural = next_stamp();
+        self.reset_bitmaps();
     }
 
     /// Re-stamps the appended epoch component; called by appends. One call
     /// covers a whole batch.
     fn touch_appended(&mut self) {
         self.epoch.appended = next_stamp();
+        self.reset_bitmaps();
+    }
+
+    /// Starts this table, now a new snapshot, with no bitmaps. Snapshots
+    /// that share the slot (clones taken before the mutation) keep it; a
+    /// table nobody shares with clears its own, so building one row by row
+    /// allocates no slot per row.
+    fn reset_bitmaps(&mut self) {
+        match Arc::get_mut(&mut self.bitmaps) {
+            Some(slot) => *slot.get_mut().unwrap_or_else(|poison| poison.into_inner()) = None,
+            None => self.bitmaps = BitmapSlot::default(),
+        }
+    }
+
+    /// The condition-bitmap cache of this snapshot, shared by every
+    /// ranking over it and over its unmodified clones: a condition scanned
+    /// for one explain is a bitmap hit for the next. Memory is bounded
+    /// here and only here — a cache found holding more than
+    /// [`CONDITION_BITMAP_BUDGET_BYTES`] is replaced by an empty one, and
+    /// rankings already running keep the `Arc` they hold — so a ranking
+    /// never loses a bitmap it warmed, and a snapshot retains at most the
+    /// budget plus what the rankings that acquired it last added.
+    pub fn condition_bitmaps(&self) -> Arc<ConditionBitmapCache> {
+        let mut slot = lock_recover(&self.bitmaps);
+        match &*slot {
+            Some(cache) if cache.retained().1 <= CONDITION_BITMAP_BUDGET_BYTES => Arc::clone(cache),
+            _ => Arc::clone(slot.insert(Arc::new(ConditionBitmapCache::new(self)))),
+        }
+    }
+
+    /// `(bitmaps, bytes)` this snapshot retains right now (see
+    /// [`ConditionBitmapCache::retained`]). Reads only: unlike
+    /// [`Table::condition_bitmaps`] it neither creates nor replaces a cache.
+    pub fn retained_condition_bitmaps(&self) -> (usize, usize) {
+        lock_recover(&self.bitmaps).as_ref().map_or((0, 0), |cache| cache.retained())
     }
 
     /// The table schema.
@@ -517,6 +564,7 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Condition;
     use crate::value::DataType;
 
     fn sensor_table() -> Table {
@@ -714,6 +762,103 @@ mod tests {
         assert_eq!(ids, vec![RowId(3), RowId(4)]);
         assert_eq!(t.epoch().structural, e.structural);
         assert!(t.epoch().appended > e.appended);
+    }
+
+    #[test]
+    fn a_snapshot_and_its_clones_share_bitmaps_and_every_mutation_starts_cold() {
+        let hot = Condition::above("temp", 100.0);
+        let mut t = sensor_table();
+        assert_eq!(t.retained_condition_bitmaps(), (0, 0), "reading the gauge builds nothing");
+        // A clone shares the slot whichever side asks first.
+        let early_clone = t.clone();
+        let cache = t.condition_bitmaps();
+        assert!(Arc::ptr_eq(&cache, &t.condition_bitmaps()), "one cache per snapshot");
+        assert!(Arc::ptr_eq(&cache, &early_clone.condition_bitmaps()));
+        assert!(Arc::ptr_eq(&cache, &t.clone().condition_bitmaps()));
+        cache.condition(&t, &hot).unwrap();
+        assert_eq!(early_clone.retained_condition_bitmaps(), (1, 16));
+        early_clone.condition_bitmaps().condition(&early_clone, &hot).unwrap();
+        assert_eq!(cache.stats(), (1, 1), "the clone's lookup hit the bitmap the original scanned");
+
+        // Everything that writes `epoch` leaves the mutated table an empty
+        // cache and the snapshots it was cloned from theirs.
+        let row = || vec![Value::Int(4), Value::Float(19.0), Value::str("hall")];
+        type Mutation = fn(&mut Table, Vec<Value>);
+        let mutations: [(&str, Mutation); 7] = [
+            ("push_row", |t, row| assert!(t.push_row(row).is_ok())),
+            ("push_rows", |t, row| assert!(t.push_rows(vec![row]).is_ok())),
+            ("delete_row", |t, _| t.delete_row(RowId(0)).unwrap()),
+            ("delete_rows", |t, _| {
+                let visible = t.visible_row_ids().next().unwrap();
+                assert_eq!(t.delete_rows(&[visible]).unwrap(), 1);
+            }),
+            ("restore_row", |t, _| t.restore_row(RowId(0)).unwrap()),
+            ("restore_all", |t, _| t.restore_all()),
+            ("replay_append", |t, row| {
+                let mut values = row.into_iter();
+                t.replay_append(1, next_stamp(), |col| col.push(values.next().unwrap())).unwrap()
+            }),
+        ];
+        for (what, mutate) in mutations {
+            // Alone the slot is cleared in place; shared, the clone keeps it.
+            for shared in [false, true] {
+                let clone = shared.then(|| t.clone());
+                let warm = t.condition_bitmaps();
+                warm.condition(&t, &hot).unwrap();
+                mutate(&mut t, row());
+                assert_eq!(t.retained_condition_bitmaps(), (0, 0), "{what} must start cold");
+                assert!(!warm.covers(&t) && !Arc::ptr_eq(&warm, &t.condition_bitmaps()));
+                if let Some(clone) = clone {
+                    assert!(Arc::ptr_eq(&warm, &clone.condition_bitmaps()), "{what}: clone");
+                    assert_eq!(clone.retained_condition_bitmaps().0, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_bitmap_budget_is_enforced_at_acquisition_and_never_mid_ranking() {
+        // 256k rows: 64 KiB per bitmap, so the budget is 512 of them.
+        const ROWS: usize = 1 << 18;
+        const PER_RANKING: usize = 64;
+        let per_bitmap = 2 * ROWS / 8;
+        let mut t = Table::new("wide", Schema::of(&[("v", DataType::Int)])).unwrap();
+        t.push_rows((0..ROWS as i64).map(|v| vec![Value::Int(v)]).collect()).unwrap();
+        let condition = |k: usize| Condition::at_most("v", (k * 7) as f64);
+
+        let mut conditions = 0;
+        let mut swapped = false;
+        let mut previous: Option<Arc<ConditionBitmapCache>> = None;
+        while !swapped {
+            // One "ranking": acquire once, then look up conditions nobody
+            // asked for before.
+            let cache = t.condition_bitmaps();
+            if let Some(old) = previous.filter(|old| !Arc::ptr_eq(old, &cache)) {
+                swapped = true;
+                assert!(
+                    old.retained().1 > CONDITION_BITMAP_BUDGET_BYTES,
+                    "swapped only over budget"
+                );
+                assert_eq!(cache.retained(), (0, 0), "the replacement starts empty");
+                // A ranking still holding the old cache keeps every bitmap.
+                let (hits, misses) = old.stats();
+                let kept = old.condition(&t, &condition(conditions - 1)).unwrap();
+                assert_eq!(old.stats(), (hits + 1, misses));
+                assert_eq!(kept.trues.count_ones(), (conditions - 1) * 7 + 1);
+            }
+            for _ in 0..PER_RANKING {
+                let tri = cache.condition(&t, &condition(conditions)).unwrap();
+                // What a cold cache answers: rows 0..=7k.
+                assert_eq!(tri.trues.count_ones(), conditions * 7 + 1);
+                assert_eq!(tri.unknowns.count_ones(), 0);
+                conditions += 1;
+                let (_, bytes) = t.retained_condition_bitmaps();
+                assert!(bytes <= CONDITION_BITMAP_BUDGET_BYTES + PER_RANKING * per_bitmap);
+            }
+            assert_eq!(cache.stats().0, 0, "no lookup of this ranking was lost and re-asked");
+            previous = Some(cache);
+        }
+        assert_eq!(t.retained_condition_bitmaps(), (PER_RANKING, PER_RANKING * per_bitmap));
     }
 
     #[test]

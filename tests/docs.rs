@@ -3,7 +3,8 @@
 //! exists in the repository, and the three architecture/reference docs the
 //! README promises must actually be there and linked. A knob census ties
 //! the code to the docs: the `DBWIPES_*` names in the crates' sources are
-//! exactly the ones the reference docs describe.
+//! exactly the ones the reference docs describe. A statics census beside
+//! it lists the process-globals the crates may hold.
 //!
 //! Absolute `http(s)://` links are out of scope (no network in CI or this
 //! container); intra-crate rustdoc links are checked separately by the
@@ -117,56 +118,129 @@ fn readme_links_the_reference_docs() {
     }
 }
 
+/// Requires every needle in its document and every named test file to exist.
+fn assert_documented(needles: &[(&str, &[&str])], tests: &[&str]) {
+    let root = repo_root();
+    for (doc, needles) in needles {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for needle in *needles {
+            assert!(text.contains(needle), "{doc} must mention {needle}");
+        }
+    }
+    for test in tests {
+        assert!(root.join(test).exists(), "the docs name {test}");
+    }
+}
+
 /// The reply path's contract is written down where clients and
 /// maintainers look for it, and the tests the docs name exist.
 #[test]
 fn the_reply_path_is_documented() {
-    let root = repo_root();
-    let needles: [(&str, &[&str]); 2] = [
-        ("docs/PROTOCOL.md", &["ascending byte order", "byte-stable", "reply_goldens.rs"]),
-        (
-            "docs/ARCHITECTURE.md",
-            &[
-                "`JsonWriter`",
-                "handle_line_into",
-                "start-of-reply mark",
-                "one socket write",
-                "reply_goldens.rs",
-                "tests/reply_path_prop.rs",
-            ],
-        ),
-    ];
-    for (doc, needles) in needles {
-        let text = std::fs::read_to_string(root.join(doc)).unwrap();
-        for needle in needles {
-            assert!(text.contains(needle), "{doc} must mention {needle}");
-        }
-    }
-    for test in ["crates/server/tests/reply_goldens.rs", "tests/reply_path_prop.rs"] {
-        assert!(root.join(test).exists(), "the docs name {test}");
-    }
+    assert_documented(
+        &[
+            ("docs/PROTOCOL.md", &["ascending byte order", "byte-stable", "reply_goldens.rs"]),
+            (
+                "docs/ARCHITECTURE.md",
+                &[
+                    "`JsonWriter`",
+                    "handle_line_into",
+                    "start-of-reply mark",
+                    "one socket write",
+                    "reply_goldens.rs",
+                    "tests/reply_path_prop.rs",
+                ],
+            ),
+        ],
+        &["crates/server/tests/reply_goldens.rs", "tests/reply_path_prop.rs"],
+    );
 }
 
 /// The durable-append design is written down where operators, clients
 /// and maintainers look for it, and the suite the docs name exists.
 #[test]
 fn durable_appends_are_documented() {
-    let root = repo_root();
-    let needles: [(&str, &[&str]); 3] = [
-        ("docs/PROTOCOL.md", &["`segment_appends`", "`segment_bytes`", "`compactions`"]),
-        ("docs/TUNING.md", &["t<id>.log", "`segment_appends`", "`compactions`"]),
-        (
-            "docs/ARCHITECTURE.md",
-            &["`DBWA`", "t<id>.log", "torn tail", "compaction", "tests/append_segment_prop.rs"],
-        ),
-    ];
-    for (doc, needles) in needles {
-        let text = std::fs::read_to_string(root.join(doc)).unwrap();
-        for needle in needles {
-            assert!(text.contains(needle), "{doc} must mention {needle}");
+    assert_documented(
+        &[
+            ("docs/PROTOCOL.md", &["`segment_appends`", "`segment_bytes`", "`compactions`"]),
+            ("docs/TUNING.md", &["t<id>.log", "`segment_appends`", "`compactions`"]),
+            (
+                "docs/ARCHITECTURE.md",
+                &["`DBWA`", "t<id>.log", "torn tail", "compaction", "tests/append_segment_prop.rs"],
+            ),
+        ],
+        &["tests/append_segment_prop.rs"],
+    );
+}
+
+/// Where condition bitmaps live, how they are bounded and what a restart
+/// restores are written down too.
+#[test]
+fn snapshot_owned_bitmaps_are_documented() {
+    assert_documented(
+        &[
+            ("docs/PROTOCOL.md", &["`retained`", "`retained_bytes`", "version 6"]),
+            ("docs/TUNING.md", &["CONDITION_BITMAP_BUDGET_BYTES", "32 MiB", "`retained_bytes`"]),
+            (
+                "docs/ARCHITECTURE.md",
+                &[
+                    "What a restart restores",
+                    "`Table::condition_bitmaps`",
+                    "tests/bitmap_lifetime.rs",
+                ],
+            ),
+        ],
+        &["tests/bitmap_lifetime.rs", "crates/server/tests/one_explain_path.rs"],
+    );
+}
+
+/// Calls `visit` with the text of every `.rs` file under `crates/*/src`.
+fn for_each_crate_source(visit: &mut dyn FnMut(&str)) {
+    fn walk(dir: &Path, visit: &mut dyn FnMut(&str)) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, visit);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                visit(&std::fs::read_to_string(&path).unwrap());
+            }
         }
     }
-    assert!(root.join("tests/append_segment_prop.rs").exists(), "the docs name the suite");
+    for krate in std::fs::read_dir(repo_root().join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            walk(&src, visit);
+        }
+    }
+}
+
+/// The statics census: outside `#[cfg(test)]` modules the crates hold the
+/// identity-stamp counter and four pure statistics counters, so state
+/// that makes one explain depend on what else ran in the process cannot
+/// appear unnoticed, and passing the counters explicitly has a number to
+/// drive to one.
+#[test]
+fn process_global_statics_are_exactly_the_known_five() {
+    let mut statics = Vec::new();
+    for_each_crate_source(&mut |text| {
+        // Unit-test modules close their files.
+        for line in text.split("#[cfg(test)]").next().unwrap().lines() {
+            let item =
+                line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            if let Some(declared) = item.strip_prefix("static ") {
+                let name = declared.trim_start_matches("mut ").split(':').next().unwrap();
+                statics.push(name.trim().to_string());
+            }
+        }
+    });
+    statics.sort();
+    let known = [
+        "GLOBAL_BITMAP_HITS",
+        "GLOBAL_BITMAP_MISSES",
+        "GLOBAL_BOOL_FALLBACKS",
+        "GLOBAL_BOOL_VECTORIZED",
+        "NEXT_STAMP",
+    ];
+    assert_eq!(statics, known, "non-test `static` items under crates/*/src");
 }
 
 /// Every `DBWIPES_[A-Z_]+` name occurring in `text`.
@@ -185,18 +259,6 @@ fn knob_names(text: &str) -> BTreeSet<String> {
     names
 }
 
-/// The knob names in every `.rs` file under `dir`, recursively.
-fn knob_names_under(dir: &Path, names: &mut BTreeSet<String>) {
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            knob_names_under(&path, names);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            names.extend(knob_names(&std::fs::read_to_string(&path).unwrap()));
-        }
-    }
-}
-
 /// The knob census: an environment variable the code reads is documented
 /// in TUNING.md or PROTOCOL.md, a documented one is still read, and the
 /// overview docs name no knob of their own — so a knob cannot appear or
@@ -205,12 +267,7 @@ fn knob_names_under(dir: &Path, names: &mut BTreeSet<String>) {
 fn environment_knobs_in_code_and_docs_are_the_same_set() {
     let root = repo_root();
     let mut in_code = BTreeSet::new();
-    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
-        let src = krate.unwrap().path().join("src");
-        if src.is_dir() {
-            knob_names_under(&src, &mut in_code);
-        }
-    }
+    for_each_crate_source(&mut |text| in_code.extend(knob_names(text)));
     assert!(!in_code.is_empty(), "the census found no knob under crates/*/src");
 
     let read = |doc: &str| std::fs::read_to_string(root.join(doc)).unwrap();
