@@ -155,13 +155,6 @@ pub fn rank_influence_with_cache(
     }
     let (item, call) = metric_aggregate(result, metric)?;
 
-    // Aggregate state, input rows and per-tuple argument values of each
-    // selected group — straight from the cache when it matches the result's
-    // lineage, otherwise rebuilt from the lineage.
-    let mut group_rows: Vec<Vec<RowId>> = Vec::with_capacity(selected.len());
-    let mut group_values: Vec<Vec<Option<f64>>> = Vec::with_capacity(selected.len());
-    let mut group_states: Vec<AggregateState> = Vec::with_capacity(selected.len());
-
     // The cache must answer for the *same* statement (not just the same
     // grouping — `item` indexes its SELECT list) and agree with the
     // result's lineage row-for-row; otherwise use the lineage directly.
@@ -177,32 +170,32 @@ pub fn rank_influence_with_cache(
     } else {
         None
     };
-    match cached_groups {
-        Some(groups) => {
-            for &g in &groups {
-                group_rows.push(cache.group_rows(g).to_vec());
-                group_values
-                    .push(cache.arg_values(g, item).expect("metric item is an aggregate").to_vec());
-                group_states
-                    .push(cache.state(g, item).expect("metric item is an aggregate").clone());
+
+    // Input rows, per-tuple argument values and aggregate state of each
+    // selected group. Rows come from the lineage (which a trusted cache
+    // agrees with) and values from the table; only the state has two
+    // sources — the cache's retained one, or a fold over the values.
+    let mut group_rows: Vec<Vec<RowId>> = Vec::with_capacity(selected.len());
+    let mut group_values: Vec<Vec<Option<f64>>> = Vec::with_capacity(selected.len());
+    let mut group_states: Vec<AggregateState> = Vec::with_capacity(selected.len());
+    for (i, &s) in selected.iter().enumerate() {
+        let rows = result.inputs_of(s).to_vec();
+        let values: Vec<Option<f64>> =
+            rows.iter().map(|&r| aggregate_arg_value(table, call, r)).collect::<Result<_, _>>()?;
+        group_states.push(match &cached_groups {
+            Some(groups) => {
+                cache.state(groups[i], item).expect("metric item is an aggregate").clone()
             }
-        }
-        None => {
-            for &s in selected {
-                let rows = result.inputs_of(s).to_vec();
-                let values: Vec<Option<f64>> = rows
-                    .iter()
-                    .map(|&r| aggregate_arg_value(table, call, r))
-                    .collect::<Result<_, _>>()?;
+            None => {
                 let mut state = AggregateState::new(call.func);
                 for v in &values {
                     state.add(*v);
                 }
-                group_rows.push(rows);
-                group_values.push(values);
-                group_states.push(state);
+                state
             }
-        }
+        });
+        group_rows.push(rows);
+        group_values.push(values);
     }
 
     let current: Vec<Option<f64>> = group_states.iter().map(|s| s.finish().as_f64()).collect();

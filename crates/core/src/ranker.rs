@@ -37,12 +37,8 @@
 //! * **Zone-map pruning** — [`ShardedTable::condition_may_match`]
 //!   guarantees that a pruned (shard, condition) pair's kernel would
 //!   produce no TRUE and no UNKNOWN rows, so that leaf's kernel scan is
-//!   skipped outright and an all-FALSE bitmap substituted. For a
-//!   conjunction one pruned conjunct empties the whole shard; for general
-//!   [`Candidate`] trees the boolean prune rules fall out of the exact
-//!   substitution (an `OR` empties only when every branch is pruned; a
-//!   `NOT` over a pruned leaf turns all-TRUE and is never pruned).
-//!   Hash-sharding on a frequently-equality-tested column pins each
+//!   skipped outright and an all-FALSE bitmap substituted: one pruned
+//!   conjunct empties the candidate's whole shard. Hash-sharding on a frequently-equality-tested column pins each
 //!   `col = v` candidate to a single shard.
 //! * **Determinism** — shards are always combined in ascending shard
 //!   order, and F / D′ are routed through the partition's row-id mapping,
@@ -57,8 +53,8 @@ use crate::metric::ErrorMetric;
 use crate::parallel::map_chunked;
 use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
 use dbwipes_storage::{
-    Candidate, Condition, ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet,
-    Table, TriSet, Value,
+    Condition, ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet, Table, TriSet,
+    Value,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -90,15 +86,10 @@ impl Default for RankerConfig {
 
 /// A predicate together with its ranking evidence — one entry of the
 /// dashboard's "Ranked Predicates" panel (Figure 6).
-///
-/// Generic over the candidate shape: the classic conjunctive form is the
-/// default, but any [`Candidate`] (e.g. a
-/// [`PredicateTree`](dbwipes_storage::PredicateTree) with OR/NOT nodes)
-/// ranks through the same machinery.
 #[derive(Debug, Clone)]
-pub struct RankedPredicate<P = ConjunctivePredicate> {
+pub struct RankedPredicate {
     /// The human-readable predicate.
-    pub predicate: P,
+    pub predicate: ConjunctivePredicate,
     /// Combined ranking score (higher is better).
     pub score: f64,
     /// ε over the selected outputs before cleaning.
@@ -116,7 +107,7 @@ pub struct RankedPredicate<P = ConjunctivePredicate> {
     pub matched_rows: usize,
 }
 
-impl<P: std::fmt::Display> RankedPredicate<P> {
+impl RankedPredicate {
     /// One-line rendering used by examples and the report binaries.
     pub fn summary(&self) -> String {
         format!(
@@ -139,15 +130,15 @@ impl<P: std::fmt::Display> RankedPredicate<P> {
 /// * `selected` — indices of the suspicious output rows S.
 /// * `examples` — the user's suspicious input tuples D′.
 /// * `metric` — the error metric ε.
-pub fn rank_predicates<P: Candidate>(
+pub fn rank_predicates(
     table: &Table,
     result: &QueryResult,
     selected: &[usize],
     examples: &[RowId],
     metric: &ErrorMetric,
-    predicates: Vec<P>,
+    predicates: Vec<ConjunctivePredicate>,
     config: &RankerConfig,
-) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+) -> Result<Vec<RankedPredicate>, CoreError> {
     let cache = GroupedAggregateCache::build(table, &result.statement)?;
     rank_predicates_with_cache(&cache, result, selected, examples, metric, predicates, config)
 }
@@ -157,15 +148,15 @@ pub fn rank_predicates<P: Candidate>(
 /// [`GroupedAggregateCache`] and shares it between the Preprocessor and the
 /// Ranker. The cache is scored as a one-shard set: nothing is partitioned,
 /// copied or merged.
-pub fn rank_predicates_with_cache<P: Candidate>(
+pub fn rank_predicates_with_cache(
     cache: &GroupedAggregateCache,
     result: &QueryResult,
     selected: &[usize],
     examples: &[RowId],
     metric: &ErrorMetric,
-    predicates: Vec<P>,
+    predicates: Vec<ConjunctivePredicate>,
     config: &RankerConfig,
-) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+) -> Result<Vec<RankedPredicate>, CoreError> {
     rank_shard_set(ShardSet::Whole(cache), result, selected, examples, metric, predicates, config)
 }
 
@@ -173,15 +164,15 @@ pub fn rank_predicates_with_cache<P: Candidate>(
 /// [`ShardedAggregateCache`], argument for argument; `examples` and the
 /// selected outputs' input rows are given in *base-table* row ids and
 /// routed through the partition's row-id mapping internally.
-pub fn rank_predicates_sharded<P: Candidate>(
+pub fn rank_predicates_sharded(
     cache: &ShardedAggregateCache,
     result: &QueryResult,
     selected: &[usize],
     examples: &[RowId],
     metric: &ErrorMetric,
-    predicates: Vec<P>,
+    predicates: Vec<ConjunctivePredicate>,
     config: &RankerConfig,
-) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+) -> Result<Vec<RankedPredicate>, CoreError> {
     let shards = ShardSet::Partitioned(cache);
     rank_shard_set(shards, result, selected, examples, metric, predicates, config)
 }
@@ -251,15 +242,15 @@ impl<'a> ShardSet<'a> {
 
 /// The one ranking loop behind every public entry point (and the explain
 /// pipeline, which only chooses the cache it hands over).
-fn rank_shard_set<P: Candidate>(
+fn rank_shard_set(
     shards: ShardSet<'_>,
     result: &QueryResult,
     selected: &[usize],
     examples: &[RowId],
     metric: &ErrorMetric,
-    predicates: Vec<P>,
+    predicates: Vec<ConjunctivePredicate>,
     config: &RankerConfig,
-) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+) -> Result<Vec<RankedPredicate>, CoreError> {
     let caches = shards.caches();
     let ctx = ScoreContext {
         shards,
@@ -278,7 +269,7 @@ fn rank_shard_set<P: Candidate>(
     // Deduplicate on the canonical (commutativity-normalised) form, so
     // `a AND b` and `b AND a` are scored once; first occurrence wins.
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    let candidates: Vec<P> = predicates
+    let candidates: Vec<ConjunctivePredicate> = predicates
         .into_iter()
         .filter(|p| !p.is_trivial() && seen.insert(p.canonical_key()))
         .collect();
@@ -291,10 +282,10 @@ fn rank_shard_set<P: Candidate>(
     // over an equality-heavy candidate pool this is where the shard speedup
     // comes from: each equality kernel scans one shard, not the whole table.
     for candidate in &candidates {
-        for condition in candidate.leaf_conditions() {
+        for condition in candidate.conditions() {
             for (s, cache) in caches.iter().enumerate() {
-                if shards.may_match(s, &condition) {
-                    let _ = ctx.bitmaps[s].condition(cache.table(), &condition);
+                if shards.may_match(s, condition) {
+                    let _ = ctx.bitmaps[s].condition(cache.table(), condition);
                 }
             }
         }
@@ -302,7 +293,7 @@ fn rank_shard_set<P: Candidate>(
 
     let mut ranked = map_chunked(&candidates, |_, predicate| score_candidate(&ctx, predicate))
         .into_iter()
-        .collect::<Result<Vec<RankedPredicate<P>>, CoreError>>()?;
+        .collect::<Result<Vec<RankedPredicate>, CoreError>>()?;
 
     ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.complexity.cmp(&b.complexity)));
     ranked.truncate(config.max_results);
@@ -344,17 +335,17 @@ struct CandidateEvidence {
 /// rewrite would drop them — then the cache re-derives only the touched
 /// groups.
 ///
-/// The default path is vectorized: each leaf condition's cached bitmap
-/// (one columnar kernel scan per *distinct* condition per shard
-/// snapshot) is combined with word-level AND/OR/NOT, zone-pruned leaves
-/// being substituted by all-FALSE bitmaps instead of kernel scans.
+/// The default path is vectorized: each condition's cached bitmap (one
+/// columnar kernel scan per *distinct* condition per shard snapshot) is
+/// combined with word-level AND, zone-pruned conditions being substituted
+/// by all-FALSE bitmaps instead of kernel scans.
 /// Expressibility is schema-only, so it is decided once per candidate from
 /// what the evaluation returns: if any shard declines, the whole candidate
 /// falls back to the per-row scalar walk.
-fn score_candidate<P: Candidate>(
+fn score_candidate(
     ctx: &ScoreContext<'_>,
-    predicate: &P,
-) -> Result<RankedPredicate<P>, CoreError> {
+    predicate: &ConjunctivePredicate,
+) -> Result<RankedPredicate, CoreError> {
     let caches = ctx.shards.caches().iter().enumerate();
     let vectorized: Option<Vec<TriSet>> = caches
         .map(|(s, cache)| {
@@ -433,9 +424,9 @@ fn score_bitmaps(ctx: &ScoreContext<'_>, tris: &[TriSet]) -> CandidateEvidence {
 /// per-shard [`TriSet`] shape the kernels produce (invisible rows stay
 /// FALSE). Row-at-a-time evaluation is partition-safe, so walking shards
 /// in order visits exactly the base table's rows.
-fn scalar_tri_eval<P: Candidate>(
+fn scalar_tri_eval(
     ctx: &ScoreContext<'_>,
-    predicate: &P,
+    predicate: &ConjunctivePredicate,
 ) -> Result<Vec<TriSet>, CoreError> {
     let caches = ctx.shards.caches();
     // The same validation executing the rewritten statement would perform.
@@ -476,7 +467,7 @@ pub fn error_over_keys(result: &QueryResult, keys: &[Vec<Value>], metric: &Error
 mod tests {
     use super::*;
     use dbwipes_engine::execute_sql;
-    use dbwipes_storage::{Catalog, Condition, PredicateTree, Schema, ShardedTable};
+    use dbwipes_storage::{Catalog, Condition, Schema, ShardedTable};
     use std::sync::Arc;
 
     /// Window 1 is polluted by sensor 7's ~120F readings; the healthy ones
@@ -737,6 +728,11 @@ mod tests {
             Condition::above("temp", 100.0),
         ]));
         pool.push(ConjunctivePredicate::new(vec![Condition::between("temp", 20.0, 21.0)]));
+        // Zone maps prune the first conjunct on every shard (no such sensor).
+        pool.push(ConjunctivePredicate::new(vec![
+            Condition::equals("sensorid", 777),
+            Condition::above("temp", 100.0),
+        ]));
         pool
     }
 
@@ -784,98 +780,10 @@ mod tests {
         }
     }
 
-    /// OR-of-conjunction and negated candidates: the disjunctive pool the
-    /// boolean-algebra layer exists for. Sharded scoring (with per-leaf
-    /// zone pruning) must agree exactly with the unsharded bitmap path.
-    #[test]
-    fn sharded_tree_candidates_match_unsharded() {
-        let (c, broken) = setup_dyadic();
-        let table = c.table("readings").unwrap();
-        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
-        let metric = ErrorMetric::too_high("avg_temp", 25.0);
-        let config = RankerConfig { max_results: 30, ..Default::default() };
-
-        let eq = |s: i64| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]);
-        let hot = ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]);
-        let pool = || -> Vec<PredicateTree> {
-            let mut pool: Vec<PredicateTree> =
-                (0..12).map(|s| PredicateTree::any_of(vec![eq(s), hot.clone()])).collect();
-            pool.push(PredicateTree::negation(eq(7)));
-            pool.push(PredicateTree::negation(hot.clone()));
-            pool.push(PredicateTree::Not(Box::new(PredicateTree::any_of(vec![eq(7), eq(3)]))));
-            pool.push(PredicateTree::And(vec![
-                PredicateTree::any_of(vec![eq(7), eq(3)]),
-                PredicateTree::negation(ConjunctivePredicate::new(vec![Condition::between(
-                    "temp", 20.0, 21.0,
-                )])),
-            ]));
-            // An all-branches-prunable OR (sensors that do not exist).
-            pool.push(PredicateTree::any_of(vec![eq(777), eq(888)]));
-            pool
-        };
-
-        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
-        let baseline =
-            rank_predicates_with_cache(&flat_cache, &r, &[1], &broken, &metric, pool(), &config)
-                .unwrap();
-        assert!(!baseline.is_empty());
-        // The negated pollution predicate must not win (removing everything
-        // *but* the broken sensor leaves the inflated readings in place).
-        assert!(baseline[0].predicate.to_string().contains("OR"), "{}", baseline[0].predicate);
-
-        for shards in [4usize, 7] {
-            let st = Arc::new(ShardedTable::hash(table, "sensorid", shards).unwrap());
-            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
-            let ranked =
-                rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, pool(), &config)
-                    .unwrap();
-            assert_eq!(ranked.len(), baseline.len(), "{shards} shards");
-            for (a, b) in ranked.iter().zip(&baseline) {
-                assert_eq!(a.predicate, b.predicate, "{shards} shards");
-                assert_eq!(a.score, b.score, "{shards} shards: {}", a.predicate);
-                assert_eq!(a.error_after, b.error_after, "{shards} shards");
-                assert_eq!(a.matched_rows, b.matched_rows, "{shards} shards");
-                assert_eq!(a.example_f1, b.example_f1, "{shards} shards");
-            }
-        }
-    }
-
-    /// On a hash partition, a `NOT (sensorid = k)` candidate must stay
-    /// conservative: the shard holding sensor k is the only one where the
-    /// equality can match, but its *negation* matches rows on every shard.
-    #[test]
-    fn negated_equality_is_never_pruned_to_empty() {
-        let (c, broken) = setup_dyadic();
-        let table = c.table("readings").unwrap();
-        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
-        let metric = ErrorMetric::too_high("avg_temp", 25.0);
-        let st = Arc::new(ShardedTable::hash(table, "sensorid", 4).unwrap());
-        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
-        let eq7 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 7)]);
-        // The positive equality prunes to one shard...
-        let live_shards = (0..4)
-            .filter(|&s| cache.sharded().condition_may_match(s, &Condition::equals("sensorid", 7)))
-            .count();
-        assert_eq!(live_shards, 1);
-        // ...while its negation still matches all 220 non-sensor-7 rows.
-        let ranked = rank_predicates_sharded(
-            &cache,
-            &r,
-            &[1],
-            &broken,
-            &metric,
-            vec![PredicateTree::negation(eq7)],
-            &RankerConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(ranked.len(), 1);
-        assert_eq!(ranked[0].matched_rows, 220);
-    }
-
     #[test]
     fn invalid_scalar_predicate_errors_like_unsharded() {
         /// The error `bad` earns through each entry point.
-        fn errors<P: Candidate + std::fmt::Debug>(bad: P) -> (CoreError, CoreError) {
+        fn errors(bad: ConjunctivePredicate) -> (CoreError, CoreError) {
             let (c, broken) = setup_dyadic();
             let table = c.table("readings").unwrap();
             let r =
@@ -908,15 +816,7 @@ mod tests {
         // must still reach the scalar path's validation, not score as empty.
         let pruned_and_bad =
             ConjunctivePredicate::new(vec![Condition::equals("sensorid", 777), missing]);
-        for (flat, sharded) in [
-            errors(bad.clone()),
-            errors(pruned_and_bad),
-            errors(PredicateTree::negation(bad.clone())),
-            errors(PredicateTree::any_of(vec![
-                ConjunctivePredicate::new(vec![Condition::equals("sensorid", 7)]),
-                bad,
-            ])),
-        ] {
+        for (flat, sharded) in [errors(bad), errors(pruned_and_bad)] {
             assert_eq!(flat, sharded);
             assert_eq!(flat.to_string(), sharded.to_string());
             assert!(flat.to_string().contains("no_such_column"), "{flat}");

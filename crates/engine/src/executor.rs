@@ -8,7 +8,7 @@
 //! F, the set of input tuples that generated S" (§2.2.2).
 //!
 //! The pipeline stages are factored into standalone crate-private
-//! functions (`scan_filter`, `build_groups`, `for_each_arg_value`,
+//! functions (`scan_filter`, `build_groups`, `ArgReader`,
 //! `project_row`, `output_order`, `output_schema`) shared with the
 //! incremental re-aggregation cache in [`crate::incremental`], so the full
 //! and incremental paths cannot drift apart.
@@ -19,7 +19,7 @@ use crate::error::EngineError;
 use crate::parser::parse_select;
 use crate::result::QueryResult;
 use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
-use dbwipes_storage::{Catalog, DataType, Field, RowId, Schema, Table, Value};
+use dbwipes_storage::{Catalog, Column, DataType, Expr, Field, RowId, Schema, Table, Value};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -216,37 +216,36 @@ pub(crate) fn build_groups(
     Ok((group_keys, group_rows))
 }
 
-/// Streams the aggregate-argument value of every row in `rows` (in order)
-/// into `f` — `None` represents NULL, `COUNT(*)` yields `Some(1.0)` per row.
-/// A bare column argument reads the typed column directly instead of boxing
-/// a `Value` per row.
-pub(crate) fn for_each_arg_value(
-    table: &Table,
-    call: &AggregateCall,
-    rows: &[RowId],
-    mut f: impl FnMut(Option<f64>),
-) -> Result<(), EngineError> {
-    match &call.arg {
-        AggregateArg::Star => {
-            for _ in rows {
-                f(Some(1.0));
+/// One aggregate call's argument bound to one table, read a row at a time
+/// — `None` represents NULL, `COUNT(*)` yields `Some(1.0)` per row. A bare
+/// column argument is looked up once, at [`ArgReader::bind`], and reads the
+/// typed column directly instead of boxing a `Value` per row.
+pub(crate) enum ArgReader<'a> {
+    Star,
+    Column(&'a Column),
+    Expr(&'a Expr, &'a Table),
+}
+
+impl<'a> ArgReader<'a> {
+    pub(crate) fn bind(table: &'a Table, call: &'a AggregateCall) -> Result<Self, EngineError> {
+        Ok(match &call.arg {
+            AggregateArg::Star => ArgReader::Star,
+            AggregateArg::Expr(Expr::Column(name)) => {
+                let cidx = table.schema().resolve(name)?;
+                ArgReader::Column(table.column(cidx).expect("resolved"))
             }
-        }
-        AggregateArg::Expr(e) => {
-            if let dbwipes_storage::Expr::Column(cname) = e {
-                let cidx = table.schema().resolve(cname)?;
-                let column = table.column(cidx).expect("resolved");
-                for &rid in rows {
-                    f(column.get_f64(rid.index()));
-                }
-            } else {
-                for &rid in rows {
-                    f(e.eval(table, rid)?.as_f64());
-                }
-            }
-        }
+            AggregateArg::Expr(e) => ArgReader::Expr(e, table),
+        })
     }
-    Ok(())
+
+    #[inline]
+    pub(crate) fn value(&self, rid: RowId) -> Result<Option<f64>, EngineError> {
+        Ok(match self {
+            ArgReader::Star => Some(1.0),
+            ArgReader::Column(column) => column.get_f64(rid.index()),
+            ArgReader::Expr(e, table) => e.eval(table, rid)?.as_f64(),
+        })
+    }
 }
 
 /// Computes the finished value of every aggregate SELECT item over one
@@ -260,7 +259,10 @@ fn aggregate_outputs(
     for item in &stmt.items {
         if let SelectExpr::Aggregate(call) = &item.expr {
             let mut state = AggregateState::new(call.func);
-            for_each_arg_value(table, call, g_rows, |v| state.add(v))?;
+            let arg = ArgReader::bind(table, call)?;
+            for &rid in g_rows {
+                state.add(arg.value(rid)?);
+            }
             outputs.push(state.finish());
         }
     }

@@ -13,11 +13,16 @@
 //! retained [`AggregateState`] instead of recomputed from scratch.
 //!
 //! [`GroupedAggregateCache`] executes the statement **once**, retaining
+//! what only it knows:
 //!
 //! * the per-group [`AggregateState`] of every aggregate SELECT item,
-//! * the per-group argument values each state consumed (for removal and for
-//!   the recompute fallback), and
-//! * a row → (group, position) index over the filtered input rows.
+//! * each group's input rows and a row → (group, position) index over the
+//!   filtered input rows.
+//!
+//! The argument value a state consumed for a row is *not* retained: the
+//! cache co-owns the immutable table snapshot it indexed, and reads the
+//! value back from it (for removal and for the recompute fallback) —
+//! never from the catalog's live table, which may have moved on.
 //!
 //! [`GroupedAggregateCache::result`] (driven by an [`ExclusionQuery`])
 //! then clones only the *touched* groups' states and calls
@@ -30,9 +35,9 @@
 //! running moments, and `remove` inverts `add` exactly. MIN and MAX are
 //! **not** removable — after deleting the current extremum the new extremum
 //! is unknown without a rescan — so `remove` reports failure and the cache
-//! falls back to rebuilding that state from the group's retained argument
-//! values (in original scan order, so results are identical to full
-//! re-execution). The fallback is per-group, per-aggregate: a query mixing
+//! falls back to rebuilding that state from the group's rows, re-read
+//! from the snapshot (in original scan order, so results are identical to
+//! full re-execution). The fallback is per-group, per-aggregate: a query mixing
 //! `avg` and `max` pays the rescan only for `max` and only in groups that
 //! actually lost rows. Results are therefore always *exact*, never
 //! approximated.
@@ -50,8 +55,8 @@ use crate::aggregate::AggregateState;
 use crate::ast::{AggregateCall, SelectExpr, SelectStatement};
 use crate::error::EngineError;
 use crate::executor::{
-    build_groups, for_each_arg_value, output_order, output_schema, project_row, scan_filter,
-    scan_filter_suffix, validate,
+    build_groups, output_order, output_schema, project_row, scan_filter, scan_filter_suffix,
+    validate, ArgReader,
 };
 use crate::result::QueryResult;
 use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
@@ -187,18 +192,14 @@ impl<'q> ExclusionQuery<'q> {
     }
 }
 
-/// One materialised group: its key, its input rows, the per-aggregate
-/// retained state and the per-aggregate argument values (aligned with the
-/// row list).
+/// One materialised group: its key, its input rows and the per-aggregate
+/// retained state.
 #[derive(Debug, Clone)]
 struct CachedGroup {
     key: Vec<Value>,
     rows: Vec<RowId>,
     /// One state per aggregate SELECT item, in SELECT-list order.
     states: Vec<AggregateState>,
-    /// `arg_values[slot][pos]` = the value `states[slot]` consumed for
-    /// `rows[pos]` (`None` = NULL input).
-    arg_values: Vec<Vec<Option<f64>>>,
     /// The fully projected output row (aggregate slots included), reused
     /// verbatim for untouched groups.
     template: Vec<Value>,
@@ -250,68 +251,27 @@ impl<'t> GroupedAggregateCache<'t> {
         GroupedAggregateCache::build_from(TableStore::Shared(table), stmt)
     }
 
+    /// A build is an absorb from row 0: validate, filter the whole table
+    /// through the vectorized scan, and fold into an empty cache.
     fn build_from(store: TableStore<'t>, stmt: &SelectStatement) -> Result<Self, EngineError> {
-        let table: &Table = &store;
-        validate(table, stmt)?;
-        let filtered = scan_filter(table, stmt)?;
-        let (group_keys, group_rows) = build_groups(table, stmt, filtered)?;
-
-        let agg_calls: Vec<(usize, &AggregateCall)> = stmt
-            .items
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| match &item.expr {
-                SelectExpr::Aggregate(call) => Some((i, call)),
-                _ => None,
-            })
-            .collect();
-        let plain_item_indices: Vec<usize> = stmt
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, item)| !matches!(item.expr, SelectExpr::Aggregate(_)))
-            .map(|(i, _)| i)
-            .collect();
-
-        let mut groups = Vec::with_capacity(group_keys.len());
-        let mut membership = RowSet::empty(table.num_rows());
-        let mut row_slots = vec![(0u32, 0u32); table.num_rows()];
-        let mut key_index = HashMap::with_capacity(group_keys.len());
-        for (gi, (key, rows)) in group_keys.into_iter().zip(group_rows).enumerate() {
-            let mut states = Vec::with_capacity(agg_calls.len());
-            let mut arg_values = Vec::with_capacity(agg_calls.len());
-            for (_, call) in &agg_calls {
-                let mut state = AggregateState::new(call.func);
-                let mut values = Vec::with_capacity(rows.len());
-                for_each_arg_value(table, call, &rows, |v| {
-                    state.add(v);
-                    values.push(v);
-                })?;
-                states.push(state);
-                arg_values.push(values);
-            }
-            let agg_outputs: Vec<Value> = states.iter().map(|s| s.finish()).collect();
-            let template = project_row(table, stmt, &key, &rows, &agg_outputs)?;
-            for (pos, &rid) in rows.iter().enumerate() {
-                membership.insert(rid.index());
-                row_slots[rid.index()] = (gi as u32, pos as u32);
-            }
-            key_index.insert(key.clone(), gi as u32);
-            groups.push(CachedGroup { key, rows, states, arg_values, template });
-        }
-
-        let schema = output_schema(table, stmt)?;
-        Ok(GroupedAggregateCache {
-            table: store,
+        validate(&store, stmt)?;
+        let filtered = scan_filter(&store, stmt)?;
+        let is_aggregate = |i: &usize| matches!(stmt.items[*i].expr, SelectExpr::Aggregate(_));
+        let (agg_item_indices, plain_item_indices) =
+            (0..stmt.items.len()).partition::<Vec<usize>, _>(is_aggregate);
+        let mut cache = GroupedAggregateCache {
+            schema: output_schema(&store, stmt)?,
+            table: store.clone(),
             stmt: stmt.clone(),
-            schema,
-            groups,
-            membership,
-            row_slots,
-            key_index,
-            agg_item_indices: agg_calls.iter().map(|(i, _)| *i).collect(),
+            groups: Vec::new(),
+            membership: RowSet::empty(0),
+            row_slots: Vec::new(),
+            key_index: HashMap::new(),
+            agg_item_indices,
             plain_item_indices,
-        })
+        };
+        cache.fold(store, filtered)?;
+        Ok(cache)
     }
 
     /// Absorbs the rows appended to the table since this cache was built,
@@ -340,121 +300,101 @@ impl<'t> GroupedAggregateCache<'t> {
 
     fn absorb_from(&mut self, store: TableStore<'t>) -> Result<usize, EngineError> {
         let old_rows = self.table.num_rows();
-        let absorbed;
-        {
-            let table: &Table = &store;
-            if table.id() != self.table.id() {
-                return Err(EngineError::plan(format!(
-                    "cannot absorb appends from table '{}' into a cache built over '{}'",
-                    table.name(),
-                    self.table.name()
-                )));
-            }
-            if !table.epoch().is_append_descendant_of(self.table.epoch()) {
-                return Err(EngineError::plan(format!(
-                    "table '{}' at {:?} is not an append descendant of the cached epoch {:?}",
-                    table.name(),
-                    table.epoch(),
-                    self.table.epoch()
-                )));
-            }
-            if table.num_rows() < old_rows {
-                return Err(EngineError::plan(format!(
-                    "append descendant of '{}' lost rows: {} -> {}",
-                    table.name(),
-                    old_rows,
-                    table.num_rows()
-                )));
-            }
-            if table.epoch() == self.table.epoch() {
-                return Ok(0);
-            }
-
-            // The retained indexes must match the grown row universe even
-            // when no appended row passes the filter: exclusion bitmaps
-            // arrive sized to the new table.
-            self.membership.grow(table.num_rows());
-            self.row_slots.resize(table.num_rows(), (0u32, 0u32));
-
-            // Filter only the appended suffix — the old region is unchanged
-            // (same structural epoch), so its rows are already retained and
-            // re-scanning them would make every absorb O(table). The suffix
-            // scan admits exactly the rows a full vectorized filter would.
-            let appended = scan_filter_suffix(table, &self.stmt, old_rows)?;
-            absorbed = appended.len();
-            let (new_keys, new_group_rows) = build_groups(table, &self.stmt, appended)?;
-
-            let agg_calls: Vec<&AggregateCall> = self
-                .agg_item_indices
-                .iter()
-                .map(|&i| match &self.stmt.items[i].expr {
-                    SelectExpr::Aggregate(call) => call,
-                    _ => unreachable!("agg_item_indices only holds aggregate items"),
-                })
-                .collect();
-
-            let mut touched: Vec<u32> = Vec::new();
-            for (key, rows) in new_keys.into_iter().zip(new_group_rows) {
-                if rows.is_empty() {
-                    // The implicit group of a GROUP BY-less statement when
-                    // no appended row matched: nothing to fold in.
-                    continue;
-                }
-                let gi = match self.key_index.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        let gi = u32::try_from(self.groups.len()).map_err(|_| {
-                            EngineError::plan("group count overflows the group index")
-                        })?;
-                        self.key_index.insert(key.clone(), gi);
-                        self.groups.push(CachedGroup {
-                            key,
-                            rows: Vec::new(),
-                            states: agg_calls
-                                .iter()
-                                .map(|call| AggregateState::new(call.func))
-                                .collect(),
-                            arg_values: vec![Vec::new(); agg_calls.len()],
-                            template: Vec::new(),
-                        });
-                        gi
-                    }
-                };
-                touched.push(gi);
-                let group = &mut self.groups[gi as usize];
-                for (slot, call) in agg_calls.iter().enumerate() {
-                    let state = &mut group.states[slot];
-                    let values = &mut group.arg_values[slot];
-                    for_each_arg_value(table, call, &rows, |v| {
-                        state.add(v);
-                        values.push(v);
-                    })?;
-                }
-                for &rid in &rows {
-                    let pos = u32::try_from(group.rows.len()).map_err(|_| {
-                        EngineError::plan("group row list overflows the slot index")
-                    })?;
-                    group.rows.push(rid);
-                    self.membership.insert(rid.index());
-                    self.row_slots[rid.index()] = (gi, pos);
-                }
-            }
-
-            // Re-project the output row of every group that gained rows
-            // (new groups included). Untouched groups keep their template:
-            // their states, rows and representative first row are
-            // unchanged.
-            touched.sort_unstable();
-            touched.dedup();
-            for gi in touched {
-                let group = &mut self.groups[gi as usize];
-                let agg_outputs: Vec<Value> = group.states.iter().map(|s| s.finish()).collect();
-                group.template =
-                    project_row(table, &self.stmt, &group.key, &group.rows, &agg_outputs)?;
-            }
+        let table: &Table = &store;
+        if table.id() != self.table.id() {
+            return Err(EngineError::plan(format!(
+                "cannot absorb appends from table '{}' into a cache built over '{}'",
+                table.name(),
+                self.table.name()
+            )));
         }
-        self.table = store;
+        if !table.epoch().is_append_descendant_of(self.table.epoch()) {
+            return Err(EngineError::plan(format!(
+                "table '{}' at {:?} is not an append descendant of the cached epoch {:?}",
+                table.name(),
+                table.epoch(),
+                self.table.epoch()
+            )));
+        }
+        if table.num_rows() < old_rows {
+            return Err(EngineError::plan(format!(
+                "append descendant of '{}' lost rows: {} -> {}",
+                table.name(),
+                old_rows,
+                table.num_rows()
+            )));
+        }
+        if table.epoch() == self.table.epoch() {
+            return Ok(0);
+        }
+        // Filter only the appended suffix — the old region is unchanged
+        // (same structural epoch), so its rows are already retained and
+        // re-scanning them would make every absorb O(table). The suffix
+        // scan admits exactly the rows a full vectorized filter would.
+        let appended = scan_filter_suffix(table, &self.stmt, old_rows)?;
+        let absorbed = appended.len();
+        self.fold(store, appended)?;
         Ok(absorbed)
+    }
+
+    /// The one fold behind `build` and `absorb_append`: groups `filtered`
+    /// (rows of `store` that passed the statement's filter, none of them
+    /// retained yet), accumulates them into the per-group states, extends
+    /// `membership` / `row_slots` / `key_index`, re-projects the output row
+    /// of every group that gained rows (the others keep theirs: states,
+    /// rows and representative first row unchanged), and adopts `store` as
+    /// the cache's snapshot.
+    fn fold(&mut self, store: TableStore<'t>, filtered: Vec<RowId>) -> Result<(), EngineError> {
+        let table: &Table = &store;
+        // The retained indexes must match the row universe even when no
+        // row passes the filter: exclusion bitmaps arrive sized to the table.
+        self.membership.grow(table.num_rows());
+        self.row_slots.resize(table.num_rows(), (0u32, 0u32));
+
+        let agg_calls: Vec<&AggregateCall> = self.stmt.aggregates();
+        let args: Vec<ArgReader<'_>> =
+            agg_calls.iter().map(|call| ArgReader::bind(table, call)).collect::<Result<_, _>>()?;
+        let (keys, group_rows) = build_groups(table, &self.stmt, filtered)?;
+        // `build_groups` names each key once, so each group is visited once.
+        for (key, rows) in keys.into_iter().zip(group_rows) {
+            let gi = match self.key_index.get(&key) {
+                // The implicit group of a GROUP BY-less statement when no
+                // appended row matched: nothing to fold in.
+                Some(_) if rows.is_empty() => continue,
+                Some(&gi) => gi,
+                None => {
+                    let gi = u32::try_from(self.groups.len())
+                        .map_err(|_| EngineError::plan("group count overflows the group index"))?;
+                    self.key_index.insert(key.clone(), gi);
+                    self.groups.push(CachedGroup {
+                        key,
+                        rows: Vec::new(),
+                        states: agg_calls.iter().map(|c| AggregateState::new(c.func)).collect(),
+                        template: Vec::new(),
+                    });
+                    gi
+                }
+            };
+            let group = &mut self.groups[gi as usize];
+            for (state, arg) in group.states.iter_mut().zip(&args) {
+                for &rid in &rows {
+                    state.add(arg.value(rid)?);
+                }
+            }
+            group.rows.reserve(rows.len());
+            for &rid in &rows {
+                let pos = u32::try_from(group.rows.len())
+                    .map_err(|_| EngineError::plan("group row list overflows the slot index"))?;
+                group.rows.push(rid);
+                self.membership.insert(rid.index());
+                self.row_slots[rid.index()] = (gi, pos);
+            }
+            let agg_outputs: Vec<Value> = group.states.iter().map(|s| s.finish()).collect();
+            group.template = project_row(table, &self.stmt, &group.key, &group.rows, &agg_outputs)?;
+        }
+
+        self.table = store;
+        Ok(())
     }
 
     /// The table this cache was built from.
@@ -486,6 +426,36 @@ impl<'t> GroupedAggregateCache<'t> {
         self.membership.count_ones()
     }
 
+    /// Approximate heap bytes the cache owns: the per-group row lists,
+    /// states, keys and output rows, the key index, `row_slots` and the
+    /// membership bitmap — not the table snapshot it shares. Per retained
+    /// row that is 16 bytes (row list + slot) whatever the statement
+    /// aggregates; `row_slots` and the bitmap also cover the rows the
+    /// filter rejected.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let values = |vs: &[Value]| -> usize {
+            let strings = vs.iter().map(|v| if let Value::Str(s) = v { s.len() } else { 0 });
+            std::mem::size_of_val(vs) + strings.sum::<usize>()
+        };
+        let groups: usize = self
+            .groups
+            .iter()
+            .map(|g| {
+                size_of::<CachedGroup>()
+                    + g.rows.capacity() * size_of::<RowId>()
+                    + g.states.capacity() * size_of::<AggregateState>()
+                    // Once in the group, once as the key-index entry.
+                    + 2 * values(&g.key)
+                    + values(&g.template)
+            })
+            .sum();
+        groups
+            + self.key_index.capacity() * size_of::<(Vec<Value>, u32)>()
+            + self.row_slots.capacity() * size_of::<(u32, u32)>()
+            + std::mem::size_of_val(self.membership.word_slice())
+    }
+
     /// True when `row` passed the statement's filter and contributes to some
     /// group.
     pub fn contains(&self, row: RowId) -> bool {
@@ -515,13 +485,6 @@ impl<'t> GroupedAggregateCache<'t> {
     pub fn state(&self, g: usize, item: usize) -> Option<&AggregateState> {
         let slot = self.agg_item_indices.iter().position(|&i| i == item)?;
         Some(&self.groups[g].states[slot])
-    }
-
-    /// The argument values the aggregate at SELECT-list index `item`
-    /// consumed in group `g`, aligned with [`Self::group_rows`].
-    pub fn arg_values(&self, g: usize, item: usize) -> Option<&[Option<f64>]> {
-        let slot = self.agg_item_indices.iter().position(|&i| i == item)?;
-        Some(&self.groups[g].arg_values[slot])
     }
 
     /// The result of the statement with no rows excluded (lineage-free).
@@ -834,22 +797,30 @@ impl<'t> GroupedAggregateCache<'t> {
 
     /// One aggregate's state for a touched group: subtract the excluded
     /// contributions when the state supports removal, otherwise rebuild from
-    /// the retained argument values in original order (the MIN/MAX
-    /// fallback). `positions` must be sorted and deduplicated.
+    /// the group's rows in original order (the MIN/MAX fallback). Argument
+    /// values are read back from the cache's own snapshot, the column
+    /// looked up once per call. `positions` must be sorted and deduplicated.
     fn reaggregate(&self, group: &CachedGroup, slot: usize, positions: &[u32]) -> AggregateState {
-        let values = &group.arg_values[slot];
+        let call = self.stmt.aggregates()[slot];
+        let arg = ArgReader::bind(&self.table, call).expect("validated at build time");
+        let value = |rid: RowId| {
+            // Cannot fail: `fold` already evaluated this argument on this
+            // row, and rows of a snapshot (and of its append descendants)
+            // never change.
+            arg.value(rid).expect("argument evaluated on this row when it was folded in")
+        };
         let mut state = group.states[slot].clone();
-        let removable = positions.iter().all(|&p| state.remove(values[p as usize]));
+        let removable = positions.iter().all(|&p| state.remove(value(group.rows[p as usize])));
         if removable {
             return state;
         }
         let mut state = AggregateState::new(group.states[slot].func());
         let mut skip = positions.iter().peekable();
-        for (pos, v) in values.iter().enumerate() {
+        for (pos, &rid) in group.rows.iter().enumerate() {
             if skip.peek().is_some_and(|&&p| p as usize == pos) {
                 skip.next();
             } else {
-                state.add(*v);
+                state.add(value(rid));
             }
         }
         state
@@ -969,18 +940,47 @@ mod tests {
     }
 
     #[test]
-    fn accessors_expose_states_and_arg_values() {
+    fn accessors_expose_states_and_rows() {
         let table = readings();
         let stmt = parse_select("SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
         let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
         let g = cache.find_group(&[Value::Int(1)]).unwrap();
         assert_eq!(cache.group_rows(g), &[RowId(2), RowId(3), RowId(4)]);
-        assert_eq!(cache.arg_values(g, 1).unwrap(), &[Some(21.0), Some(120.0), None]);
         assert_eq!(cache.state(g, 1).unwrap().finish(), Value::Float(70.5));
         // Item 0 is the group key, not an aggregate.
         assert!(cache.state(g, 0).is_none());
-        assert!(cache.arg_values(g, 0).is_none());
         assert!(cache.find_group(&[Value::Int(9)]).is_none());
+    }
+
+    /// What a retained row costs does not depend on how many aggregates
+    /// the statement computes: the cache keeps no per-row value per
+    /// aggregate, only per-group states.
+    #[test]
+    fn bytes_per_retained_row_do_not_depend_on_the_number_of_aggregates() {
+        let table_of = |n: i64| {
+            let mut t = readings();
+            let row = |i: i64| vec![Value::Int(i % 4), Value::Int(i), Value::Float(i as f64)];
+            t.push_rows((0..n).map(row).collect()).unwrap();
+            t
+        };
+        let (small, large) = (table_of(1_000), table_of(5_000));
+        let per_added_row = |aggregates: &str| {
+            let sql = format!("SELECT hour, {aggregates} FROM readings GROUP BY hour");
+            let stmt = parse_select(&sql).unwrap();
+            let bytes = |t: &Table| {
+                let cache = GroupedAggregateCache::build(t, &stmt).unwrap();
+                assert_eq!(cache.num_groups(), 4, "same groups at both sizes");
+                cache.approx_bytes()
+            };
+            bytes(&large) - bytes(&small)
+        };
+        let one = per_added_row("avg(temp)");
+        assert!(one >= 4_000 * 16, "row list + slot per retained row, got {one}");
+        assert_eq!(per_added_row("avg(temp), stddev(temp)"), one);
+        assert_eq!(
+            per_added_row("avg(temp), stddev(temp), min(temp), sum(temp * 2), count(*)"),
+            one
+        );
     }
 
     /// The by-key path must agree row-for-row with filtering the

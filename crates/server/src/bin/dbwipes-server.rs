@@ -20,13 +20,12 @@
 //! [`SessionManager`], so a client may reconnect and resume its session by
 //! id.
 //!
-//! With `--data-dir DIR` (or `DBWIPES_DATA_DIR`; the flag wins) the
-//! server runs durably: a fresh directory is seeded with the demo catalog
-//! and snapshotted, a non-empty one restores the persisted catalog —
-//! skipping demo generation entirely. Registered tables and appended rows
-//! are made durable before their reply; a restart restores tables only,
-//! and every cache is rebuilt on first use, so the flag changes nothing
-//! about how an explain runs.
+//! With `--data-dir DIR` the server runs durably: a fresh directory is
+//! seeded with the demo catalog and snapshotted, a non-empty one restores
+//! the persisted catalog — skipping demo generation entirely. Registered
+//! tables and appended rows are made durable before their reply; a restart
+//! restores tables only, and every cache is rebuilt on first use, so the
+//! flag changes nothing about how an explain runs.
 
 use dbwipes_data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
 use dbwipes_server::{serve_pooled, PoolConfig, SessionManager, StorageRuntime};
@@ -52,8 +51,7 @@ fn parse_args() -> Result<Options, String> {
         dataset: "sensor".to_string(),
         readings: 5_400,
         cache_capacity: 32,
-        // The flag below overrides the environment knob.
-        data_dir: std::env::var("DBWIPES_DATA_DIR").ok().filter(|d| !d.trim().is_empty()),
+        data_dir: None,
         pool: PoolConfig::default(),
     };
     let mut args = std::env::args().skip(1);

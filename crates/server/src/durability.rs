@@ -297,9 +297,4 @@ impl StorageRuntime {
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Relaxed)
     }
-
-    /// The underlying backend (tests inspect the manifest through it).
-    pub fn backend(&self) -> &dyn StorageBackend {
-        self.backend.as_ref()
-    }
 }

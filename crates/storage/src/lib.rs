@@ -84,11 +84,11 @@ pub use persist::{
     FsBackend, Manifest, ManifestEntry, PendingWrite, StorageBackend, WriteCounters,
 };
 pub use predicate::{
-    bool_vectorization_stats, Candidate, CompiledBoolExpr, Condition, ConditionBitmapCache,
-    ConjunctivePredicate, PredicateTree, TriSet, CONDITION_BITMAP_BUDGET_BYTES,
+    bool_vectorization_stats, CompiledBoolExpr, Condition, ConditionBitmapCache,
+    ConjunctivePredicate, TriSet, CONDITION_BITMAP_BUDGET_BYTES,
 };
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};
 pub use shard::ShardedTable;
-pub use table::{EpochTolerance, RowId, Table, TableEpoch};
+pub use table::{RowId, Table, TableEpoch};
 pub use value::{DataType, Value};

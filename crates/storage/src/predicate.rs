@@ -5,13 +5,16 @@
 //! deliberately restricted to conjunctions of per-attribute conditions so
 //! they remain compact and interpretable; this module defines that
 //! restricted form, its SQL rendering, and its conversion to the general
-//! [`Expr`] language for evaluation and query rewriting.
+//! [`Expr`] language for evaluation and query rewriting. A candidate the
+//! ranker scores is always this conjunction; the general boolean form
+//! (`OR`, `NOT`, constants) exists once, as [`Expr`], and both compile to
+//! the one [`CompiledBoolExpr`].
 
 use crate::column::{Column, ColumnData};
 use crate::error::StorageError;
 use crate::expr::{col, lit, BinaryOp, Expr, UnaryOp};
 use crate::rowset::RowSet;
-use crate::table::{EpochTolerance, RowId, Table, TableEpoch};
+use crate::table::{RowId, Table, TableEpoch};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -365,6 +368,25 @@ impl ConjunctivePredicate {
         BoolTree::of_conjunction(self).compile(table)
     }
 
+    /// Vectorized three-valued evaluation through a bitmap cache — how
+    /// the Predicate Ranker scores a candidate. Conditions for which
+    /// `live` returns `false` skip their kernel and contribute all-FALSE,
+    /// which empties the conjunction on that shard: exact, because `live`
+    /// must be a sound pruning oracle
+    /// (`ShardedTable::condition_may_match` — a pruned condition's kernel
+    /// is guaranteed to produce no TRUE and no NULL row); an unpartitioned
+    /// table passes `&|_| true`. `None` — whenever some condition does not
+    /// compile against `table`'s schema, pruned or not — sends the caller
+    /// to the scalar walk.
+    pub fn tri_eval(
+        &self,
+        cache: &ConditionBitmapCache,
+        table: &Table,
+        live: &dyn Fn(&Condition) -> bool,
+    ) -> Option<TriSet> {
+        cache.tri_eval(table, BoolTree::of_conjunction(self), live)
+    }
+
     /// Returns all visible rows matched by the predicate, in ascending
     /// [`RowId`] order. Uses the vectorized column kernels when every
     /// condition compiles; otherwise falls back to the per-row expression
@@ -469,217 +491,6 @@ impl fmt::Display for ConjunctivePredicate {
     }
 }
 
-/// An arbitrary boolean combination of [`ConjunctivePredicate`]s — the
-/// predicate-tree shape produced by OR-ing decision-tree leaf rules
-/// together or negating a learned description. Where the conjunctive form
-/// is the paper's "compact predicate", trees are what the broader cleaning
-/// workloads (probabilistic cleaning, denial-constraint repair) emit, and
-/// the whole vectorized stack — [`CompiledBoolExpr`], the
-/// [`ConditionBitmapCache`], the sharded zone-map pruner — scores them
-/// through bitmaps rather than per-row walks.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PredicateTree {
-    /// A conjunction leaf (possibly the trivial always-true one).
-    Leaf(ConjunctivePredicate),
-    /// Every branch must match; the empty `And` matches every row.
-    And(Vec<PredicateTree>),
-    /// Any branch matching keeps the row; the empty `Or` matches no row.
-    Or(Vec<PredicateTree>),
-    /// Kleene negation of the child (`NOT UNKNOWN = UNKNOWN`).
-    Not(Box<PredicateTree>),
-}
-
-impl From<ConjunctivePredicate> for PredicateTree {
-    fn from(p: ConjunctivePredicate) -> PredicateTree {
-        PredicateTree::Leaf(p)
-    }
-}
-
-impl PredicateTree {
-    /// OR of conjunctions — the union of several decision-tree leaf rules.
-    pub fn any_of(predicates: Vec<ConjunctivePredicate>) -> PredicateTree {
-        PredicateTree::Or(predicates.into_iter().map(PredicateTree::Leaf).collect())
-    }
-
-    /// The negation of a conjunction.
-    pub fn negation(predicate: ConjunctivePredicate) -> PredicateTree {
-        PredicateTree::Not(Box::new(PredicateTree::Leaf(predicate)))
-    }
-
-    /// Collects the distinct leaf conditions of the tree (by
-    /// [`Condition::cache_key`]), in first-appearance order — the set a
-    /// bitmap cache warms once regardless of how often each condition
-    /// recurs in the tree.
-    pub fn distinct_conditions(&self) -> Vec<Condition> {
-        BoolTree::of_tree(self).leaves.into_iter().map(Cow::into_owned).collect()
-    }
-}
-
-impl fmt::Display for PredicateTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn branch(t: &PredicateTree) -> String {
-            match t {
-                PredicateTree::Leaf(p) if p.complexity() <= 1 => p.to_string(),
-                other => format!("({other})"),
-            }
-        }
-        match self {
-            PredicateTree::Leaf(p) => fmt::Display::fmt(p, f),
-            PredicateTree::And(bs) if bs.is_empty() => f.write_str("TRUE"),
-            PredicateTree::Or(bs) if bs.is_empty() => f.write_str("FALSE"),
-            PredicateTree::And(bs) => {
-                f.write_str(&bs.iter().map(branch).collect::<Vec<_>>().join(" AND "))
-            }
-            PredicateTree::Or(bs) => {
-                f.write_str(&bs.iter().map(branch).collect::<Vec<_>>().join(" OR "))
-            }
-            PredicateTree::Not(b) => write!(f, "NOT {}", branch(b)),
-        }
-    }
-}
-
-/// What the Predicate Ranker needs from a scoreable candidate, satisfied
-/// by both the classic [`ConjunctivePredicate`] and the general
-/// [`PredicateTree`]. The one evaluation entry point keeps every candidate
-/// shape on the popcount path: `tri_eval` folds cached per-condition
-/// bitmaps, substituting an all-FALSE bitmap for every leaf a zone map
-/// proved empty on the shard at hand — exact, not approximate, because a
-/// pruned leaf's kernel is *guaranteed* to produce the empty [`TriSet`] (so
-/// `NOT leaf` correctly folds to all-TRUE, and an `OR` only empties when
-/// every branch does).
-pub trait Candidate: fmt::Display + Clone + Send + Sync {
-    /// Canonical dedup key: commutative renderings share one key.
-    fn canonical_key(&self) -> String;
-    /// Condition-count complexity penalised by the ranker (a negation
-    /// counts one extra unit).
-    fn complexity(&self) -> usize;
-    /// Degenerate candidates the ranker refuses to score (provably
-    /// matching every row, or no row at all).
-    fn is_trivial(&self) -> bool;
-    /// The evaluable expression form (also the scalar-oracle input).
-    fn to_expr(&self) -> Expr;
-    /// Distinct leaf conditions, for bitmap-cache warm-up and adaptive
-    /// shard-column choice.
-    fn leaf_conditions(&self) -> Vec<Condition>;
-    /// Vectorized three-valued evaluation through the bitmap cache, with
-    /// zone-map pruning: leaves for which `live` returns `false` skip
-    /// their kernel and contribute all-FALSE. `None` — whenever some leaf
-    /// does not compile against `table`'s schema, pruned or not — falls
-    /// back to the scalar walk. Callers must only pass `live` functions
-    /// backed by a sound pruning oracle
-    /// (`ShardedTable::condition_may_match`); an unpartitioned table
-    /// passes `&|_| true`.
-    fn tri_eval(
-        &self,
-        cache: &ConditionBitmapCache,
-        table: &Table,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet>;
-}
-
-impl Candidate for ConjunctivePredicate {
-    fn canonical_key(&self) -> String {
-        ConjunctivePredicate::canonical_key(self)
-    }
-
-    fn complexity(&self) -> usize {
-        ConjunctivePredicate::complexity(self)
-    }
-
-    fn is_trivial(&self) -> bool {
-        ConjunctivePredicate::is_trivial(self)
-    }
-
-    fn to_expr(&self) -> Expr {
-        ConjunctivePredicate::to_expr(self)
-    }
-
-    fn leaf_conditions(&self) -> Vec<Condition> {
-        self.conditions().to_vec()
-    }
-
-    fn tri_eval(
-        &self,
-        cache: &ConditionBitmapCache,
-        table: &Table,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet> {
-        cache.tri_eval(table, BoolTree::of_conjunction(self), live)
-    }
-}
-
-impl Candidate for PredicateTree {
-    fn canonical_key(&self) -> String {
-        match self {
-            PredicateTree::Leaf(p) => p.canonical_key(),
-            PredicateTree::And(bs) if bs.is_empty() => "TRUE".to_string(),
-            PredicateTree::Or(bs) if bs.is_empty() => "FALSE".to_string(),
-            PredicateTree::And(bs) | PredicateTree::Or(bs) => {
-                let mut keys: Vec<String> =
-                    bs.iter().map(|b| format!("({})", Candidate::canonical_key(b))).collect();
-                keys.sort_unstable();
-                let sep = if matches!(self, PredicateTree::And(_)) { " AND " } else { " OR " };
-                keys.join(sep)
-            }
-            PredicateTree::Not(b) => format!("NOT ({})", Candidate::canonical_key(&**b)),
-        }
-    }
-
-    fn complexity(&self) -> usize {
-        match self {
-            PredicateTree::Leaf(p) => p.complexity(),
-            PredicateTree::And(bs) | PredicateTree::Or(bs) => {
-                bs.iter().map(Candidate::complexity).sum()
-            }
-            PredicateTree::Not(b) => 1 + Candidate::complexity(&**b),
-        }
-    }
-
-    fn is_trivial(&self) -> bool {
-        match self {
-            PredicateTree::Leaf(p) => p.is_trivial(),
-            // The empty AND matches every row; an AND of trivial branches
-            // does too.
-            PredicateTree::And(bs) => bs.iter().all(Candidate::is_trivial),
-            // The empty OR matches no row (equally useless); any trivial
-            // branch makes the OR match everything.
-            PredicateTree::Or(bs) => bs.is_empty() || bs.iter().any(Candidate::is_trivial),
-            // NOT of an everything-matcher provably matches nothing.
-            PredicateTree::Not(b) => Candidate::is_trivial(&**b),
-        }
-    }
-
-    fn to_expr(&self) -> Expr {
-        match self {
-            PredicateTree::Leaf(p) => p.to_expr(),
-            PredicateTree::And(bs) => bs
-                .iter()
-                .map(Candidate::to_expr)
-                .reduce(|a, b| a.and(b))
-                .unwrap_or_else(|| lit(true)),
-            PredicateTree::Or(bs) => bs
-                .iter()
-                .map(Candidate::to_expr)
-                .reduce(|a, b| a.or(b))
-                .unwrap_or_else(|| lit(false)),
-            PredicateTree::Not(b) => !Candidate::to_expr(&**b),
-        }
-    }
-
-    fn leaf_conditions(&self) -> Vec<Condition> {
-        self.distinct_conditions()
-    }
-
-    fn tri_eval(
-        &self,
-        cache: &ConditionBitmapCache,
-        table: &Table,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet> {
-        cache.tri_eval(table, BoolTree::of_tree(self), live)
-    }
-}
-
 /// The three-valued result of evaluating a condition (or a conjunction)
 /// over every physical row of one table, as a pair of bitmaps: the rows
 /// where it is TRUE and the rows where it is NULL (unknown). Every other
@@ -778,9 +589,9 @@ impl std::ops::Not for &TriSet {
 
 /// The shape of a boolean predicate before it is bound to a table: a tree
 /// of `And` / `Or` / `Not` / constant nodes over a deduplicated list of
-/// leaf [`Condition`]s. Every front-end — an [`Expr`], a
-/// [`ConjunctivePredicate`], a [`PredicateTree`] — builds this one form,
-/// and [`BoolTree::resolve`] binds it to a table's leaf bitmaps or kernels.
+/// leaf [`Condition`]s. Both front-ends — an [`Expr`], a
+/// [`ConjunctivePredicate`] — build this one form, and
+/// [`BoolTree::resolve`] binds it to a table's leaf bitmaps or kernels.
 struct BoolTree<'a> {
     root: BoolNode,
     leaves: Leaves<'a>,
@@ -858,18 +669,6 @@ impl BoolNode {
         let leaf = |c| BoolNode::leaf(leaves, Cow::Borrowed(c));
         BoolNode::And(pred.conditions().iter().map(leaf).collect())
     }
-
-    /// The node of a [`PredicateTree`], connective for connective.
-    fn of_tree<'a>(leaves: &mut Leaves<'a>, tree: &'a PredicateTree) -> BoolNode {
-        let mut branches =
-            |bs: &'a [PredicateTree]| bs.iter().map(|b| Self::of_tree(leaves, b)).collect();
-        match tree {
-            PredicateTree::Leaf(p) => Self::of_conjunction(leaves, p),
-            PredicateTree::And(bs) => BoolNode::And(branches(bs)),
-            PredicateTree::Or(bs) => BoolNode::Or(branches(bs)),
-            PredicateTree::Not(b) => BoolNode::Not(Box::new(Self::of_tree(leaves, b))),
-        }
-    }
 }
 
 impl<'a> BoolTree<'a> {
@@ -881,11 +680,6 @@ impl<'a> BoolTree<'a> {
     fn of_conjunction(pred: &'a ConjunctivePredicate) -> Self {
         let mut leaves = Vec::new();
         BoolTree { root: BoolNode::of_conjunction(&mut leaves, pred), leaves }
-    }
-
-    fn of_tree(tree: &'a PredicateTree) -> Self {
-        let mut leaves = Vec::new();
-        BoolTree { root: BoolNode::of_tree(&mut leaves, tree), leaves }
     }
 
     /// Binds the tree to a table of `num_rows` physical rows: `source`
@@ -923,9 +717,8 @@ enum LeafSource<'t> {
 }
 
 /// A boolean predicate compiled against one table for vectorized
-/// evaluation — the one form every WHERE clause, every
-/// [`ConjunctivePredicate`] and every [`PredicateTree`] is evaluated
-/// through. `AND` / `OR` / `NOT` nodes fold word-level [`TriSet`]
+/// evaluation — the one form every WHERE clause and every
+/// [`ConjunctivePredicate`] is evaluated through. `AND` / `OR` / `NOT` nodes fold word-level [`TriSet`]
 /// operations over the per-attribute leaf conditions, deduplicated so a
 /// condition appearing several times is scanned (or looked up in a
 /// [`ConditionBitmapCache`]) once. Evaluation is bit-identical to the
@@ -1505,9 +1298,8 @@ pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 pub struct ConditionBitmapCache {
     table_id: u64,
     /// Full epoch of the pinned table. Bitmaps are dense over the table's
-    /// physical row universe, so this cache declares
-    /// [`EpochTolerance::Exact`]: even a pure append changes the universe
-    /// every bitmap was sized for, and absorbing would mean re-running
+    /// physical row universe, so this cache is compared by `==`: even a
+    /// pure append changes the universe every bitmap was sized for, and absorbing would mean re-running
     /// every kernel over the new rows. Appends therefore miss here by
     /// design, unlike the append-tolerant aggregate caches.
     table_epoch: TableEpoch,
@@ -1547,10 +1339,9 @@ impl ConditionBitmapCache {
     /// True when the cache's pinned epoch exactly matches the table's
     /// current epoch (lookups against any other table compute fresh,
     /// uncached results). Bitmap caches tolerate no appends — see the
-    /// field docs on [`ConditionBitmapCache`] — so this is an
-    /// [`EpochTolerance::Exact`] check.
+    /// field docs on [`ConditionBitmapCache`].
     pub fn covers(&self, table: &Table) -> bool {
-        table.id() == self.table_id && self.table_epoch.covers(table.epoch(), EpochTolerance::Exact)
+        table.id() == self.table_id && self.table_epoch == table.epoch()
     }
 
     /// The visible-row mask captured at construction.
@@ -1605,8 +1396,9 @@ impl ConditionBitmapCache {
         self.tri_eval(table, BoolTree::of_expr(expr).ok()?, &|_| true)
     }
 
-    /// Folds `tree` over this cache's leaf bitmaps — what every
-    /// [`Candidate::tri_eval`] runs. `None` when some leaf, live or
+    /// Folds `tree` over this cache's leaf bitmaps — what
+    /// [`ConjunctivePredicate::tri_eval`] and
+    /// [`ConditionBitmapCache::bool_expr`] run. `None` when some leaf, live or
     /// pruned, does not compile against `table`.
     fn tri_eval(
         &self,
@@ -2106,7 +1898,7 @@ mod tests {
 
     /// What one ranking costs the cache at one shard: a miss per distinct
     /// condition (the warm-up pass), then one hit per distinct leaf of each
-    /// candidate — no more for a conjunction than for a tree.
+    /// candidate — no more for a conjunction than for an `Expr` tree.
     #[test]
     fn one_shard_ranking_lookups_are_one_per_distinct_leaf() {
         let t = null_heavy_table();
@@ -2118,31 +1910,26 @@ mod tests {
         };
         let conjunctions =
             vec![conj(&[&eq15]), conj(&[&eq15, &hot]), conj(&[&hot, &reattr, &eq15])];
+        let (e, h, r) = (eq15.to_expr(), hot.to_expr(), reattr.to_expr());
         let trees = vec![
-            PredicateTree::any_of(vec![conj(&[&eq15, &hot]), conj(&[&hot, &reattr])]),
-            PredicateTree::negation(conj(&[&eq15])),
-            PredicateTree::And(vec![
-                PredicateTree::any_of(vec![conj(&[&eq15]), conj(&[&hot])]),
-                PredicateTree::negation(conj(&[&hot])),
-            ]),
+            e.clone().and(h.clone()).or(h.clone().and(r)),
+            e.clone().not(),
+            e.or(h.clone()).and(h.not()),
         ];
         let cache = ConditionBitmapCache::new(&t);
-        // The ranker's warm-up: every leaf of every candidate, in order.
-        for c in conjunctions.iter().flat_map(Candidate::leaf_conditions) {
-            cache.condition(&t, &c).unwrap();
+        // The ranker's warm-up: every condition of every candidate, in order.
+        for c in conjunctions.iter().flat_map(|p| p.conditions()) {
+            cache.condition(&t, c).unwrap();
         }
-        for c in trees.iter().flat_map(Candidate::leaf_conditions) {
-            cache.condition(&t, &c).unwrap();
-        }
-        assert_eq!(cache.stats(), (9, 3), "12 warm-up lookups of 3 distinct conditions");
+        assert_eq!(cache.stats(), (3, 3), "6 warm-up lookups of 3 distinct conditions");
         for p in &conjunctions {
             p.tri_eval(&cache, &t, &|_| true).unwrap();
         }
-        assert_eq!(cache.stats(), (15, 3), "1 + 2 + 3 conjunct lookups");
-        for p in &trees {
-            p.tri_eval(&cache, &t, &|_| true).unwrap();
+        assert_eq!(cache.stats(), (9, 3), "1 + 2 + 3 conjunct lookups");
+        for expr in &trees {
+            cache.bool_expr(&t, expr).unwrap();
         }
-        assert_eq!(cache.stats(), (21, 3), "3 + 1 + 2 distinct tree leaves");
+        assert_eq!(cache.stats(), (15, 3), "3 + 1 + 2 distinct tree leaves");
     }
 
     /// A thread that panics while holding the cache's lock must not take
@@ -2183,91 +1970,9 @@ mod tests {
         assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
     }
 
-    #[test]
-    fn predicate_tree_shape_accessors() {
-        let eq15 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]);
-        let hot = ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]);
-        let both = ConjunctivePredicate::new(vec![
-            Condition::equals("sensorid", 15),
-            Condition::above("temp", 100.0),
-        ]);
-
-        let or = PredicateTree::any_of(vec![eq15.clone(), hot.clone()]);
-        assert_eq!(or.to_string(), "sensorid = 15 OR temp > 100.0000");
-        assert_eq!(Candidate::complexity(&or), 2);
-        assert!(!Candidate::is_trivial(&or));
-
-        let not = PredicateTree::negation(both.clone());
-        assert_eq!(not.to_string(), "NOT (sensorid = 15 AND temp > 100.0000)");
-        assert_eq!(Candidate::complexity(&not), 3);
-        assert!(!Candidate::is_trivial(&not));
-
-        // Commutative OR branches share one canonical key.
-        let flipped = PredicateTree::any_of(vec![hot.clone(), eq15.clone()]);
-        assert_ne!(or.to_string(), flipped.to_string());
-        assert_eq!(Candidate::canonical_key(&or), Candidate::canonical_key(&flipped));
-        assert_ne!(Candidate::canonical_key(&or), Candidate::canonical_key(&not));
-
-        // Degenerate shapes are trivial: empty OR, OR with an always-true
-        // branch, NOT of always-true, the bare trivial leaf.
-        assert!(Candidate::is_trivial(&PredicateTree::Or(vec![])));
-        assert!(Candidate::is_trivial(&PredicateTree::any_of(vec![
-            eq15.clone(),
-            ConjunctivePredicate::always_true(),
-        ])));
-        assert!(Candidate::is_trivial(&PredicateTree::negation(
-            ConjunctivePredicate::always_true()
-        )));
-        assert!(Candidate::is_trivial(&PredicateTree::And(vec![])));
-        assert!(!Candidate::is_trivial(&PredicateTree::And(vec![or.clone(), not.clone()])));
-
-        // Distinct conditions dedup across branches.
-        let nested = PredicateTree::And(vec![or, PredicateTree::negation(both)]);
-        assert_eq!(nested.distinct_conditions().len(), 2);
-    }
-
-    #[test]
-    fn predicate_tree_tri_eval_matches_scalar_walk() {
-        let t = null_heavy_table();
-        let eq15 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]);
-        let hot = ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]);
-        let both = ConjunctivePredicate::new(vec![
-            Condition::equals("sensorid", 15),
-            Condition::above("temp", 100.0),
-        ]);
-        let trees = vec![
-            PredicateTree::Leaf(both.clone()),
-            PredicateTree::any_of(vec![eq15.clone(), hot.clone()]),
-            PredicateTree::negation(both.clone()),
-            PredicateTree::And(vec![
-                PredicateTree::any_of(vec![eq15.clone(), hot.clone()]),
-                PredicateTree::negation(hot.clone()),
-            ]),
-            PredicateTree::Not(Box::new(PredicateTree::any_of(vec![eq15, hot]))),
-        ];
-        let cache = ConditionBitmapCache::new(&t);
-        for tree in &trees {
-            let expr = Candidate::to_expr(tree);
-            let tri = Candidate::tri_eval(tree, &cache, &t, &|_| true).expect("vectorizable");
-            for r in t.all_row_ids() {
-                let scalar = match expr.eval(&t, r).unwrap() {
-                    Value::Bool(b) => Some(b),
-                    Value::Null => None,
-                    other => panic!("non-boolean value {other:?}"),
-                };
-                assert_eq!(tri.value(r.index()), scalar, "{tree} on {r}");
-            }
-        }
-        // A tree with an inexpressible leaf declines vectorization.
-        let bad =
-            PredicateTree::negation(ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]));
-        assert!(Candidate::tri_eval(&bad, &cache, &t, &|_| true).is_none());
-    }
-
-    /// Pruned-leaf substitution is *exact*: a leaf whose kernel provably
-    /// produces the empty TriSet can be swapped for all-FALSE without
-    /// changing any fold — including under NOT, where the fold correctly
-    /// turns all-TRUE rather than pruning the candidate away.
+    /// Pruned-leaf substitution is *exact*: a condition whose kernel
+    /// provably produces the empty TriSet can be swapped for all-FALSE
+    /// without changing the conjunction's fold.
     #[test]
     fn tri_eval_pruned_substitution_is_exact() {
         // No NULLs: `sensorid = 777` genuinely yields the empty TriSet.
@@ -2283,41 +1988,31 @@ mod tests {
         let leaf_m = ConjunctivePredicate::new(vec![missing.clone()]);
         let leaf_p = ConjunctivePredicate::new(vec![present.clone()]);
         let both = ConjunctivePredicate::new(vec![missing.clone(), present.clone()]);
-        let trees = vec![
-            PredicateTree::Leaf(both.clone()),
-            PredicateTree::any_of(vec![leaf_m.clone(), leaf_p.clone()]),
-            PredicateTree::negation(leaf_m.clone()),
-            PredicateTree::Not(Box::new(PredicateTree::any_of(vec![leaf_m.clone(), leaf_p]))),
-            PredicateTree::Or(vec![PredicateTree::Leaf(leaf_m.clone())]),
-        ];
-        for tree in &trees {
+        for p in [&both, &leaf_m, &leaf_p] {
             // Fresh caches per path so the pruned evaluation can't borrow
             // the unpruned evaluation's bitmaps.
-            let full =
-                Candidate::tri_eval(tree, &ConditionBitmapCache::new(&t), &t, &|_| true).unwrap();
+            let full = p.tri_eval(&ConditionBitmapCache::new(&t), &t, &|_| true).unwrap();
             let pruned_cache = ConditionBitmapCache::new(&t);
-            let pruned = Candidate::tri_eval(tree, &pruned_cache, &t, &live).unwrap();
-            assert!(full.trues == pruned.trues && full.unknowns == pruned.unknowns, "{tree}");
-            // The pruned leaf never reached a kernel.
+            let pruned = p.tri_eval(&pruned_cache, &t, &live).unwrap();
+            assert!(full.trues == pruned.trues && full.unknowns == pruned.unknowns, "{p}");
+            // The pruned condition never reached a kernel.
             let (_, misses) = pruned_cache.stats();
-            assert!(
-                (misses as usize) < Candidate::leaf_conditions(tree).len() + 1,
-                "{tree}: pruned leaf should skip its scan"
-            );
+            let live_conditions = p.conditions().iter().filter(|c| live(c)).count();
+            assert!(misses as usize <= live_conditions, "{p}: pruned leaf should skip its scan");
         }
         // A pruned conjunct empties the conjunction on this shard without
         // a scan: its live sibling is a lookup of the bitmap the ranker's
         // warm-up pass left there.
         let pruned_cache = ConditionBitmapCache::new(&t);
         pruned_cache.condition(&t, &present).expect("warm-up");
-        let tri = Candidate::tri_eval(&both, &pruned_cache, &t, &live).unwrap();
+        let tri = both.tri_eval(&pruned_cache, &t, &live).unwrap();
         assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
         assert_eq!(pruned_cache.stats(), (1, 1), "one warm-up scan, one hit, no other kernel");
         // ...but never past a conjunct the typed compiler cannot express:
         // pruning must not turn a scalar-path candidate into a vectorized one.
         let mistyped =
             ConjunctivePredicate::new(vec![missing.clone(), Condition::contains("temp", "x")]);
-        assert!(Candidate::tri_eval(&mistyped, &pruned_cache, &t, &live).is_none());
+        assert!(mistyped.tri_eval(&pruned_cache, &t, &live).is_none());
     }
 
     #[test]

@@ -34,28 +34,6 @@ pub(crate) fn advance_stamp_floor(stamp: u64) {
     NEXT_STAMP.fetch_max(stamp.saturating_add(1), Ordering::Relaxed);
 }
 
-/// How strictly a consumer of a table's [`TableEpoch`] must match the
-/// table's current epoch for a derived artifact (cache, bitmap, partition,
-/// manifest) to remain usable.
-///
-/// The two-part epoch exists so streaming appends do not invalidate the
-/// world: artifacts that can *absorb* appended rows declare
-/// [`EpochTolerance::TolerateAppends`] and stay alive across append-only
-/// epochs, while artifacts pinned to an exact row universe (dense bitmaps,
-/// memoized explanations) declare [`EpochTolerance::Exact`] and are
-/// invalidated by any mutation, exactly as under the old single `version()`
-/// stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochTolerance {
-    /// The artifact is only valid for a bit-identical table: both epoch
-    /// components must match.
-    Exact,
-    /// The artifact survives appends (it can absorb the delta before
-    /// answering): the structural component must match, and the table's
-    /// appended component must be at or past the artifact's.
-    TolerateAppends,
-}
-
 /// A table's two-part data version: a `structural` stamp re-drawn by
 /// mutations that can change or hide existing rows (soft delete, restore),
 /// and an `appended` stamp re-drawn by row appends.
@@ -83,20 +61,6 @@ impl TableEpoch {
     /// the same invariant the old scalar version carried.
     pub fn version(&self) -> u64 {
         self.structural.max(self.appended)
-    }
-
-    /// True when an artifact built at epoch `self` may serve a table now at
-    /// `current`, under the artifact's declared tolerance. `Exact` demands
-    /// identical epochs; `TolerateAppends` additionally accepts a table
-    /// that has only gained rows since (the artifact is expected to absorb
-    /// the appended delta before answering).
-    pub fn covers(&self, current: TableEpoch, tolerance: EpochTolerance) -> bool {
-        match tolerance {
-            EpochTolerance::Exact => *self == current,
-            EpochTolerance::TolerateAppends => {
-                self.structural == current.structural && self.appended <= current.appended
-            }
-        }
     }
 
     /// True when `self` is reachable from `older` by appends alone: the
@@ -265,8 +229,9 @@ impl Table {
     }
 
     /// The table's two-part data version. Append-aware consumers compare
-    /// epochs under an explicit [`EpochTolerance`] instead of the scalar
-    /// [`Table::version`] so appends do not invalidate them wholesale.
+    /// epochs with [`TableEpoch::is_append_descendant_of`] instead of the
+    /// scalar [`Table::version`] so appends do not invalidate them
+    /// wholesale; artifacts pinned to an exact row universe compare by `==`.
     pub fn epoch(&self) -> TableEpoch {
         self.epoch
     }
@@ -720,8 +685,7 @@ mod tests {
         assert!(e1.appended > e0.appended, "an append re-stamps the appended component");
         assert!(e1.is_append_descendant_of(e0));
         assert!(!e0.is_append_descendant_of(e1));
-        assert!(e0.covers(e1, EpochTolerance::TolerateAppends));
-        assert!(!e0.covers(e1, EpochTolerance::Exact));
+        assert_ne!(e0, e1);
         assert_eq!(t.version(), e1.appended, "version() is the most recent stamp");
 
         t.delete_row(RowId(0)).unwrap();
@@ -729,8 +693,7 @@ mod tests {
         assert!(e2.structural > e1.structural, "a delete re-stamps the structural component");
         assert_eq!(e2.appended, e1.appended);
         assert!(!e2.is_append_descendant_of(e1), "a structural change breaks append lineage");
-        assert!(!e1.covers(e2, EpochTolerance::TolerateAppends));
-        assert!(e2.covers(e2, EpochTolerance::Exact));
+        assert!(e2.is_append_descendant_of(e2));
         assert_eq!(t.version(), e2.structural);
     }
 

@@ -19,7 +19,7 @@ use dbwipes::engine::{
     execute, parse_select, ExclusionQuery, ExecOptions, GroupedAggregateCache, QueryResult,
 };
 use dbwipes::storage::{DataType, Schema, Value};
-use dbwipes::{RowId, Table};
+use dbwipes::{Catalog, RowId, Table};
 use proptest::prelude::*;
 
 /// A random sensor-style table whose `value` column lies on the
@@ -69,6 +69,10 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
         )),
         Just("SELECT grp, grp * 10 AS label, sum(value) FROM m GROUP BY grp ORDER BY sum_value DESC LIMIT 3".to_string()),
         Just("SELECT grp, count(value) FROM m GROUP BY grp ORDER BY 2 DESC, grp LIMIT 2".to_string()),
+        // Expression arguments (NULL wherever `value` is): the cache keeps
+        // no copy of them and re-evaluates on its own snapshot.
+        Just("SELECT grp, sum(value * 2), avg(value + device) FROM m GROUP BY grp".to_string()),
+        Just("SELECT grp, max(value - 1), min(value + device), count(*) FROM m GROUP BY grp".to_string()),
     ]
 }
 
@@ -122,6 +126,41 @@ proptest! {
     ) {
         for sql in [&sql_a, &sql_b, &sql_c, &sql_d] {
             assert_equivalent(&table, sql, &excluded)?;
+        }
+    }
+
+    /// A shared cache reads argument values back from its *own* snapshot:
+    /// after the catalog's table moves on by copy-on-write (an append,
+    /// then a soft delete), every exclusion query still answers exactly as
+    /// re-execution over the old snapshot does.
+    #[test]
+    fn shared_cache_answers_from_its_own_snapshot_after_the_catalog_moves_on(
+        table in arbitrary_table(),
+        excluded in arbitrary_exclusions(),
+        sql in arbitrary_statement(),
+        victim in 0usize..60,
+    ) {
+        let mut catalog = Catalog::new();
+        catalog.register(table.clone()).unwrap();
+        let stmt = parse_select(&sql).unwrap();
+        let cache =
+            GroupedAggregateCache::build_shared(catalog.table_arc("m").unwrap(), &stmt).unwrap();
+
+        let live = catalog.table_mut("m").unwrap();
+        live.push_row(vec![Value::Int(0), Value::Int(0), Value::Float(1e6)]).unwrap();
+        live.delete_row(RowId(victim % table.num_rows())).unwrap();
+        prop_assert_eq!(cache.table().epoch(), table.epoch());
+        prop_assert!(catalog.table("m").unwrap().epoch() != table.epoch());
+
+        for excluded in [&excluded[..], &[RowId(victim % table.num_rows())][..], &[][..]] {
+            let incremental = cache.result(&ExclusionQuery::new().excluding_rows(excluded));
+            let full = reference(&table, &sql, excluded);
+            prop_assert!(
+                incremental.group_keys == full.group_keys && incremental.rows == full.rows,
+                "{sql} excluding {excluded:?}: {:?} != {:?}",
+                incremental.rows,
+                full.rows
+            );
         }
     }
 

@@ -12,7 +12,7 @@
 
 use dbwipes::storage::rowset::RowSet;
 use dbwipes::storage::{
-    Candidate, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, PredicateTree, Schema, Value,
+    lit, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, Schema, Value,
 };
 use dbwipes::{Condition, ConjunctivePredicate, RowId, ShardedTable, Table};
 use proptest::prelude::*;
@@ -141,8 +141,7 @@ fn assert_kernel_equivalence(table: &Table, pred: &ConjunctivePredicate) -> Resu
 /// A random boolean predicate tree over four random conditions: flat
 /// disjunctions, negations, and nested AND-OR-NOT shapes up to depth 3,
 /// plus the degenerate empty connectives (`TRUE` / `FALSE`).
-fn arbitrary_tree() -> impl Strategy<Value = PredicateTree> {
-    let leaf = |c: Condition| PredicateTree::from(ConjunctivePredicate::new(vec![c]));
+fn arbitrary_tree() -> impl Strategy<Value = Expr> {
     (
         arbitrary_condition(),
         arbitrary_condition(),
@@ -150,26 +149,26 @@ fn arbitrary_tree() -> impl Strategy<Value = PredicateTree> {
         arbitrary_condition(),
         0usize..9,
     )
-        .prop_map(move |(a, b, c, d, shape)| match shape {
-            0 => PredicateTree::Or(vec![leaf(a), leaf(b)]),
-            1 => PredicateTree::negation(ConjunctivePredicate::new(vec![a])),
-            2 => PredicateTree::Not(Box::new(PredicateTree::Or(vec![leaf(a), leaf(b)]))),
-            3 => PredicateTree::And(vec![
-                PredicateTree::Or(vec![leaf(a), leaf(b)]),
-                PredicateTree::Not(Box::new(leaf(c))),
-            ]),
-            4 => PredicateTree::any_of(vec![
-                ConjunctivePredicate::new(vec![a, b]),
-                ConjunctivePredicate::new(vec![c, d]),
-            ]),
-            5 => PredicateTree::Or(vec![
-                PredicateTree::Not(Box::new(leaf(a))),
-                PredicateTree::And(vec![leaf(b), PredicateTree::Not(Box::new(leaf(c)))]),
-            ]),
-            6 => PredicateTree::Not(Box::new(PredicateTree::Not(Box::new(leaf(a))))),
-            7 => PredicateTree::And(vec![]),
-            _ => PredicateTree::Or(vec![]),
+        .prop_map(|(a, b, c, d, shape)| {
+            let (a, b, c, d) = (a.to_expr(), b.to_expr(), c.to_expr(), d.to_expr());
+            match shape {
+                0 => a.or(b),
+                1 => !a,
+                2 => !a.or(b),
+                3 => a.or(b).and(!c),
+                4 => a.and(b).or(c.and(d)),
+                5 => (!a).or(b.and(!c)),
+                6 => !!a,
+                7 => lit(true),
+                _ => lit(false),
+            }
         })
+}
+
+/// A random conjunction of one to three random conditions — the only
+/// candidate shape the ranker scores, and so the only one zone maps prune.
+fn arbitrary_conjunction() -> impl Strategy<Value = ConjunctivePredicate> {
+    proptest::collection::vec(arbitrary_condition(), 1..4).prop_map(ConjunctivePredicate::new)
 }
 
 proptest! {
@@ -185,21 +184,20 @@ proptest! {
         table in arbitrary_table(),
         tree in arbitrary_tree(),
     ) {
-        let cache = ConditionBitmapCache::new(&table);
-        let tri = tree
-            .tri_eval(&cache, &table, &|_| true)
+        let expr = tree;
+        let tri = ConditionBitmapCache::new(&table)
+            .bool_expr(&table, &expr)
             .expect("generated trees are vectorizable");
         prop_assert_eq!(tri.trues.universe(), table.num_rows());
-        let expr = Candidate::to_expr(&tree);
         for i in 0..table.num_rows() {
             let scalar = scalar_verdict(&expr, &table, RowId(i));
             prop_assert!(
                 tri.trues.contains(i) == (scalar == Some(true)),
-                "trues diverged from scalar at row {} for {}", i, tree
+                "trues diverged from scalar at row {} for {}", i, expr
             );
             prop_assert!(
                 tri.unknowns.contains(i) == scalar.is_none(),
-                "unknowns diverged from scalar at row {} for {}", i, tree
+                "unknowns diverged from scalar at row {} for {}", i, expr
             );
         }
         // The same tree with kernels of its own as leaves instead of the
@@ -211,22 +209,21 @@ proptest! {
         prop_assert_eq!(expr.filter(&table).unwrap(), expr.filter_scalar(&table).unwrap());
     }
 
-    /// Sharded zone-map pruning is *exact* for boolean trees: evaluating a
-    /// tree per shard with pruned leaves substituted by all-FALSE (the
+    /// Sharded zone-map pruning is *exact*: evaluating a conjunction per
+    /// shard with pruned conditions substituted by all-FALSE (the
     /// `tri_eval` path the ranker uses over a partition) and merging must
-    /// reproduce the unsharded bitmaps bit for bit — disjunctions prune
-    /// only when every branch prunes, and a NOT over a pruned equality
-    /// still contributes its complement.
+    /// reproduce the unsharded bitmaps bit for bit — one pruned conjunct
+    /// empties its `AND` on that shard, whatever its siblings hold there.
     #[test]
     fn sharded_tree_pruning_is_exact(
         table in arbitrary_table(),
-        tree in arbitrary_tree(),
+        tree in arbitrary_conjunction(),
         column in prop_oneof![Just("id"), Just("x"), Just("memo")],
         shards in prop_oneof![Just(1usize), 2usize..5, Just(19usize)],
     ) {
-        let full = ConditionBitmapCache::new(&table)
-            .bool_expr(&table, &Candidate::to_expr(&tree))
-            .expect("generated trees are vectorizable");
+        let full = tree
+            .tri_eval(&ConditionBitmapCache::new(&table), &table, &|_| true)
+            .expect("generated conjunctions are vectorizable");
         let sharded = ShardedTable::hash(&table, column, shards).unwrap();
         let mut trues = Vec::new();
         let mut unknowns = Vec::new();

@@ -76,7 +76,9 @@ fn arbitrary_exclusions() -> impl Strategy<Value = Vec<RowId>> {
 }
 
 /// Statement shapes covering every aggregate — MIN/MAX included, whose
-/// states cannot subtract and exercise the retained-argument rescan.
+/// states cannot subtract and exercise the rescan of the group's rows —
+/// over bare columns and over expression arguments (NULL wherever `value`
+/// is), which an absorbed cache re-evaluates on the grown snapshot.
 fn arbitrary_statement() -> impl Strategy<Value = String> {
     prop_oneof![
         Just(
@@ -93,6 +95,11 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
         )),
         Just(
             "SELECT grp, count(value) FROM m GROUP BY grp ORDER BY 2 DESC, grp LIMIT 2".to_string()
+        ),
+        Just("SELECT grp, sum(value * 2), avg(value + device) FROM m GROUP BY grp".to_string()),
+        Just(
+            "SELECT grp, max(value - 1), min(value + device), count(*) FROM m GROUP BY grp"
+                .to_string()
         ),
     ]
 }
