@@ -8,7 +8,9 @@
 //!   [`Catalog`] whose tables live behind `Arc` snapshots — opening a
 //!   session clones the catalog in O(tables) reference bumps, not O(data).
 //!   A session that physically mutates a table copies-on-write, so one
-//!   analyst's cleaning never leaks into another's dashboard.
+//!   analyst's cleaning never leaks into another's dashboard; the copy
+//!   shares the table's sealed column chunks, so neither that nor a
+//!   streamed append ([`SessionManager::stream_append`]) costs the table.
 //! * **Per-session locking.** Each session sits behind its own `Mutex`;
 //!   the manager's session map is only read-locked to route a command, so
 //!   concurrent clients working in different sessions never serialize on
@@ -494,8 +496,12 @@ impl SessionManager {
     /// in the payload rejects the whole command without mutating — or
     /// copying-on-write — anything. Valid rows are applied in one
     /// [`Table::push_rows`] under the catalog write lock (advancing the
-    /// appended epoch once, never the structural epoch), persisted to the
-    /// attached storage, and then fanned out to every open session via
+    /// appended epoch once, never the structural epoch). Sessions and
+    /// caches hold the snapshot being appended to, so this is always a
+    /// copy-on-write — of each column's tail, at most a chunk, never of the
+    /// table: what the lock is held for is proportional to the batch. The
+    /// new snapshot is then persisted to the attached storage and fanned
+    /// out to every open session via
     /// [`ServerSession::adopt_append`] — sessions brushing the appended
     /// table see their result refresh through the absorbed cache instead
     /// of a cold re-execution. Fan-out and persistence are best-effort:

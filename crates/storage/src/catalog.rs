@@ -85,7 +85,11 @@ impl Catalog {
 
     /// Looks up a table mutably, copying-on-write when the snapshot is
     /// shared with other catalog clones or outstanding [`Catalog::table_arc`]
-    /// handles.
+    /// handles. The copy shares every sealed chunk of every column with the
+    /// snapshot it was made from (see [`crate::column`]): it costs a
+    /// pointer per chunk, each column's tail and the deletion mask, not the
+    /// table, so an append through it is O(appended) whoever else is
+    /// reading.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())

@@ -1,19 +1,41 @@
-//! Typed columnar storage.
+//! Typed columnar storage in immutable shared chunks.
 //!
-//! A [`Column`] stores one attribute of a table in a dense, typed vector
-//! with a parallel validity mask for NULLs. Keeping columns typed (rather
-//! than `Vec<Value>`) keeps aggregate scans cache friendly, which matters
-//! for the provenance-overhead experiments where the same table is scanned
-//! many times.
+//! A [`Column`] stores one attribute of a table as a run of *sealed*
+//! chunks — each exactly [`CHUNK_ROWS`] rows, immutable, behind an `Arc` —
+//! plus one owned *tail* chunk of fewer rows that appends write to. A chunk
+//! is a dense typed vector with a parallel validity mask for NULLs, so
+//! aggregate scans and the condition kernels still run over typed slices;
+//! they just run over one slice per chunk.
+//!
+//! The point of the split is what a copy costs. Cloning a column copies
+//! one pointer per sealed chunk and the tail, so a snapshot of a table
+//! ([`crate::Table`]'s `Clone`, hence `Arc::make_mut` in
+//! [`crate::Catalog::table_mut`]) costs O(chunks) however many rows it
+//! holds, and an append to the copy writes the tail only: every snapshot
+//! that contains a sealed chunk shares it, and nothing ever writes to one.
+//! A tail never outgrows a chunk, so neither does the buffer a push has to
+//! move when a cloned tail's vector grows.
 
 use crate::error::StorageError;
 use crate::value::{DataType, Value};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Typed backing storage of a column.
+/// Rows per sealed chunk. A constant, not a knob: it is a power of two so
+/// that locating a row is a shift and a mask, a multiple of 64 so that
+/// chunk boundaries fall on word boundaries of every bitmap and on byte
+/// boundaries of the bit-packed snapshot encoding, and at 16 384 rows an
+/// eight-byte chunk is 128 KiB — small enough that copying a tail is
+/// microseconds, large enough that a 256k-row column is 16 pointers and
+/// the kernels' per-chunk set-up is noise (measured in docs/TUNING.md).
+pub const CHUNK_ROWS: usize = 1 << 14;
+
+/// Typed backing storage of a chunk.
 ///
 /// Crate-visible so the vectorized condition kernels in
-/// [`crate::predicate`] can scan the typed vectors directly instead of
-/// dispatching on the variant per row.
+/// [`crate::predicate`] and the column codec in [`crate::persist`] can
+/// work on the typed vectors directly instead of dispatching on the
+/// variant per row.
 #[derive(Debug, Clone)]
 pub(crate) enum ColumnData {
     Bool(Vec<bool>),
@@ -23,22 +45,9 @@ pub(crate) enum ColumnData {
     Timestamp(Vec<i64>),
 }
 
-/// A single column of a table: a typed vector plus a validity mask.
-#[derive(Debug, Clone)]
-pub struct Column {
-    dtype: DataType,
-    data: ColumnData,
-    /// `validity[i]` is false when row `i` is NULL in this column.
-    validity: Vec<bool>,
-}
-
-impl Column {
-    /// Creates an empty column of the given type.
-    ///
-    /// `DataType::Null` columns are not supported; use a nullable column of
-    /// a concrete type instead.
-    pub fn new(dtype: DataType) -> Result<Self, StorageError> {
-        let data = match dtype {
+impl ColumnData {
+    fn new(dtype: DataType) -> Result<Self, StorageError> {
+        Ok(match dtype {
             DataType::Bool => ColumnData::Bool(Vec::new()),
             DataType::Int => ColumnData::Int(Vec::new()),
             DataType::Float => ColumnData::Float(Vec::new()),
@@ -51,22 +60,125 @@ impl Column {
                     context: "Column::new".into(),
                 })
             }
-        };
-        Ok(Column { dtype, data, validity: Vec::new() })
+        })
     }
 
-    /// Creates an empty column with pre-reserved capacity.
+    fn len(&self) -> usize {
+        match self {
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.len(),
+            ColumnData::Float(v) => v.len(),
+            ColumnData::Str(v) => v.len(),
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            ColumnData::Bool(v) => v.reserve(additional),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.reserve(additional),
+            ColumnData::Float(v) => v.reserve(additional),
+            ColumnData::Str(v) => v.reserve(additional),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            ColumnData::Bool(v) => v.shrink_to_fit(),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.shrink_to_fit(),
+            ColumnData::Float(v) => v.shrink_to_fit(),
+            ColumnData::Str(v) => v.shrink_to_fit(),
+        }
+    }
+}
+
+/// Up to [`CHUNK_ROWS`] consecutive rows of a column: a typed vector plus
+/// a validity mask of the same length.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunk {
+    data: ColumnData,
+    /// `validity[i]` is false when row `i` of the chunk is NULL.
+    validity: Vec<bool>,
+}
+
+impl Chunk {
+    fn new(dtype: DataType) -> Result<Self, StorageError> {
+        Ok(Chunk { data: ColumnData::new(dtype)?, validity: Vec::new() })
+    }
+
+    /// The typed backing vector (for the columnar kernels and the codec).
+    pub(crate) fn values(&self) -> &ColumnData {
+        &self.data
+    }
+
+    /// The validity mask (`false` = NULL), aligned with the typed vector.
+    pub(crate) fn valid(&self) -> &[bool] {
+        &self.validity
+    }
+
+    fn len(&self) -> usize {
+        self.validity.len()
+    }
+
+    /// The value at `at`, which is in bounds.
+    fn get(&self, at: usize) -> Value {
+        if !self.validity[at] {
+            return Value::Null;
+        }
+        match &self.data {
+            ColumnData::Bool(v) => Value::Bool(v[at]),
+            ColumnData::Int(v) => Value::Int(v[at]),
+            ColumnData::Float(v) => Value::Float(v[at]),
+            ColumnData::Str(v) => Value::Str(v[at].clone()),
+            ColumnData::Timestamp(v) => Value::Timestamp(v[at]),
+        }
+    }
+
+    /// Values plus validity, by length (not capacity).
+    fn approx_bytes(&self) -> usize {
+        let values = match &self.data {
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => 8 * v.len(),
+            ColumnData::Float(v) => 8 * v.len(),
+            ColumnData::Str(v) => {
+                v.iter().map(|s| std::mem::size_of::<String>() + s.len()).sum::<usize>()
+            }
+        };
+        values + self.validity.len()
+    }
+}
+
+/// A single column of a table: sealed chunks shared with every snapshot
+/// that contains them, plus the tail this one appends to.
+#[derive(Debug, Clone)]
+pub struct Column {
+    dtype: DataType,
+    /// Full chunks, [`CHUNK_ROWS`] rows each, never written again.
+    sealed: Vec<Arc<Chunk>>,
+    /// The rows past the last sealed chunk: always fewer than
+    /// [`CHUNK_ROWS`], sealed the moment it fills.
+    tail: Chunk,
+}
+
+impl Column {
+    /// Creates an empty column of the given type.
+    ///
+    /// `DataType::Null` columns are not supported; use a nullable column of
+    /// a concrete type instead.
+    pub fn new(dtype: DataType) -> Result<Self, StorageError> {
+        Ok(Column { dtype, sealed: Vec::new(), tail: Chunk::new(dtype)? })
+    }
+
+    /// Creates an empty column with pre-reserved capacity (at most one
+    /// chunk's worth: rows past that land in chunks of their own).
     pub fn with_capacity(dtype: DataType, cap: usize) -> Result<Self, StorageError> {
         let mut c = Column::new(dtype)?;
-        match &mut c.data {
-            ColumnData::Bool(v) => v.reserve(cap),
-            ColumnData::Int(v) => v.reserve(cap),
-            ColumnData::Float(v) => v.reserve(cap),
-            ColumnData::Str(v) => v.reserve(cap),
-            ColumnData::Timestamp(v) => v.reserve(cap),
-        }
-        c.validity.reserve(cap);
+        c.reserve_tail(cap.min(CHUNK_ROWS));
         Ok(c)
+    }
+
+    fn reserve_tail(&mut self, additional: usize) {
+        self.tail.data.reserve(additional);
+        self.tail.validity.reserve(additional);
     }
 
     /// The column's data type.
@@ -76,82 +188,114 @@ impl Column {
 
     /// Number of entries (including NULLs).
     pub fn len(&self) -> usize {
-        self.validity.len()
+        self.sealed.len() * CHUNK_ROWS + self.tail.len()
     }
 
     /// True when the column has no entries.
     pub fn is_empty(&self) -> bool {
-        self.validity.is_empty()
+        self.len() == 0
     }
 
-    /// Appends a value, coercing integers to floats (and vice versa when
-    /// lossless) so that generators can be sloppy about `3` vs `3.0`.
+    /// Whether [`Column::push`] would take `value`, and the error it would
+    /// return otherwise. The one statement of the coercion table: NULL
+    /// goes anywhere, integers go into float and timestamp columns, and
+    /// floats into integer columns when lossless, so that generators can
+    /// be sloppy about `3` vs `3.0`.
+    pub fn accepts(&self, value: &Value) -> Result<(), StorageError> {
+        match (self.dtype, value) {
+            (_, Value::Null)
+            | (DataType::Bool, Value::Bool(_))
+            | (DataType::Int, Value::Int(_))
+            | (DataType::Float, Value::Float(_) | Value::Int(_))
+            | (DataType::Str, Value::Str(_))
+            | (DataType::Timestamp, Value::Timestamp(_) | Value::Int(_)) => Ok(()),
+            (DataType::Int, Value::Float(f)) if f.fract() == 0.0 => Ok(()),
+            (dtype, other) => Err(StorageError::TypeMismatch {
+                expected: dtype.name().to_string(),
+                found: other.data_type(),
+                context: "Column::push".into(),
+            }),
+        }
+    }
+
+    /// Appends a value, coerced as [`Column::accepts`] describes.
     pub fn push(&mut self, value: Value) -> Result<(), StorageError> {
-        if value.is_null() {
-            self.push_null();
-            return Ok(());
+        self.accepts(&value)?;
+        match (&mut self.tail.data, value) {
+            (_, Value::Null) => {
+                self.push_null();
+                return Ok(());
+            }
+            (ColumnData::Bool(v), Value::Bool(b)) => v.push(b),
+            (ColumnData::Int(v), Value::Int(i)) => v.push(i),
+            (ColumnData::Int(v), Value::Float(f)) => v.push(f as i64),
+            (ColumnData::Float(v), Value::Float(f)) => v.push(f),
+            (ColumnData::Float(v), Value::Int(i)) => v.push(i as f64),
+            (ColumnData::Str(v), Value::Str(s)) => v.push(s),
+            (ColumnData::Timestamp(v), Value::Timestamp(t) | Value::Int(t)) => v.push(t),
+            _ => unreachable!("Column::accepts admits only what a column stores"),
         }
-        let mismatch = |found: DataType, dtype: DataType| StorageError::TypeMismatch {
-            expected: dtype.name().to_string(),
-            found,
-            context: "Column::push".into(),
-        };
-        match (&mut self.data, &value) {
-            (ColumnData::Bool(v), Value::Bool(b)) => v.push(*b),
-            (ColumnData::Int(v), Value::Int(i)) => v.push(*i),
-            (ColumnData::Int(v), Value::Float(f)) if f.fract() == 0.0 => v.push(*f as i64),
-            (ColumnData::Float(v), Value::Float(f)) => v.push(*f),
-            (ColumnData::Float(v), Value::Int(i)) => v.push(*i as f64),
-            (ColumnData::Str(v), Value::Str(s)) => v.push(s.clone()),
-            (ColumnData::Timestamp(v), Value::Timestamp(t)) => v.push(*t),
-            (ColumnData::Timestamp(v), Value::Int(i)) => v.push(*i),
-            (_, other) => return Err(mismatch(other.data_type(), self.dtype)),
-        }
-        self.validity.push(true);
+        self.tail.validity.push(true);
+        self.seal_full_tail();
         Ok(())
     }
 
     /// Appends a NULL entry.
     pub fn push_null(&mut self) {
-        match &mut self.data {
+        match &mut self.tail.data {
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
             ColumnData::Str(v) => v.push(String::new()),
             ColumnData::Timestamp(v) => v.push(0),
         }
-        self.validity.push(false);
+        self.tail.validity.push(false);
+        self.seal_full_tail();
+    }
+
+    /// Moves a tail that has reached [`CHUNK_ROWS`] rows behind an `Arc`
+    /// and starts an empty one. The sealed vectors give back whatever
+    /// capacity growth left over: they are never pushed to again.
+    fn seal_full_tail(&mut self) {
+        if self.tail.len() < CHUNK_ROWS {
+            return;
+        }
+        let fresh = Chunk::new(self.dtype).expect("existing column has a concrete type");
+        let mut full = std::mem::replace(&mut self.tail, fresh);
+        full.data.shrink_to_fit();
+        full.validity.shrink_to_fit();
+        self.sealed.push(Arc::new(full));
+    }
+
+    /// The chunk holding `row` and the row's offset in it, or `None` when
+    /// out of bounds.
+    #[inline]
+    fn locate(&self, row: usize) -> Option<(&Chunk, usize)> {
+        let (idx, at) = (row / CHUNK_ROWS, row % CHUNK_ROWS);
+        match self.sealed.get(idx) {
+            Some(chunk) => Some((chunk, at)),
+            None => (idx == self.sealed.len() && at < self.tail.len()).then_some((&self.tail, at)),
+        }
     }
 
     /// Returns the value at `row`, or `None` when out of bounds.
     pub fn get(&self, row: usize) -> Option<Value> {
-        if row >= self.validity.len() {
-            return None;
-        }
-        if !self.validity[row] {
-            return Some(Value::Null);
-        }
-        Some(match &self.data {
-            ColumnData::Bool(v) => Value::Bool(v[row]),
-            ColumnData::Int(v) => Value::Int(v[row]),
-            ColumnData::Float(v) => Value::Float(v[row]),
-            ColumnData::Str(v) => Value::Str(v[row].clone()),
-            ColumnData::Timestamp(v) => Value::Timestamp(v[row]),
-        })
+        self.locate(row).map(|(chunk, at)| chunk.get(at))
     }
 
     /// Returns the value at `row` as an `f64` when the column is numeric and
     /// the entry is non-NULL. This is the hot path used by aggregates.
     #[inline]
     pub fn get_f64(&self, row: usize) -> Option<f64> {
-        if row >= self.validity.len() || !self.validity[row] {
+        let (chunk, at) = self.locate(row)?;
+        if !chunk.validity[at] {
             return None;
         }
-        match &self.data {
-            ColumnData::Int(v) => Some(v[row] as f64),
-            ColumnData::Float(v) => Some(v[row]),
-            ColumnData::Timestamp(v) => Some(v[row] as f64),
-            ColumnData::Bool(v) => Some(if v[row] { 1.0 } else { 0.0 }),
+        match &chunk.data {
+            ColumnData::Int(v) => Some(v[at] as f64),
+            ColumnData::Float(v) => Some(v[at]),
+            ColumnData::Timestamp(v) => Some(v[at] as f64),
+            ColumnData::Bool(v) => Some(if v[at] { 1.0 } else { 0.0 }),
             ColumnData::Str(_) => None,
         }
     }
@@ -160,45 +304,83 @@ impl Column {
     /// string column and the entry is non-NULL.
     #[inline]
     pub fn get_str(&self, row: usize) -> Option<&str> {
-        if row >= self.validity.len() || !self.validity[row] {
-            return None;
-        }
-        match &self.data {
-            ColumnData::Str(v) => Some(v[row].as_str()),
+        let (chunk, at) = self.locate(row)?;
+        match &chunk.data {
+            ColumnData::Str(v) if chunk.validity[at] => Some(v[at].as_str()),
             _ => None,
         }
     }
 
     /// True when the entry at `row` is NULL (out-of-bounds counts as NULL).
     pub fn is_null(&self, row: usize) -> bool {
-        self.validity.get(row).map(|v| !v).unwrap_or(true)
+        self.locate(row).map_or(true, |(chunk, at)| !chunk.validity[at])
     }
 
     /// Number of non-NULL entries.
     pub fn non_null_count(&self) -> usize {
-        self.validity.iter().filter(|v| **v).count()
+        self.pieces(0..self.len())
+            .map(|(chunk, _)| chunk.validity.iter().filter(|v| **v).count())
+            .sum()
     }
 
     /// Iterates over all values (including NULLs) in row order.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len()).map(move |i| self.get(i).expect("in bounds"))
+        self.pieces(0..self.len()).flat_map(|(chunk, rows)| rows.map(move |at| chunk.get(at)))
     }
 
-    /// The typed backing vector (for the columnar kernels).
-    pub(crate) fn data(&self) -> &ColumnData {
-        &self.data
+    /// Bytes of values and validity this column reaches, shared chunks
+    /// included.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.pieces(0..self.len()).map(|(chunk, _)| chunk.approx_bytes()).sum()
     }
 
-    /// The validity mask (`false` = NULL), aligned with the data vector.
-    pub(crate) fn validity(&self) -> &[bool] {
-        &self.validity
+    /// The one way to the typed vectors: the chunks that hold `rows`, each
+    /// with the part of `rows` it holds as a range of its own offsets — a
+    /// whole chunk for every chunk but the first and last of the range.
+    /// Every chunk of a column holds the column's [`DataType`].
+    ///
+    /// # Panics
+    /// When `rows` reaches past the end of the column.
+    pub(crate) fn pieces(
+        &self,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = (&Chunk, Range<usize>)> + '_ {
+        assert!(rows.start <= rows.end && rows.end <= self.len(), "{rows:?} of {}", self.len());
+        (rows.start / CHUNK_ROWS..rows.end.div_ceil(CHUNK_ROWS)).map(move |idx| {
+            let base = idx * CHUNK_ROWS;
+            let chunk = self.sealed.get(idx).map_or(&self.tail, |sealed| &**sealed);
+            (chunk, rows.start.max(base) - base..rows.end.min(base + CHUNK_ROWS) - base)
+        })
     }
 
-    /// The typed backing vector and the validity mask, for the persistence
-    /// layer to decode rows onto. Whoever extends one extends the other by
-    /// as many entries; the decoder checks it did before it returns.
-    pub(crate) fn parts_mut(&mut self) -> (&mut ColumnData, &mut Vec<bool>) {
-        (&mut self.data, &mut self.validity)
+    /// Appends `rows` rows a chunk's worth at a time, for the persistence
+    /// layer to decode onto: `fill` is handed the tail's typed vector and
+    /// validity mask, with room reserved, and which of the `rows` rows to
+    /// push onto both. A fill that leaves either short or long is an
+    /// error, as is anything `fill` returns; the column is then
+    /// half-extended and must be dropped.
+    pub(crate) fn extend_with(
+        &mut self,
+        rows: usize,
+        mut fill: impl FnMut(&mut ColumnData, &mut Vec<bool>, Range<usize>) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let mut done = 0;
+        while done < rows {
+            let take = (rows - done).min(CHUNK_ROWS - self.tail.len());
+            let filled = self.tail.len() + take;
+            self.reserve_tail(take);
+            fill(&mut self.tail.data, &mut self.tail.validity, done..done + take)?;
+            if self.tail.data.len() != filled || self.tail.validity.len() != filled {
+                return Err(StorageError::Corrupt(format!(
+                    "decoded {} values and {} validity bits where {filled} were due",
+                    self.tail.data.len(),
+                    self.tail.validity.len()
+                )));
+            }
+            self.seal_full_tail();
+            done += take;
+        }
+        Ok(())
     }
 }
 
@@ -268,6 +450,185 @@ mod tests {
         let mut b = Column::new(DataType::Bool).unwrap();
         b.push(Value::Bool(true)).unwrap();
         assert_eq!(b.get_f64(0), Some(1.0));
+    }
+
+    #[test]
+    fn accepts_is_the_verdict_of_push_for_every_type_pair() {
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(3.5),
+            Value::str("3"),
+            Value::Timestamp(3),
+        ];
+        for dtype in DTYPES {
+            for value in &values {
+                let mut c = Column::new(dtype).unwrap();
+                let verdict = c.accepts(value);
+                assert_eq!(verdict, c.push(value.clone()), "{value:?} into {dtype:?}");
+                assert_eq!(c.len(), verdict.is_ok() as usize);
+                if let Err(e) = verdict {
+                    let StorageError::TypeMismatch { expected, found, context } = e else {
+                        panic!("{e:?}")
+                    };
+                    assert_eq!((expected.as_str(), found), (dtype.name(), value.data_type()));
+                    assert_eq!(context, "Column::push");
+                }
+            }
+        }
+    }
+
+    const DTYPES: [DataType; 5] =
+        [DataType::Bool, DataType::Int, DataType::Float, DataType::Str, DataType::Timestamp];
+
+    /// SplitMix64: a cell is a pure function of (seed, row). The root
+    /// package's `tests/common` has a generator like this one and this
+    /// crate cannot reach it (the dependency runs the other way); the tests
+    /// here stay here because they read `sealed` and `tail`, which are
+    /// private.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    fn cell(dtype: DataType, seed: u64, row: usize) -> Value {
+        let h = mix(seed ^ mix(row as u64));
+        if h % 5 == 0 {
+            return Value::Null;
+        }
+        let k = (h >> 8) as i64 % 1000;
+        match dtype {
+            DataType::Bool => Value::Bool(k % 2 == 0),
+            DataType::Int => Value::Int(k - 500),
+            DataType::Float => Value::Float(k as f64 / 4.0),
+            DataType::Str => Value::Str(format!("v{}", k % 37)),
+            DataType::Timestamp => Value::Timestamp(k * 60),
+            DataType::Null => unreachable!("no column is of the null type"),
+        }
+    }
+
+    /// The chunked column against the flat layout it replaced, a
+    /// `Vec<Value>`: whatever sequence of `push` and `push_null` built it —
+    /// stopping short of, on and past the first two chunk boundaries —
+    /// every reader answers as the vector does.
+    #[test]
+    fn a_column_reads_as_the_flat_vector_of_what_was_pushed() {
+        let lens = [0, 1, 63, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1].into_iter().chain([
+            2 * CHUNK_ROWS - 1,
+            2 * CHUNK_ROWS,
+            2 * CHUNK_ROWS + 1,
+            2 * CHUNK_ROWS + 23,
+        ]);
+        for (case, len) in lens.enumerate() {
+            for dtype in DTYPES {
+                let seed = mix(case as u64 * 5 + dtype as u64);
+                let mut column = Column::new(dtype).unwrap();
+                let mut model: Vec<Value> = Vec::new();
+                for row in 0..len {
+                    match cell(dtype, seed, row) {
+                        // A NULL arrives either way.
+                        Value::Null if row % 2 == 0 => column.push_null(),
+                        value => column.push(value).unwrap(),
+                    }
+                    model.push(cell(dtype, seed, row));
+                    assert_eq!(column.len(), model.len());
+                }
+                assert_eq!(column.is_empty(), model.is_empty());
+                assert_eq!(column.sealed.len(), len / CHUNK_ROWS, "{len} rows of {dtype:?}");
+                assert_eq!(column.tail.len(), len % CHUNK_ROWS);
+                assert!(column.iter().eq(model.iter().cloned()), "{len} rows of {dtype:?}");
+                let non_null = model.iter().filter(|v| !v.is_null()).count();
+                assert_eq!(column.non_null_count(), non_null);
+                for (row, value) in model.iter().enumerate() {
+                    assert_eq!(column.get(row).as_ref(), Some(value), "row {row} of {len}");
+                    assert_eq!(column.is_null(row), value.is_null());
+                    assert_eq!(column.get_f64(row), value.as_f64(), "row {row} of {len}");
+                    assert_eq!(column.get_str(row), value.as_str(), "row {row} of {len}");
+                }
+                for beyond in [len, len + 1, len + CHUNK_ROWS, usize::MAX] {
+                    assert_eq!(column.get(beyond), None);
+                    assert_eq!(column.get_f64(beyond), None);
+                    assert_eq!(column.get_str(beyond), None);
+                    assert!(column.is_null(beyond));
+                }
+                // The pieces of a range are the range, in order.
+                for rows in [0..len, len / 3..len - len / 5, len..len] {
+                    let pieces: Vec<Value> = column
+                        .pieces(rows.clone())
+                        .flat_map(|(chunk, at)| at.map(move |i| chunk.get(i)))
+                        .collect();
+                    assert_eq!(pieces, model[rows]);
+                }
+            }
+        }
+    }
+
+    /// The 0 %-tolerance counterpart of the wall-clock claim: a
+    /// copy-on-write append to a table somebody else holds copies the tail
+    /// of each column and nothing else.
+    #[test]
+    fn an_append_to_a_shared_snapshot_copies_only_the_tail() {
+        use crate::{Catalog, Condition, RowId, Schema, Table};
+        let schema = Schema::of(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+            ("b", DataType::Bool),
+            ("t", DataType::Timestamp),
+        ]);
+        const ROWS: usize = 2 * CHUNK_ROWS + 17;
+        let dtypes = schema.fields().iter().map(|f| f.dtype).collect::<Vec<_>>();
+        let row = |r: usize| dtypes.iter().map(|&dtype| cell(dtype, 9, r)).collect::<Vec<_>>();
+        let mut table = Table::new("t", schema).unwrap();
+        table.push_rows((0..ROWS).map(row).collect()).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register(table).unwrap();
+
+        // A session holds the snapshot, with a condition bitmap warm on it.
+        let old = catalog.table_arc("t").unwrap();
+        let (epoch, bytes) = (old.epoch(), old.approx_bytes());
+        let warm = old.condition_bitmaps();
+        warm.condition(&old, &Condition::above("f", 100.0)).unwrap();
+        let values: Vec<Vec<Value>> = old.all_row_ids().map(|r| old.row(r).unwrap()).collect();
+
+        catalog.table_mut("t").unwrap().push_rows((ROWS..ROWS + 256).map(row).collect()).unwrap();
+        let new = catalog.table_arc("t").unwrap();
+        assert!(!Arc::ptr_eq(&old, &new), "the held snapshot was copied, not written");
+        for c in 0..5 {
+            let (before, after) = (old.column(c).unwrap(), new.column(c).unwrap());
+            assert_eq!((before.sealed.len(), after.sealed.len()), (2, 2));
+            for (a, b) in before.sealed.iter().zip(&after.sealed) {
+                assert!(Arc::ptr_eq(a, b), "column {c}: a sealed chunk was copied");
+            }
+            assert_eq!((before.tail.len(), after.tail.len()), (17, 17 + 256));
+        }
+        // The old snapshot: rows, epoch, every value, its bitmaps.
+        assert_eq!((old.num_rows(), old.epoch(), old.approx_bytes()), (ROWS, epoch, bytes));
+        assert!(old.all_row_ids().all(|r| old.row(r).unwrap() == values[r.index()]));
+        assert!(Arc::ptr_eq(&warm, &old.condition_bitmaps()));
+        assert_eq!(old.retained_condition_bitmaps().0, 1);
+        // The new one: old rows, then new rows, no bitmaps yet.
+        assert_eq!(new.num_rows(), ROWS + 256);
+        assert!(new.epoch().is_append_descendant_of(epoch) && new.epoch() != epoch);
+        assert!((0..ROWS + 256).all(|r| new.row(RowId(r)).unwrap() == row(r)));
+        assert_eq!(new.retained_condition_bitmaps(), (0, 0));
+        assert!(new.approx_bytes() > bytes);
+
+        // An append that fills the tail seals exactly one chunk per column,
+        // and the chunks sealed before are the same chunks still.
+        drop(old);
+        let fill = 3 * CHUNK_ROWS - new.num_rows();
+        catalog.table_mut("t").unwrap().push_rows((0..fill).map(row).collect()).unwrap();
+        let full = catalog.table_arc("t").unwrap();
+        for c in 0..5 {
+            let (before, after) = (new.column(c).unwrap(), full.column(c).unwrap());
+            assert_eq!((after.sealed.len(), after.tail.len()), (3, 0));
+            assert!(before.sealed.iter().zip(&after.sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::Catalog;
-pub use column::Column;
+pub use column::{Column, CHUNK_ROWS};
 pub use error::StorageError;
 pub use expr::{col, lit, BinaryOp, Expr, UnaryOp};
 pub use faults::{FaultInjectingBackend, FaultKind, FaultPlan};

@@ -3,11 +3,12 @@
 //! its filesystem implementation.
 //!
 //! Everything in memory is columnar, so the formats are too. A table's
-//! *base snapshot* (`DBWT`) holds one segment per column (typed values
-//! plus the validity vector, serialized exactly as laid out in memory;
-//! string columns are dictionary-encoded) plus one segment for the
-//! soft-deletion mask. Rows appended since are *append segments* (`DBWA`)
-//! in a log beside it: one length-framed record per durable append,
+//! *base snapshot* (`DBWT`) holds one segment per column (the validity
+//! vector, then the typed values, each written once in row order — where
+//! the column's in-memory chunks end does not show; string columns are
+//! dictionary-encoded) plus one segment for the soft-deletion mask. Rows
+//! appended since are *append segments* (`DBWA`) in a log beside it: one
+//! length-framed record per durable append,
 //! carrying the row range, the stamps the table had after the append, and
 //! the same column encoding over just those rows — so making a grown
 //! table durable writes bytes proportional to the growth, and loading
@@ -157,14 +158,24 @@ impl ByteWriter {
 
     /// Appends a length-prefixed, bit-packed boolean vector.
     fn put_bool_vec(&mut self, bits: &[bool]) {
-        self.put_u64(bits.len() as u64);
-        let mut packed = vec![0u8; bits.len().div_ceil(8)];
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                packed[i / 8] |= 1 << (i % 8);
+        self.put_bool_runs(bits.len(), std::iter::once(bits));
+    }
+
+    /// [`ByteWriter::put_bool_vec`] of the concatenation of `runs`, which
+    /// hold `len` bits between them: a run need not end on a byte.
+    fn put_bool_runs<'a>(&mut self, len: usize, runs: impl Iterator<Item = &'a [bool]>) {
+        self.put_u64(len as u64);
+        let start = self.buf.len();
+        self.buf.resize(start + len.div_ceil(8), 0);
+        let packed = &mut self.buf[start..];
+        let mut i = 0;
+        for run in runs {
+            for &b in run {
+                packed[i / 8] |= (b as u8) << (i % 8);
+                i += 1;
             }
         }
-        self.buf.extend_from_slice(&packed);
+        debug_assert_eq!(i, len);
     }
 }
 
@@ -246,14 +257,6 @@ impl<'a> ByteReader<'a> {
         Ok(len)
     }
 
-    /// Reads a length-prefixed run of little-endian `u64` words — a whole
-    /// numeric column — with one bounds check for the run.
-    fn get_words(&mut self) -> Result<impl Iterator<Item = u64> + 'a, StorageError> {
-        let len = self.get_len(8)?;
-        let words = self.take(len * 8)?.chunks_exact(8);
-        Ok(words.map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes"))))
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     fn get_str(&mut self) -> Result<String, StorageError> {
         let len = self.get_len(1)?;
@@ -264,13 +267,15 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed, bit-packed boolean vector.
     fn get_bool_vec(&mut self) -> Result<Vec<bool>, StorageError> {
-        let mut bits = Vec::new();
-        self.get_bool_vec_into(&mut bits)?;
+        let (len, packed) = self.get_packed_bits()?;
+        let mut bits = Vec::with_capacity(len);
+        unpack_bits(packed, 0..len, &mut bits);
         Ok(bits)
     }
 
-    /// [`ByteReader::get_bool_vec`], appending to `bits`.
-    fn get_bool_vec_into(&mut self, bits: &mut Vec<bool>) -> Result<(), StorageError> {
+    /// Reads a length-prefixed, bit-packed boolean vector without
+    /// unpacking it: its length in bits, and the bytes that hold them.
+    fn get_packed_bits(&mut self) -> Result<(usize, &'a [u8]), StorageError> {
         let raw = self.get_u64()?;
         let len = usize::try_from(raw)
             .map_err(|_| StorageError::Corrupt(format!("length {raw} overflows this platform")))?;
@@ -281,15 +286,20 @@ impl<'a> ByteReader<'a> {
                 self.remaining()
             )));
         }
-        // Whole bytes at a time, then the padding bits of the last one off.
-        let end = bits.len() + len;
-        bits.reserve(packed_len * 8);
-        for &byte in self.take(packed_len)? {
-            bits.extend_from_slice(&std::array::from_fn::<bool, 8, _>(|i| byte >> i & 1 != 0));
-        }
-        bits.truncate(end);
-        Ok(())
+        Ok((len, self.take(packed_len)?))
     }
+}
+
+/// Appends bits `bits` of a bit-packed vector to `out`: whole bytes at a
+/// time when the range starts on one (every chunk of a base snapshot
+/// does, `CHUNK_ROWS` being a multiple of 8), bit by bit otherwise.
+fn unpack_bits(packed: &[u8], bits: Range<usize>, out: &mut Vec<bool>) {
+    let whole = if bits.start % 8 == 0 { bits.len() / 8 } else { 0 };
+    let first = bits.start / 8;
+    for &byte in &packed[first..first + whole] {
+        out.extend_from_slice(&std::array::from_fn::<bool, 8, _>(|i| byte >> i & 1 != 0));
+    }
+    out.extend((bits.start + whole * 8..bits.end).map(|i| packed[i / 8] >> (i % 8) & 1 != 0));
 }
 
 /// The wire tag of a [`DataType`] (0 is reserved so a zeroed byte never
@@ -321,38 +331,38 @@ fn dtype_from_code(code: u8) -> Result<DataType, StorageError> {
 /// Encodes rows `rows` of one column: dtype tag, row count, validity
 /// vector, then the typed values (strings dictionary-encoded over the
 /// range). The one column codec — a base snapshot encodes `0..len`, an
-/// append segment the appended range.
+/// append segment the appended range — and the bytes do not show where
+/// the column's chunks end: each vector is written once, over the pieces
+/// of the range in order.
 fn encode_column(w: &mut ByteWriter, col: &Column, rows: Range<usize>) {
+    const ONE_TYPE: &str = "a chunk holds its column's type";
+    let count = rows.len();
     w.put_u8(dtype_code(col.dtype()));
-    w.put_u64(rows.len() as u64);
-    w.put_bool_vec(&col.validity()[rows.clone()]);
-    match col.data() {
-        ColumnData::Bool(v) => w.put_bool_vec(&v[rows]),
-        ColumnData::Int(v) | ColumnData::Timestamp(v) => {
-            w.put_u64(rows.len() as u64);
-            for &x in &v[rows] {
-                w.put_i64(x);
-            }
+    w.put_u64(count as u64);
+    w.put_bool_runs(count, col.pieces(rows.clone()).map(|(chunk, at)| &chunk.valid()[at]));
+    match col.dtype() {
+        DataType::Bool => {
+            let runs = col.pieces(rows).map(|(chunk, at)| match chunk.values() {
+                ColumnData::Bool(v) => &v[at],
+                _ => unreachable!("{ONE_TYPE}"),
+            });
+            w.put_bool_runs(count, runs);
         }
-        ColumnData::Float(v) => {
-            w.put_u64(rows.len() as u64);
-            for &x in &v[rows] {
-                w.put_f64(x);
-            }
-        }
-        ColumnData::Str(v) => {
+        DataType::Str => {
             // Dictionary encoding: unique strings in first-appearance
             // order, then one u32 code per row.
-            let v = &v[rows];
             let mut index: HashMap<&str, u32> = HashMap::new();
             let mut dict: Vec<&str> = Vec::new();
-            let mut codes: Vec<u32> = Vec::with_capacity(v.len());
-            for s in v {
-                let code = *index.entry(s.as_str()).or_insert_with(|| {
-                    dict.push(s.as_str());
-                    (dict.len() - 1) as u32
-                });
-                codes.push(code);
+            let mut codes: Vec<u32> = Vec::with_capacity(count);
+            for (chunk, at) in col.pieces(rows) {
+                let ColumnData::Str(v) = chunk.values() else { unreachable!("{ONE_TYPE}") };
+                for s in &v[at] {
+                    let code = *index.entry(s.as_str()).or_insert_with(|| {
+                        dict.push(s.as_str());
+                        (dict.len() - 1) as u32
+                    });
+                    codes.push(code);
+                }
             }
             w.put_u64(dict.len() as u64);
             for s in &dict {
@@ -363,12 +373,49 @@ fn encode_column(w: &mut ByteWriter, col: &Column, rows: Range<usize>) {
                 w.put_u32(c);
             }
         }
+        _ => {
+            w.put_u64(count as u64);
+            for (chunk, at) in col.pieces(rows) {
+                match chunk.values() {
+                    ColumnData::Int(v) | ColumnData::Timestamp(v) => {
+                        for &x in &v[at] {
+                            w.put_i64(x);
+                        }
+                    }
+                    ColumnData::Float(v) => {
+                        for &x in &v[at] {
+                            w.put_f64(x);
+                        }
+                    }
+                    _ => unreachable!("{ONE_TYPE}"),
+                }
+            }
+        }
     }
+}
+
+/// Words `at` of a run of little-endian `u64`s.
+fn le_words(bytes: &[u8], at: Range<usize>) -> impl Iterator<Item = u64> + '_ {
+    let words = bytes[at.start * 8..at.end * 8].chunks_exact(8);
+    words.map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+}
+
+/// The typed values of one encoded column, located and length-checked but
+/// not yet decoded.
+enum EncodedValues<'a> {
+    /// A bit-packed vector.
+    Bits(&'a [u8]),
+    /// Little-endian 64-bit words: integers, timestamps, float bit patterns.
+    Words(&'a [u8]),
+    /// The dictionary, and one little-endian `u32` code per row.
+    Codes(Vec<String>, &'a [u8]),
 }
 
 /// Decodes one column written by [`encode_column`], appending its rows to
 /// `col` (an empty column, for a base snapshot) and leaving the reader
-/// just past it.
+/// just past it. Every length is checked against the bytes that remain
+/// before anything is allocated for it, and the rows are decoded from the
+/// image straight into the column's chunks, a chunk's worth at a time.
 fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), StorageError> {
     let dtype = dtype_from_code(r.get_u8()?)?;
     if dtype != col.dtype() {
@@ -379,57 +426,63 @@ fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), Storage
         )));
     }
     let declared = r.get_u64()?;
-    let (data, validity) = col.parts_mut();
-    let valid_before = validity.len();
-    r.get_bool_vec_into(validity)?;
-    let total = validity.len();
-    if (total - valid_before) as u64 != declared {
+    let (rows, validity) = r.get_packed_bits()?;
+    if rows as u64 != declared {
         return Err(StorageError::Corrupt(format!(
-            "segment declares {declared} rows but has {} validity bits",
-            total - valid_before
+            "segment declares {declared} rows but has {rows} validity bits"
         )));
     }
-    let values = match data {
-        ColumnData::Bool(v) => {
-            r.get_bool_vec_into(v)?;
-            v.len()
+    let (values, encoded) = match dtype {
+        DataType::Bool => {
+            let (len, packed) = r.get_packed_bits()?;
+            (len, EncodedValues::Bits(packed))
         }
-        ColumnData::Int(v) | ColumnData::Timestamp(v) => {
-            v.extend(r.get_words()?.map(|x| x as i64));
-            v.len()
-        }
-        ColumnData::Float(v) => {
-            v.extend(r.get_words()?.map(f64::from_bits));
-            v.len()
-        }
-        ColumnData::Str(v) => {
+        DataType::Str => {
+            // Each entry takes at least its eight-byte length.
             let dict_len = r.get_len(8)?;
-            let mut dict = Vec::with_capacity(dict_len);
+            let mut dict = Vec::new();
             for _ in 0..dict_len {
                 dict.push(r.get_str()?);
             }
-            let code_count = r.get_len(4)?;
-            v.reserve(code_count);
-            for _ in 0..code_count {
-                let code = r.get_u32()? as usize;
-                let s = dict.get(code).ok_or_else(|| {
-                    StorageError::Corrupt(format!(
-                        "dictionary code {code} out of range (dictionary has {dict_len} entries)"
-                    ))
-                })?;
-                v.push(s.clone());
-            }
-            v.len()
+            let len = r.get_len(4)?;
+            (len, EncodedValues::Codes(dict, r.take(len * 4)?))
+        }
+        _ => {
+            let len = r.get_len(8)?;
+            (len, EncodedValues::Words(r.take(len * 8)?))
         }
     };
-    if values != total {
+    if values != rows {
         return Err(StorageError::Corrupt(format!(
-            "segment has {} values for {} validity bits",
-            values.saturating_sub(valid_before),
-            total - valid_before
+            "segment has {values} values for {rows} validity bits"
         )));
     }
-    Ok(())
+    col.extend_with(rows, |data, valid, at| {
+        unpack_bits(validity, at.clone(), valid);
+        match (data, &encoded) {
+            (ColumnData::Bool(v), EncodedValues::Bits(packed)) => unpack_bits(packed, at, v),
+            (ColumnData::Int(v) | ColumnData::Timestamp(v), EncodedValues::Words(bytes)) => {
+                v.extend(le_words(bytes, at).map(|x| x as i64))
+            }
+            (ColumnData::Float(v), EncodedValues::Words(bytes)) => {
+                v.extend(le_words(bytes, at).map(f64::from_bits))
+            }
+            (ColumnData::Str(v), EncodedValues::Codes(dict, codes)) => {
+                for code in codes[at.start * 4..at.end * 4].chunks_exact(4) {
+                    let code = u32::from_le_bytes(code.try_into().expect("4 bytes")) as usize;
+                    let s = dict.get(code).ok_or_else(|| {
+                        StorageError::Corrupt(format!(
+                            "dictionary code {code} out of range (dictionary has {} entries)",
+                            dict.len()
+                        ))
+                    })?;
+                    v.push(s.clone());
+                }
+            }
+            _ => unreachable!("the segment's type is the column's, checked above"),
+        }
+        Ok(())
+    })
 }
 
 /// Appends a segment with the standard framing — body length, the body

@@ -1153,10 +1153,11 @@ impl BitSink {
     }
 }
 
-/// Columnar kernel for numeric tests: dispatches on the column's typed
-/// vector once, then runs a branch-light loop over the slice and the
-/// validity mask. `nonmatch_unknown` encodes `IN`-list semantics where a
-/// NULL set member turns non-matches into unknowns.
+/// Columnar kernel for numeric tests: for each chunk of the column,
+/// dispatches on its typed vector once, then runs a branch-light loop over
+/// the slice and the validity mask; the bitmaps continue across chunks.
+/// `nonmatch_unknown` encodes `IN`-list semantics where a NULL set member
+/// turns non-matches into unknowns.
 fn scan_numeric(
     column: &Column,
     num_rows: usize,
@@ -1164,27 +1165,30 @@ fn scan_numeric(
     test: impl Fn(f64) -> bool,
 ) -> TriSet {
     debug_assert_eq!(column.len(), num_rows);
+    // A string column never yields a numeric value: every row is unknown,
+    // exactly like `Column::get_f64` returning `None`.
+    if column.dtype() == DataType::Str {
+        return TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) };
+    }
     let mut trues = BitSink::new(num_rows);
     let mut unknowns = BitSink::new(num_rows);
-    let validity = column.validity();
-    macro_rules! scan {
-        ($data:expr, $conv:expr) => {
-            for (x, &valid) in $data.iter().zip(validity) {
-                let is_true = valid && test($conv(x));
-                trues.push(is_true);
-                unknowns.push(!valid || (nonmatch_unknown && !is_true));
-            }
-        };
-    }
-    match column.data() {
-        ColumnData::Int(v) => scan!(v, |x: &i64| *x as f64),
-        ColumnData::Float(v) => scan!(v, |x: &f64| *x),
-        ColumnData::Timestamp(v) => scan!(v, |x: &i64| *x as f64),
-        ColumnData::Bool(v) => scan!(v, |x: &bool| if *x { 1.0 } else { 0.0 }),
-        // A string column never yields a numeric value: every row is
-        // unknown, exactly like `Column::get_f64` returning `None`.
-        ColumnData::Str(_) => {
-            return TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) }
+    for (chunk, rows) in column.pieces(0..num_rows) {
+        let validity = &chunk.valid()[rows.clone()];
+        macro_rules! scan {
+            ($data:expr, $conv:expr) => {
+                for (x, &valid) in $data[rows].iter().zip(validity) {
+                    let is_true = valid && test($conv(x));
+                    trues.push(is_true);
+                    unknowns.push(!valid || (nonmatch_unknown && !is_true));
+                }
+            };
+        }
+        match chunk.values() {
+            ColumnData::Int(v) => scan!(v, |x: &i64| *x as f64),
+            ColumnData::Float(v) => scan!(v, |x: &f64| *x),
+            ColumnData::Timestamp(v) => scan!(v, |x: &i64| *x as f64),
+            ColumnData::Bool(v) => scan!(v, |x: &bool| if *x { 1.0 } else { 0.0 }),
+            ColumnData::Str(_) => unreachable!("a chunk holds its column's type"),
         }
     }
     TriSet { trues: trues.finish(num_rows), unknowns: unknowns.finish(num_rows) }
@@ -1198,20 +1202,22 @@ fn scan_str(
     test: impl Fn(&str) -> bool,
 ) -> TriSet {
     debug_assert_eq!(column.len(), num_rows);
+    // A non-string column never yields a string: every row is unknown,
+    // exactly like `Column::get_str` returning `None`.
+    if column.dtype() != DataType::Str {
+        return TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) };
+    }
     let mut trues = BitSink::new(num_rows);
     let mut unknowns = BitSink::new(num_rows);
-    let validity = column.validity();
-    match column.data() {
-        ColumnData::Str(v) => {
-            for (s, &valid) in v.iter().zip(validity) {
-                let is_true = valid && test(s);
-                trues.push(is_true);
-                unknowns.push(!valid || (nonmatch_unknown && !is_true));
-            }
+    for (chunk, rows) in column.pieces(0..num_rows) {
+        let ColumnData::Str(v) = chunk.values() else {
+            unreachable!("a chunk holds its column's type")
+        };
+        for (s, &valid) in v[rows.clone()].iter().zip(&chunk.valid()[rows]) {
+            let is_true = valid && test(s);
+            trues.push(is_true);
+            unknowns.push(!valid || (nonmatch_unknown && !is_true));
         }
-        // A non-string column never yields a string: every row is unknown,
-        // exactly like `Column::get_str` returning `None`.
-        _ => return TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) },
     }
     TriSet { trues: trues.finish(num_rows), unknowns: unknowns.finish(num_rows) }
 }

@@ -304,6 +304,16 @@ impl Table {
         self.deleted.is_empty()
     }
 
+    /// Bytes of row data this snapshot reaches: the values and validity
+    /// mask of every chunk of every column, and the soft-deletion mask.
+    /// Sealed chunks are counted in full although other snapshots of the
+    /// table share them, so the gauges of two snapshots do not add up; the
+    /// condition bitmaps have a gauge of their own
+    /// ([`Table::retained_condition_bitmaps`]).
+    pub fn approx_bytes(&self) -> usize {
+        self.columns.iter().map(Column::approx_bytes).sum::<usize>() + self.deleted.len()
+    }
+
     /// Appends a row given as one value per schema column.
     ///
     /// Returns the new row's [`RowId`].
@@ -343,13 +353,7 @@ impl Table {
                 found: values.len(),
             });
         }
-        for (col, value) in self.columns.iter().zip(values.iter()) {
-            if !value.is_null() {
-                let mut probe = col.clone_empty();
-                probe.push(value.clone())?;
-            }
-        }
-        Ok(())
+        self.columns.iter().zip(values).try_for_each(|(col, value)| col.accepts(value))
     }
 
     /// Appends one pre-validated row to every column. Does not re-stamp the
@@ -515,14 +519,6 @@ impl Table {
             s.push('\n');
         }
         s
-    }
-}
-
-impl Column {
-    /// Creates an empty column with the same type as `self`; used to
-    /// validate pushes without mutating the real column.
-    fn clone_empty(&self) -> Column {
-        Column::new(self.dtype()).expect("existing column has a concrete type")
     }
 }
 

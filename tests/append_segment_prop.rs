@@ -11,16 +11,59 @@
 //! saves that write nothing, saves that arrive out of order, and the files
 //! an evict leaves behind.
 
-use dbwipes::storage::persist::fnv1a64;
+mod common;
+
+use common::{boundary_row, boundary_rows, boundary_table, mix, BOUNDARY_ROWS};
+use dbwipes::storage::persist::{decode_table, encode_table, fnv1a64};
 use dbwipes::storage::{
     DataType, Field, FsBackend, Schema, StorageBackend, StorageError, Value, WriteCounters,
+    CHUNK_ROWS,
 };
 use dbwipes::{Catalog, RowId, Table};
 use dbwipes_server::{SessionManager, StorageRuntime};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+
+thread_local! {
+    /// The largest single allocation this thread has asked for since the
+    /// cell was last reset.
+    static LARGEST_ALLOCATION: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting per thread the largest request it sees, so
+/// a test can bound what a decoder allocates for a hostile length.
+struct NotingAllocator;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the note beside it touches only a const-initialised
+// thread-local `Cell<usize>`, which neither allocates nor unwinds.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for NotingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST_ALLOCATION.try_with(|l| l.set(l.get().max(layout.size())));
+        // SAFETY: the caller's obligations are `System::alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`, as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = LARGEST_ALLOCATION.try_with(|l| l.set(l.get().max(new_size)));
+        // SAFETY: the caller's obligations are `System::realloc`'s own.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NotingAllocator = NotingAllocator;
 
 static TEST_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -65,14 +108,6 @@ impl Drop for TempDir {
 
 const DTYPES: [DataType; 5] =
     [DataType::Bool, DataType::Int, DataType::Float, DataType::Str, DataType::Timestamp];
-
-/// SplitMix64 — cell values are a pure function of (seed, row, column).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One cell. Strings draw from a vocabulary that widens with the row
 /// index, so later batches introduce values the base dictionary never
@@ -390,6 +425,251 @@ fn two_thousand_appends_write_at_most_four_bytes_per_byte_appended() {
     let amplification = written as f64 / appended as f64;
     assert!(amplification <= 4.0, "{written} bytes written for {appended} appended");
     assert_identical(&recover(&dir, &table).unwrap(), &table).unwrap();
+}
+
+/// FNV-1a of `bytes` with `stamps` — a table's id and both epoch stamps,
+/// process-global draws that differ from run to run — read as zeros.
+fn fnv_without_stamps(bytes: &[u8], stamps: &[Range<usize>]) -> u64 {
+    let mut bytes = bytes.to_vec();
+    for at in stamps {
+        bytes[at.clone()].fill(0);
+    }
+    fnv1a64(&bytes)
+}
+
+/// Where a `DBWT` image of the table "m" keeps its three stamps: after the
+/// magic, the format version and the length-prefixed name.
+const DBWT_STAMPS: Range<usize> = 17..41;
+
+/// The chunk layout is invisible on disk, in both directions: the fixed
+/// multi-chunk table round-trips through a `DBWT` image, append segments
+/// that end at, start at and straddle a chunk boundary replay to the
+/// in-memory table, and the bytes of both are the bytes the flat layout
+/// wrote — the two constants were computed at the commit before columns
+/// had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`.
+#[test]
+fn chunk_boundaries_do_not_show_on_disk() {
+    let table = boundary_table(BOUNDARY_ROWS);
+    let image = encode_table(&table);
+    assert_identical(&decode_table(&image).unwrap(), &table).unwrap();
+    assert_eq!(
+        fnv_without_stamps(&image, &[DBWT_STAMPS]),
+        DBWT_PIN,
+        "a DBWT image of the multi-chunk table is not the bytes the parent commit writes"
+    );
+
+    let mut logs = Vec::new();
+    for boundary in [CHUNK_ROWS, 2 * CHUNK_ROWS] {
+        // Each list: the rows of the base, then where each append ends.
+        let straddling = [boundary - 100, boundary - 1, boundary + 3, boundary + 20];
+        let abutting = [boundary - 100, boundary, boundary + 5];
+        for cuts in [&straddling[..], &abutting[..]] {
+            let dir = TempDir::new();
+            let backend = FsBackend::open(dir.path()).unwrap();
+            let mut grown = boundary_table(cuts[0]);
+            backend.save_table(&grown).unwrap();
+            for &end in &cuts[1..] {
+                grown.push_rows(boundary_rows(grown.num_rows()..end)).unwrap();
+                backend.save_table(&grown).unwrap();
+                assert_identical(&backend.load_table(grown.id()).unwrap(), &grown).unwrap();
+                assert_identical(&recover(&dir, &grown).unwrap(), &grown).unwrap();
+            }
+            assert_eq!(backend.write_counters().segment_appends, cuts.len() as u64 - 1);
+            // The stamps open each record's body, after the 24 frame
+            // bytes, and the checksum that closes it covers them.
+            let log = std::fs::read(dir.log_of(&grown)).unwrap();
+            let mut stamps = Vec::new();
+            let mut at = 0;
+            while at < log.len() {
+                let end = at + first_record_len(&log[at..]);
+                stamps.extend([at + 24..at + 48, end - 8..end]);
+                at = end;
+            }
+            logs.push(fnv_without_stamps(&log, &stamps));
+        }
+    }
+    assert_eq!(logs, DBWA_PINS, "a DBWA log is not the bytes the parent commit writes");
+}
+
+const DBWT_PIN: u64 = 0x202e_ab7d_2d50_b516;
+const DBWA_PINS: [u64; 4] =
+    [0x3c63_8ab6_daae_30a8, 0x0611_e0d1_d8ba_f461, 0x1311_5ace_1c2e_5587, 0xe104_67ae_86c8_b60c];
+
+/// What a walk over a `DBWT` image finds: every length or count field (its
+/// offset, and the checksummed segment body that holds it, if one does),
+/// every segment body, and the offsets worth a closer look — the edges of
+/// every field, frame and vector, and the byte where a vector crosses into
+/// the column's next chunk.
+#[derive(Default)]
+struct DbwtLayout {
+    lengths: Vec<(usize, Option<usize>)>,
+    bodies: Vec<Range<usize>>,
+    edges: Vec<usize>,
+}
+
+fn walk_dbwt(image: &[u8]) -> DbwtLayout {
+    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let mut layout = DbwtLayout::default();
+    // A vector of `rows` entries of `bits` bits each, from `at`.
+    let vector = |layout: &mut DbwtLayout, at: usize, rows: usize, bits: usize| {
+        layout.edges.push(at);
+        layout
+            .edges
+            .extend((1..=rows / CHUNK_ROWS).map(|chunk| at + chunk * CHUNK_ROWS * bits / 8));
+        at + (rows * bits).div_ceil(8)
+    };
+    // Header: magic, version, name, stamps, fields, row count.
+    let mut at = 8;
+    layout.lengths.push((at, None));
+    at += 8 + word(at) + 24;
+    layout.lengths.push((at, None));
+    let fields = word(at);
+    at += 8;
+    let mut dtypes = Vec::new();
+    for _ in 0..fields {
+        layout.lengths.push((at, None));
+        at += 8 + word(at);
+        dtypes.push(image[at]);
+        at += 2;
+    }
+    layout.lengths.push((at, None));
+    at += 8;
+    // One segment per column, then the deletion mask.
+    for dtype in dtypes.into_iter().map(Some).chain([None]) {
+        let segment = layout.bodies.len();
+        layout.lengths.push((at, None));
+        let body = at + 8..at + 8 + word(at);
+        layout.bodies.push(body.clone());
+        at = body.start;
+        if dtype.is_some() {
+            at += 1;
+            layout.lengths.push((at, Some(segment)));
+            at += 8;
+        }
+        // The validity vector of a column, or the deletion mask itself.
+        layout.lengths.push((at, Some(segment)));
+        at = vector(&mut layout, at + 8, word(at), 1);
+        match dtype {
+            None => {}
+            Some(1) => {
+                layout.lengths.push((at, Some(segment)));
+                at = vector(&mut layout, at + 8, word(at), 1);
+            }
+            Some(4) => {
+                layout.lengths.push((at, Some(segment)));
+                let entries = word(at);
+                at += 8;
+                for _ in 0..entries {
+                    layout.lengths.push((at, Some(segment)));
+                    at += 8 + word(at);
+                }
+                layout.lengths.push((at, Some(segment)));
+                at = vector(&mut layout, at + 8, word(at), 32);
+            }
+            Some(_) => {
+                layout.lengths.push((at, Some(segment)));
+                at = vector(&mut layout, at + 8, word(at), 64);
+            }
+        }
+        assert_eq!(at, body.end, "the walk and the encoder disagree on segment {segment}");
+        layout.edges.extend([body.start, body.end]);
+        at += 8;
+    }
+    assert_eq!(at, image.len());
+    layout.edges.extend(layout.lengths.iter().map(|&(at, _)| at));
+    layout
+}
+
+/// Flips a bit of, and cuts the image at, every offset of `visit`. A cut
+/// is `Corrupt`. So is a flip under a checksum; the header has none in
+/// format 2, and a flip there that still decodes (a letter of a name, a
+/// nullable flag) must decode to the honest table but for the byte hit:
+/// encoded again, it is the honest image everywhere else.
+fn assert_flips_and_cuts_are_refused(image: &mut [u8], visit: &[usize]) {
+    let first_segment = walk_dbwt(image).bodies[0].start - 8;
+    for &at in visit {
+        // A flipped stamp would be restored, and raise the stamp floor of
+        // this process by as much.
+        if DBWT_STAMPS.contains(&at) {
+            continue;
+        }
+        image[at] ^= 0x40;
+        let outcome = decode_table(image);
+        image[at] ^= 0x40;
+        match outcome {
+            Err(StorageError::Corrupt(_)) => {}
+            Ok(decoded) if at < first_segment => {
+                let again = encode_table(&decoded);
+                assert_eq!(again.len(), image.len(), "flip at {at}");
+                let moved = (0..image.len()).filter(|&i| again[i] != image[i]).collect::<Vec<_>>();
+                assert!(moved.iter().all(|&i| i == at), "flip at {at} moved bytes {moved:?}");
+            }
+            other => panic!("flip at {at}: {:?}", other.map(|t| t.num_rows())),
+        }
+    }
+    for &cut in visit {
+        let outcome = decode_table(&image[..cut]);
+        assert!(matches!(outcome, Err(StorageError::Corrupt(_))), "cut at {cut}");
+    }
+}
+
+/// The `DBWT` decoder under hostile bytes. On the five-type image, whose
+/// every vector spans three chunks and which is near a megabyte, flips and
+/// cuts visit every byte near an edge of the layout ([`walk_dbwt`]) and
+/// every 1999th byte between; on the image of its `flag` column alone over
+/// one boundary — six kilobytes — they visit every byte there is. Then, on
+/// the five-type image again, every length and count field lies — with the
+/// checksum made to agree, so the decoder gets to see it — and is `Corrupt`
+/// before anything is allocated for it.
+#[test]
+fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
+    let mut image = encode_table(&boundary_table(BOUNDARY_ROWS));
+    // Honest bytes first: the allocator is noting, and what the decoder
+    // asks for is chunks — the widest, 24-byte `String`s — not columns.
+    LARGEST_ALLOCATION.with(|l| l.set(0));
+    decode_table(&image).unwrap();
+    let largest = LARGEST_ALLOCATION.with(Cell::get);
+    assert!((CHUNK_ROWS * 8..=CHUNK_ROWS * 24).contains(&largest), "{largest} bytes at once");
+    let layout = walk_dbwt(&image);
+    let mut visit: Vec<usize> = (0..image.len()).step_by(1999).collect();
+    visit.extend(0..layout.bodies[0].start);
+    visit.extend(layout.edges.iter().flat_map(|&edge| edge.saturating_sub(1)..edge + 9));
+    visit.retain(|&at| at < image.len());
+    visit.sort_unstable();
+    visit.dedup();
+    assert_flips_and_cuts_are_refused(&mut image, &visit);
+
+    let mut narrow = Table::new("m", Schema::of(&[("flag", DataType::Bool)])).unwrap();
+    let flags = (0..CHUNK_ROWS + 17).map(|row| vec![boundary_row(row).swap_remove(3)]);
+    narrow.push_rows(flags.collect()).unwrap();
+    narrow.delete_rows(&[RowId(5), RowId(CHUNK_ROWS + 5)]).unwrap();
+    let mut narrow = encode_table(&narrow);
+    let every_byte: Vec<usize> = (0..narrow.len()).collect();
+    assert!(every_byte.len() < 8 << 10, "{} bytes", every_byte.len());
+    assert_flips_and_cuts_are_refused(&mut narrow, &every_byte);
+
+    assert_eq!(layout.bodies.len(), 6, "five columns and the deletion mask");
+    assert!(layout.lengths.len() > 60, "{} length fields", layout.lengths.len());
+    for &(at, segment) in &layout.lengths {
+        let honest: [u8; 8] = image[at..at + 8].try_into().unwrap();
+        for hostile in [u64::MAX, 1 << 40, u64::from_le_bytes(honest) + 1] {
+            let mut bad = image.clone();
+            bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            if let Some(body) = segment.map(|s| layout.bodies[s].clone()) {
+                let sum = fnv1a64(&bad[body.clone()]);
+                bad[body.end..body.end + 8].copy_from_slice(&sum.to_le_bytes());
+            }
+            LARGEST_ALLOCATION.with(|l| l.set(0));
+            let outcome = decode_table(&bad);
+            let largest = LARGEST_ALLOCATION.with(Cell::get);
+            assert!(
+                matches!(outcome, Err(StorageError::Corrupt(_))),
+                "{hostile:#x} at {at}: {:?}",
+                outcome.map(|t| t.num_rows())
+            );
+            assert!(largest <= image.len(), "{hostile:#x} at {at} allocated {largest} bytes");
+        }
+    }
 }
 
 fn runtime_over(dir: &TempDir) -> Arc<StorageRuntime> {

@@ -8,11 +8,13 @@
 //! the same data gives. This is the "bitmaps cold vs warm" axis of the
 //! bit-identity matrix, on the sensor and FEC fixtures.
 
+mod common;
+
 use dbwipes::core::explain_on_table;
 use dbwipes::data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
 use dbwipes::engine::{execute, parse_select, ExecOptions};
 use dbwipes::storage::persist::{decode_table, encode_table};
-use dbwipes::storage::{FsBackend, StorageBackend};
+use dbwipes::storage::{FsBackend, StorageBackend, CHUNK_ROWS};
 use dbwipes::{ErrorMetric, ExplanationRequest, RowId, Table};
 use std::sync::Arc;
 
@@ -23,6 +25,8 @@ struct Question {
     output: (&'static str, f64),
     input: (&'static str, f64),
     high: bool,
+    /// Columns the learners leave alone.
+    exclude: &'static [&'static str],
 }
 
 /// The explanation of `q` over `table`: every field but the wall-clock
@@ -42,8 +46,9 @@ fn explain(q: &Question, table: &Table) -> String {
         true => ErrorMetric::too_high(q.output.0, q.output.1),
         false => ErrorMetric::too_low(q.output.0, q.output.1),
     };
-    let e = explain_on_table(table, &result, &ExplanationRequest::new(outputs, inputs, metric))
-        .unwrap();
+    let mut request = ExplanationRequest::new(outputs, inputs, metric);
+    request.config.exclude_columns.extend(q.exclude.iter().map(|c| c.to_string()));
+    let e = explain_on_table(table, &result, &request).unwrap();
     format!("{:?}\n{:#?}\n{:?}\n{:?}", e.base_error, e.predicates, e.influence, e.candidates)
 }
 
@@ -138,6 +143,7 @@ fn sensor_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
         output: ("std_temp", 6.0),
         input: ("temp", 70.0),
         high: true,
+        exclude: &[],
     };
     check_lifetime("sensor", ds.table, &q);
 }
@@ -150,6 +156,29 @@ fn fec_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
         output: ("total", 0.0),
         input: ("amount", 0.0),
         high: false,
+        exclude: &[],
     };
     check_lifetime("fec", ds.table, &q);
+}
+
+/// One more input: the fixed multi-chunk table, a hundred rows short of
+/// its second boundary, so the append descendant seals a chunk its parent
+/// snapshot goes on sharing the first of, and the replayed log record
+/// straddles the boundary.
+#[test]
+fn chunked_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
+    let q = Question {
+        sql: "SELECT id, avg(x) AS ax FROM m GROUP BY id ORDER BY id".into(),
+        output: ("ax", 1.5),
+        input: ("x", 17.5),
+        high: true,
+        // A split on a BOOLEAN column renders as `flag <= 0.5`, which the
+        // expression validator refuses (ROADMAP, sweep item).
+        exclude: &["flag"],
+    };
+    // `check_lifetime` deletes rows in every chunk itself, and expects its
+    // restore to bring back the table it was given.
+    let mut table = common::boundary_table(2 * CHUNK_ROWS - 100);
+    table.restore_all();
+    check_lifetime("chunks", table, &q);
 }

@@ -10,6 +10,8 @@
 //! by `RowId`, identical to the per-row expression walk. The `RowSet`
 //! bitmap algebra is pinned against a `BTreeSet` oracle.
 
+mod common;
+
 use dbwipes::storage::rowset::RowSet;
 use dbwipes::storage::{
     lit, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, Schema, Value,
@@ -52,38 +54,52 @@ fn arbitrary_table() -> impl Strategy<Value = Table> {
     })
 }
 
-/// A random condition over the table's columns, covering every kernel:
-/// numeric and string equality (negated too), half-open and closed ranges,
-/// `IN` sets with and without NULL members, containment (empty needle
-/// included), and the unbounded range that compiles to `TRUE`.
-fn arbitrary_condition() -> impl Strategy<Value = Condition> {
-    prop_oneof![
-        (0i64..7).prop_map(|v| Condition::equals("id", v)),
-        (0i64..7).prop_map(|v| Condition::not_equals("id", v)),
-        Just(Condition::equals("id", Value::Null)),
-        (-30i64..30).prop_map(|v| Condition::above("x", v as f64 / 2.0)),
-        (-30i64..30).prop_map(|v| Condition::at_least("x", v as f64 / 2.0)),
-        (-30i64..30).prop_map(|v| Condition::at_most("x", v as f64 / 2.0)),
-        ((-30i64..0), (0i64..30)).prop_map(|(lo, hi)| Condition::between(
+/// Condition shape `shape` (of [`CONDITION_SHAPES`]) over the table's
+/// columns, with parameters `k` and `k2`, each in −30..30; only the closed
+/// range reads both, as its two independent ends. Between them the shapes
+/// cover every kernel: numeric and string equality (negated too), half-open
+/// and closed ranges, `IN` sets with and without NULL members, containment
+/// (empty needle included), and the unbounded range that compiles to `TRUE`.
+fn condition_shape(shape: usize, k: i64, k2: i64) -> Condition {
+    let id = k.rem_euclid(7);
+    let member = k.rem_euclid(4);
+    let x = k as f64 / 2.0;
+    match shape {
+        0 => Condition::equals("id", id),
+        1 => Condition::not_equals("id", id),
+        2 => Condition::equals("id", Value::Null),
+        3 => Condition::above("x", x),
+        4 => Condition::at_least("x", x),
+        5 => Condition::at_most("x", x),
+        // Low end in −15.0..=−0.5, high end in 0.0..=14.5, drawn apart.
+        6 => Condition::between(
             "x",
-            lo as f64 / 2.0,
-            hi as f64 / 2.0
-        )),
-        Just(Condition::Range {
+            -(k.rem_euclid(30) + 1) as f64 / 2.0,
+            k2.rem_euclid(30) as f64 / 2.0,
+        ),
+        7 => Condition::Range {
             column: "x".into(),
             low: None,
             low_inclusive: false,
             high: None,
             high_inclusive: false,
-        }),
-        (0i64..4).prop_map(|v| Condition::in_set("id", vec![Value::Int(v), Value::Int(v + 2)])),
-        (0i64..4).prop_map(|v| Condition::in_set("id", vec![Value::Int(v), Value::Null])),
-        Just(Condition::in_set("memo", vec![Value::str("ok"), Value::str("Lab"), Value::Int(3)])),
-        Just(Condition::in_set("memo", vec![Value::str("ok"), Value::Null])),
-        (0usize..4).prop_map(|k| Condition::contains("memo", ["", "SPOUSE", "lab", "zzz"][k])),
-        Just(Condition::equals("memo", Value::str("ok"))),
-        Just(Condition::not_equals("memo", Value::str("ok"))),
-    ]
+        },
+        8 => Condition::in_set("id", vec![Value::Int(member), Value::Int(member + 2)]),
+        9 => Condition::in_set("id", vec![Value::Int(member), Value::Null]),
+        10 => Condition::in_set("memo", vec![Value::str("ok"), Value::str("Lab"), Value::Int(3)]),
+        11 => Condition::in_set("memo", vec![Value::str("ok"), Value::Null]),
+        12 => Condition::contains("memo", ["", "SPOUSE", "lab", "zzz"][member as usize]),
+        13 => Condition::equals("memo", Value::str("ok")),
+        _ => Condition::not_equals("memo", Value::str("ok")),
+    }
+}
+
+const CONDITION_SHAPES: usize = 15;
+
+/// A random condition: any shape, any parameters.
+fn arbitrary_condition() -> impl Strategy<Value = Condition> {
+    (0..CONDITION_SHAPES, -30i64..30, -30i64..30)
+        .prop_map(|(shape, k, k2)| condition_shape(shape, k, k2))
 }
 
 /// The scalar three-valued verdict of a boolean expression on one row.
@@ -319,5 +335,30 @@ proptest! {
         prop_assert!(a.or(&RowSet::empty(universe)) == a);
         prop_assert!(a.and_not(&a).is_empty());
         prop_assert!(a.and(&RowSet::full(universe)) == a);
+    }
+}
+
+/// The properties above on one more input, the fixed multi-chunk table:
+/// every condition shape through its kernel, row by row and through
+/// `matching_rows`, against the scalar walk, and `Expr::filter` against
+/// `filter_scalar` on trees over them — on columns of two sealed chunks
+/// and a tail, with NULLs either side of each boundary and a soft-deleted
+/// row in each chunk. (The random tables stop at 160 rows.)
+#[test]
+fn chunk_boundaries_are_invisible_to_every_kernel() {
+    let table = common::boundary_table(common::BOUNDARY_ROWS);
+    let conditions: Vec<Condition> = (0..CONDITION_SHAPES)
+        .map(|shape| condition_shape(shape, 2 * shape as i64 - 11, 7))
+        .collect();
+    for (shape, condition) in conditions.iter().enumerate() {
+        let alone = ConjunctivePredicate::new(vec![condition.clone()]);
+        assert_kernel_equivalence(&table, &alone).unwrap();
+        // In a tree with its neighbour: AND skips rows, OR and NOT do not.
+        let (a, b) = (condition.to_expr(), conditions[(shape + 1) % CONDITION_SHAPES].to_expr());
+        for expr in [a.clone().and(!b.clone()), a.or(b)] {
+            let compiled = CompiledBoolExpr::compile(&expr, &table).unwrap();
+            assert_compiled_equivalence(&table, &compiled, &expr).unwrap();
+            assert_eq!(expr.filter(&table).unwrap(), expr.filter_scalar(&table).unwrap());
+        }
     }
 }

@@ -22,9 +22,11 @@
 //! half-integer grid: any disagreement is an algorithmic bug in the
 //! absorb path, never floating-point reordering noise.
 
+mod common;
+
 use dbwipes::data::{generate_sensor, SensorConfig};
 use dbwipes::engine::{parse_select, ExclusionQuery, GroupedAggregateCache};
-use dbwipes::storage::{DataType, Schema, Value};
+use dbwipes::storage::{DataType, Schema, Value, CHUNK_ROWS};
 use dbwipes::{Catalog, RowId, Table};
 use dbwipes_server::SessionManager;
 use proptest::prelude::*;
@@ -201,6 +203,36 @@ proptest! {
         let excluded: Vec<RowId> = (base.num_rows()..grown.num_rows()).map(RowId).collect();
         assert_cache_matches_rebuild(&cache, &grown, sql, &excluded)?;
         assert_cache_matches_rebuild(&cache, &grown, sql, &[])?;
+    }
+}
+
+/// The headline property on one more input, the fixed multi-chunk table:
+/// a cache built over a snapshot whose tail is nearly full absorbs an
+/// append that seals that chunk and starts the next — the snapshot it was
+/// built on still held, so the append is a copy-on-write — and a second
+/// that lands in the new tail, bitwise identical to a cold build each time.
+#[test]
+fn absorbing_an_append_that_seals_a_chunk_matches_rebuild() {
+    let base = common::boundary_table(2 * CHUNK_ROWS - 100);
+    let mut grown_a = base.clone();
+    grown_a.push_rows(common::boundary_rows(base.num_rows()..2 * CHUNK_ROWS + 3)).unwrap();
+    let mut grown_b = grown_a.clone();
+    grown_b.push_rows(common::boundary_rows(grown_a.num_rows()..common::BOUNDARY_ROWS)).unwrap();
+    // Rows either side of both boundaries, appended ones among them.
+    let excluded: Vec<RowId> = [CHUNK_ROWS, 2 * CHUNK_ROWS]
+        .iter()
+        .flat_map(|boundary| (boundary - 3..boundary + 3).map(RowId))
+        .collect();
+    for sql in [
+        "SELECT id, avg(x), sum(x), count(*), count(x) FROM m GROUP BY id",
+        "SELECT id, memo, min(x), max(x), stddev(x) FROM m GROUP BY id, memo",
+        "SELECT flag, avg(x + id), max(x - 1) FROM m WHERE x > -5 GROUP BY flag",
+    ] {
+        let mut cache = GroupedAggregateCache::build(&base, &parse_select(sql).unwrap()).unwrap();
+        assert!(cache.absorb_append(&grown_a).unwrap() <= 103);
+        assert_cache_matches_rebuild(&cache, &grown_a, sql, &excluded).unwrap();
+        assert!(cache.absorb_append(&grown_b).unwrap() <= 14);
+        assert_cache_matches_rebuild(&cache, &grown_b, sql, &excluded).unwrap();
     }
 }
 
