@@ -475,6 +475,48 @@ mod tests {
         assert!(err.to_string().contains("cache was built for"), "{err}");
     }
 
+    /// A fault that *is* a BOOLEAN column: the learners split `flag` as a
+    /// number, the predicate says `flag = TRUE` — an expression the
+    /// validator accepts, so both ways of clicking it work.
+    #[test]
+    fn a_boolean_fault_is_explained_as_an_equality_and_can_be_clicked() {
+        use dbwipes_storage::{DataType, Schema, Table};
+        let schema = Schema::of(&[
+            ("hour", DataType::Int),
+            ("flag", DataType::Bool),
+            ("reading", DataType::Float),
+        ]);
+        let mut table = Table::new("t", schema).unwrap();
+        for i in 0..600i64 {
+            let (hour, flagged) = (i % 6, i % 6 == 4 && i % 5 < 2);
+            // Tenths around 20, and 95 on the flagged rows of hour 4.
+            let reading = if flagged { 95.0 } else { 20.0 + (i % 7) as f64 / 10.0 };
+            table
+                .push_row(vec![Value::Int(hour), Value::Bool(flagged), Value::Float(reading)])
+                .unwrap();
+        }
+        let sql = "SELECT hour, avg(reading) AS mean FROM t GROUP BY hour ORDER BY hour";
+        let stmt = dbwipes_engine::parse_select(sql).unwrap();
+        let result = dbwipes_engine::execute(&table, &stmt, Default::default()).unwrap();
+        let flagged: Vec<RowId> = (0..600).filter(|i| i % 6 == 4 && i % 5 < 2).map(RowId).collect();
+        let request =
+            ExplanationRequest::new(vec![4], flagged, ErrorMetric::too_high("mean", 25.0));
+        let explanation = explain_on_table(&table, &result, &request).unwrap();
+        let best = explanation.best().unwrap();
+        assert_eq!(best.predicate.to_string(), "flag = TRUE", "{}", explanation.to_display());
+        assert!(best.improvement > 0.99, "{}", best.summary());
+
+        let mut cleaning = crate::CleaningSession::new(stmt.clone());
+        cleaning.apply(best.predicate.clone());
+        let executed = cleaning.execute(&table).unwrap();
+        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
+        let cached = cleaning.execute_with_cache(&cache).unwrap();
+        assert!(executed.value_f64(4, "mean").unwrap().unwrap() < 21.0);
+        assert_eq!(format!("{:?}", cached.rows), format!("{:?}", executed.rows));
+        assert_eq!(cached.statement, executed.statement);
+        assert_eq!(cached.inputs_of(4), executed.inputs_of(4));
+    }
+
     #[test]
     fn shard_column_prefers_equality_tested_candidates() {
         let (db, _) = sensor_dbwipes();

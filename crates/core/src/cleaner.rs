@@ -16,8 +16,11 @@
 //!   later query; the returned row list allows undo.
 
 use crate::error::CoreError;
-use dbwipes_engine::{execute, ExecOptions, QueryResult, SelectStatement};
-use dbwipes_storage::{ConjunctivePredicate, RowId, Table};
+use dbwipes_engine::{
+    execute, validate, EngineError, ExecOptions, GroupedAggregateCache, QueryResult,
+    SelectStatement,
+};
+use dbwipes_storage::{ConjunctivePredicate, Expr, RowId, Table};
 
 /// An interactive cleaning session over one base query.
 #[derive(Debug, Clone)]
@@ -79,6 +82,38 @@ impl CleaningSession {
     /// Executes the current (cleaned) statement against the table.
     pub fn execute(&self, table: &Table) -> Result<QueryResult, CoreError> {
         execute(table, &self.current_statement(), ExecOptions::default()).map_err(CoreError::from)
+    }
+
+    /// What [`CleaningSession::execute`] answers over `cache`'s table —
+    /// values bit for bit, row order, lineage, and the error of a
+    /// predicate that does not fit the schema — without executing: the
+    /// rows the applied predicates leave (`NOT (p₁) AND NOT (p₂) …` TRUE,
+    /// so a row on which a predicate is NULL goes, as the rewritten WHERE
+    /// drops it) are read from the snapshot's condition bitmaps, and only
+    /// the groups that lose a row are aggregated again
+    /// ([`GroupedAggregateCache::cleaned_result`]). `cache` must retain
+    /// the base statement.
+    pub fn execute_with_cache(
+        &self,
+        cache: &GroupedAggregateCache<'_>,
+    ) -> Result<QueryResult, CoreError> {
+        if cache.statement() != &self.base {
+            return Err(CoreError::invalid(format!(
+                "cache was built for `{}` but the query being cleaned is `{}`",
+                cache.statement().to_sql(),
+                self.base.to_sql()
+            )));
+        }
+        let table = cache.table();
+        let shown = self.current_statement();
+        validate(table, &shown)?;
+        let exclusions = self.applied.iter().map(|p| p.to_exclusion_expr()).collect();
+        // A scan's error reaches the caller through the engine, as in `execute`.
+        let survivors = Expr::conjunction(exclusions)
+            .map(|keep| keep.filter_set(table))
+            .transpose()
+            .map_err(EngineError::from)?;
+        Ok(cache.cleaned_result(&shown, survivors.as_ref()))
     }
 }
 

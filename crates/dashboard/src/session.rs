@@ -13,7 +13,7 @@ use dbwipes_core::{
     CleaningSession, CoreError, DbWipes, ErrorMetric, ExplainConfig, Explanation,
     ExplanationRequest, RankedPredicate,
 };
-use dbwipes_engine::{GroupedAggregateCache, QueryResult};
+use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, QueryResult, SelectStatement};
 use dbwipes_storage::{RowId, Table};
 use std::sync::Arc;
 
@@ -123,7 +123,7 @@ impl DashboardSession {
     /// and replaces the displayed result with `refreshed`, which the
     /// caller computed over the new snapshot — typically via an
     /// append-absorbed cache's
-    /// [`full_result_with_lineage`](GroupedAggregateCache::full_result_with_lineage).
+    /// [`cleaned_result`](GroupedAggregateCache::cleaned_result).
     ///
     /// The user's in-flight investigation survives the refresh where it
     /// still makes sense:
@@ -333,44 +333,104 @@ impl DashboardSession {
         self.explanation.as_ref().map(|e| e.predicates.as_slice()).unwrap_or(&[])
     }
 
+    /// The `index`-th ranked predicate of the last `debug()` call.
+    pub fn ranked_predicate(&self, index: usize) -> Result<&RankedPredicate, CoreError> {
+        self.ranked_predicates()
+            .get(index)
+            .ok_or_else(|| CoreError::invalid(format!("no ranked predicate at index {index}")))
+    }
+
+    /// The statement of the last `run_query`, without any clicked
+    /// predicate — the statement a cache handed to
+    /// [`DashboardSession::click_predicate_with_cache`] retains.
+    pub fn base_statement(&self) -> Option<&SelectStatement> {
+        self.cleaning.as_ref().map(CleaningSession::base_statement)
+    }
+
     /// Clicks the `index`-th ranked predicate: the predicate is added to the
     /// query as `AND NOT (...)`, the query re-executes, and the
     /// visualization/query form update (step 7). Returns the new result.
     pub fn click_predicate(&mut self, index: usize) -> Result<&QueryResult, CoreError> {
-        let predicate =
-            self.ranked_predicates().get(index).map(|p| p.predicate.clone()).ok_or_else(|| {
-                CoreError::invalid(format!("no ranked predicate at index {index}"))
-            })?;
-        let cleaning = self
-            .cleaning
-            .as_mut()
-            .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        cleaning.apply(predicate);
-        self.reexecute_cleaned()
+        let predicate = self.ranked_predicate(index)?.predicate.clone();
+        self.cleaning_mut()?.apply(predicate);
+        self.show_cleaned(None)
     }
 
     /// Un-applies the most recently clicked predicate and re-executes.
     pub fn undo_clean(&mut self) -> Result<&QueryResult, CoreError> {
-        let cleaning = self
-            .cleaning
-            .as_mut()
-            .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        cleaning.undo();
-        self.reexecute_cleaned()
+        self.cleaning_mut()?.undo();
+        self.show_cleaned(None)
     }
 
-    /// Re-executes the cleaning session's current (rewritten) statement and
-    /// resets the visualization state — the one place encoding what a
-    /// predicate click or undo does to the session, so apply and undo
-    /// cannot drift apart.
-    fn reexecute_cleaned(&mut self) -> Result<&QueryResult, CoreError> {
+    /// [`DashboardSession::click_predicate`] answered from an
+    /// externally-owned cache of the *base* statement over the session's
+    /// current table data (the server's `CacheRegistry` keeps the one
+    /// `debug` built): the same result, statement and session state,
+    /// without re-executing. Any other cache is rejected before anything
+    /// is applied.
+    pub fn click_predicate_with_cache(
+        &mut self,
+        index: usize,
+        cache: &GroupedAggregateCache<'_>,
+    ) -> Result<&QueryResult, CoreError> {
+        let predicate = self.ranked_predicate(index)?.predicate.clone();
+        self.check_base_cache(cache)?;
+        self.cleaning_mut()?.apply(predicate);
+        self.show_cleaned(Some(cache))
+    }
+
+    /// [`DashboardSession::undo_clean`] answered from a cache of the base
+    /// statement — see [`DashboardSession::click_predicate_with_cache`].
+    pub fn undo_clean_with_cache(
+        &mut self,
+        cache: &GroupedAggregateCache<'_>,
+    ) -> Result<&QueryResult, CoreError> {
+        self.check_base_cache(cache)?;
+        self.cleaning_mut()?.undo();
+        self.show_cleaned(Some(cache))
+    }
+
+    fn cleaning_mut(&mut self) -> Result<&mut CleaningSession, CoreError> {
+        self.cleaning.as_mut().ok_or_else(|| CoreError::invalid("no query has been executed"))
+    }
+
+    /// Refuses a cache that does not retain the base statement over the
+    /// very data this session reads.
+    fn check_base_cache(&self, cache: &GroupedAggregateCache<'_>) -> Result<(), CoreError> {
+        let base = self
+            .base_statement()
+            .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
+        let table = self.db.catalog().table(&base.table).map_err(CoreError::from)?;
+        if cache.fingerprint() != CacheFingerprint::of(table, base) {
+            return Err(CoreError::invalid(format!(
+                "cache retains `{}` over another table version, not the session's `{}`",
+                cache.statement().to_sql(),
+                base.to_sql()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Produces the result of the cleaning session's current (rewritten)
+    /// statement — by executing it, or from `cache` — and resets the
+    /// visualization state: the one place encoding what a predicate click
+    /// or undo does to the session, so apply and undo, executed and
+    /// cached, cannot drift apart.
+    fn show_cleaned(
+        &mut self,
+        cache: Option<&GroupedAggregateCache<'_>>,
+    ) -> Result<&QueryResult, CoreError> {
         let cleaning = self
             .cleaning
             .as_ref()
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        let table =
-            self.db.catalog().table(&cleaning.base_statement().table).map_err(CoreError::from)?;
-        let result = cleaning.execute(table)?;
+        let result = match cache {
+            Some(cache) => cleaning.execute_with_cache(cache)?,
+            None => {
+                let table = &cleaning.base_statement().table;
+                cleaning.execute(self.db.catalog().table(table).map_err(CoreError::from)?)?
+            }
+        };
         self.query_form.show_statement(&result.statement);
         self.result = Some(result);
         self.selected_outputs.clear();
@@ -525,6 +585,56 @@ mod tests {
     }
 
     #[test]
+    fn click_and_undo_with_a_cache_match_the_executed_path() {
+        let explained = || {
+            let (mut s, ds) = session();
+            s.run_query(&ds.window_query()).unwrap();
+            s.brush_outputs("window", "std_temp", Brush::above(8.0));
+            s.brush_inputs("sensorid", "temp", Brush::above(100.0));
+            s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
+            s.debug().unwrap();
+            s
+        };
+        let (mut executed, mut cached) = (explained(), explained());
+        let table = cached.current_table().unwrap().clone();
+        let base = cached.base_statement().unwrap().clone();
+        let cache = GroupedAggregateCache::build(&table, &base).unwrap();
+        let same = |a: &DashboardSession, b: &DashboardSession| {
+            let (a, b) = (a.result().unwrap(), b.result().unwrap());
+            assert_eq!(a.statement, b.statement);
+            assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
+            assert_eq!(a.group_keys, b.group_keys);
+            (0..a.len()).for_each(|g| assert_eq!(a.inputs_of(g), b.inputs_of(g), "group {g}"));
+        };
+
+        // A cache of another statement, or of this statement over other
+        // data, is refused before the predicate is applied.
+        let other = dbwipes_engine::parse_select("SELECT avg(temp) FROM readings").unwrap();
+        let wrong = GroupedAggregateCache::build(&table, &other).unwrap();
+        assert!(cached.click_predicate_with_cache(0, &wrong).is_err());
+        let mut moved = table.clone();
+        moved.delete_row(RowId(0)).unwrap();
+        let stale = GroupedAggregateCache::build(&moved, &base).unwrap();
+        assert!(cached.click_predicate_with_cache(0, &stale).is_err());
+        assert!(cached.undo_clean_with_cache(&stale).is_err());
+        assert!(cached.applied_predicates().is_empty());
+        assert_eq!(cached.state(), SessionState::Explained);
+        assert!(cached.click_predicate_with_cache(99, &cache).is_err());
+
+        executed.click_predicate(0).unwrap();
+        cached.click_predicate_with_cache(0, &cache).unwrap();
+        same(&executed, &cached);
+        assert_eq!(cached.current_sql(), executed.current_sql());
+        assert_eq!(cached.applied_predicates(), executed.applied_predicates());
+        assert_eq!(cached.state(), SessionState::ResultsShown);
+
+        executed.undo_clean().unwrap();
+        cached.undo_clean_with_cache(&cache).unwrap();
+        same(&executed, &cached);
+        assert!(cached.applied_predicates().is_empty());
+    }
+
+    #[test]
     fn explain_config_flows_into_debug() {
         let (mut s, ds) = session();
         s.run_query(&ds.window_query()).unwrap();
@@ -581,7 +691,7 @@ mod tests {
         let grown = Arc::new(grown);
         let stmt = s.result().unwrap().statement.clone();
         let cache = GroupedAggregateCache::build_shared(Arc::clone(&grown), &stmt).unwrap();
-        let refreshed = cache.full_result_with_lineage();
+        let refreshed = cache.cleaned_result(&stmt, None);
 
         // A mismatched statement is rejected before anything mutates.
         let other = s.backend().query("SELECT count(*) FROM readings").unwrap();

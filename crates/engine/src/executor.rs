@@ -9,7 +9,7 @@
 //!
 //! The pipeline stages are factored into standalone crate-private
 //! functions (`scan_filter`, `build_groups`, `ArgReader`,
-//! `project_row`, `output_order`, `output_schema`) shared with the
+//! `aggregate_outputs`, `project_row`, `output_order`, `output_schema`) shared with the
 //! incremental re-aggregation cache in [`crate::incremental`], so the full
 //! and incremental paths cannot drift apart.
 
@@ -250,7 +250,7 @@ impl<'a> ArgReader<'a> {
 
 /// Computes the finished value of every aggregate SELECT item over one
 /// group's rows, in SELECT-list order of the aggregate items.
-fn aggregate_outputs(
+pub(crate) fn aggregate_outputs(
     table: &Table,
     stmt: &SelectStatement,
     g_rows: &[RowId],
@@ -365,8 +365,9 @@ pub(crate) fn output_order(
     Ok(order)
 }
 
-/// Validates the statement against the table schema.
-pub(crate) fn validate(table: &Table, stmt: &SelectStatement) -> Result<(), EngineError> {
+/// Validates the statement against the table schema: what [`execute`]
+/// checks, and refuses with, before it reads a row.
+pub fn validate(table: &Table, stmt: &SelectStatement) -> Result<(), EngineError> {
     if stmt.items.is_empty() {
         return Err(EngineError::plan("SELECT list is empty"));
     }

@@ -47,20 +47,34 @@
 //! without GROUP BY, which remains and reports its empty-input values
 //! (NULLs, `COUNT` = 0).
 //!
-//! Results carry no fine-grained lineage (equivalent to executing with
-//! `capture_lineage: false`); callers that need lineage for the *original*
-//! result should keep using [`crate::execute`].
+//! ## Two constructors, two contracts
+//!
+//! [`GroupedAggregateCache::result`] is the *scoring* path: thousands of
+//! candidates a second, each answer only compared with a threshold, no
+//! lineage (as if executed with `capture_lineage: false`). It subtracts,
+//! and a floating-point subtraction agrees with an execution over the
+//! remaining rows to the last few bits, not in them — exactly on the
+//! dyadic values most tests use, not on `0.1`.
+//!
+//! [`GroupedAggregateCache::cleaned_result`] is the *display* path: the
+//! result a session shows after a streamed append, a clicked predicate or
+//! an undo. It never subtracts — a group that lost rows is aggregated
+//! again over the rows it keeps, in scan order — so it equals
+//! [`crate::execute`] on the rewritten statement bit for bit, row order
+//! and per-group lineage included, at the cost of reading the touched
+//! groups' rows once instead of scanning, hashing and grouping the table.
 
 use crate::aggregate::AggregateState;
 use crate::ast::{AggregateCall, SelectExpr, SelectStatement};
 use crate::error::EngineError;
 use crate::executor::{
-    build_groups, output_order, output_schema, project_row, scan_filter, scan_filter_suffix,
-    validate, ArgReader,
+    aggregate_outputs, build_groups, output_order, output_schema, project_row, scan_filter,
+    scan_filter_suffix, validate, ArgReader,
 };
 use crate::result::QueryResult;
 use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
 use dbwipes_storage::{RowId, RowSet, Schema, Table, TableEpoch, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -492,21 +506,79 @@ impl<'t> GroupedAggregateCache<'t> {
         self.result(&ExclusionQuery::new())
     }
 
-    /// [`GroupedAggregateCache::full_result`] with fine-grained lineage:
-    /// every output group records exactly the input rows the executor
-    /// would have recorded, so the result is indistinguishable from
-    /// [`crate::execute`] on the same table (timing aside). This is the
-    /// streaming-append refresh path: a session whose table only gained
-    /// rows replaces its displayed result from the absorbed cache instead
-    /// of re-executing, and downstream lineage consumers (the influence
-    /// preprocessor's fallback) keep working.
-    pub fn full_result_with_lineage(&self) -> QueryResult {
+    /// The result the dashboard displays: what [`crate::execute`] answers
+    /// for `shown` — this cache's statement, plus whatever conjuncts
+    /// "clean as you query" appended to its WHERE — when `survivors` holds
+    /// the rows on which those conjuncts are TRUE (rows the cache did not
+    /// retain are ignored; `None` keeps every retained row: the cached
+    /// statement itself, which is how a streamed append refreshes a
+    /// session and how the last `undo` restores the base result). Timing
+    /// and operator graph aside the result is indistinguishable from that
+    /// execution, lineage included:
+    ///
+    /// * a group that lost no row reuses its cached output row and records
+    ///   its row list;
+    /// * a group that lost rows is aggregated again from empty states over
+    ///   the rows it keeps, in scan order, through the executor's own
+    ///   per-group functions — no [`AggregateState::remove`], whose
+    ///   floating-point subtraction agrees with an execution only to the
+    ///   last few bits — and records exactly those rows; under GROUP BY it
+    ///   vanishes when it keeps none;
+    /// * groups are put back in first-seen order of the rows they keep
+    ///   before ORDER BY / LIMIT, so ties break as they do in a scan.
+    pub fn cleaned_result(
+        &self,
+        shown: &SelectStatement,
+        survivors: Option<&RowSet>,
+    ) -> QueryResult {
         let start = Instant::now();
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.groups.len());
-        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(self.groups.len());
-        for group in &self.groups {
-            rows.push(group.template.clone());
-            keys.push(group.key.clone());
+        debug_assert_eq!(
+            SelectStatement { where_clause: self.stmt.where_clause.clone(), ..shown.clone() },
+            self.stmt,
+            "`shown` is the cached statement with a longer WHERE"
+        );
+        let table: &Table = &self.table;
+        let touched = survivors.map_or_else(HashMap::new, |keep| {
+            self.touched_positions_of(self.membership.and_not(keep).iter(), None)
+        });
+        // Cannot fail: `fold` evaluated the same expressions on these rows.
+        const FOLDED: &str = "evaluated on this row when it was folded in";
+
+        /// One remaining group: its output row and the rows behind it.
+        struct Remaining<'c> {
+            row: Vec<Value>,
+            key: &'c [Value],
+            inputs: Cow<'c, [RowId]>,
+        }
+        let mut remaining: Vec<Remaining<'_>> = Vec::with_capacity(self.groups.len());
+        for (gi, group) in self.groups.iter().enumerate() {
+            let Some(lost) = touched.get(&(gi as u32)) else {
+                let (row, inputs) = (group.template.clone(), Cow::from(&group.rows));
+                remaining.push(Remaining { row, key: &group.key, inputs });
+                continue;
+            };
+            let mut lost = lost.iter().peekable();
+            let kept: Vec<RowId> = (0u32..)
+                .zip(&group.rows)
+                .filter(|(pos, _)| lost.next_if_eq(&pos).is_none())
+                .map(|(_, &rid)| rid)
+                .collect();
+            if kept.is_empty() && !self.stmt.group_by.is_empty() {
+                continue;
+            }
+            let outputs = aggregate_outputs(table, &self.stmt, &kept).expect(FOLDED);
+            let row = project_row(table, &self.stmt, &group.key, &kept, &outputs).expect(FOLDED);
+            remaining.push(Remaining { row, key: &group.key, inputs: Cow::from(kept) });
+        }
+        if !touched.is_empty() {
+            remaining.sort_by_key(|group| group.inputs.first().copied());
+        }
+
+        let (mut rows, mut keys, mut inputs) = (Vec::new(), Vec::new(), Vec::new());
+        for group in remaining {
+            rows.push(group.row);
+            keys.push(group.key.to_vec());
+            inputs.push(group.inputs);
         }
         let order = output_order(&self.stmt, &rows, &keys).expect("validated at build time");
         let mut final_rows = Vec::with_capacity(order.len());
@@ -516,9 +588,10 @@ impl<'t> GroupedAggregateCache<'t> {
             final_rows.push(std::mem::take(&mut rows[i]));
             final_keys.push(std::mem::take(&mut keys[i]));
             let g = lineage.add_group();
-            lineage.record_all(g, self.groups[i].rows.iter().copied());
+            lineage.record_all(g, inputs[i].iter().copied());
         }
         let mut result = self.finish_result(final_rows, final_keys, start);
+        result.statement = shown.clone();
         result.lineage = lineage;
         result
     }
@@ -1239,8 +1312,59 @@ mod tests {
         assert!(cache.absorb_append(&other).is_err());
     }
 
+    /// `cleaned_result` against an execution of the rewritten statement:
+    /// values by bit pattern, keys, row order and per-group lineage.
+    fn check_cleaned(table: &Table, cache: &GroupedAggregateCache<'_>, keep: Option<&str>) {
+        let keep = keep.map(|sql| crate::parser::parse_expr(sql).unwrap());
+        let shown = match &keep {
+            Some(keep) => cache.statement().with_additional_filter(keep.clone()),
+            None => cache.statement().clone(),
+        };
+        let survivors =
+            keep.map(|keep| RowSet::from_rows(table.num_rows(), &keep.filter(table).unwrap()));
+        let got = cache.cleaned_result(&shown, survivors.as_ref());
+        let want = execute(table, &shown, ExecOptions::default()).unwrap();
+        let bits = |rows: &[Vec<Value>]| format!("{rows:?}");
+        assert_eq!(got.statement, shown);
+        assert_eq!(bits(&got.rows), bits(&want.rows), "{shown}");
+        assert_eq!(bits(&got.group_keys), bits(&want.group_keys), "{shown}");
+        assert_eq!(got.schema, want.schema, "{shown}");
+        for s in 0..want.len() {
+            assert_eq!(got.inputs_of(s), want.inputs_of(s), "{shown}: group {s}");
+        }
+    }
+
     #[test]
-    fn full_result_with_lineage_matches_execution() {
+    fn cleaned_result_matches_execution_of_the_rewritten_statement() {
+        let mut table = readings();
+        // Tenths: sums that are not exact in binary.
+        table.push_row(vec![Value::Int(0), Value::Int(4), Value::Float(0.1)]).unwrap();
+        table.push_row(vec![Value::Int(1), Value::Int(4), Value::Float(0.7)]).unwrap();
+        for sql in [
+            "SELECT hour, avg(temp) AS a, stddev(temp), count(*) FROM readings GROUP BY hour",
+            "SELECT hour, min(temp), max(temp), hour * 2 FROM readings GROUP BY hour ORDER BY 2 DESC",
+            "SELECT avg(temp), count(*), min(temp) FROM readings WHERE sensorid <> 2",
+            // Every group counts 1 after `sensorid <> 1 …`: LIMIT keeps the
+            // tie a scan meets first.
+            "SELECT sensorid, count(*) AS n FROM readings GROUP BY sensorid ORDER BY n LIMIT 2",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
+            for keep in [
+                None,
+                Some("NOT (sensorid = 3)"),
+                Some("NOT (temp > 21.5)"), // NULL on row 4: excluded
+                Some("NOT (sensorid = 1) AND NOT (hour = 0)"),
+                Some("NOT (sensorid >= 0)"), // nothing survives
+                Some("NOT (sensorid = 99)"), // everything does
+            ] {
+                check_cleaned(&table, &cache, keep);
+            }
+        }
+    }
+
+    #[test]
+    fn cleaned_result_of_an_absorbed_cache_matches_execution() {
         let mut table = readings();
         let stmt =
             parse_select("SELECT hour, avg(temp) AS a FROM readings GROUP BY hour ORDER BY a DESC")
@@ -1248,13 +1372,10 @@ mod tests {
         let snapshot = table.clone();
         let mut cache = GroupedAggregateCache::build(&snapshot, &stmt).unwrap();
         table.push_row(vec![Value::Int(2), Value::Int(7), Value::Float(80.0)]).unwrap();
+        table.push_row(vec![Value::Int(0), Value::Int(3), Value::Float(0.3)]).unwrap();
         cache.absorb_append(&table).unwrap();
-        let got = cache.full_result_with_lineage();
-        let want = execute(&table, &stmt, ExecOptions { capture_lineage: true }).unwrap();
-        assert_eq!(got.rows, want.rows);
-        assert_eq!(got.group_keys, want.group_keys);
-        for s in 0..want.len() {
-            assert_eq!(got.inputs_of(s), want.inputs_of(s), "group {s}");
-        }
+        check_cleaned(&table, &cache, None);
+        check_cleaned(&table, &cache, Some("NOT (sensorid = 3)"));
+        check_cleaned(&table, &cache, Some("NOT (sensorid = 7)"));
     }
 }

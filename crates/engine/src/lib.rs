@@ -80,7 +80,7 @@ pub use ast::{
     SortOrder,
 };
 pub use error::EngineError;
-pub use executor::{execute, execute_on_catalog, execute_sql, ExecOptions};
+pub use executor::{execute, execute_on_catalog, execute_sql, validate, ExecOptions};
 pub use incremental::{CacheFingerprint, ExclusionQuery, GroupedAggregateCache};
 pub use parser::{parse_expr, parse_select};
 pub use result::QueryResult;

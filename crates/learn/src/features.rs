@@ -23,8 +23,11 @@ use std::sync::{Arc, OnceLock};
 /// The kind of a learned feature.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FeatureKind {
-    /// A numeric attribute (int, float, timestamp, bool as 0/1).
+    /// A numeric attribute (int, float, timestamp).
     Numeric,
+    /// A boolean attribute: learned as the numbers 0 and 1, written back
+    /// as an equality (`flag <= 0.5` is not an expression over a BOOLEAN).
+    Boolean,
     /// A categorical attribute with a dictionary of observed values.
     Categorical {
         /// Distinct values observed when the space was built; category
@@ -130,10 +133,16 @@ impl FeatureSpace {
             let Some(idx) = table.schema().index_of(name) else { continue };
             let field = table.schema().field_at(idx).expect("index resolved");
             match field.dtype {
-                DataType::Int | DataType::Float | DataType::Timestamp | DataType::Bool => {
+                DataType::Int | DataType::Float | DataType::Timestamp => {
                     features.push(FeatureDef {
                         column: field.name.clone(),
                         kind: FeatureKind::Numeric,
+                    });
+                }
+                DataType::Bool => {
+                    features.push(FeatureDef {
+                        column: field.name.clone(),
+                        kind: FeatureKind::Boolean,
                     });
                 }
                 DataType::Str => {
@@ -233,7 +242,7 @@ impl FeatureSpace {
             .map(|f| {
                 let column = table.column_by_name(&f.column);
                 match &f.kind {
-                    FeatureKind::Numeric => {
+                    FeatureKind::Numeric | FeatureKind::Boolean => {
                         let cells = rows.iter().map(|r| column.and_then(|c| c.get_f64(r.index())));
                         FeatureColumn::Numeric(NumericColumn::from_cells(cells))
                     }

@@ -9,9 +9,11 @@
 //! positive root-to-leaf paths as conjunctive rules — which the enumerator
 //! then converts into the ranked predicates shown to the user.
 
-use crate::features::{fold_categories, Dataset, FeatureColumn, FeatureSpace, FeatureValue};
+use crate::features::{
+    fold_categories, Dataset, FeatureColumn, FeatureKind, FeatureSpace, FeatureValue,
+};
 use crate::metrics::{gain_ratio, gini_gain};
-use dbwipes_storage::{Condition, ConjunctivePredicate};
+use dbwipes_storage::{Condition, ConjunctivePredicate, Value};
 
 /// Split-selection criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,6 +190,19 @@ impl Rule {
         for (feature, def) in space.features().iter().enumerate() {
             let (lo, hi) = (lower[feature], upper[feature]);
             if lo.is_none() && hi.is_none() {
+                continue;
+            }
+            if def.kind == FeatureKind::Boolean {
+                // The bounds admit `false` (0), `true` (1), both or neither.
+                let admits = |v: f64| lo.map_or(true, |lo| v > lo) && hi.map_or(true, |hi| v <= hi);
+                let admitted: Vec<Value> = [(0.0, false), (1.0, true)]
+                    .into_iter()
+                    .filter_map(|(v, flag)| admits(v).then_some(Value::Bool(flag)))
+                    .collect();
+                conditions.push(match &admitted[..] {
+                    [flag] => Condition::equals(def.column.clone(), flag.clone()),
+                    _ => Condition::in_set(def.column.clone(), admitted),
+                });
                 continue;
             }
             conditions.push(Condition::Range {
@@ -693,6 +708,32 @@ mod tests {
         // A single range condition on x, not two separate conditions.
         assert_eq!(pred.complexity(), 1);
         assert!(pred.to_string().contains("x"));
+    }
+
+    #[test]
+    fn bounds_on_a_boolean_feature_become_the_values_they_admit() {
+        let schema = Schema::of(&[("flag", DataType::Bool)]);
+        let mut t = Table::new("t", schema).unwrap();
+        for cell in [Value::Bool(false), Value::Bool(true), Value::Null] {
+            t.push_row(vec![cell]).unwrap();
+        }
+        let rows: Vec<RowId> = t.visible_row_ids().collect();
+        let space = FeatureSpace::build(&t, &["flag".into()], &rows, 8);
+        for (tests, text, matching) in [
+            (vec![PathTest::Le(0.5)], "flag = FALSE", vec![RowId(0)]),
+            (vec![PathTest::Gt(0.5)], "flag = TRUE", vec![RowId(1)]),
+            (vec![PathTest::Gt(0.0), PathTest::Le(1.0)], "flag = TRUE", vec![RowId(1)]),
+            (vec![PathTest::Le(1.0)], "flag IN (FALSE, TRUE)", vec![RowId(0), RowId(1)]),
+            (vec![PathTest::Gt(1.0)], "flag IN ()", vec![]),
+        ] {
+            let rule = Rule { tests: tests.into_iter().map(|t| (0, t)).collect(), pos: 1, neg: 0 };
+            let predicate = rule.to_predicate(&space);
+            assert_eq!(predicate.to_string(), text);
+            // An expression over a BOOLEAN, on the kernels and on the walk.
+            predicate.to_expr().validate(t.schema()).unwrap();
+            assert_eq!(predicate.matching_rows(&t), matching, "{text}");
+            assert_eq!(predicate.to_expr().filter_scalar(&t).unwrap(), matching, "{text}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::executor::PoolStats;
 use crate::registry::{CacheRegistry, ExplainKey};
 use dbwipes_core::{ComponentTimings, CoreError, DbWipes, Explanation};
 use dbwipes_dashboard::DashboardSession;
-use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache};
+use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, QueryResult};
 use dbwipes_storage::{Catalog, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -177,6 +177,49 @@ impl ServerSession {
         Ok((explanation, DebugCacheReport { cache_hit, memo_hit: false }))
     }
 
+    /// `click_predicate` through the shared registry: the clicked
+    /// predicate's result is read from the retained aggregate cache of the
+    /// *base* statement — the one `debug` built a moment earlier, absorbed
+    /// forward if rows were streamed in since, built (and counted as a
+    /// miss) only when it was evicted — instead of re-executing. A bad
+    /// index is refused before any lookup is counted.
+    pub fn click_predicate_cached(
+        &mut self,
+        index: usize,
+        registry: &CacheRegistry,
+    ) -> Result<&QueryResult, CoreError> {
+        self.dashboard.ranked_predicate(index)?;
+        let cache = self.base_cache(registry)?;
+        self.dashboard.click_predicate_with_cache(index, &cache)
+    }
+
+    /// `undo` through the shared registry — see
+    /// [`ServerSession::click_predicate_cached`].
+    pub fn undo_cached(&mut self, registry: &CacheRegistry) -> Result<&QueryResult, CoreError> {
+        let cache = self.base_cache(registry)?;
+        self.dashboard.undo_clean_with_cache(&cache)
+    }
+
+    /// The registry's cache of the session's base statement over the table
+    /// data the session reads.
+    fn base_cache(
+        &self,
+        registry: &CacheRegistry,
+    ) -> Result<Arc<GroupedAggregateCache<'static>>, CoreError> {
+        let stmt = self
+            .dashboard
+            .base_statement()
+            .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
+        let table =
+            self.dashboard.backend().catalog().table_arc(&stmt.table).map_err(CoreError::from)?;
+        let (cache, _) = registry
+            .get_or_absorb_or_build(CacheFingerprint::of(&table, stmt), &table, || {
+                GroupedAggregateCache::build_shared(Arc::clone(&table), stmt)
+            })
+            .map_err(CoreError::from)?;
+        Ok(cache)
+    }
+
     /// Adopts a freshly appended snapshot of `table` (streaming
     /// ingestion). The adoption is deliberately conservative — the
     /// session only follows an append that is a pure fast-forward of what
@@ -224,7 +267,7 @@ impl ServerSession {
                 GroupedAggregateCache::build_shared(Arc::clone(table), &stmt)
             })
             .map_err(CoreError::from)?;
-        let refreshed = cache.full_result_with_lineage();
+        let refreshed = cache.cleaned_result(&stmt, None);
         self.dashboard.refresh_after_append(Arc::clone(table), refreshed)?;
         Ok(true)
     }

@@ -154,12 +154,13 @@ fn four_concurrent_clients_run_the_full_loop_with_shared_cache_reuse() {
     // snapshot: exactly one aggregate-cache build total, with the other
     // three first-debugs (distinct brushes → distinct requests) reusing it.
     // Each session's second debug repeated its own exact request, so it
-    // replayed the explanation memo instead. (The post-click rewritten
-    // statement was never debugged, so it built nothing.)
+    // replayed the explanation memo instead. Every click and every undo
+    // read its result from that one cache too — two more hits a client —
+    // and the rewritten statement, never debugged, built nothing.
     let stats = expect_ok(&manager, r#"{"cmd":"stats"}"#);
     let cache = stats.get("cache").unwrap();
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1), "{cache}");
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some((CLIENTS - 1) as u64), "{cache}");
+    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some((3 * CLIENTS - 1) as u64), "{cache}");
     assert!(cache.get("hit_rate").and_then(Json::as_f64).unwrap() > 0.5);
     assert_eq!(
         cache.get("explanation_misses").and_then(Json::as_u64),

@@ -10,6 +10,7 @@
 //! row only when the predicate evaluates to `TRUE` (not NULL).
 
 use crate::error::StorageError;
+use crate::rowset::RowSet;
 use crate::table::{RowId, Table};
 use crate::value::{DataType, Value};
 use std::fmt;
@@ -458,6 +459,25 @@ impl Expr {
         match crate::predicate::vectorized_filter(compiled, table) {
             Some(rows) => Ok(rows),
             None => self.filter_scalar(table),
+        }
+    }
+
+    /// [`Expr::filter`] as a bitmap over the table's physical rows, folded
+    /// from the snapshot's shared condition bitmaps
+    /// ([`Table::condition_bitmaps`]): a leaf that a ranking over this
+    /// snapshot already scanned — every condition of a predicate the
+    /// analyst can click — is a lookup, not a scan. The same rows as
+    /// `filter`, by the same compile-or-scalar rule, counted the same way.
+    pub fn filter_set(&self, table: &Table) -> Result<RowSet, StorageError> {
+        let bitmaps = table.condition_bitmaps();
+        let evaluated = bitmaps.bool_expr(table, self);
+        crate::predicate::count_filter(evaluated.is_some());
+        match evaluated {
+            Some(mut tri) => {
+                tri.trues.and_assign(bitmaps.visible());
+                Ok(tri.trues)
+            }
+            None => Ok(RowSet::from_rows(table.num_rows(), &self.filter_scalar(table)?)),
         }
     }
 

@@ -1242,20 +1242,21 @@ pub(crate) fn vectorized_filter(
     compiled: Result<CompiledBoolExpr<'_>, StorageError>,
     table: &Table,
 ) -> Option<Vec<RowId>> {
-    match compiled {
-        Ok(compiled) => {
-            GLOBAL_BOOL_VECTORIZED.fetch_add(1, AtomicOrdering::Relaxed);
-            Some(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids())
-        }
-        Err(_) => {
-            GLOBAL_BOOL_FALLBACKS.fetch_add(1, AtomicOrdering::Relaxed);
-            None
-        }
-    }
+    count_filter(compiled.is_ok());
+    let compiled = compiled.ok()?;
+    Some(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids())
+}
+
+/// Counts one filter evaluation: served by a compiled tree, or left to
+/// the scalar walk.
+pub(crate) fn count_filter(vectorized: bool) {
+    let counter = if vectorized { &GLOBAL_BOOL_VECTORIZED } else { &GLOBAL_BOOL_FALLBACKS };
+    counter.fetch_add(1, AtomicOrdering::Relaxed);
 }
 
 /// Process-wide `(vectorized, fallback)` counts of filter evaluations
-/// ([`Expr::filter`], hence every WHERE clause, and
+/// ([`Expr::filter`] and [`Expr::filter_set`], hence every WHERE clause
+/// and every clicked exclusion, and
 /// [`ConjunctivePredicate::matching_rows`]): served by a
 /// [`CompiledBoolExpr`], or left to the scalar expression walk because
 /// the clause did not compile.

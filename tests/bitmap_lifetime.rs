@@ -25,8 +25,6 @@ struct Question {
     output: (&'static str, f64),
     input: (&'static str, f64),
     high: bool,
-    /// Columns the learners leave alone.
-    exclude: &'static [&'static str],
 }
 
 /// The explanation of `q` over `table`: every field but the wall-clock
@@ -46,8 +44,7 @@ fn explain(q: &Question, table: &Table) -> String {
         true => ErrorMetric::too_high(q.output.0, q.output.1),
         false => ErrorMetric::too_low(q.output.0, q.output.1),
     };
-    let mut request = ExplanationRequest::new(outputs, inputs, metric);
-    request.config.exclude_columns.extend(q.exclude.iter().map(|c| c.to_string()));
+    let request = ExplanationRequest::new(outputs, inputs, metric);
     let e = explain_on_table(table, &result, &request).unwrap();
     format!("{:?}\n{:#?}\n{:?}\n{:?}", e.base_error, e.predicates, e.influence, e.candidates)
 }
@@ -143,7 +140,6 @@ fn sensor_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
         output: ("std_temp", 6.0),
         input: ("temp", 70.0),
         high: true,
-        exclude: &[],
     };
     check_lifetime("sensor", ds.table, &q);
 }
@@ -156,7 +152,6 @@ fn fec_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
         output: ("total", 0.0),
         input: ("amount", 0.0),
         high: false,
-        exclude: &[],
     };
     check_lifetime("fec", ds.table, &q);
 }
@@ -172,9 +167,6 @@ fn chunked_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
         output: ("ax", 1.5),
         input: ("x", 17.5),
         high: true,
-        // A split on a BOOLEAN column renders as `flag <= 0.5`, which the
-        // expression validator refuses (ROADMAP, sweep item).
-        exclude: &["flag"],
     };
     // `check_lifetime` deletes rows in every chunk itself, and expects its
     // restore to bring back the table it was given.

@@ -14,12 +14,22 @@
 //! floating-point reordering noise. (On arbitrary reals the incremental
 //! values can drift from re-summation by FP-rounding ulps, which the ranker
 //! tolerates; exactness of the *algebra* is what these tests pin down.)
+//!
+//! The *displayed* path — `click_predicate_with_cache` /
+//! `undo_clean_with_cache`, hence `GroupedAggregateCache::cleaned_result`
+//! — never subtracts, so its property draws values on tenths, where sums
+//! are not exact and a subtraction would show in the last bits, and asks
+//! for everything `CleaningSession::execute` answers: statement, schema,
+//! values by bit pattern, keys, row order, lineage, error strings.
 
+mod common;
+
+use dbwipes::core::{ComponentTimings, CoreError, Explanation, InfluenceReport, RankedPredicate};
 use dbwipes::engine::{
     execute, parse_select, ExclusionQuery, ExecOptions, GroupedAggregateCache, QueryResult,
 };
-use dbwipes::storage::{DataType, Schema, Value};
-use dbwipes::{Catalog, RowId, Table};
+use dbwipes::storage::{Condition, ConjunctivePredicate, DataType, Schema, Value, CHUNK_ROWS};
+use dbwipes::{Catalog, DashboardSession, DbWipes, ErrorMetric, RowId, Table};
 use proptest::prelude::*;
 
 /// A random sensor-style table whose `value` column lies on the
@@ -44,6 +54,70 @@ fn arbitrary_table() -> impl Strategy<Value = Table> {
         }
         t
     })
+}
+
+/// The same shape on tenths — sums no `f64` holds exactly — with NULLs in
+/// the columns predicates are clicked on (`grp` one row in four, `device`
+/// and `value` one in three).
+fn arbitrary_tenths_table() -> impl Strategy<Value = Table> {
+    let nullable = |n: i64| prop_oneof![Just(None), (0..n).prop_map(Some), (0..n).prop_map(Some)];
+    let grp = prop_oneof![nullable(4), (0i64..4).prop_map(Some)];
+    let value = nullable(400).prop_map(|k| k.map(|k| (k - 100) as f64 / 10.0));
+    proptest::collection::vec((grp, nullable(6), value), 1..60).prop_map(|rows| {
+        let schema = Schema::of(&[
+            ("grp", DataType::Int),
+            ("device", DataType::Int),
+            ("value", DataType::Float),
+        ]);
+        let mut t = Table::new("m", schema).unwrap();
+        let cell = |v: Option<Value>| v.unwrap_or(Value::Null);
+        for (g, d, v) in rows {
+            t.push_row(vec![
+                cell(g.map(Value::Int)),
+                cell(d.map(Value::Int)),
+                cell(v.map(Value::Float)),
+            ])
+            .unwrap();
+        }
+        t
+    })
+}
+
+/// Number of shapes [`clicked_predicate`] draws from.
+const PREDICATE_SHAPES: usize = 11;
+
+/// A predicate an analyst could click, over the columns of the random
+/// tables: equality, ranges, `IN`, a conjunction, one that matches
+/// nothing, one that empties a whole group, one that empties the table,
+/// and two that do not fit the schema.
+fn clicked_predicate(shape: usize, k: i64, k2: i64) -> ConjunctivePredicate {
+    let tenth = |k: i64| k as f64 / 10.0;
+    ConjunctivePredicate::new(match shape {
+        0 => vec![Condition::equals("device", k.rem_euclid(6))],
+        1 => vec![Condition::between("value", tenth(k.min(k2)), tenth(k.max(k2)))],
+        2 => vec![Condition::above("value", tenth(k))],
+        3 => vec![Condition::at_most("value", tenth(k))],
+        4 => vec![Condition::in_set(
+            "device",
+            vec![Value::Int(k.rem_euclid(6)), Value::Int(k2.rem_euclid(6))],
+        )],
+        5 => {
+            vec![Condition::equals("device", k.rem_euclid(6)), Condition::above("value", tenth(k2))]
+        }
+        6 => vec![Condition::equals("device", 99i64)],
+        7 => vec![Condition::equals("grp", k.rem_euclid(4))],
+        // NULL on the rows without a device, which therefore go too.
+        8 => vec![Condition::at_least("device", 0.0)],
+        9 => vec![Condition::equals("nope", 1i64)],
+        _ => vec![Condition::equals("device", Value::str("x"))],
+    })
+}
+
+/// A stack of 0–3 predicates to click one after the other.
+fn arbitrary_clicks() -> impl Strategy<Value = Vec<ConjunctivePredicate>> {
+    let click = (0..PREDICATE_SHAPES, -100i64..300, -100i64..300)
+        .prop_map(|(shape, k, k2)| clicked_predicate(shape, k, k2));
+    proptest::collection::vec(click, 0..4)
 }
 
 /// A random exclusion set: a subset of row indices (some possibly out of
@@ -109,8 +183,167 @@ fn assert_equivalent(table: &Table, sql: &str, excluded: &[RowId]) -> Result<(),
     Ok(())
 }
 
+/// A value's identity: floats by bit pattern (`Value`'s own equality
+/// compares numbers across types).
+fn identity(row: &[Value]) -> Vec<String> {
+    let one = |v: &Value| match v {
+        Value::Float(f) => format!("f64:{:016x}", f.to_bits()),
+        other => format!("{other:?}"),
+    };
+    row.iter().map(one).collect()
+}
+
+/// `got == want`, or a message saying which `part` of `what` differs.
+fn same<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    part: &str,
+    got: T,
+    want: T,
+) -> Result<(), String> {
+    prop_assert!(got == want, "{what}: {part}: from the cache {got:?}, executed {want:?}");
+    Ok(())
+}
+
+/// Everything a displayed result is: statement, schema, rows bit for bit
+/// and in order, keys, per-group lineage — or the same refusal.
+fn assert_same_answer(
+    what: &str,
+    executed: Result<&QueryResult, CoreError>,
+    cached: Result<&QueryResult, CoreError>,
+) -> Result<(), String> {
+    let (want, got) = match (executed, cached) {
+        (Err(want), Err(got)) => return same(what, "error", got.to_string(), want.to_string()),
+        (Ok(want), Ok(got)) => (want, got),
+        (want, got) => return Err(format!("{what}: executed {want:?}, from the cache {got:?}")),
+    };
+    same(what, "statement", &got.statement, &want.statement)?;
+    same(what, "schema", &got.schema, &want.schema)?;
+    same(what, "rows", got.len(), want.len())?;
+    for i in 0..want.len() {
+        same(what, "row", identity(&got.rows[i]), identity(&want.rows[i]))?;
+        same(what, "key", identity(&got.group_keys[i]), identity(&want.group_keys[i]))?;
+        same(what, "lineage", got.inputs_of(i), want.inputs_of(i))?;
+    }
+    Ok(())
+}
+
+/// Clicks `clicks` one after the other and then undoes them all, in two
+/// sessions over `table`: one executes every rewritten statement
+/// (`CleaningSession::execute`, the oracle), one reads `cache`, which
+/// retains `sql`. After every step both display the same thing.
+fn assert_cleaning_from_cache_matches_execution(
+    table: &Table,
+    sql: &str,
+    cache: &GroupedAggregateCache<'_>,
+    clicks: &[ConjunctivePredicate],
+) -> Result<(), String> {
+    let session = || {
+        let mut db = DbWipes::new();
+        db.register(table.clone()).unwrap();
+        let mut session = DashboardSession::new(db);
+        session.run_query(sql).unwrap();
+        session
+    };
+    // What a `debug` would leave, had it ranked exactly `clicks`.
+    let ranked = |predicate: &ConjunctivePredicate| RankedPredicate {
+        predicate: predicate.clone(),
+        score: 0.0,
+        error_before: 0.0,
+        error_after: 0.0,
+        improvement: 0.0,
+        example_f1: 0.0,
+        complexity: predicate.complexity(),
+        matched_rows: 0,
+    };
+    let explanation = Explanation {
+        predicates: clicks.iter().map(ranked).collect(),
+        influence: InfluenceReport { base_error: 0.0, influences: Vec::new() },
+        candidates: Vec::new(),
+        timings: ComponentTimings::default(),
+        base_error: 0.0,
+    };
+    let explain = |session: &mut DashboardSession| {
+        session.select_outputs(vec![0]);
+        session.set_metric(ErrorMetric::too_high("value", 0.0));
+        session.install_explanation(explanation.clone()).unwrap();
+    };
+
+    let (mut executed, mut cached) = (session(), session());
+    for (i, predicate) in clicks.iter().enumerate() {
+        explain(&mut executed);
+        explain(&mut cached);
+        let what = format!("{sql}: click {i} ({predicate}) of {clicks:?}");
+        let got = cached.click_predicate_with_cache(i, cache);
+        assert_same_answer(&what, executed.click_predicate(i), got)?;
+        same(&what, "sql", cached.current_sql(), executed.current_sql())?;
+        same(&what, "applied", cached.applied_predicates(), executed.applied_predicates())?;
+    }
+    for i in 0..=clicks.len() {
+        let what = format!("{sql}: undo {i} of {clicks:?}");
+        let got = cached.undo_clean_with_cache(cache);
+        assert_same_answer(&what, executed.undo_clean(), got)?;
+        same(&what, "sql", cached.current_sql(), executed.current_sql())?;
+    }
+    Ok(())
+}
+
+/// The fixed multi-chunk table (NULLs either side of each boundary, a
+/// soft-deleted row per chunk), cold and with a cache that absorbed an
+/// append across a chunk seal before the first click.
+#[test]
+fn cleaning_from_the_cache_matches_execution_across_chunk_boundaries() {
+    let table = common::boundary_table(common::BOUNDARY_ROWS);
+    let base = common::boundary_table(2 * CHUNK_ROWS - 100);
+    let mut grown = base.clone();
+    grown.push_rows(common::boundary_rows(base.num_rows()..2 * CHUNK_ROWS + 3)).unwrap();
+    let minute = |row: usize| (row * 60) as f64;
+    let clicks = [
+        // Straddles the first boundary, NULL timestamps included.
+        ConjunctivePredicate::new(vec![Condition::between(
+            "at",
+            minute(CHUNK_ROWS - 40),
+            minute(CHUNK_ROWS + 40),
+        )]),
+        ConjunctivePredicate::new(vec![
+            Condition::equals("id", 3i64),
+            Condition::contains("memo", "SPOUSE"),
+        ]),
+        ConjunctivePredicate::new(vec![Condition::equals("flag", true)]),
+    ];
+    for sql in [
+        "SELECT id, avg(x), stddev(x), min(x), count(*) FROM m GROUP BY id",
+        "SELECT id, flag, sum(x + id), max(x) FROM m WHERE x > -5 GROUP BY id, flag ORDER BY 3 DESC LIMIT 5",
+        "SELECT avg(x), max(x), count(x) FROM m",
+    ] {
+        let stmt = parse_select(sql).unwrap();
+        let cold = GroupedAggregateCache::build(&table, &stmt).unwrap();
+        assert_cleaning_from_cache_matches_execution(&table, sql, &cold, &clicks).unwrap();
+        let mut absorbed = GroupedAggregateCache::build(&base, &stmt).unwrap();
+        absorbed.absorb_append(&grown).unwrap();
+        assert_cleaning_from_cache_matches_execution(&grown, sql, &absorbed, &clicks).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The displayed path's oracle property: on tables whose sums are not
+    /// exact, with NULLs under the predicates, every statement shape and a
+    /// stack of 0–3 clicked predicates, a click and an undo answered from
+    /// the base statement's cache equal `CleaningSession::execute` on the
+    /// rewritten statement in everything a result carries.
+    #[test]
+    fn cleaning_from_the_cache_matches_execution(
+        table in arbitrary_tenths_table(),
+        clicks in arbitrary_clicks(),
+        sql_a in arbitrary_statement(),
+        sql_b in arbitrary_statement(),
+    ) {
+        for sql in [&sql_a, &sql_b] {
+            let cache = GroupedAggregateCache::build(&table, &parse_select(sql).unwrap()).unwrap();
+            assert_cleaning_from_cache_matches_execution(&table, sql, &cache, &clicks)?;
+        }
+    }
 
     /// The headline equivalence property: 256 random (table, statement,
     /// exclusion-set) triples, bitwise-identical results. Four statements

@@ -194,7 +194,8 @@ proptest! {
     /// trees agree with the scalar three-valued walk row for row —
     /// UNKNOWN propagation through the Kleene connectives included — on
     /// random tables (empty and soft-deleted rows too), and the vectorized
-    /// `Expr::filter` fast path returns exactly the scalar oracle's rows.
+    /// `Expr::filter` / `Expr::filter_set` fast paths return exactly the
+    /// scalar oracle's rows.
     #[test]
     fn boolean_trees_match_scalar_walk(
         table in arbitrary_table(),
@@ -223,6 +224,7 @@ proptest! {
         assert_compiled_equivalence(&table, &compiled, &expr)?;
         // The user-facing filter paths: vectorized == scalar oracle.
         prop_assert_eq!(expr.filter(&table).unwrap(), expr.filter_scalar(&table).unwrap());
+        prop_assert_eq!(expr.filter_set(&table).unwrap().to_row_ids(), expr.filter(&table).unwrap());
     }
 
     /// Sharded zone-map pruning is *exact*: evaluating a conjunction per
