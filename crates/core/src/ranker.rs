@@ -108,7 +108,7 @@ pub struct RankedPredicate {
 }
 
 impl RankedPredicate {
-    /// One-line rendering used by examples and the report binaries.
+    /// One-line rendering used by the examples.
     pub fn summary(&self) -> String {
         format!(
             "score={:+.3} improvement={:>5.1}% f1={:.2} removes={} :: {}",

@@ -21,11 +21,6 @@ impl QueryForm {
         QueryForm::default()
     }
 
-    /// Replaces the form's SQL text.
-    pub fn set_text(&mut self, sql: impl Into<String>) {
-        self.text = sql.into();
-    }
-
     /// The current SQL text.
     pub fn text(&self) -> &str {
         &self.text
@@ -103,10 +98,10 @@ mod tests {
     fn query_form_validates_and_updates() {
         let mut form = QueryForm::new();
         assert!(form.validate().is_err());
-        form.set_text("SELECT window, avg(temp) FROM readings GROUP BY window");
-        let stmt = form.validate().unwrap();
-        assert_eq!(stmt.table, "readings");
+        let stmt = parse_select("SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        form.show_statement(&stmt);
         assert_eq!(form.text(), "SELECT window, avg(temp) FROM readings GROUP BY window");
+        assert_eq!(form.validate().unwrap(), stmt);
 
         let rewritten = stmt.with_additional_filter(
             dbwipes_storage::col("temp").lt_eq(dbwipes_storage::lit(100.0)),

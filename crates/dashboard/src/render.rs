@@ -2,7 +2,7 @@
 //!
 //! The real DBWipes dashboard draws d3 scatterplots; the headless
 //! reproduction renders the same series as fixed-size character grids so
-//! the examples and report binaries can show Figure 4 / Figure 7 style
+//! the examples can show Figure 4 / Figure 7 style
 //! plots in a terminal.
 
 use crate::scatter::ScatterSeries;

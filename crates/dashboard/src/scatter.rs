@@ -108,11 +108,6 @@ impl Brush {
         Brush { x_min: f64::NEG_INFINITY, x_max: f64::INFINITY, y_min: f64::NEG_INFINITY, y_max: y }
     }
 
-    /// A brush over an x interval (any y).
-    pub fn x_between(x_min: f64, x_max: f64) -> Brush {
-        Brush { x_min, x_max, y_min: f64::NEG_INFINITY, y_max: f64::INFINITY }
-    }
-
     /// True when the point lies inside the brush.
     pub fn contains(&self, p: &ScatterPoint) -> bool {
         p.x >= self.x_min && p.x <= self.x_max && p.y >= self.y_min && p.y <= self.y_max
@@ -245,7 +240,6 @@ mod tests {
         assert_eq!(selected, vec![2]);
         assert!(Brush::above(30.0).selected_inputs(&s).is_empty());
         assert_eq!(Brush::below(30.0).selected_outputs(&s), vec![0, 1]);
-        assert_eq!(Brush::x_between(1.0, 2.0).selected_outputs(&s), vec![1, 2]);
         let everything = Brush { x_min: -1e9, x_max: 1e9, y_min: -1e9, y_max: 1e9 };
         assert_eq!(everything.selected_outputs(&s).len(), 3);
     }

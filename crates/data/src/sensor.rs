@@ -56,11 +56,6 @@ impl SensorConfig {
     pub fn small() -> Self {
         SensorConfig { num_readings: 6_000, ..Default::default() }
     }
-
-    /// A configuration sized like the real deployment (2.3M readings).
-    pub fn full_scale() -> Self {
-        SensorConfig { num_readings: 2_300_000, ..Default::default() }
-    }
 }
 
 /// A generated sensor dataset: the `readings` table plus ground truth.

@@ -226,11 +226,6 @@ impl SelectStatement {
             .collect()
     }
 
-    /// True when the SELECT list contains at least one aggregate.
-    pub fn has_aggregates(&self) -> bool {
-        !self.aggregates().is_empty()
-    }
-
     /// Renders the statement back to SQL. The rendering is canonical (upper
     /// case keywords, explicit aliases omitted when absent) and is what the
     /// dashboard shows in the query form after each cleaning step.
@@ -381,7 +376,6 @@ mod tests {
     #[test]
     fn aggregates_accessor() {
         let s = stmt();
-        assert!(s.has_aggregates());
         assert_eq!(s.aggregates().len(), 1);
         assert_eq!(s.aggregates()[0].func, AggregateFunc::Sum);
         assert_eq!(s.aggregates()[0].to_string(), "sum(amount)");

@@ -70,29 +70,6 @@ impl QueryResult {
         Ok(self.value(row, name)?.as_f64())
     }
 
-    /// Indices (into the SELECT list / output columns) of the aggregate
-    /// items.
-    pub fn aggregate_columns(&self) -> Vec<usize> {
-        self.statement
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, item)| matches!(item.expr, crate::ast::SelectExpr::Aggregate(_)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indices of the non-aggregate (group key) items.
-    pub fn key_columns(&self) -> Vec<usize> {
-        self.statement
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, item)| !matches!(item.expr, crate::ast::SelectExpr::Aggregate(_)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The input rows (in the FROM table) that produced output row `row`.
     pub fn inputs_of(&self, row: usize) -> &[RowId] {
         self.lineage.inputs_of(row)
@@ -104,8 +81,8 @@ impl QueryResult {
         self.lineage.inputs_of_groups(rows)
     }
 
-    /// Renders the result as a fixed-width ASCII table (used by examples
-    /// and the report binaries).
+    /// Renders the result as a fixed-width ASCII table (used by the
+    /// examples).
     pub fn to_display(&self, limit: usize) -> String {
         let names = self.column_names();
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
@@ -208,8 +185,6 @@ mod tests {
         assert_eq!(r.value_f64(0, "hour").unwrap(), Some(0.0));
         assert!(r.value(5, "hour").is_err());
         assert!(r.value(0, "missing").is_err());
-        assert_eq!(r.aggregate_columns(), vec![1]);
-        assert_eq!(r.key_columns(), vec![0]);
     }
 
     #[test]

@@ -209,11 +209,6 @@ impl FeatureSpace {
         self.features.iter().position(|f| f.column.eq_ignore_ascii_case(column))
     }
 
-    /// Extracts the feature vector of a single row.
-    pub fn extract_row(&self, table: &Table, row: RowId) -> Vec<FeatureValue> {
-        self.extract_columns(table, &[row]).instance(0)
-    }
-
     /// Extracts a dataset (feature matrix) for the given rows.
     ///
     /// Asked for exactly the rows the space was built over, on the table
@@ -578,7 +573,6 @@ mod tests {
         assert_eq!(ds.value(2, 1).as_cat(), Some(0)); // "kitchen" sorts first
         assert_eq!(ds.value(0, 0).as_num(), Some(20.0));
         assert_eq!(ds.value(0, 1).as_num(), None);
-        assert_eq!(ds.instance(2), space.extract_row(&t, rows[2]));
         assert!(ds.value(0, 9).is_missing());
     }
 

@@ -12,7 +12,6 @@
 //! quantifies.
 
 use dbwipes_storage::RowId;
-use std::collections::BTreeMap;
 
 /// Index of an output row (group) within a query result.
 pub type GroupIdx = usize;
@@ -85,29 +84,6 @@ impl Lineage {
     pub fn attribution_count(&self) -> usize {
         self.groups.iter().map(|g| g.len()).sum()
     }
-
-    /// Builds the inverted index: input row → output groups it contributed
-    /// to. With a single GROUP BY each row maps to at most one group, but
-    /// the structure supports the general case.
-    pub fn invert(&self) -> BTreeMap<RowId, Vec<GroupIdx>> {
-        let mut index: BTreeMap<RowId, Vec<GroupIdx>> = BTreeMap::new();
-        for (g, rows) in self.groups.iter().enumerate() {
-            for &r in rows {
-                index.entry(r).or_default().push(g);
-            }
-        }
-        index
-    }
-
-    /// Average number of inputs per output group — the "precision" problem
-    /// the paper motivates: returning this many tuples per suspicious output
-    /// is what the ranked system improves on.
-    pub fn mean_inputs_per_group(&self) -> f64 {
-        if self.groups.is_empty() {
-            return 0.0;
-        }
-        self.attribution_count() as f64 / self.groups.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -146,22 +122,5 @@ mod tests {
         let f = l.inputs_of_groups(&[0, 2]);
         assert_eq!(f, vec![RowId(0), RowId(1), RowId(2)]);
         assert_eq!(l.all_inputs(), vec![RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
-    }
-
-    #[test]
-    fn inverted_index() {
-        let mut l = sample();
-        l.record(2, RowId(1));
-        let idx = l.invert();
-        assert_eq!(idx[&RowId(1)], vec![0, 2]);
-        assert_eq!(idx[&RowId(3)], vec![1]);
-        assert_eq!(idx.len(), 5);
-    }
-
-    #[test]
-    fn mean_inputs_per_group() {
-        let l = sample();
-        assert!((l.mean_inputs_per_group() - 5.0 / 3.0).abs() < 1e-12);
-        assert_eq!(Lineage::new("t").mean_inputs_per_group(), 0.0);
     }
 }

@@ -45,8 +45,6 @@ pub enum StorageError {
     /// An expression could not be evaluated (division by zero, bad operand
     /// types discovered at runtime, ...).
     Eval(String),
-    /// CSV parsing or serialization failure.
-    Csv(String),
     /// An operating-system I/O failure in the persistence layer. Carries
     /// the rendered message (not the `std::io::Error` itself) so the error
     /// type stays `Clone + PartialEq`.
@@ -75,7 +73,6 @@ impl fmt::Display for StorageError {
             StorageError::UnknownTable(name) => write!(f, "unknown table: {name}"),
             StorageError::TableExists(name) => write!(f, "table already exists: {name}"),
             StorageError::Eval(msg) => write!(f, "evaluation error: {msg}"),
-            StorageError::Csv(msg) => write!(f, "csv error: {msg}"),
             StorageError::Io(msg) => write!(f, "io error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
         }
@@ -131,7 +128,6 @@ mod tests {
         assert!(StorageError::UnknownTable("t".into()).to_string().contains("t"));
         assert!(StorageError::TableExists("t".into()).to_string().contains("exists"));
         assert!(StorageError::Eval("bad".into()).to_string().contains("bad"));
-        assert!(StorageError::Csv("bad".into()).to_string().contains("csv"));
         assert!(StorageError::DuplicateColumn("c".into()).to_string().contains("c"));
         assert!(StorageError::Io("disk full".into()).to_string().contains("disk full"));
         assert!(StorageError::Corrupt("bad magic".into()).to_string().contains("bad magic"));

@@ -63,11 +63,6 @@ impl BinaryOp {
         matches!(self, BinaryOp::And | BinaryOp::Or)
     }
 
-    /// True for arithmetic operators.
-    pub fn is_arithmetic(self) -> bool {
-        matches!(self, BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div)
-    }
-
     /// SQL spelling of the operator.
     pub fn sql(self) -> &'static str {
         match self {

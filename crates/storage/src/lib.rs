@@ -4,7 +4,7 @@
 //! [`Value`]s, [`Schema`]s, columnar [`Table`]s with stable [`RowId`]s and
 //! soft deletion, a scalar [`Expr`]ession language with SQL three-valued
 //! logic, human-readable [`ConjunctivePredicate`]s (the output format of the
-//! Ranked Provenance System), a table [`Catalog`], and CSV import/export.
+//! Ranked Provenance System), and a table [`Catalog`].
 //!
 //! The original DBWipes demo (Wu, Madden, Stonebraker, VLDB 2012) ran on top
 //! of PostgreSQL; this crate plus `dbwipes-engine` replaces that dependency
@@ -63,7 +63,6 @@
 
 pub mod catalog;
 pub mod column;
-pub mod csv;
 pub mod error;
 pub mod expr;
 pub mod faults;

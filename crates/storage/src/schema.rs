@@ -106,16 +106,6 @@ impl Schema {
         self.fields.iter().map(|f| f.name.clone()).collect()
     }
 
-    /// Returns the names of all columns with a numeric data type.
-    pub fn numeric_columns(&self) -> Vec<String> {
-        self.fields.iter().filter(|f| f.dtype.is_numeric()).map(|f| f.name.clone()).collect()
-    }
-
-    /// Returns the names of all string-typed (categorical) columns.
-    pub fn string_columns(&self) -> Vec<String> {
-        self.fields.iter().filter(|f| f.dtype == DataType::Str).map(|f| f.name.clone()).collect()
-    }
-
     /// Appends a field, returning a new schema.
     pub fn with_field(&self, field: Field) -> Result<Self, StorageError> {
         let mut fields = self.fields.clone();
@@ -165,13 +155,6 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn numeric_and_string_column_listing() {
-        let s = sample();
-        assert_eq!(s.numeric_columns(), vec!["id".to_string(), "temp".to_string()]);
-        assert_eq!(s.string_columns(), vec!["name".to_string()]);
     }
 
     #[test]

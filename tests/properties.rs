@@ -148,17 +148,4 @@ proptest! {
             prop_assert!(t.influence <= report.base_error + 1e-9);
         }
     }
-
-    /// CSV round-trips preserve every visible row.
-    #[test]
-    fn csv_round_trip(table in arbitrary_table()) {
-        let csv = dbwipes::storage::csv::to_csv(&table);
-        let back = dbwipes::storage::csv::from_csv("m", &csv).unwrap();
-        prop_assert_eq!(back.num_rows(), table.visible_rows());
-        for (new_idx, old_id) in table.visible_row_ids().enumerate() {
-            let original = table.row(old_id).unwrap();
-            let round_tripped = back.row(RowId(new_idx)).unwrap();
-            prop_assert_eq!(original, round_tripped);
-        }
-    }
 }
