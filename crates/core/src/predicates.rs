@@ -81,8 +81,7 @@ pub fn enumerate_predicates(
     // Decision-tree predicates.
     if !space.is_empty() && labels.iter().any(|&l| l) && labels.iter().any(|&l| !l) {
         let dataset = space.extract(table, f_rows);
-        for tree_config in &config.tree_configs {
-            let tree = DecisionTree::train(&dataset, &labels, *tree_config);
+        for tree in DecisionTree::train_all(&dataset, &labels, &config.tree_configs) {
             for rule in tree.positive_rules() {
                 let predicate = rule.to_predicate(space);
                 if !predicate.is_trivial() {
@@ -115,23 +114,28 @@ fn mine_text_predicates(
             continue;
         }
         let Some(column) = table.column_by_name(&field.name) else { continue };
-        // value -> (positive occurrences, total occurrences within F)
-        let mut counts: HashMap<&str, (usize, usize)> = HashMap::new();
+        // (value, positive occurrences, total occurrences within F), values
+        // in first-seen order of F so the predicates come out in an order
+        // that does not depend on hashing.
+        let mut counts: Vec<(&str, usize, usize)> = Vec::new();
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
         for &rid in f_rows {
             let Some(text) = column.get_str(rid.index()) else { continue };
-            if text.is_empty() {
+            let full = counts.len() >= config.max_text_values;
+            if text.is_empty() || (full && !slot_of.contains_key(text)) {
                 continue;
             }
-            if counts.len() >= config.max_text_values && !counts.contains_key(text) {
-                continue;
-            }
-            let entry = counts.entry(text).or_insert((0, 0));
-            entry.1 += 1;
+            let slot = *slot_of.entry(text).or_insert_with(|| {
+                counts.push((text, 0, 0));
+                counts.len() - 1
+            });
+            let entry = &mut counts[slot];
+            entry.2 += 1;
             if positive.contains_row(rid) {
-                entry.0 += 1;
+                entry.1 += 1;
             }
         }
-        for (value, (pos, total)) in counts {
+        for (value, pos, total) in counts {
             if pos >= config.min_text_support
                 && (pos as f64 / total as f64) >= config.min_text_precision
             {
@@ -230,6 +234,31 @@ mod tests {
             ..Default::default()
         };
         assert!(enumerate_predicates(&t, &space, &all, &candidate, &config).is_empty());
+    }
+
+    #[test]
+    fn text_predicates_of_equal_support_come_out_in_first_seen_order() {
+        // BETA and ALPHA have identical support and precision, so the ranker
+        // would keep whatever order they arrive in.
+        let schema = Schema::of(&[("memo", DataType::Str)]);
+        let mut t = Table::new("t", schema).unwrap();
+        for i in 0..40 {
+            t.push_row(vec![Value::str(["BETA", "ALPHA", "OTHER", "OTHER"][i % 4])]).unwrap();
+        }
+        let all: Vec<RowId> = t.visible_row_ids().collect();
+        let errors = all.iter().copied().filter(|r| r.index() % 4 < 2).collect();
+        let space = FeatureSpace::build_excluding(&t, &["memo".into()], &all);
+        let candidate = CandidateDataset { rows: errors, source: CandidateSource::CleanedExamples };
+        let config = PredicateEnumConfig { tree_configs: vec![], ..Default::default() };
+        let texts = || -> Vec<String> {
+            enumerate_predicates(&t, &space, &all, &candidate, &config)
+                .iter()
+                .map(ToString::to_string)
+                .collect()
+        };
+        for _ in 0..20 {
+            assert_eq!(texts(), ["memo LIKE '%BETA%'", "memo LIKE '%ALPHA%'"]);
+        }
     }
 
     #[test]

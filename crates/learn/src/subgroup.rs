@@ -273,9 +273,14 @@ pub fn discover_subgroups(
     }
     let pos_set = RowSet::from_indices(n, (0..n).filter(|&i| labels[i]));
     let positive_words = pos_set.word_slice();
+    // The words that hold a positive: the only ones a weight sum reads.
+    let holding_positives: Vec<usize> =
+        (0..positive_words.len()).filter(|&w| positive_words[w] != 0).collect();
 
-    // CN2-SD weighted covering: every positive starts with weight 1.
+    // CN2-SD weighted covering: every positive starts with weight 1, so
+    // until the first decay a covered weight sum is the covered count.
     let mut weights: Vec<f64> = labels.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
+    let mut decayed = false;
     let mut subgroups: Vec<Subgroup> = Vec::new();
     let mut expansions: Vec<Expansion> = Vec::new();
 
@@ -289,34 +294,37 @@ pub fn discover_subgroups(
         let mut best: Option<(Subgroup, RowSet)> = None;
         for _level in 0..config.max_conditions {
             // Score every extension of every beam rule under the current
-            // weights without materialising its coverage: one fused pass
-            // intersects, counts both classes and sums the covered
-            // positives' weights (in ascending instance order).
+            // weights without materialising its coverage: one pass over the
+            // words holding positives counts the covered positives and sums
+            // their weights (in ascending instance order); only a rule
+            // covering enough of them has its whole coverage counted.
             expansions.clear();
             for (rule, (tests, covered)) in beam.iter().enumerate() {
+                let rule_words = covered.word_slice();
                 for (candidate, cand) in candidates.iter().enumerate() {
                     if tests.iter().any(|t| t == cand) {
                         continue;
                     }
-                    let (mut total, mut covered_pos, mut covered_pos_w) = (0u32, 0u32, 0.0);
-                    let extension = candidate_sets[candidate].word_slice();
-                    for (w, (&rule_word, &test_word)) in
-                        covered.word_slice().iter().zip(extension).enumerate()
-                    {
-                        let both = rule_word & test_word;
-                        total += both.count_ones();
-                        let mut positives = both & positive_words[w];
+                    let test_words = candidate_sets[candidate].word_slice();
+                    let (mut covered_pos, mut covered_pos_w) = (0u32, 0.0);
+                    for &w in &holding_positives {
+                        let mut positives = rule_words[w] & test_words[w] & positive_words[w];
                         covered_pos += positives.count_ones();
-                        while positives != 0 {
+                        while decayed && positives != 0 {
                             covered_pos_w += weights[w * 64 + positives.trailing_zeros() as usize];
                             positives &= positives - 1;
                         }
                     }
-                    let (total, covered_pos) = (total as usize, covered_pos as usize);
+                    if !decayed {
+                        covered_pos_w = f64::from(covered_pos);
+                    }
+                    let covered_pos = covered_pos as usize;
                     if covered_pos < config.min_positive_coverage {
                         continue;
                     }
-                    let covered_neg = total - covered_pos;
+                    let total: u32 =
+                        rule_words.iter().zip(test_words).map(|(r, t)| (r & t).count_ones()).sum();
+                    let covered_neg = total as usize - covered_pos;
                     let wracc = weighted_relative_accuracy(
                         covered_pos_w,
                         covered_neg as f64,
@@ -375,6 +383,7 @@ pub fn discover_subgroups(
         for i in rule_set.and(&pos_set).iter() {
             weights[i] *= config.covered_weight_decay;
         }
+        decayed = true;
         // Stop if we re-discover an identical rule.
         if subgroups.iter().any(|s| s.tests == rule.tests) {
             break;

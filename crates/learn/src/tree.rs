@@ -232,6 +232,23 @@ impl DecisionTree {
     /// Panics if `labels.len() != dataset.len()`; the caller constructs both
     /// from the same row list.
     pub fn train(dataset: &Dataset, labels: &[bool], config: TreeConfig) -> DecisionTree {
+        DecisionTree::train_all(dataset, labels, &[config]).pop().expect("one tree per config")
+    }
+
+    /// Trains one tree per configuration on the same dataset and labels —
+    /// tree `i` is exactly `train(dataset, labels, configs[i])`.
+    ///
+    /// The trees grow together: each node sweeps every feature once and
+    /// scores every configuration still splitting there on that sweep, and
+    /// configurations that choose the same split share its partition and
+    /// the nodes below it until they stop or disagree.
+    ///
+    /// Panics if `labels.len() != dataset.len()`.
+    pub fn train_all(
+        dataset: &Dataset,
+        labels: &[bool],
+        configs: &[TreeConfig],
+    ) -> Vec<DecisionTree> {
         assert_eq!(dataset.len(), labels.len(), "labels must align with instances");
         let indices: Vec<u32> = (0..dataset.len() as u32).collect();
         let orders: Vec<&[u32]> = dataset
@@ -245,16 +262,22 @@ impl DecisionTree {
         let mut grower = Grower {
             dataset,
             labels,
-            config: &config,
+            configs,
             goes_left: vec![false; dataset.len()],
             cum_pos: Vec::new(),
             thresholds: Vec::new(),
         };
-        let mut root = grower.grow(&indices, &orders, 0);
-        if config.prune {
-            root = prune(root);
-        }
-        DecisionTree { root, config, num_features: dataset.num_features() }
+        let all: Vec<usize> = (0..configs.len()).collect();
+        let roots = grower.grow(&indices, &orders, 0, &all);
+        roots
+            .into_iter()
+            .zip(configs)
+            .map(|(root, &config)| DecisionTree {
+                root: if config.prune { prune(root) } else { root },
+                config,
+                num_features: dataset.num_features(),
+            })
+            .collect()
     }
 
     /// The root node.
@@ -366,7 +389,8 @@ fn collect_rules(node: &TreeNode, path: &mut Vec<(usize, PathTest)>, rules: &mut
     }
 }
 
-/// Grows one tree from the dataset's presorted feature orders.
+/// Grows a list of trees, one per configuration, from the dataset's
+/// presorted feature orders.
 ///
 /// Every node carries, per numeric feature, its instances in the matrix's
 /// sort order: the root borrows the matrix's own permutations and a child's
@@ -375,58 +399,101 @@ fn collect_rules(node: &TreeNode, path: &mut Vec<(usize, PathTest)>, rules: &mut
 /// node's instances (ascending) followed by a stable `total_cmp` sort
 /// produces, so thresholds, class counts, scores and tie-breaking are those
 /// of the per-node sort.
+///
+/// A node is shared by every configuration whose tree reaches it: the
+/// sweep is done once for all of them, and only where they choose
+/// different splits do their trees part.
 struct Grower<'a> {
     dataset: &'a Dataset,
     labels: &'a [bool],
-    config: &'a TreeConfig,
+    configs: &'a [TreeConfig],
     /// Per instance: which side of the split being applied it falls on.
     goes_left: Vec<bool>,
-    /// Scratch of `best_split`: `cum_pos[j]` = positives among a feature's
-    /// first `j` sorted values.
+    /// Scratch of `best_splits`: `cum_pos[j]` = positives among a
+    /// feature's first `j` sorted values.
     cum_pos: Vec<u32>,
-    /// Scratch of `best_split`: (midpoint threshold, number of sorted values
-    /// `<=` it).
+    /// Scratch of `best_splits`: (midpoint threshold, number of sorted
+    /// values `<=` it).
     thresholds: Vec<(f64, usize)>,
 }
 
 impl Grower<'_> {
-    /// `indices` are the node's instances in ascending order; `orders[f]`
-    /// the present ones in feature `f`'s sort order (empty for a categorical
-    /// feature).
-    fn grow(&mut self, indices: &[u32], orders: &[&[u32]], depth: usize) -> TreeNode {
-        let (dataset, config) = (self.dataset, self.config);
+    /// Grows the node for each configuration in `active` (indices into
+    /// `configs`), returned in that order. `indices` are the node's
+    /// instances in ascending order; `orders[f]` the present ones in
+    /// feature `f`'s sort order (empty for a categorical feature).
+    fn grow(
+        &mut self,
+        indices: &[u32],
+        orders: &[&[u32]],
+        depth: usize,
+        active: &[usize],
+    ) -> Vec<TreeNode> {
+        let (dataset, configs) = (self.dataset, self.configs);
         let pos = indices.iter().filter(|&&i| self.labels[i as usize]).count();
         let neg = indices.len() - pos;
-        let leaf = TreeNode::Leaf { pos, neg };
-        if pos == 0
-            || neg == 0
-            || depth >= config.max_depth
-            || indices.len() < config.min_samples_split
-        {
-            return leaf;
+        let mut nodes = vec![TreeNode::Leaf { pos, neg }; active.len()];
+        let splitting: Vec<(usize, &TreeConfig)> = active
+            .iter()
+            .map(|&k| &configs[k])
+            .enumerate()
+            .filter(|(_, config)| {
+                pos > 0
+                    && neg > 0
+                    && depth < config.max_depth
+                    && indices.len() >= config.min_samples_split
+            })
+            .collect();
+        if splitting.is_empty() {
+            return nodes;
         }
 
-        let Some((feature, test, gain)) = self.best_split(indices, orders, pos, neg) else {
-            return leaf;
-        };
-        if gain < config.min_gain {
-            return leaf;
-        }
+        let mut chosen = self.best_splits(indices, orders, pos, neg, &splitting);
+        while let Some(&(_, feature, test)) = chosen.first() {
+            // By bits: every tree of the group records this one `test`.
+            let same = |&(_, f, t): &(usize, usize, SplitTest)| {
+                f == feature
+                    && match (t, test) {
+                        (SplitTest::NumericLe(a), SplitTest::NumericLe(b)) => {
+                            a.to_bits() == b.to_bits()
+                        }
+                        (a, b) => a == b,
+                    }
+            };
+            let (group, rest): (Vec<_>, Vec<_>) = chosen.into_iter().partition(same);
+            chosen = rest;
 
-        for &i in indices {
-            self.goes_left[i as usize] = satisfies(dataset.value(i as usize, feature), test);
-        }
-        let (left_idx, right_idx) = self.partition(indices);
-        if left_idx.len() < config.min_leaf_size || right_idx.len() < config.min_leaf_size {
-            return leaf;
-        }
-        let (left_orders, right_orders): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
-            orders.iter().map(|order| self.partition(order)).unzip();
+            for &i in indices {
+                self.goes_left[i as usize] = satisfies(dataset.value(i as usize, feature), test);
+            }
+            let (left_idx, right_idx) = self.partition(indices);
+            let smaller = left_idx.len().min(right_idx.len());
+            let (slots, grown): (Vec<usize>, Vec<usize>) = group
+                .iter()
+                .map(|&(slot, _, _)| (slot, active[slot]))
+                .filter(|&(_, k)| smaller >= configs[k].min_leaf_size)
+                .unzip();
+            if slots.is_empty() {
+                continue;
+            }
+            let (left_orders, right_orders): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
+                orders.iter().map(|order| self.partition(order)).unzip();
 
-        let left = self.grow(&left_idx, &as_slices(&left_orders), depth + 1);
-        drop(left_orders);
-        let right = self.grow(&right_idx, &as_slices(&right_orders), depth + 1);
-        TreeNode::Split { feature, test, left: Box::new(left), right: Box::new(right), pos, neg }
+            let lefts = self.grow(&left_idx, &as_slices(&left_orders), depth + 1, &grown);
+            drop(left_orders);
+            let rights = self.grow(&right_idx, &as_slices(&right_orders), depth + 1, &grown);
+            for ((slot, left), right) in slots.into_iter().zip(lefts).zip(rights) {
+                nodes[slot] = TreeNode::Split {
+                    feature,
+                    test,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    pos,
+                    neg,
+                };
+            }
+        }
+        nodes
     }
 
     /// Stable partition of a node's instance list by `goes_left`.
@@ -434,37 +501,44 @@ impl Grower<'_> {
         instances.iter().copied().partition(|&i| self.goes_left[i as usize])
     }
 
-    /// Finds the best `(feature, test, gain)` over all features, or `None`
-    /// when no valid split exists.
+    /// Finds, per `(slot, configuration)`, the best `(feature, test)` over
+    /// all features and returns `(slot, feature, test)` for each whose best
+    /// gain reaches its `min_gain`.
     ///
-    /// Per numeric feature one linear sweep of the node's sorted order:
-    /// every candidate threshold's class counts come from a prefix sum over
-    /// that order (a threshold at boundary `b` puts exactly the first `b`
-    /// sorted values on the left), while categorical counts accumulate in a
-    /// single pass. Ties break first-strictly-better: features ascending,
-    /// thresholds ascending, categories in first-seen order.
-    fn best_split(
+    /// Per numeric feature one linear sweep of the node's sorted order,
+    /// shared by every configuration: every candidate threshold's class
+    /// counts come from a prefix sum over that order (a threshold at
+    /// boundary `b` puts exactly the first `b` sorted values on the left),
+    /// while categorical counts accumulate in a single pass. Ties break
+    /// first-strictly-better: features ascending, thresholds ascending,
+    /// categories in first-seen order.
+    fn best_splits(
         &mut self,
         indices: &[u32],
         orders: &[&[u32]],
         pos: usize,
         neg: usize,
-    ) -> Option<(usize, SplitTest, f64)> {
+        configs: &[(usize, &TreeConfig)],
+    ) -> Vec<(usize, usize, SplitTest)> {
         let (total_pos, total_neg) = (pos as f64, neg as f64);
         let parent = (total_pos, total_neg);
-        let (dataset, labels, config) = (self.dataset, self.labels, self.config);
-        let score = |left: (f64, f64)| {
+        let (dataset, labels) = (self.dataset, self.labels);
+
+        let mut best: Vec<Option<(usize, SplitTest, f64)>> = vec![None; configs.len()];
+        let mut consider = |j: usize, feature: usize, test: SplitTest, left: (f64, f64)| {
             let right = (total_pos - left.0, total_neg - left.1);
-            match config.criterion {
+            let config = configs[j].1;
+            let gain = match config.criterion {
                 SplitCriterion::Gini => gini_gain(parent, left, right),
                 SplitCriterion::GainRatio => gain_ratio(parent, left, right),
+            };
+            // Skipping gains below `min_gain` keeps exactly the first
+            // strictly-best split when it reaches `min_gain`, else none.
+            if gain < config.min_gain {
+                return;
             }
-        };
-
-        let mut best: Option<(usize, SplitTest, f64)> = None;
-        let mut consider = |feature: usize, test: SplitTest, gain: f64| {
-            if gain > best.as_ref().map(|b| b.2).unwrap_or(f64::NEG_INFINITY) {
-                best = Some((feature, test, gain));
+            if gain > best[j].map_or(f64::NEG_INFINITY, |b| b.2) {
+                best[j] = Some((feature, test, gain));
             }
         };
 
@@ -499,15 +573,17 @@ impl Grower<'_> {
                         }
                     }
                     let all = self.thresholds.len();
-                    let kept = all.min(config.max_thresholds);
-                    let step = all as f64 / config.max_thresholds as f64;
-                    for k in 0..kept {
-                        // Evenly spaced quantiles when there are too many.
-                        let pick = if all > kept { (k as f64 * step) as usize } else { k };
-                        let (th, below) = self.thresholds[pick];
-                        let left_pos = self.cum_pos[below] as usize;
-                        let left = (left_pos as f64, (below - left_pos) as f64);
-                        consider(feature, SplitTest::NumericLe(th), score(left));
+                    for (j, (_, config)) in configs.iter().enumerate() {
+                        let kept = all.min(config.max_thresholds);
+                        let step = all as f64 / config.max_thresholds as f64;
+                        for k in 0..kept {
+                            // Evenly spaced quantiles when there are too many.
+                            let pick = if all > kept { (k as f64 * step) as usize } else { k };
+                            let (th, below) = self.thresholds[pick];
+                            let left_pos = self.cum_pos[below] as usize;
+                            let left = (left_pos as f64, (below - left_pos) as f64);
+                            consider(j, feature, SplitTest::NumericLe(th), left);
+                        }
                     }
                 }
                 FeatureColumn::Categorical { codes, cardinality } => {
@@ -525,13 +601,16 @@ impl Grower<'_> {
                             }
                         },
                     );
-                    for (cat, left) in seen {
-                        consider(feature, SplitTest::CategoryEq(cat), score(left));
+                    for j in 0..configs.len() {
+                        for &(cat, left) in &seen {
+                            consider(j, feature, SplitTest::CategoryEq(cat), left);
+                        }
                     }
                 }
             }
         }
-        best
+        let chosen = configs.iter().zip(best);
+        chosen.filter_map(|(&(slot, _), best)| best.map(|(f, test, _)| (slot, f, test))).collect()
     }
 }
 

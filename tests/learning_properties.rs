@@ -40,8 +40,36 @@ fn labelled_table() -> impl Strategy<Value = (Table, Vec<bool>)> {
 /// distinct values than any threshold cap), `n` a small integer, `flag` a
 /// nullable Bool and `tag` a nullable categorical.
 fn adversarial_table() -> impl Strategy<Value = (Table, Vec<bool>)> {
+    adversarial_rows(8..200)
+}
+
+/// An adversarial table of 130–300 rows whose positives all fall in one of
+/// its first two 64-row blocks: every other word of the positive bitmap is
+/// zero.
+fn positives_in_one_block() -> impl Strategy<Value = (Table, Vec<bool>)> {
+    (adversarial_rows(130..300), 0usize..2).prop_map(|((table, mut labels), block)| {
+        for (i, label) in labels.iter_mut().enumerate() {
+            *label &= i / 64 == block;
+        }
+        (table, labels)
+    })
+}
+
+/// An adversarial table of 130–300 rows with a positive in every 64-row
+/// block: no word of the positive bitmap is zero.
+fn positives_in_every_block() -> impl Strategy<Value = (Table, Vec<bool>)> {
+    adversarial_rows(130..300).prop_map(|(table, mut labels)| {
+        for (i, label) in labels.iter_mut().enumerate() {
+            *label |= i % 64 == 0;
+        }
+        (table, labels)
+    })
+}
+
+/// The rows of [`adversarial_table`], their number drawn from `size`.
+fn adversarial_rows(size: std::ops::Range<usize>) -> impl Strategy<Value = (Table, Vec<bool>)> {
     let row = (0usize..14, 0.0..1.0f64, -2i64..3, 0usize..3, 0usize..5, any::<bool>());
-    proptest::collection::vec(row, 8..200).prop_map(|rows| {
+    proptest::collection::vec(row, size).prop_map(|rows| {
         let above_one = |ulps: u64| f64::from_bits(1.0f64.to_bits() + ulps);
         let special = [
             None,
@@ -81,6 +109,31 @@ fn adversarial_table() -> impl Strategy<Value = (Table, Vec<bool>)> {
         }
         (t, labels)
     })
+}
+
+/// One unpruned tree configuration, every growth limit drawn.
+fn tree_config() -> impl Strategy<Value = TreeConfig> {
+    (
+        any::<bool>(),
+        prop_oneof![Just(1usize), Just(3), Just(32)],
+        1usize..7,
+        1usize..8,
+        1usize..4,
+        prop_oneof![Just(0.0), Just(1e-4)],
+    )
+        .prop_map(
+            |(gini, max_thresholds, max_depth, min_samples_split, min_leaf_size, min_gain)| {
+                TreeConfig {
+                    criterion: if gini { SplitCriterion::Gini } else { SplitCriterion::GainRatio },
+                    max_depth,
+                    min_samples_split,
+                    min_leaf_size,
+                    min_gain,
+                    max_thresholds,
+                    prune: false,
+                }
+            },
+        )
 }
 
 /// Row-major copy of a matrix, for the oracles.
@@ -362,49 +415,59 @@ proptest! {
 
     /// Training from the matrix's presorted feature orders grows exactly
     /// the tree a per-node filter-sort-rescan grows: same splits, same
-    /// thresholds (bit for bit), same counts.
+    /// thresholds (bit for bit), same counts — also when 1–4 trees, some
+    /// of them twins and most parting at the root, grow together.
     #[test]
     fn presorted_training_matches_a_naive_reference(
         (table, labels) in adversarial_table(),
-        max_thresholds in prop_oneof![Just(1usize), Just(3), Just(32)],
-        max_depth in 1usize..7,
-        min_leaf_size in 1usize..4,
-        min_gain in prop_oneof![Just(0.0), Just(1e-4)],
+        drawn in proptest::collection::vec(tree_config(), 1..4),
+        twin in proptest::option::of(0usize..3),
     ) {
+        let mut configs = drawn;
+        if let Some(i) = twin {
+            configs.push(configs[i % configs.len()]);
+        }
         let rows: Vec<RowId> = table.visible_row_ids().collect();
         let space = FeatureSpace::build_excluding(&table, &[], &rows);
         let dataset = space.extract(&table, &rows);
         let instances = instances_of(&dataset);
         let all: Vec<usize> = (0..instances.len()).collect();
-        for criterion in [SplitCriterion::Gini, SplitCriterion::GainRatio] {
-            let config = TreeConfig {
-                criterion,
-                max_depth,
-                min_leaf_size,
-                min_gain,
-                max_thresholds,
-                // Pruning is a function of the grown tree alone.
-                prune: false,
-                ..TreeConfig::default()
-            };
-            let tree = DecisionTree::train(&dataset, &labels, config);
-            let reference = oracle_grow(&instances, &labels, &all, 0, &config);
+        // The drawn configurations do not prune: pruning is a function of
+        // the grown tree alone, checked below against a tree grown alone.
+        let trees = DecisionTree::train_all(&dataset, &labels, &configs);
+        prop_assert_eq!(trees.len(), configs.len());
+        for (tree, config) in trees.iter().zip(&configs) {
+            let reference = oracle_grow(&instances, &labels, &all, 0, config);
             // `Debug` prints floats shortest-round-trip, so equal text is
             // equal bits (and tells -0.0 from 0.0).
             prop_assert_eq!(format!("{:?}", tree.root()), format!("{reference:?}"));
         }
+        let pruned: Vec<TreeConfig> =
+            configs.iter().map(|config| TreeConfig { prune: true, ..*config }).collect();
+        for (tree, config) in DecisionTree::train_all(&dataset, &labels, &pruned).iter().zip(&pruned) {
+            let alone = DecisionTree::train(&dataset, &labels, *config);
+            prop_assert_eq!(format!("{:?}", tree.root()), format!("{:?}", alone.root()));
+        }
     }
 
     /// Subgroup discovery over the presorted orders and coverage bitmaps
-    /// returns exactly the naive search's list, `wracc` bits included.
+    /// returns exactly the naive search's list, `wracc` bits included —
+    /// under a non-dyadic decay too, where summing the covered weights in
+    /// another order would show, and whether the positives fill one bitmap
+    /// word or every word.
     #[test]
     fn presorted_subgroups_match_a_naive_reference(
-        (table, labels) in adversarial_table(),
+        (table, labels) in prop_oneof![
+            adversarial_table(),
+            positives_in_one_block(),
+            positives_in_every_block(),
+        ],
         thresholds_per_feature in prop_oneof![Just(1usize), Just(4), Just(16)],
         beam_width in 1usize..6,
         max_conditions in 1usize..4,
         min_positive_coverage in 1usize..4,
         negated_category_tests in any::<bool>(),
+        covered_weight_decay in prop_oneof![Just(0.5), Just(0.3), Just(1.0), Just(0.0)],
     ) {
         let rows: Vec<RowId> = table.visible_row_ids().collect();
         let space = FeatureSpace::build_excluding(&table, &[], &rows);
@@ -415,6 +478,7 @@ proptest! {
             max_conditions,
             min_positive_coverage,
             negated_category_tests,
+            covered_weight_decay,
             ..SubgroupConfig::default()
         };
         let found = discover_subgroups(&dataset, &labels, &config);
