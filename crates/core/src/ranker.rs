@@ -23,38 +23,28 @@
 //! the same snapshot scanned is a hit here, in every deployment), and F
 //! and D′ as shard-local [`RowSet`]s.
 //! [`rank_predicates_with_cache`] presents its cache as exactly one shard —
-//! the base table itself, identity row mapping, every condition live,
-//! cleaned results straight from [`GroupedAggregateCache::result`] — so it
-//! builds no partition, no second aggregate cache and no merged group
-//! directory. [`rank_predicates_sharded`] presents a
-//! [`ShardedAggregateCache`] as N shards: every condition kernel runs on a
-//! shard-sized universe, exclusion sets stay per shard, ε re-derivation
-//! merges per-shard aggregate states, and match/agreement counts are
-//! popcounts summed across shards. No explain takes that path — on the
-//! benchmark's workloads four shards never beat one — so it is a library
-//! entry point only. Two properties make the N-shard case safe:
-//!
-//! * **Zone-map pruning** — [`ShardedTable::condition_may_match`]
-//!   guarantees that a pruned (shard, condition) pair's kernel would
-//!   produce no TRUE and no UNKNOWN rows, so that leaf's kernel scan is
-//!   skipped outright and an all-FALSE bitmap substituted: one pruned
-//!   conjunct empties the candidate's whole shard. Hash-sharding on a frequently-equality-tested column pins each
-//!   `col = v` candidate to a single shard.
-//! * **Determinism** — shards are always combined in ascending shard
-//!   order, and F / D′ are routed through the partition's row-id mapping,
-//!   so the ranking (scores, order, evidence) is identical to the
-//!   one-shard case whenever the merged aggregates are exact (always for a
-//!   single shard; see [`ShardedAggregateCache`] for the float caveat).
-//!
-//! [`ShardedTable::condition_may_match`]: dbwipes_storage::ShardedTable::condition_may_match
+//! the base table itself, identity row mapping, cleaned results straight
+//! from [`GroupedAggregateCache::result`] — so it builds no partition, no
+//! second aggregate cache and no merged group directory.
+//! [`rank_predicates_sharded`] presents a [`ShardedAggregateCache`] as N
+//! shards: every condition kernel runs on a shard-sized universe,
+//! exclusion sets stay per shard, ε re-derivation merges per-shard
+//! aggregate states, and match/agreement counts are popcounts summed
+//! across shards. No explain takes that path — on the benchmark's
+//! workloads four shards never beat one — so it is a library entry point
+//! only, kept for the benchmark's two `core.rank_sharded*` metrics. Shards
+//! are always combined in ascending shard order, and F / D′ are routed
+//! through the partition's row-id mapping, so the ranking (scores, order,
+//! evidence) is identical to the one-shard case whenever the merged
+//! aggregates are exact (always for a single shard; see
+//! [`ShardedAggregateCache`] for the float caveat).
 
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
 use crate::parallel::map_chunked;
 use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
 use dbwipes_storage::{
-    Condition, ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet, Table, TriSet,
-    Value,
+    ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet, Table, TriSet, Value,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -198,15 +188,6 @@ impl<'a> ShardSet<'a> {
         }
     }
 
-    /// `false` only when zone maps prove `condition` matches nothing on
-    /// shard `s`; the unpartitioned table keeps no zone maps.
-    fn may_match(self, s: usize, condition: &Condition) -> bool {
-        match self {
-            ShardSet::Whole(_) => true,
-            ShardSet::Partitioned(cache) => cache.sharded().condition_may_match(s, condition),
-        }
-    }
-
     /// Base-table rows as one local bitmap per shard; rows outside the
     /// table drop.
     fn split(self, rows: &[RowId]) -> Vec<RowSet> {
@@ -277,16 +258,11 @@ fn rank_shard_set(
     // Warm the condition-bitmap caches serially: the candidates share leaf
     // conditions drawn from one pool, so each distinct condition's column
     // kernel runs at most once per shard here, and the parallel scoring
-    // pass below is pure bitmap combining over cache hits. Every (shard,
-    // condition) pair the zone maps prune is skipped — on a hash partition
-    // over an equality-heavy candidate pool this is where the shard speedup
-    // comes from: each equality kernel scans one shard, not the whole table.
+    // pass below is pure bitmap combining over cache hits.
     for candidate in &candidates {
         for condition in candidate.conditions() {
-            for (s, cache) in caches.iter().enumerate() {
-                if shards.may_match(s, condition) {
-                    let _ = ctx.bitmaps[s].condition(cache.table(), condition);
-                }
+            for (bitmaps, cache) in ctx.bitmaps.iter().zip(caches) {
+                let _ = bitmaps.condition(cache.table(), condition);
             }
         }
     }
@@ -337,8 +313,7 @@ struct CandidateEvidence {
 ///
 /// The default path is vectorized: each condition's cached bitmap (one
 /// columnar kernel scan per *distinct* condition per shard snapshot) is
-/// combined with word-level AND, zone-pruned conditions being substituted
-/// by all-FALSE bitmaps instead of kernel scans.
+/// combined with word-level AND.
 /// Expressibility is schema-only, so it is decided once per candidate from
 /// what the evaluation returns: if any shard declines, the whole candidate
 /// falls back to the per-row scalar walk.
@@ -346,12 +321,11 @@ fn score_candidate(
     ctx: &ScoreContext<'_>,
     predicate: &ConjunctivePredicate,
 ) -> Result<RankedPredicate, CoreError> {
-    let caches = ctx.shards.caches().iter().enumerate();
-    let vectorized: Option<Vec<TriSet>> = caches
-        .map(|(s, cache)| {
-            let live = |c: &Condition| ctx.shards.may_match(s, c);
-            predicate.tri_eval(&ctx.bitmaps[s], cache.table(), &live)
-        })
+    let vectorized: Option<Vec<TriSet>> = ctx
+        .bitmaps
+        .iter()
+        .zip(ctx.shards.caches())
+        .map(|(bitmaps, cache)| predicate.tri_eval(bitmaps, cache.table()))
         .collect();
     let tris = match vectorized {
         // A compiled candidate is well-typed by construction, so the
@@ -728,7 +702,7 @@ mod tests {
             Condition::above("temp", 100.0),
         ]));
         pool.push(ConjunctivePredicate::new(vec![Condition::between("temp", 20.0, 21.0)]));
-        // Zone maps prune the first conjunct on every shard (no such sensor).
+        // The first conjunct matches nothing on any shard (no such sensor).
         pool.push(ConjunctivePredicate::new(vec![
             Condition::equals("sensorid", 777),
             Condition::above("temp", 100.0),
@@ -812,11 +786,11 @@ mod tests {
         // `contains` on a missing column fails validation in the scalar path.
         let missing = Condition::contains("no_such_column", "x");
         let bad = ConjunctivePredicate::new(vec![missing.clone()]);
-        // Zone maps prune `sensorid = 777` on every shard; the candidate
+        // `sensorid = 777` matches nothing on any shard; the candidate
         // must still reach the scalar path's validation, not score as empty.
-        let pruned_and_bad =
+        let empty_and_bad =
             ConjunctivePredicate::new(vec![Condition::equals("sensorid", 777), missing]);
-        for (flat, sharded) in [errors(bad), errors(pruned_and_bad)] {
+        for (flat, sharded) in [errors(bad), errors(empty_and_bad)] {
             assert_eq!(flat, sharded);
             assert_eq!(flat.to_string(), sharded.to_string());
             assert!(flat.to_string().contains("no_such_column"), "{flat}");

@@ -34,7 +34,7 @@ use crate::executor::output_order;
 use crate::incremental::GroupedAggregateCache;
 use crate::result::QueryResult;
 use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
-use dbwipes_storage::{RowId, RowSet, Schema, ShardedTable, Value};
+use dbwipes_storage::{RowSet, Schema, ShardedTable, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,8 +62,8 @@ struct MergedGroup {
 /// universe), which is the shape the shard-parallel ranker produces.
 ///
 /// ```
-/// use dbwipes_engine::{parse_select, GroupedAggregateCache, ShardedAggregateCache};
-/// use dbwipes_storage::{DataType, Schema, ShardedTable, Table, Value};
+/// use dbwipes_engine::{parse_select, ExclusionQuery, GroupedAggregateCache, ShardedAggregateCache};
+/// use dbwipes_storage::{DataType, RowSet, Schema, ShardedTable, Table, Value};
 /// use std::sync::Arc;
 ///
 /// let mut t = Table::new(
@@ -82,8 +82,15 @@ struct MergedGroup {
 ///     &stmt,
 /// )
 /// .unwrap();
-/// // The merged result is identical to single-table execution.
-/// assert_eq!(sharded.full_result().rows, unsharded.full_result().rows);
+/// // Excluding nothing, every merged group is identical to single-table
+/// // execution.
+/// let nothing: Vec<RowSet> =
+///     sharded.shard_caches().iter().map(|c| RowSet::empty(c.table().num_rows())).collect();
+/// let keys: Vec<Vec<Value>> = (0..4).map(|h| vec![Value::Int(h)]).collect();
+/// assert_eq!(
+///     sharded.result_excluding_keys_local_sets(&nothing, &keys).rows,
+///     unsharded.result(&ExclusionQuery::new().for_keys(&keys)).rows,
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedAggregateCache {
@@ -194,42 +201,12 @@ impl ShardedAggregateCache {
         &self.shards
     }
 
-    /// The statement this cache answers for.
-    pub fn statement(&self) -> &SelectStatement {
-        &self.stmt
-    }
-
-    /// Number of merged groups (before any exclusion).
-    pub fn num_groups(&self) -> usize {
-        self.merged.len()
-    }
-
-    /// Total retained input rows across shards (rows passing the WHERE
-    /// clause).
-    pub fn num_rows(&self) -> usize {
-        self.shards.iter().map(GroupedAggregateCache::num_rows).sum()
-    }
-
-    /// The result of the statement with no rows excluded — identical to
-    /// the unsharded [`GroupedAggregateCache::full_result`].
-    pub fn full_result(&self) -> QueryResult {
-        self.result_excluding_local_sets(&self.empty_exclusions())
-    }
-
-    /// One empty local exclusion set per shard — the "exclude nothing"
-    /// argument shape.
-    pub fn empty_exclusions(&self) -> Vec<RowSet> {
-        self.shards.iter().map(|c| RowSet::empty(c.table().num_rows())).collect()
-    }
-
     /// The exact full result (ORDER BY / LIMIT applied) after excluding
     /// the given per-shard local row sets — the sharded counterpart of
-    /// [`GroupedAggregateCache::result`] with the same exclusion.
-    ///
-    /// Panics when `excluded` does not hold one set per shard in that
-    /// shard's universe.
-    pub fn result_excluding_local_sets(&self, excluded: &[RowSet]) -> QueryResult {
-        self.check_exclusions(excluded);
+    /// [`GroupedAggregateCache::result`] with the same exclusion, and the
+    /// LIMIT fallback of
+    /// [`ShardedAggregateCache::result_excluding_keys_local_sets`].
+    fn result_excluding_local_sets(&self, excluded: &[RowSet]) -> QueryResult {
         let start = Instant::now();
         let touched = self.touched_maps(excluded, None);
 
@@ -266,7 +243,14 @@ impl ShardedAggregateCache {
         excluded: &[RowSet],
         keys: &[Vec<Value>],
     ) -> QueryResult {
-        self.check_exclusions(excluded);
+        assert_eq!(excluded.len(), self.shards.len(), "one exclusion set per shard required");
+        for (set, cache) in excluded.iter().zip(&self.shards) {
+            assert_eq!(
+                set.universe(),
+                cache.table().num_rows(),
+                "exclusion RowSet universe does not match its shard"
+            );
+        }
         if self.stmt.limit.is_some() {
             let full = self.result_excluding_local_sets(excluded);
             let start = Instant::now();
@@ -299,35 +283,6 @@ impl ShardedAggregateCache {
             out_keys.push(mg.key.clone());
         }
         self.finish_result(rows, out_keys, start)
-    }
-
-    /// Convenience bridge from base-table rows: splits `excluded` through
-    /// the partition's row-id mapping and answers per-key exclusion —
-    /// directly comparable with
-    /// a by-key [`crate::ExclusionQuery`] on the base table.
-    pub fn result_excluding_keys_global(
-        &self,
-        excluded: &[RowId],
-        keys: &[Vec<Value>],
-    ) -> QueryResult {
-        let split = self.sharded.split_rows(excluded);
-        let sets: Vec<RowSet> = split
-            .iter()
-            .zip(self.sharded.shards())
-            .map(|(rows, t)| RowSet::from_rows(t.num_rows(), rows.iter()))
-            .collect();
-        self.result_excluding_keys_local_sets(&sets, keys)
-    }
-
-    fn check_exclusions(&self, excluded: &[RowSet]) {
-        assert_eq!(excluded.len(), self.shards.len(), "one exclusion set per shard required");
-        for (set, cache) in excluded.iter().zip(&self.shards) {
-            assert_eq!(
-                set.universe(),
-                cache.table().num_rows(),
-                "exclusion RowSet universe does not match its shard"
-            );
-        }
     }
 
     /// Per-shard touched-position maps for one exclusion query, restricted
@@ -415,7 +370,7 @@ impl ShardedAggregateCache {
         keys: Vec<Vec<Value>>,
         start: Instant,
     ) -> QueryResult {
-        let mut lineage = Lineage::new(self.sharded.shard(0).name());
+        let mut lineage = Lineage::new(self.sharded.shards()[0].name());
         for _ in &rows {
             lineage.add_group();
         }
@@ -490,7 +445,7 @@ mod tests {
     use super::*;
     use crate::incremental::ExclusionQuery;
     use crate::parser::parse_select;
-    use dbwipes_storage::{DataType, Schema, Table};
+    use dbwipes_storage::{DataType, RowId, Schema, Table};
 
     /// Dyadic temp values (multiples of 1/32) keep per-shard partial sums
     /// exact, so sharded results are bit-identical to unsharded ones.
@@ -519,6 +474,17 @@ mod tests {
         assert_eq!(a.schema.names(), b.schema.names(), "{context}");
     }
 
+    /// Base-table rows as one local exclusion set per shard.
+    fn local_sets(cache: &ShardedAggregateCache, rows: &[RowId]) -> Vec<RowSet> {
+        let sharded = cache.sharded();
+        let split = sharded.split_rows(rows);
+        split
+            .iter()
+            .zip(sharded.shards())
+            .map(|(l, t)| RowSet::from_rows(t.num_rows(), l))
+            .collect()
+    }
+
     fn check_statement(sql: &str) {
         let t = readings(200);
         let stmt = parse_select(sql).unwrap();
@@ -527,27 +493,22 @@ mod tests {
             let st = Arc::new(ShardedTable::hash(&t, "sensorid", shards).unwrap());
             let cache = ShardedAggregateCache::build(st, &stmt).unwrap();
             assert_same(
-                &cache.full_result(),
+                &cache.result_excluding_local_sets(&local_sets(&cache, &[])),
                 &unsharded.full_result(),
                 &format!("{sql} full, {shards} shards"),
             );
 
             // Exclusions across shard boundaries.
             let excluded: Vec<RowId> = (0..200usize).filter(|i| i % 7 == 2).map(RowId).collect();
+            let sets = local_sets(&cache, &excluded);
             let keys: Vec<Vec<Value>> = vec![vec![Value::Int(1)], vec![Value::Int(3)]];
             assert_same(
-                &cache.result_excluding_keys_global(&excluded, &keys),
+                &cache.result_excluding_keys_local_sets(&sets, &keys),
                 &unsharded.result(&ExclusionQuery::new().excluding_rows(&excluded).for_keys(&keys)),
                 &format!("{sql} by-key, {shards} shards"),
             );
 
             // Full exclusion path with ORDER BY / LIMIT re-applied.
-            let split = cache.sharded().split_rows(&excluded);
-            let sets: Vec<RowSet> = split
-                .iter()
-                .zip(cache.sharded().shards())
-                .map(|(rows, t)| RowSet::from_rows(t.num_rows(), rows.iter()))
-                .collect();
             assert_same(
                 &cache.result_excluding_local_sets(&sets),
                 &unsharded.result(&ExclusionQuery::new().excluding_rows(&excluded)),
@@ -591,7 +552,7 @@ mod tests {
         let unsharded = GroupedAggregateCache::build(&t, &stmt).unwrap();
         let all: Vec<RowId> = (0..40usize).map(RowId).collect();
         assert_same(
-            &cache.result_excluding_keys_global(&all, &[vec![]]),
+            &cache.result_excluding_keys_local_sets(&local_sets(&cache, &all), &[vec![]]),
             &unsharded.result(&ExclusionQuery::new().excluding_rows(&all).for_keys(&[vec![]])),
             "implicit group total exclusion",
         );
@@ -607,7 +568,7 @@ mod tests {
         // Exclude every row of window 2 (they are spread over all shards).
         let excluded: Vec<RowId> = (0..100usize).filter(|i| i % 5 == 2).map(RowId).collect();
         let keys = vec![vec![Value::Int(2)], vec![Value::Int(4)]];
-        let got = cache.result_excluding_keys_global(&excluded, &keys);
+        let got = cache.result_excluding_keys_local_sets(&local_sets(&cache, &excluded), &keys);
         assert_same(
             &got,
             &unsharded.result(&ExclusionQuery::new().excluding_rows(&excluded).for_keys(&keys)),
@@ -624,10 +585,11 @@ mod tests {
         let unsharded = GroupedAggregateCache::build(&t, &stmt).unwrap();
         let st = Arc::new(ShardedTable::hash(&t, "temp", 5).unwrap());
         let cache = ShardedAggregateCache::build(st, &stmt).unwrap();
-        assert_same(&cache.full_result(), &unsharded.full_result(), "temp partition");
-        assert_eq!(cache.num_groups(), unsharded.num_groups());
-        assert_eq!(cache.num_rows(), unsharded.num_rows());
-        assert_eq!(cache.statement(), &stmt);
+        let full = cache.result_excluding_local_sets(&local_sets(&cache, &[]));
+        assert_same(&full, &unsharded.full_result(), "temp partition");
+        let retained: usize =
+            cache.shard_caches().iter().map(GroupedAggregateCache::num_rows).sum();
+        assert_eq!(retained, unsharded.num_rows());
         assert_eq!(cache.shard_caches().len(), 5);
     }
 

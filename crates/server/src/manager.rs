@@ -25,7 +25,7 @@ use crate::executor::PoolStats;
 use crate::registry::{CacheRegistry, ExplainKey};
 use dbwipes_core::{ComponentTimings, CoreError, DbWipes, Explanation};
 use dbwipes_dashboard::DashboardSession;
-use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, QueryResult};
+use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, QueryResult, SelectStatement};
 use dbwipes_storage::{Catalog, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -137,14 +137,13 @@ impl ServerSession {
         let stmt = result.statement.clone();
         let table =
             self.dashboard.backend().catalog().table_arc(&stmt.table).map_err(CoreError::from)?;
-        let fingerprint = CacheFingerprint::of(&table, &stmt);
 
         // The memo key is derived from the *same* request `debug` would
         // run (the dashboard's single source of truth, including the
         // pipeline config), so key and computation cannot drift apart;
         // this also performs `debug`'s own state validation.
         let request = self.dashboard.explain_request()?;
-        let key = ExplainKey::new(fingerprint.clone(), &request);
+        let key = ExplainKey::new(CacheFingerprint::of(&table, &stmt), &request);
 
         // Tier 2: the identical question was already answered. The replay
         // reports zeroed timings: nothing was computed now, and replaying
@@ -162,11 +161,7 @@ impl ServerSession {
         // forwarding a retained sibling through `absorb_append` when the
         // only difference is streamed appends — and build it cold only
         // when neither exists. Then run the pipeline and memoize.
-        let (cache, cache_hit) = registry
-            .get_or_absorb_or_build(fingerprint, &table, || {
-                GroupedAggregateCache::build_shared(Arc::clone(&table), &stmt)
-            })
-            .map_err(CoreError::from)?;
+        let (cache, cache_hit) = statement_cache(registry, &table, &stmt)?;
         if cache_hit {
             self.cache_hits += 1;
         } else {
@@ -212,12 +207,7 @@ impl ServerSession {
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
         let table =
             self.dashboard.backend().catalog().table_arc(&stmt.table).map_err(CoreError::from)?;
-        let (cache, _) = registry
-            .get_or_absorb_or_build(CacheFingerprint::of(&table, stmt), &table, || {
-                GroupedAggregateCache::build_shared(Arc::clone(&table), stmt)
-            })
-            .map_err(CoreError::from)?;
-        Ok(cache)
+        Ok(statement_cache(registry, &table, stmt)?.0)
     }
 
     /// Adopts a freshly appended snapshot of `table` (streaming
@@ -261,16 +251,26 @@ impl ServerSession {
             self.dashboard.backend_mut().catalog_mut().install_snapshot(Arc::clone(table));
             return Ok(true);
         };
-        let fingerprint = CacheFingerprint::of(table, &stmt);
-        let (cache, _) = registry
-            .get_or_absorb_or_build(fingerprint, table, || {
-                GroupedAggregateCache::build_shared(Arc::clone(table), &stmt)
-            })
-            .map_err(CoreError::from)?;
+        let (cache, _) = statement_cache(registry, table, &stmt)?;
         let refreshed = cache.cleaned_result(&stmt, None);
         self.dashboard.refresh_after_append(Arc::clone(table), refreshed)?;
         Ok(true)
     }
+}
+
+/// The registry's aggregate cache of `stmt` over `table`: the retained
+/// one, a retained sibling absorbed forward through the appends since, or
+/// one built cold and retained. The flag is `true` unless it was built.
+fn statement_cache(
+    registry: &CacheRegistry,
+    table: &Arc<Table>,
+    stmt: &SelectStatement,
+) -> Result<(Arc<GroupedAggregateCache<'static>>, bool), CoreError> {
+    registry
+        .get_or_absorb_or_build(CacheFingerprint::of(table, stmt), table, || {
+            GroupedAggregateCache::build_shared(Arc::clone(table), stmt)
+        })
+        .map_err(CoreError::from)
 }
 
 /// Which shared registry tier served a [`ServerSession::debug_cached`]

@@ -20,12 +20,11 @@
 //! popcount. A [`ShardedTable`] partitions those universes horizontally —
 //! every shard is a full [`Table`] with its own contiguous `RowSet`
 //! universe, bridged to the base table by a global↔(shard, local) row-id
-//! mapping, with per-shard zone maps that let equality and range
-//! conditions skip shards that cannot contain a match:
+//! mapping:
 //!
 //! ```
 //! use dbwipes_storage::{
-//!     Condition, ConditionBitmapCache, DataType, RowSet, Schema, ShardedTable, Table, Value,
+//!     Condition, ConditionBitmapCache, DataType, RowId, Schema, ShardedTable, Table, Value,
 //! };
 //!
 //! let mut t = Table::new(
@@ -39,23 +38,19 @@
 //!
 //! // Unsharded: one kernel scan over the full universe, kept on the
 //! // snapshot for whoever asks about it next.
-//! let cache = t.condition_bitmaps();
 //! let cond = Condition::equals("sensorid", 3);
-//! let full = cache.condition(&t, &cond).unwrap();
+//! let full = t.condition_bitmaps().condition(&t, &cond).unwrap();
 //!
-//! // Sharded: the same condition pins to a single hash shard; scanning
-//! // the other three shards is provably unnecessary.
+//! // Sharded: one scan per shard, each over its own smaller universe; the
+//! // row-id mapping carries every local match back to its base row.
 //! let sharded = ShardedTable::hash(&t, "sensorid", 4).unwrap();
-//! let mut merged: Vec<RowSet> =
-//!     sharded.shards().iter().map(|s| RowSet::empty(s.num_rows())).collect();
+//! let mut matches = Vec::new();
 //! for (s, shard) in sharded.shards().iter().enumerate() {
-//!     if !sharded.condition_may_match(s, &cond) {
-//!         continue; // zone maps guarantee an empty result here
-//!     }
-//!     let local = ConditionBitmapCache::new(shard);
-//!     merged[s] = local.condition(shard, &cond).unwrap().trues.clone();
+//!     let local = ConditionBitmapCache::new(shard).condition(shard, &cond).unwrap();
+//!     matches.extend(local.trues.iter().map(|l| sharded.global_of(s, RowId(l))));
 //! }
-//! assert_eq!(sharded.merge_sets(&merged), full.trues);
+//! matches.sort();
+//! assert_eq!(matches, full.trues.to_row_ids());
 //! ```
 
 #![deny(missing_docs)]

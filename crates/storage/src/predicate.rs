@@ -369,22 +369,11 @@ impl ConjunctivePredicate {
     }
 
     /// Vectorized three-valued evaluation through a bitmap cache — how
-    /// the Predicate Ranker scores a candidate. Conditions for which
-    /// `live` returns `false` skip their kernel and contribute all-FALSE,
-    /// which empties the conjunction on that shard: exact, because `live`
-    /// must be a sound pruning oracle
-    /// (`ShardedTable::condition_may_match` — a pruned condition's kernel
-    /// is guaranteed to produce no TRUE and no NULL row); an unpartitioned
-    /// table passes `&|_| true`. `None` — whenever some condition does not
-    /// compile against `table`'s schema, pruned or not — sends the caller
-    /// to the scalar walk.
-    pub fn tri_eval(
-        &self,
-        cache: &ConditionBitmapCache,
-        table: &Table,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet> {
-        cache.tri_eval(table, BoolTree::of_conjunction(self), live)
+    /// the Predicate Ranker scores a candidate. `None` — whenever some
+    /// condition does not compile against `table`'s schema — sends the
+    /// caller to the scalar walk.
+    pub fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet> {
+        cache.tri_eval(table, BoolTree::of_conjunction(self))
     }
 
     /// Returns all visible rows matched by the predicate, in ascending
@@ -711,9 +700,6 @@ enum LeafSource<'t> {
     Kernel { kernel: CompiledCondition<'t>, column: OnceLock<TriSet> },
     /// A bitmap computed elsewhere: a [`ConditionBitmapCache`] entry.
     Bitmap(Arc<TriSet>),
-    /// A leaf the shard's zone maps pruned: its kernel is guaranteed to
-    /// produce the all-FALSE column, so none is scanned or stored.
-    Pruned,
 }
 
 /// A boolean predicate compiled against one table for vectorized
@@ -788,7 +774,6 @@ impl<'t> CompiledBoolExpr<'t> {
                     Cow::Borrowed(column.get_or_init(|| kernel.eval_column(n)))
                 }
                 LeafSource::Bitmap(bitmap) => Cow::Borrowed(bitmap),
-                LeafSource::Pruned => Cow::Owned(TriSet::all_false(n)),
             },
             BoolNode::Not(child) => Cow::Owned(!&*self.fold(child)),
             BoolNode::Const(Some(true)) => Cow::Owned(TriSet::all_true(n)),
@@ -805,15 +790,6 @@ impl<'t> CompiledBoolExpr<'t> {
                 let Some((first, rest)) = children.split_first() else {
                     return Cow::Owned(TriSet::all_true(n));
                 };
-                // One pruned conjunct empties the conjunction: no bitmap of
-                // its siblings is touched on this shard.
-                let pruned = |child: &BoolNode| match child {
-                    BoolNode::Leaf(i) => matches!(self.leaves[*i], LeafSource::Pruned),
-                    _ => false,
-                };
-                if children.iter().any(pruned) {
-                    return Cow::Owned(TriSet::all_false(n));
-                }
                 let mut acc = self.fold(first);
                 for child in rest {
                     // Per-row evaluation only pays where it saves a scan.
@@ -847,7 +823,7 @@ impl<'t> CompiledBoolExpr<'t> {
         match node {
             BoolNode::Leaf(i) => match &self.leaves[*i] {
                 LeafSource::Kernel { column, .. } => column.get().is_none(),
-                LeafSource::Bitmap(_) | LeafSource::Pruned => false,
+                LeafSource::Bitmap(_) => false,
             },
             BoolNode::Not(child) => self.needs_scan(child),
             BoolNode::And(children) | BoolNode::Or(children) => {
@@ -869,7 +845,6 @@ impl<'t> CompiledBoolExpr<'t> {
         let leaf = |i: usize| match &self.leaves[i] {
             LeafSource::Kernel { kernel, .. } => kernel.eval(row),
             LeafSource::Bitmap(bitmap) => bitmap.value(row),
-            LeafSource::Pruned => Some(false),
         };
         let child = |node: &BoolNode| match node {
             BoolNode::Leaf(i) => leaf(*i),
@@ -1366,8 +1341,10 @@ impl ConditionBitmapCache {
     /// compiler cannot express the condition against the table's schema
     /// (callers fall back to the scalar expression walk).
     pub fn condition(&self, table: &Table, cond: &Condition) -> Option<Arc<TriSet>> {
-        let evaluate =
-            || Self::kernel(table, cond).map(|k| Arc::new(k.eval_column(table.num_rows())));
+        let evaluate = || {
+            let kernel = CompiledCondition::compile(cond, table).ok()?;
+            Some(Arc::new(kernel.eval_column(table.num_rows())))
+        };
         if !self.covers(table) {
             return evaluate();
         }
@@ -1386,13 +1363,6 @@ impl ConditionBitmapCache {
         lock_recover(&self.entries).entry(key).or_insert(computed).clone()
     }
 
-    /// The typed kernel of `cond` over `table`, if the compiler can express
-    /// it — which depends only on the schema and the condition, so the
-    /// answer is the same for every shard of one table.
-    fn kernel<'t>(table: &'t Table, cond: &Condition) -> Option<CompiledCondition<'t>> {
-        CompiledCondition::compile(cond, table).ok()
-    }
-
     /// Evaluates an arbitrary boolean expression tree by folding the
     /// cached per-condition bitmaps with word-level AND/OR/NOT. Each
     /// **distinct** leaf costs one cache lookup (a kernel scan on first
@@ -1400,29 +1370,16 @@ impl ConditionBitmapCache {
     /// compile against `table` (the caller's scalar fallback then handles
     /// the whole expression).
     pub fn bool_expr(&self, table: &Table, expr: &Expr) -> Option<TriSet> {
-        self.tri_eval(table, BoolTree::of_expr(expr).ok()?, &|_| true)
+        self.tri_eval(table, BoolTree::of_expr(expr).ok()?)
     }
 
     /// Folds `tree` over this cache's leaf bitmaps — what
     /// [`ConjunctivePredicate::tri_eval`] and
-    /// [`ConditionBitmapCache::bool_expr`] run. `None` when some leaf, live or
-    /// pruned, does not compile against `table`.
-    fn tri_eval(
-        &self,
-        table: &Table,
-        tree: BoolTree<'_>,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet> {
+    /// [`ConditionBitmapCache::bool_expr`] run. `None` when some leaf does
+    /// not compile against `table`.
+    fn tri_eval(&self, table: &Table, tree: BoolTree<'_>) -> Option<TriSet> {
         let compiled = tree.resolve(table.num_rows(), |cond| {
-            let leaf = if live(cond) {
-                self.condition(table, cond).map(LeafSource::Bitmap)
-            } else {
-                // Not scanned, cached or counted — but it must still
-                // compile, so whether a candidate vectorizes never depends
-                // on what the zone maps prune.
-                Self::kernel(table, cond).map(|_| LeafSource::Pruned)
-            };
-            leaf.ok_or(())
+            self.condition(table, cond).map(LeafSource::Bitmap).ok_or(())
         });
         Some(compiled.ok()?.eval_columns())
     }
@@ -1707,7 +1664,7 @@ mod tests {
                 assert_eq!(tri.unknowns.contains(r.index()), scalar.is_none(), "{p} on {r}");
             }
             // The cached conjunction agrees with direct evaluation.
-            let via_cache = p.tri_eval(&cache, &t, &|_| true).expect("well-typed");
+            let via_cache = p.tri_eval(&cache, &t).expect("well-typed");
             assert!(via_cache.trues == tri.trues && via_cache.unknowns == tri.unknowns, "{p}");
         }
         let (hits, misses) = cache.stats();
@@ -1930,7 +1887,7 @@ mod tests {
         }
         assert_eq!(cache.stats(), (3, 3), "6 warm-up lookups of 3 distinct conditions");
         for p in &conjunctions {
-            p.tri_eval(&cache, &t, &|_| true).unwrap();
+            p.tri_eval(&cache, &t).unwrap();
         }
         assert_eq!(cache.stats(), (9, 3), "1 + 2 + 3 conjunct lookups");
         for expr in &trees {
@@ -1963,7 +1920,7 @@ mod tests {
         assert_eq!(miss.trues.to_row_ids(), vec![RowId(0), RowId(1)]);
         assert_eq!(cache.stats(), (1, 2));
         let both = ConjunctivePredicate::new(vec![eq15, Condition::above("temp", 120.0)]);
-        let tri = both.tri_eval(&cache, &t, &|_| true).unwrap();
+        let tri = both.tri_eval(&cache, &t).unwrap();
         assert_eq!(tri.trues.to_row_ids(), vec![RowId(0)]);
     }
 
@@ -1975,51 +1932,6 @@ mod tests {
         let tri = CompiledBoolExpr::compile(&expr, &t).unwrap().eval_columns();
         assert_eq!(tri.universe(), 0);
         assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
-    }
-
-    /// Pruned-leaf substitution is *exact*: a condition whose kernel
-    /// provably produces the empty TriSet can be swapped for all-FALSE
-    /// without changing the conjunction's fold.
-    #[test]
-    fn tri_eval_pruned_substitution_is_exact() {
-        // No NULLs: `sensorid = 777` genuinely yields the empty TriSet.
-        let schema = Schema::of(&[("sensorid", DataType::Int), ("temp", DataType::Float)]);
-        let mut t = Table::new("r", schema).unwrap();
-        for i in 0..10i64 {
-            t.push_row(vec![Value::Int(i % 4), Value::Float(i as f64)]).unwrap();
-        }
-        let missing = Condition::equals("sensorid", 777);
-        let present = Condition::above("temp", 4.5);
-        let live = |c: &Condition| c.cache_key() != missing.cache_key();
-
-        let leaf_m = ConjunctivePredicate::new(vec![missing.clone()]);
-        let leaf_p = ConjunctivePredicate::new(vec![present.clone()]);
-        let both = ConjunctivePredicate::new(vec![missing.clone(), present.clone()]);
-        for p in [&both, &leaf_m, &leaf_p] {
-            // Fresh caches per path so the pruned evaluation can't borrow
-            // the unpruned evaluation's bitmaps.
-            let full = p.tri_eval(&ConditionBitmapCache::new(&t), &t, &|_| true).unwrap();
-            let pruned_cache = ConditionBitmapCache::new(&t);
-            let pruned = p.tri_eval(&pruned_cache, &t, &live).unwrap();
-            assert!(full.trues == pruned.trues && full.unknowns == pruned.unknowns, "{p}");
-            // The pruned condition never reached a kernel.
-            let (_, misses) = pruned_cache.stats();
-            let live_conditions = p.conditions().iter().filter(|c| live(c)).count();
-            assert!(misses as usize <= live_conditions, "{p}: pruned leaf should skip its scan");
-        }
-        // A pruned conjunct empties the conjunction on this shard without
-        // a scan: its live sibling is a lookup of the bitmap the ranker's
-        // warm-up pass left there.
-        let pruned_cache = ConditionBitmapCache::new(&t);
-        pruned_cache.condition(&t, &present).expect("warm-up");
-        let tri = both.tri_eval(&pruned_cache, &t, &live).unwrap();
-        assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
-        assert_eq!(pruned_cache.stats(), (1, 1), "one warm-up scan, one hit, no other kernel");
-        // ...but never past a conjunct the typed compiler cannot express:
-        // pruning must not turn a scalar-path candidate into a vectorized one.
-        let mistyped =
-            ConjunctivePredicate::new(vec![missing.clone(), Condition::contains("temp", "x")]);
-        assert!(mistyped.tri_eval(&pruned_cache, &t, &live).is_none());
     }
 
     #[test]
@@ -2059,7 +1971,7 @@ mod tests {
         assert_eq!(cache.visible().count_ones(), t.visible_rows());
         // A mistyped condition is inexpressible: the conjunction yields None.
         let bad = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
-        assert!(bad.tri_eval(&cache, &t, &|_| true).is_none());
+        assert!(bad.tri_eval(&cache, &t).is_none());
         // Mutating the table bumps the version: the stale cache computes
         // fresh results (still correct) without serving stored bitmaps.
         let mut t2 = t.clone();
@@ -2067,12 +1979,12 @@ mod tests {
         assert!(!cache.covers(&t2));
         let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]);
         let (h0, m0) = cache.stats();
-        let tri = p.tri_eval(&cache, &t2, &|_| true).expect("well-typed");
+        let tri = p.tri_eval(&cache, &t2).expect("well-typed");
         assert_eq!(cache.stats(), (h0, m0), "bypassed lookups leave the counters alone");
         assert_eq!(tri.trues.to_row_ids(), vec![RowId(0), RowId(1)]);
         // Global counters only ever grow.
         let (gh, gm) = ConditionBitmapCache::global_stats();
-        let _ = p.tri_eval(&cache, &t, &|_| true);
+        let _ = p.tri_eval(&cache, &t);
         let (gh2, gm2) = ConditionBitmapCache::global_stats();
         assert!(gh2 + gm2 > gh + gm);
     }

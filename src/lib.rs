@@ -37,11 +37,9 @@ pub use dbwipes_provenance as provenance;
 pub use dbwipes_storage as storage;
 
 pub use dbwipes_core::{
-    rank_predicates_sharded, CleaningSession, DbWipes, ErrorMetric, ExplainConfig, Explanation,
-    ExplanationRequest, RankedPredicate,
+    CleaningSession, DbWipes, ErrorMetric, ExplainConfig, Explanation, ExplanationRequest,
+    RankedPredicate,
 };
 pub use dbwipes_dashboard::{Brush, DashboardSession};
-pub use dbwipes_engine::{execute_sql, parse_select, QueryResult, ShardedAggregateCache};
-pub use dbwipes_storage::{
-    Catalog, Condition, ConjunctivePredicate, RowId, ShardedTable, Table, Value,
-};
+pub use dbwipes_engine::{execute_sql, parse_select, QueryResult};
+pub use dbwipes_storage::{Catalog, Condition, ConjunctivePredicate, RowId, Table, Value};

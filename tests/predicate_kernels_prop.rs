@@ -16,7 +16,7 @@ use dbwipes::storage::rowset::RowSet;
 use dbwipes::storage::{
     lit, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, Schema, Value,
 };
-use dbwipes::{Condition, ConjunctivePredicate, RowId, ShardedTable, Table};
+use dbwipes::{Condition, ConjunctivePredicate, RowId, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -181,12 +181,6 @@ fn arbitrary_tree() -> impl Strategy<Value = Expr> {
         })
 }
 
-/// A random conjunction of one to three random conditions — the only
-/// candidate shape the ranker scores, and so the only one zone maps prune.
-fn arbitrary_conjunction() -> impl Strategy<Value = ConjunctivePredicate> {
-    proptest::collection::vec(arbitrary_condition(), 1..4).prop_map(ConjunctivePredicate::new)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -227,43 +221,6 @@ proptest! {
         prop_assert_eq!(expr.filter_set(&table).unwrap().to_row_ids(), expr.filter(&table).unwrap());
     }
 
-    /// Sharded zone-map pruning is *exact*: evaluating a conjunction per
-    /// shard with pruned conditions substituted by all-FALSE (the
-    /// `tri_eval` path the ranker uses over a partition) and merging must
-    /// reproduce the unsharded bitmaps bit for bit — one pruned conjunct
-    /// empties its `AND` on that shard, whatever its siblings hold there.
-    #[test]
-    fn sharded_tree_pruning_is_exact(
-        table in arbitrary_table(),
-        tree in arbitrary_conjunction(),
-        column in prop_oneof![Just("id"), Just("x"), Just("memo")],
-        shards in prop_oneof![Just(1usize), 2usize..5, Just(19usize)],
-    ) {
-        let full = tree
-            .tri_eval(&ConditionBitmapCache::new(&table), &table, &|_| true)
-            .expect("generated conjunctions are vectorizable");
-        let sharded = ShardedTable::hash(&table, column, shards).unwrap();
-        let mut trues = Vec::new();
-        let mut unknowns = Vec::new();
-        for (s, shard) in sharded.shards().iter().enumerate() {
-            let cache = ConditionBitmapCache::new(shard);
-            let live = |c: &Condition| sharded.condition_may_match(s, c);
-            let tri = tree
-                .tri_eval(&cache, shard, &live)
-                .expect("vectorizable on every shard");
-            trues.push(tri.trues.clone());
-            unknowns.push(tri.unknowns.clone());
-        }
-        prop_assert!(
-            sharded.merge_sets(&trues) == full.trues,
-            "pruned TRUE bitmaps diverged for {} sharded {}x on {}", tree, shards, column
-        );
-        prop_assert!(
-            sharded.merge_sets(&unknowns) == full.unknowns,
-            "pruned UNKNOWN bitmaps diverged for {} sharded {}x on {}", tree, shards, column
-        );
-    }
-
     /// Kernels ≡ scalar for single conditions and random conjunctions, and
     /// the condition-bitmap cache agrees with direct evaluation (twice, so
     /// the second pass exercises the hit path).
@@ -285,7 +242,7 @@ proptest! {
         for pred in &predicates {
             assert_kernel_equivalence(&table, pred)?;
             for _round in 0..2 {
-                let via_cache = pred.tri_eval(&cache, &table, &|_| true).expect("well-typed");
+                let via_cache = pred.tri_eval(&cache, &table).expect("well-typed");
                 let direct = pred.compile(&table).unwrap().eval_columns();
                 prop_assert!(
                     via_cache.trues == direct.trues && via_cache.unknowns == direct.unknowns,

@@ -14,7 +14,9 @@
 //! algorithmic bug in the shard/merge path, never floating-point noise.
 
 use dbwipes::core::{rank_predicates_sharded, rank_predicates_with_cache, RankerConfig};
-use dbwipes::engine::{parse_select, ExclusionQuery, GroupedAggregateCache, ShardedAggregateCache};
+use dbwipes::engine::{
+    parse_select, ExclusionQuery, GroupedAggregateCache, SelectStatement, ShardedAggregateCache,
+};
 use dbwipes::storage::{DataType, RowSet, Schema, ShardedTable, Value};
 use dbwipes::{
     execute_sql, Catalog, Condition, ConjunctivePredicate, ErrorMetric, RankedPredicate, RowId,
@@ -87,7 +89,7 @@ fn arbitrary_exclusions() -> impl Strategy<Value = Vec<RowId>> {
 
 /// A random leaf condition over the table's three columns, thresholds on
 /// the same half-integer grid as the data (so equality with a stored value
-/// and zone-map boundaries are both hit).
+/// and range boundaries are both hit).
 fn arbitrary_condition() -> impl Strategy<Value = Condition> {
     prop_oneof![
         (0i64..5).prop_map(|g| Condition::equals("grp", g)),
@@ -128,6 +130,14 @@ fn arbitrary_ranked_statement() -> impl Strategy<Value = (&'static str, &'static
             "SELECT grp, sum(value * 2) AS doubled, max(value - 1) FROM m GROUP BY grp",
             "doubled"
         )),
+        // The LIMIT fallback: ε reads the brushed keys off the merged full
+        // result.
+        Just((
+            "SELECT grp, sum(value) FROM m GROUP BY grp ORDER BY sum_value DESC LIMIT 3",
+            "sum_value"
+        )),
+        // The implicit group.
+        Just(("SELECT avg(value), count(*) FROM m", "avg_value")),
     ]
 }
 
@@ -169,9 +179,25 @@ fn build_partition(table: &Table, column: &str, shards: usize) -> Arc<ShardedTab
     Arc::new(ShardedTable::hash(table, column, shards).unwrap())
 }
 
+/// `rows` as one local exclusion set per shard.
+fn local_sets(sharded: &ShardedTable, rows: &[RowId]) -> Vec<RowSet> {
+    let split = sharded.split_rows(rows);
+    split.iter().zip(sharded.shards()).map(|(l, t)| RowSet::from_rows(t.num_rows(), l)).collect()
+}
+
+/// The GROUP BY key of every row (`[]`, the implicit group's, for an
+/// ungrouped statement): asking by key for all of them asks for every
+/// group there is.
+fn every_key(table: &Table, stmt: &SelectStatement) -> Vec<Vec<Value>> {
+    let key = |r| stmt.group_by.iter().map(|c| table.value_by_name(r, c).unwrap()).collect();
+    table.all_row_ids().map(key).collect()
+}
+
 /// The core assertion: for one (table, partition, statement, exclusions)
-/// tuple, the sharded cache's full and excluding results are bitwise
-/// identical to the unsharded cache's.
+/// tuple, the sharded cache's by-key results, excluding nothing and
+/// excluding `excluded`, are bitwise identical to the unsharded cache's.
+/// A LIMIT statement takes the merged full path (ORDER BY and LIMIT
+/// applied over every merged group) before the keys filter it.
 fn assert_equivalent(
     table: &Table,
     sharded: &Arc<ShardedTable>,
@@ -181,32 +207,19 @@ fn assert_equivalent(
     let stmt = parse_select(sql).unwrap();
     let unsharded = GroupedAggregateCache::build(table, &stmt).unwrap();
     let cache = ShardedAggregateCache::build(sharded.clone(), &stmt).unwrap();
+    let keys = every_key(table, &stmt);
 
-    let full_a = unsharded.full_result();
-    let full_b = cache.full_result();
-    prop_assert!(
-        full_a.rows == full_b.rows && full_a.group_keys == full_b.group_keys,
-        "full results diverged for {sql}: {:?} != {:?}",
-        full_a.rows,
-        full_b.rows
-    );
-    prop_assert_eq!(full_a.schema.names(), full_b.schema.names());
-
-    // Exclusion path: global rows split through the partition mapping.
-    let incremental = unsharded.result(&ExclusionQuery::new().excluding_rows(excluded));
-    let split = sharded.split_rows(excluded);
-    let sets: Vec<RowSet> = split
-        .iter()
-        .zip(sharded.shards())
-        .map(|(rows, t)| RowSet::from_rows(t.num_rows(), rows.iter()))
-        .collect();
-    let merged = cache.result_excluding_local_sets(&sets);
-    prop_assert!(
-        incremental.rows == merged.rows && incremental.group_keys == merged.group_keys,
-        "excluding results diverged for {sql} excluding {excluded:?}: {:?} != {:?}",
-        incremental.rows,
-        merged.rows
-    );
+    for excluded in [&[][..], excluded] {
+        let a = unsharded.result(&ExclusionQuery::new().excluding_rows(excluded).for_keys(&keys));
+        let b = cache.result_excluding_keys_local_sets(&local_sets(sharded, excluded), &keys);
+        prop_assert!(
+            a.rows == b.rows && a.group_keys == b.group_keys,
+            "results diverged for {sql} excluding {excluded:?}: {:?} != {:?}",
+            a.rows,
+            b.rows
+        );
+        prop_assert_eq!(a.schema.names(), b.schema.names());
+    }
     Ok(())
 }
 
@@ -264,7 +277,7 @@ proptest! {
 
         let keys: Vec<Vec<Value>> = (0..4).map(|g| vec![Value::Int(g)]).collect();
         let a = unsharded.result(&ExclusionQuery::new().excluding_rows(&excluded).for_keys(&keys));
-        let b = cache.result_excluding_keys_global(&excluded, &keys);
+        let b = cache.result_excluding_keys_local_sets(&local_sets(&sharded, &excluded), &keys);
         prop_assert!(
             a.rows == b.rows && a.group_keys == b.group_keys,
             "per-key results diverged at threshold {threshold}: {:?} != {:?}",
