@@ -44,7 +44,7 @@ use crate::metric::ErrorMetric;
 use crate::parallel::map_chunked;
 use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
 use dbwipes_storage::{
-    ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet, Table, TriSet, Value,
+    ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, Table, TriSet, Value,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -311,12 +311,11 @@ struct CandidateEvidence {
 /// rewrite would drop them — then the cache re-derives only the touched
 /// groups.
 ///
-/// The default path is vectorized: each condition's cached bitmap (one
-/// columnar kernel scan per *distinct* condition per shard snapshot) is
-/// combined with word-level AND.
-/// Expressibility is schema-only, so it is decided once per candidate from
-/// what the evaluation returns: if any shard declines, the whole candidate
-/// falls back to the per-row scalar walk.
+/// Evaluation is vectorized: each condition's cached bitmap (one columnar
+/// kernel scan per *distinct* condition per shard snapshot) is combined
+/// with word-level AND. Compilation is schema-only, so it is decided once
+/// per candidate from what the evaluation returns: if any shard declines,
+/// [`scalar_tri_eval`] reports why.
 fn score_candidate(
     ctx: &ScoreContext<'_>,
     predicate: &ConjunctivePredicate,
@@ -328,8 +327,6 @@ fn score_candidate(
         .map(|(bitmaps, cache)| predicate.tri_eval(bitmaps, cache.table()))
         .collect();
     let tris = match vectorized {
-        // A compiled candidate is well-typed by construction, so the
-        // scalar path's expression validation cannot fail here.
         Some(tris) => tris,
         None => scalar_tri_eval(ctx, predicate)?,
     };
@@ -393,22 +390,24 @@ fn score_bitmaps(ctx: &ScoreContext<'_>, tris: &[TriSet]) -> CandidateEvidence {
     CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned }
 }
 
-/// The scalar fallback for predicates outside the typed-kernel fragment:
-/// one expression walk per visible row of each shard, recorded in the same
-/// per-shard [`TriSet`] shape the kernels produce (invisible rows stay
-/// FALSE). Row-at-a-time evaluation is partition-safe, so walking shards
-/// in order visits exactly the base table's rows.
+/// The fallback for a candidate that does not compile. A conjunction
+/// compiles exactly when its expression validates
+/// (`tests/predicate_kernels_prop.rs`), so this is almost always the
+/// validation error executing the rewritten statement would report.
+///
+/// The one exception is an unbounded range on a column the table lacks:
+/// it renders as the literal `TRUE`, which validates, but the compiler
+/// still resolves its column. That candidate alone reaches the per-row
+/// walk below, one expression walk per visible row of each shard recorded
+/// in the per-shard [`TriSet`] shape the kernels produce (invisible rows
+/// stay FALSE).
 fn scalar_tri_eval(
     ctx: &ScoreContext<'_>,
     predicate: &ConjunctivePredicate,
 ) -> Result<Vec<TriSet>, CoreError> {
     let caches = ctx.shards.caches();
-    // The same validation executing the rewritten statement would perform.
     let p_expr = predicate.to_expr();
-    let t = p_expr.validate(caches[0].table().schema())?;
-    if !matches!(t, DataType::Bool | DataType::Null) {
-        return Err(CoreError::invalid(format!("predicate must be boolean, found {t}")));
-    }
+    p_expr.validate(caches[0].table().schema())?;
 
     let mut tris = Vec::with_capacity(caches.len());
     for cache in caches {
@@ -441,7 +440,7 @@ pub fn error_over_keys(result: &QueryResult, keys: &[Vec<Value>], metric: &Error
 mod tests {
     use super::*;
     use dbwipes_engine::execute_sql;
-    use dbwipes_storage::{Catalog, Condition, Schema, ShardedTable};
+    use dbwipes_storage::{Catalog, Condition, DataType, Schema, ShardedTable};
     use std::sync::Arc;
 
     /// Window 1 is polluted by sensor 7's ~120F readings; the healthy ones
@@ -752,6 +751,42 @@ mod tests {
                 assert_eq!(a.example_f1, b.example_f1, "{shards} shards");
             }
         }
+    }
+
+    /// The candidate that validates yet does not compile — an unbounded
+    /// range on a missing column beside `sensorid = 7` — is scored by the
+    /// per-row walk exactly as `sensorid = 7` alone is by the kernels.
+    #[test]
+    fn the_walk_scores_an_unbounded_range_on_a_missing_column() {
+        let (c, broken) = setup();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let sensor = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 7)]);
+        let unbounded = Condition::Range {
+            column: "no_such_column".into(),
+            low: None,
+            low_inclusive: false,
+            high: None,
+            high_inclusive: false,
+        };
+        let walked = sensor.with(unbounded);
+        let table = c.table("readings").unwrap();
+        assert!(walked.compile(table).is_err());
+        let ranked = rank_predicates(
+            table,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            vec![sensor, walked.clone()],
+            &RankerConfig::default(),
+        )
+        .unwrap();
+        let (kernels, walk) = (&ranked[0], &ranked[1]);
+        assert_eq!(walk.predicate, walked);
+        assert_eq!(walk.matched_rows, kernels.matched_rows);
+        assert_eq!(walk.error_after, kernels.error_after);
+        assert_eq!(walk.example_f1, kernels.example_f1);
     }
 
     #[test]

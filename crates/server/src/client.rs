@@ -2,11 +2,11 @@
 //!
 //! One struct, four verbs — connect, send, read, round-trip — shared by
 //! everything that speaks to a `dbwipes-server` over a socket: the
-//! lifecycle tests, the binary end-to-end tests, `bench_server_pool`, and
-//! the CI soak driver. Sets `TCP_NODELAY` on connect (the protocol's
-//! one-line ping-pong is exactly the shape Nagle + delayed ACKs stall)
-//! and applies a caller-chosen read timeout so a wedged server fails a
-//! caller instead of hanging it.
+//! executor lifecycle tests (a fleet larger than the pool among them), the
+//! fault tests and the binary end-to-end tests. Sets `TCP_NODELAY` on
+//! connect (the protocol's one-line ping-pong is exactly the shape Nagle +
+//! delayed ACKs stall) and applies a caller-chosen read timeout so a
+//! wedged server fails a caller instead of hanging it.
 //!
 //! Errors are `String`s, like the rest of the protocol layer: this client
 //! is for drivers and harnesses, which either retry (`busy`) or report.

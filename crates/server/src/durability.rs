@@ -3,10 +3,9 @@
 //! service answering when the disk does not.
 //!
 //! A [`StorageRuntime`] wraps a pluggable [`StorageBackend`] (the
-//! filesystem [`FsBackend`] in production, a
-//! [`FaultInjectingBackend`]
-//! under chaos tests via `DBWIPES_FAULT_PLAN`) with the service-level
-//! policy and counters the `stats` command reports:
+//! filesystem [`FsBackend`] from [`StorageRuntime::open`]; tests pass a
+//! fault-injecting one to [`StorageRuntime::with_backend`]) with the
+//! service-level policy and counters the `stats` command reports:
 //!
 //! * **Tables are made durable eagerly** — `register` persists the table
 //!   before the reply is sent, and `stream_append` persists the appended
@@ -19,10 +18,8 @@
 //!   the `stats` counters read what the backend knows to be durable; no
 //!   file is re-read to answer them.
 //! * **Writes retry with capped exponential backoff** — a failed table
-//!   write (snapshot or segment alike) is retried up to
-//!   `DBWIPES_STORAGE_RETRIES` times (default 3),
-//!   sleeping `DBWIPES_STORAGE_BACKOFF_MS` (default 10) doubled per
-//!   attempt and capped at 1 s, but only when
+//!   write (snapshot or segment alike) is retried up to 3 times, sleeping
+//!   10 ms doubled per attempt and capped at 1 s, but only when
 //!   [`StorageError::is_transient`] says a retry could help: a full disk
 //!   or a corrupt snapshot fails fast.
 //! * **Exhausted retries degrade, they never kill** — the runtime flips
@@ -42,35 +39,20 @@
 //! The decode path trusts nothing: every snapshot and log record is
 //! checksummed by the storage layer.
 
-use dbwipes_storage::{
-    Catalog, FaultInjectingBackend, FaultPlan, FsBackend, StorageBackend, StorageError, Table,
-};
+use dbwipes_storage::{Catalog, FsBackend, StorageBackend, StorageError, Table};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Hard ceiling on a single backoff sleep, whatever the knobs say.
+/// Transient-fault retries per write, after the first try.
+const STORAGE_RETRIES: u32 = 3;
+
+/// The first retry's backoff; each later one doubles it.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Hard ceiling on a single backoff sleep.
 const MAX_BACKOFF: Duration = Duration::from_secs(1);
-
-/// Transient-fault retries per write: `DBWIPES_STORAGE_RETRIES` (default
-/// 3), read per write so a test can adjust it in-process.
-fn storage_retries() -> u32 {
-    std::env::var("DBWIPES_STORAGE_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(3)
-        .min(16)
-}
-
-/// Base backoff in milliseconds: `DBWIPES_STORAGE_BACKOFF_MS` (default
-/// 10), doubled per retry and capped at [`MAX_BACKOFF`].
-fn storage_backoff_ms() -> u64 {
-    std::env::var("DBWIPES_STORAGE_BACKOFF_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(10)
-}
 
 /// The service's handle on durable storage: a pluggable backend plus the
 /// retry/degradation policy and the counters surfaced by the `stats`
@@ -131,25 +113,15 @@ pub struct StorageHealth {
 }
 
 impl StorageRuntime {
-    /// Opens (creating if needed) the data directory at `dir`. When the
-    /// `DBWIPES_FAULT_PLAN` environment variable is a non-empty
-    /// [`FaultPlan`] spec, the filesystem backend is wrapped in a
-    /// [`FaultInjectingBackend`] — the chaos-test entry point.
+    /// Opens (creating if needed) the data directory at `dir` through the
+    /// filesystem backend.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let dir = dir.as_ref();
-        let fs = FsBackend::open(dir)?;
-        let backend: Box<dyn StorageBackend> = match std::env::var("DBWIPES_FAULT_PLAN") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                let plan = FaultPlan::parse(&spec)?;
-                Box::new(FaultInjectingBackend::with_torn_dir(Box::new(fs), plan, dir))
-            }
-            _ => Box::new(fs),
-        };
-        Ok(Self::with_backend(backend))
+        Ok(Self::with_backend(Box::new(FsBackend::open(dir.as_ref())?)))
     }
 
-    /// Builds a runtime over an arbitrary backend — the seam chaos tests
-    /// use to inject scripted faults without touching the environment.
+    /// Builds a runtime over an arbitrary backend — the seam fault tests
+    /// use to inject scripted faults (a
+    /// [`FaultInjectingBackend`](dbwipes_storage::FaultInjectingBackend)).
     pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
         StorageRuntime {
             backend,
@@ -189,16 +161,12 @@ impl StorageRuntime {
         &self,
         mut op: impl FnMut() -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
-        let budget = storage_retries();
-        let base_ms = storage_backoff_ms();
         let mut attempt = 0u32;
         loop {
             match op() {
                 Ok(value) => return Ok(value),
-                Err(e) if e.is_transient() && attempt < budget => {
-                    let backoff =
-                        Duration::from_millis(base_ms.saturating_mul(1u64 << attempt.min(20)))
-                            .min(MAX_BACKOFF);
+                Err(e) if e.is_transient() && attempt < STORAGE_RETRIES => {
+                    let backoff = (BASE_BACKOFF * (1 << attempt)).min(MAX_BACKOFF);
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     attempt += 1;
                     std::thread::sleep(backoff);

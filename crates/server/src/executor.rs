@@ -188,9 +188,10 @@ impl PoolStats {
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn connection_admitted(&self) {
-        let now = self.active_connections.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_connections.fetch_max(now, Ordering::Relaxed);
+    /// Counts a connection about to be queued; returns the admitted count
+    /// including it.
+    fn connection_admitted(&self) -> u64 {
+        self.active_connections.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn connection_closed(&self) {
@@ -476,15 +477,20 @@ fn admit(
         );
         return;
     }
+    // Counted before the push: once queued, a worker may serve the
+    // connection to completion, and count its close, before this thread
+    // runs again. The queue's mutex orders this increment before that
+    // decrement, so the count never wraps below zero.
+    let admitted = stats.connection_admitted();
     match queue.try_push(stream) {
         Ok(()) => {
-            // Count the admission only once it actually holds a queue
-            // slot, so a queue-full bounce never ratchets the
-            // peak_connections high-water mark.
-            stats.connection_admitted();
+            // The high-water mark moves only once the connection holds a
+            // queue slot, so a queue-full bounce never ratchets it.
+            stats.peak_connections.fetch_max(admitted, Ordering::Relaxed);
             stats.queued.store(queue.len() as u64, Ordering::Relaxed);
         }
         Err(stream) => {
+            stats.connection_closed();
             stats.rejected.fetch_add(1, Ordering::Relaxed);
             reject(
                 stream,
@@ -797,15 +803,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_track_admissions_and_peaks() {
+    fn pool_stats_track_admissions() {
         let stats = PoolStats::new(&PoolConfig::default().normalized());
-        stats.connection_admitted();
-        stats.connection_admitted();
+        assert_eq!(stats.connection_admitted(), 1);
+        assert_eq!(stats.connection_admitted(), 2);
         stats.connection_closed();
-        stats.connection_admitted();
+        assert_eq!(stats.connection_admitted(), 2);
         let snapshot = stats.snapshot();
         assert_eq!(snapshot.active_connections, 2);
-        assert_eq!(snapshot.peak_connections, 2);
+        // The acceptor raises the high-water mark once a push lands.
+        assert_eq!(snapshot.peak_connections, 0);
         assert_eq!(snapshot.rejected, 0);
     }
 }

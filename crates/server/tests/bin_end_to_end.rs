@@ -108,7 +108,7 @@ fn tcp_shutdown_ctrl_line_drains_and_exits_zero() {
     assert!(stats.contains(r#""pool""#), "{stats}");
     assert!(stats.contains(r#""workers":2"#), "{stats}");
     // The ctrl-line: reply is flushed, the pool drains, the process
-    // exits 0 — the graceful-shutdown contract the CI soak job gates on.
+    // exits 0 — the graceful-shutdown contract ops wrappers rely on.
     assert!(roundtrip(r#"{"cmd":"shutdown"}"#).contains(r#""shutting_down":true"#));
     let status = child.wait().expect("server exits after the ctrl-line");
     assert!(status.success(), "graceful shutdown must exit 0, got {status:?}");

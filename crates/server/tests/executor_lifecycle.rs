@@ -1,6 +1,8 @@
 //! Lifecycle edges of the bounded worker-pool TCP executor: queue-full
-//! `busy` backpressure, the hard connection cap, idle-timeout closes, and
-//! graceful shutdown draining an in-flight `explain`.
+//! `busy` backpressure, the hard connection cap, a client fleet larger
+//! than pool plus queue, idle-timeout closes, the per-line read deadline
+//! against a trickled line, and graceful shutdown draining an in-flight
+//! `explain`.
 //!
 //! Each test runs `serve_pooled` in-process over an ephemeral port with a
 //! deliberately tiny pool so the edge under test is reached
@@ -13,7 +15,7 @@ use dbwipes_storage::Catalog;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A pooled server running in a background thread.
 struct TestServer {
@@ -43,6 +45,29 @@ impl TestServer {
 
     fn connect(&self) -> Client {
         Client(LineClient::connect(&self.addr, Duration::from_secs(20)).expect("connect"))
+    }
+
+    /// Connects and pings until admitted, the retry loop the protocol asks
+    /// of a client: every `busy` reply must carry `retry_after_ms`, which
+    /// is honoured (capped at 50 ms so the test stays short).
+    fn connect_admitted(&self) -> Client {
+        for _ in 0..2_000 {
+            let mut conn =
+                LineClient::connect(&self.addr, Duration::from_secs(20)).expect("connect");
+            match conn.roundtrip(r#"{"cmd":"ping"}"#) {
+                Ok(reply) if reply.get("pong") == Some(&Json::Bool(true)) => return Client(conn),
+                Ok(reply) => {
+                    assert_eq!(reply.get("busy"), Some(&Json::Bool(true)), "{reply}");
+                    let hint = reply.get("retry_after_ms").and_then(Json::as_u64);
+                    let hint = hint.unwrap_or_else(|| panic!("busy without a hint: {reply}"));
+                    std::thread::sleep(Duration::from_millis(hint.min(50)));
+                }
+                // A rejected socket may be closed under the probe before
+                // its busy line is read.
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        panic!("never admitted");
     }
 
     /// Requests shutdown, joins the serving thread, and returns the pool
@@ -118,6 +143,7 @@ fn saturated_queue_answers_busy_and_recovers() {
     assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
     assert_eq!(reply.get("busy"), Some(&Json::Bool(true)), "{reply}");
     assert!(reply.get("error").and_then(Json::as_str).unwrap().contains("queue full"), "{reply}");
+    assert!(reply.get("retry_after_ms").and_then(Json::as_u64).is_some(), "{reply}");
 
     // Backpressure is not failure: once A leaves, the worker pops B and
     // serves the command it queued.
@@ -154,6 +180,7 @@ fn connection_cap_rejects_with_busy() {
         reply.get("error").and_then(Json::as_str).unwrap().contains("connection limit"),
         "{reply}"
     );
+    assert!(reply.get("retry_after_ms").and_then(Json::as_u64).is_some(), "{reply}");
     // The rejected socket is closed server-side.
     assert!(b.read_to_eof().is_empty());
 
@@ -162,6 +189,119 @@ fn connection_cap_rejects_with_busy() {
     let stats = server.stop();
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.max_connections, 1);
+}
+
+#[test]
+fn a_fleet_larger_than_pool_and_queue_gets_every_admitted_reply_in_order() {
+    const CLIENTS: usize = 16;
+    const COMMANDS: u64 = 20;
+    // Two workers and two queue slots: at most four of the sixteen are
+    // admitted at once, so the rest are turned away and come back.
+    let server = TestServer::start(
+        120,
+        PoolConfig {
+            workers: 2,
+            queue_depth: 2,
+            max_connections: 6,
+            idle_timeout: long_idle(),
+            read_timeout: long_idle(),
+        },
+    );
+    let start = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                start.wait();
+                let mut client = server.connect_admitted();
+                let open = client.roundtrip(r#"{"cmd":"open_session"}"#);
+                let session = open.get("session").and_then(Json::as_u64).expect("session id");
+                // Pipelined: every reply comes back ok, in the order sent.
+                for i in 0..COMMANDS {
+                    client.send(&format!(r#"{{"cmd":"state","session":{session},"id":{i}}}"#));
+                }
+                for i in 0..COMMANDS {
+                    let reply = client.read_reply();
+                    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+                    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i), "{reply}");
+                }
+                let closed =
+                    client.roundtrip(&format!(r#"{{"cmd":"close_session","session":{session}}}"#));
+                assert_eq!(closed.get("ok"), Some(&Json::Bool(true)), "{closed}");
+            });
+        }
+    });
+    let stats = server.stop();
+    assert!(stats.rejected > 0, "the fleet never met backpressure: {stats:?}");
+    assert_eq!(stats.active_connections, 0, "{stats:?}");
+}
+
+/// Sends the start of a request line, then one more byte every 20 ms and
+/// never the newline, until the server answers or closes. Returns what the
+/// server wrote and how long the line lived.
+fn trickle_a_line(addr: &str) -> (String, Duration) {
+    use std::io::{ErrorKind, Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+    stream.write_all(br#"{"cmd":"ping""#).unwrap();
+    let started = Instant::now();
+    let mut seen = Vec::new();
+    let mut chunk = [0u8; 512];
+    while !seen.contains(&b'\n') {
+        assert!(started.elapsed() < Duration::from_secs(10), "the trickled line was never cut");
+        // Every byte is activity, so the idle timeout never fires; write
+        // errors mean the server has already closed.
+        let _ = stream.write_all(b" ");
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => seen.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+    }
+    (String::from_utf8_lossy(&seen).into_owned(), started.elapsed())
+}
+
+#[test]
+fn a_trickled_line_is_cut_at_the_read_deadline_while_fast_clients_are_served() {
+    let read_timeout = Duration::from_millis(300);
+    let server = TestServer::start(
+        120,
+        PoolConfig {
+            workers: 4,
+            queue_depth: 4,
+            max_connections: 8,
+            idle_timeout: long_idle(),
+            read_timeout,
+        },
+    );
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let (notice, lived) = trickle_a_line(&server.addr);
+                assert!(notice.contains(r#""read_timeout":true"#), "{notice:?}");
+                assert!(lived >= read_timeout, "cut before the deadline: {lived:?}");
+            });
+        }
+        // Two fast clients on the other workers, pinging across the whole
+        // window the trickled lines are open.
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client = server.connect();
+                let started = Instant::now();
+                let mut i = 0u64;
+                while started.elapsed() < 2 * read_timeout {
+                    let reply = client.roundtrip(&format!(r#"{{"cmd":"ping","id":{i}}}"#));
+                    assert_eq!(reply.get("pong"), Some(&Json::Bool(true)), "{reply}");
+                    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i), "{reply}");
+                    i += 1;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            });
+        }
+    });
+    let stats = server.stop();
+    assert_eq!(stats.rejected, 0, "{stats:?}");
+    assert_eq!(stats.served_connections, 4, "{stats:?}");
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Fault tolerance, end to end: scripted storage faults must never change
 //! an answer — only the `durable`/`health` reporting around it — degraded
-//! mode must self-heal on the first write that actually lands, and the
+//! mode must self-heal on the first write that actually lands (also under
+//! concurrent appenders and readers), and the
 //! `crash` test hook must cost zero workers while quarantining exactly
 //! the session that panicked.
 
 use dbwipes_data::{generate_sensor, SensorConfig};
-use dbwipes_server::{LineClient, SessionManager, StorageRuntime};
+use dbwipes_server::{Json, LineClient, SessionManager, StorageRuntime};
 use dbwipes_storage::{Catalog, FaultInjectingBackend, FaultPlan, FsBackend, Table};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -60,11 +61,9 @@ fn catalog_of(table: Table) -> Catalog {
     catalog
 }
 
-/// A plain filesystem runtime — built via `with_backend`, never
-/// `StorageRuntime::open`, so the `DBWIPES_FAULT_PLAN` environment knob
-/// can never leak into these tests.
+/// A plain filesystem runtime.
 fn fs_runtime(dir: &std::path::Path) -> StorageRuntime {
-    StorageRuntime::with_backend(Box::new(FsBackend::open(dir).unwrap()))
+    StorageRuntime::open(dir).unwrap()
 }
 
 /// A runtime whose writes follow the given fault plan.
@@ -263,6 +262,99 @@ fn degraded_mode_self_heals_on_the_first_successful_write() {
     let restored = fs_runtime(dir.path()).restore_catalog().unwrap();
     let table = restored.table_arc("readings").unwrap();
     assert_eq!(table.num_rows(), 2700 + 32);
+}
+
+/// `handle_line`'s reply, parsed and required to be `ok:true`.
+fn ok_reply(manager: &SessionManager, line: &str) -> Json {
+    let reply = Json::parse(&manager.handle_line(line)).expect("replies are JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{line}: {reply}");
+    reply
+}
+
+fn open_session(manager: &SessionManager) -> u64 {
+    let open = ok_reply(manager, r#"{"cmd":"open_session"}"#);
+    open.get("session").and_then(Json::as_u64).expect("open_session reply carries the id")
+}
+
+/// The `rows` of `sql` run in `session`.
+fn query_rows(manager: &SessionManager, session: u64, sql: &str) -> Json {
+    let line = format!(r#"{{"cmd":"run_query","session":{session},"sql":"{sql}"}}"#);
+    ok_reply(manager, &line).get("rows").cloned().expect("run_query reply carries rows")
+}
+
+fn row_count(manager: &SessionManager, session: u64) -> u64 {
+    let rows = query_rows(manager, session, "SELECT count(*) FROM readings");
+    let cell = rows.as_array().and_then(|r| r.first()).and_then(Json::as_array);
+    cell.and_then(|c| c.first()).and_then(Json::as_u64).expect("a count(*) result")
+}
+
+#[test]
+fn concurrent_appenders_and_readers_lose_nothing_and_heal() {
+    const APPENDERS: usize = 4;
+    const READERS: usize = 4;
+    const ROUNDS: usize = 8;
+    let dir = TempDir::new();
+    // As in the serial self-heal test: the registration's save exhausts
+    // attempts 1..=4 and degrades, and 5..=8 fail whichever appends draw
+    // them; every later write lands.
+    let runtime = Arc::new(faulty_runtime(dir.path(), "range:1:8:io"));
+    let manager = SessionManager::new(Catalog::new());
+    manager.attach_storage(Arc::clone(&runtime));
+    manager.register_table(sensor_table());
+    assert!(runtime.is_degraded());
+
+    // The witness holds the window query displayed across every append.
+    let witness = open_session(&manager);
+    let seed = row_count(&manager, witness);
+    query_rows(&manager, witness, WINDOW_SQL);
+
+    let append =
+        format!(r#"{{"cmd":"stream_append","table":"readings","rows":[{}]}}"#, append_rows_json());
+    std::thread::scope(|scope| {
+        for _ in 0..APPENDERS {
+            scope.spawn(|| {
+                for _ in 0..ROUNDS {
+                    let ack = ok_reply(&manager, &append);
+                    assert_eq!(ack.get("appended").and_then(Json::as_u64), Some(16), "{ack}");
+                }
+            });
+        }
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                let session = open_session(&manager);
+                for _ in 0..ROUNDS {
+                    query_rows(&manager, session, WINDOW_SQL);
+                    ok_reply(
+                        &manager,
+                        &format!(
+                            r#"{{"cmd":"brush_outputs","session":{session},"x":"window","y":"std_temp","brush":{{"y_min":8}}}}"#
+                        ),
+                    );
+                    ok_reply(&manager, &format!(r#"{{"cmd":"state","session":{session}}}"#));
+                }
+            });
+        }
+    });
+
+    let streamed = (APPENDERS * ROUNDS * 16) as u64;
+    let cold = open_session(&manager);
+    assert_eq!(
+        row_count(&manager, witness),
+        seed + streamed,
+        "the witness lost or doubled a batch"
+    );
+    assert_eq!(row_count(&manager, cold), seed + streamed);
+    assert_eq!(
+        query_rows(&manager, witness, WINDOW_SQL),
+        query_rows(&manager, cold, WINDOW_SQL),
+        "the refreshed witness and a cold session disagree"
+    );
+    let stats = ok_reply(&manager, r#"{"cmd":"stats"}"#);
+    let absorbs = stats.get("cache").and_then(|c| c.get("append_absorbs")).and_then(Json::as_u64);
+    assert!(absorbs > Some(0), "appends rebuilt the witness's cache instead of absorbing: {stats}");
+    let health = runtime.health();
+    assert!(health.degraded_entries >= 1, "{health:?}");
+    assert!(!health.degraded, "the landed writes never healed: {health:?}");
 }
 
 #[test]

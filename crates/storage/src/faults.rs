@@ -8,20 +8,18 @@
 //!
 //! Every write attempt (process-wide per backend, 1-based) is matched
 //! against the plan's clauses in order; the first matching clause fires.
-//! Because the decision is a pure function of the attempt number, the
-//! per-target flaky history, and the plan's seed, a failing chaos run
-//! reproduces exactly from its plan string.
+//! Because the decision is a pure function of the attempt number and the
+//! per-target flaky history, a failing test reproduces exactly from its
+//! plan string.
 //!
 //! ## Plan grammar
 //!
 //! A plan is `;`-separated clauses:
 //!
 //! ```text
-//! seed:<u64>                    # seeds the `random` trigger (default 0)
 //! every:<n>:<kind>              # attempts n, 2n, 3n, ...
 //! at:<n>:<kind>                 # exactly attempt n
 //! range:<a>:<b>:<kind>          # attempts a..=b
-//! random:<permille>:<kind>      # seeded pseudo-random per attempt
 //! ```
 //!
 //! with `<kind>` one of:
@@ -37,12 +35,11 @@
 //!   rename, exactly what a power cut mid-`write(2)` leaves behind), or a
 //!   truncated tail record in the table's log, where an append has no
 //!   rename to hide behind — then the error is reported,
-//! * `slow@<ms>` — the write succeeds after an injected latency,
 //! * `flaky` — transient-then-succeed: the first attempt *per distinct
 //!   target* fails with a transient error, every later attempt on the
 //!   same target passes through — the canonical retry-loop exercise.
 //!
-//! Example: `seed:7;at:4:enospc;every:3:io` fails every third write with
+//! Example: `at:4:enospc;every:3:io` fails every third write with
 //! a transient fault, except attempt 4 which reports a full disk.
 
 use crate::error::StorageError;
@@ -63,8 +60,6 @@ pub enum FaultKind {
     /// Crash the write after this many payload bytes, leaving a torn
     /// artifact behind when the inner backend exposes a directory.
     Torn(usize),
-    /// Succeed, but only after sleeping this many milliseconds.
-    Slow(u64),
     /// Fail the first attempt per distinct target, then succeed.
     Flaky,
 }
@@ -79,8 +74,6 @@ enum Trigger {
     At(u64),
     /// Attempts a..=b inclusive.
     Range(u64, u64),
-    /// Seeded pseudo-random with this permille probability.
-    Random(u64),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,17 +86,7 @@ struct Clause {
 /// plan grammar.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    seed: u64,
     clauses: Vec<Clause>,
-}
-
-/// SplitMix64: tiny, seedable, and plenty for scheduling faults.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn plan_err(spec: &str, why: &str) -> StorageError {
@@ -122,8 +105,6 @@ fn parse_kind(spec: &str, part: &str) -> Result<FaultKind, StorageError> {
         other => {
             if let Some(k) = other.strip_prefix("torn@") {
                 Ok(FaultKind::Torn(parse_num(spec, k)? as usize))
-            } else if let Some(ms) = other.strip_prefix("slow@") {
-                Ok(FaultKind::Slow(parse_num(spec, ms)?))
             } else {
                 Err(plan_err(spec, &format!("unknown fault kind '{other}'")))
             }
@@ -143,7 +124,6 @@ impl FaultPlan {
             }
             let parts: Vec<&str> = spec.split(':').collect();
             match parts.as_slice() {
-                ["seed", v] => parsed.seed = parse_num(spec, v)?,
                 ["every", n, kind] => {
                     let n = parse_num(spec, n)?;
                     if n == 0 {
@@ -167,16 +147,6 @@ impl FaultPlan {
                         kind: parse_kind(spec, kind)?,
                     });
                 }
-                ["random", permille, kind] => {
-                    let p = parse_num(spec, permille)?;
-                    if p > 1000 {
-                        return Err(plan_err(spec, "permille exceeds 1000"));
-                    }
-                    parsed.clauses.push(Clause {
-                        trigger: Trigger::Random(p),
-                        kind: parse_kind(spec, kind)?,
-                    });
-                }
                 _ => return Err(plan_err(spec, "unrecognized clause shape")),
             }
         }
@@ -192,7 +162,6 @@ impl FaultPlan {
                 Trigger::Every(n) => attempt % n == 0,
                 Trigger::At(n) => attempt == n,
                 Trigger::Range(a, b) => (a..=b).contains(&attempt),
-                Trigger::Random(permille) => splitmix64(self.seed ^ attempt) % 1000 < permille,
             })
             .map(|c| c.kind)
     }
@@ -209,7 +178,7 @@ pub struct FaultInjectingBackend {
     torn_dir: Option<PathBuf>,
     /// Global 1-based write attempt counter.
     writes: AtomicU64,
-    /// Writes that were failed or delayed by the plan.
+    /// Writes that were failed by the plan.
     injected: AtomicU64,
     /// Targets whose first (flaky) attempt has already been burned.
     flaky_seen: Mutex<HashMap<String, u64>>,
@@ -251,14 +220,13 @@ impl FaultInjectingBackend {
         self.writes.load(Ordering::Relaxed)
     }
 
-    /// Writes the plan failed or delayed.
+    /// Writes the plan failed.
     pub fn faults_injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 
     /// Decides the fate of one write attempt against `target`. Returns
-    /// `Ok(())` when the write should proceed (possibly after an injected
-    /// delay), or the scripted error. `pending` describes the file write
+    /// `Ok(())` when the write should proceed, or the scripted error. `pending` describes the file write
     /// the attempt would perform; it is asked for only when a torn fault
     /// fires and has a directory to leave its artifact in.
     fn intercept(
@@ -295,11 +263,6 @@ impl FaultInjectingBackend {
                 Err(StorageError::Io(format!(
                     "injected torn write on #{attempt} ({target}): crashed after {k} bytes"
                 )))
-            }
-            FaultKind::Slow(ms) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                Ok(())
             }
             FaultKind::Flaky => {
                 let mut seen = self.flaky_seen.lock().unwrap_or_else(|poison| poison.into_inner());
@@ -404,11 +367,8 @@ mod tests {
 
     #[test]
     fn plan_parser_accepts_the_documented_grammar() {
-        let plan = FaultPlan::parse(
-            "seed:7; every:3:io; at:4:enospc; range:10:12:torn@16; random:250:slow@5",
-        )
-        .unwrap();
-        assert_eq!(plan.seed, 7);
+        let plan =
+            FaultPlan::parse("every:3:io; at:4:enospc; range:10:12:torn@16; at:5:flaky").unwrap();
         assert_eq!(plan.clauses.len(), 4);
         assert_eq!(plan.clauses[0], Clause { trigger: Trigger::Every(3), kind: FaultKind::Io });
         assert_eq!(plan.clauses[1], Clause { trigger: Trigger::At(4), kind: FaultKind::Enospc });
@@ -416,19 +376,23 @@ mod tests {
             plan.clauses[2],
             Clause { trigger: Trigger::Range(10, 12), kind: FaultKind::Torn(16) }
         );
-        assert_eq!(
-            plan.clauses[3],
-            Clause { trigger: Trigger::Random(250), kind: FaultKind::Slow(5) }
-        );
+        assert_eq!(plan.clauses[3], Clause { trigger: Trigger::At(5), kind: FaultKind::Flaky });
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
         assert_eq!(FaultPlan::parse("  ;; ").unwrap(), FaultPlan::default());
     }
 
     #[test]
     fn plan_parser_rejects_malformed_clauses() {
-        for bad in
-            ["every:0:io", "every:x:io", "at:3:unknown", "range:9:3:io", "random:1001:io", "nope"]
-        {
+        for bad in [
+            "every:0:io",
+            "every:x:io",
+            "at:3:unknown",
+            "range:9:3:io",
+            "random:1001:io",
+            "seed:7",
+            "at:1:slow@5",
+            "nope",
+        ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should not parse");
         }
     }
@@ -447,19 +411,6 @@ mod tests {
         assert_eq!(backend.faults_injected(), 3);
         // The injected error is transient: a retry (attempt 10) succeeds.
         assert!(backend.save_table(&t).is_ok());
-    }
-
-    #[test]
-    fn seeded_random_schedule_reproduces_exactly() {
-        let decide = |plan: &str| {
-            let plan = FaultPlan::parse(plan).unwrap();
-            (1..=64).map(|a| plan.fault_for(a).is_some()).collect::<Vec<bool>>()
-        };
-        let a = decide("seed:42;random:300:io");
-        assert_eq!(a, decide("seed:42;random:300:io"), "same seed, same schedule");
-        assert_ne!(a, decide("seed:43;random:300:io"), "different seed, different schedule");
-        let fired = a.iter().filter(|f| **f).count();
-        assert!((5..=35).contains(&fired), "~30% of 64 attempts, got {fired}");
     }
 
     #[test]
@@ -539,17 +490,6 @@ mod tests {
         let other = small_table();
         assert!(backend.save_table(&other).is_err(), "another table is another target");
         assert!(backend.save_table(&other).is_ok());
-    }
-
-    #[test]
-    fn slow_faults_delay_but_do_not_fail() {
-        let dir = TempDir::new();
-        let backend = faulty(dir.path(), "every:1:slow@5");
-        let t = small_table();
-        let start = std::time::Instant::now();
-        backend.save_table(&t).unwrap();
-        assert!(start.elapsed() >= std::time::Duration::from_millis(5));
-        assert_eq!(backend.faults_injected(), 1);
     }
 
     #[test]

@@ -673,8 +673,7 @@ fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
 }
 
 fn runtime_over(dir: &TempDir) -> Arc<StorageRuntime> {
-    // `with_backend`, never `open`: `DBWIPES_FAULT_PLAN` must not leak in.
-    Arc::new(StorageRuntime::with_backend(Box::new(FsBackend::open(dir.path()).unwrap())))
+    Arc::new(StorageRuntime::open(dir.path()).unwrap())
 }
 
 fn small_batch(seed: u64, n: usize) -> Vec<Vec<Value>> {

@@ -102,6 +102,28 @@ fn arbitrary_condition() -> impl Strategy<Value = Condition> {
         .prop_map(|(shape, k, k2)| condition_shape(shape, k, k2))
 }
 
+/// Every column of the fixed multi-type table, then one it lacks.
+const AIMS: [&str; 6] = ["id", "x", "memo", "flag", "at", "no_such_column"];
+
+/// `condition` with its column replaced by `column`.
+fn aimed_at(mut condition: Condition, column: &str) -> Condition {
+    match &mut condition {
+        Condition::Equals { column: c, .. }
+        | Condition::NotEquals { column: c, .. }
+        | Condition::Range { column: c, .. }
+        | Condition::InSet { column: c, .. }
+        | Condition::Contains { column: c, .. } => *c = column.to_string(),
+    }
+    condition
+}
+
+/// The one condition that validates but does not compile: an unbounded
+/// range renders as the literal `TRUE` whatever its column, while the
+/// compiler still resolves the column.
+fn unbounded_range_on_a_missing_column() -> Condition {
+    aimed_at(condition_shape(7, 0, 0), "no_such_column")
+}
+
 /// The scalar three-valued verdict of a boolean expression on one row.
 fn scalar_verdict(expr: &Expr, table: &Table, row: RowId) -> Option<bool> {
     match expr.eval(table, row).expect("well-typed") {
@@ -254,6 +276,42 @@ proptest! {
         prop_assert!(hits + misses > 0);
     }
 
+    /// A conjunction compiles exactly when its expression validates, so a
+    /// candidate the ranker cannot compile is one whose rewritten statement
+    /// would fail: every condition shape aimed at every column of the
+    /// multi-type table and at a missing one, alone and beside another
+    /// aimed shape — except [`unbounded_range_on_a_missing_column`].
+    #[test]
+    fn compile_fails_exactly_when_validation_fails(
+        k in -30i64..30,
+        k2 in -30i64..30,
+        other_shape in 0..CONDITION_SHAPES,
+        other_aim in 0..AIMS.len(),
+    ) {
+        let table = common::boundary_table(64);
+        let other = aimed_at(condition_shape(other_shape, k2, k), AIMS[other_aim]);
+        for shape in 0..CONDITION_SHAPES {
+            for aim in AIMS {
+                let condition = aimed_at(condition_shape(shape, k, k2), aim);
+                for conditions in [vec![condition.clone()], vec![condition.clone(), other.clone()]] {
+                    if conditions.contains(&unbounded_range_on_a_missing_column()) {
+                        continue;
+                    }
+                    let pred = ConjunctivePredicate::new(conditions);
+                    let compiled = pred.compile(&table);
+                    let validated = pred.to_expr().validate(table.schema());
+                    prop_assert!(
+                        compiled.is_err() == validated.is_err(),
+                        "{}: compile {:?}, validate {:?}",
+                        pred,
+                        compiled.err(),
+                        validated
+                    );
+                }
+            }
+        }
+    }
+
     /// `RowSet` algebra laws against a `BTreeSet` oracle.
     #[test]
     fn rowset_algebra_matches_btreeset_oracle(
@@ -295,6 +353,22 @@ proptest! {
         prop_assert!(a.and_not(&a).is_empty());
         prop_assert!(a.and(&RowSet::full(universe)) == a);
     }
+}
+
+/// The counterexample to `compile_fails_exactly_when_validation_fails`,
+/// the case the ranker's per-row walk is kept for: the unbounded range is
+/// `TRUE` on every row, so it validates on a table that lacks its column,
+/// yet it does not compile there.
+#[test]
+fn an_unbounded_range_on_a_missing_column_validates_but_does_not_compile() {
+    let table = common::boundary_table(64);
+    let pred = ConjunctivePredicate::new(vec![unbounded_range_on_a_missing_column()]);
+    assert_eq!(pred.to_expr().validate(table.schema()).unwrap(), DataType::Bool);
+    assert!(pred.compile(&table).is_err());
+    // Beside a condition that compiles, the conjunction still does not.
+    let with_id = pred.with(Condition::equals("id", 3));
+    assert!(with_id.to_expr().validate(table.schema()).is_ok());
+    assert!(with_id.compile(&table).is_err());
 }
 
 /// The properties above on one more input, the fixed multi-chunk table:
