@@ -29,5 +29,7 @@ pub mod session;
 
 pub use forms::{error_form_choices, ErrorFormChoice, QueryForm};
 pub use render::render_ascii;
-pub use scatter::{result_series, zoom_series, Brush, PointRef, ScatterPoint, ScatterSeries};
+pub use scatter::{
+    result_series, zoom_points, zoom_series, Brush, PointRef, ScatterPoint, ScatterSeries,
+};
 pub use session::{DashboardSession, SessionState};

@@ -114,10 +114,9 @@ impl Brush {
     }
 
     /// The output-row indices selected by this brush (ignores input points).
-    pub fn selected_outputs(&self, series: &ScatterSeries) -> Vec<usize> {
-        series
-            .points
-            .iter()
+    pub fn selected_outputs(&self, points: impl IntoIterator<Item = ScatterPoint>) -> Vec<usize> {
+        points
+            .into_iter()
             .filter(|p| self.contains(p))
             .filter_map(|p| match p.reference {
                 PointRef::Output(i) => Some(i),
@@ -127,10 +126,9 @@ impl Brush {
     }
 
     /// The input rows selected by this brush (ignores output points).
-    pub fn selected_inputs(&self, series: &ScatterSeries) -> Vec<RowId> {
-        series
-            .points
-            .iter()
+    pub fn selected_inputs(&self, points: impl IntoIterator<Item = ScatterPoint>) -> Vec<RowId> {
+        points
+            .into_iter()
             .filter(|p| self.contains(p))
             .filter_map(|p| match p.reference {
                 PointRef::Input(r) => Some(r),
@@ -176,20 +174,29 @@ pub fn zoom_series(
     x_column: &str,
     y_column: &str,
 ) -> Option<ScatterSeries> {
+    let points = zoom_points(table, result, selected_outputs, x_column, y_column)?.collect();
+    Some(ScatterSeries { x_label: x_column.to_string(), y_label: y_column.to_string(), points })
+}
+
+/// The points of [`zoom_series`], in row-id order, produced one at a time
+/// for a consumer that filters or encodes them without keeping the series;
+/// `None` when either column is unknown.
+pub fn zoom_points<'t>(
+    table: &'t Table,
+    result: &QueryResult,
+    selected_outputs: &[usize],
+    x_column: &str,
+    y_column: &str,
+) -> Option<impl Iterator<Item = ScatterPoint> + 't> {
     let x = table.column_by_name(x_column)?;
     let y = table.column_by_name(y_column)?;
-    let points = result
-        .inputs_of_rows(selected_outputs)
-        .into_iter()
-        .filter_map(|rid| {
-            Some(ScatterPoint {
-                x: x.get_f64(rid.0)?,
-                y: y.get_f64(rid.0)?,
-                reference: PointRef::Input(rid),
-            })
+    Some(result.inputs_of_rows(selected_outputs).into_iter().filter_map(move |rid| {
+        Some(ScatterPoint {
+            x: x.get_f64(rid.0)?,
+            y: y.get_f64(rid.0)?,
+            reference: PointRef::Input(rid),
         })
-        .collect();
-    Some(ScatterSeries { x_label: x_column.to_string(), y_label: y_column.to_string(), points })
+    }))
 }
 
 #[cfg(test)]
@@ -236,12 +243,12 @@ mod tests {
         let c = catalog();
         let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
         let s = result_series(&r, "window", "avg_temp").unwrap();
-        let selected = Brush::above(30.0).selected_outputs(&s);
+        let selected = Brush::above(30.0).selected_outputs(s.points.clone());
         assert_eq!(selected, vec![2]);
-        assert!(Brush::above(30.0).selected_inputs(&s).is_empty());
-        assert_eq!(Brush::below(30.0).selected_outputs(&s), vec![0, 1]);
+        assert!(Brush::above(30.0).selected_inputs(s.points.clone()).is_empty());
+        assert_eq!(Brush::below(30.0).selected_outputs(s.points.clone()), vec![0, 1]);
         let everything = Brush { x_min: -1e9, x_max: 1e9, y_min: -1e9, y_max: 1e9 };
-        assert_eq!(everything.selected_outputs(&s).len(), 3);
+        assert_eq!(everything.selected_outputs(s.points).len(), 3);
     }
 
     #[test]
@@ -252,14 +259,18 @@ mod tests {
         let zoom = zoom_series(table, &r, &[2], "sensorid", "temp").unwrap();
         assert_eq!(zoom.len(), 20);
         // Brushing the high-temperature tuples yields input row ids.
-        let inputs = Brush::above(100.0).selected_inputs(&zoom);
+        let inputs = Brush::above(100.0).selected_inputs(zoom.points.clone());
         assert_eq!(inputs.len(), 4);
         for rid in &inputs {
             let temp = table.value_by_name(*rid, "temp").unwrap().as_f64().unwrap();
             assert!(temp > 100.0);
         }
-        assert!(Brush::above(100.0).selected_outputs(&zoom).is_empty());
+        assert!(Brush::above(100.0).selected_outputs(zoom.points.clone()).is_empty());
+        let produced: Vec<ScatterPoint> =
+            zoom_points(table, &r, &[2], "sensorid", "temp").unwrap().collect();
+        assert_eq!(produced, zoom.points);
         assert!(zoom_series(table, &r, &[2], "nope", "temp").is_none());
+        assert!(zoom_points(table, &r, &[2], "sensorid", "nope").is_none());
     }
 
     #[test]

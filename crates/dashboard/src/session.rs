@@ -8,7 +8,7 @@
 //! here, which is what the examples and the walkthrough experiments drive.
 
 use crate::forms::{error_form_choices, ErrorFormChoice, QueryForm};
-use crate::scatter::{result_series, zoom_series, Brush, ScatterSeries};
+use crate::scatter::{result_series, zoom_points, zoom_series, Brush, ScatterPoint, ScatterSeries};
 use dbwipes_core::{
     CleaningSession, CoreError, DbWipes, ErrorMetric, ExplainConfig, Explanation,
     ExplanationRequest, RankedPredicate,
@@ -173,10 +173,13 @@ impl DashboardSession {
     }
 
     /// Brushes the group-level plot to select suspicious outputs S (step 3).
-    /// Returns the selected output indices.
+    /// Returns the selected output indices. With no result or an unknown
+    /// column there is no plot, so the brush selects nothing — as a brush
+    /// that matches no point does.
     pub fn brush_outputs(&mut self, x_column: &str, y_column: &str, brush: Brush) -> Vec<usize> {
-        let Some(series) = self.plot(x_column, y_column) else { return Vec::new() };
-        let selected = brush.selected_outputs(&series);
+        let selected = self
+            .plot(x_column, y_column)
+            .map_or_else(Vec::new, |series| brush.selected_outputs(series.points));
         self.select_outputs(selected.clone());
         selected
     }
@@ -205,11 +208,31 @@ impl DashboardSession {
         )
     }
 
+    /// The points of [`DashboardSession::zoom`], produced one at a time
+    /// (see [`zoom_points`]).
+    pub fn zoom_points(
+        &self,
+        x_column: &str,
+        y_column: &str,
+    ) -> Option<impl Iterator<Item = ScatterPoint> + '_> {
+        zoom_points(
+            self.current_table()?,
+            self.result.as_ref()?,
+            &self.selected_outputs,
+            x_column,
+            y_column,
+        )
+    }
+
     /// Brushes the zoomed tuple plot to select suspicious inputs D′
-    /// (step 5). Returns the selected input rows.
+    /// (step 5), keeping the points as they are produced. Returns the
+    /// selected input rows. With no result or an unknown column there is
+    /// no zoom, so the brush selects nothing — as a brush that matches no
+    /// point does.
     pub fn brush_inputs(&mut self, x_column: &str, y_column: &str, brush: Brush) -> Vec<RowId> {
-        let Some(series) = self.zoom(x_column, y_column) else { return Vec::new() };
-        let selected = brush.selected_inputs(&series);
+        let selected = self
+            .zoom_points(x_column, y_column)
+            .map_or_else(Vec::new, |points| brush.selected_inputs(points));
         self.select_inputs(selected.clone());
         selected
     }
@@ -547,6 +570,41 @@ mod tests {
         // Brushing an unknown column selects nothing.
         assert!(s.brush_outputs("nope", "std_temp", Brush::above(0.0)).is_empty());
         assert!(s.brush_inputs("nope", "temp", Brush::above(0.0)).is_empty());
+    }
+
+    #[test]
+    fn an_impossible_brush_selects_nothing() {
+        let (mut s, ds) = session();
+        // Before any query there is nothing to brush: a selection made
+        // directly does not survive a brush.
+        s.select_outputs(vec![0]);
+        s.select_inputs(vec![RowId(1)]);
+        assert!(s.brush_outputs("window", "std_temp", Brush::above(0.0)).is_empty());
+        assert!(s.selected_outputs().is_empty() && s.selected_inputs().is_empty());
+
+        s.run_query(&ds.window_query()).unwrap();
+        s.brush_outputs("window", "std_temp", Brush::above(8.0));
+        s.brush_inputs("sensorid", "temp", Brush::above(100.0));
+        s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
+        s.debug().unwrap();
+        assert_eq!(s.state(), SessionState::Explained);
+
+        // An unknown zoom column drops D′ and the explanation of it...
+        assert!(s.brush_inputs("sensorid", "nope", Brush::above(100.0)).is_empty());
+        assert!(s.selected_inputs().is_empty());
+        assert_eq!(s.state(), SessionState::OutputsSelected);
+        // ...an unknown plot column drops S as well...
+        assert!(s.brush_outputs("window", "nope", Brush::above(8.0)).is_empty());
+        assert!(s.selected_outputs().is_empty());
+        assert_eq!(s.state(), SessionState::ResultsShown);
+        assert!(s.debug().is_err(), "no S is left to explain");
+        // ...exactly as brushes that match no point do.
+        s.brush_outputs("window", "std_temp", Brush::above(8.0));
+        s.brush_inputs("sensorid", "temp", Brush::above(100.0));
+        assert!(s.brush_inputs("sensorid", "temp", Brush::above(1e9)).is_empty());
+        assert_eq!(s.state(), SessionState::OutputsSelected);
+        assert!(s.brush_outputs("window", "std_temp", Brush::above(1e9)).is_empty());
+        assert_eq!(s.state(), SessionState::ResultsShown);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! observation that these sets are large — which the E5 experiment
 //! quantifies.
 
-use dbwipes_storage::RowId;
+use dbwipes_storage::{RowId, RowSet};
 
 /// Index of an output row (group) within a query result.
 pub type GroupIdx = usize;
@@ -65,13 +65,19 @@ impl Lineage {
         self.groups.get(group).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// The distinct input rows of a set of output groups — the paper's `F`.
+    /// The distinct input rows of a set of output groups — the paper's `F`
+    /// — in ascending order: every group's rows are set in one [`RowSet`]
+    /// over `0..=` the largest of them, which is then read back in order.
     pub fn inputs_of_groups(&self, groups: &[GroupIdx]) -> Vec<RowId> {
-        let mut rows: Vec<RowId> =
-            groups.iter().flat_map(|&g| self.inputs_of(g)).copied().collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
+        let lists = || groups.iter().map(|&g| self.inputs_of(g));
+        let Some(universe) = lists().flatten().map(|r| r.index() + 1).max() else {
+            return Vec::new();
+        };
+        let mut union = RowSet::empty(universe);
+        for row in lists().flatten() {
+            union.insert(row.index());
+        }
+        union.to_row_ids()
     }
 
     /// The distinct input rows across all output groups.

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,22 +312,32 @@ impl<'a> JsonWriter<'a> {
     /// the infinities (JSON has neither).
     pub fn num(&mut self, n: f64) {
         self.separate();
-        let integer = n as i64;
-        if integer as f64 == n && n.abs() < 9e15 {
-            write_decimal(self.out, integer < 0, integer.unsigned_abs(), 0);
-        } else if let Some((digits, places)) = short_decimal(n.abs()) {
-            write_decimal(self.out, n < 0.0, digits, places);
-        } else if n.is_finite() {
-            write!(self.out, "{n}").expect("writing to a String cannot fail");
-        } else {
-            self.out.push_str("null");
-        }
+        write_number(self.out, n);
     }
 
     /// Pushes a string.
     pub fn str(&mut self, s: &str) {
         self.separate();
         write_string(self.out, s);
+    }
+
+    /// Pushes one object of `shape`: its keys, escaped and checked once
+    /// when the shape was made, each followed by the value at its
+    /// position — the row of a series pushed many thousand times over.
+    pub fn shaped_object<const N: usize>(
+        &mut self,
+        shape: &ObjectShape<N>,
+        values: [Scalar<'_>; N],
+    ) {
+        self.separate();
+        for (key, value) in shape.keys.iter().zip(values) {
+            self.out.push_str(key);
+            match value {
+                Scalar::Num(n) => write_number(self.out, n),
+                Scalar::Str(s) => write_string(self.out, s),
+            }
+        }
+        self.out.push('}');
     }
 
     /// Pushes a whole [`Json`] value.
@@ -352,10 +363,86 @@ impl<'a> JsonWriter<'a> {
     }
 }
 
-/// The shortest decimal that reads back as `n` — the digits `{n}` prints —
-/// as `(digits, places)` meaning `digits / 10^places`, when it has at most
-/// six places and `n < 1e9`: raw readings and money, the bulk of a `zoom`.
-/// `None` sends the caller to `{n}` itself.
+/// The keys of an object pushed many times over by
+/// [`JsonWriter::shaped_object`]: checked to ascend and escaped once, here,
+/// instead of once per object.
+#[derive(Debug, Clone)]
+pub struct ObjectShape<const N: usize> {
+    /// `{"k0":`, then `,"k1":` and so on.
+    keys: [String; N],
+}
+
+impl<const N: usize> ObjectShape<N> {
+    /// The shape with these keys, which must ascend in byte order.
+    pub fn new(keys: [&str; N]) -> Self {
+        assert!(N > 0, "a shaped object has keys");
+        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "object keys must ascend: {keys:?}");
+        ObjectShape {
+            keys: std::array::from_fn(|i| {
+                let mut text = String::from(if i == 0 { "{" } else { "," });
+                write_string(&mut text, keys[i]);
+                text.push(':');
+                text
+            }),
+        }
+    }
+}
+
+/// A member value of a [shaped object](JsonWriter::shaped_object).
+#[derive(Debug, Clone, Copy)]
+pub enum Scalar<'a> {
+    /// Rendered as [`JsonWriter::num`] renders it.
+    Num(f64),
+    /// Rendered as [`JsonWriter::str`] renders it.
+    Str(&'a str),
+}
+
+/// Writes `n` by the rule of [`JsonWriter::num`].
+fn write_number(out: &mut String, n: f64) {
+    let mut text = [0u8; 24];
+    match plain_number(n, &mut text) {
+        // Char by char: cheaper than validating a few bytes as UTF-8.
+        Some(digits) => out.extend(text[digits].iter().map(|&b| char::from(b))),
+        None if n.is_finite() => write!(out, "{n}").expect("writing to a String cannot fail"),
+        None => out.push_str("null"),
+    }
+}
+
+/// Writes `n` by the rule of [`JsonWriter::num`] into `text` and returns
+/// where, when that rule gives a plain decimal: an integer below 9e15 in
+/// magnitude, or a [`six_place_decimal`] without its trailing zeros — the
+/// shortest decimal that reads back as `n`, so the digits `{n}` prints.
+/// `None` leaves the rest — `{n}`'s longer forms and `null` — to the
+/// caller.
+fn plain_number(n: f64, text: &mut [u8; 24]) -> Option<Range<usize>> {
+    let integer = n as i64;
+    let mut end = text.len();
+    let (negative, mut at) = if integer as f64 == n && n.abs() < 9e15 {
+        (integer < 0, put_digits(text, end, integer.unsigned_abs(), 1))
+    } else {
+        let millionths = six_place_decimal(n.abs())?;
+        let mut at = end;
+        let fraction = millionths % 1_000_000;
+        if fraction > 0 {
+            at = put_digits(text, end, fraction, 6);
+            while text[end - 1] == b'0' {
+                end -= 1;
+            }
+            at -= 1;
+            text[at] = b'.';
+        }
+        (n < 0.0, put_digits(text, at, millionths / 1_000_000, 1))
+    };
+    if negative {
+        at -= 1;
+        text[at] = b'-';
+    }
+    Some(at..end)
+}
+
+/// `n * 10^6`, rounded, when that six-place decimal reads back as `n` and
+/// `n < 1e9`: raw readings and money, the bulk of a `zoom`. `None` sends
+/// the caller to `{n}` itself.
 ///
 /// Below 1e15 the product `n * 1e6` is off by less than 0.12 and floats
 /// are spaced less than 0.23e-6 apart, so rounding it finds the only
@@ -363,42 +450,43 @@ impl<'a> JsonWriter<'a> {
 /// rounded, exactly as parsing that decimal would be — tells whether it
 /// does. Every shorter candidate is that same decimal with zeros at the
 /// end, so dropping them gives the shortest.
-fn short_decimal(n: f64) -> Option<(u64, usize)> {
+fn six_place_decimal(n: f64) -> Option<u64> {
     let scaled = n * 1e6;
-    let mut digits = (scaled + 0.5) as u64;
+    let millionths = (scaled + 0.5) as u64;
     // (A NaN or infinite `n` fails the second test: the cast saturates.)
-    if scaled >= 1e15 || digits as f64 / 1e6 != n {
+    if scaled >= 1e15 || millionths as f64 / 1e6 != n {
         return None;
     }
-    let mut places = 6;
-    while places > 0 && digits % 10 == 0 {
-        digits /= 10;
-        places -= 1;
-    }
-    Some((digits, places))
+    Some(millionths)
 }
 
-/// Writes `digits / 10^places`, signed: the decimal digits with a point
-/// `places` from the right, zero-padded to one digit before it.
-fn write_decimal(out: &mut String, negative: bool, mut digits: u64, places: usize) {
-    let mut text = [0u8; 24];
-    let mut at = text.len();
-    for written in 0.. {
-        if written == places && places > 0 {
-            at -= 1;
-            text[at] = b'.';
-        }
+/// `00`, `01`, …, `99`: two digits per division by 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `n` in decimal so that it ends just before `text[end]`,
+/// zero-padded to at least `width` digits; returns where it starts.
+fn put_digits(text: &mut [u8; 24], end: usize, mut n: u64, width: usize) -> usize {
+    let mut at = end;
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        text[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n > 0 || at == end {
         at -= 1;
-        text[at] = b'0' + (digits % 10) as u8;
-        digits /= 10;
-        if digits == 0 && written >= places {
-            break;
-        }
+        text[at] = b'0' + n as u8;
     }
-    if negative {
-        out.push('-');
+    while end - at < width {
+        at -= 1;
+        text[at] = b'0';
     }
-    out.push_str(std::str::from_utf8(&text[at..]).expect("ascii digits"));
+    at
 }
 
 /// Writes `s` quoted, copying the runs between characters that need an
@@ -788,6 +876,12 @@ mod tests {
         writer.begin_object();
         writer.key("b").null();
         writer.key("a").null();
+    }
+
+    #[test]
+    #[should_panic(expected = "object keys must ascend")]
+    fn shapes_out_of_order_are_caught_in_every_build() {
+        ObjectShape::new(["x", "ref"]);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! envelope is written ([`WireError::write_to`]).
 
 use crate::executor::PoolStats;
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, ObjectShape, Scalar};
 use crate::manager::{ServerSession, SessionId, SessionManager};
 use crate::protocol::{parse_request, Command, Request, WireError, PROTOCOL_VERSION};
 use dbwipes_core::{CoreError, Explanation, MetricKind};
-use dbwipes_dashboard::{PointRef, ScatterSeries};
+use dbwipes_dashboard::{PointRef, ScatterPoint};
 use dbwipes_storage::{ConditionBitmapCache, Value};
 
 /// What a handler returns once its fields are in the reply.
@@ -322,14 +322,14 @@ impl SessionManager {
                     .dashboard()
                     .plot(&x, &y)
                     .ok_or("nothing to plot (no result, or unknown columns)")?;
-                write_series(w, &series);
+                write_series(w, series.points, &x, &y);
             }
             Command::Zoom { x, y, .. } => {
-                let series = session
+                let points = session
                     .dashboard()
-                    .zoom(&x, &y)
+                    .zoom_points(&x, &y)
                     .ok_or("nothing to zoom into (no selected outputs, or unknown columns)")?;
-                write_series(w, &series);
+                write_series(w, points, &x, &y);
             }
             Command::BrushOutputs { x, y, brush, .. } => {
                 let selected = session.dashboard_mut().brush_outputs(&x, &y, brush);
@@ -502,24 +502,30 @@ fn write_result(w: &mut JsonWriter<'_>, session: &ServerSession, with_applied: b
     w.key("sql").str(&result.statement.to_sql());
 }
 
-fn write_series(w: &mut JsonWriter<'_>, series: &ScatterSeries) {
+/// Writes a scatter series as its points arrive, each point an object of
+/// one shape.
+fn write_series(
+    w: &mut JsonWriter<'_>,
+    points: impl IntoIterator<Item = ScatterPoint>,
+    x_label: &str,
+    y_label: &str,
+) {
+    let point = ObjectShape::new(["kind", "ref", "x", "y"]);
     w.key("series").begin_object();
     w.key("points").begin_array();
-    for p in &series.points {
+    for p in points {
         let (kind, reference) = match p.reference {
             PointRef::Output(i) => ("output", i),
             PointRef::Input(r) => ("input", r.0),
         };
-        w.begin_object();
-        w.key("kind").str(kind);
-        w.key("ref").num(reference as f64);
-        w.key("x").num(p.x);
-        w.key("y").num(p.y);
-        w.end_object();
+        w.shaped_object(
+            &point,
+            [Scalar::Str(kind), Scalar::Num(reference as f64), Scalar::Num(p.x), Scalar::Num(p.y)],
+        );
     }
     w.end_array();
-    w.key("x").str(&series.x_label);
-    w.key("y").str(&series.y_label);
+    w.key("x").str(x_label);
+    w.key("y").str(y_label);
     w.end_object();
 }
 

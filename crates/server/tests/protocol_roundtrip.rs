@@ -257,6 +257,43 @@ fn invalid_requests_get_error_replies() {
 }
 
 #[test]
+fn a_brush_over_an_unknown_column_clears_the_selection() {
+    let (m, query) = manager();
+    let s = ok(&m, r#"{"cmd":"open_session"}"#).get("session").and_then(Json::as_u64).unwrap();
+    let state = |m: &SessionManager| {
+        let reply = ok(m, &format!(r#"{{"cmd":"state","session":{s}}}"#));
+        let count = |key: &str| reply.get(key).and_then(Json::as_u64).unwrap();
+        let name = reply.get("state").and_then(Json::as_str).unwrap().to_string();
+        (count("selected_outputs"), count("selected_inputs"), name)
+    };
+    let brush = |m: &SessionManager, cmd: &str, x: &str, y: &str, edge: u32| {
+        let line = format!(
+            r#"{{"cmd":"{cmd}","session":{s},"x":"{x}","y":"{y}","brush":{{"y_min":{edge}}}}}"#
+        );
+        ok(m, &line).get("selected").unwrap().as_array().unwrap().len()
+    };
+    ok(&m, &format!(r#"{{"cmd":"run_query","session":{s},"sql":"{query}"}}"#));
+    assert!(brush(&m, "brush_outputs", "window", "std_temp", 8) > 0);
+    assert!(brush(&m, "brush_inputs", "sensorid", "temp", 100) > 0);
+    let (outputs, inputs, name) = state(&m);
+    assert!(outputs > 0 && inputs > 0 && name == "InputsSelected", "{name}");
+
+    assert_eq!(brush(&m, "brush_inputs", "sensorid", "nope", 100), 0);
+    assert_eq!(state(&m), (outputs, 0, "OutputsSelected".to_string()));
+    assert_eq!(brush(&m, "brush_outputs", "window", "nope", 8), 0);
+    assert_eq!(state(&m), (0, 0, "ResultsShown".to_string()));
+    ok(
+        &m,
+        &format!(
+            r#"{{"cmd":"set_metric","session":{s},"kind":"too_high","column":"std_temp","value":4}}"#
+        ),
+    );
+    assert!(
+        err(&m, &format!(r#"{{"cmd":"debug","session":{s}}}"#)).contains("no suspicious outputs")
+    );
+}
+
+#[test]
 fn invalid_state_transitions_get_error_replies() {
     let (m, query) = manager();
     let s = ok(&m, r#"{"cmd":"open_session"}"#).get("session").and_then(Json::as_u64).unwrap();

@@ -16,12 +16,19 @@
 //! (they depend on how many threads ranked). Only the digits are masked;
 //! the keys, their order and the punctuation around them stay pinned.
 //!
-//! The test is the only one in its binary because it arms
-//! `DBWIPES_ENABLE_CRASH` half way through. To re-capture after an
-//! intended protocol change, copy the file the failure message names over
-//! the golden.
+//! `golden/large_replies.txt` pins the replies too large to keep verbatim
+//! — `zoom`s of tens of thousands of points, a whole `plot`, a
+//! `brush_inputs` — by byte length and FNV-1a hash, over the 64k-row
+//! sensor table and the default FEC table (negative cents, five-digit row
+//! ids). They were captured from the encoder that wrote one digit per
+//! loop iteration and pushed every point key by key.
+//!
+//! The first test arms `DBWIPES_ENABLE_CRASH` half way through; the second
+//! sends no `crash`, so it does not care. To re-capture after an intended
+//! protocol change, copy the file the failure message names over the
+//! golden.
 
-use dbwipes_data::{generate_sensor, SensorConfig};
+use dbwipes_data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
 use dbwipes_server::{Json, SessionManager, WIRE_COMMANDS};
 use dbwipes_storage::Catalog;
 use std::fmt::Write as _;
@@ -205,21 +212,86 @@ fn every_reply_is_byte_identical_to_the_golden() {
         );
     }
 
-    let golden = include_str!("golden/replies.txt");
+    compare_with_golden(&transcript, include_str!("golden/replies.txt"), "replies");
+}
+
+/// Fails with the first differing line when `transcript` is not `golden`,
+/// writing the whole transcript to `target/tmp/<name>.actual.txt`.
+fn compare_with_golden(transcript: &str, golden: &str, name: &str) {
     if transcript != golden {
-        let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("replies.actual.txt");
-        std::fs::write(&actual, &transcript).expect("write the actual transcript");
+        let actual =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+        std::fs::write(&actual, transcript).expect("write the actual transcript");
         let first = transcript
             .lines()
             .zip(golden.lines())
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| transcript.lines().count().min(golden.lines().count()));
         panic!(
-            "replies differ from crates/server/tests/golden/replies.txt at line {}:\n  got      {}\n  expected {}\nfull transcript: {}",
+            "replies differ from crates/server/tests/golden/{name}.txt at line {}:\n  got      {}\n  expected {}\nfull transcript: {}",
             first + 1,
             transcript.lines().nth(first).unwrap_or("<end>"),
             golden.lines().nth(first).unwrap_or("<end>"),
             actual.display()
         );
     }
+}
+
+/// The script of the large replies: every line is answered, and the
+/// replies of the lines starting with `!` are pinned by length and hash.
+const LARGE_SCRIPT: &[&str] = &[
+    r#"{"cmd":"open_session"}"#,
+    r#"{"cmd":"run_query","session":1,"sql":"SELECT window, avg(temp) AS avg_temp, stddev(temp) AS std_temp FROM readings GROUP BY window ORDER BY window"}"#,
+    r#"!{"cmd":"plot","session":1,"x":"window","y":"std_temp"}"#,
+    r#"{"cmd":"brush_outputs","session":1,"x":"window","y":"std_temp","brush":{"y_min":8}}"#,
+    r#"!{"cmd":"zoom","session":1,"x":"sensorid","y":"temp"}"#,
+    r#"!{"cmd":"zoom","session":1,"x":"epoch","y":"voltage"}"#,
+    r#"!{"cmd":"brush_inputs","session":1,"x":"sensorid","y":"temp","brush":{"y_min":100}}"#,
+    r#"{"cmd":"brush_outputs","session":1,"x":"window","y":"std_temp"}"#,
+    r#"!{"cmd":"zoom","session":1,"x":"epoch","y":"voltage"}"#,
+    r#"!{"cmd":"brush_inputs","session":1,"x":"epoch","y":"voltage","brush":{"y_max":2.4}}"#,
+    r#"{"cmd":"open_session"}"#,
+    r#"{"cmd":"run_query","session":2,"sql":"SELECT day, sum(amount) AS total FROM contributions WHERE candidate = 'McCain' GROUP BY day ORDER BY day"}"#,
+    r#"!{"cmd":"plot","session":2,"x":"day","y":"total"}"#,
+    r#"{"cmd":"brush_outputs","session":2,"x":"day","y":"total"}"#,
+    r#"!{"cmd":"zoom","session":2,"x":"day","y":"amount"}"#,
+    r#"!{"cmd":"brush_inputs","session":2,"x":"day","y":"amount","brush":{"y_max":0}}"#,
+    r#"{"cmd":"brush_outputs","session":2,"x":"day","y":"total","brush":{"y_max":0}}"#,
+    r#"!{"cmd":"zoom","session":2,"x":"day","y":"amount"}"#,
+];
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn large_replies_keep_their_length_and_hash() {
+    let sensor = generate_sensor(&SensorConfig {
+        num_readings: 64_000,
+        failing_sensors: vec![15],
+        ..SensorConfig::small()
+    });
+    let mut catalog = Catalog::new();
+    catalog.register(sensor.table).unwrap();
+    catalog.register(generate_fec(&FecConfig::default()).table).unwrap();
+    let manager = SessionManager::new(catalog);
+
+    let mut transcript = String::new();
+    for line in LARGE_SCRIPT {
+        let (pinned, request) = match line.strip_prefix('!') {
+            Some(request) => (true, request),
+            None => (false, *line),
+        };
+        let reply = manager.handle_line(request);
+        assert!(reply.contains(r#""ok":true"#), "{request} -> {reply}");
+        if pinned {
+            assert!(reply.len() > 1_000, "{request} is not a large reply: {reply}");
+            let hash = fnv1a(reply.as_bytes());
+            writeln!(transcript, "> {request}\n< bytes={} fnv1a={hash:016x}", reply.len()).unwrap();
+        }
+    }
+    compare_with_golden(&transcript, include_str!("golden/large_replies.txt"), "large_replies");
 }

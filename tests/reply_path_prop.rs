@@ -1,13 +1,14 @@
 //! Property tests for the reply path: the `JsonWriter` push encoder against
-//! the parser and the number / string rules it must keep, and the columnar
-//! `zoom_series` / sort+dedup `inputs_of_groups` against the definitions
-//! they replaced (kept here, verbatim, as the reference).
+//! the parser and the number / string rules it must keep, objects pushed
+//! by shape against objects pushed key by key, and the columnar
+//! `zoom_series` / bitmap `inputs_of_groups` against the definitions they
+//! replaced (kept here, verbatim, as the reference).
 
 use dbwipes::dashboard::{zoom_series, Brush, DashboardSession};
 use dbwipes::engine::{execute, parse_select, ExecOptions, QueryResult};
 use dbwipes::storage::{DataType, Schema, Value};
 use dbwipes::{DbWipes, RowId, Table};
-use dbwipes_server::{Json, JsonWriter, WireError};
+use dbwipes_server::{Json, JsonWriter, ObjectShape, Scalar, WireError};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -142,6 +143,27 @@ fn numbers_render_by_the_old_rule_on_the_edges() {
         }
     }
     assert_eq!(Json::Num(1e300).to_string().len(), 301, "no exponent form");
+}
+
+/// Every digit count the two-digit writer can meet, odd and even, with
+/// and without a carry into a new digit, as integers and as decimals of
+/// one to six places (whose fractions need leading zeros).
+#[test]
+fn numbers_around_powers_of_ten_render_by_the_old_rule() {
+    let mut power = 1u64;
+    while power as f64 <= 9e15 {
+        for n in [power - 1, power, power + 1] {
+            for signed in [n as f64, -(n as f64)] {
+                assert_eq!(Json::Num(signed).to_string(), reference_number(signed), "{signed}");
+                for places in 1..=6 {
+                    let decimal = signed / 10f64.powi(places);
+                    let rendered = Json::Num(decimal).to_string();
+                    assert_eq!(rendered, reference_number(decimal), "{signed} / 10^{places}");
+                }
+            }
+        }
+        power *= 10;
+    }
 }
 
 #[test]
@@ -330,8 +352,35 @@ proptest! {
         prop_assert_eq!(line, Json::obj(expected).to_string());
     }
 
-    /// `inputs_of_rows` (sort + dedup) equals the `BTreeSet` definition,
-    /// with duplicate and out-of-range outputs selected.
+    /// An object pushed by shape is the object pushed key by key.
+    #[test]
+    fn shaped_objects_equal_objects_pushed_key_by_key(seed in any::<u64>()) {
+        let mut gen = Gen(seed | 1);
+        let shape = ObjectShape::new(["kind", "ref", "x", "y"]);
+        let (mut shaped, mut keyed) = (String::new(), String::new());
+        let mut by_shape = JsonWriter::new(&mut shaped);
+        let mut by_key = JsonWriter::new(&mut keyed);
+        by_shape.begin_array();
+        by_key.begin_array();
+        for _ in 0..gen.below(5) {
+            let kind = gen.string();
+            let (reference, x, y) = (gen.number(), gen.number(), gen.number());
+            let values = [Scalar::Str(&kind), Scalar::Num(reference), Scalar::Num(x), Scalar::Num(y)];
+            by_shape.shaped_object(&shape, values);
+            by_key.begin_object();
+            by_key.key("kind").str(&kind);
+            by_key.key("ref").num(reference);
+            by_key.key("x").num(x);
+            by_key.key("y").num(y);
+            by_key.end_object();
+        }
+        by_shape.end_array();
+        by_key.end_array();
+        prop_assert_eq!(shaped, keyed);
+    }
+
+    /// `inputs_of_rows` (a bitmap union) equals the `BTreeSet` definition,
+    /// with duplicate, out-of-range and no outputs selected.
     #[test]
     fn inputs_of_groups_equals_the_set_definition(
         table in arbitrary_table(),
@@ -339,7 +388,50 @@ proptest! {
     ) {
         let result = grouped(&table);
         prop_assert_eq!(result.inputs_of_rows(&outputs), reference_inputs(&result, &outputs));
+        prop_assert!(result.inputs_of_rows(&[]).is_empty());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same on lineages whose row ids are sparse and high: a table most
+    /// of whose rows were deleted, and a `WHERE` that keeps every 1000th
+    /// row.
+    #[test]
+    fn inputs_of_groups_equals_the_set_definition_on_sparse_rows(
+        seed in any::<u64>(),
+        outputs in proptest::collection::vec(0usize..8, 0..10),
+    ) {
+        let mut gen = Gen(seed | 1);
+        let rows = 3_000 + gen.below(5_000) as usize;
+        let schema = Schema::of(&[
+            ("grp", DataType::Int),
+            ("value", DataType::Float),
+            ("thousandth", DataType::Int),
+        ]);
+        let mut table = Table::new("m", schema).unwrap();
+        for r in 0..rows {
+            let row = vec![
+                Value::Int(gen.below(5) as i64),
+                Value::Float(r as f64),
+                Value::Int(i64::from(r % 1000 == 0)),
+            ];
+            table.push_row(row).unwrap();
+        }
+        let thinned = parse_select("SELECT grp, avg(value) FROM m WHERE thousandth = 1 GROUP BY grp");
+        let thinned = execute(&table, &thinned.unwrap(), ExecOptions::default()).unwrap();
+        let doomed: Vec<RowId> = (0..rows).filter(|_| gen.below(200) != 0).map(RowId).collect();
+        table.delete_rows(&doomed).unwrap();
+        for result in [grouped(&table), thinned] {
+            prop_assert_eq!(result.inputs_of_rows(&outputs), reference_inputs(&result, &outputs));
+            prop_assert!(result.inputs_of_rows(&[]).is_empty());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `zoom_series` equals its per-`Value` definition on every axis type,
     /// bit for bit, including against a table shorter than the lineage
