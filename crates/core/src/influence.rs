@@ -132,9 +132,9 @@ pub fn rank_influence(
 ///
 /// The cache is only trusted when its groups agree with the result's
 /// lineage (same rows per selected group); when they differ — the table
-/// changed since the result was computed, or the result was executed
-/// without lineage capture — the Preprocessor falls back to deriving the
-/// states from the result's lineage directly.
+/// changed since the result was computed, or the result is a cache's
+/// scoring answer, whose lineage is empty — the Preprocessor falls back to
+/// deriving the states from the result's lineage directly.
 pub fn rank_influence_with_cache(
     cache: &GroupedAggregateCache,
     result: &QueryResult,

@@ -53,17 +53,7 @@ impl GroundTruth {
         table: &Table,
         predicate: &ConjunctivePredicate,
     ) -> PredicateScore {
-        let matched = predicate.matching_rows(table);
-        let tp = matched.iter().filter(|r| self.error_rows.contains(r)).count();
-        let precision = if matched.is_empty() { 0.0 } else { tp as f64 / matched.len() as f64 };
-        let recall =
-            if self.error_rows.is_empty() { 0.0 } else { tp as f64 / self.error_rows.len() as f64 };
-        let f1 = if precision + recall == 0.0 {
-            0.0
-        } else {
-            2.0 * precision * recall / (precision + recall)
-        };
-        PredicateScore { precision, recall, f1, matched: matched.len() }
+        self.score_rows(&predicate.matching_rows(table))
     }
 
     /// Precision/recall of an arbitrary returned row set.

@@ -3,9 +3,9 @@
 //! The executor implements the single-block aggregate pipeline
 //! `Scan → Filter → GroupBy → Aggregate → Project → Sort/Limit`
 //! and, while doing so, records the fine-grained lineage (which input rows
-//! fed which output group) and the coarse-grained operator graph. This is
-//! the hook the paper's Preprocessor relies on: "the Preprocessor computes
-//! F, the set of input tuples that generated S" (§2.2.2).
+//! fed which output group). This is the hook the paper's Preprocessor
+//! relies on: "the Preprocessor computes F, the set of input tuples that
+//! generated S" (§2.2.2).
 //!
 //! The pipeline stages are factored into standalone crate-private
 //! functions (`scan_filter`, `build_groups`, `ArgReader`,
@@ -17,27 +17,17 @@ use crate::aggregate::AggregateState;
 use crate::ast::{AggregateArg, AggregateCall, SelectExpr, SelectStatement, SortOrder};
 use crate::error::EngineError;
 use crate::parser::parse_select;
-use crate::result::QueryResult;
-use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
+use crate::result::{in_order, QueryResult};
+use dbwipes_provenance::Lineage;
 use dbwipes_storage::{Catalog, Column, DataType, Expr, Field, RowId, Schema, Table, Value};
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// Options controlling query execution.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// When false, fine-grained lineage is not recorded. Used by the
-    /// provenance-overhead experiment (E7) and by callers that only need
-    /// result values (e.g. re-executing a query after cleaning to measure
-    /// the error metric).
-    pub capture_lineage: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { capture_lineage: true }
-    }
-}
+/// Options controlling query execution. It has no field, since every
+/// execution records its lineage; it stays so that [`execute`]'s callers,
+/// the benchmark driver (a workspace of its own) among them, keep passing
+/// `ExecOptions::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions {}
 
 /// Parses and executes `sql` against a catalog.
 pub fn execute_sql(catalog: &Catalog, sql: &str) -> Result<QueryResult, EngineError> {
@@ -60,71 +50,29 @@ pub fn execute_on_catalog(
 pub fn execute(
     table: &Table,
     stmt: &SelectStatement,
-    opts: ExecOptions,
+    _opts: ExecOptions,
 ) -> Result<QueryResult, EngineError> {
-    let start = Instant::now();
     validate(table, stmt)?;
-
-    let mut graph = OperatorGraph::new();
-    graph.push(OperatorKind::Scan { table: table.name().to_string() }, table.visible_rows());
-
-    // Scan + filter.
     let filtered = scan_filter(table, stmt)?;
-    if let Some(pred) = &stmt.where_clause {
-        graph.push(OperatorKind::Filter { predicate: pred.to_string() }, filtered.len());
-    }
-
-    // Group.
     let (group_keys, group_rows) = build_groups(table, stmt, filtered)?;
-    if !stmt.group_by.is_empty() {
-        graph.push(OperatorKind::GroupBy { columns: stmt.group_by.clone() }, group_keys.len());
-    }
-
-    // Aggregate + project.
-    let agg_names: Vec<String> = stmt.aggregates().iter().map(|a| a.to_string()).collect();
-    if !agg_names.is_empty() {
-        graph.push(OperatorKind::Aggregate { aggregates: agg_names }, group_keys.len());
-    }
 
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(group_keys.len());
-    for (gi, g_rows) in group_rows.iter().enumerate() {
+    for (g_key, g_rows) in group_keys.iter().zip(&group_rows) {
         let agg_outputs = aggregate_outputs(table, stmt, g_rows)?;
-        rows.push(project_row(table, stmt, &group_keys[gi], g_rows, &agg_outputs)?);
+        rows.push(project_row(table, stmt, g_key, g_rows, &agg_outputs)?);
     }
-
-    graph.push(
-        OperatorKind::Project { columns: stmt.items.iter().map(|i| i.output_name()).collect() },
-        rows.len(),
-    );
-
-    // Output schema.
     let schema = output_schema(table, stmt)?;
 
-    // Sort (default: ascending by group key) and limit.
+    // Sort (default: ascending by group key) and limit, then move each
+    // group's row, key and input rows into output position.
     let order = output_order(stmt, &rows, &group_keys)?;
-
-    // Materialise output in final order, building lineage aligned with it.
-    let mut final_rows = Vec::with_capacity(order.len());
-    let mut final_keys = Vec::with_capacity(order.len());
-    let mut lineage = Lineage::new(table.name());
-    for &i in &order {
-        final_rows.push(rows[i].clone());
-        final_keys.push(group_keys[i].clone());
-        let g = lineage.add_group();
-        if opts.capture_lineage {
-            lineage.record_all(g, group_rows[i].iter().copied());
-        }
-    }
-
-    Ok(QueryResult {
-        statement: stmt.clone(),
+    Ok(QueryResult::new(
+        stmt.clone(),
         schema,
-        rows: final_rows,
-        group_keys: final_keys,
-        lineage,
-        graph,
-        execution_nanos: start.elapsed().as_nanos(),
-    })
+        in_order(rows, &order),
+        in_order(group_keys, &order),
+        Lineage::new(in_order(group_rows, &order)),
+    ))
 }
 
 /// Scan stage: the visible rows that satisfy the WHERE clause, in scan
@@ -502,8 +450,6 @@ mod tests {
         // belongs to the group).
         assert_eq!(r.inputs_of(1), &[RowId(2), RowId(3), RowId(4)]);
         assert_eq!(r.inputs_of(0), &[RowId(0), RowId(1)]);
-        assert!(r.graph.summary().contains("GroupBy(hour)"));
-        assert!(r.execution_nanos > 0);
     }
 
     #[test]
@@ -511,7 +457,6 @@ mod tests {
         let r = run("SELECT hour, avg(temp) FROM readings WHERE sensorid <> 3 GROUP BY hour");
         assert_eq!(r.value(1, "avg_temp").unwrap(), Value::Float(21.0));
         assert_eq!(r.inputs_of(1), &[RowId(2), RowId(4)]);
-        assert!(r.graph.summary().contains("Filter"));
     }
 
     #[test]
@@ -648,18 +593,6 @@ mod tests {
         let names = r.column_names();
         assert_eq!(names[1], "avg_temp");
         assert_eq!(names[2], "avg_temp_2");
-    }
-
-    #[test]
-    fn lineage_capture_can_be_disabled() {
-        let mut catalog = Catalog::new();
-        catalog.register(readings()).unwrap();
-        let stmt = parse_select("SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        let r =
-            execute_on_catalog(&catalog, &stmt, ExecOptions { capture_lineage: false }).unwrap();
-        assert_eq!(r.len(), 2);
-        assert!(r.inputs_of(0).is_empty());
-        assert_eq!(r.value(0, "avg_temp").unwrap(), Value::Float(21.0));
     }
 
     #[test]

@@ -50,11 +50,10 @@
 //! ## Two constructors, two contracts
 //!
 //! [`GroupedAggregateCache::result`] is the *scoring* path: thousands of
-//! candidates a second, each answer only compared with a threshold, no
-//! lineage (as if executed with `capture_lineage: false`). It subtracts,
-//! and a floating-point subtraction agrees with an execution over the
-//! remaining rows to the last few bits, not in them — exactly on the
-//! dyadic values most tests use, not on `0.1`.
+//! candidates a second, each answer only compared with a threshold, with
+//! the empty lineage. It subtracts, and a floating-point subtraction
+//! agrees with an execution over the remaining rows to the last few bits,
+//! not in them — exactly on the dyadic values most tests use, not on `0.1`.
 //!
 //! [`GroupedAggregateCache::cleaned_result`] is the *display* path: the
 //! result a session shows after a streamed append, a clicked predicate or
@@ -71,13 +70,12 @@ use crate::executor::{
     aggregate_outputs, build_groups, output_order, output_schema, project_row, scan_filter,
     scan_filter_suffix, validate, ArgReader,
 };
-use crate::result::QueryResult;
-use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
+use crate::result::{in_order, QueryResult};
+use dbwipes_provenance::Lineage;
 use dbwipes_storage::{RowId, RowSet, Schema, Table, TableEpoch, Value};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How a cache holds the table it indexed: borrowed from the caller (the
 /// classic single-explain path, where the cache lives within one call
@@ -512,9 +510,8 @@ impl<'t> GroupedAggregateCache<'t> {
     /// the rows on which those conjuncts are TRUE (rows the cache did not
     /// retain are ignored; `None` keeps every retained row: the cached
     /// statement itself, which is how a streamed append refreshes a
-    /// session and how the last `undo` restores the base result). Timing
-    /// and operator graph aside the result is indistinguishable from that
-    /// execution, lineage included:
+    /// session and how the last `undo` restores the base result). The
+    /// result is indistinguishable from that execution, lineage included:
     ///
     /// * a group that lost no row reuses its cached output row and records
     ///   its row list;
@@ -531,7 +528,6 @@ impl<'t> GroupedAggregateCache<'t> {
         shown: &SelectStatement,
         survivors: Option<&RowSet>,
     ) -> QueryResult {
-        let start = Instant::now();
         debug_assert_eq!(
             SelectStatement { where_clause: self.stmt.where_clause.clone(), ..shown.clone() },
             self.stmt,
@@ -581,19 +577,16 @@ impl<'t> GroupedAggregateCache<'t> {
             inputs.push(group.inputs);
         }
         let order = output_order(&self.stmt, &rows, &keys).expect("validated at build time");
-        let mut final_rows = Vec::with_capacity(order.len());
-        let mut final_keys = Vec::with_capacity(order.len());
-        let mut lineage = Lineage::new(self.table.name());
-        for &i in &order {
-            final_rows.push(std::mem::take(&mut rows[i]));
-            final_keys.push(std::mem::take(&mut keys[i]));
-            let g = lineage.add_group();
-            lineage.record_all(g, inputs[i].iter().copied());
-        }
-        let mut result = self.finish_result(final_rows, final_keys, start);
-        result.statement = shown.clone();
-        result.lineage = lineage;
-        result
+        // A group that lost rows moves its kept rows into the lineage; one
+        // that lost none copies its cached list.
+        let inputs = in_order(inputs, &order).into_iter().map(Cow::into_owned).collect();
+        QueryResult::new(
+            shown.clone(),
+            self.schema.clone(),
+            in_order(rows, &order),
+            in_order(keys, &order),
+            Lineage::new(inputs),
+        )
     }
 
     /// The single exclusion-query entry point: the exact result the
@@ -617,7 +610,6 @@ impl<'t> GroupedAggregateCache<'t> {
     /// groups survive the limit depends on every other group) and then
     /// filters, so results remain exact.
     pub fn result(&self, q: &ExclusionQuery<'_>) -> QueryResult {
-        let start = Instant::now();
         match q.keys {
             None => {
                 let touched = self.touched_of(q.excluded, None);
@@ -632,13 +624,7 @@ impl<'t> GroupedAggregateCache<'t> {
                 }
                 let order =
                     output_order(&self.stmt, &rows, &keys).expect("validated at build time");
-                let mut final_rows = Vec::with_capacity(order.len());
-                let mut final_keys = Vec::with_capacity(order.len());
-                for &i in &order {
-                    final_rows.push(std::mem::take(&mut rows[i]));
-                    final_keys.push(std::mem::take(&mut keys[i]));
-                }
-                self.finish_result(final_rows, final_keys, start)
+                self.finish_result(in_order(rows, &order), in_order(keys, &order))
             }
             Some(keys) => {
                 if self.stmt.limit.is_some() {
@@ -646,7 +632,7 @@ impl<'t> GroupedAggregateCache<'t> {
                 }
                 let (wanted, wanted_set) = self.resolve_wanted(keys);
                 let touched = self.touched_of(q.excluded, Some(&wanted_set));
-                self.keys_result(&wanted, &touched, start)
+                self.keys_result(&wanted, &touched)
             }
         }
     }
@@ -672,7 +658,6 @@ impl<'t> GroupedAggregateCache<'t> {
     fn limited_keys_result(&self, excluded: Excluded<'_>, keys: &[Vec<Value>]) -> QueryResult {
         let wanted: HashSet<&[Value]> = keys.iter().map(|k| k.as_slice()).collect();
         let full = self.result(&ExclusionQuery { excluded, keys: None });
-        let start = Instant::now();
         let mut rows = Vec::new();
         let mut out_keys = Vec::new();
         for (row, key) in full.rows.into_iter().zip(full.group_keys) {
@@ -681,7 +666,7 @@ impl<'t> GroupedAggregateCache<'t> {
                 out_keys.push(key);
             }
         }
-        self.finish_result(rows, out_keys, start)
+        self.finish_result(rows, out_keys)
     }
 
     /// Resolves the requested keys through the key index — O(|keys|), not
@@ -697,12 +682,7 @@ impl<'t> GroupedAggregateCache<'t> {
     }
 
     /// Materializes the by-key answer for the resolved groups.
-    fn keys_result(
-        &self,
-        wanted: &[u32],
-        touched: &HashMap<u32, Vec<u32>>,
-        start: Instant,
-    ) -> QueryResult {
+    fn keys_result(&self, wanted: &[u32], touched: &HashMap<u32, Vec<u32>>) -> QueryResult {
         let mut rows = Vec::with_capacity(wanted.len());
         let mut out_keys = Vec::with_capacity(wanted.len());
         for &gi in wanted {
@@ -713,7 +693,7 @@ impl<'t> GroupedAggregateCache<'t> {
             rows.push(row);
             out_keys.push(group.key.clone());
         }
-        self.finish_result(rows, out_keys, start)
+        self.finish_result(rows, out_keys)
     }
 
     /// Excluded positions per touched group, sorted and deduplicated.
@@ -787,34 +767,9 @@ impl<'t> GroupedAggregateCache<'t> {
         Some(row)
     }
 
-    /// Wraps computed rows into a lineage-free [`QueryResult`].
-    fn finish_result(
-        &self,
-        rows: Vec<Vec<Value>>,
-        keys: Vec<Vec<Value>>,
-        start: Instant,
-    ) -> QueryResult {
-        let mut lineage = Lineage::new(self.table.name());
-        for _ in &rows {
-            lineage.add_group();
-        }
-        let mut graph = OperatorGraph::new();
-        graph.push(
-            OperatorKind::Aggregate {
-                aggregates: self.stmt.aggregates().iter().map(|a| a.to_string()).collect(),
-            },
-            rows.len(),
-        );
-
-        QueryResult {
-            statement: self.stmt.clone(),
-            schema: self.schema.clone(),
-            rows,
-            group_keys: keys,
-            lineage,
-            graph,
-            execution_nanos: start.elapsed().as_nanos(),
-        }
+    /// A scoring answer: the computed rows with the empty lineage.
+    fn finish_result(&self, rows: Vec<Vec<Value>>, keys: Vec<Vec<Value>>) -> QueryResult {
+        QueryResult::new(self.stmt.clone(), self.schema.clone(), rows, keys, Lineage::default())
     }
 
     /// The GROUP BY key of group `g` (first-seen order).
@@ -932,7 +887,7 @@ mod tests {
         for &r in excluded {
             t.delete_row(r).unwrap();
         }
-        execute(&t, stmt, ExecOptions { capture_lineage: false }).unwrap()
+        execute(&t, stmt, ExecOptions::default()).unwrap()
     }
 
     fn check(sql: &str, excluded: &[RowId]) {
@@ -952,7 +907,7 @@ mod tests {
         let stmt =
             parse_select("SELECT hour, avg(temp), count(*) FROM readings GROUP BY hour").unwrap();
         let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        let full = execute(&table, &stmt, ExecOptions { capture_lineage: false }).unwrap();
+        let full = execute(&table, &stmt, ExecOptions::default()).unwrap();
         assert_eq!(cache.full_result().rows, full.rows);
         assert_eq!(cache.num_groups(), 2);
         assert_eq!(cache.num_rows(), 5);

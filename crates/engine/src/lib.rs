@@ -8,12 +8,10 @@
 //! statement assumes (§2.1): single-block aggregate queries
 //! `SELECT keys..., agg(expr)... FROM t [WHERE p] [GROUP BY keys] [ORDER BY ...] [LIMIT n]`
 //! with the "common PostgreSQL aggregates" avg, sum, count, min, max,
-//! stddev and variance (§2.2.2). Every execution records:
-//!
-//! * fine-grained lineage — for each output group, the input [`RowId`]s
-//!   that produced it (consumed by `dbwipes-core`'s Preprocessor), and
-//! * a coarse-grained operator graph (shown by the dashboard's explain
-//!   view and used as the coarse-provenance baseline in experiment E5).
+//! stddev and variance (§2.2.2). Every execution records fine-grained
+//! lineage: for each output group, the input [`RowId`]s that produced it,
+//! which `dbwipes-core`'s Preprocessor reads as the paper's `F`. The
+//! answers an aggregate cache gives the ranker for scoring carry none.
 //!
 //! [`RowId`]: dbwipes_storage::RowId
 //!

@@ -1,18 +1,19 @@
-//! Query results: output rows plus the provenance captured while computing
+//! Query results: output rows plus the lineage captured while computing
 //! them.
 
 use crate::ast::SelectStatement;
 use crate::error::EngineError;
-use dbwipes_provenance::{Lineage, OperatorGraph};
+use dbwipes_provenance::Lineage;
 use dbwipes_storage::{RowId, Schema, Value};
 
 /// The result of executing a [`SelectStatement`]: the output rows, the
-/// schema describing them, the per-group fine-grained lineage, and the
-/// coarse-grained operator graph.
+/// schema describing them and the per-group fine-grained lineage.
 ///
 /// Row `i` of [`rows`](Self::rows) corresponds to lineage group `i`, to
 /// group key `i` and — via the dashboard — to the `i`-th point of the
-/// scatterplot the user brushes over.
+/// scatterplot the user brushes over. An executed or displayed result
+/// carries its lineage; the answers an aggregate cache gives the ranker
+/// for scoring carry the empty one.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// The statement that was executed (after any clean-as-you-query
@@ -27,14 +28,20 @@ pub struct QueryResult {
     pub group_keys: Vec<Vec<Value>>,
     /// Fine-grained lineage: group `i` ↔ output row `i`.
     pub lineage: Lineage,
-    /// Coarse-grained provenance of the execution.
-    pub graph: OperatorGraph,
-    /// Wall-clock execution time in nanoseconds (used by the latency
-    /// breakdown experiment).
-    pub execution_nanos: u128,
 }
 
 impl QueryResult {
+    /// Builds a result; every result the engine returns is made here.
+    pub(crate) fn new(
+        statement: SelectStatement,
+        schema: Schema,
+        rows: Vec<Vec<Value>>,
+        group_keys: Vec<Vec<Value>>,
+        lineage: Lineage,
+    ) -> Self {
+        QueryResult { statement, schema, rows, group_keys, lineage }
+    }
+
     /// Number of output rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -120,6 +127,12 @@ impl QueryResult {
     }
 }
 
+/// Moves `parts[i]` out for each `i` of `order`, in that order — how a
+/// result's per-group parts are put in output order without copying them.
+pub(crate) fn in_order<T: Default>(mut parts: Vec<T>, order: &[usize]) -> Vec<T> {
+    order.iter().map(|&i| std::mem::take(&mut parts[i])).collect()
+}
+
 fn format_cell(v: &Value) -> String {
     match v {
         Value::Float(f) => format!("{f:.3}"),
@@ -156,23 +169,13 @@ mod tests {
             Field::nullable("avg_temp", DataType::Float),
         ])
         .unwrap();
-        let mut lineage = Lineage::new("readings");
-        let g0 = lineage.add_group();
-        lineage.record_all(g0, [RowId(0), RowId(1)]);
-        let g1 = lineage.add_group();
-        lineage.record_all(g1, [RowId(2)]);
-        QueryResult {
+        QueryResult::new(
             statement,
             schema,
-            rows: vec![
-                vec![Value::Int(0), Value::Float(20.0)],
-                vec![Value::Int(1), Value::Float(120.0)],
-            ],
-            group_keys: vec![vec![Value::Int(0)], vec![Value::Int(1)]],
-            lineage,
-            graph: OperatorGraph::new(),
-            execution_nanos: 42,
-        }
+            vec![vec![Value::Int(0), Value::Float(20.0)], vec![Value::Int(1), Value::Float(120.0)]],
+            vec![vec![Value::Int(0)], vec![Value::Int(1)]],
+            Lineage::new(vec![vec![RowId(0), RowId(1)], vec![RowId(2)]]),
+        )
     }
 
     #[test]

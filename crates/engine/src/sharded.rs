@@ -32,12 +32,11 @@ use crate::ast::SelectStatement;
 use crate::error::EngineError;
 use crate::executor::output_order;
 use crate::incremental::GroupedAggregateCache;
-use crate::result::QueryResult;
-use dbwipes_provenance::{Lineage, OperatorGraph, OperatorKind};
+use crate::result::{in_order, QueryResult};
+use dbwipes_provenance::Lineage;
 use dbwipes_storage::{RowSet, Schema, ShardedTable, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One merged group in the directory: where it lives in each shard, its
 /// first-seen position, and its cached no-exclusion output row.
@@ -207,7 +206,6 @@ impl ShardedAggregateCache {
     /// LIMIT fallback of
     /// [`ShardedAggregateCache::result_excluding_keys_local_sets`].
     fn result_excluding_local_sets(&self, excluded: &[RowSet]) -> QueryResult {
-        let start = Instant::now();
         let touched = self.touched_maps(excluded, None);
 
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.merged.len());
@@ -221,13 +219,7 @@ impl ShardedAggregateCache {
         }
 
         let order = output_order(&self.stmt, &rows, &keys).expect("validated at build time");
-        let mut final_rows = Vec::with_capacity(order.len());
-        let mut final_keys = Vec::with_capacity(order.len());
-        for &i in &order {
-            final_rows.push(std::mem::take(&mut rows[i]));
-            final_keys.push(std::mem::take(&mut keys[i]));
-        }
-        self.finish_result(final_rows, final_keys, start)
+        self.finish_result(in_order(rows, &order), in_order(keys, &order))
     }
 
     /// The sharded counterpart of
@@ -253,7 +245,6 @@ impl ShardedAggregateCache {
         }
         if self.stmt.limit.is_some() {
             let full = self.result_excluding_local_sets(excluded);
-            let start = Instant::now();
             let wanted: HashSet<&[Value]> = keys.iter().map(|k| k.as_slice()).collect();
             let mut rows = Vec::new();
             let mut out_keys = Vec::new();
@@ -263,9 +254,8 @@ impl ShardedAggregateCache {
                     out_keys.push(key);
                 }
             }
-            return self.finish_result(rows, out_keys, start);
+            return self.finish_result(rows, out_keys);
         }
-        let start = Instant::now();
         let mut wanted: Vec<u32> =
             keys.iter().filter_map(|k| self.key_index.get(k.as_slice()).copied()).collect();
         wanted.sort_unstable();
@@ -282,7 +272,7 @@ impl ShardedAggregateCache {
             rows.push(row);
             out_keys.push(mg.key.clone());
         }
-        self.finish_result(rows, out_keys, start)
+        self.finish_result(rows, out_keys)
     }
 
     /// Per-shard touched-position maps for one exclusion query, restricted
@@ -362,34 +352,9 @@ impl ShardedAggregateCache {
         Some(row)
     }
 
-    /// Wraps computed rows into a lineage-free [`QueryResult`] (mirrors the
-    /// unsharded cache).
-    fn finish_result(
-        &self,
-        rows: Vec<Vec<Value>>,
-        keys: Vec<Vec<Value>>,
-        start: Instant,
-    ) -> QueryResult {
-        let mut lineage = Lineage::new(self.sharded.shards()[0].name());
-        for _ in &rows {
-            lineage.add_group();
-        }
-        let mut graph = OperatorGraph::new();
-        graph.push(
-            OperatorKind::Aggregate {
-                aggregates: self.stmt.aggregates().iter().map(|a| a.to_string()).collect(),
-            },
-            rows.len(),
-        );
-        QueryResult {
-            statement: self.stmt.clone(),
-            schema: self.schema.clone(),
-            rows,
-            group_keys: keys,
-            lineage,
-            graph,
-            execution_nanos: start.elapsed().as_nanos(),
-        }
+    /// A scoring answer: the computed rows with the empty lineage.
+    fn finish_result(&self, rows: Vec<Vec<Value>>, keys: Vec<Vec<Value>>) -> QueryResult {
+        QueryResult::new(self.stmt.clone(), self.schema.clone(), rows, keys, Lineage::default())
     }
 }
 

@@ -13,62 +13,29 @@
 
 use dbwipes_storage::{RowId, RowSet};
 
-/// Index of an output row (group) within a query result.
-pub type GroupIdx = usize;
-
-/// Fine-grained lineage for one query execution.
+/// Fine-grained lineage for one query execution. The empty lineage
+/// ([`Lineage::default`]) is what a result that records none carries.
 #[derive(Debug, Clone, Default)]
 pub struct Lineage {
     /// For each output group, the input rows that contributed to it.
     groups: Vec<Vec<RowId>>,
-    /// Name of the table the row ids refer to.
-    source_table: String,
 }
 
 impl Lineage {
-    /// Creates an empty lineage over the named source table.
-    pub fn new(source_table: impl Into<String>) -> Self {
-        Lineage { groups: Vec::new(), source_table: source_table.into() }
-    }
-
-    /// The table the recorded [`RowId`]s belong to.
-    pub fn source_table(&self) -> &str {
-        &self.source_table
-    }
-
-    /// Appends a new output group and returns its index.
-    pub fn add_group(&mut self) -> GroupIdx {
-        self.groups.push(Vec::new());
-        self.groups.len() - 1
-    }
-
-    /// Records that input `row` contributed to output `group`.
-    ///
-    /// Panics if the group has not been added; the executor always creates
-    /// groups before attributing rows to them.
-    pub fn record(&mut self, group: GroupIdx, row: RowId) {
-        self.groups[group].push(row);
-    }
-
-    /// Records a whole set of contributing rows for `group`.
-    pub fn record_all(&mut self, group: GroupIdx, rows: impl IntoIterator<Item = RowId>) {
-        self.groups[group].extend(rows);
-    }
-
-    /// Number of output groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
+    /// The lineage whose output group `i` was produced by `groups[i]`.
+    pub fn new(groups: Vec<Vec<RowId>>) -> Self {
+        Lineage { groups }
     }
 
     /// The input rows of one output group (empty slice if out of range).
-    pub fn inputs_of(&self, group: GroupIdx) -> &[RowId] {
+    pub fn inputs_of(&self, group: usize) -> &[RowId] {
         self.groups.get(group).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
     /// The distinct input rows of a set of output groups — the paper's `F`
     /// — in ascending order: every group's rows are set in one [`RowSet`]
     /// over `0..=` the largest of them, which is then read back in order.
-    pub fn inputs_of_groups(&self, groups: &[GroupIdx]) -> Vec<RowId> {
+    pub fn inputs_of_groups(&self, groups: &[usize]) -> Vec<RowId> {
         let lists = || groups.iter().map(|&g| self.inputs_of(g));
         let Some(universe) = lists().flatten().map(|r| r.index() + 1).max() else {
             return Vec::new();
@@ -79,17 +46,6 @@ impl Lineage {
         }
         union.to_row_ids()
     }
-
-    /// The distinct input rows across all output groups.
-    pub fn all_inputs(&self) -> Vec<RowId> {
-        let groups: Vec<GroupIdx> = (0..self.group_count()).collect();
-        self.inputs_of_groups(&groups)
-    }
-
-    /// Total number of (group, input) attributions recorded.
-    pub fn attribution_count(&self) -> usize {
-        self.groups.iter().map(|g| g.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -97,36 +53,28 @@ mod tests {
     use super::*;
 
     fn sample() -> Lineage {
-        let mut l = Lineage::new("sensors");
-        let g0 = l.add_group();
-        let g1 = l.add_group();
-        let g2 = l.add_group();
-        l.record_all(g0, [RowId(0), RowId(1), RowId(2)]);
-        l.record(g1, RowId(3));
-        l.record(g1, RowId(4));
-        // group 2 intentionally empty (a group whose rows were all NULL).
-        let _ = g2;
-        l
+        // Group 2 is empty (a group whose rows were all NULL); row 1
+        // contributes to groups 0 and 3.
+        let rows = |ids: &[usize]| ids.iter().map(|&i| RowId(i)).collect();
+        Lineage::new(vec![rows(&[0, 1, 2]), rows(&[3, 4]), rows(&[]), rows(&[1])])
     }
 
     #[test]
     fn groups_and_inputs() {
         let l = sample();
-        assert_eq!(l.source_table(), "sensors");
-        assert_eq!(l.group_count(), 3);
         assert_eq!(l.inputs_of(0), &[RowId(0), RowId(1), RowId(2)]);
         assert_eq!(l.inputs_of(1), &[RowId(3), RowId(4)]);
         assert!(l.inputs_of(2).is_empty());
         assert!(l.inputs_of(99).is_empty());
-        assert_eq!(l.attribution_count(), 5);
+        assert!(Lineage::default().inputs_of(0).is_empty());
     }
 
     #[test]
     fn union_of_groups_is_deduplicated_and_sorted() {
-        let mut l = sample();
-        l.record(2, RowId(1)); // row 1 now contributes to two groups
-        let f = l.inputs_of_groups(&[0, 2]);
-        assert_eq!(f, vec![RowId(0), RowId(1), RowId(2)]);
-        assert_eq!(l.all_inputs(), vec![RowId(0), RowId(1), RowId(2), RowId(3), RowId(4)]);
+        let l = sample();
+        assert_eq!(l.inputs_of_groups(&[0, 2, 3]), vec![RowId(0), RowId(1), RowId(2)]);
+        assert_eq!(l.inputs_of_groups(&[3, 1]), vec![RowId(1), RowId(3), RowId(4)]);
+        assert!(l.inputs_of_groups(&[2, 99]).is_empty());
+        assert!(Lineage::default().inputs_of_groups(&[0]).is_empty());
     }
 }

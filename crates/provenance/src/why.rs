@@ -1,12 +1,12 @@
-//! Why-provenance and provenance precision statistics.
+//! Why-provenance answers.
 //!
 //! Traditional provenance systems answer "why is this output here?" with a
 //! set of input tuples. DBWipes' criticism (paper §1) is that for aggregate
 //! outputs that set has very low *precision*: it contains every
-//! contributing tuple, not just the erroneous ones. This module provides a
-//! small representation of such answers plus the precision/recall scoring
-//! used by experiment E5 to compare DBWipes against the traditional
-//! approaches it is motivated by.
+//! contributing tuple, not just the erroneous ones. This module provides
+//! the representation of such answers that experiment E5 scores against
+//! the ground truth to compare DBWipes with the traditional approaches it
+//! is motivated by.
 
 use dbwipes_storage::RowId;
 use std::collections::BTreeSet;
@@ -23,11 +23,6 @@ impl ProvenanceAnswer {
     /// collapsed).
     pub fn new(rows: impl IntoIterator<Item = RowId>) -> Self {
         ProvenanceAnswer { rows: rows.into_iter().collect() }
-    }
-
-    /// The empty answer.
-    pub fn empty() -> Self {
-        ProvenanceAnswer::default()
     }
 
     /// The rows in the answer, ascending.
@@ -49,94 +44,20 @@ impl ProvenanceAnswer {
     pub fn contains(&self, row: RowId) -> bool {
         self.rows.contains(&row)
     }
-
-    /// Scores the answer against a ground-truth set of erroneous rows.
-    pub fn score(&self, ground_truth: &BTreeSet<RowId>) -> PrecisionRecall {
-        let tp = self.rows.intersection(ground_truth).count();
-        PrecisionRecall::from_counts(tp, self.rows.len(), ground_truth.len())
-    }
-}
-
-/// Precision / recall / F1 of a returned tuple set against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrecisionRecall {
-    /// Fraction of returned rows that are truly erroneous.
-    pub precision: f64,
-    /// Fraction of truly erroneous rows that were returned.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall (0 when both are 0).
-    pub f1: f64,
-}
-
-impl PrecisionRecall {
-    /// Computes the metrics from raw counts.
-    ///
-    /// `true_positives` is clamped to the smaller of the two set sizes so a
-    /// caller cannot construct an impossible score.
-    pub fn from_counts(true_positives: usize, returned: usize, relevant: usize) -> Self {
-        let tp = true_positives.min(returned).min(relevant) as f64;
-        let precision = if returned == 0 { 0.0 } else { tp / returned as f64 };
-        let recall = if relevant == 0 { 0.0 } else { tp / relevant as f64 };
-        let f1 = if precision + recall == 0.0 {
-            0.0
-        } else {
-            2.0 * precision * recall / (precision + recall)
-        };
-        PrecisionRecall { precision, recall, f1 }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn truth(ids: &[usize]) -> BTreeSet<RowId> {
-        ids.iter().map(|&i| RowId(i)).collect()
-    }
-
     #[test]
     fn answer_deduplicates_and_sorts() {
         let a = ProvenanceAnswer::new([RowId(3), RowId(1), RowId(3)]);
         assert_eq!(a.len(), 2);
+        assert!(!a.is_empty());
         assert!(a.contains(RowId(1)));
         assert!(!a.contains(RowId(2)));
         assert_eq!(a.rows().collect::<Vec<_>>(), vec![RowId(1), RowId(3)]);
-        assert!(ProvenanceAnswer::empty().is_empty());
-    }
-
-    #[test]
-    fn perfect_answer_scores_one() {
-        let a = ProvenanceAnswer::new([RowId(1), RowId(2)]);
-        let s = a.score(&truth(&[1, 2]));
-        assert_eq!(s.precision, 1.0);
-        assert_eq!(s.recall, 1.0);
-        assert_eq!(s.f1, 1.0);
-    }
-
-    #[test]
-    fn full_lineage_answer_has_low_precision() {
-        // The "traditional fine-grained provenance" situation: return all
-        // 1000 contributing rows when only 10 are actually erroneous.
-        let a = ProvenanceAnswer::new((0..1000).map(RowId));
-        let s = a.score(&truth(&(0..10).collect::<Vec<_>>()));
-        assert!((s.precision - 0.01).abs() < 1e-12);
-        assert_eq!(s.recall, 1.0);
-        assert!(s.f1 < 0.02);
-    }
-
-    #[test]
-    fn empty_cases() {
-        let s = ProvenanceAnswer::empty().score(&truth(&[1]));
-        assert_eq!(s.precision, 0.0);
-        assert_eq!(s.recall, 0.0);
-        assert_eq!(s.f1, 0.0);
-        let s = ProvenanceAnswer::new([RowId(1)]).score(&BTreeSet::new());
-        assert_eq!(s.recall, 0.0);
-    }
-
-    #[test]
-    fn impossible_counts_are_clamped() {
-        let s = PrecisionRecall::from_counts(10, 2, 5);
-        assert!(s.precision <= 1.0 && s.recall <= 1.0);
+        assert!(ProvenanceAnswer::new([]).is_empty());
     }
 }

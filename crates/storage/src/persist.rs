@@ -59,7 +59,7 @@ use crate::error::StorageError;
 use crate::schema::{Field, Schema};
 use crate::table::{Table, TableEpoch};
 use crate::value::DataType;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -886,7 +886,10 @@ impl Manifest {
     }
 
     /// Decodes a manifest written by [`Manifest::encode`], verifying magic
-    /// bytes, format version and the trailing checksum.
+    /// bytes, format version and the trailing checksum, and refusing what
+    /// [`FsBackend`] never writes: an entry whose file is not `t<id>.tbl`
+    /// (recovery joins it onto the data directory), a table id listed
+    /// twice, or bytes after the last entry.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
         if bytes.len() < 8 {
             return Err(StorageError::Corrupt("manifest too short".into()));
@@ -909,17 +912,39 @@ impl Manifest {
                 "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        let count = r.get_len(1)?;
+        // The smallest entry: five u64 fields and two empty strings' u64
+        // length prefixes.
+        let count = r.get_len(7 * 8)?;
         let mut entries = Vec::with_capacity(count);
+        let mut ids = HashSet::with_capacity(count);
         for _ in 0..count {
-            entries.push(ManifestEntry {
+            let entry = ManifestEntry {
                 name: r.get_str()?,
                 table_id: r.get_u64()?,
                 epoch: TableEpoch { structural: r.get_u64()?, appended: r.get_u64()? },
                 num_rows: r.get_u64()?,
                 file: r.get_str()?,
                 bytes: r.get_u64()?,
-            });
+            };
+            if entry.file != FsBackend::table_file(entry.table_id) {
+                return Err(StorageError::Corrupt(format!(
+                    "manifest entry of table #{} names file {:?}",
+                    entry.table_id, entry.file
+                )));
+            }
+            if !ids.insert(entry.table_id) {
+                return Err(StorageError::Corrupt(format!(
+                    "manifest lists table #{} twice",
+                    entry.table_id
+                )));
+            }
+            entries.push(entry);
+        }
+        if !r.is_done() {
+            return Err(StorageError::Corrupt(format!(
+                "{} bytes after the last manifest entry",
+                r.remaining()
+            )));
         }
         Ok(Manifest { entries })
     }
@@ -1674,16 +1699,15 @@ mod tests {
 
     #[test]
     fn manifest_decode_rejects_corruption() {
-        let manifest = Manifest {
-            entries: vec![ManifestEntry {
-                name: "t".into(),
-                table_id: 3,
-                epoch: TableEpoch { structural: 4, appended: 6 },
-                num_rows: 5,
-                file: "t3.tbl".into(),
-                bytes: 128,
-            }],
+        let entry = |table_id: u64, file: &str| ManifestEntry {
+            name: "t".into(),
+            table_id,
+            epoch: TableEpoch { structural: 4, appended: 6 },
+            num_rows: 5,
+            file: file.into(),
+            bytes: 128,
         };
+        let manifest = Manifest { entries: vec![entry(3, "t3.tbl")] };
         let bytes = manifest.encode();
         assert_eq!(Manifest::decode(&bytes).unwrap(), manifest);
         assert!(Manifest::decode(&bytes[..bytes.len() - 1]).is_err());
@@ -1691,6 +1715,30 @@ mod tests {
         bad[6] ^= 0x10;
         assert!(Manifest::decode(&bad).is_err());
         assert!(Manifest::decode(b"nope").is_err());
+
+        // Well-checksummed manifests `save_table` never writes.
+        let corrupt = |bytes: &[u8]| match Manifest::decode(bytes) {
+            Err(StorageError::Corrupt(message)) => message,
+            other => panic!("decoded {other:?}"),
+        };
+        let resealed = |mut body: Vec<u8>| {
+            let checksum = fnv1a64(&body);
+            body.extend_from_slice(&checksum.to_le_bytes());
+            body
+        };
+        for file in ["/etc/passwd", "../x", "t4.tbl", "t3.log", ""] {
+            let m = Manifest { entries: vec![entry(3, file)] };
+            assert!(corrupt(&m.encode()).contains("names file"), "{file}");
+        }
+        let twice = Manifest { entries: vec![entry(3, "t3.tbl"), entry(3, "t3.tbl")] };
+        assert!(corrupt(&twice.encode()).contains("twice"));
+        let body = &bytes[..bytes.len() - 8];
+        assert!(corrupt(&resealed([body, &[0]].concat())).contains("after the last"));
+        // A count of two over one entry's bytes: refused by its length,
+        // before anything is read or allocated for it.
+        let mut counted = body.to_vec();
+        counted[8..16].copy_from_slice(&2u64.to_le_bytes());
+        assert!(corrupt(&resealed(counted)).contains("length 2 needs 112 bytes"));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! This umbrella crate re-exports the workspace's public API:
 //!
 //! * [`storage`] — columnar tables, typed values, predicate expressions.
-//! * [`provenance`] — fine-grained lineage and coarse operator graphs.
+//! * [`provenance`] — fine-grained lineage and the tuple-set answers of the
+//!   traditional provenance baselines.
 //! * [`engine`] — the SQL-subset aggregate query engine with lineage capture.
 //! * [`learn`] — decision trees, CN2-SD subgroup discovery, k-means, naive Bayes.
 //! * [`core`] — the Ranked Provenance System (Preprocessor, Dataset

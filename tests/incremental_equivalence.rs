@@ -151,7 +151,7 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
 }
 
 /// Ground truth: full re-execution on a copy of the table with the excluded
-/// rows physically deleted (lineage capture off, matching the cache).
+/// rows physically deleted.
 fn reference(table: &Table, sql: &str, excluded: &[RowId]) -> QueryResult {
     let mut t = table.clone();
     for &r in excluded {
@@ -160,7 +160,7 @@ fn reference(table: &Table, sql: &str, excluded: &[RowId]) -> QueryResult {
         }
     }
     let stmt = parse_select(sql).unwrap();
-    execute(&t, &stmt, ExecOptions { capture_lineage: false }).unwrap()
+    execute(&t, &stmt, ExecOptions::default()).unwrap()
 }
 
 fn assert_equivalent(table: &Table, sql: &str, excluded: &[RowId]) -> Result<(), String> {
@@ -455,7 +455,7 @@ proptest! {
         let incremental = cache.result(&ExclusionQuery::new().excluding_rows(&excluded));
 
         let rewritten = stmt.with_additional_filter(predicate.to_exclusion_expr());
-        let full = execute(&table, &rewritten, ExecOptions { capture_lineage: false }).unwrap();
+        let full = execute(&table, &rewritten, ExecOptions::default()).unwrap();
         prop_assert_eq!(&incremental.rows, &full.rows);
         prop_assert_eq!(&incremental.group_keys, &full.group_keys);
     }
@@ -479,7 +479,7 @@ proptest! {
         use std::collections::BTreeSet;
 
         let stmt = parse_select("SELECT grp, avg(value), count(*) FROM m GROUP BY grp").unwrap();
-        let result = execute(&table, &stmt, ExecOptions { capture_lineage: true }).unwrap();
+        let result = execute(&table, &stmt, ExecOptions::default()).unwrap();
         let selected: Vec<usize> = brushed.iter().map(|i| i % result.len()).collect();
         let metric = ErrorMetric::too_high("avg_value", threshold as f64 / 2.0);
         let config = RankerConfig { max_results: 100, ..RankerConfig::default() };
@@ -505,7 +505,7 @@ proptest! {
             let predicate = &entry.predicate;
             let rewritten = stmt.with_additional_filter(predicate.to_exclusion_expr());
             let cleaned =
-                execute(&table, &rewritten, ExecOptions { capture_lineage: false }).unwrap();
+                execute(&table, &rewritten, ExecOptions::default()).unwrap();
             let error_after = error_over_keys(&cleaned, &keys, &metric);
             let improvement = if error_before > 0.0 {
                 ((error_before - error_after) / error_before).clamp(-1.0, 1.0)

@@ -32,22 +32,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The lineage of a group-by query partitions exactly the rows that pass
-    /// the WHERE clause: every filtered row appears in exactly one group.
+    /// the WHERE clause: whatever the ORDER BY and LIMIT, each output row's
+    /// lineage is the filtered rows whose `grp` is its key, in scan order,
+    /// and without a LIMIT every filtered row appears in exactly one group.
     #[test]
-    fn lineage_partitions_the_filtered_input(table in arbitrary_table(), threshold in -60.0..160.0f64) {
+    fn lineage_partitions_the_filtered_input(
+        table in arbitrary_table(),
+        threshold in -60.0..160.0f64,
+        order_by in prop_oneof![
+            Just(""),
+            Just(" ORDER BY grp"),
+            Just(" ORDER BY grp DESC"),
+            Just(" ORDER BY a DESC"),
+        ],
+        limit in proptest::option::of(0usize..5),
+    ) {
+        let limit_clause = limit.map_or(String::new(), |n| format!(" LIMIT {n}"));
         let stmt = parse_select(&format!(
-            "SELECT grp, avg(value) FROM m WHERE value > {threshold} GROUP BY grp"
+            "SELECT grp, avg(value) AS a FROM m WHERE value > {threshold} GROUP BY grp{order_by}{limit_clause}"
         )).unwrap();
         let result = execute(&table, &stmt, ExecOptions::default()).unwrap();
-        let mut all_inputs: Vec<RowId> = (0..result.len()).flat_map(|i| result.inputs_of(i).to_vec()).collect();
-        all_inputs.sort();
-        let mut expected: Vec<RowId> = col("value").gt(lit(threshold)).filter(&table).unwrap();
-        expected.sort();
-        prop_assert_eq!(all_inputs.clone(), expected);
-        // No duplicates across groups.
-        let mut dedup = all_inputs.clone();
-        dedup.dedup();
-        prop_assert_eq!(dedup.len(), all_inputs.len());
+        let filtered: Vec<RowId> = col("value").gt(lit(threshold)).filter(&table).unwrap();
+        for i in 0..result.len() {
+            let key = &result.group_keys[i];
+            let expected: Vec<RowId> = filtered
+                .iter()
+                .copied()
+                .filter(|&r| table.value_by_name(r, "grp").unwrap() == key[0])
+                .collect();
+            prop_assert_eq!(result.inputs_of(i), expected.as_slice());
+        }
+        if limit.is_none() {
+            let mut all_inputs: Vec<RowId> =
+                (0..result.len()).flat_map(|i| result.inputs_of(i).to_vec()).collect();
+            all_inputs.sort();
+            let mut expected = filtered.clone();
+            expected.sort();
+            prop_assert_eq!(all_inputs, expected);
+        }
     }
 
     /// Aggregates computed by the engine match a naive reference computation
