@@ -30,17 +30,9 @@ pub struct ExplainConfig {
     pub predicates: PredicateEnumConfig,
     /// Predicate Ranker weights.
     pub ranker: RankerConfig,
-    /// Additional columns to exclude from the learned feature space.
+    /// Additional columns to exclude from the learned feature space (the
+    /// aggregated and group-by columns are always excluded).
     pub exclude_columns: Vec<String>,
-    /// Exclude the aggregated measure column (e.g. `temp` for `avg(temp)`)
-    /// from learned predicates. Defaults to true: "temp > 100" predicates
-    /// trivially remove high values without explaining *which* inputs are
-    /// at fault.
-    pub exclude_aggregate_column: bool,
-    /// Exclude the group-by columns from learned predicates (a predicate
-    /// naming the suspicious group itself is not an explanation). Defaults
-    /// to true.
-    pub exclude_group_by_columns: bool,
 }
 
 impl Default for ExplainConfig {
@@ -57,8 +49,6 @@ impl ExplainConfig {
             predicates: PredicateEnumConfig::default(),
             ranker: RankerConfig::default(),
             exclude_columns: Vec::new(),
-            exclude_aggregate_column: true,
-            exclude_group_by_columns: true,
         }
     }
 }
@@ -317,18 +307,18 @@ pub fn explain_with_cache(
         ));
     }
 
-    // Feature space over the explainable attributes.
+    // Feature space over the explainable attributes. The aggregated measure
+    // column (`temp` for `avg(temp)`) is left out: "temp > 100" trivially
+    // removes high values without explaining *which* inputs are at fault.
+    // So are the group-by columns: a predicate naming the suspicious group
+    // itself is not an explanation.
     let mut exclude = request.config.exclude_columns.clone();
-    if request.config.exclude_aggregate_column {
-        if let Ok((_, call)) = metric_aggregate(result, &request.metric) {
-            if let AggregateArg::Expr(e) = &call.arg {
-                exclude.extend(e.columns());
-            }
+    if let Ok((_, call)) = metric_aggregate(result, &request.metric) {
+        if let AggregateArg::Expr(e) = &call.arg {
+            exclude.extend(e.columns());
         }
     }
-    if request.config.exclude_group_by_columns {
-        exclude.extend(result.statement.group_by.iter().cloned());
-    }
+    exclude.extend(result.statement.group_by.iter().cloned());
     let space = FeatureSpace::build_excluding(table, &exclude, &f_rows);
 
     // 2. Dataset Enumerator.

@@ -36,15 +36,8 @@ pub struct EnumeratorConfig {
     /// Whether to extend the cleaned D′ with subgroup discovery over the
     /// high-influence portion of F.
     pub extend_with_subgroups: bool,
-    /// Fraction (0..1) of F, by influence rank, treated as high-influence
-    /// positives when mining subgroups (0.1 = top 10%).
-    pub influence_fraction: f64,
     /// Subgroup-discovery parameters.
     pub subgroup: SubgroupConfig,
-    /// Maximum number of candidate datasets returned.
-    pub max_candidates: usize,
-    /// RNG seed for k-means.
-    pub seed: u64,
 }
 
 impl Default for EnumeratorConfig {
@@ -52,13 +45,20 @@ impl Default for EnumeratorConfig {
         EnumeratorConfig {
             cleaning: CleaningStrategy::KMeans,
             extend_with_subgroups: true,
-            influence_fraction: 0.1,
             subgroup: SubgroupConfig::default(),
-            max_candidates: 8,
-            seed: 7,
         }
     }
 }
+
+/// Fraction of F, by influence rank, treated as high-influence positives
+/// when mining subgroups (the top 10%).
+const INFLUENCE_FRACTION: f64 = 0.1;
+
+/// Maximum number of candidate datasets returned.
+const MAX_CANDIDATES: usize = 8;
+
+/// RNG seed of the k-means cleaning.
+const KMEANS_SEED: u64 = 7;
 
 /// Where a candidate dataset came from (recorded so the ablation experiment
 /// E8 and the dashboard can attribute predicates to pipeline stages).
@@ -133,7 +133,7 @@ pub fn enumerate_candidates(
     //    O(1) probe per row instead of an ordered-set lookup.
     if config.extend_with_subgroups && !f_rows.is_empty() {
         let num_rows = table.num_rows();
-        let top_n = ((f_rows.len() as f64) * config.influence_fraction).ceil() as usize;
+        let top_n = ((f_rows.len() as f64) * INFLUENCE_FRACTION).ceil() as usize;
         let mut positive_set =
             RowSet::from_rows(num_rows, cleaned.iter().filter(|r| r.index() < num_rows));
         for t in
@@ -165,7 +165,7 @@ pub fn enumerate_candidates(
     //    Preprocessor's influence ranking so the Predicate Enumerator always
     //    has something to train against.
     if candidates.is_empty() && !f_rows.is_empty() {
-        let top_n = (((f_rows.len() as f64) * config.influence_fraction).ceil() as usize).max(1);
+        let top_n = (((f_rows.len() as f64) * INFLUENCE_FRACTION).ceil() as usize).max(1);
         let rows: Vec<RowId> = influence
             .influences
             .iter()
@@ -189,7 +189,7 @@ pub fn enumerate_candidates(
             true
         }
     });
-    candidates.truncate(config.max_candidates);
+    candidates.truncate(MAX_CANDIDATES);
     candidates
 }
 
@@ -209,7 +209,7 @@ fn clean_examples(
         CleaningStrategy::KMeans => {
             let dataset = space.extract(table, examples);
             let points = to_points(&dataset);
-            let result = kmeans(&points, 2, 50, config.seed);
+            let result = kmeans(&points, 2, 50, KMEANS_SEED);
             if result.centroids.len() < 2 {
                 return examples.to_vec();
             }
@@ -326,7 +326,7 @@ mod tests {
             &EnumeratorConfig::default(),
         );
         assert!(!candidates.is_empty());
-        assert!(candidates.len() <= EnumeratorConfig::default().max_candidates);
+        assert!(candidates.len() <= MAX_CANDIDATES);
         // The first candidate is the (cleaned) example set.
         assert_eq!(candidates[0].source, CandidateSource::CleanedExamples);
         assert!(candidates[0].len() >= 3);
@@ -431,10 +431,14 @@ mod tests {
         let report = influence_report(&c);
         let space = space(&c, &all);
         let examples: Vec<RowId> = broken.iter().copied().take(5).collect();
-        let config = EnumeratorConfig { max_candidates: 2, ..Default::default() };
-        let candidates =
-            enumerate_candidates(c.table("readings").unwrap(), &space, &examples, &report, &config);
-        assert!(candidates.len() <= 2);
+        let candidates = enumerate_candidates(
+            c.table("readings").unwrap(),
+            &space,
+            &examples,
+            &report,
+            &EnumeratorConfig::default(),
+        );
+        assert!(candidates.len() <= MAX_CANDIDATES);
         // Row sets are pairwise distinct.
         for i in 0..candidates.len() {
             for j in (i + 1)..candidates.len() {

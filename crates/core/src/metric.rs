@@ -41,8 +41,6 @@ pub enum Combine {
     Sum,
     /// Maximum penalty — exactly the paper's `diff(S) = max(0, max_i(s_i − c))`.
     Max,
-    /// Mean penalty.
-    Mean,
 }
 
 /// An error metric ε over one aggregate output column.
@@ -96,12 +94,6 @@ impl ErrorMetric {
         }
     }
 
-    /// Returns a copy using a different combination rule.
-    pub fn with_combine(mut self, combine: Combine) -> Self {
-        self.combine = combine;
-        self
-    }
-
     /// The penalty of a single output value (`None` — a NULL or vanished
     /// output — contributes zero error).
     pub fn penalty(&self, value: Option<f64>) -> f64 {
@@ -122,7 +114,6 @@ impl ErrorMetric {
         match self.combine {
             Combine::Sum => penalties.sum(),
             Combine::Max => penalties.fold(0.0, f64::max),
-            Combine::Mean => penalties.sum::<f64>() / values.len() as f64,
         }
     }
 
@@ -237,10 +228,11 @@ mod tests {
     #[test]
     fn combine_modes() {
         let values = [Some(10.0), Some(30.0)];
-        let m = ErrorMetric::too_high("x", 0.0);
-        assert_eq!(m.clone().with_combine(Combine::Sum).evaluate(&values), 40.0);
-        assert_eq!(m.clone().with_combine(Combine::Max).evaluate(&values), 30.0);
-        assert_eq!(m.with_combine(Combine::Mean).evaluate(&values), 20.0);
+        let sum = ErrorMetric::too_high("x", 0.0);
+        assert_eq!(sum.combine, Combine::Sum);
+        assert_eq!(sum.evaluate(&values), 40.0);
+        let max = ErrorMetric { combine: Combine::Max, ..sum };
+        assert_eq!(max.evaluate(&values), 30.0);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub struct PredicateEnumConfig {
     /// The decision-tree configurations trained per candidate dataset —
     /// the paper's "m standard splitting and pruning strategies".
     pub tree_configs: Vec<TreeConfig>,
-    /// Whether to mine substring-containment conditions over text columns.
-    pub mine_text_conditions: bool,
-    /// Minimum number of candidate rows a text value must appear in.
-    pub min_text_support: usize,
-    /// Minimum precision (candidate rows / matching rows) of a text value.
-    pub min_text_precision: f64,
-    /// Maximum number of distinct values examined per text column.
-    pub max_text_values: usize,
 }
 
 impl Default for PredicateEnumConfig {
@@ -47,13 +39,19 @@ impl Default for PredicateEnumConfig {
                     ..TreeConfig::default()
                 },
             ],
-            mine_text_conditions: true,
-            min_text_support: 3,
-            min_text_precision: 0.5,
-            max_text_values: 2_000,
         }
     }
 }
+
+/// Minimum number of candidate rows a text value must appear in.
+const MIN_TEXT_SUPPORT: usize = 3;
+
+/// Minimum precision (candidate rows / matching rows within F) of a text
+/// value.
+const MIN_TEXT_PRECISION: f64 = 0.5;
+
+/// Maximum number of distinct values examined per text column.
+const MAX_TEXT_VALUES: usize = 2_000;
 
 /// Enumerates candidate predicates describing one candidate dataset.
 ///
@@ -92,21 +90,18 @@ pub fn enumerate_predicates(
     }
 
     // Text-containment predicates over string columns.
-    if config.mine_text_conditions {
-        predicates.extend(mine_text_predicates(table, f_rows, &positive, config));
-    }
+    predicates.extend(mine_text_predicates(table, f_rows, &positive));
 
     dedup(predicates)
 }
 
 /// Mines `column LIKE '%value%'` predicates from text columns: values that
-/// occur in at least `min_text_support` candidate rows with precision at
-/// least `min_text_precision` among F.
+/// occur in at least [`MIN_TEXT_SUPPORT`] candidate rows with precision at
+/// least [`MIN_TEXT_PRECISION`] among F.
 fn mine_text_predicates(
     table: &Table,
     f_rows: &[RowId],
     positive: &RowSet,
-    config: &PredicateEnumConfig,
 ) -> Vec<ConjunctivePredicate> {
     let mut out = Vec::new();
     for field in table.schema().fields() {
@@ -121,7 +116,7 @@ fn mine_text_predicates(
         let mut slot_of: HashMap<&str, usize> = HashMap::new();
         for &rid in f_rows {
             let Some(text) = column.get_str(rid.index()) else { continue };
-            let full = counts.len() >= config.max_text_values;
+            let full = counts.len() >= MAX_TEXT_VALUES;
             if text.is_empty() || (full && !slot_of.contains_key(text)) {
                 continue;
             }
@@ -136,9 +131,7 @@ fn mine_text_predicates(
             }
         }
         for (value, pos, total) in counts {
-            if pos >= config.min_text_support
-                && (pos as f64 / total as f64) >= config.min_text_precision
-            {
+            if pos >= MIN_TEXT_SUPPORT && (pos as f64 / total as f64) >= MIN_TEXT_PRECISION {
                 out.push(ConjunctivePredicate::new(vec![Condition::contains(
                     field.name.clone(),
                     value,
@@ -214,50 +207,64 @@ mod tests {
         assert_eq!(unique.len(), texts.len());
     }
 
+    /// The text predicates of a one-column `memo` table whose rows are
+    /// `(value, in the candidate)` pairs, with no trees trained.
+    fn text_predicates(rows: &[(&str, bool)]) -> Vec<String> {
+        let mut t = Table::new("t", Schema::of(&[("memo", DataType::Str)])).unwrap();
+        let mut positives = Vec::new();
+        for &(memo, positive) in rows {
+            let rid = t.push_row(vec![Value::str(memo)]).unwrap();
+            if positive {
+                positives.push(rid);
+            }
+        }
+        let all: Vec<RowId> = t.visible_row_ids().collect();
+        let space = FeatureSpace::build_excluding(&t, &["memo".into()], &all);
+        let candidate =
+            CandidateDataset { rows: positives, source: CandidateSource::CleanedExamples };
+        let config = PredicateEnumConfig { tree_configs: vec![] };
+        enumerate_predicates(&t, &space, &all, &candidate, &config)
+            .iter()
+            .map(ToString::to_string)
+            .collect()
+    }
+
     #[test]
     fn text_mining_respects_support_and_precision_thresholds() {
-        let (t, errors, all) = fec_like();
-        let space = FeatureSpace::build_excluding(&t, &[], &all);
-        let candidate = CandidateDataset { rows: errors, source: CandidateSource::CleanedExamples };
-        // Impossible support threshold: no text predicates.
-        let config = PredicateEnumConfig {
-            min_text_support: 10_000,
-            tree_configs: vec![],
-            ..Default::default()
-        };
-        let predicates = enumerate_predicates(&t, &space, &all, &candidate, &config);
-        assert!(predicates.is_empty());
-        // Text mining disabled.
-        let config = PredicateEnumConfig {
-            mine_text_conditions: false,
-            tree_configs: vec![],
-            ..Default::default()
-        };
-        assert!(enumerate_predicates(&t, &space, &all, &candidate, &config).is_empty());
+        let mut rows = Vec::new();
+        // At the support floor, precision 1: kept.
+        rows.extend(vec![("KEPT", true); MIN_TEXT_SUPPORT]);
+        // One candidate row short of the support floor: dropped.
+        rows.extend(vec![("RARE", true); MIN_TEXT_SUPPORT - 1]);
+        // Precision exactly at the floor (half of its rows are candidates): kept.
+        rows.extend(vec![("EVEN", true); MIN_TEXT_SUPPORT]);
+        rows.extend(vec![("EVEN", false); MIN_TEXT_SUPPORT]);
+        // Precision below the floor: dropped.
+        rows.extend(vec![("COMMON", true); MIN_TEXT_SUPPORT]);
+        rows.extend(vec![("COMMON", false); MIN_TEXT_SUPPORT + 1]);
+        assert_eq!(MIN_TEXT_PRECISION, 0.5);
+        assert_eq!(text_predicates(&rows), ["memo LIKE '%KEPT%'", "memo LIKE '%EVEN%'"]);
+    }
+
+    #[test]
+    fn text_mining_examines_only_the_first_distinct_values_of_a_column() {
+        let fillers: Vec<String> = (0..MAX_TEXT_VALUES).map(|i| format!("V{i}")).collect();
+        let mut rows: Vec<(&str, bool)> = fillers.iter().map(|v| (v.as_str(), false)).collect();
+        // A value first seen after the cap is never counted.
+        rows.extend(vec![("LATE", true); MIN_TEXT_SUPPORT]);
+        assert!(text_predicates(&rows).is_empty());
+        // The same rows one filler earlier are.
+        assert_eq!(text_predicates(&rows[1..]), ["memo LIKE '%LATE%'"]);
     }
 
     #[test]
     fn text_predicates_of_equal_support_come_out_in_first_seen_order() {
         // BETA and ALPHA have identical support and precision, so the ranker
         // would keep whatever order they arrive in.
-        let schema = Schema::of(&[("memo", DataType::Str)]);
-        let mut t = Table::new("t", schema).unwrap();
-        for i in 0..40 {
-            t.push_row(vec![Value::str(["BETA", "ALPHA", "OTHER", "OTHER"][i % 4])]).unwrap();
-        }
-        let all: Vec<RowId> = t.visible_row_ids().collect();
-        let errors = all.iter().copied().filter(|r| r.index() % 4 < 2).collect();
-        let space = FeatureSpace::build_excluding(&t, &["memo".into()], &all);
-        let candidate = CandidateDataset { rows: errors, source: CandidateSource::CleanedExamples };
-        let config = PredicateEnumConfig { tree_configs: vec![], ..Default::default() };
-        let texts = || -> Vec<String> {
-            enumerate_predicates(&t, &space, &all, &candidate, &config)
-                .iter()
-                .map(ToString::to_string)
-                .collect()
-        };
+        let rows: Vec<(&str, bool)> =
+            (0..40).map(|i| (["BETA", "ALPHA", "OTHER", "OTHER"][i % 4], i % 4 < 2)).collect();
         for _ in 0..20 {
-            assert_eq!(texts(), ["memo LIKE '%BETA%'", "memo LIKE '%ALPHA%'"]);
+            assert_eq!(text_predicates(&rows), ["memo LIKE '%BETA%'", "memo LIKE '%ALPHA%'"]);
         }
     }
 
@@ -295,12 +302,8 @@ mod tests {
         let (t, errors, all) = fec_like();
         let space = FeatureSpace::build_excluding(&t, &["amount".into()], &all);
         let candidate = CandidateDataset { rows: errors, source: CandidateSource::CleanedExamples };
-        let one = PredicateEnumConfig {
-            tree_configs: vec![TreeConfig::default()],
-            mine_text_conditions: false,
-            ..Default::default()
-        };
-        let many = PredicateEnumConfig { mine_text_conditions: false, ..Default::default() };
+        let one = PredicateEnumConfig { tree_configs: vec![TreeConfig::default()] };
+        let many = PredicateEnumConfig::default();
         let p_one = enumerate_predicates(&t, &space, &all, &candidate, &one);
         let p_many = enumerate_predicates(&t, &space, &all, &candidate, &many);
         assert!(p_many.len() >= p_one.len());

@@ -1,52 +1,15 @@
-//! The dashboard's input forms: the SQL query form and the dynamic error
-//! metric form.
+//! The dashboard's dynamic error metric form.
 //!
-//! "Users submit aggregate SQL queries using the web form ... the frontend
-//! dynamically offers the user a choice of predefined metric functions
-//! depending on the query results that are highlighted by the user"
-//! (paper §2.2.1, Figures 3 and 5).
+//! "The frontend dynamically offers the user a choice of predefined metric
+//! functions depending on the query results that are highlighted by the
+//! user" (paper §2.2.1, Figure 5). Each choice is labelled with
+//! [`ErrorMetric::label`]. The query form is the statement of the
+//! displayed result ([`DashboardSession::current_sql`]).
+//!
+//! [`DashboardSession::current_sql`]: crate::DashboardSession::current_sql
 
 use dbwipes_core::{suggest_metrics, ErrorMetric};
-use dbwipes_engine::{parse_select, EngineError, QueryResult, SelectStatement};
-
-/// The query input form (Figure 3): free-text SQL plus validation.
-#[derive(Debug, Clone, Default)]
-pub struct QueryForm {
-    text: String,
-}
-
-impl QueryForm {
-    /// Creates an empty form.
-    pub fn new() -> Self {
-        QueryForm::default()
-    }
-
-    /// The current SQL text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Validates the SQL, returning the parsed statement or the parse error
-    /// the form would display inline.
-    pub fn validate(&self) -> Result<SelectStatement, EngineError> {
-        parse_select(&self.text)
-    }
-
-    /// Updates the form to show a rewritten statement (after the user clicks
-    /// a ranked predicate the query form "is automatically updated").
-    pub fn show_statement(&mut self, statement: &SelectStatement) {
-        self.text = statement.to_sql();
-    }
-}
-
-/// One choice offered by the error metric form.
-#[derive(Debug, Clone)]
-pub struct ErrorFormChoice {
-    /// Human-readable label shown to the user (e.g. "value is too high").
-    pub label: String,
-    /// The metric that choice corresponds to.
-    pub metric: ErrorMetric,
-}
+use dbwipes_engine::QueryResult;
 
 /// Builds the error metric form for a selection of output rows: the choices
 /// are derived from how the selected values differ from the unselected ones
@@ -55,7 +18,7 @@ pub fn error_form_choices(
     result: &QueryResult,
     selected_rows: &[usize],
     column: &str,
-) -> Vec<ErrorFormChoice> {
+) -> Vec<ErrorMetric> {
     let Ok(col) = result.column_index(column) else { return Vec::new() };
     let mut selected = Vec::new();
     let mut unselected = Vec::new();
@@ -68,9 +31,6 @@ pub fn error_form_choices(
         }
     }
     suggest_metrics(column, &selected, &unselected)
-        .into_iter()
-        .map(|metric| ErrorFormChoice { label: metric.label(), metric })
-        .collect()
 }
 
 #[cfg(test)]
@@ -95,30 +55,13 @@ mod tests {
     }
 
     #[test]
-    fn query_form_validates_and_updates() {
-        let mut form = QueryForm::new();
-        assert!(form.validate().is_err());
-        let stmt = parse_select("SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
-        form.show_statement(&stmt);
-        assert_eq!(form.text(), "SELECT window, avg(temp) FROM readings GROUP BY window");
-        assert_eq!(form.validate().unwrap(), stmt);
-
-        let rewritten = stmt.with_additional_filter(
-            dbwipes_storage::col("temp").lt_eq(dbwipes_storage::lit(100.0)),
-        );
-        form.show_statement(&rewritten);
-        assert!(form.text().contains("WHERE temp <= 100.0"));
-        assert!(form.validate().is_ok());
-    }
-
-    #[test]
     fn error_form_offers_too_high_for_high_selection() {
         let r = result();
         // Row 1 is the hot window (avg 119).
         let choices = error_form_choices(&r, &[1], "a");
         assert!(!choices.is_empty());
-        assert!(matches!(choices[0].metric.kind, MetricKind::TooHigh { .. }));
-        assert!(choices[0].label.contains("too high"));
+        assert!(matches!(choices[0].kind, MetricKind::TooHigh { .. }));
+        assert!(choices[0].label().contains("too high"));
         // Unknown column or empty selection yields no choices.
         assert!(error_form_choices(&r, &[1], "missing").is_empty());
         assert!(error_form_choices(&r, &[], "a").is_empty());
@@ -128,6 +71,6 @@ mod tests {
     fn error_form_offers_too_low_for_low_selection() {
         let r = result();
         let choices = error_form_choices(&r, &[0, 2], "a");
-        assert!(choices.iter().any(|c| matches!(c.metric.kind, MetricKind::TooLow { .. })));
+        assert!(choices.iter().any(|c| matches!(c.kind, MetricKind::TooLow { .. })));
     }
 }

@@ -5,7 +5,8 @@
 //! examples, integration tests and experiment harness can drive the same
 //! tight loop conference attendees drove with a mouse:
 //!
-//! 1. submit an aggregate SQL query ([`QueryForm`]),
+//! 1. submit an aggregate SQL query ([`DashboardSession::run_query`]; the
+//!    query form shows [`DashboardSession::current_sql`]),
 //! 2. view the result scatterplot ([`result_series`], [`render_ascii`]),
 //! 3. brush suspicious outputs S ([`Brush`]),
 //! 4. zoom into the raw tuples and brush suspicious inputs D′
@@ -27,7 +28,7 @@ pub mod render;
 pub mod scatter;
 pub mod session;
 
-pub use forms::{error_form_choices, ErrorFormChoice, QueryForm};
+pub use forms::error_form_choices;
 pub use render::render_ascii;
 pub use scatter::{
     result_series, zoom_points, zoom_series, Brush, PointRef, ScatterPoint, ScatterSeries,

@@ -7,7 +7,7 @@
 //! the query → repeat. Every state transition of the web UI has a method
 //! here, which is what the examples and the walkthrough experiments drive.
 
-use crate::forms::{error_form_choices, ErrorFormChoice, QueryForm};
+use crate::forms::error_form_choices;
 use crate::scatter::{result_series, zoom_points, zoom_series, Brush, ScatterPoint, ScatterSeries};
 use dbwipes_core::{
     CleaningSession, CoreError, DbWipes, ErrorMetric, ExplainConfig, Explanation,
@@ -36,7 +36,6 @@ pub enum SessionState {
 #[derive(Debug)]
 pub struct DashboardSession {
     db: DbWipes,
-    query_form: QueryForm,
     cleaning: Option<CleaningSession>,
     result: Option<QueryResult>,
     selected_outputs: Vec<usize>,
@@ -51,7 +50,6 @@ impl DashboardSession {
     pub fn new(db: DbWipes) -> Self {
         DashboardSession {
             db,
-            query_form: QueryForm::new(),
             cleaning: None,
             result: None,
             selected_outputs: Vec::new(),
@@ -87,10 +85,11 @@ impl DashboardSession {
         }
     }
 
-    /// The SQL currently shown in the query form (including applied
-    /// cleaning predicates).
+    /// The SQL currently shown in the query form: the displayed result's
+    /// statement, applied cleaning predicates included (empty before the
+    /// first query).
     pub fn current_sql(&self) -> String {
-        self.query_form.text().to_string()
+        self.result.as_ref().map(|r| r.statement.to_sql()).unwrap_or_default()
     }
 
     /// The current query result, if a query has been executed.
@@ -109,7 +108,6 @@ impl DashboardSession {
     pub fn run_query(&mut self, sql: &str) -> Result<&QueryResult, CoreError> {
         let result = self.db.query(sql)?;
         self.cleaning = Some(CleaningSession::new(result.statement.clone()));
-        self.query_form.show_statement(&result.statement);
         self.result = Some(result);
         self.selected_outputs.clear();
         self.selected_inputs.clear();
@@ -120,10 +118,11 @@ impl DashboardSession {
 
     /// Adopts a freshly appended snapshot of the current query's table
     /// (streaming ingestion): installs `table` into the session's catalog
-    /// and replaces the displayed result with `refreshed`, which the
-    /// caller computed over the new snapshot — typically via an
-    /// append-absorbed cache's
-    /// [`cleaned_result`](GroupedAggregateCache::cleaned_result).
+    /// and replaces the displayed result with the cleaned statement's
+    /// answer from `cache` — a cache of the *base* statement over `table`,
+    /// typically one absorbed forward through the append — exactly as
+    /// [`DashboardSession::click_predicate_with_cache`] answers. Nothing
+    /// changes when `cache` retains another statement.
     ///
     /// The user's in-flight investigation survives the refresh where it
     /// still makes sense:
@@ -139,18 +138,12 @@ impl DashboardSession {
     pub fn refresh_after_append(
         &mut self,
         table: Arc<Table>,
-        refreshed: QueryResult,
+        cache: &GroupedAggregateCache<'_>,
     ) -> Result<(), CoreError> {
-        let current =
-            self.result.as_ref().ok_or_else(|| CoreError::invalid("no query result to refresh"))?;
-        if refreshed.statement != current.statement {
-            return Err(CoreError::invalid(
-                "refreshed result was computed for a different statement",
-            ));
-        }
-        if !table.name().eq_ignore_ascii_case(&refreshed.statement.table) {
-            return Err(CoreError::invalid("snapshot is not the refreshed statement's table"));
-        }
+        let (Some(current), Some(cleaning)) = (&self.result, &self.cleaning) else {
+            return Err(CoreError::invalid("no query result to refresh"));
+        };
+        let refreshed = cleaning.execute_with_cache(cache)?;
         let remapped: Vec<usize> = self
             .selected_outputs
             .iter()
@@ -160,7 +153,6 @@ impl DashboardSession {
             })
             .collect();
         self.db.catalog_mut().install_snapshot(table);
-        self.query_form.show_statement(&refreshed.statement);
         self.result = Some(refreshed);
         self.selected_outputs = remapped;
         self.explanation = None;
@@ -250,7 +242,7 @@ impl DashboardSession {
 
     /// The error-metric choices the form would offer for the current
     /// selection (Figure 5).
-    pub fn metric_choices(&self, column: &str) -> Vec<ErrorFormChoice> {
+    pub fn metric_choices(&self, column: &str) -> Vec<ErrorMetric> {
         match &self.result {
             Some(result) => error_form_choices(result, &self.selected_outputs, column),
             None => Vec::new(),
@@ -454,7 +446,6 @@ impl DashboardSession {
                 cleaning.execute(self.db.catalog().table(table).map_err(CoreError::from)?)?
             }
         };
-        self.query_form.show_statement(&result.statement);
         self.result = Some(result);
         self.selected_outputs.clear();
         self.selected_inputs.clear();
@@ -515,7 +506,7 @@ mod tests {
         // 6. The error form offers a "too high" choice; pick it.
         let choices = s.metric_choices("std_temp");
         assert!(!choices.is_empty());
-        s.set_metric(choices[0].metric.clone());
+        s.set_metric(choices[0].clone());
 
         // Debug!
         let explanation = s.debug().unwrap();
@@ -614,7 +605,7 @@ mod tests {
         s.brush_outputs("window", "std_temp", Brush::above(8.0));
         s.brush_inputs("sensorid", "temp", Brush::above(100.0));
         let choices = s.metric_choices("std_temp");
-        s.set_metric(choices[0].metric.clone());
+        s.set_metric(choices[0].clone());
 
         // Snapshot the table (clones preserve identity and version) so the
         // cache does not borrow from the session it is handed back to.
@@ -699,7 +690,7 @@ mod tests {
         s.brush_outputs("window", "std_temp", Brush::above(8.0));
         s.brush_inputs("sensorid", "temp", Brush::above(100.0));
         let choices = s.metric_choices("std_temp");
-        s.set_metric(choices[0].metric.clone());
+        s.set_metric(choices[0].clone());
         assert!(s.debug().unwrap().predicates.len() > 1);
 
         let mut config = ExplainConfig::standard();
@@ -720,7 +711,7 @@ mod tests {
         s.brush_outputs("window", "std_temp", Brush::above(8.0));
         s.brush_inputs("sensorid", "temp", Brush::above(100.0));
         let choices = s.metric_choices("std_temp");
-        s.set_metric(choices[0].metric.clone());
+        s.set_metric(choices[0].clone());
         s.debug().unwrap();
         assert_eq!(s.state(), SessionState::Explained);
         let selected_keys: Vec<Vec<dbwipes_storage::Value>> = s
@@ -749,13 +740,14 @@ mod tests {
         let grown = Arc::new(grown);
         let stmt = s.result().unwrap().statement.clone();
         let cache = GroupedAggregateCache::build_shared(Arc::clone(&grown), &stmt).unwrap();
-        let refreshed = cache.cleaned_result(&stmt, None);
 
-        // A mismatched statement is rejected before anything mutates.
-        let other = s.backend().query("SELECT count(*) FROM readings").unwrap();
-        assert!(s.refresh_after_append(Arc::clone(&grown), other).is_err());
+        // A cache of another statement is rejected before anything mutates.
+        let other = dbwipes_engine::parse_select("SELECT count(*) FROM readings").unwrap();
+        let wrong = GroupedAggregateCache::build_shared(Arc::clone(&grown), &other).unwrap();
+        assert!(s.refresh_after_append(Arc::clone(&grown), &wrong).is_err());
+        assert_ne!(s.current_table().unwrap().epoch(), grown.epoch());
 
-        s.refresh_after_append(Arc::clone(&grown), refreshed).unwrap();
+        s.refresh_after_append(Arc::clone(&grown), &cache).unwrap();
         // The session now reads the grown snapshot...
         assert_eq!(s.current_table().unwrap().epoch(), grown.epoch());
         // ...selections survived (remapped by key / kept verbatim)...

@@ -12,9 +12,7 @@
 //! the weight of the positive examples it covers is decayed so subsequent
 //! rules describe *different* parts of the positive class.
 
-use crate::features::{
-    fold_categories, Dataset, FeatureColumn, FeatureSpace, FeatureValue, MISSING_CODE,
-};
+use crate::features::{fold_categories, Dataset, FeatureColumn, FeatureSpace, FeatureValue};
 use crate::metrics::weighted_relative_accuracy;
 use crate::tree::{PathTest, Rule};
 use dbwipes_storage::{ConjunctivePredicate, RowSet};
@@ -35,17 +33,6 @@ pub struct SubgroupConfig {
     pub covered_weight_decay: f64,
     /// Minimum (unweighted) number of positive examples a rule must cover.
     pub min_positive_coverage: usize,
-    /// Also offer negated category tests (`feature != category`) to the
-    /// beam search. Off by default: negations describe subgroups by what
-    /// they are *not*, which reads worse and doubles the categorical
-    /// branching factor — but they are the only way to describe an error
-    /// population like "every room except the lab" as one conjunct.
-    ///
-    /// Their coverage bitmaps are composed from the positive tests'
-    /// bitmaps (`has-a-category AND NOT eq`) instead of a second dataset
-    /// scan, mirroring how the storage layer's `TriSet` algebra negates
-    /// condition kernels.
-    pub negated_category_tests: bool,
 }
 
 impl Default for SubgroupConfig {
@@ -57,7 +44,6 @@ impl Default for SubgroupConfig {
             thresholds_per_feature: 16,
             covered_weight_decay: 0.5,
             min_positive_coverage: 2,
-            negated_category_tests: false,
         }
     }
 }
@@ -234,43 +220,13 @@ pub fn discover_subgroups(
     // once — weights change between covering rounds, coverage never does)
     // plus the positive-class bitmap. A rule's coverage is the intersection
     // of its tests' bitmaps and its class counts are popcounts.
-    let (mut candidates, mut candidate_sets): (Vec<(usize, PathTest)>, Vec<RowSet>) =
+    let (candidates, candidate_sets): (Vec<(usize, PathTest)>, Vec<RowSet>) =
         candidate_tests(dataset, config).into_iter().unzip();
     if candidates.is_empty() {
         return Vec::new();
     }
     let total_neg = labels.iter().filter(|&&l| !l).count() as f64;
 
-    if config.negated_category_tests {
-        // `feature != c` covers exactly the instances that carry *some*
-        // category at the feature but not `c` — so its bitmap is composed
-        // from the already-built `Eq` bitmap by boolean algebra
-        // (has-category AND NOT eq) instead of another dataset scan.
-        let categorical: Vec<RowSet> = dataset
-            .columns()
-            .iter()
-            .map(|column| match column {
-                FeatureColumn::Categorical { codes, .. } => {
-                    RowSet::from_indices(n, (0..n).filter(|&i| codes[i] != MISSING_CODE))
-                }
-                FeatureColumn::Numeric(_) => RowSet::empty(n),
-            })
-            .collect();
-        let negated: Vec<((usize, PathTest), RowSet)> = candidates
-            .iter()
-            .zip(&candidate_sets)
-            .filter_map(|((feature, test), eq_set)| match test {
-                PathTest::Eq(c) => {
-                    Some(((*feature, PathTest::NotEq(*c)), categorical[*feature].and_not(eq_set)))
-                }
-                _ => None,
-            })
-            .collect();
-        for (test, set) in negated {
-            candidates.push(test);
-            candidate_sets.push(set);
-        }
-    }
     let pos_set = RowSet::from_indices(n, (0..n).filter(|&i| labels[i]));
     let positive_words = pos_set.word_slice();
     // The words that hold a positive: the only ones a weight sum reads.
@@ -482,56 +438,6 @@ mod tests {
         // Empty dataset.
         let empty = Dataset::from_rows(&[]).unwrap();
         assert!(discover_subgroups(&empty, &[], &SubgroupConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn negated_category_tests_describe_everything_but_one_room() {
-        // Errors are every room EXCEPT the lab — one NotEq conjunct, but
-        // two Eq conjuncts (and max_conditions forbids two here).
-        let schema = Schema::of(&[("room", DataType::Str)]);
-        let mut t = Table::new("readings", schema).unwrap();
-        let mut labels = Vec::new();
-        for i in 0..120 {
-            let room = match i % 3 {
-                0 => "lab",
-                1 => "office",
-                _ => "kitchen",
-            };
-            t.push_row(vec![Value::str(room)]).unwrap();
-            labels.push(room != "lab");
-        }
-        let rows: Vec<RowId> = t.visible_row_ids().collect();
-        let space = FeatureSpace::build_excluding(&t, &[], &rows);
-        let ds = space.extract(&t, &rows);
-
-        let base = SubgroupConfig { max_conditions: 1, ..Default::default() };
-        let with_neg = SubgroupConfig { negated_category_tests: true, ..base };
-        let positive_only = discover_subgroups(&ds, &labels, &base);
-        let negations = discover_subgroups(&ds, &labels, &with_neg);
-
-        // With negations on, the single best rule is `room != lab`,
-        // covering all 80 positives with perfect precision — something no
-        // single positive test can do.
-        let best = &negations[0];
-        assert!(matches!(best.tests[..], [(_, PathTest::NotEq(_))]), "{:?}", best.tests);
-        assert_eq!((best.covered_pos, best.covered_neg), (80, 0));
-        assert_eq!(best.to_predicate(&space).to_string(), "room <> 'lab'");
-        let best_positive = positive_only.iter().map(|s| s.wracc).fold(f64::NEG_INFINITY, f64::max);
-        assert!(best.wracc > best_positive, "{} vs {best_positive}", best.wracc);
-    }
-
-    #[test]
-    fn composed_negation_bitmaps_match_a_direct_scan() {
-        // The NotEq coverage bitmaps are built by complementing the Eq
-        // bitmaps; the discovered rules must therefore count coverage
-        // exactly as the scalar `covers` walk does.
-        let (_, labels, _, ds) = table();
-        let config = SubgroupConfig { negated_category_tests: true, ..Default::default() };
-        for sub in discover_subgroups(&ds, &labels, &config) {
-            let covered = sub.covered_indices(&ds);
-            let pos = covered.iter().filter(|&&i| labels[i]).count();
-            assert_eq!((pos, covered.len() - pos), (sub.covered_pos, sub.covered_neg));
-        }
     }
 
     #[test]

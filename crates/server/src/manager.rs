@@ -223,11 +223,12 @@ impl ServerSession {
     /// * an equal epoch means the session already reads this data — skip.
     ///
     /// When the session displays a result over the appended table, the
-    /// result is recomputed through `registry` — absorbing the retained
-    /// aggregate cache instead of re-executing the statement — and
-    /// installed via [`DashboardSession::refresh_after_append`], so the
-    /// analyst's brushes survive. Otherwise only the catalog snapshot is
-    /// swapped. Returns true when the session adopted the snapshot.
+    /// result is recomputed from the registry's cache of the *base*
+    /// statement — absorbed forward instead of re-executing, the cache
+    /// click and undo read too, clicked predicates applied on top — by
+    /// [`DashboardSession::refresh_after_append`], so the analyst's
+    /// brushes survive. Otherwise only the catalog snapshot is swapped.
+    /// Returns true when the session adopted the snapshot.
     pub fn adopt_append(
         &mut self,
         table: &Arc<Table>,
@@ -242,18 +243,14 @@ impl ServerSession {
         {
             return Ok(false);
         }
-        let displayed = self
-            .dashboard
-            .result()
-            .map(|r| r.statement.clone())
-            .filter(|stmt| stmt.table.eq_ignore_ascii_case(table.name()));
+        let displayed =
+            self.dashboard.base_statement().filter(|s| s.table.eq_ignore_ascii_case(table.name()));
         let Some(stmt) = displayed else {
             self.dashboard.backend_mut().catalog_mut().install_snapshot(Arc::clone(table));
             return Ok(true);
         };
-        let (cache, _) = statement_cache(registry, table, &stmt)?;
-        let refreshed = cache.cleaned_result(&stmt, None);
-        self.dashboard.refresh_after_append(Arc::clone(table), refreshed)?;
+        let (cache, _) = statement_cache(registry, table, stmt)?;
+        self.dashboard.refresh_after_append(Arc::clone(table), &cache)?;
         Ok(true)
     }
 }
@@ -298,7 +295,7 @@ pub struct StreamAppendReport {
     /// Open sessions that adopted the new snapshot. Sessions reading a
     /// private copy-on-write snapshot or an older incarnation of the
     /// table keep what they were reading (see
-    /// [`ServerSession::adopt_append`]).
+    /// [`ServerSession::adopt_append`]); quarantined sessions are skipped.
     pub sessions_refreshed: usize,
     /// True when the appended snapshot reached durable storage before the
     /// reply. False without attached storage, and false in degraded mode
@@ -336,6 +333,9 @@ pub struct SessionManager {
     /// Monotonic count of sessions ever quarantined (does not shrink when
     /// a quarantined session is closed — it is a damage counter).
     quarantined_total: AtomicU64,
+    /// Whether the `crash` command panics; only
+    /// [`SessionManager::arm_crash_hook`] sets it.
+    crash_hook_armed: AtomicBool,
 }
 
 impl SessionManager {
@@ -358,7 +358,21 @@ impl SessionManager {
             quarantined: Mutex::new(HashMap::new()),
             panics_caught: AtomicU64::new(0),
             quarantined_total: AtomicU64::new(0),
+            crash_hook_armed: AtomicBool::new(false),
         }
+    }
+
+    /// Arms the `crash` command: from now on it panics inside the
+    /// addressed session's handler, to exercise the panic isolation. A
+    /// test seam — the `dbwipes-server` binary never arms it, so there
+    /// `crash` is a plain user error.
+    pub fn arm_crash_hook(&self) {
+        self.crash_hook_armed.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether [`SessionManager::arm_crash_hook`] was called.
+    pub(crate) fn crash_hook_armed(&self) -> bool {
+        self.crash_hook_armed.load(Ordering::Relaxed)
     }
 
     /// Marks `id` as quarantined with `reason`: every further command
@@ -590,17 +604,19 @@ impl SessionManager {
                 }
             }
         }
-        let sessions: Vec<Arc<Mutex<ServerSession>>> =
-            read_recover(&self.sessions).values().cloned().collect();
+        let sessions: Vec<(SessionId, Arc<Mutex<ServerSession>>)> =
+            read_recover(&self.sessions).iter().map(|(id, s)| (*id, Arc::clone(s))).collect();
         let mut sessions_refreshed = 0usize;
-        for session in sessions {
-            // A session whose holder panicked mid-command leaves a
-            // poisoned mutex behind; it is quarantined, so skip it
-            // instead of taking the whole append down with it.
-            let mut s = match session.lock() {
-                Ok(guard) => guard,
-                Err(_) => continue,
-            };
+        for (id, session) in sessions {
+            // A session whose handler panicked may hold torn state: skip
+            // it, whether the panic poisoned its mutex or was caught and
+            // quarantined it. A caught panic quarantines the session
+            // before its lock is released, so the check under the lock
+            // cannot miss one.
+            let Ok(mut s) = session.lock() else { continue };
+            if self.quarantine_reason(id).is_some() {
+                continue;
+            }
             match s.adopt_append(&table, &self.registry) {
                 Ok(true) => sessions_refreshed += 1,
                 Ok(false) => {}
@@ -836,6 +852,85 @@ mod tests {
         }
         let stats = m.registry().stats();
         assert_eq!(stats.misses, 1, "appends must not cause tier-1 rebuilds");
+    }
+
+    /// A cell by bit pattern: `Float`s compare by `to_bits`.
+    fn cell_bits(v: &Value) -> String {
+        match v {
+            Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_append_after_a_click_absorbs_the_base_cache() {
+        let (m, query) = manager();
+        let session = m.session(m.open_session()).unwrap();
+        {
+            let mut s = session.lock().unwrap();
+            s.dashboard_mut().run_query(&query).unwrap();
+            let outputs: Vec<usize> = (0..s.dashboard().result().unwrap().len()).collect();
+            s.dashboard_mut().select_outputs(outputs);
+            s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 4.0));
+            s.debug_cached(m.registry()).unwrap();
+            s.click_predicate_cached(0, m.registry()).unwrap();
+            assert_eq!(s.dashboard().applied_predicates().len(), 1);
+        }
+        let before = m.registry().stats();
+
+        let rows: Vec<Vec<Value>> = (0..64).map(|i| reading(i % 20, 60.0)).collect();
+        assert_eq!(m.stream_append("readings", rows).unwrap().sessions_refreshed, 1);
+
+        // The refresh went through the base statement's cache, absorbed
+        // forward: no build, no second entry for the rewritten statement.
+        let after = m.registry().stats();
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.entries, before.entries);
+        assert_eq!(after.append_absorbs, before.append_absorbs + 1);
+
+        // What it shows is the rewritten statement executed over the grown
+        // table: values by bit pattern, row order and lineage.
+        let grown = m.base.read().unwrap().table_arc("readings").unwrap();
+        let s = session.lock().unwrap();
+        let shown = s.dashboard().result().unwrap();
+        assert!(shown.statement.to_sql().contains("NOT ("), "{}", shown.statement.to_sql());
+        let executed =
+            dbwipes_engine::execute(&grown, &shown.statement, Default::default()).unwrap();
+        let bits = |r: &QueryResult| -> Vec<Vec<String>> {
+            r.rows.iter().map(|row| row.iter().map(cell_bits).collect()).collect()
+        };
+        assert_eq!(bits(shown), bits(&executed));
+        assert_eq!(shown.group_keys, executed.group_keys);
+        for g in 0..executed.len() {
+            assert_eq!(shown.inputs_of(g), executed.inputs_of(g), "group {g}");
+        }
+    }
+
+    #[test]
+    fn an_append_does_not_refresh_a_quarantined_session() {
+        let (m, query) = manager();
+        m.arm_crash_hook();
+        let sql = crate::Json::str(query.as_str()).to_string();
+        for id in 1..=2 {
+            assert!(m.handle_line(r#"{"cmd":"open_session"}"#).contains(r#""ok":true"#));
+            let line = format!(r#"{{"cmd":"run_query","session":{id},"sql":{sql}}}"#);
+            assert!(m.handle_line(&line).contains(r#""ok":true"#));
+        }
+        let crashed = m.session(SessionId(1)).unwrap();
+        let covered = |s: &ServerSession| {
+            let result = s.dashboard().result().unwrap();
+            (0..result.len()).map(|g| result.inputs_of(g).len()).sum::<usize>()
+        };
+        let rows_before = covered(&crashed.lock().unwrap());
+        let reply = m.handle_line(r#"{"cmd":"crash","session":1}"#);
+        assert!(reply.contains(r#""kind":"internal""#), "{reply}");
+        assert!(m.quarantine_reason(SessionId(1)).is_some());
+
+        let report = m.stream_append("readings", vec![reading(3, 55.0)]).unwrap();
+        assert_eq!(report.sessions_refreshed, 1, "only the healthy session refreshes");
+        assert_eq!(covered(&crashed.lock().unwrap()), rows_before);
+        let healthy = m.session(SessionId(2)).unwrap();
+        assert_eq!(covered(&healthy.lock().unwrap()), rows_before + 1);
     }
 
     #[test]

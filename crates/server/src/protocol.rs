@@ -29,7 +29,7 @@
 //!           | "undo"            (session)
 //!           | "state"           (session)
 //!           | "stream_append"   (table, rows: [[<scalar>...]...])
-//!           | "crash"           (session)   [test-only; gated by DBWIPES_ENABLE_CRASH]
+//!           | "crash"           (session)   [test-only; armed by SessionManager::arm_crash_hook]
 //!
 //! brush    := { "x_min"?: <num>, "x_max"?: <num>, "y_min"?: <num>, "y_max"?: <num> }
 //!             (omitted edges are unbounded)
@@ -186,10 +186,12 @@ pub enum Command {
         rows: Vec<Vec<Value>>,
     },
     /// Deliberately panics inside the addressed session's handler — the
-    /// test hook behind the panic-isolation machinery. Disabled unless the
-    /// serving process runs with `DBWIPES_ENABLE_CRASH=1` (a plain error
-    /// otherwise); when enabled, the reply is the structured `internal`
-    /// error and the session is quarantined, with every worker surviving.
+    /// test hook behind the panic-isolation machinery. A plain error unless
+    /// the serving manager was armed by
+    /// [`SessionManager::arm_crash_hook`](crate::SessionManager::arm_crash_hook),
+    /// which the `dbwipes-server` binary never calls; when armed, the reply
+    /// is the structured `internal` error and the session is quarantined,
+    /// with every worker surviving.
     Crash(u64),
 }
 
@@ -790,7 +792,7 @@ mod tests {
             "`read_timeout`",
             "`panics_caught`",
             "`quarantined_sessions`",
-            "DBWIPES_ENABLE_CRASH",
+            "arm_crash_hook",
         ] {
             assert!(doc.contains(needle), "docs/PROTOCOL.md must mention {needle}");
         }

@@ -345,19 +345,19 @@ impl SessionManager {
             }
             Command::MetricChoices { column, .. } => {
                 w.key("choices").begin_array();
-                for c in session.dashboard().metric_choices(&column) {
+                for metric in session.dashboard().metric_choices(&column) {
                     // kind/value mirror `set_metric`'s request fields, so a
                     // client can echo a choice straight back without
                     // parsing the label.
-                    let (kind, value) = match c.metric.kind {
+                    let (kind, value) = match metric.kind {
                         MetricKind::TooHigh { threshold } => ("too_high", threshold),
                         MetricKind::TooLow { threshold } => ("too_low", threshold),
                         MetricKind::NotEqualTo { expected } => ("not_equal_to", expected),
                     };
                     w.begin_object();
-                    w.key("column").str(&c.metric.column);
+                    w.key("column").str(&metric.column);
                     w.key("kind").str(kind);
-                    w.key("label").str(&c.label);
+                    w.key("label").str(&metric.label());
                     w.key("value").num(value);
                     w.end_object();
                 }
@@ -393,16 +393,12 @@ impl SessionManager {
                 w.key("state").str(&format!("{:?}", d.state()));
             }
             Command::Crash(_) => {
-                // Test-only hook for the panic-isolation machinery: gated
-                // at execution time so production servers treat it as a
-                // plain user error while chaos tests (which set
-                // `DBWIPES_ENABLE_CRASH=1`) get a real panic to catch.
-                if crash_enabled() {
+                // Test-only hook for the panic-isolation machinery: a plain
+                // user error unless a test armed this manager.
+                if self.crash_hook_armed() {
                     panic!("deliberate crash requested by the crash command");
                 }
-                return Err(
-                    "crash is disabled; set DBWIPES_ENABLE_CRASH=1 to enable this test hook".into(),
-                );
+                return Err("crash is disabled; only a test's manager arms this hook".into());
             }
             Command::Ping
             | Command::Tables
@@ -416,12 +412,6 @@ impl SessionManager {
         }
         Ok(())
     }
-}
-
-/// Whether the `crash` test hook is armed (`DBWIPES_ENABLE_CRASH=1`).
-/// Read per call, so a test can arm and disarm it in-process.
-fn crash_enabled() -> bool {
-    std::env::var("DBWIPES_ENABLE_CRASH").map(|v| v.trim() == "1").unwrap_or(false)
 }
 
 /// Best-effort rendering of a caught panic payload: `panic!` with a string

@@ -6,15 +6,15 @@
 //! the session that panicked.
 
 use dbwipes_data::{generate_sensor, SensorConfig};
-use dbwipes_server::{Json, LineClient, SessionManager, StorageRuntime};
+use dbwipes_server::{
+    serve_pooled, Json, LineClient, PoolConfig, PoolStats, SessionManager, StorageRuntime,
+};
 use dbwipes_storage::{Catalog, FaultInjectingBackend, FaultPlan, FsBackend, Table};
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
-
-const BIN: &str = env!("CARGO_BIN_EXE_dbwipes-server");
 
 const WINDOW_SQL: &str = "SELECT window, avg(temp) AS avg_temp, stddev(temp) AS std_temp \
                           FROM readings GROUP BY window ORDER BY window";
@@ -427,61 +427,21 @@ fn segment_writes_retry_transient_faults_and_fail_fast_on_a_full_disk() {
     assert_eq!(rows_after_restart(dir.path()), 2700 + 4 * 16);
 }
 
-/// Kills the child if the test unwinds before its graceful shutdown.
-struct KillOnDrop(Option<Child>);
-
-impl KillOnDrop {
-    fn into_inner(mut self) -> Child {
-        self.0.take().expect("child not yet taken")
-    }
-}
-
-impl Drop for KillOnDrop {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn spawn_crash_armed_server() -> (Child, String) {
-    let mut child = Command::new(BIN)
-        .args(["--readings", "300", "--listen", "127.0.0.1:0"])
-        .env("DBWIPES_ENABLE_CRASH", "1")
-        // Each caught panic still prints its one-line report; keep the
-        // hundred of them short.
-        .env("RUST_BACKTRACE", "0")
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn dbwipes-server");
-    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
-    let addr = loop {
-        let mut line = String::new();
-        stderr.read_line(&mut line).expect("read server banner");
-        assert!(!line.is_empty(), "server exited before the listen banner");
-        if line.contains("listening on") {
-            break line
-                .trim()
-                .rsplit(' ')
-                .next()
-                .expect("banner ends with the address")
-                .to_string();
-        }
-    };
-    // Keep draining: a hundred panic reports would otherwise fill the
-    // pipe and block the server on a blind stderr write.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        let _ = std::io::Read::read_to_string(&mut stderr, &mut sink);
-    });
-    (child, addr)
+/// Serves an armed manager with the pooled executor on an ephemeral port;
+/// returns the address and the serving thread.
+fn serve_crash_armed() -> (String, JoinHandle<std::io::Result<Arc<PoolStats>>>) {
+    let manager = Arc::new(SessionManager::new(catalog_of(sensor_table())));
+    manager.arm_crash_hook();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let serving =
+        std::thread::spawn(move || serve_pooled(manager, listener, PoolConfig::default()));
+    (addr, serving)
 }
 
 #[test]
 fn one_hundred_crashes_cost_zero_workers_and_quarantine_each_session() {
-    let (child, addr) = spawn_crash_armed_server();
-    let guard = KillOnDrop(Some(child));
+    let (addr, serving) = serve_crash_armed();
     let mut client = LineClient::connect(&addr, Duration::from_secs(30)).expect("connect");
     let mut roundtrip =
         |line: String| -> String { client.roundtrip(&line).expect("reply").to_string() };
@@ -525,13 +485,13 @@ fn one_hundred_crashes_cost_zero_workers_and_quarantine_each_session() {
 
     let reply = roundtrip(r#"{"cmd":"shutdown"}"#.to_string());
     assert!(reply.contains(r#""shutting_down":true"#), "{reply}");
-    let status = guard.into_inner().wait().expect("server exits after the ctrl-line");
-    assert!(status.success(), "graceful shutdown must exit 0, got {status:?}");
+    let drained = serving.join().expect("the serving thread survives every crash");
+    drained.expect("the pool drains after the ctrl-line");
 }
 
 #[test]
 fn crash_hook_is_a_plain_user_error_when_disarmed() {
-    // In-process, `DBWIPES_ENABLE_CRASH` is unset: the hook must refuse
+    // A manager nothing armed, as the binary serves: the hook must refuse
     // with a classic string error — no panic, no quarantine.
     let manager = SessionManager::new(catalog_of(sensor_table()));
     let open = manager.handle_line(r#"{"cmd":"open_session"}"#);

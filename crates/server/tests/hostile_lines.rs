@@ -17,7 +17,8 @@
 //! `panics_caught` and `quarantined_sessions` stay where they were.
 //!
 //! The `crash` lines of the script are harmless here: the hook is only
-//! armed by `DBWIPES_ENABLE_CRASH=1`, which nothing in this binary sets.
+//! armed by `SessionManager::arm_crash_hook`, which nothing in this binary
+//! calls.
 
 use dbwipes_data::{generate_sensor, SensorConfig};
 use dbwipes_server::json::MAX_NESTING;

@@ -23,8 +23,8 @@
 //! ids). They were captured from the encoder that wrote one digit per
 //! loop iteration and pushed every point key by key.
 //!
-//! The first test arms `DBWIPES_ENABLE_CRASH` half way through; the second
-//! sends no `crash`, so it does not care. To re-capture after an intended
+//! The first test arms its own manager's `crash` hook half way through;
+//! the second sends no `crash`. To re-capture after an intended
 //! protocol change, copy the file the failure message names over the
 //! golden.
 
@@ -34,7 +34,7 @@ use dbwipes_storage::Catalog;
 use std::fmt::Write as _;
 
 /// A script line that is not a request: arms the `crash` test hook.
-const ARM_CRASH: &str = "# DBWIPES_ENABLE_CRASH=1";
+const ARM_CRASH: &str = "# SessionManager::arm_crash_hook";
 
 /// Blocks whose numbers are masked before comparing.
 const VOLATILE_BLOCKS: &[&str] = &["timings", "condition_bitmaps", "bool_algebra"];
@@ -183,15 +183,13 @@ fn every_reply_is_byte_identical_to_the_golden() {
     let mut catalog = Catalog::new();
     catalog.register(data.table.clone()).unwrap();
     let manager = SessionManager::new(catalog);
-    // The environment knob a reply can depend on, at its default.
-    std::env::remove_var("DBWIPES_ENABLE_CRASH");
 
     let query = data.window_query();
     let script: Vec<String> = SCRIPT.iter().map(|l| l.replace("$QUERY", &query)).collect();
     let mut transcript = String::new();
     for line in &script {
         if line == ARM_CRASH {
-            std::env::set_var("DBWIPES_ENABLE_CRASH", "1");
+            manager.arm_crash_hook();
             writeln!(transcript, "{line}").unwrap();
             continue;
         }
@@ -202,7 +200,6 @@ fn every_reply_is_byte_identical_to_the_golden() {
         assert_eq!(reparsed.to_string(), reply, "{line}: reply is not parse/print stable");
         writeln!(transcript, "> {line}\n< {}", masked(&reply)).unwrap();
     }
-    std::env::remove_var("DBWIPES_ENABLE_CRASH");
 
     // The script exercises the whole command set.
     for cmd in WIRE_COMMANDS {

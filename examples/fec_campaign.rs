@@ -46,12 +46,11 @@ fn main() {
 
     // Step 5: the error form suggests "values are too low"; pick it.
     let choices = session.metric_choices("total");
-    for c in &choices {
-        println!("error form offers: {}", c.label);
+    for metric in &choices {
+        println!("error form offers: {}", metric.label());
     }
     let metric = choices
-        .iter()
-        .map(|c| c.metric.clone())
+        .into_iter()
         .find(|m| matches!(m.kind, dbwipes::core::MetricKind::TooLow { .. }))
         .unwrap_or_else(|| ErrorMetric::too_low("total", 0.0));
     session.set_metric(metric);

@@ -280,3 +280,48 @@ fn environment_knobs_in_code_and_docs_are_the_same_set() {
         assert!(stray.is_empty(), "{doc} names knobs the code does not read: {stray:?}");
     }
 }
+
+/// The field names of a `{:?}` rendering: every identifier followed by
+/// `": "`, nested structs' and list elements' fields included.
+fn debug_field_names(rendered: &str) -> BTreeSet<String> {
+    rendered
+        .split(": ")
+        .filter_map(|before| {
+            let start = before
+                .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .map_or(0, |at| at + 1);
+            let name = &before[start..];
+            (!name.is_empty()).then(|| name.to_string())
+        })
+        .collect()
+}
+
+/// The explain-knob census: the fields `ExplainConfig` renders (the
+/// configuration every memoised `debug` is keyed on) are exactly the rows
+/// of TUNING.md's "Explain configuration" table, and each row names who
+/// turns that field — so a field nothing turns cannot be added quietly.
+#[test]
+fn explain_config_fields_and_the_tuning_table_are_the_same_set() {
+    let rendered = format!("{:?}", dbwipes::core::ExplainConfig::standard());
+    let in_code = debug_field_names(&rendered);
+    assert!(in_code.contains("enumerator") && in_code.contains("weight_error"), "{in_code:?}");
+
+    let tuning = std::fs::read_to_string(repo_root().join("docs/TUNING.md")).unwrap();
+    let section = tuning
+        .split("\n## ")
+        .find(|s| s.starts_with("Explain configuration\n"))
+        .expect("docs/TUNING.md has an `## Explain configuration` section");
+    const TURNERS: &[&str] = &["E6a", "E6b", "E8", "property test", "benchmark"];
+    let mut documented = BTreeSet::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let name = cells[1].trim_matches('`');
+        let turned_by = cells.get(3).copied().unwrap_or("");
+        assert!(
+            TURNERS.iter().any(|t| turned_by.contains(t)),
+            "row `{name}` must say who turns it (one of {TURNERS:?}): {row}"
+        );
+        assert!(documented.insert(name.to_string()), "row `{name}` appears twice");
+    }
+    assert_eq!(in_code, documented, "ExplainConfig fields (left) vs docs/TUNING.md rows");
+}

@@ -49,7 +49,7 @@ fn the_walkthrough_surfaces_the_reattribution_predicate_and_cleans_the_spike() {
 
     // The error form offers "too low" for a selection of negative values.
     let choices = session.metric_choices("total");
-    assert!(choices.iter().any(|c| matches!(c.metric.kind, MetricKind::TooLow { .. })));
+    assert!(choices.iter().any(|m| matches!(m.kind, MetricKind::TooLow { .. })));
     session.set_metric(ErrorMetric::too_low("total", 0.0));
 
     let base_error = session.debug().unwrap().base_error;

@@ -257,22 +257,11 @@ fn oracle_subgroups(
             }
         }
     }
-    if config.negated_category_tests {
-        let negated: Vec<Test> = candidates
-            .iter()
-            .filter_map(|(f, t)| match t {
-                PathTest::Eq(c) => Some((*f, PathTest::NotEq(*c))),
-                _ => None,
-            })
-            .collect();
-        candidates.extend(negated);
-    }
     let covers = |tests: &[Test], i: usize| {
         tests.iter().all(|(feature, test)| match (instances[i][*feature], test) {
             (FeatureValue::Num(v), PathTest::Le(th)) => v <= *th,
             (FeatureValue::Num(v), PathTest::Gt(th)) => v > *th,
             (FeatureValue::Cat(c), PathTest::Eq(cat)) => c == *cat,
-            (FeatureValue::Cat(c), PathTest::NotEq(cat)) => c != *cat,
             _ => false,
         })
     };
@@ -466,7 +455,6 @@ proptest! {
         beam_width in 1usize..6,
         max_conditions in 1usize..4,
         min_positive_coverage in 1usize..4,
-        negated_category_tests in any::<bool>(),
         covered_weight_decay in prop_oneof![Just(0.5), Just(0.3), Just(1.0), Just(0.0)],
     ) {
         let rows: Vec<RowId> = table.visible_row_ids().collect();
@@ -477,7 +465,6 @@ proptest! {
             beam_width,
             max_conditions,
             min_positive_coverage,
-            negated_category_tests,
             covered_weight_decay,
             ..SubgroupConfig::default()
         };
