@@ -7,7 +7,6 @@
 //! together with per-component timings (used by the latency-breakdown
 //! experiment E4).
 
-use crate::cleaner::{delete_matching, restore_rows};
 use crate::enumerator::{enumerate_candidates, CandidateDataset, EnumeratorConfig};
 use crate::error::CoreError;
 use crate::influence::{metric_aggregate, rank_influence_with_cache, InfluenceReport};
@@ -188,23 +187,6 @@ impl DbWipes {
     ) -> Result<Explanation, CoreError> {
         let table = self.catalog.table(&result.statement.table)?;
         explain_on_table(table, result, request)
-    }
-
-    /// Physically removes (soft-deletes) every row of `table_name` matching
-    /// the predicate; returns the removed rows for undo.
-    pub fn clean(
-        &mut self,
-        table_name: &str,
-        predicate: &ConjunctivePredicate,
-    ) -> Result<Vec<RowId>, CoreError> {
-        let table = self.catalog.table_mut(table_name)?;
-        delete_matching(table, predicate)
-    }
-
-    /// Restores rows previously removed by [`DbWipes::clean`].
-    pub fn restore(&mut self, table_name: &str, rows: &[RowId]) -> Result<(), CoreError> {
-        let table = self.catalog.table_mut(table_name)?;
-        restore_rows(table, rows)
     }
 }
 
@@ -554,32 +536,6 @@ mod tests {
             ErrorMetric::too_high("std_temp", 10_000.0),
         );
         assert!(db.explain(&result, &request).is_err());
-    }
-
-    #[test]
-    fn clean_and_restore_round_trip() {
-        let (mut db, ds) = sensor_dbwipes();
-        let result = db.query(&ds.window_query()).unwrap();
-        let before_rows = db.catalog().table("readings").unwrap().visible_rows();
-        let removed = db.clean("readings", &ds.truth.true_predicate.clone()).unwrap();
-        assert!(!removed.is_empty());
-        assert_eq!(
-            db.catalog().table("readings").unwrap().visible_rows(),
-            before_rows - removed.len()
-        );
-        // Re-running the query after cleaning lowers the maximum average.
-        let cleaned_result = db.query(&ds.window_query()).unwrap();
-        let max_before = max_avg(&result);
-        let max_after = max_avg(&cleaned_result);
-        assert!(max_after < max_before);
-        db.restore("readings", &removed).unwrap();
-        assert_eq!(db.catalog().table("readings").unwrap().visible_rows(), before_rows);
-        assert!(db.clean("missing", &ds.truth.true_predicate.clone()).is_err());
-    }
-
-    fn max_avg(result: &QueryResult) -> f64 {
-        let col = result.column_index("avg_temp").unwrap();
-        result.rows.iter().filter_map(|r| r[col].as_f64()).fold(f64::NEG_INFINITY, f64::max)
     }
 
     #[test]

@@ -38,10 +38,10 @@ pub fn fine_grained_provenance(result: &QueryResult, selected: &[usize]) -> Prov
 }
 
 /// Coarse-grained provenance as a tuple set: since the answer is "the
-/// operator graph", the corresponding input set is every visible row of the
+/// operator graph", the corresponding input set is every row of the
 /// queried table.
 pub fn coarse_grained_provenance(table: &Table) -> ProvenanceAnswer {
-    ProvenanceAnswer::new(table.visible_row_ids())
+    ProvenanceAnswer::new(table.row_ids())
 }
 
 /// Top-k influence baseline: the `k` tuples with the largest leave-one-out

@@ -6,21 +6,18 @@
 //! database that does not contain tuples satisfying the hypothesis. The
 //! visualization and query automatically update" (§2.2.1).
 //!
-//! Two cleaning modes are supported, mirroring the demo:
-//!
-//! * **Query rewriting** ([`CleaningSession`]) — each applied predicate adds
-//!   `AND NOT (predicate)` to the WHERE clause; the base data is untouched
-//!   and predicates can be un-applied.
-//! * **Physical cleaning** ([`delete_matching`] / [`restore_rows`]) — the
-//!   matching rows are soft-deleted from the table, which affects every
-//!   later query; the returned row list allows undo.
+//! Cleaning is a query rewrite ([`CleaningSession`]): each applied
+//! predicate adds `AND NOT (predicate)` to the WHERE clause. The data is
+//! never touched — tables only grow — so "the version of the database that
+//! does not contain" the tuples is the rewritten query's view of it, and
+//! un-applying a predicate is dropping its conjunct.
 
 use crate::error::CoreError;
 use dbwipes_engine::{
     execute, validate, EngineError, ExecOptions, GroupedAggregateCache, QueryResult,
     SelectStatement,
 };
-use dbwipes_storage::{ConjunctivePredicate, Expr, RowId, Table};
+use dbwipes_storage::{ConjunctivePredicate, Expr, Table};
 
 /// An interactive cleaning session over one base query.
 #[derive(Debug, Clone)]
@@ -74,11 +71,6 @@ impl CleaningSession {
         self.applied.pop()
     }
 
-    /// Removes every applied predicate.
-    pub fn reset(&mut self) {
-        self.applied.clear();
-    }
-
     /// Executes the current (cleaned) statement against the table.
     pub fn execute(&self, table: &Table) -> Result<QueryResult, CoreError> {
         execute(table, &self.current_statement(), ExecOptions::default()).map_err(CoreError::from)
@@ -115,26 +107,6 @@ impl CleaningSession {
             .map_err(EngineError::from)?;
         Ok(cache.cleaned_result(&shown, survivors.as_ref()))
     }
-}
-
-/// Physically (soft-)deletes every visible row matching the predicate.
-/// Returns the deleted rows so the operation can be undone with
-/// [`restore_rows`].
-pub fn delete_matching(
-    table: &mut Table,
-    predicate: &ConjunctivePredicate,
-) -> Result<Vec<RowId>, CoreError> {
-    let rows = predicate.matching_rows(table);
-    table.delete_rows(&rows).map_err(CoreError::from)?;
-    Ok(rows)
-}
-
-/// Restores rows previously removed by [`delete_matching`].
-pub fn restore_rows(table: &mut Table, rows: &[RowId]) -> Result<(), CoreError> {
-    for &r in rows {
-        table.restore_row(r).map_err(CoreError::from)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -194,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn undo_and_reset() {
+    fn undo_unapplies_in_reverse_order() {
         let t = table();
         let mut session = CleaningSession::new(base());
         let p1 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
@@ -206,25 +178,10 @@ mod tests {
         assert_eq!(session.applied().len(), 1);
         let r = session.execute(&t).unwrap();
         assert_eq!(r.value_f64(1, "avg_temp").unwrap().unwrap(), 20.0);
-        session.reset();
+        assert_eq!(session.undo(), Some(p1));
         assert!(session.applied().is_empty());
         assert!(session.undo().is_none());
         let r = session.execute(&t).unwrap();
         assert!(r.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
-    }
-
-    #[test]
-    fn physical_cleaning_and_restore() {
-        let mut t = table();
-        let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
-        let deleted = delete_matching(&mut t, &p).unwrap();
-        assert_eq!(deleted.len(), 10);
-        assert_eq!(t.visible_rows(), 30);
-        // Deleting again removes nothing new.
-        let again = delete_matching(&mut t, &p).unwrap();
-        assert!(again.is_empty());
-        restore_rows(&mut t, &deleted).unwrap();
-        assert_eq!(t.visible_rows(), 40);
-        assert!(restore_rows(&mut t, &[RowId(9999)]).is_err());
     }
 }

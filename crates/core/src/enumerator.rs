@@ -292,7 +292,7 @@ mod tests {
         }
         let mut c = Catalog::new();
         c.register(t).unwrap();
-        let all: Vec<RowId> = c.table("readings").unwrap().visible_row_ids().collect();
+        let all: Vec<RowId> = c.table("readings").unwrap().row_ids().collect();
         (c, broken, all)
     }
 

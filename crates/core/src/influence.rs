@@ -392,11 +392,11 @@ mod tests {
     fn stale_cache_falls_back_to_lineage() {
         let mut c = catalog();
         let r = execute_sql(&c, "SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        // Mutate the table after executing: the cache no longer matches the
-        // result's lineage, so the lineage path must take over and produce
-        // the same report the original table state implied... except values
-        // are re-read from the (changed) table, as before the rewire.
-        c.table_mut("readings").unwrap().delete_row(RowId(4)).unwrap();
+        // Append to the table after executing: the cache no longer matches
+        // the result's lineage, so the lineage path must take over and
+        // produce the report the original table state implied.
+        let late = vec![Value::Int(1), Value::Int(4), Value::Float(23.0)];
+        c.table_mut("readings").unwrap().push_row(late).unwrap();
         let table = c.table("readings").unwrap();
         let metric = ErrorMetric::too_high("avg_temp", 30.0);
         let report = rank_influence(table, &r, &[1], &metric).unwrap();

@@ -23,8 +23,8 @@
 //!    improvement, agreement with D′ and complexity.
 //!
 //! [`DbWipes`] is the facade tying the steps together; [`cleaner`]
-//! implements the clean-as-you-query loop (query rewriting and physical
-//! deletion); [`baselines`] implements the traditional-provenance and
+//! implements the clean-as-you-query loop (query rewriting; the data is
+//! never touched); [`baselines`] implements the traditional-provenance and
 //! tuple-ranking baselines the paper argues against.
 //!
 //! ## Example
@@ -73,7 +73,7 @@ pub use api::{
     choose_shard_column, explain_on_table, explain_with_cache, ComponentTimings, DbWipes,
     ExplainConfig, Explanation, ExplanationRequest,
 };
-pub use cleaner::{delete_matching, restore_rows, CleaningSession};
+pub use cleaner::CleaningSession;
 pub use enumerator::{
     enumerate_candidates, CandidateDataset, CandidateSource, CleaningStrategy, EnumeratorConfig,
 };

@@ -182,7 +182,7 @@ mod tests {
                 errors.push(rid);
             }
         }
-        let all: Vec<RowId> = t.visible_row_ids().collect();
+        let all: Vec<RowId> = t.row_ids().collect();
         (t, errors, all)
     }
 
@@ -218,7 +218,7 @@ mod tests {
                 positives.push(rid);
             }
         }
-        let all: Vec<RowId> = t.visible_row_ids().collect();
+        let all: Vec<RowId> = t.row_ids().collect();
         let space = FeatureSpace::build_excluding(&t, &["memo".into()], &all);
         let candidate =
             CandidateDataset { rows: positives, source: CandidateSource::CleanedExamples };

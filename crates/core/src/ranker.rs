@@ -92,7 +92,7 @@ pub struct RankedPredicate {
     pub example_f1: f64,
     /// Number of conjuncts.
     pub complexity: usize,
-    /// Number of visible table rows the predicate matches (i.e. how many
+    /// Number of table rows the predicate matches (i.e. how many
     /// tuples clicking it would remove).
     pub matched_rows: usize,
 }
@@ -315,7 +315,7 @@ struct CandidateEvidence {
 /// kernel scan per *distinct* condition per shard snapshot) is combined
 /// with word-level AND. Compilation is schema-only, so it is decided once
 /// per candidate from what the evaluation returns: if any shard declines,
-/// [`scalar_tri_eval`] reports why.
+/// [`validation_error`] reports why.
 fn score_candidate(
     ctx: &ScoreContext<'_>,
     predicate: &ConjunctivePredicate,
@@ -326,10 +326,7 @@ fn score_candidate(
         .zip(ctx.shards.caches())
         .map(|(bitmaps, cache)| predicate.tri_eval(bitmaps, cache.table()))
         .collect();
-    let tris = match vectorized {
-        Some(tris) => tris,
-        None => scalar_tri_eval(ctx, predicate)?,
-    };
+    let Some(tris) = vectorized else { return Err(validation_error(ctx, predicate)) };
     let CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned } =
         score_bitmaps(ctx, &tris);
     let error_before = ctx.error_before;
@@ -375,7 +372,7 @@ fn score_bitmaps(ctx: &ScoreContext<'_>, tris: &[TriSet]) -> CandidateEvidence {
     let mut true_positives = 0usize;
     let mut excluded: Vec<RowSet> = Vec::with_capacity(tris.len());
     for (s, (tri, cache)) in tris.iter().zip(ctx.shards.caches()).enumerate() {
-        let matched = tri.trues.and(ctx.bitmaps[s].visible());
+        let matched = &tri.trues;
         // TRUE-or-NULL rows among the cache's filter-passing inputs: the
         // `AND NOT predicate` rewrite drops exactly these.
         let mut exc = tri.passes_or_unknown();
@@ -390,41 +387,16 @@ fn score_bitmaps(ctx: &ScoreContext<'_>, tris: &[TriSet]) -> CandidateEvidence {
     CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned }
 }
 
-/// The fallback for a candidate that does not compile. A conjunction
-/// compiles exactly when its expression validates
-/// (`tests/predicate_kernels_prop.rs`), so this is almost always the
-/// validation error executing the rewritten statement would report.
-///
-/// The one exception is an unbounded range on a column the table lacks:
-/// it renders as the literal `TRUE`, which validates, but the compiler
-/// still resolves its column. That candidate alone reaches the per-row
-/// walk below, one expression walk per visible row of each shard recorded
-/// in the per-shard [`TriSet`] shape the kernels produce (invisible rows
-/// stay FALSE).
-fn scalar_tri_eval(
-    ctx: &ScoreContext<'_>,
-    predicate: &ConjunctivePredicate,
-) -> Result<Vec<TriSet>, CoreError> {
-    let caches = ctx.shards.caches();
-    let p_expr = predicate.to_expr();
-    p_expr.validate(caches[0].table().schema())?;
-
-    let mut tris = Vec::with_capacity(caches.len());
-    for cache in caches {
-        let table = cache.table();
-        let mut tri = TriSet::all_false(table.num_rows());
-        for rid in table.visible_row_ids() {
-            match p_expr.eval(table, rid)? {
-                Value::Bool(true) => tri.trues.insert(rid.index()),
-                Value::Bool(false) => {}
-                // NULL: the row satisfies neither the predicate nor its
-                // negation, so the rewrite's WHERE drops it.
-                _ => tri.unknowns.insert(rid.index()),
-            }
+/// Why a candidate did not compile. A conjunction compiles exactly when
+/// its expression validates (`tests/predicate_kernels_prop.rs`), so this
+/// is the validation error executing the rewritten statement would report.
+fn validation_error(ctx: &ScoreContext<'_>, predicate: &ConjunctivePredicate) -> CoreError {
+    match predicate.to_expr().validate(ctx.shards.caches()[0].table().schema()) {
+        Err(e) => e.into(),
+        Ok(_) => {
+            CoreError::invalid(format!("predicate {predicate} validates but does not compile"))
         }
-        tris.push(tri);
     }
-    Ok(tris)
 }
 
 /// Evaluates the metric over the rows of `result` whose group keys match
@@ -753,11 +725,11 @@ mod tests {
         }
     }
 
-    /// The candidate that validates yet does not compile — an unbounded
-    /// range on a missing column beside `sensorid = 7` — is scored by the
-    /// per-row walk exactly as `sensorid = 7` alone is by the kernels.
+    /// An unbounded range on a missing column is the literal `TRUE`: beside
+    /// `sensorid = 7` it compiles, and the kernels score the conjunction
+    /// exactly as they score `sensorid = 7` alone.
     #[test]
-    fn the_walk_scores_an_unbounded_range_on_a_missing_column() {
+    fn an_unbounded_range_on_a_missing_column_scores_like_its_absence() {
         let (c, broken) = setup();
         let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
         let metric = ErrorMetric::too_high("avg_temp", 25.0);
@@ -769,24 +741,24 @@ mod tests {
             high: None,
             high_inclusive: false,
         };
-        let walked = sensor.with(unbounded);
+        let with_true = sensor.with(unbounded);
         let table = c.table("readings").unwrap();
-        assert!(walked.compile(table).is_err());
+        assert!(with_true.compile(table).is_ok());
         let ranked = rank_predicates(
             table,
             &r,
             &[1],
             &broken,
             &metric,
-            vec![sensor, walked.clone()],
+            vec![sensor, with_true.clone()],
             &RankerConfig::default(),
         )
         .unwrap();
-        let (kernels, walk) = (&ranked[0], &ranked[1]);
-        assert_eq!(walk.predicate, walked);
-        assert_eq!(walk.matched_rows, kernels.matched_rows);
-        assert_eq!(walk.error_after, kernels.error_after);
-        assert_eq!(walk.example_f1, kernels.example_f1);
+        let (alone, with) = (&ranked[0], &ranked[1]);
+        assert_eq!(with.predicate, with_true);
+        assert_eq!(with.matched_rows, alone.matched_rows);
+        assert_eq!(with.error_after, alone.error_after);
+        assert_eq!(with.example_f1, alone.example_f1);
     }
 
     #[test]

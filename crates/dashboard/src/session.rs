@@ -662,7 +662,7 @@ mod tests {
         let wrong = GroupedAggregateCache::build(&table, &other).unwrap();
         assert!(cached.click_predicate_with_cache(0, &wrong).is_err());
         let mut moved = table.clone();
-        moved.delete_row(RowId(0)).unwrap();
+        moved.push_row(table.row(RowId(0)).unwrap()).unwrap();
         let stale = GroupedAggregateCache::build(&moved, &base).unwrap();
         assert!(cached.click_predicate_with_cache(0, &stale).is_err());
         assert!(cached.undo_clean_with_cache(&stale).is_err());
@@ -745,11 +745,11 @@ mod tests {
         let other = dbwipes_engine::parse_select("SELECT count(*) FROM readings").unwrap();
         let wrong = GroupedAggregateCache::build_shared(Arc::clone(&grown), &other).unwrap();
         assert!(s.refresh_after_append(Arc::clone(&grown), &wrong).is_err());
-        assert_ne!(s.current_table().unwrap().epoch(), grown.epoch());
+        assert_ne!(s.current_table().unwrap().version(), grown.version());
 
         s.refresh_after_append(Arc::clone(&grown), &cache).unwrap();
         // The session now reads the grown snapshot...
-        assert_eq!(s.current_table().unwrap().epoch(), grown.epoch());
+        assert_eq!(s.current_table().unwrap().version(), grown.version());
         // ...selections survived (remapped by key / kept verbatim)...
         let keys_after: Vec<Vec<dbwipes_storage::Value>> = s
             .selected_outputs()

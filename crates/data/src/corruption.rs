@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn corrupted_values_are_shifted() {
         let ds = generate_corrupted(&CorruptionConfig::small());
-        for rid in ds.table.visible_row_ids() {
+        for rid in ds.table.row_ids() {
             let value = ds.table.value_by_name(rid, "value").unwrap().as_f64().unwrap();
             if ds.truth.is_error(rid) {
                 assert!(value > 100.0, "corrupted value too small: {value}");

@@ -297,7 +297,7 @@ mod tests {
     fn amounts_and_days_are_in_range() {
         let config = FecConfig::small();
         let ds = generate_fec(&config);
-        for rid in ds.table.visible_row_ids() {
+        for rid in ds.table.row_ids() {
             let day = ds.table.value_by_name(rid, "day").unwrap().as_i64().unwrap();
             assert!(day >= 0 && day < config.num_days);
             let amount = ds.table.value_by_name(rid, "amount").unwrap().as_f64().unwrap();

@@ -199,7 +199,7 @@ mod tests {
         assert_eq!(ds.table.num_rows(), per_sensor * config.num_sensors);
         let ids: std::collections::BTreeSet<i64> = ds
             .table
-            .visible_row_ids()
+            .row_ids()
             .map(|r| ds.table.value_by_name(r, "sensorid").unwrap().as_i64().unwrap())
             .collect();
         assert_eq!(ids.len(), config.num_sensors);
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn healthy_rows_stay_in_normal_ranges() {
         let ds = generate_sensor(&SensorConfig::small());
-        for rid in ds.table.visible_row_ids() {
+        for rid in ds.table.row_ids() {
             if ds.truth.is_error(rid) {
                 continue;
             }
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn window_column_matches_epoch() {
         let ds = generate_sensor(&SensorConfig::small());
-        for rid in ds.table.visible_row_ids().take(200) {
+        for rid in ds.table.row_ids().take(200) {
             let epoch = ds.table.value_by_name(rid, "epoch").unwrap().as_i64().unwrap();
             let window = ds.table.value_by_name(rid, "window").unwrap().as_i64().unwrap();
             let hour = ds.table.value_by_name(rid, "hour").unwrap().as_i64().unwrap();

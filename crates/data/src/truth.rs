@@ -47,7 +47,7 @@ impl GroundTruth {
     }
 
     /// Precision/recall/F1 of a candidate predicate measured against the
-    /// injected error rows, evaluated over the visible rows of `table`.
+    /// injected error rows, evaluated over the rows of `table`.
     pub fn score_predicate(
         &self,
         table: &Table,

@@ -75,7 +75,7 @@ pub fn execute(
     ))
 }
 
-/// Scan stage: the visible rows that satisfy the WHERE clause, in scan
+/// Scan stage: the rows that satisfy the WHERE clause, in scan
 /// order — [`dbwipes_storage::Expr::filter`], so a clause inside the
 /// kernels' fragment (any `AND`/`OR`/`NOT` tree over per-attribute
 /// comparisons: parsed dashboard queries and the exclusion rewrites
@@ -88,12 +88,11 @@ pub(crate) fn scan_filter(
 ) -> Result<Vec<RowId>, EngineError> {
     match &stmt.where_clause {
         Some(pred) => Ok(pred.filter(table)?),
-        None => Ok(table.visible_row_ids().collect()),
+        None => Ok(table.row_ids().collect()),
     }
 }
 
-/// [`scan_filter`] restricted to the row suffix starting at physical index
-/// `from` — the shape of the append-absorb path, where everything before
+/// [`scan_filter`] restricted to the row suffix starting at index `from` — the shape of the append-absorb path, where everything before
 /// `from` is already retained and only the streamed suffix needs
 /// filtering. Evaluates the scalar predicate walk over the suffix, which
 /// produces exactly the rows the vectorized kernels would admit (see
@@ -107,9 +106,6 @@ pub(crate) fn scan_filter_suffix(
     let mut filtered: Vec<RowId> = Vec::new();
     for i in from..table.num_rows() {
         let rid = RowId(i);
-        if table.is_deleted(rid) {
-            continue;
-        }
         match &stmt.where_clause {
             Some(pred) if !pred.matches(table, rid)? => {}
             _ => filtered.push(rid),
@@ -540,16 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn soft_deleted_rows_are_excluded() {
-        let mut catalog = Catalog::new();
-        catalog.register(readings()).unwrap();
-        catalog.table_mut("readings").unwrap().delete_row(RowId(3)).unwrap();
-        let r =
-            execute_sql(&catalog, "SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        assert_eq!(r.value(1, "avg_temp").unwrap(), Value::Float(21.0));
-    }
-
-    #[test]
     fn validation_errors() {
         let mut catalog = Catalog::new();
         catalog.register(readings()).unwrap();
@@ -622,7 +608,7 @@ mod tests {
             );
             let vectorized = scan_filter(&t, &s).unwrap();
             let scalar: Vec<RowId> =
-                t.visible_row_ids().filter(|&r| pred.matches(&t, r).unwrap()).collect();
+                t.row_ids().filter(|&r| pred.matches(&t, r).unwrap()).collect();
             assert_eq!(vectorized, scalar, "{sql}");
         }
         // A mistyped literal does not compile: the scalar walk answers, and

@@ -72,7 +72,7 @@ use crate::executor::{
 };
 use crate::result::{in_order, QueryResult};
 use dbwipes_provenance::Lineage;
-use dbwipes_storage::{RowId, RowSet, Schema, Table, TableEpoch, Value};
+use dbwipes_storage::{RowId, RowSet, Schema, Table, Value};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -107,7 +107,7 @@ impl std::ops::Deref for TableStore<'_> {
 /// x` and `select   x` fingerprint identically, while identifier *case*
 /// differences conservatively miss) and the table holds bit-identical data
 /// ([`Table::id`] pins the logical table across re-registrations,
-/// [`Table::version`] pins its mutation state). The lower-cased table name
+/// [`Table::version`] pins how far it has grown). The lower-cased table name
 /// rides along so a registry can invalidate by name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheFingerprint {
@@ -115,11 +115,11 @@ pub struct CacheFingerprint {
     pub table_name: String,
     /// [`Table::id`] of the table.
     pub table_id: u64,
-    /// Full [`Table::epoch`] of the table. Equality is exact, so lookups
+    /// [`Table::version`] of the table. Equality is exact, so lookups
     /// stay correct by construction; append-tolerant registries
-    /// additionally match on [`CacheFingerprint::append_variant_of`] to
-    /// find an older sibling worth absorbing instead of rebuilding.
-    pub epoch: TableEpoch,
+    /// additionally match on [`CacheFingerprint::grew_from`] to find an
+    /// older sibling worth absorbing instead of rebuilding.
+    pub version: u64,
     /// The statement's canonical SQL rendering.
     pub statement: String,
 }
@@ -130,21 +130,20 @@ impl CacheFingerprint {
         CacheFingerprint {
             table_name: table.name().to_ascii_lowercase(),
             table_id: table.id(),
-            epoch: table.epoch(),
+            version: table.version(),
             statement: stmt.to_sql(),
         }
     }
 
-    /// True when `self` and `other` describe the same statement over
-    /// append-related data states of the same table: everything matches
-    /// except the appended epoch stamp. A cache under either fingerprint
-    /// can serve the other after [`GroupedAggregateCache::absorb_append`]
-    /// (only forward, older → newer).
-    pub fn append_variant_of(&self, other: &CacheFingerprint) -> bool {
-        self.table_id == other.table_id
-            && self.epoch.structural == other.epoch.structural
-            && self.table_name == other.table_name
-            && self.statement == other.statement
+    /// True when `self` describes the same statement as `older` over a
+    /// later version of the same table. A table only grows, so a cache
+    /// under `older` serves `self` after
+    /// [`GroupedAggregateCache::absorb_append`] (which is forward-only).
+    pub fn grew_from(&self, older: &CacheFingerprint) -> bool {
+        self.table_id == older.table_id
+            && self.version > older.version
+            && self.table_name == older.table_name
+            && self.statement == older.statement
     }
 }
 
@@ -288,9 +287,9 @@ impl<'t> GroupedAggregateCache<'t> {
 
     /// Absorbs the rows appended to the table since this cache was built,
     /// without touching any retained state for pre-existing rows. `table`
-    /// must be an append descendant of the cache's table: same table id,
-    /// same structural epoch (no deletions or restores in between), equal
-    /// or newer appended epoch. Appended rows are filtered, grouped and
+    /// must be the cache's table at the same or a later version (a table
+    /// only grows, so that is the cached rows plus appended ones).
+    /// Appended rows are filtered, grouped and
     /// folded into the retained aggregate states exactly as a fresh
     /// [`GroupedAggregateCache::build`] over the grown table would —
     /// insertion is exact for every aggregate including MIN/MAX (only
@@ -320,27 +319,21 @@ impl<'t> GroupedAggregateCache<'t> {
                 self.table.name()
             )));
         }
-        if !table.epoch().is_append_descendant_of(self.table.epoch()) {
+        if table.version() < self.table.version() || table.num_rows() < old_rows {
             return Err(EngineError::plan(format!(
-                "table '{}' at {:?} is not an append descendant of the cached epoch {:?}",
+                "table '{}' at version {} ({} rows) does not extend the cached version {} ({} rows)",
                 table.name(),
-                table.epoch(),
-                self.table.epoch()
+                table.version(),
+                table.num_rows(),
+                self.table.version(),
+                old_rows
             )));
         }
-        if table.num_rows() < old_rows {
-            return Err(EngineError::plan(format!(
-                "append descendant of '{}' lost rows: {} -> {}",
-                table.name(),
-                old_rows,
-                table.num_rows()
-            )));
-        }
-        if table.epoch() == self.table.epoch() {
+        if table.version() == self.table.version() {
             return Ok(0);
         }
         // Filter only the appended suffix — the old region is unchanged
-        // (same structural epoch), so its rows are already retained and
+        // (a table only grows), so its rows are already retained and
         // re-scanning them would make every absorb O(table). The suffix
         // scan admits exactly the rows a full vectorized filter would.
         let appended = scan_filter_suffix(table, &self.stmt, old_rows)?;
@@ -880,13 +873,11 @@ mod tests {
         t
     }
 
-    /// Full re-execution with the rows physically deleted — the ground
-    /// truth an exclusion query must reproduce.
+    /// Full execution over a table that never held the excluded rows —
+    /// the ground truth an exclusion query must reproduce.
     fn reference(table: &Table, stmt: &SelectStatement, excluded: &[RowId]) -> QueryResult {
-        let mut t = table.clone();
-        for &r in excluded {
-            t.delete_row(r).unwrap();
-        }
+        let kept: Vec<RowId> = table.row_ids().filter(|r| !excluded.contains(r)).collect();
+        let (t, _) = table.materialize(&kept, table.name()).unwrap();
         execute(&t, stmt, ExecOptions::default()).unwrap()
     }
 
@@ -1105,7 +1096,7 @@ mod tests {
         let membership = cache.membership();
         assert_eq!(membership.universe(), table.num_rows());
         assert_eq!(membership.count_ones(), cache.num_rows());
-        for rid in table.all_row_ids() {
+        for rid in table.row_ids() {
             assert_eq!(membership.contains_row(rid), cache.contains(rid), "{rid}");
         }
         // Row 3 (sensorid = 3) is filtered out.
@@ -1151,18 +1142,19 @@ mod tests {
         let fp = shared.fingerprint();
         assert_eq!(fp.table_name, "readings");
         assert_eq!(fp.table_id, table.id());
-        assert_eq!(fp.epoch, table.epoch());
+        assert_eq!(fp.version, table.version());
         // Equivalent SQL spellings (whitespace, keyword case) canonicalise
         // to the same fingerprint...
         let respelled =
             parse_select("select  hour,  AVG( temp )\nfrom readings group by hour").unwrap();
         assert_eq!(CacheFingerprint::of(&table, &respelled), fp);
-        // ...while mutating the data changes it.
-        let mut mutated = table.clone();
-        mutated.delete_row(RowId(0)).unwrap();
-        let fp2 = CacheFingerprint::of(&mutated, &stmt);
+        // ...while appending to the data changes it.
+        let mut grown = table.clone();
+        grown.push_row(vec![Value::Int(2), Value::Int(0), Value::Float(19.0)]).unwrap();
+        let fp2 = CacheFingerprint::of(&grown, &stmt);
         assert_eq!(fp2.table_id, fp.table_id);
         assert_ne!(fp2, fp);
+        assert!(fp2.grew_from(&fp) && !fp.grew_from(&fp2) && !fp.grew_from(&fp));
     }
 
     #[test]
@@ -1246,7 +1238,7 @@ mod tests {
         assert_eq!(cache.absorb_append_shared(Arc::new(table.clone())).unwrap(), 1);
         table.push_row(vec![Value::Int(2), Value::Int(9), Value::Float(-3.0)]).unwrap();
         assert_eq!(cache.absorb_append_shared(Arc::new(table.clone())).unwrap(), 1);
-        // Re-absorbing at the same epoch is a no-op.
+        // Re-absorbing at the same version is a no-op.
         assert_eq!(cache.absorb_append_shared(Arc::new(table.clone())).unwrap(), 0);
         let fresh = GroupedAggregateCache::build(&table, &stmt).unwrap();
         assert_eq!(cache.full_result().rows, fresh.full_result().rows);
@@ -1254,13 +1246,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_append_rejects_structural_descendants_and_foreign_tables() {
-        let mut table = readings();
+    fn absorb_append_rejects_earlier_versions_and_foreign_tables() {
+        let table = readings();
         let stmt = parse_select("SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        let snapshot = table.clone();
-        let mut cache = GroupedAggregateCache::build(&snapshot, &stmt).unwrap();
-        // A deletion bumps the structural epoch: not an append descendant.
-        table.delete_row(RowId(0)).unwrap();
+        let mut grown = table.clone();
+        grown.push_row(vec![Value::Int(2), Value::Int(0), Value::Float(19.0)]).unwrap();
+        let mut cache = GroupedAggregateCache::build(&grown, &stmt).unwrap();
+        // An earlier snapshot of the same table: absorbing is forward-only.
         assert!(cache.absorb_append(&table).is_err());
         // A different table entirely (fresh id) is rejected outright.
         let other = readings();

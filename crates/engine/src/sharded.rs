@@ -429,7 +429,6 @@ mod tests {
             };
             t.push_row(vec![Value::Int(i % 5), Value::Int(i % 11), temp]).unwrap();
         }
-        t.delete_row(RowId(12)).unwrap();
         t
     }
 

@@ -106,15 +106,6 @@ pub fn accuracy(tp: f64, fp: f64, tn: f64, fn_: f64) -> f64 {
     (tp + tn) / n
 }
 
-/// F1 score from true/false positive/negative counts.
-pub fn f1_score(tp: f64, fp: f64, fn_: f64) -> f64 {
-    let denom = 2.0 * tp + fp + fn_;
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    2.0 * tp / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,13 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_and_f1() {
+    fn accuracy_extremes() {
         assert_eq!(accuracy(5.0, 0.0, 5.0, 0.0), 1.0);
         assert_eq!(accuracy(0.0, 5.0, 0.0, 5.0), 0.0);
         assert_eq!(accuracy(0.0, 0.0, 0.0, 0.0), 0.0);
-        assert_eq!(f1_score(5.0, 0.0, 0.0), 1.0);
-        assert_eq!(f1_score(0.0, 3.0, 4.0), 0.0);
-        assert!((f1_score(3.0, 1.0, 2.0) - 6.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]

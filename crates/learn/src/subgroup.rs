@@ -380,7 +380,7 @@ mod tests {
             t.push_row(vec![Value::Int(sensor), Value::Float(voltage), Value::str(room)]).unwrap();
             labels.push(broken);
         }
-        let rows: Vec<RowId> = t.visible_row_ids().collect();
+        let rows: Vec<RowId> = t.row_ids().collect();
         let space = FeatureSpace::build_excluding(&t, &[], &rows);
         let ds = space.extract(&t, &rows);
         (t, labels, space, ds)

@@ -682,7 +682,7 @@ mod tests {
     }
 
     fn extract(t: &Table) -> (FeatureSpace, Arc<Dataset>) {
-        let rows: Vec<RowId> = t.visible_row_ids().collect();
+        let rows: Vec<RowId> = t.row_ids().collect();
         let space = FeatureSpace::build_excluding(t, &["temp".into()], &rows);
         let ds = space.extract(t, &rows);
         (space, ds)
@@ -772,7 +772,7 @@ mod tests {
             t.push_row(vec![Value::Float(x)]).unwrap();
             labels.push(x > 10.0 && x <= 20.0);
         }
-        let rows: Vec<RowId> = t.visible_row_ids().collect();
+        let rows: Vec<RowId> = t.row_ids().collect();
         let space = FeatureSpace::build(&t, &["x".into()], &rows, 8);
         let ds = space.extract(&t, &rows);
         let tree = DecisionTree::train(
@@ -796,7 +796,7 @@ mod tests {
         for cell in [Value::Bool(false), Value::Bool(true), Value::Null] {
             t.push_row(vec![cell]).unwrap();
         }
-        let rows: Vec<RowId> = t.visible_row_ids().collect();
+        let rows: Vec<RowId> = t.row_ids().collect();
         let space = FeatureSpace::build(&t, &["flag".into()], &rows, 8);
         for (tests, text, matching) in [
             (vec![PathTest::Le(0.5)], "flag = FALSE", vec![RowId(0)]),
@@ -840,7 +840,7 @@ mod tests {
             t.push_row(vec![Value::Float(if broken { a } else { b }), Value::Float(y)]).unwrap();
             labels.push(broken);
         }
-        let rows: Vec<RowId> = t.visible_row_ids().collect();
+        let rows: Vec<RowId> = t.row_ids().collect();
         let space = FeatureSpace::build(&t, &["x".into(), "y".into()], &rows, 8);
         let ds = space.extract(&t, &rows);
         let tree = DecisionTree::train(

@@ -11,9 +11,8 @@
 //!   before the reply is sent, and `stream_append` persists the appended
 //!   rows before its ack, so a kill at any later point still recovers
 //!   them. [`StorageRuntime::save_table`] is the only way in; what it
-//!   costs is the backend's decision — a full snapshot for a new or
-//!   structurally changed table, one append segment proportional to the
-//!   batch for a grown one, nothing for a table that is already durable
+//!   costs is the backend's decision — a full snapshot for a new table,
+//!   one append segment proportional to the batch for a grown one, nothing for a table that is already durable
 //!   (which makes the shutdown flush idempotent and cheap). The gate and
 //!   the `stats` counters read what the backend knows to be durable; no
 //!   file is re-read to answer them.
@@ -77,8 +76,8 @@ pub struct StorageRuntime {
 /// `stats` command's `storage` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageCounters {
-    /// Full table snapshots written: first saves, structural changes and
-    /// compactions. Appends to a durable table write segments instead.
+    /// Full table snapshots written: first saves, saves over an unknown or
+    /// torn log, and compactions. Appends to a durable table write segments instead.
     pub snapshot_saves: u64,
     /// Append segments written.
     pub segment_appends: u64,
@@ -203,7 +202,7 @@ impl StorageRuntime {
     /// Writes retry per the module policy; an exhausted write returns the
     /// error *and* flips the runtime into degraded mode, while a write
     /// that reaches the backend (`Ok(true)`) self-heals it. The no-op
-    /// (`Ok(false)`: the table, or an append-descendant of it that a
+    /// (`Ok(false)`: the table, or a later version of it that a
     /// concurrent save got to first, is already durable) proves nothing
     /// about the disk and touches health state in neither direction.
     pub fn save_table(&self, table: &Table) -> Result<bool, StorageError> {
@@ -215,7 +214,7 @@ impl StorageRuntime {
             }
         }
         if let Some(entry) = manifest.entry(table.id()) {
-            if entry.epoch.is_append_descendant_of(table.epoch()) {
+            if entry.version >= table.version() {
                 return Ok(false);
             }
         }

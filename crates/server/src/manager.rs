@@ -7,10 +7,11 @@
 //! * **Shared data, private state.** All sessions open over one base
 //!   [`Catalog`] whose tables live behind `Arc` snapshots — opening a
 //!   session clones the catalog in O(tables) reference bumps, not O(data).
-//!   A session that physically mutates a table copies-on-write, so one
-//!   analyst's cleaning never leaks into another's dashboard; the copy
-//!   shares the table's sealed column chunks, so neither that nor a
-//!   streamed append ([`SessionManager::stream_append`]) costs the table.
+//!   Cleaning rewrites the session's own query and never touches a
+//!   table, so one analyst's cleaning never leaks into another's
+//!   dashboard; a streamed append ([`SessionManager::stream_append`])
+//!   copies-on-write and shares the table's sealed column chunks, so it
+//!   does not cost the table.
 //! * **Per-session locking.** Each session sits behind its own `Mutex`;
 //!   the manager's session map is only read-locked to route a command, so
 //!   concurrent clients working in different sessions never serialize on
@@ -217,10 +218,8 @@ impl ServerSession {
     ///
     /// * a different table id means the session reads an older
     ///   incarnation of the name (the table was re-registered) — skip;
-    /// * a non-append-descendant epoch means the session privately
-    ///   copied-on-write (cleaning, deletes) — skip, exactly like
-    ///   in-flight transactions keep their snapshot;
-    /// * an equal epoch means the session already reads this data — skip.
+    /// * an equal or later version means the session already reads this
+    ///   data — skip.
     ///
     /// When the session displays a result over the appended table, the
     /// result is recomputed from the registry's cache of the *base*
@@ -237,10 +236,7 @@ impl ServerSession {
         let Ok(current) = self.dashboard.backend().catalog().table_arc(table.name()) else {
             return Ok(false);
         };
-        if current.id() != table.id()
-            || current.epoch() == table.epoch()
-            || !table.epoch().is_append_descendant_of(current.epoch())
-        {
+        if current.id() != table.id() || current.version() >= table.version() {
             return Ok(false);
         }
         let displayed =
@@ -292,9 +288,9 @@ pub struct StreamAppendReport {
     pub appended: usize,
     /// Total rows in the base table after the append.
     pub total_rows: usize,
-    /// Open sessions that adopted the new snapshot. Sessions reading a
-    /// private copy-on-write snapshot or an older incarnation of the
-    /// table keep what they were reading (see
+    /// Open sessions that adopted the new snapshot. Sessions reading an
+    /// older incarnation of the table, or this version already, keep what
+    /// they were reading (see
     /// [`ServerSession::adopt_append`]); quarantined sessions are skipped.
     pub sessions_refreshed: usize,
     /// True when the appended snapshot reached durable storage before the
@@ -553,7 +549,7 @@ impl SessionManager {
     /// in the payload rejects the whole command without mutating — or
     /// copying-on-write — anything. Valid rows are applied in one
     /// [`Table::push_rows`] under the catalog write lock (advancing the
-    /// appended epoch once, never the structural epoch). Sessions and
+    /// version once). Sessions and
     /// caches hold the snapshot being appended to, so this is always a
     /// copy-on-write — of each column's tail, at most a chunk, never of the
     /// table: what the lock is held for is proportional to the batch. The
@@ -752,13 +748,13 @@ mod tests {
     }
 
     #[test]
-    fn stream_append_is_all_or_nothing_and_advances_only_the_appended_epoch() {
+    fn stream_append_is_all_or_nothing_and_advances_the_version() {
         let (m, _) = manager();
         let before = {
             let base = m.session(m.open_session()).unwrap();
             let s = base.lock().unwrap();
             let t = s.dashboard().backend().catalog().table_arc("readings").unwrap();
-            (t.num_rows(), t.epoch())
+            (t.num_rows(), t.version())
         };
 
         // A malformed row anywhere in the payload rejects the whole command.
@@ -771,17 +767,16 @@ mod tests {
             let s = base.lock().unwrap();
             s.dashboard().backend().catalog().table_arc("readings").unwrap()
         };
-        assert_eq!((t.num_rows(), t.epoch()), before, "failed appends must not mutate");
+        assert_eq!((t.num_rows(), t.version()), before, "failed appends must not mutate");
 
-        // A valid stream advances the appended epoch only.
+        // A valid stream advances the version.
         let rows: Vec<Vec<Value>> = (0..5).map(|i| reading(i, 50.0)).collect();
         let report = m.stream_append("readings", rows).unwrap();
         assert_eq!(report.appended, 5);
         assert_eq!(report.total_rows, before.0 + 5);
         let base = m.base.read().unwrap().table_arc("readings").unwrap();
-        assert_eq!(base.epoch().structural, before.1.structural);
-        assert!(base.epoch().appended > before.1.appended);
-        assert!(base.epoch().is_append_descendant_of(before.1));
+        assert_eq!(base.id(), t.id());
+        assert!(base.version() > before.1);
 
         // The empty stream is a validated no-op.
         let report = m.stream_append("readings", Vec::new()).unwrap();
@@ -825,8 +820,8 @@ mod tests {
             let s = sa.lock().unwrap();
             let shown = s.dashboard().result().unwrap();
             assert_eq!(
-                s.dashboard().backend().catalog().table("readings").unwrap().epoch(),
-                grown.epoch()
+                s.dashboard().backend().catalog().table("readings").unwrap().version(),
+                grown.version()
             );
             let mut fresh_catalog = Catalog::new();
             fresh_catalog.register((*grown).clone()).unwrap();
@@ -931,32 +926,6 @@ mod tests {
         assert_eq!(covered(&crashed.lock().unwrap()), rows_before);
         let healthy = m.session(SessionId(2)).unwrap();
         assert_eq!(covered(&healthy.lock().unwrap()), rows_before + 1);
-    }
-
-    #[test]
-    fn sessions_on_private_copies_keep_their_snapshot_across_appends() {
-        let (m, query) = manager();
-        let a = m.open_session();
-        let sa = m.session(a).unwrap();
-        {
-            let mut s = sa.lock().unwrap();
-            s.dashboard_mut().run_query(&query).unwrap();
-            // The session privately soft-deletes a row: its snapshot is no
-            // longer an append-ancestor of anything the base produces.
-            s.dashboard_mut()
-                .backend_mut()
-                .catalog_mut()
-                .table_mut("readings")
-                .unwrap()
-                .delete_row(dbwipes_storage::RowId(0))
-                .unwrap();
-        }
-        let report = m.stream_append("readings", vec![reading(1, 50.0)]).unwrap();
-        assert_eq!(report.appended, 1);
-        assert_eq!(report.sessions_refreshed, 0, "a diverged session keeps its private copy");
-        let s = sa.lock().unwrap();
-        let t = s.dashboard().backend().catalog().table_arc("readings").unwrap();
-        assert_eq!(t.visible_rows(), t.num_rows() - 1, "private delete still in effect");
     }
 
     #[test]

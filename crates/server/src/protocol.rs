@@ -240,8 +240,8 @@ pub const MAX_BATCH_COMMANDS: usize = 256;
 
 /// The most rows one `stream_append` request may carry — the same
 /// admission-control role [`MAX_BATCH_COMMANDS`] plays for `batch`. A
-/// producer with more rows sends several commands; the appended epoch
-/// makes each one a cheap fast-forward for the caches either way.
+/// producer with more rows sends several commands; each is a cheap
+/// fast-forward for the caches either way.
 pub const MAX_STREAM_APPEND_ROWS: usize = 65_536;
 
 /// Every wire command the parser accepts, in the order the grammar lists

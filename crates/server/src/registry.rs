@@ -10,7 +10,7 @@
 //! [`CacheRegistry`] keeps built caches alive, keyed by
 //! [`CacheFingerprint`] (canonical statement SQL + table identity + table
 //! data version). The fingerprint keys make staleness structurally
-//! impossible rather than policed: any table mutation re-stamps
+//! impossible rather than policed: every append re-stamps
 //! [`Table::version`](dbwipes_storage::Table::version), so a stale cache
 //! is simply never *found* — it ages out of the LRU instead. Explicit
 //! [`CacheRegistry::invalidate_table`] additionally drops every entry of a
@@ -173,8 +173,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries (any tier) dropped by [`CacheRegistry::invalidate_table`].
     pub invalidations: u64,
-    /// Aggregate-cache lookups served by fast-forwarding an append-variant
-    /// sibling through [`GroupedAggregateCache::absorb_append`] instead of
+    /// Aggregate-cache lookups served by fast-forwarding a retained cache
+    /// of an earlier version through [`GroupedAggregateCache::absorb_append`] instead of
     /// rebuilding — neither a hit nor a miss: no statement was executed,
     /// but the answer was not served verbatim either. Streamed appends
     /// should move *this* counter, never `misses`.
@@ -264,9 +264,8 @@ impl CacheRegistry {
 
     /// [`CacheRegistry::get_or_build`] with append awareness: on a miss,
     /// before falling back to `build`, the registry looks for a retained
-    /// cache of the *same statement over the same structural epoch* with an
-    /// older appended stamp (see [`CacheFingerprint::append_variant_of`])
-    /// and fast-forwards it through
+    /// cache of the *same statement over an earlier version of the same
+    /// table* (see [`CacheFingerprint::grew_from`]) and fast-forwards it through
     /// [`GroupedAggregateCache::absorb_append`] — O(appended rows) instead
     /// of a full statement execution. `table` must be the table the
     /// fingerprint was taken of. Absorbs are counted under
@@ -294,7 +293,7 @@ impl CacheRegistry {
         F: FnOnce() -> Result<GroupedAggregateCache<'static>, EngineError>,
     {
         // Phase 1: hit, wait, or reserve the build — possibly withdrawing
-        // an absorbable append-variant sibling while the lock is held (so
+        // an absorbable earlier-version sibling while the lock is held (so
         // no other lookup can race us to it).
         let mut absorb_source: Option<Arc<GroupedAggregateCache<'static>>> = None;
         {
@@ -325,10 +324,7 @@ impl CacheRegistry {
                                 .entries
                                 .iter()
                                 .filter_map(|(k, s)| match s {
-                                    Slot::Ready { .. }
-                                        if fingerprint.append_variant_of(k)
-                                            && k.epoch.appended < fingerprint.epoch.appended =>
-                                    {
+                                    Slot::Ready { .. } if fingerprint.grew_from(k) => {
                                         Some(k.clone())
                                     }
                                     _ => None,
@@ -590,9 +586,9 @@ mod tests {
         let (fp, cache) = build_for(&t, "SELECT g, avg(v) FROM r GROUP BY g");
         registry.get_or_build(fp, || Ok(cache)).unwrap();
 
-        // Mutate a copy of the table (as a session's COW catalog would).
+        // Append to a copy of the table (as the base's COW catalog would).
         let mut mutated = (*t).clone();
-        mutated.delete_row(dbwipes_storage::RowId(0)).unwrap();
+        mutated.push_row(vec![Value::Int(1), Value::Float(2.0)]).unwrap();
         let (fp2, cache2) = build_for(&Arc::new(mutated), "SELECT g, avg(v) FROM r GROUP BY g");
         assert!(!retained(&registry, &fp2), "stale cache must not be found");
         registry.get_or_build(fp2, || Ok(cache2)).unwrap();
@@ -688,18 +684,19 @@ mod tests {
     }
 
     #[test]
-    fn structural_mutations_still_miss_and_rebuild() {
+    fn an_earlier_version_misses_and_rebuilds() {
         let registry = CacheRegistry::new(4);
         let t = table("r", 30);
-        let (fp, cache) = build_for(&t, "SELECT g, avg(v) FROM r GROUP BY g");
-        registry.get_or_absorb_or_build(fp, &t, || Ok(cache)).unwrap();
+        let mut grown = (*t).clone();
+        grown.push_row(vec![Value::Int(1), Value::Float(500.0)]).unwrap();
+        let grown = Arc::new(grown);
+        let (fp, cache) = build_for(&grown, "SELECT g, avg(v) FROM r GROUP BY g");
+        registry.get_or_absorb_or_build(fp, &grown, || Ok(cache)).unwrap();
 
-        // A deletion is structural: no absorb, a plain miss + rebuild.
-        let mut mutated = (*t).clone();
-        mutated.delete_row(dbwipes_storage::RowId(0)).unwrap();
-        let mutated = Arc::new(mutated);
-        let (fp2, cache2) = build_for(&mutated, "SELECT g, avg(v) FROM r GROUP BY g");
-        registry.get_or_absorb_or_build(fp2, &mutated, || Ok(cache2)).unwrap();
+        // Absorbing is forward-only: the retained cache of the grown table
+        // cannot serve the table before the append, a plain miss + rebuild.
+        let (fp2, cache2) = build_for(&t, "SELECT g, avg(v) FROM r GROUP BY g");
+        registry.get_or_absorb_or_build(fp2, &t, || Ok(cache2)).unwrap();
         let stats = registry.stats();
         assert_eq!((stats.misses, stats.append_absorbs), (2, 0));
     }

@@ -44,14 +44,6 @@ impl Catalog {
         self.tables.insert(table.name().to_ascii_lowercase(), Arc::new(table));
     }
 
-    /// Removes and returns a table (cloning the data if other catalogs
-    /// still share the snapshot).
-    pub fn deregister(&mut self, name: &str) -> Option<Table> {
-        self.tables
-            .remove(&name.to_ascii_lowercase())
-            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
     /// Looks up a table by case-insensitive name.
     pub fn table(&self, name: &str) -> Result<&Table, StorageError> {
         self.tables
@@ -87,9 +79,9 @@ impl Catalog {
     /// shared with other catalog clones or outstanding [`Catalog::table_arc`]
     /// handles. The copy shares every sealed chunk of every column with the
     /// snapshot it was made from (see [`crate::column`]): it costs a
-    /// pointer per chunk, each column's tail and the deletion mask, not the
-    /// table, so an append through it is O(appended) whoever else is
-    /// reading.
+    /// pointer per chunk and each column's tail, not the table, so an
+    /// append through it is O(appended) whoever else is reading. A table
+    /// only grows, so an append is all the copy can be mutated by.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
@@ -170,20 +162,15 @@ mod tests {
         assert!(Arc::ptr_eq(&snapshot, &session.table_arc("t").unwrap()));
         assert_eq!(snapshot.id(), session.table("t").unwrap().id());
 
-        // The session mutates its view: it gets a private copy...
-        session.table_mut("t").unwrap().delete_row(crate::table::RowId(0)).unwrap();
-        assert_eq!(session.table("t").unwrap().visible_rows(), 0);
+        // The session appends to its view: it gets a private copy...
+        session.table_mut("t").unwrap().push_row(vec![crate::value::Value::Int(2)]).unwrap();
+        assert_eq!(session.table("t").unwrap().num_rows(), 2);
         // ...while the base catalog and the outstanding snapshot are untouched.
-        assert_eq!(base.table("t").unwrap().visible_rows(), 1);
-        assert_eq!(snapshot.visible_rows(), 1);
+        assert_eq!(base.table("t").unwrap().num_rows(), 1);
+        assert_eq!(snapshot.num_rows(), 1);
         // Same identity, different data version.
         assert_eq!(session.table("t").unwrap().id(), snapshot.id());
         assert_ne!(session.table("t").unwrap().version(), snapshot.version());
-
-        // Deregistering while a snapshot is live clones the data out.
-        let owned = base.deregister("t").unwrap();
-        assert_eq!(owned.visible_rows(), 1);
-        assert_eq!(snapshot.visible_rows(), 1);
     }
 
     #[test]
@@ -201,14 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn deregister_removes() {
+    fn table_names_are_listed_sorted() {
         let mut c = Catalog::new();
-        c.register(table("a")).unwrap();
         c.register(table("b")).unwrap();
+        c.register(table("a")).unwrap();
         assert_eq!(c.table_names(), vec!["a".to_string(), "b".to_string()]);
-        let t = c.deregister("A").unwrap();
-        assert_eq!(t.name(), "a");
-        assert!(c.deregister("a").is_none());
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.len(), 2);
     }
 }

@@ -590,10 +590,10 @@ mod tests {
 
         // A session holds the snapshot, with a condition bitmap warm on it.
         let old = catalog.table_arc("t").unwrap();
-        let (epoch, bytes) = (old.epoch(), old.approx_bytes());
+        let (version, bytes) = (old.version(), old.approx_bytes());
         let warm = old.condition_bitmaps();
         warm.condition(&old, &Condition::above("f", 100.0)).unwrap();
-        let values: Vec<Vec<Value>> = old.all_row_ids().map(|r| old.row(r).unwrap()).collect();
+        let values: Vec<Vec<Value>> = old.row_ids().map(|r| old.row(r).unwrap()).collect();
 
         catalog.table_mut("t").unwrap().push_rows((ROWS..ROWS + 256).map(row).collect()).unwrap();
         let new = catalog.table_arc("t").unwrap();
@@ -606,14 +606,14 @@ mod tests {
             }
             assert_eq!((before.tail.len(), after.tail.len()), (17, 17 + 256));
         }
-        // The old snapshot: rows, epoch, every value, its bitmaps.
-        assert_eq!((old.num_rows(), old.epoch(), old.approx_bytes()), (ROWS, epoch, bytes));
-        assert!(old.all_row_ids().all(|r| old.row(r).unwrap() == values[r.index()]));
+        // The old snapshot: rows, version, every value, its bitmaps.
+        assert_eq!((old.num_rows(), old.version(), old.approx_bytes()), (ROWS, version, bytes));
+        assert!(old.row_ids().all(|r| old.row(r).unwrap() == values[r.index()]));
         assert!(Arc::ptr_eq(&warm, &old.condition_bitmaps()));
         assert_eq!(old.retained_condition_bitmaps().0, 1);
         // The new one: old rows, then new rows, no bitmaps yet.
         assert_eq!(new.num_rows(), ROWS + 256);
-        assert!(new.epoch().is_append_descendant_of(epoch) && new.epoch() != epoch);
+        assert!(new.id() == old.id() && new.version() > version);
         assert!((0..ROWS + 256).all(|r| new.row(RowId(r)).unwrap() == row(r)));
         assert_eq!(new.retained_condition_bitmaps(), (0, 0));
         assert!(new.approx_bytes() > bytes);

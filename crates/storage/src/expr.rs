@@ -440,7 +440,7 @@ impl Expr {
         Ok(matches!(self.eval(table, row)?, Value::Bool(true)))
     }
 
-    /// Returns the ids of visible rows satisfying the filter.
+    /// Returns the ids of the rows satisfying the filter.
     ///
     /// When the expression compiles as a boolean tree
     /// ([`crate::predicate::CompiledBoolExpr`] — any nesting of
@@ -451,27 +451,23 @@ impl Expr {
     /// (rows or error) for everything else.
     pub fn filter(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
         let compiled = crate::predicate::CompiledBoolExpr::compile(self, table);
-        match crate::predicate::vectorized_filter(compiled, table) {
+        match crate::predicate::vectorized_filter(compiled) {
             Some(rows) => Ok(rows),
             None => self.filter_scalar(table),
         }
     }
 
-    /// [`Expr::filter`] as a bitmap over the table's physical rows, folded
+    /// [`Expr::filter`] as a bitmap over the table's rows, folded
     /// from the snapshot's shared condition bitmaps
     /// ([`Table::condition_bitmaps`]): a leaf that a ranking over this
     /// snapshot already scanned — every condition of a predicate the
     /// analyst can click — is a lookup, not a scan. The same rows as
     /// `filter`, by the same compile-or-scalar rule, counted the same way.
     pub fn filter_set(&self, table: &Table) -> Result<RowSet, StorageError> {
-        let bitmaps = table.condition_bitmaps();
-        let evaluated = bitmaps.bool_expr(table, self);
+        let evaluated = table.condition_bitmaps().bool_expr(table, self);
         crate::predicate::count_filter(evaluated.is_some());
         match evaluated {
-            Some(mut tri) => {
-                tri.trues.and_assign(bitmaps.visible());
-                Ok(tri.trues)
-            }
+            Some(tri) => Ok(tri.trues),
             None => Ok(RowSet::from_rows(table.num_rows(), &self.filter_scalar(table)?)),
         }
     }
@@ -481,7 +477,7 @@ impl Expr {
     /// tests pin the vectorized path against.
     pub fn filter_scalar(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
         let mut out = Vec::new();
-        for rid in table.visible_row_ids() {
+        for rid in table.row_ids() {
             if self.matches(table, rid)? {
                 out.push(rid);
             }

@@ -429,15 +429,15 @@ mod tests {
     fn torn_base_write_leaves_truncated_snapshot_that_fails_decode() {
         let dir = TempDir::new();
         let t = small_table();
-        let backend = faulty(dir.path(), "at:2:torn@16");
-        backend.save_table(&t).unwrap();
+        FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
         let whole = fs::read(dir.path().join(format!("t{}.tbl", t.id()))).unwrap();
         assert!(whole.len() > 16);
 
-        // A structural change takes a full snapshot, so the torn write
-        // hits the base file.
+        // A backend that has not examined the log takes a full snapshot,
+        // so the torn write hits the base file.
+        let backend = faulty(dir.path(), "at:1:torn@16");
         let mut t2 = t.clone();
-        t2.delete_row(crate::table::RowId(0)).unwrap();
+        t2.push_row(vec![Value::Int(0), Value::Float(0.5)]).unwrap();
         let err = backend.save_table(&t2).unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
         let torn = fs::read(dir.path().join(format!("t{}.tbl", t.id()))).unwrap();
@@ -477,7 +477,7 @@ mod tests {
         assert_eq!(backend.write_counters().segment_appends, 1);
         let restored = FsBackend::open(dir.path()).unwrap().load_table(t.id()).unwrap();
         assert_eq!(restored.num_rows(), t.num_rows() + 2);
-        assert_eq!(restored.epoch(), t2.epoch());
+        assert_eq!(restored.version(), t2.version());
     }
 
     #[test]

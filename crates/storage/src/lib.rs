@@ -1,8 +1,8 @@
 //! # dbwipes-storage
 //!
 //! The storage substrate of the DBWipes reproduction: dynamically typed
-//! [`Value`]s, [`Schema`]s, columnar [`Table`]s with stable [`RowId`]s and
-//! soft deletion, a scalar [`Expr`]ession language with SQL three-valued
+//! [`Value`]s, [`Schema`]s, append-only columnar [`Table`]s with stable
+//! [`RowId`]s, a scalar [`Expr`]ession language with SQL three-valued
 //! logic, human-readable [`ConjunctivePredicate`]s (the output format of the
 //! Ranked Provenance System), and a table [`Catalog`].
 //!
@@ -15,7 +15,7 @@
 //! ## RowSets and shards
 //!
 //! The vectorized predicate path works in [`RowSet`] bitmaps: each
-//! condition kernel produces one bitmap over a table's physical rows,
+//! condition kernel produces one bitmap over a table's rows,
 //! conjunctions are word-wise intersections, and match counting is a
 //! popcount. A [`ShardedTable`] partitions those universes horizontally —
 //! every shard is a full [`Table`] with its own contiguous `RowSet`
@@ -84,5 +84,5 @@ pub use predicate::{
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};
 pub use shard::ShardedTable;
-pub use table::{RowId, Table, TableEpoch};
+pub use table::{RowId, Table};
 pub use value::{DataType, Value};

@@ -6,13 +6,12 @@
 //! *base snapshot* (`DBWT`) holds one segment per column (the validity
 //! vector, then the typed values, each written once in row order — where
 //! the column's in-memory chunks end does not show; string columns are
-//! dictionary-encoded) plus one segment for the soft-deletion mask. Rows
-//! appended since are *append segments* (`DBWA`) in a log beside it: one
-//! length-framed record per durable append,
-//! carrying the row range, the stamps the table had after the append, and
-//! the same column encoding over just those rows — so making a grown
-//! table durable writes bytes proportional to the growth, and loading
-//! replays the log onto the base. Every segment and record carries an
+//! dictionary-encoded). Rows appended since are *append segments* (`DBWA`)
+//! in a log beside it: one length-framed record per durable append,
+//! carrying the row range, the version stamp the table had after the
+//! append, and the same column encoding over just those rows — so making
+//! a grown table durable writes bytes proportional to the growth, and
+//! loading replays the log onto the base. Every segment and record carries an
 //! FNV-1a 64 checksum, and the catalog is described by a versioned
 //! manifest keyed by stable [`Table::id`]s and the mutation-stamped
 //! [`Table::version`] of each base.
@@ -57,7 +56,7 @@
 use crate::column::{Column, ColumnData};
 use crate::error::StorageError;
 use crate::schema::{Field, Schema};
-use crate::table::{Table, TableEpoch};
+use crate::table::Table;
 use crate::value::DataType;
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -67,10 +66,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 /// Version stamp written into every snapshot file; readers reject any
-/// other value rather than guessing at layout changes. Version 2 replaced
-/// the single table version stamp with the two-part epoch (structural +
-/// appended stamps) in table snapshots and manifest entries.
-pub const FORMAT_VERSION: u32 = 2;
+/// other value rather than guessing at layout changes. Version 3 dropped
+/// the soft-deletion mask segment from table snapshots and went back to
+/// one version stamp per table snapshot, append segment and manifest
+/// entry (version 2 carried two).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic bytes of a table segment file.
 const TABLE_MAGIC: &[u8; 4] = b"DBWT";
@@ -156,13 +156,9 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends a length-prefixed, bit-packed boolean vector.
-    fn put_bool_vec(&mut self, bits: &[bool]) {
-        self.put_bool_runs(bits.len(), std::iter::once(bits));
-    }
-
-    /// [`ByteWriter::put_bool_vec`] of the concatenation of `runs`, which
-    /// hold `len` bits between them: a run need not end on a byte.
+    /// Appends a length-prefixed, bit-packed boolean vector: the
+    /// concatenation of `runs`, which hold `len` bits between them (a run
+    /// need not end on a byte).
     fn put_bool_runs<'a>(&mut self, len: usize, runs: impl Iterator<Item = &'a [bool]>) {
         self.put_u64(len as u64);
         let start = self.buf.len();
@@ -263,14 +259,6 @@ impl<'a> ByteReader<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| StorageError::Corrupt("string segment is not valid UTF-8".into()))
-    }
-
-    /// Reads a length-prefixed, bit-packed boolean vector.
-    fn get_bool_vec(&mut self) -> Result<Vec<bool>, StorageError> {
-        let (len, packed) = self.get_packed_bits()?;
-        let mut bits = Vec::with_capacity(len);
-        unpack_bits(packed, 0..len, &mut bits);
-        Ok(bits)
     }
 
     /// Reads a length-prefixed, bit-packed boolean vector without
@@ -513,8 +501,8 @@ fn get_segment<'a>(r: &mut ByteReader<'a>, what: &str) -> Result<&'a [u8], Stora
     Ok(body)
 }
 
-/// Writes a whole table (identity stamps, schema, one segment per column
-/// plus the soft-deletion mask) to `out` as a snapshot file image, one
+/// Writes a whole table (identity stamps, schema, one segment per column)
+/// to `out` as a snapshot file image, one
 /// segment at a time: the only buffer is a scratch the size of the widest
 /// column, never the table. Returns the bytes written.
 fn write_table(table: &Table, out: &mut impl Write) -> std::io::Result<u64> {
@@ -528,8 +516,7 @@ fn write_table(table: &Table, out: &mut impl Write) -> std::io::Result<u64> {
     w.put_u32(FORMAT_VERSION);
     w.put_str(table.name());
     w.put_u64(table.id());
-    w.put_u64(table.epoch().structural);
-    w.put_u64(table.epoch().appended);
+    w.put_u64(table.version());
     let schema = table.schema();
     w.put_u64(schema.len() as u64);
     for field in schema.fields() {
@@ -544,8 +531,6 @@ fn write_table(table: &Table, out: &mut impl Write) -> std::io::Result<u64> {
         put_segment(&mut w, |w| encode_column(w, col, 0..col.len()));
         flush(&mut w)?;
     }
-    put_segment(&mut w, |w| w.put_bool_vec(table.deleted_slice()));
-    flush(&mut w)?;
     Ok(written)
 }
 
@@ -573,7 +558,7 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
     }
     let name = r.get_str()?;
     let table_id = r.get_u64()?;
-    let epoch = TableEpoch { structural: r.get_u64()?, appended: r.get_u64()? };
+    let table_version = r.get_u64()?;
     let field_count = r.get_len(10)?;
     let mut fields = Vec::with_capacity(field_count);
     for _ in 0..field_count {
@@ -591,15 +576,7 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
         decode_column(&mut ByteReader::new(body), &mut col)?;
         columns.push(col);
     }
-    let deleted_body = get_segment(&mut r, "deletion-mask segment")?;
-    let deleted = ByteReader::new(deleted_body).get_bool_vec()?;
-    if deleted.len() != num_rows {
-        return Err(StorageError::Corrupt(format!(
-            "deletion mask has {} rows but the table declares {num_rows}",
-            deleted.len()
-        )));
-    }
-    Table::restore(name, schema, columns, deleted, table_id, epoch)
+    Table::restore(name, schema, columns, num_rows, table_id, table_version)
 }
 
 /// Bytes of a `DBWA` record before its body: magic, format version, body
@@ -610,11 +587,9 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
 const SEGMENT_FRAME: usize = 24;
 
 /// Serializes rows `first_row..` of `table` as one `DBWA` append-segment
-/// record: the frame, then table id, both epoch stamps as they stand
+/// record: the frame, then table id, the version stamp as it stands
 /// *after* the append, the row range, and every column over that range in
-/// the [`encode_column`] encoding, closed by the body's checksum. Appended
-/// rows are never soft-deleted (a delete is a structural change and takes
-/// a full snapshot), so a segment carries no deletion mask.
+/// the [`encode_column`] encoding, closed by the body's checksum.
 fn encode_segment(table: &Table, first_row: usize) -> Vec<u8> {
     let rows = first_row..table.num_rows();
     let mut w = ByteWriter::new();
@@ -623,8 +598,7 @@ fn encode_segment(table: &Table, first_row: usize) -> Vec<u8> {
     w.put_u64(0); // body length and frame checksum, patched below
     w.put_u64(0);
     w.put_u64(table.id());
-    w.put_u64(table.epoch().structural);
-    w.put_u64(table.epoch().appended);
+    w.put_u64(table.version());
     w.put_u64(rows.start as u64);
     w.put_u64(rows.len() as u64);
     w.put_u64(table.schema().len() as u64);
@@ -643,8 +617,7 @@ fn encode_segment(table: &Table, first_row: usize) -> Vec<u8> {
 /// One `DBWA` record read back from a log image, columns still encoded.
 struct Segment<'a> {
     table_id: u64,
-    structural: u64,
-    appended: u64,
+    version: u64,
     first_row: u64,
     rows: u64,
     columns: ByteReader<'a>,
@@ -703,8 +676,7 @@ fn read_segment(log: &[u8], pos: usize, verify: bool) -> Result<Option<Segment<'
     let mut r = ByteReader::new(body);
     Ok(Some(Segment {
         table_id: r.get_u64()?,
-        structural: r.get_u64()?,
-        appended: r.get_u64()?,
+        version: r.get_u64()?,
         first_row: r.get_u64()?,
         rows: r.get_u64()?,
         columns: r,
@@ -729,7 +701,7 @@ fn read_verified_log(path: &Path) -> Result<Vec<u8>, StorageError> {
 
 /// Replays a verified log image ([`read_verified_log`]) onto the base
 /// snapshot it sits beside, restoring each append's rows and recorded
-/// `appended` stamp. Returns the length of the log worth keeping: the end
+/// version stamp. Returns the length of the log worth keeping: the end
 /// of the last record applied (0 when none was). Whatever lies beyond is
 /// a torn tail, and whatever lies before the first applied record is
 /// *stale* — stamped at or before the base, left behind by a kill between
@@ -739,7 +711,6 @@ fn replay_log(table: &mut Table, log: &[u8]) -> Result<u64, StorageError> {
     let (mut pos, mut keep) = (0, 0);
     while let Some(segment) = read_segment(log, pos, false)? {
         pos = segment.end;
-        let epoch = table.epoch();
         if segment.table_id != table.id() {
             return Err(StorageError::Corrupt(format!(
                 "log of table #{} holds a segment of table #{}",
@@ -747,17 +718,16 @@ fn replay_log(table: &mut Table, log: &[u8]) -> Result<u64, StorageError> {
                 segment.table_id
             )));
         }
-        if (segment.structural, segment.appended) <= (epoch.structural, epoch.appended) {
+        if segment.version <= table.version() {
             continue;
         }
-        if segment.structural != epoch.structural || segment.first_row != table.num_rows() as u64 {
+        if segment.first_row != table.num_rows() as u64 {
             return Err(StorageError::Corrupt(format!(
-                "append segment ({}, {}) from row {} does not continue table #{} at ({:?}, {} rows)",
-                segment.structural,
-                segment.appended,
+                "append segment {} from row {} does not continue table #{} at ({}, {} rows)",
+                segment.version,
                 segment.first_row,
                 table.id(),
-                epoch,
+                table.version(),
                 table.num_rows()
             )));
         }
@@ -769,7 +739,7 @@ fn replay_log(table: &mut Table, log: &[u8]) -> Result<u64, StorageError> {
                 table.id()
             )));
         }
-        table.replay_append(segment.rows as usize, segment.appended, |col| {
+        table.replay_append(segment.rows as usize, segment.version, |col| {
             decode_column(&mut columns, col)
         })?;
         if !columns.is_done() {
@@ -786,14 +756,14 @@ fn replay_log(table: &mut Table, log: &[u8]) -> Result<u64, StorageError> {
 fn log_stamp_ceiling(path: &Path) -> u64 {
     let mut ceiling = 0;
     let Ok(mut log) = fs::File::open(path) else { return ceiling };
-    // The frame, then the body's first three words: table id, stamps.
-    let mut head = [0u8; SEGMENT_FRAME + 24];
+    // The frame, then the body's first two words: table id, version.
+    let mut head = [0u8; SEGMENT_FRAME + 16];
     while log.read_exact(&mut head).is_ok() {
         let Ok(body_len) = read_frame(&head[..SEGMENT_FRAME], 0) else { break };
-        let word = |at| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
-        ceiling = ceiling.max(word(SEGMENT_FRAME + 8)).max(word(SEGMENT_FRAME + 16));
+        let stamp = &head[SEGMENT_FRAME + 8..];
+        ceiling = ceiling.max(u64::from_le_bytes(stamp.try_into().expect("8 bytes")));
         // The rest of the body and its checksum lie before the next frame.
-        let rest = body_len.checked_sub(24).and_then(|rest| i64::try_from(rest + 8).ok());
+        let rest = body_len.checked_sub(16).and_then(|rest| i64::try_from(rest + 8).ok());
         if !rest.is_some_and(|rest| log.seek(SeekFrom::Current(rest)).is_ok()) {
             break;
         }
@@ -809,24 +779,16 @@ pub struct ManifestEntry {
     pub name: String,
     /// The persisted [`Table::id`] stamp.
     pub table_id: u64,
-    /// The persisted [`Table::epoch`] of the snapshot on disk. Recovery
-    /// compares the full epoch, so a manifest written before an append can
+    /// The persisted [`Table::version`] of the snapshot on disk. Every
+    /// append draws a later one, so a manifest written before an append can
     /// never masquerade as covering the appended rows.
-    pub epoch: TableEpoch,
-    /// Physical row count of the snapshot (soft-deleted rows included).
+    pub version: u64,
+    /// Row count of the snapshot.
     pub num_rows: u64,
     /// Snapshot file name, relative to the backend's data directory.
     pub file: String,
     /// Size of the snapshot file in bytes.
     pub bytes: u64,
-}
-
-impl ManifestEntry {
-    /// The scalar [`Table::version`] view of the persisted epoch
-    /// (stamp-floor recovery keys on it).
-    pub fn version(&self) -> u64 {
-        self.epoch.version()
-    }
 }
 
 /// The catalog-level index of a data directory: one [`ManifestEntry`] per
@@ -859,11 +821,6 @@ impl Manifest {
         self.entries.iter().find(|e| e.table_id == table_id)
     }
 
-    /// Total bytes of all table snapshot files.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
     /// Serializes the manifest (magic, format version, entries, trailing
     /// checksum).
     pub fn encode(&self) -> Vec<u8> {
@@ -874,8 +831,7 @@ impl Manifest {
         for e in &self.entries {
             w.put_str(&e.name);
             w.put_u64(e.table_id);
-            w.put_u64(e.epoch.structural);
-            w.put_u64(e.epoch.appended);
+            w.put_u64(e.version);
             w.put_u64(e.num_rows);
             w.put_str(&e.file);
             w.put_u64(e.bytes);
@@ -912,16 +868,16 @@ impl Manifest {
                 "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        // The smallest entry: five u64 fields and two empty strings' u64
+        // The smallest entry: four u64 fields and two empty strings' u64
         // length prefixes.
-        let count = r.get_len(7 * 8)?;
+        let count = r.get_len(6 * 8)?;
         let mut entries = Vec::with_capacity(count);
         let mut ids = HashSet::with_capacity(count);
         for _ in 0..count {
             let entry = ManifestEntry {
                 name: r.get_str()?,
                 table_id: r.get_u64()?,
-                epoch: TableEpoch { structural: r.get_u64()?, appended: r.get_u64()? },
+                version: r.get_u64()?,
                 num_rows: r.get_u64()?,
                 file: r.get_str()?,
                 bytes: r.get_u64()?,
@@ -954,8 +910,8 @@ impl Manifest {
 /// counters of the `stats` command's `storage` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WriteCounters {
-    /// Full table snapshots written (first saves, structural changes and
-    /// compactions).
+    /// Full table snapshots written (first saves, saves over an unknown or
+    /// torn log, and compactions).
     pub snapshot_saves: u64,
     /// Append segments written.
     pub segment_appends: u64,
@@ -990,16 +946,16 @@ pub struct PendingWrite {
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Makes `table` (data plus identity stamps) durable — the only way to
     /// do so. The backend decides what that takes: nothing when the table
-    /// or an append-descendant of it is already durable, the appended rows
-    /// when the table is an append-descendant of what is durable, a full
-    /// snapshot otherwise. Returns the bytes written (0 for nothing).
+    /// or a later version of it is already durable, the appended rows when
+    /// the table is a later version of what is durable, a full snapshot
+    /// otherwise. Returns the bytes written (0 for nothing).
     fn save_table(&self, table: &Table) -> Result<u64, StorageError>;
 
     /// Loads the durable state of `table_id`, restoring its stable
     /// identity and version stamps.
     fn load_table(&self, table_id: u64) -> Result<Table, StorageError>;
 
-    /// What is durable, one entry per table: each entry's `epoch`,
+    /// What is durable, one entry per table: each entry's `version`,
     /// `num_rows` and `bytes` describe what [`StorageBackend::load_table`]
     /// would return as far as this backend knows. An empty data directory
     /// yields an empty manifest, not an error.
@@ -1060,7 +1016,7 @@ struct Durable {
 
 #[derive(Debug, Clone, Copy)]
 struct Tip {
-    epoch: TableEpoch,
+    version: u64,
     rows: u64,
     /// Length of the log up to the last record that counts; bytes beyond
     /// it are a torn tail.
@@ -1069,7 +1025,7 @@ struct Tip {
 
 /// What [`FsBackend::save_table`] has to write for a table.
 enum Plan {
-    /// The table, or an append-descendant of it, is already durable.
+    /// The table, or a later version of it, is already durable.
     Nothing,
     /// One record with the rows past the durable tip, at this log offset.
     Segment { at: u64, record: Vec<u8> },
@@ -1102,22 +1058,9 @@ pub(crate) fn append_at(path: &Path, at: u64, bytes: &[u8]) -> std::io::Result<(
     file.write_all(bytes)
 }
 
-/// True for `s<id>-<version>-<kind>.bin`, the name of a warm-state sidecar
-/// as builds up to protocol revision 5 wrote them. Nothing reads one now.
-fn is_retired_sidecar(name: &str) -> bool {
-    let Some(stem) = name.strip_prefix('s').and_then(|n| n.strip_suffix(".bin")) else {
-        return false;
-    };
-    let mut parts = stem.splitn(3, '-');
-    let mut number =
-        || parts.next().is_some_and(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()));
-    number() && number() && parts.next().is_some()
-}
-
 impl FsBackend {
     /// Opens (creating if needed) a data directory: removes the temp files
-    /// a killed writer left behind and the warm-state sidecars an earlier
-    /// build wrote, reads the manifest, and advances the
+    /// a killed writer left behind, reads the manifest, and advances the
     /// process-global stamp counter past every id and stamp recorded in
     /// the manifest or in a log segment, so tables created later in this
     /// process can never collide with restored identities.
@@ -1126,11 +1069,11 @@ impl FsBackend {
         fs::create_dir_all(&dir)
             .map_err(|e| io_err(&format!("creating data dir {}", dir.display()), e))?;
         let backend = FsBackend { dir, state: Mutex::default() };
-        backend.remove_files(|name| name.contains(".tmp") || is_retired_sidecar(name));
+        backend.remove_files(|name| name.contains(".tmp"));
         let manifest = backend.read_manifest()?;
         for e in &manifest.entries {
             let logged = log_stamp_ceiling(&backend.dir.join(Self::log_file(e.table_id)));
-            crate::table::advance_stamp_floor(e.table_id.max(e.version()).max(logged));
+            crate::table::advance_stamp_floor(e.table_id.max(e.version).max(logged));
         }
         backend.lock_state().tables =
             manifest.entries.into_iter().map(|base| Durable { base, tip: None }).collect();
@@ -1201,17 +1144,18 @@ impl FsBackend {
     fn plan(&self, durable: Option<&Durable>, table: &Table) -> Plan {
         let Some(durable) = durable else { return Plan::Base { compaction: false } };
         // An unexamined log can only put the tip past the base.
-        let at_least = durable.tip.map_or(durable.base.epoch, |tip| tip.epoch);
-        if at_least.is_append_descendant_of(table.epoch()) {
+        let at_least = durable.tip.map_or(durable.base.version, |tip| tip.version);
+        if at_least >= table.version() {
             return Plan::Nothing;
         }
         let Some(tip) = durable.tip else { return Plan::Base { compaction: false } };
+        // Fewer rows than the tip means a diverged clone, not a later
+        // version; a log shorter than the tip says was torn (or removed)
+        // behind our back. Either way only a fresh base is sure to hold
+        // every row.
         let log_len =
             fs::metadata(self.dir.join(Self::log_file(table.id()))).map_or(0, |meta| meta.len());
-        let appendable = table.epoch().is_append_descendant_of(tip.epoch)
-            && table.num_rows() as u64 >= tip.rows
-            && log_len >= tip.log_bytes;
-        if !appendable {
+        if (table.num_rows() as u64) < tip.rows || log_len < tip.log_bytes {
             return Plan::Base { compaction: false };
         }
         let record = encode_segment(table, tip.rows as usize);
@@ -1227,7 +1171,7 @@ impl StorageBackend for FsBackend {
         let mut state = self.lock_state();
         let slot = state.tables.iter().position(|d| d.base.table_id == table.id());
         let tip = |log_bytes| {
-            Some(Tip { epoch: table.epoch(), rows: table.num_rows() as u64, log_bytes })
+            Some(Tip { version: table.version(), rows: table.num_rows() as u64, log_bytes })
         };
         Ok(match self.plan(slot.map(|slot| &state.tables[slot]), table) {
             Plan::Nothing => 0,
@@ -1258,7 +1202,7 @@ impl StorageBackend for FsBackend {
                 let base = ManifestEntry {
                     name: table.name().to_string(),
                     table_id: table.id(),
-                    epoch: table.epoch(),
+                    version: table.version(),
                     num_rows: table.num_rows() as u64,
                     file,
                     bytes,
@@ -1309,27 +1253,26 @@ impl StorageBackend for FsBackend {
         // snapshot stamped AHEAD of the manifest entry. That file is the
         // durable truth — accept it. A snapshot BEHIND the manifest cannot
         // arise from that ordering and still means corruption.
-        let ahead_of_manifest = table.epoch().structural >= entry.epoch.structural
-            && table.epoch().appended >= entry.epoch.appended;
-        if table.id() != entry.table_id || !ahead_of_manifest {
+        if table.id() != entry.table_id || table.version() < entry.version {
             return Err(StorageError::Corrupt(format!(
-                "snapshot {} is stamped ({}, {:?}) but the manifest expects ({}, {:?})",
+                "snapshot {} is stamped ({}, {}) but the manifest expects ({}, {})",
                 entry.file,
                 table.id(),
-                table.epoch(),
+                table.version(),
                 entry.table_id,
-                entry.epoch
+                entry.version
             )));
         }
         let log_bytes = replay_log(&mut table, &log?)?;
-        durable.tip = Some(Tip { epoch: table.epoch(), rows: table.num_rows() as u64, log_bytes });
+        durable.tip =
+            Some(Tip { version: table.version(), rows: table.num_rows() as u64, log_bytes });
         Ok(table)
     }
 
     fn list_manifest(&self) -> Result<Manifest, StorageError> {
         let durable = |d: &Durable| match d.tip {
             Some(tip) => ManifestEntry {
-                epoch: tip.epoch,
+                version: tip.version,
                 num_rows: tip.rows,
                 bytes: d.base.bytes + tip.log_bytes,
                 ..d.base.clone()
@@ -1454,7 +1397,6 @@ mod tests {
             ],
         ])
         .unwrap();
-        t.delete_row(crate::table::RowId(2)).unwrap();
         t
     }
 
@@ -1464,9 +1406,8 @@ mod tests {
         assert_eq!(a.version(), b.version());
         assert_eq!(a.schema(), b.schema());
         assert_eq!(a.num_rows(), b.num_rows());
-        for rid in a.all_row_ids() {
+        for rid in a.row_ids() {
             assert_eq!(a.row(rid).unwrap(), b.row(rid).unwrap(), "row {rid}");
-            assert_eq!(a.is_deleted(rid), b.is_deleted(rid), "deletion flag of {rid}");
         }
     }
 
@@ -1524,7 +1465,7 @@ mod tests {
         assert_eq!(manifest.len(), 1);
         let entry = manifest.entry(t.id()).unwrap();
         assert_eq!(entry.name, "everything");
-        assert_eq!(entry.epoch, t.epoch());
+        assert_eq!(entry.version, t.version());
         assert_eq!(entry.num_rows, t.num_rows() as u64);
         assert_eq!(entry.bytes, written);
         assert!(backend.bytes_on_disk().unwrap() >= written);
@@ -1540,19 +1481,17 @@ mod tests {
     }
 
     #[test]
-    fn resaving_a_mutated_table_replaces_its_manifest_entry() {
+    fn resaving_a_grown_table_replaces_its_manifest_entry() {
         let dir = TempDir::new();
         let backend = FsBackend::open(dir.path()).unwrap();
-        let mut t = every_type_table();
+        let t = every_type_table();
         backend.save_table(&t).unwrap();
-        let v1 = t.version();
-        t.delete_row(crate::table::RowId(0)).unwrap();
-        backend.save_table(&t).unwrap();
+        let grown = one_more_row(&t);
+        backend.save_table(&grown).unwrap();
         let manifest = backend.list_manifest().unwrap();
         assert_eq!(manifest.len(), 1, "same table id replaces, never duplicates");
-        assert_ne!(manifest.entry(t.id()).unwrap().version(), v1);
-        let restored = backend.load_table(t.id()).unwrap();
-        assert!(restored.is_deleted(crate::table::RowId(0)));
+        assert_eq!(manifest.entry(t.id()).unwrap().version, grown.version());
+        assert_tables_identical(&grown, &backend.load_table(t.id()).unwrap());
     }
 
     #[test]
@@ -1564,7 +1503,7 @@ mod tests {
         let backend = FsBackend::open(dir.path()).unwrap();
         let mut t = every_type_table();
         backend.save_table(&t).unwrap();
-        let stale_epoch = backend.list_manifest().unwrap().entry(t.id()).unwrap().epoch;
+        let stale_version = backend.list_manifest().unwrap().entry(t.id()).unwrap().version;
         t.push_rows(vec![vec![
             Value::Bool(false),
             Value::Int(42),
@@ -1576,13 +1515,13 @@ mod tests {
         // Write only the snapshot file — the half of `save_table` that
         // completes first — leaving the manifest behind.
         backend.atomic_write(&FsBackend::table_file(t.id()), |out| write_table(&t, out)).unwrap();
-        assert_ne!(t.epoch(), stale_epoch);
+        assert_ne!(t.version(), stale_version);
         let restored = backend.load_table(t.id()).unwrap();
         assert_tables_identical(&t, &restored);
         // The manifest file is still behind; what the backend reports as
         // durable is what it just loaded.
-        assert_eq!(backend.read_manifest().unwrap().entry(t.id()).unwrap().epoch, stale_epoch);
-        assert_eq!(backend.list_manifest().unwrap().entry(t.id()).unwrap().epoch, t.epoch());
+        assert_eq!(backend.read_manifest().unwrap().entry(t.id()).unwrap().version, stale_version);
+        assert_eq!(backend.list_manifest().unwrap().entry(t.id()).unwrap().version, t.version());
     }
 
     #[test]
@@ -1590,14 +1529,13 @@ mod tests {
         // The reverse skew cannot arise from `save_table`'s write ordering,
         // so an older-than-manifest snapshot still means corruption.
         let dir = TempDir::new();
+        let t = every_type_table();
+        FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
+        let old_bytes = encode_table(&t);
+        // A backend that has not examined the log writes the grown table
+        // as a fresh base.
         let backend = FsBackend::open(dir.path()).unwrap();
-        let mut t = every_type_table();
-        let old_bytes = {
-            backend.save_table(&t).unwrap();
-            encode_table(&t)
-        };
-        t.delete_row(crate::table::RowId(0)).unwrap();
-        backend.save_table(&t).unwrap();
+        backend.save_table(&one_more_row(&t)).unwrap();
         backend
             .atomic_write(&FsBackend::table_file(t.id()), |out| out.write_all(&old_bytes))
             .unwrap();
@@ -1633,7 +1571,10 @@ mod tests {
             if newest_first {
                 assert_eq!(written[1], 0, "an append-ancestor of what is durable is a no-op");
             }
-            assert_eq!(backend.list_manifest().unwrap().entry(a.id()).unwrap().epoch, c.epoch());
+            assert_eq!(
+                backend.list_manifest().unwrap().entry(a.id()).unwrap().version,
+                c.version()
+            );
             assert_tables_identical(&c, &backend.load_table(a.id()).unwrap());
             // The same holds for a process that has not examined the log:
             // the base alone proves `a` durable.
@@ -1644,7 +1585,7 @@ mod tests {
     }
 
     #[test]
-    fn open_removes_leftover_temp_files_and_retired_sidecars() {
+    fn open_removes_leftover_temp_files() {
         let dir = TempDir::new();
         let t = every_type_table();
         FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
@@ -1653,12 +1594,8 @@ mod tests {
             // A kill between `fs::write` and `fs::rename`, under another pid.
             format!("t{}.tbl.tmp4242", t.id()),
             "MANIFEST.bin.tmp4242".to_string(),
-            // Warm-state sidecars as a build before revision 6 named them.
-            format!("s{}-{}-aggs.bin", t.id(), t.version()),
-            format!("s{}-{}-bitmaps.bin", t.id(), t.version()),
-            "s7-40-aggs.bin".to_string(),
         ];
-        let kept = ["s.bin", "s7-40.bin", "s7-x-aggs.bin", "s-40-aggs.bin", "notes.bin"];
+        let kept = ["notes.bin"];
         for name in doomed.iter().map(String::as_str).chain(kept) {
             fs::write(dir.path().join(name), b"half a file").unwrap();
         }
@@ -1702,7 +1639,7 @@ mod tests {
         let entry = |table_id: u64, file: &str| ManifestEntry {
             name: "t".into(),
             table_id,
-            epoch: TableEpoch { structural: 4, appended: 6 },
+            version: 6,
             num_rows: 5,
             file: file.into(),
             bytes: 128,
@@ -1738,7 +1675,7 @@ mod tests {
         // before anything is read or allocated for it.
         let mut counted = body.to_vec();
         counted[8..16].copy_from_slice(&2u64.to_le_bytes());
-        assert!(corrupt(&resealed(counted)).contains("length 2 needs 112 bytes"));
+        assert!(corrupt(&resealed(counted)).contains("length 2 needs 96 bytes"));
     }
 
     #[test]
@@ -1751,7 +1688,6 @@ mod tests {
         backend.save_table(&b).unwrap();
         let manifest = backend.list_manifest().unwrap();
         assert_eq!(manifest.len(), 2);
-        assert_eq!(manifest.total_bytes(), manifest.entries.iter().map(|e| e.bytes).sum::<u64>());
         assert!(manifest.entry(a.id()).is_some());
         assert!(manifest.entry(b.id()).is_some());
     }
@@ -1766,7 +1702,7 @@ mod tests {
         let manifest_max = {
             let backend = FsBackend::open(dir.path()).unwrap();
             let m = backend.list_manifest().unwrap();
-            m.entries.iter().map(|e| e.table_id.max(e.version())).max().unwrap()
+            m.entries.iter().map(|e| e.table_id.max(e.version)).max().unwrap()
         };
         let fresh = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
         assert!(fresh.id() > manifest_max, "open() must advance the stamp floor");

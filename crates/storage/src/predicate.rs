@@ -14,7 +14,7 @@ use crate::column::{Column, ColumnData};
 use crate::error::StorageError;
 use crate::expr::{col, lit, BinaryOp, Expr, UnaryOp};
 use crate::rowset::RowSet;
-use crate::table::{RowId, Table, TableEpoch};
+use crate::table::{RowId, Table};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -376,15 +376,15 @@ impl ConjunctivePredicate {
         cache.tri_eval(table, BoolTree::of_conjunction(self))
     }
 
-    /// Returns all visible rows matched by the predicate, in ascending
+    /// Returns all rows matched by the predicate, in ascending
     /// [`RowId`] order. Uses the vectorized column kernels when every
     /// condition compiles; otherwise falls back to the per-row expression
     /// walk, where a failed evaluation is a non-match (see
     /// [`ConjunctivePredicate::matches`]).
     pub fn matching_rows(&self, table: &Table) -> Vec<RowId> {
-        vectorized_filter(self.compile(table), table).unwrap_or_else(|| {
+        vectorized_filter(self.compile(table)).unwrap_or_else(|| {
             let expr = self.to_expr();
-            table.visible_row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
+            table.row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
         })
     }
 }
@@ -481,7 +481,7 @@ impl fmt::Display for ConjunctivePredicate {
 }
 
 /// The three-valued result of evaluating a condition (or a conjunction)
-/// over every physical row of one table, as a pair of bitmaps: the rows
+/// over every row of one table, as a pair of bitmaps: the rows
 /// where it is TRUE and the rows where it is NULL (unknown). Every other
 /// row is FALSE.
 #[derive(Debug, Clone)]
@@ -671,7 +671,7 @@ impl<'a> BoolTree<'a> {
         BoolTree { root: BoolNode::of_conjunction(&mut leaves, pred), leaves }
     }
 
-    /// Binds the tree to a table of `num_rows` physical rows: `source`
+    /// Binds the tree to a table of `num_rows` rows: `source`
     /// supplies each distinct leaf once, and its first failure fails the
     /// whole tree.
     fn resolve<'t, E>(
@@ -748,11 +748,10 @@ impl<'t> CompiledBoolExpr<'t> {
         self.eval_row(&self.root, row.index())
     }
 
-    /// Vectorized three-valued evaluation over **every physical row** of
-    /// the table (soft-deleted rows included — intersect with
-    /// [`Table::visible_row_set`] to restrict): each distinct leaf's
-    /// column is scanned at most once — and kept, so evaluating again is
-    /// only the fold — and the tree folds word-level AND/OR/NOT.
+    /// Vectorized three-valued evaluation over **every row** of the
+    /// table: each distinct leaf's column is scanned at most once — and
+    /// kept, so evaluating again is only the fold — and the tree folds
+    /// word-level AND/OR/NOT.
     /// Identical, row for row, to calling [`CompiledBoolExpr::matches`] in
     /// a loop.
     ///
@@ -910,16 +909,19 @@ enum CompiledCondition<'t> {
 
 impl<'t> CompiledCondition<'t> {
     fn compile(cond: &Condition, table: &'t Table) -> Result<Self, StorageError> {
+        // The unbounded range is the literal TRUE, exactly like
+        // `Condition::to_expr`: it names no column, so it compiles (and
+        // validates) whatever the schema holds.
+        if let Condition::Range { low: None, high: None, .. } = cond {
+            return Ok(CompiledCondition::True);
+        }
         let idx = table.schema().resolve(cond.column())?;
         let dtype = table.schema().field_at(idx).expect("resolved").dtype;
         let column = table.column(idx).expect("resolved");
         if dtype == DataType::Null {
             // Every value of the column is NULL, so every comparison is
-            // unknown — except the unbounded range, which is literally TRUE.
-            return Ok(match cond {
-                Condition::Range { low: None, high: None, .. } => CompiledCondition::True,
-                _ => CompiledCondition::Unknown,
-            });
+            // unknown.
+            return Ok(CompiledCondition::Unknown);
         }
         let mismatch = |expected: &str| StorageError::TypeMismatch {
             expected: expected.into(),
@@ -950,9 +952,6 @@ impl<'t> CompiledCondition<'t> {
                 }
             }
             Condition::Range { low, low_inclusive, high, high_inclusive, .. } => {
-                if low.is_none() && high.is_none() {
-                    return Ok(CompiledCondition::True);
-                }
                 if !dtype.is_numeric() {
                     return Err(mismatch("numeric"));
                 }
@@ -1047,7 +1046,7 @@ impl<'t> CompiledCondition<'t> {
         }
     }
 
-    /// Vectorized evaluation over every physical row: one tight loop over
+    /// Vectorized evaluation over every row: one tight loop over
     /// the typed column slice instead of per-row dispatch. Produces exactly
     /// the rows where [`CompiledCondition::eval`] yields `Some(true)`
     /// (`trues`) and `None` (`unknowns`).
@@ -1208,18 +1207,17 @@ static GLOBAL_BOOL_VECTORIZED: AtomicU64 = AtomicU64::new(0);
 /// walk.
 static GLOBAL_BOOL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// The one compile-or-scalar step of every filter: the visible rows
-/// where a successfully compiled clause is TRUE, in ascending [`RowId`]
-/// order, or `None` when it did not compile and the caller's scalar walk
-/// must answer. Either way the outcome is counted (see
+/// The one compile-or-scalar step of every filter: the rows where a
+/// successfully compiled clause is TRUE, in ascending [`RowId`] order, or
+/// `None` when it did not compile and the caller's scalar walk must
+/// answer. Either way the outcome is counted (see
 /// [`bool_vectorization_stats`]).
 pub(crate) fn vectorized_filter(
     compiled: Result<CompiledBoolExpr<'_>, StorageError>,
-    table: &Table,
 ) -> Option<Vec<RowId>> {
     count_filter(compiled.is_ok());
     let compiled = compiled.ok()?;
-    Some(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids())
+    Some(compiled.eval_columns().trues.to_row_ids())
 }
 
 /// Counts one filter evaluation: served by a compiled tree, or left to
@@ -1268,7 +1266,7 @@ pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 /// **distinct** condition once through its columnar kernel and scores
 /// conjunctions by intersecting the cached bitmaps.
 ///
-/// A cache is pinned to one table snapshot — its `(id, epoch)` — at
+/// A cache is pinned to one table snapshot — its `(id, version)` — at
 /// construction, and the snapshot owns the shared one
 /// ([`Table::condition_bitmaps`]): any mutation starts the mutated table
 /// an empty cache, and lookups against a table with different stamps
@@ -1279,14 +1277,14 @@ pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 #[derive(Debug)]
 pub struct ConditionBitmapCache {
     table_id: u64,
-    /// Full epoch of the pinned table. Bitmaps are dense over the table's
-    /// physical row universe, so this cache is compared by `==`: even a
-    /// pure append changes the universe every bitmap was sized for, and absorbing would mean re-running
-    /// every kernel over the new rows. Appends therefore miss here by
-    /// design, unlike the append-tolerant aggregate caches.
-    table_epoch: TableEpoch,
+    /// Version of the pinned table. Bitmaps are dense over the table's
+    /// row universe, so this cache is compared by `==`: even an append
+    /// changes the universe every bitmap was sized for, and absorbing
+    /// would mean re-running every kernel over the new rows. Appends
+    /// therefore miss here by design, unlike the append-tolerant
+    /// aggregate caches.
+    table_version: u64,
     num_rows: usize,
-    visible: RowSet,
     /// `None` marks a condition the typed compiler cannot express, so the
     /// fallback decision is cached too.
     entries: Mutex<HashMap<String, Option<Arc<TriSet>>>>,
@@ -1301,9 +1299,8 @@ impl ConditionBitmapCache {
     pub fn new(table: &Table) -> Self {
         ConditionBitmapCache {
             table_id: table.id(),
-            table_epoch: table.epoch(),
+            table_version: table.version(),
             num_rows: table.num_rows(),
-            visible: table.visible_row_set(),
             entries: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -1318,25 +1315,20 @@ impl ConditionBitmapCache {
         (bitmaps, bitmaps * 2 * self.num_rows.div_ceil(64) * 8)
     }
 
-    /// True when the cache's pinned epoch exactly matches the table's
-    /// current epoch (lookups against any other table compute fresh,
+    /// True when the cache's pinned version exactly matches the table's
+    /// current one (lookups against any other table compute fresh,
     /// uncached results). Bitmap caches tolerate no appends — see the
     /// field docs on [`ConditionBitmapCache`].
     pub fn covers(&self, table: &Table) -> bool {
-        table.id() == self.table_id && self.table_epoch == table.epoch()
+        table.id() == self.table_id && self.table_version == table.version()
     }
 
-    /// The visible-row mask captured at construction.
-    pub fn visible(&self) -> &RowSet {
-        &self.visible
-    }
-
-    /// Physical row count of the pinned table (the bitmap universe).
+    /// Row count of the pinned table (the bitmap universe).
     pub fn num_rows(&self) -> usize {
         self.num_rows
     }
 
-    /// The condition's evaluation bitmaps over every physical row of
+    /// The condition's evaluation bitmaps over every row of
     /// `table`, cached across calls. Returns `None` when the typed
     /// compiler cannot express the condition against the table's schema
     /// (callers fall back to the scalar expression walk).
@@ -1582,7 +1574,7 @@ mod tests {
         for p in &predicates {
             let compiled = p.compile(&t).expect("all conditions are well-typed");
             let expr = p.to_expr();
-            for r in t.visible_row_ids() {
+            for r in t.row_ids() {
                 let via_expr = match expr.eval(&t, r).unwrap() {
                     Value::Bool(b) => Some(b),
                     Value::Null => None,
@@ -1592,7 +1584,7 @@ mod tests {
             }
             // matching_rows (which now uses the compiled path) agrees with
             // the per-condition fallback.
-            let fallback: Vec<RowId> = t.visible_row_ids().filter(|&r| p.matches(&t, r)).collect();
+            let fallback: Vec<RowId> = t.row_ids().filter(|&r| p.matches(&t, r)).collect();
             assert_eq!(p.matching_rows(&t), fallback, "{p}");
         }
     }
@@ -1658,7 +1650,7 @@ mod tests {
         for p in &predicates {
             let compiled = p.compile(&t).expect("well-typed");
             let tri = compiled.eval_columns();
-            for r in t.all_row_ids() {
+            for r in t.row_ids() {
                 let scalar = compiled.matches(r);
                 assert_eq!(tri.trues.contains(r.index()), scalar == Some(true), "{p} on {r}");
                 assert_eq!(tri.unknowns.contains(r.index()), scalar.is_none(), "{p} on {r}");
@@ -1774,7 +1766,7 @@ mod tests {
             let tri = compiled.eval_columns();
             assert_eq!(tri.universe(), t.num_rows());
             assert!(tri.trues.and(&tri.unknowns).is_empty(), "{expr}: overlapping bitmaps");
-            for r in t.all_row_ids() {
+            for r in t.row_ids() {
                 let scalar = match expr.eval(&t, r).unwrap() {
                     Value::Bool(b) => Some(b),
                     Value::Null => None,
@@ -1828,7 +1820,6 @@ mod tests {
             ])
             .unwrap();
         }
-        t.delete_row(RowId(3)).unwrap();
         // `sensorid = 3` is TRUE or NULL on 17 of 200 rows.
         let selective = || col("sensorid").eq(lit(3));
         let hot = || col("temp").gt(lit(50.0));
@@ -1848,7 +1839,7 @@ mod tests {
             // The fold over bitmaps computed elsewhere never goes per row.
             let cached = ConditionBitmapCache::new(&t).bool_expr(&t, &expr).unwrap();
             assert!(tri.trues == cached.trues && tri.unknowns == cached.unknowns, "{expr}");
-            for r in t.all_row_ids() {
+            for r in t.row_ids() {
                 let scalar = match expr.eval(&t, r).unwrap() {
                     Value::Bool(b) => Some(b),
                     Value::Null => None,
@@ -1968,14 +1959,14 @@ mod tests {
         let cache = ConditionBitmapCache::new(&t);
         assert!(cache.covers(&t));
         assert_eq!(cache.num_rows(), t.num_rows());
-        assert_eq!(cache.visible().count_ones(), t.visible_rows());
         // A mistyped condition is inexpressible: the conjunction yields None.
         let bad = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
         assert!(bad.tri_eval(&cache, &t).is_none());
-        // Mutating the table bumps the version: the stale cache computes
+        // Appending to the table bumps the version: the stale cache computes
         // fresh results (still correct) without serving stored bitmaps.
         let mut t2 = t.clone();
-        t2.delete_row(RowId(0)).unwrap();
+        t2.push_row(vec![Value::Int(3), Value::Float(1.0), Value::Float(2.5), Value::str("ok")])
+            .unwrap();
         assert!(!cache.covers(&t2));
         let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]);
         let (h0, m0) = cache.stats();

@@ -8,8 +8,8 @@
 //! the denial-constraint literature (and Scorpion's row-set reasoning) maps
 //! onto exactly these three operations: `and`, `or`, `and_not`.
 //!
-//! Every `RowSet` carries the size of its universe (the table's physical
-//! row count, soft-deleted rows included). Binary operations require both
+//! Every `RowSet` carries the size of its universe (the table's row
+//! count). Binary operations require both
 //! operands to share a universe; mixing sets of different tables (or of a
 //! table before and after an insert) is a logic error and panics rather
 //! than silently mis-aligning rows.
@@ -94,8 +94,8 @@ impl RowSet {
     /// table that only gained rows keeps its existing bitmaps and grows
     /// them instead of rebuilding.
     ///
-    /// Panics when `new_len` would shrink the universe (dropping rows is a
-    /// structural change, not an append).
+    /// Panics when `new_len` would shrink the universe (a table never
+    /// loses rows).
     pub fn grow(&mut self, new_len: usize) {
         assert!(
             new_len >= self.len,

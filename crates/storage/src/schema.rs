@@ -105,13 +105,6 @@ impl Schema {
     pub fn names(&self) -> Vec<String> {
         self.fields.iter().map(|f| f.name.clone()).collect()
     }
-
-    /// Appends a field, returning a new schema.
-    pub fn with_field(&self, field: Field) -> Result<Self, StorageError> {
-        let mut fields = self.fields.clone();
-        fields.push(field);
-        Schema::new(fields)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -155,14 +148,6 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn with_field_appends() {
-        let s = sample().with_field(Field::nullable("extra", DataType::Bool)).unwrap();
-        assert_eq!(s.len(), 4);
-        assert!(s.field("extra").unwrap().nullable);
-        assert!(sample().with_field(Field::new("id", DataType::Int)).is_err());
     }
 
     #[test]

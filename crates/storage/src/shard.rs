@@ -50,8 +50,7 @@ enum Key<'a> {
 
 /// A [`Table`] partitioned into horizontal shards on a chosen column.
 ///
-/// Construction copies the base table's rows (soft-delete flags included)
-/// into per-shard tables that share the base's schema and name, so any
+/// Construction copies the base table's rows into per-shard tables that share the base's schema and name, so any
 /// statement valid against the base validates against every shard. The
 /// base table itself is not retained, and the partition does not follow
 /// later mutations of it.
@@ -99,8 +98,7 @@ impl ShardedTable {
         let col = table.column(shard_column).expect("resolved");
         let dtype = table.schema().field_at(shard_column).expect("resolved").dtype;
 
-        // Assign every physical row (soft-deleted included: bitmaps cover
-        // them too) to its shard, locals ascending with globals.
+        // Assign every row to its shard, locals ascending with globals.
         let mut shard_rows: Vec<Vec<RowId>> = vec![Vec::new(); num_shards];
         let mut to_local = Vec::with_capacity(base_rows);
         for row in 0..base_rows {
@@ -120,14 +118,7 @@ impl ShardedTable {
         let mut shards = Vec::with_capacity(num_shards);
         let mut to_global = Vec::with_capacity(num_shards);
         for rows in &shard_rows {
-            let (mut shard, _) = table.materialize(rows, table.name())?;
-            // `materialize` copies values only; re-apply soft-delete flags
-            // so per-shard visible sets mirror the base exactly.
-            for (local, &global) in rows.iter().enumerate() {
-                if table.is_deleted(global) {
-                    shard.delete_row(RowId(local))?;
-                }
-            }
+            let (shard, _) = table.materialize(rows, table.name())?;
             to_global.push(rows.iter().map(|r| r.index() as u32).collect());
             shards.push(Arc::new(shard));
         }
@@ -203,8 +194,6 @@ mod tests {
             t.push_row(vec![Value::Int(i % 10), Value::Float(temp), room, Value::Bool(i % 3 == 0)])
                 .unwrap();
         }
-        t.delete_row(RowId(5)).unwrap();
-        t.delete_row(RowId(41)).unwrap();
         t
     }
 
@@ -212,12 +201,11 @@ mod tests {
         assert_eq!(st.shards().len(), shards);
         let total: usize = st.shards().iter().map(|s| s.num_rows()).sum();
         assert_eq!(total, t.num_rows());
-        // Round-trip every global row and verify values + delete flags.
-        for row in t.all_row_ids() {
+        // Round-trip every global row and verify its values.
+        for row in t.row_ids() {
             let (s, local) = st.locate(row).unwrap();
             assert_eq!(st.global_of(s, local), row);
             assert_eq!(st.shards()[s].row(local).unwrap(), t.row(row).unwrap());
-            assert_eq!(st.shards()[s].is_deleted(local), t.is_deleted(row));
         }
         assert!(st.locate(RowId(t.num_rows())).is_none());
         // Locals ascend with globals within each shard.

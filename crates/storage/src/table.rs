@@ -1,14 +1,13 @@
-//! In-memory columnar tables with stable row identifiers and soft deletes.
+//! In-memory columnar tables with stable row identifiers.
 //!
-//! DBWipes' "clean as you query" loop removes tuples matching a predicate
-//! from subsequent queries. Tables therefore support *soft deletion*: a
-//! deleted row keeps its [`RowId`] (so provenance references stay valid)
-//! but is skipped by scans until it is restored.
+//! A table only grows. DBWipes' "clean as you query" loop never touches
+//! the data: clicking a predicate rewrites the *query* to exclude the rows
+//! it matches, so every [`RowId`] a provenance answer names stays valid
+//! and every snapshot's rows are a prefix of every later snapshot's.
 
 use crate::column::Column;
 use crate::error::StorageError;
 use crate::predicate::{lock_recover, ConditionBitmapCache, CONDITION_BITMAP_BUDGET_BYTES};
-use crate::rowset::RowSet;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
@@ -32,43 +31,6 @@ fn next_stamp() -> u64 {
 /// from a durable snapshot written by an earlier process.
 pub(crate) fn advance_stamp_floor(stamp: u64) {
     NEXT_STAMP.fetch_max(stamp.saturating_add(1), Ordering::Relaxed);
-}
-
-/// A table's two-part data version: a `structural` stamp re-drawn by
-/// mutations that can change or hide existing rows (soft delete, restore),
-/// and an `appended` stamp re-drawn by row appends.
-///
-/// Both stamps come from the same process-global counter as [`Table::id`],
-/// so every `(id, version())` pair still pins bit-identical data: each
-/// mutation draws a globally unique stamp into one of the two components,
-/// and [`TableEpoch::version`] is the most recent stamp drawn. The split
-/// lets append-aware consumers distinguish "rows were added after yours"
-/// (absorbable) from "rows you indexed changed" (rebuild required).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TableEpoch {
-    /// Stamp of the last structure-changing mutation (creation, soft
-    /// delete, restore). Caches keyed on existing rows survive only while
-    /// this is unchanged.
-    pub structural: u64,
-    /// Stamp of the last append (`push_row` / `push_rows`). A batch append
-    /// draws one stamp for the whole batch.
-    pub appended: u64,
-}
-
-impl TableEpoch {
-    /// The single-stamp view of the epoch: the most recent mutation stamp.
-    /// Two tables with equal id and equal `version()` hold identical data —
-    /// the same invariant the old scalar version carried.
-    pub fn version(&self) -> u64 {
-        self.structural.max(self.appended)
-    }
-
-    /// True when `self` is reachable from `older` by appends alone: the
-    /// structural stamp is unchanged and the appended stamp is at or past
-    /// `older`'s. This is the precondition every `absorb_append` checks.
-    pub fn is_append_descendant_of(&self, older: TableEpoch) -> bool {
-        self.structural == older.structural && self.appended >= older.appended
-    }
 }
 
 /// A stable identifier of a row within one table.
@@ -98,23 +60,25 @@ impl From<usize> for RowId {
     }
 }
 
-/// An in-memory columnar table.
+/// An in-memory columnar table. Rows are only ever appended: a row, once
+/// pushed, keeps its [`RowId`] and its values for the table's lifetime.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
-    deleted: Vec<bool>,
+    /// Rows pushed so far (every column holds this many).
+    rows: usize,
     /// Identity stamp: unique per `Table::new` call, preserved by `clone()`
     /// (a clone is a snapshot of the *same* logical table).
     id: u64,
-    /// Two-part data version: every mutation re-stamps one component (see
-    /// [`TableEpoch`]), so any two tables with equal `(id, version())` hold
+    /// Data version: every append re-stamps it from the process-global
+    /// counter, so any two tables with equal `(id, version)` hold
     /// identical data.
-    epoch: TableEpoch,
+    version: u64,
     /// The condition bitmaps of this snapshot, built on first use (see
     /// [`Table::condition_bitmaps`]). A clone shares the slot — equal
-    /// `(id, version)` is identical data — and whatever writes `epoch`
+    /// `(id, version)` is identical data — and whatever writes `version`
     /// calls [`Table::reset_bitmaps`], which leaves the clones theirs.
     bitmaps: BitmapSlot,
 }
@@ -127,23 +91,22 @@ impl Table {
         let columns =
             schema.fields().iter().map(|f| Column::new(f.dtype)).collect::<Result<Vec<_>, _>>()?;
         let id = next_stamp();
-        let epoch = TableEpoch { structural: id, appended: id };
         let bitmaps = BitmapSlot::default();
-        Ok(Table { name: name.into(), schema, columns, deleted: Vec::new(), id, epoch, bitmaps })
+        Ok(Table { name: name.into(), schema, columns, rows: 0, id, version: id, bitmaps })
     }
 
-    /// Reassembles a table from decoded snapshot parts, preserving the
-    /// persisted identity and version stamps so cache fingerprints keyed on
-    /// `(id, version)` survive a process restart. Advances the global stamp
-    /// floor past both stamps so freshly created tables can never collide
-    /// with restored ones.
+    /// Reassembles a table of `rows` rows from decoded snapshot parts,
+    /// preserving the persisted identity and version stamps so cache
+    /// fingerprints keyed on `(id, version)` survive a process restart.
+    /// Advances the global stamp floor past both stamps so freshly created
+    /// tables can never collide with restored ones.
     pub(crate) fn restore(
         name: String,
         schema: Schema,
         columns: Vec<Column>,
-        deleted: Vec<bool>,
+        rows: usize,
         id: u64,
-        epoch: TableEpoch,
+        version: u64,
     ) -> Result<Self, StorageError> {
         if columns.len() != schema.len() {
             return Err(StorageError::Corrupt(format!(
@@ -161,34 +124,33 @@ impl Table {
                     field.dtype.name()
                 )));
             }
-            if col.len() != deleted.len() {
+            if col.len() != rows {
                 return Err(StorageError::Corrupt(format!(
-                    "column '{}' has {} rows but the table has {}",
+                    "column '{}' has {} rows but the table has {rows}",
                     field.name,
-                    col.len(),
-                    deleted.len()
+                    col.len()
                 )));
             }
         }
-        advance_stamp_floor(id.max(epoch.version()));
-        Ok(Table { name, schema, columns, deleted, id, epoch, bitmaps: BitmapSlot::default() })
+        advance_stamp_floor(id.max(version));
+        Ok(Table { name, schema, columns, rows, id, version, bitmaps: BitmapSlot::default() })
     }
 
     /// Replays one append segment: `decode` appends the segment's `rows`
-    /// rows to each column in schema order, and `appended` is the stamp
+    /// rows to each column in schema order, and `version` is the stamp
     /// the append drew, restored verbatim so `(id, version)` keys minted
     /// before a restart still match. On an error the table is left
     /// half-extended and must be dropped, as a failed load does.
     pub(crate) fn replay_append(
         &mut self,
         rows: usize,
-        appended: u64,
+        version: u64,
         mut decode: impl FnMut(&mut Column) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
-        let total =
-            self.deleted.len().checked_add(rows).ok_or_else(|| {
-                StorageError::Corrupt(format!("append segment declares {rows} rows"))
-            })?;
+        let total = self
+            .rows
+            .checked_add(rows)
+            .ok_or_else(|| StorageError::Corrupt(format!("append segment declares {rows} rows")))?;
         for col in &mut self.columns {
             decode(col)?;
             if col.len() != total {
@@ -199,10 +161,10 @@ impl Table {
                 )));
             }
         }
-        self.deleted.resize(total, false);
-        self.epoch.appended = appended;
+        self.rows = total;
+        self.version = version;
         self.reset_bitmaps();
-        advance_stamp_floor(appended);
+        advance_stamp_floor(version);
         Ok(())
     }
 
@@ -218,35 +180,21 @@ impl Table {
         self.id
     }
 
-    /// The table's data version — the scalar view of [`Table::epoch`].
-    /// Every mutation (insert, soft delete, restore) re-stamps one epoch
-    /// component from a process-global counter, so diverged clones of one
-    /// table also get distinct versions. Two tables with equal
-    /// [`Table::id`] and equal version are guaranteed to hold identical
-    /// data — the invariant behind cross-brush cache reuse.
+    /// The table's data version. Every append re-stamps it from a
+    /// process-global counter, so diverged clones of one table also get
+    /// distinct versions. Two tables with equal [`Table::id`] and equal
+    /// version are guaranteed to hold identical data — the invariant
+    /// behind cross-brush cache reuse. A table only grows, so a later
+    /// version of a snapshot holds that snapshot's rows and then the
+    /// appended ones.
     pub fn version(&self) -> u64 {
-        self.epoch.version()
+        self.version
     }
 
-    /// The table's two-part data version. Append-aware consumers compare
-    /// epochs with [`TableEpoch::is_append_descendant_of`] instead of the
-    /// scalar [`Table::version`] so appends do not invalidate them
-    /// wholesale; artifacts pinned to an exact row universe compare by `==`.
-    pub fn epoch(&self) -> TableEpoch {
-        self.epoch
-    }
-
-    /// Re-stamps the structural epoch component; called by mutations that
-    /// change or hide existing rows (soft delete, restore).
-    fn touch_structural(&mut self) {
-        self.epoch.structural = next_stamp();
-        self.reset_bitmaps();
-    }
-
-    /// Re-stamps the appended epoch component; called by appends. One call
-    /// covers a whole batch.
-    fn touch_appended(&mut self) {
-        self.epoch.appended = next_stamp();
+    /// Re-stamps the version and starts cold; called once per append (a
+    /// batch draws one stamp).
+    fn touch(&mut self) {
+        self.version = next_stamp();
         self.reset_bitmaps();
     }
 
@@ -289,29 +237,23 @@ impl Table {
         &self.schema
     }
 
-    /// Total number of rows ever inserted (including soft-deleted rows).
+    /// Number of rows ever inserted.
     pub fn num_rows(&self) -> usize {
-        self.deleted.len()
-    }
-
-    /// Number of rows currently visible (not soft-deleted).
-    pub fn visible_rows(&self) -> usize {
-        self.deleted.iter().filter(|d| !**d).count()
+        self.rows
     }
 
     /// True when no rows have ever been inserted.
     pub fn is_empty(&self) -> bool {
-        self.deleted.is_empty()
+        self.rows == 0
     }
 
     /// Bytes of row data this snapshot reaches: the values and validity
-    /// mask of every chunk of every column, and the soft-deletion mask.
-    /// Sealed chunks are counted in full although other snapshots of the
-    /// table share them, so the gauges of two snapshots do not add up; the
-    /// condition bitmaps have a gauge of their own
-    /// ([`Table::retained_condition_bitmaps`]).
+    /// mask of every chunk of every column. Sealed chunks are counted in
+    /// full although other snapshots of the table share them, so the
+    /// gauges of two snapshots do not add up; the condition bitmaps have a
+    /// gauge of their own ([`Table::retained_condition_bitmaps`]).
     pub fn approx_bytes(&self) -> usize {
-        self.columns.iter().map(Column::approx_bytes).sum::<usize>() + self.deleted.len()
+        self.columns.iter().map(Column::approx_bytes).sum::<usize>()
     }
 
     /// Appends a row given as one value per schema column.
@@ -320,25 +262,24 @@ impl Table {
     pub fn push_row(&mut self, values: Vec<Value>) -> Result<RowId, StorageError> {
         self.validate_row(&values)?;
         self.apply_row(values);
-        let id = RowId(self.deleted.len() - 1);
-        self.touch_appended();
-        Ok(id)
+        self.touch();
+        Ok(RowId(self.rows - 1))
     }
 
     /// Appends many rows, all-or-nothing: the entire batch is validated
     /// against the schema before any column is mutated, so a bad row k
     /// leaves neither rows `0..k` applied nor the version stamp advanced.
-    /// The whole batch lands under a single appended-epoch stamp.
+    /// The whole batch lands under a single version stamp.
     pub fn push_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<Vec<RowId>, StorageError> {
         for row in &rows {
             self.validate_row(row)?;
         }
-        let first = self.deleted.len();
+        let first = self.rows;
         let ids = (first..first + rows.len()).map(RowId).collect();
         for row in rows {
             self.apply_row(row);
         }
-        self.touch_appended();
+        self.touch();
         Ok(ids)
     }
 
@@ -357,12 +298,12 @@ impl Table {
     }
 
     /// Appends one pre-validated row to every column. Does not re-stamp the
-    /// epoch; callers do, once per logical append.
+    /// version; callers do, once per logical append.
     fn apply_row(&mut self, values: Vec<Value>) {
         for (col, value) in self.columns.iter_mut().zip(values) {
             col.push(value).expect("validated by validate_row");
         }
-        self.deleted.push(false);
+        self.rows += 1;
     }
 
     /// Returns the value at (`row`, `col`) or an error when out of bounds.
@@ -398,89 +339,9 @@ impl Table {
         self.schema.index_of(name).and_then(|i| self.columns.get(i))
     }
 
-    /// True when `row` is currently soft-deleted.
-    pub fn is_deleted(&self, row: RowId) -> bool {
-        self.deleted.get(row.0).copied().unwrap_or(true)
-    }
-
-    /// Soft-deletes a single row. Deleting an already-deleted row is a no-op.
-    pub fn delete_row(&mut self, row: RowId) -> Result<(), StorageError> {
-        match self.deleted.get_mut(row.0) {
-            Some(d) => {
-                *d = true;
-                self.touch_structural();
-                Ok(())
-            }
-            None => Err(StorageError::RowOutOfBounds { row: row.0, len: self.num_rows() }),
-        }
-    }
-
-    /// Soft-deletes every row in `rows`, returning how many rows changed
-    /// from visible to deleted.
-    pub fn delete_rows(&mut self, rows: &[RowId]) -> Result<usize, StorageError> {
-        let mut changed = 0;
-        for &r in rows {
-            if r.0 >= self.num_rows() {
-                return Err(StorageError::RowOutOfBounds { row: r.0, len: self.num_rows() });
-            }
-            if !self.deleted[r.0] {
-                self.deleted[r.0] = true;
-                changed += 1;
-            }
-        }
-        if changed > 0 {
-            self.touch_structural();
-        }
-        Ok(changed)
-    }
-
-    /// Restores a soft-deleted row.
-    pub fn restore_row(&mut self, row: RowId) -> Result<(), StorageError> {
-        match self.deleted.get_mut(row.0) {
-            Some(d) => {
-                *d = false;
-                self.touch_structural();
-                Ok(())
-            }
-            None => Err(StorageError::RowOutOfBounds { row: row.0, len: self.num_rows() }),
-        }
-    }
-
-    /// Restores all soft-deleted rows.
-    pub fn restore_all(&mut self) {
-        for d in &mut self.deleted {
-            *d = false;
-        }
-        self.touch_structural();
-    }
-
-    /// Iterates over the ids of all visible (non-deleted) rows.
-    pub fn visible_row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.deleted.iter().enumerate().filter(|(_, d)| !**d).map(|(i, _)| RowId(i))
-    }
-
-    /// Iterates over the ids of all rows ever inserted, deleted or not.
-    pub fn all_row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
-        (0..self.num_rows()).map(RowId)
-    }
-
-    /// The raw soft-deletion mask, one flag per physical row (for the
-    /// persistence layer's snapshot codec).
-    pub(crate) fn deleted_slice(&self) -> &[bool] {
-        &self.deleted
-    }
-
-    /// The visible (non-soft-deleted) rows as a [`RowSet`] bitmap over the
-    /// table's physical rows — the mask the vectorized predicate kernels
-    /// intersect their full-column results with.
-    pub fn visible_row_set(&self) -> RowSet {
-        let mut set = RowSet::full(self.deleted.len());
-        for (i, &d) in self.deleted.iter().enumerate() {
-            if d {
-                set.remove(i);
-            }
-        }
-        set
+    /// Iterates over the ids of every row, in insertion order.
+    pub fn row_ids(&self) -> impl Iterator<Item = RowId> {
+        (0..self.rows).map(RowId)
     }
 
     /// Materialises a new table containing copies of the given rows
@@ -502,18 +363,18 @@ impl Table {
         Ok((out, mapping))
     }
 
-    /// Renders the first `limit` visible rows as an ASCII table, mainly for
+    /// Renders the first `limit` rows as an ASCII table, mainly for
     /// examples and debugging output.
     pub fn preview(&self, limit: usize) -> String {
         let mut s = String::new();
         s.push_str(&self.schema.names().join(" | "));
         s.push('\n');
-        for (count, rid) in self.visible_row_ids().enumerate() {
+        for (count, rid) in self.row_ids().enumerate() {
             if count >= limit {
                 s.push_str("...\n");
                 break;
             }
-            let row = self.row(rid).expect("visible row exists");
+            let row = self.row(rid).expect("row exists");
             let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
             s.push_str(&cells.join(" | "));
             s.push('\n');
@@ -548,7 +409,7 @@ mod tests {
     fn push_and_read_back() {
         let t = sensor_table();
         assert_eq!(t.num_rows(), 3);
-        assert_eq!(t.visible_rows(), 3);
+        assert_eq!(t.row_ids().collect::<Vec<_>>(), vec![RowId(0), RowId(1), RowId(2)]);
         assert_eq!(t.value(RowId(2), 1).unwrap(), Value::Float(120.0));
         assert_eq!(t.value_by_name(RowId(0), "room").unwrap(), Value::str("lab"));
         assert_eq!(
@@ -572,34 +433,10 @@ mod tests {
     }
 
     #[test]
-    fn soft_delete_and_restore() {
-        let mut t = sensor_table();
-        t.delete_row(RowId(1)).unwrap();
-        assert!(t.is_deleted(RowId(1)));
-        assert_eq!(t.visible_rows(), 2);
-        let visible: Vec<RowId> = t.visible_row_ids().collect();
-        assert_eq!(visible, vec![RowId(0), RowId(2)]);
-        // Row data survives deletion (provenance may still reference it).
-        assert_eq!(t.value(RowId(1), 0).unwrap(), Value::Int(2));
-
-        t.restore_row(RowId(1)).unwrap();
-        assert_eq!(t.visible_rows(), 3);
-
-        let changed = t.delete_rows(&[RowId(0), RowId(0), RowId(2)]).unwrap();
-        assert_eq!(changed, 2);
-        t.restore_all();
-        assert_eq!(t.visible_rows(), 3);
-    }
-
-    #[test]
     fn out_of_bounds_errors() {
-        let mut t = sensor_table();
+        let t = sensor_table();
         assert!(t.value(RowId(10), 0).is_err());
         assert!(t.row(RowId(10)).is_err());
-        assert!(t.delete_row(RowId(10)).is_err());
-        assert!(t.restore_row(RowId(10)).is_err());
-        assert!(t.delete_rows(&[RowId(10)]).is_err());
-        assert!(t.is_deleted(RowId(10)));
         assert!(t.value_by_name(RowId(0), "missing").is_err());
     }
 
@@ -635,68 +472,34 @@ mod tests {
         assert_eq!(a.version(), b.version(), "an unmodified clone holds identical data");
 
         let mut a = a;
-        a.delete_row(RowId(0)).unwrap();
-        b.delete_row(RowId(1)).unwrap();
-        // Diverged clones must not share a version even though both mutated
+        let row = || vec![Value::Int(4), Value::Float(19.0), Value::str("hall")];
+        a.push_row(row()).unwrap();
+        b.push_row(row()).unwrap();
+        // Diverged clones must not share a version even though both appended
         // "once" — versions are drawn from a global counter, not incremented.
         assert_ne!(a.version(), b.version());
     }
 
     #[test]
-    fn every_mutation_bumps_the_version() {
+    fn every_append_draws_a_later_version() {
         let mut t = sensor_table();
-        let mut last = t.version();
-        let mut expect_bump = |t: &Table, what: &str| {
-            assert_ne!(t.version(), last, "{what} must re-stamp the version");
-            last = t.version();
-        };
+        let v0 = t.version();
         t.push_row(vec![Value::Int(4), Value::Float(19.0), Value::str("hall")]).unwrap();
-        expect_bump(&t, "push_row");
-        t.delete_row(RowId(0)).unwrap();
-        expect_bump(&t, "delete_row");
-        t.restore_row(RowId(0)).unwrap();
-        expect_bump(&t, "restore_row");
-        t.delete_rows(&[RowId(1), RowId(2)]).unwrap();
-        expect_bump(&t, "delete_rows");
-        t.restore_all();
-        expect_bump(&t, "restore_all");
-        // Read-only accessors and failed mutations leave the version alone.
+        let v1 = t.version();
+        assert!(v1 > v0, "push_row must re-stamp the version");
+        t.push_rows(vec![vec![Value::Int(5), Value::Float(18.0), Value::str("hall")]]).unwrap();
+        assert!(t.version() > v1, "push_rows must re-stamp the version");
+        // Read-only accessors and failed appends leave the version alone.
         let v = t.version();
         let _ = t.row(RowId(0));
         assert!(t.push_row(vec![Value::Int(1)]).is_err());
-        assert!(t.delete_row(RowId(99)).is_err());
         assert_eq!(t.version(), v);
-        // A no-op delete_rows (all already visible/deleted as-is) does not bump.
-        assert_eq!(t.delete_rows(&[]).unwrap(), 0);
-        assert_eq!(t.version(), v);
-    }
-
-    #[test]
-    fn appends_and_structural_mutations_stamp_different_epoch_components() {
-        let mut t = sensor_table();
-        let e0 = t.epoch();
-        t.push_row(vec![Value::Int(4), Value::Float(19.0), Value::str("hall")]).unwrap();
-        let e1 = t.epoch();
-        assert_eq!(e1.structural, e0.structural, "an append leaves the structural stamp alone");
-        assert!(e1.appended > e0.appended, "an append re-stamps the appended component");
-        assert!(e1.is_append_descendant_of(e0));
-        assert!(!e0.is_append_descendant_of(e1));
-        assert_ne!(e0, e1);
-        assert_eq!(t.version(), e1.appended, "version() is the most recent stamp");
-
-        t.delete_row(RowId(0)).unwrap();
-        let e2 = t.epoch();
-        assert!(e2.structural > e1.structural, "a delete re-stamps the structural component");
-        assert_eq!(e2.appended, e1.appended);
-        assert!(!e2.is_append_descendant_of(e1), "a structural change breaks append lineage");
-        assert!(e2.is_append_descendant_of(e2));
-        assert_eq!(t.version(), e2.structural);
     }
 
     #[test]
     fn push_rows_batch_is_all_or_nothing() {
         let mut t = sensor_table();
-        let e = t.epoch();
+        let v = t.version();
         // Row 1 of the batch is bad: nothing may be applied, no stamp drawn.
         let err = t
             .push_rows(vec![
@@ -706,12 +509,12 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }));
         assert_eq!(t.num_rows(), 3, "no row of a failing batch is applied");
-        assert_eq!(t.epoch(), e, "a failing batch leaves the epoch alone");
+        assert_eq!(t.version(), v, "a failing batch leaves the version alone");
         for c in 0..3 {
             assert_eq!(t.column(c).unwrap().len(), 3);
         }
 
-        // A good batch lands under one appended stamp.
+        // A good batch lands under one stamp.
         let ids = t
             .push_rows(vec![
                 vec![Value::Int(4), Value::Float(19.0), Value::str("hall")],
@@ -719,8 +522,7 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(ids, vec![RowId(3), RowId(4)]);
-        assert_eq!(t.epoch().structural, e.structural);
-        assert!(t.epoch().appended > e.appended);
+        assert!(t.version() > v);
     }
 
     #[test]
@@ -739,20 +541,13 @@ mod tests {
         early_clone.condition_bitmaps().condition(&early_clone, &hot).unwrap();
         assert_eq!(cache.stats(), (1, 1), "the clone's lookup hit the bitmap the original scanned");
 
-        // Everything that writes `epoch` leaves the mutated table an empty
+        // Everything that writes `version` leaves the mutated table an empty
         // cache and the snapshots it was cloned from theirs.
         let row = || vec![Value::Int(4), Value::Float(19.0), Value::str("hall")];
         type Mutation = fn(&mut Table, Vec<Value>);
-        let mutations: [(&str, Mutation); 7] = [
+        let mutations: [(&str, Mutation); 3] = [
             ("push_row", |t, row| assert!(t.push_row(row).is_ok())),
             ("push_rows", |t, row| assert!(t.push_rows(vec![row]).is_ok())),
-            ("delete_row", |t, _| t.delete_row(RowId(0)).unwrap()),
-            ("delete_rows", |t, _| {
-                let visible = t.visible_row_ids().next().unwrap();
-                assert_eq!(t.delete_rows(&[visible]).unwrap(), 1);
-            }),
-            ("restore_row", |t, _| t.restore_row(RowId(0)).unwrap()),
-            ("restore_all", |t, _| t.restore_all()),
             ("replay_append", |t, row| {
                 let mut values = row.into_iter();
                 t.replay_append(1, next_stamp(), |col| col.push(values.next().unwrap())).unwrap()

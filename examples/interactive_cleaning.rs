@@ -5,8 +5,9 @@
 //! the query, the visualization updates, and the user can immediately
 //! explore the next suspicious point. This example drives that loop
 //! programmatically on a dataset with two separate corruption causes, shows
-//! how the error metric shrinks after every click, compares query-rewriting
-//! cleaning with physical deletion, and finally undoes the whole session.
+//! how the error metric shrinks after every click, shows that the data
+//! itself was never touched — cleaning is the rewritten query — and finally
+//! undoes the whole session.
 //!
 //! Run with: `cargo run --release --example interactive_cleaning`
 
@@ -89,18 +90,18 @@ fn main() {
 
     println!("\nfinal rewritten query:\n  {}\n", session.current_sql());
 
-    // Compare with physically deleting the matched tuples instead.
-    let mut physical = DbWipes::new();
-    physical.register(dataset.table.clone()).expect("register");
-    let mut removed_total = 0;
-    for predicate in session.applied() {
-        removed_total += physical.clean("measurements", predicate).expect("clean").len();
-    }
-    let physical_result = physical.query(&sql).expect("query after physical cleaning");
+    // Cleaning rewrote the query and left the data alone: the table still
+    // holds every row the applied predicates exclude.
+    let mut excluded: Vec<_> =
+        session.applied().iter().flat_map(|p| p.matching_rows(&table)).collect();
+    excluded.sort_unstable();
+    excluded.dedup();
     println!(
-        "physical cleaning removed {removed_total} rows; max group average is now {:.1}",
-        (0..physical_result.len())
-            .filter_map(|i| physical_result.value_f64(i, "avg_value").unwrap())
+        "the applied predicates exclude {} of the table's {} rows; max group average is now {:.1}",
+        excluded.len(),
+        table.num_rows(),
+        (0..result.len())
+            .filter_map(|i| result.value_f64(i, "avg_value").unwrap())
             .fold(f64::NEG_INFINITY, f64::max)
     );
 

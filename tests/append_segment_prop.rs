@@ -5,7 +5,7 @@
 //! decides what that takes — a full base, or one segment record with the
 //! rows past what is already durable. Whatever it decided, **`load_table`
 //! after any sequence of saves equals the in-memory table** on every
-//! cell, both epoch stamps, the deletion mask and the row count. The rest
+//! cell, the version stamp and the row count. The rest
 //! of the file pins the edges of that property: a torn tail record, hostile
 //! log bytes, the stamp floor, write amplification across compactions,
 //! saves that write nothing, saves that arrive out of order, and the files
@@ -19,7 +19,7 @@ use dbwipes::storage::{
     DataType, Field, FsBackend, Schema, StorageBackend, StorageError, Value, WriteCounters,
     CHUNK_ROWS,
 };
-use dbwipes::{Catalog, RowId, Table};
+use dbwipes::{Catalog, Table};
 use dbwipes_server::{SessionManager, StorageRuntime};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -157,11 +157,10 @@ fn grow(t: &mut Table, seed: u64, n: usize) {
 fn assert_identical(durable: &Table, memory: &Table) -> Result<(), String> {
     prop_assert_eq!(durable.name(), memory.name());
     prop_assert_eq!(durable.id(), memory.id());
-    prop_assert_eq!(durable.epoch(), memory.epoch());
+    prop_assert_eq!(durable.version(), memory.version());
     prop_assert_eq!(durable.schema(), memory.schema());
     prop_assert_eq!(durable.num_rows(), memory.num_rows());
-    for rid in memory.all_row_ids() {
-        prop_assert_eq!(durable.is_deleted(rid), memory.is_deleted(rid));
+    for rid in memory.row_ids() {
         let (a, b) = (durable.row(rid).unwrap(), memory.row(rid).unwrap());
         for (x, y) in a.iter().zip(&b) {
             match (x, y) {
@@ -174,39 +173,25 @@ fn assert_identical(durable: &Table, memory: &Table) -> Result<(), String> {
     Ok(())
 }
 
-/// One step of a table's life: a batch append, or — rarely — a soft
-/// delete, the structural change that takes a full snapshot.
-#[derive(Debug, Clone)]
-enum Step {
-    Append(usize),
-    Delete(usize),
-}
-
-fn arbitrary_steps() -> impl Strategy<Value = Vec<Step>> {
-    let append = || (2usize..40).prop_map(Step::Append);
-    let step = prop_oneof![
-        Just(Step::Append(0)),
-        Just(Step::Append(1)),
-        append(),
-        append(),
-        append(),
-        append(),
-        append(),
-        (0usize..1000).prop_map(Step::Delete),
-    ];
-    proptest::collection::vec(step, 16..32)
+/// A table's life after its first save: the sizes of its batch appends,
+/// empty and one-row batches among them.
+fn arbitrary_batches() -> impl Strategy<Value = Vec<usize>> {
+    let batch = || 2usize..40;
+    let batch =
+        prop_oneof![Just(0usize), Just(1usize), batch(), batch(), batch(), batch(), batch()];
+    proptest::collection::vec(batch, 16..32)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// After every save, a restarted backend loads exactly the in-memory
-    /// table — across segments, compactions, structural changes, empty
-    /// and one-row batches, NULLs and strings new to the base dictionary.
+    /// table — across segments, compactions, empty and one-row batches,
+    /// NULLs and strings new to the base dictionary.
     #[test]
     fn load_equals_memory_after_every_save(
         columns in proptest::collection::vec((0usize..5, any::<bool>()), 1..6),
-        steps in arbitrary_steps(),
+        batches in arbitrary_batches(),
         seed in any::<u64>(),
     ) {
         let dir = TempDir::new();
@@ -214,29 +199,25 @@ proptest! {
         let mut table = Table::new("t", schema_of(&columns)).unwrap();
         grow(&mut table, seed, 32);
         prop_assert!(backend.save_table(&table).unwrap() > 0);
-        for step in &steps {
-            match *step {
-                Step::Append(n) => grow(&mut table, seed, n),
-                Step::Delete(row) => table.delete_row(RowId(row % table.num_rows())).unwrap(),
-            }
-            prop_assert!(backend.save_table(&table).unwrap() > 0, "{step:?} changed the table");
+        for &n in &batches {
+            grow(&mut table, seed, n);
+            prop_assert!(backend.save_table(&table).unwrap() > 0, "a batch of {n} changed the table");
             // Through the backend that wrote it, and through a restart.
             assert_identical(&backend.load_table(table.id()).unwrap(), &table)?;
             let restarted = FsBackend::open(dir.path()).unwrap();
             assert_identical(&restarted.load_table(table.id()).unwrap(), &table)?;
             let listed = backend.list_manifest().unwrap();
-            prop_assert_eq!(listed.entry(table.id()).unwrap().epoch, table.epoch());
+            prop_assert_eq!(listed.entry(table.id()).unwrap().version, table.version());
             // Already durable: a second save writes nothing.
             prop_assert_eq!(backend.save_table(&table).unwrap(), 0);
         }
         let written = backend.write_counters();
         prop_assert!(written.segment_appends >= 1, "{written:?}");
         prop_assert!(written.compactions >= 1, "{written:?}");
-        let deletes = steps.iter().filter(|s| matches!(s, Step::Delete(_))).count() as u64;
-        prop_assert_eq!(written.snapshot_saves, 1 + deletes + written.compactions);
+        prop_assert_eq!(written.snapshot_saves, 1 + written.compactions);
         prop_assert_eq!(
             written.snapshot_saves + written.segment_appends,
-            1 + steps.len() as u64
+            1 + batches.len() as u64
         );
     }
 }
@@ -317,7 +298,7 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
         recover(&dir, t)
     };
     let is_a_durable_prefix = |loaded: &Table| {
-        states.iter().any(|s| s.epoch() == loaded.epoch() && s.num_rows() == loaded.num_rows())
+        states.iter().any(|s| s.version() == loaded.version() && s.num_rows() == loaded.num_rows())
     };
 
     // Every byte is under a checksum: any flip is corruption, wherever.
@@ -335,12 +316,12 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
     }
     // Lengths that promise more than the file holds, with the checksums
     // made to agree so the decoder gets to see them. Record 1 starts at 0:
-    // 24 frame bytes, then id, structural, appended, first_row, rows,
-    // columns, and the columns themselves. (The stamps are left alone — a
+    // 24 frame bytes, then id, version, first_row, rows, columns, and the
+    // columns themselves. (The stamps are left alone — a
     // huge one would be *restored*, and raise this process's stamp floor.)
     let frame = 24;
     let body_len = first_record_len(&log) - frame - 8;
-    for at in (frame + 24)..(frame + body_len - 7) {
+    for at in (frame + 16)..(frame + body_len - 7) {
         for hostile in [u64::MAX, 1 << 40, body_len as u64 + 1] {
             let mut bad = log.clone();
             bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
@@ -361,7 +342,7 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
         let sum = fnv1a64(&bad[..16]);
         bad[16..24].copy_from_slice(&sum.to_le_bytes());
         match load(&bad) {
-            Ok(loaded) => assert_eq!(loaded.epoch(), states[0].epoch(), "{hostile:#x}"),
+            Ok(loaded) => assert_eq!(loaded.version(), states[0].version(), "{hostile:#x}"),
             Err(e) => assert!(matches!(e, StorageError::Corrupt(_)), "{hostile:#x}: {e}"),
         }
     }
@@ -381,7 +362,7 @@ fn open_raises_the_stamp_floor_past_stamps_recorded_only_in_a_segment() {
     let far = t.version() + 1_000_000;
     let mut log = std::fs::read(dir.log_of(&t)).unwrap();
     let body = first_record_len(&log) + 24..log.len() - 8;
-    log[body.start + 16..body.start + 24].copy_from_slice(&far.to_le_bytes());
+    log[body.start + 8..body.start + 16].copy_from_slice(&far.to_le_bytes());
     let sum = fnv1a64(&log[body.clone()]);
     log[body.end..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(dir.log_of(&t), &log).unwrap();
@@ -392,7 +373,7 @@ fn open_raises_the_stamp_floor_past_stamps_recorded_only_in_a_segment() {
     let restored = backend.load_table(t.id()).unwrap();
     assert_eq!(restored.version(), far, "the recorded stamp is restored, not re-drawn");
     let manifest = backend.list_manifest().unwrap();
-    assert!(manifest.entries.iter().all(|e| minted.id() > e.table_id.max(e.version())));
+    assert!(manifest.entries.iter().all(|e| minted.id() > e.table_id.max(e.version)));
 }
 
 #[test]
@@ -427,7 +408,7 @@ fn two_thousand_appends_write_at_most_four_bytes_per_byte_appended() {
     assert_identical(&recover(&dir, &table).unwrap(), &table).unwrap();
 }
 
-/// FNV-1a of `bytes` with `stamps` — a table's id and both epoch stamps,
+/// FNV-1a of `bytes` with `stamps` — a table's id and version stamps,
 /// process-global draws that differ from run to run — read as zeros.
 fn fnv_without_stamps(bytes: &[u8], stamps: &[Range<usize>]) -> u64 {
     let mut bytes = bytes.to_vec();
@@ -437,16 +418,20 @@ fn fnv_without_stamps(bytes: &[u8], stamps: &[Range<usize>]) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// Where a `DBWT` image of the table "m" keeps its three stamps: after the
+/// Where a `DBWT` image of the table "m" keeps its two stamps: after the
 /// magic, the format version and the length-prefixed name.
-const DBWT_STAMPS: Range<usize> = 17..41;
+const DBWT_STAMPS: Range<usize> = 17..33;
 
 /// The chunk layout is invisible on disk, in both directions: the fixed
 /// multi-chunk table round-trips through a `DBWT` image, append segments
 /// that end at, start at and straddle a chunk boundary replay to the
 /// in-memory table, and the bytes of both are the bytes the flat layout
-/// wrote — the two constants were computed at the commit before columns
-/// had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`.
+/// wrote. The constants were first computed at the commit before columns
+/// had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`. Format 3
+/// recomputed them once: they are the format-2 bytes of the same tables
+/// with the version field rewritten, the second stamp and the all-false
+/// deletion mask segment dropped, and each record's frame resealed —
+/// nothing in a column segment moved.
 #[test]
 fn chunk_boundaries_do_not_show_on_disk() {
     let table = boundary_table(BOUNDARY_ROWS);
@@ -482,7 +467,7 @@ fn chunk_boundaries_do_not_show_on_disk() {
             let mut at = 0;
             while at < log.len() {
                 let end = at + first_record_len(&log[at..]);
-                stamps.extend([at + 24..at + 48, end - 8..end]);
+                stamps.extend([at + 24..at + 40, end - 8..end]);
                 at = end;
             }
             logs.push(fnv_without_stamps(&log, &stamps));
@@ -491,9 +476,9 @@ fn chunk_boundaries_do_not_show_on_disk() {
     assert_eq!(logs, DBWA_PINS, "a DBWA log is not the bytes the parent commit writes");
 }
 
-const DBWT_PIN: u64 = 0x202e_ab7d_2d50_b516;
+const DBWT_PIN: u64 = 0x7c60_2e27_8488_9a10;
 const DBWA_PINS: [u64; 4] =
-    [0x3c63_8ab6_daae_30a8, 0x0611_e0d1_d8ba_f461, 0x1311_5ace_1c2e_5587, 0xe104_67ae_86c8_b60c];
+    [0xfb9a_af8a_d3d2_91a0, 0x1d45_17cb_7257_e48c, 0xb805_62cc_5cc6_8383, 0xd82d_6707_529f_c72a];
 
 /// What a walk over a `DBWT` image finds: every length or count field (its
 /// offset, and the checksummed segment body that holds it, if one does),
@@ -521,7 +506,7 @@ fn walk_dbwt(image: &[u8]) -> DbwtLayout {
     // Header: magic, version, name, stamps, fields, row count.
     let mut at = 8;
     layout.lengths.push((at, None));
-    at += 8 + word(at) + 24;
+    at += 8 + word(at) + 16;
     layout.lengths.push((at, None));
     let fields = word(at);
     at += 8;
@@ -534,28 +519,24 @@ fn walk_dbwt(image: &[u8]) -> DbwtLayout {
     }
     layout.lengths.push((at, None));
     at += 8;
-    // One segment per column, then the deletion mask.
-    for dtype in dtypes.into_iter().map(Some).chain([None]) {
+    // One segment per column.
+    for dtype in dtypes {
         let segment = layout.bodies.len();
         layout.lengths.push((at, None));
         let body = at + 8..at + 8 + word(at);
         layout.bodies.push(body.clone());
-        at = body.start;
-        if dtype.is_some() {
-            at += 1;
-            layout.lengths.push((at, Some(segment)));
-            at += 8;
-        }
-        // The validity vector of a column, or the deletion mask itself.
+        // The dtype tag, the row count, the validity vector.
+        at = body.start + 1;
+        layout.lengths.push((at, Some(segment)));
+        at += 8;
         layout.lengths.push((at, Some(segment)));
         at = vector(&mut layout, at + 8, word(at), 1);
         match dtype {
-            None => {}
-            Some(1) => {
+            1 => {
                 layout.lengths.push((at, Some(segment)));
                 at = vector(&mut layout, at + 8, word(at), 1);
             }
-            Some(4) => {
+            4 => {
                 layout.lengths.push((at, Some(segment)));
                 let entries = word(at);
                 at += 8;
@@ -566,7 +547,7 @@ fn walk_dbwt(image: &[u8]) -> DbwtLayout {
                 layout.lengths.push((at, Some(segment)));
                 at = vector(&mut layout, at + 8, word(at), 32);
             }
-            Some(_) => {
+            _ => {
                 layout.lengths.push((at, Some(segment)));
                 at = vector(&mut layout, at + 8, word(at), 64);
             }
@@ -582,7 +563,7 @@ fn walk_dbwt(image: &[u8]) -> DbwtLayout {
 
 /// Flips a bit of, and cuts the image at, every offset of `visit`. A cut
 /// is `Corrupt`. So is a flip under a checksum; the header has none in
-/// format 2, and a flip there that still decodes (a letter of a name, a
+/// format 3, and a flip there that still decodes (a letter of a name, a
 /// nullable flag) must decode to the honest table but for the byte hit:
 /// encoded again, it is the honest image everywhere else.
 fn assert_flips_and_cuts_are_refused(image: &mut [u8], visit: &[usize]) {
@@ -642,13 +623,12 @@ fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
     let mut narrow = Table::new("m", Schema::of(&[("flag", DataType::Bool)])).unwrap();
     let flags = (0..CHUNK_ROWS + 17).map(|row| vec![boundary_row(row).swap_remove(3)]);
     narrow.push_rows(flags.collect()).unwrap();
-    narrow.delete_rows(&[RowId(5), RowId(CHUNK_ROWS + 5)]).unwrap();
     let mut narrow = encode_table(&narrow);
     let every_byte: Vec<usize> = (0..narrow.len()).collect();
     assert!(every_byte.len() < 8 << 10, "{} bytes", every_byte.len());
     assert_flips_and_cuts_are_refused(&mut narrow, &every_byte);
 
-    assert_eq!(layout.bodies.len(), 6, "five columns and the deletion mask");
+    assert_eq!(layout.bodies.len(), 5, "five columns");
     assert!(layout.lengths.len() > 60, "{} length fields", layout.lengths.len());
     for &(at, segment) in &layout.lengths {
         let honest: [u8; 8] = image[at..at + 8].try_into().unwrap();

@@ -3,7 +3,7 @@
 //! A table snapshot owns the bitmaps that index it
 //! (`Table::condition_bitmaps`): every explain over the snapshot and its
 //! unmodified clones shares them, and a table that is decoded, replayed
-//! from a log, appended to, cleaned or restored starts with none. Whatever
+//! from a log or appended to starts with none. Whatever
 //! the bitmaps' state, the answer is the one an independent cold copy of
 //! the same data gives. This is the "bitmaps cold vs warm" axis of the
 //! bit-identity matrix, on the sensor and FEC fixtures.
@@ -53,7 +53,7 @@ fn explain(q: &Question, table: &Table) -> String {
 /// `Clone` (which shares the bitmaps on purpose).
 fn cold_copy(table: &Table) -> Table {
     let copy = decode_table(&encode_table(table)).unwrap();
-    assert_eq!((copy.id(), copy.epoch()), (table.id(), table.epoch()));
+    assert_eq!((copy.id(), copy.version()), (table.id(), table.version()));
     assert_eq!(copy.retained_condition_bitmaps(), (0, 0));
     copy
 }
@@ -92,13 +92,13 @@ fn check_lifetime(tag: &str, table: Table, q: &Question) {
     assert_eq!(explain(q, &decoded), first);
     assert_eq!(decoded.condition_bitmaps().stats().1, scanned, "decoded: scanned from scratch");
 
-    // An append descendant starts cold; the snapshot it grew from keeps
+    // A grown snapshot starts cold; the snapshot it grew from keeps
     // its cache and still answers for its own rows from it.
     let mut grown = table.clone();
     grown.push_rows(extra_rows).unwrap();
     assert_eq!(grown.retained_condition_bitmaps(), (0, 0), "an append starts cold");
     assert!(!cache.covers(&grown));
-    explain_checked(q, &grown, "append descendant");
+    explain_checked(q, &grown, "grown snapshot");
     assert!(grown.retained_condition_bitmaps().0 > 0);
     assert!(Arc::ptr_eq(&cache, &table.condition_bitmaps()), "the old snapshot keeps its cache");
     assert_eq!(explain(q, &table), first);
@@ -113,20 +113,9 @@ fn check_lifetime(tag: &str, table: Table, q: &Question) {
     assert_eq!(backend.write_counters().segment_appends, 1, "the append went to the log");
     let replayed = FsBackend::open(&dir).unwrap().load_table(table.id()).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!((replayed.id(), replayed.epoch()), (grown.id(), grown.epoch()));
+    assert_eq!((replayed.id(), replayed.version()), (grown.id(), grown.version()));
     assert_eq!(replayed.retained_condition_bitmaps(), (0, 0), "a replayed table starts cold");
     explain_checked(q, &replayed, "base + log replay");
-
-    // A soft-delete descendant and its restore descendant start cold.
-    let mut cleaned = table.clone();
-    let doomed: Vec<RowId> = (0..table.num_rows()).step_by(97).map(RowId).collect();
-    cleaned.delete_rows(&doomed).unwrap();
-    assert_eq!(cleaned.retained_condition_bitmaps(), (0, 0), "a soft delete starts cold");
-    explain_checked(q, &cleaned, "soft-delete descendant");
-    cleaned.restore_all();
-    assert_eq!(cleaned.retained_condition_bitmaps(), (0, 0), "a restore starts cold");
-    // All rows are back, so the restored table answers as the original.
-    assert_eq!(explain_checked(q, &cleaned, "restore descendant"), first);
     assert_eq!(cache.stats().1, scanned, "none of this touched the first snapshot's cache");
 }
 
@@ -157,7 +146,7 @@ fn fec_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
 }
 
 /// One more input: the fixed multi-chunk table, a hundred rows short of
-/// its second boundary, so the append descendant seals a chunk its parent
+/// its second boundary, so the grown snapshot seals a chunk its parent
 /// snapshot goes on sharing the first of, and the replayed log record
 /// straddles the boundary.
 #[test]
@@ -168,9 +157,5 @@ fn chunked_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
         input: ("x", 17.5),
         high: true,
     };
-    // `check_lifetime` deletes rows in every chunk itself, and expects its
-    // restore to bring back the table it was given.
-    let mut table = common::boundary_table(2 * CHUNK_ROWS - 100);
-    table.restore_all();
-    check_lifetime("chunks", table, &q);
+    check_lifetime("chunks", common::boundary_table(2 * CHUNK_ROWS - 100), &q);
 }

@@ -5,13 +5,12 @@
 //! [`boundary_table`]`(`[`BOUNDARY_ROWS`]`)` holds two sealed chunks and a
 //! 17-row tail of every column type, with NULLs in every column within two
 //! rows of each side of each boundary, a string column whose vocabulary
-//! grows from chunk to chunk, and a soft-deleted row in each chunk. A
-//! shorter prefix plus [`boundary_rows`] is the same table mid-append.
+//! grows from chunk to chunk. A shorter prefix plus [`boundary_rows`] is the same table mid-append.
 
 #![allow(dead_code)] // each suite uses its own part of this module
 
 use dbwipes::storage::{DataType, Schema, Value, CHUNK_ROWS};
-use dbwipes::{RowId, Table};
+use dbwipes::Table;
 
 /// Rows of the fixed table: two full chunks and a 17-row tail.
 pub const BOUNDARY_ROWS: usize = 2 * CHUNK_ROWS + 17;
@@ -65,7 +64,7 @@ pub fn boundary_rows(rows: std::ops::Range<usize>) -> Vec<Vec<Value>> {
     rows.map(boundary_row).collect()
 }
 
-/// The first `rows` rows of the table, row 5 of each chunk soft-deleted.
+/// The first `rows` rows of the table.
 pub fn boundary_table(rows: usize) -> Table {
     let schema = Schema::of(&[
         ("id", DataType::Int),
@@ -76,7 +75,5 @@ pub fn boundary_table(rows: usize) -> Table {
     ]);
     let mut t = Table::new("m", schema).unwrap();
     t.push_rows(boundary_rows(0..rows)).unwrap();
-    let doomed: Vec<RowId> = (5..rows).step_by(CHUNK_ROWS).map(RowId).collect();
-    t.delete_rows(&doomed).unwrap();
     t
 }

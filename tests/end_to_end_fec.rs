@@ -95,23 +95,24 @@ fn cleaning_physically_matches_query_rewriting() {
     session.click_predicate(0).unwrap();
     let rewritten_total = grand_total(&session);
 
-    // Physical cleaning on a fresh backend must give the same answer.
+    // A database that never held the predicate's rows gives the same answer.
+    let table = &dataset.table;
+    let matching = predicate.matching_rows(table);
+    assert!(!matching.is_empty());
+    let kept: Vec<_> = table.row_ids().filter(|r| matching.binary_search(r).is_err()).collect();
     let mut db = DbWipes::new();
-    db.register(dataset.table.clone()).unwrap();
-    let removed = db.clean("contributions", &predicate).unwrap();
-    assert!(!removed.is_empty());
+    db.register(table.materialize(&kept, table.name()).unwrap().0).unwrap();
     let physical = db.query(&dataset.daily_total_query()).unwrap();
     let physical_total: f64 =
         (0..physical.len()).filter_map(|i| physical.value_f64(i, "total").unwrap()).sum();
     assert!((physical_total - rewritten_total).abs() < 1e-6);
 
-    // Restoring brings the original answer back.
-    db.restore("contributions", &removed).unwrap();
-    let restored = db.query(&dataset.daily_total_query()).unwrap();
+    // Undoing the click brings the original answer back.
+    session.undo_clean().unwrap();
     let mut fresh = DbWipes::new();
     fresh.register(dataset.table.clone()).unwrap();
     let original = fresh.query(&dataset.daily_total_query()).unwrap();
-    assert_eq!(restored.rows, original.rows);
+    assert_eq!(session.result().unwrap().rows, original.rows);
 }
 
 fn negative_day_count(session: &DashboardSession) -> usize {

@@ -3,8 +3,8 @@
 //! For random tables, statements and exclusion sets, the incremental path
 //! (`GroupedAggregateCache::result` with an `ExclusionQuery`) must produce
 //! results identical — group keys, aggregate values and schema, lineage
-//! aside — to full re-execution of the statement on a table with the
-//! excluded rows deleted.
+//! aside — to full execution of the statement on a table that never held
+//! the excluded rows.
 //!
 //! Values are drawn from a half-integer grid (`k/2` for small integer `k`),
 //! so every partial sum and sum-of-squares is exactly representable in an
@@ -150,15 +150,11 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Ground truth: full re-execution on a copy of the table with the excluded
-/// rows physically deleted.
+/// Ground truth: full execution over a table materialised from the rows
+/// the exclusion keeps, one that never held the excluded ones.
 fn reference(table: &Table, sql: &str, excluded: &[RowId]) -> QueryResult {
-    let mut t = table.clone();
-    for &r in excluded {
-        if r.index() < t.num_rows() && !t.is_deleted(r) {
-            t.delete_row(r).unwrap();
-        }
-    }
+    let kept: Vec<RowId> = table.row_ids().filter(|r| !excluded.contains(r)).collect();
+    let (t, _) = table.materialize(&kept, table.name()).unwrap();
     let stmt = parse_select(sql).unwrap();
     execute(&t, &stmt, ExecOptions::default()).unwrap()
 }
@@ -287,8 +283,8 @@ fn assert_cleaning_from_cache_matches_execution(
     Ok(())
 }
 
-/// The fixed multi-chunk table (NULLs either side of each boundary, a
-/// soft-deleted row per chunk), cold and with a cache that absorbed an
+/// The fixed multi-chunk table (NULLs either side of each boundary), cold
+/// and with a cache that absorbed an
 /// append across a chunk seal before the first click.
 #[test]
 fn cleaning_from_the_cache_matches_execution_across_chunk_boundaries() {
@@ -363,9 +359,9 @@ proptest! {
     }
 
     /// A shared cache reads argument values back from its *own* snapshot:
-    /// after the catalog's table moves on by copy-on-write (an append,
-    /// then a soft delete), every exclusion query still answers exactly as
-    /// re-execution over the old snapshot does.
+    /// after the catalog's table moves on by copy-on-write (two appends,
+    /// the second a copy of a victim row), every exclusion query still
+    /// answers exactly as re-execution over the old snapshot does.
     #[test]
     fn shared_cache_answers_from_its_own_snapshot_after_the_catalog_moves_on(
         table in arbitrary_table(),
@@ -381,9 +377,9 @@ proptest! {
 
         let live = catalog.table_mut("m").unwrap();
         live.push_row(vec![Value::Int(0), Value::Int(0), Value::Float(1e6)]).unwrap();
-        live.delete_row(RowId(victim % table.num_rows())).unwrap();
-        prop_assert_eq!(cache.table().epoch(), table.epoch());
-        prop_assert!(catalog.table("m").unwrap().epoch() != table.epoch());
+        live.push_row(table.row(RowId(victim % table.num_rows())).unwrap()).unwrap();
+        prop_assert_eq!(cache.table().version(), table.version());
+        prop_assert!(catalog.table("m").unwrap().version() != table.version());
 
         for excluded in [&excluded[..], &[RowId(victim % table.num_rows())][..], &[][..]] {
             let incremental = cache.result(&ExclusionQuery::new().excluding_rows(excluded));
@@ -446,7 +442,7 @@ proptest! {
 
         let p_expr = predicate.to_expr();
         let excluded: Vec<RowId> = table
-            .visible_row_ids()
+            .row_ids()
             .filter(|&r| {
                 cache.contains(r)
                     && !matches!(p_expr.eval(&table, r), Ok(Value::Bool(false)))

@@ -351,7 +351,7 @@ proptest! {
     /// predicate and the rule's class counts add up.
     #[test]
     fn tree_rules_compile_to_predicates_that_cover_their_leaves((table, labels) in labelled_table()) {
-        let rows: Vec<RowId> = table.visible_row_ids().collect();
+        let rows: Vec<RowId> = table.row_ids().collect();
         let space = FeatureSpace::build_excluding(&table, &[], &rows);
         let dataset = space.extract(&table, &rows);
         for criterion in [SplitCriterion::Gini, SplitCriterion::GainRatio] {
@@ -387,7 +387,7 @@ proptest! {
     /// whose reported coverage matches a recount over the dataset.
     #[test]
     fn subgroups_report_accurate_coverage((table, labels) in labelled_table()) {
-        let rows: Vec<RowId> = table.visible_row_ids().collect();
+        let rows: Vec<RowId> = table.row_ids().collect();
         let space = FeatureSpace::build_excluding(&table, &[], &rows);
         let dataset = space.extract(&table, &rows);
         let subgroups = discover_subgroups(&dataset, &labels, &SubgroupConfig::default());
@@ -416,7 +416,7 @@ proptest! {
         if let Some(i) = twin {
             configs.push(configs[i % configs.len()]);
         }
-        let rows: Vec<RowId> = table.visible_row_ids().collect();
+        let rows: Vec<RowId> = table.row_ids().collect();
         let space = FeatureSpace::build_excluding(&table, &[], &rows);
         let dataset = space.extract(&table, &rows);
         let instances = instances_of(&dataset);
@@ -457,7 +457,7 @@ proptest! {
         min_positive_coverage in 1usize..4,
         covered_weight_decay in prop_oneof![Just(0.5), Just(0.3), Just(1.0), Just(0.0)],
     ) {
-        let rows: Vec<RowId> = table.visible_row_ids().collect();
+        let rows: Vec<RowId> = table.row_ids().collect();
         let space = FeatureSpace::build_excluding(&table, &[], &rows);
         let dataset = space.extract(&table, &rows);
         let config = SubgroupConfig {

@@ -1,12 +1,12 @@
 //! Equivalence property tests for the vectorized predicate path.
 //!
-//! For random tables (NULLs, soft deletes, empty tables included) and
+//! For random tables (NULLs and empty tables included) and
 //! random conditions (equality, ranges, `IN` sets with NULL members,
 //! substring containment), the one compiled form (`CompiledBoolExpr`:
 //! `eval_columns` over whole columns, `matches` on one row) must agree
 //! **row for row** with the scalar three-valued `Expr::eval` walk, whether
 //! it was compiled from a conjunction or from a boolean tree, and
-//! `matching_rows` must keep its contract: the visible matches, ascending
+//! `matching_rows` must keep its contract: the matches, ascending
 //! by `RowId`, identical to the per-row expression walk. The `RowSet`
 //! bitmap algebra is pinned against a `BTreeSet` oracle.
 
@@ -20,8 +20,8 @@ use dbwipes::{Condition, ConjunctivePredicate, RowId, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// A random sensor-style table: nullable int / float / str columns, a few
-/// soft-deleted rows. Sizes run from empty and a handful of rows (where an
+/// A random sensor-style table: nullable int / float / str columns. Sizes
+/// run from empty and a handful of rows (where an
 /// `AND` always folds whole columns) to several bitmap words (where a
 /// selective left branch — `id = k` keeps about a seventh of the rows —
 /// leaves under a quarter of them in play, so the compiled `AND` evaluates
@@ -30,25 +30,18 @@ fn arbitrary_table() -> impl Strategy<Value = Table> {
     let id = prop_oneof![Just(None), (0i64..6).prop_map(Some)];
     let x = prop_oneof![Just(None), (-40i64..40).prop_map(|k| Some(k as f64 / 2.0))];
     let memo = (0usize..5).prop_map(|k| ["", "ok", "REATTRIBUTION TO SPOUSE", "spouse", "Lab"][k]);
-    let row = (id, x, memo, proptest::collection::vec(0usize..10, 0..2));
+    let row = (id, x, memo);
     proptest::collection::vec(row, 0..160).prop_map(|rows| {
         let schema =
             Schema::of(&[("id", DataType::Int), ("x", DataType::Float), ("memo", DataType::Str)]);
         let mut t = Table::new("m", schema).unwrap();
-        let mut delete = Vec::new();
-        for (i, (id, x, memo, delete_marks)) in rows.into_iter().enumerate() {
+        for (i, (id, x, memo)) in rows.into_iter().enumerate() {
             t.push_row(vec![
                 id.map(Value::Int).unwrap_or(Value::Null),
                 x.map(Value::Float).unwrap_or(Value::Null),
                 if memo.is_empty() && i % 2 == 0 { Value::Null } else { Value::str(memo) },
             ])
             .unwrap();
-            if !delete_marks.is_empty() {
-                delete.push(RowId(i));
-            }
-        }
-        for r in delete {
-            t.delete_row(r).unwrap();
         }
         t
     })
@@ -117,9 +110,8 @@ fn aimed_at(mut condition: Condition, column: &str) -> Condition {
     condition
 }
 
-/// The one condition that validates but does not compile: an unbounded
-/// range renders as the literal `TRUE` whatever its column, while the
-/// compiler still resolves the column.
+/// An unbounded range on a column the table lacks: it renders as the
+/// literal `TRUE`, which names no column.
 fn unbounded_range_on_a_missing_column() -> Condition {
     aimed_at(condition_shape(7, 0, 0), "no_such_column")
 }
@@ -134,8 +126,7 @@ fn scalar_verdict(expr: &Expr, table: &Table, row: RowId) -> Option<bool> {
 }
 
 /// The compiled form of `expr`, column-wise and row by row, against the
-/// scalar walk of `expr` on every physical row (deleted rows included —
-/// the bitmap universe is physical).
+/// scalar walk of `expr` on every row.
 fn assert_compiled_equivalence(
     table: &Table,
     compiled: &CompiledBoolExpr<'_>,
@@ -168,8 +159,7 @@ fn assert_kernel_equivalence(table: &Table, pred: &ConjunctivePredicate) -> Resu
     let compiled = pred.compile(table).expect("generated conditions are well-typed");
     assert_compiled_equivalence(table, &compiled, &pred.to_expr())?;
     // matching_rows: identical output to the expression walk, ascending.
-    let via_expr: Vec<RowId> =
-        table.visible_row_ids().filter(|&r| pred.matches(table, r)).collect();
+    let via_expr: Vec<RowId> = table.row_ids().filter(|&r| pred.matches(table, r)).collect();
     let rows = pred.matching_rows(table);
     prop_assert!(rows == via_expr, "matching_rows diverged for {}", pred);
     prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "matching_rows not ascending");
@@ -209,7 +199,7 @@ proptest! {
     /// The tentpole's headline property: vectorized NOT/OR/nested boolean
     /// trees agree with the scalar three-valued walk row for row —
     /// UNKNOWN propagation through the Kleene connectives included — on
-    /// random tables (empty and soft-deleted rows too), and the vectorized
+    /// random tables (empty ones too), and the vectorized
     /// `Expr::filter` / `Expr::filter_set` fast paths return exactly the
     /// scalar oracle's rows.
     #[test]
@@ -280,7 +270,7 @@ proptest! {
     /// candidate the ranker cannot compile is one whose rewritten statement
     /// would fail: every condition shape aimed at every column of the
     /// multi-type table and at a missing one, alone and beside another
-    /// aimed shape — except [`unbounded_range_on_a_missing_column`].
+    /// aimed shape.
     #[test]
     fn compile_fails_exactly_when_validation_fails(
         k in -30i64..30,
@@ -294,9 +284,6 @@ proptest! {
             for aim in AIMS {
                 let condition = aimed_at(condition_shape(shape, k, k2), aim);
                 for conditions in [vec![condition.clone()], vec![condition.clone(), other.clone()]] {
-                    if conditions.contains(&unbounded_range_on_a_missing_column()) {
-                        continue;
-                    }
                     let pred = ConjunctivePredicate::new(conditions);
                     let compiled = pred.compile(&table);
                     let validated = pred.to_expr().validate(table.schema());
@@ -355,28 +342,24 @@ proptest! {
     }
 }
 
-/// The counterexample to `compile_fails_exactly_when_validation_fails`,
-/// the case the ranker's per-row walk is kept for: the unbounded range is
-/// `TRUE` on every row, so it validates on a table that lacks its column,
-/// yet it does not compile there.
+/// The unbounded range names no column, so on a column the table lacks it
+/// validates and compiles, and matches every row exactly as the scalar walk
+/// does — alone and beside a condition that compiles.
 #[test]
-fn an_unbounded_range_on_a_missing_column_validates_but_does_not_compile() {
+fn an_unbounded_range_on_a_missing_column_compiles_to_true() {
     let table = common::boundary_table(64);
     let pred = ConjunctivePredicate::new(vec![unbounded_range_on_a_missing_column()]);
-    assert_eq!(pred.to_expr().validate(table.schema()).unwrap(), DataType::Bool);
-    assert!(pred.compile(&table).is_err());
-    // Beside a condition that compiles, the conjunction still does not.
-    let with_id = pred.with(Condition::equals("id", 3));
-    assert!(with_id.to_expr().validate(table.schema()).is_ok());
-    assert!(with_id.compile(&table).is_err());
+    for pred in [pred.clone(), pred.with(Condition::equals("id", 3))] {
+        assert_eq!(pred.to_expr().validate(table.schema()).unwrap(), DataType::Bool);
+        assert_kernel_equivalence(&table, &pred).unwrap();
+    }
 }
 
 /// The properties above on one more input, the fixed multi-chunk table:
 /// every condition shape through its kernel, row by row and through
 /// `matching_rows`, against the scalar walk, and `Expr::filter` against
 /// `filter_scalar` on trees over them — on columns of two sealed chunks
-/// and a tail, with NULLs either side of each boundary and a soft-deleted
-/// row in each chunk. (The random tables stop at 160 rows.)
+/// and a tail, with NULLs either side of each boundary. (The random tables stop at 160 rows.)
 #[test]
 fn chunk_boundaries_are_invisible_to_every_kernel() {
     let table = common::boundary_table(common::BOUNDARY_ROWS);

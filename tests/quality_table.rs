@@ -368,7 +368,7 @@ fn e8_subgroup_extension_never_scores_below_no_extension() {
     let mut rng = StdRng::seed_from_u64(11);
     let error_rows: Vec<RowId> = dataset.truth.error_rows.iter().copied().collect();
     let clean_rows: Vec<RowId> =
-        dataset.table.visible_row_ids().filter(|r| !dataset.truth.is_error(*r)).collect();
+        dataset.table.row_ids().filter(|r| !dataset.truth.is_error(*r)).collect();
 
     // D' with a controlled noise rate: `1 - noise` of the examples are true
     // errors, `noise` are accidental selections of clean rows.

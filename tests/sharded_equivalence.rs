@@ -190,7 +190,7 @@ fn local_sets(sharded: &ShardedTable, rows: &[RowId]) -> Vec<RowSet> {
 /// group there is.
 fn every_key(table: &Table, stmt: &SelectStatement) -> Vec<Vec<Value>> {
     let key = |r| stmt.group_by.iter().map(|c| table.value_by_name(r, c).unwrap()).collect();
-    table.all_row_ids().map(key).collect()
+    table.row_ids().map(key).collect()
 }
 
 /// The core assertion: for one (table, partition, statement, exclusions)
@@ -268,7 +268,7 @@ proptest! {
             ConjunctivePredicate::new(vec![Condition::above("value", threshold as f64 / 2.0)]);
         let p_expr = predicate.to_expr();
         let excluded: Vec<RowId> = table
-            .visible_row_ids()
+            .row_ids()
             .filter(|&r| {
                 unsharded.contains(r)
                     && !matches!(p_expr.eval(&table, r), Ok(Value::Bool(false)))
