@@ -211,15 +211,14 @@ pub fn explain_on_table(
     Ok(explanation)
 }
 
-/// Picks the column to hash-partition on for
+/// Picks a shard column for
 /// [`rank_predicates_sharded`](crate::rank_predicates_sharded), from the
 /// candidate pool itself: the first equality-tested column (`=` or `IN`)
-/// among the candidates, because hashing on it puts every row an equality
-/// matches in one shard. Falls back to the first resolvable GROUP BY
-/// column (group-correlated rows tend to collocate), then to the table's
-/// first column. `None` only for a column-less schema. Library only:
-/// [`explain_with_cache`] ranks over the whole table and never partitions;
-/// the benchmark's two `core.rank_sharded*` metrics call it.
+/// among the candidates. Falls back to the first resolvable GROUP BY
+/// column, then to the table's first column. `None` only for a
+/// column-less schema. Exists for the benchmark: its two
+/// `core.rank_sharded*` metrics call it, and since nothing is partitioned
+/// any more the column it picks changes no ranking.
 pub fn choose_shard_column(
     table: &Table,
     predicates: &[ConjunctivePredicate],

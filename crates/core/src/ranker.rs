@@ -16,28 +16,14 @@
 //! in parallel across scoped threads; each candidate's score is
 //! independent, so the ranking is deterministic regardless of thread count.
 //!
-//! There is one scoring loop, and it runs over a *shard set*: per shard a
-//! table, its [`GroupedAggregateCache`] (membership bitmap included), the
-//! [`ConditionBitmapCache`] that table snapshot owns
-//! ([`Table::condition_bitmaps`] — so a condition an earlier ranking over
-//! the same snapshot scanned is a hit here, in every deployment), and F
-//! and D′ as shard-local [`RowSet`]s.
-//! [`rank_predicates_with_cache`] presents its cache as exactly one shard —
-//! the base table itself, identity row mapping, cleaned results straight
-//! from [`GroupedAggregateCache::result`] — so it builds no partition, no
-//! second aggregate cache and no merged group directory.
-//! [`rank_predicates_sharded`] presents a [`ShardedAggregateCache`] as N
-//! shards: every condition kernel runs on a shard-sized universe,
-//! exclusion sets stay per shard, ε re-derivation merges per-shard
-//! aggregate states, and match/agreement counts are popcounts summed
-//! across shards. No explain takes that path — on the benchmark's
-//! workloads four shards never beat one — so it is a library entry point
-//! only, kept for the benchmark's two `core.rank_sharded*` metrics. Shards
-//! are always combined in ascending shard order, and F / D′ are routed
-//! through the partition's row-id mapping, so the ranking (scores, order,
-//! evidence) is identical to the one-shard case whenever the merged
-//! aggregates are exact (always for a single shard; see
-//! [`ShardedAggregateCache`] for the float caveat).
+//! There is one scoring loop, over one [`GroupedAggregateCache`]
+//! (membership bitmap included), the [`ConditionBitmapCache`] its table
+//! snapshot owns ([`Table::condition_bitmaps`] — so a condition an earlier
+//! ranking over the same snapshot scanned is a hit here, in every
+//! deployment), and F and D′ as [`RowSet`]s over the table's rows.
+//! [`rank_predicates_sharded`] exists for the benchmark and ranks
+//! unpartitioned: it runs the same loop over a [`ShardedAggregateCache`]'s
+//! whole-table cache.
 
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
@@ -136,8 +122,7 @@ pub fn rank_predicates(
 /// [`rank_predicates`] over a caller-provided cache (which carries the
 /// table it was built from) — the explain pipeline builds one
 /// [`GroupedAggregateCache`] and shares it between the Preprocessor and the
-/// Ranker. The cache is scored as a one-shard set: nothing is partitioned,
-/// copied or merged.
+/// Ranker. This is the one ranking loop behind every public entry point.
 pub fn rank_predicates_with_cache(
     cache: &GroupedAggregateCache,
     result: &QueryResult,
@@ -147,101 +132,19 @@ pub fn rank_predicates_with_cache(
     predicates: Vec<ConjunctivePredicate>,
     config: &RankerConfig,
 ) -> Result<Vec<RankedPredicate>, CoreError> {
-    rank_shard_set(ShardSet::Whole(cache), result, selected, examples, metric, predicates, config)
-}
-
-/// [`rank_predicates_with_cache`] over a pre-built
-/// [`ShardedAggregateCache`], argument for argument; `examples` and the
-/// selected outputs' input rows are given in *base-table* row ids and
-/// routed through the partition's row-id mapping internally.
-pub fn rank_predicates_sharded(
-    cache: &ShardedAggregateCache,
-    result: &QueryResult,
-    selected: &[usize],
-    examples: &[RowId],
-    metric: &ErrorMetric,
-    predicates: Vec<ConjunctivePredicate>,
-    config: &RankerConfig,
-) -> Result<Vec<RankedPredicate>, CoreError> {
-    let shards = ShardSet::Partitioned(cache);
-    rank_shard_set(shards, result, selected, examples, metric, predicates, config)
-}
-
-/// The aggregate cache a ranking runs over, seen as a set of shards. It
-/// hides the two things that differ between an unpartitioned table and a
-/// partition — the base→local row-id mapping and the per-shard merge of
-/// cleaned results — so the scoring loop below exists once.
-#[derive(Clone, Copy)]
-enum ShardSet<'a> {
-    /// The base table itself as the only shard.
-    Whole(&'a GroupedAggregateCache<'a>),
-    /// One shard per partition of a [`ShardedAggregateCache`].
-    Partitioned(&'a ShardedAggregateCache),
-}
-
-impl<'a> ShardSet<'a> {
-    /// The per-shard caches (table, membership), in shard order.
-    fn caches(self) -> &'a [GroupedAggregateCache<'a>] {
-        match self {
-            ShardSet::Whole(cache) => std::slice::from_ref(cache),
-            ShardSet::Partitioned(cache) => cache.shard_caches(),
-        }
-    }
-
-    /// Base-table rows as one local bitmap per shard; rows outside the
-    /// table drop.
-    fn split(self, rows: &[RowId]) -> Vec<RowSet> {
-        match self {
-            ShardSet::Whole(cache) => {
-                let n = cache.table().num_rows();
-                vec![RowSet::from_rows(n, rows.iter().filter(|r| r.index() < n))]
-            }
-            ShardSet::Partitioned(cache) => {
-                let sharded = cache.sharded();
-                sharded
-                    .split_rows(rows)
-                    .iter()
-                    .zip(sharded.shards())
-                    .map(|(locals, t)| RowSet::from_rows(t.num_rows(), locals.iter()))
-                    .collect()
-            }
-        }
-    }
-
-    /// The cleaned result for `keys` under one local exclusion set per
-    /// shard. Only the brushed groups matter for ε, so exactly those keys
-    /// are asked for instead of materialising (and re-sorting) every group.
-    fn cleaned(self, excluded: &[RowSet], keys: &[Vec<Value>]) -> QueryResult {
-        match self {
-            ShardSet::Whole(cache) => {
-                cache.result(&ExclusionQuery::new().excluding_set(&excluded[0]).for_keys(keys))
-            }
-            ShardSet::Partitioned(cache) => cache.result_excluding_keys_local_sets(excluded, keys),
-        }
-    }
-}
-
-/// The one ranking loop behind every public entry point (and the explain
-/// pipeline, which only chooses the cache it hands over).
-fn rank_shard_set(
-    shards: ShardSet<'_>,
-    result: &QueryResult,
-    selected: &[usize],
-    examples: &[RowId],
-    metric: &ErrorMetric,
-    predicates: Vec<ConjunctivePredicate>,
-    config: &RankerConfig,
-) -> Result<Vec<RankedPredicate>, CoreError> {
-    let caches = shards.caches();
+    let table = cache.table();
+    let n = table.num_rows();
+    // Rows as a bitmap over the table; rows outside it drop.
+    let rowset = |rows: &[RowId]| RowSet::from_rows(n, rows.iter().filter(|r| r.index() < n));
     let ctx = ScoreContext {
-        shards,
-        bitmaps: caches.iter().map(|c| c.table().condition_bitmaps()).collect(),
+        cache,
+        bitmaps: table.condition_bitmaps(),
         error_before: metric.evaluate_result(result, selected),
         // Group keys of the selected outputs, used to find the same groups
         // in the incrementally cleaned result.
         selected_keys: selected.iter().filter_map(|&i| result.group_keys.get(i).cloned()).collect(),
-        f_rowsets: shards.split(&result.inputs_of_rows(selected)),
-        example_rowsets: shards.split(examples),
+        f_rowset: rowset(&result.inputs_of_rows(selected)),
+        example_rowset: rowset(examples),
         num_examples: examples.iter().collect::<BTreeSet<_>>().len(),
         metric,
         config,
@@ -255,15 +158,13 @@ fn rank_shard_set(
         .filter(|p| !p.is_trivial() && seen.insert(p.canonical_key()))
         .collect();
 
-    // Warm the condition-bitmap caches serially: the candidates share leaf
+    // Warm the condition-bitmap cache serially: the candidates share leaf
     // conditions drawn from one pool, so each distinct condition's column
-    // kernel runs at most once per shard here, and the parallel scoring
-    // pass below is pure bitmap combining over cache hits.
+    // kernel runs at most once here, and the parallel scoring pass below
+    // is pure bitmap combining over cache hits.
     for candidate in &candidates {
         for condition in candidate.conditions() {
-            for (bitmaps, cache) in ctx.bitmaps.iter().zip(caches) {
-                let _ = bitmaps.condition(cache.table(), condition);
-            }
+            let _ = ctx.bitmaps.condition(table, condition);
         }
     }
 
@@ -276,19 +177,34 @@ fn rank_shard_set(
     Ok(ranked)
 }
 
-/// The per-ranking state shared by every candidate's scoring pass, with
-/// every row-level structure held per shard.
+/// Exists for the benchmark and ranks unpartitioned:
+/// [`rank_predicates_with_cache`] over the [`ShardedAggregateCache`]'s
+/// whole-table cache, argument for argument.
+pub fn rank_predicates_sharded(
+    cache: &ShardedAggregateCache,
+    result: &QueryResult,
+    selected: &[usize],
+    examples: &[RowId],
+    metric: &ErrorMetric,
+    predicates: Vec<ConjunctivePredicate>,
+    config: &RankerConfig,
+) -> Result<Vec<RankedPredicate>, CoreError> {
+    let cache = cache.cache();
+    rank_predicates_with_cache(cache, result, selected, examples, metric, predicates, config)
+}
+
+/// The per-ranking state shared by every candidate's scoring pass.
 struct ScoreContext<'a> {
-    shards: ShardSet<'a>,
-    /// Each shard's snapshot's condition-bitmap cache (warmed before
-    /// scoring; what an earlier ranking left in it is already warm).
-    bitmaps: Vec<Arc<ConditionBitmapCache>>,
+    cache: &'a GroupedAggregateCache<'a>,
+    /// The snapshot's condition-bitmap cache (warmed before scoring; what
+    /// an earlier ranking left in it is already warm).
+    bitmaps: Arc<ConditionBitmapCache>,
     error_before: f64,
     selected_keys: Vec<Vec<Value>>,
-    /// F as one local bitmap per shard.
-    f_rowsets: Vec<RowSet>,
-    /// D′ as one local bitmap per shard.
-    example_rowsets: Vec<RowSet>,
+    /// F as a bitmap over the table's rows.
+    f_rowset: RowSet,
+    /// D′ as a bitmap over the table's rows.
+    example_rowset: RowSet,
     /// The recall denominator: every distinct example the user gave,
     /// in-table or not.
     num_examples: usize,
@@ -296,8 +212,8 @@ struct ScoreContext<'a> {
     config: &'a RankerConfig,
 }
 
-/// The per-candidate evidence gathered across shards: match counts,
-/// example agreement, and the incrementally cleaned partial result.
+/// The per-candidate evidence: match counts, example agreement, and the
+/// incrementally cleaned partial result.
 struct CandidateEvidence {
     matched_rows: usize,
     matched_in_f: usize,
@@ -312,23 +228,19 @@ struct CandidateEvidence {
 /// groups.
 ///
 /// Evaluation is vectorized: each condition's cached bitmap (one columnar
-/// kernel scan per *distinct* condition per shard snapshot) is combined
-/// with word-level AND. Compilation is schema-only, so it is decided once
-/// per candidate from what the evaluation returns: if any shard declines,
+/// kernel scan per *distinct* condition per snapshot) is combined with
+/// word-level AND. Compilation is schema-only, so it is decided once per
+/// candidate from what the evaluation returns: if it declines,
 /// [`validation_error`] reports why.
 fn score_candidate(
     ctx: &ScoreContext<'_>,
     predicate: &ConjunctivePredicate,
 ) -> Result<RankedPredicate, CoreError> {
-    let vectorized: Option<Vec<TriSet>> = ctx
-        .bitmaps
-        .iter()
-        .zip(ctx.shards.caches())
-        .map(|(bitmaps, cache)| predicate.tri_eval(bitmaps, cache.table()))
-        .collect();
-    let Some(tris) = vectorized else { return Err(validation_error(ctx, predicate)) };
+    let Some(tri) = predicate.tri_eval(&ctx.bitmaps, ctx.cache.table()) else {
+        return Err(validation_error(ctx, predicate));
+    };
     let CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned } =
-        score_bitmaps(ctx, &tris);
+        score_bitmaps(ctx, &tri);
     let error_before = ctx.error_before;
     let error_after = error_over_keys(&cleaned, &ctx.selected_keys, ctx.metric);
     let improvement = if error_before > 0.0 {
@@ -363,35 +275,31 @@ fn score_candidate(
     })
 }
 
-/// Turns one candidate's per-shard evaluation into evidence: bitmap
-/// intersections and popcounts summed in shard order, then one cleaned
-/// result for the brushed keys.
-fn score_bitmaps(ctx: &ScoreContext<'_>, tris: &[TriSet]) -> CandidateEvidence {
-    let mut matched_rows = 0usize;
-    let mut matched_in_f = 0usize;
-    let mut true_positives = 0usize;
-    let mut excluded: Vec<RowSet> = Vec::with_capacity(tris.len());
-    for (s, (tri, cache)) in tris.iter().zip(ctx.shards.caches()).enumerate() {
-        let matched = &tri.trues;
-        // TRUE-or-NULL rows among the cache's filter-passing inputs: the
-        // `AND NOT predicate` rewrite drops exactly these.
-        let mut exc = tri.passes_or_unknown();
-        exc.and_assign(cache.membership());
-        let in_f = matched.and(&ctx.f_rowsets[s]);
-        matched_rows += matched.count_ones();
-        matched_in_f += in_f.count_ones();
-        true_positives += in_f.intersection_count(&ctx.example_rowsets[s]);
-        excluded.push(exc);
+/// Turns one candidate's evaluation into evidence: bitmap intersections
+/// and popcounts, then one cleaned result for the brushed keys.
+fn score_bitmaps(ctx: &ScoreContext<'_>, tri: &TriSet) -> CandidateEvidence {
+    let matched = &tri.trues;
+    // TRUE-or-NULL rows among the cache's filter-passing inputs: the
+    // `AND NOT predicate` rewrite drops exactly these.
+    let mut excluded = tri.passes_or_unknown();
+    excluded.and_assign(ctx.cache.membership());
+    let in_f = matched.and(&ctx.f_rowset);
+    // Only the brushed groups matter for ε, so exactly those keys are asked
+    // for instead of materialising (and re-sorting) every group.
+    let query = ExclusionQuery::new().excluding_set(&excluded).for_keys(&ctx.selected_keys);
+    CandidateEvidence {
+        matched_rows: matched.count_ones(),
+        matched_in_f: in_f.count_ones(),
+        true_positives: in_f.intersection_count(&ctx.example_rowset),
+        cleaned: ctx.cache.result(&query),
     }
-    let cleaned = ctx.shards.cleaned(&excluded, &ctx.selected_keys);
-    CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned }
 }
 
 /// Why a candidate did not compile. A conjunction compiles exactly when
 /// its expression validates (`tests/predicate_kernels_prop.rs`), so this
 /// is the validation error executing the rewritten statement would report.
 fn validation_error(ctx: &ScoreContext<'_>, predicate: &ConjunctivePredicate) -> CoreError {
-    match predicate.to_expr().validate(ctx.shards.caches()[0].table().schema()) {
+    match predicate.to_expr().validate(ctx.cache.table().schema()) {
         Err(e) => e.into(),
         Ok(_) => {
             CoreError::invalid(format!("predicate {predicate} validates but does not compile"))
@@ -412,12 +320,11 @@ pub fn error_over_keys(result: &QueryResult, keys: &[Vec<Value>], metric: &Error
 mod tests {
     use super::*;
     use dbwipes_engine::execute_sql;
-    use dbwipes_storage::{Catalog, Condition, DataType, Schema, ShardedTable};
-    use std::sync::Arc;
+    use dbwipes_storage::{Catalog, Condition, DataType, Schema};
 
     /// Window 1 is polluted by sensor 7's ~120F readings; the healthy ones
-    /// climb from 20F in `step`-sized increments.
-    fn readings(rows: i64, step: f64) -> (Catalog, Vec<RowId>) {
+    /// climb from 20F in 1F increments.
+    fn setup() -> (Catalog, Vec<RowId>) {
         let mut t = Table::new(
             "readings",
             Schema::of(&[
@@ -428,11 +335,11 @@ mod tests {
         )
         .unwrap();
         let mut broken = Vec::new();
-        for i in 0..rows {
+        for i in 0..120 {
             let window = i % 2;
             let sensor = i % 12;
             let is_broken = sensor == 7 && window == 1;
-            let temp = if is_broken { 120.0 } else { 20.0 + (i % 5) as f64 * step };
+            let temp = if is_broken { 120.0 } else { 20.0 + (i % 5) as f64 };
             let rid = t
                 .push_row(vec![Value::Int(window), Value::Int(sensor), Value::Float(temp)])
                 .unwrap();
@@ -443,15 +350,6 @@ mod tests {
         let mut c = Catalog::new();
         c.register(t).unwrap();
         (c, broken)
-    }
-
-    fn setup() -> (Catalog, Vec<RowId>) {
-        readings(120, 1.0)
-    }
-
-    /// The partition tests' fixture (dyadic temps → exact shard merges).
-    fn setup_dyadic() -> (Catalog, Vec<RowId>) {
-        readings(240, 0.25)
     }
 
     #[test]
@@ -663,68 +561,6 @@ mod tests {
         }
     }
 
-    fn candidate_pool() -> Vec<ConjunctivePredicate> {
-        let mut pool: Vec<ConjunctivePredicate> = (0..12)
-            .map(|s| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]))
-            .collect();
-        pool.push(ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]));
-        pool.push(ConjunctivePredicate::new(vec![
-            Condition::equals("sensorid", 7),
-            Condition::above("temp", 100.0),
-        ]));
-        pool.push(ConjunctivePredicate::new(vec![Condition::between("temp", 20.0, 21.0)]));
-        // The first conjunct matches nothing on any shard (no such sensor).
-        pool.push(ConjunctivePredicate::new(vec![
-            Condition::equals("sensorid", 777),
-            Condition::above("temp", 100.0),
-        ]));
-        pool
-    }
-
-    #[test]
-    fn sharded_ranking_matches_unsharded() {
-        let (c, broken) = setup_dyadic();
-        let table = c.table("readings").unwrap();
-        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
-        let metric = ErrorMetric::too_high("avg_temp", 25.0);
-        let config = RankerConfig { max_results: 20, ..Default::default() };
-
-        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
-        let baseline = rank_predicates_with_cache(
-            &flat_cache,
-            &r,
-            &[1],
-            &broken,
-            &metric,
-            candidate_pool(),
-            &config,
-        )
-        .unwrap();
-
-        for shards in [1usize, 4, 7] {
-            let st = Arc::new(ShardedTable::hash(table, "sensorid", shards).unwrap());
-            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
-            let ranked = rank_predicates_sharded(
-                &cache,
-                &r,
-                &[1],
-                &broken,
-                &metric,
-                candidate_pool(),
-                &config,
-            )
-            .unwrap();
-            assert_eq!(ranked.len(), baseline.len(), "{shards} shards");
-            for (a, b) in ranked.iter().zip(&baseline) {
-                assert_eq!(a.predicate, b.predicate, "{shards} shards");
-                assert_eq!(a.score, b.score, "{shards} shards: {}", a.predicate);
-                assert_eq!(a.error_after, b.error_after, "{shards} shards");
-                assert_eq!(a.matched_rows, b.matched_rows, "{shards} shards");
-                assert_eq!(a.example_f1, b.example_f1, "{shards} shards");
-            }
-        }
-    }
-
     /// An unbounded range on a missing column is the literal `TRUE`: beside
     /// `sensorid = 7` it compiles, and the kernels score the conjunction
     /// exactly as they score `sensorid = 7` alone.
@@ -762,45 +598,28 @@ mod tests {
     }
 
     #[test]
-    fn invalid_scalar_predicate_errors_like_unsharded() {
-        /// The error `bad` earns through each entry point.
-        fn errors(bad: ConjunctivePredicate) -> (CoreError, CoreError) {
-            let (c, broken) = setup_dyadic();
+    fn an_invalid_candidate_reports_its_validation_error_even_when_it_matches_nothing() {
+        /// The error `bad` earns through the ranker.
+        fn error(bad: ConjunctivePredicate) -> CoreError {
+            let (c, broken) = setup();
             let table = c.table("readings").unwrap();
             let r =
                 execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
             let metric = ErrorMetric::too_high("avg_temp", 25.0);
+            let cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
             let config = RankerConfig::default();
-            let flat = GroupedAggregateCache::build(table, &r.statement).unwrap();
-            let st = Arc::new(ShardedTable::hash(table, "sensorid", 3).unwrap());
-            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
-            let pool = vec![bad];
-            (
-                rank_predicates_with_cache(
-                    &flat,
-                    &r,
-                    &[1],
-                    &broken,
-                    &metric,
-                    pool.clone(),
-                    &config,
-                )
-                .unwrap_err(),
-                rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, pool, &config)
-                    .unwrap_err(),
-            )
+            rank_predicates_with_cache(&cache, &r, &[1], &broken, &metric, vec![bad], &config)
+                .unwrap_err()
         }
         // `contains` on a missing column fails validation in the scalar path.
         let missing = Condition::contains("no_such_column", "x");
         let bad = ConjunctivePredicate::new(vec![missing.clone()]);
-        // `sensorid = 777` matches nothing on any shard; the candidate
-        // must still reach the scalar path's validation, not score as empty.
+        // `sensorid = 777` matches nothing; the candidate must still reach
+        // the scalar path's validation, not score as empty.
         let empty_and_bad =
             ConjunctivePredicate::new(vec![Condition::equals("sensorid", 777), missing]);
-        for (flat, sharded) in [errors(bad), errors(empty_and_bad)] {
-            assert_eq!(flat, sharded);
-            assert_eq!(flat.to_string(), sharded.to_string());
-            assert!(flat.to_string().contains("no_such_column"), "{flat}");
+        for e in [error(bad), error(empty_and_bad)] {
+            assert!(e.to_string().contains("no_such_column"), "{e}");
         }
     }
 }

@@ -157,46 +157,6 @@ impl AggregateState {
         }
     }
 
-    /// Merges another state of the same function into this one.
-    ///
-    /// Panics if the two states accumulate different functions — merging
-    /// states across functions is a logic error, not a data error.
-    pub fn merge(&mut self, other: &AggregateState) {
-        assert_eq!(self.func(), other.func(), "cannot merge different aggregate functions");
-        match (self, other) {
-            (
-                AggregateState::Avg { sum, count } | AggregateState::Sum { sum, count },
-                AggregateState::Avg { sum: s2, count: c2 }
-                | AggregateState::Sum { sum: s2, count: c2 },
-            ) => {
-                *sum += s2;
-                *count += c2;
-            }
-            (AggregateState::Count { count }, AggregateState::Count { count: c2 }) => *count += c2,
-            (AggregateState::Min { min }, AggregateState::Min { min: m2 }) => {
-                *min = match (*min, *m2) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            }
-            (AggregateState::Max { max }, AggregateState::Max { max: m2 }) => {
-                *max = match (*max, *m2) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                }
-            }
-            (
-                AggregateState::Moments { sum, sum_sq, count, .. },
-                AggregateState::Moments { sum: s2, sum_sq: q2, count: c2, .. },
-            ) => {
-                *sum += s2;
-                *sum_sq += q2;
-                *count += c2;
-            }
-            _ => unreachable!("func equality checked above"),
-        }
-    }
-
     /// Finalises the state into an output value.
     ///
     /// Aggregates over zero non-NULL inputs return NULL, except `COUNT`
@@ -362,44 +322,6 @@ mod tests {
             let mut s = AggregateState::new(func);
             assert!(!s.remove(Some(1.0)), "{func}");
         }
-    }
-
-    #[test]
-    fn merge_combines_partial_states() {
-        for func in [
-            AggregateFunc::Avg,
-            AggregateFunc::Sum,
-            AggregateFunc::Count,
-            AggregateFunc::Min,
-            AggregateFunc::Max,
-            AggregateFunc::StdDev,
-            AggregateFunc::Variance,
-        ] {
-            let data = [4.0, 8.0, 15.0, 16.0, 23.0, 42.0];
-            let (left, right) = data.split_at(2);
-            let mut a = AggregateState::new(func);
-            for v in left {
-                a.add(Some(*v));
-            }
-            let mut b = AggregateState::new(func);
-            for v in right {
-                b.add(Some(*v));
-            }
-            a.merge(&b);
-            let expected = AggregateState::compute(func, vals(&data));
-            match (a.finish(), expected) {
-                (Value::Float(x), Value::Float(y)) => assert!((x - y).abs() < 1e-9, "{func}"),
-                (x, y) => assert_eq!(x, y),
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge")]
-    fn merge_of_different_functions_panics() {
-        let mut a = AggregateState::new(AggregateFunc::Avg);
-        let b = AggregateState::new(AggregateFunc::Max);
-        a.merge(&b);
     }
 
     #[test]

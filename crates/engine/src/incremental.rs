@@ -765,57 +765,6 @@ impl<'t> GroupedAggregateCache<'t> {
         QueryResult::new(self.stmt.clone(), self.schema.clone(), rows, keys, Lineage::default())
     }
 
-    /// The GROUP BY key of group `g` (first-seen order).
-    pub(crate) fn group_key(&self, g: usize) -> &[Value] {
-        &self.groups[g].key
-    }
-
-    /// The cached (no-exclusion) output row of group `g`.
-    pub(crate) fn group_template(&self, g: usize) -> &[Value] {
-        &self.groups[g].template
-    }
-
-    /// The full (no-exclusion) aggregate states of group `g`, one per
-    /// aggregate SELECT item in slot order.
-    pub(crate) fn full_states(&self, g: usize) -> &[AggregateState] {
-        &self.groups[g].states
-    }
-
-    /// SELECT-list indices of the aggregate items (slot order).
-    pub(crate) fn agg_items(&self) -> &[usize] {
-        &self.agg_item_indices
-    }
-
-    /// SELECT-list indices of the non-aggregate items.
-    pub(crate) fn plain_items(&self) -> &[usize] {
-        &self.plain_item_indices
-    }
-
-    /// The output schema computed at build time.
-    pub(crate) fn out_schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// [`GroupedAggregateCache::touched_positions`] over a bitmap — the
-    /// sharded merge layer's entry point for mapping a per-shard exclusion
-    /// set to per-group excluded positions.
-    pub(crate) fn exclusion_positions(
-        &self,
-        excluded: &RowSet,
-        wanted: Option<&HashSet<u32>>,
-    ) -> HashMap<u32, Vec<u32>> {
-        self.touched_positions_of(excluded.iter(), wanted)
-    }
-
-    /// The per-slot aggregate states of group `g` after excluding the rows
-    /// at `positions` (sorted, deduplicated) — the state-level counterpart
-    /// of [`GroupedAggregateCache::result`] over an [`ExclusionQuery`],
-    /// exposed so partial shard states can be merged *before* finishing.
-    pub(crate) fn states_excluding(&self, g: usize, positions: &[u32]) -> Vec<AggregateState> {
-        let group = &self.groups[g];
-        (0..group.states.len()).map(|slot| self.reaggregate(group, slot, positions)).collect()
-    }
-
     /// One aggregate's state for a touched group: subtract the excluded
     /// contributions when the state supports removal, otherwise rebuild from
     /// the group's rows in original order (the MIN/MAX fallback). Argument

@@ -34,30 +34,9 @@
 //! assert_eq!(result.inputs_of(0).len(), 2);
 //! ```
 //!
-//! ## The merge contract
-//!
-//! Every aggregate the engine supports carries *decomposable* partial
-//! state ([`AggregateState`]): raw sums and counts for avg/sum/count, raw
-//! moments for stddev/variance, extremes for min/max. Merging two states
-//! of the same function yields the state of the concatenated input, which
-//! is what lets [`GroupedAggregateCache`]s built independently per shard
-//! of a [`ShardedTable`](dbwipes_storage::ShardedTable) be combined by
-//! [`ShardedAggregateCache`] into results matching single-table execution:
-//!
-//! ```
-//! use dbwipes_engine::aggregate::AggregateState;
-//! use dbwipes_engine::AggregateFunc;
-//!
-//! let mut left = AggregateState::new(AggregateFunc::Avg);
-//! let mut right = AggregateState::new(AggregateFunc::Avg);
-//! for v in [1.0, 2.0] { left.add(Some(v)); }
-//! for v in [3.0, 6.0] { right.add(Some(v)); }
-//! let mut whole = AggregateState::new(AggregateFunc::Avg);
-//! for v in [1.0, 2.0, 3.0, 6.0] { whole.add(Some(v)); }
-//!
-//! left.merge(&right);
-//! assert_eq!(left.finish(), whole.finish());
-//! ```
+//! Every ranking asks one [`GroupedAggregateCache`] over the whole table.
+//! [`ShardedAggregateCache`] is a name the benchmark builds; it wraps that
+//! same cache and partitions nothing.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

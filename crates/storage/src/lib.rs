@@ -12,20 +12,15 @@
 //! queries and predicate-based cleaning the demo needs, while exposing the
 //! row-level hooks the provenance layer requires.
 //!
-//! ## RowSets and shards
+//! ## RowSets
 //!
 //! The vectorized predicate path works in [`RowSet`] bitmaps: each
 //! condition kernel produces one bitmap over a table's rows,
 //! conjunctions are word-wise intersections, and match counting is a
-//! popcount. A [`ShardedTable`] partitions those universes horizontally —
-//! every shard is a full [`Table`] with its own contiguous `RowSet`
-//! universe, bridged to the base table by a global↔(shard, local) row-id
-//! mapping:
+//! popcount:
 //!
 //! ```
-//! use dbwipes_storage::{
-//!     Condition, ConditionBitmapCache, DataType, RowId, Schema, ShardedTable, Table, Value,
-//! };
+//! use dbwipes_storage::{Condition, DataType, Schema, Table, Value};
 //!
 //! let mut t = Table::new(
 //!     "readings",
@@ -36,21 +31,18 @@
 //!     t.push_row(vec![Value::Int(i % 10), Value::Float(20.0 + (i % 7) as f64)]).unwrap();
 //! }
 //!
-//! // Unsharded: one kernel scan over the full universe, kept on the
+//! // One kernel scan per condition over the table's universe, kept on the
 //! // snapshot for whoever asks about it next.
-//! let cond = Condition::equals("sensorid", 3);
-//! let full = t.condition_bitmaps().condition(&t, &cond).unwrap();
+//! let bitmaps = t.condition_bitmaps();
+//! let sensor = bitmaps.condition(&t, &Condition::equals("sensorid", 3)).unwrap();
+//! let hot = bitmaps.condition(&t, &Condition::above("temp", 24.0)).unwrap();
+//! assert_eq!(sensor.trues.universe(), t.num_rows());
+//! assert_eq!(sensor.trues.count_ones(), 100);
 //!
-//! // Sharded: one scan per shard, each over its own smaller universe; the
-//! // row-id mapping carries every local match back to its base row.
-//! let sharded = ShardedTable::hash(&t, "sensorid", 4).unwrap();
-//! let mut matches = Vec::new();
-//! for (s, shard) in sharded.shards().iter().enumerate() {
-//!     let local = ConditionBitmapCache::new(shard).condition(shard, &cond).unwrap();
-//!     matches.extend(local.trues.iter().map(|l| sharded.global_of(s, RowId(l))));
-//! }
-//! matches.sort();
-//! assert_eq!(matches, full.trues.to_row_ids());
+//! // A conjunction is an intersection; its count a popcount.
+//! let both = sensor.trues.and(&hot.trues);
+//! assert_eq!(both.count_ones(), sensor.trues.intersection_count(&hot.trues));
+//! assert!(both.iter().all(|r| r % 10 == 3 && r % 7 > 4));
 //! ```
 
 #![deny(missing_docs)]

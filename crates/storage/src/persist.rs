@@ -80,8 +80,7 @@ const SEGMENT_MAGIC: &[u8; 4] = b"DBWA";
 const MANIFEST_MAGIC: &[u8; 4] = b"DBWM";
 
 /// FNV-1a 64 over a byte slice — the snapshot format's per-segment
-/// checksum. Small, stable, dependency-free; the same function the shard
-/// layer uses for hash partitioning.
+/// checksum. Small, stable, dependency-free.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

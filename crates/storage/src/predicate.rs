@@ -1851,11 +1851,11 @@ mod tests {
         }
     }
 
-    /// What one ranking costs the cache at one shard: a miss per distinct
+    /// What one ranking costs the snapshot's cache: a miss per distinct
     /// condition (the warm-up pass), then one hit per distinct leaf of each
     /// candidate — no more for a conjunction than for an `Expr` tree.
     #[test]
-    fn one_shard_ranking_lookups_are_one_per_distinct_leaf() {
+    fn ranking_lookups_are_one_per_distinct_leaf() {
         let t = null_heavy_table();
         let eq15 = Condition::equals("sensorid", 15);
         let hot = Condition::above("temp", 100.0);

@@ -118,6 +118,28 @@ fn readme_links_the_reference_docs() {
     }
 }
 
+/// Every re-anchor renumbers the ROADMAP, so a doc that cites "ROADMAP
+/// item N" goes stale without anyone touching it: docs name the idea
+/// instead. Whitespace is collapsed first, so a citation wrapped across
+/// lines is caught too.
+#[test]
+fn docs_cite_no_roadmap_item_numbers() {
+    let mut citations = Vec::new();
+    for path in doc_files() {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let words: Vec<&str> = text.split_whitespace().collect();
+        for w in words.windows(3) {
+            if w[0].ends_with("ROADMAP")
+                && w[1] == "item"
+                && w[2].starts_with(|c: char| c.is_ascii_digit())
+            {
+                citations.push(format!("{}: {}", path.display(), w.join(" ")));
+            }
+        }
+    }
+    assert!(citations.is_empty(), "ROADMAP item numbers cited:\n{}", citations.join("\n"));
+}
+
 /// Requires every needle in its document and every named test file to exist.
 fn assert_documented(needles: &[(&str, &[&str])], tests: &[&str]) {
     let root = repo_root();

@@ -150,6 +150,59 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A statement to rank under, with the aggregate column ε reads: plain,
+/// WHERE, stddev/variance, two-column GROUP BY, expression aggregates,
+/// ORDER BY … LIMIT and the implicit group.
+fn arbitrary_ranked_statement() -> impl Strategy<Value = (&'static str, &'static str)> {
+    prop_oneof![
+        Just(("SELECT grp, avg(value), count(*) FROM m GROUP BY grp", "avg_value")),
+        Just((
+            "SELECT grp, avg(value), max(value) FROM m WHERE value > 10 GROUP BY grp",
+            "avg_value"
+        )),
+        Just(("SELECT grp, stddev(value), variance(value) FROM m GROUP BY grp", "stddev_value")),
+        Just((
+            "SELECT grp, device, sum(value), min(value) FROM m GROUP BY grp, device",
+            "sum_value"
+        )),
+        Just((
+            "SELECT grp, sum(value * 2) AS doubled, max(value - 1) FROM m GROUP BY grp",
+            "doubled"
+        )),
+        Just((
+            "SELECT grp, sum(value) FROM m GROUP BY grp ORDER BY sum_value DESC LIMIT 3",
+            "sum_value"
+        )),
+        Just(("SELECT avg(value), count(*) FROM m", "avg_value")),
+    ]
+}
+
+/// A random leaf condition over the table's three columns, thresholds on
+/// the same half-integer grid as the data (so equality with a stored value
+/// and range boundaries are both hit).
+fn arbitrary_condition() -> impl Strategy<Value = Condition> {
+    prop_oneof![
+        (0i64..5).prop_map(|g| Condition::equals("grp", g)),
+        (0i64..7).prop_map(|d| Condition::equals("device", d)),
+        (0i64..7).prop_map(|d| Condition::not_equals("device", d)),
+        (-100i64..300).prop_map(|k| Condition::above("value", k as f64 / 2.0)),
+        (-100i64..300).prop_map(|k| Condition::at_most("value", k as f64 / 2.0)),
+        (-100i64..300, 0i64..120).prop_map(|(k, w)| Condition::between(
+            "value",
+            k as f64 / 2.0,
+            (k + w) as f64 / 2.0
+        )),
+        proptest::collection::vec(0i64..7, 1..4)
+            .prop_map(|ds| Condition::in_set("device", ds.into_iter().map(Value::Int).collect())),
+    ]
+}
+
+/// A random one- or two-condition conjunction.
+fn arbitrary_conjunction() -> impl Strategy<Value = ConjunctivePredicate> {
+    (arbitrary_condition(), arbitrary_condition(), any::<bool>())
+        .prop_map(|(a, b, both)| ConjunctivePredicate::new(if both { vec![a, b] } else { vec![a] }))
+}
+
 /// Ground truth: full execution over a table materialised from the rows
 /// the exclusion keeps, one that never held the excluded ones.
 fn reference(table: &Table, sql: &str, excluded: &[RowId]) -> QueryResult {
@@ -457,27 +510,33 @@ proptest! {
     }
 
     /// The ranker on top of the cache, against the per-candidate execution
-    /// it replaced: for a pool of `device = k` candidates (the conjunction
-    /// `device = k AND value > 10` included), a random brushed S and a
-    /// random D′, every ranked entry's ε-after, improvement, F1 and score
-    /// equal those recomputed from re-executing the statement rewritten
-    /// with `AND NOT (candidate)`, and the order is by that score.
+    /// it replaced: under every ranked statement shape, for a pool of
+    /// `device = k` candidates (the conjunction `device = k AND value > 10`
+    /// included) plus random conjunctions, a random brushed S and a random
+    /// D′, every ranked entry's ε-after, improvement, F1 and score equal
+    /// those recomputed from re-executing the statement rewritten with
+    /// `AND NOT (candidate)`, and the order is by that score.
     #[test]
     fn ranker_matches_per_candidate_reexecution(
         table in arbitrary_table(),
+        (sql, metric_column) in arbitrary_ranked_statement(),
         threshold in -100i64..300,
         brushed in proptest::collection::vec(0usize..24, 1..4),
         examples in arbitrary_exclusions(),
+        conjunctions in proptest::collection::vec(arbitrary_conjunction(), 0..10),
     ) {
         use dbwipes::core::ranker::error_over_keys;
         use dbwipes::core::{rank_predicates, ErrorMetric, RankerConfig};
-        use dbwipes::storage::{Condition, ConjunctivePredicate};
         use std::collections::BTreeSet;
 
-        let stmt = parse_select("SELECT grp, avg(value), count(*) FROM m GROUP BY grp").unwrap();
+        let stmt = parse_select(sql).unwrap();
         let result = execute(&table, &stmt, ExecOptions::default()).unwrap();
+        if result.is_empty() {
+            // The WHERE clause filtered every row: nothing to brush.
+            return Ok(());
+        }
         let selected: Vec<usize> = brushed.iter().map(|i| i % result.len()).collect();
-        let metric = ErrorMetric::too_high("avg_value", threshold as f64 / 2.0);
+        let metric = ErrorMetric::too_high(metric_column, threshold as f64 / 2.0);
         let config = RankerConfig { max_results: 100, ..RankerConfig::default() };
         let mut pool: Vec<ConjunctivePredicate> = (0..6i64)
             .map(|k| ConjunctivePredicate::new(vec![Condition::equals("device", k)]))
@@ -486,7 +545,13 @@ proptest! {
             Condition::equals("device", 1i64),
             Condition::above("value", 10.0),
         ]));
-        let candidates = pool.len();
+        pool.extend(conjunctions);
+        let candidates = pool
+            .iter()
+            .filter(|p| !p.is_trivial())
+            .map(ConjunctivePredicate::canonical_key)
+            .collect::<BTreeSet<_>>()
+            .len();
         let ranked =
             rank_predicates(&table, &result, &selected, &examples, &metric, pool, &config).unwrap();
         prop_assert_eq!(ranked.len(), candidates);
