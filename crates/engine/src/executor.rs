@@ -19,7 +19,9 @@ use crate::error::EngineError;
 use crate::parser::parse_select;
 use crate::result::{in_order, QueryResult};
 use dbwipes_provenance::Lineage;
-use dbwipes_storage::{Catalog, Column, DataType, Expr, Field, RowId, Schema, Table, Value};
+use dbwipes_storage::{
+    Catalog, Column, DataType, Expr, Field, RowId, RowSet, Schema, Table, Value,
+};
 use std::collections::HashMap;
 
 /// Options controlling query execution. It has no field, since every
@@ -54,7 +56,8 @@ pub fn execute(
 ) -> Result<QueryResult, EngineError> {
     validate(table, stmt)?;
     let filtered = scan_filter(table, stmt)?;
-    let (group_keys, group_rows) = build_groups(table, stmt, filtered)?;
+    let (group_keys, group_rows) =
+        build_groups(table, stmt, filtered.iter_rows(), filtered.count_ones())?;
 
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(group_keys.len());
     for (g_key, g_rows) in group_keys.iter().zip(&group_rows) {
@@ -75,20 +78,17 @@ pub fn execute(
     ))
 }
 
-/// Scan stage: the rows that satisfy the WHERE clause, in scan
-/// order — [`dbwipes_storage::Expr::filter`], so a clause inside the
-/// kernels' fragment (any `AND`/`OR`/`NOT` tree over per-attribute
-/// comparisons: parsed dashboard queries and the exclusion rewrites
-/// "clean as you query" emits alike) runs vectorized and anything else
-/// takes the scalar walk, with identical row sets under SQL three-valued
-/// logic (only rows where the clause is TRUE survive).
-pub(crate) fn scan_filter(
-    table: &Table,
-    stmt: &SelectStatement,
-) -> Result<Vec<RowId>, EngineError> {
+/// Scan stage: the rows that satisfy the WHERE clause, as a bitmap whose
+/// ascending order is scan order — [`dbwipes_storage::Expr::filter_bitmap`],
+/// so a clause inside the kernels' fragment (any `AND`/`OR`/`NOT` tree
+/// over per-attribute comparisons: parsed dashboard queries and the
+/// exclusion rewrites "clean as you query" emits alike) runs vectorized
+/// and anything else takes the scalar walk, with identical row sets under
+/// SQL three-valued logic (only rows where the clause is TRUE survive).
+pub(crate) fn scan_filter(table: &Table, stmt: &SelectStatement) -> Result<RowSet, EngineError> {
     match &stmt.where_clause {
-        Some(pred) => Ok(pred.filter(table)?),
-        None => Ok(table.row_ids().collect()),
+        Some(pred) => Ok(pred.filter_bitmap(table)?),
+        None => Ok(RowSet::full(table.num_rows())),
     }
 }
 
@@ -114,16 +114,18 @@ pub(crate) fn scan_filter_suffix(
     Ok(filtered)
 }
 
-/// Group stage: partitions `filtered` by the GROUP BY key, keeping groups in
-/// first-seen (scan) order. A query without GROUP BY produces exactly one
-/// group, even when no rows survive the filter (PostgreSQL semantics).
+/// Group stage: partitions `filtered` (`count` rows in scan order) by the
+/// GROUP BY key, keeping groups in first-seen order. A query without
+/// GROUP BY produces exactly one group, even when no rows survive the
+/// filter (PostgreSQL semantics).
 pub(crate) type Groups = (Vec<Vec<Value>>, Vec<Vec<RowId>>);
 
 /// See [`Groups`]: returns `(group_keys, group_rows)`.
 pub(crate) fn build_groups(
     table: &Table,
     stmt: &SelectStatement,
-    filtered: Vec<RowId>,
+    filtered: impl Iterator<Item = RowId>,
+    count: usize,
 ) -> Result<Groups, EngineError> {
     let group_cols: Vec<usize> = stmt
         .group_by
@@ -135,11 +137,13 @@ pub(crate) fn build_groups(
     let mut group_rows: Vec<Vec<RowId>> = Vec::new();
 
     if group_cols.is_empty() {
+        let mut rows = Vec::with_capacity(count);
+        rows.extend(filtered);
         group_keys.push(Vec::new());
-        group_rows.push(filtered);
+        group_rows.push(rows);
     } else {
         let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for &rid in &filtered {
+        for rid in filtered {
             let key: Vec<Value> = group_cols
                 .iter()
                 .map(|&c| table.value(rid, c).expect("validated column/row"))
@@ -606,7 +610,7 @@ mod tests {
                 dbwipes_storage::CompiledBoolExpr::compile(pred, &t).is_ok(),
                 "{sql} should vectorize"
             );
-            let vectorized = scan_filter(&t, &s).unwrap();
+            let vectorized = scan_filter(&t, &s).unwrap().to_row_ids();
             let scalar: Vec<RowId> =
                 t.row_ids().filter(|&r| pred.matches(&t, r).unwrap()).collect();
             assert_eq!(vectorized, scalar, "{sql}");

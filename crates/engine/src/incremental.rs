@@ -281,7 +281,8 @@ impl<'t> GroupedAggregateCache<'t> {
             agg_item_indices,
             plain_item_indices,
         };
-        cache.fold(store, filtered)?;
+        cache.fold(store, filtered.iter_rows(), filtered.count_ones())?;
+        cache.membership = filtered;
         Ok(cache)
     }
 
@@ -337,29 +338,37 @@ impl<'t> GroupedAggregateCache<'t> {
         // re-scanning them would make every absorb O(table). The suffix
         // scan admits exactly the rows a full vectorized filter would.
         let appended = scan_filter_suffix(table, &self.stmt, old_rows)?;
-        let absorbed = appended.len();
-        self.fold(store, appended)?;
-        Ok(absorbed)
+        self.membership.grow(table.num_rows());
+        for rid in &appended {
+            self.membership.insert(rid.index());
+        }
+        self.fold(store, appended.iter().copied(), appended.len())?;
+        Ok(appended.len())
     }
 
     /// The one fold behind `build` and `absorb_append`: groups `filtered`
-    /// (rows of `store` that passed the statement's filter, none of them
-    /// retained yet), accumulates them into the per-group states, extends
-    /// `membership` / `row_slots` / `key_index`, re-projects the output row
-    /// of every group that gained rows (the others keep theirs: states,
-    /// rows and representative first row unchanged), and adopts `store` as
-    /// the cache's snapshot.
-    fn fold(&mut self, store: TableStore<'t>, filtered: Vec<RowId>) -> Result<(), EngineError> {
+    /// (`count` rows of `store` that passed the statement's filter, in
+    /// scan order, none of them retained yet), accumulates them into the
+    /// per-group states, extends `row_slots` / `key_index`, re-projects
+    /// the output row of every group that gained rows (the others keep
+    /// theirs: states, rows and representative first row unchanged), and
+    /// adopts `store` as the cache's snapshot. The caller adds the rows to
+    /// `membership`.
+    fn fold(
+        &mut self,
+        store: TableStore<'t>,
+        filtered: impl Iterator<Item = RowId>,
+        count: usize,
+    ) -> Result<(), EngineError> {
         let table: &Table = &store;
         // The retained indexes must match the row universe even when no
         // row passes the filter: exclusion bitmaps arrive sized to the table.
-        self.membership.grow(table.num_rows());
         self.row_slots.resize(table.num_rows(), (0u32, 0u32));
 
         let agg_calls: Vec<&AggregateCall> = self.stmt.aggregates();
         let args: Vec<ArgReader<'_>> =
             agg_calls.iter().map(|call| ArgReader::bind(table, call)).collect::<Result<_, _>>()?;
-        let (keys, group_rows) = build_groups(table, &self.stmt, filtered)?;
+        let (keys, group_rows) = build_groups(table, &self.stmt, filtered, count)?;
         // `build_groups` names each key once, so each group is visited once.
         for (key, rows) in keys.into_iter().zip(group_rows) {
             let gi = match self.key_index.get(&key) {
@@ -391,7 +400,6 @@ impl<'t> GroupedAggregateCache<'t> {
                 let pos = u32::try_from(group.rows.len())
                     .map_err(|_| EngineError::plan("group row list overflows the slot index"))?;
                 group.rows.push(rid);
-                self.membership.insert(rid.index());
                 self.row_slots[rid.index()] = (gi, pos);
             }
             let agg_outputs: Vec<Value> = group.states.iter().map(|s| s.finish()).collect();

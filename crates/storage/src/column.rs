@@ -3,9 +3,9 @@
 //! A [`Column`] stores one attribute of a table as a run of *sealed*
 //! chunks — each exactly [`CHUNK_ROWS`] rows, immutable, behind an `Arc` —
 //! plus one owned *tail* chunk of fewer rows that appends write to. A chunk
-//! is a dense typed vector with a parallel validity mask for NULLs, so
-//! aggregate scans and the condition kernels still run over typed slices;
-//! they just run over one slice per chunk.
+//! is a dense typed vector, with a parallel validity mask once it holds a
+//! NULL, so aggregate scans and the condition kernels still run over typed
+//! slices; they just run over one slice per chunk.
 //!
 //! The point of the split is what a copy costs. Cloning a column copies
 //! one pointer per sealed chunk and the tail, so a snapshot of a table
@@ -13,8 +13,8 @@
 //! [`crate::Catalog::table_mut`]) costs O(chunks) however many rows it
 //! holds, and an append to the copy writes the tail only: every snapshot
 //! that contains a sealed chunk shares it, and nothing ever writes to one.
-//! A tail never outgrows a chunk, so neither does the buffer a push has to
-//! move when a cloned tail's vector grows.
+//! The copied tail is one chunk-sized buffer per vector, so a stream of
+//! appends reuses one block size instead of fragmenting the heap.
 
 use crate::error::StorageError;
 use crate::value::{DataType, Value};
@@ -36,7 +36,7 @@ pub const CHUNK_ROWS: usize = 1 << 14;
 /// [`crate::predicate`] and the column codec in [`crate::persist`] can
 /// work on the typed vectors directly instead of dispatching on the
 /// variant per row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum ColumnData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
@@ -63,7 +63,7 @@ impl ColumnData {
         })
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int(v) | ColumnData::Timestamp(v) => v.len(),
@@ -72,37 +72,75 @@ impl ColumnData {
         }
     }
 
-    fn reserve(&mut self, additional: usize) {
+    /// Makes room for `rows` rows in all, at a power-of-two capacity (see
+    /// [`Chunk`]).
+    fn reserve_for(&mut self, rows: usize) {
+        let additional = rows.next_power_of_two().saturating_sub(self.len());
         match self {
-            ColumnData::Bool(v) => v.reserve(additional),
-            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.reserve(additional),
-            ColumnData::Float(v) => v.reserve(additional),
-            ColumnData::Str(v) => v.reserve(additional),
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        match self {
-            ColumnData::Bool(v) => v.shrink_to_fit(),
-            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.shrink_to_fit(),
-            ColumnData::Float(v) => v.shrink_to_fit(),
-            ColumnData::Str(v) => v.shrink_to_fit(),
+            ColumnData::Bool(v) => v.reserve_exact(additional),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.reserve_exact(additional),
+            ColumnData::Float(v) => v.reserve_exact(additional),
+            ColumnData::Str(v) => v.reserve_exact(additional),
         }
     }
 }
 
-/// Up to [`CHUNK_ROWS`] consecutive rows of a column: a typed vector plus
-/// a validity mask of the same length.
-#[derive(Debug, Clone)]
+/// `values` copied into a whole chunk's buffer.
+fn chunk_buffer<T: Copy>(values: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(CHUNK_ROWS);
+    out.extend_from_slice(values);
+    out
+}
+
+/// The validity mask of `len` rows none of which is NULL, in a whole
+/// chunk's buffer: what a chunk's first NULL makes of its missing mask.
+pub(crate) fn all_valid(len: usize) -> Vec<bool> {
+    let mut out = Vec::with_capacity(CHUNK_ROWS);
+    out.resize(len, true);
+    out
+}
+
+/// Up to [`CHUNK_ROWS`] consecutive rows of a column: a typed vector, and
+/// a validity mask of the same length once one of the rows is NULL.
+///
+/// Every vector of a tail has a capacity that is zero or a power of two no
+/// larger than [`CHUNK_ROWS`], so the doubling of its pushes ends at
+/// exactly a chunk and sealing a full tail moves nothing.
+#[derive(Debug)]
 pub(crate) struct Chunk {
     data: ColumnData,
-    /// `validity[i]` is false when row `i` of the chunk is NULL.
-    validity: Vec<bool>,
+    /// `validity[i]` is false when row `i` of the chunk is NULL; `None`
+    /// while no row is.
+    validity: Option<Vec<bool>>,
+}
+
+/// The copy of a tail that an append to a table somebody else holds
+/// makes (sealed chunks are shared, never copied). A fixed-width vector
+/// is copied into a whole chunk's buffer: every copy is then the same
+/// size, so the allocator hands each one the block the previous copy
+/// freed, and no push after it reallocates. Strings own their heap one
+/// value at a time anyway; their vector is copied at the next power of
+/// two.
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        let data = match &self.data {
+            ColumnData::Bool(v) => ColumnData::Bool(chunk_buffer(v)),
+            ColumnData::Int(v) => ColumnData::Int(chunk_buffer(v)),
+            ColumnData::Float(v) => ColumnData::Float(chunk_buffer(v)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(chunk_buffer(v)),
+            ColumnData::Str(v) => {
+                let mut out = Vec::with_capacity(v.len().next_power_of_two());
+                out.extend(v.iter().cloned());
+                ColumnData::Str(out)
+            }
+        };
+        Chunk { data, validity: self.validity.as_deref().map(chunk_buffer) }
+    }
 }
 
 impl Chunk {
     fn new(dtype: DataType) -> Result<Self, StorageError> {
-        Ok(Chunk { data: ColumnData::new(dtype)?, validity: Vec::new() })
+        Ok(Chunk { data: ColumnData::new(dtype)?, validity: None })
     }
 
     /// The typed backing vector (for the columnar kernels and the codec).
@@ -110,18 +148,27 @@ impl Chunk {
         &self.data
     }
 
-    /// The validity mask (`false` = NULL), aligned with the typed vector.
+    /// The validity mask (`false` = NULL), aligned with the typed vector:
+    /// all true for a chunk that holds no NULL.
     pub(crate) fn valid(&self) -> &[bool] {
-        &self.validity
+        /// What a chunk without a mask reads as.
+        const ALL_VALID: &[bool] = &[true; CHUNK_ROWS];
+        self.validity.as_deref().unwrap_or(&ALL_VALID[..self.len()])
     }
 
     fn len(&self) -> usize {
-        self.validity.len()
+        self.data.len()
+    }
+
+    /// False when row `at`, which is in bounds, is NULL.
+    #[inline]
+    fn is_valid(&self, at: usize) -> bool {
+        self.validity.as_ref().map_or(true, |v| v[at])
     }
 
     /// The value at `at`, which is in bounds.
     fn get(&self, at: usize) -> Value {
-        if !self.validity[at] {
+        if !self.is_valid(at) {
             return Value::Null;
         }
         match &self.data {
@@ -143,7 +190,7 @@ impl Chunk {
                 v.iter().map(|s| std::mem::size_of::<String>() + s.len()).sum::<usize>()
             }
         };
-        values + self.validity.len()
+        values + self.validity.as_ref().map_or(0, Vec::len)
     }
 }
 
@@ -166,19 +213,6 @@ impl Column {
     /// a concrete type instead.
     pub fn new(dtype: DataType) -> Result<Self, StorageError> {
         Ok(Column { dtype, sealed: Vec::new(), tail: Chunk::new(dtype)? })
-    }
-
-    /// Creates an empty column with pre-reserved capacity (at most one
-    /// chunk's worth: rows past that land in chunks of their own).
-    pub fn with_capacity(dtype: DataType, cap: usize) -> Result<Self, StorageError> {
-        let mut c = Column::new(dtype)?;
-        c.reserve_tail(cap.min(CHUNK_ROWS));
-        Ok(c)
-    }
-
-    fn reserve_tail(&mut self, additional: usize) {
-        self.tail.data.reserve(additional);
-        self.tail.validity.reserve(additional);
     }
 
     /// The column's data type.
@@ -235,13 +269,17 @@ impl Column {
             (ColumnData::Timestamp(v), Value::Timestamp(t) | Value::Int(t)) => v.push(t),
             _ => unreachable!("Column::accepts admits only what a column stores"),
         }
-        self.tail.validity.push(true);
+        if let Some(validity) = &mut self.tail.validity {
+            validity.push(true);
+        }
         self.seal_full_tail();
         Ok(())
     }
 
-    /// Appends a NULL entry.
+    /// Appends a NULL entry; the tail's first NULL gives it a mask.
     pub fn push_null(&mut self) {
+        let len = self.tail.len();
+        self.tail.validity.get_or_insert_with(|| all_valid(len)).push(false);
         match &mut self.tail.data {
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Int(v) => v.push(0),
@@ -249,22 +287,18 @@ impl Column {
             ColumnData::Str(v) => v.push(String::new()),
             ColumnData::Timestamp(v) => v.push(0),
         }
-        self.tail.validity.push(false);
         self.seal_full_tail();
     }
 
     /// Moves a tail that has reached [`CHUNK_ROWS`] rows behind an `Arc`
-    /// and starts an empty one. The sealed vectors give back whatever
-    /// capacity growth left over: they are never pushed to again.
+    /// and starts an empty one. Its vectors are a chunk's size already
+    /// (see [`Chunk`]), so nothing is copied.
     fn seal_full_tail(&mut self) {
         if self.tail.len() < CHUNK_ROWS {
             return;
         }
         let fresh = Chunk::new(self.dtype).expect("existing column has a concrete type");
-        let mut full = std::mem::replace(&mut self.tail, fresh);
-        full.data.shrink_to_fit();
-        full.validity.shrink_to_fit();
-        self.sealed.push(Arc::new(full));
+        self.sealed.push(Arc::new(std::mem::replace(&mut self.tail, fresh)));
     }
 
     /// The chunk holding `row` and the row's offset in it, or `None` when
@@ -288,7 +322,7 @@ impl Column {
     #[inline]
     pub fn get_f64(&self, row: usize) -> Option<f64> {
         let (chunk, at) = self.locate(row)?;
-        if !chunk.validity[at] {
+        if !chunk.is_valid(at) {
             return None;
         }
         match &chunk.data {
@@ -306,20 +340,20 @@ impl Column {
     pub fn get_str(&self, row: usize) -> Option<&str> {
         let (chunk, at) = self.locate(row)?;
         match &chunk.data {
-            ColumnData::Str(v) if chunk.validity[at] => Some(v[at].as_str()),
+            ColumnData::Str(v) if chunk.is_valid(at) => Some(v[at].as_str()),
             _ => None,
         }
     }
 
     /// True when the entry at `row` is NULL (out-of-bounds counts as NULL).
     pub fn is_null(&self, row: usize) -> bool {
-        self.locate(row).map_or(true, |(chunk, at)| !chunk.validity[at])
+        self.locate(row).map_or(true, |(chunk, at)| !chunk.is_valid(at))
     }
 
     /// Number of non-NULL entries.
     pub fn non_null_count(&self) -> usize {
         self.pieces(0..self.len())
-            .map(|(chunk, _)| chunk.validity.iter().filter(|v| **v).count())
+            .map(|(chunk, _)| chunk.valid().iter().filter(|v| **v).count())
             .sum()
     }
 
@@ -355,26 +389,33 @@ impl Column {
 
     /// Appends `rows` rows a chunk's worth at a time, for the persistence
     /// layer to decode onto: `fill` is handed the tail's typed vector and
-    /// validity mask, with room reserved, and which of the `rows` rows to
-    /// push onto both. A fill that leaves either short or long is an
-    /// error, as is anything `fill` returns; the column is then
-    /// half-extended and must be dropped.
+    /// validity mask, with room reserved in the vector, and which of the
+    /// `rows` rows to push onto both. The mask is `None` while the tail
+    /// holds no NULL; a fill leaves it so when its rows hold none either,
+    /// and otherwise first makes it [`all_valid`] over the rows already
+    /// there. A fill that leaves either short or long is an error, as is
+    /// anything `fill` returns; the column is then half-extended and must
+    /// be dropped.
     pub(crate) fn extend_with(
         &mut self,
         rows: usize,
-        mut fill: impl FnMut(&mut ColumnData, &mut Vec<bool>, Range<usize>) -> Result<(), StorageError>,
+        mut fill: impl FnMut(
+            &mut ColumnData,
+            &mut Option<Vec<bool>>,
+            Range<usize>,
+        ) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let mut done = 0;
         while done < rows {
             let take = (rows - done).min(CHUNK_ROWS - self.tail.len());
             let filled = self.tail.len() + take;
-            self.reserve_tail(take);
+            self.tail.data.reserve_for(filled);
             fill(&mut self.tail.data, &mut self.tail.validity, done..done + take)?;
-            if self.tail.data.len() != filled || self.tail.validity.len() != filled {
+            let bits = self.tail.validity.as_ref().map_or(filled, Vec::len);
+            if self.tail.data.len() != filled || bits != filled {
                 return Err(StorageError::Corrupt(format!(
-                    "decoded {} values and {} validity bits where {filled} were due",
+                    "decoded {} values and {bits} validity bits where {filled} were due",
                     self.tail.data.len(),
-                    self.tail.validity.len()
                 )));
             }
             self.seal_full_tail();
@@ -540,6 +581,11 @@ mod tests {
                 assert_eq!(column.is_empty(), model.is_empty());
                 assert_eq!(column.sealed.len(), len / CHUNK_ROWS, "{len} rows of {dtype:?}");
                 assert_eq!(column.tail.len(), len % CHUNK_ROWS);
+                // Pushes double a tail to exactly a chunk: nothing to shrink.
+                for chunk in &column.sealed {
+                    assert!(data_buffer(chunk).map_or(true, |(_, cap)| cap == CHUNK_ROWS));
+                    assert!(chunk.validity.as_ref().map_or(true, |v| v.capacity() == CHUNK_ROWS));
+                }
                 assert!(column.iter().eq(model.iter().cloned()), "{len} rows of {dtype:?}");
                 let non_null = model.iter().filter(|v| !v.is_null()).count();
                 assert_eq!(column.non_null_count(), non_null);
@@ -567,9 +613,29 @@ mod tests {
         }
     }
 
+    /// Where a chunk's fixed-width data vector lives, and its capacity;
+    /// `None` for strings.
+    fn data_buffer(chunk: &Chunk) -> Option<(*const (), usize)> {
+        match &chunk.data {
+            ColumnData::Bool(v) => Some((v.as_ptr().cast(), v.capacity())),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => {
+                Some((v.as_ptr().cast(), v.capacity()))
+            }
+            ColumnData::Float(v) => Some((v.as_ptr().cast(), v.capacity())),
+            ColumnData::Str(_) => None,
+        }
+    }
+
+    /// The fixed-width data buffers of a table's tails.
+    fn tail_buffers(table: &crate::Table) -> Vec<(*const (), usize)> {
+        let columns = (0..table.schema().len()).map(|c| table.column(c).unwrap());
+        columns.filter_map(|column| data_buffer(&column.tail)).collect()
+    }
+
     /// The 0 %-tolerance counterpart of the wall-clock claim: a
     /// copy-on-write append to a table somebody else holds copies the tail
-    /// of each column and nothing else.
+    /// of each column and nothing else, into one chunk-sized buffer that
+    /// neither the append nor the seal after it moves.
     #[test]
     fn an_append_to_a_shared_snapshot_copies_only_the_tail() {
         use crate::{Catalog, Condition, RowId, Schema, Table};
@@ -595,7 +661,18 @@ mod tests {
         warm.condition(&old, &Condition::above("f", 100.0)).unwrap();
         let values: Vec<Vec<Value>> = old.row_ids().map(|r| old.row(r).unwrap()).collect();
 
-        catalog.table_mut("t").unwrap().push_rows((ROWS..ROWS + 256).map(row).collect()).unwrap();
+        // The copy: every fixed-width tail buffer, and every mask, is a
+        // whole chunk's, and the append that follows it moves none of them.
+        let copy = catalog.table_mut("t").unwrap();
+        let copied = tail_buffers(copy);
+        assert_eq!(copied.len(), 4);
+        assert!(copied.iter().all(|&(_, capacity)| capacity == CHUNK_ROWS), "{copied:?}");
+        for c in 0..5 {
+            let mask = copy.column(c).unwrap().tail.validity.as_ref();
+            assert!(mask.map_or(true, |v| v.capacity() == CHUNK_ROWS), "column {c}");
+        }
+        copy.push_rows((ROWS..ROWS + 256).map(row).collect()).unwrap();
+        assert_eq!(tail_buffers(copy), copied, "the append after the copy moved a tail");
         let new = catalog.table_arc("t").unwrap();
         assert!(!Arc::ptr_eq(&old, &new), "the held snapshot was copied, not written");
         for c in 0..5 {
@@ -620,20 +697,85 @@ mod tests {
 
         // An append that fills the tail seals exactly one chunk per column,
         // and the chunks sealed before are the same chunks still.
+        // Sealing moves no buffer either: the full tail is the chunk.
         drop(old);
         let fill = 3 * CHUNK_ROWS - new.num_rows();
-        catalog.table_mut("t").unwrap().push_rows((0..fill).map(row).collect()).unwrap();
+        let copy = catalog.table_mut("t").unwrap();
+        let copied = tail_buffers(copy);
+        copy.push_rows((0..fill).map(row).collect()).unwrap();
         let full = catalog.table_arc("t").unwrap();
+        let mut sealed = Vec::new();
         for c in 0..5 {
             let (before, after) = (new.column(c).unwrap(), full.column(c).unwrap());
             assert_eq!((after.sealed.len(), after.tail.len()), (3, 0));
             assert!(before.sealed.iter().zip(&after.sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
+            sealed.extend(data_buffer(&after.sealed[2]));
         }
+        assert_eq!(sealed, copied, "sealing a full tail moved its buffer");
+    }
+
+    /// One non-NULL value of each type.
+    fn some(dtype: DataType) -> Value {
+        cell(dtype, 0, (0..).find(|&r| !cell(dtype, 0, r).is_null()).unwrap())
+    }
+
+    /// A chunk keeps a validity mask only once it holds a NULL: the first
+    /// one gives the tail a mask of its rows so far (all valid) and the
+    /// NULL; the mask seals with the chunk, and the next tail starts
+    /// without one — whichever way the NULL arrives.
+    #[test]
+    fn a_chunk_holds_a_validity_mask_only_once_it_holds_a_null() {
+        for dtype in DTYPES {
+            for null_via_push in [false, true] {
+                let mut c = Column::new(dtype).unwrap();
+                let push_null = |c: &mut Column| match null_via_push {
+                    true => c.push(Value::Null).unwrap(),
+                    false => c.push_null(),
+                };
+                for _ in 0..CHUNK_ROWS + 10 {
+                    c.push(some(dtype)).unwrap();
+                }
+                assert!(c.sealed[0].validity.is_none() && c.tail.validity.is_none());
+                push_null(&mut c);
+                let mask = c.tail.validity.as_ref().expect("the first NULL makes a mask");
+                assert_eq!(mask.len(), 11);
+                assert!(mask[..10].iter().all(|&v| v) && !mask[10]);
+                while c.tail.len() > 0 {
+                    c.push(some(dtype)).unwrap();
+                }
+                let sealed = c.sealed[1].validity.as_ref().expect("the mask seals with its chunk");
+                let nulls: Vec<usize> = (0..CHUNK_ROWS).filter(|&i| !sealed[i]).collect();
+                assert_eq!(nulls, [10]);
+                assert!(c.sealed[0].validity.is_none() && c.tail.validity.is_none());
+                // A NULL as the first row of a tail.
+                push_null(&mut c);
+                assert_eq!(c.tail.validity.as_deref(), Some(&[false][..]));
+                assert_eq!(c.non_null_count(), 2 * CHUNK_ROWS - 1);
+                let nulls: Vec<usize> = (0..c.len()).filter(|&r| c.is_null(r)).collect();
+                assert_eq!(nulls, [CHUNK_ROWS + 10, 2 * CHUNK_ROWS]);
+            }
+        }
+    }
+
+    /// A table that holds no NULL costs its values and nothing else: an
+    /// 8-column numeric row is 64 bytes.
+    #[test]
+    fn a_null_free_numeric_table_costs_eight_bytes_a_value() {
+        use crate::{Schema, Table};
+        let dtypes = [DataType::Int, DataType::Timestamp, DataType::Float];
+        let fields: Vec<(String, DataType)> =
+            (0..8).map(|c| (format!("c{c}"), dtypes[c % 3])).collect();
+        let fields: Vec<(&str, DataType)> = fields.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+        let mut table = Table::new("t", Schema::of(&fields)).unwrap();
+        const ROWS: usize = CHUNK_ROWS + 100;
+        let row = |r: usize| vec![Value::Int(r as i64); 8];
+        table.push_rows((0..ROWS).map(row).collect()).unwrap();
+        assert_eq!(table.approx_bytes(), 64 * ROWS);
     }
 
     #[test]
     fn iter_visits_all_rows() {
-        let mut c = Column::with_capacity(DataType::Int, 4).unwrap();
+        let mut c = Column::new(DataType::Int).unwrap();
         for i in 0..4 {
             c.push(Value::Int(i)).unwrap();
         }

@@ -450,10 +450,18 @@ impl Expr {
     /// identical — bit for bit — to [`Expr::filter_scalar`], which answers
     /// (rows or error) for everything else.
     pub fn filter(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
+        Ok(self.filter_bitmap(table)?.to_row_ids())
+    }
+
+    /// [`Expr::filter`]'s rows as a bitmap over the table's rows, for a
+    /// caller that only iterates them: no row list is built on the
+    /// vectorized path. Unlike [`Expr::filter_set`] it caches nothing on
+    /// the snapshot.
+    pub fn filter_bitmap(&self, table: &Table) -> Result<RowSet, StorageError> {
         let compiled = crate::predicate::CompiledBoolExpr::compile(self, table);
         match crate::predicate::vectorized_filter(compiled) {
             Some(rows) => Ok(rows),
-            None => self.filter_scalar(table),
+            None => Ok(RowSet::from_rows(table.num_rows(), &self.filter_scalar(table)?)),
         }
     }
 

@@ -53,7 +53,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::column::{Column, ColumnData};
+use crate::column::{all_valid, Column, ColumnData};
 use crate::error::StorageError;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -289,6 +289,15 @@ fn unpack_bits(packed: &[u8], bits: Range<usize>, out: &mut Vec<bool>) {
     out.extend((bits.start + whole * 8..bits.end).map(|i| packed[i / 8] >> (i % 8) & 1 != 0));
 }
 
+/// True when every bit in `bits` of a bit-packed vector is set: whole
+/// bytes at a time where [`unpack_bits`] would take them so.
+fn all_set(packed: &[u8], bits: Range<usize>) -> bool {
+    let whole = if bits.start % 8 == 0 { bits.len() / 8 } else { 0 };
+    let first = bits.start / 8;
+    packed[first..first + whole].iter().all(|&byte| byte == u8::MAX)
+        && (bits.start + whole * 8..bits.end).all(|i| packed[i / 8] >> (i % 8) & 1 != 0)
+}
+
 /// The wire tag of a [`DataType`] (0 is reserved so a zeroed byte never
 /// decodes as a valid type).
 fn dtype_code(dtype: DataType) -> u8 {
@@ -445,7 +454,10 @@ fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), Storage
         )));
     }
     col.extend_with(rows, |data, valid, at| {
-        unpack_bits(validity, at.clone(), valid);
+        // A chunk whose rows are all valid keeps no mask, as in memory.
+        if valid.is_some() || !all_set(validity, at.clone()) {
+            unpack_bits(validity, at.clone(), valid.get_or_insert_with(|| all_valid(data.len())));
+        }
         match (data, &encoded) {
             (ColumnData::Bool(v), EncodedValues::Bits(packed)) => unpack_bits(packed, at, v),
             (ColumnData::Int(v) | ColumnData::Timestamp(v), EncodedValues::Words(bytes)) => {

@@ -382,7 +382,7 @@ impl ConjunctivePredicate {
     /// walk, where a failed evaluation is a non-match (see
     /// [`ConjunctivePredicate::matches`]).
     pub fn matching_rows(&self, table: &Table) -> Vec<RowId> {
-        vectorized_filter(self.compile(table)).unwrap_or_else(|| {
+        vectorized_filter(self.compile(table)).map(|rows| rows.to_row_ids()).unwrap_or_else(|| {
             let expr = self.to_expr();
             table.row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
         })
@@ -1208,16 +1208,14 @@ static GLOBAL_BOOL_VECTORIZED: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_BOOL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// The one compile-or-scalar step of every filter: the rows where a
-/// successfully compiled clause is TRUE, in ascending [`RowId`] order, or
-/// `None` when it did not compile and the caller's scalar walk must
-/// answer. Either way the outcome is counted (see
-/// [`bool_vectorization_stats`]).
+/// successfully compiled clause is TRUE, or `None` when it did not
+/// compile and the caller's scalar walk must answer. Either way the
+/// outcome is counted (see [`bool_vectorization_stats`]).
 pub(crate) fn vectorized_filter(
     compiled: Result<CompiledBoolExpr<'_>, StorageError>,
-) -> Option<Vec<RowId>> {
+) -> Option<RowSet> {
     count_filter(compiled.is_ok());
-    let compiled = compiled.ok()?;
-    Some(compiled.eval_columns().trues.to_row_ids())
+    Some(compiled.ok()?.eval_columns().trues)
 }
 
 /// Counts one filter evaluation: served by a compiled tree, or left to

@@ -247,8 +247,9 @@ impl Table {
         self.rows == 0
     }
 
-    /// Bytes of row data this snapshot reaches: the values and validity
-    /// mask of every chunk of every column. Sealed chunks are counted in
+    /// Bytes of row data this snapshot reaches: the values of every chunk
+    /// of every column, and the validity mask of each chunk that holds a
+    /// NULL (one byte a row). Sealed chunks are counted in
     /// full although other snapshots of the table share them, so the
     /// gauges of two snapshots do not add up; the condition bitmaps have a
     /// gauge of their own ([`Table::retained_condition_bitmaps`]).
