@@ -18,6 +18,7 @@ use dbwipes_engine::{
 };
 use dbwipes_learn::FeatureSpace;
 use dbwipes_storage::{Catalog, Condition, ConjunctivePredicate, RowId, Table};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// End-to-end configuration of an explanation request.
@@ -185,26 +186,35 @@ impl DbWipes {
         result: &QueryResult,
         request: &ExplanationRequest,
     ) -> Result<Explanation, CoreError> {
-        let table = self.catalog.table(&result.statement.table)?;
-        explain_on_table(table, result, request)
+        let table = self.catalog.table_arc(&result.statement.table)?;
+        explain_on_snapshot(table, result, request)
     }
 }
 
 /// Runs the full backend pipeline against an explicit table (the facade's
-/// [`DbWipes::explain`] resolves the table from its catalog and calls this).
+/// [`DbWipes::explain`] does the same on its catalog's snapshot, without
+/// copying it).
 pub fn explain_on_table(
     table: &Table,
     result: &QueryResult,
     request: &ExplanationRequest,
 ) -> Result<Explanation, CoreError> {
-    // The incremental re-aggregation cache is built once here (one
-    // statement execution), shared between the Preprocessor and the
-    // Predicate Ranker, and dropped with the call — its build cost is
-    // charged to the Preprocessor. Callers that keep caches alive across
-    // explains (the server's cross-brush registry) build the cache
-    // themselves and call [`explain_with_cache`] directly.
+    explain_on_snapshot(Arc::new(table.clone()), result, request)
+}
+
+/// The pipeline over a snapshot: the incremental re-aggregation cache is
+/// built once here (one statement execution) over `table`, shared between
+/// the Preprocessor and the Predicate Ranker, and dropped with the call —
+/// its build cost is charged to the Preprocessor. Callers that keep caches
+/// alive across explains (the server's cross-brush registry) build the
+/// cache themselves and call [`explain_with_cache`] directly.
+fn explain_on_snapshot(
+    table: Arc<Table>,
+    result: &QueryResult,
+    request: &ExplanationRequest,
+) -> Result<Explanation, CoreError> {
     let start = Instant::now();
-    let cache = GroupedAggregateCache::build(table, &result.statement)?;
+    let cache = GroupedAggregateCache::build_shared(table, &result.statement)?;
     let build_ms = start.elapsed().as_secs_f64() * 1000.0;
     let mut explanation = explain_with_cache(&cache, result, request)?;
     explanation.timings.preprocess_ms += build_ms;
@@ -249,7 +259,7 @@ pub fn choose_shard_column(
 /// the pipeline skips the one-full-execution build cost — the point of
 /// keeping caches alive across brushes and repeated explains.
 pub fn explain_with_cache(
-    cache: &GroupedAggregateCache<'_>,
+    cache: &GroupedAggregateCache,
     result: &QueryResult,
     request: &ExplanationRequest,
 ) -> Result<Explanation, CoreError> {

@@ -87,7 +87,7 @@ impl CleaningSession {
     /// the base statement.
     pub fn execute_with_cache(
         &self,
-        cache: &GroupedAggregateCache<'_>,
+        cache: &GroupedAggregateCache,
     ) -> Result<QueryResult, CoreError> {
         if cache.statement() != &self.base {
             return Err(CoreError::invalid(format!(

@@ -195,7 +195,7 @@ pub fn rank_predicates_sharded(
 
 /// The per-ranking state shared by every candidate's scoring pass.
 struct ScoreContext<'a> {
-    cache: &'a GroupedAggregateCache<'a>,
+    cache: &'a GroupedAggregateCache,
     /// The snapshot's condition-bitmap cache (warmed before scoring; what
     /// an earlier ranking left in it is already warm).
     bitmaps: Arc<ConditionBitmapCache>,

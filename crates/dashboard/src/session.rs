@@ -138,7 +138,7 @@ impl DashboardSession {
     pub fn refresh_after_append(
         &mut self,
         table: Arc<Table>,
-        cache: &GroupedAggregateCache<'_>,
+        cache: &GroupedAggregateCache,
     ) -> Result<(), CoreError> {
         let (Some(current), Some(cleaning)) = (&self.result, &self.cleaning) else {
             return Err(CoreError::invalid("no query result to refresh"));
@@ -318,7 +318,7 @@ impl DashboardSession {
     /// mismatched statement is rejected by the backend.
     pub fn debug_with_cache(
         &mut self,
-        cache: &GroupedAggregateCache<'_>,
+        cache: &GroupedAggregateCache,
     ) -> Result<&Explanation, CoreError> {
         let request = self.explain_request()?;
         let result = self.result.as_ref().expect("validated by explain_request");
@@ -386,7 +386,7 @@ impl DashboardSession {
     pub fn click_predicate_with_cache(
         &mut self,
         index: usize,
-        cache: &GroupedAggregateCache<'_>,
+        cache: &GroupedAggregateCache,
     ) -> Result<&QueryResult, CoreError> {
         let predicate = self.ranked_predicate(index)?.predicate.clone();
         self.check_base_cache(cache)?;
@@ -398,7 +398,7 @@ impl DashboardSession {
     /// statement — see [`DashboardSession::click_predicate_with_cache`].
     pub fn undo_clean_with_cache(
         &mut self,
-        cache: &GroupedAggregateCache<'_>,
+        cache: &GroupedAggregateCache,
     ) -> Result<&QueryResult, CoreError> {
         self.check_base_cache(cache)?;
         self.cleaning_mut()?.undo();
@@ -411,7 +411,7 @@ impl DashboardSession {
 
     /// Refuses a cache that does not retain the base statement over the
     /// very data this session reads.
-    fn check_base_cache(&self, cache: &GroupedAggregateCache<'_>) -> Result<(), CoreError> {
+    fn check_base_cache(&self, cache: &GroupedAggregateCache) -> Result<(), CoreError> {
         let base = self
             .base_statement()
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
@@ -433,7 +433,7 @@ impl DashboardSession {
     /// cached, cannot drift apart.
     fn show_cleaned(
         &mut self,
-        cache: Option<&GroupedAggregateCache<'_>>,
+        cache: Option<&GroupedAggregateCache>,
     ) -> Result<&QueryResult, CoreError> {
         let cleaning = self
             .cleaning

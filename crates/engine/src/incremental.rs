@@ -24,10 +24,10 @@
 //! value back from it (for removal and for the recompute fallback) —
 //! never from the catalog's live table, which may have moved on.
 //!
-//! [`GroupedAggregateCache::result`] (driven by an [`ExclusionQuery`])
-//! then clones only the *touched* groups' states and calls
-//! [`AggregateState::remove`] for the excluded tuples' contributions —
-//! O(touched) instead of O(|D|).
+//! [`GroupedAggregateCache::result`], asked an [`ExclusionQuery`] for the
+//! brushed groups' keys, then clones only the *touched* groups' states and
+//! calls [`AggregateState::remove`] for the excluded tuples' contributions
+//! — O(touched) instead of O(|D|).
 //!
 //! ## Removable vs. non-removable aggregates
 //!
@@ -47,21 +47,32 @@
 //! without GROUP BY, which remains and reports its empty-input values
 //! (NULLs, `COUNT` = 0).
 //!
-//! ## Two constructors, two contracts
+//! ## Two answers, two contracts
 //!
-//! [`GroupedAggregateCache::result`] is the *scoring* path: thousands of
-//! candidates a second, each answer only compared with a threshold, with
-//! the empty lineage. It subtracts, and a floating-point subtraction
-//! agrees with an execution over the remaining rows to the last few bits,
-//! not in them — exactly on the dyadic values most tests use, not on `0.1`.
+//! A cache co-owns the snapshot it indexed (an `Arc<Table>`): whatever
+//! the catalog does afterwards, every answer reads the rows the cache was
+//! built from, and a cache lives as long as its owner wants it to.
 //!
-//! [`GroupedAggregateCache::cleaned_result`] is the *display* path: the
-//! result a session shows after a streamed append, a clicked predicate or
-//! an undo. It never subtracts — a group that lost rows is aggregated
-//! again over the rows it keeps, in scan order — so it equals
-//! [`crate::execute`] on the rewritten statement bit for bit, row order
-//! and per-group lineage included, at the cost of reading the touched
-//! groups' rows once instead of scanning, hashing and grouping the table.
+//! [`GroupedAggregateCache::result`] for [`ExclusionQuery::for_keys`] of a
+//! statement without LIMIT is the *scoring* path — the Predicate Ranker's
+//! question, thousands of candidates a second, each answer only compared
+//! with a threshold, with the empty lineage. It is the one answer that
+//! subtracts, and a floating-point subtraction agrees with an execution
+//! over the remaining rows to the last few bits, not in them — exactly on
+//! the dyadic values most tests use, not on `0.1`.
+//!
+//! Every other answer re-folds the whole result: the *display* path
+//! [`GroupedAggregateCache::cleaned_result`] (the result a session shows
+//! after a streamed append, a clicked predicate or an undo) and
+//! [`GroupedAggregateCache::result`] without keys or under a LIMIT (where
+//! which groups survive depends on every group and on how ties break;
+//! filtered down to the keys afterwards). A group that lost
+//! rows is aggregated again over the rows it keeps, in scan order, and the
+//! groups are put back in the order of their first surviving row before
+//! ORDER BY / LIMIT — so the answer equals [`crate::execute`] on the
+//! rewritten statement bit for bit, row order and per-group lineage
+//! included, at the cost of reading the touched groups' rows once instead
+//! of scanning, hashing and grouping the table.
 
 use crate::aggregate::AggregateState;
 use crate::ast::{AggregateCall, SelectExpr, SelectStatement};
@@ -76,27 +87,6 @@ use dbwipes_storage::{RowId, RowSet, Schema, Table, Value};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// How a cache holds the table it indexed: borrowed from the caller (the
-/// classic single-explain path, where the cache lives within one call
-/// stack) or shared ownership of an immutable snapshot (the server's
-/// cross-brush registry, whose caches must outlive any single request).
-#[derive(Debug, Clone)]
-enum TableStore<'t> {
-    Borrowed(&'t Table),
-    Shared(Arc<Table>),
-}
-
-impl std::ops::Deref for TableStore<'_> {
-    type Target = Table;
-
-    fn deref(&self) -> &Table {
-        match self {
-            TableStore::Borrowed(t) => t,
-            TableStore::Shared(t) => t,
-        }
-    }
-}
 
 /// Identifies "this statement over this table data" — the key of the
 /// server's cross-brush cache registry.
@@ -138,7 +128,8 @@ impl CacheFingerprint {
     /// True when `self` describes the same statement as `older` over a
     /// later version of the same table. A table only grows, so a cache
     /// under `older` serves `self` after
-    /// [`GroupedAggregateCache::absorb_append`] (which is forward-only).
+    /// [`GroupedAggregateCache::absorb_append_shared`] (which is
+    /// forward-only).
     pub fn grew_from(&self, older: &CacheFingerprint) -> bool {
         self.table_id == older.table_id
             && self.version > older.version
@@ -147,33 +138,48 @@ impl CacheFingerprint {
     }
 }
 
-/// Which input rows an [`ExclusionQuery`] excludes — either shape the
-/// ranker produces, borrowed rather than copied.
-#[derive(Debug, Clone, Copy, Default)]
-enum Excluded<'q> {
-    /// Exclude nothing (the full cached result).
-    #[default]
-    None,
-    /// An explicit row list (duplicates and non-matching rows ignored).
-    Rows(&'q [RowId]),
-    /// A [`RowSet`] bitmap over the cache's row universe — the vectorized
-    /// ranker's shape; set bits are consumed directly.
-    Set(&'q RowSet),
-}
-
 /// A "what if these rows were deleted?" question for
-/// [`GroupedAggregateCache::result`]: an exclusion selector (row list or
-/// [`RowSet`] bitmap) optionally restricted to specific GROUP BY keys.
-/// Borrowing builder — construct with [`ExclusionQuery::new`], chain
-/// `excluding_rows` / `excluding_set` / `for_keys`, then pass to
-/// [`GroupedAggregateCache::result`]:
+/// [`GroupedAggregateCache::result`]: the set bits of a [`RowSet`] (none by
+/// default; bits of rows the cache did not retain are ignored), optionally
+/// restricted to specific GROUP BY keys. Borrowing builder — construct
+/// with [`ExclusionQuery::new`], chain [`ExclusionQuery::excluding_set`] /
+/// [`ExclusionQuery::for_keys`], then pass to
+/// [`GroupedAggregateCache::result`]. Excluding the rows on which a
+/// predicate is TRUE or NULL answers what the statement rewritten with
+/// `AND NOT (predicate)` would:
 ///
-/// ```ignore
-/// cache.result(&ExclusionQuery::new().excluding_set(&bits).for_keys(&keys))
+/// ```
+/// use dbwipes_engine::{execute, parse_select, ExclusionQuery, ExecOptions, GroupedAggregateCache};
+/// use dbwipes_storage::{Condition, ConjunctivePredicate, DataType, RowSet, Schema, Table, Value};
+///
+/// let schema =
+///     Schema::of(&[("hour", DataType::Int), ("sensor", DataType::Int), ("temp", DataType::Float)]);
+/// let mut t = Table::new("readings", schema).unwrap();
+/// for i in 0..40i64 {
+///     // Sensor 3 reads 120 degrees; the others read 20–23.
+///     let temp = if i % 5 == 3 { 120.0 } else { 20.0 + (i % 4) as f64 };
+///     t.push_row(vec![Value::Int(i % 4), Value::Int(i % 5), Value::Float(temp)]).unwrap();
+/// }
+/// let stmt = parse_select("SELECT hour, avg(temp) AS a FROM readings GROUP BY hour").unwrap();
+/// let cache = GroupedAggregateCache::build(&t, &stmt).unwrap();
+///
+/// // `AND NOT (sensor = 3)` keeps the rows where `NOT (sensor = 3)` is TRUE.
+/// let p = ConjunctivePredicate::new(vec![Condition::equals("sensor", 3i64)]);
+/// let kept = p.to_exclusion_expr().filter(&t).unwrap();
+/// let excluded = RowSet::from_rows(t.num_rows(), &kept).complement();
+/// let keys = vec![vec![Value::Int(3)]];
+/// let cleaned = cache.result(&ExclusionQuery::new().excluding_set(&excluded).for_keys(&keys));
+///
+/// let rewritten = stmt.with_additional_filter(p.to_exclusion_expr());
+/// let executed = execute(&t, &rewritten, ExecOptions::default()).unwrap();
+/// let hour3 = executed.group_keys.iter().position(|k| *k == keys[0]).unwrap();
+/// assert_eq!(cleaned.group_keys, keys);
+/// assert_eq!(cleaned.rows, vec![executed.rows[hour3].clone()]);
+/// assert_eq!(cleaned.rows[0][1], Value::Float(23.0));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExclusionQuery<'q> {
-    excluded: Excluded<'q>,
+    excluded: Option<&'q RowSet>,
     keys: Option<&'q [Vec<Value>]>,
 }
 
@@ -183,15 +189,9 @@ impl<'q> ExclusionQuery<'q> {
         Self::default()
     }
 
-    /// Excludes the given rows (replacing any prior exclusion selector).
-    pub fn excluding_rows(mut self, rows: &'q [RowId]) -> Self {
-        self.excluded = Excluded::Rows(rows);
-        self
-    }
-
-    /// Excludes the set bits of `set` (replacing any prior selector).
+    /// Excludes the set bits of `set` (replacing any prior set).
     pub fn excluding_set(mut self, set: &'q RowSet) -> Self {
-        self.excluded = Excluded::Set(set);
+        self.excluded = Some(set);
         self
     }
 
@@ -216,16 +216,22 @@ struct CachedGroup {
     template: Vec<Value>,
 }
 
+/// A whole result in output order: each remaining group's output row, key
+/// and the rows behind it.
+struct Refolded<'c> {
+    rows: Vec<Vec<Value>>,
+    keys: Vec<Vec<Value>>,
+    inputs: Vec<Cow<'c, [RowId]>>,
+}
+
 /// A one-time execution of a statement, retained in a form that can answer
-/// exclusion queries incrementally. Holds the table it was built from —
-/// either borrowed ([`GroupedAggregateCache::build`]) or as a shared
-/// immutable snapshot ([`GroupedAggregateCache::build_shared`], which
-/// yields a `'static` cache suitable for long-lived registries) — so a
-/// cache can never be asked about a different table than it indexed. See
-/// the module docs for the design.
+/// exclusion queries incrementally. Co-owns the immutable snapshot it was
+/// built from, so a cache can never be asked about a different table than
+/// it indexed and can outlive the request that built it (the server's
+/// cross-brush registry). See the module docs for the design.
 #[derive(Debug, Clone)]
-pub struct GroupedAggregateCache<'t> {
-    table: TableStore<'t>,
+pub struct GroupedAggregateCache {
+    table: Arc<Table>,
     stmt: SelectStatement,
     schema: Schema,
     groups: Vec<CachedGroup>,
@@ -243,36 +249,28 @@ pub struct GroupedAggregateCache<'t> {
     plain_item_indices: Vec<usize>,
 }
 
-impl<'t> GroupedAggregateCache<'t> {
+impl GroupedAggregateCache {
+    /// [`GroupedAggregateCache::build_shared`] over a copy of `table`: the
+    /// copy shares the sealed column chunks and the condition bitmaps and
+    /// duplicates only each column's tail.
+    pub fn build(table: &Table, stmt: &SelectStatement) -> Result<Self, EngineError> {
+        Self::build_shared(Arc::new(table.clone()), stmt)
+    }
+
     /// Executes `stmt` against `table` once, retaining the grouped
-    /// aggregate states. Validation errors are the same ones
-    /// [`crate::execute`] would report.
-    pub fn build(table: &'t Table, stmt: &SelectStatement) -> Result<Self, EngineError> {
-        Self::build_from(TableStore::Borrowed(table), stmt)
-    }
-
-    /// [`GroupedAggregateCache::build`] over a shared table snapshot. The
-    /// returned cache co-owns the snapshot, so it has no borrowed lifetime
-    /// and can be stored in a registry that outlives the building request
-    /// (the server's cross-brush cache reuse).
-    pub fn build_shared(
-        table: Arc<Table>,
-        stmt: &SelectStatement,
-    ) -> Result<GroupedAggregateCache<'static>, EngineError> {
-        GroupedAggregateCache::build_from(TableStore::Shared(table), stmt)
-    }
-
-    /// A build is an absorb from row 0: validate, filter the whole table
-    /// through the vectorized scan, and fold into an empty cache.
-    fn build_from(store: TableStore<'t>, stmt: &SelectStatement) -> Result<Self, EngineError> {
-        validate(&store, stmt)?;
-        let filtered = scan_filter(&store, stmt)?;
+    /// aggregate states, and co-owns the snapshot. Validation errors are
+    /// the same ones [`crate::execute`] would report. A build is an absorb
+    /// from row 0: validate, filter the whole table through the vectorized
+    /// scan, and fold into an empty cache.
+    pub fn build_shared(table: Arc<Table>, stmt: &SelectStatement) -> Result<Self, EngineError> {
+        validate(&table, stmt)?;
+        let filtered = scan_filter(&table, stmt)?;
         let is_aggregate = |i: &usize| matches!(stmt.items[*i].expr, SelectExpr::Aggregate(_));
         let (agg_item_indices, plain_item_indices) =
             (0..stmt.items.len()).partition::<Vec<usize>, _>(is_aggregate);
         let mut cache = GroupedAggregateCache {
-            schema: output_schema(&store, stmt)?,
-            table: store.clone(),
+            schema: output_schema(&table, stmt)?,
+            table: Arc::clone(&table),
             stmt: stmt.clone(),
             groups: Vec::new(),
             membership: RowSet::empty(0),
@@ -281,38 +279,27 @@ impl<'t> GroupedAggregateCache<'t> {
             agg_item_indices,
             plain_item_indices,
         };
-        cache.fold(store, filtered.iter_rows(), filtered.count_ones())?;
+        cache.fold(table, filtered.iter_rows(), filtered.count_ones())?;
         cache.membership = filtered;
         Ok(cache)
     }
 
     /// Absorbs the rows appended to the table since this cache was built,
-    /// without touching any retained state for pre-existing rows. `table`
-    /// must be the cache's table at the same or a later version (a table
-    /// only grows, so that is the cached rows plus appended ones).
-    /// Appended rows are filtered, grouped and
-    /// folded into the retained aggregate states exactly as a fresh
-    /// [`GroupedAggregateCache::build`] over the grown table would —
-    /// insertion is exact for every aggregate including MIN/MAX (only
-    /// *removal* needs their rescan fallback) — so an absorbed cache is
-    /// indistinguishable from a rebuilt one: same groups in the same
-    /// first-seen order (new groups append after all old ones), same
-    /// states, same answers to every exclusion query. Returns the number
-    /// of appended rows that passed the statement's filter.
-    pub fn absorb_append(&mut self, table: &'t Table) -> Result<usize, EngineError> {
-        self.absorb_from(TableStore::Borrowed(table))
-    }
-
-    /// [`GroupedAggregateCache::absorb_append`] over a shared table
-    /// snapshot — the registry's shape: the cache drops its old snapshot
-    /// and co-owns the grown one.
+    /// without touching any retained state for pre-existing rows, and
+    /// co-owns `table` instead of its old snapshot. `table` must be the
+    /// cache's table at the same or a later version (a table only grows,
+    /// so that is the cached rows plus appended ones). Appended rows are
+    /// filtered, grouped and folded into the retained aggregate states
+    /// exactly as a fresh [`GroupedAggregateCache::build_shared`] over the
+    /// grown table would — insertion is exact for every aggregate
+    /// including MIN/MAX (only *removal* needs their rescan fallback) — so
+    /// an absorbed cache is indistinguishable from a rebuilt one: same
+    /// groups in the same first-seen order (new groups append after all
+    /// old ones), same states, same answers to every exclusion query.
+    /// Returns the number of appended rows that passed the statement's
+    /// filter.
     pub fn absorb_append_shared(&mut self, table: Arc<Table>) -> Result<usize, EngineError> {
-        self.absorb_from(TableStore::Shared(table))
-    }
-
-    fn absorb_from(&mut self, store: TableStore<'t>) -> Result<usize, EngineError> {
         let old_rows = self.table.num_rows();
-        let table: &Table = &store;
         if table.id() != self.table.id() {
             return Err(EngineError::plan(format!(
                 "cannot absorb appends from table '{}' into a cache built over '{}'",
@@ -337,38 +324,37 @@ impl<'t> GroupedAggregateCache<'t> {
         // (a table only grows), so its rows are already retained and
         // re-scanning them would make every absorb O(table). The suffix
         // scan admits exactly the rows a full vectorized filter would.
-        let appended = scan_filter_suffix(table, &self.stmt, old_rows)?;
+        let appended = scan_filter_suffix(&table, &self.stmt, old_rows)?;
         self.membership.grow(table.num_rows());
         for rid in &appended {
             self.membership.insert(rid.index());
         }
-        self.fold(store, appended.iter().copied(), appended.len())?;
+        self.fold(table, appended.iter().copied(), appended.len())?;
         Ok(appended.len())
     }
 
-    /// The one fold behind `build` and `absorb_append`: groups `filtered`
-    /// (`count` rows of `store` that passed the statement's filter, in
-    /// scan order, none of them retained yet), accumulates them into the
-    /// per-group states, extends `row_slots` / `key_index`, re-projects
-    /// the output row of every group that gained rows (the others keep
-    /// theirs: states, rows and representative first row unchanged), and
-    /// adopts `store` as the cache's snapshot. The caller adds the rows to
-    /// `membership`.
+    /// The one fold behind `build_shared` and `absorb_append_shared`:
+    /// groups `filtered` (`count` rows of `table` that passed the
+    /// statement's filter, in scan order, none of them retained yet),
+    /// accumulates them into the per-group states, extends `row_slots` /
+    /// `key_index`, re-projects the output row of every group that gained
+    /// rows (the others keep theirs: states, rows and representative first
+    /// row unchanged), and adopts `table` as the cache's snapshot. The
+    /// caller adds the rows to `membership`.
     fn fold(
         &mut self,
-        store: TableStore<'t>,
+        table: Arc<Table>,
         filtered: impl Iterator<Item = RowId>,
         count: usize,
     ) -> Result<(), EngineError> {
-        let table: &Table = &store;
         // The retained indexes must match the row universe even when no
         // row passes the filter: exclusion bitmaps arrive sized to the table.
         self.row_slots.resize(table.num_rows(), (0u32, 0u32));
 
         let agg_calls: Vec<&AggregateCall> = self.stmt.aggregates();
         let args: Vec<ArgReader<'_>> =
-            agg_calls.iter().map(|call| ArgReader::bind(table, call)).collect::<Result<_, _>>()?;
-        let (keys, group_rows) = build_groups(table, &self.stmt, filtered, count)?;
+            agg_calls.iter().map(|call| ArgReader::bind(&table, call)).collect::<Result<_, _>>()?;
+        let (keys, group_rows) = build_groups(&table, &self.stmt, filtered, count)?;
         // `build_groups` names each key once, so each group is visited once.
         for (key, rows) in keys.into_iter().zip(group_rows) {
             let gi = match self.key_index.get(&key) {
@@ -403,10 +389,11 @@ impl<'t> GroupedAggregateCache<'t> {
                 self.row_slots[rid.index()] = (gi, pos);
             }
             let agg_outputs: Vec<Value> = group.states.iter().map(|s| s.finish()).collect();
-            group.template = project_row(table, &self.stmt, &group.key, &group.rows, &agg_outputs)?;
+            group.template =
+                project_row(&table, &self.stmt, &group.key, &group.rows, &agg_outputs)?;
         }
 
-        self.table = store;
+        self.table = table;
         Ok(())
     }
 
@@ -500,11 +487,6 @@ impl<'t> GroupedAggregateCache<'t> {
         Some(&self.groups[g].states[slot])
     }
 
-    /// The result of the statement with no rows excluded (lineage-free).
-    pub fn full_result(&self) -> QueryResult {
-        self.result(&ExclusionQuery::new())
-    }
-
     /// The result the dashboard displays: what [`crate::execute`] answers
     /// for `shown` — this cache's statement, plus whatever conjuncts
     /// "clean as you query" appended to its WHERE — when `survivors` holds
@@ -534,10 +516,24 @@ impl<'t> GroupedAggregateCache<'t> {
             self.stmt,
             "`shown` is the cached statement with a longer WHERE"
         );
-        let table: &Table = &self.table;
         let touched = survivors.map_or_else(HashMap::new, |keep| {
             self.touched_positions_of(self.membership.and_not(keep).iter(), None)
         });
+        let Refolded { rows, keys, inputs } = self.refolded(&touched);
+        // A group that lost rows moves its kept rows into the lineage; one
+        // that lost none copies its cached list.
+        let inputs = inputs.into_iter().map(Cow::into_owned).collect();
+        QueryResult::new(shown.clone(), self.schema.clone(), rows, keys, Lineage::new(inputs))
+    }
+
+    /// The whole result without the `touched` positions (per group, sorted
+    /// and deduplicated), in output order: each remaining group's output
+    /// row, key and kept rows — a group's cached list borrowed when it
+    /// lost none. The one place that answers for every group, for
+    /// [`GroupedAggregateCache::cleaned_result`] and the re-folding half of
+    /// [`GroupedAggregateCache::result`]; see the former for the contract.
+    fn refolded(&self, touched: &HashMap<u32, Vec<u32>>) -> Refolded<'_> {
+        let table: &Table = &self.table;
         // Cannot fail: `fold` evaluated the same expressions on these rows.
         const FOLDED: &str = "evaluated on this row when it was folded in";
 
@@ -578,138 +574,101 @@ impl<'t> GroupedAggregateCache<'t> {
             inputs.push(group.inputs);
         }
         let order = output_order(&self.stmt, &rows, &keys).expect("validated at build time");
-        // A group that lost rows moves its kept rows into the lineage; one
-        // that lost none copies its cached list.
-        let inputs = in_order(inputs, &order).into_iter().map(Cow::into_owned).collect();
-        QueryResult::new(
-            shown.clone(),
-            self.schema.clone(),
-            in_order(rows, &order),
-            in_order(keys, &order),
-            Lineage::new(inputs),
-        )
+        Refolded {
+            rows: in_order(rows, &order),
+            keys: in_order(keys, &order),
+            inputs: in_order(inputs, &order),
+        }
     }
 
-    /// The single exclusion-query entry point: the exact result the
-    /// statement would produce if the query's excluded rows were deleted
-    /// from the table. Touched groups subtract the excluded tuples'
-    /// contributions via [`AggregateState::remove`] (falling back to an
-    /// in-order rebuild for MIN/MAX), untouched groups reuse their cached
-    /// output row verbatim. Excluded rows that did not pass the filter (or
-    /// appear multiple times) are ignored.
+    /// The single exclusion-query entry point: the result the statement
+    /// would produce if the query's excluded rows were deleted from the
+    /// table, with the empty lineage. Excluded rows that did not pass the
+    /// filter are ignored.
     ///
     /// With [`ExclusionQuery::for_keys`], the result is restricted to the
-    /// groups whose GROUP BY key appears in the requested set — without
-    /// materialising (cloning, re-aggregating or sorting) any other group.
-    /// That is the Predicate Ranker's shape of question: a brush selects a
-    /// handful of suspicious groups, and every candidate predicate only
-    /// needs ε re-evaluated over *those* groups. The by-key result
-    /// contains one row per distinct requested key that (still) exists
-    /// after the exclusion, in the cache's first-seen group order — ORDER
-    /// BY is not applied, since rows are identified by their group key. A
-    /// statement with LIMIT falls back internally to the full path (which
-    /// groups survive the limit depends on every other group) and then
-    /// filters, so results remain exact.
+    /// groups whose GROUP BY key appears in the requested set. That is the
+    /// Predicate Ranker's shape of question: a brush selects a handful of
+    /// suspicious groups, and every candidate predicate only needs ε
+    /// re-evaluated over *those* groups. Without a LIMIT it materialises
+    /// (clones, re-aggregates or sorts) no other group: touched groups
+    /// subtract the excluded tuples' contributions via
+    /// [`AggregateState::remove`] (falling back to an in-order rebuild for
+    /// MIN/MAX), untouched groups reuse their cached output row verbatim,
+    /// and the answer holds one row per distinct requested key that
+    /// (still) exists, in the cache's first-seen group order — ORDER BY is
+    /// not applied, since rows are identified by their group key.
+    ///
+    /// Without keys, or under a LIMIT (which groups survive it depends on
+    /// every other group, ties included), the whole result is re-folded as
+    /// [`GroupedAggregateCache::cleaned_result`] does and, given keys,
+    /// filtered down to them in output order.
     pub fn result(&self, q: &ExclusionQuery<'_>) -> QueryResult {
-        match q.keys {
-            None => {
-                let touched = self.touched_of(q.excluded, None);
-                let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.groups.len());
-                let mut keys: Vec<Vec<Value>> = Vec::with_capacity(self.groups.len());
-                for (gi, group) in self.groups.iter().enumerate() {
-                    let Some(row) = self.cleaned_group_row(group, touched.get(&(gi as u32))) else {
-                        continue;
-                    };
-                    rows.push(row);
-                    keys.push(group.key.clone());
-                }
-                let order =
-                    output_order(&self.stmt, &rows, &keys).expect("validated at build time");
-                self.finish_result(in_order(rows, &order), in_order(keys, &order))
-            }
-            Some(keys) => {
-                if self.stmt.limit.is_some() {
-                    return self.limited_keys_result(q.excluded, keys);
-                }
-                let (wanted, wanted_set) = self.resolve_wanted(keys);
-                let touched = self.touched_of(q.excluded, Some(&wanted_set));
-                self.keys_result(&wanted, &touched)
-            }
+        if let (Some(keys), None) = (q.keys, self.stmt.limit) {
+            return self.subtracted(keys, q.excluded);
         }
+        let touched =
+            q.excluded.map_or_else(HashMap::new, |set| self.touched_positions_of(set.iter(), None));
+        let Refolded { mut rows, mut keys, .. } = self.refolded(&touched);
+        if let Some(wanted) = q.keys {
+            let wanted: HashSet<&[Value]> = wanted.iter().map(Vec::as_slice).collect();
+            (rows, keys) =
+                rows.into_iter().zip(keys).filter(|(_, k)| wanted.contains(k.as_slice())).unzip();
+        }
+        self.finish_result(rows, keys)
     }
 
-    /// Excluded positions per touched group for whichever selector shape
-    /// the query carries — bitmap bits are consumed directly (no
-    /// `Vec<RowId>` materialised on the un-LIMITed path).
-    fn touched_of(
-        &self,
-        excluded: Excluded<'_>,
-        wanted: Option<&HashSet<u32>>,
-    ) -> HashMap<u32, Vec<u32>> {
-        match excluded {
-            Excluded::None => HashMap::new(),
-            Excluded::Rows(rows) => self.touched_positions(rows, wanted),
-            Excluded::Set(set) => self.touched_positions_of(set.iter(), wanted),
-        }
-    }
-
-    /// The LIMIT fallback of the by-key paths: which groups survive the
-    /// limit depends on every other group, so compute the full result and
-    /// filter it down to the requested keys.
-    fn limited_keys_result(&self, excluded: Excluded<'_>, keys: &[Vec<Value>]) -> QueryResult {
-        let wanted: HashSet<&[Value]> = keys.iter().map(|k| k.as_slice()).collect();
-        let full = self.result(&ExclusionQuery { excluded, keys: None });
-        let mut rows = Vec::new();
-        let mut out_keys = Vec::new();
-        for (row, key) in full.rows.into_iter().zip(full.group_keys) {
-            if wanted.contains(key.as_slice()) {
-                rows.push(row);
-                out_keys.push(key);
-            }
-        }
-        self.finish_result(rows, out_keys)
-    }
-
-    /// Resolves the requested keys through the key index — O(|keys|), not
-    /// a scan over every cached group — in first-seen group order. Unknown
-    /// keys resolve to nothing; duplicates collapse.
-    fn resolve_wanted(&self, keys: &[Vec<Value>]) -> (Vec<u32>, HashSet<u32>) {
+    /// The subtracting by-key answer. The requested keys resolve through
+    /// the key index — O(|keys|), not a scan over every cached group — in
+    /// first-seen group order; unknown keys resolve to nothing, duplicates
+    /// collapse. An untouched group answers with its cached output row, a
+    /// touched one re-derives every aggregate through
+    /// [`GroupedAggregateCache::reaggregate`], and under GROUP BY a group
+    /// whose every row is excluded disappears, exactly as under full
+    /// re-execution.
+    fn subtracted(&self, keys: &[Vec<Value>], excluded: Option<&RowSet>) -> QueryResult {
         let mut wanted: Vec<u32> =
             keys.iter().filter_map(|k| self.key_index.get(k.as_slice()).copied()).collect();
         wanted.sort_unstable();
         wanted.dedup();
         let wanted_set: HashSet<u32> = wanted.iter().copied().collect();
-        (wanted, wanted_set)
-    }
+        let touched = excluded.map_or_else(HashMap::new, |set| {
+            self.touched_positions_of(set.iter(), Some(&wanted_set))
+        });
 
-    /// Materializes the by-key answer for the resolved groups.
-    fn keys_result(&self, wanted: &[u32], touched: &HashMap<u32, Vec<u32>>) -> QueryResult {
         let mut rows = Vec::with_capacity(wanted.len());
         let mut out_keys = Vec::with_capacity(wanted.len());
-        for &gi in wanted {
+        for gi in wanted {
             let group = &self.groups[gi as usize];
-            let Some(row) = self.cleaned_group_row(group, touched.get(&gi)) else {
-                continue;
-            };
+            let mut row = group.template.clone();
+            if let Some(positions) = touched.get(&gi) {
+                let emptied = positions.len() == group.rows.len();
+                if emptied && !self.stmt.group_by.is_empty() {
+                    continue;
+                }
+                for (slot, &item) in self.agg_item_indices.iter().enumerate() {
+                    row[item] = self.reaggregate(group, slot, positions).finish();
+                }
+                if emptied {
+                    // The implicit group of a GROUP BY-less query: scalar
+                    // items lose their representative row and become NULL,
+                    // matching the executor on an empty input.
+                    for &item in &self.plain_item_indices {
+                        row[item] = Value::Null;
+                    }
+                }
+            }
             rows.push(row);
             out_keys.push(group.key.clone());
         }
         self.finish_result(rows, out_keys)
     }
 
-    /// Excluded positions per touched group, sorted and deduplicated.
+    /// Excluded positions per touched group, sorted and deduplicated, from
+    /// raw row indices (rows the cache did not retain are ignored).
     /// Restricted to the group indices in `wanted` when given (rows
     /// outside those groups cannot affect the answer, so indexing them is
     /// wasted work).
-    fn touched_positions(
-        &self,
-        excluded: &[RowId],
-        wanted: Option<&HashSet<u32>>,
-    ) -> HashMap<u32, Vec<u32>> {
-        self.touched_positions_of(excluded.iter().map(|r| r.index()), wanted)
-    }
-
-    /// [`GroupedAggregateCache::touched_positions`] over raw row indices.
     fn touched_positions_of(
         &self,
         excluded: impl Iterator<Item = usize>,
@@ -732,40 +691,6 @@ impl<'t> GroupedAggregateCache<'t> {
             positions.dedup();
         }
         touched
-    }
-
-    /// One group's output row after excluding `positions`, or `None` when
-    /// the group disappears (every contributing row excluded, under GROUP
-    /// BY) — the single place encoding the exclusion semantics for both the
-    /// full and the by-key paths.
-    fn cleaned_group_row(
-        &self,
-        group: &CachedGroup,
-        positions: Option<&Vec<u32>>,
-    ) -> Option<Vec<Value>> {
-        let Some(positions) = positions else {
-            return Some(group.template.clone());
-        };
-        let has_group_by = !self.stmt.group_by.is_empty();
-        let remaining = group.rows.len() - positions.len();
-        if remaining == 0 && has_group_by {
-            // Every contributing row is excluded: the group disappears,
-            // exactly as under full re-execution.
-            return None;
-        }
-        let mut row = group.template.clone();
-        for (slot, &item) in self.agg_item_indices.iter().enumerate() {
-            row[item] = self.reaggregate(group, slot, positions).finish();
-        }
-        if remaining == 0 {
-            // The implicit group of a GROUP BY-less query: scalar items
-            // lose their representative row and become NULL, matching the
-            // executor on an empty input.
-            for &item in &self.plain_item_indices {
-                row[item] = Value::Null;
-            }
-        }
-        Some(row)
     }
 
     /// A scoring answer: the computed rows with the empty lineage.
@@ -838,15 +763,31 @@ mod tests {
         execute(&t, stmt, ExecOptions::default()).unwrap()
     }
 
+    /// `rows` as an exclusion bitmap over `table`.
+    fn excluding(table: &Table, rows: &[RowId]) -> RowSet {
+        RowSet::from_rows(table.num_rows(), rows)
+    }
+
+    /// The whole answer, and the by-key one for every group (the
+    /// subtracting path when `sql` has no LIMIT), against re-execution.
     fn check(sql: &str, excluded: &[RowId]) {
         let table = readings();
         let stmt = parse_select(sql).unwrap();
         let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        let incremental = cache.result(&ExclusionQuery::new().excluding_rows(excluded));
+        let set = excluding(&table, excluded);
+        let incremental = cache.result(&ExclusionQuery::new().excluding_set(&set));
         let full = reference(&table, &stmt, excluded);
         assert_eq!(incremental.rows, full.rows, "{sql} excluding {excluded:?}");
         assert_eq!(incremental.group_keys, full.group_keys, "{sql}");
         assert_eq!(incremental.schema.names(), full.schema.names(), "{sql}");
+        let unlimited = SelectStatement { limit: None, ..stmt };
+        let every_key = execute(&table, &unlimited, ExecOptions::default()).unwrap().group_keys;
+        check_keys(sql, excluded, &every_key);
+    }
+
+    /// The whole result with nothing excluded.
+    fn whole(cache: &GroupedAggregateCache) -> QueryResult {
+        cache.cleaned_result(cache.statement(), None)
     }
 
     #[test]
@@ -856,7 +797,8 @@ mod tests {
             parse_select("SELECT hour, avg(temp), count(*) FROM readings GROUP BY hour").unwrap();
         let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
         let full = execute(&table, &stmt, ExecOptions::default()).unwrap();
-        assert_eq!(cache.full_result().rows, full.rows);
+        assert_eq!(whole(&cache).rows, full.rows);
+        assert_eq!(cache.result(&ExclusionQuery::new()).rows, full.rows);
         assert_eq!(cache.num_groups(), 2);
         assert_eq!(cache.num_rows(), 5);
         assert!(cache.contains(RowId(0)));
@@ -915,6 +857,40 @@ mod tests {
         check("SELECT hour, sum(temp) FROM readings GROUP BY hour", &[RowId(0), RowId(0)]);
     }
 
+    /// Under a LIMIT, which of two tied groups survives depends on which
+    /// one a scan meets first — after the exclusion. Excluding row 0 of
+    /// `(A,5), (B,5), (A,5)` makes `B` the first group a scan meets, so
+    /// `ORDER BY m LIMIT 1` keeps `B`, for the whole answer and by key.
+    #[test]
+    fn a_limit_keeps_the_tie_a_scan_meets_first_after_the_exclusion() {
+        let schema = Schema::of(&[("g", DataType::Str), ("v", DataType::Int)]);
+        let mut table = Table::new("t", schema).unwrap();
+        for g in ["A", "B", "A"] {
+            table.push_row(vec![Value::str(g), Value::Int(5)]).unwrap();
+        }
+        let stmt =
+            parse_select("SELECT g, max(v) AS m FROM t GROUP BY g ORDER BY m LIMIT 1").unwrap();
+        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
+        let excluded = excluding(&table, &[RowId(0)]);
+        let q = ExclusionQuery::new().excluding_set(&excluded);
+        let want = reference(&table, &stmt, &[RowId(0)]);
+        assert_eq!(want.group_keys, vec![vec![Value::str("B")]]);
+        let whole = cache.result(&q);
+        assert_eq!((&whole.rows, &whole.group_keys), (&want.rows, &want.group_keys));
+        for key in ["A", "B"] {
+            let keys = [vec![Value::str(key)]];
+            let by_key = cache.result(&q.for_keys(&keys));
+            let (want_keys, want_rows): (Vec<_>, Vec<_>) = want
+                .group_keys
+                .iter()
+                .zip(&want.rows)
+                .filter(|(k, _)| **k == keys[0])
+                .map(|(k, r)| (k.clone(), r.clone()))
+                .unzip();
+            assert_eq!((by_key.rows, by_key.group_keys), (want_rows, want_keys), "for_keys({key})");
+        }
+    }
+
     #[test]
     fn accessors_expose_states_and_rows() {
         let table = readings();
@@ -960,14 +936,15 @@ mod tests {
     }
 
     /// The by-key path must agree row-for-row with filtering the
-    /// full result down to the requested keys (ignoring row order, which
-    /// the by-key path does not promise).
+    /// re-executed result down to the requested keys (ignoring row order,
+    /// which the by-key path does not promise).
     fn check_keys(sql: &str, excluded: &[RowId], keys: &[Vec<Value>]) {
         let table = readings();
         let stmt = parse_select(sql).unwrap();
         let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        let partial = cache.result(&ExclusionQuery::new().excluding_rows(excluded).for_keys(keys));
-        let full = cache.result(&ExclusionQuery::new().excluding_rows(excluded));
+        let set = excluding(&table, excluded);
+        let partial = cache.result(&ExclusionQuery::new().excluding_set(&set).for_keys(keys));
+        let full = reference(&table, &stmt, excluded);
         let mut expected: Vec<(&Vec<Value>, &Vec<Value>)> =
             full.group_keys.iter().zip(&full.rows).filter(|(k, _)| keys.contains(k)).collect();
         let mut got: Vec<(&Vec<Value>, &Vec<Value>)> =
@@ -999,8 +976,8 @@ mod tests {
                 &[vec![Value::Int(1)], vec![Value::Int(42)]],
             );
         }
-        // ORDER BY without LIMIT stays on the fast path (order is irrelevant
-        // to the by-key contract); LIMIT falls back to the full path.
+        // ORDER BY without LIMIT stays on the subtracting path (order is
+        // irrelevant to the by-key contract); LIMIT re-folds every group.
         check_keys(
             "SELECT hour, avg(temp) AS a FROM readings GROUP BY hour ORDER BY a DESC",
             &[RowId(3)],
@@ -1019,26 +996,27 @@ mod tests {
         );
     }
 
+    /// Bits of rows the cache did not retain — filtered out, or beyond
+    /// the snapshot in a set sized to a grown table — change nothing.
     #[test]
-    fn excluding_keys_set_matches_row_list_path() {
+    fn excluded_bits_outside_the_retained_rows_are_ignored() {
         let table = readings();
-        let all_keys = vec![vec![Value::Int(0)], vec![Value::Int(1)]];
+        let all_keys = [vec![Value::Int(0)], vec![Value::Int(1)]];
         for sql in [
-            "SELECT hour, avg(temp), count(*) FROM readings GROUP BY hour",
-            "SELECT hour, min(temp), max(temp) FROM readings GROUP BY hour",
-            // LIMIT exercises the full-path fallback of the set variant.
-            "SELECT hour, avg(temp) AS a FROM readings GROUP BY hour ORDER BY a DESC LIMIT 1",
+            "SELECT hour, avg(temp), count(*) FROM readings WHERE sensorid <> 3 GROUP BY hour",
+            "SELECT hour, avg(temp) AS a FROM readings WHERE sensorid <> 3 GROUP BY hour \
+             ORDER BY a DESC LIMIT 1",
         ] {
             let stmt = parse_select(sql).unwrap();
             let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
-            for excluded in [&[][..], &[RowId(3)][..], &[RowId(0), RowId(1), RowId(4)][..]] {
-                let as_set = RowSet::from_rows(table.num_rows(), excluded.iter());
-                let via_set =
-                    cache.result(&ExclusionQuery::new().excluding_set(&as_set).for_keys(&all_keys));
-                let via_list = cache
-                    .result(&ExclusionQuery::new().excluding_rows(excluded).for_keys(&all_keys));
-                assert_eq!(via_set.rows, via_list.rows, "{sql} excluding {excluded:?}");
-                assert_eq!(via_set.group_keys, via_list.group_keys, "{sql}");
+            let n = table.num_rows();
+            // Row 3 fails the WHERE clause; rows n.. do not exist.
+            let outside = RowSet::from_indices(n + 70, [3, n, n + 69]);
+            let q = ExclusionQuery::new().excluding_set(&outside);
+            let none = ExclusionQuery::new();
+            for (q, none) in [(q, none), (q.for_keys(&all_keys), none.for_keys(&all_keys))] {
+                let (got, want) = (cache.result(&q), cache.result(&none));
+                assert_eq!((got.rows, got.group_keys), (want.rows, want.group_keys), "{sql}");
             }
         }
     }
@@ -1068,32 +1046,32 @@ mod tests {
         let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
         // Excluded rows live in hour 0, but only hour 1 is requested: the
         // answer is hour 1's untouched template row.
-        let excluded = [RowId(0), RowId(1)];
+        let excluded = excluding(&table, &[RowId(0), RowId(1)]);
         let keys = [vec![Value::Int(1)]];
-        let partial =
-            cache.result(&ExclusionQuery::new().excluding_rows(&excluded).for_keys(&keys));
+        let partial = cache.result(&ExclusionQuery::new().excluding_set(&excluded).for_keys(&keys));
         assert_eq!(partial.len(), 1);
         assert_eq!(partial.group_keys[0], vec![Value::Int(1)]);
-        assert_eq!(partial.rows[0], cache.full_result().rows[1]);
+        assert_eq!(partial.rows[0], whole(&cache).rows[1]);
         // Empty key set → empty result, regardless of exclusions.
         assert!(cache
-            .result(&ExclusionQuery::new().excluding_rows(&excluded[..1]).for_keys(&[]))
+            .result(&ExclusionQuery::new().excluding_set(&excluded).for_keys(&[]))
             .is_empty());
     }
 
     #[test]
-    fn shared_build_matches_borrowed_build_and_fingerprints() {
+    fn build_copies_what_build_shared_shares_and_both_fingerprint_alike() {
         let table = readings();
         let stmt = parse_select("SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        let borrowed = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        let arc = std::sync::Arc::new(table.clone());
-        // The shared cache has no borrowed lifetime: it can outlive every
-        // reference to the table it was built from.
-        let shared: GroupedAggregateCache<'static> =
-            GroupedAggregateCache::build_shared(arc.clone(), &stmt).unwrap();
-        let q = ExclusionQuery::new().excluding_rows(&[RowId(3)]);
-        assert_eq!(shared.result(&q).rows, borrowed.result(&q).rows);
-        assert_eq!(shared.fingerprint(), borrowed.fingerprint());
+        let copied = GroupedAggregateCache::build(&table, &stmt).unwrap();
+        let arc = Arc::new(table.clone());
+        let shared = GroupedAggregateCache::build_shared(Arc::clone(&arc), &stmt).unwrap();
+        assert!(std::ptr::eq(shared.table(), &*arc), "build_shared co-owns the snapshot");
+        // The copy `build` takes shares the snapshot's condition bitmaps.
+        assert!(Arc::ptr_eq(&copied.table().condition_bitmaps(), &table.condition_bitmaps()));
+        let excluded = excluding(&table, &[RowId(3)]);
+        let q = ExclusionQuery::new().excluding_set(&excluded);
+        assert_eq!(shared.result(&q).rows, copied.result(&q).rows);
+        assert_eq!(shared.fingerprint(), copied.fingerprint());
         assert_eq!(shared.table().id(), table.id());
 
         let fp = shared.fingerprint();
@@ -1127,11 +1105,7 @@ mod tests {
     fn check_absorb(sql: &str, appended: &[(i64, i64, Value)]) {
         let mut table = readings();
         let stmt = parse_select(sql).unwrap();
-        // Build over a snapshot of the pre-append data — the shape every
-        // real caller has (COW catalogs and Arc snapshots), since a
-        // borrowed table cannot be mutated while the cache holds it.
-        let snapshot = table.clone();
-        let mut cache = GroupedAggregateCache::build(&snapshot, &stmt).unwrap();
+        let mut cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
         table
             .push_rows(
                 appended
@@ -1140,20 +1114,21 @@ mod tests {
                     .collect(),
             )
             .unwrap();
-        cache.absorb_append(&table).unwrap();
+        cache.absorb_append_shared(Arc::new(table.clone())).unwrap();
         let fresh = GroupedAggregateCache::build(&table, &stmt).unwrap();
 
         assert_eq!(cache.fingerprint(), fresh.fingerprint(), "{sql}");
         assert_eq!(cache.num_groups(), fresh.num_groups(), "{sql}");
         assert_eq!(cache.num_rows(), fresh.num_rows(), "{sql}");
-        let full_a = cache.full_result();
-        let full_b = fresh.full_result();
+        let full_a = whole(&cache);
+        let full_b = whole(&fresh);
         assert_eq!(full_a.rows, full_b.rows, "{sql}");
         assert_eq!(full_a.group_keys, full_b.group_keys, "{sql}");
         // Exclusion queries over old rows, new rows and both agree too.
         let n = table.num_rows();
         for excluded in [vec![RowId(0)], vec![RowId(n - 1)], vec![RowId(1), RowId(n - 2)]] {
-            let q = ExclusionQuery::new().excluding_rows(&excluded);
+            let set = excluding(&table, &excluded);
+            let q = ExclusionQuery::new().excluding_set(&set);
             assert_eq!(cache.result(&q).rows, fresh.result(&q).rows, "{sql} {excluded:?}");
         }
     }
@@ -1198,7 +1173,7 @@ mod tests {
         // Re-absorbing at the same version is a no-op.
         assert_eq!(cache.absorb_append_shared(Arc::new(table.clone())).unwrap(), 0);
         let fresh = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        assert_eq!(cache.full_result().rows, fresh.full_result().rows);
+        assert_eq!(whole(&cache).rows, whole(&fresh).rows);
         assert_eq!(cache.fingerprint(), fresh.fingerprint());
     }
 
@@ -1210,15 +1185,15 @@ mod tests {
         grown.push_row(vec![Value::Int(2), Value::Int(0), Value::Float(19.0)]).unwrap();
         let mut cache = GroupedAggregateCache::build(&grown, &stmt).unwrap();
         // An earlier snapshot of the same table: absorbing is forward-only.
-        assert!(cache.absorb_append(&table).is_err());
+        assert!(cache.absorb_append_shared(Arc::new(table)).is_err());
         // A different table entirely (fresh id) is rejected outright.
         let other = readings();
-        assert!(cache.absorb_append(&other).is_err());
+        assert!(cache.absorb_append_shared(Arc::new(other)).is_err());
     }
 
     /// `cleaned_result` against an execution of the rewritten statement:
     /// values by bit pattern, keys, row order and per-group lineage.
-    fn check_cleaned(table: &Table, cache: &GroupedAggregateCache<'_>, keep: Option<&str>) {
+    fn check_cleaned(table: &Table, cache: &GroupedAggregateCache, keep: Option<&str>) {
         let keep = keep.map(|sql| crate::parser::parse_expr(sql).unwrap());
         let shown = match &keep {
             Some(keep) => cache.statement().with_additional_filter(keep.clone()),
@@ -1273,11 +1248,10 @@ mod tests {
         let stmt =
             parse_select("SELECT hour, avg(temp) AS a FROM readings GROUP BY hour ORDER BY a DESC")
                 .unwrap();
-        let snapshot = table.clone();
-        let mut cache = GroupedAggregateCache::build(&snapshot, &stmt).unwrap();
+        let mut cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
         table.push_row(vec![Value::Int(2), Value::Int(7), Value::Float(80.0)]).unwrap();
         table.push_row(vec![Value::Int(0), Value::Int(3), Value::Float(0.3)]).unwrap();
-        cache.absorb_append(&table).unwrap();
+        cache.absorb_append_shared(Arc::new(table.clone())).unwrap();
         check_cleaned(&table, &cache, None);
         check_cleaned(&table, &cache, Some("NOT (sensorid = 3)"));
         check_cleaned(&table, &cache, Some("NOT (sensorid = 7)"));

@@ -28,11 +28,12 @@ use std::sync::Arc;
 /// let sharded = Arc::new(ShardedTable::hash(&t, "hour", 4).unwrap());
 /// let cache = ShardedAggregateCache::build(sharded, &stmt).unwrap();
 /// let unsharded = GroupedAggregateCache::build(&t, &stmt).unwrap();
-/// assert_eq!(cache.cache().full_result().rows, unsharded.full_result().rows);
+/// let whole = |c: &GroupedAggregateCache| c.cleaned_result(c.statement(), None).rows;
+/// assert_eq!(whole(cache.cache()), whole(&unsharded));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedAggregateCache {
-    cache: GroupedAggregateCache<'static>,
+    cache: GroupedAggregateCache,
 }
 
 impl ShardedAggregateCache {
@@ -47,7 +48,7 @@ impl ShardedAggregateCache {
     }
 
     /// The whole-table cache.
-    pub fn cache(&self) -> &GroupedAggregateCache<'static> {
+    pub fn cache(&self) -> &GroupedAggregateCache {
         &self.cache
     }
 }

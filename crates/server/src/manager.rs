@@ -159,9 +159,9 @@ impl ServerSession {
         }
 
         // Tier 1: reuse the statement-level aggregate cache — fast-
-        // forwarding a retained sibling through `absorb_append` when the
-        // only difference is streamed appends — and build it cold only
-        // when neither exists. Then run the pipeline and memoize.
+        // forwarding a retained sibling through `absorb_append_shared`
+        // when the only difference is streamed appends — and build it cold
+        // only when neither exists. Then run the pipeline and memoize.
         let (cache, cache_hit) = statement_cache(registry, &table, &stmt)?;
         if cache_hit {
             self.cache_hits += 1;
@@ -201,7 +201,7 @@ impl ServerSession {
     fn base_cache(
         &self,
         registry: &CacheRegistry,
-    ) -> Result<Arc<GroupedAggregateCache<'static>>, CoreError> {
+    ) -> Result<Arc<GroupedAggregateCache>, CoreError> {
         let stmt = self
             .dashboard
             .base_statement()
@@ -258,7 +258,7 @@ fn statement_cache(
     registry: &CacheRegistry,
     table: &Arc<Table>,
     stmt: &SelectStatement,
-) -> Result<(Arc<GroupedAggregateCache<'static>>, bool), CoreError> {
+) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
     registry
         .get_or_absorb_or_build(CacheFingerprint::of(table, stmt), table, || {
             GroupedAggregateCache::build_shared(Arc::clone(table), stmt)

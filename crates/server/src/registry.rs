@@ -119,7 +119,7 @@ struct ExplanationEntry {
 #[derive(Debug)]
 enum Slot {
     Building,
-    Ready { cache: Arc<GroupedAggregateCache<'static>>, last_used: u64 },
+    Ready { cache: Arc<GroupedAggregateCache>, last_used: u64 },
 }
 
 impl Inner {
@@ -174,7 +174,8 @@ pub struct CacheStats {
     /// Entries (any tier) dropped by [`CacheRegistry::invalidate_table`].
     pub invalidations: u64,
     /// Aggregate-cache lookups served by fast-forwarding a retained cache
-    /// of an earlier version through [`GroupedAggregateCache::absorb_append`] instead of
+    /// of an earlier version through
+    /// [`GroupedAggregateCache::absorb_append_shared`] instead of
     /// rebuilding — neither a hit nor a miss: no statement was executed,
     /// but the answer was not served verbatim either. Streamed appends
     /// should move *this* counter, never `misses`.
@@ -255,9 +256,9 @@ impl CacheRegistry {
         &self,
         fingerprint: CacheFingerprint,
         build: F,
-    ) -> Result<(Arc<GroupedAggregateCache<'static>>, bool), EngineError>
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), EngineError>
     where
-        F: FnOnce() -> Result<GroupedAggregateCache<'static>, EngineError>,
+        F: FnOnce() -> Result<GroupedAggregateCache, EngineError>,
     {
         self.lookup_or_build(fingerprint, None, build)
     }
@@ -265,20 +266,20 @@ impl CacheRegistry {
     /// [`CacheRegistry::get_or_build`] with append awareness: on a miss,
     /// before falling back to `build`, the registry looks for a retained
     /// cache of the *same statement over an earlier version of the same
-    /// table* (see [`CacheFingerprint::grew_from`]) and fast-forwards it through
-    /// [`GroupedAggregateCache::absorb_append`] — O(appended rows) instead
-    /// of a full statement execution. `table` must be the table the
-    /// fingerprint was taken of. Absorbs are counted under
-    /// [`CacheStats::append_absorbs`], not as hits or misses, so streamed
-    /// appends are observable as "zero rebuilds" in the stats.
+    /// table* (see [`CacheFingerprint::grew_from`]) and fast-forwards it
+    /// through [`GroupedAggregateCache::absorb_append_shared`] —
+    /// O(appended rows) instead of a full statement execution. `table`
+    /// must be the table the fingerprint was taken of. Absorbs are counted
+    /// under [`CacheStats::append_absorbs`], not as hits or misses, so
+    /// streamed appends are observable as "zero rebuilds" in the stats.
     pub fn get_or_absorb_or_build<F>(
         &self,
         fingerprint: CacheFingerprint,
         table: &Arc<Table>,
         build: F,
-    ) -> Result<(Arc<GroupedAggregateCache<'static>>, bool), EngineError>
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), EngineError>
     where
-        F: FnOnce() -> Result<GroupedAggregateCache<'static>, EngineError>,
+        F: FnOnce() -> Result<GroupedAggregateCache, EngineError>,
     {
         self.lookup_or_build(fingerprint, Some(table), build)
     }
@@ -288,14 +289,14 @@ impl CacheRegistry {
         fingerprint: CacheFingerprint,
         table: Option<&Arc<Table>>,
         build: F,
-    ) -> Result<(Arc<GroupedAggregateCache<'static>>, bool), EngineError>
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), EngineError>
     where
-        F: FnOnce() -> Result<GroupedAggregateCache<'static>, EngineError>,
+        F: FnOnce() -> Result<GroupedAggregateCache, EngineError>,
     {
         // Phase 1: hit, wait, or reserve the build — possibly withdrawing
         // an absorbable earlier-version sibling while the lock is held (so
         // no other lookup can race us to it).
-        let mut absorb_source: Option<Arc<GroupedAggregateCache<'static>>> = None;
+        let mut absorb_source: Option<Arc<GroupedAggregateCache>> = None;
         {
             let mut inner = lock_recover(&self.inner);
             loop {
@@ -498,7 +499,7 @@ mod tests {
         Arc::new(t)
     }
 
-    fn build_for(t: &Arc<Table>, sql: &str) -> (CacheFingerprint, GroupedAggregateCache<'static>) {
+    fn build_for(t: &Arc<Table>, sql: &str) -> (CacheFingerprint, GroupedAggregateCache) {
         let stmt = parse_select(sql).unwrap();
         let fp = CacheFingerprint::of(t, &stmt);
         let cache = GroupedAggregateCache::build_shared(Arc::clone(t), &stmt).unwrap();
@@ -667,7 +668,8 @@ mod tests {
 
         // The absorbed cache answers exactly like a fresh build.
         let fresh = GroupedAggregateCache::build_shared(Arc::clone(&grown), &stmt).unwrap();
-        assert_eq!(absorbed.full_result().rows, fresh.full_result().rows);
+        let whole = |c: &GroupedAggregateCache| c.cleaned_result(c.statement(), None).rows;
+        assert_eq!(whole(&absorbed), whole(&fresh));
         // And the new fingerprint now hits verbatim.
         assert!(retained(&registry, &fp2));
 

@@ -27,10 +27,14 @@ mod common;
 use dbwipes::core::{ComponentTimings, CoreError, Explanation, InfluenceReport, RankedPredicate};
 use dbwipes::engine::{
     execute, parse_select, ExclusionQuery, ExecOptions, GroupedAggregateCache, QueryResult,
+    SelectStatement,
 };
-use dbwipes::storage::{Condition, ConjunctivePredicate, DataType, Schema, Value, CHUNK_ROWS};
+use dbwipes::storage::{
+    Condition, ConjunctivePredicate, DataType, RowSet, Schema, Value, CHUNK_ROWS,
+};
 use dbwipes::{Catalog, DashboardSession, DbWipes, ErrorMetric, RowId, Table};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random sensor-style table whose `value` column lies on the
 /// half-integer grid (NULLs included).
@@ -143,6 +147,9 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
         )),
         Just("SELECT grp, grp * 10 AS label, sum(value) FROM m GROUP BY grp ORDER BY sum_value DESC LIMIT 3".to_string()),
         Just("SELECT grp, count(value) FROM m GROUP BY grp ORDER BY 2 DESC, grp LIMIT 2".to_string()),
+        // No tie-breaker: which tied group the LIMIT keeps is the one a
+        // scan meets first.
+        Just("SELECT grp, count(*) FROM m GROUP BY grp ORDER BY 2 DESC LIMIT 2".to_string()),
         // Expression arguments (NULL wherever `value` is): the cache keeps
         // no copy of them and re-evaluates on its own snapshot.
         Just("SELECT grp, sum(value * 2), avg(value + device) FROM m GROUP BY grp".to_string()),
@@ -152,7 +159,7 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
 
 /// A statement to rank under, with the aggregate column ε reads: plain,
 /// WHERE, stddev/variance, two-column GROUP BY, expression aggregates,
-/// ORDER BY … LIMIT and the implicit group.
+/// ORDER BY … LIMIT (with ties the LIMIT decides) and the implicit group.
 fn arbitrary_ranked_statement() -> impl Strategy<Value = (&'static str, &'static str)> {
     prop_oneof![
         Just(("SELECT grp, avg(value), count(*) FROM m GROUP BY grp", "avg_value")),
@@ -173,6 +180,7 @@ fn arbitrary_ranked_statement() -> impl Strategy<Value = (&'static str, &'static
             "SELECT grp, sum(value) FROM m GROUP BY grp ORDER BY sum_value DESC LIMIT 3",
             "sum_value"
         )),
+        Just(("SELECT grp, count(*) AS n FROM m GROUP BY grp ORDER BY n DESC LIMIT 2", "n")),
         Just(("SELECT avg(value), count(*) FROM m", "avg_value")),
     ]
 }
@@ -212,10 +220,31 @@ fn reference(table: &Table, sql: &str, excluded: &[RowId]) -> QueryResult {
     execute(&t, &stmt, ExecOptions::default()).unwrap()
 }
 
+/// `rows` as an exclusion bitmap over `table`; rows beyond it drop, as the
+/// cache ignores them.
+fn excluding(table: &Table, rows: &[RowId]) -> RowSet {
+    let n = table.num_rows();
+    RowSet::from_rows(n, rows.iter().filter(|r| r.index() < n))
+}
+
 fn assert_equivalent(table: &Table, sql: &str, excluded: &[RowId]) -> Result<(), String> {
-    let stmt = parse_select(sql).unwrap();
-    let cache = GroupedAggregateCache::build(table, &stmt).unwrap();
-    let incremental = cache.result(&ExclusionQuery::new().excluding_rows(excluded));
+    let cache = GroupedAggregateCache::build(table, &parse_select(sql).unwrap()).unwrap();
+    assert_answers_match_reexecution(&cache, table, sql, excluded)
+}
+
+/// What `cache`, built for `sql` over `table`, answers when `excluded` go:
+/// the whole result, and by key for every group the statement has (the
+/// ranker's subtracting path when `sql` has no LIMIT), each equal to
+/// re-execution over the rows `table` keeps.
+fn assert_answers_match_reexecution(
+    cache: &GroupedAggregateCache,
+    table: &Table,
+    sql: &str,
+    excluded: &[RowId],
+) -> Result<(), String> {
+    let set = excluding(table, excluded);
+    let q = ExclusionQuery::new().excluding_set(&set);
+    let incremental = cache.result(&q);
     let full = reference(table, sql, excluded);
     prop_assert!(
         incremental.group_keys == full.group_keys,
@@ -229,6 +258,22 @@ fn assert_equivalent(table: &Table, sql: &str, excluded: &[RowId]) -> Result<(),
     );
     prop_assert_eq!(incremental.schema.names(), full.schema.names());
     prop_assert_eq!(incremental.len(), full.len());
+
+    let unlimited = SelectStatement { limit: None, ..cache.statement().clone() };
+    let every_key = execute(table, &unlimited, ExecOptions::default()).unwrap().group_keys;
+    let by_key = cache.result(&q.for_keys(&every_key));
+    // The by-key answer promises no row order.
+    let by_group = |r: &QueryResult| {
+        let mut groups: Vec<(Vec<Value>, Vec<Value>)> =
+            r.group_keys.iter().cloned().zip(r.rows.iter().cloned()).collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        groups
+    };
+    let (got, want) = (by_group(&by_key), by_group(&full));
+    prop_assert!(
+        got == want,
+        "by-key answer diverged for {sql} excluding {excluded:?}: {got:?} != {want:?}"
+    );
     Ok(())
 }
 
@@ -283,7 +328,7 @@ fn assert_same_answer(
 fn assert_cleaning_from_cache_matches_execution(
     table: &Table,
     sql: &str,
-    cache: &GroupedAggregateCache<'_>,
+    cache: &GroupedAggregateCache,
     clicks: &[ConjunctivePredicate],
 ) -> Result<(), String> {
     let session = || {
@@ -368,7 +413,7 @@ fn cleaning_from_the_cache_matches_execution_across_chunk_boundaries() {
         let cold = GroupedAggregateCache::build(&table, &stmt).unwrap();
         assert_cleaning_from_cache_matches_execution(&table, sql, &cold, &clicks).unwrap();
         let mut absorbed = GroupedAggregateCache::build(&base, &stmt).unwrap();
-        absorbed.absorb_append(&grown).unwrap();
+        absorbed.absorb_append_shared(Arc::new(grown.clone())).unwrap();
         assert_cleaning_from_cache_matches_execution(&grown, sql, &absorbed, &clicks).unwrap();
     }
 }
@@ -435,14 +480,7 @@ proptest! {
         prop_assert!(catalog.table("m").unwrap().version() != table.version());
 
         for excluded in [&excluded[..], &[RowId(victim % table.num_rows())][..], &[][..]] {
-            let incremental = cache.result(&ExclusionQuery::new().excluding_rows(excluded));
-            let full = reference(&table, &sql, excluded);
-            prop_assert!(
-                incremental.group_keys == full.group_keys && incremental.rows == full.rows,
-                "{sql} excluding {excluded:?}: {:?} != {:?}",
-                incremental.rows,
-                full.rows
-            );
+            assert_answers_match_reexecution(&cache, &table, &sql, excluded)?;
         }
     }
 
@@ -501,7 +539,8 @@ proptest! {
                     && !matches!(p_expr.eval(&table, r), Ok(Value::Bool(false)))
             })
             .collect();
-        let incremental = cache.result(&ExclusionQuery::new().excluding_rows(&excluded));
+        let excluded = excluding(&table, &excluded);
+        let incremental = cache.result(&ExclusionQuery::new().excluding_set(&excluded));
 
         let rewritten = stmt.with_additional_filter(predicate.to_exclusion_expr());
         let full = execute(&table, &rewritten, ExecOptions::default()).unwrap();
