@@ -125,16 +125,13 @@ pub fn rank_influence(
     rank_influence_with_cache(&cache, result, selected, metric)
 }
 
-/// [`rank_influence`] over a caller-provided cache (which carries the table
-/// it was built from) — the explain pipeline builds one
+/// [`rank_influence`] over a caller-provided cache, which carries the
+/// table it was built from — the explain pipeline builds one
 /// [`GroupedAggregateCache`] and shares it between the Preprocessor and the
-/// Ranker.
-///
-/// The cache is only trusted when its groups agree with the result's
-/// lineage (same rows per selected group); when they differ — the table
-/// changed since the result was computed, or the result is a cache's
-/// scoring answer, whose lineage is empty — the Preprocessor falls back to
-/// deriving the states from the result's lineage directly.
+/// Ranker. The Preprocessor reads only that table from it: a selected
+/// group's rows come from the result's lineage, and its state is folded
+/// from their argument values in lineage order, which is scan order — the
+/// fold the cache itself ran, so the states are the same bit for bit.
 pub fn rank_influence_with_cache(
     cache: &GroupedAggregateCache,
     result: &QueryResult,
@@ -153,47 +150,22 @@ pub fn rank_influence_with_cache(
             )));
         }
     }
-    let (item, call) = metric_aggregate(result, metric)?;
-
-    // The cache must answer for the *same* statement (not just the same
-    // grouping — `item` indexes its SELECT list) and agree with the
-    // result's lineage row-for-row; otherwise use the lineage directly.
-    let cached_groups: Option<Vec<usize>> = if cache.statement() == &result.statement {
-        selected
-            .iter()
-            .map(|&s| {
-                cache
-                    .find_group(&result.group_keys[s])
-                    .filter(|&g| cache.group_rows(g) == result.inputs_of(s))
-            })
-            .collect()
-    } else {
-        None
-    };
+    let (_, call) = metric_aggregate(result, metric)?;
 
     // Input rows, per-tuple argument values and aggregate state of each
-    // selected group. Rows come from the lineage (which a trusted cache
-    // agrees with) and values from the table; only the state has two
-    // sources — the cache's retained one, or a fold over the values.
+    // selected group.
     let mut group_rows: Vec<Vec<RowId>> = Vec::with_capacity(selected.len());
     let mut group_values: Vec<Vec<Option<f64>>> = Vec::with_capacity(selected.len());
     let mut group_states: Vec<AggregateState> = Vec::with_capacity(selected.len());
-    for (i, &s) in selected.iter().enumerate() {
+    for &s in selected {
         let rows = result.inputs_of(s).to_vec();
         let values: Vec<Option<f64>> =
             rows.iter().map(|&r| aggregate_arg_value(table, call, r)).collect::<Result<_, _>>()?;
-        group_states.push(match &cached_groups {
-            Some(groups) => {
-                cache.state(groups[i], item).expect("metric item is an aggregate").clone()
-            }
-            None => {
-                let mut state = AggregateState::new(call.func);
-                for v in &values {
-                    state.add(*v);
-                }
-                state
-            }
-        });
+        let mut state = AggregateState::new(call.func);
+        for v in &values {
+            state.add(*v);
+        }
+        group_states.push(state);
         group_rows.push(rows);
         group_values.push(values);
     }
@@ -369,13 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_statement_cache_falls_back_to_lineage() {
+    fn a_cache_of_another_statement_lends_only_its_table() {
         let c = catalog();
         let table = c.table("readings").unwrap();
         let r = execute_sql(&c, "SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
         // A cache for a *different* statement with identical grouping: the
         // metric's SELECT-list index points at sum(temp) there, not
-        // avg(temp). It must not be trusted.
+        // avg(temp). Its states are never read.
         let other = dbwipes_engine::parse_select(
             "SELECT hour, count(*), sum(temp) FROM readings GROUP BY hour",
         )
@@ -389,12 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_falls_back_to_lineage() {
+    fn a_table_grown_since_the_result_keeps_the_results_rows() {
         let mut c = catalog();
         let r = execute_sql(&c, "SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        // Append to the table after executing: the cache no longer matches
-        // the result's lineage, so the lineage path must take over and
-        // produce the report the original table state implied.
+        // Append to the table after executing: the lineage still names the
+        // rows the result was computed from, so the report is the one the
+        // original table state implied.
         let late = vec![Value::Int(1), Value::Int(4), Value::Float(23.0)];
         c.table_mut("readings").unwrap().push_row(late).unwrap();
         let table = c.table("readings").unwrap();
@@ -403,5 +375,39 @@ mod tests {
         // F still comes from the result's lineage: all three rows of hour 1.
         assert_eq!(report.influences.len(), 3);
         assert_eq!(report.influences[0].row, RowId(3));
+    }
+
+    /// A group's state, folded from its lineage rows' values, is the one
+    /// the execution folded: the base error is the metric over the
+    /// executed result's values bit for bit — on values that are not
+    /// dyadic, and through a cache that absorbed an append.
+    #[test]
+    fn the_base_error_is_the_executed_results_bit_for_bit() {
+        let mut c = catalog();
+        let table = c.table("readings").unwrap().clone();
+        for i in 0..40 {
+            let row =
+                vec![Value::Int(i % 2), Value::Int(i % 5), Value::Float(0.1 * i as f64 + 0.7)];
+            c.table_mut("readings").unwrap().push_row(row).unwrap();
+        }
+        let grown = std::sync::Arc::new(c.table("readings").unwrap().clone());
+        for sql in [
+            "SELECT hour, avg(temp) AS v FROM readings GROUP BY hour",
+            "SELECT hour, stddev(temp) AS v FROM readings GROUP BY hour",
+            "SELECT hour, sum(temp * 3) AS v FROM readings GROUP BY hour",
+        ] {
+            let r = execute_sql(&c, sql).unwrap();
+            let metric = ErrorMetric::too_high("v", 0.5);
+            let values: Vec<Option<f64>> =
+                (0..r.len()).map(|i| r.value(i, "v").unwrap().as_f64()).collect();
+            let want = metric.evaluate(&values).to_bits();
+            let stmt = dbwipes_engine::parse_select(sql).unwrap();
+            let mut absorbed = GroupedAggregateCache::build(&table, &stmt).unwrap();
+            absorbed.absorb_append_shared(std::sync::Arc::clone(&grown)).unwrap();
+            for cache in [GroupedAggregateCache::build(&grown, &stmt).unwrap(), absorbed] {
+                let report = rank_influence_with_cache(&cache, &r, &[0, 1], &metric).unwrap();
+                assert_eq!(report.base_error.to_bits(), want, "{sql}");
+            }
+        }
     }
 }

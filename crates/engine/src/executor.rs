@@ -55,7 +55,7 @@ pub fn execute(
     _opts: ExecOptions,
 ) -> Result<QueryResult, EngineError> {
     validate(table, stmt)?;
-    let filtered = scan_filter(table, stmt)?;
+    let filtered = scan_filter(table, stmt, 0)?;
     let (group_keys, group_rows) =
         build_groups(table, stmt, filtered.iter_rows(), filtered.count_ones())?;
 
@@ -78,40 +78,25 @@ pub fn execute(
     ))
 }
 
-/// Scan stage: the rows that satisfy the WHERE clause, as a bitmap whose
-/// ascending order is scan order — [`dbwipes_storage::Expr::filter_bitmap`],
-/// so a clause inside the kernels' fragment (any `AND`/`OR`/`NOT` tree
-/// over per-attribute comparisons: parsed dashboard queries and the
-/// exclusion rewrites "clean as you query" emits alike) runs vectorized
-/// and anything else takes the scalar walk, with identical row sets under
-/// SQL three-valued logic (only rows where the clause is TRUE survive).
-pub(crate) fn scan_filter(table: &Table, stmt: &SelectStatement) -> Result<RowSet, EngineError> {
-    match &stmt.where_clause {
-        Some(pred) => Ok(pred.filter_bitmap(table)?),
-        None => Ok(RowSet::full(table.num_rows())),
-    }
-}
-
-/// [`scan_filter`] restricted to the row suffix starting at index `from` — the shape of the append-absorb path, where everything before
-/// `from` is already retained and only the streamed suffix needs
-/// filtering. Evaluates the scalar predicate walk over the suffix, which
-/// produces exactly the rows the vectorized kernels would admit (see
-/// [`scan_filter`]'s equivalence note), so absorbing stays bit-identical
-/// to a fresh build while the scan cost is O(appended), not O(table).
-pub(crate) fn scan_filter_suffix(
+/// Scan stage: the rows from row `from` on that satisfy the WHERE clause,
+/// as a bitmap over the table's rows whose ascending order is scan order —
+/// [`dbwipes_storage::Expr::filter_bitmap`], so a clause inside the
+/// kernels' fragment (any `AND`/`OR`/`NOT` tree over per-attribute
+/// comparisons: parsed dashboard queries and the exclusion rewrites
+/// "clean as you query" emits alike) runs vectorized and anything else
+/// takes the scalar walk, with identical row sets under SQL three-valued
+/// logic (only rows where the clause is TRUE survive). An execution and a
+/// cache build pass 0; an append absorb passes the old row count, so it
+/// filters only the appended rows, through the same step.
+pub(crate) fn scan_filter(
     table: &Table,
     stmt: &SelectStatement,
     from: usize,
-) -> Result<Vec<RowId>, EngineError> {
-    let mut filtered: Vec<RowId> = Vec::new();
-    for i in from..table.num_rows() {
-        let rid = RowId(i);
-        match &stmt.where_clause {
-            Some(pred) if !pred.matches(table, rid)? => {}
-            _ => filtered.push(rid),
-        }
+) -> Result<RowSet, EngineError> {
+    match &stmt.where_clause {
+        Some(pred) => Ok(pred.filter_bitmap(table, from)?),
+        None => Ok(RowSet::suffix(table.num_rows(), from)),
     }
-    Ok(filtered)
 }
 
 /// Group stage: partitions `filtered` (`count` rows in scan order) by the
@@ -610,10 +595,16 @@ mod tests {
                 dbwipes_storage::CompiledBoolExpr::compile(pred, &t).is_ok(),
                 "{sql} should vectorize"
             );
-            let vectorized = scan_filter(&t, &s).unwrap().to_row_ids();
-            let scalar: Vec<RowId> =
-                t.row_ids().filter(|&r| pred.matches(&t, r).unwrap()).collect();
-            assert_eq!(vectorized, scalar, "{sql}");
+            // The whole table, and every suffix an append absorb asks for.
+            for from in 0..=t.num_rows() {
+                let vectorized = scan_filter(&t, &s, from).unwrap().to_row_ids();
+                let scalar: Vec<RowId> = t
+                    .row_ids()
+                    .skip(from)
+                    .filter(|&r| pred.matches(&t, r).unwrap())
+                    .collect();
+                assert_eq!(vectorized, scalar, "{sql} from row {from}");
+            }
         }
         // A mistyped literal does not compile: the scalar walk answers, and
         // its error comes back unchanged.
@@ -622,7 +613,7 @@ mod tests {
         assert!(dbwipes_storage::CompiledBoolExpr::compile(pred, &t).is_err());
         let scalar = pred.filter_scalar(&t).unwrap_err();
         assert_eq!(
-            scan_filter(&t, &s).unwrap_err().to_string(),
+            scan_filter(&t, &s, 0).unwrap_err().to_string(),
             EngineError::from(scalar).to_string()
         );
     }

@@ -79,7 +79,7 @@ use crate::ast::{AggregateCall, SelectExpr, SelectStatement};
 use crate::error::EngineError;
 use crate::executor::{
     aggregate_outputs, build_groups, output_order, output_schema, project_row, scan_filter,
-    scan_filter_suffix, validate, ArgReader,
+    validate, ArgReader,
 };
 use crate::result::{in_order, QueryResult};
 use dbwipes_provenance::Lineage;
@@ -264,7 +264,7 @@ impl GroupedAggregateCache {
     /// scan, and fold into an empty cache.
     pub fn build_shared(table: Arc<Table>, stmt: &SelectStatement) -> Result<Self, EngineError> {
         validate(&table, stmt)?;
-        let filtered = scan_filter(&table, stmt)?;
+        let filtered = scan_filter(&table, stmt, 0)?;
         let is_aggregate = |i: &usize| matches!(stmt.items[*i].expr, SelectExpr::Aggregate(_));
         let (agg_item_indices, plain_item_indices) =
             (0..stmt.items.len()).partition::<Vec<usize>, _>(is_aggregate);
@@ -279,8 +279,7 @@ impl GroupedAggregateCache {
             agg_item_indices,
             plain_item_indices,
         };
-        cache.fold(table, filtered.iter_rows(), filtered.count_ones())?;
-        cache.membership = filtered;
+        cache.fold(table, filtered)?;
         Ok(cache)
     }
 
@@ -323,30 +322,22 @@ impl GroupedAggregateCache {
         // Filter only the appended suffix — the old region is unchanged
         // (a table only grows), so its rows are already retained and
         // re-scanning them would make every absorb O(table). The suffix
-        // scan admits exactly the rows a full vectorized filter would.
-        let appended = scan_filter_suffix(&table, &self.stmt, old_rows)?;
-        self.membership.grow(table.num_rows());
-        for rid in &appended {
-            self.membership.insert(rid.index());
-        }
-        self.fold(table, appended.iter().copied(), appended.len())?;
-        Ok(appended.len())
+        // goes through the build's scan stage and admits exactly the rows
+        // a full filter would.
+        let appended = scan_filter(&table, &self.stmt, old_rows)?;
+        let count = appended.count_ones();
+        self.fold(table, appended)?;
+        Ok(count)
     }
 
     /// The one fold behind `build_shared` and `absorb_append_shared`:
-    /// groups `filtered` (`count` rows of `table` that passed the
-    /// statement's filter, in scan order, none of them retained yet),
-    /// accumulates them into the per-group states, extends `row_slots` /
-    /// `key_index`, re-projects the output row of every group that gained
-    /// rows (the others keep theirs: states, rows and representative first
-    /// row unchanged), and adopts `table` as the cache's snapshot. The
-    /// caller adds the rows to `membership`.
-    fn fold(
-        &mut self,
-        table: Arc<Table>,
-        filtered: impl Iterator<Item = RowId>,
-        count: usize,
-    ) -> Result<(), EngineError> {
+    /// groups `filtered` (rows of `table` that passed the statement's
+    /// filter, none of them retained yet), accumulates them into the
+    /// per-group states, extends `row_slots` / `key_index`, re-projects the
+    /// output row of every group that gained rows (the others keep theirs:
+    /// states, rows and representative first row unchanged), adds the rows
+    /// to `membership`, and adopts `table` as the cache's snapshot.
+    fn fold(&mut self, table: Arc<Table>, filtered: RowSet) -> Result<(), EngineError> {
         // The retained indexes must match the row universe even when no
         // row passes the filter: exclusion bitmaps arrive sized to the table.
         self.row_slots.resize(table.num_rows(), (0u32, 0u32));
@@ -354,7 +345,8 @@ impl GroupedAggregateCache {
         let agg_calls: Vec<&AggregateCall> = self.stmt.aggregates();
         let args: Vec<ArgReader<'_>> =
             agg_calls.iter().map(|call| ArgReader::bind(&table, call)).collect::<Result<_, _>>()?;
-        let (keys, group_rows) = build_groups(&table, &self.stmt, filtered, count)?;
+        let (keys, group_rows) =
+            build_groups(&table, &self.stmt, filtered.iter_rows(), filtered.count_ones())?;
         // `build_groups` names each key once, so each group is visited once.
         for (key, rows) in keys.into_iter().zip(group_rows) {
             let gi = match self.key_index.get(&key) {
@@ -393,6 +385,8 @@ impl GroupedAggregateCache {
                 project_row(&table, &self.stmt, &group.key, &group.rows, &agg_outputs)?;
         }
 
+        self.membership.grow(table.num_rows());
+        self.membership.or_assign(&filtered);
         self.table = table;
         Ok(())
     }
@@ -467,24 +461,6 @@ impl GroupedAggregateCache {
     /// exclusion sets are intersections against this mask.
     pub fn membership(&self) -> &RowSet {
         &self.membership
-    }
-
-    /// The index of the group whose GROUP BY key is `key` (first-seen
-    /// order, not output order).
-    pub fn find_group(&self, key: &[Value]) -> Option<usize> {
-        self.key_index.get(key).map(|&gi| gi as usize)
-    }
-
-    /// The input rows of group `g`, in scan order.
-    pub fn group_rows(&self, g: usize) -> &[RowId] {
-        &self.groups[g].rows
-    }
-
-    /// The retained state of the aggregate at SELECT-list index `item` in
-    /// group `g`, or `None` when `item` is not an aggregate item.
-    pub fn state(&self, g: usize, item: usize) -> Option<&AggregateState> {
-        let slot = self.agg_item_indices.iter().position(|&i| i == item)?;
-        Some(&self.groups[g].states[slot])
     }
 
     /// The result the dashboard displays: what [`crate::execute`] answers
@@ -889,19 +865,6 @@ mod tests {
                 .unzip();
             assert_eq!((by_key.rows, by_key.group_keys), (want_rows, want_keys), "for_keys({key})");
         }
-    }
-
-    #[test]
-    fn accessors_expose_states_and_rows() {
-        let table = readings();
-        let stmt = parse_select("SELECT hour, avg(temp) FROM readings GROUP BY hour").unwrap();
-        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        let g = cache.find_group(&[Value::Int(1)]).unwrap();
-        assert_eq!(cache.group_rows(g), &[RowId(2), RowId(3), RowId(4)]);
-        assert_eq!(cache.state(g, 1).unwrap().finish(), Value::Float(70.5));
-        // Item 0 is the group key, not an aggregate.
-        assert!(cache.state(g, 0).is_none());
-        assert!(cache.find_group(&[Value::Int(9)]).is_none());
     }
 
     /// What a retained row costs does not depend on how many aggregates

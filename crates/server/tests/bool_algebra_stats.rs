@@ -1,6 +1,7 @@
 //! `stats.bool_algebra` counts every WHERE evaluation: the plain conjunctive
-//! clause a dashboard sends, the clicked `AND NOT (p)` rewrite, and a clause
-//! outside the kernels' fragment.
+//! clause a dashboard sends, the clicked `AND NOT (p)` rewrite, a clause
+//! outside the kernels' fragment, and an append absorb's filter of the
+//! appended rows.
 //!
 //! The counters are process-wide statics, so this binary holds exactly one
 //! `#[test]` and asserts deltas between `stats` replies: nothing else in
@@ -49,19 +50,22 @@ fn every_where_evaluation_is_counted_once() {
     assert_eq!(bool_algebra(&m), (v0 + 1, f0), "a conjunctive WHERE is one vectorized filter");
 
     // The clicked predicate's `AND NOT (p)` rewrite is one more.
-    ok(
-        &m,
-        &format!(
-            r#"{{"cmd":"brush_outputs","session":{s},"x":"window","y":"std_temp","brush":{{"y_min":8}}}}"#
-        ),
-    );
-    ok(
-        &m,
-        &format!(
-            r#"{{"cmd":"set_metric","session":{s},"kind":"too_high","column":"std_temp","value":4}}"#
-        ),
-    );
-    ok(&m, &format!(r#"{{"cmd":"debug","session":{s}}}"#));
+    let explain = || {
+        ok(
+            &m,
+            &format!(
+                r#"{{"cmd":"brush_outputs","session":{s},"x":"window","y":"std_temp","brush":{{"y_min":8}}}}"#
+            ),
+        );
+        ok(
+            &m,
+            &format!(
+                r#"{{"cmd":"set_metric","session":{s},"kind":"too_high","column":"std_temp","value":4}}"#
+            ),
+        );
+        ok(&m, &format!(r#"{{"cmd":"debug","session":{s}}}"#));
+    };
+    explain();
     let (v1, f1) = bool_algebra(&m);
     let clicked = ok(&m, &format!(r#"{{"cmd":"click_predicate","session":{s},"index":0}}"#));
     assert!(clicked.to_string().contains("NOT ("), "{clicked}");
@@ -71,4 +75,17 @@ fn every_where_evaluation_is_counted_once() {
     let (v2, f2) = bool_algebra(&m);
     run("temp + 1 > 2");
     assert_eq!(bool_algebra(&m), (v2, f2 + 1), "an uncompilable WHERE is one fallback");
+
+    // An append absorbed into the displayed statement's cache (built by
+    // its `debug`) filters the appended rows through its WHERE: one more.
+    explain();
+    let (v3, f3) = bool_algebra(&m);
+    let absorbs = |m: &SessionManager| {
+        let stats = ok(m, r#"{"cmd":"stats"}"#);
+        stats.get("cache").and_then(|c| c.get("append_absorbs")).and_then(Json::as_u64).unwrap()
+    };
+    let a3 = absorbs(&m);
+    ok(&m, r#"{"cmd":"stream_append","table":"readings","rows":[[3,60,0,0,21.5,40.0,100.0,2.7]]}"#);
+    assert_eq!(absorbs(&m), a3 + 1, "the displayed statement's cache absorbed the append");
+    assert_eq!(bool_algebra(&m), (v3, f3 + 1), "an absorb's filter is one more");
 }

@@ -450,18 +450,22 @@ impl Expr {
     /// identical — bit for bit — to [`Expr::filter_scalar`], which answers
     /// (rows or error) for everything else.
     pub fn filter(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
-        Ok(self.filter_bitmap(table)?.to_row_ids())
+        Ok(self.filter_bitmap(table, 0)?.to_row_ids())
     }
 
-    /// [`Expr::filter`]'s rows as a bitmap over the table's rows, for a
-    /// caller that only iterates them: no row list is built on the
-    /// vectorized path. Unlike [`Expr::filter_set`] it caches nothing on
-    /// the snapshot.
-    pub fn filter_bitmap(&self, table: &Table) -> Result<RowSet, StorageError> {
+    /// [`Expr::filter`]'s rows from row `from` on, as a bitmap over the
+    /// table's rows, for a caller that only iterates them: no row list is
+    /// built on the vectorized path. `from` is 0 for a whole table and the
+    /// old row count for the rows an append added; the compiled tree is
+    /// then folded with those rows as its selection, and a clause that
+    /// does not compile walks only them, so either way the cost follows
+    /// the rows asked about. Unlike [`Expr::filter_set`] it caches nothing
+    /// on the snapshot.
+    pub fn filter_bitmap(&self, table: &Table, from: usize) -> Result<RowSet, StorageError> {
         let compiled = crate::predicate::CompiledBoolExpr::compile(self, table);
-        match crate::predicate::vectorized_filter(compiled) {
+        match crate::predicate::vectorized_filter(compiled, from) {
             Some(rows) => Ok(rows),
-            None => Ok(RowSet::from_rows(table.num_rows(), &self.filter_scalar(table)?)),
+            None => Ok(RowSet::from_rows(table.num_rows(), &self.scalar_rows(table, from)?)),
         }
     }
 
@@ -484,8 +488,13 @@ impl Expr {
     /// three-valued expression walk. Public as the oracle the property
     /// tests pin the vectorized path against.
     pub fn filter_scalar(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
+        self.scalar_rows(table, 0)
+    }
+
+    /// The scalar walk over the rows from `from` on.
+    fn scalar_rows(&self, table: &Table, from: usize) -> Result<Vec<RowId>, StorageError> {
         let mut out = Vec::new();
-        for rid in table.row_ids() {
+        for rid in (from..table.num_rows()).map(RowId) {
             if self.matches(table, rid)? {
                 out.push(rid);
             }

@@ -351,13 +351,6 @@ impl ConjunctivePredicate {
         !self.to_expr()
     }
 
-    /// Evaluates the predicate against one row through the scalar [`Expr`]
-    /// walk. A row on which evaluation fails (a condition mistyped for the
-    /// schema, an unknown column) is a non-match, not an error.
-    pub fn matches(&self, table: &Table, row: RowId) -> bool {
-        self.to_expr().matches(table, row).unwrap_or(false)
-    }
-
     /// Compiles the predicate against a table as the `AND` of its
     /// conditions: column indices are resolved and literals coerced once,
     /// so evaluation is typed column kernels instead of a recursive
@@ -379,13 +372,16 @@ impl ConjunctivePredicate {
     /// Returns all rows matched by the predicate, in ascending
     /// [`RowId`] order. Uses the vectorized column kernels when every
     /// condition compiles; otherwise falls back to the per-row expression
-    /// walk, where a failed evaluation is a non-match (see
-    /// [`ConjunctivePredicate::matches`]).
+    /// walk, where a row on which evaluation fails (a condition mistyped
+    /// for the schema, an unknown column) is a non-match, not an error.
     pub fn matching_rows(&self, table: &Table) -> Vec<RowId> {
-        vectorized_filter(self.compile(table)).map(|rows| rows.to_row_ids()).unwrap_or_else(|| {
-            let expr = self.to_expr();
-            table.row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
-        })
+        match vectorized_filter(self.compile(table), 0) {
+            Some(rows) => rows.to_row_ids(),
+            None => {
+                let expr = self.to_expr();
+                table.row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
+            }
+        }
     }
 }
 
@@ -740,41 +736,44 @@ impl<'t> CompiledBoolExpr<'t> {
         self.num_rows
     }
 
-    /// Three-valued evaluation on one row: `Some(true)` / `Some(false)` /
-    /// `None` (= SQL NULL, unknown), exactly the value [`Expr::eval`]
-    /// gives the source expression there.
-    #[inline]
-    pub fn matches(&self, row: RowId) -> Option<bool> {
-        self.eval_row(&self.root, row.index())
-    }
-
     /// Vectorized three-valued evaluation over **every row** of the
     /// table: each distinct leaf's column is scanned at most once — and
     /// kept, so evaluating again is only the fold — and the tree folds
-    /// word-level AND/OR/NOT.
-    /// Identical, row for row, to calling [`CompiledBoolExpr::matches`] in
-    /// a loop.
+    /// word-level AND/OR/NOT. Identical, row for row, to the scalar walk
+    /// of [`Expr::eval`] on the source expression.
     ///
     /// `AND` short-circuits columnar-style: once fewer than a quarter of
-    /// the rows can still pass (are TRUE or NULL so far), a conjunct that
-    /// would need a column scan is evaluated on those rows only — the
-    /// selection-vector trick, so a selective leading conjunct makes the
-    /// rest nearly free.
+    /// the rows can still pass (are TRUE or NULL so far), the next conjunct
+    /// is folded with those rows as its selection, so its kernels visit
+    /// only them — a selective leading conjunct makes the rest nearly free.
     pub fn eval_columns(&self) -> TriSet {
-        self.fold(&self.root).into_owned()
+        self.fold(&self.root, None).into_owned()
     }
 
-    /// The Kleene fold.
-    fn fold(&self, node: &BoolNode) -> Cow<'_, TriSet> {
+    /// The rows of `sel` on which the tree is TRUE: the fold with `sel` as
+    /// its selection, masked to it.
+    pub(crate) fn trues_within(&self, sel: &RowSet) -> RowSet {
+        self.fold(&self.root, Some(sel)).trues.and(sel)
+    }
+
+    /// The Kleene fold of `node`, exact on every row of `sel` (on every row
+    /// when `None`); what it holds elsewhere is unspecified.
+    fn fold(&self, node: &BoolNode, sel: Option<&RowSet>) -> Cow<'_, TriSet> {
         let n = self.num_rows;
         match node {
             BoolNode::Leaf(i) => match &self.leaves[*i] {
-                LeafSource::Kernel { kernel, column } => {
-                    Cow::Borrowed(column.get_or_init(|| kernel.eval_column(n)))
-                }
+                // A column is only ever kept whole: a restricted scan is
+                // owned and dropped.
+                LeafSource::Kernel { kernel, column } => match (column.get(), sel) {
+                    (Some(whole), _) => Cow::Borrowed(whole),
+                    (None, Some(sel)) => Cow::Owned(kernel.eval_column(n, Some(sel))),
+                    (None, None) => {
+                        Cow::Borrowed(column.get_or_init(|| kernel.eval_column(n, None)))
+                    }
+                },
                 LeafSource::Bitmap(bitmap) => Cow::Borrowed(bitmap),
             },
-            BoolNode::Not(child) => Cow::Owned(!&*self.fold(child)),
+            BoolNode::Not(child) => Cow::Owned(!&*self.fold(child, sel)),
             BoolNode::Const(Some(true)) => Cow::Owned(TriSet::all_true(n)),
             BoolNode::Const(Some(false)) => Cow::Owned(TriSet::all_false(n)),
             BoolNode::Const(None) => Cow::Owned(TriSet::all_unknown(n)),
@@ -782,105 +781,28 @@ impl<'t> CompiledBoolExpr<'t> {
                 let Some((first, rest)) = children.split_first() else {
                     return Cow::Owned(TriSet::all_false(n));
                 };
-                rest.iter()
-                    .fold(self.fold(first), |acc, child| Cow::Owned(&*acc | &*self.fold(child)))
+                rest.iter().fold(self.fold(first, sel), |acc, child| {
+                    Cow::Owned(&*acc | &*self.fold(child, sel))
+                })
             }
             BoolNode::And(children) => {
                 let Some((first, rest)) = children.split_first() else {
                     return Cow::Owned(TriSet::all_true(n));
                 };
-                let mut acc = self.fold(first);
+                let mut acc = self.fold(first, sel);
                 for child in rest {
-                    // Per-row evaluation only pays where it saves a scan.
-                    let sparse = self
-                        .needs_scan(child)
-                        .then(|| acc.passes_or_unknown())
-                        .filter(|pass| pass.count_ones() * 4 < n);
-                    let Some(pass) = sparse else {
-                        acc = Cow::Owned(&*acc & &*self.fold(child));
-                        continue;
-                    };
-                    let mut trues = RowSet::empty(n);
-                    let mut unknowns = RowSet::empty(n);
-                    for i in pass.iter() {
-                        match self.eval_row(child, i) {
-                            Some(true) if acc.trues.contains(i) => trues.insert(i),
-                            Some(true) | None => unknowns.insert(i),
-                            Some(false) => {}
-                        }
+                    // Outside the rows that can still pass, `acc` is FALSE
+                    // and so is the conjunction, whatever the child holds.
+                    let mut live = acc.passes_or_unknown();
+                    if let Some(sel) = sel {
+                        live.and_assign(sel);
                     }
-                    acc = Cow::Owned(TriSet { trues, unknowns });
+                    let narrowed = (live.count_ones() * 4 < n).then_some(live);
+                    acc = Cow::Owned(&*acc & &*self.fold(child, narrowed.as_ref().or(sel)));
                 }
                 acc
             }
         }
-    }
-
-    /// True when folding `node` would run a kernel scan: some leaf under
-    /// it has a kernel and no column yet.
-    fn needs_scan(&self, node: &BoolNode) -> bool {
-        match node {
-            BoolNode::Leaf(i) => match &self.leaves[*i] {
-                LeafSource::Kernel { column, .. } => column.get().is_none(),
-                LeafSource::Bitmap(_) => false,
-            },
-            BoolNode::Not(child) => self.needs_scan(child),
-            BoolNode::And(children) | BoolNode::Or(children) => {
-                children.iter().any(|c| self.needs_scan(c))
-            }
-            BoolNode::Const(_) => false,
-        }
-    }
-
-    /// Kleene evaluation of one node on one row index (`None` = NULL).
-    ///
-    /// Inlined into its callers with the node's leaf children evaluated in
-    /// place, so a flat tree — the conjunctions that per-row evaluation
-    /// overwhelmingly sees — costs one kernel dispatch per leaf and no
-    /// call; only a connective nested in another goes through
-    /// [`CompiledBoolExpr::eval_nested`].
-    #[inline(always)]
-    fn eval_row(&self, node: &BoolNode, row: usize) -> Option<bool> {
-        let leaf = |i: usize| match &self.leaves[i] {
-            LeafSource::Kernel { kernel, .. } => kernel.eval(row),
-            LeafSource::Bitmap(bitmap) => bitmap.value(row),
-        };
-        let child = |node: &BoolNode| match node {
-            BoolNode::Leaf(i) => leaf(*i),
-            nested => self.eval_nested(nested, row),
-        };
-        match node {
-            BoolNode::Leaf(i) => leaf(*i),
-            BoolNode::Not(inner) => child(inner).map(|b| !b),
-            BoolNode::And(children) => {
-                let mut out = Some(true);
-                for c in children {
-                    match child(c) {
-                        Some(false) => return Some(false),
-                        None => out = None,
-                        Some(true) => {}
-                    }
-                }
-                out
-            }
-            BoolNode::Or(children) => {
-                let mut out = Some(false);
-                for c in children {
-                    match child(c) {
-                        Some(true) => return Some(true),
-                        None => out = None,
-                        Some(false) => {}
-                    }
-                }
-                out
-            }
-            BoolNode::Const(value) => *value,
-        }
-    }
-
-    /// The out-of-line recursion point of [`CompiledBoolExpr::eval_row`].
-    fn eval_nested(&self, node: &BoolNode, row: usize) -> Option<bool> {
-        self.eval_row(node, row)
     }
 }
 
@@ -993,81 +915,24 @@ impl<'t> CompiledCondition<'t> {
         }
     }
 
-    /// Three-valued evaluation on one row index (`None` = NULL).
-    #[inline]
-    fn eval(&self, row: usize) -> Option<bool> {
+    /// Vectorized evaluation: one tight loop over the typed column slices,
+    /// over every row or only over `sel`'s rows. Exact, under SQL
+    /// three-valued logic, on the rows it visits; what it holds on the
+    /// others is unspecified.
+    fn eval_column(&self, num_rows: usize, sel: Option<&RowSet>) -> TriSet {
         match self {
-            CompiledCondition::True => Some(true),
-            CompiledCondition::Unknown => None,
+            CompiledCondition::True => TriSet::all_true(num_rows),
+            CompiledCondition::Unknown => TriSet::all_unknown(num_rows),
             CompiledCondition::NumEquals { column, value, negate } => {
-                let v = column.get_f64(row)?;
-                Some((v.total_cmp(value) == Ordering::Equal) != *negate)
-            }
-            CompiledCondition::StrEquals { column, value, negate } => {
-                let s = column.get_str(row)?;
-                Some((s == value) != *negate)
-            }
-            CompiledCondition::NumRange { column, low, high } => {
-                let v = column.get_f64(row)?;
-                let low_ok = low.map_or(true, |(lo, incl)| {
-                    let ord = v.total_cmp(&lo);
-                    ord == Ordering::Greater || (incl && ord == Ordering::Equal)
-                });
-                let high_ok = high.map_or(true, |(hi, incl)| {
-                    let ord = v.total_cmp(&hi);
-                    ord == Ordering::Less || (incl && ord == Ordering::Equal)
-                });
-                Some(low_ok && high_ok)
-            }
-            CompiledCondition::NumInSet { column, values, with_null } => {
-                let v = column.get_f64(row)?;
-                if values.iter().any(|m| v.total_cmp(m) == Ordering::Equal) {
-                    Some(true)
-                } else if *with_null {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            CompiledCondition::StrInSet { column, values, with_null } => {
-                let s = column.get_str(row)?;
-                if values.iter().any(|m| m == s) {
-                    Some(true)
-                } else if *with_null {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            CompiledCondition::StrContains { column, needle_lower } => {
-                let s = column.get_str(row)?;
-                Some(contains_ignore_ascii_case(s, needle_lower))
-            }
-        }
-    }
-
-    /// Vectorized evaluation over every row: one tight loop over
-    /// the typed column slice instead of per-row dispatch. Produces exactly
-    /// the rows where [`CompiledCondition::eval`] yields `Some(true)`
-    /// (`trues`) and `None` (`unknowns`).
-    fn eval_column(&self, num_rows: usize) -> TriSet {
-        match self {
-            CompiledCondition::True => {
-                TriSet { trues: RowSet::full(num_rows), unknowns: RowSet::empty(num_rows) }
-            }
-            CompiledCondition::Unknown => {
-                TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) }
-            }
-            CompiledCondition::NumEquals { column, value, negate } => {
-                scan_numeric(column, num_rows, false, |v| {
+                scan_numeric(column, num_rows, sel, false, |v| {
                     (v.total_cmp(value) == Ordering::Equal) != *negate
                 })
             }
             CompiledCondition::StrEquals { column, value, negate } => {
-                scan_str(column, num_rows, false, |s| (s == value) != *negate)
+                scan_str(column, num_rows, sel, false, |s| (s == value) != *negate)
             }
             CompiledCondition::NumRange { column, low, high } => {
-                scan_numeric(column, num_rows, false, |v| {
+                scan_numeric(column, num_rows, sel, false, |v| {
                     let low_ok = low.map_or(true, |(lo, incl)| {
                         let ord = v.total_cmp(&lo);
                         ord == Ordering::Greater || (incl && ord == Ordering::Equal)
@@ -1080,61 +945,98 @@ impl<'t> CompiledCondition<'t> {
                 })
             }
             CompiledCondition::NumInSet { column, values, with_null } => {
-                scan_numeric(column, num_rows, *with_null, |v| {
+                scan_numeric(column, num_rows, sel, *with_null, |v| {
                     values.iter().any(|m| v.total_cmp(m) == Ordering::Equal)
                 })
             }
             CompiledCondition::StrInSet { column, values, with_null } => {
-                scan_str(column, num_rows, *with_null, |s| values.iter().any(|m| m == s))
+                scan_str(column, num_rows, sel, *with_null, |s| values.iter().any(|m| m == s))
             }
             CompiledCondition::StrContains { column, needle_lower } => {
-                scan_str(column, num_rows, false, |s| contains_ignore_ascii_case(s, needle_lower))
+                scan_str(column, num_rows, sel, false, |s| {
+                    contains_ignore_ascii_case(s, needle_lower)
+                })
             }
         }
     }
 }
 
-/// Word-at-a-time bitmap writer: the kernels append one bit per row and
-/// flush whole `u64` words, avoiding the per-row index arithmetic and
-/// bounds checks of [`RowSet::insert`].
-struct BitSink {
-    words: Vec<u64>,
-    cur: u64,
-    bit: u32,
+/// A kernel's output, written a word at a time: one verdict per row, in
+/// place, with no per-row index arithmetic or bounds check of
+/// [`RowSet::insert`].
+struct TriWords {
+    trues: Vec<u64>,
+    unknowns: Vec<u64>,
+    /// `IN`-list semantics: a NULL set member turns non-matches into
+    /// unknowns.
+    nonmatch_unknown: bool,
 }
 
-impl BitSink {
-    fn new(num_rows: usize) -> Self {
-        BitSink { words: Vec::with_capacity(num_rows.div_ceil(64)), cur: 0, bit: 0 }
+impl TriWords {
+    fn new(num_rows: usize, nonmatch_unknown: bool) -> Self {
+        let words = num_rows.div_ceil(64);
+        TriWords { trues: vec![0; words], unknowns: vec![0; words], nonmatch_unknown }
     }
 
+    /// Tests the values `data` of one chunk, valid where `valid` is set,
+    /// whose first row is `base` (a multiple of 64 — chunks hold whole
+    /// words): every one, or only those `sel` holds.
     #[inline]
-    fn push(&mut self, set: bool) {
-        self.cur |= (set as u64) << self.bit;
-        self.bit += 1;
-        if self.bit == 64 {
-            self.words.push(self.cur);
-            self.cur = 0;
-            self.bit = 0;
+    fn chunk<T>(
+        &mut self,
+        base: usize,
+        data: &[T],
+        valid: &[bool],
+        sel: Option<&RowSet>,
+        test: impl Fn(&T) -> bool,
+    ) {
+        debug_assert_eq!(base % 64, 0);
+        let first = base / 64;
+        let nonmatch_unknown = self.nonmatch_unknown;
+        for (w, (xs, oks)) in data.chunks(64).zip(valid.chunks(64)).enumerate() {
+            let (mut trues, mut unknowns) = (0u64, 0u64);
+            let mut visit = |x: &T, ok: bool, bit: usize| {
+                let is_true = ok && test(x);
+                trues |= (is_true as u64) << bit;
+                unknowns |= ((!ok || (nonmatch_unknown && !is_true)) as u64) << bit;
+            };
+            match sel {
+                None => {
+                    for (bit, (x, &ok)) in xs.iter().zip(oks).enumerate() {
+                        visit(x, ok, bit);
+                    }
+                }
+                Some(sel) => {
+                    let mut left = sel.word_slice()[first + w];
+                    while left != 0 {
+                        let bit = left.trailing_zeros() as usize;
+                        visit(&xs[bit], oks[bit], bit);
+                        left &= left - 1;
+                    }
+                }
+            }
+            self.trues[first + w] = trues;
+            self.unknowns[first + w] = unknowns;
         }
     }
 
-    fn finish(mut self, num_rows: usize) -> RowSet {
-        if self.bit > 0 {
-            self.words.push(self.cur);
+    fn finish(self, num_rows: usize) -> TriSet {
+        TriSet {
+            trues: RowSet::from_words(self.trues, num_rows),
+            unknowns: RowSet::from_words(self.unknowns, num_rows),
         }
-        RowSet::from_words(self.words, num_rows)
     }
 }
 
 /// Columnar kernel for numeric tests: for each chunk of the column,
 /// dispatches on its typed vector once, then runs a branch-light loop over
-/// the slice and the validity mask; the bitmaps continue across chunks.
+/// the slice and the validity mask — every row, or only `sel`'s.
 /// `nonmatch_unknown` encodes `IN`-list semantics where a NULL set member
 /// turns non-matches into unknowns.
 fn scan_numeric(
     column: &Column,
     num_rows: usize,
+    sel: Option<&RowSet>,
     nonmatch_unknown: bool,
     test: impl Fn(f64) -> bool,
 ) -> TriSet {
@@ -1142,36 +1044,35 @@ fn scan_numeric(
     // A string column never yields a numeric value: every row is unknown,
     // exactly like `Column::get_f64` returning `None`.
     if column.dtype() == DataType::Str {
-        return TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) };
+        return TriSet::all_unknown(num_rows);
     }
-    let mut trues = BitSink::new(num_rows);
-    let mut unknowns = BitSink::new(num_rows);
+    let mut out = TriWords::new(num_rows, nonmatch_unknown);
+    let mut base = 0;
     for (chunk, rows) in column.pieces(0..num_rows) {
-        let validity = &chunk.valid()[rows.clone()];
-        macro_rules! scan {
-            ($data:expr, $conv:expr) => {
-                for (x, &valid) in $data[rows].iter().zip(validity) {
-                    let is_true = valid && test($conv(x));
-                    trues.push(is_true);
-                    unknowns.push(!valid || (nonmatch_unknown && !is_true));
-                }
-            };
-        }
+        let valid = &chunk.valid()[rows.clone()];
         match chunk.values() {
-            ColumnData::Int(v) => scan!(v, |x: &i64| *x as f64),
-            ColumnData::Float(v) => scan!(v, |x: &f64| *x),
-            ColumnData::Timestamp(v) => scan!(v, |x: &i64| *x as f64),
-            ColumnData::Bool(v) => scan!(v, |x: &bool| if *x { 1.0 } else { 0.0 }),
+            ColumnData::Int(v) => {
+                out.chunk(base, &v[rows.clone()], valid, sel, |x| test(*x as f64))
+            }
+            ColumnData::Float(v) => out.chunk(base, &v[rows.clone()], valid, sel, |x| test(*x)),
+            ColumnData::Timestamp(v) => {
+                out.chunk(base, &v[rows.clone()], valid, sel, |x| test(*x as f64))
+            }
+            ColumnData::Bool(v) => {
+                out.chunk(base, &v[rows.clone()], valid, sel, |x| test(if *x { 1.0 } else { 0.0 }))
+            }
             ColumnData::Str(_) => unreachable!("a chunk holds its column's type"),
         }
+        base += rows.len();
     }
-    TriSet { trues: trues.finish(num_rows), unknowns: unknowns.finish(num_rows) }
+    out.finish(num_rows)
 }
 
 /// Columnar kernel for string tests; see [`scan_numeric`].
 fn scan_str(
     column: &Column,
     num_rows: usize,
+    sel: Option<&RowSet>,
     nonmatch_unknown: bool,
     test: impl Fn(&str) -> bool,
 ) -> TriSet {
@@ -1179,21 +1080,18 @@ fn scan_str(
     // A non-string column never yields a string: every row is unknown,
     // exactly like `Column::get_str` returning `None`.
     if column.dtype() != DataType::Str {
-        return TriSet { trues: RowSet::empty(num_rows), unknowns: RowSet::full(num_rows) };
+        return TriSet::all_unknown(num_rows);
     }
-    let mut trues = BitSink::new(num_rows);
-    let mut unknowns = BitSink::new(num_rows);
+    let mut out = TriWords::new(num_rows, nonmatch_unknown);
+    let mut base = 0;
     for (chunk, rows) in column.pieces(0..num_rows) {
         let ColumnData::Str(v) = chunk.values() else {
             unreachable!("a chunk holds its column's type")
         };
-        for (s, &valid) in v[rows.clone()].iter().zip(&chunk.valid()[rows]) {
-            let is_true = valid && test(s);
-            trues.push(is_true);
-            unknowns.push(!valid || (nonmatch_unknown && !is_true));
-        }
+        out.chunk(base, &v[rows.clone()], &chunk.valid()[rows.clone()], sel, |s| test(s));
+        base += rows.len();
     }
-    TriSet { trues: trues.finish(num_rows), unknowns: unknowns.finish(num_rows) }
+    out.finish(num_rows)
 }
 
 /// Process-wide hit counter of every [`ConditionBitmapCache`] (for the
@@ -1207,15 +1105,20 @@ static GLOBAL_BOOL_VECTORIZED: AtomicU64 = AtomicU64::new(0);
 /// walk.
 static GLOBAL_BOOL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// The one compile-or-scalar step of every filter: the rows where a
-/// successfully compiled clause is TRUE, or `None` when it did not
-/// compile and the caller's scalar walk must answer. Either way the
+/// The one compile-or-scalar step of every filter: the rows from `from`
+/// on where a successfully compiled clause is TRUE, or `None` when it did
+/// not compile and the caller's scalar walk must answer. Either way the
 /// outcome is counted (see [`bool_vectorization_stats`]).
 pub(crate) fn vectorized_filter(
     compiled: Result<CompiledBoolExpr<'_>, StorageError>,
+    from: usize,
 ) -> Option<RowSet> {
     count_filter(compiled.is_ok());
-    Some(compiled.ok()?.eval_columns().trues)
+    let compiled = compiled.ok()?;
+    Some(match from {
+        0 => compiled.eval_columns().trues,
+        _ => compiled.trues_within(&RowSet::suffix(compiled.num_rows, from)),
+    })
 }
 
 /// Counts one filter evaluation: served by a compiled tree, or left to
@@ -1226,7 +1129,8 @@ pub(crate) fn count_filter(vectorized: bool) {
 }
 
 /// Process-wide `(vectorized, fallback)` counts of filter evaluations
-/// ([`Expr::filter`] and [`Expr::filter_set`], hence every WHERE clause
+/// ([`Expr::filter_bitmap`] and [`Expr::filter_set`], hence every WHERE
+/// clause — an append absorb's filter of the appended rows included —
 /// and every clicked exclusion, and
 /// [`ConjunctivePredicate::matching_rows`]): served by a
 /// [`CompiledBoolExpr`], or left to the scalar expression walk because
@@ -1333,7 +1237,7 @@ impl ConditionBitmapCache {
     pub fn condition(&self, table: &Table, cond: &Condition) -> Option<Arc<TriSet>> {
         let evaluate = || {
             let kernel = CompiledCondition::compile(cond, table).ok()?;
-            Some(Arc::new(kernel.eval_column(table.num_rows())))
+            Some(Arc::new(kernel.eval_column(table.num_rows(), None)))
         };
         if !self.covers(table) {
             return evaluate();
@@ -1411,6 +1315,16 @@ mod tests {
     use crate::value::DataType;
     use std::ops::{Add, Not as _};
 
+    /// The scalar three-valued verdict of a boolean expression on one row
+    /// (`None` = NULL): the oracle of every kernel test.
+    fn scalar(expr: &Expr, t: &Table, r: RowId) -> Option<bool> {
+        match expr.eval(t, r).unwrap() {
+            Value::Bool(b) => Some(b),
+            Value::Null => None,
+            other => panic!("non-boolean predicate value {other:?}"),
+        }
+    }
+
     fn table() -> Table {
         let schema = Schema::of(&[
             ("sensorid", DataType::Int),
@@ -1460,10 +1374,10 @@ mod tests {
             Condition::above("temp", 120.0),
         ]);
         assert_eq!(p.matching_rows(&t), vec![RowId(0)]);
-        let compiled = p.compile(&t).unwrap();
-        assert_eq!(compiled.eval_columns().trues.count_ones(), 1);
-        assert_eq!(compiled.matches(RowId(0)), Some(true));
-        assert_eq!(compiled.matches(RowId(1)), Some(false));
+        let tri = p.compile(&t).unwrap().eval_columns();
+        assert_eq!(tri.trues.count_ones(), 1);
+        assert_eq!(tri.value(0), Some(true));
+        assert_eq!(tri.value(1), Some(false));
 
         let trivially_true = ConjunctivePredicate::always_true();
         assert!(trivially_true.is_trivial());
@@ -1570,20 +1484,14 @@ mod tests {
             }
         }
         for p in &predicates {
-            let compiled = p.compile(&t).expect("all conditions are well-typed");
+            let tri = p.compile(&t).expect("all conditions are well-typed").eval_columns();
             let expr = p.to_expr();
             for r in t.row_ids() {
-                let via_expr = match expr.eval(&t, r).unwrap() {
-                    Value::Bool(b) => Some(b),
-                    Value::Null => None,
-                    other => panic!("non-boolean predicate value {other:?}"),
-                };
-                assert_eq!(compiled.matches(r), via_expr, "{p} on row {r:?}");
+                assert_eq!(tri.value(r.index()), scalar(&expr, &t, r), "{p} on row {r:?}");
             }
-            // matching_rows (which now uses the compiled path) agrees with
-            // the per-condition fallback.
-            let fallback: Vec<RowId> = t.row_ids().filter(|&r| p.matches(&t, r)).collect();
-            assert_eq!(p.matching_rows(&t), fallback, "{p}");
+            // matching_rows (which uses the compiled path) agrees with the
+            // scalar walk.
+            assert_eq!(p.matching_rows(&t), expr.filter_scalar(&t).unwrap(), "{p}");
         }
     }
 
@@ -1648,8 +1556,9 @@ mod tests {
         for p in &predicates {
             let compiled = p.compile(&t).expect("well-typed");
             let tri = compiled.eval_columns();
+            let expr = p.to_expr();
             for r in t.row_ids() {
-                let scalar = compiled.matches(r);
+                let scalar = scalar(&expr, &t, r);
                 assert_eq!(tri.trues.contains(r.index()), scalar == Some(true), "{p} on {r}");
                 assert_eq!(tri.unknowns.contains(r.index()), scalar.is_none(), "{p} on {r}");
             }
@@ -1765,12 +1674,7 @@ mod tests {
             assert_eq!(tri.universe(), t.num_rows());
             assert!(tri.trues.and(&tri.unknowns).is_empty(), "{expr}: overlapping bitmaps");
             for r in t.row_ids() {
-                let scalar = match expr.eval(&t, r).unwrap() {
-                    Value::Bool(b) => Some(b),
-                    Value::Null => None,
-                    other => panic!("non-boolean tree value {other:?}"),
-                };
-                assert_eq!(tri.value(r.index()), scalar, "{expr} on {r}");
+                assert_eq!(tri.value(r.index()), scalar(&expr, &t, r), "{expr} on {r}");
             }
         }
     }
@@ -1834,17 +1738,53 @@ mod tests {
         ] {
             let compiled = CompiledBoolExpr::compile(&expr, &t).unwrap();
             let tri = compiled.eval_columns();
-            // The fold over bitmaps computed elsewhere never goes per row.
+            // The same fold over bitmaps computed elsewhere agrees.
             let cached = ConditionBitmapCache::new(&t).bool_expr(&t, &expr).unwrap();
             assert!(tri.trues == cached.trues && tri.unknowns == cached.unknowns, "{expr}");
             for r in t.row_ids() {
-                let scalar = match expr.eval(&t, r).unwrap() {
-                    Value::Bool(b) => Some(b),
-                    Value::Null => None,
-                    other => panic!("non-boolean tree value {other:?}"),
-                };
-                assert_eq!(tri.value(r.index()), scalar, "{expr} on {r}");
-                assert_eq!(compiled.matches(r), scalar, "{expr} on {r}");
+                assert_eq!(tri.value(r.index()), scalar(&expr, &t, r), "{expr} on {r}");
+            }
+            // Under a suffix selection — an append absorb's filter — the
+            // TRUE rows are the scalar walk's from there on.
+            for from in [0, 1, 63, 64, 150, 199, 200] {
+                let within = compiled.trues_within(&RowSet::suffix(t.num_rows(), from));
+                let want = (from..t.num_rows()).filter(|&i| tri.value(i) == Some(true));
+                assert_eq!(within.iter().collect::<Vec<_>>(), want.collect::<Vec<_>>(), "{expr}");
+            }
+        }
+    }
+
+    /// A leaf that appears twice — once under a selective `AND`, where it
+    /// is scanned on the surviving rows only, and once on its own — is one
+    /// leaf: the restricted scan must not be kept as its column, or the
+    /// second occurrence would read rows it never visited.
+    #[test]
+    fn a_deduplicated_leaf_is_exact_under_a_selection_and_outside_one() {
+        let schema = Schema::of(&[("id", DataType::Int), ("memo", DataType::Str)]);
+        let mut t = Table::new("m", schema).unwrap();
+        for i in 0..300i64 {
+            t.push_row(vec![
+                if i % 13 == 0 { Value::Null } else { Value::Int(i % 8) },
+                match i % 5 {
+                    0 => Value::Null,
+                    1 | 2 => Value::str("x marks"),
+                    _ => Value::str("plain"),
+                },
+            ])
+            .unwrap();
+        }
+        let id3 = || col("id").eq(lit(3));
+        let has_x = || col("memo").contains("x");
+        let expr = id3().and(has_x()).or(has_x());
+        let compiled = CompiledBoolExpr::compile(&expr, &t).unwrap();
+        assert_eq!(compiled.leaves.len(), 2, "the two CONTAINS leaves are one");
+        let live = compiled.eval_columns();
+        let passing = t.row_ids().filter(|&r| scalar(&id3(), &t, r) != Some(false)).count();
+        assert!(passing * 4 < t.num_rows(), "id = 3 leaves {passing} rows in play");
+        // Twice: the second fold reads the columns the first one kept.
+        for tri in [live, compiled.eval_columns()] {
+            for r in t.row_ids() {
+                assert_eq!(tri.value(r.index()), scalar(&expr, &t, r), "{expr} on {r}");
             }
         }
     }

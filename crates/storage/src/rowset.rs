@@ -41,6 +41,20 @@ impl RowSet {
         s
     }
 
+    /// The rows `from..len` of the universe `0..len`: what an append added
+    /// to a table that held `from` rows.
+    ///
+    /// Panics when `from > len`.
+    pub fn suffix(len: usize, from: usize) -> RowSet {
+        assert!(from <= len, "suffix from {from} outside universe 0..{len}");
+        let mut s = RowSet::full(len);
+        s.words[..from / 64].fill(0);
+        if from % 64 != 0 {
+            s.words[from / 64] &= u64::MAX << (from % 64);
+        }
+        s
+    }
+
     /// Builds a set from row indices (indices must lie within `0..len`).
     pub fn from_indices(len: usize, indices: impl IntoIterator<Item = usize>) -> RowSet {
         let mut s = RowSet::empty(len);
@@ -295,6 +309,15 @@ mod tests {
             assert_eq!(s.count_ones(), len, "len {len}");
             assert_eq!(s.iter().count(), len);
             assert!(!s.contains(len));
+        }
+    }
+
+    #[test]
+    fn suffix_holds_exactly_the_rows_from_its_start() {
+        for (len, from) in [(0usize, 0usize), (10, 0), (10, 10), (130, 63), (130, 64), (130, 65)] {
+            let s = RowSet::suffix(len, from);
+            assert_eq!(s.iter().collect::<Vec<_>>(), (from..len).collect::<Vec<_>>());
+            assert_eq!(s.universe(), len);
         }
     }
 

@@ -376,7 +376,9 @@ proptest! {
             let rules: Vec<_> = tree.positive_rules();
             for (i, &rid) in rows.iter().enumerate() {
                 if tree.predict(&dataset.instance(i)) {
-                    let covered_by_some = rules.iter().any(|r| r.to_predicate(&space).matches(&table, rid));
+                    let covered_by_some = rules
+                        .iter()
+                        .any(|r| r.to_predicate(&space).to_expr().matches(&table, rid).unwrap_or(false));
                     prop_assert!(covered_by_some, "row {rid} predicted positive but matched no rule");
                 }
             }

@@ -2,30 +2,31 @@
 //!
 //! For random tables (NULLs and empty tables included) and
 //! random conditions (equality, ranges, `IN` sets with NULL members,
-//! substring containment), the one compiled form (`CompiledBoolExpr`:
-//! `eval_columns` over whole columns, `matches` on one row) must agree
+//! substring containment), the one compiled form (`CompiledBoolExpr`,
+//! whose kernels scan whole columns or a selection of rows) must agree
 //! **row for row** with the scalar three-valued `Expr::eval` walk, whether
 //! it was compiled from a conjunction or from a boolean tree, and
 //! `matching_rows` must keep its contract: the matches, ascending
-//! by `RowId`, identical to the per-row expression walk. The `RowSet`
-//! bitmap algebra is pinned against a `BTreeSet` oracle.
+//! by `RowId`, identical to the per-row expression walk. A filter from a
+//! row on — an append absorb's — keeps exactly the scalar walk's rows
+//! from there. The `RowSet` bitmap algebra is pinned against a `BTreeSet`
+//! oracle.
 
 mod common;
 
 use dbwipes::storage::rowset::RowSet;
 use dbwipes::storage::{
-    lit, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, Schema, Value,
+    lit, CompiledBoolExpr, ConditionBitmapCache, DataType, Expr, Schema, Value, CHUNK_ROWS,
 };
 use dbwipes::{Condition, ConjunctivePredicate, RowId, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 /// A random sensor-style table: nullable int / float / str columns. Sizes
-/// run from empty and a handful of rows (where an
-/// `AND` always folds whole columns) to several bitmap words (where a
-/// selective left branch — `id = k` keeps about a seventh of the rows —
-/// leaves under a quarter of them in play, so the compiled `AND` evaluates
-/// its right side on the surviving rows only).
+/// run from empty to several bitmap words. Wherever a selective left
+/// branch — `id = k` keeps about a seventh of the rows — leaves under a
+/// quarter of them in play, the compiled `AND` folds its right side with
+/// the surviving rows as its selection, so its kernels visit only them.
 fn arbitrary_table() -> impl Strategy<Value = Table> {
     let id = prop_oneof![Just(None), (0i64..6).prop_map(Some)];
     let x = prop_oneof![Just(None), (-40i64..40).prop_map(|k| Some(k as f64 / 2.0))];
@@ -125,8 +126,8 @@ fn scalar_verdict(expr: &Expr, table: &Table, row: RowId) -> Option<bool> {
     }
 }
 
-/// The compiled form of `expr`, column-wise and row by row, against the
-/// scalar walk of `expr` on every row.
+/// The compiled form of `expr` against the scalar walk of `expr` on every
+/// row.
 fn assert_compiled_equivalence(
     table: &Table,
     compiled: &CompiledBoolExpr<'_>,
@@ -136,12 +137,6 @@ fn assert_compiled_equivalence(
     prop_assert_eq!(tri.trues.universe(), table.num_rows());
     for i in 0..table.num_rows() {
         let scalar = scalar_verdict(expr, table, RowId(i));
-        prop_assert!(
-            compiled.matches(RowId(i)) == scalar,
-            "per-row matches diverged from scalar at row {} for {}",
-            i,
-            expr
-        );
         prop_assert!(
             tri.value(i) == scalar,
             "eval_columns diverged from scalar at row {} for {}",
@@ -153,13 +148,27 @@ fn assert_compiled_equivalence(
     Ok(())
 }
 
+/// The filter from row `from` on — an append absorb's — against the scalar
+/// walk's rows from there.
+fn assert_suffix_filter(table: &Table, expr: &Expr, from: usize) -> Result<(), String> {
+    let suffix = expr.filter_bitmap(table, from).unwrap().to_row_ids();
+    let scalar = expr.filter_scalar(table).unwrap();
+    prop_assert!(
+        suffix[..] == scalar[scalar.partition_point(|r| r.index() < from)..],
+        "the filter from row {} diverged for {}",
+        from,
+        expr
+    );
+    Ok(())
+}
+
 /// One conjunction's compiled form against the scalar evaluator, and the
 /// `matching_rows` contract.
 fn assert_kernel_equivalence(table: &Table, pred: &ConjunctivePredicate) -> Result<(), String> {
     let compiled = pred.compile(table).expect("generated conditions are well-typed");
     assert_compiled_equivalence(table, &compiled, &pred.to_expr())?;
     // matching_rows: identical output to the expression walk, ascending.
-    let via_expr: Vec<RowId> = table.row_ids().filter(|&r| pred.matches(table, r)).collect();
+    let via_expr = pred.to_expr().filter_scalar(table).unwrap();
     let rows = pred.matching_rows(table);
     prop_assert!(rows == via_expr, "matching_rows diverged for {}", pred);
     prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "matching_rows not ascending");
@@ -201,11 +210,12 @@ proptest! {
     /// UNKNOWN propagation through the Kleene connectives included — on
     /// random tables (empty ones too), and the vectorized
     /// `Expr::filter` / `Expr::filter_set` fast paths return exactly the
-    /// scalar oracle's rows.
+    /// scalar oracle's rows, over the whole table and from a drawn row on.
     #[test]
     fn boolean_trees_match_scalar_walk(
         table in arbitrary_table(),
         tree in arbitrary_tree(),
+        from in 0usize..161,
     ) {
         let expr = tree;
         let tri = ConditionBitmapCache::new(&table)
@@ -224,13 +234,14 @@ proptest! {
             );
         }
         // The same tree with kernels of its own as leaves instead of the
-        // cache's bitmaps: whole columns and row by row.
+        // cache's bitmaps.
         let compiled = CompiledBoolExpr::compile(&expr, &table)
             .expect("generated trees are vectorizable");
         assert_compiled_equivalence(&table, &compiled, &expr)?;
         // The user-facing filter paths: vectorized == scalar oracle.
         prop_assert_eq!(expr.filter(&table).unwrap(), expr.filter_scalar(&table).unwrap());
         prop_assert_eq!(expr.filter_set(&table).unwrap().to_row_ids(), expr.filter(&table).unwrap());
+        assert_suffix_filter(&table, &expr, from.min(table.num_rows()))?;
     }
 
     /// Kernels ≡ scalar for single conditions and random conjunctions, and
@@ -356,8 +367,8 @@ fn an_unbounded_range_on_a_missing_column_compiles_to_true() {
 }
 
 /// The properties above on one more input, the fixed multi-chunk table:
-/// every condition shape through its kernel, row by row and through
-/// `matching_rows`, against the scalar walk, and `Expr::filter` against
+/// every condition shape through its kernel and through `matching_rows`,
+/// against the scalar walk, and `Expr::filter` against
 /// `filter_scalar` on trees over them — on columns of two sealed chunks
 /// and a tail, with NULLs either side of each boundary. (The random tables stop at 160 rows.)
 #[test]
@@ -375,6 +386,9 @@ fn chunk_boundaries_are_invisible_to_every_kernel() {
             let compiled = CompiledBoolExpr::compile(&expr, &table).unwrap();
             assert_compiled_equivalence(&table, &compiled, &expr).unwrap();
             assert_eq!(expr.filter(&table).unwrap(), expr.filter_scalar(&table).unwrap());
+            for from in [1, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1, table.num_rows()] {
+                assert_suffix_filter(&table, &expr, from).unwrap();
+            }
         }
     }
 }

@@ -98,6 +98,12 @@ fn arbitrary_statement() -> impl Strategy<Value = String> {
             "SELECT grp, avg(value), max(value) FROM m WHERE value > {} GROUP BY grp",
             t as f64 / 2.0
         )),
+        // `device = k` keeps about a sixth of the rows, so the `AND` scans
+        // `value` on those rows only.
+        (0i64..6, -40i64..120).prop_map(|(k, t)| format!(
+            "SELECT grp, sum(value), count(*) FROM m WHERE device = {k} AND value > {} GROUP BY grp",
+            t as f64 / 2.0
+        )),
         Just(
             "SELECT grp, count(value) FROM m GROUP BY grp ORDER BY 2 DESC, grp LIMIT 2".to_string()
         ),
@@ -247,6 +253,11 @@ fn absorbing_an_append_that_seals_a_chunk_matches_rebuild() {
         "SELECT id, avg(x), sum(x), count(*), count(x) FROM m GROUP BY id",
         "SELECT id, memo, min(x), max(x), stddev(x) FROM m GROUP BY id, memo",
         "SELECT flag, avg(x + id), max(x - 1) FROM m WHERE x > -5 GROUP BY flag",
+        // A selective `AND` on a string, a tree, and a clause outside the
+        // kernels' fragment (the scalar walk over the appended rows).
+        "SELECT flag, count(*), avg(x) FROM m WHERE id = 3 AND memo CONTAINS 'spouse' GROUP BY flag",
+        "SELECT id, sum(x), count(*) FROM m WHERE NOT (memo = 'ok') OR flag = true GROUP BY id",
+        "SELECT id, count(*), max(x) FROM m WHERE x + id > 0 GROUP BY id",
     ] {
         let mut cache = GroupedAggregateCache::build(&base, &parse_select(sql).unwrap()).unwrap();
         assert!(cache.absorb_append_shared(Arc::new(grown_a.clone())).unwrap() <= 103);
