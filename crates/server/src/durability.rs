@@ -11,13 +11,13 @@
 //!   before the reply is sent, and `stream_append` persists the appended
 //!   rows before its ack, so a kill at any later point still recovers
 //!   them. [`StorageRuntime::save_table`] is the only way in; what it
-//!   costs is the backend's decision — a full snapshot for a new table,
-//!   one append segment proportional to the batch for a grown one, nothing for a table that is already durable
+//!   costs is the backend's decision — a whole-file write for a new table,
+//!   one data record proportional to the batch for a grown one, nothing for a table that is already durable
 //!   (which makes the shutdown flush idempotent and cheap). The gate and
 //!   the `stats` counters read what the backend knows to be durable; no
 //!   file is re-read to answer them.
 //! * **Writes retry with capped exponential backoff** — a failed table
-//!   write (snapshot or segment alike) is retried up to 3 times, sleeping
+//!   write (whole file or appended record alike) is retried up to 3 times, sleeping
 //!   10 ms doubled per attempt and capped at 1 s, but only when
 //!   [`StorageError::is_transient`] says a retry could help: a full disk
 //!   or a corrupt snapshot fails fast.
@@ -26,7 +26,7 @@
 //!   bit-identically from memory, `stream_append` keeps absorbing
 //!   in-memory (flagging `durable:false` in its reply), and the `stats`
 //!   `health` block reports the degradation. The next table write that
-//!   actually succeeds — it carries the whole backlog, as one segment when
+//!   actually succeeds — it carries the whole backlog, as one record when
 //!   the table only grew — self-heals the runtime back to healthy.
 //! * **Restore brings back tables, nothing derived** — the manifest
 //!   rebuilds the [`Catalog`] with every table's persisted identity
@@ -35,8 +35,8 @@
 //!   builds them cold; rebuilding costs about what decoding an image of
 //!   them did, so none is written.
 //!
-//! The decode path trusts nothing: every snapshot and log record is
-//! checksummed by the storage layer.
+//! The decode path trusts nothing: every record of a table file, its
+//! header included, is checksummed by the storage layer.
 
 use dbwipes_storage::{Catalog, FsBackend, StorageBackend, StorageError, Table};
 use std::path::Path;
@@ -76,15 +76,17 @@ pub struct StorageRuntime {
 /// `stats` command's `storage` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageCounters {
-    /// Full table snapshots written: first saves, saves over an unknown or
-    /// torn log, and compactions. Appends to a durable table write segments instead.
+    /// Whole-file writes: first saves, saves over a file this process has
+    /// not read, and compactions. Appends to a durable table write data
+    /// records instead.
     pub snapshot_saves: u64,
-    /// Append segments written.
+    /// Data records appended.
     pub segment_appends: u64,
-    /// Bytes of those segments.
+    /// Bytes of those records.
     pub segment_bytes: u64,
-    /// Full snapshots written because a table's log had grown to the size
-    /// of its base (counted in `snapshot_saves` too).
+    /// Whole-file writes made because the records appended to a table's
+    /// file had grown to the size of its last whole-file write (counted in
+    /// `snapshot_saves` too).
     pub compactions: u64,
     /// Table snapshots loaded during catalog restore.
     pub snapshot_loads: u64,

@@ -360,16 +360,18 @@ fn concurrent_appenders_and_readers_lose_nothing_and_heal() {
 #[test]
 fn a_torn_segment_degrades_and_the_next_landed_save_heals_with_the_whole_backlog() {
     let dir = TempDir::new();
-    // Attempt 1 is the registration's full snapshot. Attempts 2..=5 are
+    // Attempt 1 is the registration's whole-file write. Attempts 2..=5 are
     // the first append's try and its three retries: each crashes 40 bytes
-    // into the segment record, leaving a torn tail in the table's log.
+    // into the data record, leaving a torn tail after the file's durable
+    // end.
     let runtime = Arc::new(tearing_runtime(dir.path(), "range:2:5:torn@40"));
     let manager = SessionManager::new(Catalog::new());
     manager.attach_storage(Arc::clone(&runtime));
     let table = sensor_table();
-    let log = dir.path().join(format!("t{}.log", table.id()));
+    let file = dir.path().join(format!("t{}.tbl", table.id()));
     manager.register_table(table);
     assert!(!runtime.is_degraded());
+    let whole = std::fs::metadata(&file).unwrap().len();
 
     let append =
         format!(r#"{{"cmd":"stream_append","table":"readings","rows":[{}]}}"#, append_rows_json());
@@ -380,18 +382,18 @@ fn a_torn_segment_degrades_and_the_next_landed_save_heals_with_the_whole_backlog
     assert!(health.degraded);
     assert_eq!((health.retries, health.consecutive_failures), (3, 1));
     assert!(health.last_persist_error.unwrap().contains("torn write"));
-    assert_eq!(std::fs::metadata(&log).unwrap().len(), 40, "one torn tail, not four");
+    assert_eq!(std::fs::metadata(&file).unwrap().len(), whole + 40, "one torn tail, not four");
     // A kill right here restarts on the registered rows: the tail is cut.
     assert_eq!(rows_after_restart(dir.path()), 2700);
 
     // Attempt 6 lands. It carries the whole backlog — both batches — as
-    // one segment written over the torn tail, and heals the runtime.
+    // one data record written over the torn tail, and heals the runtime.
     let second = manager.handle_line(&append);
     assert!(second.contains(r#""durable":true"#), "{second}");
     assert!(!runtime.is_degraded());
     let counters = runtime.counters();
     assert_eq!((counters.snapshot_saves, counters.segment_appends), (1, 1));
-    assert_eq!(std::fs::metadata(&log).unwrap().len(), counters.segment_bytes);
+    assert_eq!(std::fs::metadata(&file).unwrap().len(), whole + counters.segment_bytes);
     assert_eq!(rows_after_restart(dir.path()), 2700 + 32, "restart serves every row");
 }
 

@@ -147,7 +147,7 @@ fn restarted_server_restores_the_catalog_and_answers_bit_identically() {
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .collect();
     files.sort();
-    assert_eq!(files.len(), 2, "a manifest and one base snapshot, nothing derived: {files:?}");
+    assert_eq!(files.len(), 2, "a manifest and one table file, nothing derived: {files:?}");
     assert_eq!(files[0], "MANIFEST.bin");
     assert!(files[1].starts_with('t') && files[1].ends_with(".tbl"), "{files:?}");
 
@@ -194,43 +194,46 @@ fn restarted_server_restores_the_catalog_and_answers_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A data directory written in format 2 (two version stamps per table and
-/// a deletion-mask segment) is refused, not misread: opening it is a
-/// `Corrupt` error that names the version, and the server exits non-zero
-/// saying why before it serves anything.
+/// A data directory written in an older format — 2 (two version stamps
+/// per table and a deletion-mask segment) or 3 (a base snapshot beside an
+/// append log) — is refused, not misread: opening it is a `Corrupt` error
+/// that names the version, and the server exits non-zero saying why
+/// before it serves anything.
 #[test]
 fn a_format_2_data_directory_is_refused_cleanly() {
     use dbwipes_storage::persist::{fnv1a64, FORMAT_VERSION};
     use dbwipes_storage::{FsBackend, StorageError};
 
-    let dir = std::env::temp_dir().join(format!("dbwipes-format-2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    // A well-checksummed manifest of no tables: magic, version 2, count 0.
-    let mut manifest = b"DBWM".to_vec();
-    manifest.extend_from_slice(&2u32.to_le_bytes());
-    manifest.extend_from_slice(&0u64.to_le_bytes());
-    let checksum = fnv1a64(&manifest);
-    manifest.extend_from_slice(&checksum.to_le_bytes());
-    std::fs::write(dir.join("MANIFEST.bin"), &manifest).unwrap();
+    assert_eq!(FORMAT_VERSION, 4);
+    for format in [2u32, 3] {
+        let dir =
+            std::env::temp_dir().join(format!("dbwipes-format-{format}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A well-checksummed manifest of no tables: magic, version, count 0.
+        let mut manifest = b"DBWM".to_vec();
+        manifest.extend_from_slice(&format.to_le_bytes());
+        manifest.extend_from_slice(&0u64.to_le_bytes());
+        let checksum = fnv1a64(&manifest);
+        manifest.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(dir.join("MANIFEST.bin"), &manifest).unwrap();
 
-    assert_eq!(FORMAT_VERSION, 3);
-    match FsBackend::open(&dir) {
-        Err(StorageError::Corrupt(message)) => {
-            assert!(message.contains("format version 2"), "{message}")
+        let named = format!("format version {format}");
+        match FsBackend::open(&dir) {
+            Err(StorageError::Corrupt(message)) => assert!(message.contains(&named), "{message}"),
+            other => panic!("a format-{format} manifest must be Corrupt, got {other:?}"),
         }
-        other => panic!("a format-2 manifest must be Corrupt, got {other:?}"),
-    }
 
-    let output = Command::new(BIN)
-        .args(["--readings", "2700", "--data-dir", dir.to_str().expect("utf-8 temp path")])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run dbwipes-server");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "{stderr}");
-    let opening = format!("opening data dir {}: ", dir.display());
-    assert!(stderr.contains(&opening) && stderr.contains("format version 2"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
+        let output = Command::new(BIN)
+            .args(["--readings", "2700", "--data-dir", dir.to_str().expect("utf-8 temp path")])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run dbwipes-server");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{stderr}");
+        let opening = format!("opening data dir {}: ", dir.display());
+        assert!(stderr.contains(&opening) && stderr.contains(&named), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -31,10 +31,11 @@
 //! * `torn@<k>` — the write "crashes" after `k` bytes: when the wrapped
 //!   backend is a filesystem directory, the first `k` bytes of what the
 //!   save was about to write ([`StorageBackend::pending_write`]) are left
-//!   on disk — a literally truncated base snapshot (bypassing the atomic
-//!   rename, exactly what a power cut mid-`write(2)` leaves behind), or a
-//!   truncated tail record in the table's log, where an append has no
-//!   rename to hide behind — then the error is reported,
+//!   on disk — a literally truncated whole table file (bypassing the
+//!   atomic rename, exactly what a power cut mid-`write(2)` leaves
+//!   behind), or a truncated last record after the file's durable end,
+//!   where an append has no rename to hide behind — then the error is
+//!   reported,
 //! * `flaky` — transient-then-succeed: the first attempt *per distinct
 //!   target* fails with a transient error, every later attempt on the
 //!   same target passes through — the canonical retry-loop exercise.
@@ -200,11 +201,12 @@ impl FaultInjectingBackend {
     }
 
     /// Like [`Self::new`], but torn table writes additionally leave the
-    /// truncated write in `dir`, the inner backend's directory — a
-    /// `t<id>.tbl` cut short, simulating a power cut during `write(2)`
-    /// that bypassed the atomic rename, or a `t<id>.log` ending in half a
-    /// record — so recovery code must survive a checksum-failing snapshot
-    /// and a torn log tail, not just a missing file.
+    /// truncated write in `dir`, the inner backend's directory: a
+    /// `t<id>.tbl` whose whole-file write was cut short, simulating a power
+    /// cut during `write(2)` that bypassed the atomic rename, or one that
+    /// ends in half an appended record. Recovery code must survive a file
+    /// that holds less than its manifest entry and a torn last record, not
+    /// just a missing file.
     pub fn with_torn_dir(
         inner: Box<dyn StorageBackend>,
         plan: FaultPlan,
@@ -284,7 +286,7 @@ impl FaultInjectingBackend {
 
 impl StorageBackend for FaultInjectingBackend {
     fn save_table(&self, table: &Table) -> Result<u64, StorageError> {
-        // One target per table, whichever of its files the save writes.
+        // One target per table, whichever write the save makes.
         self.intercept(&format!("t{}", table.id()), || self.inner.pending_write(table))?;
         self.inner.save_table(table)
     }
@@ -426,15 +428,15 @@ mod tests {
     }
 
     #[test]
-    fn torn_base_write_leaves_truncated_snapshot_that_fails_decode() {
+    fn torn_whole_file_write_leaves_a_truncated_file_that_fails_decode() {
         let dir = TempDir::new();
         let t = small_table();
         FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
         let whole = fs::read(dir.path().join(format!("t{}.tbl", t.id()))).unwrap();
         assert!(whole.len() > 16);
 
-        // A backend that has not examined the log takes a full snapshot,
-        // so the torn write hits the base file.
+        // A backend that has not read the file rewrites it whole, so the
+        // torn write replaces it.
         let backend = faulty(dir.path(), "at:1:torn@16");
         let mut t2 = t.clone();
         t2.push_row(vec![Value::Int(0), Value::Float(0.5)]).unwrap();
@@ -455,16 +457,18 @@ mod tests {
         let t = small_table();
         let backend = faulty(dir.path(), "range:2:3:torn@40");
         backend.save_table(&t).unwrap();
-        let log = dir.path().join(format!("t{}.log", t.id()));
+        let file = dir.path().join(format!("t{}.tbl", t.id()));
+        let whole = fs::metadata(&file).unwrap().len();
 
-        // An append writes a segment, so the torn write hits the log; a
-        // second torn attempt replaces the first tail, it does not pile up.
+        // An append writes a data record, so the torn write lands past the
+        // file's durable end; a second torn attempt replaces the first
+        // tail, it does not pile up.
         let mut t2 = t.clone();
         t2.push_row(vec![Value::Int(9), Value::Float(9.0)]).unwrap();
         for _ in 0..2 {
             let err = backend.save_table(&t2).unwrap_err();
             assert!(err.to_string().contains("torn write"), "{err}");
-            assert_eq!(fs::metadata(&log).unwrap().len(), 40);
+            assert_eq!(fs::metadata(&file).unwrap().len(), whole + 40);
         }
         // A restart now sees the pre-append table: the tail is not a row.
         let reopened = FsBackend::open(dir.path()).unwrap();

@@ -1,33 +1,33 @@
-//! Durable columnar tables: the on-disk formats — base snapshot, append
-//! segment, versioned [`Manifest`] — and the [`StorageBackend`] trait with
-//! its filesystem implementation.
+//! Durable columnar tables: the on-disk format — one file of framed
+//! records per table, and a versioned [`Manifest`] — and the
+//! [`StorageBackend`] trait with its filesystem implementation.
 //!
-//! Everything in memory is columnar, so the formats are too. A table's
-//! *base snapshot* (`DBWT`) holds one segment per column (the validity
-//! vector, then the typed values, each written once in row order — where
-//! the column's in-memory chunks end does not show; string columns are
-//! dictionary-encoded). Rows appended since are *append segments* (`DBWA`)
-//! in a log beside it: one length-framed record per durable append,
-//! carrying the row range, the version stamp the table had after the
-//! append, and the same column encoding over just those rows — so making
-//! a grown table durable writes bytes proportional to the growth, and
-//! loading replays the log onto the base. Every segment and record carries an
-//! FNV-1a 64 checksum, and the catalog is described by a versioned
-//! manifest keyed by stable [`Table::id`]s and the mutation-stamped
-//! [`Table::version`] of each base.
+//! A table only grows, so its file is its append history. Every record is
+//! a 24-byte frame (magic, format version, body length, and the FNV-1a 64
+//! checksum of those sixteen bytes), the body, and the body's FNV-1a 64
+//! checksum: every byte of the file is under a checksum. The first record,
+//! and only the first, is a `DBWT` *header* — name, id, schema. Every later
+//! one is a `DBWA` *data record*: table id, the version stamp after the
+//! append, the row range, and every column over that range, each vector
+//! written once in row order (where the in-memory chunks end does not
+//! show; strings are dictionary-encoded over the range). A *whole-file
+//! write* is the header and one data record over every row; an *append*
+//! adds one data record over the rows appended since, bytes proportional
+//! to the growth. Loading verifies every record, then replays each data
+//! record onto the empty table the header describes. The manifest keys
+//! each table's last whole-file write by its stable [`Table::id`].
 //!
-//! Bases and the manifest are written via temp-file + atomic rename, so a
-//! crash mid-write leaves the previous file intact. A record is one
-//! `write_all` to a file opened in append mode, with no rename to hide
-//! behind: a crash mid-write leaves a *torn tail*, a last record shorter
-//! than its frame says, which loading ignores and the next append cuts
-//! off. A record that is whole but wrong is corruption, like anywhere
-//! else. When a log would reach the size of its base, the save writes a
-//! fresh base instead (compaction), which bounds both the directory — at
-//! most twice the data — and the cost: at most three bytes written per
-//! byte appended, amortised. No file is synced: durable means a completed
-//! `write(2)`, which survives the death of the process, not of the
-//! machine.
+//! Whole-file writes and the manifest go via temp-file + atomic rename, so
+//! a crash mid-write leaves the previous file intact. An append is one
+//! `write_all` at the file's durable end, with no rename to hide behind: a
+//! crash mid-write leaves a *torn tail*, a last record shorter than its
+//! frame says, which loading ignores and the next append cuts off. A
+//! record that is whole but wrong is corruption. When the records appended
+//! since the last whole-file write would reach its size, the save rewrites
+//! the file instead (compaction): a file stays within twice the data, and
+//! an append costs at most three bytes written per byte, amortised. No
+//! file is synced: durable means a completed `write(2)`, which survives
+//! the death of the process, not of the machine.
 //!
 //! The byte codec underneath is private to this module: little-endian
 //! fixed-width integers, IEEE-754 bit patterns for floats, length-prefixed
@@ -60,29 +60,34 @@ use crate::table::Table;
 use crate::value::DataType;
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-/// Version stamp written into every snapshot file; readers reject any
-/// other value rather than guessing at layout changes. Version 3 dropped
-/// the soft-deletion mask segment from table snapshots and went back to
-/// one version stamp per table snapshot, append segment and manifest
-/// entry (version 2 carried two).
-pub const FORMAT_VERSION: u32 = 3;
+/// Version stamp written into every record frame and the manifest; readers
+/// reject any other value rather than guessing at layout changes.
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Magic bytes of a table segment file.
-const TABLE_MAGIC: &[u8; 4] = b"DBWT";
-/// Magic bytes of an append-segment record in a table's log.
-const SEGMENT_MAGIC: &[u8; 4] = b"DBWA";
+/// Magic bytes of a table file's header record.
+const HEADER_MAGIC: &[u8; 4] = b"DBWT";
+/// Magic bytes of a data record.
+const DATA_MAGIC: &[u8; 4] = b"DBWA";
 /// Magic bytes of the manifest file.
 const MANIFEST_MAGIC: &[u8; 4] = b"DBWM";
 
-/// FNV-1a 64 over a byte slice — the snapshot format's per-segment
-/// checksum. Small, stable, dependency-free.
+/// The FNV-1a 64 offset basis: the checksum of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over a byte slice — the on-disk format's checksum. Small,
+/// stable, dependency-free.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_on(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 checksum `h` over `bytes`, so a body written a
+/// piece at a time is summed without being held whole.
+fn fnv1a64_on(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -278,7 +283,7 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Appends bits `bits` of a bit-packed vector to `out`: whole bytes at a
-/// time when the range starts on one (every chunk of a base snapshot
+/// time when the range starts on one (every chunk of a whole-file write
 /// does, `CHUNK_ROWS` being a multiple of 8), bit by bit otherwise.
 fn unpack_bits(packed: &[u8], bits: Range<usize>, out: &mut Vec<bool>) {
     let whole = if bits.start % 8 == 0 { bits.len() / 8 } else { 0 };
@@ -326,8 +331,8 @@ fn dtype_from_code(code: u8) -> Result<DataType, StorageError> {
 
 /// Encodes rows `rows` of one column: dtype tag, row count, validity
 /// vector, then the typed values (strings dictionary-encoded over the
-/// range). The one column codec — a base snapshot encodes `0..len`, an
-/// append segment the appended range — and the bytes do not show where
+/// range). The one column codec — a whole-file write encodes `0..len`, an
+/// append the appended range — and the bytes do not show where
 /// the column's chunks end: each vector is written once, over the pieces
 /// of the range in order.
 fn encode_column(w: &mut ByteWriter, col: &Column, rows: Range<usize>) {
@@ -408,10 +413,10 @@ enum EncodedValues<'a> {
 }
 
 /// Decodes one column written by [`encode_column`], appending its rows to
-/// `col` (an empty column, for a base snapshot) and leaving the reader
-/// just past it. Every length is checked against the bytes that remain
-/// before anything is allocated for it, and the rows are decoded from the
-/// image straight into the column's chunks, a chunk's worth at a time.
+/// `col` and leaving the reader just past it. Every length is checked
+/// against the bytes that remain before anything is allocated for it, and
+/// the rows are decoded from the image straight into the column's chunks,
+/// a chunk's worth at a time.
 fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), StorageError> {
     let dtype = dtype_from_code(r.get_u8()?)?;
     if dtype != col.dtype() {
@@ -484,92 +489,192 @@ fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), Storage
     })
 }
 
-/// Appends a segment with the standard framing — body length, the body
-/// `fill` writes, FNV-1a checksum of the body — in place: the length is
-/// patched in afterwards, so no body is built in a buffer of its own.
-/// The segment is everything `w` holds from its current end on.
-fn put_segment(w: &mut ByteWriter, fill: impl FnOnce(&mut ByteWriter)) {
-    let len_at = w.buf.len();
-    w.put_u64(0);
-    let body_at = w.buf.len();
-    fill(w);
-    let len = (w.buf.len() - body_at) as u64;
-    w.buf[len_at..body_at].copy_from_slice(&len.to_le_bytes());
-    w.put_u64(fnv1a64(&w.buf[body_at..]));
+/// Bytes of a record before its body: magic, format version, body length,
+/// and the FNV-1a checksum of those sixteen bytes. The frame has a
+/// checksum of its own so that a damaged length is told apart from a torn
+/// tail: a short file is a write that did not finish, a frame that fails
+/// its checksum is corruption.
+const FRAME: usize = 24;
+
+/// The body of a record being written: what a caller [`put`](Self::put)s
+/// is summed and written out at once, so the only buffer is the scratch
+/// between two puts — one column of a data record, never the table.
+struct BodyWriter<'a, W> {
+    out: &'a mut W,
+    scratch: ByteWriter,
+    sum: u64,
 }
 
-/// Reads one framed segment, verifying its checksum.
-fn get_segment<'a>(r: &mut ByteReader<'a>, what: &str) -> Result<&'a [u8], StorageError> {
-    let len = r.get_len(1)?;
-    let body = r.take(len)?;
-    let stored = r.get_u64()?;
+impl<W: Write> BodyWriter<'_, W> {
+    /// Appends to the body what `fill` writes.
+    fn put(&mut self, fill: impl FnOnce(&mut ByteWriter)) -> std::io::Result<()> {
+        fill(&mut self.scratch);
+        self.sum = fnv1a64_on(self.sum, &self.scratch.buf);
+        self.out.write_all(&self.scratch.buf)?;
+        self.scratch.buf.clear();
+        Ok(())
+    }
+}
+
+/// Writes one record of kind `magic` at the current position of `out`: a
+/// blank frame, the body `fill` streams, the body's checksum, and then the
+/// frame, filled in through `Seek` once the body's length is known.
+/// Returns the record's length.
+fn write_record<W: Write + Seek>(
+    out: &mut W,
+    magic: &[u8; 4],
+    fill: impl FnOnce(&mut BodyWriter<'_, W>) -> std::io::Result<()>,
+) -> std::io::Result<u64> {
+    let start = out.stream_position()?;
+    out.write_all(&[0; FRAME])?;
+    let mut body = BodyWriter { out: &mut *out, scratch: ByteWriter::new(), sum: FNV_OFFSET };
+    fill(&mut body)?;
+    let sum = body.sum;
+    out.write_all(&sum.to_le_bytes())?;
+    let end = out.stream_position()?;
+    let len = end - start - FRAME as u64 - 8;
+    let mut frame = [&magic[..], &FORMAT_VERSION.to_le_bytes(), &len.to_le_bytes()].concat();
+    frame.extend_from_slice(&fnv1a64(&frame).to_le_bytes());
+    out.seek(SeekFrom::Start(start))?;
+    out.write_all(&frame)?;
+    out.seek(SeekFrom::Start(end))?;
+    Ok(end - start)
+}
+
+/// Writes rows `first_row..` of `table` to `out` as one data record: table
+/// id, the version stamp as it stands *after* those rows were appended,
+/// the row range, the column count, and every column over that range in
+/// the [`encode_column`] encoding, one column at a time.
+fn write_data_record(
+    table: &Table,
+    first_row: usize,
+    out: &mut (impl Write + Seek),
+) -> std::io::Result<u64> {
+    let rows = first_row..table.num_rows();
+    write_record(out, DATA_MAGIC, |body| {
+        body.put(|w| {
+            w.put_u64(table.id());
+            w.put_u64(table.version());
+            w.put_u64(rows.start as u64);
+            w.put_u64(rows.len() as u64);
+            w.put_u64(table.schema().len() as u64);
+        })?;
+        for idx in 0..table.schema().len() {
+            let col = table.column(idx).expect("schema-aligned column");
+            body.put(|w| encode_column(w, col, rows.clone()))?;
+        }
+        Ok(())
+    })
+}
+
+/// Writes `table` to `out` as a whole file: the header record — name, id,
+/// schema — and one data record over every row. Returns the bytes written.
+fn write_whole_file(table: &Table, out: &mut (impl Write + Seek)) -> std::io::Result<u64> {
+    let header = write_record(out, HEADER_MAGIC, |body| {
+        body.put(|w| {
+            w.put_str(table.name());
+            w.put_u64(table.id());
+            w.put_u64(table.schema().len() as u64);
+            for field in table.schema().fields() {
+                w.put_str(&field.name);
+                w.put_u8(dtype_code(field.dtype));
+                w.put_bool(field.nullable);
+            }
+        })
+    })?;
+    Ok(header + write_data_record(table, 0, out)?)
+}
+
+/// Serializes a whole table into the image of its file in memory (what
+/// [`FsBackend`] writes to a table's `.tbl` file).
+pub fn encode_table(table: &Table) -> Vec<u8> {
+    let mut image = Cursor::new(Vec::new());
+    write_whole_file(table, &mut image).expect("writing to memory cannot fail");
+    image.into_inner()
+}
+
+/// Decodes a file image written by [`encode_table`], restoring the
+/// persisted identity and version stamps. Every checksum is verified; a
+/// torn last record, like any other structural problem, yields
+/// [`StorageError::Corrupt`]: an image is whole.
+pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
+    let (table, whole) = decode_file(bytes)?;
+    if whole != bytes.len() as u64 {
+        return Err(StorageError::Corrupt(format!(
+            "table image ends in {} bytes of a torn record",
+            bytes.len() as u64 - whole
+        )));
+    }
+    Ok(table)
+}
+
+/// Checks the [`FRAME`] bytes a record starts with — magic, format
+/// version, frame checksum — and returns the magic and the body length
+/// they declare. `pos` is the record's file offset, for the error message.
+fn read_frame(frame: &[u8], pos: usize) -> Result<(&[u8], u64), StorageError> {
+    let mut r = ByteReader::new(frame);
+    let magic = r.take(4)?;
+    let version = r.get_u32()?;
+    let body_len = r.get_u64()?;
+    if magic != HEADER_MAGIC && magic != DATA_MAGIC {
+        return Err(StorageError::Corrupt(format!(
+            "no dbwipes table record at file offset {pos} (bad magic)"
+        )));
+    }
+    if version != FORMAT_VERSION {
+        return Err(StorageError::Corrupt(format!(
+            "unsupported table record format version {version} (this build reads {FORMAT_VERSION})"
+        )));
+    }
+    if r.get_u64()? != fnv1a64(&frame[..16]) {
+        return Err(StorageError::Corrupt(format!(
+            "record at file offset {pos} has a damaged frame"
+        )));
+    }
+    Ok((magic, body_len))
+}
+
+/// One record read back from a table file, checksums verified.
+struct Record<'a> {
+    header: bool,
+    body: &'a [u8],
+    /// Offset of the byte after this record in the file.
+    end: usize,
+}
+
+/// Reads and verifies the record starting at `pos` of a table file.
+/// `Ok(None)` is the end of the file: either no byte is left, or fewer
+/// bytes are left than the record needs — a torn tail, the write that was
+/// in flight when the process died. A complete frame or body that fails a
+/// check is [`StorageError::Corrupt`].
+fn read_record(file: &[u8], pos: usize) -> Result<Option<Record<'_>>, StorageError> {
+    let rest = &file[pos..];
+    if rest.len() < FRAME {
+        return Ok(None);
+    }
+    let (frame, rest) = rest.split_at(FRAME);
+    let (magic, body_len) = read_frame(frame, pos)?;
+    let body_len = match usize::try_from(body_len) {
+        Ok(len) if len <= rest.len().saturating_sub(8) => len,
+        _ => return Ok(None),
+    };
+    let (body, rest) = rest.split_at(body_len);
+    let stored = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
     let actual = fnv1a64(body);
     if stored != actual {
         return Err(StorageError::Corrupt(format!(
-            "{what} checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+            "record at file offset {pos} checksum mismatch: \
+             stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-    Ok(body)
+    Ok(Some(Record { header: magic == HEADER_MAGIC, body, end: pos + FRAME + body_len + 8 }))
 }
 
-/// Writes a whole table (identity stamps, schema, one segment per column)
-/// to `out` as a snapshot file image, one
-/// segment at a time: the only buffer is a scratch the size of the widest
-/// column, never the table. Returns the bytes written.
-fn write_table(table: &Table, out: &mut impl Write) -> std::io::Result<u64> {
-    let mut written = 0u64;
-    let mut flush = |w: &mut ByteWriter| {
-        written += w.buf.len() as u64;
-        out.write_all(&w.buf).map(|()| w.buf.clear())
-    };
-    let mut w = ByteWriter::new();
-    w.put_bytes(TABLE_MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_str(table.name());
-    w.put_u64(table.id());
-    w.put_u64(table.version());
-    let schema = table.schema();
-    w.put_u64(schema.len() as u64);
-    for field in schema.fields() {
-        w.put_str(&field.name);
-        w.put_u8(dtype_code(field.dtype));
-        w.put_bool(field.nullable);
-    }
-    w.put_u64(table.num_rows() as u64);
-    flush(&mut w)?;
-    for idx in 0..schema.len() {
-        let col = table.column(idx).expect("schema-aligned column");
-        put_segment(&mut w, |w| encode_column(w, col, 0..col.len()));
-        flush(&mut w)?;
-    }
-    Ok(written)
-}
-
-/// Serializes a whole table into a snapshot file image in memory (what
-/// [`FsBackend`] streams to a table's `.tbl` file).
-pub fn encode_table(table: &Table) -> Vec<u8> {
-    let mut image = Vec::new();
-    write_table(table, &mut image).expect("writing to memory cannot fail");
-    image
-}
-
-/// Decodes a snapshot file image written by [`encode_table`], restoring
-/// the persisted identity and version stamps. All segment checksums are
-/// verified; any structural problem yields [`StorageError::Corrupt`].
-pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
-    let mut r = ByteReader::new(bytes);
-    if r.take(4)? != TABLE_MAGIC {
-        return Err(StorageError::Corrupt("not a dbwipes table snapshot (bad magic)".into()));
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported table snapshot format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
+/// The empty table a header record describes, with its persisted id.
+fn decode_header(body: &[u8]) -> Result<Table, StorageError> {
+    let mut r = ByteReader::new(body);
     let name = r.get_str()?;
-    let table_id = r.get_u64()?;
-    let table_version = r.get_u64()?;
+    let id = r.get_u64()?;
     let field_count = r.get_len(10)?;
     let mut fields = Vec::with_capacity(field_count);
     for _ in 0..field_count {
@@ -578,204 +683,101 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
         let nullable = r.get_bool()?;
         fields.push(Field { name: fname, dtype, nullable });
     }
-    let schema = Schema::new(fields)?;
-    let num_rows = r.get_u64()? as usize;
-    let mut columns = Vec::with_capacity(schema.len());
-    for (idx, field) in schema.fields().iter().enumerate() {
-        let body = get_segment(&mut r, &format!("column segment {idx}"))?;
-        let mut col = Column::new(field.dtype)?;
-        decode_column(&mut ByteReader::new(body), &mut col)?;
-        columns.push(col);
+    if !r.is_done() {
+        return Err(StorageError::Corrupt("header record has trailing bytes".into()));
     }
-    Table::restore(name, schema, columns, num_rows, table_id, table_version)
+    Table::with_id(name, Schema::new(fields)?, id)
 }
 
-/// Bytes of a `DBWA` record before its body: magic, format version, body
-/// length, and the FNV-1a checksum of those sixteen bytes. The frame has a
-/// checksum of its own so that a damaged length is told apart from a torn
-/// tail: a short file is a write that did not finish, a frame that fails
-/// its checksum is corruption.
-const SEGMENT_FRAME: usize = 24;
-
-/// Serializes rows `first_row..` of `table` as one `DBWA` append-segment
-/// record: the frame, then table id, the version stamp as it stands
-/// *after* the append, the row range, and every column over that range in
-/// the [`encode_column`] encoding, closed by the body's checksum.
-fn encode_segment(table: &Table, first_row: usize) -> Vec<u8> {
-    let rows = first_row..table.num_rows();
-    let mut w = ByteWriter::new();
-    w.put_bytes(SEGMENT_MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_u64(0); // body length and frame checksum, patched below
-    w.put_u64(0);
-    w.put_u64(table.id());
-    w.put_u64(table.version());
-    w.put_u64(rows.start as u64);
-    w.put_u64(rows.len() as u64);
-    w.put_u64(table.schema().len() as u64);
-    for idx in 0..table.schema().len() {
-        let col = table.column(idx).expect("schema-aligned column");
-        encode_column(&mut w, col, rows.clone());
-    }
-    let body_len = (w.buf.len() - SEGMENT_FRAME) as u64;
-    w.buf[8..16].copy_from_slice(&body_len.to_le_bytes());
-    let frame_sum = fnv1a64(&w.buf[..16]);
-    w.buf[16..SEGMENT_FRAME].copy_from_slice(&frame_sum.to_le_bytes());
-    w.put_u64(fnv1a64(&w.buf[SEGMENT_FRAME..]));
-    w.into_bytes()
-}
-
-/// One `DBWA` record read back from a log image, columns still encoded.
-struct Segment<'a> {
-    table_id: u64,
-    version: u64,
-    first_row: u64,
-    rows: u64,
-    columns: ByteReader<'a>,
-    /// Offset of the byte after this record in the log image.
-    end: usize,
-}
-
-/// Checks the [`SEGMENT_FRAME`] bytes a record starts with — magic,
-/// format version, frame checksum — and returns the body length they
-/// declare. `pos` is the record's log offset, for the error message.
-fn read_frame(frame: &[u8], pos: usize) -> Result<u64, StorageError> {
-    let mut r = ByteReader::new(frame);
-    let magic = r.take(4)?;
-    let version = r.get_u32()?;
-    let body_len = r.get_u64()?;
-    if r.get_u64()? != fnv1a64(&frame[..16]) || magic != SEGMENT_MAGIC {
-        return Err(StorageError::Corrupt(format!(
-            "append segment at log offset {pos} has a damaged frame"
-        )));
-    }
-    if version != FORMAT_VERSION {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported append segment format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    Ok(body_len)
-}
-
-/// Reads the record starting at `pos` of a log image. `Ok(None)` is the
-/// end of the log: either no byte is left, or fewer bytes are left than
-/// the record needs — a torn tail, the write that was in flight when the
-/// process died. A complete frame or body that fails a check is
-/// [`StorageError::Corrupt`]. `verify` checks the body checksum: a load
-/// verifies every record once ([`read_verified_log`]) and replays without.
-fn read_segment(log: &[u8], pos: usize, verify: bool) -> Result<Option<Segment<'_>>, StorageError> {
-    let rest = &log[pos..];
-    if rest.len() < SEGMENT_FRAME {
-        return Ok(None);
-    }
-    let (frame, rest) = rest.split_at(SEGMENT_FRAME);
-    let body_len = match usize::try_from(read_frame(frame, pos)?) {
-        Ok(len) if len <= rest.len().saturating_sub(8) => len,
-        _ => return Ok(None),
-    };
-    let (body, rest) = rest.split_at(body_len);
-    if verify {
-        let stored = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-        let actual = fnv1a64(body);
-        if stored != actual {
-            return Err(StorageError::Corrupt(format!(
-                "append segment at log offset {pos} checksum mismatch: \
-                 stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
-    }
+/// Replays one data record onto `table`, restoring its rows and the stamp
+/// it records. `first` is true for the file's first data record, which may
+/// carry the header's own stamp (a table never appended to); every later
+/// one must strictly advance it.
+fn replay_record(table: &mut Table, body: &[u8], first: bool) -> Result<(), StorageError> {
     let mut r = ByteReader::new(body);
-    Ok(Some(Segment {
-        table_id: r.get_u64()?,
-        version: r.get_u64()?,
-        first_row: r.get_u64()?,
-        rows: r.get_u64()?,
-        columns: r,
-        end: pos + SEGMENT_FRAME + body_len + 8,
-    }))
+    let (table_id, version, first_row, rows) =
+        (r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?);
+    if table_id != table.id() {
+        return Err(StorageError::Corrupt(format!(
+            "file of table #{} holds a record of table #{table_id}",
+            table.id()
+        )));
+    }
+    if version < table.version() || (version == table.version() && !first) {
+        return Err(StorageError::Corrupt(format!(
+            "record stamped {version} does not advance table #{} past {}",
+            table.id(),
+            table.version()
+        )));
+    }
+    if first_row != table.num_rows() as u64 {
+        return Err(StorageError::Corrupt(format!(
+            "record {version} from row {first_row} does not continue table #{} at {} rows",
+            table.id(),
+            table.num_rows()
+        )));
+    }
+    if r.get_u64()? != table.schema().len() as u64 {
+        return Err(StorageError::Corrupt(format!(
+            "record does not hold the {} columns of table #{}",
+            table.schema().len(),
+            table.id()
+        )));
+    }
+    table.replay_append(rows as usize, version, |col| decode_column(&mut r, col))?;
+    if !r.is_done() {
+        return Err(StorageError::Corrupt("data record has trailing bytes".into()));
+    }
+    Ok(())
 }
 
-/// Reads a table's log and verifies every record in it, frame and body.
-/// A missing log is an empty one.
-fn read_verified_log(path: &Path) -> Result<Vec<u8>, StorageError> {
-    let log = match fs::read(path) {
-        Ok(log) => log,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(io_err(&format!("reading {}", path.display()), e)),
-    };
+/// Decodes a table file: verifies every record, frame and body, up to a
+/// torn tail before any of it is believed; then builds the empty table
+/// the header record describes and replays every data record onto it.
+/// Returns the table and the length of the file up to its last whole
+/// record. A file that does not open with a header and a data record, or
+/// holds a second header, is corrupt: no write leaves one behind.
+fn decode_file(file: &[u8]) -> Result<(Table, u64), StorageError> {
+    let mut records = Vec::new();
     let mut pos = 0;
-    while let Some(segment) = read_segment(&log, pos, true)? {
-        pos = segment.end;
+    while let Some(record) = read_record(file, pos)? {
+        pos = record.end;
+        records.push(record);
     }
-    Ok(log)
+    let Some((header, data)) =
+        records.split_first().filter(|(h, data)| h.header && !data.is_empty())
+    else {
+        return Err(StorageError::Corrupt("table file lacks a header or a data record".into()));
+    };
+    let mut table = decode_header(header.body)?;
+    for (i, record) in data.iter().enumerate() {
+        if record.header {
+            return Err(StorageError::Corrupt("table file has a second header record".into()));
+        }
+        replay_record(&mut table, record.body, i == 0)?;
+    }
+    Ok((table, pos as u64))
 }
 
-/// Replays a verified log image ([`read_verified_log`]) onto the base
-/// snapshot it sits beside, restoring each append's rows and recorded
-/// version stamp. Returns the length of the log worth keeping: the end
-/// of the last record applied (0 when none was). Whatever lies beyond is
-/// a torn tail, and whatever lies before the first applied record is
-/// *stale* — stamped at or before the base, left behind by a kill between
-/// a full save's base rename and its log removal — and both are cut off
-/// by the next append.
-fn replay_log(table: &mut Table, log: &[u8]) -> Result<u64, StorageError> {
-    let (mut pos, mut keep) = (0, 0);
-    while let Some(segment) = read_segment(log, pos, false)? {
-        pos = segment.end;
-        if segment.table_id != table.id() {
-            return Err(StorageError::Corrupt(format!(
-                "log of table #{} holds a segment of table #{}",
-                table.id(),
-                segment.table_id
-            )));
-        }
-        if segment.version <= table.version() {
-            continue;
-        }
-        if segment.first_row != table.num_rows() as u64 {
-            return Err(StorageError::Corrupt(format!(
-                "append segment {} from row {} does not continue table #{} at ({}, {} rows)",
-                segment.version,
-                segment.first_row,
-                table.id(),
-                table.version(),
-                table.num_rows()
-            )));
-        }
-        let mut columns = segment.columns;
-        if columns.get_u64()? != table.schema().len() as u64 {
-            return Err(StorageError::Corrupt(format!(
-                "append segment does not hold the {} columns of table #{}",
-                table.schema().len(),
-                table.id()
-            )));
-        }
-        table.replay_append(segment.rows as usize, segment.version, |col| {
-            decode_column(&mut columns, col)
-        })?;
-        if !columns.is_done() {
-            return Err(StorageError::Corrupt("append segment has trailing bytes".into()));
-        }
-        keep = pos as u64;
-    }
-    Ok(keep)
-}
-
-/// The largest stamp recorded in a table's log, as far as it can be read
-/// (for the stamp floor; a damaged log is reported when it is loaded).
-/// Hops from frame to frame, reading only the stamps that open each body.
-fn log_stamp_ceiling(path: &Path) -> u64 {
+/// The largest stamp recorded in a table file, as far as it can be read
+/// (for the stamp floor; a damaged file is reported when it is loaded).
+/// Hops from frame to frame, reading only the stamps that open each data
+/// record's body.
+fn stamp_ceiling(path: &Path) -> u64 {
     let mut ceiling = 0;
-    let Ok(mut log) = fs::File::open(path) else { return ceiling };
-    // The frame, then the body's first two words: table id, version.
-    let mut head = [0u8; SEGMENT_FRAME + 16];
-    while log.read_exact(&mut head).is_ok() {
-        let Ok(body_len) = read_frame(&head[..SEGMENT_FRAME], 0) else { break };
-        let stamp = &head[SEGMENT_FRAME + 8..];
-        ceiling = ceiling.max(u64::from_le_bytes(stamp.try_into().expect("8 bytes")));
+    let Ok(mut file) = fs::File::open(path) else { return ceiling };
+    // The frame, then the body's first two words: a data record's table
+    // id and version (a header's body is longer than that, too).
+    let mut head = [0u8; FRAME + 16];
+    while file.read_exact(&mut head).is_ok() {
+        let Ok((magic, body_len)) = read_frame(&head[..FRAME], 0) else { break };
+        if magic == DATA_MAGIC {
+            let stamp = &head[FRAME + 8..];
+            ceiling = ceiling.max(u64::from_le_bytes(stamp.try_into().expect("8 bytes")));
+        }
         // The rest of the body and its checksum lie before the next frame.
         let rest = body_len.checked_sub(16).and_then(|rest| i64::try_from(rest + 8).ok());
-        if !rest.is_some_and(|rest| log.seek(SeekFrom::Current(rest)).is_ok()) {
+        if !rest.is_some_and(|rest| file.seek(SeekFrom::Current(rest)).is_ok()) {
             break;
         }
     }
@@ -783,28 +785,27 @@ fn log_stamp_ceiling(path: &Path) -> u64 {
 }
 
 /// One table's entry in the [`Manifest`]: the durable identity the
-/// recovery path keys on.
+/// recovery path keys on. The table's file is `t<table_id>.tbl`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// The table name (as registered).
     pub name: String,
     /// The persisted [`Table::id`] stamp.
     pub table_id: u64,
-    /// The persisted [`Table::version`] of the snapshot on disk. Every
-    /// append draws a later one, so a manifest written before an append can
-    /// never masquerade as covering the appended rows.
+    /// The persisted [`Table::version`] of the table's last whole-file
+    /// write. Every append draws a later one, so a manifest written before
+    /// an append can never masquerade as covering the appended rows.
     pub version: u64,
-    /// Row count of the snapshot.
+    /// Row count of that write.
     pub num_rows: u64,
-    /// Snapshot file name, relative to the backend's data directory.
-    pub file: String,
-    /// Size of the snapshot file in bytes.
+    /// Size of that write in bytes.
     pub bytes: u64,
 }
 
 /// The catalog-level index of a data directory: one [`ManifestEntry`] per
 /// persisted table, keyed by stable table id. Written atomically after
-/// every save so recovery always reads a consistent catalog description.
+/// every whole-file write so recovery always reads a consistent catalog
+/// description.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// Entries in no particular order; table ids are unique.
@@ -844,7 +845,6 @@ impl Manifest {
             w.put_u64(e.table_id);
             w.put_u64(e.version);
             w.put_u64(e.num_rows);
-            w.put_str(&e.file);
             w.put_u64(e.bytes);
         }
         let checksum = fnv1a64(w.bytes());
@@ -854,9 +854,8 @@ impl Manifest {
 
     /// Decodes a manifest written by [`Manifest::encode`], verifying magic
     /// bytes, format version and the trailing checksum, and refusing what
-    /// [`FsBackend`] never writes: an entry whose file is not `t<id>.tbl`
-    /// (recovery joins it onto the data directory), a table id listed
-    /// twice, or bytes after the last entry.
+    /// [`FsBackend`] never writes: a table id listed twice, or bytes after
+    /// the last entry.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
         if bytes.len() < 8 {
             return Err(StorageError::Corrupt("manifest too short".into()));
@@ -879,9 +878,9 @@ impl Manifest {
                 "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        // The smallest entry: four u64 fields and two empty strings' u64
-        // length prefixes.
-        let count = r.get_len(6 * 8)?;
+        // The smallest entry: four u64 fields and an empty name's u64
+        // length prefix.
+        let count = r.get_len(5 * 8)?;
         let mut entries = Vec::with_capacity(count);
         let mut ids = HashSet::with_capacity(count);
         for _ in 0..count {
@@ -890,15 +889,8 @@ impl Manifest {
                 table_id: r.get_u64()?,
                 version: r.get_u64()?,
                 num_rows: r.get_u64()?,
-                file: r.get_str()?,
                 bytes: r.get_u64()?,
             };
-            if entry.file != FsBackend::table_file(entry.table_id) {
-                return Err(StorageError::Corrupt(format!(
-                    "manifest entry of table #{} names file {:?}",
-                    entry.table_id, entry.file
-                )));
-            }
             if !ids.insert(entry.table_id) {
                 return Err(StorageError::Corrupt(format!(
                     "manifest lists table #{} twice",
@@ -921,15 +913,16 @@ impl Manifest {
 /// counters of the `stats` command's `storage` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WriteCounters {
-    /// Full table snapshots written (first saves, saves over an unknown or
-    /// torn log, and compactions).
+    /// Whole-file writes (first saves, saves over a file this process has
+    /// not read, and compactions).
     pub snapshot_saves: u64,
-    /// Append segments written.
+    /// Data records appended.
     pub segment_appends: u64,
-    /// Bytes of those segments.
+    /// Bytes of those records.
     pub segment_bytes: u64,
-    /// Full snapshots written because a table's log had reached the size
-    /// of its base (a subset of `snapshot_saves`).
+    /// Whole-file writes made because the records appended to a file had
+    /// reached the size of its last whole-file write (a subset of
+    /// `snapshot_saves`).
     pub compactions: u64,
 }
 
@@ -958,7 +951,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Makes `table` (data plus identity stamps) durable — the only way to
     /// do so. The backend decides what that takes: nothing when the table
     /// or a later version of it is already durable, the appended rows when
-    /// the table is a later version of what is durable, a full snapshot
+    /// the table is a later version of what is durable, the whole table
     /// otherwise. Returns the bytes written (0 for nothing).
     fn save_table(&self, table: &Table) -> Result<u64, StorageError>;
 
@@ -972,12 +965,12 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// yields an empty manifest, not an error.
     fn list_manifest(&self) -> Result<Manifest, StorageError>;
 
-    /// Removes `table_id`'s snapshot and log from the backend and the
+    /// Removes `table_id`'s file from the backend and its entry from the
     /// manifest. Evicting an unknown id is a no-op.
     fn evict(&self, table_id: u64) -> Result<(), StorageError>;
 
-    /// Total bytes the backend currently occupies on disk (snapshots,
-    /// logs and the manifest).
+    /// Total bytes the backend currently occupies on disk (table files and
+    /// the manifest).
     fn bytes_on_disk(&self) -> Result<u64, StorageError>;
 
     /// What this backend has written since it was opened.
@@ -992,19 +985,18 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Filesystem [`StorageBackend`]: one directory holding, per table, a
-/// `t<id>.tbl` base snapshot and a `t<id>.log` of `DBWA` append segments
-/// written since, plus a `MANIFEST.bin` index of the bases. Bases and the
-/// manifest are written via temp-file + atomic rename; a segment is one
-/// `write_all` to the log opened in append mode. One process owns a data
-/// directory at a time: the backend remembers what it made durable
+/// Filesystem [`StorageBackend`]: one directory holding a `t<id>.tbl` file
+/// per table and a `MANIFEST.bin` index of their last whole-file writes.
+/// Whole-file writes and the manifest go via temp-file + atomic rename; an
+/// append is one `write_all` at the file's durable end. One process owns a
+/// data directory at a time: the backend remembers what it made durable
 /// instead of re-reading it.
 #[derive(Debug)]
 pub struct FsBackend {
     dir: PathBuf,
-    /// Every transition of what is durable — a save, an evict, a load's
-    /// log replay — happens under this one lock, so two saves of one
-    /// table reach the disk in the order they are decided in.
+    /// Every transition of what is durable — a save, an evict, a load —
+    /// happens under this one lock, so two saves of one table reach the
+    /// disk in the order they are decided in.
     state: Mutex<DurableState>,
 }
 
@@ -1017,11 +1009,12 @@ struct DurableState {
 /// What is durable for one table.
 #[derive(Debug)]
 struct Durable {
-    /// The table's entry in `MANIFEST.bin`: its base snapshot.
-    base: ManifestEntry,
-    /// What base plus log hold, once this process has loaded or saved the
-    /// table. Until then — and after a full save that failed half-way —
-    /// the log is an unknown, and the next save writes a full base.
+    /// The table's entry in `MANIFEST.bin`: its last whole-file write.
+    entry: ManifestEntry,
+    /// What the file holds, once this process has loaded or saved the
+    /// table. Until then — and after a whole-file write that failed
+    /// half-way — the file's end is an unknown, and the next save rewrites
+    /// it whole.
     tip: Option<Tip>,
 }
 
@@ -1029,30 +1022,55 @@ struct Durable {
 struct Tip {
     version: u64,
     rows: u64,
-    /// Length of the log up to the last record that counts; bytes beyond
-    /// it are a torn tail.
-    log_bytes: u64,
+    /// Length of the file up to its last whole record; bytes beyond it
+    /// are a torn tail.
+    bytes: u64,
 }
 
 /// What [`FsBackend::save_table`] has to write for a table.
 enum Plan {
     /// The table, or a later version of it, is already durable.
     Nothing,
-    /// One record with the rows past the durable tip, at this log offset.
-    Segment { at: u64, record: Vec<u8> },
-    /// A full base snapshot, manifest entry and empty log.
-    Base { compaction: bool },
+    /// One data record with the rows past the durable tip, at this offset.
+    Append { at: u64, record: Vec<u8> },
+    /// A whole-file write and the manifest entry naming it.
+    Whole { compaction: bool },
+}
+
+/// Decides what making `table` durable takes, given what already is
+/// (`durable`: its entry in the state, if it has one).
+fn plan(durable: Option<&Durable>, table: &Table) -> Plan {
+    let Some(durable) = durable else { return Plan::Whole { compaction: false } };
+    // An unread file can only put the tip past its manifest entry.
+    let at_least = durable.tip.map_or(durable.entry.version, |tip| tip.version);
+    if at_least >= table.version() {
+        return Plan::Nothing;
+    }
+    // Fewer rows than the tip means a diverged clone, not a later
+    // version: only a whole-file write is sure to hold every row.
+    let tip = durable.tip.filter(|tip| table.num_rows() as u64 >= tip.rows);
+    let Some(tip) = tip else { return Plan::Whole { compaction: false } };
+    let mut record = Cursor::new(Vec::new());
+    write_data_record(table, tip.rows as usize, &mut record)
+        .expect("writing to memory cannot fail");
+    let record = record.into_inner();
+    let appended = tip.bytes.saturating_sub(durable.entry.bytes) + record.len() as u64;
+    if appended >= COMPACT_AT_APPENDED_OVER_WHOLE * durable.entry.bytes {
+        return Plan::Whole { compaction: true };
+    }
+    Plan::Append { at: tip.bytes, record }
 }
 
 /// Manifest file name inside a data directory.
 const MANIFEST_FILE: &str = "MANIFEST.bin";
 
-/// A save that would take a table's log to this many times the size of
-/// its base writes a fresh base instead. At 1 the rewrite is about twice
-/// the base for a base's worth of appended bytes, so durable appends cost
-/// at most 3 bytes written per byte appended, amortised, and the
-/// directory at most twice the data.
-const COMPACT_AT_LOG_OVER_BASE: u64 = 1;
+/// A save that would take the records appended to a table's file since
+/// its last whole-file write to this many times that write's size
+/// rewrites the file instead. At 1 the rewrite is about twice the last
+/// one for that many bytes appended, so durable appends cost at most 3
+/// bytes written per byte appended, amortised, and the file stays within
+/// twice the data.
+const COMPACT_AT_APPENDED_OVER_WHOLE: u64 = 1;
 
 fn io_err(context: &str, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{context}: {e}"))
@@ -1073,7 +1091,7 @@ impl FsBackend {
     /// Opens (creating if needed) a data directory: removes the temp files
     /// a killed writer left behind, reads the manifest, and advances the
     /// process-global stamp counter past every id and stamp recorded in
-    /// the manifest or in a log segment, so tables created later in this
+    /// the manifest or in a table file, so tables created later in this
     /// process can never collide with restored identities.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
         let dir = dir.into();
@@ -1083,11 +1101,11 @@ impl FsBackend {
         backend.remove_files(|name| name.contains(".tmp"));
         let manifest = backend.read_manifest()?;
         for e in &manifest.entries {
-            let logged = log_stamp_ceiling(&backend.dir.join(Self::log_file(e.table_id)));
-            crate::table::advance_stamp_floor(e.table_id.max(e.version).max(logged));
+            let recorded = stamp_ceiling(&backend.dir.join(Self::table_file(e.table_id)));
+            crate::table::advance_stamp_floor(e.table_id.max(e.version).max(recorded));
         }
         backend.lock_state().tables =
-            manifest.entries.into_iter().map(|base| Durable { base, tip: None }).collect();
+            manifest.entries.into_iter().map(|entry| Durable { entry, tip: None }).collect();
         Ok(backend)
     }
 
@@ -1098,10 +1116,6 @@ impl FsBackend {
 
     fn table_file(table_id: u64) -> String {
         format!("t{table_id}.tbl")
-    }
-
-    fn log_file(table_id: u64) -> String {
-        format!("t{table_id}.log")
     }
 
     /// The durable state. A holder that panicked cannot have left it
@@ -1149,83 +1163,53 @@ impl FsBackend {
             }
         }
     }
-
-    /// Decides what making `table` durable takes, given what already is
-    /// (`durable`: its entry in the state, if it has one).
-    fn plan(&self, durable: Option<&Durable>, table: &Table) -> Plan {
-        let Some(durable) = durable else { return Plan::Base { compaction: false } };
-        // An unexamined log can only put the tip past the base.
-        let at_least = durable.tip.map_or(durable.base.version, |tip| tip.version);
-        if at_least >= table.version() {
-            return Plan::Nothing;
-        }
-        let Some(tip) = durable.tip else { return Plan::Base { compaction: false } };
-        // Fewer rows than the tip means a diverged clone, not a later
-        // version; a log shorter than the tip says was torn (or removed)
-        // behind our back. Either way only a fresh base is sure to hold
-        // every row.
-        let log_len =
-            fs::metadata(self.dir.join(Self::log_file(table.id()))).map_or(0, |meta| meta.len());
-        if (table.num_rows() as u64) < tip.rows || log_len < tip.log_bytes {
-            return Plan::Base { compaction: false };
-        }
-        let record = encode_segment(table, tip.rows as usize);
-        if tip.log_bytes + record.len() as u64 >= COMPACT_AT_LOG_OVER_BASE * durable.base.bytes {
-            return Plan::Base { compaction: true };
-        }
-        Plan::Segment { at: tip.log_bytes, record }
-    }
 }
 
 impl StorageBackend for FsBackend {
     fn save_table(&self, table: &Table) -> Result<u64, StorageError> {
         let mut state = self.lock_state();
-        let slot = state.tables.iter().position(|d| d.base.table_id == table.id());
-        let tip = |log_bytes| {
-            Some(Tip { version: table.version(), rows: table.num_rows() as u64, log_bytes })
-        };
-        Ok(match self.plan(slot.map(|slot| &state.tables[slot]), table) {
+        let slot = state.tables.iter().position(|d| d.entry.table_id == table.id());
+        let tip =
+            |bytes| Some(Tip { version: table.version(), rows: table.num_rows() as u64, bytes });
+        let file = Self::table_file(table.id());
+        Ok(match plan(slot.map(|slot| &state.tables[slot]), table) {
             Plan::Nothing => 0,
-            Plan::Segment { at, record } => {
-                let path = self.dir.join(Self::log_file(table.id()));
+            Plan::Append { at, record } => {
+                let path = self.dir.join(&file);
                 append_at(&path, at, &record)
                     .map_err(|e| io_err(&format!("appending to {}", path.display()), e))?;
                 let written = record.len() as u64;
-                state.tables[slot.expect("a segment extends a durable table")].tip =
+                state.tables[slot.expect("an append extends a durable table")].tip =
                     tip(at + written);
                 state.written.segment_appends += 1;
                 state.written.segment_bytes += written;
                 written
             }
-            Plan::Base { compaction } => {
-                // Base first, then the log, then the manifest: a kill after
-                // the rename leaves a base ahead of its manifest entry
-                // (which `load_table` accepts) beside a log of stale
-                // records (which replay skips). From the rename until all
-                // three are done the tip is unknown, so an attempt that
-                // fails in between is retried whole.
-                let file = Self::table_file(table.id());
-                let bytes = self.atomic_write(&file, |out| write_table(table, out))?;
+            Plan::Whole { compaction } => {
+                // The file first, then the manifest: a kill between the two
+                // renames leaves a file ahead of its manifest entry, which
+                // `load_table` accepts. From the file's rename until the
+                // manifest's the tip is unknown, so an attempt that fails
+                // in between is retried whole.
+                let bytes = self.atomic_write(&file, |out| write_whole_file(table, out))?;
                 if let Some(slot) = slot {
                     state.tables[slot].tip = None;
                 }
-                let _ = fs::remove_file(self.dir.join(Self::log_file(table.id())));
-                let base = ManifestEntry {
+                let entry = ManifestEntry {
                     name: table.name().to_string(),
                     table_id: table.id(),
                     version: table.version(),
                     num_rows: table.num_rows() as u64,
-                    file,
                     bytes,
                 };
                 let mut manifest =
-                    Manifest { entries: state.tables.iter().map(|d| d.base.clone()).collect() };
+                    Manifest { entries: state.tables.iter().map(|d| d.entry.clone()).collect() };
                 match slot {
-                    Some(slot) => manifest.entries[slot] = base.clone(),
-                    None => manifest.entries.push(base.clone()),
+                    Some(slot) => manifest.entries[slot] = entry.clone(),
+                    None => manifest.entries.push(entry.clone()),
                 }
                 self.atomic_write(MANIFEST_FILE, |out| out.write_all(&manifest.encode()))?;
-                let durable = Durable { base, tip: tip(0) };
+                let durable = Durable { entry, tip: tip(bytes) };
                 match slot {
                     Some(slot) => state.tables[slot] = durable,
                     None => state.tables.push(durable),
@@ -1242,41 +1226,29 @@ impl StorageBackend for FsBackend {
         let durable = state
             .tables
             .iter_mut()
-            .find(|d| d.base.table_id == table_id)
+            .find(|d| d.entry.table_id == table_id)
             .ok_or_else(|| StorageError::UnknownTable(format!("#{table_id}")))?;
-        let entry = &durable.base;
-        let read_base = || {
-            let path = self.dir.join(&entry.file);
-            let bytes =
-                fs::read(&path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-            decode_table(&bytes)
-        };
-        // Two files, each read and checksummed on its own: the log on a
-        // second thread while this one decodes the base.
-        let log_path = self.dir.join(Self::log_file(table_id));
-        let (table, log) = std::thread::scope(|scope| {
-            let log = scope.spawn(|| read_verified_log(&log_path));
-            (read_base(), log.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-        });
-        let mut table = table?;
-        // A full save writes the snapshot file *before* the manifest, so a
-        // crash between the two renames leaves a complete, checksummed
-        // snapshot stamped AHEAD of the manifest entry. That file is the
-        // durable truth — accept it. A snapshot BEHIND the manifest cannot
-        // arise from that ordering and still means corruption.
+        let path = self.dir.join(Self::table_file(table_id));
+        let file =
+            fs::read(&path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
+        let (table, bytes) = decode_file(&file)?;
+        // A whole-file write renames the file *before* the manifest, and an
+        // append never writes the manifest, so a file stamped ahead of its
+        // entry is the durable truth. A file behind its entry cannot arise
+        // from that ordering — a torn whole-file write lands here — and is
+        // corruption.
+        let entry = &durable.entry;
         if table.id() != entry.table_id || table.version() < entry.version {
             return Err(StorageError::Corrupt(format!(
-                "snapshot {} is stamped ({}, {}) but the manifest expects ({}, {})",
-                entry.file,
+                "{} is stamped ({}, {}) but the manifest expects ({}, {})",
+                path.display(),
                 table.id(),
                 table.version(),
                 entry.table_id,
                 entry.version
             )));
         }
-        let log_bytes = replay_log(&mut table, &log?)?;
-        durable.tip =
-            Some(Tip { version: table.version(), rows: table.num_rows() as u64, log_bytes });
+        durable.tip = Some(Tip { version: table.version(), rows: table.num_rows() as u64, bytes });
         Ok(table)
     }
 
@@ -1285,25 +1257,24 @@ impl StorageBackend for FsBackend {
             Some(tip) => ManifestEntry {
                 version: tip.version,
                 num_rows: tip.rows,
-                bytes: d.base.bytes + tip.log_bytes,
-                ..d.base.clone()
+                bytes: tip.bytes,
+                ..d.entry.clone()
             },
-            None => d.base.clone(),
+            None => d.entry.clone(),
         };
         Ok(Manifest { entries: self.lock_state().tables.iter().map(durable).collect() })
     }
 
     fn evict(&self, table_id: u64) -> Result<(), StorageError> {
         let mut state = self.lock_state();
-        if let Some(slot) = state.tables.iter().position(|d| d.base.table_id == table_id) {
+        if let Some(slot) = state.tables.iter().position(|d| d.entry.table_id == table_id) {
             let mut manifest =
-                Manifest { entries: state.tables.iter().map(|d| d.base.clone()).collect() };
+                Manifest { entries: state.tables.iter().map(|d| d.entry.clone()).collect() };
             manifest.entries.remove(slot);
             self.atomic_write(MANIFEST_FILE, |out| out.write_all(&manifest.encode()))?;
             state.tables.remove(slot);
         }
         let _ = fs::remove_file(self.dir.join(Self::table_file(table_id)));
-        let _ = fs::remove_file(self.dir.join(Self::log_file(table_id)));
         Ok(())
     }
 
@@ -1328,17 +1299,13 @@ impl StorageBackend for FsBackend {
     fn pending_write(&self, table: &Table) -> Option<PendingWrite> {
         let id = table.id();
         let state = self.lock_state();
-        match self.plan(state.tables.iter().find(|d| d.base.table_id == id), table) {
-            Plan::Nothing => None,
-            Plan::Segment { at, record } => {
-                Some(PendingWrite { file: Self::log_file(id), append_at: Some(at), bytes: record })
-            }
-            Plan::Base { .. } => Some(PendingWrite {
-                file: Self::table_file(id),
-                append_at: None,
-                bytes: encode_table(table),
-            }),
-        }
+        let (append_at, bytes) =
+            match plan(state.tables.iter().find(|d| d.entry.table_id == id), table) {
+                Plan::Nothing => return None,
+                Plan::Append { at, record } => (Some(at), record),
+                Plan::Whole { .. } => (None, encode_table(table)),
+            };
+        Some(PendingWrite { file: Self::table_file(id), append_at, bytes })
     }
 }
 
@@ -1454,6 +1421,45 @@ mod tests {
         }
     }
 
+    /// Whole, checksummed records that no save writes in that order are
+    /// corrupt: the header is the first record and only the first, at
+    /// least one data record follows it, and each data record is of the
+    /// header's table, continues its rows and advances its stamp.
+    #[test]
+    fn records_that_do_not_continue_the_table_are_corrupt() {
+        let t = every_type_table();
+        let grown = one_more_row(&t);
+        let record = |table: &Table, first_row: usize| {
+            let mut out = Cursor::new(Vec::new());
+            write_data_record(table, first_row, &mut out).unwrap();
+            out.into_inner()
+        };
+        let image = encode_table(&t);
+        let header = &image[..image.len() - record(&t, 0).len()];
+        let other = Table::new("everything", t.schema().clone()).unwrap();
+        let never_appended = Table::new("x", Schema::of(&[("x", DataType::Int)])).unwrap();
+        assert_eq!(
+            decode_table(&encode_table(&never_appended)).unwrap().version(),
+            never_appended.id()
+        );
+        assert_tables_identical(
+            &grown,
+            &decode_table(&[&image, &record(&grown, 4)[..]].concat()).unwrap(),
+        );
+        for (what, bytes) in [
+            ("no data record", header.to_vec()),
+            ("no header", record(&t, 0)),
+            ("a second header", [header, &image].concat()),
+            ("another table's record", [&image, &record(&other, 0)[..]].concat()),
+            ("a stamp that does not advance", [&image, &record(&t, 4)[..]].concat()),
+            ("rows that do not continue", [&image, &record(&grown, 0)[..]].concat()),
+            ("a gap in the rows", [&image, &record(&one_more_row(&grown), 5)[..]].concat()),
+        ] {
+            let outcome = decode_table(&bytes);
+            assert!(matches!(outcome, Err(StorageError::Corrupt(_))), "{what}: {outcome:?}");
+        }
+    }
+
     #[test]
     fn unsupported_format_version_is_rejected() {
         let t = every_type_table();
@@ -1525,7 +1531,9 @@ mod tests {
         .unwrap();
         // Write only the snapshot file — the half of `save_table` that
         // completes first — leaving the manifest behind.
-        backend.atomic_write(&FsBackend::table_file(t.id()), |out| write_table(&t, out)).unwrap();
+        backend
+            .atomic_write(&FsBackend::table_file(t.id()), |out| write_whole_file(&t, out))
+            .unwrap();
         assert_ne!(t.version(), stale_version);
         let restored = backend.load_table(t.id()).unwrap();
         assert_tables_identical(&t, &restored);
@@ -1647,15 +1655,14 @@ mod tests {
 
     #[test]
     fn manifest_decode_rejects_corruption() {
-        let entry = |table_id: u64, file: &str| ManifestEntry {
+        let entry = |table_id: u64| ManifestEntry {
             name: "t".into(),
             table_id,
             version: 6,
             num_rows: 5,
-            file: file.into(),
             bytes: 128,
         };
-        let manifest = Manifest { entries: vec![entry(3, "t3.tbl")] };
+        let manifest = Manifest { entries: vec![entry(3)] };
         let bytes = manifest.encode();
         assert_eq!(Manifest::decode(&bytes).unwrap(), manifest);
         assert!(Manifest::decode(&bytes[..bytes.len() - 1]).is_err());
@@ -1674,11 +1681,7 @@ mod tests {
             body.extend_from_slice(&checksum.to_le_bytes());
             body
         };
-        for file in ["/etc/passwd", "../x", "t4.tbl", "t3.log", ""] {
-            let m = Manifest { entries: vec![entry(3, file)] };
-            assert!(corrupt(&m.encode()).contains("names file"), "{file}");
-        }
-        let twice = Manifest { entries: vec![entry(3, "t3.tbl"), entry(3, "t3.tbl")] };
+        let twice = Manifest { entries: vec![entry(3), entry(3)] };
         assert!(corrupt(&twice.encode()).contains("twice"));
         let body = &bytes[..bytes.len() - 8];
         assert!(corrupt(&resealed([body, &[0]].concat())).contains("after the last"));
@@ -1686,7 +1689,7 @@ mod tests {
         // before anything is read or allocated for it.
         let mut counted = body.to_vec();
         counted[8..16].copy_from_slice(&2u64.to_le_bytes());
-        assert!(corrupt(&resealed(counted)).contains("length 2 needs 96 bytes"));
+        assert!(corrupt(&resealed(counted)).contains("length 2 needs 80 bytes"));
     }
 
     #[test]

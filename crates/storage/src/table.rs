@@ -88,55 +88,23 @@ type BitmapSlot = Arc<Mutex<Option<Arc<ConditionBitmapCache>>>>;
 impl Table {
     /// Creates an empty table with the given name and schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Result<Self, StorageError> {
+        Table::with_id(name.into(), schema, next_stamp())
+    }
+
+    /// An empty table whose identity and version stamp are both `id`, as
+    /// [`Table::new`] makes one: a persisted identity, so cache
+    /// fingerprints keyed on `(id, version)` survive a process restart once
+    /// [`Table::replay_append`] has restored the rows. Advances the global
+    /// stamp floor past `id` so freshly created tables never collide.
+    pub(crate) fn with_id(name: String, schema: Schema, id: u64) -> Result<Self, StorageError> {
         let columns =
             schema.fields().iter().map(|f| Column::new(f.dtype)).collect::<Result<Vec<_>, _>>()?;
-        let id = next_stamp();
+        advance_stamp_floor(id);
         let bitmaps = BitmapSlot::default();
-        Ok(Table { name: name.into(), schema, columns, rows: 0, id, version: id, bitmaps })
+        Ok(Table { name, schema, columns, rows: 0, id, version: id, bitmaps })
     }
 
-    /// Reassembles a table of `rows` rows from decoded snapshot parts,
-    /// preserving the persisted identity and version stamps so cache
-    /// fingerprints keyed on `(id, version)` survive a process restart.
-    /// Advances the global stamp floor past both stamps so freshly created
-    /// tables can never collide with restored ones.
-    pub(crate) fn restore(
-        name: String,
-        schema: Schema,
-        columns: Vec<Column>,
-        rows: usize,
-        id: u64,
-        version: u64,
-    ) -> Result<Self, StorageError> {
-        if columns.len() != schema.len() {
-            return Err(StorageError::Corrupt(format!(
-                "snapshot has {} column segments but the schema declares {} columns",
-                columns.len(),
-                schema.len()
-            )));
-        }
-        for (col, field) in columns.iter().zip(schema.fields()) {
-            if col.dtype() != field.dtype {
-                return Err(StorageError::Corrupt(format!(
-                    "column '{}' segment is {} but the schema declares {}",
-                    field.name,
-                    col.dtype().name(),
-                    field.dtype.name()
-                )));
-            }
-            if col.len() != rows {
-                return Err(StorageError::Corrupt(format!(
-                    "column '{}' has {} rows but the table has {rows}",
-                    field.name,
-                    col.len()
-                )));
-            }
-        }
-        advance_stamp_floor(id.max(version));
-        Ok(Table { name, schema, columns, rows, id, version, bitmaps: BitmapSlot::default() })
-    }
-
-    /// Replays one append segment: `decode` appends the segment's `rows`
+    /// Replays one data record: `decode` appends the record's `rows`
     /// rows to each column in schema order, and `version` is the stamp
     /// the append drew, restored verbatim so `(id, version)` keys minted
     /// before a restart still match. On an error the table is left
@@ -150,12 +118,12 @@ impl Table {
         let total = self
             .rows
             .checked_add(rows)
-            .ok_or_else(|| StorageError::Corrupt(format!("append segment declares {rows} rows")))?;
+            .ok_or_else(|| StorageError::Corrupt(format!("data record declares {rows} rows")))?;
         for col in &mut self.columns {
             decode(col)?;
             if col.len() != total {
                 return Err(StorageError::Corrupt(format!(
-                    "append segment leaves a column of '{}' at {} rows, expected {total}",
+                    "data record leaves a column of '{}' at {} rows, expected {total}",
                     self.name,
                     col.len()
                 )));

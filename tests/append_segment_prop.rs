@@ -1,15 +1,17 @@
-//! Property tests for durable appends: the `DBWA` append segment beside
-//! the `DBWT` base snapshot.
+//! Property tests for durable appends: a table's one file, a `DBWT`
+//! header record and `DBWA` data records, each framed and checksummed the
+//! same way.
 //!
 //! `save_table` is the only way to make a table durable and the backend
-//! decides what that takes — a full base, or one segment record with the
-//! rows past what is already durable. Whatever it decided, **`load_table`
-//! after any sequence of saves equals the in-memory table** on every
-//! cell, the version stamp and the row count. The rest
-//! of the file pins the edges of that property: a torn tail record, hostile
-//! log bytes, the stamp floor, write amplification across compactions,
-//! saves that write nothing, saves that arrive out of order, and the files
-//! an evict leaves behind.
+//! decides what that takes — a whole-file write, or one data record with
+//! the rows past what is already durable, appended to the file. Whatever
+//! it decided, **`load_table` after any sequence of saves equals the
+//! in-memory table** on every cell, the version stamp and the row count.
+//! The rest of the file pins the edges of that property: a torn tail
+//! record, hostile bytes anywhere in the file, the stamp floor, write
+//! amplification across compactions, a whole-file write that buffers one
+//! column, saves that write nothing, saves that arrive out of order, and
+//! the file an evict leaves behind.
 
 mod common;
 
@@ -91,8 +93,8 @@ impl TempDir {
         &self.0
     }
 
-    fn log_of(&self, t: &Table) -> PathBuf {
-        self.0.join(format!("t{}.log", t.id()))
+    fn file_of(&self, t: &Table) -> PathBuf {
+        self.0.join(format!("t{}.tbl", t.id()))
     }
 
     fn size_of(&self, name: &str) -> u64 {
@@ -222,8 +224,26 @@ proptest! {
     }
 }
 
-/// A table of every column type with two acknowledged appends in its log,
-/// saved into `dir`. Returns the table after each save.
+/// The records of a table file: the range each one spans — 24 frame bytes
+/// (magic, format version, body length, frame checksum), the body, the
+/// body's checksum — as far as they are whole.
+fn records(file: &[u8]) -> Vec<Range<usize>> {
+    let mut records = Vec::new();
+    let mut at = 0;
+    while at + 24 <= file.len() {
+        let end =
+            at + 24 + u64::from_le_bytes(file[at + 8..at + 16].try_into().unwrap()) as usize + 8;
+        if end > file.len() {
+            break;
+        }
+        records.push(at..end);
+        at = end;
+    }
+    records
+}
+
+/// A table of every column type with two acknowledged appends after its
+/// whole-file write, saved into `dir`. Returns the table after each save.
 fn base_and_two_segments(dir: &TempDir) -> [Table; 3] {
     let columns: Vec<(usize, bool)> = (0..5).map(|dtype| (dtype, dtype % 2 == 1)).collect();
     let backend = FsBackend::open(dir.path()).unwrap();
@@ -234,22 +254,18 @@ fn base_and_two_segments(dir: &TempDir) -> [Table; 3] {
         backend.save_table(&table).unwrap();
         table.clone()
     });
+    let file = std::fs::read(dir.file_of(&table)).unwrap();
+    assert_eq!(records(&file).len(), 4, "a header, the whole rows, two appends");
     assert_eq!(
         backend.write_counters(),
         WriteCounters {
             snapshot_saves: 1,
             segment_appends: 2,
-            segment_bytes: dir.size_of(&format!("t{}.log", table.id())),
+            segment_bytes: (file.len() - records(&file)[2].start) as u64,
             compactions: 0
         }
     );
     states
-}
-
-/// Length of the record a log image starts with: 24 frame bytes (magic,
-/// format version, body length, frame checksum), the body, its checksum.
-fn first_record_len(log: &[u8]) -> usize {
-    24 + u64::from_le_bytes(log[8..16].try_into().unwrap()) as usize + 8
 }
 
 /// What a restart over `dir` loads.
@@ -261,14 +277,13 @@ fn recover(dir: &TempDir, t: &Table) -> Result<Table, StorageError> {
 fn a_torn_tail_is_dropped_and_cut_off_before_the_next_append() {
     let origin = TempDir::new();
     let [_, acked, in_flight] = base_and_two_segments(&origin);
-    let log = std::fs::read(origin.log_of(&acked)).unwrap();
-    let last_record_at = first_record_len(&log);
-    assert!(last_record_at < log.len());
+    let file = std::fs::read(origin.file_of(&acked)).unwrap();
+    let last_record_at = records(&file)[3].start;
 
     // The kill lands at every byte of the last record in turn.
-    for cut in last_record_at..log.len() {
+    for cut in last_record_at..file.len() {
         let dir = TempDir::copy_of(origin.path());
-        std::fs::write(dir.log_of(&acked), &log[..cut]).unwrap();
+        std::fs::write(dir.file_of(&acked), &file[..cut]).unwrap();
         // Recover: every acknowledged row, nothing of the torn record.
         let backend = FsBackend::open(dir.path()).unwrap();
         let mut table = backend.load_table(acked.id()).unwrap();
@@ -291,10 +306,10 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
     let origin = TempDir::new();
     let states = base_and_two_segments(&origin);
     let t = &states[0];
-    let log = std::fs::read(origin.log_of(t)).unwrap();
+    let file = std::fs::read(origin.file_of(t)).unwrap();
     let dir = TempDir::copy_of(origin.path());
     let load = |bytes: &[u8]| {
-        std::fs::write(dir.log_of(t), bytes).unwrap();
+        std::fs::write(dir.file_of(t), bytes).unwrap();
         recover(&dir, t)
     };
     let is_a_durable_prefix = |loaded: &Table| {
@@ -302,28 +317,37 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
     };
 
     // Every byte is under a checksum: any flip is corruption, wherever.
-    for at in 0..log.len() {
-        let mut bad = log.clone();
+    for at in 0..file.len() {
+        let mut bad = file.clone();
         bad[at] ^= 0x40;
         let outcome = load(&bad);
         assert!(matches!(outcome, Err(StorageError::Corrupt(_))), "flip at {at}: {outcome:?}");
     }
-    // Every truncation is a torn tail: the whole records before it load.
-    for cut in 0..log.len() {
-        let loaded = load(&log[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-        assert!(is_a_durable_prefix(&loaded), "cut at {cut}");
-        assert!(loaded.num_rows() < states[2].num_rows(), "cut at {cut}");
+    // A cut inside the whole-file write leaves the file behind its
+    // manifest entry: corruption. A cut after it is a torn tail: the whole
+    // records before it load.
+    let whole = records(&file)[2].start;
+    for cut in 0..file.len() {
+        match load(&file[..cut]) {
+            Err(StorageError::Corrupt(_)) if cut < whole => {}
+            Ok(loaded) if cut >= whole => {
+                assert!(is_a_durable_prefix(&loaded), "cut at {cut}");
+                assert!(loaded.num_rows() < states[2].num_rows(), "cut at {cut}");
+            }
+            other => panic!("cut at {cut}: {:?}", other.map(|t| t.num_rows())),
+        }
     }
     // Lengths that promise more than the file holds, with the checksums
-    // made to agree so the decoder gets to see them. Record 1 starts at 0:
-    // 24 frame bytes, then id, version, first_row, rows, columns, and the
-    // columns themselves. (The stamps are left alone — a
-    // huge one would be *restored*, and raise this process's stamp floor.)
-    let frame = 24;
-    let body_len = first_record_len(&log) - frame - 8;
+    // made to agree so the decoder gets to see them. The first appended
+    // record starts at `whole`: 24 frame bytes, then id, version,
+    // first_row, rows, columns, and the columns themselves. (The stamps are
+    // left alone — a huge one would be *restored*, and raise this process's
+    // stamp floor.)
+    let frame = whole + 24;
+    let body_len = records(&file)[2].len() - 24 - 8;
     for at in (frame + 16)..(frame + body_len - 7) {
         for hostile in [u64::MAX, 1 << 40, body_len as u64 + 1] {
-            let mut bad = log.clone();
+            let mut bad = file.clone();
             bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
             let sum = fnv1a64(&bad[frame..frame + body_len]);
             bad[frame + body_len..frame + body_len + 8].copy_from_slice(&sum.to_le_bytes());
@@ -336,20 +360,21 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
     }
     // The frame's own length: beyond the file it reads as a torn tail,
     // short of the body it fails the body checksum.
-    for hostile in [u64::MAX, 1 << 40, log.len() as u64, body_len as u64 - 1, 0] {
-        let mut bad = log.clone();
-        bad[8..16].copy_from_slice(&hostile.to_le_bytes());
-        let sum = fnv1a64(&bad[..16]);
-        bad[16..24].copy_from_slice(&sum.to_le_bytes());
+    for hostile in [u64::MAX, 1 << 40, file.len() as u64, body_len as u64 - 1, 0] {
+        let mut bad = file.clone();
+        bad[whole + 8..whole + 16].copy_from_slice(&hostile.to_le_bytes());
+        let sum = fnv1a64(&bad[whole..whole + 16]);
+        bad[whole + 16..whole + 24].copy_from_slice(&sum.to_le_bytes());
         match load(&bad) {
             Ok(loaded) => assert_eq!(loaded.version(), states[0].version(), "{hostile:#x}"),
             Err(e) => assert!(matches!(e, StorageError::Corrupt(_)), "{hostile:#x}: {e}"),
         }
     }
-    // A record of another table, whole and well-formed, is not ours.
+    // Records of another table, whole and well-formed, are not ours.
     let other = TempDir::new();
     let [stranger, ..] = base_and_two_segments(&other);
-    let outcome = load(&std::fs::read(other.log_of(&stranger)).unwrap());
+    let theirs = std::fs::read(other.file_of(&stranger)).unwrap();
+    let outcome = load(&[&file[..whole], &theirs[records(&theirs)[2].start..]].concat());
     assert!(matches!(outcome, Err(StorageError::Corrupt(_))), "{outcome:?}");
 }
 
@@ -358,14 +383,15 @@ fn open_raises_the_stamp_floor_past_stamps_recorded_only_in_a_segment() {
     let dir = TempDir::new();
     let [.., t] = base_and_two_segments(&dir);
     // Another process wrote the last append: its stamp is far past
-    // anything this process has drawn. Only the log records it.
+    // anything this process has drawn. Only the table file records it.
     let far = t.version() + 1_000_000;
-    let mut log = std::fs::read(dir.log_of(&t)).unwrap();
-    let body = first_record_len(&log) + 24..log.len() - 8;
-    log[body.start + 8..body.start + 16].copy_from_slice(&far.to_le_bytes());
-    let sum = fnv1a64(&log[body.clone()]);
-    log[body.end..].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(dir.log_of(&t), &log).unwrap();
+    let mut file = std::fs::read(dir.file_of(&t)).unwrap();
+    let last = records(&file)[3].clone();
+    let body = last.start + 24..last.end - 8;
+    file[body.start + 8..body.start + 16].copy_from_slice(&far.to_le_bytes());
+    let sum = fnv1a64(&file[body.clone()]);
+    file[body.end..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(dir.file_of(&t), &file).unwrap();
 
     let backend = FsBackend::open(dir.path()).unwrap();
     let minted = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
@@ -383,33 +409,34 @@ fn two_thousand_appends_write_at_most_four_bytes_per_byte_appended() {
     let mut table = Table::new("t", schema_of(&[(1, false), (2, false)])).unwrap();
     grow(&mut table, 1, 256);
     backend.save_table(&table).unwrap();
-    let (base, log) = (format!("t{}.tbl", table.id()), format!("t{}.log", table.id()));
-    let sizes = || (dir.size_of(&base), dir.size_of(&log), dir.size_of("MANIFEST.bin"));
-    let start = sizes();
+    let file = format!("t{}.tbl", table.id());
+    let start = dir.size_of(&file);
     let mut written = 0;
     for _ in 0..2_000 {
-        let before = sizes();
+        let (before, whole) = (dir.size_of(&file), backend.write_counters().snapshot_saves);
         grow(&mut table, 1, 256);
         backend.save_table(&table).unwrap();
-        let after = sizes();
-        written += if after.0 == before.0 {
-            after.1 - before.1 // one record appended to the log
+        written += if backend.write_counters().snapshot_saves == whole {
+            dir.size_of(&file) - before // one record appended
         } else {
-            after.0 + after.2 // a new base and the manifest naming it
+            dir.size_of(&file) + dir.size_of("MANIFEST.bin") // a whole-file write and its manifest
         };
     }
-    let end = sizes();
-    let appended = (end.0 + end.1) - (start.0 + start.1);
+    let appended = dir.size_of(&file) - start;
     let counters = backend.write_counters();
-    assert!(counters.compactions >= 5, "the log must have been folded in: {counters:?}");
-    assert!(end.1 < end.0, "the log stays smaller than its base");
+    assert!(counters.compactions >= 5, "the appends must have been folded in: {counters:?}");
+    let listed = backend.list_manifest().unwrap();
+    let whole = FsBackend::open(dir.path()).unwrap().list_manifest().unwrap();
+    let (tip, whole) = (listed.entries[0].bytes, whole.entries[0].bytes);
+    assert!(tip - whole < whole, "what was appended stays smaller than the whole-file write");
     let amplification = written as f64 / appended as f64;
     assert!(amplification <= 4.0, "{written} bytes written for {appended} appended");
     assert_identical(&recover(&dir, &table).unwrap(), &table).unwrap();
 }
 
 /// FNV-1a of `bytes` with `stamps` — a table's id and version stamps,
-/// process-global draws that differ from run to run — read as zeros.
+/// process-global draws that differ from run to run, and the checksums of
+/// the bodies that hold them — read as zeros.
 fn fnv_without_stamps(bytes: &[u8], stamps: &[Range<usize>]) -> u64 {
     let mut bytes = bytes.to_vec();
     for at in stamps {
@@ -418,34 +445,48 @@ fn fnv_without_stamps(bytes: &[u8], stamps: &[Range<usize>]) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// Where a `DBWT` image of the table "m" keeps its two stamps: after the
-/// magic, the format version and the length-prefixed name.
-const DBWT_STAMPS: Range<usize> = 17..33;
+/// Where the records of a table file whose name is `name_len` bytes long
+/// keep its stamps: the header's id after the name, each data record's id
+/// and version at the start of its body, and every body's checksum.
+fn stamps_of(file: &[u8], name_len: usize) -> Vec<Range<usize>> {
+    let mut stamps = Vec::new();
+    for (i, record) in records(file).into_iter().enumerate() {
+        let body = record.start + 24;
+        let ids = if i == 0 { body + 8 + name_len..body + 16 + name_len } else { body..body + 16 };
+        stamps.extend([ids, record.end - 8..record.end]);
+    }
+    stamps
+}
 
 /// The chunk layout is invisible on disk, in both directions: the fixed
-/// multi-chunk table round-trips through a `DBWT` image, append segments
-/// that end at, start at and straddle a chunk boundary replay to the
-/// in-memory table, and the bytes of both are the bytes the flat layout
-/// wrote. The constants were first computed at the commit before columns
-/// had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`. Format 3
-/// recomputed them once: they are the format-2 bytes of the same tables
-/// with the version field rewritten, the second stamp and the all-false
-/// deletion mask segment dropped, and each record's frame resealed —
-/// nothing in a column segment moved.
+/// multi-chunk table round-trips through a whole-file image, appended
+/// records that end at, start at and straddle a chunk boundary replay to
+/// the in-memory table, and the bytes of both are the bytes the flat
+/// layout wrote. The constants were first computed at the commit before
+/// columns had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`.
+/// Format 3 recomputed them once, and format 4, which made a table one
+/// file of framed records, once more: `DBWT_PIN` hashes the image of the
+/// header record and one data record over every row, `DBWA_PINS` the
+/// records appended after each file's whole-file write. Checked against
+/// format 3 on the same tables: every column encoding inside a format-4
+/// data record is byte for byte the body of the format-3 column segment,
+/// and an appended record differs from the format-3 log record only in the
+/// version field and the frame checksum over it.
 #[test]
 fn chunk_boundaries_do_not_show_on_disk() {
     let table = boundary_table(BOUNDARY_ROWS);
     let image = encode_table(&table);
     assert_identical(&decode_table(&image).unwrap(), &table).unwrap();
     assert_eq!(
-        fnv_without_stamps(&image, &[DBWT_STAMPS]),
+        fnv_without_stamps(&image, &stamps_of(&image, table.name().len())),
         DBWT_PIN,
-        "a DBWT image of the multi-chunk table is not the bytes the parent commit writes"
+        "a whole-file image of the multi-chunk table is not the bytes the parent commit writes"
     );
 
-    let mut logs = Vec::new();
+    let mut appended = Vec::new();
     for boundary in [CHUNK_ROWS, 2 * CHUNK_ROWS] {
-        // Each list: the rows of the base, then where each append ends.
+        // Each list: the rows of the whole-file write, then where each
+        // append ends.
         let straddling = [boundary - 100, boundary - 1, boundary + 3, boundary + 20];
         let abutting = [boundary - 100, boundary, boundary + 5];
         for cuts in [&straddling[..], &abutting[..]] {
@@ -460,133 +501,125 @@ fn chunk_boundaries_do_not_show_on_disk() {
                 assert_identical(&recover(&dir, &grown).unwrap(), &grown).unwrap();
             }
             assert_eq!(backend.write_counters().segment_appends, cuts.len() as u64 - 1);
-            // The stamps open each record's body, after the 24 frame
-            // bytes, and the checksum that closes it covers them.
-            let log = std::fs::read(dir.log_of(&grown)).unwrap();
-            let mut stamps = Vec::new();
-            let mut at = 0;
-            while at < log.len() {
-                let end = at + first_record_len(&log[at..]);
-                stamps.extend([at + 24..at + 40, end - 8..end]);
-                at = end;
-            }
-            logs.push(fnv_without_stamps(&log, &stamps));
+            let file = std::fs::read(dir.file_of(&grown)).unwrap();
+            let stamps = stamps_of(&file, grown.name().len());
+            let whole = records(&file)[2].start;
+            let stamps: Vec<_> = stamps
+                .iter()
+                .filter(|at| at.start >= whole)
+                .map(|at| at.start - whole..at.end - whole)
+                .collect();
+            appended.push(fnv_without_stamps(&file[whole..], &stamps));
         }
     }
-    assert_eq!(logs, DBWA_PINS, "a DBWA log is not the bytes the parent commit writes");
+    assert_eq!(appended, DBWA_PINS, "appended records are not the bytes the parent commit writes");
 }
 
-const DBWT_PIN: u64 = 0x7c60_2e27_8488_9a10;
+const DBWT_PIN: u64 = 0x5e1e_935d_5952_6ab8;
 const DBWA_PINS: [u64; 4] =
-    [0xfb9a_af8a_d3d2_91a0, 0x1d45_17cb_7257_e48c, 0xb805_62cc_5cc6_8383, 0xd82d_6707_529f_c72a];
+    [0x8472_aaa8_b71e_aebf, 0xe87f_2432_0301_289e, 0xaec0_0d74_0965_7207, 0xe6ce_8367_7d60_8c29];
 
-/// What a walk over a `DBWT` image finds: every length or count field (its
-/// offset, and the checksummed segment body that holds it, if one does),
-/// every segment body, and the offsets worth a closer look — the edges of
-/// every field, frame and vector, and the byte where a vector crosses into
-/// the column's next chunk.
+/// What a walk over a table file image finds: every record, every length
+/// or count field with the range of bytes whose checksum covers it — a
+/// frame's first sixteen bytes or a record's body, either way followed
+/// right away by the checksum — and the offsets worth a closer look: the
+/// edges of every field, frame and vector, and the byte where a vector
+/// crosses into the column's next chunk.
 #[derive(Default)]
-struct DbwtLayout {
-    lengths: Vec<(usize, Option<usize>)>,
-    bodies: Vec<Range<usize>>,
+struct FileLayout {
+    records: Vec<Range<usize>>,
+    lengths: Vec<(usize, Range<usize>)>,
     edges: Vec<usize>,
 }
 
-fn walk_dbwt(image: &[u8]) -> DbwtLayout {
+fn walk_records(image: &[u8]) -> FileLayout {
     let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
-    let mut layout = DbwtLayout::default();
+    let mut layout = FileLayout { records: records(image), ..FileLayout::default() };
+    assert_eq!(layout.records.len(), 2, "a header record and one data record");
+    assert_eq!(layout.records[1].end, image.len());
+    for record in layout.records.clone() {
+        layout.lengths.push((record.start + 8, record.start..record.start + 16));
+        layout.edges.extend([record.start, record.start + 24, record.end - 8, record.end]);
+    }
+    let (header, data) = (&layout.records[0], &layout.records[1]);
+    let (header_body, body) = (header.start + 24..header.end - 8, data.start + 24..data.end - 8);
     // A vector of `rows` entries of `bits` bits each, from `at`.
-    let vector = |layout: &mut DbwtLayout, at: usize, rows: usize, bits: usize| {
+    let vector = |layout: &mut FileLayout, at: usize, rows: usize, bits: usize| {
         layout.edges.push(at);
         layout
             .edges
             .extend((1..=rows / CHUNK_ROWS).map(|chunk| at + chunk * CHUNK_ROWS * bits / 8));
         at + (rows * bits).div_ceil(8)
     };
-    // Header: magic, version, name, stamps, fields, row count.
-    let mut at = 8;
-    layout.lengths.push((at, None));
-    at += 8 + word(at) + 16;
-    layout.lengths.push((at, None));
+    // Header: name, id, fields.
+    let mut at = header_body.start;
+    layout.lengths.push((at, header_body.clone()));
+    at += 8 + word(at) + 8;
+    layout.lengths.push((at, header_body.clone()));
     let fields = word(at);
     at += 8;
     let mut dtypes = Vec::new();
     for _ in 0..fields {
-        layout.lengths.push((at, None));
+        layout.lengths.push((at, header_body.clone()));
         at += 8 + word(at);
         dtypes.push(image[at]);
         at += 2;
     }
-    layout.lengths.push((at, None));
-    at += 8;
-    // One segment per column.
-    for dtype in dtypes {
-        let segment = layout.bodies.len();
-        layout.lengths.push((at, None));
-        let body = at + 8..at + 8 + word(at);
-        layout.bodies.push(body.clone());
-        // The dtype tag, the row count, the validity vector.
-        at = body.start + 1;
-        layout.lengths.push((at, Some(segment)));
+    assert_eq!(at, header_body.end, "the walk and the encoder disagree on the header");
+    // Data: id, version, first row, row count, column count, columns.
+    at = body.start + 16;
+    for _ in 0..3 {
+        layout.lengths.push((at, body.clone()));
         at += 8;
-        layout.lengths.push((at, Some(segment)));
+    }
+    for dtype in dtypes {
+        // The dtype tag, the row count, the validity vector.
+        layout.edges.push(at);
+        at += 1;
+        layout.lengths.push((at, body.clone()));
+        at += 8;
+        layout.lengths.push((at, body.clone()));
         at = vector(&mut layout, at + 8, word(at), 1);
         match dtype {
             1 => {
-                layout.lengths.push((at, Some(segment)));
+                layout.lengths.push((at, body.clone()));
                 at = vector(&mut layout, at + 8, word(at), 1);
             }
             4 => {
-                layout.lengths.push((at, Some(segment)));
+                layout.lengths.push((at, body.clone()));
                 let entries = word(at);
                 at += 8;
                 for _ in 0..entries {
-                    layout.lengths.push((at, Some(segment)));
+                    layout.lengths.push((at, body.clone()));
                     at += 8 + word(at);
                 }
-                layout.lengths.push((at, Some(segment)));
+                layout.lengths.push((at, body.clone()));
                 at = vector(&mut layout, at + 8, word(at), 32);
             }
             _ => {
-                layout.lengths.push((at, Some(segment)));
+                layout.lengths.push((at, body.clone()));
                 at = vector(&mut layout, at + 8, word(at), 64);
             }
         }
-        assert_eq!(at, body.end, "the walk and the encoder disagree on segment {segment}");
-        layout.edges.extend([body.start, body.end]);
-        at += 8;
     }
-    assert_eq!(at, image.len());
-    layout.edges.extend(layout.lengths.iter().map(|&(at, _)| at));
+    assert_eq!(at, body.end, "the walk and the encoder disagree on the data record");
+    layout.edges.extend(layout.lengths.iter().map(|(at, _)| *at));
     layout
 }
 
-/// Flips a bit of, and cuts the image at, every offset of `visit`. A cut
-/// is `Corrupt`. So is a flip under a checksum; the header has none in
-/// format 3, and a flip there that still decodes (a letter of a name, a
-/// nullable flag) must decode to the honest table but for the byte hit:
-/// encoded again, it is the honest image everywhere else.
+/// Flips a bit of, and cuts the image at, every offset of `visit`. Every
+/// byte of the image is under a checksum — the header, the stamps and the
+/// frames included — so each flip is `Corrupt`, and so is each cut.
 fn assert_flips_and_cuts_are_refused(image: &mut [u8], visit: &[usize]) {
-    let first_segment = walk_dbwt(image).bodies[0].start - 8;
     for &at in visit {
-        // A flipped stamp would be restored, and raise the stamp floor of
-        // this process by as much.
-        if DBWT_STAMPS.contains(&at) {
-            continue;
-        }
         image[at] ^= 0x40;
         let outcome = decode_table(image);
         image[at] ^= 0x40;
-        match outcome {
-            Err(StorageError::Corrupt(_)) => {}
-            Ok(decoded) if at < first_segment => {
-                let again = encode_table(&decoded);
-                assert_eq!(again.len(), image.len(), "flip at {at}");
-                let moved = (0..image.len()).filter(|&i| again[i] != image[i]).collect::<Vec<_>>();
-                assert!(moved.iter().all(|&i| i == at), "flip at {at} moved bytes {moved:?}");
-            }
-            other => panic!("flip at {at}: {:?}", other.map(|t| t.num_rows())),
-        }
+        assert!(
+            matches!(outcome, Err(StorageError::Corrupt(_))),
+            "flip at {at}: {:?}",
+            outcome.map(|t| t.num_rows())
+        );
     }
     for &cut in visit {
         let outcome = decode_table(&image[..cut]);
@@ -594,14 +627,15 @@ fn assert_flips_and_cuts_are_refused(image: &mut [u8], visit: &[usize]) {
     }
 }
 
-/// The `DBWT` decoder under hostile bytes. On the five-type image, whose
+/// The file decoder under hostile bytes. On the five-type image, whose
 /// every vector spans three chunks and which is near a megabyte, flips and
-/// cuts visit every byte near an edge of the layout ([`walk_dbwt`]) and
-/// every 1999th byte between; on the image of its `flag` column alone over
-/// one boundary — six kilobytes — they visit every byte there is. Then, on
-/// the five-type image again, every length and count field lies — with the
-/// checksum made to agree, so the decoder gets to see it — and is `Corrupt`
-/// before anything is allocated for it.
+/// cuts visit every byte of the header record, every byte near an edge of
+/// the layout ([`walk_records`]) and every 1999th byte between; on the
+/// image of its `flag` column alone over one boundary — six kilobytes —
+/// they visit every byte there is. Then, on the five-type image again,
+/// every length and count field lies — with the checksum made to agree,
+/// so the decoder gets to see it — and is `Corrupt` before anything is
+/// allocated for it.
 #[test]
 fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
     let mut image = encode_table(&boundary_table(BOUNDARY_ROWS));
@@ -611,9 +645,9 @@ fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
     decode_table(&image).unwrap();
     let largest = LARGEST_ALLOCATION.with(Cell::get);
     assert!((CHUNK_ROWS * 8..=CHUNK_ROWS * 24).contains(&largest), "{largest} bytes at once");
-    let layout = walk_dbwt(&image);
+    let layout = walk_records(&image);
     let mut visit: Vec<usize> = (0..image.len()).step_by(1999).collect();
-    visit.extend(0..layout.bodies[0].start);
+    visit.extend(layout.records[0].clone());
     visit.extend(layout.edges.iter().flat_map(|&edge| edge.saturating_sub(1)..edge + 9));
     visit.retain(|&at| at < image.len());
     visit.sort_unstable();
@@ -628,17 +662,15 @@ fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
     assert!(every_byte.len() < 8 << 10, "{} bytes", every_byte.len());
     assert_flips_and_cuts_are_refused(&mut narrow, &every_byte);
 
-    assert_eq!(layout.bodies.len(), 5, "five columns");
     assert!(layout.lengths.len() > 60, "{} length fields", layout.lengths.len());
-    for &(at, segment) in &layout.lengths {
+    for (at, covered) in &layout.lengths {
+        let (at, covered) = (*at, covered.clone());
         let honest: [u8; 8] = image[at..at + 8].try_into().unwrap();
         for hostile in [u64::MAX, 1 << 40, u64::from_le_bytes(honest) + 1] {
             let mut bad = image.clone();
             bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
-            if let Some(body) = segment.map(|s| layout.bodies[s].clone()) {
-                let sum = fnv1a64(&bad[body.clone()]);
-                bad[body.end..body.end + 8].copy_from_slice(&sum.to_le_bytes());
-            }
+            let sum = fnv1a64(&bad[covered.clone()]);
+            bad[covered.end..covered.end + 8].copy_from_slice(&sum.to_le_bytes());
             LARGEST_ALLOCATION.with(|l| l.set(0));
             let outcome = decode_table(&bad);
             let largest = LARGEST_ALLOCATION.with(Cell::get);
@@ -650,6 +682,22 @@ fn hostile_table_image_bytes_are_corrupt_never_a_panic_or_a_huge_allocation() {
             assert!(largest <= image.len(), "{hostile:#x} at {at} allocated {largest} bytes");
         }
     }
+}
+
+/// A whole-file write streams: the largest single allocation it makes is
+/// one column's encoding, never the image of the table.
+#[test]
+fn a_whole_file_write_buffers_a_column_not_the_table() {
+    let columns: Vec<(usize, bool)> = (0..8).map(|c| (1 + c % 2, c >= 4)).collect();
+    let mut table = Table::new("wide", schema_of(&columns)).unwrap();
+    grow(&mut table, 5, 3 * CHUNK_ROWS + 100);
+    let dir = TempDir::new();
+    let backend = FsBackend::open(dir.path()).unwrap();
+    LARGEST_ALLOCATION.with(|l| l.set(0));
+    let written = backend.save_table(&table).unwrap();
+    let largest = LARGEST_ALLOCATION.with(Cell::get) as u64;
+    assert_eq!(written, dir.size_of(&format!("t{}.tbl", table.id())));
+    assert!(largest < written / 2, "{largest} bytes at once for a {written}-byte file");
 }
 
 fn runtime_over(dir: &TempDir) -> Arc<StorageRuntime> {
@@ -693,8 +741,8 @@ fn a_flush_after_appends_and_a_restore_of_a_bare_base_write_nothing() {
     assert_eq!(snapshot_of(&dir), files);
     assert_eq!(runtime.counters(), counters);
 
-    // The parent's layout — a base and a manifest, no log — restores
-    // unchanged, and flushing what was restored writes nothing.
+    // A file of one whole-file write and its manifest restores unchanged,
+    // and flushing what was restored writes nothing.
     let bare = TempDir::new();
     let table = readings();
     FsBackend::open(bare.path()).unwrap().save_table(&table).unwrap();
@@ -711,14 +759,14 @@ fn a_flush_after_appends_and_a_restore_of_a_bare_base_write_nothing() {
 }
 
 #[test]
-fn evict_and_re_registration_remove_the_log() {
+fn evict_and_re_registration_remove_the_table_file() {
     let dir = TempDir::new();
     let backend = FsBackend::open(dir.path()).unwrap();
     let mut t = readings();
     backend.save_table(&t).unwrap();
     grow(&mut t, 3, 8);
     backend.save_table(&t).unwrap();
-    assert!(dir.log_of(&t).exists());
+    assert!(dir.file_of(&t).exists());
     backend.evict(t.id()).unwrap();
     assert_eq!(snapshot_of(&dir).len(), 1, "only the (empty) manifest is left");
 
@@ -726,17 +774,17 @@ fn evict_and_re_registration_remove_the_log() {
     let manager = SessionManager::new(Catalog::new());
     manager.attach_storage(Arc::clone(&runtime));
     let first = readings();
-    let first_log = dir.log_of(&first);
+    let first_file = dir.file_of(&first);
     manager.register_table(first);
     manager.stream_append("readings", small_batch(0, 8)).unwrap();
-    assert!(first_log.exists());
-    // Same name, new identity: the old table's files all go.
+    assert!(first_file.exists());
+    // Same name, new identity: the old table's file goes.
     let second = readings();
-    let second_base = format!("t{}.tbl", second.id());
+    let second_file = format!("t{}.tbl", second.id());
     manager.register_table(second);
-    assert!(!first_log.exists());
+    assert!(!first_file.exists());
     let names: Vec<String> = snapshot_of(&dir).into_iter().map(|(name, _)| name).collect();
-    assert_eq!(names, ["MANIFEST.bin".to_string(), second_base]);
+    assert_eq!(names, ["MANIFEST.bin".to_string(), second_file]);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! A table snapshot owns the bitmaps that index it
 //! (`Table::condition_bitmaps`): every explain over the snapshot and its
 //! unmodified clones shares them, and a table that is decoded, replayed
-//! from a log or appended to starts with none. Whatever
+//! from its table file or appended to starts with none. Whatever
 //! the bitmaps' state, the answer is the one an independent cold copy of
 //! the same data gives. This is the "bitmaps cold vs warm" axis of the
 //! bit-identity matrix, on the sensor and FEC fixtures.
@@ -104,18 +104,23 @@ fn check_lifetime(tag: &str, table: Table, q: &Question) {
     assert_eq!(explain(q, &table), first);
     assert_eq!(cache.stats().1, scanned, "and still scans nothing");
 
-    // Base + log replay: the stamps of the grown table, no bitmaps.
+    // A whole-file write plus an appended record, replayed: the stamps
+    // of the grown table, no bitmaps.
     let dir = std::env::temp_dir().join(format!("dbwipes-bitmaps-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let backend = FsBackend::open(&dir).unwrap();
     backend.save_table(&table).unwrap();
     backend.save_table(&grown).unwrap();
-    assert_eq!(backend.write_counters().segment_appends, 1, "the append went to the log");
+    assert_eq!(
+        backend.write_counters().segment_appends,
+        1,
+        "the append went to the table file as one record"
+    );
     let replayed = FsBackend::open(&dir).unwrap().load_table(table.id()).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!((replayed.id(), replayed.version()), (grown.id(), grown.version()));
     assert_eq!(replayed.retained_condition_bitmaps(), (0, 0), "a replayed table starts cold");
-    explain_checked(q, &replayed, "base + log replay");
+    explain_checked(q, &replayed, "whole file + appended record replay");
     assert_eq!(cache.stats().1, scanned, "none of this touched the first snapshot's cache");
 }
 
@@ -147,7 +152,7 @@ fn fec_explanations_do_not_depend_on_what_the_snapshot_has_cached() {
 
 /// One more input: the fixed multi-chunk table, a hundred rows short of
 /// its second boundary, so the grown snapshot seals a chunk its parent
-/// snapshot goes on sharing the first of, and the replayed log record
+/// snapshot goes on sharing the first of, and the replayed appended record
 /// straddles the boundary.
 #[test]
 fn chunked_explanations_do_not_depend_on_what_the_snapshot_has_cached() {

@@ -183,11 +183,23 @@ fn the_reply_path_is_documented() {
 fn durable_appends_are_documented() {
     assert_documented(
         &[
-            ("docs/PROTOCOL.md", &["`segment_appends`", "`segment_bytes`", "`compactions`"]),
-            ("docs/TUNING.md", &["t<id>.log", "`segment_appends`", "`compactions`"]),
+            (
+                "docs/PROTOCOL.md",
+                &["`segment_appends`", "`segment_bytes`", "`compactions`", "data records appended"],
+            ),
+            (
+                "docs/TUNING.md",
+                &["t<id>.tbl", "`DBWT` header", "`segment_appends`", "`compactions`"],
+            ),
             (
                 "docs/ARCHITECTURE.md",
-                &["`DBWA`", "t<id>.log", "torn tail", "compaction", "tests/append_segment_prop.rs"],
+                &[
+                    "`DBWA`",
+                    "whole-file write",
+                    "torn tail",
+                    "compaction",
+                    "tests/append_segment_prop.rs",
+                ],
             ),
         ],
         &["tests/append_segment_prop.rs"],

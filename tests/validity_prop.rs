@@ -2,12 +2,14 @@
 //! the column can tell: for every NULL density — none, one, sparse, all —
 //! at lengths one short of, on and one past one and two chunks, a column
 //! built by pushes, by an append to a copy somebody else holds, by a
-//! `DBWT` base plus a `DBWA` segment, and by a `DBWT` image alone answers
-//! every reader as a flat `Vec<Value>` of what was pushed does: `get`,
-//! `get_f64`, `get_str`, `is_null`, `non_null_count`, and the condition
-//! kernels' three-valued bitmaps (a NULL is unknown). That the bytes on
-//! disk did not move is pinned elsewhere, by `append_segment_prop`'s
-//! `DBWT_PIN` / `DBWA_PINS`.
+//! table file's whole-file write plus an appended record, and by a
+//! whole-file image alone answers every reader as a flat `Vec<Value>` of
+//! what was pushed does: `get`, `get_f64`, `get_str`, `is_null`,
+//! `non_null_count`, and the condition kernels' three-valued bitmaps (a
+//! NULL is unknown). That the bytes on disk did not move is pinned
+//! elsewhere, by `append_segment_prop`'s `DBWT_PIN` / `DBWA_PINS`: format
+//! 4 re-pinned them with every column encoding inside its records byte
+//! for byte the column segment format 3 wrote.
 
 mod common;
 
@@ -152,9 +154,9 @@ fn a_missing_validity_mask_reads_as_all_valid_everywhere() {
 
         backend.save_table(&grown).unwrap();
         let restored = FsBackend::open(&dir.0).unwrap().load_table(grown.id()).unwrap();
-        assert_reads_as(&restored, &model, &format!("{what}: DBWT + DBWA"));
+        assert_reads_as(&restored, &model, &format!("{what}: whole file + appended record"));
         let decoded = decode_table(&encode_table(&grown)).unwrap();
-        assert_reads_as(&decoded, &model, &format!("{what}: DBWT"));
+        assert_reads_as(&decoded, &model, &format!("{what}: whole-file image"));
         assert_eq!(encode_table(&decoded), encode_table(&grown), "{what}");
     }
 }
