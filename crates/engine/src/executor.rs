@@ -8,19 +8,21 @@
 //! generated S" (§2.2.2).
 //!
 //! The pipeline stages are factored into standalone crate-private
-//! functions (`scan_filter`, `build_groups`, `ArgReader`,
+//! functions (`scan_filter`, `build_groups`, `bind_aggregates`,
 //! `aggregate_outputs`, `project_row`, `output_order`, `output_schema`) shared with the
 //! incremental re-aggregation cache in [`crate::incremental`], so the full
 //! and incremental paths cannot drift apart.
 
 use crate::aggregate::AggregateState;
-use crate::ast::{AggregateArg, AggregateCall, SelectExpr, SelectStatement, SortOrder};
+use crate::ast::{
+    AggregateArg, AggregateCall, AggregateFunc, SelectExpr, SelectStatement, SortOrder,
+};
 use crate::error::EngineError;
 use crate::parser::parse_select;
 use crate::result::{in_order, QueryResult};
 use dbwipes_provenance::Lineage;
 use dbwipes_storage::{
-    Catalog, Column, DataType, Expr, Field, RowId, RowSet, Schema, Table, Value,
+    Catalog, Column, DataType, Expr, Field, KeyWord, RowId, RowSet, Schema, Table, Value,
 };
 use std::collections::HashMap;
 
@@ -56,12 +58,12 @@ pub fn execute(
 ) -> Result<QueryResult, EngineError> {
     validate(table, stmt)?;
     let filtered = scan_filter(table, stmt, 0)?;
-    let (group_keys, group_rows) =
-        build_groups(table, stmt, filtered.iter_rows(), filtered.count_ones())?;
+    let (group_keys, group_rows) = build_groups(table, stmt, &filtered)?;
 
+    let aggregates = bind_aggregates(table, stmt)?;
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(group_keys.len());
     for (g_key, g_rows) in group_keys.iter().zip(&group_rows) {
-        let agg_outputs = aggregate_outputs(table, stmt, g_rows)?;
+        let agg_outputs = aggregate_outputs(&aggregates, g_rows)?;
         rows.push(project_row(table, stmt, g_key, g_rows, &agg_outputs)?);
     }
     let schema = output_schema(table, stmt)?;
@@ -99,54 +101,103 @@ pub(crate) fn scan_filter(
     }
 }
 
-/// Group stage: partitions `filtered` (`count` rows in scan order) by the
-/// GROUP BY key, keeping groups in first-seen order. A query without
-/// GROUP BY produces exactly one group, even when no rows survive the
-/// filter (PostgreSQL semantics).
+/// Group stage: partitions `filtered` by the GROUP BY key, keeping groups
+/// in first-seen order, each with its key — the values of its first row —
+/// and its rows in scan order. A query without GROUP BY produces exactly
+/// one group, even when no rows survive the filter (PostgreSQL semantics).
 pub(crate) type Groups = (Vec<Vec<Value>>, Vec<Vec<RowId>>);
 
-/// See [`Groups`]: returns `(group_keys, group_rows)`.
+/// See [`Groups`]: returns `(group_keys, group_rows)`. Each row is given
+/// a group id first, from typed key words ([`Column::visit_keys`]); then
+/// every group's row list is allocated at exactly its length and filled
+/// in scan order.
 pub(crate) fn build_groups(
     table: &Table,
     stmt: &SelectStatement,
-    filtered: impl Iterator<Item = RowId>,
-    count: usize,
+    filtered: &RowSet,
 ) -> Result<Groups, EngineError> {
-    let group_cols: Vec<usize> = stmt
+    let columns: Vec<&Column> = stmt
         .group_by
         .iter()
-        .map(|c| table.schema().resolve(c).map_err(EngineError::from))
-        .collect::<Result<_, _>>()?;
-
-    let mut group_keys: Vec<Vec<Value>> = Vec::new();
-    let mut group_rows: Vec<Vec<RowId>> = Vec::new();
-
-    if group_cols.is_empty() {
-        let mut rows = Vec::with_capacity(count);
-        rows.extend(filtered);
-        group_keys.push(Vec::new());
-        group_rows.push(rows);
+        .map(|c| {
+            let idx = table.schema().resolve(c)?;
+            Ok(table.column(idx).expect("resolved"))
+        })
+        .collect::<Result<_, EngineError>>()?;
+    // There are no more groups than rows, so every id fits.
+    if u32::try_from(filtered.count_ones()).is_err() {
+        return Err(EngineError::plan("group count overflows the group index"));
+    }
+    let (ids, firsts) = group_ids(&columns, filtered);
+    let group_keys: Vec<Vec<Value>> = if columns.is_empty() {
+        vec![Vec::new()]
     } else {
-        let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for rid in filtered {
-            let key: Vec<Value> = group_cols
-                .iter()
-                .map(|&c| table.value(rid, c).expect("validated column/row"))
-                .collect();
-            let idx = match group_index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = group_keys.len();
-                    group_index.insert(key.clone(), i);
-                    group_keys.push(key);
-                    group_rows.push(Vec::new());
-                    i
-                }
-            };
-            group_rows[idx].push(rid);
-        }
+        let key =
+            |row: RowId| columns.iter().map(|c| c.get(row.index()).expect("in bounds")).collect();
+        firsts.into_iter().map(key).collect()
+    };
+    let mut sizes = vec![0usize; group_keys.len()];
+    for &id in &ids {
+        sizes[id as usize] += 1;
+    }
+    let mut group_rows: Vec<Vec<RowId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (rid, &id) in filtered.iter_rows().zip(&ids) {
+        group_rows[id as usize].push(rid);
     }
     Ok((group_keys, group_rows))
+}
+
+/// The group id of each row of `filtered`, in scan order, and each
+/// group's first row: ids are dense, in first-seen order. Without a column
+/// every row is in the one group 0. A key of several columns is the pair
+/// of the id of its first columns' key and its last column's code,
+/// renumbered: nothing is allocated per row or per group.
+fn group_ids(columns: &[&Column], filtered: &RowSet) -> (Vec<u32>, Vec<RowId>) {
+    let Some((first, rest)) = columns.split_first() else {
+        return (vec![0; filtered.count_ones()], Vec::new());
+    };
+    let (mut ids, mut firsts) = column_codes(first, filtered);
+    for column in rest {
+        let (codes, _) = column_codes(column, filtered);
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        firsts.clear();
+        for ((id, code), row) in ids.iter_mut().zip(codes).zip(filtered.iter_rows()) {
+            let next = firsts.len() as u32;
+            *id = *index.entry(u64::from(*id) << 32 | u64::from(code)).or_insert_with(|| {
+                firsts.push(row);
+                next
+            });
+        }
+    }
+    (ids, firsts)
+}
+
+/// The code of each row of `filtered` in `column`, in scan order — equal
+/// key words, and so equal values, share a code; codes are dense, in
+/// first-seen order — and each code's first row. A row whose word is the
+/// previous row's takes its code without a lookup: tables appended in
+/// time order hold long runs of one key.
+fn column_codes(column: &Column, filtered: &RowSet) -> (Vec<u32>, Vec<RowId>) {
+    let mut codes = Vec::with_capacity(filtered.count_ones());
+    let mut firsts = Vec::new();
+    let mut index: HashMap<KeyWord<'_>, u32> = HashMap::new();
+    let mut last = None;
+    column.visit_keys(filtered, |row, word| {
+        let code = match last {
+            Some((previous, code)) if previous == word => code,
+            _ => {
+                let next = firsts.len() as u32;
+                let code = *index.entry(word).or_insert_with(|| {
+                    firsts.push(RowId(row));
+                    next
+                });
+                last = Some((word, code));
+                code
+            }
+        };
+        codes.push(code);
+    });
+    (codes, firsts)
 }
 
 /// One aggregate call's argument bound to one table, read a row at a time
@@ -181,25 +232,34 @@ impl<'a> ArgReader<'a> {
     }
 }
 
-/// Computes the finished value of every aggregate SELECT item over one
-/// group's rows, in SELECT-list order of the aggregate items.
+/// Every aggregate SELECT item's function and argument, in SELECT-list
+/// order, bound to `table` once per statement.
+pub(crate) fn bind_aggregates<'a>(
+    table: &'a Table,
+    stmt: &'a SelectStatement,
+) -> Result<Vec<(AggregateFunc, ArgReader<'a>)>, EngineError> {
+    stmt.aggregates()
+        .into_iter()
+        .map(|call| Ok((call.func, ArgReader::bind(table, call)?)))
+        .collect()
+}
+
+/// Computes the finished value of every bound aggregate over one group's
+/// rows, in the order of `aggregates`.
 pub(crate) fn aggregate_outputs(
-    table: &Table,
-    stmt: &SelectStatement,
+    aggregates: &[(AggregateFunc, ArgReader<'_>)],
     g_rows: &[RowId],
 ) -> Result<Vec<Value>, EngineError> {
-    let mut outputs = Vec::new();
-    for item in &stmt.items {
-        if let SelectExpr::Aggregate(call) = &item.expr {
-            let mut state = AggregateState::new(call.func);
-            let arg = ArgReader::bind(table, call)?;
+    aggregates
+        .iter()
+        .map(|(func, arg)| {
+            let mut state = AggregateState::new(*func);
             for &rid in g_rows {
                 state.add(arg.value(rid)?);
             }
-            outputs.push(state.finish());
-        }
-    }
-    Ok(outputs)
+            Ok(state.finish())
+        })
+        .collect()
 }
 
 /// Projects one output row for a group: group-key columns come from the key,
@@ -522,6 +582,34 @@ mod tests {
         let r = run("SELECT hour, sensorid, count(*) FROM readings GROUP BY hour, sensorid");
         assert_eq!(r.len(), 5);
         assert_eq!(r.group_keys[0].len(), 2);
+    }
+
+    /// Every group's row list is allocated at exactly its length, over
+    /// more than two chunks, for zero, one and two key columns, with and
+    /// without a WHERE clause; together the lists hold every filtered row.
+    #[test]
+    fn group_row_lists_are_allocated_at_their_length() {
+        let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Str)]);
+        let mut t = Table::new("t", schema).unwrap();
+        let rows = 2 * dbwipes_storage::CHUNK_ROWS + 100;
+        t.push_rows(
+            (0..rows)
+                .map(|r| vec![Value::Int((r % 7) as i64), Value::str(["x", "y", "z"][r % 3])])
+                .collect(),
+        )
+        .unwrap();
+        for keys in ["", " GROUP BY a", " GROUP BY a, b", " GROUP BY b, a"] {
+            for filter in ["", " WHERE a > 2"] {
+                let stmt = parse_select(&format!("SELECT count(*) FROM t{filter}{keys}")).unwrap();
+                let filtered = scan_filter(&t, &stmt, 0).unwrap();
+                let (_, group_rows) = build_groups(&t, &stmt, &filtered).unwrap();
+                for list in &group_rows {
+                    assert_eq!(list.capacity(), list.len(), "{keys}{filter}");
+                }
+                let total: usize = group_rows.iter().map(Vec::len).sum();
+                assert_eq!(total, filtered.count_ones(), "{keys}{filter}");
+            }
+        }
     }
 
     #[test]

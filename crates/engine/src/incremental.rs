@@ -75,11 +75,11 @@
 //! of scanning, hashing and grouping the table.
 
 use crate::aggregate::AggregateState;
-use crate::ast::{AggregateCall, SelectExpr, SelectStatement};
+use crate::ast::{SelectExpr, SelectStatement};
 use crate::error::EngineError;
 use crate::executor::{
-    aggregate_outputs, build_groups, output_order, output_schema, project_row, scan_filter,
-    validate, ArgReader,
+    aggregate_outputs, bind_aggregates, build_groups, output_order, output_schema, project_row,
+    scan_filter, validate, ArgReader,
 };
 use crate::result::{in_order, QueryResult};
 use dbwipes_provenance::Lineage;
@@ -342,11 +342,8 @@ impl GroupedAggregateCache {
         // row passes the filter: exclusion bitmaps arrive sized to the table.
         self.row_slots.resize(table.num_rows(), (0u32, 0u32));
 
-        let agg_calls: Vec<&AggregateCall> = self.stmt.aggregates();
-        let args: Vec<ArgReader<'_>> =
-            agg_calls.iter().map(|call| ArgReader::bind(&table, call)).collect::<Result<_, _>>()?;
-        let (keys, group_rows) =
-            build_groups(&table, &self.stmt, filtered.iter_rows(), filtered.count_ones())?;
+        let aggregates = bind_aggregates(&table, &self.stmt)?;
+        let (keys, group_rows) = build_groups(&table, &self.stmt, &filtered)?;
         // `build_groups` names each key once, so each group is visited once.
         for (key, rows) in keys.into_iter().zip(group_rows) {
             let gi = match self.key_index.get(&key) {
@@ -361,23 +358,29 @@ impl GroupedAggregateCache {
                     self.groups.push(CachedGroup {
                         key,
                         rows: Vec::new(),
-                        states: agg_calls.iter().map(|c| AggregateState::new(c.func)).collect(),
+                        states: aggregates.iter().map(|(f, _)| AggregateState::new(*f)).collect(),
                         template: Vec::new(),
                     });
                     gi
                 }
             };
             let group = &mut self.groups[gi as usize];
-            for (state, arg) in group.states.iter_mut().zip(&args) {
+            for (state, (_, arg)) in group.states.iter_mut().zip(&aggregates) {
                 for &rid in &rows {
                     state.add(arg.value(rid)?);
                 }
             }
-            group.rows.reserve(rows.len());
-            for &rid in &rows {
-                let pos = u32::try_from(group.rows.len())
-                    .map_err(|_| EngineError::plan("group row list overflows the slot index"))?;
-                group.rows.push(rid);
+            // A new group keeps its exact-size list; an old one grows.
+            let start = group.rows.len();
+            if start == 0 {
+                group.rows = rows;
+            } else {
+                group.rows.extend_from_slice(&rows);
+            }
+            if u32::try_from(group.rows.len()).is_err() {
+                return Err(EngineError::plan("group row list overflows the slot index"));
+            }
+            for (pos, &rid) in (start as u32..).zip(&group.rows[start..]) {
                 self.row_slots[rid.index()] = (gi, pos);
             }
             let agg_outputs: Vec<Value> = group.states.iter().map(|s| s.finish()).collect();
@@ -512,6 +515,7 @@ impl GroupedAggregateCache {
         let table: &Table = &self.table;
         // Cannot fail: `fold` evaluated the same expressions on these rows.
         const FOLDED: &str = "evaluated on this row when it was folded in";
+        let aggregates = bind_aggregates(table, &self.stmt).expect(FOLDED);
 
         /// One remaining group: its output row and the rows behind it.
         struct Remaining<'c> {
@@ -535,7 +539,7 @@ impl GroupedAggregateCache {
             if kept.is_empty() && !self.stmt.group_by.is_empty() {
                 continue;
             }
-            let outputs = aggregate_outputs(table, &self.stmt, &kept).expect(FOLDED);
+            let outputs = aggregate_outputs(&aggregates, &kept).expect(FOLDED);
             let row = project_row(table, &self.stmt, &group.key, &kept, &outputs).expect(FOLDED);
             remaining.push(Remaining { row, key: &group.key, inputs: Cow::from(kept) });
         }
@@ -612,6 +616,7 @@ impl GroupedAggregateCache {
             self.touched_positions_of(set.iter(), Some(&wanted_set))
         });
 
+        let aggregates = bind_aggregates(&self.table, &self.stmt).expect("validated at build time");
         let mut rows = Vec::with_capacity(wanted.len());
         let mut out_keys = Vec::with_capacity(wanted.len());
         for gi in wanted {
@@ -623,7 +628,8 @@ impl GroupedAggregateCache {
                     continue;
                 }
                 for (slot, &item) in self.agg_item_indices.iter().enumerate() {
-                    row[item] = self.reaggregate(group, slot, positions).finish();
+                    row[item] =
+                        Self::reaggregate(group, slot, positions, &aggregates[slot].1).finish();
                 }
                 if emptied {
                     // The implicit group of a GROUP BY-less query: scalar
@@ -677,11 +683,15 @@ impl GroupedAggregateCache {
     /// One aggregate's state for a touched group: subtract the excluded
     /// contributions when the state supports removal, otherwise rebuild from
     /// the group's rows in original order (the MIN/MAX fallback). Argument
-    /// values are read back from the cache's own snapshot, the column
-    /// looked up once per call. `positions` must be sorted and deduplicated.
-    fn reaggregate(&self, group: &CachedGroup, slot: usize, positions: &[u32]) -> AggregateState {
-        let call = self.stmt.aggregates()[slot];
-        let arg = ArgReader::bind(&self.table, call).expect("validated at build time");
+    /// values are read back through `arg`, the aggregate's argument bound
+    /// to the cache's own snapshot. `positions` must be sorted and
+    /// deduplicated.
+    fn reaggregate(
+        group: &CachedGroup,
+        slot: usize,
+        positions: &[u32],
+        arg: &ArgReader<'_>,
+    ) -> AggregateState {
         let value = |rid: RowId| {
             // Cannot fail: `fold` already evaluated this argument on this
             // row, and rows of a snapshot (and of its append descendants)

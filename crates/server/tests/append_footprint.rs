@@ -30,9 +30,11 @@ const APPEND_ROWS: usize = 256;
 /// then) and the round it ends at.
 const FROM: usize = 100;
 const TO: usize = 600;
-/// Most resident bytes an appended row may cost: 64 of table, 16 of
-/// registry cache, 8 of displayed lineage, and allocator slack.
-const BYTES_PER_ROW: f64 = 120.0;
+/// Most resident bytes an appended row may cost: 39 of table (four
+/// floats at eight bytes; once sealed, the epoch at four and the sensor,
+/// hour and window at one), 16 of registry cache, 8 of displayed lineage,
+/// and allocator slack.
+const BYTES_PER_ROW: f64 = 85.0;
 
 const WITNESS_SQL: &str = "SELECT window, avg(temp) AS avg_temp, stddev(temp) AS std_temp \
                            FROM readings WHERE epoch >= -1 GROUP BY window ORDER BY window";
@@ -94,7 +96,7 @@ impl Drop for TempDir {
 
 #[test]
 #[ignore = "measures resident memory; run alone, in release, with --ignored"]
-fn an_appended_row_costs_at_most_120_resident_bytes() {
+fn an_appended_row_costs_at_most_85_resident_bytes() {
     let dir =
         TempDir(std::env::temp_dir().join(format!("dbwipes-footprint-{}", std::process::id())));
     let _ = std::fs::remove_dir_all(&dir.0);

@@ -5,7 +5,10 @@
 //! plus one owned *tail* chunk of fewer rows that appends write to. A chunk
 //! is a dense typed vector, with a parallel validity mask once it holds a
 //! NULL, so aggregate scans and the condition kernels still run over typed
-//! slices; they just run over one slice per chunk.
+//! slices; they just run over one slice per chunk. A tail holds its
+//! integers and timestamps at eight bytes; sealing stores them at the
+//! narrowest of one, two, four or eight bytes that holds every value of
+//! the chunk (see `Ints`), chosen from the values alone.
 //!
 //! The point of the split is what a copy costs. Cloning a column copies
 //! one pointer per sealed chunk and the tail, so a snapshot of a table
@@ -15,8 +18,13 @@
 //! that contains a sealed chunk shares it, and nothing ever writes to one.
 //! The copied tail is one chunk-sized buffer per vector, so a stream of
 //! appends reuses one block size instead of fragmenting the heap.
+//!
+//! Grouping reads a column through [`Column::visit_keys`]: each selected
+//! row's cell as a [`KeyWord`], typed words read chunk by chunk, with no
+//! [`Value`] per row.
 
 use crate::error::StorageError;
+use crate::rowset::RowSet;
 use crate::value::{DataType, Value};
 use std::ops::Range;
 use std::sync::Arc;
@@ -25,9 +33,10 @@ use std::sync::Arc;
 /// that locating a row is a shift and a mask, a multiple of 64 so that
 /// chunk boundaries fall on word boundaries of every bitmap and on byte
 /// boundaries of the bit-packed snapshot encoding, and at 16 384 rows an
-/// eight-byte chunk is 128 KiB — small enough that copying a tail is
+/// eight-byte tail is 128 KiB — small enough that copying a tail is
 /// microseconds, large enough that a 256k-row column is 16 pointers and
-/// the kernels' per-chunk set-up is noise (measured in docs/TUNING.md).
+/// the kernels' per-chunk set-up is noise (measured in docs/TUNING.md). A
+/// sealed integer chunk takes 16, 32, 64 or 128 KiB, by its width.
 pub const CHUNK_ROWS: usize = 1 << 14;
 
 /// Typed backing storage of a chunk.
@@ -39,20 +48,88 @@ pub const CHUNK_ROWS: usize = 1 << 14;
 #[derive(Debug)]
 pub(crate) enum ColumnData {
     Bool(Vec<bool>),
-    Int(Vec<i64>),
+    Int(Ints),
     Float(Vec<f64>),
     Str(Vec<String>),
-    Timestamp(Vec<i64>),
+    Timestamp(Ints),
+}
+
+/// The values of an integer or timestamp chunk, at one width. A tail is
+/// always `I64`, so a push never widens anything; sealing narrows it once
+/// ([`Ints::narrowed`]). Readers go through [`with_ints`], one arm for
+/// every width.
+#[derive(Debug)]
+pub(crate) enum Ints {
+    I8(Vec<i8>),
+    I16(Vec<i16>),
+    I32(Vec<i32>),
+    I64(Vec<i64>),
+}
+
+/// Evaluates `$body` with `$v` bound to the vector inside `$ints`, an
+/// [`Ints`] (or a reference to one), whatever its width: the one generic
+/// arm of every reader of an integer chunk.
+macro_rules! with_ints {
+    ($ints:expr, $v:ident => $body:expr) => {
+        match $ints {
+            $crate::column::Ints::I8($v) => $body,
+            $crate::column::Ints::I16($v) => $body,
+            $crate::column::Ints::I32($v) => $body,
+            // `$body` widens every width to `i64`: a no-op on this one.
+            #[allow(clippy::useless_conversion, clippy::unnecessary_cast)]
+            $crate::column::Ints::I64($v) => $body,
+        }
+    };
+}
+pub(crate) use with_ints;
+
+impl Ints {
+    fn len(&self) -> usize {
+        with_ints!(self, v => v.len())
+    }
+
+    /// The value at `at`, which is in bounds, widened back to `i64`.
+    #[inline]
+    fn get(&self, at: usize) -> i64 {
+        with_ints!(self, v => i64::from(v[at]))
+    }
+
+    /// The full-width vector of a tail, which is the only chunk pushes
+    /// and decodes write to.
+    pub(crate) fn wide(&mut self) -> &mut Vec<i64> {
+        match self {
+            Ints::I64(v) => v,
+            _ => unreachable!("a tail holds its integers at full width"),
+        }
+    }
+
+    /// `values` at the narrowest width that holds every one of them (a
+    /// NULL's slot holds what was written there, 0 for a push). An
+    /// `I64` chunk keeps the vector it was given; a narrower one is a new
+    /// vector of exactly `values.len()`.
+    fn narrowed(values: Vec<i64>) -> Ints {
+        let (lo, hi) = values.iter().fold((0, 0), |(lo, hi), &x| (x.min(lo), x.max(hi)));
+        let fits = |min: i64, max: i64| min <= lo && hi <= max;
+        if fits(i8::MIN.into(), i8::MAX.into()) {
+            Ints::I8(values.iter().map(|&x| x as i8).collect())
+        } else if fits(i16::MIN.into(), i16::MAX.into()) {
+            Ints::I16(values.iter().map(|&x| x as i16).collect())
+        } else if fits(i32::MIN.into(), i32::MAX.into()) {
+            Ints::I32(values.iter().map(|&x| x as i32).collect())
+        } else {
+            Ints::I64(values)
+        }
+    }
 }
 
 impl ColumnData {
     fn new(dtype: DataType) -> Result<Self, StorageError> {
         Ok(match dtype {
             DataType::Bool => ColumnData::Bool(Vec::new()),
-            DataType::Int => ColumnData::Int(Vec::new()),
+            DataType::Int => ColumnData::Int(Ints::I64(Vec::new())),
             DataType::Float => ColumnData::Float(Vec::new()),
             DataType::Str => ColumnData::Str(Vec::new()),
-            DataType::Timestamp => ColumnData::Timestamp(Vec::new()),
+            DataType::Timestamp => ColumnData::Timestamp(Ints::I64(Vec::new())),
             DataType::Null => {
                 return Err(StorageError::TypeMismatch {
                     expected: "a concrete column type".into(),
@@ -78,7 +155,7 @@ impl ColumnData {
         let additional = rows.next_power_of_two().saturating_sub(self.len());
         match self {
             ColumnData::Bool(v) => v.reserve_exact(additional),
-            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.reserve_exact(additional),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.wide().reserve_exact(additional),
             ColumnData::Float(v) => v.reserve_exact(additional),
             ColumnData::Str(v) => v.reserve_exact(additional),
         }
@@ -105,7 +182,8 @@ pub(crate) fn all_valid(len: usize) -> Vec<bool> {
 ///
 /// Every vector of a tail has a capacity that is zero or a power of two no
 /// larger than [`CHUNK_ROWS`], so the doubling of its pushes ends at
-/// exactly a chunk and sealing a full tail moves nothing.
+/// exactly a chunk and sealing a full tail moves nothing but the integers
+/// it narrows.
 #[derive(Debug)]
 pub(crate) struct Chunk {
     data: ColumnData,
@@ -123,11 +201,15 @@ pub(crate) struct Chunk {
 /// two.
 impl Clone for Chunk {
     fn clone(&self) -> Self {
+        let ints = |v: &Ints| match v {
+            Ints::I64(v) => Ints::I64(chunk_buffer(v)),
+            _ => unreachable!("a tail holds its integers at full width"),
+        };
         let data = match &self.data {
             ColumnData::Bool(v) => ColumnData::Bool(chunk_buffer(v)),
-            ColumnData::Int(v) => ColumnData::Int(chunk_buffer(v)),
+            ColumnData::Int(v) => ColumnData::Int(ints(v)),
             ColumnData::Float(v) => ColumnData::Float(chunk_buffer(v)),
-            ColumnData::Timestamp(v) => ColumnData::Timestamp(chunk_buffer(v)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(ints(v)),
             ColumnData::Str(v) => {
                 let mut out = Vec::with_capacity(v.len().next_power_of_two());
                 out.extend(v.iter().cloned());
@@ -173,10 +255,10 @@ impl Chunk {
         }
         match &self.data {
             ColumnData::Bool(v) => Value::Bool(v[at]),
-            ColumnData::Int(v) => Value::Int(v[at]),
+            ColumnData::Int(v) => Value::Int(v.get(at)),
             ColumnData::Float(v) => Value::Float(v[at]),
             ColumnData::Str(v) => Value::Str(v[at].clone()),
-            ColumnData::Timestamp(v) => Value::Timestamp(v[at]),
+            ColumnData::Timestamp(v) => Value::Timestamp(v.get(at)),
         }
     }
 
@@ -184,13 +266,56 @@ impl Chunk {
     fn approx_bytes(&self) -> usize {
         let values = match &self.data {
             ColumnData::Bool(v) => v.len(),
-            ColumnData::Int(v) | ColumnData::Timestamp(v) => 8 * v.len(),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => {
+                with_ints!(v, v => std::mem::size_of_val(v.as_slice()))
+            }
             ColumnData::Float(v) => 8 * v.len(),
             ColumnData::Str(v) => {
                 v.iter().map(|s| std::mem::size_of::<String>() + s.len()).sum::<usize>()
             }
         };
         values + self.validity.as_ref().map_or(0, Vec::len)
+    }
+}
+
+/// One row's cell as a group-by key word, read by [`Column::visit_keys`].
+/// Two cells of a column are the same word exactly when their [`Value`]s
+/// are equal: a numeric cell is the bit pattern of its `f64` (so `-0.0`
+/// and `0.0` are two words, as are two NaN payloads, and integers beyond
+/// 2^53 that round to one `f64` are one), a Bool is its bit, a string is
+/// the string, borrowed, and NULL is a word of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KeyWord<'a> {
+    /// A NULL cell.
+    Null,
+    /// A numeric cell's `f64` bit pattern, or a Bool's bit.
+    Bits(u64),
+    /// A string cell.
+    Str(&'a str),
+}
+
+/// [`Column::visit_keys`] over one chunk's typed vector: `sel` holds the
+/// selection's words from the chunk's first row, `base`, on.
+#[inline]
+fn visit_chunk<'a, T>(
+    xs: &'a [T],
+    valid: Option<&[bool]>,
+    sel: &[u64],
+    base: usize,
+    word: impl Fn(&'a T) -> KeyWord<'a>,
+    visit: &mut impl FnMut(usize, KeyWord<'a>),
+) {
+    for (w, &bits) in sel.iter().enumerate() {
+        let mut left = bits;
+        while left != 0 {
+            let at = w * 64 + left.trailing_zeros() as usize;
+            left &= left - 1;
+            let key = match valid {
+                Some(valid) if !valid[at] => KeyWord::Null,
+                _ => word(&xs[at]),
+            };
+            visit(base + at, key);
+        }
     }
 }
 
@@ -261,12 +386,12 @@ impl Column {
                 return Ok(());
             }
             (ColumnData::Bool(v), Value::Bool(b)) => v.push(b),
-            (ColumnData::Int(v), Value::Int(i)) => v.push(i),
-            (ColumnData::Int(v), Value::Float(f)) => v.push(f as i64),
+            (ColumnData::Int(v), Value::Int(i)) => v.wide().push(i),
+            (ColumnData::Int(v), Value::Float(f)) => v.wide().push(f as i64),
             (ColumnData::Float(v), Value::Float(f)) => v.push(f),
             (ColumnData::Float(v), Value::Int(i)) => v.push(i as f64),
             (ColumnData::Str(v), Value::Str(s)) => v.push(s),
-            (ColumnData::Timestamp(v), Value::Timestamp(t) | Value::Int(t)) => v.push(t),
+            (ColumnData::Timestamp(v), Value::Timestamp(t) | Value::Int(t)) => v.wide().push(t),
             _ => unreachable!("Column::accepts admits only what a column stores"),
         }
         if let Some(validity) = &mut self.tail.validity {
@@ -282,23 +407,28 @@ impl Column {
         self.tail.validity.get_or_insert_with(|| all_valid(len)).push(false);
         match &mut self.tail.data {
             ColumnData::Bool(v) => v.push(false),
-            ColumnData::Int(v) => v.push(0),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => v.wide().push(0),
             ColumnData::Float(v) => v.push(0.0),
             ColumnData::Str(v) => v.push(String::new()),
-            ColumnData::Timestamp(v) => v.push(0),
         }
         self.seal_full_tail();
     }
 
     /// Moves a tail that has reached [`CHUNK_ROWS`] rows behind an `Arc`
     /// and starts an empty one. Its vectors are a chunk's size already
-    /// (see [`Chunk`]), so nothing is copied.
+    /// (see [`Chunk`]), so nothing is copied but integers, which are
+    /// narrowed to the width their values need.
     fn seal_full_tail(&mut self) {
         if self.tail.len() < CHUNK_ROWS {
             return;
         }
         let fresh = Chunk::new(self.dtype).expect("existing column has a concrete type");
-        self.sealed.push(Arc::new(std::mem::replace(&mut self.tail, fresh)));
+        let mut full = std::mem::replace(&mut self.tail, fresh);
+        if let ColumnData::Int(v) | ColumnData::Timestamp(v) = &mut full.data {
+            let wide = std::mem::take(v.wide());
+            *v = Ints::narrowed(wide);
+        }
+        self.sealed.push(Arc::new(full));
     }
 
     /// The chunk holding `row` and the row's offset in it, or `None` when
@@ -326,9 +456,8 @@ impl Column {
             return None;
         }
         match &chunk.data {
-            ColumnData::Int(v) => Some(v[at] as f64),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => with_ints!(v, v => Some(v[at] as f64)),
             ColumnData::Float(v) => Some(v[at]),
-            ColumnData::Timestamp(v) => Some(v[at] as f64),
             ColumnData::Bool(v) => Some(if v[at] { 1.0 } else { 0.0 }),
             ColumnData::Str(_) => None,
         }
@@ -385,6 +514,38 @@ impl Column {
             let chunk = self.sealed.get(idx).map_or(&self.tail, |sealed| &**sealed);
             (chunk, rows.start.max(base) - base..rows.end.min(base + CHUNK_ROWS) - base)
         })
+    }
+
+    /// Hands `visit` every row of `rows`, a selection over this column's
+    /// rows, in ascending order, with its cell as a [`KeyWord`]: the group
+    /// stage's one read of a column, a typed loop per chunk over the
+    /// selection's set bits.
+    ///
+    /// # Panics
+    /// When `rows` is not a set over this column's rows.
+    pub fn visit_keys<'a>(&'a self, rows: &RowSet, mut visit: impl FnMut(usize, KeyWord<'a>)) {
+        assert_eq!(rows.universe(), self.len(), "a selection over another column's rows");
+        let words = rows.word_slice();
+        for (idx, (chunk, at)) in self.pieces(0..self.len()).enumerate() {
+            let base = idx * CHUNK_ROWS;
+            let sel = &words[base / 64..(base + at.end).div_ceil(64)];
+            let valid = chunk.validity.as_deref();
+            let visit = &mut visit;
+            match &chunk.data {
+                ColumnData::Bool(v) => {
+                    visit_chunk(v, valid, sel, base, |&b| KeyWord::Bits(b.into()), visit)
+                }
+                ColumnData::Int(v) | ColumnData::Timestamp(v) => with_ints!(v, v => {
+                    visit_chunk(v, valid, sel, base, |&x| KeyWord::Bits((x as f64).to_bits()), visit)
+                }),
+                ColumnData::Float(v) => {
+                    visit_chunk(v, valid, sel, base, |x| KeyWord::Bits(x.to_bits()), visit)
+                }
+                ColumnData::Str(v) => {
+                    visit_chunk(v, valid, sel, base, |s| KeyWord::Str(s.as_str()), visit)
+                }
+            }
+        }
     }
 
     /// Appends `rows` rows a chunk's worth at a time, for the persistence
@@ -613,16 +774,27 @@ mod tests {
         }
     }
 
-    /// Where a chunk's fixed-width data vector lives, and its capacity;
-    /// `None` for strings.
+    /// Where a chunk's fixed-width data vector lives, and its capacity in
+    /// values; `None` for strings.
     fn data_buffer(chunk: &Chunk) -> Option<(*const (), usize)> {
         match &chunk.data {
             ColumnData::Bool(v) => Some((v.as_ptr().cast(), v.capacity())),
             ColumnData::Int(v) | ColumnData::Timestamp(v) => {
-                Some((v.as_ptr().cast(), v.capacity()))
+                with_ints!(v, v => Some((v.as_ptr().cast(), v.capacity())))
             }
             ColumnData::Float(v) => Some((v.as_ptr().cast(), v.capacity())),
             ColumnData::Str(_) => None,
+        }
+    }
+
+    /// The bytes an integer chunk stores a value in.
+    fn width(chunk: &Chunk) -> usize {
+        fn of<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        match &chunk.data {
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => with_ints!(v, v => of(v)),
+            other => panic!("{other:?} is not an integer chunk"),
         }
     }
 
@@ -635,7 +807,8 @@ mod tests {
     /// The 0 %-tolerance counterpart of the wall-clock claim: a
     /// copy-on-write append to a table somebody else holds copies the tail
     /// of each column and nothing else, into one chunk-sized buffer that
-    /// neither the append nor the seal after it moves.
+    /// the append does not move. The seal after it moves no float or bool
+    /// buffer, and narrows each integer one once.
     #[test]
     fn an_append_to_a_shared_snapshot_copies_only_the_tail() {
         use crate::{Catalog, Condition, RowId, Schema, Table};
@@ -697,7 +870,9 @@ mod tests {
 
         // An append that fills the tail seals exactly one chunk per column,
         // and the chunks sealed before are the same chunks still.
-        // Sealing moves no buffer either: the full tail is the chunk.
+        // Sealing moves no float or bool buffer: the full tail is the
+        // chunk. It narrows an integer one once, into exactly a chunk at
+        // the width its values need: `i` holds -500..500, `t` up to 59 940.
         drop(old);
         let fill = 3 * CHUNK_ROWS - new.num_rows();
         let copy = catalog.table_mut("t").unwrap();
@@ -711,7 +886,15 @@ mod tests {
             assert!(before.sealed.iter().zip(&after.sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
             sealed.extend(data_buffer(&after.sealed[2]));
         }
-        assert_eq!(sealed, copied, "sealing a full tail moved its buffer");
+        // `copied` and `sealed` hold columns i, f, b and t, in that order.
+        assert_eq!([sealed[1], sealed[2]], [copied[1], copied[2]], "sealing moved a buffer");
+        for (k, (c, bytes)) in [(0, (0, 2)), (3, (4, 4))] {
+            assert_ne!(sealed[k].0, copied[k].0, "column {c} was not narrowed");
+            assert_eq!(sealed[k].1, CHUNK_ROWS, "column {c}");
+            assert_eq!(width(&full.column(c).unwrap().sealed[2]), bytes, "column {c}");
+        }
+        let pushed = |r: usize| row(if r < ROWS + 256 { r } else { r - ROWS - 256 });
+        assert!((0..3 * CHUNK_ROWS).all(|r| full.row(RowId(r)).unwrap() == pushed(r)));
     }
 
     /// One non-NULL value of each type.
@@ -757,20 +940,118 @@ mod tests {
         }
     }
 
-    /// A table that holds no NULL costs its values and nothing else: an
-    /// 8-column numeric row is 64 bytes.
+    /// A table that holds no NULL costs its values and nothing else: a
+    /// float, and an integer or timestamp in the tail, eight bytes; a
+    /// sealed integer or timestamp the width of its chunk, the narrowest
+    /// that holds every value in it.
     #[test]
-    fn a_null_free_numeric_table_costs_eight_bytes_a_value() {
+    fn a_null_free_numeric_table_costs_its_width_a_value() {
         use crate::{Schema, Table};
-        let dtypes = [DataType::Int, DataType::Timestamp, DataType::Float];
-        let fields: Vec<(String, DataType)> =
-            (0..8).map(|c| (format!("c{c}"), dtypes[c % 3])).collect();
-        let fields: Vec<(&str, DataType)> = fields.iter().map(|(n, d)| (n.as_str(), *d)).collect();
-        let mut table = Table::new("t", Schema::of(&fields)).unwrap();
+        let schema = Schema::of(&[
+            ("i8", DataType::Int),
+            ("i16", DataType::Timestamp),
+            ("i32", DataType::Int),
+            ("i64", DataType::Timestamp),
+            ("f", DataType::Float),
+        ]);
+        let mut table = Table::new("t", schema).unwrap();
         const ROWS: usize = CHUNK_ROWS + 100;
-        let row = |r: usize| vec![Value::Int(r as i64); 8];
+        let row = |r: usize| {
+            let r = r as i64;
+            let ints = [r % 128, r, r * 1000, r << 32].map(Value::Int);
+            ints.into_iter().chain([Value::Float(r as f64)]).collect()
+        };
         table.push_rows((0..ROWS).map(row).collect()).unwrap();
-        assert_eq!(table.approx_bytes(), 64 * ROWS);
+        let widths: Vec<usize> =
+            (0..4).map(|c| width(&table.column(c).unwrap().sealed[0])).collect();
+        assert_eq!(widths, [1, 2, 4, 8]);
+        assert_eq!(table.approx_bytes(), (1 + 2 + 4 + 8 + 8) * CHUNK_ROWS + 5 * 8 * 100);
+    }
+
+    /// Every width at its edges. A chunk whose values reach exactly a
+    /// width's MIN and MAX seals at that width, and one a step past either
+    /// seals at the next. Whatever the widths, across two seals and with
+    /// NULLs, every reader, the condition kernels and the codec see the
+    /// values that were pushed, and a decoded table narrows alike.
+    #[test]
+    fn every_integer_width_reads_back_at_its_edges() {
+        use crate::persist::{decode_table, encode_table};
+        use crate::{Condition, Schema, Table};
+        // A chunk's lowest and highest value, and the bytes it seals at.
+        let cases: [(i64, i64, usize); 10] = [
+            (i8::MIN.into(), i8::MAX.into(), 1),
+            (i64::from(i8::MIN) - 1, 0, 2),
+            (0, i64::from(i8::MAX) + 1, 2),
+            (i16::MIN.into(), i16::MAX.into(), 2),
+            (i64::from(i16::MIN) - 1, 0, 4),
+            (0, i64::from(i16::MAX) + 1, 4),
+            (i32::MIN.into(), i32::MAX.into(), 4),
+            (i64::from(i32::MIN) - 1, 0, 8),
+            (0, i64::from(i32::MAX) + 1, 8),
+            (i64::MIN, i64::MAX, 8),
+        ];
+        // Row `r` of a chunk of case `(lo, hi)`: NULL, the edges, a step
+        // inside each, then values spread over the whole range.
+        let cell = |(lo, hi, _): (i64, i64, usize), r: usize| match r % 7 {
+            0 => Value::Null,
+            1 => Value::Int(lo),
+            2 => Value::Int(hi),
+            3 => Value::Int(lo + 1),
+            4 => Value::Int(hi - 1),
+            _ => {
+                let (lo, hi) = (i128::from(lo), i128::from(hi));
+                Value::Int((lo + (hi - lo) * (r % 997) as i128 / 996) as i64)
+            }
+        };
+        const ROWS: usize = 2 * CHUNK_ROWS + 100;
+        for (i, &first) in cases.iter().enumerate() {
+            let second = cases[(i + 1) % cases.len()];
+            let chunk_case = [first, second, first];
+            let model: Vec<Value> =
+                (0..ROWS).map(|r| cell(chunk_case[r / CHUNK_ROWS], r)).collect();
+            let schema = Schema::of(&[("i", DataType::Int), ("t", DataType::Timestamp)]);
+            let mut table = Table::new("t", schema).unwrap();
+            table.push_rows(model.iter().map(|v| vec![v.clone(), v.clone()]).collect()).unwrap();
+            let decoded = decode_table(&encode_table(&table)).unwrap();
+            assert_eq!(encode_table(&decoded), encode_table(&table), "{first:?} then {second:?}");
+            for t in [&table, &decoded] {
+                for (c, wrap) in [(0, Value::Int as fn(i64) -> Value), (1, Value::Timestamp)] {
+                    let column = t.column(c).unwrap();
+                    let widths = [&*column.sealed[0], &*column.sealed[1], &column.tail].map(width);
+                    assert_eq!(widths, [first.2, second.2, 8], "{first:?} then {second:?}");
+                    let model: Vec<Value> =
+                        model.iter().map(|v| v.as_i64().map_or(Value::Null, wrap)).collect();
+                    assert!(column.iter().eq(model.iter().cloned()), "{first:?} then {second:?}");
+                    for (row, value) in model.iter().enumerate() {
+                        assert_eq!(column.get(row).as_ref(), Some(value), "row {row}");
+                        assert_eq!(column.get_f64(row), value.as_f64(), "row {row}");
+                    }
+                }
+                // The kernels, through an equality and a closed range at
+                // each edge of both cases.
+                let bitmaps = t.condition_bitmaps();
+                for (lo, hi, _) in [first, second] {
+                    for edge in [lo, hi, lo + 1, hi - 1] {
+                        let (edge_f, lo_f) = (edge as f64, lo as f64);
+                        for name in ["i", "t"] {
+                            let conds: [(Condition, &dyn Fn(f64) -> bool); 2] = [
+                                (Condition::equals(name, edge), &|x| x.total_cmp(&edge_f).is_eq()),
+                                (Condition::between(name, lo_f, edge_f), &|x| {
+                                    lo_f <= x && x <= edge_f
+                                }),
+                            ];
+                            for (cond, test) in conds {
+                                let tri = bitmaps.condition(t, &cond).unwrap();
+                                for (row, value) in model.iter().enumerate() {
+                                    let want = value.as_f64().map(test);
+                                    assert_eq!(tri.value(row), want, "{cond:?} at row {row}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

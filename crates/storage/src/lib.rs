@@ -62,7 +62,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::Catalog;
-pub use column::{Column, CHUNK_ROWS};
+pub use column::{Column, KeyWord, CHUNK_ROWS};
 pub use error::StorageError;
 pub use expr::{col, lit, BinaryOp, Expr, UnaryOp};
 pub use faults::{FaultInjectingBackend, FaultKind, FaultPlan};

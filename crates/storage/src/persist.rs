@@ -53,7 +53,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::column::{all_valid, Column, ColumnData};
+use crate::column::{all_valid, with_ints, Column, ColumnData};
 use crate::error::StorageError;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -378,11 +378,12 @@ fn encode_column(w: &mut ByteWriter, col: &Column, rows: Range<usize>) {
             w.put_u64(count as u64);
             for (chunk, at) in col.pieces(rows) {
                 match chunk.values() {
-                    ColumnData::Int(v) | ColumnData::Timestamp(v) => {
+                    // Widened back: the bytes do not show a chunk's width.
+                    ColumnData::Int(v) | ColumnData::Timestamp(v) => with_ints!(v, v => {
                         for &x in &v[at] {
-                            w.put_i64(x);
+                            w.put_i64(x.into());
                         }
-                    }
+                    }),
                     ColumnData::Float(v) => {
                         for &x in &v[at] {
                             w.put_f64(x);
@@ -466,7 +467,7 @@ fn decode_column(r: &mut ByteReader<'_>, col: &mut Column) -> Result<(), Storage
         match (data, &encoded) {
             (ColumnData::Bool(v), EncodedValues::Bits(packed)) => unpack_bits(packed, at, v),
             (ColumnData::Int(v) | ColumnData::Timestamp(v), EncodedValues::Words(bytes)) => {
-                v.extend(le_words(bytes, at).map(|x| x as i64))
+                v.wide().extend(le_words(bytes, at).map(|x| x as i64))
             }
             (ColumnData::Float(v), EncodedValues::Words(bytes)) => {
                 v.extend(le_words(bytes, at).map(f64::from_bits))

@@ -10,7 +10,7 @@
 //! (`OR`, `NOT`, constants) exists once, as [`Expr`], and both compile to
 //! the one [`CompiledBoolExpr`].
 
-use crate::column::{Column, ColumnData};
+use crate::column::{with_ints, Column, ColumnData};
 use crate::error::StorageError;
 use crate::expr::{col, lit, BinaryOp, Expr, UnaryOp};
 use crate::rowset::RowSet;
@@ -1051,13 +1051,10 @@ fn scan_numeric(
     for (chunk, rows) in column.pieces(0..num_rows) {
         let valid = &chunk.valid()[rows.clone()];
         match chunk.values() {
-            ColumnData::Int(v) => {
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => with_ints!(v, v => {
                 out.chunk(base, &v[rows.clone()], valid, sel, |x| test(*x as f64))
-            }
+            }),
             ColumnData::Float(v) => out.chunk(base, &v[rows.clone()], valid, sel, |x| test(*x)),
-            ColumnData::Timestamp(v) => {
-                out.chunk(base, &v[rows.clone()], valid, sel, |x| test(*x as f64))
-            }
             ColumnData::Bool(v) => {
                 out.chunk(base, &v[rows.clone()], valid, sel, |x| test(if *x { 1.0 } else { 0.0 }))
             }

@@ -1,8 +1,12 @@
 //! Property-based tests over the storage, engine and provenance invariants
 //! the rest of the system relies on.
 
+mod common;
+
 use dbwipes::engine::{execute, parse_select, ExecOptions};
-use dbwipes::storage::{col, lit, Condition, ConjunctivePredicate, DataType, Schema, Value};
+use dbwipes::storage::{
+    col, lit, Condition, ConjunctivePredicate, DataType, Schema, Value, CHUNK_ROWS,
+};
 use dbwipes::{RowId, Table};
 use proptest::prelude::*;
 
@@ -26,6 +30,121 @@ fn arbitrary_table() -> impl Strategy<Value = Table> {
         }
         t
     })
+}
+
+/// The cells the group stage must tell apart, or not: per column a small
+/// pool, drawn from with NULLs. `i` draws, chunk by chunk, from the pool
+/// of the width class `widths` gives that chunk, so its chunks seal at
+/// one, two, four and eight bytes; each pool also holds 0 and 1, so equal
+/// values meet across widths. Ints beyond 2^53 share an `f64` (2^53 and
+/// 2^53 + 1, `i64::MAX` and `i64::MAX - 1`), floats hold both zeros and
+/// three NaN payloads, strings differ by case and by a prefix.
+fn grouping_table(seed: u64, rows: usize, widths: [usize; 3]) -> Table {
+    const P53: i64 = 1 << 53;
+    let ints: [&[i64]; 4] = [
+        &[-128, 127, -1, 0, 1],
+        &[-129, 128, i16::MIN as i64, i16::MAX as i64, 0, 1],
+        &[-32_769, 32_768, i32::MIN as i64, i32::MAX as i64, 0, 1],
+        &[P53, P53 + 1, P53 + 2, -P53 - 1, i64::MIN, i64::MAX, i64::MAX - 1, 0, 1],
+    ];
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        -f64::NAN,
+        1.0,
+        1.5,
+        f64::INFINITY,
+    ];
+    let strs = ["", "a", "A", "ab", "b", "\u{fc}"];
+    let stamps = [0, 60, 3600, 1 << 40, -1];
+    let schema = Schema::of(&[
+        ("i", DataType::Int),
+        ("t", DataType::Timestamp),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+        ("b", DataType::Bool),
+        ("v", DataType::Float),
+    ]);
+    let mut table = Table::new("g", schema).unwrap();
+    let cells = (0..rows).map(|r| {
+        let draw = |c: u64| common::mix(seed ^ common::mix(r as u64 * 8 + c));
+        let pick = |c: u64, n: usize| (draw(c) % 8 != 0).then(|| (draw(c) >> 8) as usize % n);
+        let pool = ints[widths[(r / CHUNK_ROWS).min(2)]];
+        vec![
+            pick(0, pool.len()).map_or(Value::Null, |k| Value::Int(pool[k])),
+            pick(1, stamps.len()).map_or(Value::Null, |k| Value::Timestamp(stamps[k])),
+            pick(2, floats.len()).map_or(Value::Null, |k| Value::Float(floats[k])),
+            pick(3, strs.len()).map_or(Value::Null, |k| Value::str(strs[k])),
+            pick(4, 2).map_or(Value::Null, |k| Value::Bool(k == 1)),
+            pick(5, 1000).map_or(Value::Null, |k| Value::Float(k as f64 / 10.0)),
+        ]
+    });
+    table.push_rows(cells.collect()).unwrap();
+    table
+}
+
+/// The GROUP BY lists `grouping_matches_a_naive_reference` draws from.
+const GROUPINGS: [&str; 9] = ["i", "t", "f", "s", "b", "i, s", "f, b", "s, i", "b, t, f"];
+
+/// A value with every bit that tells it apart: `Value` equality cannot
+/// see which of two Ints that share an `f64`, or which NaN, a key holds.
+fn exact(v: &Value) -> String {
+    match v {
+        Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+proptest! {
+    // Each case is a table of more than a chunk's rows.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The group stage against a naive reference over more than a chunk's
+    /// rows: one linear search per row through the groups seen so far,
+    /// under `Value` equality, groups in first-seen order with the first
+    /// row's values as their key. Through `execute`, sorted by key: the
+    /// same keys, to the last bit; the same rows per group, in scan order.
+    #[test]
+    fn grouping_matches_a_naive_reference(
+        seed in any::<u64>(),
+        extra in 1..CHUNK_ROWS + 64,
+        widths in (0usize..4, 0usize..4, 0usize..4),
+        keys in 0..GROUPINGS.len(),
+        threshold in proptest::option::of(0.0..100.0f64),
+    ) {
+        let (table, keys) = (grouping_table(seed, CHUNK_ROWS + extra, widths.into()), GROUPINGS[keys]);
+        let where_clause = threshold.map_or(String::new(), |t| format!(" WHERE v > {t}"));
+        let stmt = parse_select(&format!(
+            "SELECT {keys}, count(*) AS n FROM g{where_clause} GROUP BY {keys}"
+        )).unwrap();
+        let result = execute(&table, &stmt, ExecOptions::default()).unwrap();
+
+        let columns: Vec<&str> = keys.split(", ").collect();
+        let mut groups: Vec<(Vec<Value>, Vec<RowId>)> = Vec::new();
+        for row in table.row_ids() {
+            let v = table.value_by_name(row, "v").unwrap().as_f64();
+            if threshold.is_some_and(|t| !v.is_some_and(|v| v > t)) {
+                continue;
+            }
+            let key: Vec<Value> =
+                columns.iter().map(|c| table.value_by_name(row, c).unwrap()).collect();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, rows)) => rows.push(row),
+                None => groups.push((key, vec![row])),
+            }
+        }
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+
+        let exact_key = |key: &[Value]| key.iter().map(exact).collect::<Vec<_>>();
+        prop_assert_eq!(result.len(), groups.len());
+        for (i, (key, rows)) in groups.iter().enumerate() {
+            prop_assert_eq!(exact_key(&result.group_keys[i]), exact_key(key));
+            prop_assert_eq!(result.inputs_of(i), rows.as_slice());
+            prop_assert_eq!(result.value(i, "n").unwrap(), Value::Int(rows.len() as i64));
+        }
+    }
 }
 
 proptest! {
