@@ -285,12 +285,13 @@ impl GroupedAggregateCache {
 
     /// Absorbs the rows appended to the table since this cache was built,
     /// without touching any retained state for pre-existing rows, and
-    /// co-owns `table` instead of its old snapshot. `table` must be the
-    /// cache's table at the same or a later version (a table only grows,
-    /// so that is the cached rows plus appended ones). Appended rows are
-    /// filtered, grouped and folded into the retained aggregate states
-    /// exactly as a fresh [`GroupedAggregateCache::build_shared`] over the
-    /// grown table would — insertion is exact for every aggregate
+    /// co-owns `table` instead of its old snapshot. `table` must extend the
+    /// cache's table ([`Table::extends`]): the cached rows plus appended
+    /// ones, under the same id or one a diverging clone forked off it.
+    /// Appended rows are filtered, grouped and folded into the retained
+    /// aggregate states exactly as a fresh
+    /// [`GroupedAggregateCache::build_shared`] over the grown table
+    /// would — insertion is exact for every aggregate
     /// including MIN/MAX (only *removal* needs their rescan fallback) — so
     /// an absorbed cache is indistinguishable from a rebuilt one: same
     /// groups in the same first-seen order (new groups append after all
@@ -299,24 +300,13 @@ impl GroupedAggregateCache {
     /// filter.
     pub fn absorb_append_shared(&mut self, table: Arc<Table>) -> Result<usize, EngineError> {
         let old_rows = self.table.num_rows();
-        if table.id() != self.table.id() {
+        if !table.extends(&self.table) {
             return Err(EngineError::plan(format!(
-                "cannot absorb appends from table '{}' into a cache built over '{}'",
-                table.name(),
-                self.table.name()
+                "table '{}' does not extend the {old_rows} rows this cache was built over",
+                table.name()
             )));
         }
-        if table.version() < self.table.version() || table.num_rows() < old_rows {
-            return Err(EngineError::plan(format!(
-                "table '{}' at version {} ({} rows) does not extend the cached version {} ({} rows)",
-                table.name(),
-                table.version(),
-                table.num_rows(),
-                self.table.version(),
-                old_rows
-            )));
-        }
-        if table.version() == self.table.version() {
+        if table.num_rows() == old_rows {
             return Ok(0);
         }
         // Filter only the appended suffix — the old region is unchanged
@@ -402,7 +392,7 @@ impl GroupedAggregateCache {
     /// The fingerprint identifying this cache's (statement, table data)
     /// pair — what a registry keys reuse on. Cheap: no hashing of the data
     /// itself, just the statement's SQL rendering plus the table's identity
-    /// and version stamps.
+    /// and version.
     pub fn fingerprint(&self) -> CacheFingerprint {
         CacheFingerprint::of(&self.table, &self.stmt)
     }

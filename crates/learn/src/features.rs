@@ -622,8 +622,8 @@ mod tests {
         let f = space.extract(&t, &rows);
         let before = instances(&f);
 
-        // An append re-stamps the version, whether or not the new row is
-        // asked for.
+        // An append moves the version, whether or not the new row is asked
+        // for.
         let appended = t
             .push_row(vec![Value::Int(9), Value::Float(1.0), Value::str("lab"), Value::str("e")])
             .unwrap();

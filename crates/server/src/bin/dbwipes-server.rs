@@ -190,7 +190,7 @@ fn main() -> ExitCode {
         }
     };
     // Open durable storage *before* any table is created: opening
-    // advances the identity-stamp floor past everything in the manifest,
+    // advances the identity floor past every id in the manifest,
     // so freshly generated tables can never collide with restored ones.
     let runtime = match &options.data_dir {
         Some(dir) => match StorageRuntime::open(dir) {

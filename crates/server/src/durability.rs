@@ -29,9 +29,9 @@
 //!   actually succeeds — it carries the whole backlog, as one record when
 //!   the table only grew — self-heals the runtime back to healthy.
 //! * **Restore brings back tables, nothing derived** — the manifest
-//!   rebuilds the [`Catalog`] with every table's persisted identity
-//!   stamps. Aggregate caches and condition bitmaps belong to the
-//!   snapshot they index and are rebuilt on first use by the code that
+//!   rebuilds the [`Catalog`] with every table's persisted identity (and
+//!   its version, the row count), each table loaded once. Aggregate
+//!   caches and condition bitmaps belong to the snapshot they index and are rebuilt on first use by the code that
 //!   builds them cold; rebuilding costs about what decoding an image of
 //!   them did, so none is written.
 //!
@@ -142,8 +142,9 @@ impl StorageRuntime {
     }
 
     /// Rebuilds the full catalog from the manifest. Every restored table
-    /// keeps its persisted identity and version stamps, so cache
-    /// fingerprints minted before the restart still match.
+    /// keeps its persisted identity and row count, so cache fingerprints
+    /// minted before the restart still match. Each table is loaded once:
+    /// the catalog is then the one writer of its lineage.
     pub fn restore_catalog(&self) -> Result<Catalog, StorageError> {
         let manifest = self.backend.list_manifest()?;
         let mut catalog = Catalog::new();
@@ -215,10 +216,8 @@ impl StorageRuntime {
                 self.backend.evict(entry.table_id)?;
             }
         }
-        if let Some(entry) = manifest.entry(table.id()) {
-            if entry.version >= table.version() {
-                return Ok(false);
-            }
+        if manifest.entry(table.id()).is_some_and(|entry| entry.num_rows >= table.version()) {
+            return Ok(false);
         }
         match self.write_with_retries(|| self.backend.save_table(table)) {
             Ok(0) => Ok(false),

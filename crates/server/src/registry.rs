@@ -10,7 +10,7 @@
 //! [`CacheRegistry`] keeps built caches alive, keyed by
 //! [`CacheFingerprint`] (canonical statement SQL + table identity + table
 //! data version). The fingerprint keys make staleness structurally
-//! impossible rather than policed: every append re-stamps
+//! impossible rather than policed: every append moves
 //! [`Table::version`](dbwipes_storage::Table::version), so a stale cache
 //! is simply never *found* — it ages out of the LRU instead. Explicit
 //! [`CacheRegistry::invalidate_table`] additionally drops every entry of a

@@ -9,7 +9,7 @@ use dbwipes_data::{generate_sensor, SensorConfig};
 use dbwipes_server::{
     serve_pooled, Json, LineClient, PoolConfig, PoolStats, SessionManager, StorageRuntime,
 };
-use dbwipes_storage::{Catalog, FaultInjectingBackend, FaultPlan, FsBackend, Table};
+use dbwipes_storage::{Catalog, FaultInjectingBackend, FaultKind, FaultPlan, FsBackend, Table};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,9 +43,11 @@ impl Drop for TempDir {
     }
 }
 
-/// The demo sensor table. Cloning the one generated table into every
-/// catalog under test keeps identity stamps equal across managers, so
-/// replies can be compared byte for byte.
+/// The demo sensor table, the same rows on every call. Each manager under
+/// test gets a table of its own: a manager's catalog is the one writer of
+/// its table's lineage, and of two managers appending to clones of one
+/// table the second would take a fresh table id — its open sessions, still
+/// reading the old one, would not follow its appends.
 fn sensor_table() -> Table {
     generate_sensor(&SensorConfig {
         num_readings: 2700,
@@ -67,17 +69,15 @@ fn fs_runtime(dir: &std::path::Path) -> StorageRuntime {
 }
 
 /// A runtime whose writes follow the given fault plan.
-fn faulty_runtime(dir: &std::path::Path, plan: &str) -> StorageRuntime {
+fn faulty_runtime(dir: &std::path::Path, plan: FaultPlan) -> StorageRuntime {
     let fs = FsBackend::open(dir).unwrap();
-    let plan = FaultPlan::parse(plan).unwrap();
     StorageRuntime::with_backend(Box::new(FaultInjectingBackend::new(Box::new(fs), plan)))
 }
 
 /// Like [`faulty_runtime`], but a torn write also leaves its truncated
 /// bytes in `dir`, as a kill mid-`write(2)` would.
-fn tearing_runtime(dir: &std::path::Path, plan: &str) -> StorageRuntime {
+fn tearing_runtime(dir: &std::path::Path, plan: FaultPlan) -> StorageRuntime {
     let fs = FsBackend::open(dir).unwrap();
-    let plan = FaultPlan::parse(plan).unwrap();
     StorageRuntime::with_backend(Box::new(FaultInjectingBackend::with_torn_dir(
         Box::new(fs),
         plan,
@@ -180,12 +180,14 @@ fn scripted_session(manager: &SessionManager) -> Vec<String> {
 #[test]
 fn all_writes_failing_serves_bit_identical_answers_from_memory() {
     let (clean_dir, faulty_dir) = (TempDir::new(), TempDir::new());
-    let table = sensor_table();
 
-    let clean = SessionManager::new(catalog_of(table.clone()));
+    let clean = SessionManager::new(catalog_of(sensor_table()));
     clean.attach_storage(Arc::new(fs_runtime(clean_dir.path())));
-    let faulty = SessionManager::new(catalog_of(table));
-    faulty.attach_storage(Arc::new(faulty_runtime(faulty_dir.path(), "every:1:io")));
+    let faulty = SessionManager::new(catalog_of(sensor_table()));
+    faulty.attach_storage(Arc::new(faulty_runtime(
+        faulty_dir.path(),
+        FaultPlan::default().every(1, FaultKind::Io),
+    )));
 
     let clean_replies = scripted_session(&clean);
     let faulty_replies = scripted_session(&faulty);
@@ -225,7 +227,8 @@ fn degraded_mode_self_heals_on_the_first_successful_write() {
     // Attempts 1..=8 fail: the registration save (1-4) enters degraded
     // mode, the first append (5-8) stays degraded, the second append
     // (attempt 9) lands and self-heals.
-    let runtime = Arc::new(faulty_runtime(dir.path(), "range:1:8:io"));
+    let runtime =
+        Arc::new(faulty_runtime(dir.path(), FaultPlan::default().range(1, 8, FaultKind::Io)));
     let manager = SessionManager::new(Catalog::new());
     manager.attach_storage(Arc::clone(&runtime));
 
@@ -297,7 +300,8 @@ fn concurrent_appenders_and_readers_lose_nothing_and_heal() {
     // As in the serial self-heal test: the registration's save exhausts
     // attempts 1..=4 and degrades, and 5..=8 fail whichever appends draw
     // them; every later write lands.
-    let runtime = Arc::new(faulty_runtime(dir.path(), "range:1:8:io"));
+    let runtime =
+        Arc::new(faulty_runtime(dir.path(), FaultPlan::default().range(1, 8, FaultKind::Io)));
     let manager = SessionManager::new(Catalog::new());
     manager.attach_storage(Arc::clone(&runtime));
     manager.register_table(sensor_table());
@@ -364,7 +368,10 @@ fn a_torn_segment_degrades_and_the_next_landed_save_heals_with_the_whole_backlog
     // the first append's try and its three retries: each crashes 40 bytes
     // into the data record, leaving a torn tail after the file's durable
     // end.
-    let runtime = Arc::new(tearing_runtime(dir.path(), "range:2:5:torn@40"));
+    let runtime = Arc::new(tearing_runtime(
+        dir.path(),
+        FaultPlan::default().range(2, 5, FaultKind::Torn(40)),
+    ));
     let manager = SessionManager::new(Catalog::new());
     manager.attach_storage(Arc::clone(&runtime));
     let table = sensor_table();
@@ -401,7 +408,10 @@ fn a_torn_segment_degrades_and_the_next_landed_save_heals_with_the_whole_backlog
 fn segment_writes_retry_transient_faults_and_fail_fast_on_a_full_disk() {
     let dir = TempDir::new();
     // Attempt 1 is the registration; every later attempt is a segment.
-    let runtime = Arc::new(faulty_runtime(dir.path(), "at:2:io;at:4:enospc;at:6:flaky"));
+    let runtime = Arc::new(faulty_runtime(
+        dir.path(),
+        FaultPlan::default().at(2, FaultKind::Io).at(4, FaultKind::Enospc).at(6, FaultKind::Flaky),
+    ));
     let manager = SessionManager::new(Catalog::new());
     manager.attach_storage(Arc::clone(&runtime));
     manager.register_table(sensor_table());
@@ -509,12 +519,11 @@ fn crash_hook_is_a_plain_user_error_when_disarmed() {
 #[test]
 fn append_onto_restored_table_explains_bit_identically_to_cold_rebuild() {
     let dir = TempDir::new();
-    let table = sensor_table();
 
     // ── Phase A: a durable manager appends and answers an explain; the
     // append made its rows durable before its ack.
     {
-        let manager = SessionManager::new(catalog_of(table.clone()));
+        let manager = SessionManager::new(catalog_of(sensor_table()));
         manager.attach_storage(Arc::new(fs_runtime(dir.path())));
         manager.flush_storage();
         let replies = scripted_session(&manager);
@@ -531,10 +540,10 @@ fn append_onto_restored_table_explains_bit_identically_to_cold_rebuild() {
         scripted_session(&manager)
     };
 
-    // ── Phase C: a cold manager over the original table, no storage at
+    // ── Phase C: a cold manager over the same generated rows, no storage at
     // all, replaying the exact same phases A+B appends in memory.
     let cold_replies = {
-        let manager = SessionManager::new(catalog_of(table));
+        let manager = SessionManager::new(catalog_of(sensor_table()));
         let append = format!(
             r#"{{"cmd":"stream_append","table":"readings","rows":[{}]}}"#,
             append_rows_json()

@@ -195,17 +195,18 @@ fn restarted_server_restores_the_catalog_and_answers_bit_identically() {
 }
 
 /// A data directory written in an older format — 2 (two version stamps
-/// per table and a deletion-mask segment) or 3 (a base snapshot beside an
-/// append log) — is refused, not misread: opening it is a `Corrupt` error
-/// that names the version, and the server exits non-zero saying why
+/// per table and a deletion-mask segment), 3 (a base snapshot beside an
+/// append log) or 4 (a version stamp in every data record and every
+/// manifest entry) — is refused, not misread: opening it is a `Corrupt`
+/// error that names the version, and the server exits non-zero saying why
 /// before it serves anything.
 #[test]
 fn a_format_2_data_directory_is_refused_cleanly() {
     use dbwipes_storage::persist::{fnv1a64, FORMAT_VERSION};
     use dbwipes_storage::{FsBackend, StorageError};
 
-    assert_eq!(FORMAT_VERSION, 4);
-    for format in [2u32, 3] {
+    assert_eq!(FORMAT_VERSION, 5);
+    for format in [2u32, 3, 4] {
         let dir =
             std::env::temp_dir().join(format!("dbwipes-format-{format}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,38 +10,17 @@
 //! against the plan's clauses in order; the first matching clause fires.
 //! Because the decision is a pure function of the attempt number and the
 //! per-target flaky history, a failing test reproduces exactly from its
-//! plan string.
+//! plan. A plan is built clause by clause — [`FaultPlan::every`],
+//! [`FaultPlan::at`] and [`FaultPlan::range`], each with the
+//! [`FaultKind`] it injects:
 //!
-//! ## Plan grammar
-//!
-//! A plan is `;`-separated clauses:
-//!
-//! ```text
-//! every:<n>:<kind>              # attempts n, 2n, 3n, ...
-//! at:<n>:<kind>                 # exactly attempt n
-//! range:<a>:<b>:<kind>          # attempts a..=b
 //! ```
+//! use dbwipes_storage::{FaultKind, FaultPlan};
 //!
-//! with `<kind>` one of:
-//!
-//! * `io` — a transient [`StorageError::Io`] (retry succeeds if the
-//!   trigger stops matching),
-//! * `enospc` — an out-of-space error, classified *permanent* by
-//!   [`StorageError::is_transient`],
-//! * `torn@<k>` — the write "crashes" after `k` bytes: when the wrapped
-//!   backend is a filesystem directory, the first `k` bytes of what the
-//!   save was about to write ([`StorageBackend::pending_write`]) are left
-//!   on disk — a literally truncated whole table file (bypassing the
-//!   atomic rename, exactly what a power cut mid-`write(2)` leaves
-//!   behind), or a truncated last record after the file's durable end,
-//!   where an append has no rename to hide behind — then the error is
-//!   reported,
-//! * `flaky` — transient-then-succeed: the first attempt *per distinct
-//!   target* fails with a transient error, every later attempt on the
-//!   same target passes through — the canonical retry-loop exercise.
-//!
-//! Example: `at:4:enospc;every:3:io` fails every third write with
-//! a transient fault, except attempt 4 which reports a full disk.
+//! // Every third write fails with a transient fault, except attempt 4,
+//! // which reports a full disk.
+//! let plan = FaultPlan::default().at(4, FaultKind::Enospc).every(3, FaultKind::Io);
+//! ```
 
 use crate::error::StorageError;
 use crate::persist::{append_at, Manifest, PendingWrite, StorageBackend, WriteCounters};
@@ -58,8 +37,9 @@ pub enum FaultKind {
     Io,
     /// Fail with a permanent out-of-space error.
     Enospc,
-    /// Crash the write after this many payload bytes, leaving a torn
-    /// artifact behind when the inner backend exposes a directory.
+    /// Crash the write after this many bytes, leaving them behind when the
+    /// inner backend exposes a directory: a truncated whole table file, as
+    /// a power cut mid-`write(2)` leaves one, or a truncated last record.
     Torn(usize),
     /// Fail the first attempt per distinct target, then succeed.
     Flaky,
@@ -83,75 +63,36 @@ struct Clause {
     kind: FaultKind,
 }
 
-/// A parsed, deterministic fault schedule. See the module docs for the
-/// plan grammar.
+/// A deterministic fault schedule: clauses tried in the order they were
+/// added (see the module docs). The default plan never fires.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     clauses: Vec<Clause>,
 }
 
-fn plan_err(spec: &str, why: &str) -> StorageError {
-    StorageError::Eval(format!("bad fault plan clause '{spec}': {why}"))
-}
-
-fn parse_num(spec: &str, part: &str) -> Result<u64, StorageError> {
-    part.parse::<u64>().map_err(|_| plan_err(spec, &format!("'{part}' is not a number")))
-}
-
-fn parse_kind(spec: &str, part: &str) -> Result<FaultKind, StorageError> {
-    match part {
-        "io" => Ok(FaultKind::Io),
-        "enospc" => Ok(FaultKind::Enospc),
-        "flaky" => Ok(FaultKind::Flaky),
-        other => {
-            if let Some(k) = other.strip_prefix("torn@") {
-                Ok(FaultKind::Torn(parse_num(spec, k)? as usize))
-            } else {
-                Err(plan_err(spec, &format!("unknown fault kind '{other}'")))
-            }
-        }
-    }
-}
-
 impl FaultPlan {
-    /// Parses a plan string (see the module docs for the grammar). The
-    /// empty string parses to a plan that never fires.
-    pub fn parse(plan: &str) -> Result<FaultPlan, StorageError> {
-        let mut parsed = FaultPlan::default();
-        for spec in plan.split(';') {
-            let spec = spec.trim();
-            if spec.is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = spec.split(':').collect();
-            match parts.as_slice() {
-                ["every", n, kind] => {
-                    let n = parse_num(spec, n)?;
-                    if n == 0 {
-                        return Err(plan_err(spec, "every:0 would never fire"));
-                    }
-                    parsed
-                        .clauses
-                        .push(Clause { trigger: Trigger::Every(n), kind: parse_kind(spec, kind)? });
-                }
-                ["at", n, kind] => parsed.clauses.push(Clause {
-                    trigger: Trigger::At(parse_num(spec, n)?),
-                    kind: parse_kind(spec, kind)?,
-                }),
-                ["range", a, b, kind] => {
-                    let (a, b) = (parse_num(spec, a)?, parse_num(spec, b)?);
-                    if a > b {
-                        return Err(plan_err(spec, "range start exceeds end"));
-                    }
-                    parsed.clauses.push(Clause {
-                        trigger: Trigger::Range(a, b),
-                        kind: parse_kind(spec, kind)?,
-                    });
-                }
-                _ => return Err(plan_err(spec, "unrecognized clause shape")),
-            }
-        }
-        Ok(parsed)
+    /// Adds a clause firing on attempts `n`, `2n`, `3n`, … A zero `n`
+    /// would never fire, and is a programmer error.
+    pub fn every(self, n: u64, kind: FaultKind) -> FaultPlan {
+        assert!(n > 0, "a fault every 0 writes would never fire");
+        self.with(Trigger::Every(n), kind)
+    }
+
+    /// Adds a clause firing on exactly attempt `n`.
+    pub fn at(self, n: u64, kind: FaultKind) -> FaultPlan {
+        self.with(Trigger::At(n), kind)
+    }
+
+    /// Adds a clause firing on attempts `first..=last`. A range that ends
+    /// before it starts is a programmer error.
+    pub fn range(self, first: u64, last: u64, kind: FaultKind) -> FaultPlan {
+        assert!(first <= last, "fault range {first}..={last} ends before it starts");
+        self.with(Trigger::Range(first, last), kind)
+    }
+
+    fn with(mut self, trigger: Trigger, kind: FaultKind) -> FaultPlan {
+        self.clauses.push(Clause { trigger, kind });
+        self
     }
 
     /// The fault (if any) scheduled for 1-based write `attempt`. Pure:
@@ -362,47 +303,55 @@ mod tests {
         t
     }
 
-    fn faulty(dir: &Path, plan: &str) -> FaultInjectingBackend {
+    fn faulty(dir: &Path, plan: FaultPlan) -> FaultInjectingBackend {
         let inner = FsBackend::open(dir).unwrap();
-        FaultInjectingBackend::with_torn_dir(Box::new(inner), FaultPlan::parse(plan).unwrap(), dir)
+        FaultInjectingBackend::with_torn_dir(Box::new(inner), plan, dir)
     }
 
     #[test]
-    fn plan_parser_accepts_the_documented_grammar() {
-        let plan =
-            FaultPlan::parse("every:3:io; at:4:enospc; range:10:12:torn@16; at:5:flaky").unwrap();
-        assert_eq!(plan.clauses.len(), 4);
-        assert_eq!(plan.clauses[0], Clause { trigger: Trigger::Every(3), kind: FaultKind::Io });
-        assert_eq!(plan.clauses[1], Clause { trigger: Trigger::At(4), kind: FaultKind::Enospc });
-        assert_eq!(
-            plan.clauses[2],
-            Clause { trigger: Trigger::Range(10, 12), kind: FaultKind::Torn(16) }
+    fn the_first_matching_clause_decides() {
+        let plan = FaultPlan::default().at(4, FaultKind::Enospc).every(3, FaultKind::Io).range(
+            10,
+            12,
+            FaultKind::Torn(16),
         );
-        assert_eq!(plan.clauses[3], Clause { trigger: Trigger::At(5), kind: FaultKind::Flaky });
-        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
-        assert_eq!(FaultPlan::parse("  ;; ").unwrap(), FaultPlan::default());
+        let fates: Vec<_> = (1..=13).map(|attempt| plan.fault_for(attempt)).collect();
+        let (io, torn) = (Some(FaultKind::Io), Some(FaultKind::Torn(16)));
+        let expected = [
+            None,
+            None,
+            io,
+            Some(FaultKind::Enospc),
+            None,
+            io,
+            None,
+            None,
+            io,
+            torn,
+            torn,
+            io,
+            None,
+        ];
+        assert_eq!(fates, expected);
+        assert_eq!(FaultPlan::default().fault_for(1), None);
     }
 
     #[test]
-    fn plan_parser_rejects_malformed_clauses() {
-        for bad in [
-            "every:0:io",
-            "every:x:io",
-            "at:3:unknown",
-            "range:9:3:io",
-            "random:1001:io",
-            "seed:7",
-            "at:1:slow@5",
-            "nope",
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad} should not parse");
-        }
+    #[should_panic(expected = "never fire")]
+    fn a_fault_every_zero_writes_is_refused() {
+        let _ = FaultPlan::default().every(0, FaultKind::Io);
+    }
+
+    #[test]
+    #[should_panic(expected = "ends before it starts")]
+    fn an_inverted_fault_range_is_refused() {
+        let _ = FaultPlan::default().range(9, 3, FaultKind::Io);
     }
 
     #[test]
     fn every_nth_write_fails_deterministically() {
         let dir = TempDir::new();
-        let backend = faulty(dir.path(), "every:3:io");
+        let backend = faulty(dir.path(), FaultPlan::default().every(3, FaultKind::Io));
         let t = small_table();
         let mut outcomes = Vec::new();
         for _ in 0..9 {
@@ -418,7 +367,8 @@ mod tests {
     #[test]
     fn enospc_is_permanent_and_io_is_transient() {
         let dir = TempDir::new();
-        let backend = faulty(dir.path(), "at:1:io;at:2:enospc");
+        let backend =
+            faulty(dir.path(), FaultPlan::default().at(1, FaultKind::Io).at(2, FaultKind::Enospc));
         let t = small_table();
         let io = backend.save_table(&t).unwrap_err();
         assert!(io.is_transient(), "plain io fault should be retryable: {io}");
@@ -437,7 +387,7 @@ mod tests {
 
         // A backend that has not read the file rewrites it whole, so the
         // torn write replaces it.
-        let backend = faulty(dir.path(), "at:1:torn@16");
+        let backend = faulty(dir.path(), FaultPlan::default().at(1, FaultKind::Torn(16)));
         let mut t2 = t.clone();
         t2.push_row(vec![Value::Int(0), Value::Float(0.5)]).unwrap();
         let err = backend.save_table(&t2).unwrap_err();
@@ -455,7 +405,7 @@ mod tests {
     fn torn_segment_write_leaves_a_tail_that_recovery_drops_and_the_next_save_replaces() {
         let dir = TempDir::new();
         let t = small_table();
-        let backend = faulty(dir.path(), "range:2:3:torn@40");
+        let backend = faulty(dir.path(), FaultPlan::default().range(2, 3, FaultKind::Torn(40)));
         backend.save_table(&t).unwrap();
         let file = dir.path().join(format!("t{}.tbl", t.id()));
         let whole = fs::metadata(&file).unwrap().len();
@@ -487,7 +437,7 @@ mod tests {
     #[test]
     fn flaky_fails_once_per_target_then_succeeds() {
         let dir = TempDir::new();
-        let backend = faulty(dir.path(), "every:1:flaky");
+        let backend = faulty(dir.path(), FaultPlan::default().every(1, FaultKind::Flaky));
         let t = small_table();
         assert!(backend.save_table(&t).is_err(), "first attempt on the table fails");
         assert!(backend.save_table(&t).is_ok(), "retry on the same target succeeds");
@@ -502,7 +452,7 @@ mod tests {
         let t = small_table();
         // Persist cleanly first, then wrap with an always-fail plan.
         FsBackend::open(dir.path()).unwrap().save_table(&t).unwrap();
-        let backend = faulty(dir.path(), "every:1:io");
+        let backend = faulty(dir.path(), FaultPlan::default().every(1, FaultKind::Io));
         assert!(backend.save_table(&t).is_err());
         let restored = backend.load_table(t.id()).unwrap();
         assert_eq!(restored.num_rows(), t.num_rows());

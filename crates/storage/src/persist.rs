@@ -7,15 +7,16 @@
 //! checksum of those sixteen bytes), the body, and the body's FNV-1a 64
 //! checksum: every byte of the file is under a checksum. The first record,
 //! and only the first, is a `DBWT` *header* — name, id, schema. Every later
-//! one is a `DBWA` *data record*: table id, the version stamp after the
-//! append, the row range, and every column over that range, each vector
-//! written once in row order (where the in-memory chunks end does not
-//! show; strings are dictionary-encoded over the range). A *whole-file
-//! write* is the header and one data record over every row; an *append*
-//! adds one data record over the rows appended since, bytes proportional
-//! to the growth. Loading verifies every record, then replays each data
-//! record onto the empty table the header describes. The manifest keys
-//! each table's last whole-file write by its stable [`Table::id`].
+//! one is a `DBWA` *data record*: table id, the row range, and every column
+//! over that range, each vector written once in row order (where the
+//! in-memory chunks end does not show; strings are dictionary-encoded over
+//! the range). A *whole-file write* is the header and one data record over
+//! every row; an *append* adds one data record over the rows appended
+//! since, bytes proportional to the growth. No version is stored: a
+//! table's version is its row count ([`Table::version`]). Loading reads the
+//! file in one pass, verifying each record and then replaying it onto the
+//! table the header describes. The manifest keys each table's last
+//! whole-file write by its stable [`Table::id`].
 //!
 //! Whole-file writes and the manifest go via temp-file + atomic rename, so
 //! a crash mid-write leaves the previous file intact. An append is one
@@ -60,14 +61,14 @@ use crate::table::Table;
 use crate::value::DataType;
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io::{Cursor, Read, Seek, SeekFrom, Write};
+use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-/// Version stamp written into every record frame and the manifest; readers
-/// reject any other value rather than guessing at layout changes.
-pub const FORMAT_VERSION: u32 = 4;
+/// Format version written into every record frame and the manifest;
+/// readers reject any other value rather than guessing at layout changes.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic bytes of a table file's header record.
 const HEADER_MAGIC: &[u8; 4] = b"DBWT";
@@ -543,9 +544,8 @@ fn write_record<W: Write + Seek>(
 }
 
 /// Writes rows `first_row..` of `table` to `out` as one data record: table
-/// id, the version stamp as it stands *after* those rows were appended,
-/// the row range, the column count, and every column over that range in
-/// the [`encode_column`] encoding, one column at a time.
+/// id, the row range, the column count, and every column over that range
+/// in the [`encode_column`] encoding, one column at a time.
 fn write_data_record(
     table: &Table,
     first_row: usize,
@@ -555,7 +555,6 @@ fn write_data_record(
     write_record(out, DATA_MAGIC, |body| {
         body.put(|w| {
             w.put_u64(table.id());
-            w.put_u64(table.version());
             w.put_u64(rows.start as u64);
             w.put_u64(rows.len() as u64);
             w.put_u64(table.schema().len() as u64);
@@ -595,7 +594,7 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
 }
 
 /// Decodes a file image written by [`encode_table`], restoring the
-/// persisted identity and version stamps. Every checksum is verified; a
+/// persisted identity. Every checksum is verified; a
 /// torn last record, like any other structural problem, yields
 /// [`StorageError::Corrupt`]: an image is whole.
 pub fn decode_table(bytes: &[u8]) -> Result<Table, StorageError> {
@@ -690,30 +689,20 @@ fn decode_header(body: &[u8]) -> Result<Table, StorageError> {
     Table::with_id(name, Schema::new(fields)?, id)
 }
 
-/// Replays one data record onto `table`, restoring its rows and the stamp
-/// it records. `first` is true for the file's first data record, which may
-/// carry the header's own stamp (a table never appended to); every later
-/// one must strictly advance it.
-fn replay_record(table: &mut Table, body: &[u8], first: bool) -> Result<(), StorageError> {
+/// Replays one data record onto `table`: it must be of the table's id and
+/// continue its rows.
+fn replay_record(table: &mut Table, body: &[u8]) -> Result<(), StorageError> {
     let mut r = ByteReader::new(body);
-    let (table_id, version, first_row, rows) =
-        (r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?);
+    let (table_id, first_row, rows) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
     if table_id != table.id() {
         return Err(StorageError::Corrupt(format!(
             "file of table #{} holds a record of table #{table_id}",
             table.id()
         )));
     }
-    if version < table.version() || (version == table.version() && !first) {
-        return Err(StorageError::Corrupt(format!(
-            "record stamped {version} does not advance table #{} past {}",
-            table.id(),
-            table.version()
-        )));
-    }
     if first_row != table.num_rows() as u64 {
         return Err(StorageError::Corrupt(format!(
-            "record {version} from row {first_row} does not continue table #{} at {} rows",
+            "record from row {first_row} does not continue table #{} at {} rows",
             table.id(),
             table.num_rows()
         )));
@@ -725,64 +714,33 @@ fn replay_record(table: &mut Table, body: &[u8], first: bool) -> Result<(), Stor
             table.id()
         )));
     }
-    table.replay_append(rows as usize, version, |col| decode_column(&mut r, col))?;
+    table.replay_append(rows as usize, |col| decode_column(&mut r, col))?;
     if !r.is_done() {
         return Err(StorageError::Corrupt("data record has trailing bytes".into()));
     }
     Ok(())
 }
 
-/// Decodes a table file: verifies every record, frame and body, up to a
-/// torn tail before any of it is believed; then builds the empty table
-/// the header record describes and replays every data record onto it.
-/// Returns the table and the length of the file up to its last whole
-/// record. A file that does not open with a header and a data record, or
-/// holds a second header, is corrupt: no write leaves one behind.
+/// Decodes a table file in one pass: the header record first, the empty
+/// table it describes, then each data record verified and replayed onto
+/// it, up to a torn tail. Returns the table and the length of the file up
+/// to its last whole record. A file that does not open with a header and a
+/// data record, or holds a second header, is corrupt: no write leaves one
+/// behind. On an error the half-built table is dropped.
 fn decode_file(file: &[u8]) -> Result<(Table, u64), StorageError> {
-    let mut records = Vec::new();
-    let mut pos = 0;
-    while let Some(record) = read_record(file, pos)? {
-        pos = record.end;
-        records.push(record);
-    }
-    let Some((header, data)) =
-        records.split_first().filter(|(h, data)| h.header && !data.is_empty())
-    else {
-        return Err(StorageError::Corrupt("table file lacks a header or a data record".into()));
-    };
+    let incomplete = || StorageError::Corrupt("table file lacks a header or a data record".into());
+    let header = read_record(file, 0)?.filter(|record| record.header).ok_or_else(incomplete)?;
     let mut table = decode_header(header.body)?;
-    for (i, record) in data.iter().enumerate() {
+    let mut end = None;
+    while let Some(record) = read_record(file, end.unwrap_or(header.end))? {
         if record.header {
             return Err(StorageError::Corrupt("table file has a second header record".into()));
         }
-        replay_record(&mut table, record.body, i == 0)?;
+        replay_record(&mut table, record.body)?;
+        end = Some(record.end);
     }
-    Ok((table, pos as u64))
-}
-
-/// The largest stamp recorded in a table file, as far as it can be read
-/// (for the stamp floor; a damaged file is reported when it is loaded).
-/// Hops from frame to frame, reading only the stamps that open each data
-/// record's body.
-fn stamp_ceiling(path: &Path) -> u64 {
-    let mut ceiling = 0;
-    let Ok(mut file) = fs::File::open(path) else { return ceiling };
-    // The frame, then the body's first two words: a data record's table
-    // id and version (a header's body is longer than that, too).
-    let mut head = [0u8; FRAME + 16];
-    while file.read_exact(&mut head).is_ok() {
-        let Ok((magic, body_len)) = read_frame(&head[..FRAME], 0) else { break };
-        if magic == DATA_MAGIC {
-            let stamp = &head[FRAME + 8..];
-            ceiling = ceiling.max(u64::from_le_bytes(stamp.try_into().expect("8 bytes")));
-        }
-        // The rest of the body and its checksum lie before the next frame.
-        let rest = body_len.checked_sub(16).and_then(|rest| i64::try_from(rest + 8).ok());
-        if !rest.is_some_and(|rest| file.seek(SeekFrom::Current(rest)).is_ok()) {
-            break;
-        }
-    }
-    ceiling
+    let end = end.ok_or_else(incomplete)?;
+    Ok((table, end as u64))
 }
 
 /// One table's entry in the [`Manifest`]: the durable identity the
@@ -791,13 +749,11 @@ fn stamp_ceiling(path: &Path) -> u64 {
 pub struct ManifestEntry {
     /// The table name (as registered).
     pub name: String,
-    /// The persisted [`Table::id`] stamp.
+    /// The persisted [`Table::id`].
     pub table_id: u64,
-    /// The persisted [`Table::version`] of the table's last whole-file
-    /// write. Every append draws a later one, so a manifest written before
+    /// Row count of the table's last whole-file write — its
+    /// [`Table::version`]. A table only grows, so a manifest written before
     /// an append can never masquerade as covering the appended rows.
-    pub version: u64,
-    /// Row count of that write.
     pub num_rows: u64,
     /// Size of that write in bytes.
     pub bytes: u64,
@@ -844,7 +800,6 @@ impl Manifest {
         for e in &self.entries {
             w.put_str(&e.name);
             w.put_u64(e.table_id);
-            w.put_u64(e.version);
             w.put_u64(e.num_rows);
             w.put_u64(e.bytes);
         }
@@ -879,16 +834,15 @@ impl Manifest {
                 "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        // The smallest entry: four u64 fields and an empty name's u64
+        // The smallest entry: three u64 fields and an empty name's u64
         // length prefix.
-        let count = r.get_len(5 * 8)?;
+        let count = r.get_len(4 * 8)?;
         let mut entries = Vec::with_capacity(count);
         let mut ids = HashSet::with_capacity(count);
         for _ in 0..count {
             let entry = ManifestEntry {
                 name: r.get_str()?,
                 table_id: r.get_u64()?,
-                version: r.get_u64()?,
                 num_rows: r.get_u64()?,
                 bytes: r.get_u64()?,
             };
@@ -949,7 +903,7 @@ pub struct PendingWrite {
 /// is a supertrait so runtimes holding a `Box<dyn StorageBackend>` can
 /// stay debuggable.
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
-    /// Makes `table` (data plus identity stamps) durable — the only way to
+    /// Makes `table` (data plus identity) durable — the only way to
     /// do so. The backend decides what that takes: nothing when the table
     /// or a later version of it is already durable, the appended rows when
     /// the table is a later version of what is durable, the whole table
@@ -957,11 +911,14 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     fn save_table(&self, table: &Table) -> Result<u64, StorageError>;
 
     /// Loads the durable state of `table_id`, restoring its stable
-    /// identity and version stamps.
+    /// identity. Each load starts a lineage of its own: two tables loaded
+    /// from one id and then appended to differently share `(id, version)`
+    /// keys, so a process loads each table once (the server does, in its
+    /// catalog restore) and clones what it loaded.
     fn load_table(&self, table_id: u64) -> Result<Table, StorageError>;
 
-    /// What is durable, one entry per table: each entry's `version`,
-    /// `num_rows` and `bytes` describe what [`StorageBackend::load_table`]
+    /// What is durable, one entry per table: each entry's `num_rows` and
+    /// `bytes` describe what [`StorageBackend::load_table`]
     /// would return as far as this backend knows. An empty data directory
     /// yields an empty manifest, not an error.
     fn list_manifest(&self) -> Result<Manifest, StorageError>;
@@ -1021,7 +978,6 @@ struct Durable {
 
 #[derive(Debug, Clone, Copy)]
 struct Tip {
-    version: u64,
     rows: u64,
     /// Length of the file up to its last whole record; bytes beyond it
     /// are a torn tail.
@@ -1043,14 +999,11 @@ enum Plan {
 fn plan(durable: Option<&Durable>, table: &Table) -> Plan {
     let Some(durable) = durable else { return Plan::Whole { compaction: false } };
     // An unread file can only put the tip past its manifest entry.
-    let at_least = durable.tip.map_or(durable.entry.version, |tip| tip.version);
+    let at_least = durable.tip.map_or(durable.entry.num_rows, |tip| tip.rows);
     if at_least >= table.version() {
         return Plan::Nothing;
     }
-    // Fewer rows than the tip means a diverged clone, not a later
-    // version: only a whole-file write is sure to hold every row.
-    let tip = durable.tip.filter(|tip| table.num_rows() as u64 >= tip.rows);
-    let Some(tip) = tip else { return Plan::Whole { compaction: false } };
+    let Some(tip) = durable.tip else { return Plan::Whole { compaction: false } };
     let mut record = Cursor::new(Vec::new());
     write_data_record(table, tip.rows as usize, &mut record)
         .expect("writing to memory cannot fail");
@@ -1091,9 +1044,9 @@ pub(crate) fn append_at(path: &Path, at: u64, bytes: &[u8]) -> std::io::Result<(
 impl FsBackend {
     /// Opens (creating if needed) a data directory: removes the temp files
     /// a killed writer left behind, reads the manifest, and advances the
-    /// process-global stamp counter past every id and stamp recorded in
-    /// the manifest or in a table file, so tables created later in this
-    /// process can never collide with restored identities.
+    /// process-global identity counter past every table id it lists, so
+    /// tables created later in this process can never collide with
+    /// restored identities.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)
@@ -1102,8 +1055,7 @@ impl FsBackend {
         backend.remove_files(|name| name.contains(".tmp"));
         let manifest = backend.read_manifest()?;
         for e in &manifest.entries {
-            let recorded = stamp_ceiling(&backend.dir.join(Self::table_file(e.table_id)));
-            crate::table::advance_stamp_floor(e.table_id.max(e.version).max(recorded));
+            crate::table::advance_stamp_floor(e.table_id);
         }
         backend.lock_state().tables =
             manifest.entries.into_iter().map(|entry| Durable { entry, tip: None }).collect();
@@ -1170,8 +1122,7 @@ impl StorageBackend for FsBackend {
     fn save_table(&self, table: &Table) -> Result<u64, StorageError> {
         let mut state = self.lock_state();
         let slot = state.tables.iter().position(|d| d.entry.table_id == table.id());
-        let tip =
-            |bytes| Some(Tip { version: table.version(), rows: table.num_rows() as u64, bytes });
+        let tip = |bytes| Some(Tip { rows: table.num_rows() as u64, bytes });
         let file = Self::table_file(table.id());
         Ok(match plan(slot.map(|slot| &state.tables[slot]), table) {
             Plan::Nothing => 0,
@@ -1199,7 +1150,6 @@ impl StorageBackend for FsBackend {
                 let entry = ManifestEntry {
                     name: table.name().to_string(),
                     table_id: table.id(),
-                    version: table.version(),
                     num_rows: table.num_rows() as u64,
                     bytes,
                 };
@@ -1234,33 +1184,28 @@ impl StorageBackend for FsBackend {
             fs::read(&path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
         let (table, bytes) = decode_file(&file)?;
         // A whole-file write renames the file *before* the manifest, and an
-        // append never writes the manifest, so a file stamped ahead of its
-        // entry is the durable truth. A file behind its entry cannot arise
-        // from that ordering — a torn whole-file write lands here — and is
-        // corruption.
+        // append never writes the manifest, so a file with more rows than
+        // its entry is the durable truth. A file behind its entry cannot
+        // arise from that ordering — a torn whole-file write lands here —
+        // and is corruption.
         let entry = &durable.entry;
-        if table.id() != entry.table_id || table.version() < entry.version {
+        if table.id() != entry.table_id || table.version() < entry.num_rows {
             return Err(StorageError::Corrupt(format!(
-                "{} is stamped ({}, {}) but the manifest expects ({}, {})",
+                "{} holds table #{} at {} rows but the manifest expects #{} at {}",
                 path.display(),
                 table.id(),
                 table.version(),
                 entry.table_id,
-                entry.version
+                entry.num_rows
             )));
         }
-        durable.tip = Some(Tip { version: table.version(), rows: table.num_rows() as u64, bytes });
+        durable.tip = Some(Tip { rows: table.num_rows() as u64, bytes });
         Ok(table)
     }
 
     fn list_manifest(&self) -> Result<Manifest, StorageError> {
         let durable = |d: &Durable| match d.tip {
-            Some(tip) => ManifestEntry {
-                version: tip.version,
-                num_rows: tip.rows,
-                bytes: tip.bytes,
-                ..d.entry.clone()
-            },
+            Some(tip) => ManifestEntry { num_rows: tip.rows, bytes: tip.bytes, ..d.entry.clone() },
             None => d.entry.clone(),
         };
         Ok(Manifest { entries: self.lock_state().tables.iter().map(durable).collect() })
@@ -1425,7 +1370,7 @@ mod tests {
     /// Whole, checksummed records that no save writes in that order are
     /// corrupt: the header is the first record and only the first, at
     /// least one data record follows it, and each data record is of the
-    /// header's table, continues its rows and advances its stamp.
+    /// header's table and continues its rows.
     #[test]
     fn records_that_do_not_continue_the_table_are_corrupt() {
         let t = every_type_table();
@@ -1439,10 +1384,8 @@ mod tests {
         let header = &image[..image.len() - record(&t, 0).len()];
         let other = Table::new("everything", t.schema().clone()).unwrap();
         let never_appended = Table::new("x", Schema::of(&[("x", DataType::Int)])).unwrap();
-        assert_eq!(
-            decode_table(&encode_table(&never_appended)).unwrap().version(),
-            never_appended.id()
-        );
+        let decoded = decode_table(&encode_table(&never_appended)).unwrap();
+        assert_eq!((decoded.id(), decoded.version()), (never_appended.id(), 0));
         assert_tables_identical(
             &grown,
             &decode_table(&[&image, &record(&grown, 4)[..]].concat()).unwrap(),
@@ -1452,7 +1395,6 @@ mod tests {
             ("no header", record(&t, 0)),
             ("a second header", [header, &image].concat()),
             ("another table's record", [&image, &record(&other, 0)[..]].concat()),
-            ("a stamp that does not advance", [&image, &record(&t, 4)[..]].concat()),
             ("rows that do not continue", [&image, &record(&grown, 0)[..]].concat()),
             ("a gap in the rows", [&image, &record(&one_more_row(&grown), 5)[..]].concat()),
         ] {
@@ -1483,7 +1425,6 @@ mod tests {
         assert_eq!(manifest.len(), 1);
         let entry = manifest.entry(t.id()).unwrap();
         assert_eq!(entry.name, "everything");
-        assert_eq!(entry.version, t.version());
         assert_eq!(entry.num_rows, t.num_rows() as u64);
         assert_eq!(entry.bytes, written);
         assert!(backend.bytes_on_disk().unwrap() >= written);
@@ -1508,7 +1449,7 @@ mod tests {
         backend.save_table(&grown).unwrap();
         let manifest = backend.list_manifest().unwrap();
         assert_eq!(manifest.len(), 1, "same table id replaces, never duplicates");
-        assert_eq!(manifest.entry(t.id()).unwrap().version, grown.version());
+        assert_eq!(manifest.entry(t.id()).unwrap().num_rows, grown.version());
         assert_tables_identical(&grown, &backend.load_table(t.id()).unwrap());
     }
 
@@ -1521,7 +1462,7 @@ mod tests {
         let backend = FsBackend::open(dir.path()).unwrap();
         let mut t = every_type_table();
         backend.save_table(&t).unwrap();
-        let stale_version = backend.list_manifest().unwrap().entry(t.id()).unwrap().version;
+        let stale_version = backend.list_manifest().unwrap().entry(t.id()).unwrap().num_rows;
         t.push_rows(vec![vec![
             Value::Bool(false),
             Value::Int(42),
@@ -1540,8 +1481,8 @@ mod tests {
         assert_tables_identical(&t, &restored);
         // The manifest file is still behind; what the backend reports as
         // durable is what it just loaded.
-        assert_eq!(backend.read_manifest().unwrap().entry(t.id()).unwrap().version, stale_version);
-        assert_eq!(backend.list_manifest().unwrap().entry(t.id()).unwrap().version, t.version());
+        assert_eq!(backend.read_manifest().unwrap().entry(t.id()).unwrap().num_rows, stale_version);
+        assert_eq!(backend.list_manifest().unwrap().entry(t.id()).unwrap().num_rows, t.version());
     }
 
     #[test]
@@ -1581,18 +1522,18 @@ mod tests {
     fn saves_that_reach_the_disk_out_of_order_never_regress_what_is_durable() {
         let a = every_type_table();
         let b = one_more_row(&a);
+        let c = one_more_row(&b);
         for newest_first in [true, false] {
             let dir = TempDir::new();
             let backend = FsBackend::open(dir.path()).unwrap();
             backend.save_table(&a).unwrap();
-            let c = one_more_row(&b);
             let order = if newest_first { [&c, &b] } else { [&b, &c] };
             let written = order.map(|t| backend.save_table(t).unwrap());
             if newest_first {
                 assert_eq!(written[1], 0, "an append-ancestor of what is durable is a no-op");
             }
             assert_eq!(
-                backend.list_manifest().unwrap().entry(a.id()).unwrap().version,
+                backend.list_manifest().unwrap().entry(a.id()).unwrap().num_rows,
                 c.version()
             );
             assert_tables_identical(&c, &backend.load_table(a.id()).unwrap());
@@ -1602,6 +1543,32 @@ mod tests {
             assert_eq!(reopened.save_table(&a).unwrap(), 0);
             assert_tables_identical(&c, &reopened.load_table(a.id()).unwrap());
         }
+    }
+
+    /// A clone that appends after the table it was cloned from has is a
+    /// table of its own: its save is a whole file under its own id, and
+    /// neither load returns the other's rows.
+    #[test]
+    fn a_diverged_clone_is_saved_as_a_table_of_its_own() {
+        let dir = TempDir::new();
+        let backend = FsBackend::open(dir.path()).unwrap();
+        let mut original = Table::new("t", Schema::of(&[("x", DataType::Int)])).unwrap();
+        // Rows enough that the appends below stay appends, not compactions.
+        original.push_rows((0..64).map(|x| vec![Value::Int(x)]).collect()).unwrap();
+        backend.save_table(&original).unwrap();
+        let mut clone = original.clone();
+        original.push_rows(vec![vec![Value::Int(100)], vec![Value::Int(101)]]).unwrap();
+        backend.save_table(&original).unwrap();
+        clone.push_rows((200..203).map(|x| vec![Value::Int(x)]).collect()).unwrap();
+        backend.save_table(&clone).unwrap();
+        let column = |t: &Table| t.row_ids().map(|r| t.value(r, 0).unwrap()).collect::<Vec<_>>();
+        for t in [&original, &clone] {
+            let loaded = backend.load_table(t.id()).unwrap();
+            assert_eq!(column(&loaded), column(t));
+            assert_tables_identical(&loaded, t);
+        }
+        let written = backend.write_counters();
+        assert_eq!((written.snapshot_saves, written.segment_appends), (2, 1));
     }
 
     #[test]
@@ -1651,18 +1618,12 @@ mod tests {
         let restored = decode_table(&encode_table(&t)).unwrap();
         let fresh = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
         assert!(fresh.id() > restored.id());
-        assert!(fresh.id() > restored.version());
     }
 
     #[test]
     fn manifest_decode_rejects_corruption() {
-        let entry = |table_id: u64| ManifestEntry {
-            name: "t".into(),
-            table_id,
-            version: 6,
-            num_rows: 5,
-            bytes: 128,
-        };
+        let entry =
+            |table_id: u64| ManifestEntry { name: "t".into(), table_id, num_rows: 5, bytes: 128 };
         let manifest = Manifest { entries: vec![entry(3)] };
         let bytes = manifest.encode();
         assert_eq!(Manifest::decode(&bytes).unwrap(), manifest);
@@ -1690,7 +1651,7 @@ mod tests {
         // before anything is read or allocated for it.
         let mut counted = body.to_vec();
         counted[8..16].copy_from_slice(&2u64.to_le_bytes());
-        assert!(corrupt(&resealed(counted)).contains("length 2 needs 80 bytes"));
+        assert!(corrupt(&resealed(counted)).contains("length 2 needs 64 bytes"));
     }
 
     #[test]
@@ -1717,9 +1678,9 @@ mod tests {
         let manifest_max = {
             let backend = FsBackend::open(dir.path()).unwrap();
             let m = backend.list_manifest().unwrap();
-            m.entries.iter().map(|e| e.table_id.max(e.version)).max().unwrap()
+            m.entries.iter().map(|e| e.table_id).max().unwrap()
         };
         let fresh = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
-        assert!(fresh.id() > manifest_max, "open() must advance the stamp floor");
+        assert!(fresh.id() > manifest_max, "open() must advance the identity floor");
     }
 }

@@ -1168,7 +1168,7 @@ pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 /// A cache is pinned to one table snapshot — its `(id, version)` — at
 /// construction, and the snapshot owns the shared one
 /// ([`Table::condition_bitmaps`]): any mutation starts the mutated table
-/// an empty cache, and lookups against a table with different stamps
+/// an empty cache, and lookups against another `(id, version)`
 /// bypass the cache (fresh computation, nothing stored), so stale bitmaps
 /// can never be served. Conditions are keyed by [`Condition::cache_key`]
 /// (exact, not the rounded display form). The cache is `Sync`; parallel
@@ -1176,13 +1176,12 @@ pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 #[derive(Debug)]
 pub struct ConditionBitmapCache {
     table_id: u64,
-    /// Version of the pinned table. Bitmaps are dense over the table's
-    /// row universe, so this cache is compared by `==`: even an append
-    /// changes the universe every bitmap was sized for, and absorbing
-    /// would mean re-running every kernel over the new rows. Appends
-    /// therefore miss here by design, unlike the append-tolerant
+    /// Rows of the pinned table — its version. Bitmaps are dense over the
+    /// table's row universe, so this cache is compared by `==`: even an
+    /// append changes the universe every bitmap was sized for, and
+    /// absorbing would mean re-running every kernel over the new rows.
+    /// Appends therefore miss here by design, unlike the append-tolerant
     /// aggregate caches.
-    table_version: u64,
     num_rows: usize,
     /// `None` marks a condition the typed compiler cannot express, so the
     /// fallback decision is cached too.
@@ -1198,7 +1197,6 @@ impl ConditionBitmapCache {
     pub fn new(table: &Table) -> Self {
         ConditionBitmapCache {
             table_id: table.id(),
-            table_version: table.version(),
             num_rows: table.num_rows(),
             entries: Mutex::default(),
             hits: AtomicU64::new(0),
@@ -1219,7 +1217,7 @@ impl ConditionBitmapCache {
     /// uncached results). Bitmap caches tolerate no appends — see the
     /// field docs on [`ConditionBitmapCache`].
     pub fn covers(&self, table: &Table) -> bool {
-        table.id() == self.table_id && self.table_version == table.version()
+        table.id() == self.table_id && table.num_rows() == self.num_rows
     }
 
     /// Row count of the pinned table (the bitmap universe).

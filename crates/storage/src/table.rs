@@ -11,26 +11,25 @@ use crate::predicate::{lock_recover, ConditionBitmapCache, CONDITION_BITMAP_BUDG
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Process-global counter behind table identities and data versions.
-///
-/// Every draw is unique for the lifetime of the process, so two tables (or
-/// two diverged clones of one table) can never share an `(id, version)`
-/// pair — the property the server's statement-fingerprint cache keys rely
-/// on.
+/// Process-global counter behind table identities: every draw is unique
+/// for the lifetime of the process, so two independently created tables,
+/// or two clones of one table that appended different rows, never share
+/// an [`Table::id`].
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 fn next_stamp() -> u64 {
     NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Advances the process-global stamp counter past `stamp`, so stamps drawn
-/// in this process can never collide with identities or versions restored
-/// from a durable snapshot written by an earlier process.
-pub(crate) fn advance_stamp_floor(stamp: u64) {
-    NEXT_STAMP.fetch_max(stamp.saturating_add(1), Ordering::Relaxed);
+/// Advances the process-global identity counter past `id`, so tables
+/// created later in this process never take an identity restored from a
+/// data directory. Called with checksum-verified ids only: a table file's
+/// header and the manifest.
+pub(crate) fn advance_stamp_floor(id: u64) {
+    NEXT_STAMP.fetch_max(id.saturating_add(1), Ordering::Relaxed);
 }
 
 /// A stable identifier of a row within one table.
@@ -62,6 +61,15 @@ impl From<usize> for RowId {
 
 /// An in-memory columnar table. Rows are only ever appended: a row, once
 /// pushed, keeps its [`RowId`] and its values for the table's lifetime.
+///
+/// A table's data is named by its [`Table::id`] and its row count
+/// ([`Table::version`]). A clone is a snapshot of the same logical table
+/// and keeps the id; clones that go on appending share one lineage, and
+/// the first to append past a row count owns it under the id — any other
+/// clone that appends from below that count takes a fresh id first, and
+/// remembers where it forked ([`Table::extends`]). So two tables with
+/// equal `(id, version)` hold identical rows, which every cache keyed by
+/// that pair relies on.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -69,21 +77,30 @@ pub struct Table {
     columns: Vec<Column>,
     /// Rows pushed so far (every column holds this many).
     rows: usize,
-    /// Identity stamp: unique per `Table::new` call, preserved by `clone()`
-    /// (a clone is a snapshot of the *same* logical table).
+    /// Identity: unique per `Table::new` call, preserved by `clone()` and
+    /// replaced by an append that would diverge from a clone.
     id: u64,
-    /// Data version: every append re-stamps it from the process-global
-    /// counter, so any two tables with equal `(id, version)` hold
-    /// identical data.
-    version: u64,
     /// The condition bitmaps of this snapshot, built on first use (see
     /// [`Table::condition_bitmaps`]). A clone shares the slot — equal
-    /// `(id, version)` is identical data — and whatever writes `version`
-    /// calls [`Table::reset_bitmaps`], which leaves the clones theirs.
+    /// `(id, version)` is identical data — and every append calls
+    /// [`Table::reset_bitmaps`], which leaves the clones theirs.
     bitmaps: BitmapSlot,
+    /// What every table of this id shares (see [`Table::begin_append`]).
+    lineage: Arc<Lineage>,
 }
 
 type BitmapSlot = Arc<Mutex<Option<Arc<ConditionBitmapCache>>>>;
+
+/// What the clones of one table id share: the most rows any of them has
+/// reached, and where the id forked off another one.
+#[derive(Debug, Default)]
+struct Lineage {
+    reached: AtomicUsize,
+    /// The id a clone held before it diverged and took this one, and the
+    /// rows it had then: every table of this id starts with those rows of
+    /// that id.
+    forked_from: Option<(u64, usize, Arc<Lineage>)>,
+}
 
 impl Table {
     /// Creates an empty table with the given name and schema.
@@ -91,34 +108,32 @@ impl Table {
         Table::with_id(name.into(), schema, next_stamp())
     }
 
-    /// An empty table whose identity and version stamp are both `id`, as
-    /// [`Table::new`] makes one: a persisted identity, so cache
-    /// fingerprints keyed on `(id, version)` survive a process restart once
-    /// [`Table::replay_append`] has restored the rows. Advances the global
-    /// stamp floor past `id` so freshly created tables never collide.
+    /// An empty table with the persisted identity `id` (a table file's
+    /// header), so cache fingerprints keyed on `(id, version)` survive a
+    /// process restart once [`Table::replay_append`] has restored the rows.
+    /// Advances the global identity floor past `id` so freshly created
+    /// tables never collide.
     pub(crate) fn with_id(name: String, schema: Schema, id: u64) -> Result<Self, StorageError> {
         let columns =
             schema.fields().iter().map(|f| Column::new(f.dtype)).collect::<Result<Vec<_>, _>>()?;
         advance_stamp_floor(id);
-        let bitmaps = BitmapSlot::default();
-        Ok(Table { name, schema, columns, rows: 0, id, version: id, bitmaps })
+        let (bitmaps, lineage) = Default::default();
+        Ok(Table { name, schema, columns, rows: 0, id, bitmaps, lineage })
     }
 
     /// Replays one data record: `decode` appends the record's `rows`
-    /// rows to each column in schema order, and `version` is the stamp
-    /// the append drew, restored verbatim so `(id, version)` keys minted
-    /// before a restart still match. On an error the table is left
+    /// rows to each column in schema order. On an error the table is left
     /// half-extended and must be dropped, as a failed load does.
     pub(crate) fn replay_append(
         &mut self,
         rows: usize,
-        version: u64,
         mut decode: impl FnMut(&mut Column) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let total = self
             .rows
             .checked_add(rows)
             .ok_or_else(|| StorageError::Corrupt(format!("data record declares {rows} rows")))?;
+        self.begin_append(rows);
         for col in &mut self.columns {
             decode(col)?;
             if col.len() != total {
@@ -130,9 +145,6 @@ impl Table {
             }
         }
         self.rows = total;
-        self.version = version;
-        self.reset_bitmaps();
-        advance_stamp_floor(version);
         Ok(())
     }
 
@@ -148,22 +160,46 @@ impl Table {
         self.id
     }
 
-    /// The table's data version. Every append re-stamps it from a
-    /// process-global counter, so diverged clones of one table also get
-    /// distinct versions. Two tables with equal [`Table::id`] and equal
-    /// version are guaranteed to hold identical data — the invariant
-    /// behind cross-brush cache reuse. A table only grows, so a later
-    /// version of a snapshot holds that snapshot's rows and then the
-    /// appended ones.
+    /// The table's data version: its row count. A table only grows, so a
+    /// later version of a snapshot holds that snapshot's rows and then the
+    /// appended ones, and two tables with equal [`Table::id`] and equal
+    /// version hold identical data — the invariant behind cross-brush
+    /// cache reuse (a clone that diverges takes a new id, see [`Table`]).
     pub fn version(&self) -> u64 {
-        self.version
+        self.rows as u64
     }
 
-    /// Re-stamps the version and starts cold; called once per append (a
-    /// batch draws one stamp).
-    fn touch(&mut self) {
-        self.version = next_stamp();
+    /// Starts an append of `added` rows: claims rows `rows..rows + added`
+    /// under this table's id and starts cold. A clone that already
+    /// appended past `rows` owns that range, so this table takes a fresh
+    /// id first, with a lineage of its own. An empty append changes
+    /// nothing.
+    fn begin_append(&mut self, added: usize) {
+        if added == 0 {
+            return;
+        }
+        let (start, end) = (self.rows, self.rows + added);
+        // The count publishes no data, so `Relaxed` is enough: the one
+        // location's modification order lets exactly one clone claim a range.
+        let reached = &self.lineage.reached;
+        if reached.compare_exchange(start, end, Ordering::Relaxed, Ordering::Relaxed).is_err() {
+            let forked_from = Some((self.id, start, Arc::clone(&self.lineage)));
+            self.id = next_stamp();
+            self.lineage = Arc::new(Lineage { reached: AtomicUsize::new(end), forked_from });
+        }
         self.reset_bitmaps();
+    }
+
+    /// True when this table holds every row of `older`, in order and then
+    /// perhaps more: `older` is a snapshot of this table's id, or of an id
+    /// it forked from, with no more rows than this table had under it.
+    pub fn extends(&self, older: &Table) -> bool {
+        let (mut id, mut rows, mut lineage) = (self.id, self.rows, &self.lineage);
+        while id != older.id {
+            let Some((parent, at, parent_lineage)) = &lineage.forked_from else { return false };
+            (id, rows, lineage) = (*parent, *at, parent_lineage);
+        }
+        older.rows <= rows
     }
 
     /// Starts this table, now a new snapshot, with no bitmaps. Snapshots
@@ -230,25 +266,24 @@ impl Table {
     /// Returns the new row's [`RowId`].
     pub fn push_row(&mut self, values: Vec<Value>) -> Result<RowId, StorageError> {
         self.validate_row(&values)?;
+        self.begin_append(1);
         self.apply_row(values);
-        self.touch();
         Ok(RowId(self.rows - 1))
     }
 
     /// Appends many rows, all-or-nothing: the entire batch is validated
     /// against the schema before any column is mutated, so a bad row k
-    /// leaves neither rows `0..k` applied nor the version stamp advanced.
-    /// The whole batch lands under a single version stamp.
+    /// leaves the table as it was: no row applied, the version unmoved.
     pub fn push_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<Vec<RowId>, StorageError> {
         for row in &rows {
             self.validate_row(row)?;
         }
         let first = self.rows;
         let ids = (first..first + rows.len()).map(RowId).collect();
+        self.begin_append(rows.len());
         for row in rows {
             self.apply_row(row);
         }
-        self.touch();
         Ok(ids)
     }
 
@@ -266,8 +301,8 @@ impl Table {
         self.columns.iter().zip(values).try_for_each(|(col, value)| col.accepts(value))
     }
 
-    /// Appends one pre-validated row to every column. Does not re-stamp the
-    /// version; callers do, once per logical append.
+    /// Appends one pre-validated row to every column, after
+    /// [`Table::begin_append`] has claimed it.
     fn apply_row(&mut self, values: Vec<Value>) {
         for (col, value) in self.columns.iter_mut().zip(values) {
             col.push(value).expect("validated by validate_row");
@@ -431,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_survives_clone_but_versions_diverge() {
+    fn identity_survives_clone_and_a_diverging_clone_takes_a_new_one() {
         let a = sensor_table();
         let other = sensor_table();
         assert_ne!(a.id(), other.id(), "independent tables get distinct identities");
@@ -441,35 +476,101 @@ mod tests {
         assert_eq!(a.version(), b.version(), "an unmodified clone holds identical data");
 
         let mut a = a;
-        let row = || vec![Value::Int(4), Value::Float(19.0), Value::str("hall")];
-        a.push_row(row()).unwrap();
-        b.push_row(row()).unwrap();
-        // Diverged clones must not share a version even though both appended
-        // "once" — versions are drawn from a global counter, not incremented.
-        assert_ne!(a.version(), b.version());
+        let row = |room| vec![Value::Int(4), Value::Float(19.0), Value::str(room)];
+        a.push_row(row("hall")).unwrap();
+        let id = a.id();
+        b.push_row(row("attic")).unwrap();
+        // Both appended one row, so both are at version 4; the second to
+        // append took a fresh id instead of sharing `(id, 4)`.
+        assert_eq!((a.id(), a.version()), (id, 4), "the first to append keeps the id");
+        assert_eq!(b.version(), 4);
+        assert_ne!(b.id(), id);
+        // A clone of either side follows its own lineage; an empty append
+        // changes nothing.
+        let mut c = a.clone();
+        c.push_rows(Vec::new()).unwrap();
+        c.push_row(row("hall")).unwrap();
+        assert_eq!((c.id(), c.version()), (id, 5));
+        a.push_row(row("porch")).unwrap();
+        assert_ne!(a.id(), id);
+    }
+
+    /// Clones of one table, each appending rows of its own in any order,
+    /// through clones of clones and empty batches: any two snapshots with
+    /// equal `(id, version)` hold identical rows, and a snapshot that
+    /// [`Table::extends`] another starts with its rows. A xorshift
+    /// generator draws the histories, so the check needs no dependency.
+    #[test]
+    fn snapshots_with_equal_id_and_version_hold_identical_rows() {
+        let mut state = 0x5eed_u64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let rows = |t: &Table| t.row_ids().map(|r| t.row(r).unwrap()).collect::<Vec<_>>();
+        for _ in 0..200 {
+            let mut live = vec![sensor_table()];
+            let mut snapshots = live.clone();
+            for step in 0..(2 + draw(12)) {
+                let at = draw(live.len() as u64) as usize;
+                let before = live[at].clone();
+                if draw(4) == 0 {
+                    live.push(before);
+                    continue;
+                }
+                let batch = (0..draw(3))
+                    .map(|k| vec![Value::Int(step as i64), Value::Float(k as f64), Value::str("x")])
+                    .collect();
+                live[at].push_rows(batch).unwrap();
+                assert!(live[at].extends(&before), "an append extends what it appended to");
+                snapshots.push(live[at].clone());
+            }
+            let held: Vec<_> = snapshots.iter().map(|t| (t, rows(t))).collect();
+            for (a, a_rows) in &held {
+                for (b, b_rows) in &held {
+                    if (a.id(), a.version()) == (b.id(), b.version()) {
+                        assert_eq!(
+                            a_rows,
+                            b_rows,
+                            "({}, {}) names two tables",
+                            a.id(),
+                            a.version()
+                        );
+                    }
+                    if b.extends(a) {
+                        assert!(
+                            b_rows.starts_with(a_rows),
+                            "#{} does not extend #{}",
+                            b.id(),
+                            a.id()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn every_append_draws_a_later_version() {
+    fn every_append_moves_the_version_to_the_row_count() {
         let mut t = sensor_table();
-        let v0 = t.version();
+        assert_eq!(t.version(), 3);
         t.push_row(vec![Value::Int(4), Value::Float(19.0), Value::str("hall")]).unwrap();
-        let v1 = t.version();
-        assert!(v1 > v0, "push_row must re-stamp the version");
+        assert_eq!(t.version(), 4, "push_row");
         t.push_rows(vec![vec![Value::Int(5), Value::Float(18.0), Value::str("hall")]]).unwrap();
-        assert!(t.version() > v1, "push_rows must re-stamp the version");
+        assert_eq!(t.version(), 5, "push_rows");
         // Read-only accessors and failed appends leave the version alone.
-        let v = t.version();
         let _ = t.row(RowId(0));
         assert!(t.push_row(vec![Value::Int(1)]).is_err());
-        assert_eq!(t.version(), v);
+        assert_eq!(t.version(), 5);
     }
 
     #[test]
     fn push_rows_batch_is_all_or_nothing() {
         let mut t = sensor_table();
-        let v = t.version();
-        // Row 1 of the batch is bad: nothing may be applied, no stamp drawn.
+        let (id, v) = (t.id(), t.version());
+        // Row 1 of the batch is bad: nothing may be applied.
         let err = t
             .push_rows(vec![
                 vec![Value::Int(4), Value::Float(19.0), Value::str("hall")],
@@ -478,12 +579,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }));
         assert_eq!(t.num_rows(), 3, "no row of a failing batch is applied");
-        assert_eq!(t.version(), v, "a failing batch leaves the version alone");
+        assert_eq!((t.id(), t.version()), (id, v), "a failing batch leaves the version alone");
         for c in 0..3 {
             assert_eq!(t.column(c).unwrap().len(), 3);
         }
 
-        // A good batch lands under one stamp.
         let ids = t
             .push_rows(vec![
                 vec![Value::Int(4), Value::Float(19.0), Value::str("hall")],
@@ -491,7 +591,7 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(ids, vec![RowId(3), RowId(4)]);
-        assert!(t.version() > v);
+        assert_eq!((t.id(), t.version()), (id, 5));
     }
 
     #[test]
@@ -510,7 +610,7 @@ mod tests {
         early_clone.condition_bitmaps().condition(&early_clone, &hot).unwrap();
         assert_eq!(cache.stats(), (1, 1), "the clone's lookup hit the bitmap the original scanned");
 
-        // Everything that writes `version` leaves the mutated table an empty
+        // Every append leaves the mutated table an empty
         // cache and the snapshots it was cloned from theirs.
         let row = || vec![Value::Int(4), Value::Float(19.0), Value::str("hall")];
         type Mutation = fn(&mut Table, Vec<Value>);
@@ -519,7 +619,7 @@ mod tests {
             ("push_rows", |t, row| assert!(t.push_rows(vec![row]).is_ok())),
             ("replay_append", |t, row| {
                 let mut values = row.into_iter();
-                t.replay_append(1, next_stamp(), |col| col.push(values.next().unwrap())).unwrap()
+                t.replay_append(1, |col| col.push(values.next().unwrap())).unwrap()
             }),
         ];
         for (what, mutate) in mutations {

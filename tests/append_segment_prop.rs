@@ -6,9 +6,9 @@
 //! decides what that takes — a whole-file write, or one data record with
 //! the rows past what is already durable, appended to the file. Whatever
 //! it decided, **`load_table` after any sequence of saves equals the
-//! in-memory table** on every cell, the version stamp and the row count.
-//! The rest of the file pins the edges of that property: a torn tail
-//! record, hostile bytes anywhere in the file, the stamp floor, write
+//! in-memory table** on every cell, the id and the version (the row
+//! count). The rest of the file pins the edges of that property: a torn
+//! tail record, hostile bytes anywhere in the file, the identity floor, write
 //! amplification across compactions, a whole-file write that buffers one
 //! column, saves that write nothing, saves that arrive out of order, and
 //! the file an evict leaves behind.
@@ -16,6 +16,7 @@
 mod common;
 
 use common::{boundary_row, boundary_rows, boundary_table, mix, BOUNDARY_ROWS};
+use dbwipes::engine::CacheFingerprint;
 use dbwipes::storage::persist::{decode_table, encode_table, fnv1a64};
 use dbwipes::storage::{
     DataType, Field, FsBackend, Schema, StorageBackend, StorageError, Value, WriteCounters,
@@ -146,7 +147,7 @@ fn schema_of(columns: &[(usize, bool)]) -> Schema {
     Schema::new(fields).unwrap()
 }
 
-/// Appends `n` rows as one batch (one appended stamp, even for `n` = 0).
+/// Appends `n` rows as one batch (for `n` = 0, nothing changes).
 fn grow(t: &mut Table, seed: u64, n: usize) {
     let first = t.num_rows();
     let fields = t.schema().fields().to_vec();
@@ -189,7 +190,8 @@ proptest! {
 
     /// After every save, a restarted backend loads exactly the in-memory
     /// table — across segments, compactions, empty and one-row batches,
-    /// NULLs and strings new to the base dictionary.
+    /// NULLs and strings new to the base dictionary. An empty batch leaves
+    /// the table as it was, so its save writes nothing.
     #[test]
     fn load_equals_memory_after_every_save(
         columns in proptest::collection::vec((0usize..5, any::<bool>()), 1..6),
@@ -203,13 +205,14 @@ proptest! {
         prop_assert!(backend.save_table(&table).unwrap() > 0);
         for &n in &batches {
             grow(&mut table, seed, n);
-            prop_assert!(backend.save_table(&table).unwrap() > 0, "a batch of {n} changed the table");
+            let written = backend.save_table(&table).unwrap();
+            prop_assert!((written > 0) == (n > 0), "a batch of {n} wrote {written} bytes");
             // Through the backend that wrote it, and through a restart.
             assert_identical(&backend.load_table(table.id()).unwrap(), &table)?;
             let restarted = FsBackend::open(dir.path()).unwrap();
             assert_identical(&restarted.load_table(table.id()).unwrap(), &table)?;
             let listed = backend.list_manifest().unwrap();
-            prop_assert_eq!(listed.entry(table.id()).unwrap().version, table.version());
+            prop_assert_eq!(listed.entry(table.id()).unwrap().num_rows, table.version());
             // Already durable: a second save writes nothing.
             prop_assert_eq!(backend.save_table(&table).unwrap(), 0);
         }
@@ -219,7 +222,7 @@ proptest! {
         prop_assert_eq!(written.snapshot_saves, 1 + written.compactions);
         prop_assert_eq!(
             written.snapshot_saves + written.segment_appends,
-            1 + batches.len() as u64
+            1 + batches.iter().filter(|&&n| n > 0).count() as u64
         );
     }
 }
@@ -312,9 +315,8 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
         std::fs::write(dir.file_of(t), bytes).unwrap();
         recover(&dir, t)
     };
-    let is_a_durable_prefix = |loaded: &Table| {
-        states.iter().any(|s| s.version() == loaded.version() && s.num_rows() == loaded.num_rows())
-    };
+    let is_a_durable_prefix =
+        |loaded: &Table| states.iter().any(|s| s.version() == loaded.version());
 
     // Every byte is under a checksum: any flip is corruption, wherever.
     for at in 0..file.len() {
@@ -337,15 +339,13 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
             other => panic!("cut at {cut}: {:?}", other.map(|t| t.num_rows())),
         }
     }
-    // Lengths that promise more than the file holds, with the checksums
-    // made to agree so the decoder gets to see them. The first appended
-    // record starts at `whole`: 24 frame bytes, then id, version,
-    // first_row, rows, columns, and the columns themselves. (The stamps are
-    // left alone — a huge one would be *restored*, and raise this process's
-    // stamp floor.)
+    // Lengths and ids that promise more than the file holds, with the
+    // checksums made to agree so the decoder gets to see them. The first
+    // appended record starts at `whole`: 24 frame bytes, then id,
+    // first_row, rows, columns, and the columns themselves.
     let frame = whole + 24;
     let body_len = records(&file)[2].len() - 24 - 8;
-    for at in (frame + 16)..(frame + body_len - 7) {
+    for at in frame..(frame + body_len - 7) {
         for hostile in [u64::MAX, 1 << 40, body_len as u64 + 1] {
             let mut bad = file.clone();
             bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
@@ -378,28 +378,30 @@ fn hostile_log_bytes_are_corrupt_or_a_truncated_tail_never_a_panic() {
     assert!(matches!(outcome, Err(StorageError::Corrupt(_))), "{outcome:?}");
 }
 
+/// Only checksum-verified ids raise the identity floor: reopening a data
+/// directory whose table file has any one byte flipped, and trying to load
+/// it, leaves the next `Table::new` id where it was — up to the ids the
+/// other tests of this binary draw meanwhile.
 #[test]
-fn open_raises_the_stamp_floor_past_stamps_recorded_only_in_a_segment() {
-    let dir = TempDir::new();
-    let [.., t] = base_and_two_segments(&dir);
-    // Another process wrote the last append: its stamp is far past
-    // anything this process has drawn. Only the table file records it.
-    let far = t.version() + 1_000_000;
-    let mut file = std::fs::read(dir.file_of(&t)).unwrap();
-    let last = records(&file)[3].clone();
-    let body = last.start + 24..last.end - 8;
-    file[body.start + 8..body.start + 16].copy_from_slice(&far.to_le_bytes());
-    let sum = fnv1a64(&file[body.clone()]);
-    file[body.end..].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(dir.file_of(&t), &file).unwrap();
-
-    let backend = FsBackend::open(dir.path()).unwrap();
-    let minted = Table::new("fresh", Schema::of(&[("x", DataType::Int)])).unwrap();
-    assert!(minted.id() > far, "open() alone must raise the floor: {} vs {far}", minted.id());
-    let restored = backend.load_table(t.id()).unwrap();
-    assert_eq!(restored.version(), far, "the recorded stamp is restored, not re-drawn");
-    let manifest = backend.list_manifest().unwrap();
-    assert!(manifest.entries.iter().all(|e| minted.id() > e.table_id.max(e.version)));
+fn a_flipped_byte_in_a_table_file_never_moves_the_identity_floor() {
+    const DRAWN_MEANWHILE: u64 = 1 << 16;
+    let origin = TempDir::new();
+    let [.., t] = base_and_two_segments(&origin);
+    let file = std::fs::read(origin.file_of(&t)).unwrap();
+    let dir = TempDir::copy_of(origin.path());
+    let next_id = || Table::new("probe", Schema::of(&[("x", DataType::Int)])).unwrap().id();
+    for at in 0..file.len() {
+        let mut bad = file.clone();
+        bad[at] ^= 0xff;
+        std::fs::write(dir.file_of(&t), &bad).unwrap();
+        let before = next_id();
+        assert!(recover(&dir, &t).is_err(), "flip at {at}");
+        let after = next_id();
+        assert!(
+            after - before < DRAWN_MEANWHILE,
+            "flip at {at} moved the floor {before} -> {after}"
+        );
+    }
 }
 
 #[test]
@@ -434,28 +436,28 @@ fn two_thousand_appends_write_at_most_four_bytes_per_byte_appended() {
     assert_identical(&recover(&dir, &table).unwrap(), &table).unwrap();
 }
 
-/// FNV-1a of `bytes` with `stamps` — a table's id and version stamps,
-/// process-global draws that differ from run to run, and the checksums of
-/// the bodies that hold them — read as zeros.
-fn fnv_without_stamps(bytes: &[u8], stamps: &[Range<usize>]) -> u64 {
+/// FNV-1a of `bytes` with `ids` — a table's id, a process-global draw
+/// that differs from run to run, and the checksums of the bodies that hold
+/// it — read as zeros.
+fn fnv_without_ids(bytes: &[u8], ids: &[Range<usize>]) -> u64 {
     let mut bytes = bytes.to_vec();
-    for at in stamps {
+    for at in ids {
         bytes[at.clone()].fill(0);
     }
     fnv1a64(&bytes)
 }
 
 /// Where the records of a table file whose name is `name_len` bytes long
-/// keep its stamps: the header's id after the name, each data record's id
-/// and version at the start of its body, and every body's checksum.
-fn stamps_of(file: &[u8], name_len: usize) -> Vec<Range<usize>> {
-    let mut stamps = Vec::new();
+/// keep its id: the header's after the name, each data record's at the
+/// start of its body; and every body's checksum.
+fn ids_of(file: &[u8], name_len: usize) -> Vec<Range<usize>> {
+    let mut ids = Vec::new();
     for (i, record) in records(file).into_iter().enumerate() {
         let body = record.start + 24;
-        let ids = if i == 0 { body + 8 + name_len..body + 16 + name_len } else { body..body + 16 };
-        stamps.extend([ids, record.end - 8..record.end]);
+        let id = if i == 0 { body + 8 + name_len..body + 16 + name_len } else { body..body + 8 };
+        ids.extend([id, record.end - 8..record.end]);
     }
-    stamps
+    ids
 }
 
 /// The chunk layout is invisible on disk, in both directions: the fixed
@@ -463,22 +465,21 @@ fn stamps_of(file: &[u8], name_len: usize) -> Vec<Range<usize>> {
 /// records that end at, start at and straddle a chunk boundary replay to
 /// the in-memory table, and the bytes of both are the bytes the flat
 /// layout wrote. The constants were first computed at the commit before
-/// columns had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`.
-/// Format 3 recomputed them once, and format 4, which made a table one
-/// file of framed records, once more: `DBWT_PIN` hashes the image of the
-/// header record and one data record over every row, `DBWA_PINS` the
-/// records appended after each file's whole-file write. Checked against
-/// format 3 on the same tables: every column encoding inside a format-4
-/// data record is byte for byte the body of the format-3 column segment,
-/// and an appended record differs from the format-3 log record only in the
-/// version field and the frame checksum over it.
+/// columns had chunks, by this code with `CHUNK_ROWS` spelled `1 << 14`,
+/// and recomputed once per format since: `DBWT_PIN` hashes the image of
+/// the header record and one data record over every row, `DBWA_PINS` the
+/// records appended after each file's whole-file write, with the table id
+/// and the body checksums read as zeros. Format 5 was checked against
+/// format 4 on the same tables: each record is its format-4 counterpart
+/// without the data record's 8-byte version stamp, with the frame's
+/// format version, body length and both checksums recomputed.
 #[test]
 fn chunk_boundaries_do_not_show_on_disk() {
     let table = boundary_table(BOUNDARY_ROWS);
     let image = encode_table(&table);
     assert_identical(&decode_table(&image).unwrap(), &table).unwrap();
     assert_eq!(
-        fnv_without_stamps(&image, &stamps_of(&image, table.name().len())),
+        fnv_without_ids(&image, &ids_of(&image, table.name().len())),
         DBWT_PIN,
         "a whole-file image of the multi-chunk table is not the bytes the parent commit writes"
     );
@@ -502,22 +503,22 @@ fn chunk_boundaries_do_not_show_on_disk() {
             }
             assert_eq!(backend.write_counters().segment_appends, cuts.len() as u64 - 1);
             let file = std::fs::read(dir.file_of(&grown)).unwrap();
-            let stamps = stamps_of(&file, grown.name().len());
+            let ids = ids_of(&file, grown.name().len());
             let whole = records(&file)[2].start;
-            let stamps: Vec<_> = stamps
+            let ids: Vec<_> = ids
                 .iter()
                 .filter(|at| at.start >= whole)
                 .map(|at| at.start - whole..at.end - whole)
                 .collect();
-            appended.push(fnv_without_stamps(&file[whole..], &stamps));
+            appended.push(fnv_without_ids(&file[whole..], &ids));
         }
     }
     assert_eq!(appended, DBWA_PINS, "appended records are not the bytes the parent commit writes");
 }
 
-const DBWT_PIN: u64 = 0x5e1e_935d_5952_6ab8;
+const DBWT_PIN: u64 = 0xe593_c056_a9b7_292e;
 const DBWA_PINS: [u64; 4] =
-    [0x8472_aaa8_b71e_aebf, 0xe87f_2432_0301_289e, 0xaec0_0d74_0965_7207, 0xe6ce_8367_7d60_8c29];
+    [0x3e4f_5f11_92fc_f288, 0x73b0_9a9c_2a8c_464e, 0xa005_7055_33a4_05f6, 0x37fb_c710_516e_4426];
 
 /// What a walk over a table file image finds: every record, every length
 /// or count field with the range of bytes whose checksum covers it — a
@@ -566,8 +567,8 @@ fn walk_records(image: &[u8]) -> FileLayout {
         at += 2;
     }
     assert_eq!(at, header_body.end, "the walk and the encoder disagree on the header");
-    // Data: id, version, first row, row count, column count, columns.
-    at = body.start + 16;
+    // Data: id, first row, row count, column count, columns.
+    at = body.start + 8;
     for _ in 0..3 {
         layout.lengths.push((at, body.clone()));
         at += 8;
@@ -608,7 +609,7 @@ fn walk_records(image: &[u8]) -> FileLayout {
 }
 
 /// Flips a bit of, and cuts the image at, every offset of `visit`. Every
-/// byte of the image is under a checksum — the header, the stamps and the
+/// byte of the image is under a checksum — the header, the ids and the
 /// frames included — so each flip is `Corrupt`, and so is each cut.
 fn assert_flips_and_cuts_are_refused(image: &mut [u8], visit: &[usize]) {
     for &at in visit {
@@ -820,4 +821,26 @@ fn concurrent_appends_are_all_durable_whatever_order_their_saves_run_in() {
     // No flush, no shutdown: what the acks promised is what a restart has.
     let restored = runtime_over(&dir).restore_catalog().unwrap();
     assert_identical(restored.table("readings").unwrap(), &memory).unwrap();
+}
+
+/// A restart keeps every cache key: the restored table has the id and the
+/// version (its row count) it had, so the fingerprint of a statement over
+/// it is the one minted before the restart.
+#[test]
+fn a_restored_table_keeps_its_cache_fingerprint() {
+    let dir = TempDir::new();
+    let manager = SessionManager::new(Catalog::new());
+    manager.attach_storage(runtime_over(&dir));
+    manager.register_table(readings());
+    for batch in 0..3 {
+        assert!(manager.stream_append("readings", small_batch(batch, 5)).unwrap().durable);
+    }
+    let stmt = dbwipes::parse_select("SELECT c0, avg(c1) AS a FROM readings GROUP BY c0").unwrap();
+    let session = manager.session(manager.open_session()).unwrap();
+    let before = session.lock().unwrap().dashboard().backend().catalog().table_arc("readings");
+    let before = CacheFingerprint::of(&before.unwrap(), &stmt);
+    let restored = runtime_over(&dir).restore_catalog().unwrap();
+    let after = CacheFingerprint::of(restored.table("readings").unwrap(), &stmt);
+    assert_eq!(after, before);
+    assert_eq!(after.version, 515);
 }

@@ -49,7 +49,7 @@ fn explain(q: &Question, table: &Table) -> String {
     format!("{:?}\n{:#?}\n{:?}\n{:?}", e.base_error, e.predicates, e.influence, e.candidates)
 }
 
-/// The same data and stamps with nothing derived attached, made without
+/// The same data, id and version with nothing derived attached, made without
 /// `Clone` (which shares the bitmaps on purpose).
 fn cold_copy(table: &Table) -> Table {
     let copy = decode_table(&encode_table(table)).unwrap();
@@ -87,7 +87,7 @@ fn check_lifetime(tag: &str, table: Table, q: &Question) {
     assert_eq!(explain(q, &clone), first);
     assert_eq!(cache.stats().1, scanned, "a clone's explain scans nothing either");
 
-    // A decoded image has the stamps and none of the bitmaps.
+    // A decoded image has the id and version and none of the bitmaps.
     let decoded = cold_copy(&table);
     assert_eq!(explain(q, &decoded), first);
     assert_eq!(decoded.condition_bitmaps().stats().1, scanned, "decoded: scanned from scratch");
@@ -104,8 +104,8 @@ fn check_lifetime(tag: &str, table: Table, q: &Question) {
     assert_eq!(explain(q, &table), first);
     assert_eq!(cache.stats().1, scanned, "and still scans nothing");
 
-    // A whole-file write plus an appended record, replayed: the stamps
-    // of the grown table, no bitmaps.
+    // A whole-file write plus an appended record, replayed: the id and
+    // version of the grown table, no bitmaps.
     let dir = std::env::temp_dir().join(format!("dbwipes-bitmaps-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let backend = FsBackend::open(&dir).unwrap();

@@ -178,7 +178,7 @@ proptest! {
         let grown_a = Arc::new(grow(&base, &wave_a));
         let grown_b = Arc::new(grow(&grown_a, &wave_b));
         prop_assert_eq!(grown_b.id(), base.id());
-        // An append of nothing draws no version stamp.
+        // An append of nothing leaves the version alone.
         if wave_a.is_empty() && wave_b.is_empty() {
             prop_assert_eq!(grown_b.version(), base.version());
         } else {
