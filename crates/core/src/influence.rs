@@ -4,9 +4,9 @@
 //! generated S ... It then uses leave-one-out analysis to rank each tuple
 //! in F by how much it influences ε" (paper §2.2.2). The influence of a
 //! tuple is the decrease in ε obtained by recomputing its group's aggregate
-//! without it. The per-group aggregate states and argument values come from
-//! the engine's [`GroupedAggregateCache`] (one execution shared with the
-//! Predicate Ranker); each tuple's leave-one-out value is then one
+//! without it. Each selected group's aggregate state is folded from the
+//! argument values of its lineage rows, read off the table (no execution);
+//! each tuple's leave-one-out value is then one
 //! [`AggregateState::remove`] on a copy of its group's state for sum-like
 //! aggregates, with min/max falling back to a rescan of the group. The
 //! per-tuple loop is embarrassingly parallel and runs across scoped
@@ -114,31 +114,17 @@ pub fn aggregate_arg_value(
 }
 
 /// Ranks every input tuple of the selected outputs by leave-one-out
-/// influence on ε, building the incremental re-aggregation cache internally.
+/// influence on ε. Only `table` is read: a selected group's rows come from
+/// the result's lineage, and its state is folded from their argument
+/// values in lineage order, which is scan order — the fold the execution
+/// ran, so the states are the same bit for bit.
 pub fn rank_influence(
     table: &Table,
     result: &QueryResult,
     selected: &[usize],
     metric: &ErrorMetric,
 ) -> Result<InfluenceReport, CoreError> {
-    let cache = GroupedAggregateCache::build(table, &result.statement)?;
-    rank_influence_with_cache(&cache, result, selected, metric)
-}
-
-/// [`rank_influence`] over a caller-provided cache, which carries the
-/// table it was built from — the explain pipeline builds one
-/// [`GroupedAggregateCache`] and shares it between the Preprocessor and the
-/// Ranker. The Preprocessor reads only that table from it: a selected
-/// group's rows come from the result's lineage, and its state is folded
-/// from their argument values in lineage order, which is scan order — the
-/// fold the cache itself ran, so the states are the same bit for bit.
-pub fn rank_influence_with_cache(
-    cache: &GroupedAggregateCache,
-    result: &QueryResult,
-    selected: &[usize],
-    metric: &ErrorMetric,
-) -> Result<InfluenceReport, CoreError> {
-    let table = cache.table();
+    dbwipes_engine::validate(table, &result.statement)?;
     if selected.is_empty() {
         return Err(CoreError::invalid("no suspicious outputs (S) were selected"));
     }
@@ -211,6 +197,18 @@ pub fn rank_influence_with_cache(
 
     influences.sort_by(|a, b| b.influence.total_cmp(&a.influence).then(a.row.cmp(&b.row)));
     Ok(InfluenceReport { base_error, influences })
+}
+
+/// [`rank_influence`] over the table a caller-provided cache carries — the
+/// explain pipeline builds one [`GroupedAggregateCache`] and shares its
+/// snapshot between the Preprocessor and the Ranker.
+pub fn rank_influence_with_cache(
+    cache: &GroupedAggregateCache,
+    result: &QueryResult,
+    selected: &[usize],
+    metric: &ErrorMetric,
+) -> Result<InfluenceReport, CoreError> {
+    rank_influence(cache.table(), result, selected, metric)
 }
 
 #[cfg(test)]

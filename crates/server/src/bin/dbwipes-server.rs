@@ -4,8 +4,8 @@
 //! ```text
 //! dbwipes-server [--listen 127.0.0.1:7433] [--dataset sensor|fec|both]
 //!                [--readings N] [--cache-capacity N] [--data-dir DIR]
-//!                [--workers N] [--queue-depth N] [--max-connections N]
-//!                [--idle-timeout-ms N] [--read-timeout-ms N]
+//!                [--workers N] [--queue-depth N] [--idle-timeout-ms N]
+//!                [--read-timeout-ms N]
 //! ```
 //!
 //! In stdio mode the process reads one request per line and writes one
@@ -77,11 +77,6 @@ fn parse_args() -> Result<Options, String> {
                 options.pool.queue_depth =
                     value("--queue-depth")?.parse().map_err(|e| format!("--queue-depth: {e}"))?;
             }
-            "--max-connections" => {
-                options.pool.max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?;
-            }
             "--idle-timeout-ms" => {
                 let ms: u64 = value("--idle-timeout-ms")?
                     .parse()
@@ -99,8 +94,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "usage: dbwipes-server [--listen ADDR] [--dataset sensor|fec|both] \
                      [--readings N] [--cache-capacity N] [--data-dir DIR] [--workers N] \
-                     [--queue-depth N] [--max-connections N] [--idle-timeout-ms N] \
-                     [--read-timeout-ms N]"
+                     [--queue-depth N] [--idle-timeout-ms N] [--read-timeout-ms N]"
                 );
                 std::process::exit(0);
             }
@@ -160,11 +154,9 @@ fn serve_tcp(manager: Arc<SessionManager>, addr: &str, options: &Options) -> std
     eprintln!("dbwipes-server listening on {}", listener.local_addr()?);
     let config = options.pool.clone().normalized();
     eprintln!(
-        "dbwipes-server pool: {} workers, queue depth {}, connection cap {}, \
-         idle timeout {}ms, read timeout {}ms",
+        "dbwipes-server pool: {} workers, queue depth {}, idle timeout {}ms, read timeout {}ms",
         config.workers,
         config.queue_depth,
-        config.max_connections,
         config.idle_timeout.as_millis(),
         config.read_timeout.as_millis()
     );

@@ -3,18 +3,18 @@
 //! PR 3's TCP front-end spawned one OS thread per accepted connection: no
 //! cap on threads, no cap on memory, and a traffic spike degrades every
 //! session at once. This module replaces it with the classic bounded
-//! executor shape — built by hand on `Mutex` + `Condvar` because the
-//! container is offline (same constraint that produced the [`crate::json`]
-//! module):
+//! executor shape:
 //!
 //! * a **fixed worker pool** ([`PoolConfig::workers`], default the
-//!   effective parallelism) pulls accepted connections from a **bounded
-//!   MPMC queue** ([`BoundedQueue`]) and serves each one to completion;
-//! * **explicit backpressure**: when the queue is full — or the hard
-//!   [`PoolConfig::max_connections`] cap is reached — the acceptor answers
-//!   a structured `busy` reply (`{"ok":false,"error":…,"busy":true}`) and
-//!   closes, instead of growing without bound. Clients treat `busy` as
-//!   "retry with backoff";
+//!   effective parallelism) takes accepted connections off a **bounded
+//!   channel** (`std::sync::mpsc::sync_channel` of
+//!   [`PoolConfig::queue_depth`] slots, its receiver shared behind a
+//!   mutex) and serves each one to completion;
+//! * **explicit backpressure**: when the channel is full the acceptor
+//!   answers a structured `busy` reply (`{"ok":false,"error":…,"busy":true}`)
+//!   and closes, instead of growing without bound. A worker serves one
+//!   connection at a time, so admitted connections never exceed
+//!   `workers + queue_depth`. Clients treat `busy` as "retry with backoff";
 //! * **idle timeouts**: a connection that stays silent for
 //!   [`PoolConfig::idle_timeout`] gets a structured timeout notice and is
 //!   closed, so abandoned sockets cannot pin pool slots;
@@ -31,11 +31,11 @@
 
 use crate::json::Json;
 use crate::manager::{lock_recover, SessionManager};
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often blocking reads and the acceptor wake up to poll the shutdown
@@ -60,9 +60,6 @@ pub struct PoolConfig {
     /// Connections that may wait for a worker. Queue-full admissions are
     /// answered `busy` and closed.
     pub queue_depth: usize,
-    /// Hard cap on admitted (queued + in-service) connections. Admissions
-    /// beyond it are answered `busy` and closed.
-    pub max_connections: usize,
     /// A connection silent this long is sent a timeout notice and closed.
     pub idle_timeout: Duration,
     /// A *started but unfinished* request line older than this is sent a
@@ -78,7 +75,6 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: dbwipes_core::effective_parallelism(),
             queue_depth: 64,
-            max_connections: 256,
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(10),
         }
@@ -86,13 +82,13 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// Clamps every knob to its working minimum (≥1 worker, ≥1 queue slot,
-    /// cap ≥ workers so admitted work can actually be served, timeouts ≥
-    /// one poll tick).
+    /// Clamps every knob to its working minimum: ≥1 worker; ≥1 queue slot,
+    /// because a zero-capacity channel is a rendezvous that would answer
+    /// `busy` whenever no worker is already waiting; timeouts ≥ one poll
+    /// tick.
     pub fn normalized(mut self) -> Self {
         self.workers = self.workers.max(1);
         self.queue_depth = self.queue_depth.max(1);
-        self.max_connections = self.max_connections.max(self.workers);
         self.idle_timeout = self.idle_timeout.max(POLL_TICK);
         self.read_timeout = self.read_timeout.max(POLL_TICK);
         self
@@ -107,7 +103,6 @@ impl PoolConfig {
 pub struct PoolStats {
     workers: u64,
     queue_depth: u64,
-    max_connections: u64,
     queued: AtomicU64,
     rejected: AtomicU64,
     active_connections: AtomicU64,
@@ -115,7 +110,6 @@ pub struct PoolStats {
     served_connections: AtomicU64,
     commands: AtomicU64,
     batches: AtomicU64,
-    workers_resurrected: AtomicU64,
 }
 
 /// A point-in-time copy of [`PoolStats`] (the `stats` reply's `pool`
@@ -126,11 +120,9 @@ pub struct PoolSnapshot {
     pub workers: u64,
     /// Capacity of the connection queue.
     pub queue_depth: u64,
-    /// Hard connection cap.
-    pub max_connections: u64,
     /// Connections currently waiting for a worker.
     pub queued: u64,
-    /// Admissions answered `busy` (queue full or cap reached).
+    /// Admissions answered `busy` (queue full).
     pub rejected: u64,
     /// Admitted connections right now (queued + in service).
     pub active_connections: u64,
@@ -142,10 +134,6 @@ pub struct PoolSnapshot {
     pub commands: u64,
     /// `batch` requests among them (counted by the dispatch layer).
     pub batches: u64,
-    /// Worker threads the supervisor respawned after finding them dead.
-    /// Stays 0 in healthy operation — the in-worker panic shield already
-    /// absorbs panicking connections without losing the thread.
-    pub workers_resurrected: u64,
 }
 
 impl PoolStats {
@@ -153,7 +141,6 @@ impl PoolStats {
         PoolStats {
             workers: config.workers as u64,
             queue_depth: config.queue_depth as u64,
-            max_connections: config.max_connections as u64,
             queued: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             active_connections: AtomicU64::new(0),
@@ -161,7 +148,6 @@ impl PoolStats {
             served_connections: AtomicU64::new(0),
             commands: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            workers_resurrected: AtomicU64::new(0),
         }
     }
 
@@ -170,7 +156,6 @@ impl PoolStats {
         PoolSnapshot {
             workers: self.workers,
             queue_depth: self.queue_depth,
-            max_connections: self.max_connections,
             queued: self.queued.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             active_connections: self.active_connections.load(Ordering::Relaxed),
@@ -178,7 +163,6 @@ impl PoolStats {
             served_connections: self.served_connections.load(Ordering::Relaxed),
             commands: self.commands.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            workers_resurrected: self.workers_resurrected.load(Ordering::Relaxed),
         }
     }
 
@@ -199,84 +183,6 @@ impl PoolStats {
     }
 }
 
-/// A bounded multi-producer multi-consumer queue on `Mutex` + `Condvar`.
-///
-/// `try_push` never blocks — a full (or closed) queue hands the item back,
-/// which is what turns into the protocol's `busy` reply. `pop` blocks
-/// until an item arrives or the queue is closed *and* drained, so closing
-/// is the worker-pool's shutdown broadcast.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    available: Condvar,
-}
-
-#[derive(Debug)]
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                capacity: capacity.max(1),
-                closed: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Enqueues without blocking. A full or closed queue returns the item
-    /// to the caller — that is the backpressure edge.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut inner = lock_recover(&self.inner);
-        if inner.closed || inner.items.len() >= inner.capacity {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until an item is available (returning it) or the queue is
-    /// closed and drained (returning `None`).
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = lock_recover(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.available.wait(inner).unwrap_or_else(|poison| poison.into_inner());
-        }
-    }
-
-    /// Closes the queue: pushes start failing, and once the remaining
-    /// items are drained every blocked `pop` returns `None`.
-    pub fn close(&self) {
-        lock_recover(&self.inner).closed = true;
-        self.available.notify_all();
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.inner).items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Serves `listener` with the bounded worker pool until graceful shutdown
 /// is requested (the `shutdown` ctrl-line or
 /// [`SessionManager::request_shutdown`]). Returns the pool's counters
@@ -291,57 +197,22 @@ pub fn serve_pooled(
     // First front-end wins; a second serve over the same manager (benches
     // do this) keeps reporting the first pool's counters.
     let _ = manager.attach_pool_stats(Arc::clone(&stats));
-    let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.queue_depth));
-
-    let workers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(
-        (0..config.workers).map(|i| spawn_worker(i, &manager, &queue, &stats, &config)).collect(),
-    ));
-
-    // Worker-loss watchdog: each worker already shields itself with a
-    // per-connection panic boundary, so losing a thread takes something
-    // beyond a panicking handler — but if it ever happens, the supervisor
-    // notices the dead slot within a few poll ticks, reaps it, and spawns
-    // a replacement so pool capacity never silently decays.
-    let supervisor = {
-        let manager = Arc::clone(&manager);
-        let queue = Arc::clone(&queue);
-        let stats = Arc::clone(&stats);
-        let config = config.clone();
-        let workers = Arc::clone(&workers);
-        std::thread::Builder::new()
-            .name("dbwipes-worker-supervisor".to_string())
-            .spawn(move || {
-                while !manager.shutdown_requested() {
-                    std::thread::sleep(4 * POLL_TICK);
-                    let mut slots = lock_recover(&workers);
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        // During drain, workers exit on purpose; the
-                        // re-check keeps the supervisor from resurrecting
-                        // them into a closed queue.
-                        if slot.is_finished() && !manager.shutdown_requested() {
-                            let replacement = spawn_worker(i, &manager, &queue, &stats, &config);
-                            let dead = std::mem::replace(slot, replacement);
-                            let _ = dead.join();
-                            stats.workers_resurrected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            })
-            .expect("spawn supervisor thread")
-    };
+    let (sender, receiver) = sync_channel(config.queue_depth);
+    let receiver = Arc::new(Mutex::new(receiver));
+    let workers: Vec<_> = (0..config.workers)
+        .map(|i| spawn_worker(i, &manager, &receiver, &stats, &config))
+        .collect();
 
     let accept_result =
-        accept_loop(&manager, &listener, |stream| admit(stream, &queue, &config, &stats));
+        accept_loop(&manager, &listener, |stream| admit(stream, &sender, &config, &stats));
 
     // Drain: stop taking work, let the workers finish what was admitted
     // (serve_connection switches to drain mode via the shutdown flag),
-    // then join them. Closing the queue wakes idle workers; queued
-    // connections are still popped and served before `pop` returns None.
-    // `accept_loop` re-asserted the shutdown flag, so the supervisor is
-    // joinable and spawns no further replacements.
-    let _ = supervisor.join();
-    queue.close();
-    for worker in std::mem::take(&mut *lock_recover(&workers)) {
+    // then join them. Dropping the sender is the close: queued
+    // connections are still received and served, and once the channel is
+    // empty every worker's `recv` fails and it exits.
+    drop(sender);
+    for worker in workers {
         let _ = worker.join();
     }
     // All in-flight commands have finished, so the catalog is final: flush
@@ -352,36 +223,40 @@ pub fn serve_pooled(
     accept_result.map(|()| stats)
 }
 
-/// Spawns one pool worker: pops admitted connections and serves each to
-/// completion behind a panic boundary. The session dispatcher already
+/// Spawns one pool worker: receives admitted connections and serves each
+/// to completion behind a panic boundary. The session dispatcher already
 /// catches handler panics, so anything that unwinds to here escaped the
 /// inner boundary — the shield turns it into one lost connection (counted
 /// via [`SessionManager`]'s panic counter) instead of a lost worker.
 fn spawn_worker(
     i: usize,
     manager: &Arc<SessionManager>,
-    queue: &Arc<BoundedQueue<TcpStream>>,
+    receiver: &Arc<Mutex<Receiver<TcpStream>>>,
     stats: &Arc<PoolStats>,
     config: &PoolConfig,
 ) -> std::thread::JoinHandle<()> {
     let manager = Arc::clone(manager);
-    let queue = Arc::clone(queue);
+    let receiver = Arc::clone(receiver);
     let stats = Arc::clone(stats);
     let config = config.clone();
     std::thread::Builder::new()
         .name(format!("dbwipes-worker-{i}"))
-        .spawn(move || {
-            while let Some(stream) = queue.pop() {
-                stats.queued.store(queue.len() as u64, Ordering::Relaxed);
-                let shielded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    serve_connection(&manager, stream, &config, &stats);
-                }));
-                if shielded.is_err() {
-                    manager.record_panic();
-                }
-                stats.connection_closed();
-                stats.served_connections.fetch_add(1, Ordering::Relaxed);
+        .spawn(move || loop {
+            // The lock is held only while waiting, so idle workers take
+            // connections in turn. A statement of its own: a `while let`
+            // would keep the guard through the whole connection.
+            let received = lock_recover(&receiver).recv();
+            // A closed and empty channel ends the worker.
+            let Ok(stream) = received else { break };
+            stats.queued.fetch_sub(1, Ordering::Relaxed);
+            let shielded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve_connection(&manager, stream, &config, &stats);
+            }));
+            if shielded.is_err() {
+                manager.record_panic();
             }
+            stats.connection_closed();
+            stats.served_connections.fetch_add(1, Ordering::Relaxed);
         })
         .expect("spawn worker thread")
 }
@@ -459,43 +334,37 @@ fn wake_address(listener: &TcpListener) -> std::io::Result<SocketAddr> {
     Ok(addr)
 }
 
-/// Admission control: the hard connection cap, then the bounded queue.
-/// Both rejection edges answer a structured `busy` line so the client can
-/// back off and retry, and are counted in `rejected`.
+/// Admission control: a full channel answers a structured `busy` line so
+/// the client can back off and retry, and is counted in `rejected`.
 fn admit(
     stream: TcpStream,
-    queue: &BoundedQueue<TcpStream>,
+    sender: &SyncSender<TcpStream>,
     config: &PoolConfig,
     stats: &PoolStats,
 ) {
-    if stats.active_connections.load(Ordering::Relaxed) >= config.max_connections as u64 {
-        stats.rejected.fetch_add(1, Ordering::Relaxed);
-        reject(
-            stream,
-            &format!("connection limit reached ({})", config.max_connections),
-            retry_after_ms(queue.len(), config.workers),
-        );
-        return;
-    }
-    // Counted before the push: once queued, a worker may serve the
-    // connection to completion, and count its close, before this thread
-    // runs again. The queue's mutex orders this increment before that
-    // decrement, so the count never wraps below zero.
+    // Both gauges are counted before the send: once queued, a worker may
+    // receive the connection, serve it to completion and count its close
+    // before this thread runs again. The channel orders these increments
+    // before those decrements, so neither gauge wraps below zero.
     let admitted = stats.connection_admitted();
-    match queue.try_push(stream) {
+    stats.queued.fetch_add(1, Ordering::Relaxed);
+    match sender.try_send(stream) {
+        // The high-water mark moves only once the connection holds a queue
+        // slot, so a queue-full bounce never ratchets it.
         Ok(()) => {
-            // The high-water mark moves only once the connection holds a
-            // queue slot, so a queue-full bounce never ratchets it.
             stats.peak_connections.fetch_max(admitted, Ordering::Relaxed);
-            stats.queued.store(queue.len() as u64, Ordering::Relaxed);
         }
-        Err(stream) => {
+        // The receiver lives as long as the workers, which outlive the
+        // acceptor, so a disconnected channel is unreachable; it is still
+        // answered like a full one rather than dropped silently.
+        Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
+            let queued = stats.queued.fetch_sub(1, Ordering::Relaxed) - 1;
             stats.connection_closed();
             stats.rejected.fetch_add(1, Ordering::Relaxed);
             reject(
                 stream,
                 &format!("command queue full ({} waiting)", config.queue_depth),
-                retry_after_ms(queue.len(), config.workers),
+                retry_after_ms(queued, config.workers),
             );
         }
     }
@@ -505,8 +374,8 @@ fn admit(
 /// actually sees: 10ms per connection already waiting *per worker*, so
 /// the hint grows with the expected time until a slot frees, bounded at
 /// one second so a deep queue never tells clients to go away for good.
-fn retry_after_ms(queued: usize, workers: usize) -> u64 {
-    let per_worker = (queued / workers.max(1)) as u64;
+fn retry_after_ms(queued: u64, workers: usize) -> u64 {
+    let per_worker = queued / workers.max(1) as u64;
     (10 * (1 + per_worker)).min(1_000)
 }
 
@@ -682,98 +551,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bounded_queue_round_trips_in_order() {
-        let queue = BoundedQueue::new(3);
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), Some(2));
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn full_queue_hands_the_item_back() {
-        let queue = BoundedQueue::new(2);
-        queue.try_push("a").unwrap();
-        queue.try_push("b").unwrap();
-        assert_eq!(queue.try_push("c"), Err("c"));
-        assert_eq!(queue.pop(), Some("a"));
-        queue.try_push("c").unwrap();
-        assert_eq!(queue.len(), 2);
-    }
-
-    #[test]
-    fn close_rejects_pushes_and_drains_pops() {
-        let queue = BoundedQueue::new(4);
-        queue.try_push(10).unwrap();
-        queue.close();
-        assert_eq!(queue.try_push(11), Err(11));
-        assert_eq!(queue.pop(), Some(10), "closing still drains queued items");
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumers() {
-        let queue = Arc::new(BoundedQueue::<u32>::new(1));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop())
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        queue.close();
-        assert_eq!(waiter.join().unwrap(), None);
-    }
-
-    #[test]
-    fn racing_producers_and_consumers_lose_nothing() {
-        let queue = Arc::new(BoundedQueue::new(8));
-        let total = 4 * 200;
-        let consumed = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for producer in 0..4u32 {
-                let queue = Arc::clone(&queue);
-                scope.spawn(move || {
-                    for i in 0..200u32 {
-                        let mut item = producer * 1000 + i;
-                        // Spin on backpressure like the acceptor's retry
-                        // guidance tells clients to.
-                        while let Err(back) = queue.try_push(item) {
-                            item = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let queue = Arc::clone(&queue);
-                let consumed = Arc::clone(&consumed);
-                scope.spawn(move || {
-                    while let Some(item) = queue.pop() {
-                        consumed.lock().unwrap().push(item);
-                    }
-                });
-            }
-            // Producers finish first (scope joins unstarted threads in
-            // drop order), so close after everything is pushed.
-            scope.spawn({
-                let queue = Arc::clone(&queue);
-                let consumed = Arc::clone(&consumed);
-                move || {
-                    while consumed.lock().unwrap().len() < total {
-                        std::thread::yield_now();
-                    }
-                    queue.close();
-                }
-            });
-        });
-        let mut consumed = consumed.lock().unwrap().clone();
-        consumed.sort_unstable();
-        consumed.dedup();
-        assert_eq!(consumed.len(), total, "every pushed item must be popped exactly once");
-    }
-
-    #[test]
     fn retry_hint_scales_with_queue_pressure_and_saturates() {
         assert_eq!(retry_after_ms(0, 4), 10, "empty queue: minimal backoff");
         assert_eq!(retry_after_ms(8, 4), 30, "two waiting per worker");
@@ -787,19 +564,14 @@ mod tests {
         let config = PoolConfig {
             workers: 0,
             queue_depth: 0,
-            max_connections: 0,
             idle_timeout: Duration::ZERO,
             read_timeout: Duration::ZERO,
         }
         .normalized();
         assert_eq!(config.workers, 1);
         assert_eq!(config.queue_depth, 1);
-        assert_eq!(config.max_connections, 1);
         assert!(config.idle_timeout >= POLL_TICK);
         assert!(config.read_timeout >= POLL_TICK);
-
-        let wide = PoolConfig { workers: 8, max_connections: 2, ..config.clone() }.normalized();
-        assert_eq!(wide.max_connections, 8, "cap must cover the pool");
     }
 
     #[test]

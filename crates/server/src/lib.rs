@@ -24,11 +24,11 @@
 //!   `click_predicate`, `undo`, `batch`, `shutdown` and friends — served
 //!   by [`SessionManager::handle_line`] and exposed over stdin/stdout or
 //!   TCP by the `dbwipes-server` binary.
-//! * the bounded worker-pool TCP [`executor`] — a fixed worker pool over a
-//!   bounded `Mutex`+`Condvar` MPMC queue, with `busy` backpressure
-//!   replies, a hard connection cap, idle timeouts, and graceful drain on
-//!   the `shutdown` ctrl-line — so heavy traffic degrades into explicit
-//!   `busy` answers instead of unbounded threads and memory.
+//! * the bounded worker-pool TCP [`executor`] — a fixed worker pool over
+//!   std's bounded `sync_channel`, with `busy` backpressure replies, idle
+//!   timeouts, and graceful drain on the `shutdown` ctrl-line — so heavy
+//!   traffic degrades into explicit `busy` answers instead of unbounded
+//!   threads and memory.
 //!
 //! [`GroupedAggregateCache`]: dbwipes_engine::GroupedAggregateCache
 //! [`CacheFingerprint`]: dbwipes_engine::CacheFingerprint
@@ -68,7 +68,7 @@ mod service;
 
 pub use client::LineClient;
 pub use durability::{StorageCounters, StorageHealth, StorageRuntime};
-pub use executor::{serve_pooled, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats};
+pub use executor::{serve_pooled, PoolConfig, PoolSnapshot, PoolStats};
 pub use json::{Json, JsonWriter, ObjectShape, Scalar};
 pub use manager::{DebugCacheReport, ServerSession, SessionId, SessionManager, StreamAppendReport};
 pub use protocol::{

@@ -51,8 +51,9 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Mutex twin of [`read_recover`], for every service-internal mutex of
 /// the crate. Recovering is sound for each of them because no critical
 /// section runs user command code and every update under the lock leaves
-/// the data valid at each step: the quarantine map here and the executor's
-/// queue and join handles are plain bookkeeping, and the cache registry
+/// the data valid at each step: the quarantine map here is plain
+/// bookkeeping, the executor's shared channel receiver is only waited on,
+/// and the cache registry
 /// only inserts, removes or bumps a counter (builds run *outside* its lock
 /// behind a reservation guard) — so serving beats taking every connection
 /// or cache-backed command down with one dead thread.

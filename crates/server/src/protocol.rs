@@ -77,8 +77,9 @@ use dbwipes_storage::Value;
 /// the `stats` `storage` block gains `segment_appends`, `segment_bytes`
 /// and `compactions`; 6 = warm-state sidecars removed: `stats.storage`
 /// drops `rehydrated_caches`; `stats.condition_bitmaps` gains `retained`,
-/// `retained_bytes`.
-pub const PROTOCOL_VERSION: u64 = 6;
+/// `retained_bytes`; 7 = the connection cap and the worker supervisor
+/// removed: `stats.pool` drops `max_connections` and `workers_resurrected`.
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]

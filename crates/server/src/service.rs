@@ -12,7 +12,7 @@
 //! envelope is written ([`WireError::write_to`]).
 
 use crate::executor::PoolStats;
-use crate::json::{JsonWriter, ObjectShape, Scalar};
+use crate::json::{Json, JsonWriter, ObjectShape, Scalar};
 use crate::manager::{ServerSession, SessionId, SessionManager};
 use crate::protocol::{parse_request, Command, Request, WireError, PROTOCOL_VERSION};
 use dbwipes_core::{CoreError, Explanation, MetricKind};
@@ -102,21 +102,11 @@ impl SessionManager {
                 w.key("total_rows").num(report.total_rows as f64);
             }
             command => {
-                let s = command.session().expect("all remaining commands address a session");
-                let sid = SessionId(s);
-                self.check_quarantine(sid)?;
-                let handle = self
-                    .session(sid)
-                    .ok_or_else(|| WireError::from(format!("no such session {s}")))?;
-                // The guard lives *outside* the panic boundary: quarantine,
-                // not mutex poisoning, is how a broken session is fenced
-                // off, so siblings (and this very map entry) stay lockable.
-                let mut session = match handle.lock() {
-                    Ok(guard) => guard,
-                    Err(_) => return Err(self.quarantine_poisoned(sid)),
-                };
-                session.record_command();
-                return self.isolated_session_command(sid, &mut session, command, w);
+                let sid =
+                    SessionId(command.session().expect("all remaining commands address a session"));
+                return self.with_session(sid, |session| {
+                    self.isolated_session_command(sid, session, command, w)
+                })?;
             }
         }
         Ok(())
@@ -200,34 +190,45 @@ impl SessionManager {
         w.end_object();
     }
 
-    /// Rejects commands addressed to a quarantined session with a
-    /// structured `quarantined` error carrying the original reason.
-    fn check_quarantine(&self, sid: SessionId) -> Handled {
-        match self.quarantine_reason(sid) {
-            Some(reason) => Err(WireError::quarantined(format!(
+    /// Routes to session `sid` and runs `f` under its lock. A quarantined
+    /// session answers a structured `quarantined` error carrying the
+    /// original reason; an unknown one "no such session"; a poisoned mutex
+    /// (its holder panicked while unwinding elsewhere) quarantines the
+    /// session and answers `quarantined`.
+    fn with_session<R>(
+        &self,
+        sid: SessionId,
+        f: impl FnOnce(&mut ServerSession) -> R,
+    ) -> Result<R, WireError> {
+        let quarantined = |reason: &str| {
+            WireError::quarantined(format!(
                 "session {} is quarantined: {reason}; close it and open a new one",
                 sid.0
-            ))),
-            None => Ok(()),
+            ))
+        };
+        if let Some(reason) = self.quarantine_reason(sid) {
+            return Err(quarantined(&reason));
         }
+        let handle = self
+            .session(sid)
+            .ok_or_else(|| WireError::from(format!("no such session {}", sid.0)))?;
+        // The guard lives *outside* the panic boundary: quarantine, not
+        // mutex poisoning, is how a broken session is fenced off, so
+        // siblings (and this very map entry) stay lockable.
+        let Ok(mut session) = handle.lock() else {
+            const POISONED: &str = "session mutex poisoned";
+            self.quarantine_session(sid, POISONED);
+            return Err(quarantined(POISONED));
+        };
+        Ok(f(&mut session))
     }
 
-    /// Quarantines a session whose mutex was poisoned (its holder panicked
-    /// while unwinding elsewhere) and builds the reply for this command.
-    fn quarantine_poisoned(&self, sid: SessionId) -> WireError {
-        self.quarantine_session(sid, "session mutex poisoned");
-        WireError::quarantined(format!(
-            "session {} is quarantined: session mutex poisoned; close it and open a new one",
-            sid.0
-        ))
-    }
-
-    /// Runs one session command behind a panic boundary. A panicking
-    /// handler costs nothing but this one command: the panic is caught,
-    /// counted, the session quarantined (its state may be torn mid-write),
-    /// and the caller gets a structured `internal` error to forward —
-    /// which discards whatever the handler had written. The worker thread,
-    /// its connection, and every sibling session survive.
+    /// Counts and runs one session command behind a panic boundary. A
+    /// panicking handler costs nothing but this one command: the panic is
+    /// caught, counted, the session quarantined (its state may be torn
+    /// mid-write), and the caller gets a structured `internal` error to
+    /// forward — which discards whatever the handler had written. The
+    /// worker thread, its connection, and every sibling session survive.
     fn isolated_session_command(
         &self,
         sid: SessionId,
@@ -235,6 +236,7 @@ impl SessionManager {
         command: Command,
         w: &mut JsonWriter<'_>,
     ) -> Handled {
+        session.record_command();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.session_command(session, command, w)
         }));
@@ -269,37 +271,28 @@ impl SessionManager {
                 continue;
             };
             let sid = SessionId(target);
-            let routed = self.check_quarantine(sid).and_then(|()| {
-                self.session(sid).ok_or_else(|| format!("no such session {target}").into())
-            });
-            let handle = match routed {
-                Ok(handle) => handle,
-                Err(error) => {
-                    error.write_to(w.element_reply(id.as_ref()));
-                    continue;
-                }
-            };
-            let Ok(mut session) = handle.lock() else {
-                self.quarantine_poisoned(sid).write_to(w.element_reply(id.as_ref()));
-                continue;
-            };
-            let mut run = Some(Request { id, command });
-            while let Some(Request { id, command }) = run.take() {
-                session.record_command();
-                let mut reply = w.element_reply(id.as_ref());
-                let outcome = self.isolated_session_command(sid, &mut session, command, &mut reply);
-                finish(outcome, reply);
+            let routed = self.with_session(sid, |session| {
+                let mut serve = |id: Option<&Json>, command| {
+                    let mut reply = w.element_reply(id);
+                    let outcome = self.isolated_session_command(sid, session, command, &mut reply);
+                    finish(outcome, reply);
+                };
+                serve(id.as_ref(), command);
                 // Pull the next command into the same lock acquisition
-                // while it keeps addressing this session — unless this
-                // command quarantined the session (a caught panic), in
-                // which case the run breaks and the remaining commands
-                // answer `quarantined` through the outer routing.
-                if self.quarantine_reason(sid).is_none()
+                // while it keeps addressing this session — unless a command
+                // quarantined the session (a caught panic), in which case
+                // the run breaks and the remaining commands answer
+                // `quarantined` through the routing above.
+                while self.quarantine_reason(sid).is_none()
                     && queue.peek().map(|next| session_command_target(&next.command))
                         == Some(Some(target))
                 {
-                    run = queue.next();
+                    let Request { id, command } = queue.next().expect("peeked");
+                    serve(id.as_ref(), command);
                 }
+            });
+            if let Err(error) = routed {
+                error.write_to(w.element_reply(id.as_ref()));
             }
         }
         w.end_array();
@@ -446,14 +439,12 @@ fn write_pool(w: &mut JsonWriter<'_>, stats: &PoolStats) {
     w.key("active_connections").num(snapshot.active_connections as f64);
     w.key("batches").num(snapshot.batches as f64);
     w.key("commands").num(snapshot.commands as f64);
-    w.key("max_connections").num(snapshot.max_connections as f64);
     w.key("peak_connections").num(snapshot.peak_connections as f64);
     w.key("queue_depth").num(snapshot.queue_depth as f64);
     w.key("queued").num(snapshot.queued as f64);
     w.key("rejected").num(snapshot.rejected as f64);
     w.key("served_connections").num(snapshot.served_connections as f64);
     w.key("workers").num(snapshot.workers as f64);
-    w.key("workers_resurrected").num(snapshot.workers_resurrected as f64);
     w.end_object();
 }
 

@@ -1,6 +1,6 @@
 //! Lifecycle edges of the bounded worker-pool TCP executor: queue-full
-//! `busy` backpressure, the hard connection cap, a client fleet larger
-//! than pool plus queue, idle-timeout closes, the per-line read deadline
+//! `busy` backpressure and the gauges it is counted in, a client fleet
+//! larger than pool plus queue, idle-timeout closes, the per-line read deadline
 //! against a trickled line, and graceful shutdown draining an in-flight
 //! `explain`.
 //!
@@ -121,7 +121,6 @@ fn saturated_queue_answers_busy_and_recovers() {
         PoolConfig {
             workers: 1,
             queue_depth: 1,
-            max_connections: 16,
             idle_timeout: long_idle(),
             read_timeout: long_idle(),
         },
@@ -136,6 +135,11 @@ fn saturated_queue_answers_busy_and_recovers() {
     let mut b = server.connect();
     b.send(r#"{"cmd":"ping"}"#);
     std::thread::sleep(Duration::from_millis(100));
+    // ...which the gauges show: one waiting, two admitted.
+    let stats_reply = a.roundtrip(r#"{"cmd":"stats"}"#);
+    let pool = stats_reply.get("pool").expect("pooled front-end reports executor stats");
+    assert_eq!(pool.get("queued").and_then(Json::as_u64), Some(1), "{pool}");
+    assert_eq!(pool.get("active_connections").and_then(Json::as_u64), Some(2), "{pool}");
     // ...so C's admission overflows the queue. The busy reply is pushed
     // at admission time, before C sends anything.
     let mut c = server.connect();
@@ -154,41 +158,7 @@ fn saturated_queue_answers_busy_and_recovers() {
     assert_eq!(stats.rejected, 1, "exactly C was turned away");
     assert!(stats.peak_connections >= 2, "A and B were admitted together: {stats:?}");
     assert_eq!(stats.workers, 1);
-}
-
-#[test]
-fn connection_cap_rejects_with_busy() {
-    // Cap of one admitted connection (normalized to workers=1): the
-    // second concurrent client bounces off the cap, not the queue.
-    let server = TestServer::start(
-        120,
-        PoolConfig {
-            workers: 1,
-            queue_depth: 8,
-            max_connections: 1,
-            idle_timeout: long_idle(),
-            read_timeout: long_idle(),
-        },
-    );
-    let mut a = server.connect();
-    assert_eq!(a.roundtrip(r#"{"cmd":"ping"}"#).get("pong"), Some(&Json::Bool(true)));
-
-    let mut b = server.connect();
-    let reply = b.read_reply();
-    assert_eq!(reply.get("busy"), Some(&Json::Bool(true)), "{reply}");
-    assert!(
-        reply.get("error").and_then(Json::as_str).unwrap().contains("connection limit"),
-        "{reply}"
-    );
-    assert!(reply.get("retry_after_ms").and_then(Json::as_u64).is_some(), "{reply}");
-    // The rejected socket is closed server-side.
-    assert!(b.read_to_eof().is_empty());
-
-    // The admitted connection is unaffected by the rejection next door.
-    assert_eq!(a.roundtrip(r#"{"cmd":"ping"}"#).get("pong"), Some(&Json::Bool(true)));
-    let stats = server.stop();
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.max_connections, 1);
+    assert_eq!((stats.queued, stats.active_connections), (0, 0), "{stats:?}");
 }
 
 #[test]
@@ -202,7 +172,6 @@ fn a_fleet_larger_than_pool_and_queue_gets_every_admitted_reply_in_order() {
         PoolConfig {
             workers: 2,
             queue_depth: 2,
-            max_connections: 6,
             idle_timeout: long_idle(),
             read_timeout: long_idle(),
         },
@@ -266,13 +235,7 @@ fn a_trickled_line_is_cut_at_the_read_deadline_while_fast_clients_are_served() {
     let read_timeout = Duration::from_millis(300);
     let server = TestServer::start(
         120,
-        PoolConfig {
-            workers: 4,
-            queue_depth: 4,
-            max_connections: 8,
-            idle_timeout: long_idle(),
-            read_timeout,
-        },
+        PoolConfig { workers: 4, queue_depth: 4, idle_timeout: long_idle(), read_timeout },
     );
     std::thread::scope(|scope| {
         for _ in 0..2 {
@@ -309,13 +272,7 @@ fn silent_connections_are_closed_after_the_idle_timeout() {
     let idle = Duration::from_millis(200);
     let server = TestServer::start(
         120,
-        PoolConfig {
-            workers: 2,
-            queue_depth: 4,
-            max_connections: 8,
-            idle_timeout: idle,
-            read_timeout: long_idle(),
-        },
+        PoolConfig { workers: 2, queue_depth: 4, idle_timeout: idle, read_timeout: long_idle() },
     );
     let mut a = server.connect();
     assert_eq!(a.roundtrip(r#"{"cmd":"ping"}"#).get("pong"), Some(&Json::Bool(true)));
@@ -341,7 +298,6 @@ fn graceful_shutdown_drains_an_in_flight_explain() {
         PoolConfig {
             workers: 2,
             queue_depth: 4,
-            max_connections: 8,
             idle_timeout: long_idle(),
             read_timeout: long_idle(),
         },
@@ -405,7 +361,6 @@ fn batch_executes_back_to_back_and_reports_in_stats() {
         PoolConfig {
             workers: 2,
             queue_depth: 4,
-            max_connections: 8,
             idle_timeout: long_idle(),
             read_timeout: long_idle(),
         },
@@ -440,7 +395,6 @@ fn a_near_limit_line_in_many_small_writes_is_answered_once() {
         PoolConfig {
             workers: 1,
             queue_depth: 4,
-            max_connections: 8,
             idle_timeout: long_idle(),
             read_timeout: long_idle(),
         },
@@ -492,8 +446,8 @@ fn a_near_limit_line_in_many_small_writes_is_answered_once() {
 
 /// The lines that overflowed the PR 15 server's stack (a worker's is
 /// smaller than `main`'s): runs of `[` and of `{"a":` just under the line
-/// cap. A stack overflow aborts the process — no `catch_unwind`, no
-/// quarantine, no worker resurrection sees it — so the parser must turn
+/// cap. A stack overflow aborts the process — no `catch_unwind` and no
+/// quarantine sees it — so the parser must turn
 /// them away by depth, and the *same connection* must keep answering.
 #[test]
 fn a_deeply_nested_line_is_refused_and_the_connection_keeps_serving() {
@@ -502,7 +456,6 @@ fn a_deeply_nested_line_is_refused_and_the_connection_keeps_serving() {
         PoolConfig {
             workers: 1,
             queue_depth: 4,
-            max_connections: 8,
             idle_timeout: long_idle(),
             read_timeout: long_idle(),
         },

@@ -359,3 +359,46 @@ fn explain_config_fields_and_the_tuning_table_are_the_same_set() {
     }
     assert_eq!(in_code, documented, "ExplainConfig fields (left) vs docs/TUNING.md rows");
 }
+
+/// Every `--flag` token in `text`: a `--` followed by lowercase letters
+/// and dashes.
+fn flag_names(text: &str) -> BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+        .filter(|word| word.starts_with("--") && word.len() > 2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// The flag census: the `"--…" =>` arms `dbwipes-server` matches on, the
+/// flags its usage line prints and the rows of TUNING.md's "Server flags"
+/// table are one set — so a flag cannot appear or vanish on one side only.
+#[test]
+fn server_flags_in_code_and_docs_are_the_same_set() {
+    let root = repo_root();
+    let source =
+        std::fs::read_to_string(root.join("crates/server/src/bin/dbwipes-server.rs")).unwrap();
+    let matched: BTreeSet<String> = source
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix('"'))
+        .filter_map(|arm| arm.split_once("\" =>").map(|(flag, _)| flag.to_string()))
+        // `"--help" | "-h" =>` is not a single-flag arm.
+        .filter(|flag| flag.starts_with("--") && flag_names(flag).contains(flag))
+        .collect();
+    assert!(matched.contains("--listen") && matched.contains("--workers"), "{matched:?}");
+
+    let usage = source.split("\"usage: ").nth(1).expect("the binary prints a usage line");
+    let usage = flag_names(usage.split("\")").next().unwrap());
+    assert_eq!(matched, usage, "matched flags (left) vs the usage line");
+
+    let tuning = std::fs::read_to_string(root.join("docs/TUNING.md")).unwrap();
+    let section = tuning
+        .split("\n## ")
+        .find(|s| s.starts_with("Server flags\n"))
+        .expect("docs/TUNING.md has an `## Server flags` section");
+    let mut documented = BTreeSet::new();
+    for row in section.lines().filter(|l| l.starts_with("| `--")) {
+        let flag = row[3..].split(['`', ' ']).next().unwrap();
+        assert!(documented.insert(flag.to_string()), "row `{flag}` appears twice");
+    }
+    assert_eq!(matched, documented, "matched flags (left) vs docs/TUNING.md's Server flags rows");
+}
