@@ -32,5 +32,6 @@ pub use forms::error_form_choices;
 pub use render::render_ascii;
 pub use scatter::{
     result_series, zoom_points, zoom_series, Brush, PointRef, ScatterPoint, ScatterSeries,
+    ZoomPoints,
 };
 pub use session::{DashboardSession, SessionState};

@@ -12,7 +12,7 @@
 //! input [`RowId`]s, and prepares the zoomed-in tuple view.
 
 use dbwipes_engine::QueryResult;
-use dbwipes_storage::{RowId, Table};
+use dbwipes_storage::{Column, RowId, RowSet, Table};
 
 /// A single point of a scatter series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,18 +124,6 @@ impl Brush {
             })
             .collect()
     }
-
-    /// The input rows selected by this brush (ignores output points).
-    pub fn selected_inputs(&self, points: impl IntoIterator<Item = ScatterPoint>) -> Vec<RowId> {
-        points
-            .into_iter()
-            .filter(|p| self.contains(p))
-            .filter_map(|p| match p.reference {
-                PointRef::Input(r) => Some(r),
-                PointRef::Output(_) => None,
-            })
-            .collect()
-    }
 }
 
 /// Builds the group-level scatter series: `x_column` on the x-axis (usually
@@ -174,29 +162,54 @@ pub fn zoom_series(
     x_column: &str,
     y_column: &str,
 ) -> Option<ScatterSeries> {
-    let points = zoom_points(table, result, selected_outputs, x_column, y_column)?.collect();
+    let zoom = zoom_points(table, result, selected_outputs, x_column, y_column)?;
+    let mut points = Vec::with_capacity(zoom.max_len());
+    zoom.for_each(|p| points.push(p));
     Some(ScatterSeries { x_label: x_column.to_string(), y_label: y_column.to_string(), points })
 }
 
-/// The points of [`zoom_series`], in row-id order, produced one at a time
-/// for a consumer that filters or encodes them without keeping the series;
-/// `None` when either column is unknown.
+/// The points of [`zoom_series`] before they are produced: the union of
+/// the selected groups' lineage, as the [`RowSet`] the lineage builds, and
+/// the two columns to read at its rows. [`ZoomPoints::for_each`] walks
+/// them chunk by chunk for a consumer that filters or encodes the points
+/// without keeping the series; `None` when either column is unknown.
 pub fn zoom_points<'t>(
     table: &'t Table,
     result: &QueryResult,
     selected_outputs: &[usize],
     x_column: &str,
     y_column: &str,
-) -> Option<impl Iterator<Item = ScatterPoint> + 't> {
-    let x = table.column_by_name(x_column)?;
-    let y = table.column_by_name(y_column)?;
-    Some(result.inputs_of_rows(selected_outputs).into_iter().filter_map(move |rid| {
-        Some(ScatterPoint {
-            x: x.get_f64(rid.0)?,
-            y: y.get_f64(rid.0)?,
-            reference: PointRef::Input(rid),
-        })
-    }))
+) -> Option<ZoomPoints<'t>> {
+    Some(ZoomPoints {
+        x: table.column_by_name(x_column)?,
+        y: table.column_by_name(y_column)?,
+        rows: result.input_set(selected_outputs),
+    })
+}
+
+/// The brushed lineage of a zoom and the columns it plots (see
+/// [`zoom_points`]).
+#[derive(Debug)]
+pub struct ZoomPoints<'t> {
+    x: &'t Column,
+    y: &'t Column,
+    rows: RowSet,
+}
+
+impl ZoomPoints<'_> {
+    /// The most points the zoom can have: its input rows (a row with a
+    /// NULL or non-numeric coordinate has none).
+    pub fn max_len(&self) -> usize {
+        self.rows.count_ones()
+    }
+
+    /// Hands `visit` each point in row-id order, its coordinates as
+    /// [`Column::get_f64`] reads them ([`Column::visit_f64_pairs`]).
+    pub fn for_each(&self, mut visit: impl FnMut(ScatterPoint)) {
+        self.x.visit_f64_pairs(self.y, &self.rows, |row, x, y| {
+            visit(ScatterPoint { x, y, reference: PointRef::Input(RowId(row)) })
+        });
+    }
 }
 
 #[cfg(test)]
@@ -245,7 +258,6 @@ mod tests {
         let s = result_series(&r, "window", "avg_temp").unwrap();
         let selected = Brush::above(30.0).selected_outputs(s.points.clone());
         assert_eq!(selected, vec![2]);
-        assert!(Brush::above(30.0).selected_inputs(s.points.clone()).is_empty());
         assert_eq!(Brush::below(30.0).selected_outputs(s.points.clone()), vec![0, 1]);
         let everything = Brush { x_min: -1e9, x_max: 1e9, y_min: -1e9, y_max: 1e9 };
         assert_eq!(everything.selected_outputs(s.points).len(), 3);
@@ -259,15 +271,18 @@ mod tests {
         let zoom = zoom_series(table, &r, &[2], "sensorid", "temp").unwrap();
         assert_eq!(zoom.len(), 20);
         // Brushing the high-temperature tuples yields input row ids.
-        let inputs = Brush::above(100.0).selected_inputs(zoom.points.clone());
-        assert_eq!(inputs.len(), 4);
-        for rid in &inputs {
-            let temp = table.value_by_name(*rid, "temp").unwrap().as_f64().unwrap();
+        let hot: Vec<_> = zoom.points.iter().filter(|p| Brush::above(100.0).contains(p)).collect();
+        assert_eq!(hot.len(), 4);
+        for p in hot {
+            let PointRef::Input(rid) = p.reference else { panic!("zoom plots inputs") };
+            let temp = table.value_by_name(rid, "temp").unwrap().as_f64().unwrap();
             assert!(temp > 100.0);
         }
         assert!(Brush::above(100.0).selected_outputs(zoom.points.clone()).is_empty());
-        let produced: Vec<ScatterPoint> =
-            zoom_points(table, &r, &[2], "sensorid", "temp").unwrap().collect();
+        let lineage = zoom_points(table, &r, &[2], "sensorid", "temp").unwrap();
+        assert_eq!(lineage.max_len(), 20);
+        let mut produced = Vec::new();
+        lineage.for_each(|p| produced.push(p));
         assert_eq!(produced, zoom.points);
         assert!(zoom_series(table, &r, &[2], "nope", "temp").is_none());
         assert!(zoom_points(table, &r, &[2], "sensorid", "nope").is_none());

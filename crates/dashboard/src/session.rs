@@ -8,7 +8,9 @@
 //! here, which is what the examples and the walkthrough experiments drive.
 
 use crate::forms::error_form_choices;
-use crate::scatter::{result_series, zoom_points, zoom_series, Brush, ScatterPoint, ScatterSeries};
+use crate::scatter::{
+    result_series, zoom_points, zoom_series, Brush, PointRef, ScatterSeries, ZoomPoints,
+};
 use dbwipes_core::{
     CleaningSession, CoreError, DbWipes, ErrorMetric, ExplainConfig, Explanation,
     ExplanationRequest, RankedPredicate,
@@ -200,13 +202,9 @@ impl DashboardSession {
         )
     }
 
-    /// The points of [`DashboardSession::zoom`], produced one at a time
+    /// The points of [`DashboardSession::zoom`], before they are produced
     /// (see [`zoom_points`]).
-    pub fn zoom_points(
-        &self,
-        x_column: &str,
-        y_column: &str,
-    ) -> Option<impl Iterator<Item = ScatterPoint> + '_> {
+    pub fn zoom_points(&self, x_column: &str, y_column: &str) -> Option<ZoomPoints<'_>> {
         zoom_points(
             self.current_table()?,
             self.result.as_ref()?,
@@ -217,14 +215,18 @@ impl DashboardSession {
     }
 
     /// Brushes the zoomed tuple plot to select suspicious inputs D′
-    /// (step 5), keeping the points as they are produced. Returns the
+    /// (step 5), testing the points as they are produced. Returns the
     /// selected input rows. With no result or an unknown column there is
     /// no zoom, so the brush selects nothing — as a brush that matches no
     /// point does.
     pub fn brush_inputs(&mut self, x_column: &str, y_column: &str, brush: Brush) -> Vec<RowId> {
-        let selected = self
-            .zoom_points(x_column, y_column)
-            .map_or_else(Vec::new, |points| brush.selected_inputs(points));
+        let mut selected = Vec::new();
+        if let Some(zoom) = self.zoom_points(x_column, y_column) {
+            zoom.for_each(|p| match p.reference {
+                PointRef::Input(row) if brush.contains(&p) => selected.push(row),
+                _ => {}
+            });
+        }
         self.select_inputs(selected.clone());
         selected
     }

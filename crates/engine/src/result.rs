@@ -4,7 +4,7 @@
 use crate::ast::SelectStatement;
 use crate::error::EngineError;
 use dbwipes_provenance::Lineage;
-use dbwipes_storage::{RowId, Schema, Value};
+use dbwipes_storage::{RowId, RowSet, Schema, Value};
 
 /// The result of executing a [`SelectStatement`]: the output rows, the
 /// schema describing them and the per-group fine-grained lineage.
@@ -83,9 +83,15 @@ impl QueryResult {
     }
 
     /// The distinct input rows behind a set of output rows — the paper's
-    /// `F`, the starting point of the Preprocessor.
+    /// `F`, the starting point of the Preprocessor — as one [`RowSet`]
+    /// (see [`Lineage::union_of_groups`]).
+    pub fn input_set(&self, rows: &[usize]) -> RowSet {
+        self.lineage.union_of_groups(rows)
+    }
+
+    /// The rows of [`QueryResult::input_set`] in ascending order.
     pub fn inputs_of_rows(&self, rows: &[usize]) -> Vec<RowId> {
-        self.lineage.inputs_of_groups(rows)
+        self.input_set(rows).to_row_ids()
     }
 
     /// Renders the result as a fixed-width ASCII table (used by the

@@ -33,18 +33,22 @@ impl Lineage {
     }
 
     /// The distinct input rows of a set of output groups — the paper's `F`
-    /// — in ascending order: every group's rows are set in one [`RowSet`]
-    /// over `0..=` the largest of them, which is then read back in order.
-    pub fn inputs_of_groups(&self, groups: &[usize]) -> Vec<RowId> {
+    /// — as one [`RowSet`] over `0..=` the largest of them (over no rows
+    /// when the groups have none): what a zoom walks, and what
+    /// [`Lineage::inputs_of_groups`] reads back in order.
+    pub fn union_of_groups(&self, groups: &[usize]) -> RowSet {
         let lists = || groups.iter().map(|&g| self.inputs_of(g));
-        let Some(universe) = lists().flatten().map(|r| r.index() + 1).max() else {
-            return Vec::new();
-        };
+        let universe = lists().flatten().map(|r| r.index() + 1).max().unwrap_or(0);
         let mut union = RowSet::empty(universe);
         for row in lists().flatten() {
             union.insert(row.index());
         }
-        union.to_row_ids()
+        union
+    }
+
+    /// The rows of [`Lineage::union_of_groups`] in ascending order.
+    pub fn inputs_of_groups(&self, groups: &[usize]) -> Vec<RowId> {
+        self.union_of_groups(groups).to_row_ids()
     }
 }
 
@@ -76,5 +80,7 @@ mod tests {
         assert_eq!(l.inputs_of_groups(&[3, 1]), vec![RowId(1), RowId(3), RowId(4)]);
         assert!(l.inputs_of_groups(&[2, 99]).is_empty());
         assert!(Lineage::default().inputs_of_groups(&[0]).is_empty());
+        assert_eq!(l.union_of_groups(&[3, 1]).universe(), 5);
+        assert_eq!(l.union_of_groups(&[2]).universe(), 0);
     }
 }

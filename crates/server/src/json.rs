@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::ops::Range;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -321,23 +320,13 @@ impl<'a> JsonWriter<'a> {
         write_string(self.out, s);
     }
 
-    /// Pushes one object of `shape`: its keys, escaped and checked once
-    /// when the shape was made, each followed by the value at its
-    /// position — the row of a series pushed many thousand times over.
-    pub fn shaped_object<const N: usize>(
-        &mut self,
-        shape: &ObjectShape<N>,
-        values: [Scalar<'_>; N],
-    ) {
-        self.separate();
-        for (key, value) in shape.keys.iter().zip(values) {
-            self.out.push_str(key);
-            match value {
-                Scalar::Num(n) => write_number(self.out, n),
-                Scalar::Str(s) => write_string(self.out, s),
-            }
-        }
-        self.out.push('}');
+    /// Pushes an array of scatter points, each the object
+    /// `{"kind":kind,"ref":…,"x":…,"y":…}`: `points` is handed the
+    /// [`PointWriter`] that writes them, with room reserved for `count`.
+    pub fn points(&mut self, kind: &str, count: usize, points: impl FnOnce(&mut PointWriter<'_>)) {
+        self.begin_array();
+        points(&mut PointWriter::new(self.out, kind, count));
+        self.end_array();
     }
 
     /// Pushes a whole [`Json`] value.
@@ -363,81 +352,151 @@ impl<'a> JsonWriter<'a> {
     }
 }
 
-/// The keys of an object pushed many times over by
-/// [`JsonWriter::shaped_object`]: checked to ascend and escaped once, here,
-/// instead of once per object.
-#[derive(Debug, Clone)]
-pub struct ObjectShape<const N: usize> {
-    /// `{"k0":`, then `,"k1":` and so on.
-    keys: [String; N],
+/// The most bytes [`plain_number`] writes: a sign and 16 digits (an
+/// integer below 9e15), or a sign, 9 digits, a point and 6 places.
+const PLAIN_NUMBER_BYTES: usize = 17;
+
+/// The fixed buffer a point is formatted in.
+const POINT_BUFFER: usize = 128;
+
+/// A point's bytes after its prefix: three numbers, the `x` and `y` keys
+/// and the closing brace.
+const POINT_TAIL: usize = 3 * PLAIN_NUMBER_BYTES + 2 * r#","x":"#.len() + 1;
+
+/// The writer of a scatter series' points ([`JsonWriter::points`]). Each
+/// point is formatted from the end of a fixed buffer backwards — the
+/// closing brace, then each number by `plain_number`, the rule of
+/// [`JsonWriter::num`], between the pre-rendered keys, then the part
+/// every point of the series shares, `,{"kind":"input","ref":` — and goes
+/// onto the reply in one piece. A number that rule leaves to Rust's `{n}`,
+/// which can run to hundreds of characters, sends its point the
+/// key-by-key way instead.
+///
+/// While it is alive the writer holds the reply as bytes: a point is
+/// ASCII, so what it pushes keeps the reply UTF-8, and the reply is
+/// checked once, as it is handed back when the writer is dropped, instead
+/// of once a point.
+#[derive(Debug)]
+pub struct PointWriter<'w> {
+    out: &'w mut String,
+    /// The reply taken out of `out`, with the points pushed so far.
+    bytes: Vec<u8>,
+    /// `,{"kind":…,"ref":`.
+    prefix: String,
+    /// 1, skipping the prefix's comma, until the first point is written.
+    skip: usize,
+    buffer: [u8; POINT_BUFFER],
 }
 
-impl<const N: usize> ObjectShape<N> {
-    /// The shape with these keys, which must ascend in byte order.
-    pub fn new(keys: [&str; N]) -> Self {
-        assert!(N > 0, "a shaped object has keys");
-        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "object keys must ascend: {keys:?}");
-        ObjectShape {
-            keys: std::array::from_fn(|i| {
-                let mut text = String::from(if i == 0 { "{" } else { "," });
-                write_string(&mut text, keys[i]);
-                text.push(':');
-                text
-            }),
+impl<'w> PointWriter<'w> {
+    /// # Panics
+    /// When `kind`, escaped, leaves no room for a point in the buffer.
+    fn new(out: &'w mut String, kind: &str, count: usize) -> Self {
+        let mut prefix = String::from(r#",{"kind":"#);
+        write_string(&mut prefix, kind);
+        prefix.push_str(r#","ref":"#);
+        assert!(prefix.len() + POINT_TAIL <= POINT_BUFFER, "point kind {kind:?} is too long");
+        let mut bytes = std::mem::take(out).into_bytes();
+        // ≈ 24 bytes a point behind the prefix (a row id and two
+        // readings), at the power of two that growing by doubling would
+        // reach: the allocator sees the block sizes it always saw.
+        let want = bytes.len() + count * (prefix.len() + 24);
+        bytes.reserve(want.next_power_of_two() - bytes.len());
+        PointWriter { out, bytes, prefix, skip: 1, buffer: [0; POINT_BUFFER] }
+    }
+
+    /// Pushes the point `{"kind":…,"ref":reference,"x":x,"y":y}`, its
+    /// numbers as [`JsonWriter::num`] writes them.
+    pub fn point(&mut self, reference: f64, x: f64, y: f64) {
+        let (buffer, prefix) = (&mut self.buffer, &self.prefix.as_bytes()[self.skip..]);
+        let start = (|| {
+            let at = put_before(buffer, POINT_BUFFER, b"}");
+            let at = plain_number(y, buffer, at)?;
+            let at = put_before(buffer, at, br#","y":"#);
+            let at = plain_number(x, buffer, at)?;
+            let at = put_before(buffer, at, br#","x":"#);
+            let at = plain_number(reference, buffer, at)?;
+            Some(put_before(buffer, at, prefix))
+        })();
+        match start {
+            Some(start) => self.bytes.extend_from_slice(&self.buffer[start..]),
+            None => {
+                let mut text = self.prefix[self.skip..].to_string();
+                write_number(&mut text, reference);
+                text.push_str(r#","x":"#);
+                write_number(&mut text, x);
+                text.push_str(r#","y":"#);
+                write_number(&mut text, y);
+                text.push('}');
+                self.bytes.extend_from_slice(text.as_bytes());
+            }
         }
+        self.skip = 0;
     }
 }
 
-/// A member value of a [shaped object](JsonWriter::shaped_object).
-#[derive(Debug, Clone, Copy)]
-pub enum Scalar<'a> {
-    /// Rendered as [`JsonWriter::num`] renders it.
-    Num(f64),
-    /// Rendered as [`JsonWriter::str`] renders it.
-    Str(&'a str),
+impl Drop for PointWriter<'_> {
+    fn drop(&mut self) {
+        // Points are ASCII, so this never replaces a byte; it does not
+        // panic either, which a drop while unwinding must not.
+        let bytes = std::mem::take(&mut self.bytes);
+        *self.out = String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    }
+}
+
+/// Copies `bytes` to end just before `text[end]`; returns where they start.
+fn put_before<const N: usize>(text: &mut [u8; N], end: usize, bytes: &[u8]) -> usize {
+    let at = end - bytes.len();
+    text[at..end].copy_from_slice(bytes);
+    at
 }
 
 /// Writes `n` by the rule of [`JsonWriter::num`].
 fn write_number(out: &mut String, n: f64) {
-    let mut text = [0u8; 24];
-    match plain_number(n, &mut text) {
+    let mut text = [0u8; PLAIN_NUMBER_BYTES];
+    match plain_number(n, &mut text, PLAIN_NUMBER_BYTES) {
         // Char by char: cheaper than validating a few bytes as UTF-8.
-        Some(digits) => out.extend(text[digits].iter().map(|&b| char::from(b))),
+        Some(start) => out.extend(text[start..].iter().map(|&b| char::from(b))),
         None if n.is_finite() => write!(out, "{n}").expect("writing to a String cannot fail"),
         None => out.push_str("null"),
     }
 }
 
-/// Writes `n` by the rule of [`JsonWriter::num`] into `text` and returns
-/// where, when that rule gives a plain decimal: an integer below 9e15 in
-/// magnitude, or a [`six_place_decimal`] without its trailing zeros — the
-/// shortest decimal that reads back as `n`, so the digits `{n}` prints.
-/// `None` leaves the rest — `{n}`'s longer forms and `null` — to the
-/// caller.
-fn plain_number(n: f64, text: &mut [u8; 24]) -> Option<Range<usize>> {
+/// Writes `n` by the rule of [`JsonWriter::num`] so that it ends just
+/// before `text[end]` and returns where it starts, when that rule gives a
+/// plain decimal: an integer below 9e15 in magnitude, or a
+/// [`six_place_decimal`] without its trailing zeros — the shortest decimal
+/// that reads back as `n`, so the digits `{n}` prints. At most
+/// [`PLAIN_NUMBER_BYTES`] are written. `None` leaves the rest — `{n}`'s
+/// longer forms and `null` — to the caller.
+#[inline(always)]
+fn plain_number<const N: usize>(n: f64, text: &mut [u8; N], end: usize) -> Option<usize> {
     let integer = n as i64;
-    let mut end = text.len();
     let (negative, mut at) = if integer as f64 == n && n.abs() < 9e15 {
         (integer < 0, put_digits(text, end, integer.unsigned_abs(), 1))
     } else {
         let millionths = six_place_decimal(n.abs())?;
         let mut at = end;
-        let fraction = millionths % 1_000_000;
+        let (mut fraction, mut places) = (millionths % 1_000_000, 6);
         if fraction > 0 {
-            at = put_digits(text, end, fraction, 6);
-            while text[end - 1] == b'0' {
-                end -= 1;
+            // Two zeros a step first: readings and money carry one or two
+            // decimals, so most fractions shed four zeros in two steps.
+            while fraction % 100 == 0 {
+                (fraction, places) = (fraction / 100, places - 2);
             }
-            at -= 1;
-            text[at] = b'.';
+            if fraction % 10 == 0 {
+                (fraction, places) = (fraction / 10, places - 1);
+            }
+            at = put_digits(text, end, fraction, places);
+            at = put_before(text, at, b".");
         }
         (n < 0.0, put_digits(text, at, millionths / 1_000_000, 1))
     };
     if negative {
-        at -= 1;
-        text[at] = b'-';
+        at = put_before(text, at, b"-");
     }
-    Some(at..end)
+    Some(at)
 }
 
 /// `n * 10^6`, rounded, when that six-place decimal reads back as `n` and
@@ -452,12 +511,14 @@ fn plain_number(n: f64, text: &mut [u8; 24]) -> Option<Range<usize>> {
 /// end, so dropping them gives the shortest.
 fn six_place_decimal(n: f64) -> Option<u64> {
     let scaled = n * 1e6;
-    let millionths = (scaled + 0.5) as u64;
-    // (A NaN or infinite `n` fails the second test: the cast saturates.)
+    // Through `i64`, which converts in one instruction: an accepted
+    // product is below 1e15, and a NaN or infinite `n` fails the second
+    // test (the cast gives 0 or saturates).
+    let millionths = (scaled + 0.5) as i64;
     if scaled >= 1e15 || millionths as f64 / 1e6 != n {
         return None;
     }
-    Some(millionths)
+    Some(millionths as u64)
 }
 
 /// `00`, `01`, …, `99`: two digits per division by 100.
@@ -470,7 +531,8 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 
 /// Writes `n` in decimal so that it ends just before `text[end]`,
 /// zero-padded to at least `width` digits; returns where it starts.
-fn put_digits(text: &mut [u8; 24], end: usize, mut n: u64, width: usize) -> usize {
+#[inline(always)]
+fn put_digits<const N: usize>(text: &mut [u8; N], end: usize, mut n: u64, width: usize) -> usize {
     let mut at = end;
     while n >= 10 {
         let pair = (n % 100) as usize * 2;
@@ -879,9 +941,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "object keys must ascend")]
-    fn shapes_out_of_order_are_caught_in_every_build() {
-        ObjectShape::new(["x", "ref"]);
+    #[should_panic(expected = "is too long")]
+    fn a_point_kind_that_leaves_no_room_is_refused() {
+        let mut out = String::new();
+        JsonWriter::new(&mut out).points(&"k".repeat(64), 0, |_| {});
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod service;
 pub use client::LineClient;
 pub use durability::{StorageCounters, StorageHealth, StorageRuntime};
 pub use executor::{serve_pooled, PoolConfig, PoolSnapshot, PoolStats};
-pub use json::{Json, JsonWriter, ObjectShape, Scalar};
+pub use json::{Json, JsonWriter, PointWriter};
 pub use manager::{DebugCacheReport, ServerSession, SessionId, SessionManager, StreamAppendReport};
 pub use protocol::{
     parse_request, parse_request_value, Command, Request, WireError, MAX_BATCH_COMMANDS,

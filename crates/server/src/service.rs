@@ -12,7 +12,7 @@
 //! envelope is written ([`WireError::write_to`]).
 
 use crate::executor::PoolStats;
-use crate::json::{Json, JsonWriter, ObjectShape, Scalar};
+use crate::json::{Json, JsonWriter, PointWriter};
 use crate::manager::{ServerSession, SessionId, SessionManager};
 use crate::protocol::{parse_request, Command, Request, WireError, PROTOCOL_VERSION};
 use dbwipes_core::{CoreError, Explanation, MetricKind};
@@ -315,14 +315,18 @@ impl SessionManager {
                     .dashboard()
                     .plot(&x, &y)
                     .ok_or("nothing to plot (no result, or unknown columns)")?;
-                write_series(w, series.points, &x, &y);
+                write_series(w, &x, &y, "output", series.len(), |out| {
+                    series.points.iter().for_each(|p| out.point(reference(p), p.x, p.y))
+                });
             }
             Command::Zoom { x, y, .. } => {
-                let points = session
+                let zoom = session
                     .dashboard()
                     .zoom_points(&x, &y)
                     .ok_or("nothing to zoom into (no selected outputs, or unknown columns)")?;
-                write_series(w, points, &x, &y);
+                write_series(w, &x, &y, "input", zoom.max_len(), |out| {
+                    zoom.for_each(|p| out.point(reference(&p), p.x, p.y))
+                });
             }
             Command::BrushOutputs { x, y, brush, .. } => {
                 let selected = session.dashboard_mut().brush_outputs(&x, &y, brush);
@@ -483,31 +487,29 @@ fn write_result(w: &mut JsonWriter<'_>, session: &ServerSession, with_applied: b
     w.key("sql").str(&result.statement.to_sql());
 }
 
-/// Writes a scatter series as its points arrive, each point an object of
-/// one shape.
+/// Writes a scatter series of `count` points or fewer, all of one `kind`,
+/// as `points` hands them to the point writer.
 fn write_series(
     w: &mut JsonWriter<'_>,
-    points: impl IntoIterator<Item = ScatterPoint>,
     x_label: &str,
     y_label: &str,
+    kind: &str,
+    count: usize,
+    points: impl FnOnce(&mut PointWriter<'_>),
 ) {
-    let point = ObjectShape::new(["kind", "ref", "x", "y"]);
     w.key("series").begin_object();
-    w.key("points").begin_array();
-    for p in points {
-        let (kind, reference) = match p.reference {
-            PointRef::Output(i) => ("output", i),
-            PointRef::Input(r) => ("input", r.0),
-        };
-        w.shaped_object(
-            &point,
-            [Scalar::Str(kind), Scalar::Num(reference as f64), Scalar::Num(p.x), Scalar::Num(p.y)],
-        );
-    }
-    w.end_array();
+    w.key("points").points(kind, count, points);
     w.key("x").str(x_label);
     w.key("y").str(y_label);
     w.end_object();
+}
+
+/// The `ref` member of a point: its output row or input row id.
+fn reference(point: &ScatterPoint) -> f64 {
+    match point.reference {
+        PointRef::Output(i) => i as f64,
+        PointRef::Input(row) => row.0 as f64,
+    }
 }
 
 fn write_explanation(w: &mut JsonWriter<'_>, explanation: &Explanation, hit: bool, memo: bool) {

@@ -21,7 +21,8 @@
 //!
 //! Grouping reads a column through [`Column::visit_keys`]: each selected
 //! row's cell as a [`KeyWord`], typed words read chunk by chunk, with no
-//! [`Value`] per row.
+//! [`Value`] per row. A zoom reads two columns the same way, through
+//! [`Column::visit_f64_pairs`].
 
 use crate::error::StorageError;
 use crate::rowset::RowSet;
@@ -319,6 +320,51 @@ fn visit_chunk<'a, T>(
     }
 }
 
+/// A chunk's cells as [`Column::get_f64`] reads them, for
+/// [`Column::visit_f64_pairs`]: a typed slice per numeric type, so the
+/// variant is matched once per chunk and the branch on it per cell always
+/// goes the same way.
+#[derive(Clone, Copy)]
+enum Numbers<'a> {
+    Bool(&'a [bool]),
+    I8(&'a [i8]),
+    I16(&'a [i16]),
+    I32(&'a [i32]),
+    I64(&'a [i64]),
+    Float(&'a [f64]),
+}
+
+impl<'a> Numbers<'a> {
+    /// `None` for a string chunk, which holds no number.
+    fn of(data: &'a ColumnData) -> Option<Self> {
+        Some(match data {
+            ColumnData::Bool(v) => Numbers::Bool(v),
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => match v {
+                Ints::I8(v) => Numbers::I8(v),
+                Ints::I16(v) => Numbers::I16(v),
+                Ints::I32(v) => Numbers::I32(v),
+                Ints::I64(v) => Numbers::I64(v),
+            },
+            ColumnData::Float(v) => Numbers::Float(v),
+            ColumnData::Str(_) => return None,
+        })
+    }
+
+    /// The cell at `at`, which is in bounds, as [`Column::get_f64`]
+    /// converts it.
+    #[inline]
+    fn at(self, at: usize) -> f64 {
+        match self {
+            Numbers::Bool(v) => f64::from(v[at]),
+            Numbers::I8(v) => v[at] as f64,
+            Numbers::I16(v) => v[at] as f64,
+            Numbers::I32(v) => v[at] as f64,
+            Numbers::I64(v) => v[at] as f64,
+            Numbers::Float(v) => v[at],
+        }
+    }
+}
+
 /// A single column of a table: sealed chunks shared with every snapshot
 /// that contains them, plus the tail this one appends to.
 #[derive(Debug, Clone)]
@@ -543,6 +589,44 @@ impl Column {
                 }
                 ColumnData::Str(v) => {
                     visit_chunk(v, valid, sel, base, |s| KeyWord::Str(s.as_str()), visit)
+                }
+            }
+        }
+    }
+
+    /// Hands `visit` every row of `rows` at which this column and `y` both
+    /// hold a number, in ascending order, with the two cells as
+    /// [`Column::get_f64`] reads them: `(row, x, y)`, bit for bit what two
+    /// `get_f64` calls per row would give, read from typed slices chunk by
+    /// chunk. A NULL in either column, a string column and a row past the
+    /// end of either column give nothing, so `rows` may be over any
+    /// universe.
+    pub fn visit_f64_pairs(
+        &self,
+        y: &Column,
+        rows: &RowSet,
+        mut visit: impl FnMut(usize, f64, f64),
+    ) {
+        let end = rows.universe().min(self.len()).min(y.len());
+        let words = rows.word_slice();
+        for (idx, ((xc, at), (yc, _))) in self.pieces(0..end).zip(y.pieces(0..end)).enumerate() {
+            let (Some(xs), Some(ys)) = (Numbers::of(&xc.data), Numbers::of(&yc.data)) else {
+                return;
+            };
+            let (x_valid, y_valid) = (xc.validity.as_deref(), yc.validity.as_deref());
+            let base = idx * CHUNK_ROWS;
+            for (w, &bits) in words[base / 64..(base + at.end).div_ceil(64)].iter().enumerate() {
+                let mut left = bits;
+                while left != 0 {
+                    let at = w * 64 + left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    // A bit past `end` is in a universe longer than a column.
+                    if xc.len() <= at || yc.len() <= at {
+                        return;
+                    }
+                    if x_valid.map_or(true, |v| v[at]) && y_valid.map_or(true, |v| v[at]) {
+                        visit(base + at, xs.at(at), ys.at(at));
+                    }
                 }
             }
         }

@@ -166,7 +166,7 @@ fn e5_ranked_provenance_is_precise_where_lineage_is_not() {
     add(
         "coarse-grained provenance",
         coarse_grained_provenance(&dataset.table).rows().collect(),
-        "operator graph -> whole table".into(),
+        "whole input table".into(),
     );
     let fine = add(
         "fine-grained provenance (Trio-style)",

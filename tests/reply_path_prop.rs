@@ -1,16 +1,18 @@
 //! Property tests for the reply path: the `JsonWriter` push encoder against
-//! the parser and the number / string rules it must keep, objects pushed
-//! by shape against objects pushed key by key, and the columnar
+//! the parser and the number / string rules it must keep, the typed
+//! two-column walk against per-row `get_f64` reads and the fixed-buffer
+//! point writer against points pushed key by key, and the columnar
 //! `zoom_series` / bitmap `inputs_of_groups` against the definitions they
 //! replaced (kept here, verbatim, as the reference).
 
 use dbwipes::dashboard::{zoom_series, Brush, DashboardSession};
 use dbwipes::engine::{execute, parse_select, ExecOptions, QueryResult};
-use dbwipes::storage::{DataType, Schema, Value};
+use dbwipes::storage::{DataType, RowSet, Schema, Value, CHUNK_ROWS};
 use dbwipes::{DbWipes, RowId, Table};
-use dbwipes_server::{Json, JsonWriter, ObjectShape, Scalar, WireError};
+use dbwipes_server::{Json, JsonWriter, WireError};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// A small deterministic generator, so one `u64` from the (non-recursive)
 /// proptest shim can grow a whole tree.
@@ -178,6 +180,102 @@ fn every_control_byte_and_escape_reads_back() {
     let parsed = Json::parse(r#""\ud83d\ude00 \u00e9 \/ \b \f""#).unwrap();
     assert_eq!(parsed, Json::str("😀 é / \u{8} \u{c}"));
     assert_eq!(parsed.to_string(), "\"😀 é / \\u0008 \\u000c\"");
+}
+
+/// Rows of the walk's table: four sealed chunks and a 17-row tail.
+const WALK_ROWS: usize = 4 * CHUNK_ROWS + 17;
+
+/// The walk's columns: integers with and without NULLs, a float, a bool,
+/// a timestamp and a string (which has no numbers).
+const WALK_AXES: [&str; 6] = ["int", "dense", "float", "flag", "ts", "name"];
+
+/// A table whose integer columns' sealed chunks are stored at each width:
+/// `int` and `dense` at i8, i16, i32 then i64 (values past 2^53, which
+/// round on the way to `f64`), `ts` in the opposite order. Every column
+/// but `dense` has NULLs; `float` has ±0.0, NaN and ±∞ among them.
+fn walk_table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let schema = Schema::of(&[
+            ("int", DataType::Int),
+            ("dense", DataType::Int),
+            ("float", DataType::Float),
+            ("flag", DataType::Bool),
+            ("ts", DataType::Timestamp),
+            ("name", DataType::Str),
+        ]);
+        let mut t = Table::new("w", schema).unwrap();
+        let widths = [100i64, 30_000, 2_000_000_000, i64::MAX];
+        let mut gen = Gen(0x5eed);
+        let rows = (0..WALK_ROWS).map(|row| {
+            let chunk = row / CHUNK_ROWS;
+            let int = |gen: &mut Gen, chunk: usize| {
+                let bound = widths[chunk.min(3)];
+                (gen.next() as i64) % bound
+            };
+            let floats = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.1, -2.5];
+            let cells = [
+                Value::Int(int(&mut gen, chunk)),
+                Value::Int(int(&mut gen, chunk)),
+                match gen.below(4) {
+                    0 => Value::Float(floats[gen.below(floats.len() as u64) as usize]),
+                    _ => Value::Float(gen.number()),
+                },
+                Value::Bool(gen.below(2) == 0),
+                Value::Timestamp(int(&mut gen, 3 - chunk.min(3))),
+                Value::Str(format!("n{}", gen.below(10))),
+            ];
+            cells
+                .into_iter()
+                .enumerate()
+                .map(|(c, cell)| if c != 1 && gen.below(7) == 0 { Value::Null } else { cell })
+                .collect()
+        });
+        t.push_rows(rows.collect()).unwrap();
+        t
+    })
+}
+
+/// A point member: the numbers at the edges of the writer's rule — the
+/// integer limit 9e15, 2^53 and the `i64` edges, 1e9 where six places
+/// stop, decimals with and without a six-place form, `{n}` forms longer
+/// than the point buffer, ±0.0, NaN, ±∞ — or any number, of either sign.
+fn point_number(gen: &mut Gen) -> f64 {
+    const EDGES: [f64; 24] = [
+        0.0,
+        f64::NAN,
+        f64::INFINITY,
+        9e15 - 1.0,
+        9e15,
+        9e15 + 1.0,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_993.0,
+        i64::MIN as f64,
+        i64::MAX as f64,
+        999_999_999.0,
+        999_999_999.999999,
+        1e9,
+        1e9 + 0.5,
+        999_999_999.5,
+        0.1,
+        20.25,
+        0.000001,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        1e-300,
+        5e-324,
+        f64::MAX,
+    ];
+    let n = match gen.below(3) {
+        0 => gen.number(),
+        _ => EDGES[gen.below(EDGES.len() as u64) as usize],
+    };
+    if gen.below(2) == 0 {
+        -n
+    } else {
+        n
+    }
 }
 
 /// A random table with NULLs and every axis type `zoom` can be pointed at.
@@ -352,31 +450,52 @@ proptest! {
         prop_assert_eq!(line, Json::obj(expected).to_string());
     }
 
-    /// An object pushed by shape is the object pushed key by key.
+    /// The typed walk gives the rows, in order and with their NULLs
+    /// skipped, and the numbers, bit for bit, of a `get_f64` per cell —
+    /// over sealed chunks of every integer width and a tail, selections
+    /// of every density over a shorter, equal or longer universe — and a
+    /// point written from the fixed buffer is the point pushed key by key.
     #[test]
-    fn shaped_objects_equal_objects_pushed_key_by_key(seed in any::<u64>()) {
+    fn points_walked_and_written_equal_the_per_cell_definitions(seed in any::<u64>()) {
         let mut gen = Gen(seed | 1);
-        let shape = ObjectShape::new(["kind", "ref", "x", "y"]);
-        let (mut shaped, mut keyed) = (String::new(), String::new());
-        let mut by_shape = JsonWriter::new(&mut shaped);
+        let table = walk_table();
+        let (x, y) = (WALK_AXES[gen.below(6) as usize], WALK_AXES[gen.below(6) as usize]);
+        let (x, y) = (table.column_by_name(x).unwrap(), table.column_by_name(y).unwrap());
+        let universe = match gen.below(3) {
+            0 => gen.below(WALK_ROWS as u64) as usize,
+            1 => WALK_ROWS,
+            _ => WALK_ROWS + 1 + gen.below(200) as usize,
+        };
+        let one_in = [1, 2, 64, 5_000][gen.below(4) as usize];
+        let rows = RowSet::from_indices(universe, (0..universe).filter(|_| gen.below(one_in) == 0));
+        let mut walked = Vec::new();
+        x.visit_f64_pairs(y, &rows, |row, x, y| walked.push((row, x.to_bits(), y.to_bits())));
+        let per_cell: Vec<_> = rows
+            .iter()
+            .filter_map(|row| Some((row, x.get_f64(row)?.to_bits(), y.get_f64(row)?.to_bits())))
+            .collect();
+        prop_assert_eq!(walked, per_cell);
+
+        let kind = ["input", "output"][gen.below(2) as usize];
+        let points: Vec<[f64; 3]> = (0..gen.below(6))
+            .map(|_| std::array::from_fn(|_| point_number(&mut gen)))
+            .collect();
+        let (mut written, mut keyed) = (String::new(), String::new());
+        JsonWriter::new(&mut written).points(kind, points.len(), |out| {
+            points.iter().for_each(|&[reference, x, y]| out.point(reference, x, y))
+        });
         let mut by_key = JsonWriter::new(&mut keyed);
-        by_shape.begin_array();
         by_key.begin_array();
-        for _ in 0..gen.below(5) {
-            let kind = gen.string();
-            let (reference, x, y) = (gen.number(), gen.number(), gen.number());
-            let values = [Scalar::Str(&kind), Scalar::Num(reference), Scalar::Num(x), Scalar::Num(y)];
-            by_shape.shaped_object(&shape, values);
+        for &[reference, x, y] in &points {
             by_key.begin_object();
-            by_key.key("kind").str(&kind);
+            by_key.key("kind").str(kind);
             by_key.key("ref").num(reference);
             by_key.key("x").num(x);
             by_key.key("y").num(y);
             by_key.end_object();
         }
-        by_shape.end_array();
         by_key.end_array();
-        prop_assert_eq!(shaped, keyed);
+        prop_assert_eq!(written, keyed);
     }
 
     /// `inputs_of_rows` (a bitmap union) equals the `BTreeSet` definition,
