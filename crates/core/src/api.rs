@@ -6,6 +6,12 @@
 //! Enumerator → Predicate Ranker — returning a ranked list of predicates
 //! together with per-component timings (used by the latency-breakdown
 //! experiment E4).
+//!
+//! There is one pipeline, [`explain_with_cache`], over a
+//! [`GroupedAggregateCache`] of the explained statement that carries its
+//! table snapshot. [`DbWipes::explain`] builds that cache and calls it; a
+//! dashboard session reads the cache from its cache source (the server's:
+//! the shared registry) and calls it too.
 
 use crate::enumerator::{enumerate_candidates, CandidateDataset, EnumeratorConfig};
 use crate::error::CoreError;
@@ -18,7 +24,6 @@ use dbwipes_engine::{
 };
 use dbwipes_learn::FeatureSpace;
 use dbwipes_storage::{Catalog, Condition, ConjunctivePredicate, RowId, Table};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// End-to-end configuration of an explanation request.
@@ -180,45 +185,25 @@ impl DbWipes {
     }
 
     /// Runs the ranked-provenance pipeline for a previously executed query
-    /// result.
+    /// result: the library's one-call entry point. The incremental
+    /// re-aggregation cache is built here (one statement execution) over the
+    /// catalog's snapshot, without copying it, handed to
+    /// [`explain_with_cache`] and dropped with the call; its build cost is
+    /// charged to the Preprocessor. A dashboard session gets its cache from
+    /// its cache source instead and calls [`explain_with_cache`] itself.
     pub fn explain(
         &self,
         result: &QueryResult,
         request: &ExplanationRequest,
     ) -> Result<Explanation, CoreError> {
         let table = self.catalog.table_arc(&result.statement.table)?;
-        explain_on_snapshot(table, result, request)
+        let start = Instant::now();
+        let cache = GroupedAggregateCache::build_shared(table, &result.statement)?;
+        let build_ms = start.elapsed().as_secs_f64() * 1000.0;
+        let mut explanation = explain_with_cache(&cache, result, request)?;
+        explanation.timings.preprocess_ms += build_ms;
+        Ok(explanation)
     }
-}
-
-/// Runs the full backend pipeline against an explicit table (the facade's
-/// [`DbWipes::explain`] does the same on its catalog's snapshot, without
-/// copying it).
-pub fn explain_on_table(
-    table: &Table,
-    result: &QueryResult,
-    request: &ExplanationRequest,
-) -> Result<Explanation, CoreError> {
-    explain_on_snapshot(Arc::new(table.clone()), result, request)
-}
-
-/// The pipeline over a snapshot: the incremental re-aggregation cache is
-/// built once here (one statement execution) over `table`, shared between
-/// the Preprocessor and the Predicate Ranker, and dropped with the call —
-/// its build cost is charged to the Preprocessor. Callers that keep caches
-/// alive across explains (the server's cross-brush registry) build the
-/// cache themselves and call [`explain_with_cache`] directly.
-fn explain_on_snapshot(
-    table: Arc<Table>,
-    result: &QueryResult,
-    request: &ExplanationRequest,
-) -> Result<Explanation, CoreError> {
-    let start = Instant::now();
-    let cache = GroupedAggregateCache::build_shared(table, &result.statement)?;
-    let build_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let mut explanation = explain_with_cache(&cache, result, request)?;
-    explanation.timings.preprocess_ms += build_ms;
-    Ok(explanation)
 }
 
 /// Picks a shard column for
@@ -458,7 +443,7 @@ mod tests {
 
     /// A fault that *is* a BOOLEAN column: the learners split `flag` as a
     /// number, the predicate says `flag = TRUE` — an expression the
-    /// validator accepts, so both ways of clicking it work.
+    /// validator accepts, so clicking it answers what the engine does.
     #[test]
     fn a_boolean_fault_is_explained_as_an_equality_and_can_be_clicked() {
         use dbwipes_storage::{DataType, Schema, Table};
@@ -482,15 +467,17 @@ mod tests {
         let flagged: Vec<RowId> = (0..600).filter(|i| i % 6 == 4 && i % 5 < 2).map(RowId).collect();
         let request =
             ExplanationRequest::new(vec![4], flagged, ErrorMetric::too_high("mean", 25.0));
-        let explanation = explain_on_table(&table, &result, &request).unwrap();
+        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
+        let explanation = explain_with_cache(&cache, &result, &request).unwrap();
         let best = explanation.best().unwrap();
         assert_eq!(best.predicate.to_string(), "flag = TRUE", "{}", explanation.to_display());
         assert!(best.improvement > 0.99, "{}", best.summary());
 
         let mut cleaning = crate::CleaningSession::new(stmt.clone());
         cleaning.apply(best.predicate.clone());
-        let executed = cleaning.execute(&table).unwrap();
-        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
+        let executed =
+            dbwipes_engine::execute(&table, &cleaning.current_statement(), Default::default())
+                .unwrap();
         let cached = cleaning.execute_with_cache(&cache).unwrap();
         assert!(executed.value_f64(4, "mean").unwrap().unwrap() < 21.0);
         assert_eq!(format!("{:?}", cached.rows), format!("{:?}", executed.rows));

@@ -25,8 +25,8 @@
 use crate::error::CoreError;
 use crate::influence::InfluenceReport;
 use crate::metric::ErrorMetric;
-use crate::ranker::{rank_predicates, RankedPredicate, RankerConfig};
-use dbwipes_engine::QueryResult;
+use crate::ranker::{rank_predicates_with_cache, RankedPredicate, RankerConfig};
+use dbwipes_engine::{GroupedAggregateCache, QueryResult};
 use dbwipes_provenance::ProvenanceAnswer;
 use dbwipes_storage::{Condition, ConjunctivePredicate, DataType, RowId, Table, Value};
 use std::collections::BTreeSet;
@@ -176,7 +176,9 @@ pub fn single_attribute_predicates(
             DataType::Bool | DataType::Null => {}
         }
     }
-    rank_predicates(table, result, selected, examples, metric, candidates, &config.ranker)
+    let cache = GroupedAggregateCache::build(table, &result.statement)?;
+    let ranker = &config.ranker;
+    rank_predicates_with_cache(&cache, result, selected, examples, metric, candidates, ranker)
 }
 
 #[cfg(test)]

@@ -13,11 +13,8 @@
 //! un-applying a predicate is dropping its conjunct.
 
 use crate::error::CoreError;
-use dbwipes_engine::{
-    execute, validate, EngineError, ExecOptions, GroupedAggregateCache, QueryResult,
-    SelectStatement,
-};
-use dbwipes_storage::{ConjunctivePredicate, Expr, Table};
+use dbwipes_engine::{validate, EngineError, GroupedAggregateCache, QueryResult, SelectStatement};
+use dbwipes_storage::{ConjunctivePredicate, Expr};
 
 /// An interactive cleaning session over one base query.
 #[derive(Debug, Clone)]
@@ -71,18 +68,13 @@ impl CleaningSession {
         self.applied.pop()
     }
 
-    /// Executes the current (cleaned) statement against the table.
-    pub fn execute(&self, table: &Table) -> Result<QueryResult, CoreError> {
-        execute(table, &self.current_statement(), ExecOptions::default()).map_err(CoreError::from)
-    }
-
-    /// What [`CleaningSession::execute`] answers over `cache`'s table —
-    /// values bit for bit, row order, lineage, and the error of a
-    /// predicate that does not fit the schema — without executing: the
-    /// rows the applied predicates leave (`NOT (p₁) AND NOT (p₂) …` TRUE,
-    /// so a row on which a predicate is NULL goes, as the rewritten WHERE
-    /// drops it) are read from the snapshot's condition bitmaps, and only
-    /// the groups that lose a row are aggregated again
+    /// What executing the current (cleaned) statement answers over
+    /// `cache`'s table — values bit for bit, row order, lineage, and the
+    /// error of a predicate that does not fit the schema — without
+    /// executing: the rows the applied predicates leave (`NOT (p₁) AND
+    /// NOT (p₂) …` TRUE, so a row on which a predicate is NULL goes, as the
+    /// rewritten WHERE drops it) are read from the snapshot's condition
+    /// bitmaps, and only the groups that lose a row are aggregated again
     /// ([`GroupedAggregateCache::cleaned_result`]). `cache` must retain
     /// the base statement.
     pub fn execute_with_cache(
@@ -112,8 +104,8 @@ impl CleaningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbwipes_engine::parse_select;
-    use dbwipes_storage::{Condition, DataType, Schema, Value};
+    use dbwipes_engine::{execute, parse_select, ExecOptions};
+    use dbwipes_storage::{Condition, DataType, Schema, Table, Value};
 
     fn table() -> Table {
         let mut t = Table::new(
@@ -137,11 +129,24 @@ mod tests {
         parse_select("SELECT window, avg(temp) FROM readings GROUP BY window").unwrap()
     }
 
+    /// The session's current statement answered from `cache`, after
+    /// checking it equals what the engine answers for that statement.
+    fn shown(session: &CleaningSession, cache: &GroupedAggregateCache) -> QueryResult {
+        let got = session.execute_with_cache(cache).unwrap();
+        let want =
+            execute(cache.table(), &session.current_statement(), ExecOptions::default()).unwrap();
+        assert_eq!(got.statement, want.statement);
+        assert_eq!(format!("{:?}", got.rows), format!("{:?}", want.rows));
+        assert_eq!(got.group_keys, want.group_keys);
+        (0..want.len()).for_each(|g| assert_eq!(got.inputs_of(g), want.inputs_of(g)));
+        got
+    }
+
     #[test]
     fn applying_a_predicate_rewrites_the_query_and_fixes_the_result() {
-        let t = table();
+        let cache = GroupedAggregateCache::build(&table(), &base()).unwrap();
         let mut session = CleaningSession::new(base());
-        let before = session.execute(&t).unwrap();
+        let before = shown(&session, &cache);
         // Window 1 (output row 1) contains sensor 3's 120-degree readings.
         assert!(before.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
         assert_eq!(session.applied().len(), 0);
@@ -149,7 +154,7 @@ mod tests {
         session.apply(ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]));
         let sql = session.current_sql();
         assert!(sql.contains("NOT (sensorid = 3)"), "{sql}");
-        let after = session.execute(&t).unwrap();
+        let after = shown(&session, &cache);
         assert_eq!(after.value_f64(1, "avg_temp").unwrap().unwrap(), 20.0);
         // Base statement is untouched.
         assert_eq!(session.base_statement().to_sql(), base().to_sql());
@@ -167,7 +172,7 @@ mod tests {
 
     #[test]
     fn undo_unapplies_in_reverse_order() {
-        let t = table();
+        let cache = GroupedAggregateCache::build(&table(), &base()).unwrap();
         let mut session = CleaningSession::new(base());
         let p1 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
         let p2 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 2)]);
@@ -176,12 +181,12 @@ mod tests {
         assert_eq!(session.applied().len(), 2);
         assert_eq!(session.undo(), Some(p2));
         assert_eq!(session.applied().len(), 1);
-        let r = session.execute(&t).unwrap();
+        let r = shown(&session, &cache);
         assert_eq!(r.value_f64(1, "avg_temp").unwrap().unwrap(), 20.0);
         assert_eq!(session.undo(), Some(p1));
         assert!(session.applied().is_empty());
         assert!(session.undo().is_none());
-        let r = session.execute(&t).unwrap();
+        let r = shown(&session, &cache);
         assert!(r.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
     }
 }

@@ -70,8 +70,8 @@ pub mod predicates;
 pub mod ranker;
 
 pub use api::{
-    choose_shard_column, explain_on_table, explain_with_cache, ComponentTimings, DbWipes,
-    ExplainConfig, Explanation, ExplanationRequest,
+    choose_shard_column, explain_with_cache, ComponentTimings, DbWipes, ExplainConfig, Explanation,
+    ExplanationRequest,
 };
 pub use cleaner::CleaningSession;
 pub use enumerator::{
@@ -83,6 +83,5 @@ pub use metric::{suggest_metrics, Combine, ErrorMetric, MetricKind};
 pub use parallel::effective_parallelism;
 pub use predicates::{enumerate_predicates, PredicateEnumConfig};
 pub use ranker::{
-    rank_predicates, rank_predicates_sharded, rank_predicates_with_cache, RankedPredicate,
-    RankerConfig,
+    rank_predicates_sharded, rank_predicates_with_cache, RankedPredicate, RankerConfig,
 };

@@ -18,9 +18,10 @@
 //!
 //! There is one scoring loop, over one [`GroupedAggregateCache`]
 //! (membership bitmap included), the [`ConditionBitmapCache`] its table
-//! snapshot owns ([`Table::condition_bitmaps`] — so a condition an earlier
-//! ranking over the same snapshot scanned is a hit here, in every
-//! deployment), and F and D′ as [`RowSet`]s over the table's rows.
+//! snapshot owns ([`dbwipes_storage::Table::condition_bitmaps`] — so a
+//! condition an earlier ranking over the same snapshot scanned is a hit
+//! here, in every deployment), and F and D′ as [`RowSet`]s over the
+//! table's rows.
 //! [`rank_predicates_sharded`] exists for the benchmark and ranks
 //! unpartitioned: it runs the same loop over a [`ShardedAggregateCache`]'s
 //! whole-table cache.
@@ -29,9 +30,7 @@ use crate::error::CoreError;
 use crate::metric::ErrorMetric;
 use crate::parallel::map_chunked;
 use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
-use dbwipes_storage::{
-    ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, Table, TriSet, Value,
-};
+use dbwipes_storage::{ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, TriSet, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -97,32 +96,17 @@ impl RankedPredicate {
     }
 }
 
-/// Ranks candidate predicates, building the incremental re-aggregation
-/// cache internally (one statement execution for the whole candidate set).
+/// Ranks candidate predicates over `cache`, the incremental re-aggregation
+/// cache of `result`'s statement (which carries the table it was built
+/// from) — the explain pipeline shares one [`GroupedAggregateCache`]
+/// between the Preprocessor and the Ranker. This is the one ranking loop
+/// behind every public entry point.
 ///
-/// * `table` — the queried table.
 /// * `result` — the original query result (provides the statement, the
 ///   selected groups' keys and ε's baseline).
 /// * `selected` — indices of the suspicious output rows S.
 /// * `examples` — the user's suspicious input tuples D′.
 /// * `metric` — the error metric ε.
-pub fn rank_predicates(
-    table: &Table,
-    result: &QueryResult,
-    selected: &[usize],
-    examples: &[RowId],
-    metric: &ErrorMetric,
-    predicates: Vec<ConjunctivePredicate>,
-    config: &RankerConfig,
-) -> Result<Vec<RankedPredicate>, CoreError> {
-    let cache = GroupedAggregateCache::build(table, &result.statement)?;
-    rank_predicates_with_cache(&cache, result, selected, examples, metric, predicates, config)
-}
-
-/// [`rank_predicates`] over a caller-provided cache (which carries the
-/// table it was built from) — the explain pipeline builds one
-/// [`GroupedAggregateCache`] and shares it between the Preprocessor and the
-/// Ranker. This is the one ranking loop behind every public entry point.
 pub fn rank_predicates_with_cache(
     cache: &GroupedAggregateCache,
     result: &QueryResult,
@@ -320,7 +304,22 @@ pub fn error_over_keys(result: &QueryResult, keys: &[Vec<Value>], metric: &Error
 mod tests {
     use super::*;
     use dbwipes_engine::execute_sql;
-    use dbwipes_storage::{Catalog, Condition, DataType, Schema};
+    use dbwipes_storage::{Catalog, Condition, DataType, Schema, Table};
+
+    /// [`rank_predicates_with_cache`] over a cache of `result`'s statement
+    /// built from `table`.
+    fn rank(
+        table: &Table,
+        result: &QueryResult,
+        selected: &[usize],
+        examples: &[RowId],
+        metric: &ErrorMetric,
+        predicates: Vec<ConjunctivePredicate>,
+        config: &RankerConfig,
+    ) -> Result<Vec<RankedPredicate>, CoreError> {
+        let cache = GroupedAggregateCache::build(table, &result.statement)?;
+        rank_predicates_with_cache(&cache, result, selected, examples, metric, predicates, config)
+    }
 
     /// Window 1 is polluted by sensor 7's ~120F readings; the healthy ones
     /// climb from 20F in 1F increments.
@@ -368,7 +367,7 @@ mod tests {
             ]),
             ConjunctivePredicate::always_true(),
         ];
-        let ranked = rank_predicates(
+        let ranked = rank(
             c.table("readings").unwrap(),
             &r,
             &selected,
@@ -406,7 +405,7 @@ mod tests {
             Condition::equals("sensorid", 7),
             Condition::equals("window", 1),
         ]);
-        let ranked = rank_predicates(
+        let ranked = rank(
             c.table("readings").unwrap(),
             &r,
             &[1],
@@ -427,7 +426,7 @@ mod tests {
         let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
         // Threshold far above everything: nothing is wrong.
         let metric = ErrorMetric::too_high("avg_temp", 10_000.0);
-        let ranked = rank_predicates(
+        let ranked = rank(
             c.table("readings").unwrap(),
             &r,
             &[1],
@@ -450,16 +449,9 @@ mod tests {
             .map(|s| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]))
             .collect();
         let config = RankerConfig { max_results: 4, ..Default::default() };
-        let ranked = rank_predicates(
-            c.table("readings").unwrap(),
-            &r,
-            &[1],
-            &broken,
-            &metric,
-            candidates,
-            &config,
-        )
-        .unwrap();
+        let ranked =
+            rank(c.table("readings").unwrap(), &r, &[1], &broken, &metric, candidates, &config)
+                .unwrap();
         assert_eq!(ranked.len(), 4);
         // Scores are non-increasing.
         for w in ranked.windows(2) {
@@ -478,7 +470,7 @@ mod tests {
         let metric = ErrorMetric::too_high("avg_temp", 25.0);
         // The filtered query has a single output group (window 1 at index 0);
         // excluding sensor 7 removes that whole group, so error_after must be 0.
-        let ranked = rank_predicates(
+        let ranked = rank(
             c.table("readings").unwrap(),
             &r,
             &[0],
@@ -509,7 +501,7 @@ mod tests {
         ]);
         assert_ne!(a_and_b.to_string(), b_and_a.to_string());
         assert_eq!(a_and_b.canonical_key(), b_and_a.canonical_key());
-        let ranked = rank_predicates(
+        let ranked = rank(
             c.table("readings").unwrap(),
             &r,
             &[1],
@@ -522,43 +514,6 @@ mod tests {
         // Only the first occurrence survives dedup.
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].predicate, a_and_b);
-    }
-
-    #[test]
-    fn shared_cache_matches_internal_build() {
-        let (c, broken) = setup();
-        let table = c.table("readings").unwrap();
-        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
-        let metric = ErrorMetric::too_high("avg_temp", 25.0);
-        let candidates: Vec<ConjunctivePredicate> = (0..12)
-            .map(|s| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]))
-            .collect();
-        let cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
-        let via_cache = rank_predicates_with_cache(
-            &cache,
-            &r,
-            &[1],
-            &broken,
-            &metric,
-            candidates.clone(),
-            &RankerConfig::default(),
-        )
-        .unwrap();
-        let direct = rank_predicates(
-            table,
-            &r,
-            &[1],
-            &broken,
-            &metric,
-            candidates,
-            &RankerConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(via_cache.len(), direct.len());
-        for (a, b) in via_cache.iter().zip(&direct) {
-            assert_eq!(a.predicate, b.predicate);
-            assert_eq!(a.score, b.score);
-        }
     }
 
     /// An unbounded range on a missing column is the literal `TRUE`: beside
@@ -580,7 +535,7 @@ mod tests {
         let with_true = sensor.with(unbounded);
         let table = c.table("readings").unwrap();
         assert!(with_true.compile(table).is_ok());
-        let ranked = rank_predicates(
+        let ranked = rank(
             table,
             &r,
             &[1],

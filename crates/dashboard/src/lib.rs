@@ -34,4 +34,4 @@ pub use scatter::{
     result_series, zoom_points, zoom_series, Brush, PointRef, ScatterPoint, ScatterSeries,
     ZoomPoints,
 };
-pub use session::{DashboardSession, SessionState};
+pub use session::{CacheSource, DashboardSession, SessionState};

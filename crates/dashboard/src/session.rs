@@ -12,12 +12,62 @@ use crate::scatter::{
     result_series, zoom_points, zoom_series, Brush, PointRef, ScatterSeries, ZoomPoints,
 };
 use dbwipes_core::{
-    CleaningSession, CoreError, DbWipes, ErrorMetric, ExplainConfig, Explanation,
-    ExplanationRequest, RankedPredicate,
+    explain_with_cache, CleaningSession, CoreError, DbWipes, ErrorMetric, ExplainConfig,
+    Explanation, ExplanationRequest, RankedPredicate,
 };
 use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, QueryResult, SelectStatement};
 use dbwipes_storage::{RowId, Table};
+use std::fmt;
 use std::sync::Arc;
+
+/// Where a session's `debug`, click, undo and append refresh get the
+/// [`GroupedAggregateCache`] of a statement over a table snapshot: the one
+/// store every step of the loop reads its provenance from. A session built
+/// by [`DashboardSession::new`] builds on demand and keeps the last cache
+/// it built; the server's sessions read its shared registry.
+pub trait CacheSource: fmt::Debug + Send {
+    /// The cache of `stmt` over `table`, and whether the source already
+    /// had it (`false` when it was built for this call).
+    fn cache(
+        &mut self,
+        table: &Arc<Table>,
+        stmt: &SelectStatement,
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError>;
+}
+
+/// A session's cache source.
+#[derive(Debug)]
+enum Source {
+    /// [`DashboardSession::new`]'s: builds a cache when asked for one it
+    /// does not hold and keeps at most one, so a `debug`, click and undo
+    /// on one statement build it once. It is dropped when `run_query`
+    /// replaces the base statement.
+    OnDemand(Option<Arc<GroupedAggregateCache>>),
+    /// [`DashboardSession::with_cache_source`]'s.
+    Given(Box<dyn CacheSource>),
+}
+
+impl Source {
+    fn cache(
+        &mut self,
+        table: &Arc<Table>,
+        stmt: &SelectStatement,
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
+        let kept = match self {
+            Source::Given(source) => return source.cache(table, stmt),
+            Source::OnDemand(kept) => kept,
+        };
+        let fingerprint = CacheFingerprint::of(table, stmt);
+        if let Some(cache) = kept.as_ref().filter(|c| c.fingerprint() == fingerprint) {
+            return Ok((Arc::clone(cache), true));
+        }
+        // One cache at a time, also while the next one is built.
+        *kept = None;
+        let cache = Arc::new(GroupedAggregateCache::build_shared(Arc::clone(table), stmt)?);
+        *kept = Some(Arc::clone(&cache));
+        Ok((cache, false))
+    }
+}
 
 /// Where the user is in the Figure-1 interaction loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +95,13 @@ pub struct DashboardSession {
     metric: Option<ErrorMetric>,
     explain_config: ExplainConfig,
     explanation: Option<Explanation>,
+    source: Source,
+    debug_cache_hit: Option<bool>,
 }
 
 impl DashboardSession {
-    /// Creates a session over an existing backend.
+    /// Creates a session over an existing backend, whose actions build the
+    /// aggregate cache they read on demand and keep the last one.
     pub fn new(db: DbWipes) -> Self {
         DashboardSession {
             db,
@@ -59,7 +112,15 @@ impl DashboardSession {
             metric: None,
             explain_config: ExplainConfig::standard(),
             explanation: None,
+            source: Source::OnDemand(None),
+            debug_cache_hit: None,
         }
+    }
+
+    /// Creates a session over an existing backend whose actions read their
+    /// aggregate caches from `source`.
+    pub fn with_cache_source(db: DbWipes, source: Box<dyn CacheSource>) -> Self {
+        DashboardSession { source: Source::Given(source), ..DashboardSession::new(db) }
     }
 
     /// Access to the backend (e.g. to register more tables).
@@ -111,6 +172,9 @@ impl DashboardSession {
         let result = self.db.query(sql)?;
         self.cleaning = Some(CleaningSession::new(result.statement.clone()));
         self.result = Some(result);
+        if let Source::OnDemand(kept) = &mut self.source {
+            *kept = None;
+        }
         self.selected_outputs.clear();
         self.selected_inputs.clear();
         self.metric = None;
@@ -121,10 +185,10 @@ impl DashboardSession {
     /// Adopts a freshly appended snapshot of the current query's table
     /// (streaming ingestion): installs `table` into the session's catalog
     /// and replaces the displayed result with the cleaned statement's
-    /// answer from `cache` — a cache of the *base* statement over `table`,
-    /// typically one absorbed forward through the append — exactly as
-    /// [`DashboardSession::click_predicate_with_cache`] answers. Nothing
-    /// changes when `cache` retains another statement.
+    /// answer from the cache source's cache of the *base* statement over
+    /// `table` — the server's registry absorbs its retained one forward
+    /// through the append — exactly as a click answers. A table other
+    /// than the base statement's is refused before anything changes.
     ///
     /// The user's in-flight investigation survives the refresh where it
     /// still makes sense:
@@ -137,15 +201,20 @@ impl DashboardSession {
     /// * the error metric ε is kept;
     /// * a computed explanation is discarded: it described the old data,
     ///   and the next `debug!` recomputes it over the grown table.
-    pub fn refresh_after_append(
-        &mut self,
-        table: Arc<Table>,
-        cache: &GroupedAggregateCache,
-    ) -> Result<(), CoreError> {
+    pub fn refresh_after_append(&mut self, table: Arc<Table>) -> Result<(), CoreError> {
         let (Some(current), Some(cleaning)) = (&self.result, &self.cleaning) else {
             return Err(CoreError::invalid("no query result to refresh"));
         };
-        let refreshed = cleaning.execute_with_cache(cache)?;
+        let base = cleaning.base_statement();
+        if !base.table.eq_ignore_ascii_case(table.name()) {
+            return Err(CoreError::invalid(format!(
+                "the displayed query reads `{}`, not `{}`",
+                base.table,
+                table.name()
+            )));
+        }
+        let (cache, _) = self.source.cache(&table, base)?;
+        let refreshed = cleaning.execute_with_cache(&cache)?;
         let remapped: Vec<usize> = self
             .selected_outputs
             .iter()
@@ -302,31 +371,27 @@ impl DashboardSession {
         Ok(request)
     }
 
-    /// Runs the backend pipeline ("debug!") and returns the ranked
-    /// predicates.
+    /// Runs the backend pipeline ("debug!") over the cache source's cache
+    /// of the displayed statement and returns the ranked predicates. The
+    /// explanation's timings are the pipeline's: getting the cache, built
+    /// or not, is not one of its stages.
     pub fn debug(&mut self) -> Result<&Explanation, CoreError> {
+        self.debug_cache_hit = None;
         let request = self.explain_request()?;
         let result = self.result.as_ref().expect("validated by explain_request");
-        let explanation = self.db.explain(result, &request)?;
+        let table = self.db.catalog().table_arc(&result.statement.table)?;
+        let (cache, hit) = self.source.cache(&table, &result.statement)?;
+        self.debug_cache_hit = Some(hit);
+        let explanation = explain_with_cache(&cache, result, &request)?;
         self.explanation = Some(explanation);
         Ok(self.explanation.as_ref().expect("just set"))
     }
 
-    /// [`DashboardSession::debug`] over an externally-owned incremental
-    /// re-aggregation cache, skipping the per-explain cache build when the
-    /// caller kept a cache alive across brushes (the server's
-    /// `CacheRegistry`). The cache must have been built for the current
-    /// result's statement over the session's current table data; a
-    /// mismatched statement is rejected by the backend.
-    pub fn debug_with_cache(
-        &mut self,
-        cache: &GroupedAggregateCache,
-    ) -> Result<&Explanation, CoreError> {
-        let request = self.explain_request()?;
-        let result = self.result.as_ref().expect("validated by explain_request");
-        let explanation = dbwipes_core::explain_with_cache(cache, result, &request)?;
-        self.explanation = Some(explanation);
-        Ok(self.explanation.as_ref().expect("just set"))
+    /// Whether the last [`DashboardSession::debug`] found its cache in the
+    /// source (`Some(true)`) or had it built (`Some(false)`); `None` when
+    /// it failed before asking.
+    pub fn debug_cache_hit(&self) -> Option<bool> {
+        self.debug_cache_hit
     }
 
     /// Installs an explanation that was computed earlier for this session's
@@ -345,6 +410,12 @@ impl DashboardSession {
         Ok(self.explanation.as_ref().expect("just set"))
     }
 
+    /// The explanation of the last `debug()` call, while the selections
+    /// it explains stand.
+    pub fn explanation(&self) -> Option<&Explanation> {
+        self.explanation.as_ref()
+    }
+
     /// The ranked predicates of the last `debug()` call.
     pub fn ranked_predicates(&self) -> &[RankedPredicate] {
         self.explanation.as_ref().map(|e| e.predicates.as_slice()).unwrap_or(&[])
@@ -358,96 +429,53 @@ impl DashboardSession {
     }
 
     /// The statement of the last `run_query`, without any clicked
-    /// predicate — the statement a cache handed to
-    /// [`DashboardSession::click_predicate_with_cache`] retains.
+    /// predicate — the statement whose cache click, undo and the append
+    /// refresh read from the session's cache source.
     pub fn base_statement(&self) -> Option<&SelectStatement> {
         self.cleaning.as_ref().map(CleaningSession::base_statement)
     }
 
     /// Clicks the `index`-th ranked predicate: the predicate is added to the
-    /// query as `AND NOT (...)`, the query re-executes, and the
-    /// visualization/query form update (step 7). Returns the new result.
+    /// query as `AND NOT (...)`, the cleaned result is read from the base
+    /// statement's cache, and the visualization/query form update (step
+    /// 7). Returns the new result.
     pub fn click_predicate(&mut self, index: usize) -> Result<&QueryResult, CoreError> {
         let predicate = self.ranked_predicate(index)?.predicate.clone();
+        let cache = self.base_cache()?;
         self.cleaning_mut()?.apply(predicate);
-        self.show_cleaned(None)
+        self.show_cleaned(&cache)
     }
 
-    /// Un-applies the most recently clicked predicate and re-executes.
+    /// Un-applies the most recently clicked predicate, as
+    /// [`DashboardSession::click_predicate`] applies one.
     pub fn undo_clean(&mut self) -> Result<&QueryResult, CoreError> {
+        let cache = self.base_cache()?;
         self.cleaning_mut()?.undo();
-        self.show_cleaned(None)
-    }
-
-    /// [`DashboardSession::click_predicate`] answered from an
-    /// externally-owned cache of the *base* statement over the session's
-    /// current table data (the server's `CacheRegistry` keeps the one
-    /// `debug` built): the same result, statement and session state,
-    /// without re-executing. Any other cache is rejected before anything
-    /// is applied.
-    pub fn click_predicate_with_cache(
-        &mut self,
-        index: usize,
-        cache: &GroupedAggregateCache,
-    ) -> Result<&QueryResult, CoreError> {
-        let predicate = self.ranked_predicate(index)?.predicate.clone();
-        self.check_base_cache(cache)?;
-        self.cleaning_mut()?.apply(predicate);
-        self.show_cleaned(Some(cache))
-    }
-
-    /// [`DashboardSession::undo_clean`] answered from a cache of the base
-    /// statement — see [`DashboardSession::click_predicate_with_cache`].
-    pub fn undo_clean_with_cache(
-        &mut self,
-        cache: &GroupedAggregateCache,
-    ) -> Result<&QueryResult, CoreError> {
-        self.check_base_cache(cache)?;
-        self.cleaning_mut()?.undo();
-        self.show_cleaned(Some(cache))
+        self.show_cleaned(&cache)
     }
 
     fn cleaning_mut(&mut self) -> Result<&mut CleaningSession, CoreError> {
         self.cleaning.as_mut().ok_or_else(|| CoreError::invalid("no query has been executed"))
     }
 
-    /// Refuses a cache that does not retain the base statement over the
-    /// very data this session reads.
-    fn check_base_cache(&self, cache: &GroupedAggregateCache) -> Result<(), CoreError> {
+    /// The cache source's cache of the base statement over the table the
+    /// session reads, asked for before a click or undo changes anything.
+    fn base_cache(&mut self) -> Result<Arc<GroupedAggregateCache>, CoreError> {
         let base = self
-            .base_statement()
+            .cleaning
+            .as_ref()
+            .map(CleaningSession::base_statement)
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        let table = self.db.catalog().table(&base.table).map_err(CoreError::from)?;
-        if cache.fingerprint() != CacheFingerprint::of(table, base) {
-            return Err(CoreError::invalid(format!(
-                "cache retains `{}` over another table version, not the session's `{}`",
-                cache.statement().to_sql(),
-                base.to_sql()
-            )));
-        }
-        Ok(())
+        let table = self.db.catalog().table_arc(&base.table)?;
+        Ok(self.source.cache(&table, base)?.0)
     }
 
     /// Produces the result of the cleaning session's current (rewritten)
-    /// statement — by executing it, or from `cache` — and resets the
+    /// statement from `cache`, the base statement's, and resets the
     /// visualization state: the one place encoding what a predicate click
-    /// or undo does to the session, so apply and undo, executed and
-    /// cached, cannot drift apart.
-    fn show_cleaned(
-        &mut self,
-        cache: Option<&GroupedAggregateCache>,
-    ) -> Result<&QueryResult, CoreError> {
-        let cleaning = self
-            .cleaning
-            .as_ref()
-            .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        let result = match cache {
-            Some(cache) => cleaning.execute_with_cache(cache)?,
-            None => {
-                let table = &cleaning.base_statement().table;
-                cleaning.execute(self.db.catalog().table(table).map_err(CoreError::from)?)?
-            }
-        };
+    /// or undo does to the session, so apply and undo cannot drift apart.
+    fn show_cleaned(&mut self, cache: &GroupedAggregateCache) -> Result<&QueryResult, CoreError> {
+        let result = self.cleaning_mut()?.execute_with_cache(cache)?;
         self.result = Some(result);
         self.selected_outputs.clear();
         self.selected_inputs.clear();
@@ -575,10 +603,7 @@ mod tests {
         assert!(s.brush_outputs("window", "std_temp", Brush::above(0.0)).is_empty());
         assert!(s.selected_outputs().is_empty() && s.selected_inputs().is_empty());
 
-        s.run_query(&ds.window_query()).unwrap();
-        s.brush_outputs("window", "std_temp", Brush::above(8.0));
-        s.brush_inputs("sensorid", "temp", Brush::above(100.0));
-        s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
+        brushed(&mut s, &ds);
         s.debug().unwrap();
         assert_eq!(s.state(), SessionState::Explained);
 
@@ -600,99 +625,131 @@ mod tests {
         assert_eq!(s.state(), SessionState::ResultsShown);
     }
 
-    #[test]
-    fn debug_with_external_cache_matches_plain_debug() {
-        let (mut s, ds) = session();
+    /// The session brushed, with ε picked, ready for `debug`.
+    fn brushed(s: &mut DashboardSession, ds: &dbwipes_data::SensorDataset) {
         s.run_query(&ds.window_query()).unwrap();
         s.brush_outputs("window", "std_temp", Brush::above(8.0));
         s.brush_inputs("sensorid", "temp", Brush::above(100.0));
-        let choices = s.metric_choices("std_temp");
-        s.set_metric(choices[0].clone());
-
-        // Snapshot the table (clones preserve identity and version) so the
-        // cache does not borrow from the session it is handed back to.
-        let table = s.current_table().unwrap().clone();
-        let stmt = s.result().unwrap().statement.clone();
-        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        // A cache built for a different statement is rejected up front.
-        let wrong_stmt = dbwipes_engine::parse_select(
-            "SELECT sensorid, avg(temp) FROM readings GROUP BY sensorid",
-        )
-        .unwrap();
-        let wrong = GroupedAggregateCache::build(&table, &wrong_stmt).unwrap();
-        assert!(s.debug_with_cache(&wrong).is_err());
-
-        let cached: Vec<_> = s
-            .debug_with_cache(&cache)
-            .unwrap()
-            .predicates
-            .iter()
-            .map(|p| (p.predicate.clone(), p.score))
-            .collect();
-        let plain: Vec<_> =
-            s.debug().unwrap().predicates.iter().map(|p| (p.predicate.clone(), p.score)).collect();
-        assert_eq!(cached, plain);
-        assert_eq!(s.state(), SessionState::Explained);
+        s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
     }
 
     #[test]
-    fn click_and_undo_with_a_cache_match_the_executed_path() {
-        let explained = || {
-            let (mut s, ds) = session();
-            s.run_query(&ds.window_query()).unwrap();
-            s.brush_outputs("window", "std_temp", Brush::above(8.0));
-            s.brush_inputs("sensorid", "temp", Brush::above(100.0));
-            s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
-            s.debug().unwrap();
-            s
+    fn debug_matches_the_library_explain() {
+        let (mut s, ds) = session();
+        brushed(&mut s, &ds);
+        let request = s.explain_request().unwrap();
+        let result = s.result().unwrap().clone();
+        let library = s.backend().explain(&result, &request).unwrap();
+        let ranked = |e: &Explanation| -> Vec<_> {
+            e.predicates.iter().map(|p| (p.predicate.clone(), p.score.to_bits())).collect()
         };
-        let (mut executed, mut cached) = (explained(), explained());
-        let table = cached.current_table().unwrap().clone();
-        let base = cached.base_statement().unwrap().clone();
-        let cache = GroupedAggregateCache::build(&table, &base).unwrap();
-        let same = |a: &DashboardSession, b: &DashboardSession| {
-            let (a, b) = (a.result().unwrap(), b.result().unwrap());
-            assert_eq!(a.statement, b.statement);
-            assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
-            assert_eq!(a.group_keys, b.group_keys);
-            (0..a.len()).for_each(|g| assert_eq!(a.inputs_of(g), b.inputs_of(g), "group {g}"));
+        let explanation = s.debug().unwrap();
+        assert_eq!(ranked(explanation), ranked(&library));
+        assert_eq!(explanation.base_error.to_bits(), library.base_error.to_bits());
+        assert_eq!(s.state(), SessionState::Explained);
+    }
+
+    /// A displayed result: statement, schema, values (floats in their
+    /// shortest round-trip form), keys, row order and lineage.
+    fn identity(r: &QueryResult) -> String {
+        format!("{r:?}")
+    }
+
+    /// What the engine answers for the session's current statement.
+    fn executed(s: &DashboardSession) -> QueryResult {
+        let stmt = s.cleaning.as_ref().unwrap().current_statement();
+        dbwipes_engine::execute(s.current_table().unwrap(), &stmt, Default::default()).unwrap()
+    }
+
+    #[test]
+    fn click_and_undo_match_execution() {
+        let (mut s, ds) = session();
+        brushed(&mut s, &ds);
+        s.debug().unwrap();
+        let refused = s.click_predicate(99).unwrap_err().to_string();
+        assert_eq!(refused, "invalid explanation request: no ranked predicate at index 99");
+        assert!(s.applied_predicates().is_empty());
+        assert_eq!(s.state(), SessionState::Explained);
+
+        let before = identity(s.result().unwrap());
+        s.click_predicate(0).unwrap();
+        assert_eq!(identity(s.result().unwrap()), identity(&executed(&s)));
+        assert!(s.current_sql().contains("NOT ("));
+        assert_eq!(s.applied_predicates().len(), 1);
+        assert_eq!(s.state(), SessionState::ResultsShown);
+
+        s.undo_clean().unwrap();
+        assert_eq!(identity(s.result().unwrap()), identity(&executed(&s)));
+        assert_eq!(identity(s.result().unwrap()), before);
+        assert!(s.applied_predicates().is_empty());
+    }
+
+    /// Counts what a session asks for, and builds every cache it hands out.
+    #[derive(Debug, Default)]
+    struct Counting {
+        asked: Arc<std::sync::Mutex<Vec<String>>>,
+    }
+
+    impl CacheSource for Counting {
+        fn cache(
+            &mut self,
+            table: &Arc<Table>,
+            stmt: &SelectStatement,
+        ) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
+            self.asked.lock().unwrap().push(stmt.to_sql());
+            let cache = GroupedAggregateCache::build_shared(Arc::clone(table), stmt)?;
+            Ok((Arc::new(cache), false))
+        }
+    }
+
+    #[test]
+    fn each_action_asks_its_source_once_for_the_base_statement() {
+        let ds = session().1;
+        let source = Counting::default();
+        let asked = Arc::clone(&source.asked);
+        let mut db = DbWipes::new();
+        db.register(ds.table.clone()).unwrap();
+        let mut s = DashboardSession::with_cache_source(db, Box::new(source));
+        brushed(&mut s, &ds);
+        assert!(asked.lock().unwrap().is_empty(), "run_query and the brushes execute");
+        s.debug().unwrap();
+        assert_eq!(s.debug_cache_hit(), Some(false));
+        s.click_predicate(0).unwrap();
+        s.undo_clean().unwrap();
+        let base = s.base_statement().unwrap().to_sql();
+        assert_eq!(*asked.lock().unwrap(), vec![base.clone(), base.clone(), base]);
+    }
+
+    #[test]
+    fn the_on_demand_source_builds_once_per_base_statement() {
+        let (mut s, ds) = session();
+        let kept = |s: &DashboardSession| match &s.source {
+            Source::OnDemand(kept) => kept.clone(),
+            Source::Given(_) => unreachable!("DashboardSession::new builds on demand"),
         };
+        brushed(&mut s, &ds);
+        assert!(kept(&s).is_none());
+        s.debug().unwrap();
+        assert_eq!(s.debug_cache_hit(), Some(false));
+        let built = Arc::downgrade(&kept(&s).unwrap());
+        s.click_predicate(0).unwrap();
+        s.undo_clean().unwrap();
+        s.brush_outputs("window", "std_temp", Brush::above(8.0));
+        s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
+        s.debug().unwrap();
+        assert_eq!(s.debug_cache_hit(), Some(true));
+        assert!(Arc::ptr_eq(&kept(&s).unwrap(), &built.upgrade().unwrap()), "one build");
 
-        // A cache of another statement, or of this statement over other
-        // data, is refused before the predicate is applied.
-        let other = dbwipes_engine::parse_select("SELECT avg(temp) FROM readings").unwrap();
-        let wrong = GroupedAggregateCache::build(&table, &other).unwrap();
-        assert!(cached.click_predicate_with_cache(0, &wrong).is_err());
-        let mut moved = table.clone();
-        moved.push_row(table.row(RowId(0)).unwrap()).unwrap();
-        let stale = GroupedAggregateCache::build(&moved, &base).unwrap();
-        assert!(cached.click_predicate_with_cache(0, &stale).is_err());
-        assert!(cached.undo_clean_with_cache(&stale).is_err());
-        assert!(cached.applied_predicates().is_empty());
-        assert_eq!(cached.state(), SessionState::Explained);
-        assert!(cached.click_predicate_with_cache(99, &cache).is_err());
-
-        executed.click_predicate(0).unwrap();
-        cached.click_predicate_with_cache(0, &cache).unwrap();
-        same(&executed, &cached);
-        assert_eq!(cached.current_sql(), executed.current_sql());
-        assert_eq!(cached.applied_predicates(), executed.applied_predicates());
-        assert_eq!(cached.state(), SessionState::ResultsShown);
-
-        executed.undo_clean().unwrap();
-        cached.undo_clean_with_cache(&cache).unwrap();
-        same(&executed, &cached);
-        assert!(cached.applied_predicates().is_empty());
+        // A new base statement drops it; nothing else holds it.
+        s.run_query("SELECT sensorid, avg(temp) FROM readings GROUP BY sensorid").unwrap();
+        assert!(kept(&s).is_none());
+        assert!(built.upgrade().is_none());
     }
 
     #[test]
     fn explain_config_flows_into_debug() {
         let (mut s, ds) = session();
-        s.run_query(&ds.window_query()).unwrap();
-        s.brush_outputs("window", "std_temp", Brush::above(8.0));
-        s.brush_inputs("sensorid", "temp", Brush::above(100.0));
-        let choices = s.metric_choices("std_temp");
-        s.set_metric(choices[0].clone());
+        brushed(&mut s, &ds);
         assert!(s.debug().unwrap().predicates.len() > 1);
 
         let mut config = ExplainConfig::standard();
@@ -709,11 +766,7 @@ mod tests {
     #[test]
     fn refresh_after_append_keeps_selections_and_drops_the_stale_explanation() {
         let (mut s, ds) = session();
-        s.run_query(&ds.window_query()).unwrap();
-        s.brush_outputs("window", "std_temp", Brush::above(8.0));
-        s.brush_inputs("sensorid", "temp", Brush::above(100.0));
-        let choices = s.metric_choices("std_temp");
-        s.set_metric(choices[0].clone());
+        brushed(&mut s, &ds);
         s.debug().unwrap();
         assert_eq!(s.state(), SessionState::Explained);
         let selected_keys: Vec<Vec<dbwipes_storage::Value>> = s
@@ -723,9 +776,7 @@ mod tests {
             .collect();
         let inputs_before = s.selected_inputs().to_vec();
 
-        // Grow a snapshot of the table (same identity, appended epoch) and
-        // compute the refreshed result the way the server would: through
-        // an absorbed cache.
+        // Grow a snapshot of the table (same identity, appended epoch).
         let mut grown = s.current_table().unwrap().clone();
         let row = |sensor: i64, temp: f64| {
             let mut r = Vec::new();
@@ -740,18 +791,18 @@ mod tests {
         };
         grown.push_rows(vec![row(3, 55.0), row(15, 140.0)]).unwrap();
         let grown = Arc::new(grown);
-        let stmt = s.result().unwrap().statement.clone();
-        let cache = GroupedAggregateCache::build_shared(Arc::clone(&grown), &stmt).unwrap();
 
-        // A cache of another statement is rejected before anything mutates.
-        let other = dbwipes_engine::parse_select("SELECT count(*) FROM readings").unwrap();
-        let wrong = GroupedAggregateCache::build_shared(Arc::clone(&grown), &other).unwrap();
-        assert!(s.refresh_after_append(Arc::clone(&grown), &wrong).is_err());
+        // Another table is refused before anything mutates.
+        let other = Arc::new(Table::new("other", grown.schema().clone()).unwrap());
+        let refused = s.refresh_after_append(other).unwrap_err().to_string();
+        assert!(refused.contains("reads `readings`, not `other`"), "{refused}");
         assert_ne!(s.current_table().unwrap().version(), grown.version());
 
-        s.refresh_after_append(Arc::clone(&grown), &cache).unwrap();
-        // The session now reads the grown snapshot...
+        s.refresh_after_append(Arc::clone(&grown)).unwrap();
+        // The session now reads the grown snapshot, and shows what the
+        // engine answers over it...
         assert_eq!(s.current_table().unwrap().version(), grown.version());
+        assert_eq!(identity(s.result().unwrap()), identity(&executed(&s)));
         // ...selections survived (remapped by key / kept verbatim)...
         let keys_after: Vec<Vec<dbwipes_storage::Value>> = s
             .selected_outputs()

@@ -130,14 +130,28 @@ fn demo_catalog(options: &Options) -> Result<Catalog, String> {
 }
 
 fn serve_stdio(manager: &SessionManager) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
+    let mut stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    // One line buffer and one reply buffer for the whole stream, as the TCP
+    // executor keeps one reply buffer per connection; the newline is pushed
+    // into the reply so it leaves in a single write.
+    let (mut line, mut reply) = (String::new(), String::new());
+    loop {
+        line.clear();
+        if stdin.read_line(&mut line)? == 0 {
+            break;
+        }
+        // What `lines()` yields: without the `\n`, or the `\r\n`, that ends it.
+        let request = match line.strip_suffix('\n') {
+            Some(request) => request.strip_suffix('\r').unwrap_or(request),
+            None => &line,
+        };
+        if request.trim().is_empty() {
             continue;
         }
-        writeln!(stdout, "{}", manager.handle_line(&line))?;
+        manager.handle_line_into(request, &mut reply);
+        reply.push('\n');
+        stdout.write_all(reply.as_bytes())?;
         stdout.flush()?;
         // The `shutdown` ctrl-line: its reply is flushed above, then the
         // loop drains — same exit-0 contract as the TCP executor.

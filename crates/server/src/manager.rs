@@ -25,8 +25,8 @@ use crate::durability::StorageRuntime;
 use crate::executor::PoolStats;
 use crate::registry::{CacheRegistry, ExplainKey};
 use dbwipes_core::{ComponentTimings, CoreError, DbWipes, Explanation};
-use dbwipes_dashboard::DashboardSession;
-use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, QueryResult, SelectStatement};
+use dbwipes_dashboard::{CacheSource, DashboardSession};
+use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache, SelectStatement};
 use dbwipes_storage::{Catalog, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -71,7 +71,12 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// One client's dashboard plus its service-side counters.
+/// One client's dashboard plus its service-side counters. The dashboard's
+/// cache source is the manager's shared [`CacheRegistry`]: its `debug`,
+/// click, undo and append refresh each look the base statement's cache up
+/// there (get, absorb forward or build, with the registry's hit, miss and
+/// absorb accounting) and keep none between commands, so what the
+/// registry evicts is freed.
 #[derive(Debug)]
 pub struct ServerSession {
     dashboard: DashboardSession,
@@ -81,8 +86,11 @@ pub struct ServerSession {
 }
 
 impl ServerSession {
-    fn new(catalog: Catalog) -> Self {
-        let dashboard = DashboardSession::new(DbWipes::with_catalog(catalog));
+    fn new(catalog: Catalog, registry: Arc<CacheRegistry>) -> Self {
+        let dashboard = DashboardSession::with_cache_source(
+            DbWipes::with_catalog(catalog),
+            Box::new(RegistrySource(registry)),
+        );
         ServerSession { dashboard, commands: 0, cache_hits: 0, cache_misses: 0 }
     }
 
@@ -116,18 +124,20 @@ impl ServerSession {
         self.commands += 1;
     }
 
-    /// Runs `debug!` through the shared two-tier registry: an unchanged
-    /// request (same statement, same table data, same S/D′/ε) replays the
-    /// memoized explanation outright; a changed request still reuses the
-    /// statement-level [`GroupedAggregateCache`] when one is alive,
-    /// building and retaining both tiers otherwise.
+    /// Runs `debug!` with the shared registry's explanation memo in front:
+    /// an unchanged request (same statement, same table data, same S/D′/ε)
+    /// replays the memoized explanation outright; otherwise the
+    /// dashboard's `debug` runs over the registry's statement-level
+    /// [`GroupedAggregateCache`] (reused when one is alive, built and
+    /// retained otherwise) and the answer is memoized.
     ///
     /// Returns the explanation and a [`DebugCacheReport`] saying which
     /// tier served it. A memo-served explanation reports *near-zero*
     /// component timings — no pipeline ran, so replaying the original
     /// run's wall-clock numbers would misreport the service's latency —
     /// and the protocol layer surfaces `report.memo_hit` as the reply's
-    /// `cached` marker.
+    /// `cached` marker. Only these lookups count in
+    /// [`ServerSession::cache_hits`] and [`ServerSession::cache_misses`].
     pub fn debug_cached(
         &mut self,
         registry: &CacheRegistry,
@@ -136,7 +146,7 @@ impl ServerSession {
             .dashboard
             .result()
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        let stmt = result.statement.clone();
+        let stmt = &result.statement;
         let table =
             self.dashboard.backend().catalog().table_arc(&stmt.table).map_err(CoreError::from)?;
 
@@ -145,7 +155,7 @@ impl ServerSession {
         // pipeline config), so key and computation cannot drift apart;
         // this also performs `debug`'s own state validation.
         let request = self.dashboard.explain_request()?;
-        let key = ExplainKey::new(CacheFingerprint::of(&table, &stmt), &request);
+        let key = ExplainKey::new(CacheFingerprint::of(&table, stmt), &request);
 
         // Tier 2: the identical question was already answered. The replay
         // reports zeroed timings: nothing was computed now, and replaying
@@ -159,57 +169,19 @@ impl ServerSession {
             return Ok((explanation, DebugCacheReport { cache_hit: true, memo_hit: true }));
         }
 
-        // Tier 1: reuse the statement-level aggregate cache — fast-
-        // forwarding a retained sibling through `absorb_append_shared`
-        // when the only difference is streamed appends — and build it cold
-        // only when neither exists. Then run the pipeline and memoize.
-        let (cache, cache_hit) = statement_cache(registry, &table, &stmt)?;
-        if cache_hit {
-            self.cache_hits += 1;
-        } else {
-            self.cache_misses += 1;
+        // Tier 1, through the dashboard's cache source. Its lookup counts
+        // even when the pipeline after it fails.
+        let explained = self.dashboard.debug().cloned();
+        let cache_hit = self.dashboard.debug_cache_hit();
+        match cache_hit {
+            Some(true) => self.cache_hits += 1,
+            Some(false) => self.cache_misses += 1,
+            None => {}
         }
-        let explanation = self.dashboard.debug_with_cache(&cache)?;
-        registry.store_explanation(key, Arc::new(explanation.clone()));
-        Ok((explanation, DebugCacheReport { cache_hit, memo_hit: false }))
-    }
-
-    /// `click_predicate` through the shared registry: the clicked
-    /// predicate's result is read from the retained aggregate cache of the
-    /// *base* statement — the one `debug` built a moment earlier, absorbed
-    /// forward if rows were streamed in since, built (and counted as a
-    /// miss) only when it was evicted — instead of re-executing. A bad
-    /// index is refused before any lookup is counted.
-    pub fn click_predicate_cached(
-        &mut self,
-        index: usize,
-        registry: &CacheRegistry,
-    ) -> Result<&QueryResult, CoreError> {
-        self.dashboard.ranked_predicate(index)?;
-        let cache = self.base_cache(registry)?;
-        self.dashboard.click_predicate_with_cache(index, &cache)
-    }
-
-    /// `undo` through the shared registry — see
-    /// [`ServerSession::click_predicate_cached`].
-    pub fn undo_cached(&mut self, registry: &CacheRegistry) -> Result<&QueryResult, CoreError> {
-        let cache = self.base_cache(registry)?;
-        self.dashboard.undo_clean_with_cache(&cache)
-    }
-
-    /// The registry's cache of the session's base statement over the table
-    /// data the session reads.
-    fn base_cache(
-        &self,
-        registry: &CacheRegistry,
-    ) -> Result<Arc<GroupedAggregateCache>, CoreError> {
-        let stmt = self
-            .dashboard
-            .base_statement()
-            .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        let table =
-            self.dashboard.backend().catalog().table_arc(&stmt.table).map_err(CoreError::from)?;
-        Ok(statement_cache(registry, &table, stmt)?.0)
+        registry.store_explanation(key, Arc::new(explained?));
+        let explanation = self.dashboard.explanation().expect("just explained");
+        let report = DebugCacheReport { cache_hit: cache_hit == Some(true), memo_hit: false };
+        Ok((explanation, report))
     }
 
     /// Adopts a freshly appended snapshot of `table` (streaming
@@ -222,49 +194,49 @@ impl ServerSession {
     /// * an equal or later version means the session already reads this
     ///   data — skip.
     ///
-    /// When the session displays a result over the appended table, the
-    /// result is recomputed from the registry's cache of the *base*
-    /// statement — absorbed forward instead of re-executing, the cache
-    /// click and undo read too, clicked predicates applied on top — by
-    /// [`DashboardSession::refresh_after_append`], so the analyst's
-    /// brushes survive. Otherwise only the catalog snapshot is swapped.
-    /// Returns true when the session adopted the snapshot.
-    pub fn adopt_append(
-        &mut self,
-        table: &Arc<Table>,
-        registry: &CacheRegistry,
-    ) -> Result<bool, CoreError> {
+    /// When the session displays a result over the appended table,
+    /// [`DashboardSession::refresh_after_append`] recomputes it from the
+    /// registry's cache of the *base* statement — absorbed forward instead
+    /// of re-executing, the cache click and undo read too, clicked
+    /// predicates applied on top — so the analyst's brushes survive.
+    /// Otherwise only the catalog snapshot is swapped. Returns true when
+    /// the session adopted the snapshot.
+    pub fn adopt_append(&mut self, table: &Arc<Table>) -> Result<bool, CoreError> {
         let Ok(current) = self.dashboard.backend().catalog().table_arc(table.name()) else {
             return Ok(false);
         };
         if current.id() != table.id() || current.version() >= table.version() {
             return Ok(false);
         }
-        let displayed =
-            self.dashboard.base_statement().filter(|s| s.table.eq_ignore_ascii_case(table.name()));
-        let Some(stmt) = displayed else {
+        let displayed = self.dashboard.base_statement();
+        if displayed.is_some_and(|s| s.table.eq_ignore_ascii_case(table.name())) {
+            self.dashboard.refresh_after_append(Arc::clone(table))?;
+        } else {
             self.dashboard.backend_mut().catalog_mut().install_snapshot(Arc::clone(table));
-            return Ok(true);
-        };
-        let (cache, _) = statement_cache(registry, table, stmt)?;
-        self.dashboard.refresh_after_append(Arc::clone(table), &cache)?;
+        }
         Ok(true)
     }
 }
 
-/// The registry's aggregate cache of `stmt` over `table`: the retained
-/// one, a retained sibling absorbed forward through the appends since, or
-/// one built cold and retained. The flag is `true` unless it was built.
-fn statement_cache(
-    registry: &CacheRegistry,
-    table: &Arc<Table>,
-    stmt: &SelectStatement,
-) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
-    registry
-        .get_or_absorb_or_build(CacheFingerprint::of(table, stmt), table, || {
-            GroupedAggregateCache::build_shared(Arc::clone(table), stmt)
-        })
-        .map_err(CoreError::from)
+/// A server session's cache source: the registry's aggregate cache of a
+/// statement over a table — the retained one, a retained sibling absorbed
+/// forward through the appends since, or one built cold and retained. The
+/// flag is `true` unless it was built. It keeps nothing itself.
+#[derive(Debug)]
+struct RegistrySource(Arc<CacheRegistry>);
+
+impl CacheSource for RegistrySource {
+    fn cache(
+        &mut self,
+        table: &Arc<Table>,
+        stmt: &SelectStatement,
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
+        self.0
+            .get_or_absorb_or_build(CacheFingerprint::of(table, stmt), table, || {
+                GroupedAggregateCache::build_shared(Arc::clone(table), stmt)
+            })
+            .map_err(CoreError::from)
+    }
 }
 
 /// Which shared registry tier served a [`ServerSession::debug_cached`]
@@ -477,7 +449,7 @@ impl SessionManager {
     pub fn open_session(&self) -> SessionId {
         let catalog = read_recover(&self.base).clone();
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let session = Arc::new(Mutex::new(ServerSession::new(catalog)));
+        let session = Arc::new(Mutex::new(ServerSession::new(catalog, Arc::clone(&self.registry))));
         write_recover(&self.sessions).insert(id, session);
         id
     }
@@ -614,7 +586,7 @@ impl SessionManager {
             if self.quarantine_reason(id).is_some() {
                 continue;
             }
-            match s.adopt_append(&table, &self.registry) {
+            match s.adopt_append(&table) {
                 Ok(true) => sessions_refreshed += 1,
                 Ok(false) => {}
                 Err(e) => eprintln!("dbwipes-server: refreshing session after append: {e}"),
@@ -633,6 +605,7 @@ impl SessionManager {
 mod tests {
     use super::*;
     use dbwipes_data::{generate_sensor, SensorConfig};
+    use dbwipes_engine::QueryResult;
 
     fn manager() -> (SessionManager, String) {
         let ds = generate_sensor(&SensorConfig {
@@ -869,7 +842,7 @@ mod tests {
             s.dashboard_mut().select_outputs(outputs);
             s.dashboard_mut().set_metric(dbwipes_core::ErrorMetric::too_high("std_temp", 4.0));
             s.debug_cached(m.registry()).unwrap();
-            s.click_predicate_cached(0, m.registry()).unwrap();
+            s.dashboard_mut().click_predicate(0).unwrap();
             assert_eq!(s.dashboard().applied_predicates().len(), 1);
         }
         let before = m.registry().stats();

@@ -371,11 +371,11 @@ impl SessionManager {
                 write_explanation(w, explanation, report.cache_hit, report.memo_hit);
             }
             Command::ClickPredicate { index, .. } => {
-                session.click_predicate_cached(index, self.registry()).map_err(core)?;
+                session.dashboard_mut().click_predicate(index).map_err(core)?;
                 write_result(w, session, true);
             }
             Command::Undo(_) => {
-                session.undo_cached(self.registry()).map_err(core)?;
+                session.dashboard_mut().undo_clean().map_err(core)?;
                 write_result(w, session, true);
             }
             Command::State(_) => {

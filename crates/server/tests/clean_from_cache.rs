@@ -9,14 +9,18 @@
 //! * a session that followed a `stream_append` answers like a session
 //!   opened cold on the grown table;
 //! * sessions clicking different predicates over the one shared cache do
-//!   not see each other's exclusions.
+//!   not see each other's exclusions;
+//! * between commands no session holds the cache: what the registry
+//!   evicts is freed.
 //!
 //! `stats.cache` counts per manager, and every test owns its managers and
 //! asserts deltas, so the tests are safe at any `--test-threads`.
 
 use dbwipes_data::{generate_sensor, SensorConfig};
-use dbwipes_server::{Json, SessionManager};
+use dbwipes_engine::{CacheFingerprint, GroupedAggregateCache};
+use dbwipes_server::{Json, SessionId, SessionManager};
 use dbwipes_storage::{Catalog, Table};
+use std::sync::Arc;
 
 fn readings() -> (Table, String) {
     let data = generate_sensor(&SensorConfig {
@@ -180,4 +184,29 @@ fn sessions_clicking_different_predicates_over_one_cache_do_not_see_each_other()
     let state = ok(&shared, r#"{"cmd":"state","session":2}"#);
     assert!(state.contains(r#""applied_predicates":[""#) && state.contains("NOT ("), "{state}");
     assert_eq!(tier_one(&shared).2, 1, "still one cache");
+}
+
+#[test]
+fn between_commands_only_the_registry_holds_the_base_statements_cache() {
+    let (table, query) = readings();
+    let m = manager(&table);
+    // The registry's cache of session 1's base statement, fetched (one
+    // counted hit) without building.
+    let retained = || -> Arc<GroupedAggregateCache> {
+        let session = m.session(SessionId(1)).expect("session 1 is open");
+        let session = session.lock().unwrap();
+        let dashboard = session.dashboard();
+        let table = dashboard.backend().catalog().table_arc("readings").unwrap();
+        let fingerprint = CacheFingerprint::of(&table, dashboard.base_statement().unwrap());
+        let (cache, hit) =
+            m.registry().get_or_build(fingerprint, || unreachable!("debug built it")).unwrap();
+        assert!(hit);
+        cache
+    };
+    explain(&m, 1, &query);
+    assert_eq!(Arc::strong_count(&retained()), 2, "after debug: the registry's and ours");
+    click(&m, 1, 0);
+    assert_eq!(Arc::strong_count(&retained()), 2, "after click_predicate");
+    undo(&m, 1);
+    assert_eq!(Arc::strong_count(&retained()), 2, "after undo");
 }

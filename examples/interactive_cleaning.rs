@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run --release --example interactive_cleaning`
 
-use dbwipes::core::{suggest_metrics, CleaningStrategy, ErrorMetric, ExplanationRequest};
+use dbwipes::core::{suggest_metrics, CleaningStrategy, ErrorMetric, ExplainConfig};
 use dbwipes::data::{generate_corrupted, CorruptionConfig};
-use dbwipes::DbWipes;
+use dbwipes::{DashboardSession, DbWipes};
 
 fn main() {
     // Two corrupted devices create two overlapping anomalies.
@@ -29,7 +29,7 @@ fn main() {
     let mut db = DbWipes::new();
     db.register(dataset.table.clone()).expect("register");
     let sql = dataset.group_avg_query();
-    let mut result = db.query(&sql).expect("query");
+    let result = db.query(&sql).expect("query");
 
     // Build the error metric from the data itself, the way the dashboard's
     // error form does: "normal" groups define the expected ceiling.
@@ -53,39 +53,44 @@ fn main() {
     println!("error metric: {metric}");
     println!("{} suspicious groups selected\n", suspicious.len());
 
-    // Iteratively explain + clean until the error is (almost) gone.
-    let mut session = dbwipes::CleaningSession::new(result.statement.clone());
+    // Iteratively explain + clean until the error is (almost) gone, as the
+    // dashboard does: brush, debug!, click the best predicate.
     let table = dataset.table.clone();
+    let mut session = DashboardSession::new(db);
+    session.run_query(&sql).expect("query");
     let mut round = 0;
     loop {
         round += 1;
-        let error = metric.evaluate_result(&result, &suspicious_rows(&result, 62.0));
+        let result = session.result().expect("a result is displayed");
+        let suspicious = suspicious_rows(result, 62.0);
+        let error = metric.evaluate_result(result, &suspicious);
         println!(
             "round {round}: error = {error:.2}, applied predicates = {}",
-            session.applied().len()
+            session.applied_predicates().len()
         );
         if error < 1.0 || round > 5 {
             break;
         }
-        let mut request =
-            ExplanationRequest::new(suspicious_rows(&result, 62.0), vec![], metric.clone());
+        session.select_outputs(suspicious);
+        session.set_metric(metric.clone());
         // Alternate the cleaning strategy just to exercise both paths.
-        request.config.enumerator.cleaning =
+        let mut config = ExplainConfig::standard();
+        config.enumerator.cleaning =
             if round % 2 == 0 { CleaningStrategy::NaiveBayes } else { CleaningStrategy::KMeans };
-        let explanation = match dbwipes::core::explain_on_table(&table, &result, &request) {
-            Ok(e) => e,
+        session.set_explain_config(config);
+        let best = match session.debug() {
+            Ok(explanation) => explanation.best().map(|best| best.summary()),
             Err(err) => {
                 println!("  no further explanation: {err}");
                 break;
             }
         };
-        let Some(best) = explanation.best() else {
+        let Some(best) = best else {
             println!("  no predicates returned");
             break;
         };
-        println!("  applying: {}", best.summary());
-        session.apply(best.predicate.clone());
-        result = session.execute(&table).expect("cleaned query");
+        println!("  applying: {best}");
+        session.click_predicate(0).expect("cleaned query");
     }
 
     println!("\nfinal rewritten query:\n  {}\n", session.current_sql());
@@ -93,9 +98,10 @@ fn main() {
     // Cleaning rewrote the query and left the data alone: the table still
     // holds every row the applied predicates exclude.
     let mut excluded: Vec<_> =
-        session.applied().iter().flat_map(|p| p.matching_rows(&table)).collect();
+        session.applied_predicates().iter().flat_map(|p| p.matching_rows(&table)).collect();
     excluded.sort_unstable();
     excluded.dedup();
+    let result = session.result().expect("a result is displayed");
     println!(
         "the applied predicates exclude {} of the table's {} rows; max group average is now {:.1}",
         excluded.len(),
@@ -106,11 +112,12 @@ fn main() {
     );
 
     // Undo everything.
-    while session.undo().is_some() {}
-    let restored = session.execute(&table).expect("restored query");
+    while !session.applied_predicates().is_empty() {
+        session.undo_clean().expect("restored query");
+    }
     println!(
         "after undoing all predicates the anomaly is back: {} groups above 62",
-        suspicious_rows(&restored, 62.0).len()
+        suspicious_rows(session.result().expect("a result is displayed"), 62.0).len()
     );
 }
 

@@ -56,9 +56,7 @@ fn main() {
     println!("cleaning with: {best}\n");
     let mut session = CleaningSession::new(result.statement.clone());
     session.apply(best.clone());
-    let cleaned = session
-        .execute(db.catalog().table("measurements").expect("table"))
-        .expect("cleaned query executes");
+    let cleaned = db.query(&session.current_sql()).expect("cleaned query executes");
     println!("rewritten query: {}\n", session.current_sql());
     println!("{}", cleaned.to_display(8));
 

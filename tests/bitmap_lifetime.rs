@@ -10,9 +10,9 @@
 
 mod common;
 
-use dbwipes::core::explain_on_table;
+use dbwipes::core::explain_with_cache;
 use dbwipes::data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
-use dbwipes::engine::{execute, parse_select, ExecOptions};
+use dbwipes::engine::{execute, parse_select, ExecOptions, GroupedAggregateCache};
 use dbwipes::storage::persist::{decode_table, encode_table};
 use dbwipes::storage::{FsBackend, StorageBackend, CHUNK_ROWS};
 use dbwipes::{ErrorMetric, ExplanationRequest, RowId, Table};
@@ -45,7 +45,8 @@ fn explain(q: &Question, table: &Table) -> String {
         false => ErrorMetric::too_low(q.output.0, q.output.1),
     };
     let request = ExplanationRequest::new(outputs, inputs, metric);
-    let e = explain_on_table(table, &result, &request).unwrap();
+    let cache = GroupedAggregateCache::build(table, &result.statement).unwrap();
+    let e = explain_with_cache(&cache, &result, &request).unwrap();
     format!("{:?}\n{:#?}\n{:?}\n{:?}", e.base_error, e.predicates, e.influence, e.candidates)
 }
 

@@ -15,19 +15,23 @@
 //! values can drift from re-summation by FP-rounding ulps, which the ranker
 //! tolerates; exactness of the *algebra* is what these tests pin down.)
 //!
-//! The *displayed* path — `click_predicate_with_cache` /
-//! `undo_clean_with_cache`, hence `GroupedAggregateCache::cleaned_result`
-//! — never subtracts, so its property draws values on tenths, where sums
-//! are not exact and a subtraction would show in the last bits, and asks
-//! for everything `CleaningSession::execute` answers: statement, schema,
-//! values by bit pattern, keys, row order, lineage, error strings.
+//! The *displayed* path — a session's `click_predicate` / `undo_clean`,
+//! hence `GroupedAggregateCache::cleaned_result` over the base statement's
+//! cache — never subtracts, so its property draws values on tenths, where
+//! sums are not exact and a subtraction would show in the last bits, and
+//! asks for everything the engine's `execute` of the rewritten statement
+//! answers: statement, schema, values by bit pattern, keys, row order,
+//! lineage, error strings.
 
 mod common;
 
-use dbwipes::core::{ComponentTimings, CoreError, Explanation, InfluenceReport, RankedPredicate};
+use dbwipes::core::{
+    CleaningSession, ComponentTimings, CoreError, Explanation, InfluenceReport, RankedPredicate,
+};
+use dbwipes::dashboard::CacheSource;
 use dbwipes::engine::{
-    execute, parse_select, ExclusionQuery, ExecOptions, GroupedAggregateCache, QueryResult,
-    SelectStatement,
+    execute, parse_select, CacheFingerprint, ExclusionQuery, ExecOptions, GroupedAggregateCache,
+    QueryResult, SelectStatement,
 };
 use dbwipes::storage::{
     Condition, ConjunctivePredicate, DataType, RowSet, Schema, Value, CHUNK_ROWS,
@@ -294,7 +298,7 @@ fn same<T: PartialEq + std::fmt::Debug>(
     got: T,
     want: T,
 ) -> Result<(), String> {
-    prop_assert!(got == want, "{what}: {part}: from the cache {got:?}, executed {want:?}");
+    prop_assert!(got == want, "{what}: {part}: the session's {got:?}, executed {want:?}");
     Ok(())
 }
 
@@ -302,13 +306,13 @@ fn same<T: PartialEq + std::fmt::Debug>(
 /// and in order, keys, per-group lineage — or the same refusal.
 fn assert_same_answer(
     what: &str,
-    executed: Result<&QueryResult, CoreError>,
-    cached: Result<&QueryResult, CoreError>,
+    executed: Result<QueryResult, CoreError>,
+    shown: Result<&QueryResult, CoreError>,
 ) -> Result<(), String> {
-    let (want, got) = match (executed, cached) {
+    let (want, got) = match (executed.as_ref(), shown) {
         (Err(want), Err(got)) => return same(what, "error", got.to_string(), want.to_string()),
         (Ok(want), Ok(got)) => (want, got),
-        (want, got) => return Err(format!("{what}: executed {want:?}, from the cache {got:?}")),
+        (want, got) => return Err(format!("{what}: executed {want:?}, the session's {got:?}")),
     };
     same(what, "statement", &got.statement, &want.statement)?;
     same(what, "schema", &got.schema, &want.schema)?;
@@ -321,22 +325,42 @@ fn assert_same_answer(
     Ok(())
 }
 
-/// Clicks `clicks` one after the other and then undoes them all, in two
-/// sessions over `table`: one executes every rewritten statement
-/// (`CleaningSession::execute`, the oracle), one reads `cache`, which
-/// retains `sql`. After every step both display the same thing.
+/// A cache source that hands out one retained cache, and checks it is
+/// asked for exactly what that cache retains.
+#[derive(Debug)]
+struct Retained(Arc<GroupedAggregateCache>);
+
+impl CacheSource for Retained {
+    fn cache(
+        &mut self,
+        table: &Arc<Table>,
+        stmt: &SelectStatement,
+    ) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
+        assert_eq!(CacheFingerprint::of(table, stmt), self.0.fingerprint());
+        Ok((Arc::clone(&self.0), true))
+    }
+}
+
+/// Clicks `clicks` one after the other and then undoes them all in a
+/// session over `table` that runs `sql` — building its cache on demand,
+/// or reading `retained` — and after every step compares what it displays
+/// with the engine's execution of the rewritten statement (the oracle).
 fn assert_cleaning_from_cache_matches_execution(
     table: &Table,
     sql: &str,
-    cache: &GroupedAggregateCache,
+    retained: Option<GroupedAggregateCache>,
     clicks: &[ConjunctivePredicate],
 ) -> Result<(), String> {
-    let session = || {
-        let mut db = DbWipes::new();
-        db.register(table.clone()).unwrap();
-        let mut session = DashboardSession::new(db);
-        session.run_query(sql).unwrap();
-        session
+    let mut db = DbWipes::new();
+    db.register(table.clone()).unwrap();
+    let mut session = match retained {
+        Some(cache) => DashboardSession::with_cache_source(db, Box::new(Retained(Arc::new(cache)))),
+        None => DashboardSession::new(db),
+    };
+    session.run_query(sql).unwrap();
+    let mut oracle = CleaningSession::new(parse_select(sql).unwrap());
+    let executed = |oracle: &CleaningSession| {
+        execute(table, &oracle.current_statement(), ExecOptions::default()).map_err(CoreError::from)
     };
     // What a `debug` would leave, had it ranked exactly `clicks`.
     let ranked = |predicate: &ConjunctivePredicate| RankedPredicate {
@@ -356,27 +380,28 @@ fn assert_cleaning_from_cache_matches_execution(
         timings: ComponentTimings::default(),
         base_error: 0.0,
     };
-    let explain = |session: &mut DashboardSession| {
+
+    let mut displayed = session.current_sql();
+    for (i, predicate) in clicks.iter().enumerate() {
         session.select_outputs(vec![0]);
         session.set_metric(ErrorMetric::too_high("value", 0.0));
         session.install_explanation(explanation.clone()).unwrap();
-    };
-
-    let (mut executed, mut cached) = (session(), session());
-    for (i, predicate) in clicks.iter().enumerate() {
-        explain(&mut executed);
-        explain(&mut cached);
         let what = format!("{sql}: click {i} ({predicate}) of {clicks:?}");
-        let got = cached.click_predicate_with_cache(i, cache);
-        assert_same_answer(&what, executed.click_predicate(i), got)?;
-        same(&what, "sql", cached.current_sql(), executed.current_sql())?;
-        same(&what, "applied", cached.applied_predicates(), executed.applied_predicates())?;
+        oracle.apply(predicate.clone());
+        let want = executed(&oracle);
+        // A refused click leaves the displayed result as it was.
+        displayed = want.as_ref().map_or(displayed, |r| r.statement.to_sql());
+        assert_same_answer(&what, want, session.click_predicate(i))?;
+        same(&what, "sql", session.current_sql(), displayed.clone())?;
+        same(&what, "applied", session.applied_predicates(), oracle.applied())?;
     }
     for i in 0..=clicks.len() {
         let what = format!("{sql}: undo {i} of {clicks:?}");
-        let got = cached.undo_clean_with_cache(cache);
-        assert_same_answer(&what, executed.undo_clean(), got)?;
-        same(&what, "sql", cached.current_sql(), executed.current_sql())?;
+        oracle.undo();
+        let want = executed(&oracle);
+        displayed = want.as_ref().map_or(displayed, |r| r.statement.to_sql());
+        assert_same_answer(&what, want, session.undo_clean())?;
+        same(&what, "sql", session.current_sql(), displayed.clone())?;
     }
     Ok(())
 }
@@ -409,12 +434,11 @@ fn cleaning_from_the_cache_matches_execution_across_chunk_boundaries() {
         "SELECT id, flag, sum(x + id), max(x) FROM m WHERE x > -5 GROUP BY id, flag ORDER BY 3 DESC LIMIT 5",
         "SELECT avg(x), max(x), count(x) FROM m",
     ] {
+        assert_cleaning_from_cache_matches_execution(&table, sql, None, &clicks).unwrap();
         let stmt = parse_select(sql).unwrap();
-        let cold = GroupedAggregateCache::build(&table, &stmt).unwrap();
-        assert_cleaning_from_cache_matches_execution(&table, sql, &cold, &clicks).unwrap();
         let mut absorbed = GroupedAggregateCache::build(&base, &stmt).unwrap();
         absorbed.absorb_append_shared(Arc::new(grown.clone())).unwrap();
-        assert_cleaning_from_cache_matches_execution(&grown, sql, &absorbed, &clicks).unwrap();
+        assert_cleaning_from_cache_matches_execution(&grown, sql, Some(absorbed), &clicks).unwrap();
     }
 }
 
@@ -423,9 +447,9 @@ proptest! {
 
     /// The displayed path's oracle property: on tables whose sums are not
     /// exact, with NULLs under the predicates, every statement shape and a
-    /// stack of 0–3 clicked predicates, a click and an undo answered from
-    /// the base statement's cache equal `CleaningSession::execute` on the
-    /// rewritten statement in everything a result carries.
+    /// stack of 0–3 clicked predicates, a session's click and undo,
+    /// answered from the base statement's cache, equal the engine's
+    /// `execute` of the rewritten statement in everything a result carries.
     #[test]
     fn cleaning_from_the_cache_matches_execution(
         table in arbitrary_tenths_table(),
@@ -434,8 +458,7 @@ proptest! {
         sql_b in arbitrary_statement(),
     ) {
         for sql in [&sql_a, &sql_b] {
-            let cache = GroupedAggregateCache::build(&table, &parse_select(sql).unwrap()).unwrap();
-            assert_cleaning_from_cache_matches_execution(&table, sql, &cache, &clicks)?;
+            assert_cleaning_from_cache_matches_execution(&table, sql, None, &clicks)?;
         }
     }
 
@@ -565,7 +588,7 @@ proptest! {
         conjunctions in proptest::collection::vec(arbitrary_conjunction(), 0..10),
     ) {
         use dbwipes::core::ranker::error_over_keys;
-        use dbwipes::core::{rank_predicates, ErrorMetric, RankerConfig};
+        use dbwipes::core::{rank_predicates_with_cache, ErrorMetric, RankerConfig};
         use std::collections::BTreeSet;
 
         let stmt = parse_select(sql).unwrap();
@@ -591,8 +614,10 @@ proptest! {
             .map(ConjunctivePredicate::canonical_key)
             .collect::<BTreeSet<_>>()
             .len();
+        let cache = GroupedAggregateCache::build(&table, &stmt).unwrap();
         let ranked =
-            rank_predicates(&table, &result, &selected, &examples, &metric, pool, &config).unwrap();
+            rank_predicates_with_cache(&cache, &result, &selected, &examples, &metric, pool, &config)
+                .unwrap();
         prop_assert_eq!(ranked.len(), candidates);
         prop_assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score), "not sorted by score");
 

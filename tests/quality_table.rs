@@ -23,14 +23,14 @@ use dbwipes::core::baselines::{
     single_attribute_predicates, top_k_influence, SingleAttributeConfig,
 };
 use dbwipes::core::{
-    explain_on_table, rank_influence, CleaningStrategy, ErrorMetric, ExplainConfig, Explanation,
-    ExplanationRequest, RankerConfig,
+    explain_with_cache, rank_influence, CleaningStrategy, CoreError, ErrorMetric, ExplainConfig,
+    Explanation, ExplanationRequest, RankerConfig,
 };
 use dbwipes::data::{
     generate_corrupted, generate_sensor, CorruptedDataset, CorruptionConfig, PredicateScore,
     SensorConfig, SensorDataset,
 };
-use dbwipes::engine::{execute, parse_select, ExecOptions};
+use dbwipes::engine::{execute, parse_select, ExecOptions, GroupedAggregateCache};
 use dbwipes::learn::{SplitCriterion, TreeConfig};
 use dbwipes::{QueryResult, RowId, Table};
 use rand::rngs::StdRng;
@@ -61,6 +61,16 @@ fn run_query(table: &Table, sql: &str) -> QueryResult {
     execute(table, &stmt, ExecOptions::default()).expect("experiment query executes")
 }
 
+/// The pipeline over a cache of `result`'s statement built from `table`.
+fn explain(
+    table: &Table,
+    result: &QueryResult,
+    request: &ExplanationRequest,
+) -> Result<Explanation, CoreError> {
+    let cache = GroupedAggregateCache::build(table, &result.statement)?;
+    explain_with_cache(&cache, result, request)
+}
+
 /// The sensor scenario: S is the windows whose temperature spread exceeds
 /// 8, D′ the readings above 100°F among their inputs.
 fn sensor_explanation(dataset: &SensorDataset, config: ExplainConfig) -> Explanation {
@@ -84,7 +94,7 @@ fn sensor_explanation(dataset: &SensorDataset, config: ExplainConfig) -> Explana
     let mut request =
         ExplanationRequest::new(suspicious, examples, ErrorMetric::too_high("std_temp", 5.0));
     request.config = config;
-    explain_on_table(&dataset.table, &result, &request).expect("sensor explanation")
+    explain(&dataset.table, &result, &request).expect("sensor explanation")
 }
 
 /// The groups of the corrupted fixture whose average exceeds 65.
@@ -106,7 +116,7 @@ fn corrupted_explanation(
     let mut request =
         ExplanationRequest::new(suspicious, examples, ErrorMetric::too_high("avg_value", 60.0));
     request.config = config;
-    explain_on_table(&dataset.table, &result, &request).expect("corrupted explanation")
+    explain(&dataset.table, &result, &request).expect("corrupted explanation")
 }
 
 /// Appends a fixed-width table with a title, so the output reads like the

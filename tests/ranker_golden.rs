@@ -1,14 +1,14 @@
 //! Golden regression tests for the Predicate Ranker.
 //!
 //! These pin the exact ordering (and, to a small tolerance, the scores) of
-//! `rank_predicates` on the deterministic sensor and FEC fixtures. They were
+//! `rank_predicates_with_cache` on the deterministic sensor and FEC fixtures. They were
 //! captured against the original per-candidate full-re-execution ranker and
 //! must keep passing after the incremental re-aggregation rewire: the
 //! refactor is allowed to change *how* the scores are computed, not *what*
 //! they are.
 
-use dbwipes::core::{rank_predicates, ErrorMetric, RankerConfig};
-use dbwipes::engine::execute_sql;
+use dbwipes::core::{rank_predicates_with_cache, ErrorMetric, RankerConfig};
+use dbwipes::engine::{execute_sql, GroupedAggregateCache};
 use dbwipes::storage::{Catalog, Condition, ConjunctivePredicate, RowId, Value};
 use dbwipes_data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
 
@@ -84,8 +84,10 @@ fn sensor_fixture_ranking_is_stable() {
         ConjunctivePredicate::new(vec![Condition::at_most("voltage", 1.8)]),
         ConjunctivePredicate::new(vec![Condition::above("temp", 95.0)]),
     ];
-    let ranked = rank_predicates(
-        catalog.table("readings").unwrap(),
+    let cache = GroupedAggregateCache::build(catalog.table("readings").unwrap(), &result.statement)
+        .unwrap();
+    let ranked = rank_predicates_with_cache(
+        &cache,
         &result,
         &suspicious,
         &examples,
@@ -141,8 +143,11 @@ fn fec_fixture_ranking_is_stable() {
             Condition::at_most("amount", 0.0),
         ]),
     ];
-    let ranked = rank_predicates(
-        catalog.table("contributions").unwrap(),
+    let cache =
+        GroupedAggregateCache::build(catalog.table("contributions").unwrap(), &result.statement)
+            .unwrap();
+    let ranked = rank_predicates_with_cache(
+        &cache,
         &result,
         &suspicious,
         &examples,

@@ -53,9 +53,7 @@ fn quickstart_loop_produces_a_ranked_repairing_predicate() {
     // group's average (or removes the group entirely).
     let mut session = CleaningSession::new(result.statement.clone());
     session.apply(best.predicate.clone());
-    let cleaned = session
-        .execute(db.catalog().table("measurements").expect("table"))
-        .expect("cleaned query executes");
+    let cleaned = db.query(&session.current_sql()).expect("cleaned query executes");
     let cleaned_max = (0..cleaned.len())
         .filter_map(|i| cleaned.value_f64(i, "avg_value").ok().flatten())
         .fold(f64::NEG_INFINITY, f64::max);
