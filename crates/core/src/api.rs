@@ -474,7 +474,7 @@ mod tests {
         assert!(best.improvement > 0.99, "{}", best.summary());
 
         let mut cleaning = crate::CleaningSession::new(stmt.clone());
-        cleaning.apply(best.predicate.clone());
+        cleaning.apply(best.predicate.clone()).unwrap();
         let executed =
             dbwipes_engine::execute(&table, &cleaning.current_statement(), Default::default())
                 .unwrap();

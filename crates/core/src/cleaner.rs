@@ -13,7 +13,9 @@
 //! un-applying a predicate is dropping its conjunct.
 
 use crate::error::CoreError;
-use dbwipes_engine::{validate, EngineError, GroupedAggregateCache, QueryResult, SelectStatement};
+use dbwipes_engine::{
+    validate, EngineError, GroupedAggregateCache, QueryResult, SelectStatement, MAX_EXPR_DEPTH,
+};
 use dbwipes_storage::{ConjunctivePredicate, Expr};
 
 /// An interactive cleaning session over one base query.
@@ -55,12 +57,21 @@ impl CleaningSession {
     }
 
     /// Applies (clicks) a predicate. Applying the same predicate twice is a
-    /// no-op.
-    pub fn apply(&mut self, predicate: ConjunctivePredicate) {
+    /// no-op. A predicate whose `AND NOT (...)` would nest the WHERE clause
+    /// deeper than [`MAX_EXPR_DEPTH`] is refused and nothing changes.
+    pub fn apply(&mut self, predicate: ConjunctivePredicate) -> Result<(), CoreError> {
         if predicate.is_trivial() || self.applied.contains(&predicate) {
-            return;
+            return Ok(());
+        }
+        let rewritten =
+            self.current_statement().with_additional_filter(predicate.to_exclusion_expr());
+        if rewritten.where_clause.as_ref().map_or(0, Expr::depth) > MAX_EXPR_DEPTH {
+            return Err(CoreError::invalid(format!(
+                "clicking {predicate} would nest the query deeper than {MAX_EXPR_DEPTH} levels"
+            )));
         }
         self.applied.push(predicate);
+        Ok(())
     }
 
     /// Un-applies the most recently applied predicate.
@@ -151,7 +162,7 @@ mod tests {
         assert!(before.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
         assert_eq!(session.applied().len(), 0);
 
-        session.apply(ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]));
+        session.apply(ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)])).unwrap();
         let sql = session.current_sql();
         assert!(sql.contains("NOT (sensorid = 3)"), "{sql}");
         let after = shown(&session, &cache);
@@ -164,9 +175,9 @@ mod tests {
     fn apply_is_idempotent_and_ignores_trivial_predicates() {
         let mut session = CleaningSession::new(base());
         let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
-        session.apply(p.clone());
-        session.apply(p.clone());
-        session.apply(ConjunctivePredicate::always_true());
+        session.apply(p.clone()).unwrap();
+        session.apply(p.clone()).unwrap();
+        session.apply(ConjunctivePredicate::always_true()).unwrap();
         assert_eq!(session.applied().len(), 1);
     }
 
@@ -176,8 +187,8 @@ mod tests {
         let mut session = CleaningSession::new(base());
         let p1 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
         let p2 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 2)]);
-        session.apply(p1.clone());
-        session.apply(p2.clone());
+        session.apply(p1.clone()).unwrap();
+        session.apply(p2.clone()).unwrap();
         assert_eq!(session.applied().len(), 2);
         assert_eq!(session.undo(), Some(p2));
         assert_eq!(session.applied().len(), 1);
@@ -188,5 +199,17 @@ mod tests {
         assert!(session.undo().is_none());
         let r = shown(&session, &cache);
         assert!(r.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
+    }
+
+    #[test]
+    fn a_click_past_the_depth_cap_is_refused_and_changes_nothing() {
+        // `sensorid <> 3` is two levels and each NOT one more: at the cap.
+        let deep = format!("{}sensorid <> 3", "NOT ".repeat(MAX_EXPR_DEPTH - 2));
+        let sql = format!("SELECT window, avg(temp) FROM readings WHERE {deep} GROUP BY window");
+        let mut session = CleaningSession::new(parse_select(&sql).unwrap());
+        let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
+        let error = session.apply(p).unwrap_err().to_string();
+        assert!(error.ends_with(&format!("deeper than {MAX_EXPR_DEPTH} levels")), "{error}");
+        assert!(session.applied().is_empty());
     }
 }

@@ -8,13 +8,10 @@
 //! argument values of its lineage rows, read off the table (no execution);
 //! each tuple's leave-one-out value is then one
 //! [`AggregateState::remove`] on a copy of its group's state for sum-like
-//! aggregates, with min/max falling back to a rescan of the group. The
-//! per-tuple loop is embarrassingly parallel and runs across scoped
-//! threads.
+//! aggregates, with min/max falling back to a rescan of the group.
 
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
-use crate::parallel::map_chunked;
 use dbwipes_engine::{
     AggregateArg, AggregateCall, AggregateState, GroupedAggregateCache, QueryResult, SelectExpr,
 };
@@ -159,41 +156,39 @@ pub fn rank_influence(
     let current: Vec<Option<f64>> = group_states.iter().map(|s| s.finish().as_f64()).collect();
     let base_error = metric.evaluate(&current);
 
-    // Leave-one-out per tuple, fanned out across threads. Each tuple clones
-    // its group's state and removes its own contribution (a fresh clone per
-    // tuple, so floating-point drift never accumulates across tuples);
-    // min/max rebuild the group without the tuple instead.
-    let tasks: Vec<(usize, usize)> = group_rows
-        .iter()
-        .enumerate()
-        .flat_map(|(gi, rows)| (0..rows.len()).map(move |ti| (gi, ti)))
-        .collect();
+    // Leave-one-out per tuple. Each tuple clones its group's state and
+    // removes its own contribution (a fresh clone per tuple, so
+    // floating-point drift never accumulates across tuples); min/max
+    // rebuild the group without the tuple instead.
     let supports_removal = call.func.supports_removal();
-    let mut influences = map_chunked(&tasks, |_, &(gi, ti)| {
-        let value = group_values[gi][ti];
-        // Aggregate value of the group without this tuple.
-        let new_value = if supports_removal {
-            let mut st = group_states[gi].clone();
-            st.remove(value);
-            st.finish().as_f64()
-        } else {
-            let mut st = AggregateState::new(group_states[gi].func());
-            for (tj, v) in group_values[gi].iter().enumerate() {
-                if tj != ti {
-                    st.add(*v);
+    let mut influences = Vec::with_capacity(group_rows.iter().map(Vec::len).sum());
+    for (gi, rows) in group_rows.iter().enumerate() {
+        for (ti, &row) in rows.iter().enumerate() {
+            let value = group_values[gi][ti];
+            // Aggregate value of the group without this tuple.
+            let new_value = if supports_removal {
+                let mut st = group_states[gi].clone();
+                st.remove(value);
+                st.finish().as_f64()
+            } else {
+                let mut st = AggregateState::new(group_states[gi].func());
+                for (tj, v) in group_values[gi].iter().enumerate() {
+                    if tj != ti {
+                        st.add(*v);
+                    }
                 }
-            }
-            st.finish().as_f64()
-        };
-        let mut hypothetical = current.clone();
-        hypothetical[gi] = new_value;
-        let new_error = metric.evaluate(&hypothetical);
-        TupleInfluence {
-            row: group_rows[gi][ti],
-            group: selected[gi],
-            influence: base_error - new_error,
+                st.finish().as_f64()
+            };
+            let mut hypothetical = current.clone();
+            hypothetical[gi] = new_value;
+            let new_error = metric.evaluate(&hypothetical);
+            influences.push(TupleInfluence {
+                row,
+                group: selected[gi],
+                influence: base_error - new_error,
+            });
         }
-    });
+    }
 
     influences.sort_by(|a, b| b.influence.total_cmp(&a.influence).then(a.row.cmp(&b.row)));
     Ok(InfluenceReport { base_error, influences })

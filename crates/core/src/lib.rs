@@ -65,7 +65,6 @@ pub mod enumerator;
 pub mod error;
 pub mod influence;
 pub mod metric;
-pub mod parallel;
 pub mod predicates;
 pub mod ranker;
 
@@ -80,7 +79,6 @@ pub use enumerator::{
 pub use error::CoreError;
 pub use influence::{rank_influence, rank_influence_with_cache, InfluenceReport, TupleInfluence};
 pub use metric::{suggest_metrics, Combine, ErrorMetric, MetricKind};
-pub use parallel::effective_parallelism;
 pub use predicates::{enumerate_predicates, PredicateEnumConfig};
 pub use ranker::{
     rank_predicates_sharded, rank_predicates_with_cache, RankedPredicate, RankerConfig,

@@ -13,8 +13,8 @@
 //! the table classifies each row under SQL three-valued logic (matching the
 //! semantics of rewriting the query with `AND NOT predicate`) and only the
 //! touched groups' aggregate states are re-derived. Candidates are scored
-//! in parallel across scoped threads; each candidate's score is
-//! independent, so the ranking is deterministic regardless of thread count.
+//! one after another on the request's thread; each candidate's score is
+//! independent of the others.
 //!
 //! There is one scoring loop, over one [`GroupedAggregateCache`]
 //! (membership bitmap included), the [`ConditionBitmapCache`] its table
@@ -28,7 +28,6 @@
 
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
-use crate::parallel::map_chunked;
 use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
 use dbwipes_storage::{ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, TriSet, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -136,24 +135,13 @@ pub fn rank_predicates_with_cache(
 
     // Deduplicate on the canonical (commutativity-normalised) form, so
     // `a AND b` and `b AND a` are scored once; first occurrence wins.
+    // Candidates share leaf conditions drawn from one pool: the first
+    // lookup of a condition scans its column, every later one is a hit.
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    let candidates: Vec<ConjunctivePredicate> = predicates
+    let mut ranked = predicates
         .into_iter()
         .filter(|p| !p.is_trivial() && seen.insert(p.canonical_key()))
-        .collect();
-
-    // Warm the condition-bitmap cache serially: the candidates share leaf
-    // conditions drawn from one pool, so each distinct condition's column
-    // kernel runs at most once here, and the parallel scoring pass below
-    // is pure bitmap combining over cache hits.
-    for candidate in &candidates {
-        for condition in candidate.conditions() {
-            let _ = ctx.bitmaps.condition(table, condition);
-        }
-    }
-
-    let mut ranked = map_chunked(&candidates, |_, predicate| score_candidate(&ctx, predicate))
-        .into_iter()
+        .map(|predicate| score_candidate(&ctx, &predicate))
         .collect::<Result<Vec<RankedPredicate>, CoreError>>()?;
 
     ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.complexity.cmp(&b.complexity)));
@@ -180,8 +168,8 @@ pub fn rank_predicates_sharded(
 /// The per-ranking state shared by every candidate's scoring pass.
 struct ScoreContext<'a> {
     cache: &'a GroupedAggregateCache,
-    /// The snapshot's condition-bitmap cache (warmed before scoring; what
-    /// an earlier ranking left in it is already warm).
+    /// The snapshot's condition-bitmap cache (what an earlier ranking
+    /// left in it is already warm).
     bitmaps: Arc<ConditionBitmapCache>,
     error_before: f64,
     selected_keys: Vec<Vec<Value>>,

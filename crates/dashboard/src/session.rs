@@ -438,11 +438,12 @@ impl DashboardSession {
     /// Clicks the `index`-th ranked predicate: the predicate is added to the
     /// query as `AND NOT (...)`, the cleaned result is read from the base
     /// statement's cache, and the visualization/query form update (step
-    /// 7). Returns the new result.
+    /// 7). Returns the new result. A click the rewrite refuses (see
+    /// [`CleaningSession::apply`]) changes nothing.
     pub fn click_predicate(&mut self, index: usize) -> Result<&QueryResult, CoreError> {
         let predicate = self.ranked_predicate(index)?.predicate.clone();
         let cache = self.base_cache()?;
-        self.cleaning_mut()?.apply(predicate);
+        self.cleaning_mut()?.apply(predicate)?;
         self.show_cleaned(&cache)
     }
 

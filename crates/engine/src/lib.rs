@@ -59,6 +59,6 @@ pub use ast::{
 pub use error::EngineError;
 pub use executor::{execute, execute_on_catalog, execute_sql, validate, ExecOptions};
 pub use incremental::{CacheFingerprint, ExclusionQuery, GroupedAggregateCache};
-pub use parser::{parse_expr, parse_select};
+pub use parser::{parse_expr, parse_select, MAX_EXPR_DEPTH};
 pub use result::QueryResult;
 pub use sharded::ShardedAggregateCache;

@@ -28,19 +28,32 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement, EngineError> {
 /// accept hand-written filters and by tests).
 pub fn parse_expr(text: &str) -> Result<Expr, EngineError> {
     let mut p = Parser::new(text)?;
-    let e = p.parse_expr()?;
+    let (e, _) = p.parse_expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
+/// How deep a scalar or boolean expression may nest. Every operator,
+/// `NOT`, sign and pair of parentheses is a level, so a chain of n `AND`s
+/// is n levels over its operands. Past the cap a statement is a parse
+/// error: the parser and every later walk of the tree (validation,
+/// evaluation, rendering, drop) recurse once a level, and a request runs
+/// on one worker thread's stack.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// An expression and how many levels deep it nests.
+type Parsed = Result<(Expr, usize), EngineError>;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels [`Parser::nested`] has open on the current path.
+    open: usize,
 }
 
 impl Parser {
     fn new(input: &str) -> Result<Self, EngineError> {
-        Ok(Parser { tokens: tokenize(input)?, pos: 0 })
+        Ok(Parser { tokens: tokenize(input)?, pos: 0, open: 0 })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -129,7 +142,8 @@ impl Parser {
         self.expect_keyword("FROM")?;
         let table = self.expect_ident("table name")?;
 
-        let where_clause = if self.eat_keyword("WHERE") { Some(self.parse_expr()?) } else { None };
+        let where_clause =
+            if self.eat_keyword("WHERE") { Some(self.parse_expr()?.0) } else { None };
 
         let mut group_by = Vec::new();
         if self.eat_keyword("GROUP") {
@@ -188,7 +202,7 @@ impl Parser {
                 let arg = if self.eat(&TokenKind::Star) {
                     AggregateArg::Star
                 } else {
-                    AggregateArg::Expr(self.parse_expr()?)
+                    AggregateArg::Expr(self.parse_expr()?.0)
                 };
                 self.expect(TokenKind::RParen, "')' after aggregate argument")?;
                 SelectExpr::Aggregate(AggregateCall { func, arg })
@@ -214,7 +228,7 @@ impl Parser {
     }
 
     fn parse_select_scalar(&mut self) -> Result<SelectExpr, EngineError> {
-        let e = self.parse_expr()?;
+        let (e, _) = self.parse_expr()?;
         Ok(match e {
             Expr::Column(c) => SelectExpr::Column(c),
             other => SelectExpr::Scalar(other),
@@ -222,44 +236,46 @@ impl Parser {
     }
 
     /// expr := or
-    fn parse_expr(&mut self) -> Result<Expr, EngineError> {
+    fn parse_expr(&mut self) -> Parsed {
         self.parse_or()
     }
 
-    fn parse_or(&mut self) -> Result<Expr, EngineError> {
+    fn parse_or(&mut self) -> Parsed {
         let mut left = self.parse_and()?;
         while self.eat_keyword("OR") {
             let right = self.parse_and()?;
-            left = left.or(right);
+            left = self.join(left, right, Expr::or)?;
         }
         Ok(left)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, EngineError> {
+    fn parse_and(&mut self) -> Parsed {
         let mut left = self.parse_not()?;
         while self.eat_keyword("AND") {
             let right = self.parse_not()?;
-            left = left.and(right);
+            left = self.join(left, right, Expr::and)?;
         }
         Ok(left)
     }
 
-    fn parse_not(&mut self) -> Result<Expr, EngineError> {
+    fn parse_not(&mut self) -> Parsed {
         if self.eat_keyword("NOT") {
-            Ok(self.parse_not()?.not())
+            let (e, depth) = self.nested(Self::parse_not)?;
+            Ok((e.not(), depth))
         } else {
             self.parse_comparison()
         }
     }
 
-    fn parse_comparison(&mut self) -> Result<Expr, EngineError> {
-        let left = self.parse_additive()?;
+    fn parse_comparison(&mut self) -> Parsed {
+        let (left, dl) = self.parse_additive()?;
 
         // IS [NOT] NULL
         if self.eat_keyword("IS") {
             let negated = self.eat_keyword("NOT");
             self.expect_keyword("NULL")?;
-            return Ok(if negated { left.is_not_null() } else { left.is_null() });
+            let e = if negated { left.is_not_null() } else { left.is_null() };
+            return Ok((e, self.level(dl)?));
         }
 
         // [NOT] BETWEEN / IN / LIKE / CONTAINS
@@ -274,22 +290,34 @@ impl Parser {
         } else {
             false
         };
+        let negate = |p: &Self, e: Expr, depth: usize| -> Parsed {
+            if negated {
+                Ok((e.not(), p.level(depth)?))
+            } else {
+                Ok((e, depth))
+            }
+        };
 
         if self.eat_keyword("BETWEEN") {
-            let low = self.parse_additive()?;
+            let (low, d_low) = self.parse_additive()?;
             self.expect_keyword("AND")?;
-            let high = self.parse_additive()?;
-            let e = left.between(low, high);
-            return Ok(if negated { e.not() } else { e });
+            let (high, d_high) = self.parse_additive()?;
+            let depth = self.level(dl.max(d_low).max(d_high))?;
+            return negate(self, left.between(low, high), depth);
         }
         if self.eat_keyword("IN") {
             self.expect(TokenKind::LParen, "'(' after IN")?;
-            let mut list = vec![self.parse_expr()?];
+            let (first, mut deepest) = self.nested(Self::parse_expr)?;
+            let mut list = vec![first];
             while self.eat(&TokenKind::Comma) {
-                list.push(self.parse_expr()?);
+                let (item, d) = self.nested(Self::parse_expr)?;
+                list.push(item);
+                deepest = deepest.max(d);
             }
             self.expect(TokenKind::RParen, "')' after IN list")?;
-            return Ok(if negated { left.not_in_list(list) } else { left.in_list(list) });
+            let depth = self.level(dl.max(deepest))?;
+            let e = if negated { left.not_in_list(list) } else { left.in_list(list) };
+            return Ok((e, depth));
         }
         if self.eat_keyword("LIKE") || self.eat_keyword("CONTAINS") {
             let pattern = match self.advance() {
@@ -297,8 +325,8 @@ impl Parser {
                 _ => return Err(EngineError::parse("expected string pattern", self.position())),
             };
             let needle = pattern.trim_matches('%').to_string();
-            let e = left.contains(needle);
-            return Ok(if negated { e.not() } else { e });
+            let depth = self.level(dl)?;
+            return negate(self, left.contains(needle), depth);
         }
 
         let op = match self.peek() {
@@ -313,64 +341,78 @@ impl Parser {
         if let Some(op) = op {
             self.advance();
             let right = self.parse_additive()?;
-            return Ok(Expr::Binary { op, left: Box::new(left), right: Box::new(right) });
+            return self.join((left, dl), right, |left, right| Expr::Binary {
+                op,
+                left: Box::new(left),
+                right: Box::new(right),
+            });
         }
-        Ok(left)
+        Ok((left, dl))
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, EngineError> {
+    fn parse_additive(&mut self) -> Parsed {
         let mut left = self.parse_multiplicative()?;
         loop {
-            if self.eat(&TokenKind::Plus) {
-                left = left.add(self.parse_multiplicative()?);
+            let op: fn(Expr, Expr) -> Expr = if self.eat(&TokenKind::Plus) {
+                Expr::add
             } else if self.eat(&TokenKind::Minus) {
-                left = left.sub(self.parse_multiplicative()?);
+                Expr::sub
             } else {
                 return Ok(left);
-            }
+            };
+            let right = self.parse_multiplicative()?;
+            left = self.join(left, right, op)?;
         }
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, EngineError> {
+    fn parse_multiplicative(&mut self) -> Parsed {
         let mut left = self.parse_unary()?;
         loop {
-            if self.eat(&TokenKind::Star) {
-                left = left.mul(self.parse_unary()?);
+            let op: fn(Expr, Expr) -> Expr = if self.eat(&TokenKind::Star) {
+                Expr::mul
             } else if self.eat(&TokenKind::Slash) {
-                left = left.div(self.parse_unary()?);
+                Expr::div
             } else {
                 return Ok(left);
-            }
+            };
+            let right = self.parse_unary()?;
+            left = self.join(left, right, op)?;
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, EngineError> {
+    fn parse_unary(&mut self) -> Parsed {
         if self.eat(&TokenKind::Minus) {
             // Fold negation of literals so `-5` is a literal, not an expression.
-            let inner = self.parse_unary()?;
-            return Ok(match inner {
+            let (inner, depth) = self.nested(Self::parse_unary)?;
+            let e = match inner {
                 Expr::Literal(Value::Int(v)) => Expr::Literal(Value::Int(-v)),
                 Expr::Literal(Value::Float(v)) => Expr::Literal(Value::Float(-v)),
                 other => other.neg(),
-            });
+            };
+            return Ok((e, depth));
         }
         if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, EngineError> {
+    fn parse_primary(&mut self) -> Parsed {
+        if self.eat(&TokenKind::LParen) {
+            let parsed = self.nested(Self::parse_expr)?;
+            self.expect(TokenKind::RParen, "')'")?;
+            return Ok(parsed);
+        }
+        Ok((self.parse_leaf()?, 1))
+    }
+
+    /// A literal or a column: an expression one level deep.
+    fn parse_leaf(&mut self) -> Result<Expr, EngineError> {
         let position = self.position();
         match self.advance() {
             TokenKind::Int(v) => Ok(Expr::Literal(Value::Int(v))),
             TokenKind::Float(v) => Ok(Expr::Literal(Value::Float(v))),
             TokenKind::Str(s) => Ok(Expr::Literal(Value::Str(s))),
-            TokenKind::LParen => {
-                let e = self.parse_expr()?;
-                self.expect(TokenKind::RParen, "')'")?;
-                Ok(e)
-            }
             TokenKind::Ident(name) => {
                 if name.eq_ignore_ascii_case("true") {
                     return Ok(Expr::Literal(Value::Bool(true)));
@@ -394,6 +436,37 @@ impl Parser {
             }
             other => Err(EngineError::parse(format!("unexpected token {other:?}"), position)),
         }
+    }
+
+    /// The depth of a node over children at most `below` levels deep, or
+    /// the depth error once that passes [`MAX_EXPR_DEPTH`].
+    fn level(&self, below: usize) -> Result<usize, EngineError> {
+        if below < MAX_EXPR_DEPTH {
+            return Ok(below + 1);
+        }
+        let message = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+        Err(EngineError::parse(message, self.position()))
+    }
+
+    /// `combine` of two parsed operands: one level over the deeper.
+    fn join(
+        &self,
+        (left, dl): (Expr, usize),
+        (right, dr): (Expr, usize),
+        combine: impl FnOnce(Expr, Expr) -> Expr,
+    ) -> Parsed {
+        Ok((combine(left, right), self.level(dl.max(dr))?))
+    }
+
+    /// Runs `parse` one level further in — a parenthesis, `NOT`, sign or
+    /// `IN` list — and counts that level. The parser's own recursion stops
+    /// at the cap before it descends, however long the input.
+    fn nested(&mut self, parse: fn(&mut Self) -> Parsed) -> Parsed {
+        self.open = self.level(self.open)?;
+        let parsed = parse(self);
+        self.open -= 1;
+        let (e, depth) = parsed?;
+        Ok((e, self.level(depth)?))
     }
 }
 
@@ -533,5 +606,21 @@ mod tests {
         assert_eq!(q.order_by[0].target, "2");
         assert_eq!(q.order_by[0].order, SortOrder::Desc);
         assert_eq!(q.order_by[1].order, SortOrder::Asc);
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_parse_error() {
+        // A column is one level; each parenthesis, NOT, sign or operator one more.
+        let parens = |n| format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&parens(MAX_EXPR_DEPTH - 1)).is_ok());
+        let chain = |n| format!("x{}", " AND x".repeat(n));
+        assert!(parse_expr(&chain(MAX_EXPR_DEPTH - 1)).is_ok());
+        let cap = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+        for text in [parens(MAX_EXPR_DEPTH), chain(MAX_EXPR_DEPTH), "NOT ".repeat(1 << 18) + "x"] {
+            match parse_expr(&text) {
+                Err(EngineError::Parse { message, .. }) => assert_eq!(message, cap),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! web gateway or the `examples/server_session.rs` driver expects. In TCP
 //! mode connections are served by the bounded worker-pool executor
 //! ([`dbwipes_server::executor`]): `--workers` threads (default the
-//! effective parallelism) pull connections from a bounded queue,
+//! available cores) pull connections from a bounded queue,
 //! over-capacity admissions get a structured `busy` reply, silent sockets
 //! are closed after `--idle-timeout-ms`, and the `shutdown` ctrl-line
 //! drains in-flight sessions, flushes replies, and exits 0. Sessions live in the shared

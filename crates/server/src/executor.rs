@@ -6,7 +6,7 @@
 //! executor shape:
 //!
 //! * a **fixed worker pool** ([`PoolConfig::workers`], default the
-//!   effective parallelism) takes accepted connections off a **bounded
+//!   available cores) takes accepted connections off a **bounded
 //!   channel** (`std::sync::mpsc::sync_channel` of
 //!   [`PoolConfig::queue_depth`] slots, its receiver shared behind a
 //!   mutex) and serves each one to completion;
@@ -54,8 +54,8 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// `Default`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads serving connections. Defaults to the effective
-    /// parallelism (`DBWIPES_THREADS` / available cores).
+    /// Worker threads serving connections, each request on one of them.
+    /// Defaults to the available cores (1 when unknown).
     pub workers: usize,
     /// Connections that may wait for a worker. Queue-full admissions are
     /// answered `busy` and closed.
@@ -73,7 +73,7 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            workers: dbwipes_core::effective_parallelism(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_depth: 64,
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(10),

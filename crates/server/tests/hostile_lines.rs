@@ -16,11 +16,17 @@
 //! false — and no handler may have panicked behind the isolation layer:
 //! `panics_caught` and `quarantined_sessions` stay where they were.
 //!
+//! A `run_query` statement nested past the SQL parser's depth cap is the
+//! same: parentheses, `NOT`, unary minus, `AND` and `+` chains of any
+//! length under the line cap are a parse error, and the deepest statement
+//! each shape may have runs the whole loop on a worker's stack.
+//!
 //! The `crash` lines of the script are harmless here: the hook is only
 //! armed by `SessionManager::arm_crash_hook`, which nothing in this binary
 //! calls.
 
 use dbwipes_data::{generate_sensor, SensorConfig};
+use dbwipes_engine::{parse_select, MAX_EXPR_DEPTH};
 use dbwipes_server::json::MAX_NESTING;
 use dbwipes_server::{Json, SessionManager, MAX_BATCH_COMMANDS, PROTOCOL_VERSION};
 use dbwipes_storage::Catalog;
@@ -214,4 +220,119 @@ fn deep_nesting_is_refused_at_the_cap_not_recursed_into() {
         format!(r#"{{"id":{id},"ok":true,"pong":true,"protocol_version":{PROTOCOL_VERSION}}}"#)
     );
     assert_eq!((manager.panics_caught(), manager.quarantined_sessions()), (0, 0));
+}
+
+/// A WHERE clause nested `n` levels in one way.
+type Shape = fn(usize) -> String;
+
+/// The five ways a `run_query` statement can nest: the WHERE clause of
+/// the window query with `n` parentheses, `NOT`s, unary minuses, `AND`s or
+/// `+`s. Every row passes it, whatever `n`.
+const SHAPES: [(&str, Shape); 5] = [
+    ("parentheses", |n| format!("{}temp > -1000{}", "(".repeat(n), ")".repeat(n))),
+    ("NOT", |n| format!("{}temp {} -1000", "NOT ".repeat(n), ["> ", "<"][n % 2])),
+    ("unary minus", |n| format!("{}temp < 1000", "- ".repeat(n))),
+    ("AND", |n| format!("temp > -1000{}", " AND temp > -1000".repeat(n))),
+    ("+", |n| format!("temp{} > -1000", " + 0".repeat(n))),
+];
+
+/// The `run_query` line of session 1 for the window query over `where_clause`.
+fn run_query(where_clause: &str) -> String {
+    let sql = format!(
+        "SELECT window, avg(temp) AS avg_temp, stddev(temp) AS std_temp FROM readings \
+         WHERE {where_clause} GROUP BY window ORDER BY window"
+    );
+    let line =
+        [("cmd", Json::str("run_query")), ("session", Json::num(1.0)), ("sql", Json::str(sql))];
+    Json::obj(line.into()).to_string()
+}
+
+/// The largest `n` whose statement of `shape` parses.
+fn deepest_accepted(shape: Shape) -> usize {
+    let parses = |n| parse_select(&format!("SELECT a FROM t WHERE {}", shape(n))).is_ok();
+    let n = (0..).find(|&n| !parses(n)).unwrap();
+    assert!(n > 0, "{}", shape(0));
+    n - 1
+}
+
+/// A statement nested past `MAX_EXPR_DEPTH`, in each shape and at sizes
+/// up to the executor's 1 MiB line cap, is an ordinary `ok:false` parse
+/// error: no handler overflows its stack, and the next `ping` answers.
+#[test]
+fn statements_nested_past_the_depth_cap_are_refused() {
+    let manager = SessionManager::new(catalog());
+    manager.handle_line(r#"{"cmd":"open_session"}"#);
+    for (name, shape) in SHAPES {
+        let deepest = deepest_accepted(shape);
+        let mut n = deepest + 1;
+        loop {
+            let line = run_query(&shape(n));
+            if line.len() > 1 << 20 {
+                break;
+            }
+            let reply = Json::parse(&manager.handle_line(&line)).unwrap();
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{name} × {n}");
+            let error = reply.get("error").and_then(Json::as_str).unwrap();
+            let cap = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+            assert!(error.contains("parse error at byte ") && error.ends_with(&cap), "{error}");
+            assert!(manager.handle_line(r#"{"cmd":"ping"}"#).contains(r#""ok":true"#));
+            n *= 4;
+        }
+    }
+    assert_eq!((manager.panics_caught(), manager.quarantined_sessions()), (0, 0));
+}
+
+/// The deepest statement of each shape the parser accepts goes through
+/// the whole loop — run, both brushes, debug, click, undo, zoom — on a
+/// 2 MiB stack, what the executor's workers run on (std's default: the
+/// executor sets no stack size). A click whose rewrite would nest past
+/// the cap is refused and leaves the session as it was.
+#[test]
+fn the_deepest_accepted_statements_run_the_whole_loop_on_a_worker_stack() {
+    let run = || {
+        for (name, shape) in SHAPES {
+            let manager = SessionManager::new(catalog());
+            manager.handle_line(r#"{"cmd":"open_session"}"#);
+            let ask = |line: &str| {
+                let reply = Json::parse(&manager.handle_line(line)).unwrap();
+                let ok = reply.get("ok").and_then(Json::as_bool).unwrap();
+                (ok, reply)
+            };
+            let n = deepest_accepted(shape);
+            let (ok, reply) = ask(&run_query(&shape(n)));
+            assert!(ok, "{name} × {n}: {reply}");
+            for line in [
+                r#"{"cmd":"brush_outputs","session":1,"x":"window","y":"std_temp","brush":{"y_min":4}}"#,
+                r#"{"cmd":"brush_inputs","session":1,"x":"sensorid","y":"temp","brush":{"y_min":100}}"#,
+                r#"{"cmd":"set_metric","session":1,"kind":"too_high","column":"std_temp","value":4}"#,
+                r#"{"cmd":"debug","session":1}"#,
+            ] {
+                let (ok, reply) = ask(line);
+                assert!(ok, "{name} × {n}: {line} -> {reply}");
+            }
+            let state = || {
+                let (_, reply) = ask(r#"{"cmd":"state","session":1}"#);
+                (reply.get("sql").cloned(), reply.get("applied_predicates").cloned())
+            };
+            let before = state();
+            let (ok, reply) = ask(r#"{"cmd":"click_predicate","session":1,"index":0}"#);
+            if !ok {
+                let error = reply.get("error").and_then(Json::as_str).unwrap();
+                assert!(
+                    error.ends_with(&format!("deeper than {MAX_EXPR_DEPTH} levels")),
+                    "{error}"
+                );
+                assert_eq!(state(), before, "{name}: a refused click changed the session");
+            }
+            for line in [
+                r#"{"cmd":"undo","session":1}"#,
+                r#"{"cmd":"zoom","session":1,"x":"sensorid","y":"temp"}"#,
+            ] {
+                let (ok, reply) = ask(line);
+                assert!(ok, "{name} × {n}: {line} -> {reply}");
+            }
+            assert_eq!((manager.panics_caught(), manager.quarantined_sessions()), (0, 0), "{name}");
+        }
+    };
+    std::thread::Builder::new().stack_size(2 << 20).spawn(run).unwrap().join().unwrap();
 }

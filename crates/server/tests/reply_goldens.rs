@@ -13,7 +13,8 @@
 //! Values that are not a function of the script are masked on both sides:
 //! the `timings` block of a `debug` reply (wall clock) and the
 //! process-wide `condition_bitmaps` / `bool_algebra` counters of `stats`
-//! (they depend on how many threads ranked). Only the digits are masked;
+//! (every test of this binary adds to them, and the tests run
+//! concurrently, in no fixed order). Only the digits are masked;
 //! the keys, their order and the punctuation around them stay pinned.
 //!
 //! `golden/large_replies.txt` pins the replies too large to keep verbatim

@@ -261,6 +261,20 @@ impl Expr {
         }
     }
 
+    /// Levels of the tree: 1 for a column or literal, one more than the
+    /// deepest operand otherwise.
+    pub fn depth(&self) -> usize {
+        1 + match self {
+            Expr::Column(_) | Expr::Literal(_) => 0,
+            Expr::Binary { left, right, .. } => left.depth().max(right.depth()),
+            Expr::Unary { expr, .. } | Expr::Contains { expr, .. } => expr.depth(),
+            Expr::Between { expr, low, high } => expr.depth().max(low.depth()).max(high.depth()),
+            Expr::InList { expr, list, .. } => {
+                list.iter().map(Expr::depth).fold(expr.depth(), usize::max)
+            }
+        }
+    }
+
     /// Validates the expression against a schema, returning the type it
     /// produces. Unknown columns and obviously ill-typed operations are
     /// reported before any row is evaluated.

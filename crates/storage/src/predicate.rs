@@ -1171,8 +1171,8 @@ pub const CONDITION_BITMAP_BUDGET_BYTES: usize = 32 << 20;
 /// an empty cache, and lookups against another `(id, version)`
 /// bypass the cache (fresh computation, nothing stored), so stale bitmaps
 /// can never be served. Conditions are keyed by [`Condition::cache_key`]
-/// (exact, not the rounded display form). The cache is `Sync`; parallel
-/// candidate scoring over one warmed cache is lock-cheap reads.
+/// (exact, not the rounded display form). The cache is `Sync`: sessions
+/// on different workers that rank over one snapshot share it.
 #[derive(Debug)]
 pub struct ConditionBitmapCache {
     table_id: u64,
@@ -1243,9 +1243,9 @@ impl ConditionBitmapCache {
             GLOBAL_BITMAP_HITS.fetch_add(1, AtomicOrdering::Relaxed);
             return cached.clone();
         }
-        // Kernel-scan outside the lock so a miss never stalls concurrent
-        // scorers (racing threads may both compute; the first insert wins
-        // and both results are identical).
+        // Kernel-scan outside the lock so a miss never stalls another
+        // worker ranking over this snapshot (racing workers may both
+        // compute; the first insert wins and both results are identical).
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
         GLOBAL_BITMAP_MISSES.fetch_add(1, AtomicOrdering::Relaxed);
         let computed = evaluate();

@@ -55,7 +55,7 @@ fn main() {
     let best = explanation.best().expect("at least one predicate").predicate.clone();
     println!("cleaning with: {best}\n");
     let mut session = CleaningSession::new(result.statement.clone());
-    session.apply(best.clone());
+    session.apply(best.clone()).expect("one click stays within the depth cap");
     let cleaned = db.query(&session.current_sql()).expect("cleaned query executes");
     println!("rewritten query: {}\n", session.current_sql());
     println!("{}", cleaned.to_display(8));

@@ -1,10 +1,10 @@
 //! Lints the prose documentation: every relative markdown link in
 //! `README.md` and `docs/*.md` must point at a file (or directory) that
 //! exists in the repository, and the three architecture/reference docs the
-//! README promises must actually be there and linked. A knob census ties
-//! the code to the docs: the `DBWIPES_*` names in the crates' sources are
-//! exactly the ones the reference docs describe. A statics census beside
-//! it lists the process-globals the crates may hold.
+//! README promises must actually be there and linked. A knob census holds
+//! the crates and the docs to no environment variable at all; a statics
+//! census beside it lists the process-globals the crates may hold, and a
+//! thread census the one module that starts threads.
 //!
 //! Absolute `http(s)://` links are out of scope (no network in CI or this
 //! container); intra-crate rustdoc links are checked separately by the
@@ -227,15 +227,16 @@ fn snapshot_owned_bitmaps_are_documented() {
     );
 }
 
-/// Calls `visit` with the text of every `.rs` file under `crates/*/src`.
-fn for_each_crate_source(visit: &mut dyn FnMut(&str)) {
-    fn walk(dir: &Path, visit: &mut dyn FnMut(&str)) {
+/// Calls `visit` with the path and text of every `.rs` file under
+/// `crates/*/src`.
+fn for_each_crate_source(visit: &mut dyn FnMut(&Path, &str)) {
+    fn walk(dir: &Path, visit: &mut dyn FnMut(&Path, &str)) {
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
             if path.is_dir() {
                 walk(&path, visit);
             } else if path.extension().is_some_and(|e| e == "rs") {
-                visit(&std::fs::read_to_string(&path).unwrap());
+                visit(&path, &std::fs::read_to_string(&path).unwrap());
             }
         }
     }
@@ -255,7 +256,7 @@ fn for_each_crate_source(visit: &mut dyn FnMut(&str)) {
 #[test]
 fn process_global_statics_are_exactly_the_known_five() {
     let mut statics = Vec::new();
-    for_each_crate_source(&mut |text| {
+    for_each_crate_source(&mut |_, text| {
         // Unit-test modules close their files.
         for line in text.split("#[cfg(test)]").next().unwrap().lines() {
             let item =
@@ -293,26 +294,47 @@ fn knob_names(text: &str) -> BTreeSet<String> {
     names
 }
 
-/// The knob census: an environment variable the code reads is documented
-/// in TUNING.md or PROTOCOL.md, a documented one is still read, and the
-/// overview docs name no knob of their own — so a knob cannot appear or
-/// vanish on one side only.
+/// The knob census: the crates read no environment variable — every
+/// setting is a flag or a config field — and no reference doc names one,
+/// so a knob cannot come back on one side only.
 #[test]
 fn environment_knobs_in_code_and_docs_are_the_same_set() {
     let root = repo_root();
-    let mut in_code = BTreeSet::new();
-    for_each_crate_source(&mut |text| in_code.extend(knob_names(text)));
-    assert!(!in_code.is_empty(), "the census found no knob under crates/*/src");
-
-    let read = |doc: &str| std::fs::read_to_string(root.join(doc)).unwrap();
-    let mut documented = knob_names(&read("docs/TUNING.md"));
-    documented.extend(knob_names(&read("docs/PROTOCOL.md")));
-    assert_eq!(in_code, documented, "crates/*/src (left) vs docs/TUNING.md ∪ docs/PROTOCOL.md");
-
-    for doc in ["README.md", "docs/ARCHITECTURE.md"] {
-        let stray: Vec<String> = knob_names(&read(doc)).difference(&in_code).cloned().collect();
-        assert!(stray.is_empty(), "{doc} names knobs the code does not read: {stray:?}");
+    let (mut visited, mut in_code) = (BTreeSet::new(), BTreeSet::new());
+    for_each_crate_source(&mut |path, text| {
+        visited.insert(path.strip_prefix(&root).unwrap().to_path_buf());
+        in_code.extend(knob_names(text));
+        if text.contains("env::var") {
+            in_code.insert(format!("env::var in {}", path.display()));
+        }
+    });
+    for file in ["crates/core/src/lib.rs", "crates/server/src/executor.rs"] {
+        assert!(visited.contains(Path::new(file)), "the census did not visit {file}");
     }
+    assert!(in_code.is_empty(), "crates/*/src reads the environment: {in_code:?}");
+
+    for doc in ["docs/TUNING.md", "docs/PROTOCOL.md", "README.md", "docs/ARCHITECTURE.md"] {
+        let named = knob_names(&std::fs::read_to_string(root.join(doc)).unwrap());
+        assert!(named.is_empty(), "{doc} names knobs the code does not read: {named:?}");
+    }
+}
+
+/// The thread census: outside `#[cfg(test)]` modules only the executor
+/// starts threads, so a request runs on the worker that took its
+/// connection and a stage's wall time is its cost.
+#[test]
+fn non_test_threads_are_started_only_by_the_executor() {
+    let root = repo_root();
+    let mut starters = BTreeSet::new();
+    for_each_crate_source(&mut |path, text| {
+        // Unit-test modules close their files.
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        if ["thread::scope", "thread::spawn", "thread::Builder"].iter().any(|s| code.contains(s)) {
+            starters.insert(path.strip_prefix(&root).unwrap().to_path_buf());
+        }
+    });
+    let executor = PathBuf::from("crates/server/src/executor.rs");
+    assert_eq!(starters, BTreeSet::from([executor]), "non-test thread starts under crates/*/src");
 }
 
 /// The field names of a `{:?}` rendering: every identifier followed by

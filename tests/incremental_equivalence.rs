@@ -387,7 +387,7 @@ fn assert_cleaning_from_cache_matches_execution(
         session.set_metric(ErrorMetric::too_high("value", 0.0));
         session.install_explanation(explanation.clone()).unwrap();
         let what = format!("{sql}: click {i} ({predicate}) of {clicks:?}");
-        oracle.apply(predicate.clone());
+        oracle.apply(predicate.clone()).unwrap();
         let want = executed(&oracle);
         // A refused click leaves the displayed result as it was.
         displayed = want.as_ref().map_or(displayed, |r| r.statement.to_sql());

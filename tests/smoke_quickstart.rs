@@ -52,7 +52,7 @@ fn quickstart_loop_produces_a_ranked_repairing_predicate() {
     // Click: rewriting the query with AND NOT (best) lowers every brushed
     // group's average (or removes the group entirely).
     let mut session = CleaningSession::new(result.statement.clone());
-    session.apply(best.predicate.clone());
+    session.apply(best.predicate.clone()).unwrap();
     let cleaned = db.query(&session.current_sql()).expect("cleaned query executes");
     let cleaned_max = (0..cleaned.len())
         .filter_map(|i| cleaned.value_f64(i, "avg_value").ok().flatten())
