@@ -29,7 +29,9 @@
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
 use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
-use dbwipes_storage::{ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, TriSet, Value};
+use dbwipes_storage::{
+    ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, StorageError, TriSet, Value,
+};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -106,6 +108,13 @@ impl RankedPredicate {
 /// * `selected` — indices of the suspicious output rows S.
 /// * `examples` — the user's suspicious input tuples D′.
 /// * `metric` — the error metric ε.
+///
+/// A candidate whose evaluation fails on some row of the table — a
+/// condition mistyped for the schema, or on an unknown column, that a row
+/// trips — fails the ranking with its validation error. One that no row
+/// trips (an empty table, a column NULL on every row) is scored by its
+/// three-valued result, although executing its rewrite would be refused.
+/// Enumerated candidates are always well-typed.
 pub fn rank_predicates_with_cache(
     cache: &GroupedAggregateCache,
     result: &QueryResult,
@@ -201,16 +210,15 @@ struct CandidateEvidence {
 ///
 /// Evaluation is vectorized: each condition's cached bitmap (one columnar
 /// kernel scan per *distinct* condition per snapshot) is combined with
-/// word-level AND. Compilation is schema-only, so it is decided once per
-/// candidate from what the evaluation returns: if it declines,
-/// [`validation_error`] reports why.
+/// word-level AND. A candidate whose evaluation fails on some row fails
+/// the ranking with [`validation_error`].
 fn score_candidate(
     ctx: &ScoreContext<'_>,
     predicate: &ConjunctivePredicate,
 ) -> Result<RankedPredicate, CoreError> {
-    let Some(tri) = predicate.tri_eval(&ctx.bitmaps, ctx.cache.table()) else {
-        return Err(validation_error(ctx, predicate));
-    };
+    let tri = predicate
+        .tri_eval(&ctx.bitmaps, ctx.cache.table())
+        .map_err(|error| validation_error(ctx, predicate, error))?;
     let CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned } =
         score_bitmaps(ctx, &tri);
     let error_before = ctx.error_before;
@@ -267,16 +275,17 @@ fn score_bitmaps(ctx: &ScoreContext<'_>, tri: &TriSet) -> CandidateEvidence {
     }
 }
 
-/// Why a candidate did not compile. A conjunction compiles exactly when
-/// its expression validates (`tests/predicate_kernels_prop.rs`), so this
-/// is the validation error executing the rewritten statement would report.
-fn validation_error(ctx: &ScoreContext<'_>, predicate: &ConjunctivePredicate) -> CoreError {
-    match predicate.to_expr().validate(ctx.cache.table().schema()) {
-        Err(e) => e.into(),
-        Ok(_) => {
-            CoreError::invalid(format!("predicate {predicate} validates but does not compile"))
-        }
-    }
+/// Why a candidate's evaluation failed on some row with `error`: the
+/// validation error executing the rewritten statement would report. Only
+/// a condition that does not validate is walked row by row, so only it
+/// can fail (`tests/predicate_kernels_prop.rs`); `error` stands in should
+/// that ever not hold.
+fn validation_error(
+    ctx: &ScoreContext<'_>,
+    predicate: &ConjunctivePredicate,
+    error: StorageError,
+) -> CoreError {
+    predicate.to_expr().validate(ctx.cache.table().schema()).err().unwrap_or(error).into()
 }
 
 /// Evaluates the metric over the rows of `result` whose group keys match
@@ -505,8 +514,8 @@ mod tests {
     }
 
     /// An unbounded range on a missing column is the literal `TRUE`: beside
-    /// `sensorid = 7` it compiles, and the kernels score the conjunction
-    /// exactly as they score `sensorid = 7` alone.
+    /// `sensorid = 7` it is a kernel leaf, and the kernels score the
+    /// conjunction exactly as they score `sensorid = 7` alone.
     #[test]
     fn an_unbounded_range_on_a_missing_column_scores_like_its_absence() {
         let (c, broken) = setup();
@@ -522,7 +531,6 @@ mod tests {
         };
         let with_true = sensor.with(unbounded);
         let table = c.table("readings").unwrap();
-        assert!(with_true.compile(table).is_ok());
         let ranked = rank(
             table,
             &r,
@@ -554,11 +562,11 @@ mod tests {
             rank_predicates_with_cache(&cache, &r, &[1], &broken, &metric, vec![bad], &config)
                 .unwrap_err()
         }
-        // `contains` on a missing column fails validation in the scalar path.
+        // `contains` on a missing column fails validation and every row.
         let missing = Condition::contains("no_such_column", "x");
         let bad = ConjunctivePredicate::new(vec![missing.clone()]);
-        // `sensorid = 777` matches nothing; the candidate must still reach
-        // the scalar path's validation, not score as empty.
+        // `sensorid = 777` matches nothing; the row leaf is still walked on
+        // every row, so the candidate fails rather than score as empty.
         let empty_and_bad =
             ConjunctivePredicate::new(vec![Condition::equals("sensorid", 777), missing]);
         for e in [error(bad), error(empty_and_bad)] {

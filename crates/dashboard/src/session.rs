@@ -23,8 +23,9 @@ use std::sync::Arc;
 /// Where a session's `debug`, click, undo and append refresh get the
 /// [`GroupedAggregateCache`] of a statement over a table snapshot: the one
 /// store every step of the loop reads its provenance from. A session built
-/// by [`DashboardSession::new`] builds on demand and keeps the last cache
-/// it built; the server's sessions read its shared registry.
+/// by [`DashboardSession::new`] builds on demand and keeps the base
+/// statement's cache and the last other one it built; the server's
+/// sessions read its shared registry.
 pub trait CacheSource: fmt::Debug + Send {
     /// The cache of `stmt` over `table`, and whether the source already
     /// had it (`false` when it was built for this call).
@@ -39,29 +40,35 @@ pub trait CacheSource: fmt::Debug + Send {
 #[derive(Debug)]
 enum Source {
     /// [`DashboardSession::new`]'s: builds a cache when asked for one it
-    /// does not hold and keeps at most one, so a `debug`, click and undo
-    /// on one statement build it once. It is dropped when `run_query`
-    /// replaces the base statement.
-    OnDemand(Option<Arc<GroupedAggregateCache>>),
+    /// does not hold and keeps two — the base statement's, which click,
+    /// undo and the append refresh read, and the last other one a `debug`
+    /// of a cleaned result read — so a round of `debug`, click and undo
+    /// builds neither twice. Both are dropped when `run_query` replaces
+    /// the base statement.
+    OnDemand { base: Option<Arc<GroupedAggregateCache>>, other: Option<Arc<GroupedAggregateCache>> },
     /// [`DashboardSession::with_cache_source`]'s.
     Given(Box<dyn CacheSource>),
 }
 
 impl Source {
+    /// The cache of `stmt` over `table`; `is_base` says whether `stmt` is
+    /// the base statement.
     fn cache(
         &mut self,
         table: &Arc<Table>,
         stmt: &SelectStatement,
+        is_base: bool,
     ) -> Result<(Arc<GroupedAggregateCache>, bool), CoreError> {
         let kept = match self {
             Source::Given(source) => return source.cache(table, stmt),
-            Source::OnDemand(kept) => kept,
+            Source::OnDemand { base, .. } if is_base => base,
+            Source::OnDemand { other, .. } => other,
         };
         let fingerprint = CacheFingerprint::of(table, stmt);
         if let Some(cache) = kept.as_ref().filter(|c| c.fingerprint() == fingerprint) {
             return Ok((Arc::clone(cache), true));
         }
-        // One cache at a time, also while the next one is built.
+        // One cache a slot, also while the next one is built.
         *kept = None;
         let cache = Arc::new(GroupedAggregateCache::build_shared(Arc::clone(table), stmt)?);
         *kept = Some(Arc::clone(&cache));
@@ -101,7 +108,8 @@ pub struct DashboardSession {
 
 impl DashboardSession {
     /// Creates a session over an existing backend, whose actions build the
-    /// aggregate cache they read on demand and keep the last one.
+    /// aggregate caches they read on demand and keep the base statement's
+    /// and the last other one.
     pub fn new(db: DbWipes) -> Self {
         DashboardSession {
             db,
@@ -112,7 +120,7 @@ impl DashboardSession {
             metric: None,
             explain_config: ExplainConfig::standard(),
             explanation: None,
-            source: Source::OnDemand(None),
+            source: Source::OnDemand { base: None, other: None },
             debug_cache_hit: None,
         }
     }
@@ -172,8 +180,8 @@ impl DashboardSession {
         let result = self.db.query(sql)?;
         self.cleaning = Some(CleaningSession::new(result.statement.clone()));
         self.result = Some(result);
-        if let Source::OnDemand(kept) = &mut self.source {
-            *kept = None;
+        if let Source::OnDemand { base, other } = &mut self.source {
+            (*base, *other) = (None, None);
         }
         self.selected_outputs.clear();
         self.selected_inputs.clear();
@@ -213,7 +221,7 @@ impl DashboardSession {
                 table.name()
             )));
         }
-        let (cache, _) = self.source.cache(&table, base)?;
+        let (cache, _) = self.source.cache(&table, base, true)?;
         let refreshed = cleaning.execute_with_cache(&cache)?;
         let remapped: Vec<usize> = self
             .selected_outputs
@@ -380,7 +388,8 @@ impl DashboardSession {
         let request = self.explain_request()?;
         let result = self.result.as_ref().expect("validated by explain_request");
         let table = self.db.catalog().table_arc(&result.statement.table)?;
-        let (cache, hit) = self.source.cache(&table, &result.statement)?;
+        let is_base = self.applied_predicates().is_empty();
+        let (cache, hit) = self.source.cache(&table, &result.statement, is_base)?;
         self.debug_cache_hit = Some(hit);
         let explanation = explain_with_cache(&cache, result, &request)?;
         self.explanation = Some(explanation);
@@ -468,7 +477,7 @@ impl DashboardSession {
             .map(CleaningSession::base_statement)
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
         let table = self.db.catalog().table_arc(&base.table)?;
-        Ok(self.source.cache(&table, base)?.0)
+        Ok(self.source.cache(&table, base, true)?.0)
     }
 
     /// Produces the result of the cleaning session's current (rewritten)
@@ -721,30 +730,45 @@ mod tests {
         assert_eq!(*asked.lock().unwrap(), vec![base.clone(), base.clone(), base]);
     }
 
+    /// Two rounds of select-all → `debug` → click, then two undos and a
+    /// third `debug`: the base statement's cache is built once, in the
+    /// first `debug`, and the second `debug` — of the cleaned result —
+    /// builds its own beside it.
     #[test]
     fn the_on_demand_source_builds_once_per_base_statement() {
         let (mut s, ds) = session();
         let kept = |s: &DashboardSession| match &s.source {
-            Source::OnDemand(kept) => kept.clone(),
+            Source::OnDemand { base, other } => (base.clone(), other.clone()),
             Source::Given(_) => unreachable!("DashboardSession::new builds on demand"),
         };
         brushed(&mut s, &ds);
-        assert!(kept(&s).is_none());
-        s.debug().unwrap();
-        assert_eq!(s.debug_cache_hit(), Some(false));
-        let built = Arc::downgrade(&kept(&s).unwrap());
-        s.click_predicate(0).unwrap();
+        assert!(matches!(kept(&s), (None, None)));
+        let mut base = None;
+        for round in 0..2 {
+            s.select_outputs((0..s.result().unwrap().rows.len()).collect());
+            s.set_metric(ErrorMetric::too_high("std_temp", 0.0));
+            s.debug().unwrap();
+            assert_eq!(s.debug_cache_hit(), Some(false), "round {round}");
+            let built = kept(&s).0.expect("the base statement's cache");
+            assert!(Arc::ptr_eq(base.get_or_insert_with(|| Arc::clone(&built)), &built));
+            s.click_predicate(0).unwrap();
+        }
         s.undo_clean().unwrap();
-        s.brush_outputs("window", "std_temp", Brush::above(8.0));
-        s.set_metric(ErrorMetric::too_high("std_temp", 4.0));
+        s.undo_clean().unwrap();
+        let (kept_base, other) = kept(&s);
+        assert!(Arc::ptr_eq(&kept_base.unwrap(), base.as_ref().unwrap()), "one base build");
+        assert!(other.is_some(), "the second debug's own");
+        s.select_outputs((0..s.result().unwrap().rows.len()).collect());
+        s.set_metric(ErrorMetric::too_high("std_temp", 0.0));
         s.debug().unwrap();
         assert_eq!(s.debug_cache_hit(), Some(true));
-        assert!(Arc::ptr_eq(&kept(&s).unwrap(), &built.upgrade().unwrap()), "one build");
+        assert!(Arc::ptr_eq(&kept(&s).0.unwrap(), base.as_ref().unwrap()), "one base build");
 
-        // A new base statement drops it; nothing else holds it.
+        // A new base statement drops both; nothing else holds them.
+        let base = Arc::downgrade(&base.unwrap());
         s.run_query("SELECT sensorid, avg(temp) FROM readings GROUP BY sensorid").unwrap();
-        assert!(kept(&s).is_none());
-        assert!(built.upgrade().is_none());
+        assert!(matches!(kept(&s), (None, None)));
+        assert!(base.upgrade().is_none());
     }
 
     #[test]

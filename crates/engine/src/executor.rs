@@ -82,14 +82,14 @@ pub fn execute(
 
 /// Scan stage: the rows from row `from` on that satisfy the WHERE clause,
 /// as a bitmap over the table's rows whose ascending order is scan order —
-/// [`dbwipes_storage::Expr::filter_bitmap`], so a clause inside the
-/// kernels' fragment (any `AND`/`OR`/`NOT` tree over per-attribute
-/// comparisons: parsed dashboard queries and the exclusion rewrites
-/// "clean as you query" emits alike) runs vectorized and anything else
-/// takes the scalar walk, with identical row sets under SQL three-valued
-/// logic (only rows where the clause is TRUE survive). An execution and a
-/// cache build pass 0; an append absorb passes the old row count, so it
-/// filters only the appended rows, through the same step.
+/// [`dbwipes_storage::Expr::filter_bitmap`]: every clause compiles, its
+/// per-attribute comparisons to column kernels (parsed dashboard queries
+/// and the exclusion rewrites "clean as you query" emits are nothing
+/// else) and any other leaf to a row walk, with the scalar walk's rows
+/// under SQL three-valued logic (only rows where the clause is TRUE
+/// survive) or its error. An execution and a cache build pass 0; an
+/// append absorb passes the old row count, so it filters only the
+/// appended rows, through the same step.
 pub(crate) fn scan_filter(
     table: &Table,
     stmt: &SelectStatement,
@@ -659,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn disjunctive_and_negated_where_vectorize_like_the_scalar_walk() {
+    fn every_where_clause_compiles_and_filters_like_the_scalar_walk() {
         let t = readings();
         let stmt = |sql: &str| parse_select(sql).unwrap();
         for sql in [
@@ -676,13 +676,13 @@ mod tests {
             "SELECT hour, avg(temp) FROM readings \
              WHERE temp BETWEEN 20.5 AND 120 AND hour = 1 GROUP BY hour",
             "SELECT hour, avg(temp) FROM readings WHERE hour = 1 AND temp = NULL GROUP BY hour",
+            // Row leaves beside kernel ones.
+            "SELECT hour, avg(temp) FROM readings WHERE temp + 1 > 22 AND hour = 1 GROUP BY hour",
+            "SELECT hour, avg(temp) FROM readings \
+             WHERE temp IS NULL OR NOT (sensorid < hour) GROUP BY hour",
         ] {
             let s = stmt(sql);
             let pred = s.where_clause.as_ref().unwrap();
-            assert!(
-                dbwipes_storage::CompiledBoolExpr::compile(pred, &t).is_ok(),
-                "{sql} should vectorize"
-            );
             // The whole table, and every suffix an append absorb asks for.
             for from in 0..=t.num_rows() {
                 let vectorized = scan_filter(&t, &s, from).unwrap().to_row_ids();
@@ -694,16 +694,16 @@ mod tests {
                 assert_eq!(vectorized, scalar, "{sql} from row {from}");
             }
         }
-        // A mistyped literal does not compile: the scalar walk answers, and
-        // its error comes back unchanged.
+        // A mistyped literal is a row leaf: from every row on, the filter
+        // fails with the error the walk of those rows stops at.
         let s = stmt("SELECT hour, avg(temp) FROM readings WHERE hour = 1 AND sensorid = 'x'");
         let pred = s.where_clause.as_ref().unwrap();
-        assert!(dbwipes_storage::CompiledBoolExpr::compile(pred, &t).is_err());
-        let scalar = pred.filter_scalar(&t).unwrap_err();
-        assert_eq!(
-            scan_filter(&t, &s, 0).unwrap_err().to_string(),
-            EngineError::from(scalar).to_string()
-        );
+        let scalar = EngineError::from(pred.filter_scalar(&t).unwrap_err());
+        assert_eq!(scan_filter(&t, &s, 0).unwrap_err().to_string(), scalar.to_string());
+        for from in 1..t.num_rows() {
+            let walked = EngineError::from(pred.matches(&t, RowId(from)).unwrap_err());
+            assert_eq!(scan_filter(&t, &s, from).unwrap_err().to_string(), walked.to_string());
+        }
     }
 
     #[test]

@@ -78,8 +78,10 @@ use dbwipes_storage::Value;
 /// and `compactions`; 6 = warm-state sidecars removed: `stats.storage`
 /// drops `rehydrated_caches`; `stats.condition_bitmaps` gains `retained`,
 /// `retained_bytes`; 7 = the connection cap and the worker supervisor
-/// removed: `stats.pool` drops `max_connections` and `workers_resurrected`.
-pub const PROTOCOL_VERSION: u64 = 7;
+/// removed: `stats.pool` drops `max_connections` and `workers_resurrected`;
+/// 8 = every filter runs one compiled form: `stats` drops the block that
+/// counted vectorized and fallback filters (see docs/PROTOCOL.md).
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]

@@ -118,15 +118,6 @@ impl SessionManager {
     /// healthy `health` block; only `pool` needs a pooled TCP front-end
     /// (stdio mode has no pool to report).
     fn write_stats(&self, w: &mut JsonWriter<'_>) {
-        // Process-wide counters of the vectorized boolean predicate
-        // algebra: filters/WHERE clauses evaluated through compiled bitmap
-        // DAGs vs. the scalar row-walk fallback.
-        let (vectorized, fallbacks) = dbwipes_storage::bool_vectorization_stats();
-        w.key("bool_algebra").begin_object();
-        w.key("fallbacks").num(fallbacks as f64);
-        w.key("vectorized").num(vectorized as f64);
-        w.end_object();
-
         let stats = self.registry().stats();
         w.key("cache").begin_object();
         w.key("append_absorbs").num(stats.append_absorbs as f64);

@@ -12,7 +12,7 @@
 //!
 //! Values that are not a function of the script are masked on both sides:
 //! the `timings` block of a `debug` reply (wall clock) and the
-//! process-wide `condition_bitmaps` / `bool_algebra` counters of `stats`
+//! process-wide `condition_bitmaps` counters of `stats`
 //! (every test of this binary adds to them, and the tests run
 //! concurrently, in no fixed order). Only the digits are masked;
 //! the keys, their order and the punctuation around them stay pinned.
@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 const ARM_CRASH: &str = "# SessionManager::arm_crash_hook";
 
 /// Blocks whose numbers are masked before comparing.
-const VOLATILE_BLOCKS: &[&str] = &["timings", "condition_bitmaps", "bool_algebra"];
+const VOLATILE_BLOCKS: &[&str] = &["timings", "condition_bitmaps"];
 
 /// The request lines, `$QUERY` standing for the fixture's window query.
 const SCRIPT: &[&str] = &[

@@ -10,6 +10,7 @@
 //! row only when the predicate evaluates to `TRUE` (not NULL).
 
 use crate::error::StorageError;
+use crate::predicate::{CompiledBoolExpr, RowFailed};
 use crate::rowset::RowSet;
 use crate::table::{RowId, Table};
 use crate::value::{DataType, Value};
@@ -454,66 +455,57 @@ impl Expr {
         Ok(matches!(self.eval(table, row)?, Value::Bool(true)))
     }
 
-    /// Returns the ids of the rows satisfying the filter.
-    ///
-    /// When the expression compiles as a boolean tree
-    /// ([`crate::predicate::CompiledBoolExpr`] — any nesting of
-    /// `AND`/`OR`/`NOT` over per-attribute comparisons), the filter runs
-    /// vectorized through the columnar kernels; a successful compile
-    /// guarantees the scalar walk could not have errored, so the result is
-    /// identical — bit for bit — to [`Expr::filter_scalar`], which answers
-    /// (rows or error) for everything else.
+    /// Returns the ids of the rows satisfying the filter, through the
+    /// one compiled form ([`crate::predicate::CompiledBoolExpr`]): typed
+    /// column kernels for the per-attribute comparisons, a row walk for
+    /// any other leaf, folded with `AND`/`OR`/`NOT`. The rows — or the
+    /// error — are identical, bit for bit, to [`Expr::filter_scalar`]'s.
     pub fn filter(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
         Ok(self.filter_bitmap(table, 0)?.to_row_ids())
     }
 
     /// [`Expr::filter`]'s rows from row `from` on, as a bitmap over the
     /// table's rows, for a caller that only iterates them: no row list is
-    /// built on the vectorized path. `from` is 0 for a whole table and the
-    /// old row count for the rows an append added; the compiled tree is
-    /// then folded with those rows as its selection, and a clause that
-    /// does not compile walks only them, so either way the cost follows
-    /// the rows asked about. Unlike [`Expr::filter_set`] it caches nothing
-    /// on the snapshot.
+    /// built. `from` is 0 for a whole table and the old row count for the
+    /// rows an append added; the compiled tree is then folded with those
+    /// rows as its selection and its row leaves walk only them, so the
+    /// cost follows the rows asked about. Fails exactly when the scalar
+    /// walk of those rows does, with its error. Unlike
+    /// [`Expr::filter_set`] it caches nothing on the snapshot.
     pub fn filter_bitmap(&self, table: &Table, from: usize) -> Result<RowSet, StorageError> {
-        let compiled = crate::predicate::CompiledBoolExpr::compile(self, table);
-        match crate::predicate::vectorized_filter(compiled, from) {
-            Some(rows) => Ok(rows),
-            None => Ok(RowSet::from_rows(table.num_rows(), &self.scalar_rows(table, from)?)),
-        }
+        let tri = CompiledBoolExpr::compile(self, table).try_eval(from);
+        Ok(tri.map_err(|RowFailed| self.first_error(table, from))?.trues)
     }
 
     /// [`Expr::filter`] as a bitmap over the table's rows, folded
     /// from the snapshot's shared condition bitmaps
     /// ([`Table::condition_bitmaps`]): a leaf that a ranking over this
     /// snapshot already scanned — every condition of a predicate the
-    /// analyst can click — is a lookup, not a scan. The same rows as
-    /// `filter`, by the same compile-or-scalar rule, counted the same way.
+    /// analyst can click — is a lookup, not a scan. The same rows, or the
+    /// same error, as `filter`.
     pub fn filter_set(&self, table: &Table) -> Result<RowSet, StorageError> {
-        let evaluated = table.condition_bitmaps().bool_expr(table, self);
-        crate::predicate::count_filter(evaluated.is_some());
-        match evaluated {
-            Some(tri) => Ok(tri.trues),
-            None => Ok(RowSet::from_rows(table.num_rows(), &self.filter_scalar(table)?)),
-        }
+        Ok(table.condition_bitmaps().bool_expr(table, self)?.trues)
     }
 
-    /// The scalar reference path of [`Expr::filter`]: a per-row
-    /// three-valued expression walk. Public as the oracle the property
-    /// tests pin the vectorized path against.
+    /// A per-row three-valued walk of the whole table — the oracle the
+    /// tests pin the compiled filter against; nothing else calls it.
     pub fn filter_scalar(&self, table: &Table) -> Result<Vec<RowId>, StorageError> {
-        self.scalar_rows(table, 0)
-    }
-
-    /// The scalar walk over the rows from `from` on.
-    fn scalar_rows(&self, table: &Table, from: usize) -> Result<Vec<RowId>, StorageError> {
         let mut out = Vec::new();
-        for rid in (from..table.num_rows()).map(RowId) {
+        for rid in table.row_ids() {
             if self.matches(table, rid)? {
                 out.push(rid);
             }
         }
         Ok(out)
+    }
+
+    /// The error a filter of the rows from `from` on stops at, walking them
+    /// in scan order: asked for only once the compiled form found a row it
+    /// fails on, so it never returns rows.
+    pub(crate) fn first_error(&self, table: &Table, from: usize) -> StorageError {
+        (from..table.num_rows())
+            .find_map(|row| self.matches(table, RowId(row)).err())
+            .expect("the walk fails on the row the compiled form failed on")
     }
 
     /// Conjoins a list of expressions, returning `None` for an empty list.

@@ -70,8 +70,8 @@ pub use persist::{
     FsBackend, Manifest, ManifestEntry, PendingWrite, StorageBackend, WriteCounters,
 };
 pub use predicate::{
-    bool_vectorization_stats, CompiledBoolExpr, Condition, ConditionBitmapCache,
-    ConjunctivePredicate, TriSet, CONDITION_BITMAP_BUDGET_BYTES,
+    CompiledBoolExpr, Condition, ConditionBitmapCache, ConjunctivePredicate, TriSet,
+    CONDITION_BITMAP_BUDGET_BYTES,
 };
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};

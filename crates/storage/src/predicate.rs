@@ -19,6 +19,7 @@ use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -354,42 +355,43 @@ impl ConjunctivePredicate {
     /// Compiles the predicate against a table as the `AND` of its
     /// conditions: column indices are resolved and literals coerced once,
     /// so evaluation is typed column kernels instead of a recursive
-    /// [`Expr`] walk. Fails when a condition's types do not line up with
-    /// the schema (the same cases where [`Expr::validate`] or evaluation
-    /// would fail); callers fall back to the expression path then.
-    pub fn compile<'t>(&self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError> {
-        BoolTree::of_conjunction(self).compile(table)
+    /// [`Expr`] walk; a condition mistyped for the schema is a row leaf.
+    /// It cannot fail: the [`Infallible`] error keeps the signature
+    /// `benchmark/src/trace.rs` calls `.expect` on.
+    pub fn compile<'t>(&self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, Infallible> {
+        Ok(BoolTree::of_conjunction(self).compile(table))
     }
 
     /// Vectorized three-valued evaluation through a bitmap cache — how
-    /// the Predicate Ranker scores a candidate. `None` — whenever some
-    /// condition does not compile against `table`'s schema — sends the
-    /// caller to the scalar walk.
-    pub fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet> {
-        cache.tri_eval(table, BoolTree::of_conjunction(self))
+    /// the Predicate Ranker scores a candidate. Fails exactly when the
+    /// scalar walk of [`ConjunctivePredicate::to_expr`] fails on some row
+    /// of `table`, with the walk's error.
+    pub fn tri_eval(
+        &self,
+        cache: &ConditionBitmapCache,
+        table: &Table,
+    ) -> Result<TriSet, StorageError> {
+        cache
+            .tri_eval(table, BoolTree::of_conjunction(self))
+            .map_err(|RowFailed| self.to_expr().first_error(table, 0))
     }
 
     /// Returns all rows matched by the predicate, in ascending
-    /// [`RowId`] order. Uses the vectorized column kernels when every
-    /// condition compiles; otherwise falls back to the per-row expression
-    /// walk, where a row on which evaluation fails (a condition mistyped
-    /// for the schema, an unknown column) is a non-match, not an error.
+    /// [`RowId`] order. A row on which evaluation fails (a condition
+    /// mistyped for the schema, an unknown column) is a non-match, not an
+    /// error.
     pub fn matching_rows(&self, table: &Table) -> Vec<RowId> {
-        match vectorized_filter(self.compile(table), 0) {
-            Some(rows) => rows.to_row_ids(),
-            None => {
-                let expr = self.to_expr();
-                table.row_ids().filter(|&r| expr.matches(table, r).unwrap_or(false)).collect()
-            }
-        }
+        BoolTree::of_conjunction(self).compile(table).eval_columns().trues.to_row_ids()
     }
 }
 
 /// Recognizes one per-attribute comparison leaf (`column <op> literal`,
 /// `BETWEEN`, `IN`, `CONTAINS`) as a [`Condition`] — the leaf grammar of
-/// [`CompiledBoolExpr::compile`]. Returns `None` for anything outside that
-/// fragment (arithmetic, column-to-column comparison, `NOT IN`, string
-/// order comparisons, boolean connectives).
+/// [`CompiledBoolExpr`]'s kernels, together with the types
+/// [`CompiledCondition::compile`] accepts. Returns `None` for anything
+/// outside that fragment (arithmetic, column-to-column comparison,
+/// `NOT IN`, `IS [NOT] NULL`, string order comparisons, bare columns,
+/// boolean connectives).
 fn leaf_condition(expr: &Expr) -> Option<Condition> {
     /// A numeric bound usable in a [`Condition::Range`] (bools and strings
     /// order-compare through their own paths, which the range kernel does
@@ -573,23 +575,30 @@ impl std::ops::Not for &TriSet {
 }
 
 /// The shape of a boolean predicate before it is bound to a table: a tree
-/// of `And` / `Or` / `Not` / constant nodes over a deduplicated list of
-/// leaf [`Condition`]s. Both front-ends — an [`Expr`], a
-/// [`ConjunctivePredicate`] — build this one form, and
-/// [`BoolTree::resolve`] binds it to a table's leaf bitmaps or kernels.
+/// of `And` / `Or` / `Not` / constant nodes over a list of leaves. Both
+/// front-ends — an [`Expr`], a [`ConjunctivePredicate`] — build this one
+/// form, and [`BoolTree::resolve`] binds it to a table's leaf bitmaps,
+/// kernels and row walks.
 struct BoolTree<'a> {
     root: BoolNode,
     leaves: Leaves<'a>,
 }
 
-/// The distinct leaf conditions of a [`BoolTree`] (by
-/// [`Condition::cache_key`]), in first-appearance order: borrowed from the
-/// predicate the tree was built from, or owned when parsed out of an
-/// [`Expr`].
-type Leaves<'a> = Vec<Cow<'a, Condition>>;
+/// The leaves of a [`BoolTree`], in first-appearance order; condition
+/// leaves are deduplicated by [`Condition::cache_key`].
+type Leaves<'a> = Vec<Leaf<'a>>;
 
-/// One node of a boolean tree; leaves index into the deduplicated leaf
-/// list.
+/// One leaf of a [`BoolTree`].
+enum Leaf<'a> {
+    /// A per-attribute condition: borrowed from the predicate the tree was
+    /// built from, or owned when parsed out of an [`Expr`].
+    Condition(Cow<'a, Condition>),
+    /// A maximal sub-expression outside the conditions' grammar (see
+    /// [`leaf_condition`]).
+    Row(Expr),
+}
+
+/// One node of a boolean tree; leaves index into the leaf list.
 #[derive(Debug, Clone)]
 enum BoolNode {
     Leaf(usize),
@@ -609,43 +618,53 @@ impl BoolNode {
         // `==` is the cheap necessary test (it calls `0.0` and `-0.0`
         // equal, which the kernels do not); the keys are only rendered to
         // confirm a duplicate.
-        let seen = leaves.iter().position(|c| *c == cond && c.cache_key() == cond.cache_key());
+        let seen = leaves.iter().position(|leaf| {
+            matches!(leaf, Leaf::Condition(c) if *c == cond && c.cache_key() == cond.cache_key())
+        });
         BoolNode::Leaf(seen.unwrap_or_else(|| {
-            leaves.push(cond);
+            leaves.push(Leaf::Condition(cond));
             leaves.len() - 1
         }))
     }
 
-    /// The node of a boolean [`Expr`]. Fails for any construct outside the
-    /// kernels' leaf grammar (see [`CompiledBoolExpr`]).
-    fn of_expr(leaves: &mut Leaves<'_>, expr: &Expr) -> Result<BoolNode, StorageError> {
-        let mut leaf = |expr: &Expr| {
-            let cond = leaf_condition(expr)
-                .ok_or_else(|| StorageError::Eval(format!("not vectorizable: {expr}")))?;
-            Ok(BoolNode::leaf(leaves, Cow::Owned(cond)))
-        };
+    /// The node for a sub-expression evaluated row by row.
+    fn row(leaves: &mut Leaves<'_>, expr: &Expr) -> BoolNode {
+        leaves.push(Leaf::Row(expr.clone()));
+        BoolNode::Leaf(leaves.len() - 1)
+    }
+
+    /// The node of a boolean [`Expr`]: connectives and boolean literals
+    /// become nodes, a per-attribute comparison a condition leaf, and
+    /// anything else a row leaf.
+    fn of_expr(leaves: &mut Leaves<'_>, expr: &Expr) -> BoolNode {
         match expr {
             Expr::Binary { op: op @ (BinaryOp::And | BinaryOp::Or), left, right } => {
-                let children = vec![Self::of_expr(leaves, left)?, Self::of_expr(leaves, right)?];
-                Ok(if *op == BinaryOp::And {
+                let children = vec![Self::of_expr(leaves, left), Self::of_expr(leaves, right)];
+                if *op == BinaryOp::And {
                     BoolNode::And(children)
                 } else {
                     BoolNode::Or(children)
-                })
+                }
             }
             Expr::Unary { op: UnaryOp::Not, expr } => {
-                Ok(BoolNode::Not(Box::new(Self::of_expr(leaves, expr)?)))
+                BoolNode::Not(Box::new(Self::of_expr(leaves, expr)))
             }
-            Expr::Literal(Value::Bool(b)) => Ok(BoolNode::Const(Some(*b))),
-            Expr::Literal(Value::Null) => Ok(BoolNode::Const(None)),
+            Expr::Literal(Value::Bool(b)) => BoolNode::Const(Some(*b)),
+            Expr::Literal(Value::Null) => BoolNode::Const(None),
             // `NOT IN` is the Kleene negation of `IN` (a NULL member keeps
             // the result NULL either way).
             Expr::InList { expr: inner, list, negated: true } => {
                 let positive =
                     Expr::InList { expr: inner.clone(), list: list.clone(), negated: false };
-                Ok(BoolNode::Not(Box::new(leaf(&positive)?)))
+                match leaf_condition(&positive) {
+                    Some(cond) => BoolNode::Not(Box::new(Self::leaf(leaves, Cow::Owned(cond)))),
+                    None => Self::row(leaves, expr),
+                }
             }
-            other => leaf(other),
+            other => match leaf_condition(other) {
+                Some(cond) => Self::leaf(leaves, Cow::Owned(cond)),
+                None => Self::row(leaves, other),
+            },
         }
     }
 
@@ -657,9 +676,9 @@ impl BoolNode {
 }
 
 impl<'a> BoolTree<'a> {
-    fn of_expr(expr: &Expr) -> Result<Self, StorageError> {
+    fn of_expr(expr: &Expr) -> Self {
         let mut leaves = Vec::new();
-        Ok(BoolTree { root: BoolNode::of_expr(&mut leaves, expr)?, leaves })
+        BoolTree { root: BoolNode::of_expr(&mut leaves, expr), leaves }
     }
 
     fn of_conjunction(pred: &'a ConjunctivePredicate) -> Self {
@@ -667,23 +686,32 @@ impl<'a> BoolTree<'a> {
         BoolTree { root: BoolNode::of_conjunction(&mut leaves, pred), leaves }
     }
 
-    /// Binds the tree to a table of `num_rows` rows: `source`
-    /// supplies each distinct leaf once, and its first failure fails the
-    /// whole tree.
-    fn resolve<'t, E>(
+    /// Binds the tree to `table`: each condition leaf to what `source`
+    /// supplies for it once, or — where that is nothing, as the condition
+    /// does not compile against the schema — to a row walk of its
+    /// expression; each row leaf to a row walk.
+    fn resolve<'t>(
         self,
-        num_rows: usize,
-        source: impl FnMut(&Condition) -> Result<LeafSource<'t>, E>,
-    ) -> Result<CompiledBoolExpr<'t>, E> {
-        let leaves = self.leaves.iter().map(|c| &**c).map(source).collect::<Result<_, _>>()?;
-        Ok(CompiledBoolExpr { root: self.root, leaves, num_rows })
+        table: &'t Table,
+        mut source: impl FnMut(&Condition) -> Option<LeafSource<'t>>,
+    ) -> CompiledBoolExpr<'t> {
+        let leaves = self
+            .leaves
+            .into_iter()
+            .map(|leaf| match leaf {
+                Leaf::Condition(cond) => source(&cond)
+                    .unwrap_or_else(|| LeafSource::Rows { expr: cond.to_expr(), table }),
+                Leaf::Row(expr) => LeafSource::Rows { expr, table },
+            })
+            .collect();
+        CompiledBoolExpr { root: self.root, leaves, num_rows: table.num_rows() }
     }
 
-    /// [`BoolTree::resolve`] with a typed kernel of its own per leaf.
-    fn compile<'t>(self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError> {
-        self.resolve(table.num_rows(), |cond| {
-            let kernel = CompiledCondition::compile(cond, table)?;
-            Ok(LeafSource::Kernel { kernel, column: OnceLock::new() })
+    /// [`BoolTree::resolve`] with a typed kernel of its own per condition.
+    fn compile(self, table: &Table) -> CompiledBoolExpr<'_> {
+        self.resolve(table, |cond| {
+            let kernel = CompiledCondition::compile(cond, table).ok()?;
+            Some(LeafSource::Kernel { kernel, column: OnceLock::new() })
         })
     }
 }
@@ -696,38 +724,46 @@ enum LeafSource<'t> {
     Kernel { kernel: CompiledCondition<'t>, column: OnceLock<TriSet> },
     /// A bitmap computed elsewhere: a [`ConditionBitmapCache`] entry.
     Bitmap(Arc<TriSet>),
+    /// [`Expr::eval`] of a leaf the kernels cannot express, row by row.
+    Rows { expr: Expr, table: &'t Table },
 }
+
+/// Evaluating a compiled tree failed on some row the caller asked about;
+/// the caller's walk of the source expression finds the error.
+#[derive(Debug)]
+pub(crate) struct RowFailed;
 
 /// A boolean predicate compiled against one table for vectorized
 /// evaluation — the one form every WHERE clause and every
-/// [`ConjunctivePredicate`] is evaluated through. `AND` / `OR` / `NOT` nodes fold word-level [`TriSet`]
-/// operations over the per-attribute leaf conditions, deduplicated so a
-/// condition appearing several times is scanned (or looked up in a
-/// [`ConditionBitmapCache`]) once. Evaluation is bit-identical to the
-/// scalar three-valued walk of [`Expr::eval`]: value comparisons go
-/// through `f64::total_cmp` exactly like [`Value::total_cmp`], and a NULL
-/// operand yields unknown.
-///
-/// Compilation fails for any construct the kernels cannot express —
-/// arithmetic, column-to-column comparisons, `IS NULL` / `IS NOT NULL`,
-/// string order comparisons, bare boolean columns, mistyped literals —
-/// and callers fall back to the scalar walk. A successful compile also
-/// guarantees the scalar walk cannot error on any row, so the vectorized
-/// result needs no per-row error channel.
+/// [`ConjunctivePredicate`] is evaluated through. `AND` / `OR` / `NOT`
+/// nodes fold word-level [`TriSet`] operations over the leaves: a
+/// per-attribute condition well-typed for the schema is a typed kernel
+/// (scanned once, or looked up in a [`ConditionBitmapCache`]), anything
+/// else — arithmetic, column-to-column comparisons, `IS [NOT] NULL`,
+/// string order, bare columns, mistyped literals, unknown columns — a row
+/// leaf, walked by [`Expr::eval`] on every row the caller asks about. So
+/// compiling cannot fail, and evaluation is bit-identical to the scalar
+/// three-valued walk of [`Expr::eval`] (value comparisons go through
+/// `f64::total_cmp` exactly like [`Value::total_cmp`], a NULL operand
+/// yields unknown); a kernel never fails, and a row leaf fails on a row
+/// exactly where the walk does.
 #[derive(Debug, Clone)]
 pub struct CompiledBoolExpr<'t> {
     root: BoolNode,
-    /// One source per distinct leaf, in first-appearance order.
+    /// One source per leaf, in first-appearance order.
     leaves: Vec<LeafSource<'t>>,
     num_rows: usize,
 }
 
+/// Each leaf's walked column, indexed like the leaves: `Some` exactly at
+/// the row leaves.
+type RowColumns = Vec<Option<TriSet>>;
+
 impl<'t> CompiledBoolExpr<'t> {
     /// Compiles a boolean expression tree against `table`, resolving and
-    /// type-checking every leaf once. Fails where the typed kernels cannot
-    /// reproduce the scalar walk (callers keep the scalar path then).
-    pub fn compile(expr: &Expr, table: &'t Table) -> Result<Self, StorageError> {
-        BoolTree::of_expr(expr)?.compile(table)
+    /// type-checking every condition leaf once.
+    pub fn compile(expr: &Expr, table: &'t Table) -> Self {
+        BoolTree::of_expr(expr).compile(table)
     }
 
     /// Physical row count of the table the tree was compiled against (the
@@ -737,28 +773,71 @@ impl<'t> CompiledBoolExpr<'t> {
     }
 
     /// Vectorized three-valued evaluation over **every row** of the
-    /// table: each distinct leaf's column is scanned at most once — and
-    /// kept, so evaluating again is only the fold — and the tree folds
-    /// word-level AND/OR/NOT. Identical, row for row, to the scalar walk
-    /// of [`Expr::eval`] on the source expression.
+    /// table: each distinct kernel leaf's column is scanned at most once —
+    /// and kept, so evaluating again is only the fold — each row leaf is
+    /// walked, and the tree folds word-level AND/OR/NOT. Identical, row
+    /// for row, to the scalar walk of [`Expr::eval`] on the source
+    /// expression; a row on which that walk fails is FALSE here.
     ///
     /// `AND` short-circuits columnar-style: once fewer than a quarter of
     /// the rows can still pass (are TRUE or NULL so far), the next conjunct
     /// is folded with those rows as its selection, so its kernels visit
     /// only them — a selective leading conjunct makes the rest nearly free.
     pub fn eval_columns(&self) -> TriSet {
-        self.fold(&self.root, None).into_owned()
+        let (rows, failed) = self.row_columns(0);
+        let tri = self.fold(&self.root, None, &rows).into_owned();
+        let Some(failed) = failed else { return tri };
+        TriSet { trues: tri.trues.and_not(&failed), unknowns: tri.unknowns.and_not(&failed) }
     }
 
-    /// The rows of `sel` on which the tree is TRUE: the fold with `sel` as
-    /// its selection, masked to it.
-    pub(crate) fn trues_within(&self, sel: &RowSet) -> RowSet {
-        self.fold(&self.root, Some(sel)).trues.and(sel)
+    /// The verdicts of the rows from `from` on — folded with those rows as
+    /// the selection when `from` is not 0, FALSE on the rows before — or
+    /// [`RowFailed`] when the walk fails on one of them.
+    pub(crate) fn try_eval(&self, from: usize) -> Result<TriSet, RowFailed> {
+        let (rows, None) = self.row_columns(from) else { return Err(RowFailed) };
+        if from == 0 {
+            return Ok(self.fold(&self.root, None, &rows).into_owned());
+        }
+        let sel = RowSet::suffix(self.num_rows, from);
+        let tri = self.fold(&self.root, Some(&sel), &rows);
+        Ok(TriSet { trues: tri.trues.and(&sel), unknowns: tri.unknowns.and(&sel) })
+    }
+
+    /// Every row leaf's column over the rows from `from` on — all the rows
+    /// the caller asks about, never an `AND`'s narrowed selection, so no
+    /// row the walk fails on is skipped — and the rows where one failed
+    /// (`None` when none did).
+    fn row_columns(&self, from: usize) -> (RowColumns, Option<RowSet>) {
+        // A WHERE keeps only TRUE rows, so a non-boolean value at the root
+        // is FALSE; under a connective the walk refuses it.
+        let logical = !matches!(self.root, BoolNode::Leaf(_));
+        let mut failed: Option<RowSet> = None;
+        let rows = self.leaves.iter().map(|leaf| {
+            let LeafSource::Rows { expr, table } = leaf else { return None };
+            let mut tri = TriSet::all_false(self.num_rows);
+            for row in from..self.num_rows {
+                match expr.eval(table, RowId(row)) {
+                    Ok(Value::Bool(true)) => tri.trues.insert(row),
+                    Ok(Value::Null) => tri.unknowns.insert(row),
+                    Ok(Value::Bool(false)) => {}
+                    Ok(_) if !logical => {}
+                    _ => failed.get_or_insert_with(|| RowSet::empty(self.num_rows)).insert(row),
+                }
+            }
+            Some(tri)
+        });
+        (rows.collect(), failed)
     }
 
     /// The Kleene fold of `node`, exact on every row of `sel` (on every row
-    /// when `None`); what it holds elsewhere is unspecified.
-    fn fold(&self, node: &BoolNode, sel: Option<&RowSet>) -> Cow<'_, TriSet> {
+    /// when `None`); what it holds elsewhere is unspecified. `rows` holds
+    /// the row leaves' columns.
+    fn fold<'s>(
+        &'s self,
+        node: &BoolNode,
+        sel: Option<&RowSet>,
+        rows: &'s RowColumns,
+    ) -> Cow<'s, TriSet> {
         let n = self.num_rows;
         match node {
             BoolNode::Leaf(i) => match &self.leaves[*i] {
@@ -772,8 +851,11 @@ impl<'t> CompiledBoolExpr<'t> {
                     }
                 },
                 LeafSource::Bitmap(bitmap) => Cow::Borrowed(bitmap),
+                LeafSource::Rows { .. } => {
+                    Cow::Borrowed(rows[*i].as_ref().expect("row_columns walks every row leaf"))
+                }
             },
-            BoolNode::Not(child) => Cow::Owned(!&*self.fold(child, sel)),
+            BoolNode::Not(child) => Cow::Owned(!&*self.fold(child, sel, rows)),
             BoolNode::Const(Some(true)) => Cow::Owned(TriSet::all_true(n)),
             BoolNode::Const(Some(false)) => Cow::Owned(TriSet::all_false(n)),
             BoolNode::Const(None) => Cow::Owned(TriSet::all_unknown(n)),
@@ -781,15 +863,15 @@ impl<'t> CompiledBoolExpr<'t> {
                 let Some((first, rest)) = children.split_first() else {
                     return Cow::Owned(TriSet::all_false(n));
                 };
-                rest.iter().fold(self.fold(first, sel), |acc, child| {
-                    Cow::Owned(&*acc | &*self.fold(child, sel))
+                rest.iter().fold(self.fold(first, sel, rows), |acc, child| {
+                    Cow::Owned(&*acc | &*self.fold(child, sel, rows))
                 })
             }
             BoolNode::And(children) => {
                 let Some((first, rest)) = children.split_first() else {
                     return Cow::Owned(TriSet::all_true(n));
                 };
-                let mut acc = self.fold(first, sel);
+                let mut acc = self.fold(first, sel, rows);
                 for child in rest {
                     // Outside the rows that can still pass, `acc` is FALSE
                     // and so is the conjunction, whatever the child holds.
@@ -798,7 +880,7 @@ impl<'t> CompiledBoolExpr<'t> {
                         live.and_assign(sel);
                     }
                     let narrowed = (live.count_ones() * 4 < n).then_some(live);
-                    acc = Cow::Owned(&*acc & &*self.fold(child, narrowed.as_ref().or(sel)));
+                    acc = Cow::Owned(&*acc & &*self.fold(child, narrowed.as_ref().or(sel), rows));
                 }
                 acc
             }
@@ -1096,49 +1178,6 @@ fn scan_str(
 static GLOBAL_BITMAP_HITS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide miss counter of every [`ConditionBitmapCache`].
 static GLOBAL_BITMAP_MISSES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of filters served end-to-end by a compiled tree.
-static GLOBAL_BOOL_VECTORIZED: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of filters that fell back to the scalar expression
-/// walk.
-static GLOBAL_BOOL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// The one compile-or-scalar step of every filter: the rows from `from`
-/// on where a successfully compiled clause is TRUE, or `None` when it did
-/// not compile and the caller's scalar walk must answer. Either way the
-/// outcome is counted (see [`bool_vectorization_stats`]).
-pub(crate) fn vectorized_filter(
-    compiled: Result<CompiledBoolExpr<'_>, StorageError>,
-    from: usize,
-) -> Option<RowSet> {
-    count_filter(compiled.is_ok());
-    let compiled = compiled.ok()?;
-    Some(match from {
-        0 => compiled.eval_columns().trues,
-        _ => compiled.trues_within(&RowSet::suffix(compiled.num_rows, from)),
-    })
-}
-
-/// Counts one filter evaluation: served by a compiled tree, or left to
-/// the scalar walk.
-pub(crate) fn count_filter(vectorized: bool) {
-    let counter = if vectorized { &GLOBAL_BOOL_VECTORIZED } else { &GLOBAL_BOOL_FALLBACKS };
-    counter.fetch_add(1, AtomicOrdering::Relaxed);
-}
-
-/// Process-wide `(vectorized, fallback)` counts of filter evaluations
-/// ([`Expr::filter_bitmap`] and [`Expr::filter_set`], hence every WHERE
-/// clause — an append absorb's filter of the appended rows included —
-/// and every clicked exclusion, and
-/// [`ConjunctivePredicate::matching_rows`]): served by a
-/// [`CompiledBoolExpr`], or left to the scalar expression walk because
-/// the clause did not compile.
-pub fn bool_vectorization_stats() -> (u64, u64) {
-    (
-        GLOBAL_BOOL_VECTORIZED.load(AtomicOrdering::Relaxed),
-        GLOBAL_BOOL_FALLBACKS.load(AtomicOrdering::Relaxed),
-    )
-}
-
 /// Locks a bitmap map even after a thread panicked while holding it: the
 /// maps only ever hold complete, immutable `Arc<TriSet>` entries, so the
 /// data behind a poisoned lock is still valid, and refusing it would fail
@@ -1184,7 +1223,7 @@ pub struct ConditionBitmapCache {
     /// aggregate caches.
     num_rows: usize,
     /// `None` marks a condition the typed compiler cannot express, so the
-    /// fallback decision is cached too.
+    /// decision to walk it row by row is cached too.
     entries: Mutex<HashMap<String, Option<Arc<TriSet>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -1228,7 +1267,7 @@ impl ConditionBitmapCache {
     /// The condition's evaluation bitmaps over every row of
     /// `table`, cached across calls. Returns `None` when the typed
     /// compiler cannot express the condition against the table's schema
-    /// (callers fall back to the scalar expression walk).
+    /// (a tree walks such a leaf row by row).
     pub fn condition(&self, table: &Table, cond: &Condition) -> Option<Arc<TriSet>> {
         let evaluate = || {
             let kernel = CompiledCondition::compile(cond, table).ok()?;
@@ -1254,23 +1293,20 @@ impl ConditionBitmapCache {
 
     /// Evaluates an arbitrary boolean expression tree by folding the
     /// cached per-condition bitmaps with word-level AND/OR/NOT. Each
-    /// **distinct** leaf costs one cache lookup (a kernel scan on first
-    /// sight, a hit afterwards). Returns `None` when the tree does not
-    /// compile against `table` (the caller's scalar fallback then handles
-    /// the whole expression).
-    pub fn bool_expr(&self, table: &Table, expr: &Expr) -> Option<TriSet> {
-        self.tri_eval(table, BoolTree::of_expr(expr).ok()?)
+    /// **distinct** condition leaf costs one cache lookup (a kernel scan on
+    /// first sight, a hit afterwards); any other leaf is walked row by row.
+    /// Fails exactly when the scalar walk of `expr` fails on some row of
+    /// `table`, with the walk's error.
+    pub fn bool_expr(&self, table: &Table, expr: &Expr) -> Result<TriSet, StorageError> {
+        self.tri_eval(table, BoolTree::of_expr(expr))
+            .map_err(|RowFailed| expr.first_error(table, 0))
     }
 
-    /// Folds `tree` over this cache's leaf bitmaps — what
+    /// Folds `tree` over this cache's condition bitmaps — what
     /// [`ConjunctivePredicate::tri_eval`] and
-    /// [`ConditionBitmapCache::bool_expr`] run. `None` when some leaf does
-    /// not compile against `table`.
-    fn tri_eval(&self, table: &Table, tree: BoolTree<'_>) -> Option<TriSet> {
-        let compiled = tree.resolve(table.num_rows(), |cond| {
-            self.condition(table, cond).map(LeafSource::Bitmap).ok_or(())
-        });
-        Some(compiled.ok()?.eval_columns())
+    /// [`ConditionBitmapCache::bool_expr`] run.
+    fn tri_eval(&self, table: &Table, tree: BoolTree<'_>) -> Result<TriSet, RowFailed> {
+        tree.resolve(table, |cond| self.condition(table, cond).map(LeafSource::Bitmap)).try_eval(0)
     }
 
     /// This cache's `(hits, misses)` counters.
@@ -1427,22 +1463,13 @@ mod tests {
         assert!(!Condition::equals("c", 1).subsumes(&Condition::equals("c", 2)));
     }
 
+    /// Every condition and every pair, through kernels of their own and
+    /// through a bitmap cache, agree with the scalar walk on every row,
+    /// under three-valued logic; the cache scans each distinct condition
+    /// once.
     #[test]
     fn compiled_matches_expression_three_valued_logic() {
-        let schema = Schema::of(&[
-            ("sensorid", DataType::Int),
-            ("temp", DataType::Float),
-            ("ok", DataType::Bool),
-            ("memo", DataType::Str),
-        ]);
-        let mut t = Table::new("r", schema).unwrap();
-        t.push_rows(vec![
-            vec![Value::Int(15), Value::Float(122.0), Value::Bool(true), Value::str("fine")],
-            vec![Value::Int(15), Value::Null, Value::Bool(false), Value::str("REATTRIBUTION")],
-            vec![Value::Int(3), Value::Float(21.0), Value::Null, Value::Null],
-            vec![Value::Null, Value::Float(-0.0), Value::Bool(true), Value::str("Reattribution x")],
-        ])
-        .unwrap();
+        let t = null_heavy_table();
         let conditions = vec![
             Condition::equals("sensorid", 15),
             Condition::not_equals("sensorid", 15),
@@ -1468,77 +1495,7 @@ mod tests {
             Condition::in_set("memo", vec![Value::str("fine"), Value::Int(7)]),
             Condition::contains("memo", "REATTRIBUTION"),
             Condition::contains("memo", ""),
-        ];
-        // Every single condition and every pair must agree with the Expr
-        // path on all rows, under three-valued logic.
-        let mut predicates: Vec<ConjunctivePredicate> = Vec::new();
-        for c in &conditions {
-            predicates.push(ConjunctivePredicate { conditions: vec![c.clone()] });
-            for d in &conditions {
-                predicates.push(ConjunctivePredicate { conditions: vec![c.clone(), d.clone()] });
-            }
-        }
-        for p in &predicates {
-            let tri = p.compile(&t).expect("all conditions are well-typed").eval_columns();
-            let expr = p.to_expr();
-            for r in t.row_ids() {
-                assert_eq!(tri.value(r.index()), scalar(&expr, &t, r), "{p} on row {r:?}");
-            }
-            // matching_rows (which uses the compiled path) agrees with the
-            // scalar walk.
-            assert_eq!(p.matching_rows(&t), expr.filter_scalar(&t).unwrap(), "{p}");
-        }
-    }
-
-    #[test]
-    fn compile_rejects_mistyped_conditions() {
-        let t = table();
-        // String equality against a numeric column and vice versa.
-        assert!(ConjunctivePredicate::new(vec![Condition::equals("temp", Value::str("x"))])
-            .compile(&t)
-            .is_err());
-        assert!(ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]).compile(&t).is_err());
-        // Range and CONTAINS on a string column.
-        assert!(ConjunctivePredicate::new(vec![Condition::above("memo", 1.0)])
-            .compile(&t)
-            .is_err());
-        assert!(ConjunctivePredicate::new(vec![Condition::contains("temp", "x")])
-            .compile(&t)
-            .is_err());
-        // Unknown column.
-        assert!(ConjunctivePredicate::new(vec![Condition::equals("missing", 1)])
-            .compile(&t)
-            .is_err());
-        // matching_rows falls back to the expression path and still answers.
-        let p = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
-        assert!(p.matching_rows(&t).is_empty());
-    }
-
-    #[test]
-    fn eval_columns_agrees_with_scalar_matches() {
-        let schema = Schema::of(&[
-            ("sensorid", DataType::Int),
-            ("temp", DataType::Float),
-            ("ok", DataType::Bool),
-            ("memo", DataType::Str),
-        ]);
-        let mut t = Table::new("r", schema).unwrap();
-        t.push_rows(vec![
-            vec![Value::Int(15), Value::Float(122.0), Value::Bool(true), Value::str("fine")],
-            vec![Value::Int(15), Value::Null, Value::Bool(false), Value::str("REATTRIBUTION")],
-            vec![Value::Int(3), Value::Float(21.0), Value::Null, Value::Null],
-            vec![Value::Null, Value::Float(-0.0), Value::Bool(true), Value::str("Reattribution")],
-        ])
-        .unwrap();
-        let conditions = vec![
-            Condition::equals("sensorid", 15),
-            Condition::not_equals("memo", "fine"),
-            Condition::equals("sensorid", Value::Null),
-            Condition::between("temp", 0.0, 122.0),
-            Condition::in_set("sensorid", vec![Value::Int(3), Value::Null]),
-            Condition::in_set("memo", vec![Value::str("fine"), Value::Int(7)]),
             Condition::contains("memo", "reattribution"),
-            Condition::equals("ok", true),
         ];
         let mut predicates: Vec<ConjunctivePredicate> = Vec::new();
         for c in &conditions {
@@ -1549,16 +1506,13 @@ mod tests {
         }
         let cache = ConditionBitmapCache::new(&t);
         for p in &predicates {
-            let compiled = p.compile(&t).expect("well-typed");
-            let tri = compiled.eval_columns();
+            let tri = p.compile(&t).unwrap().eval_columns();
             let expr = p.to_expr();
             for r in t.row_ids() {
-                let scalar = scalar(&expr, &t, r);
-                assert_eq!(tri.trues.contains(r.index()), scalar == Some(true), "{p} on {r}");
-                assert_eq!(tri.unknowns.contains(r.index()), scalar.is_none(), "{p} on {r}");
+                assert_eq!(tri.value(r.index()), scalar(&expr, &t, r), "{p} on row {r:?}");
             }
-            // The cached conjunction agrees with direct evaluation.
-            let via_cache = p.tri_eval(&cache, &t).expect("well-typed");
+            assert_eq!(p.matching_rows(&t), expr.filter_scalar(&t).unwrap(), "{p}");
+            let via_cache = p.tri_eval(&cache, &t).unwrap();
             assert!(via_cache.trues == tri.trues && via_cache.unknowns == tri.unknowns, "{p}");
         }
         let (hits, misses) = cache.stats();
@@ -1663,8 +1617,7 @@ mod tests {
     fn compiled_bool_expr_agrees_with_scalar_walk() {
         let t = null_heavy_table();
         for expr in bool_trees() {
-            let compiled = CompiledBoolExpr::compile(&expr, &t)
-                .unwrap_or_else(|e| panic!("{expr} should vectorize: {e:?}"));
+            let compiled = CompiledBoolExpr::compile(&expr, &t);
             let tri = compiled.eval_columns();
             assert_eq!(tri.universe(), t.num_rows());
             assert!(tri.trues.and(&tri.unknowns).is_empty(), "{expr}: overlapping bitmaps");
@@ -1680,7 +1633,7 @@ mod tests {
         let cache = ConditionBitmapCache::new(&t);
         for expr in bool_trees() {
             let via_cache = cache.bool_expr(&t, &expr).expect("vectorizable");
-            let direct = CompiledBoolExpr::compile(&expr, &t).unwrap().eval_columns();
+            let direct = CompiledBoolExpr::compile(&expr, &t).eval_columns();
             assert!(
                 via_cache.trues == direct.trues && via_cache.unknowns == direct.unknowns,
                 "{expr}"
@@ -1731,7 +1684,7 @@ mod tests {
             selective().and(selective().not().or(hot())),
             hot().and(selective()).and(lab()),
         ] {
-            let compiled = CompiledBoolExpr::compile(&expr, &t).unwrap();
+            let compiled = CompiledBoolExpr::compile(&expr, &t);
             let tri = compiled.eval_columns();
             // The same fold over bitmaps computed elsewhere agrees.
             let cached = ConditionBitmapCache::new(&t).bool_expr(&t, &expr).unwrap();
@@ -1742,7 +1695,7 @@ mod tests {
             // Under a suffix selection — an append absorb's filter — the
             // TRUE rows are the scalar walk's from there on.
             for from in [0, 1, 63, 64, 150, 199, 200] {
-                let within = compiled.trues_within(&RowSet::suffix(t.num_rows(), from));
+                let within = compiled.try_eval(from).unwrap().trues;
                 let want = (from..t.num_rows()).filter(|&i| tri.value(i) == Some(true));
                 assert_eq!(within.iter().collect::<Vec<_>>(), want.collect::<Vec<_>>(), "{expr}");
             }
@@ -1771,7 +1724,7 @@ mod tests {
         let id3 = || col("id").eq(lit(3));
         let has_x = || col("memo").contains("x");
         let expr = id3().and(has_x()).or(has_x());
-        let compiled = CompiledBoolExpr::compile(&expr, &t).unwrap();
+        let compiled = CompiledBoolExpr::compile(&expr, &t);
         assert_eq!(compiled.leaves.len(), 2, "the two CONTAINS leaves are one");
         let live = compiled.eval_columns();
         let passing = t.row_ids().filter(|&r| scalar(&id3(), &t, r) != Some(false)).count();
@@ -1853,13 +1806,17 @@ mod tests {
         let schema = Schema::of(&[("a", DataType::Int)]);
         let t = Table::new("empty", schema).unwrap();
         let expr = col("a").eq(lit(1)).or(col("a").gt(lit(2)).not());
-        let tri = CompiledBoolExpr::compile(&expr, &t).unwrap().eval_columns();
+        let tri = CompiledBoolExpr::compile(&expr, &t).eval_columns();
         assert_eq!(tri.universe(), 0);
         assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
     }
 
+    /// Trees outside the kernels' grammar compile too, with row leaves,
+    /// and agree with the walk: the same verdict on every row it
+    /// evaluates, FALSE where it fails, and the same rows or error through
+    /// either filter.
     #[test]
-    fn compiled_bool_expr_rejects_non_vectorizable_trees() {
+    fn out_of_grammar_trees_compile_and_agree_with_the_walk() {
         let t = null_heavy_table();
         for expr in [
             col("temp").is_null(),
@@ -1871,30 +1828,43 @@ mod tests {
             col("sensorid").eq(lit(15)).or(lit(7)),
             col("memo").eq(lit(4)).or(col("sensorid").eq(lit(15))),
         ] {
-            assert!(
-                CompiledBoolExpr::compile(&expr, &t).is_err(),
-                "{expr} must fall back to the scalar walk"
-            );
-            assert!(ConditionBitmapCache::new(&t).bool_expr(&t, &expr).is_none(), "{expr}");
+            let compiled = CompiledBoolExpr::compile(&expr, &t);
+            assert!(compiled.leaves.iter().any(|l| matches!(l, LeafSource::Rows { .. })), "{expr}");
+            let tri = compiled.eval_columns();
+            for r in t.row_ids() {
+                let walked = expr.eval(&t, r).map_or(Some(false), |v| v.as_bool());
+                assert_eq!(tri.value(r.index()), walked, "{expr} on {r}");
+            }
+            let walked = expr.filter_scalar(&t).map_err(|e| e.to_string());
+            for rows in [expr.filter(&t), expr.filter_set(&t).map(|rows| rows.to_row_ids())] {
+                assert_eq!(rows.map_err(|e| e.to_string()), walked, "{expr}");
+            }
         }
-        // Every filter is counted, whichever way it went (the counters are
-        // process-wide, so other tests may raise them too).
-        let (v0, f0) = bool_vectorization_stats();
-        col("sensorid").eq(lit(15)).filter(&t).unwrap();
-        col("temp").is_null().filter(&t).unwrap();
-        let (v1, f1) = bool_vectorization_stats();
-        assert!(v1 > v0 && f1 > f0);
     }
 
+    /// A condition mistyped for the schema, or on a column the table lacks,
+    /// is no kernel: it is walked row by row, a row it fails on is a
+    /// non-match, and scoring it fails with the walk's error.
     #[test]
-    fn bitmap_cache_bypasses_on_version_mismatch_and_rejects_mistyped() {
+    fn bitmap_cache_bypasses_on_version_mismatch_and_walks_mistyped_leaves() {
         let t = table();
         let cache = ConditionBitmapCache::new(&t);
         assert!(cache.covers(&t));
         assert_eq!(cache.num_rows(), t.num_rows());
-        // A mistyped condition is inexpressible: the conjunction yields None.
-        let bad = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
-        assert!(bad.tri_eval(&cache, &t).is_none());
+        for bad in [
+            Condition::equals("temp", Value::str("x")),
+            Condition::equals("memo", 4),
+            Condition::above("memo", 1.0),
+            Condition::contains("temp", "x"),
+            Condition::equals("missing", 1),
+        ] {
+            assert!(cache.condition(&t, &bad).is_none(), "{bad}");
+            let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15), bad]);
+            let walked = p.to_expr().filter_scalar(&t).unwrap_err().to_string();
+            assert_eq!(p.tri_eval(&cache, &t).unwrap_err().to_string(), walked, "{p}");
+            assert!(p.compile(&t).unwrap().eval_columns().trues.is_empty(), "{p}");
+            assert!(p.matching_rows(&t).is_empty(), "{p}");
+        }
         // Appending to the table bumps the version: the stale cache computes
         // fresh results (still correct) without serving stored bitmaps.
         let mut t2 = t.clone();
@@ -1937,12 +1907,12 @@ mod tests {
         ];
         for p in shapes {
             let direct = p.compile(&t).unwrap().eval_columns();
-            let via_expr = CompiledBoolExpr::compile(&p.to_expr(), &t).unwrap().eval_columns();
+            let via_expr = CompiledBoolExpr::compile(&p.to_expr(), &t).eval_columns();
             assert!(same(&direct, &via_expr), "{p}");
             assert_eq!(p.matching_rows(&t), p.to_expr().filter_scalar(&t).unwrap(), "{p}");
         }
         // A mirrored comparison (literal on the left) flips the operator.
-        let mirrored = CompiledBoolExpr::compile(&lit(120.0).lt(col("temp")), &t).unwrap();
+        let mirrored = CompiledBoolExpr::compile(&lit(120.0).lt(col("temp")), &t);
         let above = ConjunctivePredicate::new(vec![Condition::above("temp", 120.0)]);
         assert!(same(&mirrored.eval_columns(), &above.compile(&t).unwrap().eval_columns()));
     }

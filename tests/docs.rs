@@ -3,8 +3,9 @@
 //! exists in the repository, and the three architecture/reference docs the
 //! README promises must actually be there and linked. A knob census holds
 //! the crates and the docs to no environment variable at all; a statics
-//! census beside it lists the process-globals the crates may hold, and a
-//! thread census the one module that starts threads.
+//! census beside it lists the process-globals the crates may hold, a
+//! thread census the one module that starts threads, and a filter census
+//! holds the scalar filter walk to the tests.
 //!
 //! Absolute `http(s)://` links are out of scope (no network in CI or this
 //! container); intra-crate rustdoc links are checked separately by the
@@ -249,12 +250,12 @@ fn for_each_crate_source(visit: &mut dyn FnMut(&Path, &str)) {
 }
 
 /// The statics census: outside `#[cfg(test)]` modules the crates hold the
-/// identity-stamp counter and four pure statistics counters, so state
-/// that makes one explain depend on what else ran in the process cannot
-/// appear unnoticed, and passing the counters explicitly has a number to
-/// drive to one.
+/// identity-stamp counter and the two condition-bitmap statistics
+/// counters, so state that makes one explain depend on what else ran in
+/// the process cannot appear unnoticed, and passing the counters
+/// explicitly has a number to drive to one.
 #[test]
-fn process_global_statics_are_exactly_the_known_five() {
+fn process_global_statics_are_exactly_the_known_three() {
     let mut statics = Vec::new();
     for_each_crate_source(&mut |_, text| {
         // Unit-test modules close their files.
@@ -268,14 +269,22 @@ fn process_global_statics_are_exactly_the_known_five() {
         }
     });
     statics.sort();
-    let known = [
-        "GLOBAL_BITMAP_HITS",
-        "GLOBAL_BITMAP_MISSES",
-        "GLOBAL_BOOL_FALLBACKS",
-        "GLOBAL_BOOL_VECTORIZED",
-        "NEXT_STAMP",
-    ];
+    let known = ["GLOBAL_BITMAP_HITS", "GLOBAL_BITMAP_MISSES", "NEXT_STAMP"];
     assert_eq!(statics, known, "non-test `static` items under crates/*/src");
+}
+
+/// The one-filter-path census: outside `#[cfg(test)]` modules nothing
+/// calls the scalar filter walk, so a whole-clause twin of the compiled
+/// filter cannot come back; the error-message walk steps through rows by
+/// `Expr::matches` and returns none.
+#[test]
+fn non_test_code_never_calls_the_scalar_filter_walk() {
+    let callers = non_test_sources_where(&|code| {
+        let calls =
+            |name: &str| code.matches(name).count() - code.matches(&format!("fn {name}")).count();
+        calls("filter_scalar(") + calls("scalar_rows(") > 0
+    });
+    assert!(callers.is_empty(), "non-test scalar filter walks under crates/*/src: {callers:?}");
 }
 
 /// Every `DBWIPES_[A-Z_]+` name occurring in `text`.
@@ -319,19 +328,26 @@ fn environment_knobs_in_code_and_docs_are_the_same_set() {
     }
 }
 
+/// The files under `crates/*/src` whose code outside `#[cfg(test)]`
+/// modules (unit-test modules close their files) satisfies `hit`.
+fn non_test_sources_where(hit: &dyn Fn(&str) -> bool) -> BTreeSet<PathBuf> {
+    let root = repo_root();
+    let mut found = BTreeSet::new();
+    for_each_crate_source(&mut |path, text| {
+        if hit(text.split("#[cfg(test)]").next().unwrap()) {
+            found.insert(path.strip_prefix(&root).unwrap().to_path_buf());
+        }
+    });
+    found
+}
+
 /// The thread census: outside `#[cfg(test)]` modules only the executor
 /// starts threads, so a request runs on the worker that took its
 /// connection and a stage's wall time is its cost.
 #[test]
 fn non_test_threads_are_started_only_by_the_executor() {
-    let root = repo_root();
-    let mut starters = BTreeSet::new();
-    for_each_crate_source(&mut |path, text| {
-        // Unit-test modules close their files.
-        let code = text.split("#[cfg(test)]").next().unwrap();
-        if ["thread::scope", "thread::spawn", "thread::Builder"].iter().any(|s| code.contains(s)) {
-            starters.insert(path.strip_prefix(&root).unwrap().to_path_buf());
-        }
+    let starters = non_test_sources_where(&|code| {
+        ["thread::scope", "thread::spawn", "thread::Builder"].iter().any(|s| code.contains(s))
     });
     let executor = PathBuf::from("crates/server/src/executor.rs");
     assert_eq!(starters, BTreeSet::from([executor]), "non-test thread starts under crates/*/src");

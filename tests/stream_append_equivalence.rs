@@ -253,8 +253,8 @@ fn absorbing_an_append_that_seals_a_chunk_matches_rebuild() {
         "SELECT id, avg(x), sum(x), count(*), count(x) FROM m GROUP BY id",
         "SELECT id, memo, min(x), max(x), stddev(x) FROM m GROUP BY id, memo",
         "SELECT flag, avg(x + id), max(x - 1) FROM m WHERE x > -5 GROUP BY flag",
-        // A selective `AND` on a string, a tree, and a clause outside the
-        // kernels' fragment (the scalar walk over the appended rows).
+        // A selective `AND` on a string, a tree, and a row leaf (walked
+        // over the appended rows).
         "SELECT flag, count(*), avg(x) FROM m WHERE id = 3 AND memo CONTAINS 'spouse' GROUP BY flag",
         "SELECT id, sum(x), count(*) FROM m WHERE NOT (memo = 'ok') OR flag = true GROUP BY id",
         "SELECT id, count(*), max(x) FROM m WHERE x + id > 0 GROUP BY id",
